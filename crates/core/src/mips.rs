@@ -138,6 +138,11 @@ impl BruteForceMipsIndex {
         &self.data
     }
 
+    /// Consumes the index, returning its vectors.
+    pub fn into_data(self) -> Vec<DenseVector> {
+        self.data
+    }
+
     /// The prepared kernel's activity tallies — zero on the default exact
     /// path, which has no prepared kernel and records nothing.
     pub fn kernel_activity(&self) -> crate::kernel::KernelActivity {
@@ -258,6 +263,11 @@ impl SketchMipsAdapter {
     /// The wrapped sketch structure.
     pub fn inner(&self) -> &ips_sketch::SketchMipsIndex {
         &self.inner
+    }
+
+    /// Consumes the adapter, returning the indexed vectors.
+    pub fn into_data(self) -> Vec<DenseVector> {
+        self.inner.into_data()
     }
 
     /// Wraps an already-built (e.g. snapshot-loaded) sketch structure under a spec —

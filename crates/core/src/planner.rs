@@ -279,11 +279,17 @@ pub struct CostModel {
 impl Default for CostModel {
     fn default() -> Self {
         // Fitted by calibrate_planner on the reference container (single
-        // CPU): the brute kernel's data-major loop is far cheaper per flop
-        // than the LSH strategies' bucket bookkeeping, which is exactly why a
-        // planner is needed — flop counts alone would flip to an index far
-        // too early. Last refit after the probes-aware candidate model
-        // landed (the ALSH flop prediction now includes probed lookups).
+        // CPU): the brute kernel's data-major loop is cheaper per flop than
+        // the LSH strategies' hashing and bucket bookkeeping, which is exactly
+        // why a planner is needed — flop counts alone would flip to an index
+        // too early. The alsh and symmetric constants were refit after the
+        // plane-bank hashing kernel landed (one embedding and one pass over
+        // the coefficients per vector; the symmetric flop count now charges
+        // the tag's non-zeros, not its dimension; both charge
+        // `ips_lsh::cost::CANDIDATE_OVERHEAD_FLOPS` per candidate): the
+        // medians of three runs (brute 0.433, alsh 0.600, symmetric 1.435,
+        // sketch 0.341 ns/flop), put on the scale of the brute and sketch
+        // constants below by the brute ratio 0.415 / 0.433 of the same runs.
         Self {
             brute_ns_per_flop: 0.415,
             // Reduced-precision brute kernels: the calibrated f64 constant
@@ -293,8 +299,8 @@ impl Default for CostModel {
             // costs track the measured kernel speedups.
             brute_f32_ns_per_flop: 0.272,
             brute_quantized_ns_per_flop: 0.364,
-            alsh_ns_per_flop: 3.535,
-            symmetric_ns_per_flop: 0.848,
+            alsh_ns_per_flop: 0.575,
+            symmetric_ns_per_flop: 1.375,
             sketch_ns_per_flop: 0.290,
         }
     }
@@ -518,7 +524,8 @@ impl JoinPlanner {
         );
         let alsh_hash =
             ips_lsh::cost::hash_flops(d + 2, alsh_params.bits_per_table, alsh_params.tables);
-        let alsh_flops = (nf + mf) * alsh_hash + mf * candidates_per_query * df;
+        let alsh_flops =
+            (nf + mf) * alsh_hash + mf * ips_lsh::cost::rescoring_flops(d, candidates_per_query);
         // The resolved query radius already covers the measured query norms
         // and the promise threshold, so the only precondition left to check
         // is the index constructor's unit-ball requirement on the data side.
@@ -561,13 +568,17 @@ impl JoinPlanner {
                     self.config.symmetric.tables,
                     self.config.symmetric.probes,
                 );
+                // One pass to build and scan the mapped vector, then multiply-adds
+                // over its non-zero coordinates only: the hashing kernel skips the
+                // zeros of the one-hot tag (see `ips_lsh::bank`).
                 let sym_hash = mapped_dim as f64
                     + ips_lsh::cost::hash_flops(
-                        mapped_dim,
+                        d + map.tag_nonzeros(),
                         self.config.symmetric.bits_per_table,
                         self.config.symmetric.tables,
                     );
-                let sym_flops = (nf + mf) * sym_hash + mf * sym_candidates * df;
+                let sym_flops =
+                    (nf + mf) * sym_hash + mf * ips_lsh::cost::rescoring_flops(d, sym_candidates);
                 estimates.push(self.estimate(
                     Strategy::Symmetric,
                     sym_flops,
@@ -930,6 +941,22 @@ mod tests {
                 .cost_ns
         };
         assert!(cost(plan.choice) < cost(Strategy::BruteForce));
+    }
+
+    #[test]
+    fn the_alsh_crossover_sits_between_the_skinny_and_the_square_join() {
+        // Pinned with the plane-bank refit of `CostModel::default`: hashing a
+        // vector costs about two scan-flops per flop, no longer nine, so a
+        // square sparse join (every data point amortised over as many queries)
+        // now goes to ALSH, while a build-dominated skinny one — 64 queries
+        // cannot repay hashing 12 000 points — stays on the scan.
+        let sparse = vec![0.01; 256];
+        let square = JoinPlanner::default()
+            .plan_from_stats(stats(6_000, 6_000, 48, sparse.clone()), spec(0.8, 0.6));
+        assert_eq!(square.choice, Strategy::Alsh);
+        let skinny =
+            JoinPlanner::default().plan_from_stats(stats(12_000, 64, 48, sparse), spec(0.8, 0.6));
+        assert_eq!(skinny.choice, Strategy::BruteForce);
     }
 
     #[test]

@@ -77,6 +77,13 @@ impl SymmetricSphereMap {
         self.dim + self.collection.dim()
     }
 
+    /// Number of non-zero coordinates of a mapped vector beyond its first `dim`: the
+    /// tag is one-hot per Reed–Solomon block, which is what a hashing kernel that
+    /// skips zero coordinates pays for instead of the full tag dimension.
+    pub fn tag_nonzeros(&self) -> usize {
+        self.collection.nonzeros()
+    }
+
     /// The incoherence bound ε of the tag collection: for distinct vectors,
     /// `|f(p)ᵀf(q) − pᵀq| ≤ ε`.
     pub fn epsilon(&self) -> f64 {
@@ -198,22 +205,29 @@ impl SymmetricLshMips {
             }
         }
         let map = SymmetricSphereMap::new(dim, params.epsilon, params.precision_bits)?;
-        let mut mapped = Vec::with_capacity(data.len());
-        let mut exact_lookup: HashMap<Vec<u8>, Vec<usize>> = HashMap::with_capacity(data.len());
-        for (i, v) in data.iter().enumerate() {
-            mapped.push(map.map(v)?);
-            exact_lookup.entry(map.encode(v)?).or_default().push(i);
-        }
         let family = SymmetricAsAsymmetric(HyperplaneFamily::single_bit(map.output_dim())?);
-        let index = LshIndex::build(
+        // Sample the functions over an empty index, then stream the points through it:
+        // each sphere image (thousands of coordinates, almost all zero) is hashed and
+        // dropped, never held for the whole data set. Same functions, same buckets and
+        // same id order as building over the materialised images.
+        let mut index = LshIndex::build(
             &family,
             IndexParams {
                 k: params.bits_per_table,
                 l: params.tables,
             },
-            &mapped,
+            &[],
             rng,
         )?;
+        let mut exact_lookup: HashMap<Vec<u8>, Vec<usize>> = HashMap::with_capacity(data.len());
+        for (i, v) in data.iter().enumerate() {
+            let id = u32::try_from(i).map_err(|_| CoreError::InvalidParameter {
+                name: "data",
+                reason: "index supports at most 2^32 - 1 points".into(),
+            })?;
+            index.insert(id, &map.map(v)?)?;
+            exact_lookup.entry(map.encode(v)?).or_default().push(i);
+        }
         let live_count = data.len();
         Ok(Self {
             live: vec![true; live_count],
@@ -444,6 +458,13 @@ impl SymmetricLshMips {
     /// vector (so slot ids stay stable) but never appear as candidates.
     pub fn data(&self) -> &[DenseVector] {
         &self.data
+    }
+
+    /// Consumes the index, returning the vectors of every slot (live or tombstoned)
+    /// and freeing the hash tables — how a rebuild reuses the vectors instead of
+    /// copying them.
+    pub fn into_data(self) -> Vec<DenseVector> {
+        self.data
     }
 
     /// Step 1 of the two-step search, exposed on its own: the diagonal probe.
@@ -683,7 +704,7 @@ mod tests {
             index.data().to_vec(),
             (0..index.slots()).map(|i| index.is_live(i)).collect(),
             LshIndex::from_raw_parts(
-                index.lsh_index().functions().to_vec(),
+                index.lsh_index().functions(),
                 index.lsh_index().tables().to_vec(),
                 index.lsh_index().params(),
                 index.lsh_index().len(),

@@ -143,6 +143,12 @@ impl ReedSolomonCollection {
         (self.t * self.p) as usize
     }
 
+    /// Number of non-zero coordinates of every produced vector: the code length `t`
+    /// (one coordinate of weight `1/√t` per block of size `p`).
+    pub fn nonzeros(&self) -> usize {
+        self.t as usize
+    }
+
     /// The guaranteed upper bound on `|v_iᵀv_j|` for `i ≠ j`: `(k − 1)/t`.
     pub fn coherence(&self) -> f64 {
         (self.k as f64 - 1.0) / self.t as f64

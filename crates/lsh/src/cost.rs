@@ -155,9 +155,28 @@ pub fn expected_candidates_probed(
 }
 
 /// Flops to hash one `dim`-dimensional vector into a `k`-bit, `l`-table index:
-/// each bit is one `dim`-length dot product against a hyperplane normal.
+/// each bit is one `dim`-length dot product against a hyperplane normal. (`dim`
+/// is the number of coordinates the kernel multiplies — the embedded vector's
+/// non-zeros, see [`crate::bank`].)
 pub fn hash_flops(dim: usize, k: usize, l: usize) -> f64 {
     (dim * k * l) as f64
+}
+
+/// What one candidate costs besides its `dim`-flop exact re-scoring, in the same
+/// flop units: its share of gathering, sorting and deduplicating the candidate ids,
+/// and the fetch of its vector. Measured from ~2 ns per candidate (a 1 000-point
+/// index resident in cache) to 40–50 ns (`LshIndex::query_candidates` /
+/// `probe_lookup(.., 8)` at n = 20 000, d = 32, every fetch a miss), against
+/// ~0.6 ns per hashing flop; the constant takes the order of magnitude between.
+///
+/// With hashing at one pass per vector this bookkeeping, not the dot product, is
+/// what a candidate costs at small `dim`; without it a degenerate index (most of
+/// the data in every candidate set) prices at, or below, the scan it has become.
+pub const CANDIDATE_OVERHEAD_FLOPS: f64 = 16.0;
+
+/// Flops to turn `candidates` candidates of dimension `dim` into scored answers.
+pub fn rescoring_flops(dim: usize, candidates: f64) -> f64 {
+    candidates * (dim as f64 + CANDIDATE_OVERHEAD_FLOPS)
 }
 
 #[cfg(test)]

@@ -6,6 +6,12 @@
 //! as the sphere substrate after the asymmetric embedding. The multi-bit variant
 //! concatenates `bits` independent signs into one bucket, i.e. performs the
 //! AND-construction internally.
+//!
+//! [`HyperplaneFunction::hash`] is one dot product per plane. An index over this
+//! family (lifted by [`crate::SymmetricAsAsymmetric`]) evaluates all its functions at
+//! once through a [`crate::bank::PlaneBank`] instead, with bit-identical buckets;
+//! [`LshFamily::hyperplanes`] / [`LshFamily::from_hyperplanes`] are how the family
+//! opts in.
 
 use crate::error::{LshError, Result};
 use crate::traits::{HashFunction, LshFamily};
@@ -132,6 +138,14 @@ impl LshFamily for HyperplaneFamily {
 
     fn dim(&self) -> Option<usize> {
         Some(self.dim)
+    }
+
+    fn hyperplanes(function: &Self::Function) -> Option<&HyperplaneFunction> {
+        Some(function)
+    }
+
+    fn from_hyperplanes(planes: HyperplaneFunction) -> Option<Self::Function> {
+        Some(planes)
     }
 }
 

@@ -19,6 +19,7 @@
 //! | SIMPLE-ALSH | [`simple_alsh`] | Neyshabur–Srebro reduction \[39\]; basis of Section 4.1 |
 //! | Multi-probe SimHash | [`multiprobe`] | table-count vs probe-count ablation for the Section 4.1 index |
 //! | Query-directed probing | [`probe`] | compositional multi-probe for the production indexes (PR 10) |
+//! | Plane bank | [`bank`] | the one hashing kernel [`table::LshIndex`] runs for the hyperplane families |
 //!
 //! The closed-form ρ exponents compared in **Figure 2** (DATA-DEP, SIMP, MH-ALSH) are
 //! provided by the [`rho`] module; empirical collision probabilities for validation of
@@ -30,6 +31,7 @@
 
 pub mod alsh_l2;
 pub mod amplify;
+pub mod bank;
 pub mod collision;
 pub mod cost;
 pub mod crosspolytope;

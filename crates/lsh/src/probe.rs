@@ -19,6 +19,10 @@
 //!   the order-sensitive bucket-key chain ([`combine_hashes`]), substituting one
 //!   (or two, across distinct components) perturbed component hashes and
 //!   re-chaining.
+//! * The enumeration itself is one function over component home hashes and atoms
+//!   (`compose_probes`), shared with [`crate::bank::PlaneBank::probe_keys`], which
+//!   feeds it the margins of its single pass — so an index hashed through the bank
+//!   visits exactly the buckets the trait implementations here name.
 //!
 //! Throughout this module `extra` / `probes` counts **additional buckets beyond
 //! the home bucket**: `0` means the classical single-bucket lookup, bit-identical
@@ -127,50 +131,86 @@ pub trait ProbeSequence {
     fn probe_query(&self, q: &DenseVector, extra: usize) -> Result<Vec<u64>>;
 }
 
-/// Stable-sorts the candidate perturbations by cost, keeps the `extra`
-/// cheapest, and prepends the home bucket. Candidates must be generated in a
-/// deterministic order — the stable sort makes that order the tie-break.
-fn select_probes(home: u64, mut candidates: Vec<ProbeFlip>, extra: usize) -> Vec<u64> {
-    candidates.sort_by(|a, b| a.cost.total_cmp(&b.cost));
-    candidates.truncate(extra);
-    let mut out = Vec::with_capacity(1 + candidates.len());
-    out.push(home);
-    for c in candidates {
-        // Distinct perturbations can in principle chain to the same bucket key;
-        // visiting a bucket twice would only waste a lookup, so drop repeats.
-        if !out.contains(&c.hash) {
-            out.push(c.hash);
+/// The `limit` cheapest of the candidate perturbations offered so far, cheapest
+/// first. Candidates are offered in the enumeration order the probe sequence is
+/// defined by, and among equal costs the earlier offer wins — what a stable sort by
+/// cost of the whole enumeration, cut at `limit`, keeps, without holding (or keying)
+/// more than `limit` candidates at a time.
+struct Cheapest<C> {
+    limit: usize,
+    kept: Vec<(f64, C)>,
+}
+
+impl<C> Cheapest<C> {
+    fn new(limit: usize) -> Self {
+        Self {
+            limit,
+            kept: Vec::new(),
         }
     }
-    out
+
+    fn offer(&mut self, cost: f64, candidate: C) {
+        if self.kept.len() == self.limit {
+            match self.kept.last() {
+                Some(worst) if cost.total_cmp(&worst.0).is_lt() => self.kept.pop(),
+                _ => return,
+            };
+        }
+        let at = self
+            .kept
+            .partition_point(|kept| kept.0.total_cmp(&cost).is_le());
+        self.kept.insert(at, (cost, candidate));
+    }
+
+    /// The probe sequence: the home bucket, then the kept candidates' bucket keys.
+    fn into_probes(self, home: u64, key: impl Fn(C) -> u64) -> Vec<u64> {
+        let mut out = Vec::with_capacity(1 + self.kept.len());
+        out.push(home);
+        for (_, candidate) in self.kept {
+            // Distinct perturbations can in principle chain to the same bucket key;
+            // visiting a bucket twice would only waste a lookup, so drop repeats.
+            let key = key(candidate);
+            if !out.contains(&key) {
+                out.push(key);
+            }
+        }
+        out
+    }
+}
+
+/// The bucket of a hyperplane hash given its margins `gᵢᵀv`: bit `i` is set when
+/// margin `i` is non-negative.
+pub(crate) fn sign_bucket(margins: &[f64]) -> u64 {
+    margins
+        .iter()
+        .enumerate()
+        .fold(0u64, |bucket, (i, &m)| bucket | (u64::from(m >= 0.0) << i))
+}
+
+/// Appends the single-bit perturbations of a hyperplane hash to `atoms`, in bit
+/// order: flipping bit `i` costs its squared margin.
+pub(crate) fn push_flips(home: u64, margins: &[f64], atoms: &mut Vec<ProbeFlip>) {
+    atoms.extend(margins.iter().enumerate().map(|(i, m)| ProbeFlip {
+        hash: home ^ (1u64 << i),
+        cost: m * m,
+    }));
 }
 
 impl ProbeSequence for HyperplaneFunction {
     fn probe_atoms(&self, q: &DenseVector) -> Result<(u64, Vec<ProbeFlip>)> {
-        let mut home = 0u64;
         let mut margins = Vec::with_capacity(self.planes().len());
-        for (i, plane) in self.planes().iter().enumerate() {
-            let margin = if plane.dim() != q.dim() {
+        for plane in self.planes() {
+            if plane.dim() != q.dim() {
                 return Err(crate::error::LshError::DimensionMismatch {
                     expected: plane.dim(),
                     actual: q.dim(),
                 });
-            } else {
-                plane.dot(q)?
-            };
-            if margin >= 0.0 {
-                home |= 1u64 << i;
             }
-            margins.push(margin);
+            margins.push(plane.dot(q)?);
         }
-        let atoms = margins
-            .iter()
-            .enumerate()
-            .map(|(i, m)| ProbeFlip {
-                hash: home ^ (1u64 << i),
-                cost: m * m,
-            })
-            .collect();
+        let home = sign_bucket(&margins);
+        let mut atoms = Vec::with_capacity(margins.len());
+        push_flips(home, &margins, &mut atoms);
         Ok((home, atoms))
     }
 
@@ -180,17 +220,17 @@ impl ProbeSequence for HyperplaneFunction {
             return Ok(vec![home]);
         }
         // Singles, then all two-bit flips (XOR composes flips exactly for a
-        // hyperplane bucket), generated in ascending bit order for determinism.
-        let mut candidates = atoms.clone();
-        for i in 0..atoms.len() {
-            for j in (i + 1)..atoms.len() {
-                candidates.push(ProbeFlip {
-                    hash: atoms[i].hash ^ atoms[j].hash ^ home,
-                    cost: atoms[i].cost + atoms[j].cost,
-                });
+        // hyperplane bucket), in ascending bit order for determinism.
+        let mut cheapest = Cheapest::new(extra);
+        for a in &atoms {
+            cheapest.offer(a.cost, a.hash);
+        }
+        for (i, a) in atoms.iter().enumerate() {
+            for b in &atoms[i + 1..] {
+                cheapest.offer(a.cost + b.cost, a.hash ^ b.hash ^ home);
             }
         }
-        Ok(select_probes(home, candidates, extra))
+        Ok(cheapest.into_probes(home, |hash| hash))
     }
 }
 
@@ -216,20 +256,79 @@ impl<H: ProbeSequence + Send + Sync> ProbeSequence for SymmetricFunctionPair<H> 
     }
 }
 
-/// Folds component hashes into the composite bucket key, substituting up to two
-/// components — the chain is order-sensitive (see [`combine_hashes`]), so a
-/// perturbed component forces re-chaining from its position onward.
-fn chain_with(homes: &[u64], subs: &[(usize, u64)]) -> u64 {
-    let mut acc = 0u64;
-    for (i, &h) in homes.iter().enumerate() {
-        let value = subs
-            .iter()
-            .find(|&&(j, _)| j == i)
-            .map(|&(_, s)| s)
-            .unwrap_or(h);
-        acc = combine_hashes(acc, value);
+/// The probe sequence of a `k`-component AND-function from its components' home
+/// hashes and single-perturbation atoms (`atoms[starts[i]..starts[i + 1]]` belong to
+/// component `i`): the home key, then the `extra` cheapest of
+///
+/// * every atom substituted for its component's hash, in component then atom order;
+/// * every pair of atoms from two *distinct* components `i < j`, in `(i, j)` then
+///   atom order, costing the sum of the two;
+///
+/// cheapest first, ties in that enumeration order, repeated keys dropped.
+///
+/// Only the survivors are chained into bucket keys, each from the chain's prefix up
+/// to its first substituted component (the chain is order-sensitive, see
+/// [`combine_hashes`], so everything after a substitution is re-chained).
+pub(crate) fn compose_probes(
+    homes: &[u64],
+    atoms: &[ProbeFlip],
+    starts: &[usize],
+    extra: usize,
+) -> Vec<u64> {
+    // prefix[i] chains homes[..i]; prefix[k] is the home key.
+    let mut prefix = Vec::with_capacity(homes.len() + 1);
+    prefix.push(0u64);
+    for &h in homes {
+        prefix.push(combine_hashes(prefix[prefix.len() - 1], h));
     }
-    acc
+    let home = prefix[homes.len()];
+    if extra == 0 {
+        return vec![home];
+    }
+    let of = |i: usize| &atoms[starts[i]..starts[i + 1]];
+    type Substitution = (usize, u64);
+    let mut cheapest: Cheapest<(Substitution, Option<Substitution>)> = Cheapest::new(extra);
+    for i in 0..homes.len() {
+        for a in of(i) {
+            cheapest.offer(a.cost, ((i, a.hash), None));
+        }
+    }
+    for i in 0..homes.len() {
+        for j in (i + 1)..homes.len() {
+            for a in of(i) {
+                for b in of(j) {
+                    cheapest.offer(a.cost + b.cost, ((i, a.hash), Some((j, b.hash))));
+                }
+            }
+        }
+    }
+    cheapest.into_probes(home, |((i, first), second)| {
+        let mut key = combine_hashes(prefix[i], first);
+        for (offset, &h) in homes[i + 1..].iter().enumerate() {
+            let substituted = second.filter(|&(j, _)| j == i + 1 + offset);
+            key = combine_hashes(key, substituted.map_or(h, |(_, hash)| hash));
+        }
+        key
+    })
+}
+
+/// Home hashes, flattened atoms and per-component atom offsets of an AND-function's
+/// components — the inputs of [`compose_probes`].
+fn component_atoms<H: ProbeSequence>(
+    functions: &[H],
+    q: &DenseVector,
+) -> Result<(Vec<u64>, Vec<ProbeFlip>, Vec<usize>)> {
+    let mut homes = Vec::with_capacity(functions.len());
+    let mut atoms = Vec::new();
+    let mut starts = Vec::with_capacity(functions.len() + 1);
+    for f in functions {
+        let (home, component) = f.probe_atoms(q)?;
+        homes.push(home);
+        starts.push(atoms.len());
+        atoms.extend(component);
+    }
+    starts.push(atoms.len());
+    Ok((homes, atoms, starts))
 }
 
 /// Probing composes through the AND-construction by perturbing one component at
@@ -244,60 +343,28 @@ fn chain_with(homes: &[u64], subs: &[(usize, u64)]) -> u64 {
 /// [`probe_query`]: ProbeSequence::probe_query
 impl<H: ProbeSequence + Send + Sync> ProbeSequence for AndFunction<H> {
     fn probe_atoms(&self, q: &DenseVector) -> Result<(u64, Vec<ProbeFlip>)> {
-        let mut homes = Vec::with_capacity(self.functions().len());
-        let mut component_atoms = Vec::with_capacity(self.functions().len());
-        for f in self.functions() {
-            let (home, atoms) = f.probe_atoms(q)?;
-            homes.push(home);
-            component_atoms.push(atoms);
-        }
-        let home = chain_with(&homes, &[]);
-        let mut out = Vec::new();
-        for (i, atoms) in component_atoms.iter().enumerate() {
-            for a in atoms {
+        let (homes, atoms, starts) = component_atoms(self.functions(), q)?;
+        let chain = |substituted: Option<(usize, u64)>| {
+            homes.iter().enumerate().fold(0u64, |key, (i, &h)| {
+                let value = substituted.filter(|&(j, _)| j == i).map_or(h, |(_, s)| s);
+                combine_hashes(key, value)
+            })
+        };
+        let mut out = Vec::with_capacity(atoms.len());
+        for i in 0..homes.len() {
+            for a in &atoms[starts[i]..starts[i + 1]] {
                 out.push(ProbeFlip {
-                    hash: chain_with(&homes, &[(i, a.hash)]),
+                    hash: chain(Some((i, a.hash))),
                     cost: a.cost,
                 });
             }
         }
-        Ok((home, out))
+        Ok((chain(None), out))
     }
 
     fn probe_query(&self, q: &DenseVector, extra: usize) -> Result<Vec<u64>> {
-        let mut homes = Vec::with_capacity(self.functions().len());
-        let mut component_atoms = Vec::with_capacity(self.functions().len());
-        for f in self.functions() {
-            let (home, atoms) = f.probe_atoms(q)?;
-            homes.push(home);
-            component_atoms.push(atoms);
-        }
-        let home = chain_with(&homes, &[]);
-        if extra == 0 {
-            return Ok(vec![home]);
-        }
-        let mut candidates = Vec::new();
-        for (i, atoms) in component_atoms.iter().enumerate() {
-            for a in atoms {
-                candidates.push(ProbeFlip {
-                    hash: chain_with(&homes, &[(i, a.hash)]),
-                    cost: a.cost,
-                });
-            }
-        }
-        for i in 0..component_atoms.len() {
-            for j in (i + 1)..component_atoms.len() {
-                for a in &component_atoms[i] {
-                    for b in &component_atoms[j] {
-                        candidates.push(ProbeFlip {
-                            hash: chain_with(&homes, &[(i, a.hash), (j, b.hash)]),
-                            cost: a.cost + b.cost,
-                        });
-                    }
-                }
-            }
-        }
-        Ok(select_probes(home, candidates, extra))
+        let (homes, atoms, starts) = component_atoms(self.functions(), q)?;
+        Ok(compose_probes(&homes, &atoms, &starts, extra))
     }
 }
 
@@ -424,6 +491,94 @@ mod tests {
                 acc = combine_hashes(acc, *h);
             }
             assert_eq!(atom.hash, acc);
+        }
+    }
+
+    /// Folds component hashes into the composite bucket key, substituting up to two
+    /// components.
+    fn chain_with(homes: &[u64], subs: &[(usize, u64)]) -> u64 {
+        let mut acc = 0u64;
+        for (i, &h) in homes.iter().enumerate() {
+            let value = subs
+                .iter()
+                .find(|&&(j, _)| j == i)
+                .map(|&(_, s)| s)
+                .unwrap_or(h);
+            acc = combine_hashes(acc, value);
+        }
+        acc
+    }
+
+    /// The enumeration as first written: chain every single and every
+    /// cross-component pair, stable-sort by cost, cut, drop repeated keys.
+    fn exhaustive_probes(
+        homes: &[u64],
+        atoms: &[ProbeFlip],
+        starts: &[usize],
+        extra: usize,
+    ) -> Vec<u64> {
+        let of = |i: usize| &atoms[starts[i]..starts[i + 1]];
+        let mut candidates = Vec::new();
+        for i in 0..homes.len() {
+            for a in of(i) {
+                candidates.push((a.cost, chain_with(homes, &[(i, a.hash)])));
+            }
+        }
+        for i in 0..homes.len() {
+            for j in (i + 1)..homes.len() {
+                for a in of(i) {
+                    for b in of(j) {
+                        let key = chain_with(homes, &[(i, a.hash), (j, b.hash)]);
+                        candidates.push((a.cost + b.cost, key));
+                    }
+                }
+            }
+        }
+        candidates.sort_by(|a, b| a.0.total_cmp(&b.0));
+        candidates.truncate(extra);
+        let mut out = vec![chain_with(homes, &[])];
+        for (_, key) in candidates {
+            if !out.contains(&key) {
+                out.push(key);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn pruned_lazy_enumeration_matches_the_exhaustive_one() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(12);
+        for case in 0..300 {
+            let components = rng.gen_range(1..=10);
+            let mut homes = Vec::new();
+            let mut atoms = Vec::new();
+            let mut starts = vec![0];
+            for _ in 0..components {
+                let home: u64 = rng.gen_range(0..8);
+                homes.push(home);
+                for bit in 0..rng.gen_range(0..=3) {
+                    // A few distinct costs, so ties (and all-zero margins) are common
+                    // and the generation-order tie-break is what decides.
+                    let cost = match case % 3 {
+                        0 => 0.0,
+                        1 => f64::from(rng.gen_range(0..3u8)),
+                        _ => rng.gen_range(0.0..1.0),
+                    };
+                    atoms.push(ProbeFlip {
+                        hash: home ^ (1 << bit),
+                        cost,
+                    });
+                }
+                starts.push(atoms.len());
+            }
+            for extra in [0usize, 1, 2, 5, 8, 40, usize::MAX] {
+                assert_eq!(
+                    compose_probes(&homes, &atoms, &starts, extra),
+                    exhaustive_probes(&homes, &atoms, &starts, extra),
+                    "case {case}, extra {extra}"
+                );
+            }
         }
     }
 

@@ -14,7 +14,17 @@
 //! data-dependent sphere LSH into exactly this reduction; here the runnable substrate is
 //! hyperplane (SimHash) hashing, which yields the SIMP curve of Figure 2, or
 //! cross-polytope hashing for better practical performance.
+//!
+//! A [`SimpleAlshFunction`] embeds and hashes one vector on its own — the definition
+//! of the family, and the oracle the bit-identity tests compare against. An
+//! [`crate::table::LshIndex`] does not call it: [`SimpleAlshFamily`] hands the index
+//! its functions as a [`PlaneBank`] ([`AsymmetricLshFamily::plane_bank`]), which
+//! embeds each vector once through [`SphereTransform::transform_data_into`] /
+//! [`SphereTransform::transform_query_into`] — the same code the allocating
+//! `transform_*` wrap — and evaluates every hyperplane of every table in one pass.
 
+use crate::amplify::AndFunction;
+use crate::bank::{Embedding, PlaneBank};
 use crate::error::{LshError, Result};
 use crate::hyperplane::{HyperplaneFamily, HyperplaneFunction};
 use crate::traits::{AsymmetricHashFunction, AsymmetricLshFamily, HashFunction, LshFamily};
@@ -23,7 +33,7 @@ use rand::Rng;
 
 /// The asymmetric ball-to-sphere transform shared by SIMPLE-ALSH and the Section 4.1
 /// construction.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SphereTransform {
     dim: usize,
     query_radius: f64,
@@ -68,6 +78,14 @@ impl SphereTransform {
     /// Returns a [`LshError::DomainViolation`] when `‖p‖ > 1` (allowing a small
     /// floating-point slack).
     pub fn transform_data(&self, p: &DenseVector) -> Result<DenseVector> {
+        let mut out = Vec::with_capacity(self.output_dim());
+        self.transform_data_into(p, &mut out)?;
+        Ok(DenseVector::new(out))
+    }
+
+    /// [`SphereTransform::transform_data`] into a caller-owned buffer (cleared first),
+    /// so a hashing loop embeds every point into the same allocation.
+    pub fn transform_data_into(&self, p: &DenseVector, out: &mut Vec<f64>) -> Result<()> {
         if p.dim() != self.dim {
             return Err(LshError::DimensionMismatch {
                 expected: self.dim,
@@ -80,24 +98,34 @@ impl SphereTransform {
                 reason: format!("data vector norm {} exceeds 1", norm_sq.sqrt()),
             });
         }
-        let mut out = p.clone();
+        out.clear();
+        out.extend_from_slice(p.as_slice());
         out.push((1.0 - norm_sq).max(0.0).sqrt());
         out.push(0.0);
-        Ok(out)
+        Ok(())
     }
 
     /// Query-side map `Q(q) = (q/U, 0, √(1 − ‖q‖²/U²))`.
     ///
     /// Returns a [`LshError::DomainViolation`] when `‖q‖ > U`.
     pub fn transform_query(&self, q: &DenseVector) -> Result<DenseVector> {
+        let mut out = Vec::with_capacity(self.output_dim());
+        self.transform_query_into(q, &mut out)?;
+        Ok(DenseVector::new(out))
+    }
+
+    /// [`SphereTransform::transform_query`] into a caller-owned buffer (cleared first).
+    pub fn transform_query_into(&self, q: &DenseVector, out: &mut Vec<f64>) -> Result<()> {
         if q.dim() != self.dim {
             return Err(LshError::DimensionMismatch {
                 expected: self.dim,
                 actual: q.dim(),
             });
         }
-        let scaled = q.scaled(1.0 / self.query_radius);
-        let norm_sq = scaled.norm_sq();
+        let inverse_radius = 1.0 / self.query_radius;
+        out.clear();
+        out.extend(q.iter().map(|x| x * inverse_radius));
+        let norm_sq: f64 = out.iter().map(|x| x * x).sum();
         if norm_sq > 1.0 + 1e-9 {
             return Err(LshError::DomainViolation {
                 reason: format!(
@@ -107,10 +135,9 @@ impl SphereTransform {
                 ),
             });
         }
-        let mut out = scaled;
         out.push(0.0);
         out.push((1.0 - norm_sq).max(0.0).sqrt());
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -202,6 +229,23 @@ impl AsymmetricLshFamily for SimpleAlshFamily {
 
     fn dim(&self) -> Option<usize> {
         Some(self.transform.dim())
+    }
+
+    fn plane_bank(functions: &[AndFunction<Self::Function>]) -> Result<Option<PlaneBank>> {
+        PlaneBank::from_functions(functions, |f| {
+            (Embedding::Sphere(f.transform.clone()), &f.inner)
+        })
+        .map(Some)
+    }
+
+    fn functions_of_bank(bank: &PlaneBank) -> Option<Vec<AndFunction<Self::Function>>> {
+        bank.to_functions(|embedding, inner| match embedding {
+            Embedding::Sphere(transform) => Some(SimpleAlshFunction {
+                transform: transform.clone(),
+                inner,
+            }),
+            Embedding::Identity => None,
+        })
     }
 }
 

@@ -7,6 +7,15 @@
 //! classical `O(n^ρ)` query time that all the upper-bound discussions in the paper
 //! (Sections 1.1 and 4) refer to.
 //!
+//! **Hashing.** Every operation — build, insert, remove, lookup, probed lookup — asks
+//! one place for a vector's `L` bucket keys. For a family that provides a
+//! [`PlaneBank`] ([`AsymmetricLshFamily::plane_bank`]: SIMPLE-ALSH and the symmetric
+//! hyperplane family) that place is the bank's kernel: the vector is embedded once and
+//! all `k·L` hyperplane margins come from one pass over the coordinate-major
+//! coefficients, with keys bit-identical to the per-function walk. Any other family
+//! (e.g. MH-ALSH) is hashed function by function through its trait implementation.
+//! The index holds exactly one of the two representations; see [`crate::bank`].
+//!
 //! The index is *dynamic*: [`LshIndex::insert`] and [`LshIndex::remove`] maintain the
 //! `L` tables incrementally (hashing the point with each table's stored function), so a
 //! long-lived serving process can mutate an index without rebuilding it; and it is
@@ -14,13 +23,14 @@
 //! [`LshIndex::from_raw_parts`] expose exactly the state a snapshot needs to restore an
 //! index bit-identically (same sampled functions, same buckets, same query results).
 
-use crate::amplify::AndConstruction;
+use crate::amplify::{AndConstruction, AndFunction};
+use crate::bank::{BankScratch, PlaneBank, Side};
 use crate::error::{LshError, Result};
 use crate::probe::ProbeSequence;
 use crate::traits::{AsymmetricHashFunction, AsymmetricLshFamily};
 use ips_linalg::DenseVector;
 use rand::Rng;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Parameters of a multi-table index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,9 +59,57 @@ impl IndexParams {
     }
 }
 
+/// The `L` sampled composite functions in the one form the index evaluates them in.
+enum Hasher<F: AsymmetricLshFamily> {
+    /// Hyperplane families: every normal in one coordinate-major bank.
+    Bank(PlaneBank),
+    /// Every other family: the functions as sampled.
+    Functions(Vec<AndFunction<F::Function>>),
+}
+
+impl<F: AsymmetricLshFamily> Hasher<F> {
+    fn new(functions: Vec<AndFunction<F::Function>>) -> Result<Self> {
+        Ok(match F::plane_bank(&functions)? {
+            Some(bank) => Self::Bank(bank),
+            None => Self::Functions(functions),
+        })
+    }
+
+    /// [`Hasher::keys_into`] for a single vector, with buffers of its own.
+    fn keys(&self, side: Side, v: &DenseVector) -> Result<Vec<u64>> {
+        let mut keys = Vec::new();
+        self.keys_into(side, v, &mut BankScratch::default(), &mut keys)?;
+        Ok(keys)
+    }
+
+    /// The `L` bucket keys of `v` into `keys`, every one computed before the caller
+    /// sees any — so a dimension or domain error leaves nothing half-done.
+    fn keys_into(
+        &self,
+        side: Side,
+        v: &DenseVector,
+        scratch: &mut BankScratch,
+        keys: &mut Vec<u64>,
+    ) -> Result<()> {
+        match self {
+            Self::Bank(bank) => bank.keys(side, v, scratch, keys),
+            Self::Functions(functions) => {
+                keys.clear();
+                for f in functions {
+                    keys.push(match side {
+                        Side::Data => f.hash_data(v)?,
+                        Side::Query => f.hash_query(v)?,
+                    });
+                }
+                Ok(())
+            }
+        }
+    }
+}
+
 /// A multi-table LSH index over data vectors, generic over any asymmetric family.
 pub struct LshIndex<F: AsymmetricLshFamily> {
-    functions: Vec<<AndConstruction<F> as AsymmetricLshFamily>::Function>,
+    hasher: Hasher<F>,
     tables: Vec<HashMap<u64, Vec<u32>>>,
     params: IndexParams,
     len: usize,
@@ -79,24 +137,22 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
             });
         }
         let composite = AndConstruction::new(family.clone(), params.k)?;
-        let mut functions = Vec::with_capacity(params.l);
-        let mut tables = Vec::with_capacity(params.l);
-        for _ in 0..params.l {
-            let f = composite.sample(rng)?;
-            let mut table: HashMap<u64, Vec<u32>> = HashMap::new();
-            for (idx, p) in data.iter().enumerate() {
-                let bucket = f.hash_data(p)?;
-                table.entry(bucket).or_default().push(idx as u32);
-            }
-            functions.push(f);
-            tables.push(table);
-        }
-        Ok(Self {
-            functions,
-            tables,
+        let functions = (0..params.l)
+            .map(|_| composite.sample(rng))
+            .collect::<Result<Vec<_>>>()?;
+        let mut index = Self {
+            hasher: Hasher::new(functions)?,
+            tables: vec![HashMap::new(); params.l],
             params,
-            len: data.len(),
-        })
+            len: 0,
+        };
+        // Point by point through one scratch: no per-point allocation, and never more
+        // than one vector's margins in memory.
+        let (mut scratch, mut keys) = (BankScratch::default(), Vec::with_capacity(params.l));
+        for (idx, p) in data.iter().enumerate() {
+            index.insert_with(idx as u32, p, &mut scratch, &mut keys)?;
+        }
+        Ok(index)
     }
 
     /// The parameters the index was built with.
@@ -117,16 +173,11 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
     /// Returns the (deduplicated) candidate indices colliding with the query in at
     /// least one table, in ascending order.
     pub fn query_candidates(&self, q: &DenseVector) -> Result<Vec<usize>> {
-        let mut seen: HashSet<u32> = HashSet::new();
-        for (f, table) in self.functions.iter().zip(self.tables.iter()) {
-            let bucket = f.hash_query(q)?;
-            if let Some(ids) = table.get(&bucket) {
-                seen.extend(ids.iter().copied());
-            }
-        }
-        let mut out: Vec<usize> = seen.into_iter().map(|i| i as usize).collect();
-        out.sort_unstable();
-        Ok(out)
+        let keys = self.hasher.keys(Side::Query, q)?;
+        let buckets = self.tables.iter().zip(&keys);
+        Ok(sorted_candidates(
+            buckets.filter_map(|(table, key)| table.get(key)),
+        ))
     }
 
     /// Like [`LshIndex::query_candidates`], but additionally visits up to `probes`
@@ -167,17 +218,17 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
         if probes == 0 {
             return self.query_candidates(q);
         }
-        let mut seen: HashSet<u32> = HashSet::new();
-        for (f, table) in self.functions.iter().zip(self.tables.iter()) {
-            for bucket in f.probe_query(q, probes)? {
-                if let Some(ids) = table.get(&bucket) {
-                    seen.extend(ids.iter().copied());
-                }
-            }
-        }
-        let mut out: Vec<usize> = seen.into_iter().map(|i| i as usize).collect();
-        out.sort_unstable();
-        Ok(out)
+        let sequences = match &self.hasher {
+            Hasher::Bank(bank) => bank.probe_keys(q, probes, &mut BankScratch::default())?,
+            Hasher::Functions(functions) => functions
+                .iter()
+                .map(|f| f.probe_query(q, probes))
+                .collect::<Result<Vec<_>>>()?,
+        };
+        let buckets = self.tables.iter().zip(&sequences);
+        Ok(sorted_candidates(buckets.flat_map(|(table, sequence)| {
+            sequence.iter().filter_map(|key| table.get(key))
+        })))
     }
 
     /// Total number of stored (bucket, point) entries across all tables — a proxy for
@@ -190,8 +241,18 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
     }
 
     /// The `L` sampled composite functions, in table order (persistence accessor).
-    pub fn functions(&self) -> &[<AndConstruction<F> as AsymmetricLshFamily>::Function] {
-        &self.functions
+    ///
+    /// Owned, not borrowed: a hyperplane family's functions live in the index only as
+    /// its [`PlaneBank`] and are scattered back out here, bit for bit.
+    pub fn functions(&self) -> Vec<AndFunction<F::Function>>
+    where
+        F::Function: Clone,
+    {
+        match &self.hasher {
+            Hasher::Bank(bank) => F::functions_of_bank(bank)
+                .expect("a family that banks its functions also rebuilds them"),
+            Hasher::Functions(functions) => functions.clone(),
+        }
     }
 
     /// The `L` hash tables, in table order (persistence accessor). Each maps a bucket
@@ -205,10 +266,14 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
     /// snapshot persistence to restore an index without re-sampling its functions.
     ///
     /// `len` is the number of *distinct* points stored (each point appears once per
-    /// table). Returns an error when the function and table counts disagree with each
-    /// other or with `params.l`, or when any table's entry count differs from `len`.
+    /// table). Everything a later query would otherwise trip over is rejected here
+    /// with [`LshError::InvalidParameter`]: function and table counts that disagree
+    /// with each other or with `params.l`, a function that does not concatenate
+    /// exactly `params.k` components, a table whose entry count differs from `len`,
+    /// and — for a family hashed through a [`PlaneBank`] — components that disagree on
+    /// embedding, plane count or plane dimension (see [`PlaneBank::from_functions`]).
     pub fn from_raw_parts(
-        functions: Vec<<AndConstruction<F> as AsymmetricLshFamily>::Function>,
+        functions: Vec<AndFunction<F::Function>>,
         tables: Vec<HashMap<u64, Vec<u32>>>,
         params: IndexParams,
         len: usize,
@@ -224,6 +289,16 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
                 ),
             });
         }
+        if let Some(f) = functions.iter().find(|f| f.functions().len() != params.k) {
+            return Err(LshError::InvalidParameter {
+                name: "functions",
+                reason: format!(
+                    "a function concatenates {} components, params.k = {}",
+                    f.functions().len(),
+                    params.k
+                ),
+            });
+        }
         for table in &tables {
             let entries: usize = table.values().map(Vec::len).sum();
             if entries != len {
@@ -234,7 +309,7 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
             }
         }
         Ok(Self {
-            functions,
+            hasher: Hasher::new(functions)?,
             tables,
             params,
             len,
@@ -247,14 +322,21 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
     /// The caller owns the id space; inserting an id that is already present stores it
     /// twice and is a logic error.
     pub fn insert(&mut self, id: u32, p: &DenseVector) -> Result<()> {
-        // Hash against every table before mutating any of them, so a domain or
-        // dimension error cannot leave the point half-inserted.
-        let mut buckets = Vec::with_capacity(self.functions.len());
-        for f in &self.functions {
-            buckets.push(f.hash_data(p)?);
-        }
-        for (table, bucket) in self.tables.iter_mut().zip(buckets) {
-            table.entry(bucket).or_default().push(id);
+        self.insert_with(id, p, &mut BankScratch::default(), &mut Vec::new())
+    }
+
+    fn insert_with(
+        &mut self,
+        id: u32,
+        p: &DenseVector,
+        scratch: &mut BankScratch,
+        keys: &mut Vec<u64>,
+    ) -> Result<()> {
+        // Every key before any table is touched, so a domain or dimension error
+        // cannot leave the point half-inserted.
+        self.hasher.keys_into(Side::Data, p, scratch, keys)?;
+        for (table, &key) in self.tables.iter_mut().zip(keys.iter()) {
+            table.entry(key).or_default().push(id);
         }
         self.len += 1;
         Ok(())
@@ -266,12 +348,9 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
     /// Returns `true` when the id was found (in any table) and removed. Buckets left
     /// empty are dropped, so a remove exactly undoes the matching insert.
     pub fn remove(&mut self, id: u32, p: &DenseVector) -> Result<bool> {
-        let mut buckets = Vec::with_capacity(self.functions.len());
-        for f in &self.functions {
-            buckets.push(f.hash_data(p)?);
-        }
+        let keys = self.hasher.keys(Side::Data, p)?;
         let mut removed = false;
-        for (table, bucket) in self.tables.iter_mut().zip(buckets) {
+        for (table, bucket) in self.tables.iter_mut().zip(keys) {
             if let Some(ids) = table.get_mut(&bucket) {
                 if let Some(pos) = ids.iter().position(|&x| x == id) {
                     ids.remove(pos);
@@ -287,6 +366,14 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
         }
         Ok(removed)
     }
+}
+
+/// The ids of the visited buckets, deduplicated, in ascending order.
+fn sorted_candidates<'a>(buckets: impl Iterator<Item = &'a Vec<u32>>) -> Vec<usize> {
+    let mut ids: Vec<u32> = buckets.flatten().copied().collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids.into_iter().map(|id| id as usize).collect()
 }
 
 #[cfg(test)]
@@ -358,46 +445,6 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_insert_and_remove_match_a_fresh_build() {
-        let mut rng = StdRng::seed_from_u64(95);
-        let dim = 10;
-        let fam = SimpleAlshFamily::new(dim, 1.0, 1).unwrap();
-        let params = IndexParams { k: 3, l: 8 };
-        let data: Vec<DenseVector> = (0..60)
-            .map(|_| random_ball_vector(&mut rng, dim, 1.0).unwrap())
-            .collect();
-        // Build over the first 40 points, then insert the remaining 20 dynamically.
-        let mut dynamic = LshIndex::build(&fam, params, &data[..40], &mut rng).unwrap();
-        for (i, p) in data[40..].iter().enumerate() {
-            dynamic.insert((40 + i) as u32, p).unwrap();
-        }
-        assert_eq!(dynamic.len(), 60);
-        // Same functions, so querying must see the inserted points exactly as if they
-        // had been present at build time: remove them again and the tables must return
-        // to the built state.
-        let before: Vec<_> = (0..5)
-            .map(|i| dynamic.query_candidates(&data[i]).unwrap())
-            .collect();
-        for (i, p) in data[40..].iter().enumerate() {
-            assert!(dynamic.remove((40 + i) as u32, p).unwrap());
-        }
-        assert_eq!(dynamic.len(), 40);
-        for t in dynamic.tables() {
-            assert!(t.values().all(|ids| ids.iter().all(|&id| id < 40)));
-        }
-        // Candidates after removal never contain removed ids.
-        for i in 0..5 {
-            let after = dynamic.query_candidates(&data[i]).unwrap();
-            assert!(after.iter().all(|&id| id < 40));
-            let expected: Vec<usize> = before[i].iter().copied().filter(|&id| id < 40).collect();
-            assert_eq!(after, expected);
-        }
-        // Removing an id that is not stored reports false and changes nothing.
-        assert!(!dynamic.remove(99, &data[59]).unwrap());
-        assert_eq!(dynamic.len(), 40);
-    }
-
-    #[test]
     fn raw_parts_roundtrip_preserves_queries() {
         let mut rng = StdRng::seed_from_u64(96);
         let dim = 8;
@@ -408,7 +455,7 @@ mod tests {
         let params = IndexParams { k: 2, l: 6 };
         let index = LshIndex::build(&fam, params, &data, &mut rng).unwrap();
         let rebuilt = LshIndex::<SimpleAlshFamily>::from_raw_parts(
-            index.functions().to_vec(),
+            index.functions(),
             index.tables().to_vec(),
             index.params(),
             index.len(),
@@ -422,14 +469,14 @@ mod tests {
         }
         // Validation: mismatched table count and wrong entry totals are rejected.
         assert!(LshIndex::<SimpleAlshFamily>::from_raw_parts(
-            index.functions().to_vec(),
+            index.functions(),
             index.tables()[..3].to_vec(),
             index.params(),
             index.len(),
         )
         .is_err());
         assert!(LshIndex::<SimpleAlshFamily>::from_raw_parts(
-            index.functions().to_vec(),
+            index.functions(),
             index.tables().to_vec(),
             index.params(),
             index.len() + 1,

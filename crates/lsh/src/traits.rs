@@ -15,7 +15,10 @@
 //! function. Hash values are `u64` buckets; amplification concatenates several values
 //! (see the [`crate::amplify`] module).
 
+use crate::amplify::AndFunction;
+use crate::bank::{Embedding, PlaneBank};
 use crate::error::Result;
+use crate::hyperplane::HyperplaneFunction;
 use ips_linalg::DenseVector;
 use rand::Rng;
 
@@ -35,6 +38,20 @@ pub trait LshFamily {
 
     /// The ambient dimension the family expects, if it is dimension-specific.
     fn dim(&self) -> Option<usize>;
+
+    /// The hyperplanes behind `function`, for a family that hashes by hyperplane
+    /// signs and nothing else — what lets [`SymmetricAsAsymmetric`] hand its
+    /// functions to the [`PlaneBank`] kernel. `None` (the default) for every other
+    /// family; a family that overrides this also overrides
+    /// [`LshFamily::from_hyperplanes`].
+    fn hyperplanes(_function: &Self::Function) -> Option<&HyperplaneFunction> {
+        None
+    }
+
+    /// The inverse of [`LshFamily::hyperplanes`].
+    fn from_hyperplanes(_planes: HyperplaneFunction) -> Option<Self::Function> {
+        None
+    }
 }
 
 /// A single *asymmetric* hash function: a pair `(h_p, h_q)` in the sense of
@@ -62,6 +79,26 @@ pub trait AsymmetricLshFamily {
 
     /// The ambient dimension the family expects, if it is dimension-specific.
     fn dim(&self) -> Option<usize>;
+
+    /// The [`PlaneBank`] of `functions` (one sampled composite per table), for a
+    /// family whose functions are hyperplane signs of an embedded vector.
+    ///
+    /// This is how [`crate::table::LshIndex`] picks its hashing kernel: a family that
+    /// returns a bank is hashed through it — one embedding and one pass over the
+    /// coefficients per vector — and its per-function `hash_*` walk is never called
+    /// by the index; a family that returns `None` (the default) is hashed function
+    /// by function. An override also overrides
+    /// [`AsymmetricLshFamily::functions_of_bank`], and fails when the functions do
+    /// not form a consistent bank (see [`PlaneBank::from_functions`]).
+    fn plane_bank(_functions: &[AndFunction<Self::Function>]) -> Result<Option<PlaneBank>> {
+        Ok(None)
+    }
+
+    /// The inverse of [`AsymmetricLshFamily::plane_bank`]: the composite functions a
+    /// bank was gathered from, bit for bit.
+    fn functions_of_bank(_bank: &PlaneBank) -> Option<Vec<AndFunction<Self::Function>>> {
+        None
+    }
 }
 
 /// Adapter that exposes a symmetric family through the asymmetric interface by using
@@ -92,6 +129,22 @@ impl<F: LshFamily> AsymmetricLshFamily for SymmetricAsAsymmetric<F> {
 
     fn dim(&self) -> Option<usize> {
         self.0.dim()
+    }
+
+    fn plane_bank(functions: &[AndFunction<Self::Function>]) -> Result<Option<PlaneBank>> {
+        let banked = |pair: &Self::Function| F::hyperplanes(&pair.0).is_some();
+        if !functions.iter().flat_map(|f| f.functions()).all(banked) {
+            return Ok(None);
+        }
+        PlaneBank::from_functions(functions, |pair| {
+            let planes = F::hyperplanes(&pair.0).expect("checked for every component above");
+            (Embedding::Identity, planes)
+        })
+        .map(Some)
+    }
+
+    fn functions_of_bank(bank: &PlaneBank) -> Option<Vec<AndFunction<Self::Function>>> {
+        bank.to_functions(|_, planes| F::from_hyperplanes(planes).map(SymmetricFunctionPair))
     }
 }
 

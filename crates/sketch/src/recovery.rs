@@ -146,6 +146,11 @@ impl SketchMipsIndex {
         &self.data
     }
 
+    /// Consumes the structure, returning the indexed vectors.
+    pub fn into_data(self) -> Vec<DenseVector> {
+        self.data
+    }
+
     /// The root of the prefix tree (persistence accessor).
     pub fn root(&self) -> &Node {
         &self.root

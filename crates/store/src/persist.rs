@@ -333,21 +333,14 @@ macro_rules! persist_lsh_index {
             fn write(&self, w: &mut ByteWriter) {
                 self.params().write(w);
                 w.put_usize(self.len());
-                w.put_usize(self.functions().len());
-                for f in self.functions() {
-                    f.write(w);
-                }
+                write_slice(w, &self.functions());
                 write_slice(w, self.tables());
             }
 
             fn read(r: &mut ByteReader<'_>) -> Result<Self> {
                 let params = IndexParams::read(r)?;
                 let len = r.take_usize()?;
-                let fn_count = r.take_usize()?;
-                let mut functions = Vec::new();
-                for _ in 0..fn_count {
-                    functions.push(Persist::read(r)?);
-                }
+                let functions = Vec::read(r)?;
                 let tables = Vec::read(r)?;
                 Ok(LshIndex::from_raw_parts(functions, tables, params, len)?)
             }

@@ -624,12 +624,7 @@ impl ServingIndex {
                 self.primary_ids.push(id);
                 self.id_to_slot.insert(id, slot);
             }
-            AnyIndex::Brute(_) => {
-                let mut entries = self.live_entries();
-                entries.push((id, v));
-                entries.sort_unstable_by_key(|(id, _)| *id);
-                self.rebuild_from(entries)?;
-            }
+            AnyIndex::Brute(_) => self.rebuild(Some((id, v)))?,
             AnyIndex::Sketch(_) => {
                 self.overlay.push((id, v));
             }
@@ -665,8 +660,7 @@ impl ServingIndex {
             }
             AnyIndex::Brute(_) => {
                 self.id_to_slot.remove(&id);
-                let entries = self.live_entries();
-                self.rebuild_from(entries)?;
+                self.rebuild(None)?;
             }
             AnyIndex::Sketch(_) => {
                 self.tombstones.insert(id);
@@ -710,31 +704,11 @@ impl ServingIndex {
         if dirty == 0 {
             return Ok(());
         }
-        let entries = self.live_entries();
-        self.rebuild_from(entries)
+        self.rebuild(None)
     }
 
     fn note_queries(&self, queries: usize, hits: usize, start: Instant) {
         self.counters.note_queries(queries, hits, start);
-    }
-
-    /// Live `(external id, vector)` pairs in **ascending id order** — the canonical
-    /// rebuild order, so a compacted index matches a fresh build from the same live
-    /// set however the inserts arrived. (A sequential index inserts in ascending id
-    /// order anyway; the sort matters when the sharded layer routed out-of-order
-    /// ids into this shard.)
-    fn live_entries(&self) -> Vec<(u64, DenseVector)> {
-        let mut out = Vec::with_capacity(self.len());
-        for (slot, &id) in self.primary_ids.iter().enumerate() {
-            if self.id_to_slot.contains_key(&id) {
-                if let Some(v) = self.primary.vector(slot) {
-                    out.push((id, v.clone()));
-                }
-            }
-        }
-        out.extend(self.overlay.iter().cloned());
-        out.sort_unstable_by_key(|(id, _)| *id);
-        out
     }
 
     fn maybe_rebuild(&mut self) -> Result<()> {
@@ -745,27 +719,49 @@ impl ServingIndex {
         }
         let live = self.len().max(1);
         if dirty as f64 / live as f64 > self.config.rebuild_threshold {
-            let entries = self.live_entries();
-            return self.rebuild_from(entries);
+            return self.rebuild(None);
         }
         Ok(())
     }
 
-    /// Rebuilds the primary structure over `entries`, re-seeding from the configured
-    /// seed. With no live vectors left, non-brute structures cannot be built (their
-    /// constructors reject empty data), so pending state is kept and filtered at
-    /// query time instead.
-    fn rebuild_from(&mut self, entries: Vec<(u64, DenseVector)>) -> Result<()> {
-        if entries.is_empty() && !matches!(self.index_config, IndexConfig::Brute) {
+    /// Rebuilds the primary structure over the live vectors (plus `inserted`, for the
+    /// brute family's insert), re-seeding from the configured seed. With no live
+    /// vectors left, non-brute structures cannot be built (their constructors reject
+    /// empty data), so pending state is kept and filtered at query time instead.
+    ///
+    /// The vectors go in **ascending id order** — the canonical rebuild order, so a
+    /// compacted index matches a fresh build from the same live set however the
+    /// inserts arrived (a sequential index inserts in ascending id order anyway; the
+    /// sort matters when the sharded layer routed out-of-order ids into this shard).
+    /// They are moved, not copied, and the old structure is freed before its
+    /// replacement is built, so a rebuild holds one index worth of memory, not two.
+    ///
+    /// The build cannot fail for vectors the index already holds — they passed the
+    /// same constructor's checks under the same configuration. Should it fail all the
+    /// same, the vectors went with it: the error is returned and the index is left
+    /// empty (and consistent), not half-built.
+    fn rebuild(&mut self, inserted: Option<(u64, DenseVector)>) -> Result<()> {
+        if self.is_empty() && inserted.is_none() && !matches!(self.index_config, IndexConfig::Brute)
+        {
             return Ok(());
         }
-        let ids: Vec<u64> = entries.iter().map(|(id, _)| *id).collect();
-        let data: Vec<DenseVector> = entries.into_iter().map(|(_, v)| v).collect();
+        let emptied = AnyIndex::Brute(BruteForceMipsIndex::new(Vec::new(), self.spec));
+        let vectors = std::mem::replace(&mut self.primary, emptied).into_vectors();
+        let slots = std::mem::take(&mut self.primary_ids)
+            .into_iter()
+            .zip(vectors);
+        let mut entries: Vec<(u64, DenseVector)> = slots
+            .filter(|(id, _)| self.id_to_slot.contains_key(id))
+            .collect();
+        entries.append(&mut self.overlay);
+        entries.extend(inserted);
+        entries.sort_unstable_by_key(|(id, _)| *id);
+        self.id_to_slot.clear();
+        self.tombstones.clear();
+        let (ids, data): (Vec<u64>, Vec<DenseVector>) = entries.into_iter().unzip();
         self.primary = build_index(data, self.spec, self.index_config, self.config.seed)?;
         self.id_to_slot = ids.iter().enumerate().map(|(s, &id)| (id, s)).collect();
         self.primary_ids = ids;
-        self.overlay.clear();
-        self.tombstones.clear();
         self.counters.rebuilds.fetch_add(1, Ordering::Relaxed);
         self.apply_scoring()?;
         Ok(())

@@ -186,6 +186,17 @@ impl AnyIndex {
             AnyIndex::Sketch(i) => i.inner().data().get(slot),
         }
     }
+
+    /// Consumes the index, returning the vector of every slot (live or tombstoned) in
+    /// slot order; everything else the structure held is freed.
+    pub fn into_vectors(self) -> Vec<DenseVector> {
+        match self {
+            AnyIndex::Brute(i) => i.into_data(),
+            AnyIndex::Alsh(i) => i.into_data(),
+            AnyIndex::Symmetric(i) => i.into_data(),
+            AnyIndex::Sketch(i) => i.into_data(),
+        }
+    }
 }
 
 impl MipsIndex for AnyIndex {
@@ -387,8 +398,21 @@ impl Snapshot {
 /// Encodes an index plus serving-layer id state into the on-disk byte format without
 /// taking ownership — what [`Snapshot::to_bytes`] and the serving layer's `save` use.
 pub fn encode(index: &AnyIndex, ids: &[u64], next_id: u64) -> Vec<u8> {
+    let mut payload = ByteWriter::new();
+    match index {
+        AnyIndex::Brute(i) => i.write(&mut payload),
+        AnyIndex::Alsh(i) => i.write(&mut payload),
+        AnyIndex::Symmetric(i) => i.write(&mut payload),
+        AnyIndex::Sketch(i) => i.write(&mut payload),
+    }
+    seal(index.family(), ids, next_id, payload)
+}
+
+/// Wraps an encoded index structure and the serving-layer id state in the version-1
+/// envelope: sections, magic, version, checksum.
+fn seal(family: IndexFamily, ids: &[u64], next_id: u64, index_payload: ByteWriter) -> Vec<u8> {
     let mut body = ByteWriter::new();
-    body.put_u8(index.family().tag());
+    body.put_u8(family.tag());
     body.put_u32(2); // section count
 
     let mut id_payload = ByteWriter::new();
@@ -398,15 +422,7 @@ pub fn encode(index: &AnyIndex, ids: &[u64], next_id: u64) -> Vec<u8> {
     }
     id_payload.put_u64(next_id);
     write_section(&mut body, SECTION_IDS, id_payload);
-
-    let mut payload = ByteWriter::new();
-    match index {
-        AnyIndex::Brute(i) => i.write(&mut payload),
-        AnyIndex::Alsh(i) => i.write(&mut payload),
-        AnyIndex::Symmetric(i) => i.write(&mut payload),
-        AnyIndex::Sketch(i) => i.write(&mut payload),
-    }
-    write_section(&mut body, SECTION_INDEX, payload);
+    write_section(&mut body, SECTION_INDEX, index_payload);
 
     let mut out = ByteWriter::new();
     out.put_bytes(&MAGIC);
@@ -630,6 +646,135 @@ mod tests {
             unreachable!()
         };
         assert!(Snapshot::with_ids(AnyIndex::Brute(index), vec![0, 1], 2).is_err());
+    }
+
+    /// The bytes of a snapshot of `index` whose LSH functions are replaced by
+    /// `functions` — every other byte as [`encode`] writes it, checksum included.
+    fn snapshot_with_functions<F: Persist>(
+        family: IndexFamily,
+        header: impl FnOnce(&mut ByteWriter),
+        data: &[DenseVector],
+        lsh: (ips_lsh::table::IndexParams, usize),
+        functions: &[F],
+        tables: &[std::collections::HashMap<u64, Vec<u32>>],
+    ) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        header(&mut w);
+        crate::persist::write_slice(&mut w, data);
+        vec![true; data.len()].write(&mut w);
+        lsh.0.write(&mut w);
+        w.put_usize(lsh.1);
+        crate::persist::write_slice(&mut w, functions);
+        crate::persist::write_slice(&mut w, tables);
+        let ids: Vec<u64> = (0..data.len() as u64).collect();
+        seal(family, &ids, data.len() as u64, w)
+    }
+
+    #[test]
+    fn inconsistent_lsh_functions_are_rejected_at_load() {
+        use ips_core::asymmetric::AlshParams;
+        use ips_core::symmetric::SymmetricParams;
+        use ips_lsh::amplify::AndFunction;
+        use ips_lsh::hyperplane::HyperplaneFunction;
+        use ips_lsh::simple_alsh::{SimpleAlshFunction, SphereTransform};
+        use ips_lsh::SymmetricFunctionPair;
+
+        let mut rng = StdRng::seed_from_u64(0xBAD);
+        let dim = 6;
+        let data: Vec<DenseVector> = (0..30)
+            .map(|_| random_ball_vector(&mut rng, dim, 1.0).unwrap())
+            .collect();
+        let spec = JoinSpec::new(0.4, 0.5, JoinVariant::Signed).unwrap();
+        let path = std::env::temp_dir().join(format!(
+            "ips-inconsistent-functions-{}.snap",
+            std::process::id()
+        ));
+        // Checksummed and structurally decodable, so only the load-time checks of
+        // `LshIndex::from_raw_parts` stand between these bytes and a served index.
+        let load = |bytes: Vec<u8>| {
+            std::fs::write(&path, bytes).unwrap();
+            let loaded = Snapshot::load(&path);
+            std::fs::remove_file(&path).unwrap();
+            loaded
+        };
+
+        let alsh_params = AlshParams {
+            bits_per_table: 3,
+            tables: 4,
+            ..Default::default()
+        };
+        let alsh = AlshMipsIndex::build(&mut rng, data.clone(), spec, alsh_params).unwrap();
+        let alsh_bytes = |functions: &[AndFunction<SimpleAlshFunction>]| {
+            let lsh = alsh.lsh_index();
+            snapshot_with_functions(
+                IndexFamily::Alsh,
+                |w| {
+                    spec.write(w);
+                    alsh_params.write(w);
+                },
+                &data,
+                (lsh.params(), lsh.len()),
+                functions,
+                lsh.tables(),
+            )
+        };
+        let good = alsh.lsh_index().functions();
+        assert!(
+            load(alsh_bytes(&good)).is_ok(),
+            "the untouched re-encoding loads"
+        );
+
+        // 1. A function with fewer components than params.k.
+        let mut short = good.clone();
+        short[1] = AndFunction::from_functions(good[1].functions()[..2].to_vec()).unwrap();
+        assert!(load(alsh_bytes(&short)).is_err());
+
+        // 2. A component under a different sphere transform (same dimension, other
+        //    query radius): nothing about it is malformed on its own.
+        let mut mixed = good.clone();
+        let mut components = good[2].functions().to_vec();
+        components[0] = SimpleAlshFunction::from_parts(
+            SphereTransform::new(dim, 2.0).unwrap(),
+            components[0].hyperplane().clone(),
+        )
+        .unwrap();
+        mixed[2] = AndFunction::from_functions(components).unwrap();
+        assert!(load(alsh_bytes(&mixed)).is_err());
+
+        // 3. Planes of mixed dimension, in the family that has no transform to pin
+        //    them (dimension 3 hashes nothing this index stores).
+        let symmetric_params = SymmetricParams {
+            bits_per_table: 3,
+            tables: 4,
+            ..Default::default()
+        };
+        let symmetric =
+            SymmetricLshMips::build(&mut rng, data.clone(), spec, symmetric_params).unwrap();
+        let symmetric_bytes =
+            |functions: &[AndFunction<SymmetricFunctionPair<HyperplaneFunction>>]| {
+                let lsh = symmetric.lsh_index();
+                snapshot_with_functions(
+                    IndexFamily::Symmetric,
+                    |w| {
+                        spec.write(w);
+                        symmetric_params.write(w);
+                    },
+                    &data,
+                    (lsh.params(), lsh.len()),
+                    functions,
+                    lsh.tables(),
+                )
+            };
+        let good = symmetric.lsh_index().functions();
+        assert!(load(symmetric_bytes(&good)).is_ok());
+        let mut ragged = good.clone();
+        let mut components = good[3].functions().to_vec();
+        components[1] = SymmetricFunctionPair(
+            HyperplaneFunction::from_planes(vec![DenseVector::from(&[1.0, -1.0, 0.5][..])])
+                .unwrap(),
+        );
+        ragged[3] = AndFunction::from_functions(components).unwrap();
+        assert!(load(symmetric_bytes(&ragged)).is_err());
     }
 
     #[test]

@@ -5,8 +5,10 @@
 #   scripts/check_bench.sh <BASELINE.json> <current.json> [<current.json> ...]
 #       Compare current records against the committed baseline. Exits non-zero
 #       when any *gated* record's wall_ns exceeds the baseline by more than
-#       MAX_REGRESSION_PCT (default 30), or when a gated baseline record is
-#       missing from the current run (coverage must not silently shrink).
+#       MAX_REGRESSION_PCT (default 30), when a gated baseline record is
+#       missing from the current run (coverage must not silently shrink), or
+#       when either side holds two records under one key (a stale generation
+#       left in the baseline would otherwise be the one compared against).
 #   scripts/check_bench.sh --merge <out.json> <in.json> [<in.json> ...]
 #       Concatenate record arrays into one file — how BENCH_BASELINE.json is
 #       (re)generated:
@@ -96,6 +98,13 @@ compare() {
     extract "$@" > "$cur_tsv"
     [ -s "$base_tsv" ] || die "no records parsed from baseline $baseline"
     [ -s "$cur_tsv" ] || die "no records parsed from the current run"
+    # Lookups below take the first record under a key; a second one would be
+    # silently ignored, so it is an error instead.
+    local dup
+    dup=$(cut -f1 "$base_tsv" | sort | uniq -d | head -n 1)
+    [ -z "$dup" ] || die "baseline $baseline holds more than one record for: $dup"
+    dup=$(cut -f1 "$cur_tsv" | sort | uniq -d | head -n 1)
+    [ -z "$dup" ] || die "the current run holds more than one record for: $dup"
 
     # Calibration pass: 25th-percentile cur/base ratio (in thousandths) over the
     # gated records, clamped to [500, 2000] — the machine-speed factor that the
@@ -238,6 +247,18 @@ EOF
     grep -v '"n": "1000"' "$base" > "$cur"
     if compare "$base" "$cur" > /dev/null 2>&1; then
         die "self-test: a missing gated record must fail the gate"
+    fi
+    # A key recorded twice in the baseline (an old generation merged under a
+    # new one) is an error, not a first-match lookup.
+    cp "$base" "$cur"
+    { head -n 2 "$base" | tail -n 1; } > "$dir/dup.line"
+    sed "1r $dir/dup.line" "$base" > "$dir/dup.json"
+    # (A gate error exits; the subshell keeps the self-test running.)
+    if (compare "$dir/dup.json" "$cur") > /dev/null 2>&1; then
+        die "self-test: a duplicated baseline key must fail the gate"
+    fi
+    if (compare "$base" "$dir/dup.json") > /dev/null 2>&1; then
+        die "self-test: a duplicated current key must fail the gate"
     fi
     # Merging a file into itself appends rather than truncating it.
     cp "$base" "$cur"

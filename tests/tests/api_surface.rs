@@ -122,6 +122,36 @@ fn store_facade_surface_is_pinned() {
 }
 
 #[test]
+fn lsh_index_surface_is_pinned() {
+    // What the benchmark and the persistence layer compile against. Since the
+    // plane bank (PR 13) `functions()` hands out owned functions — a banked
+    // family's live only as the bank — while every other signature is as before.
+    use ips_lsh::amplify::AndFunction;
+    use ips_lsh::simple_alsh::{SimpleAlshFamily, SimpleAlshFunction};
+    use ips_lsh::table::{IndexParams, LshIndex};
+    use rand::rngs::StdRng;
+    use std::collections::HashMap;
+    type Alsh = LshIndex<SimpleAlshFamily>;
+    type Functions = Vec<AndFunction<SimpleAlshFunction>>;
+    type Table = HashMap<u64, Vec<u32>>;
+    let _build: fn(
+        &SimpleAlshFamily,
+        IndexParams,
+        &[DenseVector],
+        &mut StdRng,
+    ) -> ips_lsh::Result<Alsh> = LshIndex::build::<StdRng>;
+    let _query: fn(&Alsh, &DenseVector) -> ips_lsh::Result<Vec<usize>> = Alsh::query_candidates;
+    let _probe: fn(&Alsh, &DenseVector, usize) -> ips_lsh::Result<Vec<usize>> = Alsh::probe_lookup;
+    let _insert: fn(&mut Alsh, u32, &DenseVector) -> ips_lsh::Result<()> = Alsh::insert;
+    let _remove: fn(&mut Alsh, u32, &DenseVector) -> ips_lsh::Result<bool> = Alsh::remove;
+    let _entries: fn(&Alsh) -> usize = Alsh::stored_entries;
+    let _functions: fn(&Alsh) -> Functions = Alsh::functions;
+    let _tables: fn(&Alsh) -> &[Table] = Alsh::tables;
+    let _raw: fn(Functions, Vec<Table>, IndexParams, usize) -> ips_lsh::Result<Alsh> =
+        Alsh::from_raw_parts;
+}
+
+#[test]
 fn builder_setters_are_pinned() {
     // One chain through every JoinBuilder setter (compile-time surface pin).
     let data = [DenseVector::from(&[0.5, 0.5][..])];
