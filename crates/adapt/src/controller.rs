@@ -544,18 +544,14 @@ mod tests {
 
     #[test]
     fn replanning_onto_the_current_family_swaps_nothing() {
-        // Start on the structure the planner prefers for this workload (its
-        // own default sketch configuration): the drift-triggered re-plan
-        // re-chooses it and must not rebuild anything.
-        let defaults = PlannerConfig::default();
+        // Start on the structure the planner prefers for this workload (at 16
+        // vectors, the exact scan): the drift-triggered re-plan re-chooses it
+        // and must not rebuild anything.
         let index = Arc::new(
             ShardedServingIndex::build(
                 data(16, 4, 0.7),
                 spec(),
-                IndexConfig::Sketch {
-                    config: defaults.sketch,
-                    leaf_size: defaults.sketch_leaf_size,
-                },
+                IndexConfig::Brute,
                 ShardedConfig::default(),
             )
             .unwrap(),
@@ -568,7 +564,7 @@ mod tests {
         drive(&index, 3.0, 8);
         match controller.check().unwrap() {
             ControlDecision::Replanned { choice, .. } => {
-                assert_eq!(choice, planner::Strategy::Sketch)
+                assert_eq!(choice, planner::Strategy::BruteForce)
             }
             other => panic!("expected replan, got {other:?}"),
         }

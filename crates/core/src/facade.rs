@@ -177,7 +177,7 @@ impl Join {
             alsh: AlshParams::default(),
             symmetric: SymmetricParams::default(),
             sketch: MaxIpConfig::default(),
-            sketch_leaf_size: 16,
+            sketch_leaf_size: ips_sketch::DEFAULT_LEAF_SIZE,
             engine: EngineConfig::default(),
             cost_model: CostModel::default(),
             scoring: ScoringOptions::default(),
@@ -288,7 +288,9 @@ impl<'a> JoinBuilder<'a> {
         self
     }
 
-    /// Leaf size of the sketch recovery tree (default 16).
+    /// Leaf-size floor of the sketch recovery tree (default
+    /// [`ips_sketch::DEFAULT_LEAF_SIZE`]): never split a range of at most this many
+    /// vectors. The tree also stops where a sketch would cost more than the scan.
     pub fn sketch_leaf_size(mut self, leaf_size: usize) -> Self {
         self.sketch_leaf_size = leaf_size;
         self

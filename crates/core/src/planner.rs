@@ -287,9 +287,15 @@ impl Default for CostModel {
         // the coefficients per vector; the symmetric flop count now charges
         // the tag's non-zeros, not its dimension; both charge
         // `ips_lsh::cost::CANDIDATE_OVERHEAD_FLOPS` per candidate): the
-        // medians of three runs (brute 0.433, alsh 0.600, symmetric 1.435,
-        // sketch 0.341 ns/flop), put on the scale of the brute and sketch
-        // constants below by the brute ratio 0.415 / 0.433 of the same runs.
+        // medians of three runs (brute 0.433, alsh 0.600, symmetric 1.435
+        // ns/flop), put on the scale of the brute constant below by the brute
+        // ratio 0.415 / 0.433 of the same runs. The sketch constant was refit
+        // when the recovery tree got its cost cut-off and its build stopped
+        // being charged `rows` times what it runs (`ips_sketch::cost`): four
+        // runs fit it at 1.19 / 1.17 / 1.12 / 1.09 times the brute constant
+        // of the same run, and the median of those is applied to 0.415. It is
+        // above the brute constant because below its cut-off the tree *is* a
+        // scan, by a slower loop than the brute kernel's.
         Self {
             brute_ns_per_flop: 0.415,
             // Reduced-precision brute kernels: the calibrated f64 constant
@@ -301,7 +307,7 @@ impl Default for CostModel {
             brute_quantized_ns_per_flop: 0.364,
             alsh_ns_per_flop: 0.575,
             symmetric_ns_per_flop: 1.375,
-            sketch_ns_per_flop: 0.290,
+            sketch_ns_per_flop: 0.475,
         }
     }
 }
@@ -360,7 +366,9 @@ pub struct PlannerConfig {
     pub alsh: AlshParams,
     /// Sketch configuration used when the sketch strategy is chosen.
     pub sketch: MaxIpConfig,
-    /// Leaf size of the sketch recovery tree.
+    /// Leaf-size floor of the sketch recovery tree: never split a range of at most
+    /// this many vectors (the tree also stops where a sketch would cost more than
+    /// the scan).
     pub sketch_leaf_size: usize,
     /// Symmetric-LSH parameters.
     pub symmetric: SymmetricParams,
@@ -379,7 +387,7 @@ impl Default for PlannerConfig {
             sample_queries: 24,
             alsh: AlshParams::default(),
             sketch: MaxIpConfig::default(),
-            sketch_leaf_size: 16,
+            sketch_leaf_size: ips_sketch::DEFAULT_LEAF_SIZE,
             symmetric: SymmetricParams::default(),
             engine: EngineConfig::default(),
             scoring: crate::kernel::ScoringOptions::default(),
@@ -435,7 +443,7 @@ pub struct JoinPlan {
     pub alsh_params: AlshParams,
     /// Sketch configuration used if the sketch strategy runs.
     pub sketch_config: MaxIpConfig,
-    /// Sketch recovery-tree leaf size.
+    /// Sketch recovery-tree leaf-size floor.
     pub sketch_leaf_size: usize,
     /// Symmetric-LSH parameters used if the symmetric strategy runs.
     pub symmetric_params: SymmetricParams,

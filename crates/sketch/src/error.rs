@@ -32,6 +32,19 @@ ips_linalg::define_error! {
     }
 }
 
+/// The dimension shared by every vector of a non-empty list, which is what each
+/// sketch structure asks of its data before it touches a coordinate.
+pub(crate) fn uniform_dim(vectors: &[ips_linalg::DenseVector]) -> Result<usize> {
+    let dim = vectors.first().ok_or(SketchError::EmptyDataSet)?.dim();
+    match vectors.iter().find(|v| v.dim() != dim) {
+        Some(v) => Err(SketchError::DimensionMismatch {
+            expected: dim,
+            actual: v.dim(),
+        }),
+        None => Ok(dim),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

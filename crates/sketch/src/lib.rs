@@ -17,13 +17,15 @@
 //! * [`stable`] — classical p-stable sketches (Cauchy for `ℓ₁`, Gaussian for `ℓ₂`) with
 //!   median estimators, the textbook substrate the max-stability construction builds on;
 //! * [`maxstable`] — the max-stability sketch for `ℓ_κ`, `κ ≥ 2`;
-//! * [`linf_mips`] — the `‖Aq‖_∞` estimator (value only);
+//! * [`linf_mips`] — the `‖Aq‖_∞` estimator (value only): one coordinate-major block
+//!   of coefficients per estimator and the allocation-free kernel that evaluates it;
 //! * [`recovery`] — the bit-by-bit / prefix-tree index recovery structure that also
-//!   returns *which* row attains (approximately) the maximum;
+//!   returns *which* row attains (approximately) the maximum, cut off where a sketch
+//!   would cost a query more than the scan it saves;
 //! * [`join`] — the unsigned `(cs, s)` join built on top of the recovery structure,
 //!   including the query-scaling reduction described in the paper;
 //! * [`cost`] — closed-form build/query flop predictions for the adaptive join
-//!   planner in `ips-core`.
+//!   planner in `ips-core`, and the split rule the tree and the predictions share.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -39,4 +41,4 @@ pub mod stable;
 pub use error::{Result, SketchError};
 pub use linf_mips::MaxIpEstimator;
 pub use maxstable::MaxStableSketch;
-pub use recovery::SketchMipsIndex;
+pub use recovery::{SketchMipsIndex, DEFAULT_LEAF_SIZE};

@@ -6,12 +6,36 @@
 //! `n^{1/κ}`-approximation of the true maximum absolute inner product — the
 //! `c ≥ 1/n^{1/κ}` guarantee of the paper — while each query costs only
 //! `O(copies · d · m)` with `m = Õ(n^{1−2/κ})` instead of `O(n·d)`.
+//!
+//! # Layout and kernel
+//!
+//! The `copies` matrices (each `m × d`) live in **one coordinate-major block**: row `j`
+//! of the block holds coordinate `j` of every sketch row, sketch row `r` of copy `t` at
+//! column `t·m + r`. An estimate is then
+//!
+//! 1. `acc[t·m + r] += block[j][t·m + r] · q[j]` for `j = 0, 1, …` — `copies · m`
+//!    independent accumulators the compiler vectorises, in a scratch the thread reuses;
+//! 2. per copy, the largest `|acc|` times the Fréchet median correction;
+//! 3. the median of those `copies` values, taken in the same scratch.
+//!
+//! Nothing is allocated once the thread's scratch has grown to the widest estimator it
+//! has met. **Every estimate is bit-identical to the row-major evaluation**
+//! (`Matrix::matvec` → `max_abs` → [`median`](crate::stable::median)): accumulator
+//! `t·m + r` starts from the value an empty `f64` sum has and adds
+//! `(Π_t A)[r][j]·q[j]` for `j` ascending, which is exactly the order of `matvec`'s
+//! per-row sum; only which sums are *interleaved* changed. That is what lets an
+//! estimator decoded from a snapshot answer as the build that wrote it did.
+//!
+//! The block is the only resident copy of the coefficients:
+//! [`MaxIpEstimator::sketched`] scatters it back into per-copy matrices for persistence.
 
-use crate::error::{Result, SketchError};
+use crate::cost::resolved_rows;
+use crate::error::{uniform_dim, Result, SketchError};
 use crate::maxstable::MaxStableSketch;
-use crate::stable::median;
+use crate::stable::median_in_place;
 use ips_linalg::{DenseVector, Matrix};
 use rand::Rng;
+use std::cell::RefCell;
 
 /// Configuration of the `‖Aq‖_∞` estimator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,14 +59,55 @@ impl Default for MaxIpConfig {
     }
 }
 
-/// The Section 4.3 value estimator: a stack of pre-sketched data matrices.
+impl MaxIpConfig {
+    /// Checks the ranges every estimator needs: at least one copy, `κ ≥ 2`, and a
+    /// positive row count when one is given.
+    pub(crate) fn validate(&self) -> Result<()> {
+        if self.copies == 0 {
+            return Err(SketchError::InvalidParameter {
+                name: "copies",
+                reason: "at least one sketch copy is required".into(),
+            });
+        }
+        if !(self.kappa >= 2.0) {
+            return Err(SketchError::InvalidParameter {
+                name: "kappa",
+                reason: format!("kappa must be at least 2, got {}", self.kappa),
+            });
+        }
+        if self.rows == Some(0) {
+            return Err(SketchError::InvalidParameter {
+                name: "rows",
+                reason: "a sketch copy needs at least one row".into(),
+            });
+        }
+        Ok(())
+    }
+}
+
+thread_local! {
+    /// The kernel's accumulators (see the module docs), one buffer per thread.
+    static SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` with this thread's kernel scratch. Estimates never call back into code
+/// that could ask for it again, so the borrow cannot be contended.
+pub(crate) fn with_scratch<T>(f: impl FnOnce(&mut Vec<f64>) -> T) -> T {
+    SCRATCH.with_borrow_mut(f)
+}
+
+/// The Section 4.3 value estimator: a stack of pre-sketched data matrices, held as one
+/// coordinate-major block (see the module docs).
 #[derive(Debug, Clone)]
 pub struct MaxIpEstimator {
     kappa: f64,
     n: usize,
     dim: usize,
-    /// One `(m × d)` pre-sketched matrix per independent copy.
-    sketched: Vec<Matrix>,
+    copies: usize,
+    /// Buckets per copy, `m`.
+    rows: usize,
+    /// `dim × (copies · rows)` coefficients: `(Π_t A)[r][j]` at `j · width + t · rows + r`.
+    block: Vec<f64>,
 }
 
 impl MaxIpEstimator {
@@ -55,42 +120,57 @@ impl MaxIpEstimator {
         if data.is_empty() {
             return Err(SketchError::EmptyDataSet);
         }
-        if config.copies == 0 {
-            return Err(SketchError::InvalidParameter {
-                name: "copies",
-                reason: "at least one sketch copy is required".into(),
-            });
-        }
-        if !(config.kappa >= 2.0) {
-            return Err(SketchError::InvalidParameter {
-                name: "kappa",
-                reason: format!("kappa must be at least 2, got {}", config.kappa),
-            });
-        }
+        config.validate()?;
+        Self::build_trusted(rng, data, uniform_dim(data)?, config)
+    }
+
+    /// [`MaxIpEstimator::build`] for a caller that has validated `config` and checked
+    /// that `data` is non-empty and of dimension `dim` throughout — the recovery tree
+    /// does both once for all of its estimators.
+    pub(crate) fn build_trusted<R: Rng + ?Sized>(
+        rng: &mut R,
+        data: &[DenseVector],
+        dim: usize,
+        config: MaxIpConfig,
+    ) -> Result<Self> {
         let n = data.len();
-        let dim = data[0].dim();
-        for row in data {
-            if row.dim() != dim {
-                return Err(SketchError::DimensionMismatch {
-                    expected: dim,
-                    actual: row.dim(),
-                });
-            }
-        }
-        let rows = config
-            .rows
-            .unwrap_or_else(|| MaxStableSketch::recommended_rows(n, config.kappa));
-        let mut sketched = Vec::with_capacity(config.copies);
-        for _ in 0..config.copies {
+        let rows = resolved_rows(n, &config);
+        let mut estimator = Self::zeroed(config.kappa, n, dim, config.copies, rows);
+        let mut sketched = vec![0.0; rows * dim];
+        for t in 0..config.copies {
             let sketch = MaxStableSketch::sample(rng, n, rows, config.kappa)?;
-            sketched.push(sketch.apply_to_rows(data)?);
+            sketched.fill(0.0);
+            sketch.apply_to_rows_into(data, dim, &mut sketched);
+            estimator.scatter_copy(t, (0..rows).map(|r| &sketched[r * dim..(r + 1) * dim]));
         }
-        Ok(Self {
-            kappa: config.kappa,
+        Ok(estimator)
+    }
+
+    fn zeroed(kappa: f64, n: usize, dim: usize, copies: usize, rows: usize) -> Self {
+        Self {
+            kappa,
             n,
             dim,
-            sketched,
-        })
+            copies,
+            rows,
+            block: vec![0.0; dim * copies * rows],
+        }
+    }
+
+    fn width(&self) -> usize {
+        self.copies * self.rows
+    }
+
+    /// Files copy `t`, given as its `rows` sketch rows of `dim` coefficients each,
+    /// into the block.
+    fn scatter_copy<'a>(&mut self, t: usize, sketch_rows: impl Iterator<Item = &'a [f64]>) {
+        let width = self.width();
+        for (r, sketch_row) in sketch_rows.enumerate() {
+            let column = t * self.rows + r;
+            for (j, &value) in sketch_row.iter().enumerate() {
+                self.block[j * width + column] = value;
+            }
+        }
     }
 
     /// Number of data vectors `n`.
@@ -114,9 +194,14 @@ impl MaxIpEstimator {
         (self.n as f64).powf(1.0 / self.kappa)
     }
 
+    /// Number of independent sketch copies the median is taken over.
+    pub fn copies(&self) -> usize {
+        self.copies
+    }
+
     /// Number of buckets per sketch copy (the `m` in the `Õ(d·m)` query cost).
     pub fn rows_per_copy(&self) -> usize {
-        self.sketched.first().map_or(0, Matrix::rows)
+        self.rows
     }
 
     /// The norm exponent `κ` the estimator was built with.
@@ -124,18 +209,36 @@ impl MaxIpEstimator {
         self.kappa
     }
 
-    /// The pre-sketched `Π_t·A` matrices, one per independent copy (persistence
-    /// accessor — together with `κ`, `n` and `d` this is the estimator's whole state).
-    pub fn sketched(&self) -> &[Matrix] {
-        &self.sketched
+    /// Number of `f64` coefficients the estimator holds: `copies · m · d`.
+    pub fn stored_coefficients(&self) -> usize {
+        self.block.len()
+    }
+
+    /// The pre-sketched `Π_t·A` matrices, one `m × d` matrix per independent copy,
+    /// scattered out of the block (persistence accessor — together with `κ`, `n` and
+    /// `d` this is the estimator's whole state).
+    pub fn sketched(&self) -> Vec<Matrix> {
+        let width = self.width();
+        (0..self.copies)
+            .map(|t| {
+                let mut row_major = Vec::with_capacity(self.rows * self.dim);
+                for r in 0..self.rows {
+                    let column = t * self.rows + r;
+                    row_major.extend((0..self.dim).map(|j| self.block[j * width + column]));
+                }
+                Matrix::from_row_major(self.rows, self.dim, row_major)
+                    .expect("rows · dim coefficients were gathered")
+            })
+            .collect()
     }
 
     /// Reassembles an estimator from previously extracted state — the inverse of
     /// [`MaxIpEstimator::sketched`] and friends, used by snapshot persistence to
     /// restore an estimator without re-drawing its sketches.
     ///
-    /// Returns an error for an invalid `κ`, an empty copy list, `n == 0`, or sketched
-    /// matrices that disagree on shape (every copy must be `m × d`).
+    /// Returns an error for an invalid `κ`, an empty copy list, `n == 0`, sketched
+    /// matrices that disagree on shape (every copy must be `m × d` with `m ≥ 1`), or
+    /// a coefficient that is not finite.
     pub fn from_raw_parts(kappa: f64, n: usize, dim: usize, sketched: Vec<Matrix>) -> Result<Self> {
         if !(kappa >= 2.0) {
             return Err(SketchError::InvalidParameter {
@@ -146,33 +249,32 @@ impl MaxIpEstimator {
         if n == 0 {
             return Err(SketchError::EmptyDataSet);
         }
-        let first_rows = match sketched.first() {
-            Some(m) => m.rows(),
-            None => {
-                return Err(SketchError::InvalidParameter {
-                    name: "sketched",
-                    reason: "at least one sketch copy is required".into(),
-                })
-            }
+        let invalid = |reason: String| SketchError::InvalidParameter {
+            name: "sketched",
+            reason,
+        };
+        let rows = match sketched.first() {
+            Some(m) if m.rows() > 0 => m.rows(),
+            Some(_) => return Err(invalid("a sketch copy needs at least one row".into())),
+            None => return Err(invalid("at least one sketch copy is required".into())),
         };
         for m in &sketched {
-            if m.cols() != dim || m.rows() != first_rows {
-                return Err(SketchError::InvalidParameter {
-                    name: "sketched",
-                    reason: format!(
-                        "every copy must be {first_rows}x{dim}, got {}x{}",
-                        m.rows(),
-                        m.cols()
-                    ),
-                });
+            if m.cols() != dim || m.rows() != rows {
+                return Err(invalid(format!(
+                    "every copy must be {rows}x{dim}, got {}x{}",
+                    m.rows(),
+                    m.cols()
+                )));
+            }
+            if !m.iter_rows().flatten().all(|c| c.is_finite()) {
+                return Err(invalid("a sketched coefficient is not finite".into()));
             }
         }
-        Ok(Self {
-            kappa,
-            n,
-            dim,
-            sketched,
-        })
+        let mut estimator = Self::zeroed(kappa, n, dim, sketched.len(), rows);
+        for (t, m) in sketched.iter().enumerate() {
+            estimator.scatter_copy(t, m.iter_rows());
+        }
+        Ok(estimator)
     }
 
     /// Estimates `‖Aq‖_κ` (which sandwiches `‖Aq‖_∞` within `n^{1/κ}`).
@@ -183,15 +285,33 @@ impl MaxIpEstimator {
                 actual: q.dim(),
             });
         }
-        let estimates: Vec<f64> = self
-            .sketched
-            .iter()
-            .map(|m| {
-                let sk = m.matvec(q)?;
-                Ok(MaxStableSketch::estimate_from_sketched(&sk, self.kappa))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(median(&estimates))
+        Ok(with_scratch(|scratch| {
+            self.estimate_with(q.as_slice(), scratch)
+        }))
+    }
+
+    /// The estimate kernel (see the module docs) for a `q` of dimension `dim`, on a
+    /// scratch whose contents it overwrites.
+    pub(crate) fn estimate_with(&self, q: &[f64], scratch: &mut Vec<f64>) -> f64 {
+        debug_assert_eq!(q.len(), self.dim);
+        let width = self.width();
+        // What `Iterator::sum` starts a row's sum from, so that even the sign of an
+        // all-zero row's result is the row-major one.
+        let empty_sum: f64 = std::iter::empty::<f64>().sum();
+        scratch.clear();
+        scratch.resize(width + self.copies, empty_sum);
+        let (acc, per_copy) = scratch.split_at_mut(width);
+        for (coefficients, &qj) in self.block.chunks_exact(width).zip(q) {
+            for (a, &c) in acc.iter_mut().zip(coefficients) {
+                *a += c * qj;
+            }
+        }
+        let correction = MaxStableSketch::median_correction(self.kappa);
+        for (estimate, sketched) in per_copy.iter_mut().zip(acc.chunks_exact(self.rows)) {
+            let max_abs = sketched.iter().fold(0.0_f64, |m, x| m.max(x.abs()));
+            *estimate = max_abs * correction;
+        }
+        median_in_place(per_copy)
     }
 }
 

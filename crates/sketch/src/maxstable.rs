@@ -16,7 +16,7 @@
 //! needed). Taking the median over independent copies boosts the success probability —
 //! that boosting lives in [`crate::linf_mips`].
 
-use crate::error::{Result, SketchError};
+use crate::error::{uniform_dim, Result, SketchError};
 use ips_linalg::random::standard_exponential;
 use ips_linalg::{DenseVector, Matrix};
 use rand::Rng;
@@ -123,21 +123,27 @@ impl MaxStableSketch {
                 actual: rows.len(),
             });
         }
-        let d = rows.first().ok_or(SketchError::EmptyDataSet)?.dim();
-        let mut out = Matrix::zeros(self.rows, d);
-        for (i, &(bucket, scale)) in self.columns.iter().enumerate() {
-            let row = &rows[i];
-            if row.dim() != d {
-                return Err(SketchError::DimensionMismatch {
-                    expected: d,
-                    actual: row.dim(),
-                });
-            }
-            for c in 0..d {
-                out.set(bucket, c, out.get(bucket, c) + scale * row[c]);
+        let d = uniform_dim(rows)?;
+        let mut out = vec![0.0; self.rows * d];
+        self.apply_to_rows_into(rows, d, &mut out);
+        Ok(Matrix::from_row_major(self.rows, d, out)?)
+    }
+
+    /// [`MaxStableSketch::apply_to_rows`] into a zeroed row-major `rows × d` buffer,
+    /// for callers that have already checked there are `input_dim` rows of dimension
+    /// `d` (the Section 4.3 tree checks its data once, not once per estimator).
+    ///
+    /// Each data row costs `d` multiply-adds — the sketch has one non-zero per column —
+    /// and bucket `b` accumulates its rows in ascending input order.
+    pub(crate) fn apply_to_rows_into(&self, rows: &[DenseVector], d: usize, out: &mut [f64]) {
+        debug_assert_eq!(rows.len(), self.input_dim);
+        debug_assert_eq!(out.len(), self.rows * d);
+        for (&(bucket, scale), row) in self.columns.iter().zip(rows) {
+            let bucket_row = &mut out[bucket * d..(bucket + 1) * d];
+            for (o, &x) in bucket_row.iter_mut().zip(row.as_slice()) {
+                *o += scale * x;
             }
         }
-        Ok(out)
     }
 
     /// Point estimate of `‖x‖_κ` from one sketch: `‖Πx‖_∞ · (ln 2)^{1/κ}` (the median
@@ -149,7 +155,13 @@ impl MaxStableSketch {
 
     /// Applies the Fréchet median correction to an already-sketched vector.
     pub fn estimate_from_sketched(sketched: &DenseVector, kappa: f64) -> f64 {
-        sketched.max_abs() * std::f64::consts::LN_2.powf(1.0 / kappa)
+        sketched.max_abs() * Self::median_correction(kappa)
+    }
+
+    /// `(ln 2)^{1/κ}`: the median of a unit-scale Fréchet variable of shape `κ`, which
+    /// turns `‖Πx‖_∞` into a point estimate of `‖x‖_κ`.
+    pub(crate) fn median_correction(kappa: f64) -> f64 {
+        std::f64::consts::LN_2.powf(1.0 / kappa)
     }
 }
 

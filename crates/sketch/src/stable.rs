@@ -114,16 +114,21 @@ pub fn median_abs(values: &[f64]) -> f64 {
 
 /// Median of a slice (used for boosting independent estimates).
 pub fn median(values: &[f64]) -> f64 {
+    median_in_place(&mut values.to_vec())
+}
+
+/// [`median`] of a buffer the caller lets it reorder: no allocation, so the Section 4.3
+/// estimate kernel ([`crate::linf_mips`]) can boost its copies on a reused scratch.
+pub fn median_in_place(values: &mut [f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs in estimates"));
-    let mid = sorted.len() / 2;
-    if sorted.len() % 2 == 1 {
-        sorted[mid]
+    values.sort_unstable_by(|a, b| a.partial_cmp(b).expect("no NaNs in estimates"));
+    let mid = values.len() / 2;
+    if values.len() % 2 == 1 {
+        values[mid]
     } else {
-        0.5 * (sorted[mid - 1] + sorted[mid])
+        0.5 * (values[mid - 1] + values[mid])
     }
 }
 

@@ -130,7 +130,7 @@ impl IndexBuilder {
             alsh: AlshParams::default(),
             symmetric: SymmetricParams::default(),
             sketch: MaxIpConfig::default(),
-            sketch_leaf_size: 16,
+            sketch_leaf_size: ips_sketch::DEFAULT_LEAF_SIZE,
             engine: serving.engine,
             rebuild_threshold: serving.rebuild_threshold,
             seed: serving.seed,
@@ -188,7 +188,9 @@ impl IndexBuilder {
         self
     }
 
-    /// Leaf size of the sketch recovery tree (default 16).
+    /// Leaf-size floor of the sketch recovery tree (default
+    /// [`ips_sketch::DEFAULT_LEAF_SIZE`]): never split a range of at most this many
+    /// vectors. The tree also stops where a sketch would cost more than the scan.
     pub fn sketch_leaf_size(mut self, leaf_size: usize) -> Self {
         self.sketch_leaf_size = leaf_size;
         self

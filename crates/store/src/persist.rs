@@ -356,7 +356,7 @@ impl Persist for MaxIpEstimator {
         w.put_f64(self.kappa());
         w.put_usize(self.len());
         w.put_usize(self.dim());
-        write_slice(w, self.sketched());
+        write_slice(w, &self.sketched());
     }
 
     fn read(r: &mut ByteReader<'_>) -> Result<Self> {
@@ -368,12 +368,18 @@ impl Persist for MaxIpEstimator {
     }
 }
 
+/// Pre-order: a tag byte, then a leaf's explicit index list or an internal node's two
+/// estimators and two subtrees. A leaf is a contiguous range in memory; it is still
+/// written index by index, which is the encoding every earlier build reads and wrote.
 impl Persist for Node {
     fn write(&self, w: &mut ByteWriter) {
         match self {
-            Node::Leaf { indices } => {
+            Node::Leaf { range } => {
                 w.put_u8(0);
-                write_slice(w, indices);
+                w.put_usize(range.len());
+                for i in range.clone() {
+                    w.put_usize(i);
+                }
             }
             Node::Internal {
                 estimator_left,
@@ -392,9 +398,30 @@ impl Persist for Node {
 
     fn read(r: &mut ByteReader<'_>) -> Result<Self> {
         match r.take_u8()? {
-            0 => Ok(Node::Leaf {
-                indices: Vec::read(r)?,
-            }),
+            0 => {
+                let corrupt = |reason: String| crate::StoreError::Corrupt {
+                    context: "recovery tree",
+                    reason,
+                };
+                let len = r.take_usize()?;
+                if len == 0 {
+                    return Err(corrupt("a leaf holds no index".into()));
+                }
+                let start = r.take_usize()?;
+                let end = start
+                    .checked_add(len)
+                    .ok_or_else(|| corrupt(format!("a leaf of {len} indices from {start}")))?;
+                // One read per listed index, so the bytes present bound the loop.
+                for expected in start + 1..end {
+                    let index = r.take_usize()?;
+                    if index != expected {
+                        return Err(corrupt(format!(
+                            "a leaf lists {index} where {expected} belongs"
+                        )));
+                    }
+                }
+                Ok(Node::Leaf { range: start..end })
+            }
             1 => Ok(Node::Internal {
                 estimator_left: MaxIpEstimator::read(r)?,
                 estimator_right: MaxIpEstimator::read(r)?,
@@ -551,6 +578,49 @@ mod tests {
         let p = DenseVector::from(&[0.1, 0.2, -0.3, 0.0, 0.4, 0.1][..]);
         assert_eq!(f.hash_data(&p).unwrap(), back.hash_data(&p).unwrap());
         assert_eq!(f.hash_query(&p).unwrap(), back.hash_query(&p).unwrap());
+    }
+
+    #[test]
+    fn recovery_trees_roundtrip_in_the_index_list_encoding() {
+        use ips_linalg::random::random_ball_vector;
+        let mut rng = StdRng::seed_from_u64(0x7EE);
+        let data: Vec<DenseVector> = (0..50)
+            .map(|_| random_ball_vector(&mut rng, 5, 1.0).unwrap())
+            .collect();
+        // Two copies of one row: 50 vectors split down to leaves of 3 and 4.
+        let config = MaxIpConfig {
+            kappa: 2.0,
+            copies: 2,
+            rows: Some(1),
+        };
+        let index = SketchMipsIndex::build(&mut rng, data.clone(), config, 2).unwrap();
+        assert!(
+            index.stored_coefficients() > 0,
+            "the tree has internal nodes"
+        );
+        let back = roundtrip(&index);
+        assert_eq!(back.stored_coefficients(), index.stored_coefficients());
+        for q in &data[..10] {
+            assert_eq!(back.query(q).unwrap(), index.query(q).unwrap());
+        }
+        // A leaf is a range in memory and an explicit index list on disk, as every
+        // earlier build wrote it.
+        let mut w = ByteWriter::new();
+        Node::Leaf { range: 3..6 }.write(&mut w);
+        let mut expected = ByteWriter::new();
+        expected.put_u8(0);
+        write_slice(&mut expected, &[3usize, 4, 5]);
+        assert_eq!(w.as_bytes(), expected.as_bytes());
+        // Lists that are not a range are corrupt: empty, a gap, past the address width.
+        for indices in [vec![], vec![3, 5], vec![usize::MAX, 0]] {
+            let mut w = ByteWriter::new();
+            w.put_u8(0);
+            write_slice(&mut w, &indices);
+            assert!(matches!(
+                Node::read(&mut ByteReader::new(w.as_bytes())),
+                Err(crate::StoreError::Corrupt { .. })
+            ));
+        }
     }
 
     #[test]

@@ -67,7 +67,9 @@ pub enum IndexConfig {
     Sketch {
         /// Per-node sketch configuration.
         config: MaxIpConfig,
-        /// Where the recovery tree stops and exact evaluation takes over.
+        /// The recovery tree's leaf-size floor: a range of at most this many vectors
+        /// is never split (the tree also stops where a sketch would cost more than
+        /// the scan).
         leaf_size: usize,
     },
 }

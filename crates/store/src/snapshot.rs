@@ -777,6 +777,264 @@ mod tests {
         assert!(load(symmetric_bytes(&ragged)).is_err());
     }
 
+    /// A recovery tree as the bytes spell it, so a test can state trees the in-memory
+    /// types refuse to hold.
+    #[derive(Clone)]
+    enum RawNode {
+        Leaf(Vec<usize>),
+        Internal(RawEstimator, RawEstimator, Box<RawNode>, Box<RawNode>),
+    }
+
+    #[derive(Clone)]
+    struct RawEstimator {
+        kappa: f64,
+        n: usize,
+        dim: usize,
+        sketched: Vec<ips_linalg::Matrix>,
+    }
+
+    impl RawNode {
+        fn of(node: &ips_sketch::recovery::Node) -> Self {
+            use ips_sketch::recovery::Node;
+            let raw = |e: &ips_sketch::MaxIpEstimator| RawEstimator {
+                kappa: e.kappa(),
+                n: e.len(),
+                dim: e.dim(),
+                sketched: e.sketched(),
+            };
+            match node {
+                Node::Leaf { range } => RawNode::Leaf(range.clone().collect()),
+                Node::Internal {
+                    estimator_left,
+                    estimator_right,
+                    left,
+                    right,
+                } => RawNode::Internal(
+                    raw(estimator_left),
+                    raw(estimator_right),
+                    Box::new(RawNode::of(left)),
+                    Box::new(RawNode::of(right)),
+                ),
+            }
+        }
+
+        fn write(&self, w: &mut ByteWriter) {
+            match self {
+                RawNode::Leaf(indices) => {
+                    w.put_u8(0);
+                    crate::persist::write_slice(w, indices);
+                }
+                RawNode::Internal(left_estimator, right_estimator, left, right) => {
+                    w.put_u8(1);
+                    for e in [left_estimator, right_estimator] {
+                        w.put_f64(e.kappa);
+                        w.put_usize(e.n);
+                        w.put_usize(e.dim);
+                        crate::persist::write_slice(w, &e.sketched);
+                    }
+                    left.write(w);
+                    right.write(w);
+                }
+            }
+        }
+
+        /// The root's two estimators and subtrees (the test trees split at the root).
+        fn split(
+            &mut self,
+        ) -> (
+            &mut RawEstimator,
+            &mut RawEstimator,
+            &mut RawNode,
+            &mut RawNode,
+        ) {
+            match self {
+                RawNode::Internal(l, r, left, right) => (l, r, left, right),
+                RawNode::Leaf(_) => panic!("the test tree splits here"),
+            }
+        }
+
+        fn first_leaf(&mut self) -> &mut Vec<usize> {
+            match self {
+                RawNode::Leaf(indices) => indices,
+                RawNode::Internal(_, _, left, _) => left.first_leaf(),
+            }
+        }
+    }
+
+    #[test]
+    fn inconsistent_sketch_trees_are_rejected_at_load() {
+        use ips_linalg::Matrix;
+        use ips_sketch::linf_mips::MaxIpConfig;
+
+        let mut rng = StdRng::seed_from_u64(0xBAD5);
+        let dim = 3;
+        let data: Vec<DenseVector> = (0..12)
+            .map(|_| random_ball_vector(&mut rng, dim, 1.0).unwrap())
+            .collect();
+        let spec = JoinSpec::new(0.4, 0.5, JoinVariant::Unsigned).unwrap();
+        // One copy of two rows: probing costs 4 flops a coordinate, so 12 vectors
+        // split into 6 + 6 and again into leaves of 3.
+        let config = MaxIpConfig {
+            kappa: 2.0,
+            copies: 1,
+            rows: Some(2),
+        };
+        let adapter = SketchMipsAdapter::build(&mut rng, data.clone(), spec, config, 2).unwrap();
+        // Checksummed and structurally decodable, so only the load-time checks of
+        // `SketchMipsIndex::from_raw_parts` (and the estimators' own) stand between
+        // these bytes and a served index.
+        let load = |config: MaxIpConfig, root: &RawNode| {
+            let mut w = ByteWriter::new();
+            spec.write(&mut w);
+            crate::persist::write_slice(&mut w, &data);
+            config.write(&mut w);
+            w.put_usize(2);
+            root.write(&mut w);
+            let ids: Vec<u64> = (0..data.len() as u64).collect();
+            Snapshot::from_bytes(&seal(IndexFamily::Sketch, &ids, data.len() as u64, w))
+        };
+        let pristine = RawNode::of(adapter.inner().root());
+        let tree = || pristine.clone();
+        let loaded = load(config, &tree()).expect("the untouched re-encoding loads");
+        assert_eq!(
+            loaded.to_bytes(),
+            Snapshot::new(AnyIndex::Sketch(adapter)).to_bytes()
+        );
+        let rejected = |defect: &str, config: MaxIpConfig, root: &RawNode| match load(config, root)
+        {
+            Err(StoreError::Sketch(_) | StoreError::Corrupt { .. }) => {}
+            Err(other) => panic!("{defect}: rejected as {other}"),
+            Ok(_) => panic!("{defect}: loaded"),
+        };
+        let resized = |e: &RawEstimator, rows: usize, dim: usize| RawEstimator {
+            dim,
+            sketched: vec![Matrix::zeros(rows, dim); e.sketched.len()],
+            ..e.clone()
+        };
+
+        // 1. An estimator over another dimension than the data's.
+        let mut root = tree();
+        let (left, ..) = root.split();
+        *left = resized(left, 2, dim + 1);
+        rejected("estimator dimension", config, &root);
+
+        // 2. An estimator that claims more vectors than lie under its child.
+        let mut root = tree();
+        root.split().1.n += 1;
+        rejected("estimator n", config, &root);
+
+        // 3. Siblings that disagree on the number of copies, or of rows.
+        let mut root = tree();
+        let (_, right, ..) = root.split();
+        right.sketched.push(right.sketched[0].clone());
+        rejected("sibling copies", config, &root);
+        let mut root = tree();
+        let (_, right, ..) = root.split();
+        *right = resized(right, 3, dim);
+        rejected("sibling rows", config, &root);
+        // ...also when no fixed row count says which of the two is wrong.
+        let free_rows = MaxIpConfig {
+            rows: None,
+            ..config
+        };
+        assert!(load(free_rows, &tree()).is_ok());
+        rejected("sibling rows, none configured", free_rows, &root);
+
+        // 4. A coefficient that is not finite.
+        let mut root = tree();
+        let (left, ..) = root.split();
+        let mut poisoned = vec![0.0; 2 * dim];
+        poisoned[1] = f64::NAN;
+        left.sketched[0] = Matrix::from_row_major(2, dim, poisoned).unwrap();
+        rejected("non-finite coefficient", config, &root);
+
+        // 5. Leaves that are not the contiguous in-order partition of 0..n: a gap
+        //    inside a leaf, a repeated index, leaves out of order, an uncovered tail,
+        //    an empty leaf.
+        let mut root = tree();
+        *root.first_leaf() = vec![0, 2, 1];
+        rejected("leaf out of order", config, &root);
+        let mut root = tree();
+        *root.first_leaf() = vec![0, 1, 1];
+        rejected("leaf repeats an index", config, &root);
+        let mut root = tree();
+        let (_, _, left, right) = root.split();
+        std::mem::swap(left.first_leaf(), right.first_leaf());
+        rejected("leaves out of order", config, &root);
+        let mut root = tree();
+        root.first_leaf().pop();
+        rejected("a vector under no leaf", config, &root);
+        let mut root = tree();
+        root.first_leaf().clear();
+        rejected("empty leaf", config, &root);
+    }
+
+    #[test]
+    fn a_tree_written_before_the_cut_off_rule_loads_and_answers_as_it_did() {
+        // `ips build algorithm=sketch copies=1 leaf=4` over 20 planted vectors of
+        // dimension 3, written by the build before the cost cut-off: 20 → 10 → 5 →
+        // leaves of 2 and 3, a depth no build produces any more at these settings.
+        // The answers are that build's, recorded as bit patterns.
+        let bytes = include_bytes!("../fixtures/sketch_tree_pr13.snap");
+        let snapshot = Snapshot::from_bytes(bytes).unwrap();
+        assert_eq!(snapshot.to_bytes(), bytes, "re-saving changes nothing");
+        let AnyIndex::Sketch(adapter) = &snapshot.index else {
+            panic!("a sketch snapshot");
+        };
+        fn depth(node: &ips_sketch::recovery::Node) -> usize {
+            match node {
+                ips_sketch::recovery::Node::Leaf { .. } => 0,
+                ips_sketch::recovery::Node::Internal { left, right, .. } => {
+                    1 + depth(left).max(depth(right))
+                }
+            }
+        }
+        assert_eq!(depth(adapter.inner().root()), 3);
+        let queries = [
+            [0.1075358287364463, 0.9931028388236809, -0.04672041372153738],
+            [
+                0.21103255808928625,
+                0.9772697111410144,
+                0.020227978461789614,
+            ],
+            [-0.47630378722634237, 0.640529420621941, 0.6023759321151232],
+            [-0.2549941642524919, 0.0813797503482923, 0.9635119679746708],
+            [
+                -0.7968946057585101,
+                -0.5963358519575466,
+                -0.09665681032941267,
+            ],
+            [-0.4556967841394127, 0.738872309627769, -0.4963951560907136],
+            [
+                -0.4721914380143851,
+                -0.36046749986726173,
+                -0.8044242832021872,
+            ],
+            [
+                -0.2134638972476874,
+                0.8444202085814331,
+                -0.49131219800765985,
+            ],
+        ];
+        let answers: [(usize, u64); 8] = [
+            (13, 0x3fe34f5f8474ebc3),
+            (13, 0x3fe3c0da4853305b),
+            (13, 0x3fe999999999999a),
+            (6, 0x3fe999999999999c),
+            (13, 0xbfd5e8aa2824940c),
+            (6, 0xbfe0dbf626e7ab59),
+            (6, 0xbfe36a535ab01d20),
+            (6, 0xbfe16d101183eec7),
+        ];
+        for (q, (index, inner_product)) in queries.iter().zip(answers) {
+            let candidate = adapter.inner().query(&DenseVector::from(&q[..])).unwrap();
+            assert_eq!(
+                (candidate.index, candidate.inner_product.to_bits()),
+                (index, inner_product)
+            );
+        }
+    }
+
     #[test]
     fn family_tags_roundtrip() {
         for family in [

@@ -152,6 +152,43 @@ fn lsh_index_surface_is_pinned() {
 }
 
 #[test]
+fn sketch_index_surface_is_pinned() {
+    // What the persistence layer, the adapter and the benches compile against.
+    // Since the cost cut-off (PR 15) a leaf is a range, an estimator is one
+    // coordinate-major block — `sketched()` scatters owned matrices out of it, as
+    // `LshIndex::functions()` does for the plane bank — and the tree reports how
+    // many coefficients it holds; `leaf_size` keeps its name and type throughout.
+    use ips_linalg::Matrix;
+    use ips_sketch::linf_mips::{MaxIpConfig, MaxIpEstimator};
+    use ips_sketch::recovery::{MipsCandidate, Node, SketchMipsIndex};
+    use rand::rngs::StdRng;
+    let _build: fn(
+        &mut StdRng,
+        Vec<DenseVector>,
+        MaxIpConfig,
+        usize,
+    ) -> ips_sketch::Result<SketchMipsIndex> = SketchMipsIndex::build::<StdRng>;
+    let _query: fn(&SketchMipsIndex, &DenseVector) -> ips_sketch::Result<MipsCandidate> =
+        SketchMipsIndex::query;
+    let _raw: fn(
+        Vec<DenseVector>,
+        Node,
+        MaxIpConfig,
+        usize,
+    ) -> ips_sketch::Result<SketchMipsIndex> = SketchMipsIndex::from_raw_parts;
+    let _root: fn(&SketchMipsIndex) -> &Node = SketchMipsIndex::root;
+    let _leaf_size: fn(&SketchMipsIndex) -> usize = SketchMipsIndex::leaf_size;
+    let _stored: fn(&SketchMipsIndex) -> usize = SketchMipsIndex::stored_coefficients;
+    let _leaf = Node::Leaf { range: 0..1 };
+    let _estimate: fn(&MaxIpEstimator, &DenseVector) -> ips_sketch::Result<f64> =
+        MaxIpEstimator::estimate;
+    let _sketched: fn(&MaxIpEstimator) -> Vec<Matrix> = MaxIpEstimator::sketched;
+    let _estimator_raw: fn(f64, usize, usize, Vec<Matrix>) -> ips_sketch::Result<MaxIpEstimator> =
+        MaxIpEstimator::from_raw_parts;
+    let _default_floor: usize = ips_sketch::DEFAULT_LEAF_SIZE;
+}
+
+#[test]
 fn builder_setters_are_pinned() {
     // One chain through every JoinBuilder setter (compile-time surface pin).
     let data = [DenseVector::from(&[0.5, 0.5][..])];

@@ -145,14 +145,17 @@ fn sketch_recovery_matches_exact_argmax_when_gap_is_large() {
     let index = SketchMipsIndex::build(
         &mut rng,
         items.clone(),
+        // Few enough rows that the cost rule keeps splitting (2·5·4 < 256, 128, 64):
+        // three levels of estimators above leaves of 32, so this is a walk.
         MaxIpConfig {
             kappa: 2.0,
-            copies: 15,
-            rows: None,
+            copies: 5,
+            rows: Some(4),
         },
         8,
     )
     .unwrap();
+    assert!(index.stored_coefficients() >= 3 * 2 * 5 * 4 * dim);
     let mut hits = 0;
     for (slot, user) in users.iter().enumerate() {
         let recovered = index.query(user).unwrap();

@@ -56,7 +56,7 @@ fn families() -> [IndexConfig; 4] {
             config: MaxIpConfig {
                 kappa: 2.0,
                 copies: 3,
-                rows: Some(8),
+                rows: Some(1),
             },
             leaf_size: 4,
         },

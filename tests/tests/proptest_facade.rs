@@ -116,7 +116,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let spec = spec(s, 0.5, signed);
-        let config = MaxIpConfig { kappa: 2.0, copies: 3, rows: Some(8) };
+        let config = MaxIpConfig { kappa: 2.0, copies: 3, rows: Some(1) };
         let built = Join::data(&data)
             .queries(&queries)
             .spec(spec)

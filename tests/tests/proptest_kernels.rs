@@ -85,7 +85,7 @@ fn run(
         .sketch_config(MaxIpConfig {
             kappa: 2.0,
             copies: 3,
-            rows: Some(8),
+            rows: Some(1),
         })
         .sketch_leaf_size(4)
         .seed(seed)

@@ -62,11 +62,13 @@ fn small_symmetric() -> SymmetricParams {
     }
 }
 
+/// Three copies of one row, so that the recovery tree still splits these small data
+/// sets (any range of more than six vectors) and the snapshots hold internal nodes.
 fn small_sketch() -> MaxIpConfig {
     MaxIpConfig {
         kappa: 2.0,
         copies: 3,
-        rows: Some(8),
+        rows: Some(1),
     }
 }
 

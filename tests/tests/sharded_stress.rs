@@ -239,7 +239,7 @@ fn concurrent_storm_sketch() {
             config: MaxIpConfig {
                 kappa: 2.0,
                 copies: 3,
-                rows: Some(8),
+                rows: Some(1),
             },
             leaf_size: 4,
         },
