@@ -21,6 +21,7 @@
 use crate::error::{CoreError, Result};
 use crate::mips::{MipsIndex, SearchResult};
 use crate::problem::JoinSpec;
+use crate::slots::Renumbering;
 use ips_linalg::DenseVector;
 use ips_lsh::rho::{rho_data_dependent, rho_simple_alsh};
 use ips_lsh::simple_alsh::SimpleAlshFamily;
@@ -113,7 +114,8 @@ impl AlshMipsIndex {
                     actual: v.dim(),
                 });
             }
-            if v.norm() > 1.0 + 1e-9 {
+            // Negated so that a NaN norm is refused too.
+            if !(v.norm() <= 1.0 + 1e-9) {
                 return Err(CoreError::InvalidParameter {
                     name: "data",
                     reason: format!("data vector norm {} exceeds 1", v.norm()),
@@ -172,7 +174,7 @@ impl AlshMipsIndex {
                 actual: v.dim(),
             });
         }
-        if v.norm() > 1.0 + 1e-9 {
+        if !(v.norm() <= 1.0 + 1e-9) {
             return Err(CoreError::InvalidParameter {
                 name: "v",
                 reason: format!("data vector norm {} exceeds 1", v.norm()),
@@ -203,6 +205,25 @@ impl AlshMipsIndex {
         self.index.remove(id as u32, &self.data[id])?;
         self.live[id] = false;
         self.live_count -= 1;
+        self.quant = None;
+        Ok(())
+    }
+
+    /// Drops every tombstoned slot and renumbers the live ones `0..len` in ascending
+    /// order of `keys[slot]` (one key per slot, distinct on live slots), in place.
+    ///
+    /// Deletes already took the dead slots out of every bucket and a bucket depends
+    /// on the vector alone, so nothing is hashed: the vectors move down where they
+    /// stand (or are permuted, when the key order differs from the slot order) and the
+    /// buckets are renamed. The result is the index [`AlshMipsIndex::build`] gives
+    /// over the surviving vectors in key order with the same sampled functions —
+    /// same buckets, same answers, same snapshot bytes.
+    pub fn compact(&mut self, keys: &[u64]) -> Result<()> {
+        let plan = Renumbering::new(&self.live, keys)?;
+        self.index.renumber(&plan.new_slot)?;
+        plan.apply(&mut self.data, || DenseVector::zeros(0));
+        self.live.truncate(self.live_count);
+        self.live.fill(true);
         self.quant = None;
         Ok(())
     }

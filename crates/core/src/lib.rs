@@ -93,6 +93,7 @@ pub mod mips;
 pub mod planner;
 pub mod problem;
 pub mod shard;
+mod slots;
 pub mod symmetric;
 pub mod theory;
 pub mod topk;

@@ -138,6 +138,15 @@ impl BruteForceMipsIndex {
         &self.data
     }
 
+    /// Appends `v` as the last vector. Storing is all there is to building this
+    /// index, so the result is the index [`BruteForceMipsIndex::new`] gives over the
+    /// longer list; a prepared scoring kernel no longer covers the data and is
+    /// dropped (see [`BruteForceMipsIndex::set_scoring`]).
+    pub fn push(&mut self, v: DenseVector) {
+        self.data.push(v);
+        self.kernel = None;
+    }
+
     /// Consumes the index, returning its vectors.
     pub fn into_data(self) -> Vec<DenseVector> {
         self.data

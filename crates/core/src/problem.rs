@@ -151,6 +151,9 @@ pub fn evaluate_join(
     reported: &[MatchPair],
 ) -> Result<(f64, bool)> {
     let mut valid = true;
+    // Which queries some reported pair answers acceptably: the reported set is
+    // walked once, not once per query.
+    let mut answered_acceptably = vec![false; queries.len()];
     for pair in reported {
         let p = data
             .get(pair.data_index)
@@ -164,33 +167,26 @@ pub fn evaluate_join(
                 name: "reported",
                 reason: format!("query index {} out of range", pair.query_index),
             })?;
-        let ip = p.dot(q)?;
-        if !spec.acceptable(ip) {
+        if spec.acceptable(p.dot(q)?) {
+            answered_acceptably[pair.query_index] = true;
+        } else {
             valid = false;
         }
     }
     let mut promised = 0usize;
     let mut answered = 0usize;
-    for (j, q) in queries.iter().enumerate() {
+    for (q, &got) in queries.iter().zip(&answered_acceptably) {
+        // The scan below stops at the first partner, so a vector of another
+        // dimension behind it would go unseen: look for one first.
+        if let Some(p) = data.iter().find(|p| p.dim() != q.dim()) {
+            p.dot(q)?;
+        }
         let has_partner = data
             .iter()
-            .map(|p| p.dot(q))
-            .collect::<std::result::Result<Vec<_>, _>>()?
-            .into_iter()
-            .any(|ip| spec.satisfies_promise(ip));
+            .any(|p| spec.satisfies_promise(p.dot_unchecked_len(q)));
         if has_partner {
             promised += 1;
-            let got = reported.iter().any(|pair| {
-                pair.query_index == j
-                    && data
-                        .get(pair.data_index)
-                        .and_then(|p| p.dot(q).ok())
-                        .map(|ip| spec.acceptable(ip))
-                        .unwrap_or(false)
-            });
-            if got {
-                answered += 1;
-            }
+            answered += usize::from(got);
         }
     }
     let recall = if promised == 0 {
@@ -293,5 +289,20 @@ mod tests {
             inner_product: 0.0,
         }];
         assert!(evaluate_join(&data, &queries, &spec, &broken).is_err());
+        // A vector of another dimension is an error wherever it stands, also behind
+        // the partner at which the scan of a query stops.
+        let mut ragged = data.clone();
+        ragged.push(dv(&[1.0]));
+        assert_eq!(
+            evaluate_join(&ragged, &queries, &spec, &perfect).unwrap_err(),
+            CoreError::from(ragged[2].dot(&queries[0]).unwrap_err())
+        );
+        // Several pairs on one query: one acceptable pair answers it, one
+        // unacceptable pair invalidates the whole set.
+        let mixed = [bogus[0], perfect[0]];
+        assert_eq!(
+            evaluate_join(&data, &queries, &spec, &mixed).unwrap(),
+            (1.0, false)
+        );
     }
 }

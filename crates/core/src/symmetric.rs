@@ -21,6 +21,7 @@
 use crate::error::{CoreError, Result};
 use crate::mips::{MipsIndex, SearchResult};
 use crate::problem::JoinSpec;
+use crate::slots::Renumbering;
 use ips_linalg::incoherent::ReedSolomonCollection;
 use ips_linalg::DenseVector;
 use ips_lsh::hyperplane::HyperplaneFamily;
@@ -113,7 +114,8 @@ impl SymmetricSphereMap {
     /// Returns an error when the vector is outside the unit ball.
     pub fn map(&self, v: &DenseVector) -> Result<DenseVector> {
         let norm_sq = v.norm_sq();
-        if norm_sq > 1.0 + 1e-9 {
+        // Negated so that a NaN norm is refused too.
+        if !(norm_sq <= 1.0 + 1e-9) {
             return Err(CoreError::InvalidParameter {
                 name: "v",
                 reason: format!("vector norm {} exceeds 1", norm_sq.sqrt()),
@@ -307,6 +309,24 @@ impl SymmetricLshMips {
         }
         self.live[id] = false;
         self.live_count -= 1;
+        self.quant = None;
+        Ok(())
+    }
+
+    /// Drops every tombstoned slot and renumbers the live ones `0..len` in ascending
+    /// order of `keys[slot]` (one key per slot, distinct on live slots), in place —
+    /// see [`crate::asymmetric::AlshMipsIndex::compact`]. The exact-match lookup is
+    /// renamed with the hash tables, so the result equals [`SymmetricLshMips::build`]
+    /// over the surviving vectors in key order with the same sampled functions.
+    pub fn compact(&mut self, keys: &[u64]) -> Result<()> {
+        let plan = Renumbering::new(&self.live, keys)?;
+        self.index.renumber(&plan.new_slot)?;
+        for bucket in self.exact_lookup.values_mut() {
+            plan.apply_to_bucket(bucket);
+        }
+        plan.apply(&mut self.data, || DenseVector::zeros(0));
+        self.live.truncate(self.live_count);
+        self.live.fill(true);
         self.quant = None;
         Ok(())
     }

@@ -93,7 +93,8 @@ impl SphereTransform {
             });
         }
         let norm_sq = p.norm_sq();
-        if norm_sq > 1.0 + 1e-9 {
+        // Negated so that a NaN norm is refused too.
+        if !(norm_sq <= 1.0 + 1e-9) {
             return Err(LshError::DomainViolation {
                 reason: format!("data vector norm {} exceeds 1", norm_sq.sqrt()),
             });
@@ -126,7 +127,7 @@ impl SphereTransform {
         out.clear();
         out.extend(q.iter().map(|x| x * inverse_radius));
         let norm_sq: f64 = out.iter().map(|x| x * x).sum();
-        if norm_sq > 1.0 + 1e-9 {
+        if !(norm_sq <= 1.0 + 1e-9) {
             return Err(LshError::DomainViolation {
                 reason: format!(
                     "query vector norm {} exceeds the declared radius {}",

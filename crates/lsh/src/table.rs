@@ -366,6 +366,34 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
         }
         Ok(removed)
     }
+
+    /// Renames every stored id `i` to `new_id[i]` in place — what lets the owner of
+    /// the id space close the gaps its removals left without hashing a single vector
+    /// again (a point's bucket depends on the vector alone, never on its id).
+    ///
+    /// `new_id` must be injective on the stored ids. Buckets list ids in ascending
+    /// order after a build or any sequence of ascending inserts; a bucket whose order
+    /// the renaming breaks is sorted again, so the tables equal those of an index
+    /// built over the same points under the new ids. A stored id outside `new_id` is
+    /// rejected before any table is touched.
+    pub fn renumber(&mut self, new_id: &[u32]) -> Result<()> {
+        let stored = self.tables.iter().flat_map(|t| t.values().flatten());
+        if let Some(id) = stored.into_iter().find(|&&id| id as usize >= new_id.len()) {
+            return Err(LshError::InvalidParameter {
+                name: "new_id",
+                reason: format!("stored id {id} has no entry among {}", new_id.len()),
+            });
+        }
+        for bucket in self.tables.iter_mut().flat_map(HashMap::values_mut) {
+            for id in bucket.iter_mut() {
+                *id = new_id[*id as usize];
+            }
+            if !bucket.is_sorted() {
+                bucket.sort_unstable();
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The ids of the visited buckets, deduplicated, in ascending order.
@@ -482,6 +510,59 @@ mod tests {
             index.len() + 1,
         )
         .is_err());
+    }
+
+    #[test]
+    fn renumbering_equals_a_build_under_the_new_ids() {
+        let dim = 8;
+        let fam = SimpleAlshFamily::new(dim, 1.0, 1).unwrap();
+        let data: Vec<DenseVector> = {
+            let mut rng = StdRng::seed_from_u64(98);
+            (0..40)
+                .map(|_| random_ball_vector(&mut rng, dim, 1.0).unwrap())
+                .collect()
+        };
+        let params = IndexParams { k: 3, l: 5 };
+        // Same seed, same functions: only the ids and the point set differ.
+        let build = |points: &[DenseVector]| {
+            LshIndex::build(&fam, params, points, &mut StdRng::seed_from_u64(99)).unwrap()
+        };
+        let dead = [3usize, 7, 8, 39];
+        let survivors: Vec<usize> = (0..data.len()).filter(|i| !dead.contains(i)).collect();
+        let removed = || {
+            let mut index = build(&data);
+            for &i in &dead {
+                assert!(index.remove(i as u32, &data[i]).unwrap());
+            }
+            index
+        };
+
+        // Closing the gaps keeps every bucket's order: no sort, same tables.
+        let mut closed = vec![u32::MAX; data.len()];
+        for (new, &old) in survivors.iter().enumerate() {
+            closed[old] = new as u32;
+        }
+        let mut index = removed();
+        index.renumber(&closed).unwrap();
+        let kept: Vec<DenseVector> = survivors.iter().map(|&i| data[i].clone()).collect();
+        assert_eq!(index.tables(), build(&kept).tables());
+        assert_eq!(index.len(), kept.len());
+
+        // A renaming that reverses the order has every bucket sorted again.
+        let mut reversed = vec![u32::MAX; data.len()];
+        for (new, &old) in survivors.iter().rev().enumerate() {
+            reversed[old] = new as u32;
+        }
+        let mut index = removed();
+        index.renumber(&reversed).unwrap();
+        let kept: Vec<DenseVector> = survivors.iter().rev().map(|&i| data[i].clone()).collect();
+        assert_eq!(index.tables(), build(&kept).tables());
+
+        // An id with no new name is refused and nothing moves.
+        let mut index = removed();
+        let before = index.tables().to_vec();
+        assert!(index.renumber(&closed[..20]).is_err());
+        assert_eq!(index.tables(), before);
     }
 
     #[test]

@@ -97,6 +97,13 @@ impl<T: Persist> Persist for Vec<T> {
     }
 }
 
+/// `count` 8-byte values are announced: the capacity to reserve for them, which is
+/// `count` itself unless the input is too short to hold that many — a corrupt or
+/// hostile count then fails at the first missing value, not on allocation.
+fn bounded_by_input(r: &ByteReader<'_>, count: usize) -> usize {
+    count.min(usize::try_from(r.remaining() / 8).unwrap_or(usize::MAX))
+}
+
 impl Persist for DenseVector {
     fn write(&self, w: &mut ByteWriter) {
         w.put_usize(self.dim());
@@ -107,10 +114,8 @@ impl Persist for DenseVector {
 
     fn read(r: &mut ByteReader<'_>) -> Result<Self> {
         let dim = r.take_usize()?;
-        let mut components = Vec::new();
-        for _ in 0..dim {
-            components.push(r.take_f64()?);
-        }
+        let mut components = Vec::with_capacity(bounded_by_input(r, dim));
+        r.take_f64s(dim, &mut components)?;
         Ok(DenseVector::new(components))
     }
 }
@@ -133,10 +138,8 @@ impl Persist for Matrix {
             context: "matrix",
             reason: "rows * cols overflows".into(),
         })?;
-        let mut data = Vec::new();
-        for _ in 0..total {
-            data.push(r.take_f64()?);
-        }
+        let mut data = Vec::with_capacity(bounded_by_input(r, total));
+        r.take_f64s(total, &mut data)?;
         Ok(Matrix::from_row_major(rows, cols, data)?)
     }
 }
@@ -468,13 +471,21 @@ impl Persist for BruteForceMipsIndex {
     }
 }
 
+/// A dynamic index's liveness mask, in the encoding of a `Vec<bool>` without
+/// gathering one.
+fn write_live_mask(w: &mut ByteWriter, slots: usize, is_live: impl Fn(usize) -> bool) {
+    w.put_usize(slots);
+    for slot in 0..slots {
+        w.put_bool(is_live(slot));
+    }
+}
+
 impl Persist for AlshMipsIndex {
     fn write(&self, w: &mut ByteWriter) {
         self.spec().write(w);
         self.params().write(w);
         write_slice(w, self.data());
-        let live: Vec<bool> = (0..self.slots()).map(|i| self.is_live(i)).collect();
-        live.write(w);
+        write_live_mask(w, self.slots(), |slot| self.is_live(slot));
         self.lsh_index().write(w);
     }
 
@@ -495,8 +506,7 @@ impl Persist for SymmetricLshMips {
         self.spec().write(w);
         self.params().write(w);
         write_slice(w, self.data());
-        let live: Vec<bool> = (0..self.slots()).map(|i| self.is_live(i)).collect();
-        live.write(w);
+        write_live_mask(w, self.slots(), |slot| self.is_live(slot));
         self.lsh_index().write(w);
     }
 

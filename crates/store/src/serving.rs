@@ -12,18 +12,21 @@
 //!   into every table with the functions sampled at build time, deletes remove it
 //!   again (see [`ips_lsh::table::LshIndex::insert`]). Tombstoned slots still occupy
 //!   memory, so when their fraction exceeds the rebuild threshold the index is
-//!   compacted by a rebuild.
-//! * **Brute force** — building *is* storing the vectors, so the primary is rebuilt
-//!   on every mutation (the threshold is irrelevant).
+//!   compacted **in place**: the dead slots are dropped and the buckets renumbered,
+//!   with no vector hashed again (see [`ips_core::AlshMipsIndex::compact`]).
+//! * **Brute force** — building *is* storing the vectors: an insert under a new
+//!   highest id appends, every other mutation rebuilds the primary (the threshold
+//!   is irrelevant).
 //! * **Sketch** — the Section 4.3 structure cannot absorb single-vector updates, so
 //!   inserts go to a brute-scanned *overlay* and deletes *tombstone* the id (a
 //!   tombstoned primary answer is suppressed, costing recall, never validity). When
 //!   `(overlay + tombstones) / live` exceeds [`ServingConfig::rebuild_threshold`]
 //!   (default 0.25) the structure is rebuilt over the live set.
 //!
-//! Rebuilds always re-seed from [`ServingConfig::seed`], so a mutated-then-compacted
-//! index is *identical* to one built fresh from the same live vectors with the same
-//! seed — the equivalence the insert/delete property tests pin down.
+//! Rebuilds re-seed from [`ServingConfig::seed`] and an in-place compaction keeps the
+//! functions that seed sampled, so a mutated-then-compacted index is *identical* to
+//! one built fresh from the same live vectors with the same seed — down to the
+//! snapshot bytes, the equivalence the insert/delete property tests pin down.
 //!
 //! Queries run through the existing [`JoinEngine`] (same chunking, work stealing and
 //! result assembly as every join in the workspace) via [`ServingIndex::query`] /
@@ -37,7 +40,7 @@
 //! already hold those configs.
 
 use crate::error::{Result, StoreError};
-use crate::snapshot::{AnyIndex, IndexFamily, Snapshot};
+use crate::snapshot::{AnyIndex, IndexFamily, Snapshot, SnapshotRef};
 use ips_core::asymmetric::AlshParams;
 use ips_core::engine::{EngineConfig, JoinEngine};
 use ips_core::mips::{BruteForceMipsIndex, MipsIndex, SearchResult, SketchMipsAdapter};
@@ -92,7 +95,7 @@ pub struct ServingConfig {
     /// Schedule of the [`JoinEngine`] answering query batches.
     pub engine: EngineConfig,
     /// Rebuild when `(tombstoned + overlaid) / live` exceeds this fraction
-    /// (brute rebuilds on every mutation regardless).
+    /// (brute rebuilds on every mutation but an appending insert, regardless).
     pub rebuild_threshold: f64,
     /// Seed for every build and rebuild, making maintenance reproducible.
     pub seed: u64,
@@ -415,16 +418,23 @@ impl ServingIndex {
     /// unloadable (brute) or resurrect tombstoned vectors (sketch). The error is
     /// returned before anything is written; insert at least one vector first.
     pub fn save(&mut self, path: &Path) -> Result<u64> {
-        let bytes = self.snapshot_bytes()?;
-        std::fs::write(path, &bytes)?;
-        Ok(bytes.len() as u64)
+        let snapshot = self.compacted()?;
+        crate::snapshot::save_atomically(path, |w| snapshot.write(w))
     }
 
     /// Compacts pending state and encodes the index as single-shard snapshot bytes —
-    /// what [`ServingIndex::save`] writes, exposed so the sharded serving layer can
-    /// embed per-shard snapshots inside one multi-shard file. The same
+    /// byte for byte what [`ServingIndex::save`] streams into its file. The same
     /// no-live-vectors restriction applies (see [`ServingIndex::save`]).
     pub fn snapshot_bytes(&mut self) -> Result<Vec<u8>> {
+        let mut w = crate::format::ByteWriter::new();
+        self.compacted()?.write(&mut w);
+        Ok(w.into_bytes())
+    }
+
+    /// Compacts pending state and lends out what a snapshot of this index stores —
+    /// the first half of every save, with everything that can fail in it, so that a
+    /// save which starts writing has only I/O left to go wrong.
+    pub(crate) fn compacted(&mut self) -> Result<SnapshotRef<'_>> {
         if self.is_empty() {
             return Err(StoreError::InvalidParameter {
                 name: "serving",
@@ -433,11 +443,11 @@ impl ServingIndex {
             });
         }
         self.compact()?;
-        Ok(crate::snapshot::encode(
-            &self.primary,
-            &self.primary_ids,
-            self.next_id,
-        ))
+        Ok(SnapshotRef {
+            index: &self.primary,
+            ids: &self.primary_ids,
+            next_id: self.next_id,
+        })
     }
 
     /// The index family being served.
@@ -626,6 +636,13 @@ impl ServingIndex {
                 self.primary_ids.push(id);
                 self.id_to_slot.insert(id, slot);
             }
+            // Storing is all there is to building a brute index: behind ids that
+            // ascend, a new highest id appends where a rebuild would put it.
+            AnyIndex::Brute(index) if id >= self.next_id && self.primary_ids.is_sorted() => {
+                self.id_to_slot.insert(id, self.primary_ids.len());
+                self.primary_ids.push(id);
+                index.push(v);
+            }
             AnyIndex::Brute(_) => self.rebuild(Some((id, v)))?,
             AnyIndex::Sketch(_) => {
                 self.overlay.push((id, v));
@@ -698,12 +715,15 @@ impl ServingIndex {
         Ok(pairs)
     }
 
-    /// Forces the pending overlay / tombstones / dead slots into a fresh primary
-    /// structure now, whatever the threshold says. After a compact, the index is
-    /// identical to one built from its live vectors with [`ServingConfig::seed`].
+    /// Folds the pending overlay / tombstones / dead slots into the primary structure
+    /// now, whatever the threshold says. After a compact, the index is identical to
+    /// one built from its live vectors, in ascending id order, with
+    /// [`ServingConfig::seed`] — down to its snapshot bytes.
     pub fn compact(&mut self) -> Result<()> {
         let dirty = (self.primary_ids.len() - self.id_to_slot.len()) + self.overlay.len();
-        if dirty == 0 {
+        // Slots out of id order are pending state too: the sharded layer can route
+        // ids into an LSH shard out of order, and a fresh build would not keep them so.
+        if dirty == 0 && self.primary_ids.is_sorted() {
             return Ok(());
         }
         self.rebuild(None)
@@ -726,27 +746,62 @@ impl ServingIndex {
         Ok(())
     }
 
-    /// Rebuilds the primary structure over the live vectors (plus `inserted`, for the
-    /// brute family's insert), re-seeding from the configured seed. With no live
-    /// vectors left, non-brute structures cannot be built (their constructors reject
-    /// empty data), so pending state is kept and filtered at query time instead.
+    /// Folds the pending state — dead slots, overlay, tombstones, plus `inserted` for
+    /// the brute family's out-of-order insert — into the primary structure, leaving
+    /// the index identical to one built from its live vectors in **ascending id
+    /// order** with the configured seed. That order is the canonical one: a
+    /// sequential index inserts in ascending id order anyway; it matters when the
+    /// sharded layer routed out-of-order ids into this shard. With no live vectors
+    /// left, non-brute structures cannot be built (their constructors reject empty
+    /// data), so pending state is kept and filtered at query time instead.
     ///
-    /// The vectors go in **ascending id order** — the canonical rebuild order, so a
-    /// compacted index matches a fresh build from the same live set however the
-    /// inserts arrived (a sequential index inserts in ascending id order anyway; the
-    /// sort matters when the sharded layer routed out-of-order ids into this shard).
-    /// They are moved, not copied, and the old structure is freed before its
-    /// replacement is built, so a rebuild holds one index worth of memory, not two.
+    /// **ALSH / symmetric LSH compact in place** ([`AlshMipsIndex::compact`]): a
+    /// delete already took its slot out of every bucket, and the bucket of a vector
+    /// is a function of the vector and the sampled functions alone, so the tables a
+    /// fresh build would produce are the ones already held, under other slot numbers.
+    /// The vectors and the id list close their gaps where they stand, the buckets are
+    /// renamed in one pass, the id map is refilled in its own capacity — no vector is
+    /// hashed, no table is allocated, and the write lock is held for that one pass.
+    /// The functions stay the ones the index was built or loaded with (what
+    /// [`ServingConfig::seed`] samples, whenever the index was built under that
+    /// seed — and the ones the sibling shards hold in any case).
     ///
-    /// The build cannot fail for vectors the index already holds — they passed the
-    /// same constructor's checks under the same configuration. Should it fail all the
-    /// same, the vectors went with it: the error is returned and the index is left
-    /// empty (and consistent), not half-built.
+    /// **Brute and sketch really rebuild**: the vectors are moved, not copied, and
+    /// the old structure is freed before its replacement is built, so a rebuild holds
+    /// one index worth of memory, not two. The build cannot fail for vectors the index
+    /// already holds — they passed the same constructor's checks under the same
+    /// configuration. Should it fail all the same, the vectors went with it: the
+    /// error is returned and the index is left empty (and consistent), not half-built.
     fn rebuild(&mut self, inserted: Option<(u64, DenseVector)>) -> Result<()> {
         if self.is_empty() && inserted.is_none() && !matches!(self.index_config, IndexConfig::Brute)
         {
             return Ok(());
         }
+        let compacted_in_place = match &mut self.primary {
+            AnyIndex::Alsh(index) => index.compact(&self.primary_ids).map(|()| true)?,
+            AnyIndex::Symmetric(index) => index.compact(&self.primary_ids).map(|()| true)?,
+            AnyIndex::Brute(_) | AnyIndex::Sketch(_) => false,
+        };
+        if compacted_in_place {
+            // The slots now follow ascending id order; so must the slot → id list.
+            let live = &self.id_to_slot;
+            self.primary_ids.retain(|id| live.contains_key(id));
+            if !self.primary_ids.is_sorted() {
+                self.primary_ids.sort_unstable();
+            }
+            self.id_to_slot.clear();
+            let renumbered = self.primary_ids.iter().enumerate();
+            self.id_to_slot
+                .extend(renumbered.map(|(slot, &id)| (id, slot)));
+        } else {
+            self.rebuild_from_vectors(inserted)?;
+        }
+        self.counters.rebuilds.fetch_add(1, Ordering::Relaxed);
+        self.apply_scoring()
+    }
+
+    /// The brute / sketch half of [`ServingIndex::rebuild`].
+    fn rebuild_from_vectors(&mut self, inserted: Option<(u64, DenseVector)>) -> Result<()> {
         let emptied = AnyIndex::Brute(BruteForceMipsIndex::new(Vec::new(), self.spec));
         let vectors = std::mem::replace(&mut self.primary, emptied).into_vectors();
         let slots = std::mem::take(&mut self.primary_ids)
@@ -764,8 +819,6 @@ impl ServingIndex {
         self.primary = build_index(data, self.spec, self.index_config, self.config.seed)?;
         self.id_to_slot = ids.iter().enumerate().map(|(s, &id)| (id, s)).collect();
         self.primary_ids = ids;
-        self.counters.rebuilds.fetch_add(1, Ordering::Relaxed);
-        self.apply_scoring()?;
         Ok(())
     }
 
@@ -1025,6 +1078,172 @@ mod tests {
                     fresh.vector(y.data_index as u64).unwrap()
                 );
             }
+        }
+    }
+
+    /// The index a fresh build gives over `entries` (ascending ids) under the
+    /// allocator state `next_id`, as snapshot bytes.
+    fn fresh_bytes(
+        entries: &[(u64, DenseVector)],
+        next_id: u64,
+        index_config: IndexConfig,
+        config: ServingConfig,
+    ) -> Vec<u8> {
+        let (ids, data): (Vec<u64>, Vec<DenseVector>) = entries.iter().cloned().unzip();
+        let index = build_index(data, spec(), index_config, config.seed).unwrap();
+        let snapshot = Snapshot::with_ids(index, ids, next_id).unwrap();
+        ServingIndex::from_snapshot(snapshot, config)
+            .unwrap()
+            .snapshot_bytes()
+            .unwrap()
+    }
+
+    #[test]
+    fn compaction_in_place_equals_a_fresh_build_byte_for_byte() {
+        let dim = 10;
+        let data = vectors(0x71, 120, dim, 0.9);
+        let extra = vectors(0x72, 12, dim, 0.9);
+        let config = ServingConfig::default();
+        for index_config in [
+            IndexConfig::Alsh(AlshParams::default()),
+            IndexConfig::Symmetric(SymmetricParams::default()),
+            IndexConfig::Brute,
+        ] {
+            let mut serving =
+                ServingIndex::build(data.clone(), spec(), index_config, config).unwrap();
+            let mut live: Vec<(u64, DenseVector)> = (0..).zip(data.iter().cloned()).collect();
+            // Ids the way a sharded layer can route them into one shard: with
+            // gaps, and not in the order they were drawn.
+            let mut assigned = [
+                125u64, 121, 140, 122, 139, 130, 150, 151, 149, 160, 170, 165,
+            ];
+            for (round, (&id, v)) in assigned.iter().zip(&extra).enumerate() {
+                serving.insert_with_id(id, v.clone()).unwrap();
+                live.push((id, v.clone()));
+                // Deletes in between, of old and of new points (one duplicated
+                // vector too: the symmetric family's exact-match lookup).
+                let victim = live.remove((round * 7) % live.len());
+                serving.delete(victim.0).unwrap();
+            }
+            let twin = serving.insert(extra[0].clone()).unwrap();
+            live.push((twin, extra[0].clone()));
+            serving.compact().unwrap();
+            live.sort_unstable_by_key(|(id, _)| *id);
+            assigned.sort_unstable();
+            assert_eq!(twin, assigned[11] + 1);
+            assert_eq!(
+                serving.snapshot_bytes().unwrap(),
+                fresh_bytes(&live, twin + 1, index_config, config),
+                "{:?}",
+                serving.family()
+            );
+            assert_eq!(
+                serving.ids(),
+                live.iter().map(|(id, _)| *id).collect::<Vec<_>>()
+            );
+            for (id, v) in &live {
+                assert_eq!(serving.vector(*id).unwrap(), v);
+            }
+        }
+    }
+
+    #[test]
+    fn lsh_threshold_compaction_keeps_every_answer_and_counts_as_a_rebuild() {
+        let dim = 12;
+        let data = vectors(0x73, 200, dim, 0.9);
+        let queries = vectors(0x74, 20, dim, 1.0);
+        for index_config in [
+            IndexConfig::Alsh(AlshParams::default()),
+            IndexConfig::Symmetric(SymmetricParams::default()),
+        ] {
+            let mut serving =
+                ServingIndex::build(data.clone(), spec(), index_config, ServingConfig::default())
+                    .unwrap();
+            // 41 dead slots over 159 live ones is the first ratio above a quarter.
+            for id in 0..41u64 {
+                assert_eq!(serving.stats().rebuilds, 0, "after {id} deletes");
+                serving.delete(id).unwrap();
+            }
+            assert_eq!(serving.stats().rebuilds, 1);
+            let live: Vec<(u64, DenseVector)> = (41..).zip(data[41..].iter().cloned()).collect();
+            let fresh = fresh_bytes(&live, 200, index_config, ServingConfig::default());
+            assert_eq!(serving.snapshot_bytes().unwrap(), fresh);
+            assert_eq!(
+                serving.stats().rebuilds,
+                1,
+                "nothing left to compact at save"
+            );
+            let reloaded = ServingIndex::from_snapshot(
+                Snapshot::from_bytes(&fresh).unwrap(),
+                ServingConfig::default(),
+            )
+            .unwrap();
+            assert_eq!(
+                serving.query_top_k(&queries, 3).unwrap(),
+                reloaded.query_top_k(&queries, 3).unwrap()
+            );
+        }
+    }
+
+    #[test]
+    fn brute_appends_a_new_highest_id_and_rebuilds_for_anything_else() {
+        let dim = 6;
+        let data = vectors(0x75, 30, dim, 0.9);
+        let extra = vectors(0x76, 4, dim, 0.9);
+        let mut serving =
+            ServingIndex::build(data, spec(), IndexConfig::Brute, ServingConfig::default())
+                .unwrap();
+        assert_eq!(serving.insert(extra[0].clone()).unwrap(), 30);
+        serving.insert_with_id(35, extra[1].clone()).unwrap();
+        assert_eq!(serving.stats().rebuilds, 0, "appended where they stand");
+        assert_eq!(serving.vector(35).unwrap(), &extra[1]);
+        // An id below the highest belongs in the middle: that is a rebuild.
+        serving.insert_with_id(33, extra[2].clone()).unwrap();
+        assert_eq!(serving.stats().rebuilds, 1);
+        serving.delete(4).unwrap();
+        assert_eq!(serving.stats().rebuilds, 2);
+        assert_eq!(serving.insert(extra[3].clone()).unwrap(), 36);
+        assert_eq!(serving.stats().rebuilds, 2);
+        let mut expected: Vec<u64> = (0..31).filter(|id| *id != 4).collect();
+        expected.extend([33, 35, 36]);
+        assert_eq!(serving.ids(), expected);
+        assert_eq!(serving.stats().inserts, 4);
+    }
+
+    #[test]
+    fn vectors_with_a_nan_coordinate_are_refused_on_insert() {
+        let dim = 8;
+        let data = vectors(0x77, 40, dim, 0.9);
+        let mut poisoned = data[0].clone();
+        poisoned[3] = f64::NAN;
+        for index_config in [
+            IndexConfig::Alsh(AlshParams::default()),
+            IndexConfig::Symmetric(SymmetricParams::default()),
+        ] {
+            // NaN compares false with everything, `norm > 1` included.
+            let mut serving =
+                ServingIndex::build(data.clone(), spec(), index_config, ServingConfig::default())
+                    .unwrap();
+            let before = serving.snapshot_bytes().unwrap();
+            assert!(
+                serving.insert(poisoned.clone()).is_err(),
+                "{index_config:?}"
+            );
+            assert_eq!(serving.len(), 40);
+            assert_eq!(serving.stats().inserts, 0);
+            assert_eq!(serving.snapshot_bytes().unwrap(), before);
+            assert_eq!(
+                serving.insert(data[1].clone()).unwrap(),
+                40,
+                "no id was used up"
+            );
+            // A build over such a vector is refused the same way.
+            let mut with_nan = data.clone();
+            with_nan.push(poisoned.clone());
+            assert!(
+                ServingIndex::build(with_nan, spec(), index_config, ServingConfig::default())
+                    .is_err()
+            );
         }
     }
 

@@ -409,24 +409,22 @@ impl ShardedServingIndex {
                     .into(),
             });
         }
-        if guards.len() == 1 {
-            let shard = guards[0].as_mut().expect("checked non-empty");
-            let bytes = shard.snapshot_bytes()?;
-            std::fs::write(path, &bytes)?;
-            return Ok(bytes.len() as u64);
-        }
-        let mut blobs = Vec::with_capacity(guards.len());
+        // Everything that can fail short of I/O happens before a byte is written:
+        // each shard is compacted here and only read from while streaming.
+        let mut shards = Vec::with_capacity(guards.len());
         for guard in guards.iter_mut() {
-            blobs.push(match guard.as_mut() {
-                Some(shard) if !shard.is_empty() => shard.snapshot_bytes()?,
+            shards.push(match guard.as_mut() {
+                Some(shard) if !shard.is_empty() => Some(shard.compacted()?),
                 // A shard whose last vector was deleted is saved as empty; its
                 // allocator state is covered by the container's global next id.
-                _ => Vec::new(),
+                _ => None,
             });
         }
-        let bytes = snapshot::encode_sharded(&blobs, self.next_id.load(Ordering::Relaxed));
-        std::fs::write(path, &bytes)?;
-        Ok(bytes.len() as u64)
+        let next_id = self.next_id.load(Ordering::Relaxed);
+        snapshot::save_atomically(path, |w| match shards.as_slice() {
+            [Some(only)] => only.write(w),
+            _ => snapshot::write_sharded(w, &shards, next_id),
+        })
     }
 
     /// The index family being served. Under an adaptive controller this can

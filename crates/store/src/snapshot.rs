@@ -32,6 +32,18 @@
 //! a one-shard index still *writes* version 1, so its files remain interchangeable
 //! with plain [`crate::ServingIndex`] snapshots.
 //!
+//! # Reading and writing
+//!
+//! Neither direction holds an encoding in memory. [`SnapshotRef::write`] and
+//! [`write_sharded`] encode into any [`ByteWriter`] — [`save_atomically`] hands them
+//! one that streams into a temporary file, renamed over the target once complete —
+//! and the loaders decode from a [`ByteReader`] over the file, a block at a time.
+//! The order of checks is the one a whole-file reader had: **pass 1** hashes the file
+//! and fails on its length, magic, version or checksum before any payload byte is
+//! decoded (the envelopes of a container's shards are checked in the same pass);
+//! **pass 2** decodes from the same handle and hashes again, so a file that changed
+//! in between is refused.
+//!
 //! The payloads are written by the [`crate::persist::Persist`] impls — little-endian,
 //! floats as IEEE-754 bit patterns, hash tables in sorted bucket order — so a
 //! round-trip restores *bit-identical* behaviour: same sampled functions, same
@@ -39,7 +51,7 @@
 //! bytes.
 
 use crate::error::{Result, StoreError};
-use crate::format::{fnv1a64, ByteReader, ByteWriter};
+use crate::format::{ByteReader, ByteWriter};
 use crate::persist::Persist;
 use ips_core::mips::{BruteForceMipsIndex, MipsIndex, SearchResult, SketchMipsAdapter};
 use ips_core::problem::JoinSpec;
@@ -307,9 +319,20 @@ impl Snapshot {
         })
     }
 
+    /// The snapshot's parts, borrowed — what every encoder takes.
+    pub fn as_ref(&self) -> SnapshotRef<'_> {
+        SnapshotRef {
+            index: &self.index,
+            ids: &self.ids,
+            next_id: self.next_id,
+        }
+    }
+
     /// Encodes the snapshot into its on-disk byte format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        encode(&self.index, &self.ids, self.next_id)
+        let mut w = ByteWriter::new();
+        self.as_ref().write(&mut w);
+        w.into_bytes()
     }
 
     /// Decodes a single-shard snapshot from its on-disk byte format, verifying magic,
@@ -317,57 +340,68 @@ impl Snapshot {
     /// ([`VERSION_SHARDED`]) file is rejected with a pointer to the sharded loader;
     /// use [`from_bytes_any`] to accept both layouts.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let (version, body) = verify_envelope(bytes)?;
-        if version == VERSION_SHARDED {
-            return Err(StoreError::InvalidParameter {
-                name: "snapshot",
-                reason: "this is a multi-shard snapshot; serve it through the sharded \
-                         layer (`Index::open(..)` auto-detects, or use \
-                         `ShardedServingIndex::open`)"
-                    .into(),
-            });
-        }
-        Self::from_v1_body(body)
+        Self::read_whole(&mut ByteReader::new(bytes))
+    }
+
+    /// Verifies, then decodes, the single-shard snapshot that is all of `r`.
+    fn read_whole(r: &mut ByteReader<'_>) -> Result<Self> {
+        let len = r.remaining();
+        verify_envelope(r, len)?;
+        Self::decode_enveloped(r, len)
+    }
+
+    /// Decodes the single-shard snapshot that spans the next `len` bytes of `r`, its
+    /// envelope already verified.
+    fn decode_enveloped(r: &mut ByteReader<'_>, len: u64) -> Result<Self> {
+        decode_envelope(r, len, |r, version| {
+            if version == VERSION_SHARDED {
+                return Err(StoreError::InvalidParameter {
+                    name: "snapshot",
+                    reason: "this is a multi-shard snapshot; serve it through the sharded \
+                             layer (`Index::open(..)` auto-detects, or use \
+                             `ShardedServingIndex::open`)"
+                        .into(),
+                });
+            }
+            Self::read_v1_body(r)
+        })
     }
 
     /// Decodes the body of a version-1 snapshot (everything between the version field
-    /// and the checksum), already envelope-verified.
-    fn from_v1_body(body: &[u8]) -> Result<Self> {
-        let mut r = ByteReader::new(body);
+    /// and the checksum), already envelope-verified and entered as a section.
+    fn read_v1_body(r: &mut ByteReader<'_>) -> Result<Self> {
         let family = IndexFamily::from_tag(r.take_u8()?)?;
         let sections = r.take_u32()?;
         let mut ids_state: Option<(Vec<u64>, u64)> = None;
         let mut index: Option<AnyIndex> = None;
         for _ in 0..sections {
             let id = r.take_u32()?;
-            let len = r.take_usize()?;
-            let payload = r.take_bytes(len)?;
-            let mut pr = ByteReader::new(payload);
+            let len = r.take_u64()?;
             match id {
                 SECTION_IDS => {
-                    let n = pr.take_usize()?;
+                    r.enter(len)?;
+                    let n = r.take_usize()?;
                     let mut ids = Vec::new();
                     for _ in 0..n {
-                        ids.push(pr.take_u64()?);
+                        ids.push(r.take_u64()?);
                     }
-                    let next_id = pr.take_u64()?;
-                    pr.expect_end("ids section")?;
+                    let next_id = r.take_u64()?;
+                    r.leave("ids section")?;
                     ids_state = Some((ids, next_id));
                 }
                 SECTION_INDEX => {
+                    r.enter(len)?;
                     let decoded = match family {
-                        IndexFamily::Brute => AnyIndex::Brute(BruteForceMipsIndex::read(&mut pr)?),
-                        IndexFamily::Alsh => AnyIndex::Alsh(AlshMipsIndex::read(&mut pr)?),
-                        IndexFamily::Symmetric => {
-                            AnyIndex::Symmetric(SymmetricLshMips::read(&mut pr)?)
-                        }
-                        IndexFamily::Sketch => AnyIndex::Sketch(SketchMipsAdapter::read(&mut pr)?),
+                        IndexFamily::Brute => AnyIndex::Brute(BruteForceMipsIndex::read(r)?),
+                        IndexFamily::Alsh => AnyIndex::Alsh(AlshMipsIndex::read(r)?),
+                        IndexFamily::Symmetric => AnyIndex::Symmetric(SymmetricLshMips::read(r)?),
+                        IndexFamily::Sketch => AnyIndex::Sketch(SketchMipsAdapter::read(r)?),
                     };
-                    pr.expect_end("index section")?;
+                    r.leave("index section")?;
                     index = Some(decoded);
                 }
                 // Unknown sections are future extensions: skip them.
-                _ => {}
+                _ => r.skip(len)?,
             }
         }
         r.expect_end("body")?;
@@ -382,74 +416,166 @@ impl Snapshot {
         Snapshot::with_ids(index, ids, next_id)
     }
 
-    /// Writes the snapshot to a file, returning the number of bytes written.
+    /// Writes the snapshot to a file (see [`save_atomically`]), returning the number
+    /// of bytes written.
     pub fn save(&self, path: &Path) -> Result<u64> {
-        let bytes = self.to_bytes();
-        std::fs::write(path, &bytes)?;
-        Ok(bytes.len() as u64)
+        save_atomically(path, |w| self.as_ref().write(w))
     }
 
-    /// Reads and decodes a snapshot file.
+    /// Reads and decodes a snapshot file, holding one block of it at a time.
     pub fn load(path: &Path) -> Result<Self> {
-        Self::from_bytes(&std::fs::read(path)?)
+        Self::read_whole(&mut ByteReader::open(path)?)
     }
 }
 
-/// Encodes an index plus serving-layer id state into the on-disk byte format without
-/// taking ownership — what [`Snapshot::to_bytes`] and the serving layer's `save` use.
-pub fn encode(index: &AnyIndex, ids: &[u64], next_id: u64) -> Vec<u8> {
-    let mut payload = ByteWriter::new();
-    match index {
-        AnyIndex::Brute(i) => i.write(&mut payload),
-        AnyIndex::Alsh(i) => i.write(&mut payload),
-        AnyIndex::Symmetric(i) => i.write(&mut payload),
-        AnyIndex::Sketch(i) => i.write(&mut payload),
+/// What a single-shard snapshot stores, borrowed: an index plus the serving layer's
+/// id state (see [`Snapshot`]). The serving layers encode through this without giving
+/// up or copying what they serve.
+#[derive(Clone, Copy)]
+pub struct SnapshotRef<'a> {
+    /// The index structure.
+    pub index: &'a AnyIndex,
+    /// Per-slot external ids.
+    pub ids: &'a [u64],
+    /// The next external id the serving layer will allocate.
+    pub next_id: u64,
+}
+
+impl SnapshotRef<'_> {
+    /// Appends the version-1 on-disk encoding to `w`.
+    pub fn write(&self, w: &mut ByteWriter) {
+        write_v1(
+            w,
+            self.index.family(),
+            self.ids,
+            self.next_id,
+            &|w| match self.index {
+                AnyIndex::Brute(i) => i.write(w),
+                AnyIndex::Alsh(i) => i.write(w),
+                AnyIndex::Symmetric(i) => i.write(w),
+                AnyIndex::Sketch(i) => i.write(w),
+            },
+        );
     }
-    seal(index.family(), ids, next_id, payload)
 }
 
-/// Wraps an encoded index structure and the serving-layer id state in the version-1
-/// envelope: sections, magic, version, checksum.
-fn seal(family: IndexFamily, ids: &[u64], next_id: u64, index_payload: ByteWriter) -> Vec<u8> {
-    let mut body = ByteWriter::new();
-    body.put_u8(family.tag());
-    body.put_u32(2); // section count
+/// An encoder of some span of a snapshot, run once to size the span and once to
+/// write it.
+type Encoder<'a> = &'a dyn Fn(&mut ByteWriter);
 
-    let mut id_payload = ByteWriter::new();
-    id_payload.put_usize(ids.len());
-    for &id in ids {
-        id_payload.put_u64(id);
+/// Writes the version-1 envelope around an encoded index structure and the
+/// serving-layer id state: magic, version, sections, checksum.
+fn write_v1(
+    w: &mut ByteWriter,
+    family: IndexFamily,
+    ids: &[u64],
+    next_id: u64,
+    index: Encoder<'_>,
+) {
+    write_envelope(w, VERSION, |w| {
+        w.put_u8(family.tag());
+        w.put_u32(2); // section count
+        write_section(w, SECTION_IDS, &|w| {
+            w.put_usize(ids.len());
+            for &id in ids {
+                w.put_u64(id);
+            }
+            w.put_u64(next_id);
+        });
+        write_section(w, SECTION_INDEX, index);
+    });
+}
+
+/// Writes magic and version, then `body`, then the FNV-1a hash of what `body` wrote.
+fn write_envelope(w: &mut ByteWriter, version: u32, body: impl FnOnce(&mut ByteWriter)) {
+    w.put_bytes(&MAGIC);
+    w.put_u32(version);
+    w.begin_checksum();
+    body(w);
+    let checksum = w.end_checksum();
+    w.put_u64(checksum);
+}
+
+/// Writes one section: id, payload length, payload. The length stands before the
+/// payload on disk, so the payload is encoded twice — into a counting writer first —
+/// rather than held in memory to be measured.
+fn write_section(w: &mut ByteWriter, id: u32, payload: Encoder<'_>) {
+    let mut sizing = ByteWriter::counting();
+    payload(&mut sizing);
+    w.put_u32(id);
+    w.put_u64(sizing.len());
+    let start = w.len();
+    payload(w);
+    assert_eq!(
+        w.len() - start,
+        sizing.len(),
+        "an encoding must not depend on where it is written"
+    );
+}
+
+/// Streams an encoding into a file **atomically**: the bytes go to a temporary file
+/// beside `path`, which is flushed and then renamed over `path`. A reader therefore
+/// sees the previous snapshot or the new one, never a mixture, and on any error the
+/// temporary file is removed and the previous snapshot is left as it was. Returns the
+/// number of bytes written. (The file is not synced to the device: as before, a
+/// snapshot is as durable as the file system makes an ordinary write.)
+pub fn save_atomically(path: &Path, encode: impl FnOnce(&mut ByteWriter)) -> Result<u64> {
+    save_atomically_through(path, |file| Box::new(file), encode)
+}
+
+/// [`save_atomically`] with the temporary file wrapped by `sink` (a test's way in to
+/// make the destination fail mid-stream).
+fn save_atomically_through(
+    path: &Path,
+    sink: impl FnOnce(std::fs::File) -> Box<dyn std::io::Write>,
+    encode: impl FnOnce(&mut ByteWriter),
+) -> Result<u64> {
+    static SAVES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let mut name = path
+        .file_name()
+        .ok_or(StoreError::InvalidParameter {
+            name: "path",
+            reason: format!("`{}` names no file", path.display()),
+        })?
+        .to_os_string();
+    // Unique among this process's concurrent saves and among processes.
+    let save = SAVES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    name.push(format!(".tmp-{}-{save}", std::process::id()));
+    let temporary = path.with_file_name(name);
+    let stream = || -> Result<u64> {
+        let file = std::fs::File::create(&temporary)?;
+        let mut w = ByteWriter::streaming(sink(file));
+        encode(&mut w);
+        let bytes = w.finish()?;
+        std::fs::rename(&temporary, path)?;
+        Ok(bytes)
+    };
+    let written = stream();
+    if written.is_err() {
+        let _ = std::fs::remove_file(&temporary);
     }
-    id_payload.put_u64(next_id);
-    write_section(&mut body, SECTION_IDS, id_payload);
-    write_section(&mut body, SECTION_INDEX, index_payload);
-
-    let mut out = ByteWriter::new();
-    out.put_bytes(&MAGIC);
-    out.put_u32(VERSION);
-    out.put_bytes(body.as_bytes());
-    out.put_u64(fnv1a64(body.as_bytes()));
-    out.into_bytes()
+    written
 }
 
-fn write_section(body: &mut ByteWriter, id: u32, payload: ByteWriter) {
-    body.put_u32(id);
-    body.put_usize(payload.len());
-    body.put_bytes(payload.as_bytes());
-}
+/// Bytes of an envelope that are not its body: magic, version, checksum.
+const ENVELOPE_OVERHEAD: u64 = (MAGIC.len() + 4 + 8) as u64;
 
-/// Verifies the common envelope of any snapshot file — length, magic, checksum, and
-/// a known version — and returns `(version, body)` with the body span between the
-/// version field and the trailing checksum.
-fn verify_envelope(bytes: &[u8]) -> Result<(u32, &[u8])> {
-    if bytes.len() < MAGIC.len() + 4 + 8 {
+/// Checks the envelope that spans the next `len` bytes — length, magic, a known
+/// version, and the checksum, streamed through FNV-1a a block at a time — consuming
+/// it. A container's shard envelopes are checked on the way (`shards` gets their
+/// verdicts): their hashes run beside the container's over the same blocks.
+fn check_envelope(
+    r: &mut ByteReader<'_>,
+    len: u64,
+    shards: Option<&mut Vec<Result<()>>>,
+) -> Result<u32> {
+    if len < ENVELOPE_OVERHEAD {
         return Err(StoreError::Corrupt {
             context: "header",
-            reason: format!("{} bytes is too short for a snapshot", bytes.len()),
+            reason: format!("{len} bytes is too short for a snapshot"),
         });
     }
-    let mut r = ByteReader::new(bytes);
-    if r.take_bytes(MAGIC.len())? != MAGIC {
+    if r.take_array()? != MAGIC {
         return Err(StoreError::Corrupt {
             context: "header",
             reason: "bad magic (not a snapshot file)".into(),
@@ -462,16 +588,87 @@ fn verify_envelope(bytes: &[u8]) -> Result<(u32, &[u8])> {
             supported: VERSION_SHARDED,
         });
     }
-    let body = &bytes[MAGIC.len() + 4..bytes.len() - 8];
-    let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8 bytes"));
-    let computed = fnv1a64(body);
+    r.begin_checksum();
+    let hashed = r.enter(len - ENVELOPE_OVERHEAD).and_then(|()| {
+        if let (VERSION_SHARDED, Some(shards)) = (version, shards) {
+            // A container that cannot be walked is a defect pass 2 meets at the same
+            // byte and reports; all that matters here is the checksum of the rest.
+            let _ = check_shard_envelopes(r, shards);
+        }
+        r.skip(r.remaining())?;
+        r.leave("body")
+    });
+    let computed = r.end_checksum();
+    hashed?;
+    let stored = r.take_u64()?;
     if stored != computed {
         return Err(StoreError::Corrupt {
             context: "checksum",
             reason: format!("stored {stored:#018x} != computed {computed:#018x}"),
         });
     }
-    Ok((version, body))
+    Ok(version)
+}
+
+/// Walks a container's sections, checking the envelope of every non-empty shard.
+fn check_shard_envelopes(r: &mut ByteReader<'_>, verdicts: &mut Vec<Result<()>>) -> Result<()> {
+    let sections = r.take_u32()?;
+    for _ in 0..sections {
+        let id = r.take_u32()?;
+        let len = r.take_u64()?;
+        if id == SECTION_SHARD && len > 0 {
+            r.enter(len)?;
+            verdicts.push(check_envelope(r, len, None).map(drop));
+            r.skip(r.remaining())?;
+            r.leave("shard section")?;
+        } else {
+            r.skip(len)?;
+        }
+    }
+    Ok(())
+}
+
+/// Pass 1 over the envelope that spans the next `len` bytes ([`check_envelope`]),
+/// after which the reader stands where it stood: nothing of the payload is decoded
+/// before this returns.
+///
+/// For a container, returns what the same pass found of each non-empty shard
+/// section's own envelope, in file order. A shard's verdict is reported when pass 2
+/// reaches the shard — which is when a reader that cut shards out as slices, and
+/// verified each before decoding it, reported it.
+fn verify_envelope(r: &mut ByteReader<'_>, len: u64) -> Result<Vec<Result<()>>> {
+    let mut shards = Vec::new();
+    r.peek(|r| check_envelope(r, len, Some(&mut shards)))?;
+    Ok(shards)
+}
+
+/// Pass 2 over an envelope pass 1 accepted: decodes its body with `body` (entered as
+/// a section; given the version) and hashes what it decodes once more — a file
+/// rewritten between the passes fails here instead of yielding a structure no
+/// checksum ever covered.
+fn decode_envelope<T>(
+    r: &mut ByteReader<'_>,
+    len: u64,
+    body: impl FnOnce(&mut ByteReader<'_>, u32) -> Result<T>,
+) -> Result<T> {
+    r.skip(MAGIC.len() as u64)?;
+    let version = r.take_u32()?;
+    r.begin_checksum();
+    r.enter(len - ENVELOPE_OVERHEAD)?;
+    let decoded = body(r, version)?;
+    r.leave("body")?;
+    let computed = r.end_checksum();
+    if r.take_u64()? != computed {
+        return Err(changed_between_passes());
+    }
+    Ok(decoded)
+}
+
+fn changed_between_passes() -> StoreError {
+    StoreError::Corrupt {
+        context: "checksum",
+        reason: "the snapshot changed while it was being read".into(),
+    }
 }
 
 /// A decoded snapshot file of either layout: the single-shard format every reader
@@ -490,77 +687,86 @@ pub enum LoadedSnapshot {
     },
 }
 
-/// Decodes a snapshot file of either layout — what shard-aware loaders
+/// Decodes a snapshot of either layout — what shard-aware loaders
 /// ([`crate::ShardedServingIndex::open`], the `Index::open` builder) call, so old
 /// single-shard files keep loading wherever a sharded index is accepted.
 pub fn from_bytes_any(bytes: &[u8]) -> Result<LoadedSnapshot> {
-    let (version, body) = verify_envelope(bytes)?;
-    if version == VERSION {
-        return Ok(LoadedSnapshot::Single(Box::new(Snapshot::from_v1_body(
-            body,
-        )?)));
-    }
-    let mut r = ByteReader::new(body);
-    let sections = r.take_u32()?;
-    let mut shards = Vec::new();
-    let mut next_id: Option<u64> = None;
-    for _ in 0..sections {
-        let id = r.take_u32()?;
-        let len = r.take_usize()?;
-        let payload = r.take_bytes(len)?;
-        match id {
-            SECTION_SHARD => shards.push(if payload.is_empty() {
-                None
-            } else {
-                Some(Snapshot::from_bytes(payload)?)
-            }),
-            SECTION_NEXT_ID => {
-                let mut pr = ByteReader::new(payload);
-                next_id = Some(pr.take_u64()?);
-                pr.expect_end("next-id section")?;
-            }
-            // Unknown sections are future extensions: skip them.
-            _ => {}
-        }
-    }
-    r.expect_end("sharded body")?;
-    if shards.is_empty() {
-        return Err(StoreError::Corrupt {
-            context: "sharded body",
-            reason: "no shard sections".into(),
-        });
-    }
-    let next_id = next_id.ok_or(StoreError::Corrupt {
-        context: "sharded body",
-        reason: "missing next-id section".into(),
-    })?;
-    Ok(LoadedSnapshot::Sharded { shards, next_id })
+    read_any(&mut ByteReader::new(bytes))
 }
 
-/// Reads and decodes a snapshot file of either layout.
+/// Reads and decodes a snapshot file of either layout, holding one block of it at a
+/// time: a container's shards are verified and decoded one after the other.
 pub fn load_any(path: &Path) -> Result<LoadedSnapshot> {
-    from_bytes_any(&std::fs::read(path)?)
+    read_any(&mut ByteReader::open(path)?)
 }
 
-/// Encodes per-shard single-shard snapshot byte blobs (empty = empty shard) plus the
-/// global id allocator into one [`VERSION_SHARDED`] container, in shard order.
-pub fn encode_sharded(shards: &[Vec<u8>], next_id: u64) -> Vec<u8> {
-    let mut body = ByteWriter::new();
-    body.put_u32(shards.len() as u32 + 1); // one section per shard + the allocator
-    for shard in shards {
-        let mut payload = ByteWriter::new();
-        payload.put_bytes(shard);
-        write_section(&mut body, SECTION_SHARD, payload);
-    }
-    let mut alloc = ByteWriter::new();
-    alloc.put_u64(next_id);
-    write_section(&mut body, SECTION_NEXT_ID, alloc);
-    let mut out = ByteWriter::new();
-    out.put_bytes(&MAGIC);
-    out.put_u32(VERSION_SHARDED);
-    out.put_bytes(body.as_bytes());
-    out.put_u64(fnv1a64(body.as_bytes()));
-    out.into_bytes()
+fn read_any(r: &mut ByteReader<'_>) -> Result<LoadedSnapshot> {
+    let len = r.remaining();
+    let mut shard_verdicts = verify_envelope(r, len)?.into_iter();
+    decode_envelope(r, len, |r, version| {
+        if version == VERSION {
+            return Ok(LoadedSnapshot::Single(Box::new(Snapshot::read_v1_body(r)?)));
+        }
+        let sections = r.take_u32()?;
+        let mut shards = Vec::new();
+        let mut next_id: Option<u64> = None;
+        for _ in 0..sections {
+            let id = r.take_u32()?;
+            let len = r.take_u64()?;
+            match id {
+                SECTION_SHARD => {
+                    r.enter(len)?;
+                    shards.push(if len == 0 {
+                        None
+                    } else {
+                        // The verdict of pass 1 on this shard's own envelope, before
+                        // a byte of the shard is decoded.
+                        shard_verdicts
+                            .next()
+                            .unwrap_or_else(|| Err(changed_between_passes()))?;
+                        Some(Snapshot::decode_enveloped(r, len)?)
+                    });
+                    r.leave("shard section")?;
+                }
+                SECTION_NEXT_ID => {
+                    r.enter(len)?;
+                    next_id = Some(r.take_u64()?);
+                    r.leave("next-id section")?;
+                }
+                // Unknown sections are future extensions: skip them.
+                _ => r.skip(len)?,
+            }
+        }
+        r.expect_end("sharded body")?;
+        if shards.is_empty() {
+            return Err(StoreError::Corrupt {
+                context: "sharded body",
+                reason: "no shard sections".into(),
+            });
+        }
+        let next_id = next_id.ok_or(StoreError::Corrupt {
+            context: "sharded body",
+            reason: "missing next-id section".into(),
+        })?;
+        Ok(LoadedSnapshot::Sharded { shards, next_id })
+    })
+}
+
+/// Appends a [`VERSION_SHARDED`] container to `w`: one section per shard in shard
+/// order, each a complete version-1 snapshot (`None` = an empty shard, written as an
+/// empty section), plus the global id allocator.
+pub fn write_sharded(w: &mut ByteWriter, shards: &[Option<SnapshotRef<'_>>], next_id: u64) {
+    write_envelope(w, VERSION_SHARDED, |w| {
+        w.put_u32(shards.len() as u32 + 1); // one section per shard + the allocator
+        for shard in shards {
+            write_section(w, SECTION_SHARD, &|w| {
+                if let Some(shard) = shard {
+                    shard.write(w);
+                }
+            });
+        }
+        write_section(w, SECTION_NEXT_ID, &|w| w.put_u64(next_id));
+    });
 }
 
 #[cfg(test)]
@@ -625,6 +831,201 @@ mod tests {
         assert!(Snapshot::from_bytes(&bytes[..bytes.len() - 3]).is_err());
     }
 
+    /// A three-shard container (the middle shard empty) over [`sample_snapshot`]'s
+    /// vectors, and the offsets at which its sections and its shards' sections begin
+    /// and end.
+    fn sample_container() -> (Vec<u8>, Vec<usize>) {
+        let (a, b) = (sample_snapshot(), sample_snapshot());
+        let shards = [Some(a.as_ref()), None, Some(b.as_ref())];
+        let mut w = ByteWriter::new();
+        write_sharded(&mut w, &shards, 99);
+        let bytes = w.into_bytes();
+        // Walk the layout by hand: magic, version, count, then (id, length, payload)*.
+        let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+        let mut boundaries = vec![0, 8, 12, 16];
+        let mut at = 16;
+        while at < bytes.len() - 8 {
+            let (id, len) = (bytes[at], u64_at(at + 4));
+            let payload = at + 12;
+            boundaries.extend([at + 4, payload]);
+            if id as u32 == SECTION_SHARD && len > 0 {
+                // A whole version-1 snapshot: its own header, two sections, checksum.
+                let mut inner = payload + 8 + 4 + 1 + 4;
+                boundaries.extend([payload + 8, payload + 12, inner]);
+                for _ in 0..2 {
+                    boundaries.extend([inner + 12, inner + 12 + u64_at(inner + 4)]);
+                    inner += 12 + u64_at(inner + 4);
+                }
+                assert_eq!(inner + 8, payload + len);
+            }
+            at = payload + len;
+            boundaries.push(at);
+        }
+        assert_eq!(at, bytes.len() - 8);
+        boundaries.sort_unstable();
+        boundaries.dedup();
+        (bytes, boundaries)
+    }
+
+    #[test]
+    fn truncation_at_every_section_boundary_fails_the_envelope_check() {
+        let (bytes, boundaries) = sample_container();
+        assert!(matches!(
+            from_bytes_any(&bytes),
+            Ok(LoadedSnapshot::Sharded { next_id: 99, .. })
+        ));
+        assert!(boundaries.len() > 20, "{boundaries:?}");
+        let path = std::env::temp_dir().join(format!("ips-truncated-{}.snap", std::process::id()));
+        for &boundary in &boundaries {
+            for cut in [boundary.saturating_sub(1), boundary, boundary + 1] {
+                // Through a file, as `open` reads it, and from memory.
+                std::fs::write(&path, &bytes[..cut]).unwrap();
+                for loaded in [load_any(&path), from_bytes_any(&bytes[..cut])] {
+                    match loaded {
+                        Err(StoreError::Corrupt { context, .. }) => assert_eq!(
+                            context,
+                            if cut < 20 { "header" } else { "checksum" },
+                            "cut at {cut}"
+                        ),
+                        Err(other) => panic!("cut at {cut}: {other}"),
+                        Ok(_) => panic!("cut at {cut} loaded"),
+                    }
+                }
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_shard_is_verified_before_it_is_decoded_and_the_file_is_hashed_twice() {
+        let (bytes, _) = sample_container();
+        let reseal = |mut bytes: Vec<u8>| {
+            let end = bytes.len() - 8;
+            let checksum = crate::format::fnv1a64(&bytes[12..end]);
+            bytes[end..].copy_from_slice(&checksum.to_le_bytes());
+            bytes
+        };
+        // A flipped byte deep in the last shard, under a container checksum made to
+        // match: the shard's own envelope check catches it, as it did when shards
+        // were cut out as slices.
+        let mut inner = bytes.clone();
+        let at = bytes.len() - 200;
+        inner[at] ^= 0x40;
+        match from_bytes_any(&reseal(inner)) {
+            Err(StoreError::Corrupt { context, .. }) => assert_eq!(context, "checksum"),
+            Err(other) => panic!("{other}"),
+            Ok(_) => panic!("a corrupt shard loaded"),
+        }
+        // A shard that is itself a container is refused with the pointer to the
+        // sharded loader; a shard section too short for a snapshot as the header it is.
+        let nested = {
+            let snapshot = sample_snapshot();
+            let mut inner = ByteWriter::new();
+            write_sharded(&mut inner, &[Some(snapshot.as_ref())], 1);
+            let mut w = ByteWriter::new();
+            write_envelope(&mut w, VERSION_SHARDED, |w| {
+                w.put_u32(2);
+                write_section(w, SECTION_SHARD, &|w| w.put_bytes(inner.as_bytes()));
+                write_section(w, SECTION_NEXT_ID, &|w| w.put_u64(1));
+            });
+            w.into_bytes()
+        };
+        assert!(matches!(
+            from_bytes_any(&nested),
+            Err(StoreError::InvalidParameter {
+                name: "snapshot",
+                ..
+            })
+        ));
+        // The second pass hashes what it decodes: the same bytes pass both...
+        let mut r = ByteReader::new(&bytes);
+        let len = r.remaining();
+        let shard_verdicts = verify_envelope(&mut r, len).unwrap();
+        assert!(matches!(shard_verdicts[..], [Ok(()), Ok(())]));
+        assert_eq!(r.position(), 0, "pass 1 leaves the reader where it stood");
+        let version = decode_envelope(&mut r, len, |r, version| {
+            r.skip(r.remaining())?;
+            Ok(version)
+        })
+        .unwrap();
+        assert_eq!(version, VERSION_SHARDED);
+        r.expect_end("container").unwrap();
+        // ...and a decoder that leaves bytes of the body unread is told so.
+        let mut r = ByteReader::new(&bytes);
+        assert!(matches!(
+            decode_envelope(&mut r, len, |_, _| Ok(())),
+            Err(StoreError::Corrupt {
+                context: "body",
+                ..
+            })
+        ));
+    }
+
+    /// Passes `budget` bytes on to the file, then reports a full disk.
+    struct FailingFile {
+        file: std::fs::File,
+        budget: usize,
+    }
+
+    impl std::io::Write for FailingFile {
+        fn write(&mut self, block: &[u8]) -> std::io::Result<usize> {
+            if block.len() > self.budget {
+                return Err(std::io::Error::other("disk full"));
+            }
+            self.budget -= block.len();
+            self.file.write(block)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.file.flush()
+        }
+    }
+
+    #[test]
+    fn a_save_that_fails_midway_leaves_the_previous_snapshot_and_no_litter() {
+        let dir = std::env::temp_dir().join(format!("ips-atomic-save-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("index.snap");
+        let old = sample_snapshot();
+        assert_eq!(old.save(&path).unwrap(), old.to_bytes().len() as u64);
+        assert_eq!(std::fs::read(&path).unwrap(), old.to_bytes());
+
+        // Large enough to leave the writer in several blocks; the second one fails.
+        let mut rng = StdRng::seed_from_u64(0xA70);
+        let data: Vec<DenseVector> = (0..2000)
+            .map(|_| random_ball_vector(&mut rng, 16, 1.0).unwrap())
+            .collect();
+        let spec = JoinSpec::new(0.4, 0.5, JoinVariant::Signed).unwrap();
+        let new = Snapshot::new(AnyIndex::Brute(BruteForceMipsIndex::new(data, spec)));
+        let failed = save_atomically_through(
+            &path,
+            |file| {
+                Box::new(FailingFile {
+                    file,
+                    budget: 100_000,
+                })
+            },
+            |w| new.as_ref().write(w),
+        );
+        assert!(matches!(failed, Err(StoreError::Io(_))));
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            old.to_bytes(),
+            "the previous snapshot is untouched"
+        );
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert_eq!(left.len(), 1, "the temporary file is gone: {left:?}");
+
+        // The same save through an honest file replaces the snapshot whole.
+        assert_eq!(new.save(&path).unwrap(), new.to_bytes().len() as u64);
+        assert_eq!(std::fs::read(&path).unwrap(), new.to_bytes());
+        assert_eq!(Snapshot::load(&path).unwrap().to_bytes(), new.to_bytes());
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+        // A path that names no file is refused before anything is created.
+        assert!(new.save(Path::new("/")).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn id_state_is_validated() {
         let snap = sample_snapshot();
@@ -648,8 +1049,18 @@ mod tests {
         assert!(Snapshot::with_ids(AnyIndex::Brute(index), vec![0, 1], 2).is_err());
     }
 
+    /// A version-1 snapshot around an index payload spelled out byte by byte — every
+    /// other byte as [`SnapshotRef::write`] writes it, checksum included.
+    fn seal(family: IndexFamily, ids: &[u64], next_id: u64, index_payload: ByteWriter) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        write_v1(&mut w, family, ids, next_id, &|w| {
+            w.put_bytes(index_payload.as_bytes())
+        });
+        w.into_bytes()
+    }
+
     /// The bytes of a snapshot of `index` whose LSH functions are replaced by
-    /// `functions` — every other byte as [`encode`] writes it, checksum included.
+    /// `functions` — every other byte as [`SnapshotRef::write`] writes it, checksum included.
     fn snapshot_with_functions<F: Persist>(
         family: IndexFamily,
         header: impl FnOnce(&mut ByteWriter),

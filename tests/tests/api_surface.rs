@@ -149,6 +149,66 @@ fn lsh_index_surface_is_pinned() {
     let _tables: fn(&Alsh) -> &[Table] = Alsh::tables;
     let _raw: fn(Functions, Vec<Table>, IndexParams, usize) -> ips_lsh::Result<Alsh> =
         Alsh::from_raw_parts;
+    // In-place compaction (PR 16): ids are renamed where they are stored.
+    let _renumber: fn(&mut Alsh, &[u32]) -> ips_lsh::Result<()> = Alsh::renumber;
+}
+
+#[test]
+fn streaming_codec_and_compaction_surface_is_pinned() {
+    // PR 16 moved these deliberately (MIGRATION.md, "Streaming snapshot codec and
+    // in-place compaction"): one encoder over three sinks, one decoder over any
+    // seekable source with section limits in place of sub-slices, snapshots lent to
+    // the encoder instead of pre-encoded, and compaction as a method of the index.
+    use ips_core::mips::BruteForceMipsIndex;
+    use ips_core::problem::{JoinSpec, JoinVariant};
+    use ips_core::{AlshMipsIndex, SymmetricLshMips};
+    use ips_store::format::{ByteReader, ByteWriter};
+    use ips_store::snapshot::{self, SnapshotRef};
+    use std::path::Path;
+    let _memory: fn() -> ByteWriter = ByteWriter::new;
+    let _counting: fn() -> ByteWriter = ByteWriter::counting;
+    let _len: fn(&ByteWriter) -> u64 = ByteWriter::len;
+    let _finish: fn(ByteWriter) -> ips_store::Result<u64> = ByteWriter::finish;
+    let _bytes: fn(ByteWriter) -> Vec<u8> = ByteWriter::into_bytes;
+    let _begin: fn(&mut ByteWriter) = ByteWriter::begin_checksum;
+    let _end: fn(&mut ByteWriter) -> u64 = ByteWriter::end_checksum;
+    let _file: fn(&Path) -> ips_store::Result<ByteReader<'static>> = ByteReader::open;
+    let _sharded: fn(&mut ByteWriter, &[Option<SnapshotRef<'_>>], u64) = snapshot::write_sharded;
+    let _any: fn(&Path) -> ips_store::Result<snapshot::LoadedSnapshot> = snapshot::load_any;
+    // Signatures generic over a lifetime or an `impl Trait` do not coerce to a
+    // function pointer; these are pinned by use.
+    let path = std::env::temp_dir().join(format!("ips-api-surface-{}.bin", std::process::id()));
+    let written: ips_store::Result<u64> = snapshot::save_atomically(&path, |w: &mut ByteWriter| {
+        w.put_bytes(b"magic...");
+        w.put_u64(7);
+    });
+    assert_eq!(written.unwrap(), 16);
+    let streaming: ByteWriter = ByteWriter::streaming(std::fs::File::create(&path).unwrap());
+    assert_eq!(streaming.finish().unwrap(), 0);
+    std::fs::remove_file(&path).unwrap();
+    let mut r: ByteReader<'_> = ByteReader::new(b"magic...\x07\0\0\0\0\0\0\0");
+    let entered: ips_store::Result<()> = r.enter(8u64);
+    entered.unwrap();
+    let magic: [u8; 8] = r.take_array().unwrap();
+    assert_eq!(&magic, b"magic...");
+    let left: ips_store::Result<()> = r.leave("magic");
+    left.unwrap();
+    let (remaining, position): (u64, u64) = (r.remaining(), r.position());
+    assert_eq!((remaining, position), (8, 8));
+    let skipped: ips_store::Result<()> = r.skip(8u64);
+    skipped.unwrap();
+    let snapshot = ips_store::Snapshot::new(ips_store::AnyIndex::Brute(BruteForceMipsIndex::new(
+        vec![DenseVector::from(&[1.0][..])],
+        JoinSpec::new(0.5, 1.0, JoinVariant::Signed).unwrap(),
+    )));
+    let lent: SnapshotRef<'_> = snapshot.as_ref();
+    let mut w = ByteWriter::new();
+    lent.write(&mut w);
+    assert_eq!(w.into_bytes(), snapshot.to_bytes());
+    let _alsh: fn(&mut AlshMipsIndex, &[u64]) -> ips_core::Result<()> = AlshMipsIndex::compact;
+    let _symmetric: fn(&mut SymmetricLshMips, &[u64]) -> ips_core::Result<()> =
+        SymmetricLshMips::compact;
+    let _push: fn(&mut BruteForceMipsIndex, DenseVector) = BruteForceMipsIndex::push;
 }
 
 #[test]

@@ -1,0 +1,370 @@
+//! How much memory the serving life-cycle holds: save, open and compaction each work
+//! with **one** index worth of it.
+//!
+//! The binary installs a counting [`GlobalAlloc`] and every test reads the counters of
+//! its own thread only, so the tests do not disturb one another whatever
+//! `--test-threads` says (CI runs the binary once more with `--test-threads=1`, where
+//! the per-thread numbers are the process's). What is pinned:
+//!
+//! 1. [`ShardedServingIndex::save`] and [`ShardedServingIndex::open`] peak at the live
+//!    index plus a constant that does not grow with the number of vectors — for the
+//!    four families, at one shard and at three. (The constant is a block of the codec
+//!    and one copy of the sampled functions, which a save scatters out of the plane
+//!    bank and a load gathers into it.)
+//! 2. A file that fails its envelope check is refused with nothing decoded: the
+//!    refusal allocates a block, not a structure.
+//! 3. An LSH shard compacts in place: crossing the rebuild threshold allocates less
+//!    than one of its hash tables occupies, where a rebuild allocated all of them.
+//! 4. What is streamed to a file is byte for byte what `snapshot_bytes()` encodes in
+//!    memory, and every fixture under `crates/store/fixtures/` — written by earlier
+//!    builds — loads and re-saves to the same bytes.
+
+use ips_core::asymmetric::AlshParams;
+use ips_core::problem::{JoinSpec, JoinVariant};
+use ips_core::symmetric::SymmetricParams;
+use ips_linalg::random::random_ball_vector;
+use ips_linalg::DenseVector;
+use ips_sketch::linf_mips::MaxIpConfig;
+use ips_store::{
+    IndexConfig, ServingConfig, ServingIndex, ShardedConfig, ShardedServingIndex, StoreError,
+};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::path::PathBuf;
+
+/// The system allocator, with the calling thread's live bytes, their high-water mark
+/// and the bytes it ever asked for counted on the side.
+struct Counting;
+
+thread_local! {
+    // `const` and without a destructor: reading them never allocates and never
+    // touches a torn-down slot, so the allocator may use them.
+    static LIVE: Cell<usize> = const { Cell::new(0) };
+    static PEAK: Cell<usize> = const { Cell::new(0) };
+    static REQUESTED: Cell<usize> = const { Cell::new(0) };
+}
+
+fn grew(bytes: usize) {
+    let live = LIVE.get() + bytes;
+    LIVE.set(live);
+    PEAK.set(PEAK.get().max(live));
+    REQUESTED.set(REQUESTED.get() + bytes);
+}
+
+fn shrank(bytes: usize) {
+    // Saturating: a block may be freed by another thread than the one that asked
+    // for it (not in these tests' measured spans).
+    LIVE.set(LIVE.get().saturating_sub(bytes));
+}
+
+// SAFETY: every call is forwarded to `System` with the caller's own arguments, and
+// the result is returned untouched; the counters are plain thread-local integers.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's contract for `alloc` is `System::alloc`'s.
+        let block = unsafe { System.alloc(layout) };
+        if !block.is_null() {
+            grew(layout.size());
+        }
+        block
+    }
+
+    unsafe fn dealloc(&self, block: *mut u8, layout: Layout) {
+        // SAFETY: `block` came from `System` through this allocator, with `layout`.
+        unsafe { System.dealloc(block, layout) };
+        shrank(layout.size());
+    }
+
+    unsafe fn realloc(&self, block: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: as for `dealloc`; `new_size` is the caller's to vouch for.
+        let moved = unsafe { System.realloc(block, layout, new_size) };
+        if !moved.is_null() {
+            // Counted as the new block beside the old one, which is what a
+            // reallocation that has to move holds while it copies.
+            grew(new_size);
+            shrank(layout.size());
+        }
+        moved
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// A stretch of this thread's allocator traffic, from [`Span::begin`] to whenever it
+/// is asked: how far the live bytes rose, and how many bytes were asked for in all.
+struct Span {
+    live_before: usize,
+    requested_before: usize,
+}
+
+impl Span {
+    fn begin() -> Self {
+        PEAK.set(LIVE.get());
+        Self {
+            live_before: LIVE.get(),
+            requested_before: REQUESTED.get(),
+        }
+    }
+
+    /// Highest live bytes since `begin`, above the larger of the live bytes at
+    /// `begin` and now: what the span held beyond what it started with or kept.
+    fn transient(&self) -> usize {
+        PEAK.get() - self.live_before.max(LIVE.get())
+    }
+
+    fn requested(&self) -> usize {
+        REQUESTED.get() - self.requested_before
+    }
+}
+
+const DIM: usize = 24;
+const KIB: usize = 1024;
+
+fn vectors(seed: u64, n: usize) -> Vec<DenseVector> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| random_ball_vector(&mut rng, DIM, 1.0).unwrap().scaled(0.9))
+        .collect()
+}
+
+fn spec() -> JoinSpec {
+    JoinSpec::new(0.5, 0.6, JoinVariant::Signed).unwrap()
+}
+
+/// The four families, each with the bound on what its save and its open may hold
+/// beyond the index: a few codec blocks everywhere, plus one copy of the sampled
+/// functions for the LSH families (3 KiB a plane for the symmetric family's
+/// 400-odd-dimensional sphere images) and of the widest estimator for sketch.
+fn families() -> [(&'static str, IndexConfig, usize); 4] {
+    [
+        ("brute", IndexConfig::Brute, 128 * KIB),
+        ("alsh", IndexConfig::Alsh(AlshParams::default()), 256 * KIB),
+        (
+            "symmetric",
+            IndexConfig::Symmetric(SymmetricParams {
+                epsilon: 0.5,
+                precision_bits: 8,
+                bits_per_table: 6,
+                tables: 8,
+                probes: 0,
+            }),
+            512 * KIB,
+        ),
+        (
+            "sketch",
+            IndexConfig::Sketch {
+                config: MaxIpConfig {
+                    kappa: 2.0,
+                    copies: 3,
+                    rows: Some(2),
+                },
+                leaf_size: 16,
+            },
+            128 * KIB,
+        ),
+    ]
+}
+
+fn scratch_file(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("ips-store-memory-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join(name)
+}
+
+#[test]
+fn save_and_open_hold_one_index_and_a_constant() {
+    for (name, index_config, bound) in families() {
+        for shards in [1usize, 3] {
+            // The same bound at both sizes: it does not scale with the index. At the
+            // larger size the file alone is several times the bound, so holding the
+            // encoding (let alone two or three copies of it, as the buffered codec
+            // did) could not pass.
+            for n in [1000usize, 4000] {
+                let config = ShardedConfig {
+                    shards,
+                    serving: ServingConfig::default(),
+                };
+                let index =
+                    ShardedServingIndex::build(vectors(n as u64, n), spec(), index_config, config)
+                        .unwrap();
+                let path = scratch_file(&format!("{name}-{shards}-{n}.snap"));
+
+                let span = Span::begin();
+                let bytes = index.save(&path).unwrap() as usize;
+                let (kept, transient) = (LIVE.get() - span.live_before, span.transient());
+                assert_eq!(
+                    kept, 0,
+                    "{name} shards={shards} n={n}: a save keeps nothing"
+                );
+                assert!(
+                    transient <= bound,
+                    "{name} shards={shards} n={n}: save held {transient} bytes beyond the index"
+                );
+
+                let span = Span::begin();
+                let reopened = ShardedServingIndex::open(&path, ServingConfig::default()).unwrap();
+                let transient = span.transient();
+                assert!(
+                    transient <= bound,
+                    "{name} shards={shards} n={n}: open held {transient} bytes beyond the index"
+                );
+                assert_eq!(reopened.len(), n);
+                if n == 4000 {
+                    assert!(
+                        bytes > 2 * bound,
+                        "{name}: a {bytes}-byte file proves nothing"
+                    );
+                }
+                std::fs::remove_file(&path).unwrap();
+            }
+        }
+    }
+}
+
+#[test]
+fn a_file_that_fails_its_checksum_is_refused_with_nothing_decoded() {
+    let n = 4000;
+    let index = ShardedServingIndex::build(
+        vectors(0xBAD, n),
+        spec(),
+        IndexConfig::Alsh(AlshParams::default()),
+        ShardedConfig::with_shards(3),
+    )
+    .unwrap();
+    let path = scratch_file("defective.snap");
+    index.save(&path).unwrap();
+    let good = std::fs::read(&path).unwrap();
+    let mut flipped = good.clone();
+    flipped[good.len() / 2] ^= 1;
+    for (what, bytes) in [
+        ("a flipped byte", &flipped[..]),
+        ("a truncation", &good[..good.len() * 3 / 4]),
+    ] {
+        std::fs::write(&path, bytes).unwrap();
+        let span = Span::begin();
+        let refused = ShardedServingIndex::open(&path, ServingConfig::default());
+        assert!(
+            matches!(
+                refused,
+                Err(StoreError::Corrupt {
+                    context: "checksum",
+                    ..
+                })
+            ),
+            "{what}"
+        );
+        drop(refused);
+        // The reader's block and an error message; the vectors alone are 750 KiB.
+        assert!(
+            span.requested() <= 160 * KIB,
+            "{what}: {} bytes allocated on the way to the refusal",
+            span.requested()
+        );
+    }
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn an_lsh_shard_compacts_without_allocating_a_table() {
+    let n = 4000usize;
+    let data = vectors(0xC0, n);
+    for index_config in [
+        IndexConfig::Alsh(AlshParams::default()),
+        IndexConfig::Symmetric(SymmetricParams {
+            epsilon: 0.5,
+            precision_bits: 8,
+            ..Default::default()
+        }),
+    ] {
+        let mut serving =
+            ServingIndex::build(data.clone(), spec(), index_config, ServingConfig::default())
+                .unwrap();
+        // Deletes up to the brink of the threshold (a quarter of the live points),
+        // the last of them measured: what a delete allocates when nothing compacts.
+        let threshold = ServingConfig::default().rebuild_threshold;
+        let crosses = |dead: usize| dead as f64 / (n - dead) as f64 > threshold;
+        let mut dead = 0usize;
+        let mut plain_delete = 0;
+        while !crosses(dead + 1) {
+            let span = Span::begin();
+            serving.delete(dead as u64).unwrap();
+            plain_delete = span.requested();
+            dead += 1;
+        }
+        assert_eq!(serving.stats().rebuilds, 0);
+        // ...and the one that crosses it, compaction included.
+        let span = Span::begin();
+        serving.delete(dead as u64).unwrap();
+        let compaction = span.requested() - plain_delete;
+        dead += 1;
+        assert_eq!(serving.stats().rebuilds, 1);
+        // One `u32` per slot, the renumbering map: what a single table spends on its
+        // ids alone, before bucket headers and spare capacity. The rebuild this
+        // replaces allocated all L tables and hashed every vector into them.
+        assert!(
+            compaction <= 4 * n,
+            "{:?}: compacting allocated {compaction} bytes; the ids of one table are {}",
+            serving.family(),
+            4 * n
+        );
+        assert_eq!(serving.len(), n - dead);
+    }
+}
+
+#[test]
+fn streamed_files_equal_the_bytes_encoded_in_memory() {
+    let n = 3000;
+    for (name, index_config, _) in families() {
+        let mut serving = ServingIndex::build(
+            vectors(7, n),
+            spec(),
+            index_config,
+            ServingConfig::default(),
+        )
+        .unwrap();
+        // Pending state on top, so that the save has something to compact.
+        for id in 0..40 {
+            serving.delete(id * 3).unwrap();
+        }
+        for v in vectors(8, 25) {
+            serving.insert(v).unwrap();
+        }
+        let path = scratch_file(&format!("{name}-streamed.snap"));
+        let written = serving.save(&path).unwrap();
+        let streamed = std::fs::read(&path).unwrap();
+        assert_eq!(written as usize, streamed.len(), "{name}");
+        assert!(streamed.len() > 3 * 64 * KIB, "{name}: several blocks long");
+        assert!(streamed == serving.snapshot_bytes().unwrap(), "{name}");
+        std::fs::remove_file(&path).unwrap();
+    }
+}
+
+#[test]
+fn every_fixture_loads_and_saves_back_to_the_same_bytes() {
+    let fixtures = concat!(env!("CARGO_MANIFEST_DIR"), "/../crates/store/fixtures");
+    let mut seen = 0;
+    for entry in std::fs::read_dir(fixtures).unwrap() {
+        let fixture = entry.unwrap().path();
+        let name = fixture.file_name().unwrap().to_string_lossy().into_owned();
+        let index = ShardedServingIndex::open(&fixture, ServingConfig::default())
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let shards = if name.contains("_3shard_") { 3 } else { 1 };
+        assert_eq!(index.shard_count(), shards, "{name}");
+        assert!(name.starts_with(index.family().name()), "{name}");
+        let path = scratch_file(&name);
+        index.save(&path).unwrap();
+        assert!(
+            std::fs::read(&path).unwrap() == std::fs::read(&fixture).unwrap(),
+            "{name} re-saved differently"
+        );
+        std::fs::remove_file(&path).unwrap();
+        seen += 1;
+    }
+    assert!(
+        seen >= 9,
+        "four families at one and three shards, and the PR 13 tree"
+    );
+}
