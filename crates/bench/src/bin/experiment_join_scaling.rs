@@ -1,9 +1,9 @@
 //! Experiment E5: join runtime scaling — the subquadratic upper bounds against the
 //! quadratic baseline.
 //!
-//! On planted-pair workloads of growing size the three joins are timed end to end:
-//! exact brute force (`O(n·|Q|·d)`), the Section 4.1 ALSH join, and the Section 4.3
-//! sketch join. Recall of the planted pairs and validity (no reported pair below `cs`)
+//! On planted-pair workloads of growing size the four joins are timed end to end:
+//! exact brute force (`O(n·|Q|·d)`), the Section 4.1 ALSH join, the Section 4.2
+//! symmetric-LSH join, and the Section 4.3 sketch join. Recall of the planted pairs and validity (no reported pair below `cs`)
 //! are checked alongside the wall-clock numbers. The shape to verify against the paper:
 //! the brute-force column grows linearly in `n` (quadratically in total work), while the
 //! LSH/sketch columns grow sublinearly and keep recall high; absolute numbers are
@@ -88,6 +88,24 @@ fn main() {
             0.0,
         );
 
+        // Seeded by the builder, not from `rng`: the workloads and the other columns
+        // stay the ones recorded before this column existed.
+        let t = Timer::start();
+        let symmetric = Join::data(inst.data())
+            .queries(inst.queries())
+            .spec(spec)
+            .strategy(Strategy::Symmetric)
+            .run()
+            .unwrap()
+            .matches;
+        let t_symmetric = t.elapsed_ms();
+        json.record(
+            "join_scaling",
+            &[("algo", "symmetric".to_string()), ("n", n.to_string())],
+            t.elapsed_ns(),
+            0.0,
+        );
+
         let pairs_of = |pairs: &[ips_core::problem::MatchPair]| -> Vec<(usize, usize)> {
             pairs
                 .iter()
@@ -96,8 +114,11 @@ fn main() {
         };
         let recall_alsh = inst.recall(&pairs_of(&alsh), spec.relaxed_threshold());
         let recall_sketch = inst.recall(&pairs_of(&sketch), spec.relaxed_threshold());
+        let recall_symmetric = inst.recall(&pairs_of(&symmetric), spec.relaxed_threshold());
         let (_, valid_alsh) = evaluate_join(inst.data(), inst.queries(), &spec, &alsh).unwrap();
         let (_, valid_sketch) = evaluate_join(inst.data(), inst.queries(), &spec, &sketch).unwrap();
+        let (_, valid_symmetric) =
+            evaluate_join(inst.data(), inst.queries(), &spec, &symmetric).unwrap();
 
         rows.push(vec![
             n.to_string(),
@@ -109,6 +130,9 @@ fn main() {
             fmt(t_sketch, 1),
             fmt(recall_sketch, 2),
             valid_sketch.to_string(),
+            fmt(t_symmetric, 1),
+            fmt(recall_symmetric, 2),
+            valid_symmetric.to_string(),
         ]);
     }
     println!(
@@ -124,12 +148,15 @@ fn main() {
                 "sketch ms",
                 "sketch recall",
                 "sketch valid",
+                "symmetric ms",
+                "symmetric recall",
+                "symmetric valid",
             ],
             &rows
         )
     );
     println!(
-        "\n(64 queries, d = 48, s = 0.8, c = 0.6; ALSH/sketch times include index construction)"
+        "\n(64 queries, d = 48, s = 0.8, c = 0.6; ALSH/sketch/symmetric times include index construction)"
     );
 
     // The JoinEngine's parallel driver against the serial one-query loop on the

@@ -27,6 +27,7 @@ use ips_lsh::rho::{rho_data_dependent, rho_simple_alsh};
 use ips_lsh::simple_alsh::SimpleAlshFamily;
 use ips_lsh::table::{IndexParams, LshIndex};
 use rand::Rng;
+use std::borrow::Cow;
 
 /// Tuning parameters of the [`AlshMipsIndex`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,8 +67,12 @@ impl Default for AlshParams {
 /// a serving process can mutate a loaded index without rebuilding it. Deleted slots are
 /// tombstoned (their vector stays in `data` to keep slot ids stable) but are removed
 /// from every hash table, so they can never appear as candidates again.
-pub struct AlshMipsIndex {
-    data: Vec<DenseVector>,
+///
+/// The vectors are held as a [`Cow`]: a one-shot join builds over the caller's slice
+/// and borrows it, the serving path hands over a `Vec` (`AlshMipsIndex<'static>`). The
+/// first mutation of a borrowing index takes its own copy.
+pub struct AlshMipsIndex<'a> {
+    data: Cow<'a, [DenseVector]>,
     live: Vec<bool>,
     live_count: usize,
     index: LshIndex<SimpleAlshFamily>,
@@ -82,18 +87,20 @@ pub struct AlshMipsIndex {
     kernel_counters: crate::kernel::KernelCounters,
 }
 
-impl AlshMipsIndex {
-    /// Builds the index over `data` for the given `(cs, s)` spec.
+impl<'a> AlshMipsIndex<'a> {
+    /// Builds the index over `data` — a `Vec` to own, a slice to borrow — for the
+    /// given `(cs, s)` spec.
     ///
     /// Every data vector must lie in the unit ball; queries must lie in the ball of
     /// radius `params.query_radius`, and the spec's threshold must satisfy
     /// `0 < s ≤ U` for the reduction to make sense.
     pub fn build<R: Rng + ?Sized>(
         rng: &mut R,
-        data: Vec<DenseVector>,
+        data: impl Into<Cow<'a, [DenseVector]>>,
         spec: JoinSpec,
         params: AlshParams,
     ) -> Result<Self> {
+        let data = data.into();
         if data.is_empty() {
             return Err(CoreError::EmptyDataSet);
         }
@@ -107,7 +114,7 @@ impl AlshMipsIndex {
             });
         }
         let dim = data[0].dim();
-        for v in &data {
+        for v in data.iter() {
             if v.dim() != dim {
                 return Err(CoreError::DimensionMismatch {
                     expected: dim,
@@ -182,7 +189,7 @@ impl AlshMipsIndex {
         }
         let id = self.data.len();
         self.index.insert(id as u32, &v)?;
-        self.data.push(v);
+        self.data.to_mut().push(v);
         self.live.push(true);
         self.live_count += 1;
         // The quantized tile no longer mirrors the data; drop it so scoring
@@ -221,7 +228,7 @@ impl AlshMipsIndex {
     pub fn compact(&mut self, keys: &[u64]) -> Result<()> {
         let plan = Renumbering::new(&self.live, keys)?;
         self.index.renumber(&plan.new_slot)?;
-        plan.apply(&mut self.data, || DenseVector::zeros(0));
+        plan.apply(self.data.to_mut(), || DenseVector::zeros(0));
         self.live.truncate(self.live_count);
         self.live.fill(true);
         self.quant = None;
@@ -288,7 +295,7 @@ impl AlshMipsIndex {
             });
         }
         Ok(Self {
-            data,
+            data: Cow::Owned(data),
             live,
             live_count,
             index,
@@ -352,9 +359,9 @@ impl AlshMipsIndex {
 
     /// Consumes the index, returning the vectors of every slot (live or tombstoned)
     /// and freeing the hash tables — how a rebuild reuses the vectors instead of
-    /// copying them.
+    /// copying them. (An index that still borrows its vectors copies them here.)
     pub fn into_data(self) -> Vec<DenseVector> {
-        self.data
+        self.data.into_owned()
     }
 
     /// The quantized tile when the cheap candidate kernel is enabled
@@ -374,7 +381,7 @@ impl AlshMipsIndex {
     }
 }
 
-impl MipsIndex for AlshMipsIndex {
+impl MipsIndex for AlshMipsIndex<'_> {
     fn len(&self) -> usize {
         self.live_count
     }

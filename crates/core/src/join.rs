@@ -9,7 +9,9 @@
 //! * [`sketch_join`] — the Section 4.3 linear-sketch structure
 //!   ([`crate::mips::SketchMipsAdapter`] over `ips-sketch`);
 //!
-//! plus [`index_join`], the generic driver that works with any [`MipsIndex`]. All four
+//! plus [`index_join`], the generic driver that works with any [`MipsIndex`]. The three
+//! `*_engine` builders index the caller's slice where it stands — the index borrows
+//! it for the engine's lifetime, no copy of the data set is made. All four
 //! entry points build (or borrow) an index and hand the query set to
 //! [`JoinEngine::run`] — the unified parallel, chunk-batched driver — so they share one
 //! scheduling, batching and result-assembly path. Every reported pair carries its exact
@@ -63,13 +65,13 @@ pub fn index_join<I: MipsIndex + Sync>(
 }
 
 /// Builds the Section 4.1 asymmetric-LSH index over `data` and wraps it in an engine.
-pub fn alsh_engine<R: Rng + ?Sized>(
+pub fn alsh_engine<'a, R: Rng + ?Sized>(
     rng: &mut R,
-    data: &[DenseVector],
+    data: &'a [DenseVector],
     spec: JoinSpec,
     params: AlshParams,
     config: EngineConfig,
-) -> Result<JoinEngine<AlshMipsIndex>> {
+) -> Result<JoinEngine<AlshMipsIndex<'a>>> {
     alsh_engine_scored(
         rng,
         data,
@@ -83,15 +85,15 @@ pub fn alsh_engine<R: Rng + ?Sized>(
 /// [`alsh_engine`] with a scoring-kernel selection: `quantized=true` enables
 /// the cheap candidate-scoring kernel (identical results — see
 /// [`crate::kernel`]). The default options are exactly [`alsh_engine`].
-pub fn alsh_engine_scored<R: Rng + ?Sized>(
+pub fn alsh_engine_scored<'a, R: Rng + ?Sized>(
     rng: &mut R,
-    data: &[DenseVector],
+    data: &'a [DenseVector],
     spec: JoinSpec,
     params: AlshParams,
     config: EngineConfig,
     scoring: crate::kernel::ScoringOptions,
-) -> Result<JoinEngine<AlshMipsIndex>> {
-    let mut index = AlshMipsIndex::build(rng, data.to_vec(), spec, params)?;
+) -> Result<JoinEngine<AlshMipsIndex<'a>>> {
+    let mut index = AlshMipsIndex::build(rng, data, spec, params)?;
     index.set_scoring(scoring)?;
     Ok(JoinEngine::with_config(index, config))
 }
@@ -118,13 +120,13 @@ pub fn alsh_join<R: Rng + ?Sized>(
 }
 
 /// Builds the Section 4.2 symmetric-LSH index over `data` and wraps it in an engine.
-pub fn symmetric_engine<R: Rng + ?Sized>(
+pub fn symmetric_engine<'a, R: Rng + ?Sized>(
     rng: &mut R,
-    data: &[DenseVector],
+    data: &'a [DenseVector],
     spec: JoinSpec,
     params: SymmetricParams,
     config: EngineConfig,
-) -> Result<JoinEngine<SymmetricLshMips>> {
+) -> Result<JoinEngine<SymmetricLshMips<'a>>> {
     symmetric_engine_scored(
         rng,
         data,
@@ -138,15 +140,15 @@ pub fn symmetric_engine<R: Rng + ?Sized>(
 /// [`symmetric_engine`] with a scoring-kernel selection: `quantized=true`
 /// enables the cheap candidate-scoring kernel (identical results — see
 /// [`crate::kernel`]). The default options are exactly [`symmetric_engine`].
-pub fn symmetric_engine_scored<R: Rng + ?Sized>(
+pub fn symmetric_engine_scored<'a, R: Rng + ?Sized>(
     rng: &mut R,
-    data: &[DenseVector],
+    data: &'a [DenseVector],
     spec: JoinSpec,
     params: SymmetricParams,
     config: EngineConfig,
     scoring: crate::kernel::ScoringOptions,
-) -> Result<JoinEngine<SymmetricLshMips>> {
-    let mut index = SymmetricLshMips::build(rng, data.to_vec(), spec, params)?;
+) -> Result<JoinEngine<SymmetricLshMips<'a>>> {
+    let mut index = SymmetricLshMips::build(rng, data, spec, params)?;
     index.set_scoring(scoring)?;
     Ok(JoinEngine::with_config(index, config))
 }
@@ -172,15 +174,15 @@ pub fn symmetric_join<R: Rng + ?Sized>(
 }
 
 /// Builds the Section 4.3 sketch structure over `data` and wraps it in an engine.
-pub fn sketch_engine<R: Rng + ?Sized>(
+pub fn sketch_engine<'a, R: Rng + ?Sized>(
     rng: &mut R,
-    data: &[DenseVector],
+    data: &'a [DenseVector],
     spec: JoinSpec,
     config: MaxIpConfig,
     leaf_size: usize,
     engine_config: EngineConfig,
-) -> Result<JoinEngine<SketchMipsAdapter>> {
-    let index = SketchMipsAdapter::build(rng, data.to_vec(), spec, config, leaf_size)?;
+) -> Result<JoinEngine<SketchMipsAdapter<'a>>> {
+    let index = SketchMipsAdapter::build(rng, data, spec, config, leaf_size)?;
     Ok(JoinEngine::with_config(index, engine_config))
 }
 

@@ -83,6 +83,7 @@
 pub mod algebraic;
 pub mod asymmetric;
 pub mod brute;
+mod diagonal;
 pub mod engine;
 pub mod error;
 pub mod facade;

@@ -251,16 +251,17 @@ pub(crate) fn data_major_batch(
 /// candidate is still found by absolute value but only *reported* when its signed
 /// inner product clears `cs`, keeping the [`MipsIndex::search`] validity promise
 /// (anti-correlated pairs cost recall, never validity).
-pub struct SketchMipsAdapter {
-    inner: ips_sketch::SketchMipsIndex,
+pub struct SketchMipsAdapter<'a> {
+    inner: ips_sketch::SketchMipsIndex<'a>,
     spec: JoinSpec,
 }
 
-impl SketchMipsAdapter {
-    /// Builds the sketch structure over `data` for the given spec.
+impl<'a> SketchMipsAdapter<'a> {
+    /// Builds the sketch structure over `data` (a `Vec` to own, a slice to borrow)
+    /// for the given spec.
     pub fn build<R: rand::Rng + ?Sized>(
         rng: &mut R,
-        data: Vec<DenseVector>,
+        data: impl Into<std::borrow::Cow<'a, [DenseVector]>>,
         spec: JoinSpec,
         config: ips_sketch::linf_mips::MaxIpConfig,
         leaf_size: usize,
@@ -270,7 +271,7 @@ impl SketchMipsAdapter {
     }
 
     /// The wrapped sketch structure.
-    pub fn inner(&self) -> &ips_sketch::SketchMipsIndex {
+    pub fn inner(&self) -> &ips_sketch::SketchMipsIndex<'a> {
         &self.inner
     }
 
@@ -281,12 +282,12 @@ impl SketchMipsAdapter {
 
     /// Wraps an already-built (e.g. snapshot-loaded) sketch structure under a spec —
     /// the inverse of [`SketchMipsAdapter::inner`], used by snapshot persistence.
-    pub fn from_parts(inner: ips_sketch::SketchMipsIndex, spec: JoinSpec) -> Self {
+    pub fn from_parts(inner: ips_sketch::SketchMipsIndex<'a>, spec: JoinSpec) -> Self {
         Self { inner, spec }
     }
 }
 
-impl MipsIndex for SketchMipsAdapter {
+impl MipsIndex for SketchMipsAdapter<'_> {
     fn len(&self) -> usize {
         self.inner.len()
     }

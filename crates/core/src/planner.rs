@@ -295,7 +295,13 @@ impl Default for CostModel {
         // runs fit it at 1.19 / 1.17 / 1.12 / 1.09 times the brute constant
         // of the same run, and the median of those is applied to 0.415. It is
         // above the brute constant because below its cut-off the tree *is* a
-        // scan, by a slower loop than the brute kernel's.
+        // scan, by a slower loop than the brute kernel's. The symmetric constant
+        // was refit once more when the index began hashing the sparse sphere image
+        // and the flop count stopped charging a pass over the mapped vector it no
+        // longer builds (exactly `d + tag_nonzeros` rows per plane now): parent
+        // and change fitted alternately on one machine, medians 1.276 (three
+        // runs) and 1.20 (six), and the ratio 0.94 is applied to the 1.375 that
+        // stood here, which keeps it on the scale of the other constants.
         Self {
             brute_ns_per_flop: 0.415,
             // Reduced-precision brute kernels: the calibrated f64 constant
@@ -306,7 +312,7 @@ impl Default for CostModel {
             brute_f32_ns_per_flop: 0.272,
             brute_quantized_ns_per_flop: 0.364,
             alsh_ns_per_flop: 0.575,
-            symmetric_ns_per_flop: 1.375,
+            symmetric_ns_per_flop: 1.29,
             sketch_ns_per_flop: 0.475,
         }
     }
@@ -576,15 +582,15 @@ impl JoinPlanner {
                     self.config.symmetric.tables,
                     self.config.symmetric.probes,
                 );
-                // One pass to build and scan the mapped vector, then multiply-adds
-                // over its non-zero coordinates only: the hashing kernel skips the
-                // zeros of the one-hot tag (see `ips_lsh::bank`).
-                let sym_hash = mapped_dim as f64
-                    + ips_lsh::cost::hash_flops(
-                        d + map.tag_nonzeros(),
-                        self.config.symmetric.bits_per_table,
-                        self.config.symmetric.tables,
-                    );
+                // Multiply-adds over the image's non-zero coordinates only — the
+                // vector's own `d` and one per Reed–Solomon block: the index hashes
+                // the sparse image and never builds the mapped vector (see
+                // `ips_lsh::bank`).
+                let sym_hash = ips_lsh::cost::hash_flops(
+                    d + map.tag_nonzeros(),
+                    self.config.symmetric.bits_per_table,
+                    self.config.symmetric.tables,
+                );
                 let sym_flops =
                     (nf + mf) * sym_hash + mf * ips_lsh::cost::rescoring_flops(d, sym_candidates);
                 estimates.push(self.estimate(

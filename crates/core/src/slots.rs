@@ -91,16 +91,6 @@ impl Renumbering {
         }
         *items = moved;
     }
-
-    /// Renames the slots a bucket lists, keeping its ascending order.
-    pub(crate) fn apply_to_bucket(&self, bucket: &mut [usize]) {
-        for slot in bucket.iter_mut() {
-            *slot = self.new_slot[*slot] as usize;
-        }
-        if !self.monotone {
-            bucket.sort_unstable();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -117,9 +107,6 @@ mod tests {
         plan.apply(&mut items, || '?');
         assert_eq!(items, ['a', 'c', 'd']);
         assert_eq!(items.as_ptr(), before, "compacted where it stood");
-        let mut bucket = [2usize, 3];
-        plan.apply_to_bucket(&mut bucket);
-        assert_eq!(bucket, [1, 2]);
     }
 
     #[test]
@@ -130,9 +117,6 @@ mod tests {
         let mut items = vec!["thirty", "ten", "dead", "twenty"];
         plan.apply(&mut items, || "");
         assert_eq!(items, ["ten", "twenty", "thirty"]);
-        let mut bucket = [0usize, 3];
-        plan.apply_to_bucket(&mut bucket);
-        assert_eq!(bucket, [1, 2]);
     }
 
     #[test]

@@ -17,18 +17,38 @@
 //! on both sides (symmetric!), and any sphere LSH applies; only the diagonal `p = q`
 //! loses its guarantee, which is handled by an explicit exact-match lookup before the
 //! hash tables are consulted.
+//!
+//! **The image is never built.** At the defaults `f(p)` has `d + 2068` coordinates of
+//! which `d + 44` are non-zero: `p` itself, then one coordinate per Reed–Solomon block,
+//! all holding `√(1 − ‖p‖²)/√t`. The index works on that description — a
+//! [`SphereImage`]: the fingerprint of `p`'s encoding, and the tag as `(row, value)`
+//! pairs — for every operation: build, insert, delete, search, top-`k` candidates and
+//! the refill after a snapshot load. One pass over `p` quantises it and folds the bytes
+//! into the fingerprint (no encoding is collected), the fingerprint selects the tag's
+//! symbols, and [`LshIndex`]'s sparse kernel hashes `p` and the pairs with keys
+//! bit-identical to hashing the dense image. A search computes one image and uses it
+//! for the diagonal probe, the lookup and the probe sequence. The dense
+//! [`SymmetricSphereMap::map`] remains as the definition the tests compare against.
+//!
+//! **The diagonal** is keyed by that fingerprint, not by the encoding (the table is
+//! `diagonal.rs`): a hit is confirmed by comparing the stored vector's encoding
+//! with the query's, so "identical" means what it always did.
 
+use crate::diagonal::Diagonal;
 use crate::error::{CoreError, Result};
 use crate::mips::{MipsIndex, SearchResult};
 use crate::problem::JoinSpec;
+use crate::shard::ShardParts;
 use crate::slots::Renumbering;
-use ips_linalg::incoherent::ReedSolomonCollection;
+use ips_linalg::incoherent::{Fingerprint, ReedSolomonCollection};
 use ips_linalg::DenseVector;
+use ips_lsh::bank::SparseImage;
 use ips_lsh::hyperplane::HyperplaneFamily;
 use ips_lsh::table::{IndexParams, LshIndex};
 use ips_lsh::SymmetricAsAsymmetric;
 use rand::Rng;
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::cell::RefCell;
 
 /// The symmetric ball-to-sphere map of Section 4.2.
 #[derive(Debug, Clone)]
@@ -36,6 +56,29 @@ pub struct SymmetricSphereMap {
     dim: usize,
     precision_bits: u32,
     collection: ReedSolomonCollection,
+}
+
+/// `f(p)` without its zeros (see the module docs): what of the image is not `p` itself.
+/// A buffer — [`SymmetricSphereMap::image_into`] overwrites it.
+#[derive(Debug, Clone, Default)]
+pub struct SphereImage {
+    /// A 64-bit fold of the fingerprint of the vector's encoding — equal for vectors
+    /// with equal encodings — which the tag was selected by and the diagonal is keyed by.
+    fingerprint: u64,
+    tag: Vec<(usize, f64)>,
+}
+
+impl SphereImage {
+    /// The non-zero coordinates of the image after the vector's own: `(row, value)`,
+    /// rows ascending. All values are `√(1 − ‖p‖²)/√t`, zero for a unit vector.
+    pub fn tag(&self) -> &[(usize, f64)] {
+        &self.tag
+    }
+}
+
+thread_local! {
+    /// The image every index operation on this thread computes into.
+    static IMAGE: RefCell<SphereImage> = RefCell::new(SphereImage::default());
 }
 
 impl SymmetricSphereMap {
@@ -79,8 +122,8 @@ impl SymmetricSphereMap {
     }
 
     /// Number of non-zero coordinates of a mapped vector beyond its first `dim`: the
-    /// tag is one-hot per Reed–Solomon block, which is what a hashing kernel that
-    /// skips zero coordinates pays for instead of the full tag dimension.
+    /// tag is one-hot per Reed–Solomon block, and these are the rows the hashing
+    /// kernel multiplies instead of the full tag dimension.
     pub fn tag_nonzeros(&self) -> usize {
         self.collection.nonzeros()
     }
@@ -91,28 +134,25 @@ impl SymmetricSphereMap {
         self.collection.coherence()
     }
 
-    /// The canonical byte encoding of a vector at the configured precision; two vectors
-    /// are "identical" for the purposes of the construction iff their encodings agree.
-    pub fn encode(&self, v: &DenseVector) -> Result<Vec<u8>> {
+    /// The coordinates of `v` as fixed-point numbers at the configured precision.
+    fn quantized<'a>(&self, v: &'a DenseVector) -> impl Iterator<Item = i32> + 'a {
+        let scale = f64::from((1u32 << (self.precision_bits - 1)) - 1);
+        v.iter()
+            .map(move |&x| (x.clamp(-1.0, 1.0) * scale).round() as i32)
+    }
+
+    fn check_dim(&self, v: &DenseVector) -> Result<()> {
         if v.dim() != self.dim {
             return Err(CoreError::DimensionMismatch {
                 expected: self.dim,
                 actual: v.dim(),
             });
         }
-        let scale = f64::from((1u32 << (self.precision_bits - 1)) - 1);
-        let mut bytes = Vec::with_capacity(self.dim * 4);
-        for &x in v.iter() {
-            let q = (x.clamp(-1.0, 1.0) * scale).round() as i32;
-            bytes.extend_from_slice(&q.to_le_bytes());
-        }
-        Ok(bytes)
+        Ok(())
     }
 
-    /// Applies the symmetric map `f`.
-    ///
-    /// Returns an error when the vector is outside the unit ball.
-    pub fn map(&self, v: &DenseVector) -> Result<DenseVector> {
+    /// `√(1 − ‖v‖²)`, or an error when the vector is outside the unit ball.
+    fn tail_mass(v: &DenseVector) -> Result<f64> {
         let norm_sq = v.norm_sq();
         // Negated so that a NaN norm is refused too.
         if !(norm_sq <= 1.0 + 1e-9) {
@@ -121,11 +161,89 @@ impl SymmetricSphereMap {
                 reason: format!("vector norm {} exceeds 1", norm_sq.sqrt()),
             });
         }
+        Ok((1.0 - norm_sq).max(0.0).sqrt())
+    }
+
+    /// The canonical byte encoding of a vector at the configured precision; two vectors
+    /// are "identical" for the purposes of the construction iff their encodings agree.
+    pub fn encode(&self, v: &DenseVector) -> Result<Vec<u8>> {
+        self.check_dim(v)?;
+        Ok(self.quantized(v).flat_map(i32::to_le_bytes).collect())
+    }
+
+    /// Whether two vectors of the map's dimension have the same
+    /// [`SymmetricSphereMap::encode`]-ing, without building either.
+    fn same_encoding(&self, a: &DenseVector, b: &DenseVector) -> bool {
+        a.dim() == b.dim() && self.quantized(a).eq(self.quantized(b))
+    }
+
+    /// Applies the symmetric map `f`, materialised: the definition
+    /// [`SymmetricSphereMap::image_into`] is tested against. Nothing on the index's
+    /// paths calls it.
+    ///
+    /// Returns an error when the vector is outside the unit ball.
+    pub fn map(&self, v: &DenseVector) -> Result<DenseVector> {
+        let tail_mass = Self::tail_mass(v)?;
         let bytes = self.encode(v)?;
         let tag = self.collection.vector_for_bytes(&bytes)?;
-        let tail_mass = (1.0 - norm_sq).max(0.0).sqrt();
         Ok(v.concat(&tag.scaled(tail_mass)))
     }
+
+    /// Computes `f(v)` as its non-zeros: `v` itself followed by `image.tag()`, the same
+    /// coordinates and the same values as [`SymmetricSphereMap::map`] produces, in one
+    /// pass over `v` and with nothing of the image's dimension allocated.
+    ///
+    /// Fails as `map` does: a vector outside the unit ball, or of another dimension.
+    pub fn image_into(&self, v: &DenseVector, image: &mut SphereImage) -> Result<()> {
+        self.check_dim(v)?;
+        let value = self.collection.weight() * Self::tail_mass(v)?;
+        let fingerprint = self.fingerprint(v);
+        let index = self.collection.index_for_fingerprint(fingerprint);
+        image.tag.clear();
+        image.tag.extend(
+            self.collection
+                .symbols(index)?
+                .map(|symbol| (self.dim + symbol, value)),
+        );
+        image.fingerprint = fold(fingerprint);
+        Ok(())
+    }
+
+    /// The fingerprint of `v`'s encoding, folded in as the encoding is produced.
+    fn fingerprint(&self, v: &DenseVector) -> Fingerprint {
+        let mut fingerprint = Fingerprint::new();
+        for q in self.quantized(v) {
+            fingerprint.update(&q.to_le_bytes());
+        }
+        fingerprint
+    }
+
+    /// Runs `f` on the image of `v`, computed into this thread's buffer.
+    fn with_image<T>(
+        &self,
+        v: &DenseVector,
+        f: impl FnOnce(&SphereImage) -> Result<T>,
+    ) -> Result<T> {
+        IMAGE.with_borrow_mut(|image| {
+            self.image_into(v, image)?;
+            f(image)
+        })
+    }
+
+    /// `f(v)` as the LSH kernel takes it, from `v` and the image computed for it.
+    fn sparse<'a>(&self, v: &'a DenseVector, image: &'a SphereImage) -> SparseImage<'a> {
+        SparseImage {
+            dim: self.output_dim(),
+            head: v.as_slice(),
+            tail: &image.tag,
+        }
+    }
+}
+
+/// The 64 bits of a fingerprint the diagonal is keyed by.
+fn fold(fingerprint: Fingerprint) -> u64 {
+    let wide = fingerprint.value();
+    (wide >> 64) as u64 ^ wide as u64
 }
 
 /// Tuning parameters of the [`SymmetricLshMips`] index.
@@ -164,17 +282,20 @@ impl Default for SymmetricParams {
 /// tables and the exact-match lookup incrementally, with tombstoned slots keeping
 /// their vector so slot ids stay stable) and *persistable* (the sphere map is a
 /// deterministic function of the parameters, so raw-parts round-trips only need the
-/// data, the liveness mask and the sampled LSH state).
-pub struct SymmetricLshMips {
-    data: Vec<DenseVector>,
+/// data, the liveness mask and the sampled LSH state). It holds its vectors as a
+/// [`Cow`]: borrowed for a one-shot join over the caller's slice, owned on the
+/// serving path (`SymmetricLshMips<'static>`); the first mutation of a borrowing index
+/// takes its own copy.
+pub struct SymmetricLshMips<'a> {
+    data: Cow<'a, [DenseVector]>,
     live: Vec<bool>,
     live_count: usize,
     map: SymmetricSphereMap,
     index: LshIndex<SymmetricAsAsymmetric<HyperplaneFamily>>,
-    /// Encoding → live slot ids in insertion order; the *last* entry answers the
+    /// Fingerprint → live slots; the *last* one with the query's encoding answers the
     /// diagonal lookup, matching what a fresh build (which overwrites earlier ids)
     /// would store.
-    exact_lookup: HashMap<Vec<u8>, Vec<usize>>,
+    diagonal: Diagonal,
     spec: JoinSpec,
     params: SymmetricParams,
     /// Quantized mirror of `data` for the cheap candidate-scoring kernel
@@ -186,32 +307,39 @@ pub struct SymmetricLshMips {
     kernel_counters: crate::kernel::KernelCounters,
 }
 
-impl SymmetricLshMips {
+/// The slot id of position `i`, which the LSH tables store as a `u32`.
+fn slot_id(i: usize) -> Result<u32> {
+    u32::try_from(i).map_err(|_| CoreError::InvalidParameter {
+        name: "data",
+        reason: "index supports at most 2^32 - 1 points".into(),
+    })
+}
+
+impl<'a> SymmetricLshMips<'a> {
     /// Builds the index over `data` (all inside the unit ball) for the given spec.
+    /// `data` is a `Vec` to own or a slice to borrow.
     pub fn build<R: Rng + ?Sized>(
         rng: &mut R,
-        data: Vec<DenseVector>,
+        data: impl Into<Cow<'a, [DenseVector]>>,
         spec: JoinSpec,
         params: SymmetricParams,
     ) -> Result<Self> {
+        let data = data.into();
         if data.is_empty() {
             return Err(CoreError::EmptyDataSet);
         }
         let dim = data[0].dim();
-        for v in &data {
-            if v.dim() != dim {
-                return Err(CoreError::DimensionMismatch {
-                    expected: dim,
-                    actual: v.dim(),
-                });
-            }
+        if let Some(v) = data.iter().find(|v| v.dim() != dim) {
+            return Err(CoreError::DimensionMismatch {
+                expected: dim,
+                actual: v.dim(),
+            });
         }
         let map = SymmetricSphereMap::new(dim, params.epsilon, params.precision_bits)?;
         let family = SymmetricAsAsymmetric(HyperplaneFamily::single_bit(map.output_dim())?);
-        // Sample the functions over an empty index, then stream the points through it:
-        // each sphere image (thousands of coordinates, almost all zero) is hashed and
-        // dropped, never held for the whole data set. Same functions, same buckets and
-        // same id order as building over the materialised images.
+        // Sample the functions over an empty index, then stream the points through it,
+        // each as its sparse image. Same functions, same buckets and same id order as
+        // building over the materialised images.
         let mut index = LshIndex::build(
             &family,
             IndexParams {
@@ -221,27 +349,39 @@ impl SymmetricLshMips {
             &[],
             rng,
         )?;
-        let mut exact_lookup: HashMap<Vec<u8>, Vec<usize>> = HashMap::with_capacity(data.len());
-        for (i, v) in data.iter().enumerate() {
-            let id = u32::try_from(i).map_err(|_| CoreError::InvalidParameter {
-                name: "data",
-                reason: "index supports at most 2^32 - 1 points".into(),
-            })?;
-            index.insert(id, &map.map(v)?)?;
-            exact_lookup.entry(map.encode(v)?).or_default().push(i);
-        }
         let live_count = data.len();
+        let mut diagonal = Diagonal::with_capacity(live_count);
+        for (slot, v) in data.iter().enumerate() {
+            Self::file(&map, &mut index, &mut diagonal, slot, v)?;
+        }
         Ok(Self {
             live: vec![true; live_count],
             live_count,
             data,
             map,
             index,
-            exact_lookup,
+            diagonal,
             spec,
             params,
             quant: None,
             kernel_counters: crate::kernel::KernelCounters::new(),
+        })
+    }
+
+    /// Hashes `v` into every table under `slot` and registers it on the diagonal;
+    /// a vector the map refuses touches neither.
+    fn file(
+        map: &SymmetricSphereMap,
+        index: &mut LshIndex<SymmetricAsAsymmetric<HyperplaneFamily>>,
+        diagonal: &mut Diagonal,
+        slot: usize,
+        v: &DenseVector,
+    ) -> Result<()> {
+        let id = slot_id(slot)?;
+        map.with_image(v, |image| {
+            index.insert_image(id, map.sparse(v, image))?;
+            diagonal.insert(image.fingerprint, id);
+            Ok(())
         })
     }
 
@@ -266,27 +406,15 @@ impl SymmetricLshMips {
     /// table and registering its encoding in the exact-match lookup. Returns the new
     /// slot id; slot ids are stable and never reused.
     pub fn insert(&mut self, v: DenseVector) -> Result<usize> {
-        let dim = self.data[0].dim();
-        if v.dim() != dim {
-            return Err(CoreError::DimensionMismatch {
-                expected: dim,
-                actual: v.dim(),
-            });
-        }
-        let mapped = self.map.map(&v)?; // also rejects vectors outside the unit ball
-        let id = self.data.len();
-        self.index.insert(id as u32, &mapped)?;
-        self.exact_lookup
-            .entry(self.map.encode(&v)?)
-            .or_default()
-            .push(id);
-        self.data.push(v);
+        let slot = self.data.len();
+        Self::file(&self.map, &mut self.index, &mut self.diagonal, slot, &v)?;
+        self.data.to_mut().push(v);
         self.live.push(true);
         self.live_count += 1;
         // The quantized tile no longer mirrors the data; drop it so scoring
         // falls back to the exact path (see `set_scoring`).
         self.quant = None;
-        Ok(id)
+        Ok(slot)
     }
 
     /// Deletes the vector in slot `id`: removes it from every hash table and from the
@@ -298,15 +426,13 @@ impl SymmetricLshMips {
                 reason: format!("slot {id} is out of range or already deleted"),
             });
         }
-        let mapped = self.map.map(&self.data[id])?;
-        self.index.remove(id as u32, &mapped)?;
-        let encoding = self.map.encode(&self.data[id])?;
-        if let Some(ids) = self.exact_lookup.get_mut(&encoding) {
-            ids.retain(|&i| i != id);
-            if ids.is_empty() {
-                self.exact_lookup.remove(&encoding);
-            }
-        }
+        let (map, index, diagonal) = (&self.map, &mut self.index, &mut self.diagonal);
+        let v = &self.data[id];
+        map.with_image(v, |image| {
+            index.remove_image(id as u32, map.sparse(v, image))?;
+            diagonal.remove(image.fingerprint, id as u32);
+            Ok(())
+        })?;
         self.live[id] = false;
         self.live_count -= 1;
         self.quant = None;
@@ -321,10 +447,8 @@ impl SymmetricLshMips {
     pub fn compact(&mut self, keys: &[u64]) -> Result<()> {
         let plan = Renumbering::new(&self.live, keys)?;
         self.index.renumber(&plan.new_slot)?;
-        for bucket in self.exact_lookup.values_mut() {
-            plan.apply_to_bucket(bucket);
-        }
-        plan.apply(&mut self.data, || DenseVector::zeros(0));
+        self.diagonal.renumber(&plan.new_slot);
+        plan.apply(self.data.to_mut(), || DenseVector::zeros(0));
         self.live.truncate(self.live_count);
         self.live.fill(true);
         self.quant = None;
@@ -420,19 +544,20 @@ impl SymmetricLshMips {
             });
         }
         let map = SymmetricSphereMap::new(dim, params.epsilon, params.precision_bits)?;
-        let mut exact_lookup: HashMap<Vec<u8>, Vec<usize>> = HashMap::with_capacity(live_count);
-        for (i, v) in data.iter().enumerate() {
-            if live[i] {
-                exact_lookup.entry(map.encode(v)?).or_default().push(i);
-            }
+        // The diagonal needs the fingerprint alone, and a slot's vector may lie outside
+        // the ball the tag is defined on (nothing here hashes it), so it is refilled
+        // from the encodings without an image.
+        let mut diagonal = Diagonal::with_capacity(live_count);
+        for (i, v) in data.iter().enumerate().filter(|&(i, _)| live[i]) {
+            diagonal.insert(fold(map.fingerprint(v)), slot_id(i)?);
         }
         Ok(Self {
-            data,
+            data: Cow::Owned(data),
             live,
             live_count,
             map,
             index,
-            exact_lookup,
+            diagonal,
             spec,
             params,
             quant: None,
@@ -448,30 +573,23 @@ impl SymmetricLshMips {
 
     /// Number of LSH candidates produced for a query (before exact re-scoring).
     pub fn candidate_count(&self, query: &DenseVector) -> Result<usize> {
-        Ok(self
-            .index
-            .probe_lookup(&self.map.map(query)?, self.params.probes)?
-            .len())
+        self.map
+            .with_image(query, |image| Ok(self.candidates(query, image)?.len()))
     }
 
     /// The candidate data indices produced for a query (deduplicated, ascending),
     /// including the exact-lookup hit for an identical query when present — what the
     /// top-`k` search re-scores.
     pub fn candidate_indices(&self, query: &DenseVector) -> Result<Vec<usize>> {
-        let mut out = self
-            .index
-            .probe_lookup(&self.map.map(query)?, self.params.probes)?;
-        if let Some(&i) = self
-            .exact_lookup
-            .get(&self.map.encode(query)?)
-            .and_then(|ids| ids.last())
-        {
-            if !out.contains(&i) {
-                out.push(i);
-                out.sort_unstable();
+        self.map.with_image(query, |image| {
+            let mut out = self.candidates(query, image)?;
+            if let Some(i) = self.diagonal_slot(query, image) {
+                if let Err(position) = out.binary_search(&i) {
+                    out.insert(position, i);
+                }
             }
-        }
-        Ok(out)
+            Ok(out)
+        })
     }
 
     /// The vectors held by the index, one per slot — tombstoned slots keep their
@@ -482,38 +600,47 @@ impl SymmetricLshMips {
 
     /// Consumes the index, returning the vectors of every slot (live or tombstoned)
     /// and freeing the hash tables — how a rebuild reuses the vectors instead of
-    /// copying them.
+    /// copying them. (An index that still borrows its vectors copies them here.)
     pub fn into_data(self) -> Vec<DenseVector> {
-        self.data
+        self.data.into_owned()
     }
 
-    /// Step 1 of the two-step search, exposed on its own: the diagonal probe.
-    ///
-    /// Looks the query's encoding up in the exact-match table and returns the *last*
-    /// live slot sharing it (the one a fresh build would answer with), scored exactly
-    /// — **unfiltered**, so a sharded merge layer can apply the promise check across
-    /// the union of shards exactly as [`MipsIndex::search`] applies it to one index.
-    pub fn exact_probe(&self, query: &DenseVector) -> Result<Option<SearchResult>> {
-        match self
-            .exact_lookup
-            .get(&self.map.encode(query)?)
-            .and_then(|ids| ids.last())
-        {
-            Some(&i) => Ok(Some(SearchResult {
-                data_index: i,
-                inner_product: self.data[i].dot(query)?,
-            })),
-            None => Ok(None),
-        }
+    /// The LSH candidates of a query whose image is `image`.
+    fn candidates(&self, query: &DenseVector, image: &SphereImage) -> Result<Vec<usize>> {
+        Ok(self
+            .index
+            .probe_lookup_image(self.map.sparse(query, image), self.params.probes)?)
     }
 
-    /// Step 2 of the two-step search, exposed on its own: the best LSH candidate by
-    /// exact re-scoring (strict `>`, so ties keep the lowest slot) — **unfiltered**
-    /// by the relaxed threshold, for the same sharded-merge reason as
-    /// [`SymmetricLshMips::exact_probe`].
-    pub fn candidate_best(&self, query: &DenseVector) -> Result<Option<SearchResult>> {
-        let mapped = self.map.map(query)?;
-        let candidates = self.index.probe_lookup(&mapped, self.params.probes)?;
+    /// The last live slot whose vector has the query's encoding.
+    fn diagonal_slot(&self, query: &DenseVector, image: &SphereImage) -> Option<usize> {
+        let same = |slot: u32| self.map.same_encoding(&self.data[slot as usize], query);
+        self.diagonal
+            .lookup(image.fingerprint, same)
+            .map(|slot| slot as usize)
+    }
+
+    fn diagonal_hit(
+        &self,
+        query: &DenseVector,
+        image: &SphereImage,
+    ) -> Result<Option<SearchResult>> {
+        self.diagonal_slot(query, image)
+            .map(|i| {
+                Ok(SearchResult {
+                    data_index: i,
+                    inner_product: self.data[i].dot(query)?,
+                })
+            })
+            .transpose()
+    }
+
+    fn best_candidate(
+        &self,
+        query: &DenseVector,
+        image: &SphereImage,
+    ) -> Result<Option<SearchResult>> {
+        let candidates = self.candidates(query, image)?;
         if let Some(quant) = &self.quant {
             // Cheap integer scoring + conservative pruning + exact rescoring:
             // identical result to the exact loop below (see `crate::kernel`).
@@ -543,9 +670,40 @@ impl SymmetricLshMips {
         }
         Ok(best)
     }
+
+    /// Step 1 of the two-step search, exposed on its own: the diagonal probe.
+    ///
+    /// Looks the query's encoding up in the exact-match table and returns the *last*
+    /// live slot sharing it (the one a fresh build would answer with), scored exactly
+    /// — **unfiltered**, so a sharded merge layer can apply the promise check across
+    /// the union of shards exactly as [`MipsIndex::search`] applies it to one index.
+    pub fn exact_probe(&self, query: &DenseVector) -> Result<Option<SearchResult>> {
+        self.map
+            .with_image(query, |image| self.diagonal_hit(query, image))
+    }
+
+    /// Step 2 of the two-step search, exposed on its own: the best LSH candidate by
+    /// exact re-scoring (strict `>`, so ties keep the lowest slot) — **unfiltered**
+    /// by the relaxed threshold, for the same sharded-merge reason as
+    /// [`SymmetricLshMips::exact_probe`].
+    pub fn candidate_best(&self, query: &DenseVector) -> Result<Option<SearchResult>> {
+        self.map
+            .with_image(query, |image| self.best_candidate(query, image))
+    }
+
+    /// Both steps, unfiltered, from one image of the query — what a sharded merge
+    /// asks of each shard.
+    pub fn search_parts(&self, query: &DenseVector) -> Result<ShardParts> {
+        self.map.with_image(query, |image| {
+            Ok(ShardParts {
+                exact: self.diagonal_hit(query, image)?,
+                best: self.best_candidate(query, image)?,
+            })
+        })
+    }
 }
 
-impl MipsIndex for SymmetricLshMips {
+impl MipsIndex for SymmetricLshMips<'_> {
     fn len(&self) -> usize {
         self.live_count
     }
@@ -555,17 +713,19 @@ impl MipsIndex for SymmetricLshMips {
     }
 
     fn search(&self, query: &DenseVector) -> Result<Option<SearchResult>> {
-        // Step 1 (paper): check whether the query itself is an input vector; the hash
-        // guarantees do not cover the diagonal, so it is handled exactly.
-        if let Some(hit) = self.exact_probe(query)? {
-            if self.spec.satisfies_promise(hit.inner_product) {
-                return Ok(Some(hit));
+        self.map.with_image(query, |image| {
+            // Step 1 (paper): check whether the query itself is an input vector; the
+            // hash guarantees do not cover the diagonal, so it is handled exactly.
+            if let Some(hit) = self.diagonal_hit(query, image)? {
+                if self.spec.satisfies_promise(hit.inner_product) {
+                    return Ok(Some(hit));
+                }
             }
-        }
-        // Step 2: symmetric LSH lookup plus exact re-scoring.
-        Ok(self
-            .candidate_best(query)?
-            .filter(|b| self.spec.acceptable(b.inner_product)))
+            // Step 2: symmetric LSH lookup plus exact re-scoring.
+            Ok(self
+                .best_candidate(query, image)?
+                .filter(|b| self.spec.acceptable(b.inner_product)))
+        })
     }
 }
 

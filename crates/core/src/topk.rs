@@ -77,7 +77,7 @@ impl TopKMipsIndex for BruteForceMipsIndex {
     }
 }
 
-impl TopKMipsIndex for AlshMipsIndex {
+impl TopKMipsIndex for AlshMipsIndex<'_> {
     fn search_top_k(&self, query: &DenseVector, k: usize) -> Result<Vec<SearchResult>> {
         let candidates = self.candidate_indices(query)?;
         let spec = self.spec();
@@ -99,7 +99,7 @@ impl TopKMipsIndex for AlshMipsIndex {
     }
 }
 
-impl TopKMipsIndex for SymmetricLshMips {
+impl TopKMipsIndex for SymmetricLshMips<'_> {
     fn search_top_k(&self, query: &DenseVector, k: usize) -> Result<Vec<SearchResult>> {
         let candidates = self.candidate_indices(query)?;
         let spec = self.spec();
@@ -124,7 +124,7 @@ impl TopKMipsIndex for SymmetricLshMips {
 /// an approximate implementation is allowed to return fewer than `k` partners, and
 /// this one always returns at most one. The serving layer documents this when a
 /// sketch-family index answers `topk`.
-impl TopKMipsIndex for crate::mips::SketchMipsAdapter {
+impl TopKMipsIndex for crate::mips::SketchMipsAdapter<'_> {
     fn search_top_k(&self, query: &DenseVector, k: usize) -> Result<Vec<SearchResult>> {
         if k == 0 {
             return Ok(Vec::new());

@@ -18,6 +18,16 @@
 //! * [`GaussianCollection`] — randomised (Johnson–Lindenstrauss style): i.i.d. unit
 //!   vectors in dimension `O(ε^{-2} log N)` are pairwise ε-incoherent with high
 //!   probability. Used by the third hard-sequence construction of Theorem 3.
+//!
+//! **Two forms of one vector.** A Reed–Solomon vector has `t` non-zero coordinates
+//! out of `t·p`, all equal to `1/√t`, so it is fully described by its `t` *symbols*:
+//! the coordinate `x·p + f(x)` chosen inside block `x`. [`ReedSolomonCollection::symbols`]
+//! produces exactly those, in ascending order, with no vector; the Section 4.2 index
+//! hashes from them (selected by a [`Fingerprint`] of the vector's encoding) and never
+//! builds the dense form. [`ReedSolomonCollection::vector`] is kept as the definition
+//! the symbols are tested against. The polynomial is evaluated from a table of
+//! `x^i mod p` with one reduction per point: every term is below `p²` and the
+//! constructors refuse parameters whose `k` terms could overflow a `u64`.
 
 use crate::error::{LinalgError, Result};
 use crate::random::random_unit_vector;
@@ -68,6 +78,42 @@ pub struct ReedSolomonCollection {
     k: u32,
     /// Number of vectors the collection can index (`p^k`, saturating).
     capacity: u128,
+    /// `powers[x·k + i] = x^i mod p` for every evaluation point `x < t`.
+    powers: Vec<u32>,
+}
+
+/// The 128-bit FNV-1a fold that turns a byte string into a collection index, fed one
+/// chunk at a time so a caller can hash an encoding it never materialises.
+#[derive(Debug, Clone, Copy)]
+pub struct Fingerprint(u128);
+
+impl Fingerprint {
+    const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
+    const PRIME: u128 = 0x0000000001000000000000000000013b;
+
+    /// The fold of the empty string.
+    pub fn new() -> Self {
+        Self(Self::OFFSET)
+    }
+
+    /// Folds `bytes` in, in order.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u128;
+            self.0 = self.0.wrapping_mul(Self::PRIME);
+        }
+    }
+
+    /// The fold of everything fed so far.
+    pub fn value(self) -> u128 {
+        self.0
+    }
+}
+
+impl Default for Fingerprint {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl ReedSolomonCollection {
@@ -97,7 +143,7 @@ impl ReedSolomonCollection {
             let p = next_prime(t);
             let capacity = (p as u128).checked_pow(k).unwrap_or(u128::MAX);
             if capacity >= min_vectors {
-                return Ok(Self { p, t, k, capacity });
+                return Self::assemble(p, t, k);
             }
             k += 1;
             if k > 64 {
@@ -129,8 +175,43 @@ impl ReedSolomonCollection {
                 reason: "message length must be at least 1".to_string(),
             });
         }
+        Self::assemble(p, t, k)
+    }
+
+    /// Fills the power table of already-validated Reed–Solomon parameters.
+    ///
+    /// Refuses collections nothing could use: vectors of `2^32` coordinates or more,
+    /// and fields so large that the `k` terms of one evaluation could overflow a
+    /// `u64`. (Both bound the table: `t ≤ p` and `t·p < 2^32` leave it under
+    /// `2^16·k` entries.)
+    fn assemble(p: u64, t: u64, k: u32) -> Result<Self> {
+        let representable = t.checked_mul(p).is_some_and(|dim| dim <= u32::MAX as u64)
+            && (p - 1)
+                .checked_mul(p - 1)
+                .and_then(|square| square.checked_mul(k as u64))
+                .is_some();
+        if !representable {
+            return Err(LinalgError::InvalidParameter {
+                name: "p",
+                reason: format!("a code of length {t} over GF({p}) with {k} symbols is too large"),
+            });
+        }
+        let mut powers = Vec::with_capacity((t * k as u64) as usize);
+        for x in 0..t {
+            let mut power = 1;
+            for _ in 0..k {
+                powers.push(power as u32);
+                power = power * x % p;
+            }
+        }
         let capacity = (p as u128).checked_pow(k).unwrap_or(u128::MAX);
-        Ok(Self { p, t, k, capacity })
+        Ok(Self {
+            p,
+            t,
+            k,
+            capacity,
+            powers,
+        })
     }
 
     /// Number of vectors the collection can index.
@@ -174,7 +255,7 @@ impl ReedSolomonCollection {
             rest /= self.p as u128;
         }
         let mut v = DenseVector::zeros(self.dim());
-        let weight = 1.0 / (self.t as f64).sqrt();
+        let weight = self.weight();
         for x in 0..self.t {
             // Horner evaluation of the polynomial at point x, mod p.
             let mut val: u64 = 0;
@@ -187,19 +268,63 @@ impl ReedSolomonCollection {
         Ok(v)
     }
 
-    /// Returns the vector associated with an arbitrary byte string (e.g. the encoded
-    /// coordinates of a data vector), by hashing the bytes into the index space with a
-    /// simple FNV-1a fold. Distinct byte strings may collide only when the capacity is
-    /// smaller than the number of distinct strings in use.
-    pub fn vector_for_bytes(&self, bytes: &[u8]) -> Result<DenseVector> {
-        const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-        const FNV_PRIME: u128 = 0x0000000001000000000000000000013b;
-        let mut h = FNV_OFFSET;
-        for &b in bytes {
-            h ^= b as u128;
-            h = h.wrapping_mul(FNV_PRIME);
+    /// The `t` non-zero coordinates of the `index`-th vector, ascending: `x·p + f(x)`
+    /// for `x = 0, …, t−1`, where `f` is the polynomial
+    /// [`ReedSolomonCollection::vector`] evaluates. Every one of them holds
+    /// [`ReedSolomonCollection::weight`].
+    pub fn symbols(&self, index: u128) -> Result<impl Iterator<Item = usize> + '_> {
+        if index >= self.capacity {
+            return Err(LinalgError::InvalidParameter {
+                name: "index",
+                reason: format!("index {index} exceeds capacity {}", self.capacity),
+            });
         }
-        self.vector(h % self.capacity)
+        // The base-p digits a_0, a_1, … of the index. A u128 has at most 128 of them
+        // (p ≥ 2), so coefficients beyond are zero and their terms are left out.
+        let k = self.k as usize;
+        let mut coeffs = [0u64; 128];
+        let digits = k.min(coeffs.len());
+        let mut rest = index;
+        for a in &mut coeffs[..digits] {
+            // 128-bit division is a library call; all but the first digit or two of a
+            // 2^64-capacity index come from the 64-bit branch.
+            if let Ok(small) = u64::try_from(rest) {
+                *a = small % self.p;
+                rest = (small / self.p) as u128;
+            } else {
+                *a = (rest % self.p as u128) as u64;
+                rest /= self.p as u128;
+            }
+        }
+        let symbol = move |(x, powers): (usize, &[u32])| {
+            // Each term is below p² and `assemble` checked that k of them fit.
+            let sum: u64 = coeffs[..digits]
+                .iter()
+                .zip(powers)
+                .map(|(&a, &power)| a * power as u64)
+                .sum();
+            x * self.p as usize + (sum % self.p) as usize
+        };
+        Ok(self.powers.chunks_exact(k).enumerate().map(symbol))
+    }
+
+    /// The value of every non-zero coordinate: `1/√t`.
+    pub fn weight(&self) -> f64 {
+        1.0 / (self.t as f64).sqrt()
+    }
+
+    /// The index a byte string's [`Fingerprint`] selects. Distinct strings may share a
+    /// vector only when their folds agree modulo the capacity.
+    pub fn index_for_fingerprint(&self, fingerprint: Fingerprint) -> u128 {
+        fingerprint.value() % self.capacity
+    }
+
+    /// Returns the vector associated with an arbitrary byte string (e.g. the encoded
+    /// coordinates of a data vector): the one its [`Fingerprint`] selects.
+    pub fn vector_for_bytes(&self, bytes: &[u8]) -> Result<DenseVector> {
+        let mut fingerprint = Fingerprint::new();
+        fingerprint.update(bytes);
+        self.vector(self.index_for_fingerprint(fingerprint))
     }
 }
 
@@ -336,6 +461,52 @@ mod tests {
         assert!(ReedSolomonCollection::from_parameters(7, 5, 0).is_err());
         let coll = ReedSolomonCollection::from_parameters(7, 5, 2).unwrap();
         assert!(coll.vector(coll.capacity()).is_err());
+    }
+
+    #[test]
+    fn rs_symbols_are_the_non_zeros_of_the_vector_for_every_index() {
+        // Small enough to enumerate, varied enough to cover t < p, t = p, k = 1, an
+        // index of more digits than a u64 holds and more symbols than a u128 has digits.
+        for (p, t, k) in [
+            (2, 2, 5),
+            (3, 3, 4),
+            (5, 4, 3),
+            (7, 5, 2),
+            (11, 8, 2),
+            (13, 13, 1),
+        ] {
+            let coll = ReedSolomonCollection::from_parameters(p, t, k).unwrap();
+            for index in 0..coll.capacity() {
+                let symbols: Vec<usize> = coll.symbols(index).unwrap().collect();
+                let v = coll.vector(index).unwrap();
+                let non_zeros: Vec<usize> = (0..v.dim()).filter(|&j| v[j] != 0.0).collect();
+                assert_eq!(symbols, non_zeros, "({p}, {t}, {k}) index {index}");
+                assert!(symbols.iter().all(|&j| v[j] == coll.weight()));
+            }
+            assert!(coll.symbols(coll.capacity()).is_err());
+        }
+        let wide = ReedSolomonCollection::with_capacity(1u128 << 64, 0.25).unwrap();
+        let saturated = ReedSolomonCollection::from_parameters(2, 2, 200).unwrap();
+        for (coll, index) in [
+            (&wide, wide.capacity() - 1),
+            (&wide, (1u128 << 64) + 12345),
+            (&saturated, u128::MAX - 1),
+        ] {
+            let symbols: Vec<usize> = coll.symbols(index).unwrap().collect();
+            let v = coll.vector(index).unwrap();
+            let non_zeros: Vec<usize> = (0..v.dim()).filter(|&j| v[j] != 0.0).collect();
+            assert_eq!(symbols, non_zeros);
+        }
+    }
+
+    #[test]
+    fn rs_refuses_parameters_nothing_could_use() {
+        // 2^32 coordinates or more per vector.
+        assert!(ReedSolomonCollection::from_parameters(65537, 65537, 2).is_err());
+        assert!(ReedSolomonCollection::with_capacity(1u128 << 64, 1e-6).is_err());
+        // k terms below p² that no longer fit a u64.
+        assert!(ReedSolomonCollection::from_parameters(4294967291, 1, 3).is_err());
+        assert!(ReedSolomonCollection::from_parameters(4294967291, 1, 1).is_ok());
     }
 
     #[test]

@@ -21,12 +21,21 @@
 //! probe cost `margin²` can see. A row whose `x[j] == 0.0` is skipped: every
 //! coefficient is finite (checked at construction), so the skipped terms are `±0.0`
 //! and adding them would change no accumulator beyond, again, the sign of a zero.
-//! That skip is what makes the Section 4.2 map affordable: its Reed–Solomon tag is
-//! thousands of coordinates wide with a few dozen non-zeros.
 //!
-//! The bank is *derived state*: [`PlaneBank::from_functions`] gathers it from sampled
-//! (or snapshot-decoded) functions and [`PlaneBank::to_functions`] scatters it back,
-//! so the snapshot format still holds per-function hyperplanes.
+//! **Sparse images.** The Section 4.2 map sends a `d`-dimensional vector to one of
+//! thousands of coordinates with `d` + a few dozen non-zeros: the vector itself, then
+//! a one-hot-per-block Reed–Solomon tag. A [`SparseImage`] names exactly those — the
+//! dense head as a slice, the tag as ascending `(row, value)` pairs — and the kernel
+//! walks `d + t` rows of the bank instead of all of them. The margins are the ones the
+//! materialised image would give, bit for bit: the products added are the same
+//! `g_f[j]·x[j]`, in the same ascending-`j` order, and the rows never visited are
+//! rows the dense walk skips as zeros. No dense image is ever built.
+//!
+//! The bank is *derived state*: [`PlaneBank::from_functions`] gathers it from
+//! snapshot-decoded functions, [`PlaneBank::sampled`] from functions drawn one table at
+//! a time (so a fresh index never holds its planes twice), and
+//! [`PlaneBank::to_functions`] scatters it back, so the snapshot format still holds
+//! per-function hyperplanes.
 
 use crate::amplify::{combine_hashes, AndFunction};
 use crate::error::{LshError, Result};
@@ -53,12 +62,53 @@ pub enum Side {
     Query,
 }
 
+/// A vector given by its non-zero structure: `head` holds coordinates `0..head.len()`
+/// as they are, `tail` the non-zero coordinates after them as `(row, value)` pairs in
+/// ascending row order, and every other coordinate up to `dim` is zero.
+#[derive(Debug, Clone, Copy)]
+pub struct SparseImage<'a> {
+    /// Dimension of the vector the image stands for.
+    pub dim: usize,
+    /// Its leading coordinates, dense.
+    pub head: &'a [f64],
+    /// Its remaining non-zeros, `head.len() ≤ row < dim`, rows ascending.
+    pub tail: &'a [(usize, f64)],
+}
+
+/// What the kernel hashes: a dense vector, or one given by its non-zeros.
+#[derive(Debug, Clone, Copy)]
+pub enum Point<'a> {
+    /// Every coordinate, as stored.
+    Dense(&'a DenseVector),
+    /// See [`SparseImage`]; only a bank without an embedding hashes one.
+    Sparse(SparseImage<'a>),
+}
+
+impl<'a> From<&'a DenseVector> for Point<'a> {
+    fn from(v: &'a DenseVector) -> Self {
+        Self::Dense(v)
+    }
+}
+
+impl<'a> From<SparseImage<'a>> for Point<'a> {
+    fn from(image: SparseImage<'a>) -> Self {
+        Self::Sparse(image)
+    }
+}
+
 /// Reusable buffers of the hashing kernel: the embedded vector and one margin per
 /// plane. One scratch serves any number of vectors hashed against the same bank.
 #[derive(Debug, Clone, Default)]
 pub struct BankScratch {
     embedded: Vec<f64>,
     margins: Vec<f64>,
+}
+
+fn invalid(reason: String) -> LshError {
+    LshError::InvalidParameter {
+        name: "functions",
+        reason,
+    }
 }
 
 /// All hyperplanes of an `L`-table index, coordinate-major (see the module docs).
@@ -87,18 +137,61 @@ impl PlaneBank {
         functions: &[AndFunction<H>],
         parts: impl Fn(&H) -> (Embedding, &HyperplaneFunction),
     ) -> Result<Self> {
-        let invalid = |reason: String| LshError::InvalidParameter {
-            name: "functions",
-            reason,
-        };
         let first = functions
             .first()
-            .and_then(|f| f.functions().first())
             .ok_or_else(|| invalid("a plane bank needs at least one component".into()))?;
-        let (embedding, first_planes) = parts(first);
-        let components = functions[0].functions().len();
-        let bits = first_planes.planes().len();
-        let rows = first_planes.planes()[0].dim();
+        let mut bank = Self::shaped_like(first, functions.len(), &parts)?;
+        // Validate every shape before allocating: the bank is sized by a product of
+        // counts, which only the checks make equal to the number of coefficients
+        // actually present.
+        for (t, composite) in functions.iter().enumerate() {
+            bank.check(t, composite, &parts)?;
+        }
+        bank.coefficients = vec![0.0; bank.rows * bank.width()];
+        for (t, composite) in functions.iter().enumerate() {
+            bank.scatter(t, composite, &parts);
+        }
+        Ok(bank)
+    }
+
+    /// The bank of `tables` composites drawn from `sample` one at a time, each
+    /// scattered into the bank and dropped before the next is drawn — the planes are
+    /// held once, not once as functions and once as coefficients. Same checks as
+    /// [`PlaneBank::from_functions`], same bank as gathering the collected draws.
+    pub fn sampled<H>(
+        tables: usize,
+        mut sample: impl FnMut() -> Result<AndFunction<H>>,
+        parts: impl Fn(&H) -> (Embedding, &HyperplaneFunction),
+    ) -> Result<Self> {
+        if tables == 0 {
+            return Err(invalid("a plane bank needs at least one table".into()));
+        }
+        let first = sample()?;
+        let mut bank = Self::shaped_like(&first, tables, &parts)?;
+        bank.check(0, &first, &parts)?;
+        bank.coefficients = vec![0.0; bank.rows * bank.width()];
+        bank.scatter(0, &first, &parts);
+        drop(first);
+        for t in 1..tables {
+            let drawn = sample()?;
+            bank.check(t, &drawn, &parts)?;
+            bank.scatter(t, &drawn, &parts);
+        }
+        Ok(bank)
+    }
+
+    /// An empty bank of `tables` tables with the shape of `first`'s first component.
+    fn shaped_like<H>(
+        first: &AndFunction<H>,
+        tables: usize,
+        parts: &impl Fn(&H) -> (Embedding, &HyperplaneFunction),
+    ) -> Result<Self> {
+        let component = first
+            .functions()
+            .first()
+            .ok_or_else(|| invalid("a plane bank needs at least one component".into()))?;
+        let (embedding, planes) = parts(component);
+        let rows = planes.planes()[0].dim();
         if let Embedding::Sphere(transform) = &embedding {
             if transform.dim().checked_add(2) != Some(rows) {
                 return Err(invalid(format!(
@@ -107,64 +200,79 @@ impl PlaneBank {
                 )));
             }
         }
-        // Validate every shape before allocating: the bank below is sized by a
-        // product of counts, which only the checks make equal to the number of
-        // coefficients actually present.
-        for (t, composite) in functions.iter().enumerate() {
-            if composite.functions().len() != components {
-                return Err(invalid(format!(
-                    "table {t} concatenates {} components, table 0 concatenates {components}",
-                    composite.functions().len()
-                )));
-            }
-            for (c, component) in composite.functions().iter().enumerate() {
-                let (component_embedding, planes) = parts(component);
-                if component_embedding != embedding {
-                    return Err(invalid(format!(
-                        "table {t} component {c} embeds through {component_embedding:?}, \
-                         the first component through {embedding:?}"
-                    )));
-                }
-                if planes.planes().len() != bits {
-                    return Err(invalid(format!(
-                        "table {t} component {c} has {} planes, the first component has {bits}",
-                        planes.planes().len()
-                    )));
-                }
-                for (b, plane) in planes.planes().iter().enumerate() {
-                    if plane.dim() != rows {
-                        return Err(invalid(format!(
-                            "table {t} component {c} plane {b} has dimension {}, expected {rows}",
-                            plane.dim()
-                        )));
-                    }
-                    if !plane.iter().all(|g| g.is_finite()) {
-                        return Err(invalid(format!(
-                            "table {t} component {c} plane {b} has a non-finite coefficient"
-                        )));
-                    }
-                }
-            }
-        }
-        let width = functions.len() * components * bits;
-        let mut coefficients = vec![0.0; rows * width];
-        let planes = functions
-            .iter()
-            .flat_map(|composite| composite.functions())
-            .flat_map(|component| parts(component).1.planes());
-        for (f, plane) in planes.enumerate() {
-            for (j, &g) in plane.iter().enumerate() {
-                coefficients[j * width + f] = g;
-            }
-        }
         Ok(Self {
             embedding,
             rows,
-            tables: functions.len(),
-            components,
-            bits,
-            coefficients,
+            tables,
+            components: first.functions().len(),
+            bits: planes.planes().len(),
+            coefficients: Vec::new(),
         })
+    }
+
+    /// Whether table `t`'s composite has the bank's shape and finite coefficients.
+    fn check<H>(
+        &self,
+        t: usize,
+        composite: &AndFunction<H>,
+        parts: &impl Fn(&H) -> (Embedding, &HyperplaneFunction),
+    ) -> Result<()> {
+        let (components, bits, rows) = (self.components, self.bits, self.rows);
+        if composite.functions().len() != components {
+            return Err(invalid(format!(
+                "table {t} concatenates {} components, table 0 concatenates {components}",
+                composite.functions().len()
+            )));
+        }
+        for (c, component) in composite.functions().iter().enumerate() {
+            let (component_embedding, planes) = parts(component);
+            if component_embedding != self.embedding {
+                return Err(invalid(format!(
+                    "table {t} component {c} embeds through {component_embedding:?}, \
+                     the first component through {:?}",
+                    self.embedding
+                )));
+            }
+            if planes.planes().len() != bits {
+                return Err(invalid(format!(
+                    "table {t} component {c} has {} planes, the first component has {bits}",
+                    planes.planes().len()
+                )));
+            }
+            for (b, plane) in planes.planes().iter().enumerate() {
+                if plane.dim() != rows {
+                    return Err(invalid(format!(
+                        "table {t} component {c} plane {b} has dimension {}, expected {rows}",
+                        plane.dim()
+                    )));
+                }
+                if !plane.iter().all(|g| g.is_finite()) {
+                    return Err(invalid(format!(
+                        "table {t} component {c} plane {b} has a non-finite coefficient"
+                    )));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Writes table `t`'s planes into their columns of the (allocated) bank.
+    fn scatter<H>(
+        &mut self,
+        t: usize,
+        composite: &AndFunction<H>,
+        parts: &impl Fn(&H) -> (Embedding, &HyperplaneFunction),
+    ) {
+        let width = self.width();
+        let planes = composite
+            .functions()
+            .iter()
+            .flat_map(|component| parts(component).1.planes());
+        for (f, plane) in (t * self.components * self.bits..).zip(planes) {
+            for (j, &g) in plane.iter().enumerate() {
+                self.coefficients[j * width + f] = g;
+            }
+        }
     }
 
     /// Scatters the bank back into per-table composite functions — the inverse of
@@ -205,36 +313,71 @@ impl PlaneBank {
         self.tables * self.components * self.bits
     }
 
-    /// Embeds `v` and leaves one margin per plane in `scratch.margins`.
-    fn margins(&self, side: Side, v: &DenseVector, scratch: &mut BankScratch) -> Result<()> {
-        let x: &[f64] = match &self.embedding {
-            Embedding::Identity => {
+    /// Embeds the point and leaves one margin per plane in `scratch.margins`.
+    fn margins(&self, side: Side, point: Point<'_>, scratch: &mut BankScratch) -> Result<()> {
+        let width = self.width();
+        let mismatch = |actual: usize| LshError::DimensionMismatch {
+            expected: self.rows,
+            actual,
+        };
+        let (head, tail): (&[f64], &[(usize, f64)]) = match (point, &self.embedding) {
+            (Point::Dense(v), Embedding::Identity) => {
                 if v.dim() != self.rows {
-                    return Err(LshError::DimensionMismatch {
-                        expected: self.rows,
-                        actual: v.dim(),
-                    });
+                    return Err(mismatch(v.dim()));
                 }
-                v.as_slice()
+                (v.as_slice(), &[])
             }
-            Embedding::Sphere(transform) => {
+            (Point::Dense(v), Embedding::Sphere(transform)) => {
                 match side {
                     Side::Data => transform.transform_data_into(v, &mut scratch.embedded)?,
                     Side::Query => transform.transform_query_into(v, &mut scratch.embedded)?,
                 }
-                &scratch.embedded
+                (&scratch.embedded, &[])
+            }
+            (Point::Sparse(image), Embedding::Identity) => {
+                if image.dim != self.rows || image.head.len() > self.rows {
+                    return Err(mismatch(image.dim.max(image.head.len())));
+                }
+                // Every row the walk below indexes, checked before any is read.
+                let mut floor = image.head.len();
+                for &(j, _) in image.tail {
+                    if j < floor || j >= self.rows {
+                        return Err(LshError::InvalidParameter {
+                            name: "image",
+                            reason: format!(
+                                "tail row {j} is not ascending within {floor}..{}",
+                                self.rows
+                            ),
+                        });
+                    }
+                    floor = j + 1;
+                }
+                (image.head, image.tail)
+            }
+            (Point::Sparse(_), Embedding::Sphere(_)) => {
+                return Err(LshError::InvalidParameter {
+                    name: "image",
+                    reason: "a sparse image is already embedded; this bank embeds its input".into(),
+                })
             }
         };
-        let width = self.width();
         scratch.margins.clear();
         scratch.margins.resize(width, 0.0);
-        for (row, &xj) in self.coefficients.chunks_exact(width).zip(x) {
-            if xj == 0.0 {
-                continue;
+        // Ascending rows, zeros skipped: the head's rows are the bank's first, in
+        // order, and the tail's were checked to follow them.
+        let margins = &mut scratch.margins[..];
+        let mut add = |row: &[f64], xj: f64| {
+            if xj != 0.0 {
+                for (margin, &g) in margins.iter_mut().zip(row) {
+                    *margin += g * xj;
+                }
             }
-            for (margin, &g) in scratch.margins.iter_mut().zip(row) {
-                *margin += g * xj;
-            }
+        };
+        for (row, &xj) in self.coefficients.chunks_exact(width).zip(head) {
+            add(row, xj);
+        }
+        for &(j, xj) in tail {
+            add(&self.coefficients[j * width..(j + 1) * width], xj);
         }
         Ok(())
     }
@@ -244,14 +387,14 @@ impl PlaneBank {
     /// Fails exactly as the per-function path does — a wrong dimension is a
     /// [`LshError::DimensionMismatch`], a vector outside the embedding's ball a
     /// [`LshError::DomainViolation`] — and before any key is produced.
-    pub fn keys(
+    pub fn keys<'a>(
         &self,
         side: Side,
-        v: &DenseVector,
+        v: impl Into<Point<'a>>,
         scratch: &mut BankScratch,
         keys: &mut Vec<u64>,
     ) -> Result<()> {
-        self.margins(side, v, scratch)?;
+        self.margins(side, v.into(), scratch)?;
         keys.clear();
         for table in scratch.margins.chunks_exact(self.components * self.bits) {
             keys.push(table.chunks_exact(self.bits).fold(0u64, |key, component| {
@@ -264,13 +407,13 @@ impl PlaneBank {
     /// Per table, the query's home bucket followed by up to `extra` perturbed buckets
     /// in increasing cost order — the sequence `AndFunction::probe_query` enumerates,
     /// from the same margins.
-    pub fn probe_keys(
+    pub fn probe_keys<'a>(
         &self,
-        q: &DenseVector,
+        q: impl Into<Point<'a>>,
         extra: usize,
         scratch: &mut BankScratch,
     ) -> Result<Vec<Vec<u64>>> {
-        self.margins(Side::Query, q, scratch)?;
+        self.margins(Side::Query, q.into(), scratch)?;
         let starts: Vec<usize> = (0..=self.components).map(|c| c * self.bits).collect();
         let mut homes = Vec::with_capacity(self.components);
         let mut atoms: Vec<ProbeFlip> = Vec::with_capacity(self.components * self.bits);
@@ -332,6 +475,94 @@ mod tests {
                 .collect();
             assert_eq!(keys, oracle, "v = {v:?}");
         }
+    }
+
+    #[test]
+    fn a_sparse_image_hashes_like_the_dense_vector_it_stands_for() {
+        // The cancellation planes again, two coordinates wider: the sign depends on
+        // the order the products are added in, so the sparse walk must keep it.
+        let functions = vec![
+            composite(&[
+                &[1e16, 0.5, -1e16, 7.0, -1.0],
+                &[-1.0, 2.0, 1e16, 3.0, -1e16],
+            ]),
+            composite(&[&[1e16, 4.0, 1.0, -5.0, -1e16], &[3.0, 1.0, -2.0, 6.0, -1.0]]),
+        ];
+        let bank = bank_of(&functions).unwrap();
+        let (mut scratch, mut dense, mut sparse) = (BankScratch::default(), vec![], vec![]);
+        for (head, tail) in [
+            (&[1.0][..], &[(2, 1.0), (4, 1.0)][..]),
+            (&[1.0, 0.0], &[(2, 1.0), (4, 1.0)]),
+            (&[-0.0, 1.0, 1.0], &[(4, 1.0)]),
+            (&[1.0, 1.0], &[(2, 0.0), (4, 0.0)]),
+            (&[], &[(0, 1.0), (2, 1.0), (4, 1.0)]),
+            (&[1.0, 2.0, 3.0, 4.0, 5.0], &[]),
+        ] {
+            let mut full = vec![0.0; 5];
+            full[..head.len()].copy_from_slice(head);
+            for &(j, x) in tail {
+                full[j] = x;
+            }
+            let v = DenseVector::new(full);
+            let image = SparseImage { dim: 5, head, tail };
+            bank.keys(Side::Data, &v, &mut scratch, &mut dense).unwrap();
+            bank.keys(Side::Data, image, &mut scratch, &mut sparse)
+                .unwrap();
+            assert_eq!(dense, sparse, "v = {v:?}");
+            assert_eq!(
+                bank.probe_keys(&v, 3, &mut scratch).unwrap(),
+                bank.probe_keys(image, 3, &mut scratch).unwrap()
+            );
+        }
+        // Rows out of order, out of range or inside the head, and a wrong dimension,
+        // are refused before a coefficient is read.
+        let head = &[1.0, 1.0][..];
+        for (dim, tail) in [
+            (5, &[(4, 1.0), (2, 1.0)][..]),
+            (5, &[(2, 1.0), (2, 1.0)]),
+            (5, &[(1, 1.0)]),
+            (5, &[(5, 1.0)]),
+            (4, &[(3, 1.0)]),
+            (6, &[(3, 1.0)]),
+        ] {
+            let image = SparseImage { dim, head, tail };
+            assert!(bank
+                .keys(Side::Data, image, &mut scratch, &mut sparse)
+                .is_err());
+        }
+        let long = SparseImage {
+            dim: 5,
+            head: &[0.0; 6],
+            tail: &[],
+        };
+        assert!(bank
+            .keys(Side::Data, long, &mut scratch, &mut sparse)
+            .is_err());
+    }
+
+    #[test]
+    fn a_bank_sampled_table_by_table_is_the_bank_of_the_collected_draws() {
+        let functions = vec![
+            composite(&[&[1.0, 2.0], &[3.0, 4.0]]),
+            composite(&[&[5.0, 6.0], &[7.0, 8.0]]),
+            composite(&[&[9.0, 10.0], &[11.0, 12.0]]),
+        ];
+        fn parts(
+            pair: &SymmetricFunctionPair<HyperplaneFunction>,
+        ) -> (Embedding, &HyperplaneFunction) {
+            (Embedding::Identity, &pair.0)
+        }
+        let mut draws = functions.iter().cloned();
+        let streamed = PlaneBank::sampled(3, || Ok(draws.next().unwrap()), parts).unwrap();
+        assert_eq!(
+            streamed.coefficients,
+            bank_of(&functions).unwrap().coefficients
+        );
+        // A later draw of another shape fails as it would in the gathered list, and a
+        // bank of no tables is refused.
+        let mut draws = [functions[0].clone(), composite(&[&[1.0, 2.0]])].into_iter();
+        assert!(PlaneBank::sampled(2, || Ok(draws.next().unwrap()), parts).is_err());
+        assert!(PlaneBank::sampled(0, || Ok(functions[0].clone()), parts).is_err());
     }
 
     #[test]

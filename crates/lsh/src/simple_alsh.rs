@@ -232,11 +232,11 @@ impl AsymmetricLshFamily for SimpleAlshFamily {
         Some(self.transform.dim())
     }
 
-    fn plane_bank(functions: &[AndFunction<Self::Function>]) -> Result<Option<PlaneBank>> {
-        PlaneBank::from_functions(functions, |f| {
-            (Embedding::Sphere(f.transform.clone()), &f.inner)
-        })
-        .map(Some)
+    fn bank_parts(function: &Self::Function) -> Option<(Embedding, &HyperplaneFunction)> {
+        Some((
+            Embedding::Sphere(function.transform.clone()),
+            &function.inner,
+        ))
     }
 
     fn functions_of_bank(bank: &PlaneBank) -> Option<Vec<AndFunction<Self::Function>>> {

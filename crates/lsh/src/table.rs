@@ -15,6 +15,10 @@
 //! coefficients, with keys bit-identical to the per-function walk. Any other family
 //! (e.g. MH-ALSH) is hashed function by function through its trait implementation.
 //! The index holds exactly one of the two representations; see [`crate::bank`].
+//! A banked index also takes a point as a [`SparseImage`] (the `*_image` methods):
+//! same keys as the dense vector the image stands for, for the rows it names only.
+//! The kernel's buffers are reused: `insert` / `remove` hash through a scratch the
+//! index owns, the `&self` lookups through one per thread.
 //!
 //! The index is *dynamic*: [`LshIndex::insert`] and [`LshIndex::remove`] maintain the
 //! `L` tables incrementally (hashing the point with each table's stored function), so a
@@ -24,13 +28,26 @@
 //! index bit-identically (same sampled functions, same buckets, same query results).
 
 use crate::amplify::{AndConstruction, AndFunction};
-use crate::bank::{BankScratch, PlaneBank, Side};
+use crate::bank::{BankScratch, PlaneBank, Point, Side, SparseImage};
 use crate::error::{LshError, Result};
 use crate::probe::ProbeSequence;
 use crate::traits::{AsymmetricHashFunction, AsymmetricLshFamily};
 use ips_linalg::DenseVector;
 use rand::Rng;
+use std::cell::RefCell;
 use std::collections::HashMap;
+
+/// The hashing buffers of one vector: the kernel's scratch and the `L` keys.
+#[derive(Debug, Clone, Default)]
+struct KeyBuffers {
+    scratch: BankScratch,
+    keys: Vec<u64>,
+}
+
+thread_local! {
+    /// What the `&self` lookups of every index on this thread hash through.
+    static LOOKUP_BUFFERS: RefCell<KeyBuffers> = RefCell::new(KeyBuffers::default());
+}
 
 /// Parameters of a multi-table index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,25 +92,37 @@ impl<F: AsymmetricLshFamily> Hasher<F> {
         })
     }
 
-    /// [`Hasher::keys_into`] for a single vector, with buffers of its own.
-    fn keys(&self, side: Side, v: &DenseVector) -> Result<Vec<u64>> {
-        let mut keys = Vec::new();
-        self.keys_into(side, v, &mut BankScratch::default(), &mut keys)?;
-        Ok(keys)
+    /// `tables` composites drawn from `composite`, in table order. A banked family's
+    /// go into the bank one table at a time (see [`PlaneBank::sampled`]): same draws
+    /// in the same order as collecting them first, half the memory.
+    fn sampled<R: Rng + ?Sized>(
+        composite: &AndConstruction<F>,
+        tables: usize,
+        rng: &mut R,
+    ) -> Result<Self> {
+        let first = composite.sample(rng)?;
+        if !first.functions().iter().all(|f| F::bank_parts(f).is_some()) {
+            let rest = (1..tables).map(|_| composite.sample(rng));
+            let functions = std::iter::once(Ok(first)).chain(rest);
+            return Ok(Self::Functions(functions.collect::<Result<_>>()?));
+        }
+        let mut first = Some(first);
+        let bank = PlaneBank::sampled(
+            tables,
+            || first.take().map_or_else(|| composite.sample(rng), Ok),
+            |f| F::bank_parts(f).expect("a banked family banks every function"),
+        )?;
+        Ok(Self::Bank(bank))
     }
 
-    /// The `L` bucket keys of `v` into `keys`, every one computed before the caller
-    /// sees any — so a dimension or domain error leaves nothing half-done.
-    fn keys_into(
-        &self,
-        side: Side,
-        v: &DenseVector,
-        scratch: &mut BankScratch,
-        keys: &mut Vec<u64>,
-    ) -> Result<()> {
-        match self {
-            Self::Bank(bank) => bank.keys(side, v, scratch, keys),
-            Self::Functions(functions) => {
+    /// The `L` bucket keys of the point into `buffers.keys`, every one computed
+    /// before the caller sees any — so a dimension or domain error leaves nothing
+    /// half-done.
+    fn keys_into(&self, side: Side, point: Point<'_>, buffers: &mut KeyBuffers) -> Result<()> {
+        let KeyBuffers { scratch, keys } = buffers;
+        match (self, point) {
+            (Self::Bank(bank), point) => bank.keys(side, point, scratch, keys),
+            (Self::Functions(functions), Point::Dense(v)) => {
                 keys.clear();
                 for f in functions {
                     keys.push(match side {
@@ -103,7 +132,16 @@ impl<F: AsymmetricLshFamily> Hasher<F> {
                 }
                 Ok(())
             }
+            (Self::Functions(_), Point::Sparse(_)) => Err(not_banked()),
         }
+    }
+}
+
+/// What a family hashed function by function answers to a [`SparseImage`].
+fn not_banked() -> LshError {
+    LshError::InvalidParameter {
+        name: "image",
+        reason: "only a family hashed through a plane bank takes a sparse image".into(),
     }
 }
 
@@ -113,6 +151,8 @@ pub struct LshIndex<F: AsymmetricLshFamily> {
     tables: Vec<HashMap<u64, Vec<u32>>>,
     params: IndexParams,
     len: usize,
+    /// What `insert` and `remove` hash through.
+    buffers: KeyBuffers,
 }
 
 impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
@@ -137,20 +177,15 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
             });
         }
         let composite = AndConstruction::new(family.clone(), params.k)?;
-        let functions = (0..params.l)
-            .map(|_| composite.sample(rng))
-            .collect::<Result<Vec<_>>>()?;
         let mut index = Self {
-            hasher: Hasher::new(functions)?,
+            hasher: Hasher::sampled(&composite, params.l, rng)?,
             tables: vec![HashMap::new(); params.l],
             params,
             len: 0,
+            buffers: KeyBuffers::default(),
         };
-        // Point by point through one scratch: no per-point allocation, and never more
-        // than one vector's margins in memory.
-        let (mut scratch, mut keys) = (BankScratch::default(), Vec::with_capacity(params.l));
         for (idx, p) in data.iter().enumerate() {
-            index.insert_with(idx as u32, p, &mut scratch, &mut keys)?;
+            index.insert(idx as u32, p)?;
         }
         Ok(index)
     }
@@ -173,11 +208,17 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
     /// Returns the (deduplicated) candidate indices colliding with the query in at
     /// least one table, in ascending order.
     pub fn query_candidates(&self, q: &DenseVector) -> Result<Vec<usize>> {
-        let keys = self.hasher.keys(Side::Query, q)?;
-        let buckets = self.tables.iter().zip(&keys);
-        Ok(sorted_candidates(
-            buckets.filter_map(|(table, key)| table.get(key)),
-        ))
+        self.home_candidates(q.into())
+    }
+
+    fn home_candidates(&self, q: Point<'_>) -> Result<Vec<usize>> {
+        LOOKUP_BUFFERS.with_borrow_mut(|buffers| {
+            self.hasher.keys_into(Side::Query, q, buffers)?;
+            let buckets = self.tables.iter().zip(&buffers.keys);
+            Ok(sorted_candidates(
+                buckets.filter_map(|(table, key)| table.get(key)),
+            ))
+        })
     }
 
     /// Like [`LshIndex::query_candidates`], but additionally visits up to `probes`
@@ -219,16 +260,37 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
             return self.query_candidates(q);
         }
         let sequences = match &self.hasher {
-            Hasher::Bank(bank) => bank.probe_keys(q, probes, &mut BankScratch::default())?,
+            Hasher::Bank(bank) => Self::bank_probe_keys(bank, q.into(), probes)?,
             Hasher::Functions(functions) => functions
                 .iter()
                 .map(|f| f.probe_query(q, probes))
                 .collect::<Result<Vec<_>>>()?,
         };
-        let buckets = self.tables.iter().zip(&sequences);
-        Ok(sorted_candidates(buckets.flat_map(|(table, sequence)| {
-            sequence.iter().filter_map(|key| table.get(key))
-        })))
+        Ok(self.probed_candidates(&sequences))
+    }
+
+    /// [`LshIndex::probe_lookup`] for a query given as a [`SparseImage`]: the
+    /// candidates of the dense vector the image stands for. Only an index hashed
+    /// through a plane bank without an embedding takes one.
+    pub fn probe_lookup_image(&self, q: SparseImage<'_>, probes: usize) -> Result<Vec<usize>> {
+        if probes == 0 {
+            return self.home_candidates(q.into());
+        }
+        let Hasher::Bank(bank) = &self.hasher else {
+            return Err(not_banked());
+        };
+        Ok(self.probed_candidates(&Self::bank_probe_keys(bank, q.into(), probes)?))
+    }
+
+    fn bank_probe_keys(bank: &PlaneBank, q: Point<'_>, probes: usize) -> Result<Vec<Vec<u64>>> {
+        LOOKUP_BUFFERS.with_borrow_mut(|buffers| bank.probe_keys(q, probes, &mut buffers.scratch))
+    }
+
+    fn probed_candidates(&self, sequences: &[Vec<u64>]) -> Vec<usize> {
+        let buckets = self.tables.iter().zip(sequences);
+        sorted_candidates(
+            buckets.flat_map(|(table, sequence)| sequence.iter().filter_map(|key| table.get(key))),
+        )
     }
 
     /// Total number of stored (bucket, point) entries across all tables — a proxy for
@@ -313,6 +375,7 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
             tables,
             params,
             len,
+            buffers: KeyBuffers::default(),
         })
     }
 
@@ -322,20 +385,21 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
     /// The caller owns the id space; inserting an id that is already present stores it
     /// twice and is a logic error.
     pub fn insert(&mut self, id: u32, p: &DenseVector) -> Result<()> {
-        self.insert_with(id, p, &mut BankScratch::default(), &mut Vec::new())
+        self.insert_point(id, p.into())
     }
 
-    fn insert_with(
-        &mut self,
-        id: u32,
-        p: &DenseVector,
-        scratch: &mut BankScratch,
-        keys: &mut Vec<u64>,
-    ) -> Result<()> {
+    /// [`LshIndex::insert`] for a point given as a [`SparseImage`]: files it where the
+    /// dense vector the image stands for would go. Only an index hashed through a
+    /// plane bank without an embedding takes one.
+    pub fn insert_image(&mut self, id: u32, p: SparseImage<'_>) -> Result<()> {
+        self.insert_point(id, p.into())
+    }
+
+    fn insert_point(&mut self, id: u32, p: Point<'_>) -> Result<()> {
         // Every key before any table is touched, so a domain or dimension error
         // cannot leave the point half-inserted.
-        self.hasher.keys_into(Side::Data, p, scratch, keys)?;
-        for (table, &key) in self.tables.iter_mut().zip(keys.iter()) {
+        self.hasher.keys_into(Side::Data, p, &mut self.buffers)?;
+        for (table, &key) in self.tables.iter_mut().zip(&self.buffers.keys) {
             table.entry(key).or_default().push(id);
         }
         self.len += 1;
@@ -348,16 +412,26 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
     /// Returns `true` when the id was found (in any table) and removed. Buckets left
     /// empty are dropped, so a remove exactly undoes the matching insert.
     pub fn remove(&mut self, id: u32, p: &DenseVector) -> Result<bool> {
-        let keys = self.hasher.keys(Side::Data, p)?;
+        self.remove_point(id, p.into())
+    }
+
+    /// [`LshIndex::remove`] for a point given as the [`SparseImage`] it was inserted
+    /// with (see [`LshIndex::insert_image`]).
+    pub fn remove_image(&mut self, id: u32, p: SparseImage<'_>) -> Result<bool> {
+        self.remove_point(id, p.into())
+    }
+
+    fn remove_point(&mut self, id: u32, p: Point<'_>) -> Result<bool> {
+        self.hasher.keys_into(Side::Data, p, &mut self.buffers)?;
         let mut removed = false;
-        for (table, bucket) in self.tables.iter_mut().zip(keys) {
-            if let Some(ids) = table.get_mut(&bucket) {
-                if let Some(pos) = ids.iter().position(|&x| x == id) {
+        for (table, bucket) in self.tables.iter_mut().zip(&self.buffers.keys) {
+            if let Some(ids) = table.get_mut(bucket) {
+                if let Some(pos) = position_of(ids, id) {
                     ids.remove(pos);
                     removed = true;
                 }
                 if ids.is_empty() {
-                    table.remove(&bucket);
+                    table.remove(bucket);
                 }
             }
         }
@@ -396,6 +470,25 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
     }
 }
 
+/// Where `id` stands in a bucket. The scan is nearly all a remove costs (a planted
+/// data set files thousands of ids under one key), and as a loop inlined into the
+/// generic `remove` its code — and its speed, by a factor of two — was whatever each
+/// instantiating crate's optimiser made of it. Compiled once, here, block by block so
+/// that the comparison vectorises: a block is searched only if it holds a match.
+#[inline(never)]
+fn position_of(ids: &[u32], id: u32) -> Option<usize> {
+    const BLOCK: usize = 16;
+    let blocks = ids.chunks_exact(BLOCK);
+    let tail = blocks.remainder();
+    let within = |block: &[u32]| block.iter().position(|&x| x == id);
+    for (b, block) in blocks.enumerate() {
+        if block.iter().fold(false, |hit, &x| hit | (x == id)) {
+            return within(block).map(|at| b * BLOCK + at);
+        }
+    }
+    within(tail).map(|at| ids.len() - tail.len() + at)
+}
+
 /// The ids of the visited buckets, deduplicated, in ascending order.
 fn sorted_candidates<'a>(buckets: impl Iterator<Item = &'a Vec<u32>>) -> Vec<usize> {
     let mut ids: Vec<u32> = buckets.flatten().copied().collect();
@@ -413,6 +506,20 @@ mod tests {
     use ips_linalg::random::{random_ball_vector, random_unit_vector};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn position_of_is_the_first_occurrence_at_every_length() {
+        for len in 0..70u32 {
+            let ids: Vec<u32> = (0..len).map(|i| i / 2 * 3).collect();
+            for id in 0..110 {
+                assert_eq!(
+                    position_of(&ids, id),
+                    ids.iter().position(|&x| x == id),
+                    "len {len} id {id}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn theoretical_params_sane() {

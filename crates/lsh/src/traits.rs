@@ -80,18 +80,31 @@ pub trait AsymmetricLshFamily {
     /// The ambient dimension the family expects, if it is dimension-specific.
     fn dim(&self) -> Option<usize>;
 
-    /// The [`PlaneBank`] of `functions` (one sampled composite per table), for a
-    /// family whose functions are hyperplane signs of an embedded vector.
+    /// A function's embedding and hyperplanes, for a family whose functions are
+    /// hyperplane signs of an embedded vector.
     ///
     /// This is how [`crate::table::LshIndex`] picks its hashing kernel: a family that
-    /// returns a bank is hashed through it — one embedding and one pass over the
-    /// coefficients per vector — and its per-function `hash_*` walk is never called
-    /// by the index; a family that returns `None` (the default) is hashed function
-    /// by function. An override also overrides
-    /// [`AsymmetricLshFamily::functions_of_bank`], and fails when the functions do
+    /// answers here is hashed through a [`PlaneBank`] — one embedding and one pass
+    /// over the coefficients per vector — and its per-function `hash_*` walk is never
+    /// called by the index; a family that returns `None` (the default) is hashed
+    /// function by function. An override also overrides
+    /// [`AsymmetricLshFamily::functions_of_bank`].
+    fn bank_parts(_function: &Self::Function) -> Option<(Embedding, &HyperplaneFunction)> {
+        None
+    }
+
+    /// The [`PlaneBank`] of `functions` (one composite per table), when every
+    /// component has [`AsymmetricLshFamily::bank_parts`]. Fails when the functions do
     /// not form a consistent bank (see [`PlaneBank::from_functions`]).
-    fn plane_bank(_functions: &[AndFunction<Self::Function>]) -> Result<Option<PlaneBank>> {
-        Ok(None)
+    fn plane_bank(functions: &[AndFunction<Self::Function>]) -> Result<Option<PlaneBank>> {
+        let banked = |function: &Self::Function| Self::bank_parts(function).is_some();
+        if !functions.iter().flat_map(|f| f.functions()).all(banked) {
+            return Ok(None);
+        }
+        PlaneBank::from_functions(functions, |function| {
+            Self::bank_parts(function).expect("checked for every component above")
+        })
+        .map(Some)
     }
 
     /// The inverse of [`AsymmetricLshFamily::plane_bank`]: the composite functions a
@@ -131,16 +144,8 @@ impl<F: LshFamily> AsymmetricLshFamily for SymmetricAsAsymmetric<F> {
         self.0.dim()
     }
 
-    fn plane_bank(functions: &[AndFunction<Self::Function>]) -> Result<Option<PlaneBank>> {
-        let banked = |pair: &Self::Function| F::hyperplanes(&pair.0).is_some();
-        if !functions.iter().flat_map(|f| f.functions()).all(banked) {
-            return Ok(None);
-        }
-        PlaneBank::from_functions(functions, |pair| {
-            let planes = F::hyperplanes(&pair.0).expect("checked for every component above");
-            (Embedding::Identity, planes)
-        })
-        .map(Some)
+    fn bank_parts(function: &Self::Function) -> Option<(Embedding, &HyperplaneFunction)> {
+        F::hyperplanes(&function.0).map(|planes| (Embedding::Identity, planes))
     }
 
     fn functions_of_bank(bank: &PlaneBank) -> Option<Vec<AndFunction<Self::Function>>> {

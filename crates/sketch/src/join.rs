@@ -48,7 +48,7 @@ pub fn sketch_unsigned_join<R: Rng + ?Sized>(
             reason: format!("approximate threshold must be nonnegative, got {cs}"),
         });
     }
-    let index = SketchMipsIndex::build(rng, data.to_vec(), config, leaf_size)?;
+    let index = SketchMipsIndex::build(rng, data, config, leaf_size)?;
     let mut out = Vec::new();
     for (j, q) in queries.iter().enumerate() {
         let candidate = index.query(q)?;

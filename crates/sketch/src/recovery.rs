@@ -33,6 +33,7 @@ use crate::error::{uniform_dim, Result, SketchError};
 use crate::linf_mips::{with_scratch, MaxIpConfig, MaxIpEstimator};
 use ips_linalg::DenseVector;
 use rand::Rng;
+use std::borrow::Cow;
 use std::ops::Range;
 
 /// The default `leaf_size` floor of [`SketchMipsIndex::build`], wherever one is
@@ -73,8 +74,11 @@ pub enum Node {
 }
 
 /// The prefix-tree MIPS index of Section 4.3.
-pub struct SketchMipsIndex {
-    data: Vec<DenseVector>,
+///
+/// The vectors are held as a [`Cow`]: a one-shot join builds over the caller's slice
+/// and borrows it, a served index owns them (`SketchMipsIndex<'static>`).
+pub struct SketchMipsIndex<'a> {
+    data: Cow<'a, [DenseVector]>,
     root: Node,
     config: MaxIpConfig,
     leaf_size: usize,
@@ -96,18 +100,19 @@ fn validate_inputs(data: &[DenseVector], config: &MaxIpConfig, leaf_size: usize)
     uniform_dim(data)
 }
 
-impl SketchMipsIndex {
-    /// Builds the index over the data vectors.
+impl<'a> SketchMipsIndex<'a> {
+    /// Builds the index over the data vectors — a `Vec` to own, a slice to borrow.
     ///
     /// `leaf_size` is a floor: a range of at most this many vectors is never split. The
     /// tree also stops where a sketch would cost a query more than the scan it saves
     /// (see the module docs). It must be at least 1.
     pub fn build<R: Rng + ?Sized>(
         rng: &mut R,
-        data: Vec<DenseVector>,
+        data: impl Into<Cow<'a, [DenseVector]>>,
         config: MaxIpConfig,
         leaf_size: usize,
     ) -> Result<Self> {
+        let data = data.into();
         let dim = validate_inputs(&data, &config, leaf_size)?;
         let root = Self::build_node(rng, &data, 0..data.len(), dim, config, leaf_size)?;
         Ok(Self {
@@ -166,7 +171,7 @@ impl SketchMipsIndex {
 
     /// Consumes the structure, returning the indexed vectors.
     pub fn into_data(self) -> Vec<DenseVector> {
-        self.data
+        self.data.into_owned()
     }
 
     /// The root of the prefix tree (persistence accessor).
@@ -229,7 +234,7 @@ impl SketchMipsIndex {
             )));
         }
         Ok(Self {
-            data,
+            data: Cow::Owned(data),
             root,
             config,
             leaf_size,

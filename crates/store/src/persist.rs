@@ -439,7 +439,7 @@ impl Persist for Node {
     }
 }
 
-impl Persist for SketchMipsIndex {
+impl Persist for SketchMipsIndex<'static> {
     fn write(&self, w: &mut ByteWriter) {
         write_slice(w, self.data());
         self.config().write(w);
@@ -480,7 +480,7 @@ fn write_live_mask(w: &mut ByteWriter, slots: usize, is_live: impl Fn(usize) -> 
     }
 }
 
-impl Persist for AlshMipsIndex {
+impl Persist for AlshMipsIndex<'static> {
     fn write(&self, w: &mut ByteWriter) {
         self.spec().write(w);
         self.params().write(w);
@@ -501,7 +501,7 @@ impl Persist for AlshMipsIndex {
     }
 }
 
-impl Persist for SymmetricLshMips {
+impl Persist for SymmetricLshMips<'static> {
     fn write(&self, w: &mut ByteWriter) {
         self.spec().write(w);
         self.params().write(w);
@@ -522,7 +522,7 @@ impl Persist for SymmetricLshMips {
     }
 }
 
-impl Persist for SketchMipsAdapter {
+impl Persist for SketchMipsAdapter<'static> {
     fn write(&self, w: &mut ByteWriter) {
         self.spec().write(w);
         self.inner().write(w);

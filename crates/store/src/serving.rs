@@ -561,9 +561,10 @@ impl ServingIndex {
             data_index: self.primary_ids[hit.data_index] as usize,
             inner_product: hit.inner_product,
         };
+        let parts = index.search_parts(query)?;
         Ok(ips_core::shard::ShardParts {
-            exact: index.exact_probe(query)?.map(translate),
-            best: index.candidate_best(query)?.map(translate),
+            exact: parts.exact.map(translate),
+            best: parts.best.map(translate),
         })
     }
 

@@ -149,11 +149,11 @@ pub enum AnyIndex {
     /// The exact quadratic scan.
     Brute(BruteForceMipsIndex),
     /// The Section 4.1 asymmetric-LSH index.
-    Alsh(AlshMipsIndex),
+    Alsh(AlshMipsIndex<'static>),
     /// The Section 4.2 symmetric LSH.
-    Symmetric(SymmetricLshMips),
+    Symmetric(SymmetricLshMips<'static>),
     /// The Section 4.3 sketch structure.
-    Sketch(SketchMipsAdapter),
+    Sketch(SketchMipsAdapter<'static>),
 }
 
 impl AnyIndex {

@@ -151,6 +151,55 @@ fn lsh_index_surface_is_pinned() {
         Alsh::from_raw_parts;
     // In-place compaction (PR 16): ids are renamed where they are stored.
     let _renumber: fn(&mut Alsh, &[u32]) -> ips_lsh::Result<()> = Alsh::renumber;
+    // Sparse images (PR 17): a banked index also takes a point by its non-zeros,
+    // beside — not instead of — the dense signatures above.
+    use ips_lsh::bank::SparseImage;
+    let _insert_image: fn(&mut Alsh, u32, SparseImage<'_>) -> ips_lsh::Result<()> =
+        Alsh::insert_image;
+    let _remove_image: fn(&mut Alsh, u32, SparseImage<'_>) -> ips_lsh::Result<bool> =
+        Alsh::remove_image;
+    let _probe_image: fn(&Alsh, SparseImage<'_>, usize) -> ips_lsh::Result<Vec<usize>> =
+        Alsh::probe_lookup_image;
+}
+
+#[test]
+fn join_indexes_borrow_or_own_their_vectors() {
+    // PR 17 (MIGRATION.md, "Borrowing join indexes"): the LSH and sketch indexes hold
+    // a `Cow` of their vectors and carry its lifetime. `build` takes a `Vec` to own or
+    // a slice to borrow; the `*_engine` builders borrow the caller's slice.
+    use ips_core::asymmetric::AlshParams;
+    use ips_core::problem::{JoinSpec, JoinVariant};
+    use ips_core::symmetric::SymmetricParams;
+    use ips_core::{AlshMipsIndex, EngineConfig, JoinEngine, SymmetricLshMips};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    let spec = JoinSpec::new(0.5, 0.6, JoinVariant::Signed).unwrap();
+    let data = vec![DenseVector::from(&[0.6, 0.0][..]); 4];
+    let mut rng = StdRng::seed_from_u64(1);
+    let borrowing: AlshMipsIndex<'_> =
+        AlshMipsIndex::build(&mut rng, &data[..], spec, AlshParams::default()).unwrap();
+    assert_eq!(borrowing.data().as_ptr(), data.as_ptr());
+    let owning: AlshMipsIndex<'static> =
+        AlshMipsIndex::build(&mut rng, data.clone(), spec, AlshParams::default()).unwrap();
+    assert_eq!(owning.into_data(), data);
+    let mut borrowing: SymmetricLshMips<'_> =
+        SymmetricLshMips::build(&mut rng, &data[..], spec, SymmetricParams::default()).unwrap();
+    assert_eq!(borrowing.data().as_ptr(), data.as_ptr());
+    // The first mutation of a borrowing index takes its own copy.
+    borrowing
+        .insert(DenseVector::from(&[0.0, 0.6][..]))
+        .unwrap();
+    assert_ne!(borrowing.data().as_ptr(), data.as_ptr());
+    assert_eq!((borrowing.slots(), data.len()), (5, 4));
+    let engine: JoinEngine<AlshMipsIndex<'_>> = ips_core::join::alsh_engine(
+        &mut rng,
+        &data,
+        spec,
+        AlshParams::default(),
+        EngineConfig::default(),
+    )
+    .unwrap();
+    drop(engine);
 }
 
 #[test]
@@ -205,9 +254,12 @@ fn streaming_codec_and_compaction_surface_is_pinned() {
     let mut w = ByteWriter::new();
     lent.write(&mut w);
     assert_eq!(w.into_bytes(), snapshot.to_bytes());
-    let _alsh: fn(&mut AlshMipsIndex, &[u64]) -> ips_core::Result<()> = AlshMipsIndex::compact;
-    let _symmetric: fn(&mut SymmetricLshMips, &[u64]) -> ips_core::Result<()> =
-        SymmetricLshMips::compact;
+    // Since PR 17 the LSH and sketch indexes hold their vectors as a `Cow` and carry
+    // its lifetime; `'static` is the owning form the serving layer stores.
+    type Alsh = AlshMipsIndex<'static>;
+    type Symmetric = SymmetricLshMips<'static>;
+    let _alsh: fn(&mut Alsh, &[u64]) -> ips_core::Result<()> = Alsh::compact;
+    let _symmetric: fn(&mut Symmetric, &[u64]) -> ips_core::Result<()> = Symmetric::compact;
     let _push: fn(&mut BruteForceMipsIndex, DenseVector) = BruteForceMipsIndex::push;
 }
 
@@ -222,23 +274,25 @@ fn sketch_index_surface_is_pinned() {
     use ips_sketch::linf_mips::{MaxIpConfig, MaxIpEstimator};
     use ips_sketch::recovery::{MipsCandidate, Node, SketchMipsIndex};
     use rand::rngs::StdRng;
-    let _build: fn(
-        &mut StdRng,
-        Vec<DenseVector>,
-        MaxIpConfig,
-        usize,
-    ) -> ips_sketch::Result<SketchMipsIndex> = SketchMipsIndex::build::<StdRng>;
-    let _query: fn(&SketchMipsIndex, &DenseVector) -> ips_sketch::Result<MipsCandidate> =
-        SketchMipsIndex::query;
-    let _raw: fn(
-        Vec<DenseVector>,
-        Node,
-        MaxIpConfig,
-        usize,
-    ) -> ips_sketch::Result<SketchMipsIndex> = SketchMipsIndex::from_raw_parts;
-    let _root: fn(&SketchMipsIndex) -> &Node = SketchMipsIndex::root;
-    let _leaf_size: fn(&SketchMipsIndex) -> usize = SketchMipsIndex::leaf_size;
-    let _stored: fn(&SketchMipsIndex) -> usize = SketchMipsIndex::stored_coefficients;
+    use rand::SeedableRng;
+    // Since PR 17 the index holds its vectors as a `Cow` and carries its lifetime:
+    // `build` takes a `Vec` to own or a slice to borrow (an `impl Into<Cow<..>>`, so
+    // pinned by use, not by coercion); what loads from a snapshot owns.
+    type Sketch = SketchMipsIndex<'static>;
+    let data = vec![DenseVector::from(&[1.0, 0.0][..]); 3];
+    let mut rng = StdRng::seed_from_u64(1);
+    let borrowing: ips_sketch::Result<SketchMipsIndex<'_>> =
+        SketchMipsIndex::build(&mut rng, &data[..], MaxIpConfig::default(), 4);
+    assert_eq!(borrowing.unwrap().data().as_ptr(), data.as_ptr());
+    let owning: ips_sketch::Result<Sketch> =
+        SketchMipsIndex::build(&mut rng, data.clone(), MaxIpConfig::default(), 4);
+    assert_eq!(owning.unwrap().into_data(), data);
+    let _query: fn(&Sketch, &DenseVector) -> ips_sketch::Result<MipsCandidate> = Sketch::query;
+    let _raw: fn(Vec<DenseVector>, Node, MaxIpConfig, usize) -> ips_sketch::Result<Sketch> =
+        Sketch::from_raw_parts;
+    let _root: fn(&Sketch) -> &Node = Sketch::root;
+    let _leaf_size: fn(&Sketch) -> usize = Sketch::leaf_size;
+    let _stored: fn(&Sketch) -> usize = Sketch::stored_coefficients;
     let _leaf = Node::Leaf { range: 0..1 };
     let _estimate: fn(&MaxIpEstimator, &DenseVector) -> ips_sketch::Result<f64> =
         MaxIpEstimator::estimate;

@@ -17,11 +17,21 @@
 //!
 //! The functions are sampled here, from the same seed `LshIndex::build` gets, so the
 //! test also pins that the index draws them in the same RNG order as before.
+//!
+//! The second property is the Section 4.2 layer's: the index hashes a vector's sphere
+//! image from its non-zeros ([`SymmetricSphereMap::image_into`] → [`SparseImage`]) and
+//! never builds it. The dense [`SymmetricSphereMap::map`] is the oracle: the sparse
+//! kernel's keys, probe sequences, tables and lookups must equal those of the
+//! materialised image, for dimensions 1..64, unit-norm inputs (an all-zero tag), zero
+//! and `-0.0` coordinates, and a [`SymmetricLshMips`] built either way must hold the
+//! same tables.
 
+use ips_core::problem::{JoinSpec, JoinVariant};
+use ips_core::symmetric::{SphereImage, SymmetricLshMips, SymmetricParams, SymmetricSphereMap};
 use ips_linalg::random::{random_ball_vector, random_unit_vector};
 use ips_linalg::DenseVector;
 use ips_lsh::amplify::{AndConstruction, AndFunction};
-use ips_lsh::bank::{BankScratch, Side};
+use ips_lsh::bank::{BankScratch, Side, SparseImage};
 use ips_lsh::hyperplane::HyperplaneFamily;
 use ips_lsh::simple_alsh::SimpleAlshFamily;
 use ips_lsh::table::{IndexParams, LshIndex};
@@ -269,5 +279,130 @@ proptest! {
             &[wrong_dim],
             |f| f.0.planes(),
         )?;
+    }
+}
+
+/// `v`'s sphere image as the LSH kernel takes it, computed into `image`.
+fn sparse<'a>(
+    map: &SymmetricSphereMap,
+    v: &'a DenseVector,
+    image: &'a mut SphereImage,
+) -> SparseImage<'a> {
+    map.image_into(v, image).unwrap();
+    SparseImage {
+        dim: map.output_dim(),
+        head: v.as_slice(),
+        tail: image.tag(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn sparse_sphere_images_hash_like_the_dense_map(
+        seed in any::<u64>(),
+        dim in 1usize..=64,
+        k in 1usize..=10,
+        l in 1usize..=4,
+        shape in 0usize..9,
+    ) {
+        // Three tag collections (1058 to 2068 coordinates) by three precisions.
+        let epsilon = [0.25, 0.34, 0.5][shape % 3];
+        let precision_bits = [4u32, 16, 32][shape / 3];
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EA);
+        let map = SymmetricSphereMap::new(dim, epsilon, precision_bits).unwrap();
+        let family = SymmetricAsAsymmetric(HyperplaneFamily::single_bit(map.output_dim()).unwrap());
+        let params = IndexParams { k, l };
+        // Unit ball, with the edge cases: zero, signed zeros, norm exactly 1 (the
+        // whole tag is zero and skipped), just inside the slack.
+        let data = edge_and_random_vectors(&mut rng, dim, 1.0, 12);
+        let mut image = SphereImage::default();
+
+        // The image is the map, coordinate for coordinate.
+        for v in &data {
+            let dense = map.map(v).unwrap();
+            let sparse = sparse(&map, v, &mut image);
+            let mut rebuilt = vec![0.0; sparse.dim];
+            rebuilt[..dim].copy_from_slice(sparse.head);
+            for &(row, value) in sparse.tail {
+                prop_assert!(row >= dim && rebuilt[row] == 0.0);
+                rebuilt[row] = value;
+            }
+            prop_assert_eq!(sparse.tail.len(), map.tag_nonzeros());
+            // Bit patterns, so that a `-0.0` in the head is not taken for `0.0`.
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&rebuilt), bits(dense.as_slice()));
+        }
+
+        // Keys and probe sequences straight from the bank.
+        let composite = AndConstruction::new(family.clone(), k).unwrap();
+        let mut sampler = StdRng::seed_from_u64(seed);
+        let functions: Vec<_> = (0..l).map(|_| composite.sample(&mut sampler).unwrap()).collect();
+        let bank = <SymmetricAsAsymmetric<HyperplaneFamily>>::plane_bank(&functions)
+            .unwrap()
+            .expect("the hyperplane family provides a bank");
+        let (mut scratch, mut dense_keys, mut sparse_keys) = (BankScratch::default(), vec![], vec![]);
+        for v in &data {
+            let dense = map.map(v).unwrap();
+            let sparse = sparse(&map, v, &mut image);
+            bank.keys(Side::Data, &dense, &mut scratch, &mut dense_keys).unwrap();
+            bank.keys(Side::Data, sparse, &mut scratch, &mut sparse_keys).unwrap();
+            prop_assert_eq!(&dense_keys, &sparse_keys);
+            for extra in [0usize, 1, 8] {
+                prop_assert_eq!(
+                    bank.probe_keys(&dense, extra, &mut scratch).unwrap(),
+                    bank.probe_keys(sparse, extra, &mut scratch).unwrap()
+                );
+            }
+        }
+
+        // Tables: built over the dense images, against filled image by image; then
+        // lookups, and removes that undo the inserts.
+        let images: Vec<DenseVector> = data.iter().map(|v| map.map(v).unwrap()).collect();
+        let reference =
+            LshIndex::build(&family, params, &images, &mut StdRng::seed_from_u64(seed)).unwrap();
+        let mut index =
+            LshIndex::build(&family, params, &[], &mut StdRng::seed_from_u64(seed)).unwrap();
+        for (id, v) in (0u32..).zip(&data) {
+            index.insert_image(id, sparse(&map, v, &mut image)).unwrap();
+        }
+        prop_assert_eq!(index.tables(), reference.tables());
+        for (v, dense) in data.iter().zip(&images) {
+            for probes in [0usize, 1, 8] {
+                prop_assert_eq!(
+                    index.probe_lookup_image(sparse(&map, v, &mut image), probes).unwrap(),
+                    reference.probe_lookup(dense, probes).unwrap()
+                );
+            }
+        }
+        for (id, v) in (0u32..).zip(&data) {
+            prop_assert!(index.remove_image(id, sparse(&map, v, &mut image)).unwrap());
+        }
+        prop_assert!(index.tables().iter().all(|table| table.is_empty()));
+
+        // The product's index, which only ever sees sparse images, holds those tables.
+        let symmetric_params = SymmetricParams {
+            epsilon,
+            precision_bits,
+            bits_per_table: k,
+            tables: l,
+            probes: 0,
+        };
+        let spec = JoinSpec::new(0.5, 0.5, JoinVariant::Signed).unwrap();
+        let built = SymmetricLshMips::build(
+            &mut StdRng::seed_from_u64(seed),
+            &data[..],
+            spec,
+            symmetric_params,
+        )
+        .unwrap();
+        prop_assert_eq!(built.lsh_index().tables(), reference.tables());
+        for (v, dense) in data.iter().zip(&images) {
+            prop_assert_eq!(
+                built.candidate_count(v).unwrap(),
+                reference.probe_lookup(dense, 0).unwrap().len()
+            );
+        }
     }
 }

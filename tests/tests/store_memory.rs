@@ -1,5 +1,6 @@
-//! How much memory the serving life-cycle holds: save, open and compaction each work
-//! with **one** index worth of it.
+//! How much memory the serving life-cycle and a one-shot join hold: save, open,
+//! compaction and a join each work with **one** index worth of it, and a join with
+//! **one** copy of the data set — the caller's.
 //!
 //! The binary installs a counting [`GlobalAlloc`] and every test reads the counters of
 //! its own thread only, so the tests do not disturb one another whatever
@@ -17,13 +18,27 @@
 //!    than one of its hash tables occupies, where a rebuild allocated all of them.
 //! 4. What is streamed to a file is byte for byte what `snapshot_bytes()` encodes in
 //!    memory, and every fixture under `crates/store/fixtures/` — written by earlier
-//!    builds — loads and re-saves to the same bytes.
+//!    builds — loads and re-saves to the same bytes; the LSH ones also answer as the
+//!    build that wrote them did.
+//! 5. A facade join of the three index strategies borrows the caller's vectors: it
+//!    peaks within a fraction of the data set of what building the same index over
+//!    vectors *handed over* peaks at.
+//! 6. The Section 4.2 index is built from sparse sphere images: sampling its planes
+//!    peaks at the plane bank (not at a bank and the functions it was gathered from),
+//!    its exact-match table costs a few dozen bytes a point, and a search allocates
+//!    nothing of the image's dimension.
 
 use ips_core::asymmetric::AlshParams;
-use ips_core::problem::{JoinSpec, JoinVariant};
-use ips_core::symmetric::SymmetricParams;
+use ips_core::facade::{Join, Strategy};
+use ips_core::mips::{MipsIndex, SketchMipsAdapter};
+use ips_core::problem::{JoinSpec, JoinVariant, MatchPair};
+use ips_core::symmetric::{SymmetricParams, SymmetricSphereMap};
+use ips_core::{AlshMipsIndex, SymmetricLshMips};
 use ips_linalg::random::random_ball_vector;
 use ips_linalg::DenseVector;
+use ips_lsh::hyperplane::HyperplaneFamily;
+use ips_lsh::table::{IndexParams, LshIndex};
+use ips_lsh::SymmetricAsAsymmetric;
 use ips_sketch::linf_mips::MaxIpConfig;
 use ips_store::{
     IndexConfig, ServingConfig, ServingIndex, ShardedConfig, ShardedServingIndex, StoreError,
@@ -34,8 +49,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::PathBuf;
 
-/// The system allocator, with the calling thread's live bytes, their high-water mark
-/// and the bytes it ever asked for counted on the side.
+/// The system allocator, with the calling thread's live bytes, their high-water mark,
+/// the bytes it ever asked for and the largest block among them counted on the side.
 struct Counting;
 
 thread_local! {
@@ -44,6 +59,7 @@ thread_local! {
     static LIVE: Cell<usize> = const { Cell::new(0) };
     static PEAK: Cell<usize> = const { Cell::new(0) };
     static REQUESTED: Cell<usize> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
 fn grew(bytes: usize) {
@@ -51,6 +67,7 @@ fn grew(bytes: usize) {
     LIVE.set(live);
     PEAK.set(PEAK.get().max(live));
     REQUESTED.set(REQUESTED.get() + bytes);
+    LARGEST.set(LARGEST.get().max(bytes));
 }
 
 fn shrank(bytes: usize) {
@@ -103,6 +120,7 @@ struct Span {
 impl Span {
     fn begin() -> Self {
         PEAK.set(LIVE.get());
+        LARGEST.set(0);
         Self {
             live_before: LIVE.get(),
             requested_before: REQUESTED.get(),
@@ -117,6 +135,22 @@ impl Span {
 
     fn requested(&self) -> usize {
         REQUESTED.get() - self.requested_before
+    }
+
+    /// Highest live bytes since `begin`, above those at `begin`: everything the span
+    /// held at once, kept or not.
+    fn held(&self) -> usize {
+        PEAK.get() - self.live_before
+    }
+
+    /// Live bytes now, above those at `begin`.
+    fn kept(&self) -> usize {
+        LIVE.get() - self.live_before
+    }
+
+    /// The largest single block asked for since `begin`.
+    fn largest(&self) -> usize {
+        LARGEST.get()
     }
 }
 
@@ -367,4 +401,203 @@ fn every_fixture_loads_and_saves_back_to_the_same_bytes() {
         seen >= 9,
         "four families at one and three shards, and the PR 13 tree"
     );
+}
+
+/// The LSH fixtures' answers, recorded with the build of PR 16 (the parent of the
+/// sparse-image change): per file, the number of stored vectors, of best-partner
+/// pairs and of top-3 pairs for the queries of [`fixture_queries`], and an FNV-1a
+/// fold of every pair's data index, query index and inner-product bits.
+const LSH_FIXTURE_ANSWERS: [(&str, usize, usize, usize, u64); 4] = [
+    ("alsh_1shard_pr15.snap", 23, 42, 116, 0xf3d3f994d4ab6db1),
+    ("alsh_3shard_pr15.snap", 23, 42, 116, 0xf3d3f994d4ab6db1),
+    (
+        "symmetric_1shard_pr15.snap",
+        23,
+        43,
+        117,
+        0xcff920473d020b84,
+    ),
+    (
+        "symmetric_3shard_pr15.snap",
+        23,
+        43,
+        117,
+        0xcff920473d020b84,
+    ),
+];
+
+/// Every stored vector in ascending id order, first shrunk (an LSH lookup), then as it
+/// is (for the symmetric family, the diagonal probe).
+fn fixture_queries(index: &ShardedServingIndex) -> Vec<DenseVector> {
+    let mut ids = index.ids();
+    ids.sort_unstable();
+    ids.iter()
+        .flat_map(|&id| {
+            let v = index.vector(id).unwrap();
+            [v.scaled(0.95), v]
+        })
+        .collect()
+}
+
+fn fold_pairs<'a>(pairs: impl Iterator<Item = &'a MatchPair>) -> u64 {
+    let mut digest: u64 = 0xcbf29ce484222325;
+    for pair in pairs {
+        let words = [
+            pair.data_index as u64,
+            pair.query_index as u64,
+            pair.inner_product.to_bits(),
+        ];
+        for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
+            digest = (digest ^ u64::from(byte)).wrapping_mul(0x100000001b3);
+        }
+    }
+    digest
+}
+
+#[test]
+fn lsh_fixtures_answer_as_the_build_that_wrote_them_did() {
+    let fixtures = concat!(env!("CARGO_MANIFEST_DIR"), "/../crates/store/fixtures");
+    for (name, stored, best_pairs, top_pairs, digest) in LSH_FIXTURE_ANSWERS {
+        let path = PathBuf::from(fixtures).join(name);
+        let index = ShardedServingIndex::open(&path, ServingConfig::default()).unwrap();
+        assert_eq!(index.len(), stored, "{name}");
+        let queries = fixture_queries(&index);
+        let best = index.query(&queries).unwrap();
+        let top = index.query_top_k(&queries, 3).unwrap();
+        assert_eq!((best.len(), top.len()), (best_pairs, top_pairs), "{name}");
+        assert_eq!(fold_pairs(best.iter().chain(&top)), digest, "{name}");
+    }
+}
+
+/// The join shapes of the bounds below: `n` vectors of dimension 48, 32 queries.
+const JOIN_DIM: usize = 48;
+
+fn join_vectors(seed: u64, n: usize) -> Vec<DenseVector> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| {
+            random_ball_vector(&mut rng, JOIN_DIM, 1.0)
+                .unwrap()
+                .scaled(0.9)
+        })
+        .collect()
+}
+
+/// What building `strategy`'s index over vectors it is *given* holds at its peak: the
+/// structure and the build's own temporaries, no vector.
+fn owning_build_peak(strategy: Strategy, owned: Vec<DenseVector>, seed: u64) -> usize {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = owned.len();
+    let span = Span::begin();
+    let len = match strategy {
+        Strategy::Alsh => AlshMipsIndex::build(&mut rng, owned, spec(), AlshParams::default())
+            .unwrap()
+            .len(),
+        Strategy::Symmetric => {
+            SymmetricLshMips::build(&mut rng, owned, spec(), SymmetricParams::default())
+                .unwrap()
+                .len()
+        }
+        Strategy::Sketch => {
+            let (config, leaf_size) = (MaxIpConfig::default(), ips_sketch::DEFAULT_LEAF_SIZE);
+            SketchMipsAdapter::build(&mut rng, owned, spec(), config, leaf_size)
+                .unwrap()
+                .len()
+        }
+        Strategy::Auto | Strategy::Brute => unreachable!("not an index strategy"),
+    };
+    assert_eq!(len, n);
+    span.held()
+}
+
+#[test]
+fn a_facade_join_holds_its_index_and_no_copy_of_the_data() {
+    let seed = 0x10B5;
+    for n in [2000usize, 8000] {
+        let data = join_vectors(n as u64, n);
+        let queries = join_vectors(7, 32);
+        let data_bytes = n * JOIN_DIM * std::mem::size_of::<f64>();
+        for strategy in [Strategy::Alsh, Strategy::Symmetric, Strategy::Sketch] {
+            let structures = owning_build_peak(strategy, data.clone(), seed);
+            let span = Span::begin();
+            let report = Join::data(&data)
+                .queries(&queries)
+                .spec(spec())
+                .strategy(strategy)
+                .seed(seed)
+                .run()
+                .unwrap();
+            let join = span.held();
+            drop(report);
+            assert!(
+                join < structures + data_bytes,
+                "{strategy} n={n}: the join held {join} bytes, its index {structures}, \
+                 the data set is {data_bytes}"
+            );
+        }
+    }
+}
+
+#[test]
+fn the_symmetric_index_is_built_from_sparse_images() {
+    let params = SymmetricParams::default();
+    let map = SymmetricSphereMap::new(JOIN_DIM, params.epsilon, params.precision_bits).unwrap();
+
+    // Sampling the planes of an empty index: one bank, filled a table at a time.
+    let family = SymmetricAsAsymmetric(HyperplaneFamily::single_bit(map.output_dim()).unwrap());
+    let index_params = IndexParams {
+        k: params.bits_per_table,
+        l: params.tables,
+    };
+    let bank = map.output_dim() * index_params.k * index_params.l * std::mem::size_of::<f64>();
+    let span = Span::begin();
+    let empty = LshIndex::build(&family, index_params, &[], &mut StdRng::seed_from_u64(3)).unwrap();
+    assert!(
+        span.held() * 10 < bank * 11,
+        "an empty index peaked at {} bytes over a {bank}-byte bank",
+        span.held()
+    );
+    assert!(span.kept() >= bank);
+    drop(empty);
+
+    for n in [2000usize, 8000] {
+        let data = join_vectors(n as u64 + 1, n);
+        let index =
+            SymmetricLshMips::build(&mut StdRng::seed_from_u64(3), &data[..], spec(), params)
+                .unwrap();
+
+        // The exact-match table alone: reassembling an index from its parts adds
+        // nothing else (the vectors and the LSH state are moved in).
+        let lsh = LshIndex::from_raw_parts(
+            index.lsh_index().functions(),
+            index.lsh_index().tables().to_vec(),
+            index.lsh_index().params(),
+            index.lsh_index().len(),
+        )
+        .unwrap();
+        let (owned, live) = (data.clone(), vec![true; n]);
+        let span = Span::begin();
+        let reassembled =
+            SymmetricLshMips::from_raw_parts(owned, live, lsh, spec(), params).unwrap();
+        assert!(
+            span.kept() <= 40 * n + 4 * KIB,
+            "n={n}: the diagonal (and the map's power table) keeps {} bytes",
+            span.kept()
+        );
+        drop(reassembled);
+
+        // A search: one warm-up (this thread's hashing buffers), then nothing as
+        // large as a dense image, whether the diagonal or the tables answer.
+        let image_bytes = map.output_dim() * std::mem::size_of::<f64>();
+        index.search(&data[0]).unwrap();
+        for q in [data[1].clone(), data[2].scaled(0.9), data[3].scaled(-1.0)] {
+            let span = Span::begin();
+            index.search(&q).unwrap();
+            assert!(
+                span.largest() < image_bytes,
+                "n={n}: a search allocated a block of {} bytes; an image is {image_bytes}",
+                span.largest()
+            );
+        }
+    }
 }
