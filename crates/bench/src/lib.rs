@@ -24,7 +24,7 @@
 //!
 //! Every `experiment_*` / `figure*` / `table1` binary (and `serve_throughput`) accepts
 //! `--json <path>` and writes its measurements as machine-readable
-//! `{name, params, wall_ns, flops, schema_version, timestamp}` records via
+//! `{name, params, wall_ns, flops, schema_version, timestamp, available_parallelism}` records via
 //! [`JsonReporter`], so benchmark trajectories can be recorded without scraping the
 //! text tables and remain self-describing across PRs (see [`JSON_SCHEMA_VERSION`]).
 //!
@@ -120,8 +120,10 @@ pub fn fmt(value: f64, decimals: usize) -> String {
 ///
 /// Version history: **1** — `{name, params, wall_ns, flops}` (PR 3); **2** —
 /// adds `schema_version` and an RFC-3339 `timestamp` to every record, so
-/// `BENCH_*.json` trajectories collected across PRs are self-describing.
-pub const JSON_SCHEMA_VERSION: u32 = 2;
+/// `BENCH_*.json` trajectories collected across PRs are self-describing; **3** —
+/// adds `available_parallelism`, the CPUs the run could use: builds, joins and the
+/// CSV codec all scale with it, so a wall time means nothing without it.
+pub const JSON_SCHEMA_VERSION: u32 = 3;
 
 /// Formats a Unix timestamp (seconds since the epoch, UTC) as RFC 3339
 /// (`1970-01-01T00:00:00Z`). Hand-rolled from the proleptic-Gregorian
@@ -158,7 +160,7 @@ pub fn rfc3339_now() -> String {
 /// (`name` + `params`), how long it took (`wall_ns`), the floating-point
 /// operation count when the experiment has a natural closed form (`0` otherwise),
 /// and the self-describing metadata every record carries since layout version 2
-/// (`schema_version` + RFC-3339 `timestamp`).
+/// (`schema_version` + RFC-3339 `timestamp`) and, since version 3, the CPUs it ran on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JsonRecord {
     /// Which measurement this row belongs to (e.g. `join_scaling`).
@@ -174,6 +176,8 @@ pub struct JsonRecord {
     pub schema_version: u32,
     /// When the record was taken, RFC 3339 UTC (e.g. `2026-07-31T12:00:00Z`).
     pub timestamp: String,
+    /// `std::thread::available_parallelism` of the process that took the record.
+    pub available_parallelism: usize,
 }
 
 /// Collects [`JsonRecord`]s and writes them as a JSON array when the binary was
@@ -246,6 +250,7 @@ impl JsonReporter {
             flops,
             schema_version: JSON_SCHEMA_VERSION,
             timestamp,
+            available_parallelism: ips_linalg::par::available_threads(),
         });
     }
 
@@ -270,7 +275,8 @@ impl JsonReporter {
                 out.push_str(&json_string(v));
             }
             out.push_str(&format!(
-                "}}, \"wall_ns\": {}, \"flops\": {}, \"schema_version\": {}, \"timestamp\": {}}}",
+                "}}, \"wall_ns\": {}, \"flops\": {}, \"schema_version\": {}, \"timestamp\": {}, \
+                 \"available_parallelism\": {}}}",
                 r.wall_ns,
                 if r.flops == 0.0 {
                     "0".to_string()
@@ -279,6 +285,7 @@ impl JsonReporter {
                 },
                 r.schema_version,
                 json_string(&r.timestamp),
+                r.available_parallelism,
             ));
             out.push_str(if i + 1 < self.records.len() {
                 ",\n"
@@ -386,7 +393,15 @@ mod tests {
         assert!(written.contains("odd \\\"name\\\"\\n"));
         // Every record is self-describing: layout version + RFC-3339 timestamp.
         assert_eq!(
-            written.matches("\"schema_version\": 2").count(),
+            written.matches("\"schema_version\": 3").count(),
+            2,
+            "{written}"
+        );
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(
+            written
+                .matches(&format!("\"available_parallelism\": {cpus}}}"))
+                .count(),
             2,
             "{written}"
         );

@@ -30,7 +30,7 @@ use ips_store::Coalescer;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -86,10 +86,23 @@ impl Shutdown {
 
 /// A counting semaphore bounding concurrent sessions ([`NetConfig::workers`]
 /// permits). `std::sync` has no semaphore; a mutexed count plus a condvar is
-/// one.
+/// one. The count is only ever stepped by one under the lock, so it is valid
+/// at every instant and a poisoned lock is simply taken over.
 struct Semaphore {
     permits: Mutex<usize>,
     freed: Condvar,
+}
+
+/// One taken permit; it goes back when this drops — at the end of a session
+/// however the session ends, an unwinding panic included, so the pool cannot
+/// shrink and shutdown's drain cannot wait for a permit that never returns.
+struct Permit(Arc<Semaphore>);
+
+impl Drop for Permit {
+    fn drop(&mut self) {
+        *self.0.count() += 1;
+        self.0.freed.notify_all();
+    }
 }
 
 impl Semaphore {
@@ -100,26 +113,31 @@ impl Semaphore {
         }
     }
 
-    fn acquire(&self) {
-        let mut permits = self.permits.lock().expect("semaphore poisoned");
-        while *permits == 0 {
-            permits = self.freed.wait(permits).expect("semaphore poisoned");
-        }
-        *permits -= 1;
+    fn count(&self) -> MutexGuard<'_, usize> {
+        self.permits.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn release(&self) {
-        *self.permits.lock().expect("semaphore poisoned") += 1;
-        self.freed.notify_all();
+    /// Blocks until the count satisfies `ready`.
+    fn wait_until(&self, ready: impl Fn(usize) -> bool) -> MutexGuard<'_, usize> {
+        let mut permits = self.count();
+        while !ready(*permits) {
+            permits = self
+                .freed
+                .wait(permits)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        permits
+    }
+
+    fn acquire(self: &Arc<Self>) -> Permit {
+        *self.wait_until(|permits| permits > 0) -= 1;
+        Permit(Arc::clone(self))
     }
 
     /// Blocks until every permit is back — how shutdown drains in-flight
     /// sessions.
     fn wait_for_all(&self, total: usize) {
-        let mut permits = self.permits.lock().expect("semaphore poisoned");
-        while *permits < total {
-            permits = self.freed.wait(permits).expect("semaphore poisoned");
-        }
+        drop(self.wait_until(|permits| permits >= total));
     }
 }
 
@@ -196,14 +214,15 @@ pub fn serve_tcp(coalescer: Arc<Coalescer>, config: NetConfig) -> Result<NetServ
             // Bound the pool *before* spawning: with every permit taken, the
             // accept loop itself blocks here and further clients queue in the
             // OS backlog instead of getting unbounded threads.
-            sessions.acquire();
+            let session_permit = sessions.acquire();
             coalescer.index().note_connection();
             let session_coalescer = Arc::clone(&coalescer);
             let session_shutdown = Arc::clone(&accept_shutdown);
-            let session_permit = Arc::clone(&sessions);
             let read_timeout = config.read_timeout;
             let max_line_bytes = config.max_line_bytes;
             std::thread::spawn(move || {
+                // Held to the end of the thread, unwinding included.
+                let _permit = session_permit;
                 run_session(
                     stream,
                     &session_coalescer,
@@ -211,11 +230,10 @@ pub fn serve_tcp(coalescer: Arc<Coalescer>, config: NetConfig) -> Result<NetServ
                     read_timeout,
                     max_line_bytes,
                 );
-                session_permit.release();
             });
         }
-        // Drain: every session thread releases its permit on exit, even after
-        // an error (release happens outside run_session).
+        // Drain: every session thread gives its permit back as it exits, after
+        // an error or a panic too (the permit is a drop guard).
         sessions.wait_for_all(workers);
     });
     Ok(NetServer {
@@ -281,6 +299,35 @@ mod tests {
         )
         .unwrap();
         Arc::new(Coalescer::new(Arc::new(index), CoalesceConfig::default()))
+    }
+
+    #[test]
+    fn a_permit_comes_back_when_its_session_unwinds() {
+        let sessions = Arc::new(Semaphore::new(2));
+        let held = sessions.acquire();
+        assert_eq!(*sessions.count(), 1);
+        // A session that panics on its own thread, as `serve_tcp` runs them...
+        let permit = sessions.acquire();
+        let session = std::thread::spawn(move || {
+            let _permit = permit;
+            panic!("session failed");
+        });
+        assert!(session.join().is_err());
+        assert_eq!(*sessions.count(), 1);
+        // ...and one caught in place.
+        let permit = sessions.acquire();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            let _permit = permit;
+            panic!("session failed");
+        }));
+        assert!(unwound.is_err());
+        drop(held);
+        // Checked first, so that a leak fails the test instead of hanging the drain.
+        assert_eq!(*sessions.count(), 2);
+        sessions.wait_for_all(2);
+        // The pool is whole: both permits can be taken again.
+        let _both = (sessions.acquire(), sessions.acquire());
+        assert_eq!(*sessions.count(), 0);
     }
 
     fn send(addr: SocketAddr, script: &str) -> String {

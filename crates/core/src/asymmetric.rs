@@ -22,10 +22,11 @@ use crate::error::{CoreError, Result};
 use crate::mips::{MipsIndex, SearchResult};
 use crate::problem::JoinSpec;
 use crate::slots::Renumbering;
+use ips_linalg::par::Schedule;
 use ips_linalg::DenseVector;
 use ips_lsh::rho::{rho_data_dependent, rho_simple_alsh};
 use ips_lsh::simple_alsh::SimpleAlshFamily;
-use ips_lsh::table::{IndexParams, LshIndex};
+use ips_lsh::table::{IndexParams, LshIndex, BUILD_BLOCK};
 use rand::Rng;
 use std::borrow::Cow;
 
@@ -89,12 +90,24 @@ pub struct AlshMipsIndex<'a> {
 
 impl<'a> AlshMipsIndex<'a> {
     /// Builds the index over `data` — a `Vec` to own, a slice to borrow — for the
-    /// given `(cs, s)` spec.
+    /// given `(cs, s)` spec, hashing on every available CPU.
     ///
     /// Every data vector must lie in the unit ball; queries must lie in the ball of
     /// radius `params.query_radius`, and the spec's threshold must satisfy
     /// `0 < s ≤ U` for the reduction to make sense.
     pub fn build<R: Rng + ?Sized>(
+        rng: &mut R,
+        data: impl Into<Cow<'a, [DenseVector]>>,
+        spec: JoinSpec,
+        params: AlshParams,
+    ) -> Result<Self> {
+        Self::build_scheduled(Schedule::new(BUILD_BLOCK), rng, data, spec, params)
+    }
+
+    /// [`AlshMipsIndex::build`] under an explicit schedule; the index is the same at
+    /// every thread count and block size. A build beside live traffic passes one thread.
+    pub fn build_scheduled<R: Rng + ?Sized>(
+        schedule: Schedule,
         rng: &mut R,
         data: impl Into<Cow<'a, [DenseVector]>>,
         spec: JoinSpec,
@@ -134,7 +147,7 @@ impl<'a> AlshMipsIndex<'a> {
             k: params.bits_per_table,
             l: params.tables,
         };
-        let index = LshIndex::build(&family, index_params, &data, rng)?;
+        let index = LshIndex::build_scheduled(schedule, &family, index_params, &data, rng)?;
         let live_count = data.len();
         Ok(Self {
             live: vec![true; live_count],

@@ -26,9 +26,8 @@ use crate::error::Result;
 use crate::mips::MipsIndex;
 use crate::problem::{JoinSpec, MatchPair};
 use crate::topk::TopKMipsIndex;
+use ips_linalg::par::{available_threads, map_blocks};
 use ips_linalg::DenseVector;
-use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// How a [`JoinEngine`] schedules its work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,9 +59,7 @@ impl EngineConfig {
         if self.threads > 0 {
             self.threads
         } else {
-            std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1)
+            available_threads()
         }
     }
 
@@ -162,7 +159,7 @@ impl<I: MipsIndex> JoinEngine<I> {
     /// Runs the `(cs, s)` join of the index's data set against `queries`.
     ///
     /// Chunks of `config.chunk_size` queries are claimed by `config.threads`
-    /// scoped workers off a shared atomic cursor (work stealing, so uneven
+    /// scoped workers off a shared cursor (work stealing, so uneven
     /// per-query cost — common for LSH probing — cannot idle a worker). Results
     /// are returned sorted by query index and are identical to
     /// [`JoinEngine::run_serial`].
@@ -241,75 +238,26 @@ impl<I: MipsIndex> JoinEngine<I> {
         out
     }
 
-    /// The shared chunked driver: splits `queries` into chunks, has workers claim
-    /// chunks off an atomic cursor, and reassembles per-chunk pair lists in chunk
-    /// order — so any per-chunk computation gets identical scheduling, early-abort
-    /// and output-ordering behaviour.
+    /// The shared chunked driver: splits `queries` into chunks and runs them through
+    /// the workspace's block driver ([`ips_linalg::par::map_blocks`]) — workers claim
+    /// chunks in order, stop after the first failure, and the per-chunk pair lists
+    /// come back in chunk order — so any per-chunk computation gets identical
+    /// scheduling, early-abort and output-ordering behaviour.
     fn run_chunked<F>(&self, queries: &[DenseVector], per_chunk: &F) -> Result<Vec<MatchPair>>
     where
         I: Sync,
         F: Fn(&[DenseVector], usize) -> Result<Vec<MatchPair>> + Sync,
     {
         let chunk_size = self.config.resolved_chunk_size();
-        let chunks: Vec<&[DenseVector]> = queries.chunks(chunk_size).collect();
-        let threads = self.config.resolved_threads().min(chunks.len().max(1));
-        if threads <= 1 || chunks.len() <= 1 {
-            let mut out = Vec::new();
-            for (k, chunk) in chunks.iter().enumerate() {
-                out.extend(per_chunk(chunk, k * chunk_size)?);
-            }
-            return Ok(out);
-        }
-
-        let cursor = AtomicUsize::new(0);
-        let failed = AtomicBool::new(false);
-        type Tagged = Vec<(usize, Vec<MatchPair>)>;
-        let worker_results: Vec<Result<Tagged>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let cursor = &cursor;
-                    let failed = &failed;
-                    let chunks = &chunks;
-                    scope.spawn(move || -> Result<Tagged> {
-                        let mut local = Vec::new();
-                        loop {
-                            // One worker's failure is the whole join's failure;
-                            // stop claiming chunks so the error surfaces without
-                            // paying for the rest of the query set.
-                            if failed.load(Ordering::Relaxed) {
-                                return Ok(local);
-                            }
-                            let k = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(chunk) = chunks.get(k) else {
-                                return Ok(local);
-                            };
-                            match per_chunk(chunk, k * chunk_size) {
-                                Ok(pairs) => local.push((k, pairs)),
-                                Err(e) => {
-                                    failed.store(true, Ordering::Relaxed);
-                                    return Err(e);
-                                }
-                            }
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("join engine worker panicked"))
-                .collect()
-        });
-
-        let mut tagged = Vec::new();
-        for r in worker_results {
-            tagged.extend(r?);
-        }
+        let mut chunks: Vec<&[DenseVector]> = queries.chunks(chunk_size).collect();
         // Chunk order is query order, and pairs within a chunk are already ordered,
-        // so reassembly by chunk index reproduces the serial output exactly — even
+        // so concatenating the lists reproduces the serial output exactly — even
         // when a query contributes several pairs (top-k), which a per-pair sort on
         // query index alone could not keep stable.
-        tagged.sort_unstable_by_key(|(k, _)| *k);
-        Ok(tagged.into_iter().flat_map(|(_, pairs)| pairs).collect())
+        let lists = map_blocks(self.config.resolved_threads(), &mut chunks, |k, chunk| {
+            per_chunk(chunk, k * chunk_size)
+        })?;
+        Ok(lists.into_iter().flatten().collect())
     }
 }
 

@@ -301,7 +301,13 @@ impl Default for CostModel {
         // longer builds (exactly `d + tag_nonzeros` rows per plane now): parent
         // and change fitted alternately on one machine, medians 1.276 (three
         // runs) and 1.20 (six), and the ratio 0.94 is applied to the 1.375 that
-        // stood here, which keeps it on the scale of the other constants.
+        // stood here, which keeps it on the scale of the other constants. Both LSH
+        // constants were refit the same way when their builds began to hash block
+        // by block on every CPU (they had been absorbing a one-thread build beside
+        // a brute join that already used every core): parent and change fitted
+        // alternately, three runs each on the two-vCPU host, medians alsh 0.675 →
+        // 0.490 and symmetric 1.243 → 0.972, and the ratios 0.73 and 0.78 are
+        // applied to the 0.575 and 1.29 that stood here.
         Self {
             brute_ns_per_flop: 0.415,
             // Reduced-precision brute kernels: the calibrated f64 constant
@@ -311,8 +317,8 @@ impl Default for CostModel {
             // costs track the measured kernel speedups.
             brute_f32_ns_per_flop: 0.272,
             brute_quantized_ns_per_flop: 0.364,
-            alsh_ns_per_flop: 0.575,
-            symmetric_ns_per_flop: 1.29,
+            alsh_ns_per_flop: 0.42,
+            symmetric_ns_per_flop: 1.01,
             sketch_ns_per_flop: 0.475,
         }
     }

@@ -41,10 +41,11 @@ use crate::problem::JoinSpec;
 use crate::shard::ShardParts;
 use crate::slots::Renumbering;
 use ips_linalg::incoherent::{Fingerprint, ReedSolomonCollection};
+use ips_linalg::par::Schedule;
 use ips_linalg::DenseVector;
-use ips_lsh::bank::SparseImage;
+use ips_lsh::bank::{Point, SparseImage};
 use ips_lsh::hyperplane::HyperplaneFamily;
-use ips_lsh::table::{IndexParams, LshIndex};
+use ips_lsh::table::{IndexParams, LshIndex, BUILD_BLOCK};
 use ips_lsh::SymmetricAsAsymmetric;
 use rand::Rng;
 use std::borrow::Cow;
@@ -69,6 +70,14 @@ pub struct SphereImage {
 }
 
 impl SphereImage {
+    /// An empty buffer that holds an image of `tag` non-zeros without growing.
+    fn with_capacity(tag: usize) -> Self {
+        Self {
+            fingerprint: 0,
+            tag: Vec::with_capacity(tag),
+        }
+    }
+
     /// The non-zero coordinates of the image after the vector's own: `(row, value)`,
     /// rows ascending. All values are `√(1 − ‖p‖²)/√t`, zero for a unit vector.
     pub fn tag(&self) -> &[(usize, f64)] {
@@ -316,9 +325,21 @@ fn slot_id(i: usize) -> Result<u32> {
 }
 
 impl<'a> SymmetricLshMips<'a> {
-    /// Builds the index over `data` (all inside the unit ball) for the given spec.
-    /// `data` is a `Vec` to own or a slice to borrow.
+    /// Builds the index over `data` (all inside the unit ball) for the given spec, on
+    /// every available CPU. `data` is a `Vec` to own or a slice to borrow.
     pub fn build<R: Rng + ?Sized>(
+        rng: &mut R,
+        data: impl Into<Cow<'a, [DenseVector]>>,
+        spec: JoinSpec,
+        params: SymmetricParams,
+    ) -> Result<Self> {
+        Self::build_scheduled(Schedule::new(BUILD_BLOCK), rng, data, spec, params)
+    }
+
+    /// [`SymmetricLshMips::build`] under an explicit schedule; the index is the same at
+    /// every thread count and block size. A build beside live traffic passes one thread.
+    pub fn build_scheduled<R: Rng + ?Sized>(
+        schedule: Schedule,
         rng: &mut R,
         data: impl Into<Cow<'a, [DenseVector]>>,
         spec: JoinSpec,
@@ -335,25 +356,49 @@ impl<'a> SymmetricLshMips<'a> {
                 actual: v.dim(),
             });
         }
+        slot_id(data.len())?;
         let map = SymmetricSphereMap::new(dim, params.epsilon, params.precision_bits)?;
         let family = SymmetricAsAsymmetric(HyperplaneFamily::single_bit(map.output_dim())?);
-        // Sample the functions over an empty index, then stream the points through it,
-        // each as its sparse image. Same functions, same buckets and same id order as
-        // building over the materialised images.
-        let mut index = LshIndex::build(
-            &family,
-            IndexParams {
-                k: params.bits_per_table,
-                l: params.tables,
-            },
-            &[],
-            rng,
-        )?;
+        // Sample the functions over an empty index, then stream the points through it
+        // block by block, each as its sparse image: a thread computes a block's images
+        // (into a buffer of its own) and their keys, this thread files the keys and the
+        // diagonal in slot order. Same functions, same buckets and same id order as
+        // building over the materialised images one after another.
+        let index_params = IndexParams {
+            k: params.bits_per_table,
+            l: params.tables,
+        };
+        let mut index = LshIndex::build_scheduled(schedule, &family, index_params, &[], rng)?;
         let live_count = data.len();
         let mut diagonal = Diagonal::with_capacity(live_count);
-        for (slot, v) in data.iter().enumerate() {
-            Self::file(&map, &mut index, &mut diagonal, slot, v)?;
-        }
+        let tag = map.tag_nonzeros();
+        index.extend_blocks(
+            schedule,
+            0,
+            live_count,
+            |points| -> Vec<SphereImage> {
+                (0..points)
+                    .map(|_| SphereImage::with_capacity(tag))
+                    .collect()
+            },
+            |hasher, slots, images, keys| -> Result<()> {
+                let vectors = &data[slots];
+                let images = &mut images[..vectors.len()];
+                for (v, image) in vectors.iter().zip(images.iter_mut()) {
+                    map.image_into(v, image)?;
+                }
+                let points = vectors.iter().zip(images.iter());
+                let points = points.map(|(v, image)| Point::from(map.sparse(v, image)));
+                Ok(hasher.data_keys(points, keys)?)
+            },
+            // The diagonal needs the fingerprint alone, which is a pass over the
+            // vector: cheaper to take again here than to carry a block's images along.
+            |slots| {
+                for slot in slots {
+                    diagonal.insert(fold(map.fingerprint(&data[slot])), slot as u32);
+                }
+            },
+        )?;
         Ok(Self {
             live: vec![true; live_count],
             live_count,

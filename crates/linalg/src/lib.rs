@@ -24,6 +24,9 @@
 //!   the third hard-sequence construction of Theorem 3;
 //! * Johnson–Lindenstrauss style random projections ([`projection`]).
 //!
+//! It is also the bottom of the dependency graph, so the one piece of scheduling every
+//! other crate shares lives here: the ordered block driver ([`par`]).
+//!
 //! All numeric code is dependency-light (only `rand` and `serde`) and designed so the
 //! higher-level crates (`ips-lsh`, `ips-ovp`, `ips-sketch`, `ips-core`) never have to
 //! re-implement inner products or norms.
@@ -31,7 +34,9 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 // The SIMD-friendly kernel layer ([`tile`]) must stay autovectorized safe
-// Rust: no intrinsics or raw-pointer tricks may creep into the hot loops.
+// Rust: no intrinsics or raw-pointer tricks may creep into the hot loops. (The
+// one exception in the crate is not numeric code: `par::placement`, three libc
+// calls that tell the kernel which CPU a worker thread starts on.)
 #![deny(unsafe_code)]
 
 pub mod binary;
@@ -40,6 +45,7 @@ pub mod error;
 pub mod incoherent;
 pub mod matrix;
 pub mod ops;
+pub mod par;
 pub mod projection;
 pub mod random;
 pub mod sign;

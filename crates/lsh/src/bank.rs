@@ -10,7 +10,8 @@
 //!
 //! 1. embed the vector once into a reused buffer;
 //! 2. `margin[f] += bank[j][f] · x[j]` for `j = 0, 1, …` — a row of independent
-//!    accumulators the compiler vectorises;
+//!    accumulators the compiler vectorises (for a block of points, the same sums a
+//!    register tile at a time: "the block kernel" below);
 //! 3. fold the signs through the [`combine_hashes`] chain into the `L` bucket keys.
 //!
 //! **Bit-identity with the per-function path.** Plane `f`'s accumulator sums
@@ -30,6 +31,23 @@
 //! materialised image would give, bit for bit: the products added are the same
 //! `g_f[j]·x[j]`, in the same ascending-`j` order, and the rows never visited are
 //! rows the dense walk skips as zeros. No dense image is ever built.
+//!
+//! **The block kernel.** A build hashes point after point against a bank that stays in
+//! cache, and streaming the whole bank through one point's margins wastes that: every
+//! coefficient is loaded once per point and every margin read and rewritten once per
+//! row. [`PlaneBank::block_keys`] instead takes a block of points a *register tile* at
+//! a time — four points by four planes, sixteen sums held in registers across the walk
+//! over `j` — so a coefficient is loaded once per four points and a margin written
+//! once. Each sum still adds `g_f[j]·x[j]` in ascending `j` from `+0.0`, so a block's
+//! keys are each point's own [`PlaneBank::keys`], bit for bit (the tile adds the `±0.0`
+//! product of a zero coordinate where the streaming walk skips it — the sign of a zero,
+//! once more). A tile covers the dense heads; a sparse image's tail rows, which differ
+//! from point to point, are streamed into the tile's margins afterwards, in order. What
+//! does not fill a tile — the last points of a block, and every single-vector
+//! operation: `insert`, `remove`, the lookups — takes the streaming walk: it reads the
+//! bank front to back, which is what a prefetcher follows when the bank has left the
+//! cache since the last request, where the tile's column-wise walk would stall on every
+//! row.
 //!
 //! The bank is *derived state*: [`PlaneBank::from_functions`] gathers it from
 //! snapshot-decoded functions, [`PlaneBank::sampled`] from functions drawn one table at
@@ -96,13 +114,22 @@ impl<'a> From<SparseImage<'a>> for Point<'a> {
     }
 }
 
-/// Reusable buffers of the hashing kernel: the embedded vector and one margin per
-/// plane. One scratch serves any number of vectors hashed against the same bank.
+/// Points per register tile of the kernel (see the module docs, "the block kernel").
+const TILE: usize = 4;
+
+/// Reusable buffers of the hashing kernel: the embedded vectors of one tile of points
+/// and their margins, one per point and plane. One scratch serves any number of
+/// vectors hashed against the same bank.
 #[derive(Debug, Clone, Default)]
 pub struct BankScratch {
-    embedded: Vec<f64>,
+    embedded: [Vec<f64>; TILE],
+    /// `TILE × width`, point-major.
     margins: Vec<f64>,
 }
+
+/// A point as the kernel walks it: its leading coordinates, dense, then the
+/// non-zeros after them as ascending `(row, value)` pairs.
+type Walk<'a> = (&'a [f64], &'a [(usize, f64)]);
 
 fn invalid(reason: String) -> LshError {
     LshError::InvalidParameter {
@@ -313,32 +340,50 @@ impl PlaneBank {
         self.tables * self.components * self.bits
     }
 
-    /// Embeds the point and leaves one margin per plane in `scratch.margins`.
-    fn margins(&self, side: Side, point: Point<'_>, scratch: &mut BankScratch) -> Result<()> {
-        let width = self.width();
+    /// Number of tables `L`: how many keys a point has.
+    pub fn tables(&self) -> usize {
+        self.tables
+    }
+
+    /// A scratch at the size this bank's kernel uses, so that hashing through it
+    /// allocates nothing — what a worker is handed by the thread that owns it.
+    pub fn scratch(&self) -> BankScratch {
+        let embedded = match self.embedding {
+            Embedding::Identity => 0,
+            Embedding::Sphere(_) => self.rows,
+        };
+        BankScratch {
+            embedded: std::array::from_fn(|_| Vec::with_capacity(embedded)),
+            margins: vec![0.0; TILE * self.width()],
+        }
+    }
+
+    /// What the kernel walks for `point`: the vector itself, or its embedding written
+    /// into `buffer`. Every row the walk will index is checked here, before any
+    /// coefficient is read.
+    fn walk<'a>(&self, side: Side, point: Point<'a>, buffer: &'a mut Vec<f64>) -> Result<Walk<'a>> {
         let mismatch = |actual: usize| LshError::DimensionMismatch {
             expected: self.rows,
             actual,
         };
-        let (head, tail): (&[f64], &[(usize, f64)]) = match (point, &self.embedding) {
+        match (point, &self.embedding) {
             (Point::Dense(v), Embedding::Identity) => {
                 if v.dim() != self.rows {
                     return Err(mismatch(v.dim()));
                 }
-                (v.as_slice(), &[])
+                Ok((v.as_slice(), &[]))
             }
             (Point::Dense(v), Embedding::Sphere(transform)) => {
                 match side {
-                    Side::Data => transform.transform_data_into(v, &mut scratch.embedded)?,
-                    Side::Query => transform.transform_query_into(v, &mut scratch.embedded)?,
+                    Side::Data => transform.transform_data_into(v, buffer)?,
+                    Side::Query => transform.transform_query_into(v, buffer)?,
                 }
-                (&scratch.embedded, &[])
+                Ok((buffer, &[]))
             }
             (Point::Sparse(image), Embedding::Identity) => {
                 if image.dim != self.rows || image.head.len() > self.rows {
                     return Err(mismatch(image.dim.max(image.head.len())));
                 }
-                // Every row the walk below indexes, checked before any is read.
                 let mut floor = image.head.len();
                 for &(j, _) in image.tail {
                     if j < floor || j >= self.rows {
@@ -352,34 +397,63 @@ impl PlaneBank {
                     }
                     floor = j + 1;
                 }
-                (image.head, image.tail)
+                Ok((image.head, image.tail))
             }
-            (Point::Sparse(_), Embedding::Sphere(_)) => {
-                return Err(LshError::InvalidParameter {
-                    name: "image",
-                    reason: "a sparse image is already embedded; this bank embeds its input".into(),
-                })
-            }
-        };
-        scratch.margins.clear();
-        scratch.margins.resize(width, 0.0);
-        // Ascending rows, zeros skipped: the head's rows are the bank's first, in
-        // order, and the tail's were checked to follow them.
-        let margins = &mut scratch.margins[..];
-        let mut add = |row: &[f64], xj: f64| {
+            (Point::Sparse(_), Embedding::Sphere(_)) => Err(LshError::InvalidParameter {
+                name: "image",
+                reason: "a sparse image is already embedded; this bank embeds its input".into(),
+            }),
+        }
+    }
+
+    /// One margin per plane and point of `tile` into `margins` (`tile.len() × width`,
+    /// point-major). Each is `Σ_j g_f[j]·x[j]` over ascending `j` from `+0.0` — the
+    /// heads' rows are the bank's first, in order, and the tails' were checked to
+    /// follow them. A full tile of equally long heads goes through the register tile;
+    /// anything else — a single vector above all — streams the bank row by row.
+    fn tile_margins(&self, tile: &[Walk<'_>], margins: &mut [f64]) {
+        let width = self.width();
+        // `margins += row j · xj`. A zero is skipped: every coefficient is finite, so
+        // its products are `±0.0` and adding them would change no sum (a unit vector's
+        // whole tag is zeros).
+        let stream = |margins: &mut [f64], j: usize, xj: f64| {
             if xj != 0.0 {
+                let row = &self.coefficients[j * width..(j + 1) * width];
                 for (margin, &g) in margins.iter_mut().zip(row) {
                     *margin += g * xj;
                 }
             }
         };
-        for (row, &xj) in self.coefficients.chunks_exact(width).zip(head) {
-            add(row, xj);
+        let rows = tile[0].0.len();
+        match tile {
+            [a, b, c, d] if tile.iter().all(|(head, _)| head.len() == rows) => {
+                let heads = [a.0, b.0, c.0, d.0];
+                head_margins(&self.coefficients[..rows * width], width, heads, margins);
+            }
+            _ => {
+                margins[..tile.len() * width].fill(0.0);
+                for (&(head, _), margins) in tile.iter().zip(margins.chunks_exact_mut(width)) {
+                    for (j, &xj) in head.iter().enumerate() {
+                        stream(margins, j, xj);
+                    }
+                }
+            }
         }
-        for &(j, xj) in tail {
-            add(&self.coefficients[j * width..(j + 1) * width], xj);
+        for (&(_, tail), margins) in tile.iter().zip(margins.chunks_exact_mut(width)) {
+            for &(j, xj) in tail {
+                stream(margins, j, xj);
+            }
         }
-        Ok(())
+    }
+
+    /// The bucket keys of one point's margins, one per table, into `keys`.
+    fn fold_keys(&self, margins: &[f64], keys: &mut [u64]) {
+        let tables = margins.chunks_exact(self.components * self.bits);
+        for (key, table) in keys.iter_mut().zip(tables) {
+            *key = table.chunks_exact(self.bits).fold(0u64, |key, component| {
+                combine_hashes(key, sign_bucket(component))
+            });
+        }
     }
 
     /// The `L` bucket keys of `v`, one per table, into `keys` (cleared first).
@@ -394,14 +468,51 @@ impl PlaneBank {
         scratch: &mut BankScratch,
         keys: &mut Vec<u64>,
     ) -> Result<()> {
-        self.margins(side, v.into(), scratch)?;
         keys.clear();
-        for table in scratch.margins.chunks_exact(self.components * self.bits) {
-            keys.push(table.chunks_exact(self.bits).fold(0u64, |key, component| {
-                combine_hashes(key, sign_bucket(component))
-            }));
+        keys.resize(self.tables, 0);
+        self.block_keys(side, [v.into()], scratch, keys)
+    }
+
+    /// The bucket keys of every point of a block, point-major: point `i`'s `L` keys
+    /// are `keys[i·L..(i+1)·L]`, each equal to what [`PlaneBank::keys`] gives for that
+    /// point alone. `keys` must hold exactly `L` slots per point.
+    ///
+    /// The points are hashed a register tile at a time (see the module docs). The
+    /// first point the embedding refuses fails the block with the error
+    /// [`PlaneBank::keys`] would give for it; what `keys` holds is then unspecified.
+    pub fn block_keys<'a>(
+        &self,
+        side: Side,
+        points: impl IntoIterator<Item = Point<'a>>,
+        scratch: &mut BankScratch,
+        keys: &mut [u64],
+    ) -> Result<()> {
+        let width = self.width();
+        let BankScratch { embedded, margins } = scratch;
+        margins.resize(TILE * width, 0.0);
+        let mut points = points.into_iter();
+        let mut keys = keys.chunks_exact_mut(self.tables);
+        loop {
+            let mut tile: [Walk<'_>; TILE] = [(&[], &[]); TILE];
+            let mut filled = 0;
+            for (slot, (buffer, point)) in tile.iter_mut().zip(embedded.iter_mut().zip(&mut points))
+            {
+                *slot = self.walk(side, point, buffer)?;
+                filled += 1;
+            }
+            if filled == 0 {
+                break;
+            }
+            self.tile_margins(&tile[..filled], margins);
+            for margins in margins.chunks_exact(width).take(filled) {
+                let keys = keys.next().ok_or_else(|| miscounted_keys(self.tables))?;
+                self.fold_keys(margins, keys);
+            }
         }
-        Ok(())
+        match keys.next() {
+            None if keys.into_remainder().is_empty() => Ok(()),
+            _ => Err(miscounted_keys(self.tables)),
+        }
     }
 
     /// Per table, the query's home bucket followed by up to `extra` perturbed buckets
@@ -413,12 +524,15 @@ impl PlaneBank {
         extra: usize,
         scratch: &mut BankScratch,
     ) -> Result<Vec<Vec<u64>>> {
-        self.margins(Side::Query, q.into(), scratch)?;
+        let width = self.width();
+        let BankScratch { embedded, margins } = scratch;
+        margins.resize(TILE * width, 0.0);
+        let walk = self.walk(Side::Query, q.into(), &mut embedded[0])?;
+        self.tile_margins(&[walk], margins);
         let starts: Vec<usize> = (0..=self.components).map(|c| c * self.bits).collect();
         let mut homes = Vec::with_capacity(self.components);
         let mut atoms: Vec<ProbeFlip> = Vec::with_capacity(self.components * self.bits);
-        Ok(scratch
-            .margins
+        Ok(margins[..width]
             .chunks_exact(self.components * self.bits)
             .map(|table| {
                 homes.clear();
@@ -431,6 +545,63 @@ impl PlaneBank {
                 compose_probes(&homes, &atoms, &starts, extra)
             })
             .collect())
+    }
+}
+
+/// What [`PlaneBank::block_keys`] answers to a key buffer of the wrong length.
+fn miscounted_keys(tables: usize) -> LshError {
+    LshError::InvalidParameter {
+        name: "keys",
+        reason: format!("a block takes exactly {tables} key slots per point"),
+    }
+}
+
+/// Planes per register tile: with [`TILE`] points, eight packed accumulators — what
+/// sixteen vector registers hold beside the coefficients and the broadcast coordinates.
+const LANES: usize = 4;
+
+/// The register tile: `margins[p·width + f] = Σ_j coefficients[j·width + f]·heads[p][j]`
+/// for [`TILE`] points whose heads have one length (`coefficients` holds that many
+/// rows), [`LANES`] planes at a time. The `TILE × LANES` sums stay in registers across
+/// the whole walk over `j`, so a coefficient is loaded once per tile, not once per
+/// point, and no margin is read back or rewritten per row; each sum still adds its
+/// products in ascending `j`, from `+0.0` (a zero coordinate is added, not skipped —
+/// the sign of a zero, again).
+///
+/// Compiled once, here: inlined into its generic callers the loop would be
+/// re-optimised per instantiating crate (see `position_of` in `table.rs`). It is for a
+/// *warm* bank — a build hashing point after point. It walks the bank a few columns
+/// at a time, which no prefetcher follows; a single lookup, whose bank may have left
+/// the cache since the last one, streams it row by row instead.
+#[inline(never)]
+fn head_margins(coefficients: &[f64], width: usize, heads: [&[f64]; TILE], margins: &mut [f64]) {
+    let mut first = 0;
+    while first + LANES <= width {
+        // Indexed loops over fixed-size arrays: the shape the compiler turns into
+        // packed accumulators.
+        let mut sums = [[0.0f64; LANES]; TILE];
+        for (j, row) in coefficients.chunks_exact(width).enumerate() {
+            let g: [f64; LANES] = row[first..first + LANES]
+                .try_into()
+                .expect("a slice of LANES planes");
+            for p in 0..TILE {
+                let xj = heads[p][j];
+                for f in 0..LANES {
+                    sums[p][f] += g[f] * xj;
+                }
+            }
+        }
+        for p in 0..TILE {
+            margins[p * width + first..p * width + first + LANES].copy_from_slice(&sums[p]);
+        }
+        first += LANES;
+    }
+    // The planes a whole tile does not cover, one at a time.
+    for f in first..width {
+        for (p, head) in heads.iter().enumerate() {
+            let column = coefficients.iter().skip(f).step_by(width);
+            margins[p * width + f] = column.zip(*head).fold(0.0, |sum, (&g, &xj)| sum + g * xj);
+        }
     }
 }
 

@@ -20,6 +20,20 @@
 //! The kernel's buffers are reused: `insert` / `remove` hash through a scratch the
 //! index owns, the `&self` lookups through one per thread.
 //!
+//! **Building.** A build is the one operation that hashes many points at once, and it
+//! does so block by block ([`LshIndex::extend_blocks`]): threads claim blocks of
+//! [`BUILD_BLOCK`] points through the workspace's block driver
+//! ([`ips_linalg::par::pipeline`]) and hash each through the bank's block kernel into
+//! a key buffer the calling thread owns; the calling thread files each block's keys
+//! into the tables **in id order**, while the others hash on. A bucket's contents and
+//! order depend only on which ids hash to it and on the order they are filed in, so
+//! the tables are those of inserting the points one by one — at any thread count and
+//! block size — and with them everything derived from the tables, snapshot bytes
+//! included. Filing on the calling thread is also what keeps every bucket in *its*
+//! allocator arena: a table filled by a worker thread lives in that worker's arena,
+//! whose pages stay resident after the worker is gone. One thread runs the same code
+//! with no spawn.
+//!
 //! The index is *dynamic*: [`LshIndex::insert`] and [`LshIndex::remove`] maintain the
 //! `L` tables incrementally (hashing the point with each table's stored function), so a
 //! long-lived serving process can mutate an index without rebuilding it; and it is
@@ -32,10 +46,19 @@ use crate::bank::{BankScratch, PlaneBank, Point, Side, SparseImage};
 use crate::error::{LshError, Result};
 use crate::probe::ProbeSequence;
 use crate::traits::{AsymmetricHashFunction, AsymmetricLshFamily};
+use ips_linalg::par::{pipeline, Schedule};
 use ips_linalg::DenseVector;
 use rand::Rng;
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::ops::Range;
+
+/// Points a build thread claims at a time: enough that a claim (two lock hand-offs,
+/// ~1 µs) is nothing beside hashing them (~100 µs), few enough that the key buffer — a
+/// ring of `threads ×` [`ips_linalg::par::DEPTH`] blocks of `BUILD_BLOCK × L` keys,
+/// 64 KB at the defaults on two threads — comes out of the heap's free space instead
+/// of fresh pages, and a build leaves the process's peak where it was.
+pub const BUILD_BLOCK: usize = 32;
 
 /// The hashing buffers of one vector: the kernel's scratch and the `L` keys.
 #[derive(Debug, Clone, Default)]
@@ -120,20 +143,76 @@ impl<F: AsymmetricLshFamily> Hasher<F> {
     /// half-done.
     fn keys_into(&self, side: Side, point: Point<'_>, buffers: &mut KeyBuffers) -> Result<()> {
         let KeyBuffers { scratch, keys } = buffers;
-        match (self, point) {
-            (Self::Bank(bank), point) => bank.keys(side, point, scratch, keys),
-            (Self::Functions(functions), Point::Dense(v)) => {
-                keys.clear();
-                for f in functions {
-                    keys.push(match side {
-                        Side::Data => f.hash_data(v)?,
-                        Side::Query => f.hash_query(v)?,
-                    });
-                }
-                Ok(())
+        keys.clear();
+        keys.resize(self.tables(), 0);
+        self.block_keys(side, [point], scratch, keys)
+    }
+
+    /// The bucket keys of a block of points, point-major (`L` per point) — for a bank,
+    /// [`PlaneBank::block_keys`]; for any other family, function by function.
+    fn block_keys<'a>(
+        &self,
+        side: Side,
+        points: impl IntoIterator<Item = Point<'a>>,
+        scratch: &mut BankScratch,
+        keys: &mut [u64],
+    ) -> Result<()> {
+        let functions = match self {
+            Self::Bank(bank) => return bank.block_keys(side, points, scratch, keys),
+            Self::Functions(functions) => functions,
+        };
+        for (point, keys) in points
+            .into_iter()
+            .zip(keys.chunks_exact_mut(functions.len()))
+        {
+            let Point::Dense(v) = point else {
+                return Err(not_banked());
+            };
+            for (key, f) in keys.iter_mut().zip(functions) {
+                *key = match side {
+                    Side::Data => f.hash_data(v)?,
+                    Side::Query => f.hash_query(v)?,
+                };
             }
-            (Self::Functions(_), Point::Sparse(_)) => Err(not_banked()),
         }
+        Ok(())
+    }
+
+    fn tables(&self) -> usize {
+        match self {
+            Self::Bank(bank) => bank.tables(),
+            Self::Functions(functions) => functions.len(),
+        }
+    }
+
+    /// A kernel scratch at its full size, so that hashing through it allocates nothing.
+    fn scratch(&self) -> BankScratch {
+        match self {
+            Self::Bank(bank) => bank.scratch(),
+            Self::Functions(_) => BankScratch::default(),
+        }
+    }
+}
+
+/// The hashing half of an index, as a build worker sees it (see
+/// [`LshIndex::extend_blocks`]): the functions, shared and read-only, and a kernel
+/// scratch of the worker's own. Good for the data side only.
+pub struct BlockHasher<'a, F: AsymmetricLshFamily> {
+    hasher: &'a Hasher<F>,
+    scratch: &'a mut BankScratch,
+}
+
+impl<F: AsymmetricLshFamily> BlockHasher<'_, F> {
+    /// The data-side bucket keys of a block of points, point-major: point `i`'s `L`
+    /// keys are `keys[i·L..(i+1)·L]`, which must be exactly the slots given. Fails with
+    /// the error of the first point the family refuses.
+    pub fn data_keys<'p>(
+        &mut self,
+        points: impl IntoIterator<Item = Point<'p>>,
+        keys: &mut [u64],
+    ) -> Result<()> {
+        self.hasher
+            .block_keys(Side::Data, points, self.scratch, keys)
     }
 }
 
@@ -157,13 +236,34 @@ pub struct LshIndex<F: AsymmetricLshFamily> {
 
 impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
     /// Builds an index over `data` using `params.l` tables of `params.k`-wise composite
-    /// functions sampled from `family`.
+    /// functions sampled from `family`, hashing on every available CPU
+    /// ([`LshIndex::build_scheduled`] with the default [`Schedule`]).
     pub fn build<R: Rng + ?Sized>(
         family: &F,
         params: IndexParams,
         data: &[DenseVector],
         rng: &mut R,
-    ) -> Result<Self> {
+    ) -> Result<Self>
+    where
+        F::Function: Sync,
+    {
+        Self::build_scheduled(Schedule::new(BUILD_BLOCK), family, params, data, rng)
+    }
+
+    /// [`LshIndex::build`] under an explicit schedule. The functions are sampled on the
+    /// calling thread, the points hashed block by block ([`LshIndex::extend_blocks`]);
+    /// the index — functions, tables, bucket order — is the same at every thread count
+    /// and block size. A build beside live traffic passes one thread.
+    pub fn build_scheduled<R: Rng + ?Sized>(
+        schedule: Schedule,
+        family: &F,
+        params: IndexParams,
+        data: &[DenseVector],
+        rng: &mut R,
+    ) -> Result<Self>
+    where
+        F::Function: Sync,
+    {
         if params.l == 0 {
             return Err(LshError::InvalidParameter {
                 name: "l",
@@ -184,10 +284,111 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
             len: 0,
             buffers: KeyBuffers::default(),
         };
-        for (idx, p) in data.iter().enumerate() {
-            index.insert(idx as u32, p)?;
-        }
+        index.extend_blocks(
+            schedule,
+            0,
+            data.len(),
+            |_| (),
+            |hasher, range, (), keys| hasher.data_keys(data[range].iter().map(Point::from), keys),
+            |_| (),
+        )?;
         Ok(index)
+    }
+
+    /// Files `count` more points under the ids `first_id..first_id + count`, hashing
+    /// them a block at a time on `schedule.threads` threads — the one entry point
+    /// behind every build.
+    ///
+    /// The points travel through [`ips_linalg::par::pipeline`] in blocks of
+    /// `schedule.block`. `hash(hasher, positions, state, keys)` runs on any thread: it
+    /// names the points at `positions` (within `0..count`) to the [`BlockHasher`],
+    /// which writes their keys into `keys`; `state` is the thread's own, for whatever
+    /// `hash` has to compute on the way. Then, **on the calling thread and in id
+    /// order**, the block's keys are filed into the tables and `filed(positions)` is
+    /// called. So the tables — which buckets exist, and the order of the ids in each —
+    /// are those of inserting the points one after another, at every thread count and
+    /// block size, and everything that outlives the call (bucket lists here; whatever
+    /// `filed` keeps) is allocated by the calling thread. The threads write into what
+    /// the caller owns and allocated up front: the key buffer — a ring of
+    /// [`Schedule::ring`] blocks of `block × L` keys — and, per thread, a kernel
+    /// scratch and a state, `thread_state(points)` making one for blocks of up to
+    /// `points` points, sized so that `hash` need not grow it.
+    ///
+    /// A point the family refuses fails the call with the error inserting it alone
+    /// would give — the lowest such point's, whichever block it is in. Points of
+    /// earlier blocks stay filed; a build drops the index.
+    pub fn extend_blocks<T: Send, E: Send>(
+        &mut self,
+        schedule: Schedule,
+        first_id: u32,
+        count: usize,
+        thread_state: impl Fn(usize) -> T,
+        hash: impl Fn(
+                &mut BlockHasher<'_, F>,
+                Range<usize>,
+                &mut T,
+                &mut [u64],
+            ) -> std::result::Result<(), E>
+            + Sync,
+        mut filed: impl FnMut(Range<usize>),
+    ) -> std::result::Result<(), E>
+    where
+        F::Function: Sync,
+    {
+        assert!(
+            count <= (u32::MAX - first_id) as usize,
+            "ids {first_id}.. of {count} points overflow the id space"
+        );
+        if count == 0 {
+            return Ok(());
+        }
+        let Self { hasher, tables, .. } = self;
+        let hasher = &*hasher;
+        let (block, l) = (schedule.block.clamp(1, count), tables.len());
+        let blocks = count.div_ceil(block);
+        let mut locals: Vec<(BankScratch, T)> = (0..schedule.threads.clamp(1, blocks))
+            .map(|_| (hasher.scratch(), thread_state(block)))
+            .collect();
+        let mut keys = vec![0u64; schedule.ring().min(blocks) * block * l];
+        let mut ring: Vec<(Range<usize>, &mut [u64])> = keys
+            .chunks_mut(block * l)
+            .map(|keys| (0..0, keys))
+            .collect();
+        pipeline(
+            &mut locals,
+            &mut ring,
+            |k, (positions, _)| {
+                *positions = (k * block).min(count)..((k + 1) * block).min(count);
+                Ok(positions.start < positions.end)
+            },
+            |(scratch, state), _, (positions, keys)| {
+                let mut hasher = BlockHasher { hasher, scratch };
+                let keys = &mut keys[..positions.len() * l];
+                hash(&mut hasher, positions.clone(), state, keys)
+            },
+            |_, (positions, keys)| {
+                // A table at a time, so that a block's entries meet a warm table, and
+                // a run of consecutive points under one key — on concentrated data,
+                // most of a block — with one lookup. Ids ascend either way.
+                let id = |position: usize| first_id + position as u32;
+                let (start, points) = (positions.start, positions.len());
+                for (t, table) in tables.iter_mut().enumerate() {
+                    let key = |i: usize| keys[i * l + t];
+                    let mut run = 0;
+                    while run < points {
+                        let after = (run + 1..points).find(|&i| key(i) != key(run));
+                        let after = after.unwrap_or(points);
+                        let bucket = table.entry(key(run)).or_default();
+                        bucket.extend(id(start + run)..id(start + after));
+                        run = after;
+                    }
+                }
+                filed(positions.clone());
+                Ok(())
+            },
+        )?;
+        self.len += count;
+        Ok(())
     }
 
     /// The parameters the index was built with.

@@ -94,28 +94,12 @@ pub fn multiply_parallel(a: &Matrix, b: &Matrix, block: usize, threads: usize) -
     let threads = threads.min(n);
     let rows_per_worker = n.div_ceil(threads);
     let mut out = vec![0.0f64; n * m];
-    {
-        // Split the output buffer into per-worker row ranges so each worker owns a
-        // disjoint mutable slice.
-        let mut chunks: Vec<(usize, &mut [f64])> = Vec::with_capacity(threads);
-        let mut rest = out.as_mut_slice();
-        let mut row = 0usize;
-        while row < n {
-            let take_rows = rows_per_worker.min(n - row);
-            let (head, tail) = rest.split_at_mut(take_rows * m);
-            chunks.push((row, head));
-            rest = tail;
-            row += take_rows;
-        }
-        std::thread::scope(|scope| {
-            for (row_start, chunk) in chunks {
-                let rows_here = chunk.len() / m;
-                scope.spawn(move || {
-                    blocked_shifted(a, b, block, row_start, row_start + rows_here, chunk);
-                });
-            }
-        });
-    }
+    // One row range of the output per worker, each a disjoint mutable slice.
+    let mut chunks: Vec<&mut [f64]> = out.chunks_mut(rows_per_worker * m).collect();
+    ips_linalg::par::for_each_block(threads, &mut chunks, |k, chunk| {
+        let row_start = k * rows_per_worker;
+        blocked_shifted(a, b, block, row_start, row_start + chunk.len() / m, chunk);
+    });
     Ok(Matrix::from_row_major(n, m, out).expect("output buffer has the right length"))
 }
 

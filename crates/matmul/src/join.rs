@@ -125,31 +125,15 @@ pub fn matmul_exact_join_parallel(
     }
     let threads = threads.min(queries.len());
     let chunk_size = queries.len().div_ceil(threads);
-    let results: Vec<Result<Vec<AlgebraicPair>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = queries
-            .chunks(chunk_size)
-            .enumerate()
-            .map(|(chunk_idx, chunk)| {
-                scope.spawn(move || -> Result<Vec<AlgebraicPair>> {
-                    let offset = chunk_idx * chunk_size;
-                    let mut local =
-                        matmul_exact_join(data, chunk, threshold, unsigned, query_block)?;
-                    for pair in &mut local {
-                        pair.query_index += offset;
-                    }
-                    Ok(local)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("join worker thread panicked"))
-            .collect()
-    });
-    let mut out = Vec::new();
-    for r in results {
-        out.extend(r?);
-    }
+    let mut chunks: Vec<&[DenseVector]> = queries.chunks(chunk_size).collect();
+    let lists = ips_linalg::par::map_blocks(threads, &mut chunks, |k, chunk| {
+        let mut local = matmul_exact_join(data, chunk, threshold, unsigned, query_block)?;
+        for pair in &mut local {
+            pair.query_index += k * chunk_size;
+        }
+        Ok::<_, MatmulError>(local)
+    })?;
+    let mut out: Vec<AlgebraicPair> = lists.into_iter().flatten().collect();
     out.sort_by_key(|p| p.query_index);
     Ok(out)
 }

@@ -48,7 +48,9 @@ use ips_core::problem::{JoinSpec, MatchPair};
 use ips_core::symmetric::{SymmetricLshMips, SymmetricParams};
 use ips_core::topk::TopKMipsIndex;
 use ips_core::AlshMipsIndex;
+use ips_linalg::par::{available_threads, Schedule};
 use ips_linalg::DenseVector;
+use ips_lsh::table::BUILD_BLOCK;
 use ips_sketch::linf_mips::MaxIpConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -293,21 +295,26 @@ pub struct ServingIndex {
     counters: Counters,
 }
 
+/// Builds the structure `index_config` names over `data`. The LSH families hash on
+/// `threads` workers — [`available_threads`] for a build that has the machine, `1` for
+/// one that runs beside live traffic; the structure is the same either way.
 pub(crate) fn build_index(
     data: Vec<DenseVector>,
     spec: JoinSpec,
     index_config: IndexConfig,
     seed: u64,
+    threads: usize,
 ) -> Result<AnyIndex> {
     let mut rng = StdRng::seed_from_u64(seed);
+    let schedule = Schedule::new(BUILD_BLOCK).with_threads(threads);
     Ok(match index_config {
         IndexConfig::Brute => AnyIndex::Brute(BruteForceMipsIndex::new(data, spec)),
-        IndexConfig::Alsh(params) => {
-            AnyIndex::Alsh(AlshMipsIndex::build(&mut rng, data, spec, params)?)
-        }
-        IndexConfig::Symmetric(params) => {
-            AnyIndex::Symmetric(SymmetricLshMips::build(&mut rng, data, spec, params)?)
-        }
+        IndexConfig::Alsh(params) => AnyIndex::Alsh(AlshMipsIndex::build_scheduled(
+            schedule, &mut rng, data, spec, params,
+        )?),
+        IndexConfig::Symmetric(params) => AnyIndex::Symmetric(SymmetricLshMips::build_scheduled(
+            schedule, &mut rng, data, spec, params,
+        )?),
         IndexConfig::Sketch { config, leaf_size } => AnyIndex::Sketch(SketchMipsAdapter::build(
             &mut rng, data, spec, config, leaf_size,
         )?),
@@ -341,7 +348,7 @@ impl ServingIndex {
                 reason: "a serving index needs at least one vector".into(),
             });
         }
-        let primary = build_index(data, spec, index_config, config.seed)?;
+        let primary = build_index(data, spec, index_config, config.seed, available_threads())?;
         Self::from_snapshot(Snapshot::new(primary), config)
     }
 
@@ -817,7 +824,14 @@ impl ServingIndex {
         self.id_to_slot.clear();
         self.tombstones.clear();
         let (ids, data): (Vec<u64>, Vec<DenseVector>) = entries.into_iter().unzip();
-        self.primary = build_index(data, self.spec, self.index_config, self.config.seed)?;
+        let threads = available_threads();
+        self.primary = build_index(
+            data,
+            self.spec,
+            self.index_config,
+            self.config.seed,
+            threads,
+        )?;
         self.id_to_slot = ids.iter().enumerate().map(|(s, &id)| (id, s)).collect();
         self.primary_ids = ids;
         Ok(())
@@ -1091,7 +1105,7 @@ mod tests {
         config: ServingConfig,
     ) -> Vec<u8> {
         let (ids, data): (Vec<u64>, Vec<DenseVector>) = entries.iter().cloned().unzip();
-        let index = build_index(data, spec(), index_config, config.seed).unwrap();
+        let index = build_index(data, spec(), index_config, config.seed, 2).unwrap();
         let snapshot = Snapshot::with_ids(index, ids, next_id).unwrap();
         ServingIndex::from_snapshot(snapshot, config)
             .unwrap()

@@ -70,6 +70,7 @@ use ips_core::problem::{JoinSpec, MatchPair};
 use ips_core::shard::{merge_best, merge_top_k, merge_two_step};
 use ips_core::topk::TopKMipsIndex;
 use ips_core::KernelActivity;
+use ips_linalg::par::available_threads;
 use ips_linalg::DenseVector;
 use ips_obs::prom::PromWriter;
 use ips_obs::{
@@ -234,6 +235,7 @@ impl ShardedServingIndex {
                 spec,
                 index_config,
                 config.serving,
+                available_threads(),
             )?));
         }
         Ok(Self {
@@ -276,13 +278,14 @@ impl ShardedServingIndex {
         spec: JoinSpec,
         index_config: IndexConfig,
         serving: ServingConfig,
+        threads: usize,
     ) -> Result<Option<ServingIndex>> {
         if entries.is_empty() {
             return Ok(None);
         }
         let ids: Vec<u64> = entries.iter().map(|(id, _)| *id).collect();
         let data: Vec<DenseVector> = entries.into_iter().map(|(_, v)| v).collect();
-        let index = build_index(data, spec, index_config, serving.seed)?;
+        let index = build_index(data, spec, index_config, serving.seed, threads)?;
         let snapshot = Snapshot::with_ids(index, ids, next_id)?;
         Ok(Some(ServingIndex::from_snapshot(snapshot, serving)?))
     }
@@ -592,6 +595,7 @@ impl ShardedServingIndex {
                     self.spec,
                     self.index_config(),
                     self.config.serving,
+                    1,
                 )?;
             }
         }
@@ -904,12 +908,14 @@ impl ShardedServingIndex {
         let built_count = per_shard.iter().map(Vec::len).sum();
         let mut built = Vec::with_capacity(shard_count);
         for entries in per_shard {
+            // One thread: the old index is serving on the others.
             built.push(Self::build_shard(
                 entries,
                 next_at_snapshot,
                 self.spec,
                 target,
                 self.config.serving,
+                1,
             )?);
         }
         let build_ns = build_start.elapsed().as_nanos() as u64;
@@ -994,8 +1000,10 @@ impl ShardedServingIndex {
             // canonical, nothing to replay.
             None => {
                 let replayed = current.len();
-                let mut shard = Self::build_shard(current, global_next, spec, target, serving)?
-                    .expect("non-empty entries build a shard");
+                let threads = available_threads();
+                let mut shard =
+                    Self::build_shard(current, global_next, spec, target, serving, threads)?
+                        .expect("non-empty entries build a shard");
                 shard.set_mutation_history(&old_stats);
                 **guard = Some(shard);
                 return Ok(replayed);

@@ -163,6 +163,103 @@ fn lsh_index_surface_is_pinned() {
 }
 
 #[test]
+fn block_parallel_set_up_surface_is_pinned() {
+    // PR 18 (MIGRATION.md, "Block-parallel set-up"): one driver in `ips_linalg::par`,
+    // and a `*_scheduled` form beside every entry point that now runs on it. The
+    // unscheduled forms keep the signatures pinned above (the benchmark compiles
+    // against `LshIndex::build`, `write_vectors` and `write_vectors_to`).
+    use ips_cli::dataset::{self, READ_BLOCK, WRITE_BLOCK};
+    use ips_core::asymmetric::AlshParams;
+    use ips_core::problem::{JoinSpec, JoinVariant};
+    use ips_core::symmetric::SymmetricParams;
+    use ips_core::{AlshMipsIndex, SymmetricLshMips};
+    use ips_linalg::par::{self, Schedule};
+    use ips_lsh::bank::Point;
+    use ips_lsh::simple_alsh::SimpleAlshFamily;
+    use ips_lsh::table::{IndexParams, LshIndex, BUILD_BLOCK};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    let _threads: fn() -> usize = par::available_threads;
+    let schedule: Schedule = Schedule::new(BUILD_BLOCK).with_threads(2);
+    assert_eq!((schedule.threads, schedule.block), (2, BUILD_BLOCK));
+    assert_eq!(schedule.ring(), 2 * par::DEPTH);
+    // The driver: an ordered pass, and the same for a list known up front.
+    let mut doubled = Vec::new();
+    let passed: Result<(), ()> = par::pipeline(
+        &mut [(), ()],
+        &mut [0u32; 3],
+        |k, slot| {
+            *slot = k as u32;
+            Ok(k < 5)
+        },
+        |(), _, slot| {
+            *slot *= 2;
+            Ok(())
+        },
+        |_, slot| {
+            doubled.push(*slot);
+            Ok(())
+        },
+    );
+    assert_eq!((passed, doubled), (Ok(()), vec![0, 2, 4, 6, 8]));
+    let squares: Result<Vec<usize>, ()> =
+        par::map_blocks(2, &mut [1usize, 2, 3], |_, x| Ok(*x * *x));
+    assert_eq!(squares, Ok(vec![1, 4, 9]));
+    par::for_each_block(2, &mut [0u8; 2], |k, x| *x = k as u8);
+    // Builds under a schedule.
+    let data = vec![DenseVector::from(&[0.6, 0.0][..]); 5];
+    let spec = JoinSpec::new(0.5, 0.6, JoinVariant::Signed).unwrap();
+    let family = SimpleAlshFamily::new(2, 1.0, 1).unwrap();
+    let params = IndexParams { k: 2, l: 3 };
+    type Alsh = LshIndex<SimpleAlshFamily>;
+    type Data<'a> = &'a [DenseVector];
+    let _build: fn(
+        Schedule,
+        &SimpleAlshFamily,
+        IndexParams,
+        Data<'_>,
+        &mut StdRng,
+    ) -> ips_lsh::Result<Alsh> = LshIndex::build_scheduled::<StdRng>;
+    let mut rng = StdRng::seed_from_u64(1);
+    let mut index = LshIndex::build_scheduled(schedule, &family, params, &[], &mut rng).unwrap();
+    let mut filed = Vec::new();
+    let extended: ips_lsh::Result<()> = index.extend_blocks(
+        schedule.with_threads(1),
+        0,
+        data.len(),
+        |_points| (),
+        |hasher, positions, (), keys| {
+            hasher.data_keys(data[positions].iter().map(Point::from), keys)
+        },
+        |positions| filed.extend(positions),
+    );
+    assert_eq!(
+        (extended, index.len(), filed),
+        (Ok(()), 5, vec![0, 1, 2, 3, 4])
+    );
+    let alsh: AlshMipsIndex<'_> =
+        AlshMipsIndex::build_scheduled(schedule, &mut rng, &data[..], spec, AlshParams::default())
+            .unwrap();
+    let symmetric: SymmetricLshMips<'_> = SymmetricLshMips::build_scheduled(
+        schedule,
+        &mut rng,
+        &data[..],
+        spec,
+        SymmetricParams::default(),
+    )
+    .unwrap();
+    assert_eq!((alsh.slots(), symmetric.slots()), (5, 5));
+    // The CSV codec under a schedule (`block` in coordinates, then in bytes of text).
+    let mut text = Vec::new();
+    let written: ips_cli::Result<()> =
+        dataset::write_vectors_scheduled(&mut text, &data, Schedule::new(WRITE_BLOCK));
+    written.unwrap();
+    let read: ips_cli::Result<Vec<DenseVector>> =
+        dataset::read_vectors_scheduled(&text[..], "text", Schedule::new(READ_BLOCK));
+    assert_eq!(read.unwrap(), data);
+}
+
+#[test]
 fn join_indexes_borrow_or_own_their_vectors() {
     // PR 17 (MIGRATION.md, "Borrowing join indexes"): the LSH and sketch indexes hold
     // a `Cow` of their vectors and carry its lifetime. `build` takes a `Vec` to own or

@@ -25,13 +25,23 @@
 //! materialised image, for dimensions 1..64, unit-norm inputs (an all-zero tag), zero
 //! and `-0.0` coordinates, and a [`SymmetricLshMips`] built either way must hold the
 //! same tables.
+//!
+//! The third property is the build's: both indexes hash their points block by block on
+//! several threads (`LshIndex::extend_blocks`, full blocks through the register tile of
+//! `PlaneBank::block_keys`). For threads ∈ {1, 2, 3, 7} and blocks of 1, 5 and 256
+//! points the index — functions, tables, bucket order, entry count, snapshot bytes —
+//! must be the one a single thread builds; a block's keys must be each point's own
+//! [`PlaneBank::keys`]; and a point outside the ball must fail the build with the error
+//! it gives alone, whichever block it lands in.
 
+use ips_core::asymmetric::{AlshMipsIndex, AlshParams};
 use ips_core::problem::{JoinSpec, JoinVariant};
 use ips_core::symmetric::{SphereImage, SymmetricLshMips, SymmetricParams, SymmetricSphereMap};
+use ips_linalg::par::Schedule;
 use ips_linalg::random::{random_ball_vector, random_unit_vector};
 use ips_linalg::DenseVector;
 use ips_lsh::amplify::{AndConstruction, AndFunction};
-use ips_lsh::bank::{BankScratch, Side, SparseImage};
+use ips_lsh::bank::{BankScratch, Point, Side, SparseImage};
 use ips_lsh::hyperplane::HyperplaneFamily;
 use ips_lsh::simple_alsh::SimpleAlshFamily;
 use ips_lsh::table::{IndexParams, LshIndex};
@@ -402,6 +412,189 @@ proptest! {
             prop_assert_eq!(
                 built.candidate_count(v).unwrap(),
                 reference.probe_lookup(dense, 0).unwrap().len()
+            );
+        }
+    }
+}
+
+/// Every schedule a build must not depend on.
+fn schedules() -> impl Iterator<Item = Schedule> {
+    let threads = [1usize, 2, 3, 7];
+    threads
+        .into_iter()
+        .flat_map(|threads| [1usize, 5, 256].map(|block| Schedule { threads, block }))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn block_builds_are_the_one_thread_build(
+        seed in any::<u64>(),
+        dim in 1usize..=64,
+        k in 1usize..=10,
+        l in 1usize..=4,
+        random in 0usize..40,
+        bad_at in 0usize..1000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xB10C);
+        // Unit ball, edge cases first: zero, signed zeros, norm exactly 1 (a zero
+        // sphere coordinate, an all-zero tag), just inside the slack.
+        let data = edge_and_random_vectors(&mut rng, dim, 1.0, random);
+        let spec = JoinSpec::new(0.5, 0.5, JoinVariant::Signed).unwrap();
+        let one_thread = Schedule { threads: 1, block: 256 };
+        let params = IndexParams { k, l };
+
+        // A block's keys are each point's own, dense points through the Section 4.1
+        // embedding and sparse images alike.
+        let alsh_family = SimpleAlshFamily::new(dim, 1.0, 1).unwrap();
+        let map = SymmetricSphereMap::new(dim, 0.25, 16).unwrap();
+        let symmetric_family =
+            SymmetricAsAsymmetric(HyperplaneFamily::single_bit(map.output_dim()).unwrap());
+        let sample = |seed: u64| StdRng::seed_from_u64(seed);
+        let alsh_composite = AndConstruction::new(alsh_family.clone(), k).unwrap();
+        let mut sampler = sample(seed);
+        let functions: Vec<_> =
+            (0..l).map(|_| alsh_composite.sample(&mut sampler).unwrap()).collect();
+        let alsh_bank = SimpleAlshFamily::plane_bank(&functions).unwrap().unwrap();
+        let symmetric_composite = AndConstruction::new(symmetric_family.clone(), k).unwrap();
+        let mut sampler = sample(seed);
+        let functions: Vec<_> =
+            (0..l).map(|_| symmetric_composite.sample(&mut sampler).unwrap()).collect();
+        let symmetric_bank = <SymmetricAsAsymmetric<HyperplaneFamily>>::plane_bank(&functions)
+            .unwrap()
+            .unwrap();
+        let mut images = vec![SphereImage::default(); data.len()];
+        for (v, image) in data.iter().zip(&mut images) {
+            map.image_into(v, image).unwrap();
+        }
+        let sparse_points = || data.iter().zip(&images).map(|(v, image)| {
+            Point::from(SparseImage { dim: map.output_dim(), head: v.as_slice(), tail: image.tag() })
+        });
+        let (mut scratch, mut own) = (BankScratch::default(), Vec::new());
+        let mut block = vec![0u64; data.len() * l];
+        alsh_bank
+            .block_keys(Side::Data, data.iter().map(Point::from), &mut scratch, &mut block)
+            .unwrap();
+        for (v, keys) in data.iter().zip(block.chunks_exact(l)) {
+            alsh_bank.keys(Side::Data, v, &mut scratch, &mut own).unwrap();
+            prop_assert_eq!(keys, &own[..]);
+        }
+        symmetric_bank
+            .block_keys(Side::Data, sparse_points(), &mut scratch, &mut block)
+            .unwrap();
+        for (point, keys) in sparse_points().zip(block.chunks_exact(l)) {
+            symmetric_bank.keys(Side::Data, point, &mut scratch, &mut own).unwrap();
+            prop_assert_eq!(keys, &own[..]);
+        }
+        // A key buffer of the wrong length is refused, whichever way it is wrong.
+        for slots in [0, block.len() - 1, block.len() - l] {
+            prop_assert!(alsh_bank
+                .block_keys(Side::Data, data.iter().map(Point::from), &mut scratch, &mut block[..slots])
+                .is_err());
+        }
+
+        // The indexes, at every schedule, against the one-thread build.
+        let alsh_params = AlshParams { bits_per_table: k, tables: l, ..AlshParams::default() };
+        let symmetric_params = SymmetricParams {
+            bits_per_table: k,
+            tables: l,
+            ..SymmetricParams::default()
+        };
+        let alsh = |schedule| {
+            AlshMipsIndex::build_scheduled(schedule, &mut sample(seed), data.clone(), spec, alsh_params)
+        };
+        let symmetric = |schedule| {
+            SymmetricLshMips::build_scheduled(
+                schedule,
+                &mut sample(seed),
+                data.clone(),
+                spec,
+                symmetric_params,
+            )
+        };
+        let alsh_bytes = |index| ips_store::Snapshot::new(ips_store::AnyIndex::Alsh(index)).to_bytes();
+        let symmetric_bytes =
+            |index| ips_store::Snapshot::new(ips_store::AnyIndex::Symmetric(index)).to_bytes();
+        let alsh_reference = alsh(one_thread).unwrap();
+        let symmetric_reference = symmetric(one_thread).unwrap();
+        prop_assert_eq!(alsh_reference.lsh_index().stored_entries(), data.len() * l);
+        for schedule in schedules() {
+            let built = alsh(schedule).unwrap();
+            let (ours, theirs) = (built.lsh_index(), alsh_reference.lsh_index());
+            prop_assert_eq!(ours.tables(), theirs.tables());
+            prop_assert_eq!(ours.stored_entries(), theirs.stored_entries());
+            prop_assert_eq!(ours.len(), theirs.len());
+            for (a, b) in ours.functions().iter().zip(theirs.functions()) {
+                for (a, b) in a.functions().iter().zip(b.functions()) {
+                    prop_assert_eq!(a.hyperplane().planes(), b.hyperplane().planes());
+                }
+            }
+            let built = symmetric(schedule).unwrap();
+            let (ours, theirs) = (built.lsh_index(), symmetric_reference.lsh_index());
+            prop_assert_eq!(ours.tables(), theirs.tables());
+            prop_assert_eq!(ours.stored_entries(), theirs.stored_entries());
+            for (a, b) in ours.functions().iter().zip(theirs.functions()) {
+                for (a, b) in a.functions().iter().zip(b.functions()) {
+                    prop_assert_eq!(a.0.planes(), b.0.planes());
+                }
+            }
+            // The diagonal was filed in slot order too: every vector finds itself.
+            for (slot, v) in data.iter().enumerate() {
+                prop_assert_eq!(
+                    built.exact_probe(v).unwrap().map(|hit| hit.data_index),
+                    symmetric_reference.exact_probe(v).unwrap().map(|hit| hit.data_index),
+                    "slot {}", slot
+                );
+            }
+        }
+        // Snapshot bytes: functions, tables in canonical order, vectors, liveness.
+        let alsh_reference = alsh_bytes(alsh_reference);
+        let symmetric_reference = symmetric_bytes(symmetric_reference);
+        for schedule in schedules() {
+            prop_assert_eq!(&alsh_bytes(alsh(schedule).unwrap()), &alsh_reference);
+            prop_assert_eq!(&symmetric_bytes(symmetric(schedule).unwrap()), &symmetric_reference);
+        }
+
+        // A point outside the ball, wherever it stands, fails the build with the
+        // error it gives on its own — and of two, the earlier one's.
+        let bad_at = bad_at % data.len();
+        let outside = |scale: f64| random_unit_vector(&mut sample(seed), dim).unwrap().scaled(scale);
+        let mut spoiled = data.clone();
+        spoiled[bad_at] = outside(1.5);
+        spoiled.push(outside(2.5));
+        let alone = LshIndex::build_scheduled(
+            one_thread,
+            &alsh_family,
+            params,
+            &spoiled[bad_at..=bad_at],
+            &mut sample(seed),
+        )
+        .map(|_| ())
+        .unwrap_err();
+        let symmetric_alone = SymmetricLshMips::build_scheduled(
+            one_thread,
+            &mut sample(seed),
+            &spoiled[bad_at..=bad_at],
+            spec,
+            symmetric_params,
+        )
+        .map(|_| ())
+        .unwrap_err();
+        for schedule in schedules() {
+            let built =
+                LshIndex::build_scheduled(schedule, &alsh_family, params, &spoiled, &mut sample(seed));
+            prop_assert_eq!(built.map(|_| ()).unwrap_err(), alone.clone());
+            let built = SymmetricLshMips::build_scheduled(
+                schedule,
+                &mut sample(seed),
+                &spoiled[..],
+                spec,
+                symmetric_params,
+            );
+            prop_assert_eq!(
+                built.map(|_| ()).unwrap_err().to_string(),
+                symmetric_alone.to_string()
             );
         }
     }

@@ -27,6 +27,12 @@
 //!    peaks at the plane bank (not at a bank and the functions it was gathered from),
 //!    its exact-match table costs a few dozen bytes a point, and a search allocates
 //!    nothing of the image's dimension.
+//! 7. A block-parallel LSH build holds, beyond the index it returns, the key buffer and
+//!    one scratch per thread — and the *calling* thread's counters see all of it and
+//!    all of the index: the workers allocate nothing (the arena rule of
+//!    `docs/ARCHITECTURE.md`), so these per-thread numbers are the build's.
+//! 8. Reading a CSV file holds the vectors and a fixed number of block buffers, never
+//!    the file.
 
 use ips_core::asymmetric::AlshParams;
 use ips_core::facade::{Join, Strategy};
@@ -34,10 +40,11 @@ use ips_core::mips::{MipsIndex, SketchMipsAdapter};
 use ips_core::problem::{JoinSpec, JoinVariant, MatchPair};
 use ips_core::symmetric::{SymmetricParams, SymmetricSphereMap};
 use ips_core::{AlshMipsIndex, SymmetricLshMips};
+use ips_linalg::par::Schedule;
 use ips_linalg::random::random_ball_vector;
 use ips_linalg::DenseVector;
 use ips_lsh::hyperplane::HyperplaneFamily;
-use ips_lsh::table::{IndexParams, LshIndex};
+use ips_lsh::table::{IndexParams, LshIndex, BUILD_BLOCK};
 use ips_lsh::SymmetricAsAsymmetric;
 use ips_sketch::linf_mips::MaxIpConfig;
 use ips_store::{
@@ -600,4 +607,121 @@ fn the_symmetric_index_is_built_from_sparse_images() {
             );
         }
     }
+}
+
+#[test]
+fn a_block_build_holds_its_index_a_key_buffer_and_a_scratch_per_thread() {
+    let n = 6000;
+    // Concentrated, as the benchmark's data is: a few buckets a table, so that what a
+    // growing hash table holds while it moves does not blur the build's own buffers.
+    let data: Vec<DenseVector> = join_vectors(0xB10C, n)
+        .iter()
+        .map(|v| v.scaled(0.05))
+        .collect();
+    let word = std::mem::size_of::<f64>();
+    for threads in [1usize, 2, 3, 7] {
+        let schedule = Schedule {
+            threads,
+            block: BUILD_BLOCK,
+        };
+        // The key buffer is a ring of `threads × DEPTH` blocks of `L` keys a point.
+        // Section 4.1: `d + 2` rows of `L·k` planes; a scratch is four embedded points
+        // and their margins.
+        let params = AlshParams::default();
+        let (rows, width) = (JOIN_DIM + 2, params.tables * params.bits_per_table);
+        let key_buffer = schedule.ring() * BUILD_BLOCK * params.tables * word;
+        let scratches = threads * 4 * (rows + width) * word;
+        let span = Span::begin();
+        let index = AlshMipsIndex::build_scheduled(
+            schedule,
+            &mut StdRng::seed_from_u64(5),
+            &data[..],
+            spec(),
+            params,
+        )
+        .unwrap();
+        let (transient, kept) = (span.transient(), span.kept());
+        assert!(
+            transient <= key_buffer + scratches + 16 * KIB,
+            "alsh, {threads} threads: the build held {transient} bytes beyond its index; \
+             the key buffer is {key_buffer}, the scratches {scratches}"
+        );
+        // Every stored id and the bank were allocated by this thread.
+        let entries = index.lsh_index().stored_entries();
+        assert_eq!(entries, n * params.tables);
+        assert!(
+            kept >= rows * width * word + entries * 4,
+            "alsh, {threads} threads: this thread kept {kept} bytes of the index"
+        );
+        drop(index);
+
+        // Section 4.2: a thread's scratch is also a block's images, 44 tag entries a
+        // point; the margins are of `L·k` planes again, nothing is embedded.
+        let params = SymmetricParams::default();
+        let map = SymmetricSphereMap::new(JOIN_DIM, params.epsilon, params.precision_bits).unwrap();
+        let width = params.tables * params.bits_per_table;
+        let image = 32 + map.tag_nonzeros() * 2 * word;
+        let scratches = threads * (4 * width * word + BUILD_BLOCK * image);
+        let span = Span::begin();
+        let index = SymmetricLshMips::build_scheduled(
+            schedule,
+            &mut StdRng::seed_from_u64(5),
+            &data[..],
+            spec(),
+            params,
+        )
+        .unwrap();
+        let (transient, kept) = (span.transient(), span.kept());
+        // Sampling holds one table's functions beside the bank: k planes of the
+        // image's dimension.
+        let sampling = 2 * params.bits_per_table * map.output_dim() * word;
+        assert!(
+            transient <= key_buffer + scratches + sampling + 16 * KIB,
+            "symmetric, {threads} threads: the build held {transient} bytes beyond its \
+             index; the key buffer is {key_buffer}, the scratches {scratches}"
+        );
+        let entries = index.lsh_index().stored_entries();
+        assert!(
+            kept >= map.output_dim() * width * word + entries * 4 + 16 * n,
+            "symmetric, {threads} threads: this thread kept {kept} bytes of the index"
+        );
+    }
+}
+
+#[test]
+fn reading_a_csv_file_holds_the_vectors_and_a_few_blocks() {
+    use ips_cli::dataset::{read_vectors_scheduled, write_vectors, READ_BLOCK};
+    let n = 40_000;
+    let data = vectors(0xC5, n);
+    let path = scratch_file("vectors.csv");
+    write_vectors(&path, &data).unwrap();
+    let file_bytes = std::fs::metadata(&path).unwrap().len() as usize;
+    let payload = n * DIM * std::mem::size_of::<f64>();
+    // The list of vectors itself, at the worst moment of a doubling.
+    let spine = 3 * n * std::mem::size_of::<DenseVector>();
+    for threads in [1usize, 3] {
+        let schedule = Schedule {
+            threads,
+            block: READ_BLOCK,
+        };
+        // The ring: `threads × DEPTH` blocks, each its text (a block and the line
+        // carried into it) and room for its numbers, four bytes of `f64` per byte of
+        // text at most.
+        let blocks = schedule.ring() * 6 * READ_BLOCK;
+        let span = Span::begin();
+        let file = std::fs::File::open(&path).unwrap();
+        let read = read_vectors_scheduled(file, "vectors.csv", schedule).unwrap();
+        let held = span.held();
+        assert!(read == data);
+        assert!(
+            held <= payload + spine + blocks,
+            "{threads} threads: reading held {held} bytes; the vectors are {payload}, \
+             the ring {blocks}, the file {file_bytes}"
+        );
+        assert!(
+            file_bytes > 2 * (spine + blocks),
+            "a {file_bytes}-byte file proves nothing"
+        );
+    }
+    std::fs::remove_file(&path).unwrap();
 }
