@@ -118,8 +118,7 @@ fn bench_join_engine_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("join_engine");
     group.sample_size(10);
     group.bench_function("serial_loop", |b| {
-        // chunk_size 1 forces the per-query `search` path: exactly the loop the
-        // seed's `index_join` ran.
+        // chunk_size 1 forces the per-query `search` path: one query at a time.
         let engine = JoinEngine::with_config(
             &index,
             EngineConfig {

@@ -3,11 +3,13 @@
 //! Section 4.3 sketch structure, on a latent-factor recommender workload.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ips_core::asymmetric::{AlshMipsIndex, AlshParams};
+use ips_core::asymmetric::{AlshParams, SphereTransform};
+use ips_core::lsh_mips::{LshMips, BUILD_BLOCK};
 use ips_core::mips::{BruteForceMipsIndex, MipsIndex};
 use ips_core::problem::{JoinSpec, JoinVariant};
-use ips_core::symmetric::{SymmetricLshMips, SymmetricParams};
+use ips_core::symmetric::{SymmetricParams, SymmetricSphereMap};
 use ips_datagen::latent::{LatentFactorConfig, LatentFactorModel};
+use ips_linalg::par::Schedule;
 use ips_sketch::linf_mips::MaxIpConfig;
 use ips_sketch::recovery::SketchMipsIndex;
 use rand::rngs::StdRng;
@@ -29,14 +31,16 @@ fn bench_mips_query(c: &mut Criterion) {
     let queries = model.users().to_vec();
 
     let brute = BruteForceMipsIndex::new(model.items().to_vec(), spec);
-    let alsh = AlshMipsIndex::build(
+    let alsh = LshMips::<SphereTransform>::build(
+        Schedule::new(BUILD_BLOCK),
         &mut rng,
         model.items().to_vec(),
         spec,
         AlshParams::default(),
     )
     .unwrap();
-    let symmetric = SymmetricLshMips::build(
+    let symmetric = LshMips::<SymmetricSphereMap>::build(
+        Schedule::new(BUILD_BLOCK),
         &mut rng,
         model.items().to_vec(),
         spec,
@@ -109,7 +113,8 @@ fn bench_index_construction(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("alsh_build", |b| {
         b.iter(|| {
-            AlshMipsIndex::build(
+            LshMips::<SphereTransform>::build(
+                Schedule::new(BUILD_BLOCK),
                 &mut rng,
                 model.items().to_vec(),
                 spec,

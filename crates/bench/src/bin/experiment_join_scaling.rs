@@ -14,14 +14,15 @@
 //! machine-dependent.
 
 use ips_bench::{fmt, render_table, JsonReporter, Timer};
-use ips_core::asymmetric::AlshParams;
+use ips_core::asymmetric::{AlshParams, SphereTransform};
 use ips_core::brute::brute_force_join;
 use ips_core::engine::{EngineConfig, JoinEngine};
-use ips_core::join::{alsh_engine, sketch_engine, symmetric_engine};
-use ips_core::mips::BruteForceMipsIndex;
+use ips_core::lsh_mips::{LshMips, BUILD_BLOCK};
+use ips_core::mips::{BruteForceMipsIndex, SketchMipsAdapter};
 use ips_core::problem::{evaluate_join, JoinSpec, JoinVariant, MatchPair};
-use ips_core::symmetric::SymmetricParams;
+use ips_core::symmetric::{SymmetricParams, SymmetricSphereMap};
 use ips_datagen::planted::{PlantedConfig, PlantedInstance};
+use ips_linalg::par::Schedule;
 use ips_sketch::linf_mips::MaxIpConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -73,11 +74,16 @@ fn main() {
             (2 * n * 64 * 48) as f64,
         );
 
-        let (data, queries, engine) = (inst.data(), inst.queries(), EngineConfig::default());
+        let (data, queries, schedule) = (inst.data(), inst.queries(), Schedule::new(BUILD_BLOCK));
         let (alsh, alsh_build, alsh_query) = index_join(
             &mut json,
             ("alsh", n),
-            || alsh_engine(&mut rng, data, spec, AlshParams::default(), engine).unwrap(),
+            || {
+                let params = AlshParams::default();
+                let index =
+                    LshMips::<SphereTransform>::build(schedule, &mut rng, data, spec, params);
+                JoinEngine::new(index.unwrap())
+            },
             |built| built.run(queries).unwrap(),
         );
         let sketch_config = MaxIpConfig {
@@ -88,7 +94,11 @@ fn main() {
         let (sketch, sketch_build, sketch_query) = index_join(
             &mut json,
             ("sketch", n),
-            || sketch_engine(&mut rng, data, spec, sketch_config, 16, engine).unwrap(),
+            || {
+                JoinEngine::new(
+                    SketchMipsAdapter::build(&mut rng, data, spec, sketch_config, 16).unwrap(),
+                )
+            },
             |built| built.run(queries).unwrap(),
         );
         // Seeded as the facade seeds a join, not from `rng`: the workloads and the
@@ -97,7 +107,12 @@ fn main() {
         let (symmetric, symmetric_build, symmetric_query) = index_join(
             &mut json,
             ("symmetric", n),
-            || symmetric_engine(&mut own, data, spec, SymmetricParams::default(), engine).unwrap(),
+            || {
+                let params = SymmetricParams::default();
+                let index =
+                    LshMips::<SymmetricSphereMap>::build(schedule, &mut own, data, spec, params);
+                JoinEngine::new(index.unwrap())
+            },
             |built| built.run(queries).unwrap(),
         );
 

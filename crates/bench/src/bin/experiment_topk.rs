@@ -9,11 +9,13 @@
 //! Figure 2 predicts).
 
 use ips_bench::{fmt, render_table, JsonReporter, Timer};
-use ips_core::asymmetric::{AlshMipsIndex, AlshParams};
+use ips_core::asymmetric::{AlshParams, SphereTransform};
+use ips_core::lsh_mips::{LshMips, BUILD_BLOCK};
 use ips_core::mips::BruteForceMipsIndex;
 use ips_core::problem::{JoinSpec, JoinVariant};
 use ips_core::topk::{top_k_recall, TopKMipsIndex};
 use ips_datagen::latent::{LatentFactorConfig, LatentFactorModel};
+use ips_linalg::par::Schedule;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -38,7 +40,8 @@ fn main() {
     let mut rows = Vec::new();
     for &tables in &[8usize, 16, 32, 64] {
         let build_timer = Timer::start();
-        let index = AlshMipsIndex::build(
+        let index = LshMips::<SphereTransform>::build(
+            Schedule::new(BUILD_BLOCK),
             &mut rng,
             model.items().to_vec(),
             spec,

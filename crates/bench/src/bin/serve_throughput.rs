@@ -8,7 +8,7 @@
 //!
 //! 1. **serve** — load the snapshot once and answer a query batch through
 //!    [`ips_store::ServingIndex::query`] (the `ips serve` path), amortising the load;
-//! 2. **rebuild-per-query** — build a fresh [`AlshMipsIndex`] for every single query
+//! 2. **rebuild-per-query** — build a fresh `LshMips` index for every single query
 //!    (the pre-`ips-store` workflow), extrapolated from a few queries because it is
 //!    as slow as it sounds.
 //!
@@ -34,10 +34,12 @@
 
 use ips_bench::{fmt, render_table, JsonReporter, Timer};
 use ips_cli::net::{serve_tcp, NetConfig};
-use ips_core::asymmetric::{AlshMipsIndex, AlshParams};
+use ips_core::asymmetric::{AlshParams, SphereTransform};
+use ips_core::lsh_mips::{LshMips, BUILD_BLOCK};
 use ips_core::mips::MipsIndex;
 use ips_core::problem::{JoinSpec, JoinVariant};
 use ips_datagen::planted::{PlantedConfig, PlantedInstance};
+use ips_linalg::par::Schedule;
 use ips_linalg::DenseVector;
 use ips_store::{CoalesceConfig, Coalescer, Index, ServingConfig};
 use rand::rngs::StdRng;
@@ -173,8 +175,9 @@ fn main() {
     let mut rebuild_hits = 0usize;
     for q in inst.queries().iter().take(rebuild_queries) {
         let mut fresh_rng = StdRng::seed_from_u64(0xB11D);
-        let index = AlshMipsIndex::build(&mut fresh_rng, inst.data().to_vec(), spec, params)
-            .expect("rebuild");
+        let (schedule, data) = (Schedule::new(BUILD_BLOCK), inst.data().to_vec());
+        let index: LshMips<'_, SphereTransform> =
+            LshMips::build(schedule, &mut fresh_rng, data, spec, params).expect("rebuild");
         if index.search(q).expect("search").is_some() {
             rebuild_hits += 1;
         }

@@ -15,17 +15,18 @@ use crate::dataset::{read_vectors, write_vectors, DatasetSummary};
 use crate::error::{CliError, Result};
 use crate::schema::{self, CommandArgs};
 use ips_core::algebraic::algebraic_exact_join;
-use ips_core::asymmetric::AlshParams;
+use ips_core::asymmetric::{AlshParams, SphereTransform};
 use ips_core::engine::EngineConfig;
 use ips_core::facade::{Join, Strategy};
+use ips_core::lsh_mips::{LshMips, BUILD_BLOCK};
 use ips_core::mips::{BruteForceMipsIndex, SearchResult};
 use ips_core::planner::JoinPlan;
 use ips_core::problem::{evaluate_join, JoinSpec, JoinVariant, MatchPair};
 use ips_core::topk::TopKMipsIndex;
-use ips_core::AlshMipsIndex;
 use ips_datagen::latent::{LatentFactorConfig, LatentFactorModel};
 use ips_datagen::planted::{PlantedConfig, PlantedInstance};
 use ips_datagen::sphere::unit_vectors;
+use ips_linalg::par::Schedule;
 use ips_sketch::linf_mips::MaxIpConfig;
 use ips_store::{CoalesceConfig, Index, ShardedServingIndex};
 use rand::rngs::StdRng;
@@ -454,7 +455,9 @@ pub fn cmd_search(raw: &ParsedArgs) -> Result<SearchReport> {
     let mut rng = StdRng::seed_from_u64(args.u64("seed"));
     let results = match algorithm.as_str() {
         "alsh" => {
-            let index = AlshMipsIndex::build(&mut rng, data, spec, alsh_params(&args))?;
+            let schedule = Schedule::new(BUILD_BLOCK);
+            let index: LshMips<'_, SphereTransform> =
+                LshMips::build(schedule, &mut rng, data, spec, alsh_params(&args))?;
             queries
                 .iter()
                 .map(|q| index.search_top_k(q, k))

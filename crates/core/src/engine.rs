@@ -82,8 +82,8 @@ impl Default for EngineConfig {
 
 /// The unified parallel join driver over any [`MipsIndex`].
 ///
-/// `I` may be an owned index (`JoinEngine<AlshMipsIndex>`) or a borrowed one
-/// (`JoinEngine<&AlshMipsIndex>`), since `&I` implements [`MipsIndex`] too.
+/// `I` may be an owned index (`JoinEngine<LshMips<_>>`) or a borrowed one
+/// (`JoinEngine<&LshMips<_>>`), since `&I` implements [`MipsIndex`] too.
 ///
 /// ```
 /// use ips_core::engine::{EngineConfig, JoinEngine};

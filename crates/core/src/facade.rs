@@ -1,11 +1,10 @@
 //! The fluent join facade: one typed entry point over every join strategy.
 //!
-//! The workspace grew four join families (brute force, the Section 4.1 ALSH
+//! The workspace has four join families (brute force, the Section 4.1 ALSH
 //! index, the Section 4.2 symmetric LSH, the Section 4.3 sketch structure) plus
-//! the cost-based planner, and with them nine positional free functions. This
-//! module is the single surface that replaces them for callers: build a
-//! [`JoinBuilder`] with [`Join::data`], describe the workload and the `(cs, s)`
-//! contract with fluent setters, and [`JoinBuilder::run`] it:
+//! the cost-based planner. This module is the single surface callers reach them
+//! through: build a [`JoinBuilder`] with [`Join::data`], describe the workload and
+//! the `(cs, s)` contract with fluent setters, and [`JoinBuilder::run`] it:
 //!
 //! ```
 //! use ips_core::facade::{Join, Strategy};
@@ -34,21 +33,23 @@
 //!
 //! # Determinism contract
 //!
-//! [`JoinBuilder::run`] seeds a [`rand::rngs::StdRng`] from [`JoinBuilder::seed`]
-//! and dispatches through exactly the same engine-backed entry points the legacy
-//! free functions use ([`crate::join::alsh_engine`] and friends), so its output
-//! is **bit-identical** to the legacy call with the same parameters and a
-//! same-seeded RNG — the property `tests/tests/proptest_facade.rs` pins for all
-//! four fixed strategies and [`Strategy::Auto`]. Callers that thread their own
-//! RNG (the legacy shims themselves do) use [`JoinBuilder::run_with_rng`].
+//! [`JoinBuilder::run`] seeds a [`rand::rngs::StdRng`] from [`JoinBuilder::seed`];
+//! [`JoinBuilder::run_with_rng`] draws from the caller's RNG instead. Either way an
+//! explicit strategy and the planner's choice of the same strategy run through one
+//! function (index build, then [`crate::engine::JoinEngine`]), so under one RNG state
+//! their outputs are **bit-identical**, at every engine schedule.
 //!
-//! The legacy free functions (`alsh_join`, `sketch_join`, `auto_join`, …) still
-//! exist as thin shims over this builder; see `MIGRATION.md` at the repository
-//! root for the mapping.
+//! # Contract
+//!
+//! Every run honours the validity half of Definition 1 by construction — no reported
+//! pair falls below `cs`, and every pair carries its exact inner product — and only
+//! ever *misses* promised queries; see the
+//! [`JoinSpec`](crate::problem::JoinSpec#validity-contract) rustdoc for the full
+//! contract. An **empty query set** joins to an empty result under every strategy; an
+//! empty *data* set fails at index construction or on the first search.
 
 use crate::asymmetric::AlshParams;
-use crate::brute::BorrowedBruteIndex;
-use crate::engine::{EngineConfig, JoinEngine};
+use crate::engine::EngineConfig;
 use crate::error::{CoreError, Result};
 use crate::kernel::{Dtype, ScoringOptions};
 use crate::planner::{self, CostModel, JoinPlan, JoinPlanner, PlannerConfig, WorkloadStats};
@@ -152,8 +153,8 @@ pub struct JoinReport {
     /// The cost-based plan, present only under [`Strategy::Auto`].
     pub plan: Option<JoinPlan>,
     /// The sampled workload statistics the plan was based on, present only
-    /// under [`Strategy::Auto`] (manual strategies never sample the workload —
-    /// that keeps them bit-identical to the legacy entry points).
+    /// under [`Strategy::Auto`] (manual strategies never sample the workload, so
+    /// they draw nothing from the RNG before the index build).
     pub stats: Option<WorkloadStats>,
     /// End-to-end wall-clock nanoseconds of the dispatch (planning included
     /// under [`Strategy::Auto`]).
@@ -296,7 +297,7 @@ impl<'a> JoinBuilder<'a> {
         self
     }
 
-    /// Worker threads of the [`JoinEngine`] (`0` = one per available CPU,
+    /// Worker threads of the [`JoinEngine`](crate::engine::JoinEngine) (`0` = one per available CPU,
     /// the default).
     pub fn threads(mut self, threads: usize) -> Self {
         self.engine.threads = threads;
@@ -323,7 +324,7 @@ impl<'a> JoinBuilder<'a> {
     }
 
     /// Floating-point width of the brute-force candidate-scoring kernel
-    /// (default [`Dtype::F64`], which is bit-identical to the legacy path).
+    /// (default [`Dtype::F64`], the exact data-major scan).
     ///
     /// `Dtype::F32` scores each query against an `f32` tile of the data and
     /// exactly rescores the winner in `f64`, so every reported pair still
@@ -377,22 +378,30 @@ impl<'a> JoinBuilder<'a> {
         self.run_with_rng(&mut rng)
     }
 
-    /// Runs the join drawing randomness from the caller's RNG — the
-    /// entry point the legacy free functions shim through, and the one to use
-    /// when bit-identical replay against such a function matters.
+    /// Runs the join drawing randomness from the caller's RNG — the one to use when
+    /// bit-identical replay against another consumer of the same RNG matters.
     pub fn run_with_rng<R: Rng + ?Sized>(self, rng: &mut R) -> Result<JoinReport> {
         let spec = self.build_spec()?;
         let start = std::time::Instant::now();
-        let (matches, strategy, plan) = match self.strategy {
-            Strategy::Auto => {
-                let mut config = PlannerConfig::with_params(
-                    self.alsh,
-                    self.symmetric,
-                    self.sketch,
-                    self.sketch_leaf_size,
-                    self.engine,
-                );
-                config.scoring = self.scoring;
+        let mut config = PlannerConfig::with_params(
+            self.alsh,
+            self.symmetric,
+            self.sketch,
+            self.sketch_leaf_size,
+            self.engine,
+        );
+        config.scoring = self.scoring;
+        let fixed = planner::Strategy::ALL
+            .into_iter()
+            .find(|&fixed| Strategy::from(fixed) == self.strategy);
+        let (matches, strategy, plan) = match fixed {
+            Some(strategy) => {
+                let matches =
+                    planner::run_strategy(strategy, rng, self.data, self.queries, spec, &config)?;
+                (matches, strategy, None)
+            }
+            // `Strategy::Auto`: the planner's pick, through the same function.
+            None => {
                 let planner = JoinPlanner {
                     config,
                     model: self.cost_model,
@@ -401,56 +410,6 @@ impl<'a> JoinBuilder<'a> {
                 let matches = plan.execute(rng, self.data, self.queries)?;
                 (matches, plan.choice, Some(plan))
             }
-            Strategy::Brute => {
-                let engine = JoinEngine::with_config(
-                    BorrowedBruteIndex::with_options(self.data, spec, self.scoring)?,
-                    self.engine,
-                );
-                (
-                    engine.run(self.queries)?,
-                    planner::Strategy::BruteForce,
-                    None,
-                )
-            }
-            Strategy::Alsh => (
-                crate::join::alsh_engine_scored(
-                    rng,
-                    self.data,
-                    spec,
-                    self.alsh,
-                    self.engine,
-                    self.scoring,
-                )?
-                .run(self.queries)?,
-                planner::Strategy::Alsh,
-                None,
-            ),
-            Strategy::Symmetric => (
-                crate::join::symmetric_engine_scored(
-                    rng,
-                    self.data,
-                    spec,
-                    self.symmetric,
-                    self.engine,
-                    self.scoring,
-                )?
-                .run(self.queries)?,
-                planner::Strategy::Symmetric,
-                None,
-            ),
-            Strategy::Sketch => (
-                crate::join::sketch_engine(
-                    rng,
-                    self.data,
-                    spec,
-                    self.sketch,
-                    self.sketch_leaf_size,
-                    self.engine,
-                )?
-                .run(self.queries)?,
-                planner::Strategy::Sketch,
-                None,
-            ),
         };
         let wall_ns = start.elapsed().as_nanos();
         let stats = plan.as_ref().map(|p| p.stats.clone());
@@ -525,7 +484,12 @@ mod tests {
     #[test]
     fn manual_strategies_attach_no_plan() {
         let inst = instance(0xBEEF);
-        for strategy in [Strategy::Brute, Strategy::Alsh, Strategy::Sketch] {
+        for strategy in [
+            Strategy::Brute,
+            Strategy::Alsh,
+            Strategy::Symmetric,
+            Strategy::Sketch,
+        ] {
             let report = Join::data(inst.data())
                 .queries(inst.queries())
                 .threshold(0.8)

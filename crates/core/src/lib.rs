@@ -11,21 +11,21 @@
 //!   quadratic baselines every upper bound is measured against; [`algebraic`] wraps the
 //!   matrix-multiplication joins of `ips-matmul` — the Valiant/Karppa-style baselines
 //!   behind the *permissible* entries of Table 1.
-//! * **Upper bounds (Section 4)** — [`asymmetric`] implements the Section 4.1 MIPS
-//!   index (ball-to-sphere reduction + sphere LSH, with the ρ of equation 3);
-//!   [`symmetric`] implements the Section 4.2 symmetric LSH for "almost all vectors"
-//!   built on an explicit incoherent vector collection; [`join`] assembles joins out of
-//!   these indexes and out of the Section 4.3 sketch structure (adapted from
-//!   `ips-sketch`); [`mips`] gives a common trait over all MIPS indexes; [`engine`]
-//!   provides the unified parallel, chunk-batched [`JoinEngine`] every join entry
-//!   point runs through; [`shard`] is the exact merge layer the sharded serving
-//!   index of `ips-store` reassembles per-shard answers with (per-shard bests and
-//!   top-`k` heaps merged bit-identically to one unsharded search);
-//!   [`planner`] adds the cost-based [`JoinPlanner`] that picks
-//!   the strategy from workload statistics ([`auto_join`]), since no single strategy
-//!   dominates — the paper's central message, operationalised; [`facade`] puts one
-//!   fluent, typed [`JoinBuilder`] (`Join::data(d).queries(q)…run()`) in front of
-//!   all of it — the entry point new code should use.
+//! * **Upper bounds (Section 4)** — [`lsh_mips`] is the one LSH MIPS index of
+//!   Sections 4.1 and 4.2 (ball-to-sphere map + sphere LSH + exact re-scoring),
+//!   generic over the map: [`asymmetric`] holds the Section 4.1 map and parameters
+//!   (with the ρ of equation 3), [`symmetric`] the Section 4.2 symmetric map for
+//!   "almost all vectors" built on an explicit incoherent vector collection;
+//!   [`mips`] gives a common trait over all MIPS indexes and adapts the Section 4.3
+//!   sketch structure of `ips-sketch` to it; [`engine`] provides the unified
+//!   parallel, chunk-batched [`JoinEngine`] every join runs through; [`shard`] is the
+//!   exact merge layer the sharded serving index of `ips-store` reassembles per-shard
+//!   answers with (per-shard bests and top-`k` heaps merged bit-identically to one
+//!   unsharded search); [`planner`] adds the cost-based [`JoinPlanner`] that picks
+//!   the strategy from workload statistics, since no single strategy dominates — the
+//!   paper's central message, operationalised; [`facade`] puts one fluent, typed
+//!   [`JoinBuilder`] (`Join::data(d).queries(q)…run()`) in front of all of it — the
+//!   one entry point for a join.
 //! * **Lower bounds (Sections 2–3)** — [`lower_bounds`] contains the hard sequence
 //!   constructions of Theorem 3, the grid partition and mass-accounting argument of
 //!   Lemma 4 (Figure 1), and the closed-form gap bounds; [`theory`] classifies parameter
@@ -87,9 +87,9 @@ mod diagonal;
 pub mod engine;
 pub mod error;
 pub mod facade;
-pub mod join;
 pub mod kernel;
 pub mod lower_bounds;
+pub mod lsh_mips;
 pub mod mips;
 pub mod planner;
 pub mod problem;
@@ -99,13 +99,12 @@ pub mod symmetric;
 pub mod theory;
 pub mod topk;
 
-pub use asymmetric::AlshMipsIndex;
 pub use engine::{EngineConfig, JoinEngine};
 pub use error::{CoreError, Result};
 pub use facade::{Join, JoinBuilder, JoinReport, Strategy};
 pub use kernel::{Dtype, KernelActivity, KernelCounters, PreparedKernel, ScoringOptions};
+pub use lsh_mips::{LshMips, LshOps, SphereMap};
 pub use mips::{MipsIndex, SearchResult, SketchMipsAdapter};
-pub use planner::{auto_join, auto_join_with_plan, CostModel, JoinPlan, JoinPlanner};
+pub use planner::{CostModel, JoinPlan, JoinPlanner};
 pub use problem::{JoinSpec, JoinVariant, MatchPair};
-pub use symmetric::SymmetricLshMips;
 pub use topk::{top_k_join, top_k_recall, TopKMipsIndex};

@@ -6,8 +6,8 @@
 //! different `(n, m, d, threshold, correlation)` regimes. This module turns that
 //! observation into a system: [`JoinPlanner`] estimates what each strategy
 //! *would* cost on the workload at hand and dispatches the winner through the
-//! existing [`JoinEngine`], so callers write [`auto_join`] instead of picking
-//! one of the four manual entry points in [`crate::join`].
+//! existing [`JoinEngine`], so callers leave [`crate::facade::Strategy::Auto`] in
+//! place instead of picking one of the four families themselves.
 //!
 //! The pipeline is classical cost-based query planning:
 //!
@@ -27,21 +27,23 @@
 //!    violates (ALSH and symmetric LSH need data in the unit ball, symmetric
 //!    LSH needs the queries there too) are excluded rather than mis-costed.
 //! 4. **Dispatch** — the cheapest eligible strategy is recorded in a
-//!    [`JoinPlan`], which [`JoinPlan::execute`]s through exactly the same
-//!    `*_engine` entry points a caller would use manually, so a plan's result
-//!    is bit-identical to the manual call with the same parameters and RNG.
+//!    [`JoinPlan`], which [`JoinPlan::execute`]s through the same function an
+//!    explicitly chosen strategy runs through, so a plan's result is
+//!    bit-identical to the manual choice with the same parameters and RNG.
 //!
 //! Ties favour the earlier entry in [`Strategy::ALL`], which lists the exact
 //! scan first — when the model cannot separate two strategies, the planner
 //! prefers the one with guaranteed recall.
 
-use crate::asymmetric::AlshParams;
+use crate::asymmetric::{AlshParams, SphereTransform};
 use crate::brute::BorrowedBruteIndex;
 use crate::engine::{EngineConfig, JoinEngine};
 use crate::error::{CoreError, Result};
-use crate::join::{alsh_engine_scored, sketch_engine, symmetric_engine_scored};
+use crate::lsh_mips::{LshMips, LshOps, SphereMap, Tuning, BUILD_BLOCK};
+use crate::mips::SketchMipsAdapter;
 use crate::problem::{JoinSpec, MatchPair};
 use crate::symmetric::{SymmetricParams, SymmetricSphereMap};
+use ips_linalg::par::Schedule;
 use ips_linalg::DenseVector;
 use ips_sketch::linf_mips::MaxIpConfig;
 use rand::Rng;
@@ -50,17 +52,17 @@ use rand::Rng;
 /// index constructors themselves allow on vector norms.
 const NORM_TOLERANCE: f64 = 1e-9;
 
-/// The join strategies the planner chooses between — one per manual entry
-/// point in [`crate::join`] plus the exact scan.
+/// The join strategies the planner chooses between — the exact scan and one
+/// per Section 4 data structure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
     /// The exact data-major quadratic scan ([`crate::brute`]).
     BruteForce,
-    /// The Section 4.1 asymmetric-LSH index ([`crate::join::alsh_join`]).
+    /// The Section 4.1 asymmetric-LSH index ([`crate::asymmetric`]).
     Alsh,
-    /// The Section 4.2 symmetric LSH ([`crate::join::symmetric_join`]).
+    /// The Section 4.2 symmetric LSH ([`crate::symmetric`]).
     Symmetric,
-    /// The Section 4.3 linear-sketch structure ([`crate::join::sketch_join`]).
+    /// The Section 4.3 linear-sketch structure ([`crate::mips::SketchMipsAdapter`]).
     Sketch,
 }
 
@@ -222,6 +224,28 @@ impl WorkloadStats {
         .into_iter()
         .fold(0.0, f64::max)
     }
+}
+
+/// What an [`LshMips`] join under the map `M` is predicted to do on a workload whose
+/// sampled pairs have the mapped `cosines`: the candidates a query gathers, and the
+/// flops of hashing every data and query vector over `rows` non-zero rows and
+/// re-scoring those candidates. Probing widens the per-table hit probability (more
+/// candidates to re-score) without touching the hashing term — exactly the trade the
+/// planner can exploit: fewer tables, a few probes, and the hashing term shrinks
+/// faster than the candidate term grows.
+fn lsh_flops<M: SphereMap>(
+    stats: &WorkloadStats,
+    cosines: &[f64],
+    rows: usize,
+    params: &M::Params,
+) -> (f64, f64) {
+    let Tuning { tables, probes, .. } = M::tuning(params);
+    let (n, m, d) = (stats.data_count, stats.query_count, stats.dim);
+    let candidates =
+        ips_lsh::cost::expected_candidates_probed(n, cosines, tables.k, tables.l, probes);
+    let hashing = (n as f64 + m as f64) * ips_lsh::cost::hash_flops(rows, tables.k, tables.l);
+    let rescoring = m as f64 * ips_lsh::cost::rescoring_flops(d, candidates);
+    (candidates, hashing + rescoring)
 }
 
 fn norm_stats(vectors: &[DenseVector]) -> (f64, f64) {
@@ -531,21 +555,8 @@ impl JoinPlanner {
             .iter()
             .map(|&ip| ip / u)
             .collect();
-        // Probing widens the per-table hit probability (more candidates to
-        // re-score) without touching the hashing term — which is exactly the
-        // trade the planner can exploit: fewer tables, a few probes, and the
-        // hashing term shrinks faster than the candidate term grows.
-        let candidates_per_query = ips_lsh::cost::expected_candidates_probed(
-            n,
-            &mapped_cosines,
-            alsh_params.bits_per_table,
-            alsh_params.tables,
-            alsh_params.probes,
-        );
-        let alsh_hash =
-            ips_lsh::cost::hash_flops(d + 2, alsh_params.bits_per_table, alsh_params.tables);
-        let alsh_flops =
-            (nf + mf) * alsh_hash + mf * ips_lsh::cost::rescoring_flops(d, candidates_per_query);
+        let (candidates_per_query, alsh_flops) =
+            lsh_flops::<SphereTransform>(&stats, &mapped_cosines, d + 2, &alsh_params);
         // The resolved query radius already covers the measured query norms
         // and the promise threshold, so the only precondition left to check
         // is the index constructor's unit-ball requirement on the data side.
@@ -581,24 +592,16 @@ impl JoinPlanner {
         match map_probe {
             Ok(map) => {
                 let mapped_dim = map.output_dim();
-                let sym_candidates = ips_lsh::cost::expected_candidates_probed(
-                    n,
-                    &stats.sampled_inner_products,
-                    self.config.symmetric.bits_per_table,
-                    self.config.symmetric.tables,
-                    self.config.symmetric.probes,
-                );
                 // Multiply-adds over the image's non-zero coordinates only — the
                 // vector's own `d` and one per Reed–Solomon block: the index hashes
                 // the sparse image and never builds the mapped vector (see
                 // `ips_lsh::bank`).
-                let sym_hash = ips_lsh::cost::hash_flops(
+                let (sym_candidates, sym_flops) = lsh_flops::<SymmetricSphereMap>(
+                    &stats,
+                    &stats.sampled_inner_products,
                     d + map.tag_nonzeros(),
-                    self.config.symmetric.bits_per_table,
-                    self.config.symmetric.tables,
+                    &self.config.symmetric,
                 );
-                let sym_flops =
-                    (nf + mf) * sym_hash + mf * ips_lsh::cost::rescoring_flops(d, sym_candidates);
                 estimates.push(self.estimate(
                     Strategy::Symmetric,
                     sym_flops,
@@ -699,50 +702,25 @@ impl JoinPlanner {
 }
 
 impl JoinPlan {
-    /// Runs the planned join: dispatches the chosen strategy through exactly
-    /// the engine-backed entry point a caller would use manually, with the
-    /// plan's resolved parameters. Given the same RNG state, the result is
-    /// identical to that manual call.
+    /// Runs the planned join: the chosen strategy, with the plan's resolved
+    /// parameters, through the function an explicitly chosen strategy runs through
+    /// ([`crate::facade::JoinBuilder::run`]). Given the same RNG state, the result
+    /// is identical to that manual choice.
     pub fn execute<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         data: &[DenseVector],
         queries: &[DenseVector],
     ) -> Result<Vec<MatchPair>> {
-        match self.choice {
-            Strategy::BruteForce => JoinEngine::with_config(
-                BorrowedBruteIndex::with_options(data, self.spec, self.scoring)?,
-                self.engine,
-            )
-            .run(queries),
-            Strategy::Alsh => alsh_engine_scored(
-                rng,
-                data,
-                self.spec,
-                self.alsh_params,
-                self.engine,
-                self.scoring,
-            )?
-            .run(queries),
-            Strategy::Symmetric => symmetric_engine_scored(
-                rng,
-                data,
-                self.spec,
-                self.symmetric_params,
-                self.engine,
-                self.scoring,
-            )?
-            .run(queries),
-            Strategy::Sketch => sketch_engine(
-                rng,
-                data,
-                self.spec,
-                self.sketch_config,
-                self.sketch_leaf_size,
-                self.engine,
-            )?
-            .run(queries),
-        }
+        let mut config = PlannerConfig::with_params(
+            self.alsh_params,
+            self.symmetric_params,
+            self.sketch_config,
+            self.sketch_leaf_size,
+            self.engine,
+        );
+        config.scoring = self.scoring;
+        run_strategy(self.choice, rng, data, queries, self.spec, &config)
     }
 
     /// The estimate of the chosen strategy.
@@ -811,56 +789,55 @@ fn format_ns(ns: f64) -> String {
     }
 }
 
-/// Plans and runs a `(cs, s)` join in one call, letting the planner pick the
-/// strategy. The adaptive sibling of the four manual entry points in
-/// [`crate::join`].
+/// Builds the index `strategy` names over `data` — where it stands: the index borrows
+/// the slice for the join's duration, no copy of the data set is made — with its
+/// parameters out of `config`, and joins `queries` against it through the
+/// [`JoinEngine`]. The one place a strategy becomes an index: an explicit choice
+/// ([`crate::facade::JoinBuilder::run`]) and a planned one ([`JoinPlan::execute`])
+/// both end here, which is what makes them bit-identical under one RNG state.
 ///
-/// ```
-/// use ips_core::planner::auto_join;
-/// use ips_core::problem::{evaluate_join, JoinSpec, JoinVariant};
-/// use ips_datagen::planted::{PlantedConfig, PlantedInstance};
-/// use rand::{rngs::StdRng, SeedableRng};
-///
-/// let mut rng = StdRng::seed_from_u64(7);
-/// let inst = PlantedInstance::generate(&mut rng, PlantedConfig {
-///     data: 120, queries: 10, dim: 16,
-///     background_scale: 0.05, planted_ip: 0.85, planted: 4,
-/// }).unwrap();
-/// let spec = JoinSpec::new(0.8, 0.6, JoinVariant::Signed).unwrap();
-/// let pairs = auto_join(&mut rng, inst.data(), inst.queries(), spec).unwrap();
-/// // Whatever strategy was chosen, the output satisfies the validity half of
-/// // Definition 1: every reported pair clears cs.
-/// let (_, valid) = evaluate_join(inst.data(), inst.queries(), &spec, &pairs).unwrap();
-/// assert!(valid);
-/// ```
-pub fn auto_join<R: Rng + ?Sized>(
+/// An **empty query set** joins to an empty result under every strategy; an empty
+/// *data* set fails at index construction or on the first search.
+pub(crate) fn run_strategy<R: Rng + ?Sized>(
+    strategy: Strategy,
     rng: &mut R,
     data: &[DenseVector],
     queries: &[DenseVector],
     spec: JoinSpec,
+    config: &PlannerConfig,
 ) -> Result<Vec<MatchPair>> {
-    Ok(auto_join_with_plan(rng, data, queries, spec)?.0)
+    match strategy {
+        Strategy::BruteForce => JoinEngine::with_config(
+            BorrowedBruteIndex::with_options(data, spec, config.scoring)?,
+            config.engine,
+        )
+        .run(queries),
+        Strategy::Alsh => {
+            run_lsh::<SphereTransform, R>(config.alsh, rng, data, queries, spec, config)
+        }
+        Strategy::Symmetric => {
+            run_lsh::<SymmetricSphereMap, R>(config.symmetric, rng, data, queries, spec, config)
+        }
+        Strategy::Sketch => JoinEngine::with_config(
+            SketchMipsAdapter::build(rng, data, spec, config.sketch, config.sketch_leaf_size)?,
+            config.engine,
+        )
+        .run(queries),
+    }
 }
 
-/// Like [`auto_join`], but also returns the [`JoinPlan`] so the caller can
-/// inspect (or [`JoinPlan::explain`]) the decision.
-///
-/// Legacy shim over [`crate::facade::JoinBuilder`] with
-/// [`crate::facade::Strategy::Auto`] (bit-identical given the same RNG state;
-/// proptested in `tests/tests/proptest_facade.rs`).
-pub fn auto_join_with_plan<R: Rng + ?Sized>(
+/// The LSH arms of [`run_strategy`]: the [`LshMips`] join under the map `M`.
+fn run_lsh<M: SphereMap, R: Rng + ?Sized>(
+    params: M::Params,
     rng: &mut R,
     data: &[DenseVector],
     queries: &[DenseVector],
     spec: JoinSpec,
-) -> Result<(Vec<MatchPair>, JoinPlan)> {
-    let report = crate::facade::Join::data(data)
-        .queries(queries)
-        .spec(spec)
-        .strategy(crate::facade::Strategy::Auto)
-        .run_with_rng(rng)?;
-    let plan = report.plan.expect("Strategy::Auto always attaches a plan");
-    Ok((report.matches, plan))
+    config: &PlannerConfig,
+) -> Result<Vec<MatchPair>> {
+    let mut index = LshMips::<M>::build(Schedule::new(BUILD_BLOCK), rng, data, spec, params)?;
+    index.set_scoring(config.scoring)?;
+    JoinEngine::with_config(index, config.engine).run(queries)
 }
 
 #[cfg(test)]
@@ -1123,13 +1100,15 @@ mod tests {
         let data: Vec<DenseVector> = (0..20)
             .map(|_| random_unit_vector(&mut rng, 6).unwrap())
             .collect();
-        let (pairs, plan) = auto_join_with_plan(&mut rng, &data, &[], spec(0.8, 0.6)).unwrap();
-        assert!(pairs.is_empty());
+        let plan = JoinPlanner::default()
+            .plan(&mut rng, &data, &[], spec(0.8, 0.6))
+            .unwrap();
         assert!(plan.stats.sampled_inner_products.is_empty());
+        assert!(plan.execute(&mut rng, &data, &[]).unwrap().is_empty());
     }
 
     #[test]
-    fn auto_join_is_valid_on_a_planted_workload() {
+    fn every_strategy_executes_to_valid_pairs_on_a_planted_workload() {
         use ips_datagen::planted::{PlantedConfig, PlantedInstance};
         let mut rng = StdRng::seed_from_u64(0xAD07);
         let inst = PlantedInstance::generate(
@@ -1145,10 +1124,24 @@ mod tests {
         )
         .unwrap();
         let sp = spec(0.8, 0.6);
-        let (pairs, plan) = auto_join_with_plan(&mut rng, inst.data(), inst.queries(), sp).unwrap();
-        let (_, valid) =
-            crate::problem::evaluate_join(inst.data(), inst.queries(), &sp, &pairs).unwrap();
-        assert!(valid);
+        let mut plan = JoinPlanner::default()
+            .plan(&mut rng, inst.data(), inst.queries(), sp)
+            .unwrap();
         assert!(plan.estimates.iter().any(|e| e.eligible));
+        // Whatever the planner picked, and whatever it could have picked: no pair below
+        // cs, and most of the planted ones.
+        for choice in Strategy::ALL {
+            plan.choice = choice;
+            let pairs = plan.execute(&mut rng, inst.data(), inst.queries()).unwrap();
+            let (_, valid) =
+                crate::problem::evaluate_join(inst.data(), inst.queries(), &sp, &pairs).unwrap();
+            assert!(valid, "{choice}");
+            let reported: Vec<(usize, usize)> = pairs
+                .iter()
+                .map(|p| (p.data_index, p.query_index))
+                .collect();
+            let recall = inst.recall(&reported, sp.relaxed_threshold());
+            assert!(recall >= 0.6, "{choice} join recall too low: {recall}");
+        }
     }
 }

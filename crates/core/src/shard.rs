@@ -39,15 +39,14 @@ use crate::mips::SearchResult;
 use crate::problem::JoinSpec;
 
 /// One shard's contribution to a two-step (symmetric-LSH) sharded search:
-/// both halves of [`crate::symmetric::SymmetricLshMips`]'s search, unfiltered,
+/// both halves of [`crate::lsh_mips::LshOps::search_parts`], unfiltered,
 /// with indices already translated to the global (external) id space.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ShardParts {
-    /// The shard's diagonal probe ([`crate::symmetric::SymmetricLshMips::exact_probe`]):
-    /// its last slot sharing the query's encoding, scored exactly.
+    /// The shard's diagonal probe: its last slot sharing the query's encoding,
+    /// scored exactly (`None` under a map without a diagonal).
     pub exact: Option<SearchResult>,
-    /// The shard's best LSH candidate
-    /// ([`crate::symmetric::SymmetricLshMips::candidate_best`]), unfiltered.
+    /// The shard's best LSH candidate, unfiltered.
     pub best: Option<SearchResult>,
 }
 

@@ -1,7 +1,7 @@
 //! Closing the gaps that tombstones leave in a dynamic index's slot space.
 //!
-//! The two dynamic LSH indexes ([`crate::AlshMipsIndex`], [`crate::SymmetricLshMips`])
-//! never reuse a slot, so deletes accumulate dead slots. Compaction drops them and
+//! The dynamic LSH index ([`crate::LshMips`]) never reuses a slot, so deletes
+//! accumulate dead slots. Compaction drops them and
 //! puts the survivors in a caller-chosen order — the serving layer's ascending
 //! external id — by renaming slots in place: a point's buckets depend on its vector
 //! alone, so nothing is hashed again and nothing is copied.

@@ -9,11 +9,10 @@
 //! candidate sets, so recall-vs-`k` curves can be measured for the recommender-style
 //! workloads that motivated MIPS in the first place.
 
-use crate::asymmetric::AlshMipsIndex;
 use crate::error::Result;
+use crate::lsh_mips::{LshMips, LshOps, SphereMap};
 use crate::mips::{BruteForceMipsIndex, MipsIndex, SearchResult};
 use crate::problem::{JoinSpec, MatchPair};
-use crate::symmetric::SymmetricLshMips;
 use ips_linalg::DenseVector;
 
 /// A MIPS index that can report several partners per query.
@@ -77,33 +76,13 @@ impl TopKMipsIndex for BruteForceMipsIndex {
     }
 }
 
-impl TopKMipsIndex for AlshMipsIndex<'_> {
+impl<M: SphereMap> TopKMipsIndex for LshMips<'_, M> {
     fn search_top_k(&self, query: &DenseVector, k: usize) -> Result<Vec<SearchResult>> {
         let candidates = self.candidate_indices(query)?;
         let spec = self.spec();
         if let (Some(quant), true) = (self.quant_tile(), k > 0) {
             // Conservative quantized pruning keeps every exact top-k member
             // (see `crate::kernel`), so finalizing the survivors is identical.
-            let survivors = crate::kernel::top_k_candidates_quantized(
-                self.data(),
-                quant,
-                &candidates,
-                query,
-                &spec,
-                k,
-                self.kernel_counters(),
-            )?;
-            return rescore_candidates(self.data(), &survivors, query, &spec, k);
-        }
-        rescore_candidates(self.data(), &candidates, query, &spec, k)
-    }
-}
-
-impl TopKMipsIndex for SymmetricLshMips<'_> {
-    fn search_top_k(&self, query: &DenseVector, k: usize) -> Result<Vec<SearchResult>> {
-        let candidates = self.candidate_indices(query)?;
-        let spec = self.spec();
-        if let (Some(quant), true) = (self.quant_tile(), k > 0) {
             let survivors = crate::kernel::top_k_candidates_quantized(
                 self.data(),
                 quant,
@@ -172,10 +151,12 @@ pub fn top_k_recall(exact: &[SearchResult], approximate: &[SearchResult]) -> f64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::asymmetric::AlshParams;
+    use crate::asymmetric::{AlshParams, SphereTransform};
     use crate::problem::JoinVariant;
-    use crate::symmetric::SymmetricParams;
+    use crate::symmetric::{SymmetricParams, SymmetricSphereMap};
+    use ips_linalg::par::Schedule;
     use ips_linalg::random::{random_ball_vector, random_unit_vector};
+    use ips_lsh::table::BUILD_BLOCK;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -244,7 +225,8 @@ mod tests {
         }
         let spec = spec(0.7, 0.7);
         let exact = BruteForceMipsIndex::new(data.clone(), spec);
-        let alsh = AlshMipsIndex::build(
+        let alsh = LshMips::<SphereTransform>::build(
+            Schedule::new(BUILD_BLOCK),
             &mut r,
             data.clone(),
             spec,
@@ -280,8 +262,14 @@ mod tests {
         data[7] = query.scaled(0.9);
         data[21] = query.scaled(0.95);
         let spec = spec(0.6, 0.5);
-        let index =
-            SymmetricLshMips::build(&mut r, data, spec, SymmetricParams::default()).unwrap();
+        let index = LshMips::<SymmetricSphereMap>::build(
+            Schedule::new(BUILD_BLOCK),
+            &mut r,
+            data,
+            spec,
+            SymmetricParams::default(),
+        )
+        .unwrap();
         let top = index.search_top_k(&query, 4).unwrap();
         for hit in &top {
             assert!(spec.acceptable(hit.inner_product));

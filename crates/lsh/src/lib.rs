@@ -15,9 +15,7 @@
 //! | MinHash | [`minhash`] | substrate of MH-ALSH |
 //! | Asymmetric minwise hashing (MH-ALSH) | [`mhalsh`] | state of the art for binary data \[46\] |
 //! | L2-ALSH(SL) | [`alsh_l2`] | the original ALSH for MIPS \[45\] |
-//! | Sign-ALSH | [`sign_alsh`] | improved ALSH via sign random projections (follow-up to \[45\]) |
 //! | SIMPLE-ALSH | [`simple_alsh`] | Neyshabur–Srebro reduction \[39\]; basis of Section 4.1 |
-//! | Multi-probe SimHash | [`multiprobe`] | table-count vs probe-count ablation for the Section 4.1 index |
 //! | Query-directed probing | [`probe`] | compositional multi-probe for the production indexes (PR 10) |
 //! | Plane bank | [`bank`] | the one hashing kernel [`table::LshIndex`] runs for the hyperplane families |
 //!
@@ -40,10 +38,8 @@ pub mod error;
 pub mod hyperplane;
 pub mod mhalsh;
 pub mod minhash;
-pub mod multiprobe;
 pub mod probe;
 pub mod rho;
-pub mod sign_alsh;
 pub mod simple_alsh;
 pub mod table;
 pub mod traits;

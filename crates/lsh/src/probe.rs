@@ -5,8 +5,7 @@
 //! (see ROADMAP: million-user memory scale). Multi-probe LSH trades tables for
 //! extra bucket lookups: in each table the query also visits the buckets it was
 //! *closest* to landing in, in decreasing order of estimated collision
-//! probability. [`crate::multiprobe`] implements this as a standalone hyperplane
-//! index; this module makes the same idea *compositional*, so the production
+//! probability. This module makes the idea *compositional*, so the production
 //! indexes ([`crate::table::LshIndex`] under both the SIMPLE-ALSH and symmetric
 //! hyperplane families) can probe without changing their structure:
 //!
@@ -26,9 +25,7 @@
 //!
 //! Throughout this module `extra` / `probes` counts **additional buckets beyond
 //! the home bucket**: `0` means the classical single-bucket lookup, bit-identical
-//! to [`crate::table::LshIndex::query_candidates`]. (The older
-//! [`crate::multiprobe`] API counts *total* buckets, so its `probes = 1` equals
-//! this module's `extra = 0`.)
+//! to [`crate::table::LshIndex::query_candidates`].
 
 use crate::amplify::{combine_hashes, AndFunction};
 use crate::error::Result;

@@ -15,8 +15,9 @@
 //! coefficients, with keys bit-identical to the per-function walk. Any other family
 //! (e.g. MH-ALSH) is hashed function by function through its trait implementation.
 //! The index holds exactly one of the two representations; see [`crate::bank`].
-//! A banked index also takes a point as a [`SparseImage`] (the `*_image` methods):
-//! same keys as the dense vector the image stands for, for the rows it names only.
+//! A point arrives as a `&DenseVector` or — at a banked index — as a [`SparseImage`]
+//! (`impl Into<Point>` throughout): same keys as the dense vector the image stands
+//! for, for the rows it names only.
 //! The kernel's buffers are reused: `insert` / `remove` hash through a scratch the
 //! index owns, the `&self` lookups through one per thread.
 //!
@@ -42,7 +43,9 @@
 //! index bit-identically (same sampled functions, same buckets, same query results).
 
 use crate::amplify::{AndConstruction, AndFunction};
-use crate::bank::{BankScratch, PlaneBank, Point, Side, SparseImage};
+#[cfg(doc)]
+use crate::bank::SparseImage;
+use crate::bank::{BankScratch, PlaneBank, Point, Side};
 use crate::error::{LshError, Result};
 use crate::probe::ProbeSequence;
 use crate::traits::{AsymmetricHashFunction, AsymmetricLshFamily};
@@ -433,6 +436,10 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
     /// over tables of the union over probed buckets, so the result is deterministic
     /// for a given index structure regardless of probe count.
     ///
+    /// The query is a `&DenseVector` or a [`SparseImage`] — the candidates of the
+    /// dense vector the image stands for; only an index hashed through a plane bank
+    /// without an embedding takes one.
+    ///
     /// ```
     /// use ips_lsh::simple_alsh::SimpleAlshFamily;
     /// use ips_lsh::table::{IndexParams, LshIndex};
@@ -453,34 +460,23 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
     /// assert!(classical.iter().all(|id| probed.contains(id)));
     /// # Ok::<(), ips_lsh::LshError>(())
     /// ```
-    pub fn probe_lookup(&self, q: &DenseVector, probes: usize) -> Result<Vec<usize>>
+    pub fn probe_lookup<'p>(&self, q: impl Into<Point<'p>>, probes: usize) -> Result<Vec<usize>>
     where
         <AndConstruction<F> as AsymmetricLshFamily>::Function: ProbeSequence,
     {
+        let q = q.into();
         if probes == 0 {
-            return self.query_candidates(q);
+            return self.home_candidates(q);
         }
-        let sequences = match &self.hasher {
-            Hasher::Bank(bank) => Self::bank_probe_keys(bank, q.into(), probes)?,
-            Hasher::Functions(functions) => functions
+        let sequences = match (&self.hasher, q) {
+            (Hasher::Bank(bank), q) => Self::bank_probe_keys(bank, q, probes)?,
+            (Hasher::Functions(functions), Point::Dense(q)) => functions
                 .iter()
                 .map(|f| f.probe_query(q, probes))
                 .collect::<Result<Vec<_>>>()?,
+            (Hasher::Functions(_), Point::Sparse(_)) => return Err(not_banked()),
         };
         Ok(self.probed_candidates(&sequences))
-    }
-
-    /// [`LshIndex::probe_lookup`] for a query given as a [`SparseImage`]: the
-    /// candidates of the dense vector the image stands for. Only an index hashed
-    /// through a plane bank without an embedding takes one.
-    pub fn probe_lookup_image(&self, q: SparseImage<'_>, probes: usize) -> Result<Vec<usize>> {
-        if probes == 0 {
-            return self.home_candidates(q.into());
-        }
-        let Hasher::Bank(bank) = &self.hasher else {
-            return Err(not_banked());
-        };
-        Ok(self.probed_candidates(&Self::bank_probe_keys(bank, q.into(), probes)?))
     }
 
     fn bank_probe_keys(bank: &PlaneBank, q: Point<'_>, probes: usize) -> Result<Vec<Vec<u64>>> {
@@ -581,18 +577,13 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
     }
 
     /// Inserts a point under id `id`, hashing it into every table with that table's
-    /// stored function — the dynamic-maintenance half of the serving layer.
+    /// stored function — the dynamic-maintenance half of the serving layer. A point
+    /// given as a [`SparseImage`] is filed where the dense vector it stands for would
+    /// go; only an index hashed through a plane bank without an embedding takes one.
     ///
     /// The caller owns the id space; inserting an id that is already present stores it
     /// twice and is a logic error.
-    pub fn insert(&mut self, id: u32, p: &DenseVector) -> Result<()> {
-        self.insert_point(id, p.into())
-    }
-
-    /// [`LshIndex::insert`] for a point given as a [`SparseImage`]: files it where the
-    /// dense vector the image stands for would go. Only an index hashed through a
-    /// plane bank without an embedding takes one.
-    pub fn insert_image(&mut self, id: u32, p: SparseImage<'_>) -> Result<()> {
+    pub fn insert<'p>(&mut self, id: u32, p: impl Into<Point<'p>>) -> Result<()> {
         self.insert_point(id, p.into())
     }
 
@@ -608,17 +599,11 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
     }
 
     /// Removes the point stored under id `id`, locating its bucket in each table by
-    /// re-hashing the vector `p` it was inserted with.
+    /// re-hashing the point `p` it was inserted with.
     ///
     /// Returns `true` when the id was found (in any table) and removed. Buckets left
     /// empty are dropped, so a remove exactly undoes the matching insert.
-    pub fn remove(&mut self, id: u32, p: &DenseVector) -> Result<bool> {
-        self.remove_point(id, p.into())
-    }
-
-    /// [`LshIndex::remove`] for a point given as the [`SparseImage`] it was inserted
-    /// with (see [`LshIndex::insert_image`]).
-    pub fn remove_image(&mut self, id: u32, p: SparseImage<'_>) -> Result<bool> {
+    pub fn remove<'p>(&mut self, id: u32, p: impl Into<Point<'p>>) -> Result<bool> {
         self.remove_point(id, p.into())
     }
 

@@ -13,16 +13,17 @@
 
 use crate::error::Result;
 use crate::format::{ByteReader, ByteWriter};
-use ips_core::asymmetric::{AlshMipsIndex, AlshParams};
+use ips_core::asymmetric::AlshParams;
 use ips_core::mips::{BruteForceMipsIndex, MipsIndex, SketchMipsAdapter};
 use ips_core::problem::{JoinSpec, JoinVariant};
-use ips_core::symmetric::{SymmetricLshMips, SymmetricParams};
+use ips_core::symmetric::SymmetricParams;
+use ips_core::{LshMips, LshOps, SphereMap};
 use ips_linalg::{DenseVector, Matrix};
 use ips_lsh::amplify::AndFunction;
-use ips_lsh::hyperplane::{HyperplaneFamily, HyperplaneFunction};
-use ips_lsh::simple_alsh::{SimpleAlshFamily, SimpleAlshFunction, SphereTransform};
+use ips_lsh::hyperplane::HyperplaneFunction;
+use ips_lsh::simple_alsh::{SimpleAlshFunction, SphereTransform};
 use ips_lsh::table::{IndexParams, LshIndex};
-use ips_lsh::{SymmetricAsAsymmetric, SymmetricFunctionPair};
+use ips_lsh::{AsymmetricLshFamily, SymmetricFunctionPair};
 use ips_sketch::linf_mips::{MaxIpConfig, MaxIpEstimator};
 use ips_sketch::recovery::{Node, SketchMipsIndex};
 use std::collections::HashMap;
@@ -328,31 +329,26 @@ impl Persist for HashMap<u64, Vec<u32>> {
     }
 }
 
-/// Shared by both concrete `LshIndex` instantiations: params, length, the sampled
-/// functions, then the tables.
-macro_rules! persist_lsh_index {
-    ($family:ty) => {
-        impl Persist for LshIndex<$family> {
-            fn write(&self, w: &mut ByteWriter) {
-                self.params().write(w);
-                w.put_usize(self.len());
-                write_slice(w, &self.functions());
-                write_slice(w, self.tables());
-            }
+/// Params, length, the sampled functions, then the tables.
+impl<F> Persist for LshIndex<F>
+where
+    F: AsymmetricLshFamily<Function: Persist + Clone> + Clone,
+{
+    fn write(&self, w: &mut ByteWriter) {
+        self.params().write(w);
+        w.put_usize(self.len());
+        write_slice(w, &self.functions());
+        write_slice(w, self.tables());
+    }
 
-            fn read(r: &mut ByteReader<'_>) -> Result<Self> {
-                let params = IndexParams::read(r)?;
-                let len = r.take_usize()?;
-                let functions = Vec::read(r)?;
-                let tables = Vec::read(r)?;
-                Ok(LshIndex::from_raw_parts(functions, tables, params, len)?)
-            }
-        }
-    };
+    fn read(r: &mut ByteReader<'_>) -> Result<Self> {
+        let params = IndexParams::read(r)?;
+        let len = r.take_usize()?;
+        let functions = Vec::read(r)?;
+        let tables = Vec::read(r)?;
+        Ok(LshIndex::from_raw_parts(functions, tables, params, len)?)
+    }
 }
-
-persist_lsh_index!(SimpleAlshFamily);
-persist_lsh_index!(SymmetricAsAsymmetric<HyperplaneFamily>);
 
 impl Persist for MaxIpEstimator {
     fn write(&self, w: &mut ByteWriter) {
@@ -480,7 +476,13 @@ fn write_live_mask(w: &mut ByteWriter, slots: usize, is_live: impl Fn(usize) -> 
     }
 }
 
-impl Persist for AlshMipsIndex<'static> {
+/// Spec, the map's parameters, every slot's vector, the liveness mask, then the LSH
+/// state; the map and the exact-match lookup are rebuilt from those on load.
+impl<M> Persist for LshMips<'static, M>
+where
+    M: SphereMap<Params: Persist>,
+    LshIndex<M::Family>: Persist,
+{
     fn write(&self, w: &mut ByteWriter) {
         self.spec().write(w);
         self.params().write(w);
@@ -491,34 +493,11 @@ impl Persist for AlshMipsIndex<'static> {
 
     fn read(r: &mut ByteReader<'_>) -> Result<Self> {
         let spec = JoinSpec::read(r)?;
-        let params = AlshParams::read(r)?;
+        let params = M::Params::read(r)?;
         let data = Vec::read(r)?;
         let live = Vec::read(r)?;
         let index = LshIndex::read(r)?;
-        Ok(AlshMipsIndex::from_raw_parts(
-            data, live, index, spec, params,
-        )?)
-    }
-}
-
-impl Persist for SymmetricLshMips<'static> {
-    fn write(&self, w: &mut ByteWriter) {
-        self.spec().write(w);
-        self.params().write(w);
-        write_slice(w, self.data());
-        write_live_mask(w, self.slots(), |slot| self.is_live(slot));
-        self.lsh_index().write(w);
-    }
-
-    fn read(r: &mut ByteReader<'_>) -> Result<Self> {
-        let spec = JoinSpec::read(r)?;
-        let params = SymmetricParams::read(r)?;
-        let data = Vec::read(r)?;
-        let live = Vec::read(r)?;
-        let index = LshIndex::read(r)?;
-        Ok(SymmetricLshMips::from_raw_parts(
-            data, live, index, spec, params,
-        )?)
+        Ok(LshMips::from_raw_parts(data, live, index, spec, params)?)
     }
 }
 
@@ -582,7 +561,7 @@ mod tests {
     fn sampled_functions_roundtrip_bit_identically() {
         use ips_lsh::traits::{AsymmetricHashFunction, AsymmetricLshFamily};
         let mut rng = StdRng::seed_from_u64(0x9A9A);
-        let family = SimpleAlshFamily::new(6, 1.5, 3).unwrap();
+        let family = ips_lsh::simple_alsh::SimpleAlshFamily::new(6, 1.5, 3).unwrap();
         let f = family.sample(&mut rng).unwrap();
         let back = roundtrip(&f);
         let p = DenseVector::from(&[0.1, 0.2, -0.3, 0.0, 0.4, 0.1][..]);

@@ -13,7 +13,7 @@
 //!   again (see [`ips_lsh::table::LshIndex::insert`]). Tombstoned slots still occupy
 //!   memory, so when their fraction exceeds the rebuild threshold the index is
 //!   compacted **in place**: the dead slots are dropped and the buckets renumbered,
-//!   with no vector hashed again (see [`ips_core::AlshMipsIndex::compact`]).
+//!   with no vector hashed again (see [`ips_core::LshOps::compact`]).
 //! * **Brute force** — building *is* storing the vectors: an insert under a new
 //!   highest id appends, every other mutation rebuilds the primary (the threshold
 //!   is irrelevant).
@@ -40,14 +40,14 @@
 //! already hold those configs.
 
 use crate::error::{Result, StoreError};
-use crate::snapshot::{AnyIndex, IndexFamily, Snapshot, SnapshotRef};
+use crate::snapshot::{AnyIndex, IndexFamily, Snapshot, SnapshotRef, View, ViewMut};
 use ips_core::asymmetric::AlshParams;
 use ips_core::engine::{EngineConfig, JoinEngine};
 use ips_core::mips::{BruteForceMipsIndex, MipsIndex, SearchResult, SketchMipsAdapter};
 use ips_core::problem::{JoinSpec, MatchPair};
-use ips_core::symmetric::{SymmetricLshMips, SymmetricParams};
+use ips_core::symmetric::SymmetricParams;
 use ips_core::topk::TopKMipsIndex;
-use ips_core::AlshMipsIndex;
+use ips_core::LshMips;
 use ips_linalg::par::{available_threads, Schedule};
 use ips_linalg::DenseVector;
 use ips_lsh::table::BUILD_BLOCK;
@@ -309,12 +309,12 @@ pub(crate) fn build_index(
     let schedule = Schedule::new(BUILD_BLOCK).with_threads(threads);
     Ok(match index_config {
         IndexConfig::Brute => AnyIndex::Brute(BruteForceMipsIndex::new(data, spec)),
-        IndexConfig::Alsh(params) => AnyIndex::Alsh(AlshMipsIndex::build_scheduled(
-            schedule, &mut rng, data, spec, params,
-        )?),
-        IndexConfig::Symmetric(params) => AnyIndex::Symmetric(SymmetricLshMips::build_scheduled(
-            schedule, &mut rng, data, spec, params,
-        )?),
+        IndexConfig::Alsh(params) => {
+            AnyIndex::Alsh(LshMips::build(schedule, &mut rng, data, spec, params)?)
+        }
+        IndexConfig::Symmetric(params) => {
+            AnyIndex::Symmetric(LshMips::build(schedule, &mut rng, data, spec, params)?)
+        }
         IndexConfig::Sketch { config, leaf_size } => AnyIndex::Sketch(SketchMipsAdapter::build(
             &mut rng, data, spec, config, leaf_size,
         )?),
@@ -368,12 +368,8 @@ impl ServingIndex {
         // Apply the probes override *before* extracting the family config: the
         // extracted params seed every rebuild, so the override sticks across
         // compactions instead of silently reverting to the snapshot's value.
-        if let Some(probes) = config.probes {
-            match &mut primary {
-                AnyIndex::Alsh(index) => index.set_probes(probes),
-                AnyIndex::Symmetric(index) => index.set_probes(probes),
-                AnyIndex::Brute(_) | AnyIndex::Sketch(_) => {}
-            }
+        if let (Some(probes), Some(index)) = (config.probes, primary.as_lsh_mut()) {
+            index.set_probes(probes);
         }
         let dim = match primary.vector(0) {
             Some(v) => v.dim(),
@@ -547,19 +543,17 @@ impl ServingIndex {
             .store(stats.rebuilds, Ordering::Relaxed);
     }
 
-    /// The two halves of the symmetric-LSH two-step search, translated to external
-    /// ids and left unfiltered — what the sharded merge layer
-    /// ([`ips_core::shard::merge_two_step`]) needs from each shard. Only meaningful
-    /// for a symmetric-family index (the caller dispatches on the family).
-    pub(crate) fn search_parts_symmetric(
-        &self,
-        query: &DenseVector,
-    ) -> Result<ips_core::shard::ShardParts> {
-        let AnyIndex::Symmetric(index) = &self.primary else {
+    /// The two halves of the LSH two-step search, translated to external ids and left
+    /// unfiltered — what the sharded merge layer
+    /// ([`ips_core::shard::merge_two_step`]) needs from each shard of a family with a
+    /// diagonal. Only meaningful for an LSH-family index (the caller dispatches on the
+    /// family).
+    pub(crate) fn search_parts(&self, query: &DenseVector) -> Result<ips_core::shard::ShardParts> {
+        let Some(index) = self.primary.as_lsh() else {
             return Err(StoreError::InvalidParameter {
                 name: "family",
                 reason: format!(
-                    "two-step search parts are a symmetric-LSH notion, index is {}",
+                    "two-step search parts are an LSH notion, index is {}",
                     self.family()
                 ),
             });
@@ -585,13 +579,12 @@ impl ServingIndex {
     /// telemetry layer reads per-batch deltas of this to observe candidate /
     /// pruned / rescored counts.
     pub fn kernel_activity(&self) -> ips_core::KernelActivity {
-        match &self.primary {
-            AnyIndex::Brute(i) => i.kernel_activity(),
-            AnyIndex::Alsh(i) => i.kernel_activity(),
-            AnyIndex::Symmetric(i) => i.kernel_activity(),
+        match self.primary.view() {
+            View::Brute(i) => i.kernel_activity(),
+            View::Lsh(i) => i.kernel_activity(),
             // The sketch adapter rescores its single candidate exactly and
             // has no reduced-precision kernel to count.
-            AnyIndex::Sketch(_) => ips_core::KernelActivity::default(),
+            View::Sketch(_) => ips_core::KernelActivity::default(),
         }
     }
 
@@ -631,14 +624,8 @@ impl ServingIndex {
                 reason: format!("external id {id} is already in use"),
             });
         }
-        match &mut self.primary {
-            AnyIndex::Alsh(index) => {
-                let slot = index.insert(v)?;
-                debug_assert_eq!(slot, self.primary_ids.len());
-                self.primary_ids.push(id);
-                self.id_to_slot.insert(id, slot);
-            }
-            AnyIndex::Symmetric(index) => {
+        match self.primary.view_mut() {
+            ViewMut::Lsh(index) => {
                 let slot = index.insert(v)?;
                 debug_assert_eq!(slot, self.primary_ids.len());
                 self.primary_ids.push(id);
@@ -646,13 +633,13 @@ impl ServingIndex {
             }
             // Storing is all there is to building a brute index: behind ids that
             // ascend, a new highest id appends where a rebuild would put it.
-            AnyIndex::Brute(index) if id >= self.next_id && self.primary_ids.is_sorted() => {
+            ViewMut::Brute(index) if id >= self.next_id && self.primary_ids.is_sorted() => {
                 self.id_to_slot.insert(id, self.primary_ids.len());
                 self.primary_ids.push(id);
                 index.push(v);
             }
-            AnyIndex::Brute(_) => self.rebuild(Some((id, v)))?,
-            AnyIndex::Sketch(_) => {
+            ViewMut::Brute(_) => self.rebuild(Some((id, v)))?,
+            ViewMut::Sketch => {
                 self.overlay.push((id, v));
             }
         }
@@ -676,20 +663,16 @@ impl ServingIndex {
             .id_to_slot
             .get(&id)
             .ok_or(StoreError::UnknownId { id })?;
-        match &mut self.primary {
-            AnyIndex::Alsh(index) => {
+        match self.primary.view_mut() {
+            ViewMut::Lsh(index) => {
                 index.delete(slot)?;
                 self.id_to_slot.remove(&id);
             }
-            AnyIndex::Symmetric(index) => {
-                index.delete(slot)?;
-                self.id_to_slot.remove(&id);
-            }
-            AnyIndex::Brute(_) => {
+            ViewMut::Brute(_) => {
                 self.id_to_slot.remove(&id);
                 self.rebuild(None)?;
             }
-            AnyIndex::Sketch(_) => {
+            ViewMut::Sketch => {
                 self.tombstones.insert(id);
                 self.id_to_slot.remove(&id);
             }
@@ -763,7 +746,7 @@ impl ServingIndex {
     /// left, non-brute structures cannot be built (their constructors reject empty
     /// data), so pending state is kept and filtered at query time instead.
     ///
-    /// **ALSH / symmetric LSH compact in place** ([`AlshMipsIndex::compact`]): a
+    /// **ALSH / symmetric LSH compact in place** ([`LshOps::compact`]): a
     /// delete already took its slot out of every bucket, and the bucket of a vector
     /// is a function of the vector and the sampled functions alone, so the tables a
     /// fresh build would produce are the ones already held, under other slot numbers.
@@ -785,12 +768,8 @@ impl ServingIndex {
         {
             return Ok(());
         }
-        let compacted_in_place = match &mut self.primary {
-            AnyIndex::Alsh(index) => index.compact(&self.primary_ids).map(|()| true)?,
-            AnyIndex::Symmetric(index) => index.compact(&self.primary_ids).map(|()| true)?,
-            AnyIndex::Brute(_) | AnyIndex::Sketch(_) => false,
-        };
-        if compacted_in_place {
+        if let Some(index) = self.primary.as_lsh_mut() {
+            index.compact(&self.primary_ids)?;
             // The slots now follow ascending id order; so must the slot → id list.
             let live = &self.id_to_slot;
             self.primary_ids.retain(|id| live.contains_key(id));
@@ -846,13 +825,12 @@ impl ServingIndex {
         if scoring.is_default() {
             return Ok(());
         }
-        match &mut self.primary {
-            AnyIndex::Brute(index) => index.set_scoring(scoring)?,
-            AnyIndex::Alsh(index) => index.set_scoring(scoring)?,
-            AnyIndex::Symmetric(index) => index.set_scoring(scoring)?,
+        match self.primary.view_mut() {
+            ViewMut::Brute(index) => index.set_scoring(scoring)?,
+            ViewMut::Lsh(index) => index.set_scoring(scoring)?,
             // The sketch adapter already rescores its single recovered
             // candidate exactly; there is no batched scoring loop to replace.
-            AnyIndex::Sketch(_) => {}
+            ViewMut::Sketch => {}
         }
         Ok(())
     }

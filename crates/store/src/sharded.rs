@@ -1147,7 +1147,7 @@ impl MipsIndex for ShardedView<'_> {
         if self.family == IndexFamily::Symmetric {
             let mut parts = Vec::with_capacity(self.shards.len());
             for shard in &self.shards {
-                parts.push(shard.search_parts_symmetric(query).map_err(to_core)?);
+                parts.push(shard.search_parts(query).map_err(to_core)?);
             }
             let start = Instant::now();
             let merged = merge_two_step(&self.spec, &parts);

@@ -53,11 +53,12 @@
 use crate::error::{Result, StoreError};
 use crate::format::{ByteReader, ByteWriter};
 use crate::persist::Persist;
+use ips_core::asymmetric::SphereTransform;
 use ips_core::mips::{BruteForceMipsIndex, MipsIndex, SearchResult, SketchMipsAdapter};
 use ips_core::problem::JoinSpec;
-use ips_core::symmetric::SymmetricLshMips;
+use ips_core::symmetric::SymmetricSphereMap;
 use ips_core::topk::TopKMipsIndex;
-use ips_core::AlshMipsIndex;
+use ips_core::{LshMips, LshOps};
 use ips_linalg::DenseVector;
 use std::path::Path;
 
@@ -91,9 +92,9 @@ pub const SECTION_NEXT_ID: u32 = 4;
 pub enum IndexFamily {
     /// The exact quadratic scan ([`BruteForceMipsIndex`]).
     Brute,
-    /// The Section 4.1 asymmetric-LSH index ([`AlshMipsIndex`]).
+    /// The Section 4.1 asymmetric-LSH index ([`LshMips`] over [`SphereTransform`]).
     Alsh,
-    /// The Section 4.2 symmetric LSH ([`SymmetricLshMips`]).
+    /// The Section 4.2 symmetric LSH ([`LshMips`] over [`SymmetricSphereMap`]).
     Symmetric,
     /// The Section 4.3 sketch structure ([`SketchMipsAdapter`]).
     Sketch,
@@ -145,15 +146,40 @@ impl std::fmt::Display for IndexFamily {
 
 /// A built index of any of the four persistable families, behind one enum so
 /// snapshots and the serving layer are family-agnostic.
+///
+/// The two LSH variants hold one type under two maps. They are told apart where the
+/// family tag decides something — construction, decoding and encoding,
+/// [`AnyIndex::family`], the family's parameters, moving the vectors out — and reached
+/// as one [`LshOps`] ([`AnyIndex::as_lsh`] / [`AnyIndex::as_lsh_mut`]) everywhere else.
 pub enum AnyIndex {
     /// The exact quadratic scan.
     Brute(BruteForceMipsIndex),
     /// The Section 4.1 asymmetric-LSH index.
-    Alsh(AlshMipsIndex<'static>),
+    Alsh(LshMips<'static, SphereTransform>),
     /// The Section 4.2 symmetric LSH.
-    Symmetric(SymmetricLshMips<'static>),
+    Symmetric(LshMips<'static, SymmetricSphereMap>),
     /// The Section 4.3 sketch structure.
     Sketch(SketchMipsAdapter<'static>),
+}
+
+/// An [`AnyIndex`] by kind of structure: the LSH families as one.
+pub(crate) enum View<'a> {
+    /// The exact quadratic scan.
+    Brute(&'a BruteForceMipsIndex),
+    /// Either LSH family.
+    Lsh(&'a dyn LshOps),
+    /// The Section 4.3 sketch structure.
+    Sketch(&'a SketchMipsAdapter<'static>),
+}
+
+/// [`View`] for mutation (the sketch structure has no operation to offer).
+pub(crate) enum ViewMut<'a> {
+    /// The exact quadratic scan.
+    Brute(&'a mut BruteForceMipsIndex),
+    /// Either LSH family.
+    Lsh(&'a mut dyn LshOps),
+    /// The Section 4.3 sketch structure.
+    Sketch,
 }
 
 impl AnyIndex {
@@ -167,36 +193,76 @@ impl AnyIndex {
         }
     }
 
-    /// Total number of slots the index addresses, live or tombstoned (the dynamic
-    /// LSH families never reuse a slot; brute and sketch have no tombstones, so
-    /// there it equals the vector count).
-    pub fn slots(&self) -> usize {
+    pub(crate) fn view(&self) -> View<'_> {
         match self {
-            AnyIndex::Brute(i) => i.data().len(),
-            AnyIndex::Alsh(i) => i.slots(),
-            AnyIndex::Symmetric(i) => i.slots(),
-            AnyIndex::Sketch(i) => i.inner().len(),
+            AnyIndex::Brute(i) => View::Brute(i),
+            AnyIndex::Alsh(i) => View::Lsh(i),
+            AnyIndex::Symmetric(i) => View::Lsh(i),
+            AnyIndex::Sketch(i) => View::Sketch(i),
         }
+    }
+
+    pub(crate) fn view_mut(&mut self) -> ViewMut<'_> {
+        match self {
+            AnyIndex::Brute(i) => ViewMut::Brute(i),
+            AnyIndex::Alsh(i) => ViewMut::Lsh(i),
+            AnyIndex::Symmetric(i) => ViewMut::Lsh(i),
+            AnyIndex::Sketch(_) => ViewMut::Sketch,
+        }
+    }
+
+    /// The index as an LSH index, when it is of either LSH family.
+    pub fn as_lsh(&self) -> Option<&dyn LshOps> {
+        match self.view() {
+            View::Lsh(index) => Some(index),
+            View::Brute(_) | View::Sketch(_) => None,
+        }
+    }
+
+    /// [`AnyIndex::as_lsh`], for mutation.
+    pub fn as_lsh_mut(&mut self) -> Option<&mut dyn LshOps> {
+        match self.view_mut() {
+            ViewMut::Lsh(index) => Some(index),
+            ViewMut::Brute(_) | ViewMut::Sketch => None,
+        }
+    }
+
+    /// The vector of every slot the index addresses, live or tombstoned, in slot
+    /// order (the dynamic LSH families never reuse a slot; brute and sketch have no
+    /// tombstones, so there these are the indexed vectors).
+    fn vectors(&self) -> &[DenseVector] {
+        match self.view() {
+            View::Brute(i) => i.data(),
+            View::Lsh(i) => i.data(),
+            View::Sketch(i) => i.inner().data(),
+        }
+    }
+
+    /// The structure as the searches see it.
+    fn searcher(&self) -> &(dyn TopKMipsIndex + Sync) {
+        match self.view() {
+            View::Brute(i) => i,
+            View::Lsh(i) => i,
+            View::Sketch(i) => i,
+        }
+    }
+
+    /// Total number of slots the index addresses, live or tombstoned.
+    pub fn slots(&self) -> usize {
+        self.vectors().len()
     }
 
     /// Whether slot `id` holds a live vector.
     pub fn is_live(&self, slot: usize) -> bool {
-        match self {
-            AnyIndex::Brute(i) => slot < i.data().len(),
-            AnyIndex::Alsh(i) => i.is_live(slot),
-            AnyIndex::Symmetric(i) => i.is_live(slot),
-            AnyIndex::Sketch(i) => slot < i.inner().len(),
+        match self.as_lsh() {
+            Some(index) => index.is_live(slot),
+            None => slot < self.slots(),
         }
     }
 
     /// The vector stored in a slot (live or tombstoned).
     pub fn vector(&self, slot: usize) -> Option<&DenseVector> {
-        match self {
-            AnyIndex::Brute(i) => i.data().get(slot),
-            AnyIndex::Alsh(i) => i.data().get(slot),
-            AnyIndex::Symmetric(i) => i.data().get(slot),
-            AnyIndex::Sketch(i) => i.inner().data().get(slot),
-        }
+        self.vectors().get(slot)
     }
 
     /// Consumes the index, returning the vector of every slot (live or tombstoned) in
@@ -213,52 +279,27 @@ impl AnyIndex {
 
 impl MipsIndex for AnyIndex {
     fn len(&self) -> usize {
-        match self {
-            AnyIndex::Brute(i) => i.len(),
-            AnyIndex::Alsh(i) => i.len(),
-            AnyIndex::Symmetric(i) => i.len(),
-            AnyIndex::Sketch(i) => i.len(),
-        }
+        self.searcher().len()
     }
 
     fn spec(&self) -> JoinSpec {
-        match self {
-            AnyIndex::Brute(i) => i.spec(),
-            AnyIndex::Alsh(i) => i.spec(),
-            AnyIndex::Symmetric(i) => i.spec(),
-            AnyIndex::Sketch(i) => i.spec(),
-        }
+        self.searcher().spec()
     }
 
     fn search(&self, query: &DenseVector) -> ips_core::Result<Option<SearchResult>> {
-        match self {
-            AnyIndex::Brute(i) => i.search(query),
-            AnyIndex::Alsh(i) => i.search(query),
-            AnyIndex::Symmetric(i) => i.search(query),
-            AnyIndex::Sketch(i) => i.search(query),
-        }
+        self.searcher().search(query)
     }
 
+    /// Forwarded explicitly so the brute-force data-major override survives the enum
+    /// indirection.
     fn search_batch(&self, queries: &[DenseVector]) -> ips_core::Result<Vec<Option<SearchResult>>> {
-        match self {
-            // Forward explicitly so the brute-force data-major override survives the
-            // enum indirection.
-            AnyIndex::Brute(i) => i.search_batch(queries),
-            AnyIndex::Alsh(i) => i.search_batch(queries),
-            AnyIndex::Symmetric(i) => i.search_batch(queries),
-            AnyIndex::Sketch(i) => i.search_batch(queries),
-        }
+        self.searcher().search_batch(queries)
     }
 }
 
 impl TopKMipsIndex for AnyIndex {
     fn search_top_k(&self, query: &DenseVector, k: usize) -> ips_core::Result<Vec<SearchResult>> {
-        match self {
-            AnyIndex::Brute(i) => i.search_top_k(query, k),
-            AnyIndex::Alsh(i) => i.search_top_k(query, k),
-            AnyIndex::Symmetric(i) => i.search_top_k(query, k),
-            AnyIndex::Sketch(i) => i.search_top_k(query, k),
-        }
+        self.searcher().search_top_k(query, k)
     }
 }
 
@@ -393,8 +434,8 @@ impl Snapshot {
                     r.enter(len)?;
                     let decoded = match family {
                         IndexFamily::Brute => AnyIndex::Brute(BruteForceMipsIndex::read(r)?),
-                        IndexFamily::Alsh => AnyIndex::Alsh(AlshMipsIndex::read(r)?),
-                        IndexFamily::Symmetric => AnyIndex::Symmetric(SymmetricLshMips::read(r)?),
+                        IndexFamily::Alsh => AnyIndex::Alsh(LshMips::read(r)?),
+                        IndexFamily::Symmetric => AnyIndex::Symmetric(LshMips::read(r)?),
                         IndexFamily::Sketch => AnyIndex::Sketch(SketchMipsAdapter::read(r)?),
                     };
                     r.leave("index section")?;
@@ -1114,7 +1155,9 @@ mod tests {
             tables: 4,
             ..Default::default()
         };
-        let alsh = AlshMipsIndex::build(&mut rng, data.clone(), spec, alsh_params).unwrap();
+        let schedule = ips_linalg::par::Schedule::new(ips_lsh::table::BUILD_BLOCK);
+        let alsh: LshMips<'_, SphereTransform> =
+            LshMips::build(schedule, &mut rng, data.clone(), spec, alsh_params).unwrap();
         let alsh_bytes = |functions: &[AndFunction<SimpleAlshFunction>]| {
             let lsh = alsh.lsh_index();
             snapshot_with_functions(
@@ -1159,8 +1202,8 @@ mod tests {
             tables: 4,
             ..Default::default()
         };
-        let symmetric =
-            SymmetricLshMips::build(&mut rng, data.clone(), spec, symmetric_params).unwrap();
+        let symmetric: LshMips<'_, SymmetricSphereMap> =
+            LshMips::build(schedule, &mut rng, data.clone(), spec, symmetric_params).unwrap();
         let symmetric_bytes =
             |functions: &[AndFunction<SymmetricFunctionPair<HyperplaneFunction>>]| {
                 let lsh = symmetric.lsh_index();

@@ -15,13 +15,15 @@
 //!
 //! Run with `cargo run --release -p ips-examples --example quickstart`.
 
-use ips_core::asymmetric::{AlshMipsIndex, AlshParams};
+use ips_core::asymmetric::{AlshParams, SphereTransform};
 use ips_core::brute::brute_force_join;
 use ips_core::facade::{Join, Strategy};
+use ips_core::lsh_mips::{LshMips, BUILD_BLOCK};
 use ips_core::mips::MipsIndex;
 use ips_core::problem::{JoinSpec, JoinVariant};
 use ips_datagen::planted::{PlantedConfig, PlantedInstance};
 use ips_examples::{example_rng, f3, section};
+use ips_linalg::par::Schedule;
 use ips_store::Index;
 
 fn main() {
@@ -57,7 +59,8 @@ fn main() {
     );
 
     section("3. single query against the ALSH index (Section 4.1)");
-    let index = AlshMipsIndex::build(
+    let index = LshMips::<SphereTransform>::build(
+        Schedule::new(BUILD_BLOCK),
         &mut rng,
         instance.data().to_vec(),
         spec,

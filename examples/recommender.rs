@@ -14,13 +14,15 @@
 //!
 //! Run with `cargo run --release -p ips-examples --example recommender`.
 
-use ips_core::asymmetric::{AlshMipsIndex, AlshParams};
+use ips_core::asymmetric::{AlshParams, SphereTransform};
 use ips_core::brute::brute_force_join;
 use ips_core::engine::JoinEngine;
+use ips_core::lsh_mips::{LshMips, BUILD_BLOCK};
 use ips_core::mips::MipsIndex;
 use ips_core::problem::{JoinSpec, JoinVariant};
 use ips_datagen::latent::{LatentFactorConfig, LatentFactorModel};
 use ips_examples::{example_rng, f3, section};
+use ips_linalg::par::Schedule;
 use ips_sketch::linf_mips::MaxIpConfig;
 use ips_sketch::recovery::SketchMipsIndex;
 
@@ -54,7 +56,8 @@ fn main() {
     );
 
     section("top-1 retrieval: recall against the exact scan");
-    let alsh = AlshMipsIndex::build(
+    let alsh = LshMips::<SphereTransform>::build(
+        Schedule::new(BUILD_BLOCK),
         &mut rng,
         model.items().to_vec(),
         spec,
@@ -106,8 +109,7 @@ fn main() {
 
     section("the batch join");
     let exact = brute_force_join(model.items(), model.users(), &spec).expect("join runs");
-    // The engine borrows the prebuilt index — the builder-era spelling of the
-    // legacy `index_join(&alsh, users)` shim.
+    // The engine borrows the prebuilt index.
     let approx = JoinEngine::new(&alsh)
         .run(model.users())
         .expect("join runs");

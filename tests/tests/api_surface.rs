@@ -141,9 +141,6 @@ fn lsh_index_surface_is_pinned() {
         &mut StdRng,
     ) -> ips_lsh::Result<Alsh> = LshIndex::build::<StdRng>;
     let _query: fn(&Alsh, &DenseVector) -> ips_lsh::Result<Vec<usize>> = Alsh::query_candidates;
-    let _probe: fn(&Alsh, &DenseVector, usize) -> ips_lsh::Result<Vec<usize>> = Alsh::probe_lookup;
-    let _insert: fn(&mut Alsh, u32, &DenseVector) -> ips_lsh::Result<()> = Alsh::insert;
-    let _remove: fn(&mut Alsh, u32, &DenseVector) -> ips_lsh::Result<bool> = Alsh::remove;
     let _entries: fn(&Alsh) -> usize = Alsh::stored_entries;
     let _functions: fn(&Alsh) -> Functions = Alsh::functions;
     let _tables: fn(&Alsh) -> &[Table] = Alsh::tables;
@@ -151,28 +148,45 @@ fn lsh_index_surface_is_pinned() {
         Alsh::from_raw_parts;
     // In-place compaction (PR 16): ids are renamed where they are stored.
     let _renumber: fn(&mut Alsh, &[u32]) -> ips_lsh::Result<()> = Alsh::renumber;
-    // Sparse images (PR 17): a banked index also takes a point by its non-zeros,
-    // beside — not instead of — the dense signatures above.
+    // A point is a `&DenseVector` or — at a banked index, since PR 17 — a
+    // `SparseImage` of its non-zeros. PR 21 folded the `*_image` twins into the three
+    // point-taking methods (`impl Into<Point>`, so pinned by use): the dense calls the
+    // benchmark makes compile as they always did.
     use ips_lsh::bank::SparseImage;
-    let _insert_image: fn(&mut Alsh, u32, SparseImage<'_>) -> ips_lsh::Result<()> =
-        Alsh::insert_image;
-    let _remove_image: fn(&mut Alsh, u32, SparseImage<'_>) -> ips_lsh::Result<bool> =
-        Alsh::remove_image;
-    let _probe_image: fn(&Alsh, SparseImage<'_>, usize) -> ips_lsh::Result<Vec<usize>> =
-        Alsh::probe_lookup_image;
+    use rand::SeedableRng;
+    let v = DenseVector::from(&[0.6, 0.0][..]);
+    let family = SimpleAlshFamily::new(2, 1.0, 1).unwrap();
+    let params = IndexParams { k: 2, l: 3 };
+    let mut index = LshIndex::build(&family, params, &[], &mut StdRng::seed_from_u64(1)).unwrap();
+    let inserted: ips_lsh::Result<()> = index.insert(0, &v);
+    inserted.unwrap();
+    let probed: ips_lsh::Result<Vec<usize>> = index.probe_lookup(&v, 2);
+    assert_eq!(probed.unwrap(), index.query_candidates(&v).unwrap());
+    let removed: ips_lsh::Result<bool> = index.remove(0, &v);
+    assert!(removed.unwrap());
+    // ...and each takes a sparse image by value (this bank embeds, so it refuses one).
+    let image = SparseImage {
+        dim: 2,
+        head: v.as_slice(),
+        tail: &[],
+    };
+    assert!(index.insert(0, image).is_err() && index.remove(0, image).is_err());
+    assert!(index.probe_lookup(image, 0).is_err());
 }
 
 #[test]
 fn block_parallel_set_up_surface_is_pinned() {
     // PR 18 (MIGRATION.md, "Block-parallel set-up"): one driver in `ips_linalg::par`,
-    // and a `*_scheduled` form beside every entry point that now runs on it. The
-    // unscheduled forms keep the signatures pinned above (the benchmark compiles
-    // against `LshIndex::build`, `write_vectors` and `write_vectors_to`).
+    // and a `*_scheduled` form beside the `LshIndex` and CSV entry points that run on
+    // it; the unscheduled forms keep the signatures pinned above (the benchmark
+    // compiles against `LshIndex::build`, `write_vectors` and `write_vectors_to`).
+    // Since PR 21 the MIPS index has the one `LshMips::build`, which takes the
+    // schedule.
     use ips_cli::dataset::{self, READ_BLOCK, WRITE_BLOCK};
-    use ips_core::asymmetric::AlshParams;
+    use ips_core::asymmetric::{AlshParams, SphereTransform};
     use ips_core::problem::{JoinSpec, JoinVariant};
-    use ips_core::symmetric::SymmetricParams;
-    use ips_core::{AlshMipsIndex, SymmetricLshMips};
+    use ips_core::symmetric::{SymmetricParams, SymmetricSphereMap};
+    use ips_core::{LshMips, LshOps};
     use ips_linalg::par::{self, Schedule};
     use ips_lsh::bank::Point;
     use ips_lsh::simple_alsh::SimpleAlshFamily;
@@ -237,10 +251,9 @@ fn block_parallel_set_up_surface_is_pinned() {
         (extended, index.len(), filed),
         (Ok(()), 5, vec![0, 1, 2, 3, 4])
     );
-    let alsh: AlshMipsIndex<'_> =
-        AlshMipsIndex::build_scheduled(schedule, &mut rng, &data[..], spec, AlshParams::default())
-            .unwrap();
-    let symmetric: SymmetricLshMips<'_> = SymmetricLshMips::build_scheduled(
+    let alsh: LshMips<'_, SphereTransform> =
+        LshMips::build(schedule, &mut rng, &data[..], spec, AlshParams::default()).unwrap();
+    let symmetric: LshMips<'_, SymmetricSphereMap> = LshMips::build(
         schedule,
         &mut rng,
         &data[..],
@@ -263,24 +276,43 @@ fn block_parallel_set_up_surface_is_pinned() {
 fn join_indexes_borrow_or_own_their_vectors() {
     // PR 17 (MIGRATION.md, "Borrowing join indexes"): the LSH and sketch indexes hold
     // a `Cow` of their vectors and carry its lifetime. `build` takes a `Vec` to own or
-    // a slice to borrow; the `*_engine` builders borrow the caller's slice.
-    use ips_core::asymmetric::AlshParams;
+    // a slice to borrow; a facade join borrows the caller's slice.
+    use ips_core::asymmetric::{AlshParams, SphereTransform};
+    use ips_core::lsh_mips::BUILD_BLOCK;
     use ips_core::problem::{JoinSpec, JoinVariant};
-    use ips_core::symmetric::SymmetricParams;
-    use ips_core::{AlshMipsIndex, EngineConfig, JoinEngine, SymmetricLshMips};
+    use ips_core::symmetric::{SymmetricParams, SymmetricSphereMap};
+    use ips_core::{JoinEngine, LshMips, LshOps};
+    use ips_linalg::par::Schedule;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     let spec = JoinSpec::new(0.5, 0.6, JoinVariant::Signed).unwrap();
     let data = vec![DenseVector::from(&[0.6, 0.0][..]); 4];
     let mut rng = StdRng::seed_from_u64(1);
-    let borrowing: AlshMipsIndex<'_> =
-        AlshMipsIndex::build(&mut rng, &data[..], spec, AlshParams::default()).unwrap();
+    let schedule = Schedule::new(BUILD_BLOCK);
+    let borrowing: LshMips<'_, SphereTransform> =
+        LshMips::build(schedule, &mut rng, &data[..], spec, AlshParams::default()).unwrap();
     assert_eq!(borrowing.data().as_ptr(), data.as_ptr());
-    let owning: AlshMipsIndex<'static> =
-        AlshMipsIndex::build(&mut rng, data.clone(), spec, AlshParams::default()).unwrap();
+    // The engine owns the index, the index borrows the data: PR 21's spelling of
+    // what `ips_core::join::alsh_engine` returned.
+    let engine: JoinEngine<LshMips<'_, SphereTransform>> = JoinEngine::new(borrowing);
+    drop(engine);
+    let owning: LshMips<'static, SphereTransform> = LshMips::build(
+        schedule,
+        &mut rng,
+        data.clone(),
+        spec,
+        AlshParams::default(),
+    )
+    .unwrap();
     assert_eq!(owning.into_data(), data);
-    let mut borrowing: SymmetricLshMips<'_> =
-        SymmetricLshMips::build(&mut rng, &data[..], spec, SymmetricParams::default()).unwrap();
+    let mut borrowing: LshMips<'_, SymmetricSphereMap> = LshMips::build(
+        schedule,
+        &mut rng,
+        &data[..],
+        spec,
+        SymmetricParams::default(),
+    )
+    .unwrap();
     assert_eq!(borrowing.data().as_ptr(), data.as_ptr());
     // The first mutation of a borrowing index takes its own copy.
     borrowing
@@ -288,15 +320,6 @@ fn join_indexes_borrow_or_own_their_vectors() {
         .unwrap();
     assert_ne!(borrowing.data().as_ptr(), data.as_ptr());
     assert_eq!((borrowing.slots(), data.len()), (5, 4));
-    let engine: JoinEngine<AlshMipsIndex<'_>> = ips_core::join::alsh_engine(
-        &mut rng,
-        &data,
-        spec,
-        AlshParams::default(),
-        EngineConfig::default(),
-    )
-    .unwrap();
-    drop(engine);
 }
 
 #[test]
@@ -305,9 +328,11 @@ fn streaming_codec_and_compaction_surface_is_pinned() {
     // in-place compaction"): one encoder over three sinks, one decoder over any
     // seekable source with section limits in place of sub-slices, snapshots lent to
     // the encoder instead of pre-encoded, and compaction as a method of the index.
+    use ips_core::asymmetric::SphereTransform;
     use ips_core::mips::BruteForceMipsIndex;
     use ips_core::problem::{JoinSpec, JoinVariant};
-    use ips_core::{AlshMipsIndex, SymmetricLshMips};
+    use ips_core::symmetric::SymmetricSphereMap;
+    use ips_core::{LshMips, LshOps};
     use ips_store::format::{ByteReader, ByteWriter};
     use ips_store::snapshot::{self, SnapshotRef};
     use std::path::Path;
@@ -352,11 +377,16 @@ fn streaming_codec_and_compaction_surface_is_pinned() {
     lent.write(&mut w);
     assert_eq!(w.into_bytes(), snapshot.to_bytes());
     // Since PR 17 the LSH and sketch indexes hold their vectors as a `Cow` and carry
-    // its lifetime; `'static` is the owning form the serving layer stores.
-    type Alsh = AlshMipsIndex<'static>;
-    type Symmetric = SymmetricLshMips<'static>;
-    let _alsh: fn(&mut Alsh, &[u64]) -> ips_core::Result<()> = Alsh::compact;
-    let _symmetric: fn(&mut Symmetric, &[u64]) -> ips_core::Result<()> = Symmetric::compact;
+    // its lifetime; `'static` is the owning form the serving layer stores. Since PR 21
+    // both LSH families are the one `LshMips`, under their maps.
+    type Alsh = LshMips<'static, SphereTransform>;
+    type Symmetric = LshMips<'static, SymmetricSphereMap>;
+    let _alsh: fn(&mut Alsh, &[u64]) -> ips_core::Result<()> = <Alsh as LshOps>::compact;
+    let _symmetric: fn(&mut Symmetric, &[u64]) -> ips_core::Result<()> =
+        <Symmetric as LshOps>::compact;
+    // ...`compact` and the other operations that do not name the map being methods
+    // of one object-safe trait, which is how the serving layers reach either family.
+    let _view: fn(&ips_store::AnyIndex) -> Option<&dyn LshOps> = ips_store::AnyIndex::as_lsh;
     let _push: fn(&mut BruteForceMipsIndex, DenseVector) = BruteForceMipsIndex::push;
 }
 

@@ -2,14 +2,16 @@
 //! construction and joins (`ips-core`, `ips-lsh`, `ips-sketch`), and evaluation against
 //! the paper's Definition 1 semantics.
 
-use ips_core::asymmetric::{AlshMipsIndex, AlshParams};
+use ips_core::asymmetric::{AlshParams, SphereTransform};
 use ips_core::brute::{brute_force_join, brute_force_join_parallel};
 use ips_core::engine::{EngineConfig, JoinEngine};
 use ips_core::facade::{Join, Strategy};
+use ips_core::lsh_mips::{LshMips, BUILD_BLOCK};
 use ips_core::mips::BruteForceMipsIndex;
 use ips_core::problem::{evaluate_join, negate_queries, JoinSpec, JoinVariant};
 use ips_datagen::latent::{LatentFactorConfig, LatentFactorModel};
 use ips_datagen::planted::{PlantedConfig, PlantedInstance};
+use ips_linalg::par::Schedule;
 use ips_sketch::linf_mips::MaxIpConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -137,8 +139,14 @@ fn join_engine_schedules_never_change_results() {
     let spec = JoinSpec::new(0.8, 0.6, JoinVariant::Signed).unwrap();
 
     let brute = BruteForceMipsIndex::new(inst.data().to_vec(), spec);
-    let alsh =
-        AlshMipsIndex::build(&mut rng, inst.data().to_vec(), spec, AlshParams::default()).unwrap();
+    let alsh = LshMips::<SphereTransform>::build(
+        Schedule::new(BUILD_BLOCK),
+        &mut rng,
+        inst.data().to_vec(),
+        spec,
+        AlshParams::default(),
+    )
+    .unwrap();
 
     let brute_reference = JoinEngine::with_config(&brute, EngineConfig::serial())
         .run_serial(inst.queries())

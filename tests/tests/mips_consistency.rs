@@ -1,11 +1,13 @@
 //! Consistency of every MIPS index (Sections 4.1–4.3) against the exact scan, on the
 //! recommender workload the paper's introduction motivates.
 
-use ips_core::asymmetric::{AlshMipsIndex, AlshParams};
+use ips_core::asymmetric::{AlshParams, SphereTransform};
+use ips_core::lsh_mips::{LshMips, BUILD_BLOCK};
 use ips_core::mips::{BruteForceMipsIndex, MipsIndex};
 use ips_core::problem::{JoinSpec, JoinVariant};
-use ips_core::symmetric::{SymmetricLshMips, SymmetricParams};
+use ips_core::symmetric::{SymmetricParams, SymmetricSphereMap};
 use ips_datagen::latent::{LatentFactorConfig, LatentFactorModel};
+use ips_linalg::par::Schedule;
 use ips_sketch::linf_mips::MaxIpConfig;
 use ips_sketch::recovery::SketchMipsIndex;
 use rand::rngs::StdRng;
@@ -36,14 +38,16 @@ fn every_index_reports_only_pairs_above_cs() {
     let spec = JoinSpec::new(s, 0.7, JoinVariant::Signed).unwrap();
 
     let brute = BruteForceMipsIndex::new(model.items().to_vec(), spec);
-    let alsh = AlshMipsIndex::build(
+    let alsh = LshMips::<SphereTransform>::build(
+        Schedule::new(BUILD_BLOCK),
         &mut rng,
         model.items().to_vec(),
         spec,
         AlshParams::default(),
     )
     .unwrap();
-    let symmetric = SymmetricLshMips::build(
+    let symmetric = LshMips::<SymmetricSphereMap>::build(
+        Schedule::new(BUILD_BLOCK),
         &mut rng,
         model.items().to_vec(),
         spec,
@@ -94,7 +98,8 @@ fn alsh_recall_is_high_on_easy_instances() {
     let model = model(&mut rng, 400, 40);
     let s = model.best_ip_quantile(0.1).unwrap();
     let spec = JoinSpec::new(s, 0.5, JoinVariant::Signed).unwrap();
-    let alsh = AlshMipsIndex::build(
+    let alsh = LshMips::<SphereTransform>::build(
+        Schedule::new(BUILD_BLOCK),
         &mut rng,
         model.items().to_vec(),
         spec,

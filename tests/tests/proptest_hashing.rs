@@ -23,7 +23,7 @@
 //! never builds it. The dense [`SymmetricSphereMap::map`] is the oracle: the sparse
 //! kernel's keys, probe sequences, tables and lookups must equal those of the
 //! materialised image, for dimensions 1..64, unit-norm inputs (an all-zero tag), zero
-//! and `-0.0` coordinates, and a [`SymmetricLshMips`] built either way must hold the
+//! and `-0.0` coordinates, and an [`LshMips`] under the map built either way must hold the
 //! same tables.
 //!
 //! The third property is the build's: both indexes hash their points block by block on
@@ -34,17 +34,18 @@
 //! [`PlaneBank::keys`]; and a point outside the ball must fail the build with the error
 //! it gives alone, whichever block it lands in.
 
-use ips_core::asymmetric::{AlshMipsIndex, AlshParams};
+use ips_core::asymmetric::AlshParams;
 use ips_core::problem::{JoinSpec, JoinVariant};
-use ips_core::symmetric::{SphereImage, SymmetricLshMips, SymmetricParams, SymmetricSphereMap};
+use ips_core::symmetric::{SphereImage, SymmetricParams, SymmetricSphereMap};
+use ips_core::{LshMips, LshOps};
 use ips_linalg::par::Schedule;
 use ips_linalg::random::{random_ball_vector, random_unit_vector};
 use ips_linalg::DenseVector;
 use ips_lsh::amplify::{AndConstruction, AndFunction};
 use ips_lsh::bank::{BankScratch, Point, Side, SparseImage};
 use ips_lsh::hyperplane::HyperplaneFamily;
-use ips_lsh::simple_alsh::SimpleAlshFamily;
-use ips_lsh::table::{IndexParams, LshIndex};
+use ips_lsh::simple_alsh::{SimpleAlshFamily, SphereTransform};
+use ips_lsh::table::{IndexParams, LshIndex, BUILD_BLOCK};
 use ips_lsh::{
     AsymmetricHashFunction, AsymmetricLshFamily, LshError, ProbeSequence, SymmetricAsAsymmetric,
 };
@@ -375,19 +376,19 @@ proptest! {
         let mut index =
             LshIndex::build(&family, params, &[], &mut StdRng::seed_from_u64(seed)).unwrap();
         for (id, v) in (0u32..).zip(&data) {
-            index.insert_image(id, sparse(&map, v, &mut image)).unwrap();
+            index.insert(id, sparse(&map, v, &mut image)).unwrap();
         }
         prop_assert_eq!(index.tables(), reference.tables());
         for (v, dense) in data.iter().zip(&images) {
             for probes in [0usize, 1, 8] {
                 prop_assert_eq!(
-                    index.probe_lookup_image(sparse(&map, v, &mut image), probes).unwrap(),
+                    index.probe_lookup(sparse(&map, v, &mut image), probes).unwrap(),
                     reference.probe_lookup(dense, probes).unwrap()
                 );
             }
         }
         for (id, v) in (0u32..).zip(&data) {
-            prop_assert!(index.remove_image(id, sparse(&map, v, &mut image)).unwrap());
+            prop_assert!(index.remove(id, sparse(&map, v, &mut image)).unwrap());
         }
         prop_assert!(index.tables().iter().all(|table| table.is_empty()));
 
@@ -400,7 +401,8 @@ proptest! {
             probes: 0,
         };
         let spec = JoinSpec::new(0.5, 0.5, JoinVariant::Signed).unwrap();
-        let built = SymmetricLshMips::build(
+        let built = LshMips::<SymmetricSphereMap>::build(
+            Schedule::new(BUILD_BLOCK),
             &mut StdRng::seed_from_u64(seed),
             &data[..],
             spec,
@@ -502,10 +504,10 @@ proptest! {
             ..SymmetricParams::default()
         };
         let alsh = |schedule| {
-            AlshMipsIndex::build_scheduled(schedule, &mut sample(seed), data.clone(), spec, alsh_params)
+            LshMips::<SphereTransform>::build(schedule, &mut sample(seed), data.clone(), spec, alsh_params)
         };
         let symmetric = |schedule| {
-            SymmetricLshMips::build_scheduled(
+            LshMips::<SymmetricSphereMap>::build(
                 schedule,
                 &mut sample(seed),
                 data.clone(),
@@ -541,9 +543,11 @@ proptest! {
             }
             // The diagonal was filed in slot order too: every vector finds itself.
             for (slot, v) in data.iter().enumerate() {
+                let diagonal =
+                    |index: &LshMips<'_, SymmetricSphereMap>| index.search_parts(v).unwrap().exact;
                 prop_assert_eq!(
-                    built.exact_probe(v).unwrap().map(|hit| hit.data_index),
-                    symmetric_reference.exact_probe(v).unwrap().map(|hit| hit.data_index),
+                    diagonal(&built).map(|hit| hit.data_index),
+                    diagonal(&symmetric_reference).map(|hit| hit.data_index),
                     "slot {}", slot
                 );
             }
@@ -572,7 +576,7 @@ proptest! {
         )
         .map(|_| ())
         .unwrap_err();
-        let symmetric_alone = SymmetricLshMips::build_scheduled(
+        let symmetric_alone = LshMips::<SymmetricSphereMap>::build(
             one_thread,
             &mut sample(seed),
             &spoiled[bad_at..=bad_at],
@@ -585,7 +589,7 @@ proptest! {
             let built =
                 LshIndex::build_scheduled(schedule, &alsh_family, params, &spoiled, &mut sample(seed));
             prop_assert_eq!(built.map(|_| ()).unwrap_err(), alone.clone());
-            let built = SymmetricLshMips::build_scheduled(
+            let built = LshMips::<SymmetricSphereMap>::build(
                 schedule,
                 &mut sample(seed),
                 &spoiled[..],

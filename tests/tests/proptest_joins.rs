@@ -1,19 +1,16 @@
 //! Property-based integration tests: every join implementation, whatever its recall,
 //! must produce *valid* output under Definition 1 (no reported pair below `cs`), and
 //! the exact algorithms must agree with each other on arbitrary inputs.
-//!
-//! The legacy free functions exercised here (`alsh_join`, …) are thin shims over
-//! the fluent `ips_core::facade::JoinBuilder`; `proptest_facade.rs` pins the shim
-//! ≡ builder bit-identity, so validity proved against the shim covers the builder
-//! path and vice versa.
 
 use ips_core::algebraic::algebraic_exact_join;
-use ips_core::asymmetric::{AlshMipsIndex, AlshParams};
+use ips_core::asymmetric::{AlshParams, SphereTransform};
 use ips_core::brute::{brute_force_join, brute_force_join_parallel};
 use ips_core::engine::{EngineConfig, JoinEngine};
-use ips_core::join::alsh_join;
+use ips_core::facade::{Join, Strategy as JoinStrategy};
+use ips_core::lsh_mips::{LshMips, BUILD_BLOCK};
 use ips_core::mips::{BruteForceMipsIndex, MipsIndex, SearchResult};
 use ips_core::problem::{evaluate_join, JoinSpec, JoinVariant};
+use ips_linalg::par::Schedule;
 use ips_linalg::DenseVector;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -75,18 +72,18 @@ proptest! {
             .map(|_| ips_linalg::random::random_unit_vector(&mut rng, dim).unwrap())
             .collect();
         let spec = JoinSpec::new(s, c, JoinVariant::Signed).unwrap();
-        let pairs = alsh_join(
-            &mut rng,
-            &data,
-            &queries,
-            spec,
-            AlshParams {
+        let pairs = Join::data(&data)
+            .queries(&queries)
+            .spec(spec)
+            .strategy(JoinStrategy::Alsh)
+            .alsh_params(AlshParams {
                 bits_per_table: 4,
                 tables: 8,
                 ..Default::default()
-            },
-        )
-        .unwrap();
+            })
+            .run_with_rng(&mut rng)
+            .unwrap()
+            .matches;
         let (_, valid) = evaluate_join(&data, &queries, &spec, &pairs).unwrap();
         prop_assert!(valid, "ALSH reported a pair below cs");
     }
@@ -145,7 +142,8 @@ proptest! {
             .collect();
         let spec = JoinSpec::new(s, c, JoinVariant::Signed).unwrap();
         let brute = BruteForceMipsIndex::new(data.clone(), spec);
-        let alsh = AlshMipsIndex::build(
+        let alsh = LshMips::<SphereTransform>::build(
+            Schedule::new(BUILD_BLOCK),
             &mut rng,
             data,
             spec,

@@ -1,16 +1,14 @@
 //! Property tests for the cost-based join planner.
 //!
-//! The load-bearing property: `auto_join` is *pure dispatch*. Whatever
+//! The load-bearing property: `Strategy::Auto` is *pure dispatch*. Whatever
 //! strategy the planner selects, executing the plan must produce exactly the
-//! pairs the corresponding manual entry point produces with the same
+//! pairs naming that strategy by hand produces with the same
 //! parameters and RNG state — the planner may only choose, never change, a
 //! join's semantics. A second property pins that plans are deterministic
 //! functions of the sampled statistics, and a third that *every* strategy a
 //! plan could dispatch to stays valid under Definition 1.
 
-use ips_core::brute::BorrowedBruteIndex;
-use ips_core::engine::JoinEngine;
-use ips_core::join::{alsh_engine, sketch_engine, symmetric_engine};
+use ips_core::facade::Join;
 use ips_core::planner::{JoinPlanner, Strategy};
 use ips_core::problem::{evaluate_join, JoinSpec, JoinVariant, MatchPair};
 use ips_linalg::DenseVector;
@@ -36,8 +34,8 @@ fn workload(seed: u64, n: usize, m: usize, dim: usize) -> (Vec<DenseVector>, Vec
     (data, queries)
 }
 
-/// Runs `strategy` through the *manual* entry point with the plan's resolved
-/// parameters — the call a user would have written by hand.
+/// Runs `strategy` the way a user names it by hand — the builder with an explicit
+/// strategy — under the plan's resolved parameters.
 fn manual_run(
     plan: &ips_core::planner::JoinPlan,
     strategy: Strategy,
@@ -45,45 +43,24 @@ fn manual_run(
     data: &[DenseVector],
     queries: &[DenseVector],
 ) -> Vec<MatchPair> {
-    let mut rng = StdRng::seed_from_u64(exec_seed);
-    match strategy {
-        Strategy::BruteForce => {
-            JoinEngine::with_config(BorrowedBruteIndex::new(data, plan.spec), plan.engine)
-                .run(queries)
-                .unwrap()
-        }
-        Strategy::Alsh => alsh_engine(&mut rng, data, plan.spec, plan.alsh_params, plan.engine)
-            .unwrap()
-            .run(queries)
-            .unwrap(),
-        Strategy::Symmetric => symmetric_engine(
-            &mut rng,
-            data,
-            plan.spec,
-            plan.symmetric_params,
-            plan.engine,
-        )
+    Join::data(data)
+        .queries(queries)
+        .spec(plan.spec)
+        .strategy(strategy.into())
+        .alsh_params(plan.alsh_params)
+        .symmetric_params(plan.symmetric_params)
+        .sketch_config(plan.sketch_config)
+        .sketch_leaf_size(plan.sketch_leaf_size)
+        .engine(plan.engine)
+        .run_with_rng(&mut StdRng::seed_from_u64(exec_seed))
         .unwrap()
-        .run(queries)
-        .unwrap(),
-        Strategy::Sketch => sketch_engine(
-            &mut rng,
-            data,
-            plan.spec,
-            plan.sketch_config,
-            plan.sketch_leaf_size,
-            plan.engine,
-        )
-        .unwrap()
-        .run(queries)
-        .unwrap(),
-    }
+        .matches
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    // auto_join ≡ the manual call of whichever strategy it selected.
+    // The planned join ≡ the manual call of whichever strategy it selected.
     #[test]
     fn auto_join_matches_the_selected_strategy_exactly(
         data_seed in any::<u64>(),

@@ -29,10 +29,12 @@
 //!    shards of a mutated index and of a fresh one legitimately differ in their
 //!    private id allocators, which the container's global one supersedes.)
 
-use ips_core::asymmetric::{AlshMipsIndex, AlshParams};
+use ips_core::asymmetric::AlshParams;
+use ips_core::lsh_mips::{LshMips, BUILD_BLOCK};
 use ips_core::mips::{BruteForceMipsIndex, MipsIndex, SketchMipsAdapter};
 use ips_core::problem::{JoinSpec, JoinVariant};
-use ips_core::symmetric::{SymmetricLshMips, SymmetricParams};
+use ips_core::symmetric::SymmetricParams;
+use ips_linalg::par::Schedule;
 use ips_linalg::random::random_ball_vector;
 use ips_linalg::DenseVector;
 use ips_sketch::linf_mips::MaxIpConfig;
@@ -81,11 +83,14 @@ fn small_sketch() -> MaxIpConfig {
 /// [`AnyIndex`].
 fn build_families(seed: u64, data: &[DenseVector], spec: JoinSpec) -> Vec<AnyIndex> {
     let mut rng = StdRng::seed_from_u64(seed);
+    let schedule = Schedule::new(BUILD_BLOCK);
     vec![
         AnyIndex::Brute(BruteForceMipsIndex::new(data.to_vec(), spec)),
-        AnyIndex::Alsh(AlshMipsIndex::build(&mut rng, data.to_vec(), spec, small_alsh()).unwrap()),
+        AnyIndex::Alsh(
+            LshMips::build(schedule, &mut rng, data.to_vec(), spec, small_alsh()).unwrap(),
+        ),
         AnyIndex::Symmetric(
-            SymmetricLshMips::build(&mut rng, data.to_vec(), spec, small_symmetric()).unwrap(),
+            LshMips::build(schedule, &mut rng, data.to_vec(), spec, small_symmetric()).unwrap(),
         ),
         AnyIndex::Sketch(
             SketchMipsAdapter::build(&mut rng, data.to_vec(), spec, small_sketch(), 4).unwrap(),

@@ -34,12 +34,12 @@
 //! 8. Reading a CSV file holds the vectors and a fixed number of block buffers, never
 //!    the file.
 
-use ips_core::asymmetric::AlshParams;
+use ips_core::asymmetric::{AlshParams, SphereTransform};
 use ips_core::facade::{Join, Strategy};
 use ips_core::mips::{MipsIndex, SketchMipsAdapter};
 use ips_core::problem::{JoinSpec, JoinVariant, MatchPair};
 use ips_core::symmetric::{SymmetricParams, SymmetricSphereMap};
-use ips_core::{AlshMipsIndex, SymmetricLshMips};
+use ips_core::LshMips;
 use ips_linalg::par::Schedule;
 use ips_linalg::random::random_ball_vector;
 use ips_linalg::DenseVector;
@@ -494,14 +494,18 @@ fn join_vectors(seed: u64, n: usize) -> Vec<DenseVector> {
 /// structure and the build's own temporaries, no vector.
 fn owning_build_peak(strategy: Strategy, owned: Vec<DenseVector>, seed: u64) -> usize {
     let mut rng = StdRng::seed_from_u64(seed);
-    let n = owned.len();
+    let (n, schedule) = (owned.len(), Schedule::new(BUILD_BLOCK));
     let span = Span::begin();
     let len = match strategy {
-        Strategy::Alsh => AlshMipsIndex::build(&mut rng, owned, spec(), AlshParams::default())
-            .unwrap()
-            .len(),
+        Strategy::Alsh => {
+            let params = AlshParams::default();
+            LshMips::<SphereTransform>::build(schedule, &mut rng, owned, spec(), params)
+                .unwrap()
+                .len()
+        }
         Strategy::Symmetric => {
-            SymmetricLshMips::build(&mut rng, owned, spec(), SymmetricParams::default())
+            let params = SymmetricParams::default();
+            LshMips::<SymmetricSphereMap>::build(schedule, &mut rng, owned, spec(), params)
                 .unwrap()
                 .len()
         }
@@ -569,9 +573,14 @@ fn the_symmetric_index_is_built_from_sparse_images() {
 
     for n in [2000usize, 8000] {
         let data = join_vectors(n as u64 + 1, n);
-        let index =
-            SymmetricLshMips::build(&mut StdRng::seed_from_u64(3), &data[..], spec(), params)
-                .unwrap();
+        let index = LshMips::<SymmetricSphereMap>::build(
+            Schedule::new(BUILD_BLOCK),
+            &mut StdRng::seed_from_u64(3),
+            &data[..],
+            spec(),
+            params,
+        )
+        .unwrap();
 
         // The exact-match table alone: reassembling an index from its parts adds
         // nothing else (the vectors and the LSH state are moved in).
@@ -585,7 +594,8 @@ fn the_symmetric_index_is_built_from_sparse_images() {
         let (owned, live) = (data.clone(), vec![true; n]);
         let span = Span::begin();
         let reassembled =
-            SymmetricLshMips::from_raw_parts(owned, live, lsh, spec(), params).unwrap();
+            LshMips::<SymmetricSphereMap>::from_raw_parts(owned, live, lsh, spec(), params)
+                .unwrap();
         assert!(
             span.kept() <= 40 * n + 4 * KIB,
             "n={n}: the diagonal (and the map's power table) keeps {} bytes",
@@ -632,7 +642,7 @@ fn a_block_build_holds_its_index_a_key_buffer_and_a_scratch_per_thread() {
         let key_buffer = schedule.ring() * BUILD_BLOCK * params.tables * word;
         let scratches = threads * 4 * (rows + width) * word;
         let span = Span::begin();
-        let index = AlshMipsIndex::build_scheduled(
+        let index = LshMips::<SphereTransform>::build(
             schedule,
             &mut StdRng::seed_from_u64(5),
             &data[..],
@@ -663,7 +673,7 @@ fn a_block_build_holds_its_index_a_key_buffer_and_a_scratch_per_thread() {
         let image = 32 + map.tag_nonzeros() * 2 * word;
         let scratches = threads * (4 * width * word + BUILD_BLOCK * image);
         let span = Span::begin();
-        let index = SymmetricLshMips::build_scheduled(
+        let index = LshMips::<SymmetricSphereMap>::build(
             schedule,
             &mut StdRng::seed_from_u64(5),
             &data[..],

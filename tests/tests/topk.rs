@@ -1,15 +1,13 @@
 //! Integration tests for the top-`k` variants (the paper's footnote-1 join semantics)
-//! and the multi-probe / Sign-ALSH additions to the hashing layer.
+//! on recommender-style data.
 
-use ips_core::asymmetric::{AlshMipsIndex, AlshParams};
+use ips_core::asymmetric::{AlshParams, SphereTransform};
+use ips_core::lsh_mips::{LshMips, BUILD_BLOCK};
 use ips_core::mips::BruteForceMipsIndex;
 use ips_core::problem::{JoinSpec, JoinVariant};
 use ips_core::topk::{top_k_join, top_k_recall, TopKMipsIndex};
 use ips_datagen::latent::{LatentFactorConfig, LatentFactorModel};
-use ips_linalg::random::{correlated_unit_pair, random_unit_vector};
-use ips_lsh::multiprobe::{MultiProbeIndex, MultiProbeParams};
-use ips_lsh::sign_alsh::{SignAlshFamily, SignAlshParams};
-use ips_lsh::traits::{AsymmetricHashFunction, AsymmetricLshFamily};
+use ips_linalg::par::Schedule;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -79,7 +77,8 @@ fn alsh_top_k_recall_improves_with_more_tables() {
     let exact = BruteForceMipsIndex::new(model.items().to_vec(), spec);
     let mut recalls = Vec::new();
     for tables in [4usize, 64] {
-        let index = AlshMipsIndex::build(
+        let index = LshMips::<SphereTransform>::build(
+            Schedule::new(BUILD_BLOCK),
             &mut rng,
             model.items().to_vec(),
             spec,
@@ -105,75 +104,5 @@ fn alsh_top_k_recall_improves_with_more_tables() {
     assert!(
         recalls[1] >= 0.6,
         "64-table top-3 recall too low: {recalls:?}"
-    );
-}
-
-#[test]
-fn multiprobe_trades_probes_for_tables() {
-    let mut rng = rng();
-    let dim = 24;
-    let mut data: Vec<_> = (0..400)
-        .map(|_| random_unit_vector(&mut rng, dim).unwrap())
-        .collect();
-    let queries: Vec<_> = (0..25)
-        .map(|_| random_unit_vector(&mut rng, dim).unwrap())
-        .collect();
-    // Plant a high-similarity partner for every query.
-    for (j, q) in queries.iter().enumerate() {
-        data[j * 16] = q.scaled(0.98);
-    }
-    let index = MultiProbeIndex::build(
-        &mut rng,
-        &data,
-        MultiProbeParams {
-            bits: 12,
-            tables: 6,
-        },
-    )
-    .unwrap();
-    let recall_at = |probes: usize| -> f64 {
-        let mut hit = 0usize;
-        for (j, q) in queries.iter().enumerate() {
-            if index
-                .query_candidates(q, probes)
-                .unwrap()
-                .contains(&(j * 16))
-            {
-                hit += 1;
-            }
-        }
-        hit as f64 / queries.len() as f64
-    };
-    let single = recall_at(1);
-    let multi = recall_at(24);
-    assert!(multi >= single, "probing more buckets lost candidates");
-    assert!(
-        multi >= 0.9,
-        "multi-probe recall too low: single {single}, multi {multi}"
-    );
-}
-
-#[test]
-fn sign_alsh_collision_probability_tracks_the_inner_product() {
-    let mut rng = rng();
-    let dim = 16;
-    let family = SignAlshFamily::new(dim, 1.0, SignAlshParams::default()).unwrap();
-    let mut rates = Vec::new();
-    for &ip in &[0.2, 0.6, 0.95] {
-        let (a, b) = correlated_unit_pair(&mut rng, dim, ip).unwrap();
-        let data = a.scaled(0.9);
-        let trials = 2500;
-        let mut collisions = 0usize;
-        for _ in 0..trials {
-            let f = family.sample(&mut rng).unwrap();
-            if f.collides(&data, &b).unwrap() {
-                collisions += 1;
-            }
-        }
-        rates.push(collisions as f64 / trials as f64);
-    }
-    assert!(
-        rates[0] < rates[1] && rates[1] < rates[2],
-        "Sign-ALSH collision rates not monotone: {rates:?}"
     );
 }
