@@ -600,9 +600,6 @@ mod tests {
             mean_query_norm: 2.0,
             max_query_norm: 2.5,
             mean_batch_size: 5.0,
-            candidates: 0,
-            pruned: 0,
-            rescored: 0,
             inserts: 0,
             deletes: 0,
             live: 6,

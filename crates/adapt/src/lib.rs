@@ -10,8 +10,8 @@
 //! at *serve* time:
 //!
 //! 1. **Sense** — [`TelemetryWindow`] folds the serving layer's cumulative
-//!    telemetry (query norms, batch sizes, candidate/prune/rescore tallies,
-//!    mutation counters) into per-window deltas via
+//!    telemetry (query norms, batch sizes, mutation counters) into
+//!    per-window deltas via
 //!    [`ips_obs::HistogramSnapshot::diff`], yielding an [`ObservedWorkload`].
 //! 2. **Compare** — [`controller::observed_stats`] synthesises fresh
 //!    [`ips_core::planner::WorkloadStats`] from the window plus the live

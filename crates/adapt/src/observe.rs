@@ -36,13 +36,6 @@ pub struct ObservedWorkload {
     pub max_query_norm: f64,
     /// Mean queries per engine pass.
     pub mean_batch_size: f64,
-    /// Candidates the reduced-precision kernels examined (0 on the exact
-    /// scoring path, which tallies nothing).
-    pub candidates: u64,
-    /// Candidates pruned by the quantized bound.
-    pub pruned: u64,
-    /// Candidates exactly rescored after pruning.
-    pub rescored: u64,
     /// Vectors inserted.
     pub inserts: u64,
     /// Vectors deleted.
@@ -78,9 +71,6 @@ impl ObservedWorkload {
 pub struct TelemetryWindow {
     norms: HistogramSnapshot,
     batch_sizes: HistogramSnapshot,
-    candidates: HistogramSnapshot,
-    pruned: HistogramSnapshot,
-    rescored: HistogramSnapshot,
     latency: HistogramSnapshot,
     stats: ServingStats,
 }
@@ -104,9 +94,6 @@ impl TelemetryWindow {
         let snap = |o: Observable| telemetry.observable(o).snapshot();
         let norms = snap(Observable::QueryNormMilli);
         let batch_sizes = snap(Observable::BatchSize);
-        let candidates = snap(Observable::Candidates);
-        let pruned = snap(Observable::Pruned);
-        let rescored = snap(Observable::Rescored);
         let latency = telemetry.query_latency().snapshot();
         let stats = index.stats();
 
@@ -119,18 +106,12 @@ impl TelemetryWindow {
             mean_query_norm: norm_window.mean() / 1000.0,
             max_query_norm: norm_window.max_bound() as f64 / 1000.0,
             mean_batch_size: batch_window.mean(),
-            candidates: candidates.diff(&self.candidates).sum,
-            pruned: pruned.diff(&self.pruned).sum,
-            rescored: rescored.diff(&self.rescored).sum,
             inserts: stats.inserts.saturating_sub(self.stats.inserts),
             deletes: stats.deletes.saturating_sub(self.stats.deletes),
             live: index.len(),
         };
         self.norms = norms;
         self.batch_sizes = batch_sizes;
-        self.candidates = candidates;
-        self.pruned = pruned;
-        self.rescored = rescored;
         self.latency = latency;
         self.stats = stats;
         observed

@@ -1,13 +1,12 @@
 //! Raw-speed measurement of the batched brute-force scoring kernels.
 //!
 //! Times the same batched scan (`BruteForceMipsIndex::search_batch`) under the
-//! three scoring kernels of `ips_core::kernel` — the bit-exact `f64` default,
-//! the `f32` tile path, and the `i8` quantized path with exact rescoring — at
-//! dims {8, 32, 128}, and prints ns/flop, effective GB/s and the speedup of
-//! each reduced-precision kernel over `f64`. These are the measurements behind
-//! the per-dtype `CostModel` constants (`brute_f32_ns_per_flop`,
-//! `brute_quantized_ns_per_flop`): re-run this binary and update the defaults
-//! when the kernels change.
+//! two scoring kernels of `ips_core::kernel` — the bit-exact `f64` default and
+//! the `f32` tile path — at dims {8, 32, 128}, and prints ns/flop, effective
+//! GB/s and the speedup of the `f32` kernel over `f64`. These are the
+//! measurements behind the per-dtype `CostModel` constant
+//! (`brute_f32_ns_per_flop`): re-run this binary and update the default when
+//! the kernels change.
 //!
 //! With `--json <path>` each (kernel, dim) cell becomes one
 //! `kernel_throughput` record; the pinned configurations are gated by
@@ -28,28 +27,9 @@ const N: usize = 2000;
 const M: usize = 200;
 const DIMS: [usize; 3] = [8, 32, 128];
 
-const KERNELS: [(&str, ScoringOptions); 3] = [
-    (
-        "f64",
-        ScoringOptions {
-            dtype: Dtype::F64,
-            quantized: false,
-        },
-    ),
-    (
-        "f32",
-        ScoringOptions {
-            dtype: Dtype::F32,
-            quantized: false,
-        },
-    ),
-    (
-        "quantized",
-        ScoringOptions {
-            dtype: Dtype::F64,
-            quantized: true,
-        },
-    ),
+const KERNELS: [(&str, ScoringOptions); 2] = [
+    ("f64", ScoringOptions { dtype: Dtype::F64 }),
+    ("f32", ScoringOptions { dtype: Dtype::F32 }),
 ];
 
 /// Bytes per scored element actually streamed by each kernel (the dominant
@@ -58,7 +38,6 @@ fn element_bytes(kernel: &str) -> f64 {
     match kernel {
         "f64" => 8.0,
         "f32" => 4.0,
-        "quantized" => 1.0,
         _ => unreachable!(),
     }
 }
@@ -145,9 +124,6 @@ fn main() {
             &rows,
         )
     );
-    println!(
-        "ns/flop feeds CostModel::default: brute_f32_ns_per_flop and \
-         brute_quantized_ns_per_flop are the dim=32 cells."
-    );
+    println!("ns/flop feeds CostModel::default: brute_f32_ns_per_flop is the dim=32 f32 cell.");
     reporter.finish().expect("write --json output");
 }

@@ -17,7 +17,7 @@
 //! | `experiment_topk` | E10 — top-k recall of the Section 4.1 ALSH index vs table count on the recommender workload |
 //! | `calibrate_planner` | fits the adaptive join planner's `CostModel` constants on the adversarial workload suite and checks every pick against measured runtimes |
 //! | `serve_throughput` | queries/sec serving a prebuilt `ips-store` snapshot vs rebuilding the index per query (the ≥ 5× acceptance bar of the serving layer) |
-//! | `kernel_throughput` | ns/flop of the batched f64 / f32 / quantized scoring kernels — the measurements behind the per-dtype `CostModel` constants |
+//! | `kernel_throughput` | ns/flop of the batched f64 / f32 scoring kernels — the measurement behind the `brute_f32_ns_per_flop` `CostModel` constant |
 //! | `telemetry_overhead` | serving wall time with tracing + metrics on vs off (the ≤ 5% overhead bar of the telemetry layer) |
 //! | `adaptive_serving` | closed-loop drift → re-plan → migration scenarios of the adaptive serving layer |
 //! | `multiprobe_tradeoff` | probes-vs-tables trade of the multi-probe layer: half the tables plus query-directed probing must hold the match set at ≤ 1.5× the classical wall time (≤ 1.1× until PR 13's hashing kernel made both runs ~9× faster) |

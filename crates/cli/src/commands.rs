@@ -106,13 +106,10 @@ fn alsh_params(args: &CommandArgs<'_>) -> AlshParams {
     }
 }
 
-/// The `dtype=` / `quantized=` scoring-kernel selection (the schema restricts
-/// `dtype` to f64|f32, so the parse cannot fail on schema-validated input).
-fn scoring_options(args: &CommandArgs<'_>) -> Result<ips_core::ScoringOptions> {
-    Ok(ips_core::ScoringOptions {
-        dtype: args.str("dtype").parse().map_err(CliError::from)?,
-        quantized: args.bool("quantized"),
-    })
+/// The `dtype=` scoring-kernel selection (the schema restricts it to f64|f32,
+/// so the parse cannot fail on schema-validated input).
+fn dtype(args: &CommandArgs<'_>) -> Result<ips_core::Dtype> {
+    args.str("dtype").parse().map_err(CliError::from)
 }
 
 /// The `threads=` / `chunk=` schedule (validation already done by the schema:
@@ -242,7 +239,7 @@ pub fn cmd_join(raw: &ParsedArgs) -> Result<JoinReport> {
                 .alsh_params(alsh_params(&args))
                 .probes(args.usize("probes"))
                 .engine(engine_config(&args))
-                .scoring(scoring_options(&args)?)
+                .dtype(dtype(&args)?)
                 .seed(args.u64("seed"))
                 .run()?;
             (report.matches, report.plan)
@@ -321,7 +318,6 @@ pub fn cmd_build(raw: &ParsedArgs) -> Result<BuildReport> {
     let spec = parse_spec(&args)?;
     let algorithm = chosen_algorithm(&args)?;
     let strategy: Strategy = algorithm.parse().map_err(CliError::from)?;
-    let scoring = scoring_options(&args)?;
     let start = Instant::now();
     let mut builder = Index::build(data)
         .spec(spec)
@@ -334,8 +330,7 @@ pub fn cmd_build(raw: &ParsedArgs) -> Result<BuildReport> {
             rows: None,
         })
         .sketch_leaf_size(args.usize("leaf"))
-        .dtype(scoring.dtype)
-        .quantized(scoring.quantized)
+        .dtype(dtype(&args)?)
         .seed(args.u64("seed"));
     // The query file is only the planner's workload sample: read it under
     // `auto` alone, so non-auto builds neither require nor touch it (matching
@@ -926,26 +921,29 @@ mod tests {
             argv.extend(extra.iter().map(|s| s.to_string()));
             cmd_join(&args(&argv.iter().map(String::as_str).collect::<Vec<_>>())).unwrap()
         };
-        let plain = run(&[]);
-        // Quantized scoring rescores survivors exactly: identical pairs.
-        let quant = run(&["quantized=true"]);
-        assert_eq!(plain.pairs, quant.pairs);
         // f32 scoring stays valid (winners are exactly rescored).
         let f32_run = run(&["dtype=f32"]);
         assert!(f32_run.valid);
-        // Bad dtype values are rejected by the schema.
-        assert!(cmd_join(&args(&[
-            &format!("data={}", data.display()),
-            &format!("queries={}", queries.display()),
-            "s=0.8",
-            "dtype=f16",
-        ]))
-        .is_err());
-        // The build command accepts the same knobs and the snapshot answers
+        // Bad dtype values are rejected by the schema, and so is the removed
+        // `quantized=` key (as any unknown argument).
+        for (bad, complaint) in [
+            ("dtype=f16", "dtype"),
+            ("quantized=true", "unknown argument `quantized`"),
+        ] {
+            let err = cmd_join(&args(&[
+                &format!("data={}", data.display()),
+                &format!("queries={}", queries.display()),
+                "s=0.8",
+                bad,
+            ]))
+            .unwrap_err();
+            assert!(err.to_string().contains(complaint), "{bad}: {err}");
+        }
+        // The build command accepts the same knob and the snapshot answers
         // identically to a default-path build.
         let snap_plain = dir.join("plain.snap");
-        let snap_quant = dir.join("quant.snap");
-        for (snap, extra) in [(&snap_plain, None), (&snap_quant, Some("quantized=true"))] {
+        let snap_f32 = dir.join("f32.snap");
+        for (snap, extra) in [(&snap_plain, None), (&snap_f32, Some("dtype=f32"))] {
             let mut argv = vec![
                 format!("data={}", data.display()),
                 format!("snapshot={}", snap.display()),
@@ -966,7 +964,7 @@ mod tests {
             .unwrap()
             .pairs
         };
-        assert_eq!(q(&snap_plain), q(&snap_quant));
+        assert_eq!(q(&snap_plain), q(&snap_f32));
     }
 
     #[test]

@@ -271,13 +271,8 @@ const DTYPE: ArgSpec = ArgSpec::defaulted(
     "dtype",
     ArgKind::Choice(&["f64", "f32"]),
     "f64",
-    "scoring-kernel float width (f32 scores in single precision, rescoring winners exactly)",
-);
-const QUANTIZED: ArgSpec = ArgSpec::defaulted(
-    "quantized",
-    ArgKind::Bool,
-    "false",
-    "score candidates in i8 fixed point and exactly rescore survivors (same answers, cheaper scan)",
+    "brute-scan float width (f32 scans in single precision, rescoring winners exactly; \
+     no effect under alsh|symmetric|sketch, which score their candidates in f64)",
 );
 const SHARDS_OPEN: ArgSpec = ArgSpec::optional(
     "shards",
@@ -374,11 +369,10 @@ pub const JOIN: CommandSpec = CommandSpec {
         THREADS,
         CHUNK,
         DTYPE,
-        QUANTIZED,
     ],
     notes: &[
         "algo=auto lets the cost-based planner pick the strategy; explain=true prints the chosen plan with every strategy's estimated cost.",
-        "quantized=true never changes the reported pairs (survivors are rescored exactly); dtype=f32 may resolve near-ties differently but every reported pair still clears cs.",
+        "dtype=f32 may resolve near-ties differently but every reported pair still clears cs.",
     ],
 };
 
@@ -453,7 +447,6 @@ pub const BUILD: CommandSpec = CommandSpec {
         ),
         SHARDS_BUILD,
         DTYPE,
-        QUANTIZED,
     ],
     notes: &[
         "algorithm=auto consults the cost-based planner and needs queries=<path>.",

@@ -39,7 +39,7 @@ pub fn brute_force_join(
 pub struct BorrowedBruteIndex<'a> {
     data: &'a [DenseVector],
     spec: JoinSpec,
-    kernel: Option<crate::kernel::PreparedKernel>,
+    tile: Option<ips_linalg::FloatTile>,
 }
 
 impl<'a> BorrowedBruteIndex<'a> {
@@ -48,25 +48,21 @@ impl<'a> BorrowedBruteIndex<'a> {
         Self {
             data,
             spec,
-            kernel: None,
+            tile: None,
         }
     }
 
-    /// Wraps the data set with a scoring-kernel selection: non-default
-    /// options pack the data into the `f32` / quantized tiles once, so every
-    /// batch scores through the cheap kernel. Default options are exactly
+    /// Wraps the data set with a scoring-kernel selection: `dtype=f32`
+    /// packs the data into the `f32` tile once, so every batch scores
+    /// through the cheap kernel. Default options are exactly
     /// [`BorrowedBruteIndex::new`].
     pub fn with_options(
         data: &'a [DenseVector],
         spec: JoinSpec,
         options: crate::kernel::ScoringOptions,
     ) -> Result<Self> {
-        let kernel = if options.is_default() {
-            None
-        } else {
-            Some(crate::kernel::PreparedKernel::prepare(data, options)?)
-        };
-        Ok(Self { data, spec, kernel })
+        let tile = crate::kernel::prepare(data, options)?;
+        Ok(Self { data, spec, tile })
     }
 }
 
@@ -84,10 +80,7 @@ impl MipsIndex for BorrowedBruteIndex<'_> {
     }
 
     fn search_batch(&self, queries: &[DenseVector]) -> Result<Vec<Option<SearchResult>>> {
-        match &self.kernel {
-            Some(prepared) => crate::kernel::scored_batch(self.data, prepared, queries, &self.spec),
-            None => data_major_batch(self.data, queries, &self.spec),
-        }
+        crate::kernel::scored_batch(self.data, self.tile.as_ref(), queries, &self.spec)
     }
 }
 

@@ -323,35 +323,17 @@ impl<'a> JoinBuilder<'a> {
         self
     }
 
-    /// Floating-point width of the brute-force candidate-scoring kernel
-    /// (default [`Dtype::F64`], the exact data-major scan).
+    /// Floating-point width of the brute-force scoring kernel (default
+    /// [`Dtype::F64`], the exact data-major scan).
     ///
     /// `Dtype::F32` scores each query against an `f32` tile of the data and
     /// exactly rescores the winner in `f64`, so every reported pair still
     /// clears the relaxed threshold `cs`; only near-ties (within `f32`
-    /// rounding of each other) may resolve differently. Ignored when
-    /// [`JoinBuilder::quantized`] is on — the quantized kernel is both cheaper
-    /// and exact.
+    /// rounding of each other) may resolve differently. Read by the brute
+    /// scan only: the ALSH, symmetric and sketch strategies score their few
+    /// candidates exactly in `f64` whatever the `dtype`.
     pub fn dtype(mut self, dtype: Dtype) -> Self {
         self.scoring.dtype = dtype;
-        self
-    }
-
-    /// Opt into the `i8` fixed-point candidate-scoring kernel with exact
-    /// `f64` rescoring of the survivors (default off).
-    ///
-    /// The quantized pass is conservative — every true maximiser survives the
-    /// prune and ties break identically under the exact rescore — so the final
-    /// match set is **identical** to the pure `f64` path (a property
-    /// `tests/tests/proptest_kernels.rs` pins for all four families).
-    pub fn quantized(mut self, quantized: bool) -> Self {
-        self.scoring.quantized = quantized;
-        self
-    }
-
-    /// Both reduced-precision knobs in one call.
-    pub fn scoring(mut self, scoring: ScoringOptions) -> Self {
-        self.scoring = scoring;
         self
     }
 
@@ -530,26 +512,6 @@ mod tests {
         // The planner's concrete strategies map onto the facade's.
         for p in planner::Strategy::ALL {
             assert_eq!(Strategy::from(p).name(), p.name());
-        }
-    }
-
-    #[test]
-    fn quantized_scoring_matches_the_default_path_for_every_strategy() {
-        let inst = instance(0xC0DE);
-        for strategy in Strategy::ALL {
-            let go = |quantized: bool| {
-                Join::data(inst.data())
-                    .queries(inst.queries())
-                    .threshold(0.8)
-                    .approximation(0.6)
-                    .strategy(strategy)
-                    .quantized(quantized)
-                    .seed(3)
-                    .run()
-                    .unwrap()
-                    .matches
-            };
-            assert_eq!(go(false), go(true), "{strategy}");
         }
     }
 

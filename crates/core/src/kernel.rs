@@ -1,46 +1,27 @@
-//! Scoring-kernel selection: the `dtype` / `quantized` knobs and the tiled
-//! batch kernels behind them.
+//! Scoring-kernel selection: the `dtype` knob and the tiled batch kernel
+//! behind it.
 //!
 //! Every join family bottoms out in dense inner products, and this module is
-//! where the workspace decides *which* inner-product kernel runs:
+//! where the workspace decides *which* inner-product kernel the brute scan
+//! runs:
 //!
-//! * **`dtype=f64`, `quantized=false`** (the default) — the exact per-query
-//!   `f64` path, bit-identical to what the engine has always produced.
+//! * **`dtype=f64`** (the default) — the exact per-query `f64` path,
+//!   bit-identical to what the engine has always produced.
 //! * **`dtype=f32`** — data is packed once into a contiguous
 //!   [`FloatTile`] and scored with the autovectorized `f32` kernels from
 //!   [`ips_linalg::tile`]. The per-query *winner* is re-scored exactly in
 //!   `f64` before it is reported, so the validity contract (reported pairs
 //!   clear `cs`) holds exactly; only near-ties between candidates can differ
 //!   from the `f64` ranking, which costs recall, never validity.
-//! * **`quantized=true`** — data is packed into an `i8` fixed-point
-//!   [`QuantTile`]. Candidates are scored with the cheap widening integer
-//!   kernel, *conservatively pruned* using the tile's rigorous error bound,
-//!   and every survivor is re-scored exactly in `f64`. Because the pruning
-//!   rule can never eliminate a true maximiser (see the argument below), the
-//!   final match set is **identical** to the pure-`f64` path — not merely
-//!   valid, but the same answer.
 //!
-//! When both knobs are set, quantized scoring takes precedence: it is the
-//! cheaper kernel *and* the one with the exactness guarantee.
-//!
-//! The conservative-pruning argument, in one paragraph: for each candidate
-//! `i` the quantized kernel yields `approx_i` with a rigorous bound
-//! `|value_i − approx_value_i| ≤ bound_i` (the bound transfers to unsigned
-//! values since `||a| − |b|| ≤ |a − b|`). Let `t = max_j (approx_value_j −
-//! bound_j)` — a certified lower bound on the true maximum. Any candidate
-//! with `approx_value_i + bound_i < t` has `value_i < t ≤ max value` and
-//! cannot be the argmax, so pruning it is safe; every true maximiser
-//! survives. Survivors are re-scored exactly in ascending index order with
-//! the same strict-`>` update as the full scan, which reproduces the
-//! earliest-argmax tie-break of the exact loop — hence identical results.
+//! The LSH and sketch families gather few candidates and score them exactly
+//! in `f64` whatever the `dtype`: the knob reaches the brute scan only.
 
 use crate::error::{CoreError, Result};
 use crate::mips::SearchResult;
 use crate::problem::JoinSpec;
-use ips_linalg::{DenseVector, FloatTile, QuantTile, QuantVector};
+use ips_linalg::{DenseVector, FloatTile};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 /// Floating-point width of the batched scoring kernel.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -78,214 +59,50 @@ impl std::str::FromStr for Dtype {
     }
 }
 
-/// The scoring-kernel knobs surfaced through `JoinBuilder`, `IndexBuilder`
-/// and the CLI (`dtype=`, `quantized=`).
+/// The scoring-kernel knob surfaced through `JoinBuilder`, `IndexBuilder`
+/// and the CLI (`dtype=`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ScoringOptions {
-    /// Floating-point width of the brute / batched scoring kernel.
+    /// Floating-point width of the brute scan's scoring kernel.
     pub dtype: Dtype,
-    /// Score candidates with the `i8` fixed-point kernel and exactly re-score
-    /// the conservatively pruned survivors in `f64`.
-    pub quantized: bool,
 }
 
-impl ScoringOptions {
-    /// `true` for the default configuration (`f64`, unquantized) whose results
-    /// must stay bit-identical to the pre-kernel-pass engine.
-    pub fn is_default(&self) -> bool {
-        *self == Self::default()
+/// Packs `data` into the `f32` tile when the options call for one. The
+/// default options prepare nothing (the exact path scores `DenseVector`s
+/// directly).
+pub(crate) fn prepare(data: &[DenseVector], options: ScoringOptions) -> Result<Option<FloatTile>> {
+    match options.dtype {
+        Dtype::F64 => Ok(None),
+        Dtype::F32 => Ok(Some(FloatTile::from_vectors(data)?)),
     }
 }
 
-/// Lifetime activity tallies of the reduced-precision scoring paths, recorded
-/// with relaxed atomics so concurrent engine workers can tick them lock-free.
+/// The batched brute scan under the prepared tile: same answer shape as
+/// [`crate::mips::data_major_batch`].
 ///
-/// The exact `f64` default path records nothing here — its zero-overhead
-/// contract stays literal. `scored` counts candidates examined by a
-/// reduced-precision kernel, `pruned` those eliminated by the conservative
-/// bound without an exact dot product, `rescored` those re-scored exactly,
-/// and `rescore_ns` the wall time of the prune-and-rescore passes.
-#[derive(Debug, Default)]
-pub struct KernelCounters {
-    scored: AtomicU64,
-    pruned: AtomicU64,
-    rescored: AtomicU64,
-    rescore_ns: AtomicU64,
-}
-
-impl KernelCounters {
-    /// Fresh counters, all zero.
-    pub const fn new() -> Self {
-        Self {
-            scored: AtomicU64::new(0),
-            pruned: AtomicU64::new(0),
-            rescored: AtomicU64::new(0),
-            rescore_ns: AtomicU64::new(0),
-        }
-    }
-
-    fn note(&self, scored: u64, pruned: u64, rescored: u64, rescore_ns: u64) {
-        self.scored.fetch_add(scored, Ordering::Relaxed);
-        self.pruned.fetch_add(pruned, Ordering::Relaxed);
-        self.rescored.fetch_add(rescored, Ordering::Relaxed);
-        self.rescore_ns.fetch_add(rescore_ns, Ordering::Relaxed);
-    }
-
-    /// A copy of the current tallies. Each field is read independently, so
-    /// under concurrent recording the copy can mix in-flight queries; exact
-    /// only at quiescent points (the same model as the serving counters).
-    pub fn activity(&self) -> KernelActivity {
-        KernelActivity {
-            scored: self.scored.load(Ordering::Relaxed),
-            pruned: self.pruned.load(Ordering::Relaxed),
-            rescored: self.rescored.load(Ordering::Relaxed),
-            rescore_ns: self.rescore_ns.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl Clone for KernelCounters {
-    /// Clones carry the tallies forward but diverge afterwards (each clone
-    /// owns its own atomics) — matching value semantics of the owning index.
-    fn clone(&self) -> Self {
-        let a = self.activity();
-        Self {
-            scored: AtomicU64::new(a.scored),
-            pruned: AtomicU64::new(a.pruned),
-            rescored: AtomicU64::new(a.rescored),
-            rescore_ns: AtomicU64::new(a.rescore_ns),
-        }
-    }
-}
-
-/// A plain-value copy of [`KernelCounters`] tallies.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KernelActivity {
-    /// Candidates examined by a reduced-precision kernel.
-    pub scored: u64,
-    /// Candidates eliminated by the conservative bound, never exactly scored.
-    pub pruned: u64,
-    /// Candidates re-scored exactly in `f64`.
-    pub rescored: u64,
-    /// Wall time of the prune-and-rescore passes.
-    pub rescore_ns: u64,
-}
-
-impl KernelActivity {
-    /// Field-wise sum — aggregates activity across kernels or shards.
-    pub fn merged(self, other: Self) -> Self {
-        Self {
-            scored: self.scored.saturating_add(other.scored),
-            pruned: self.pruned.saturating_add(other.pruned),
-            rescored: self.rescored.saturating_add(other.rescored),
-            rescore_ns: self.rescore_ns.saturating_add(other.rescore_ns),
-        }
-    }
-
-    /// Field-wise difference against an earlier copy (saturating, so a torn
-    /// concurrent read cannot underflow).
-    pub fn delta_since(self, earlier: Self) -> Self {
-        Self {
-            scored: self.scored.saturating_sub(earlier.scored),
-            pruned: self.pruned.saturating_sub(earlier.pruned),
-            rescored: self.rescored.saturating_sub(earlier.rescored),
-            rescore_ns: self.rescore_ns.saturating_sub(earlier.rescore_ns),
-        }
-    }
-}
-
-/// Data packed for the reduced-precision kernels selected by a
-/// [`ScoringOptions`]: an `f32` tile, an `i8` quantized tile, or neither
-/// (the default exact path needs no preprocessing).
-#[derive(Debug, Clone)]
-pub struct PreparedKernel {
-    options: ScoringOptions,
-    f32_tile: Option<FloatTile>,
-    quant: Option<QuantTile>,
-    counters: KernelCounters,
-}
-
-/// Equality ignores the activity counters: two kernels prepared the same way
-/// are the same kernel regardless of how much traffic each has served.
-impl PartialEq for PreparedKernel {
-    fn eq(&self, other: &Self) -> bool {
-        self.options == other.options
-            && self.f32_tile == other.f32_tile
-            && self.quant == other.quant
-    }
-}
-
-impl PreparedKernel {
-    /// Packs `data` into the tile(s) the options call for. The default
-    /// options prepare nothing (the exact path scores `DenseVector`s
-    /// directly).
-    pub fn prepare(data: &[DenseVector], options: ScoringOptions) -> Result<Self> {
-        let quant = if options.quantized {
-            Some(QuantTile::from_vectors(data)?)
-        } else {
-            None
-        };
-        let f32_tile = if options.dtype == Dtype::F32 && !options.quantized {
-            Some(FloatTile::from_vectors(data)?)
-        } else {
-            None
-        };
-        Ok(Self {
-            options,
-            f32_tile,
-            quant,
-            counters: KernelCounters::new(),
-        })
-    }
-
-    /// The options this kernel was prepared for.
-    pub fn options(&self) -> ScoringOptions {
-        self.options
-    }
-
-    /// The quantized tile, when `quantized=true`.
-    pub fn quant_tile(&self) -> Option<&QuantTile> {
-        self.quant.as_ref()
-    }
-
-    /// Lifetime scoring activity of this kernel (zero on the exact path).
-    pub fn activity(&self) -> KernelActivity {
-        self.counters.activity()
-    }
-}
-
-/// The batched brute scan under the prepared kernel: same answer shape as
-/// [`crate::mips::data_major_batch`], dispatched by [`ScoringOptions`].
-///
-/// The default options delegate to the exact `f64` scan (bit-identical);
-/// `quantized` runs the prune-and-rescore kernel whose final matches are
-/// *identical* to the exact scan (see the module docs for the argument);
-/// `f32` runs the tiled single-precision argmax with the winner exactly
-/// re-scored, which preserves validity exactly and differs from `f64` only
-/// on near-ties.
+/// Without a tile this is the exact `f64` scan (bit-identical); with one it
+/// is the tiled single-precision argmax with the winner exactly re-scored,
+/// which preserves validity exactly and differs from `f64` only on
+/// near-ties.
 pub(crate) fn scored_batch(
     data: &[DenseVector],
-    prepared: &PreparedKernel,
+    tile: Option<&FloatTile>,
     queries: &[DenseVector],
     spec: &JoinSpec,
 ) -> Result<Vec<Option<SearchResult>>> {
+    let Some(tile) = tile else {
+        return crate::mips::data_major_batch(data, queries, spec);
+    };
     if queries.is_empty() {
         return Ok(Vec::new());
     }
     if data.is_empty() {
         return Err(CoreError::EmptyDataSet);
     }
-    match (&prepared.quant, &prepared.f32_tile) {
-        (Some(quant), _) => queries
-            .iter()
-            .map(|q| quantized_best(data, quant, q, spec, &prepared.counters))
-            .collect(),
-        (None, Some(tile)) => queries
-            .iter()
-            .map(|q| f32_best(data, tile, q, spec, &prepared.counters))
-            .collect(),
-        (None, None) => crate::mips::data_major_batch(data, queries, spec),
-    }
+    queries
+        .iter()
+        .map(|q| f32_best(data, tile, q, spec))
+        .collect()
 }
 
 /// One query against the `f32` tile: single-precision argmax, exact `f64`
@@ -296,7 +113,6 @@ fn f32_best(
     tile: &FloatTile,
     query: &DenseVector,
     spec: &JoinSpec,
-    counters: &KernelCounters,
 ) -> Result<Option<SearchResult>> {
     if query.dim() != tile.dim() {
         // Score through the checked path to fail exactly as the f64 scan would.
@@ -314,185 +130,14 @@ fn f32_best(
         }
     }
     let Some((winner, _)) = best else {
-        counters.note(tile.rows() as u64, 0, 0, 0);
         return Ok(None);
     };
-    counters.note(tile.rows() as u64, 0, 1, 0);
     let ip = data[winner].dot(query)?;
     Ok(Some(SearchResult {
         data_index: winner,
         inner_product: ip,
     })
     .filter(|b| spec.satisfies_promise(b.inner_product)))
-}
-
-/// One query against the quantized tile: approximate scores with rigorous
-/// bounds, conservative argmax pruning, exact re-score of every survivor.
-/// Identical final answer to the exact `f64` scan (module docs).
-fn quantized_best(
-    data: &[DenseVector],
-    quant: &QuantTile,
-    query: &DenseVector,
-    spec: &JoinSpec,
-    counters: &KernelCounters,
-) -> Result<Option<SearchResult>> {
-    if query.dim() != quant.dim() {
-        data[0].dot(query)?;
-    }
-    let qv = QuantVector::from_vector(query);
-    let mut best: Option<SearchResult> = None;
-    let consider = |i: usize, best: &mut Option<SearchResult>| -> Result<()> {
-        let ip = data[i].dot(query)?;
-        let value = spec.variant.value(ip);
-        let better = best
-            .as_ref()
-            .map(|b| value > spec.variant.value(b.inner_product))
-            .unwrap_or(true);
-        if better {
-            *best = Some(SearchResult {
-                data_index: i,
-                inner_product: ip,
-            });
-        }
-        Ok(())
-    };
-    // Certified lower bound on the true maximum value.
-    let mut floor = f64::NEG_INFINITY;
-    let mut approx = Vec::with_capacity(quant.rows());
-    for i in 0..quant.rows() {
-        let a = spec.variant.value(quant.approx_dot(i, &qv));
-        let b = quant.error_bound(i, &qv);
-        floor = floor.max(a - b);
-        approx.push((a, b));
-    }
-    let rescore_start = Instant::now();
-    let mut rescored = 0u64;
-    for (i, &(a, b)) in approx.iter().enumerate() {
-        // Keep iff the optimistic value could still reach the floor: every
-        // true maximiser satisfies a + b >= value >= floor.
-        if a + b >= floor {
-            rescored += 1;
-            consider(i, &mut best)?;
-        }
-    }
-    counters.note(
-        quant.rows() as u64,
-        (quant.rows() as u64).saturating_sub(rescored),
-        rescored,
-        rescore_start.elapsed().as_nanos() as u64,
-    );
-    Ok(best.filter(|b| spec.satisfies_promise(b.inner_product)))
-}
-
-/// The best result among an ordered candidate list, scored through the
-/// quantized prune-and-rescore kernel: identical to exactly scoring every
-/// candidate in order with the strict-`>` update (no promise or
-/// acceptability filter — callers apply their own, as the exact loops do).
-pub(crate) fn best_among_candidates_quantized(
-    data: &[DenseVector],
-    quant: &QuantTile,
-    candidates: &[usize],
-    query: &DenseVector,
-    spec: &JoinSpec,
-    counters: &KernelCounters,
-) -> Result<Option<SearchResult>> {
-    if let Some(&first) = candidates.first() {
-        if query.dim() != quant.dim() {
-            data[first].dot(query)?;
-        }
-    }
-    let qv = QuantVector::from_vector(query);
-    let mut floor = f64::NEG_INFINITY;
-    let mut approx = Vec::with_capacity(candidates.len());
-    for &i in candidates {
-        let a = spec.variant.value(quant.approx_dot(i, &qv));
-        let b = quant.error_bound(i, &qv);
-        floor = floor.max(a - b);
-        approx.push((a, b));
-    }
-    let rescore_start = Instant::now();
-    let mut rescored = 0u64;
-    let mut best: Option<SearchResult> = None;
-    for (&i, &(a, b)) in candidates.iter().zip(approx.iter()) {
-        if a + b < floor {
-            continue;
-        }
-        rescored += 1;
-        let ip = data[i].dot(query)?;
-        let value = spec.variant.value(ip);
-        let better = best
-            .as_ref()
-            .map(|bst| value > spec.variant.value(bst.inner_product))
-            .unwrap_or(true);
-        if better {
-            best = Some(SearchResult {
-                data_index: i,
-                inner_product: ip,
-            });
-        }
-    }
-    counters.note(
-        candidates.len() as u64,
-        (candidates.len() as u64).saturating_sub(rescored),
-        rescored,
-        rescore_start.elapsed().as_nanos() as u64,
-    );
-    Ok(best)
-}
-
-/// Top-`k` over a candidate list through the quantized kernel: candidates
-/// are conservatively pruned against the `k`-th largest *pessimistic* value,
-/// survivors are exactly re-scored, and the same finalize rule (retain
-/// acceptable, sort by value then index, truncate) runs on the survivors.
-///
-/// Every member of the exact top-`k` list survives the prune: its true value
-/// is at least the `k`-th largest true value, which is at least the `k`-th
-/// largest pessimistic value (pessimistic ≤ true pointwise), and its
-/// optimistic value is at least its true value.
-pub(crate) fn top_k_candidates_quantized(
-    data: &[DenseVector],
-    quant: &QuantTile,
-    candidates: &[usize],
-    query: &DenseVector,
-    spec: &JoinSpec,
-    k: usize,
-    counters: &KernelCounters,
-) -> Result<Vec<usize>> {
-    if candidates.len() <= k {
-        return Ok(candidates.to_vec());
-    }
-    if let Some(&first) = candidates.first() {
-        if query.dim() != quant.dim() {
-            data[first].dot(query)?;
-        }
-    }
-    let qv = QuantVector::from_vector(query);
-    let mut approx = Vec::with_capacity(candidates.len());
-    let mut pessimistic = Vec::with_capacity(candidates.len());
-    for &i in candidates {
-        let a = spec.variant.value(quant.approx_dot(i, &qv));
-        let b = quant.error_bound(i, &qv);
-        approx.push((a, b));
-        pessimistic.push(a - b);
-    }
-    pessimistic.sort_by(|x, y| y.partial_cmp(x).expect("bounds are finite"));
-    let floor = pessimistic[k - 1];
-    let survivors: Vec<usize> = candidates
-        .iter()
-        .zip(approx.iter())
-        .filter(|(_, &(a, b))| a + b >= floor)
-        .map(|(&i, _)| i)
-        .collect();
-    // The caller exactly re-scores every survivor (`rescore_candidates`), so
-    // the survivor count is the rescored count; its wall time is not on this
-    // side of the call and stays out of `rescore_ns`.
-    counters.note(
-        candidates.len() as u64,
-        (candidates.len() as u64).saturating_sub(survivors.len() as u64),
-        survivors.len() as u64,
-        0,
-    );
-    Ok(survivors)
 }
 
 #[cfg(test)]
@@ -511,6 +156,8 @@ mod tests {
             .collect()
     }
 
+    const F32: ScoringOptions = ScoringOptions { dtype: Dtype::F32 };
+
     #[test]
     fn dtype_parse_and_display_roundtrip() {
         assert_eq!(Dtype::from_str("f64").unwrap(), Dtype::F64);
@@ -518,12 +165,7 @@ mod tests {
         assert!(Dtype::from_str("f16").is_err());
         assert_eq!(Dtype::F64.to_string(), "f64");
         assert_eq!(Dtype::F32.to_string(), "f32");
-        assert!(ScoringOptions::default().is_default());
-        assert!(!ScoringOptions {
-            quantized: true,
-            ..Default::default()
-        }
-        .is_default());
+        assert_eq!(ScoringOptions::default().dtype, Dtype::F64);
     }
 
     #[test]
@@ -532,10 +174,10 @@ mod tests {
         let data = vectors(&mut rng, 40, 16);
         let queries = vectors(&mut rng, 9, 16);
         let spec = JoinSpec::new(0.1, 0.8, JoinVariant::Signed).unwrap();
-        let prepared = PreparedKernel::prepare(&data, ScoringOptions::default()).unwrap();
-        assert!(prepared.quant_tile().is_none());
+        let prepared = prepare(&data, ScoringOptions::default()).unwrap();
+        assert!(prepared.is_none());
         let exact = data_major_batch(&data, &queries, &spec).unwrap();
-        let kernel = scored_batch(&data, &prepared, &queries, &spec).unwrap();
+        let kernel = scored_batch(&data, prepared.as_ref(), &queries, &spec).unwrap();
         assert_eq!(exact.len(), kernel.len());
         for (e, k) in exact.iter().zip(kernel.iter()) {
             match (e, k) {
@@ -550,35 +192,13 @@ mod tests {
     }
 
     #[test]
-    fn quantized_batch_is_identical_to_exact_for_both_variants() {
-        let mut rng = StdRng::seed_from_u64(0xABCD);
-        for variant in [JoinVariant::Signed, JoinVariant::Unsigned] {
-            let data = vectors(&mut rng, 120, 24);
-            let queries = vectors(&mut rng, 25, 24);
-            let spec = JoinSpec::new(0.05, 0.9, variant).unwrap();
-            let options = ScoringOptions {
-                quantized: true,
-                ..Default::default()
-            };
-            let prepared = PreparedKernel::prepare(&data, options).unwrap();
-            let exact = data_major_batch(&data, &queries, &spec).unwrap();
-            let quant = scored_batch(&data, &prepared, &queries, &spec).unwrap();
-            assert_eq!(exact, quant);
-        }
-    }
-
-    #[test]
     fn f32_batch_winners_are_valid_and_exactly_scored() {
         let mut rng = StdRng::seed_from_u64(0xF32);
         let data = vectors(&mut rng, 80, 16);
         let queries = vectors(&mut rng, 20, 16);
         let spec = JoinSpec::new(0.05, 0.8, JoinVariant::Signed).unwrap();
-        let options = ScoringOptions {
-            dtype: Dtype::F32,
-            quantized: false,
-        };
-        let prepared = PreparedKernel::prepare(&data, options).unwrap();
-        let hits = scored_batch(&data, &prepared, &queries, &spec).unwrap();
+        let prepared = prepare(&data, F32).unwrap();
+        let hits = scored_batch(&data, prepared.as_ref(), &queries, &spec).unwrap();
         for (j, hit) in hits.iter().enumerate() {
             if let Some(h) = hit {
                 let true_ip = data[h.data_index].dot(&queries[j]).unwrap();
@@ -589,129 +209,11 @@ mod tests {
     }
 
     #[test]
-    fn candidate_kernels_match_plain_rescoring() {
-        let mut rng = StdRng::seed_from_u64(0xCA2D);
-        let data = vectors(&mut rng, 100, 12);
-        let quant = QuantTile::from_vectors(&data).unwrap();
-        let query = random_ball_vector(&mut rng, 12, 1.0).unwrap();
-        let spec = JoinSpec::new(0.05, 0.9, JoinVariant::Signed).unwrap();
-        let candidates: Vec<usize> = (0..100).step_by(3).collect();
-
-        // Exact reference: strict-> loop over the candidates in order.
-        let mut reference: Option<SearchResult> = None;
-        for &i in &candidates {
-            let ip = data[i].dot(&query).unwrap();
-            let better = reference
-                .as_ref()
-                .map(|b| spec.variant.value(ip) > spec.variant.value(b.inner_product))
-                .unwrap_or(true);
-            if better {
-                reference = Some(SearchResult {
-                    data_index: i,
-                    inner_product: ip,
-                });
-            }
-        }
-        let counters = KernelCounters::new();
-        let got =
-            best_among_candidates_quantized(&data, &quant, &candidates, &query, &spec, &counters)
-                .unwrap();
-        assert_eq!(reference, got);
-        let activity = counters.activity();
-        assert_eq!(activity.scored, candidates.len() as u64);
-        assert_eq!(activity.pruned + activity.rescored, activity.scored);
-        assert_eq!(
-            best_among_candidates_quantized(&data, &quant, &[], &query, &spec, &counters).unwrap(),
-            None
-        );
-
-        // The top-k prune keeps a superset of the exact top-k indices.
-        let k = 7;
-        let survivors =
-            top_k_candidates_quantized(&data, &quant, &candidates, &query, &spec, k, &counters)
-                .unwrap();
-        let mut scored: Vec<(f64, usize)> = candidates
-            .iter()
-            .map(|&i| (spec.variant.value(data[i].dot(&query).unwrap()), i))
-            .collect();
-        scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
-        for &(_, i) in scored.iter().take(k) {
-            assert!(survivors.contains(&i), "exact top-k member {i} was pruned");
-        }
-        // Small candidate lists skip pruning entirely.
-        let few: Vec<usize> = (0..5).collect();
-        assert_eq!(
-            top_k_candidates_quantized(&data, &quant, &few, &query, &spec, 5, &counters).unwrap(),
-            few
-        );
-    }
-
-    #[test]
-    fn kernel_activity_counts_the_quantized_scan_and_ignores_the_exact_path() {
-        let mut rng = StdRng::seed_from_u64(0xAC7);
-        let data = vectors(&mut rng, 60, 12);
-        let queries = vectors(&mut rng, 8, 12);
-        let spec = JoinSpec::new(0.05, 0.9, JoinVariant::Signed).unwrap();
-
-        let exact = PreparedKernel::prepare(&data, ScoringOptions::default()).unwrap();
-        scored_batch(&data, &exact, &queries, &spec).unwrap();
-        assert_eq!(exact.activity(), KernelActivity::default());
-
-        let quant = PreparedKernel::prepare(
-            &data,
-            ScoringOptions {
-                quantized: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        scored_batch(&data, &quant, &queries, &spec).unwrap();
-        let a = quant.activity();
-        assert_eq!(a.scored, (data.len() * queries.len()) as u64);
-        assert_eq!(a.pruned + a.rescored, a.scored);
-        assert!(
-            a.rescored >= queries.len() as u64,
-            "each query rescores its floor witness"
-        );
-
-        // Counters never participate in kernel equality, and clones diverge.
-        let fresh = PreparedKernel::prepare(
-            &data,
-            ScoringOptions {
-                quantized: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(quant, fresh);
-        let cloned = quant.clone();
-        scored_batch(&data, &cloned, &queries, &spec).unwrap();
-        assert_eq!(quant.activity(), a, "the original's tallies are untouched");
-        assert_eq!(cloned.activity().scored, 2 * a.scored);
-
-        // Activity arithmetic: merge and delta are field-wise.
-        let merged = a.merged(a);
-        assert_eq!(merged.scored, 2 * a.scored);
-        assert_eq!(merged.delta_since(a), a);
-    }
-
-    #[test]
     fn dimension_mismatch_fails_like_the_exact_path() {
         let data = vec![DenseVector::from(&[1.0, 0.0][..])];
         let queries = vec![DenseVector::from(&[1.0, 0.0, 0.0][..])];
         let spec = JoinSpec::new(0.1, 0.9, JoinVariant::Signed).unwrap();
-        for options in [
-            ScoringOptions {
-                dtype: Dtype::F32,
-                quantized: false,
-            },
-            ScoringOptions {
-                quantized: true,
-                ..Default::default()
-            },
-        ] {
-            let prepared = PreparedKernel::prepare(&data, options).unwrap();
-            assert!(scored_batch(&data, &prepared, &queries, &spec).is_err());
-        }
+        let prepared = prepare(&data, F32).unwrap();
+        assert!(scored_batch(&data, prepared.as_ref(), &queries, &spec).is_err());
     }
 }

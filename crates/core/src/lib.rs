@@ -102,7 +102,7 @@ pub mod topk;
 pub use engine::{EngineConfig, JoinEngine};
 pub use error::{CoreError, Result};
 pub use facade::{Join, JoinBuilder, JoinReport, Strategy};
-pub use kernel::{Dtype, KernelActivity, KernelCounters, PreparedKernel, ScoringOptions};
+pub use kernel::{Dtype, ScoringOptions};
 pub use lsh_mips::{LshMips, LshOps, SphereMap};
 pub use mips::{MipsIndex, SearchResult, SketchMipsAdapter};
 pub use planner::{CostModel, JoinPlan, JoinPlanner};

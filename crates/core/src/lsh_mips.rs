@@ -11,14 +11,13 @@
 
 use crate::diagonal::Diagonal;
 use crate::error::{CoreError, Result};
-use crate::kernel::{KernelActivity, KernelCounters, ScoringOptions};
 use crate::mips::{MipsIndex, SearchResult};
 use crate::problem::JoinSpec;
 use crate::shard::ShardParts;
 use crate::slots::Renumbering;
 use crate::topk::TopKMipsIndex;
 use ips_linalg::par::Schedule;
-use ips_linalg::{DenseVector, QuantTile};
+use ips_linalg::DenseVector;
 use ips_lsh::bank::{Point, Side};
 pub use ips_lsh::table::BUILD_BLOCK;
 use ips_lsh::table::{BlockHasher, IndexParams, LshIndex};
@@ -155,19 +154,6 @@ pub trait LshOps: TopKMipsIndex + Send + Sync {
     /// `set_probes(0)` restores the classical bit-identical lookup.
     fn set_probes(&mut self, probes: usize);
 
-    /// Applies a scoring-kernel selection: `quantized=true` packs the data into an
-    /// `i8` tile so candidate scoring runs through the cheap prune-and-exact-rescore
-    /// kernel (identical results — see [`crate::kernel`]). `dtype` does not apply to
-    /// LSH candidate scoring (the candidate sets are small; the win is in the integer
-    /// kernel), and the diagonal probe stays exact either way.
-    ///
-    /// A subsequent [`LshOps::insert`] or [`LshOps::delete`] clears the tile and
-    /// falls back to exact scoring; call this again after a batch of mutations.
-    fn set_scoring(&mut self, options: ScoringOptions) -> Result<()>;
-
-    /// The quantized kernel's activity tallies (zero while exact scoring runs).
-    fn kernel_activity(&self) -> KernelActivity;
-
     /// Both steps of [`MipsIndex::search`], **unfiltered**, from one presentation of
     /// the query: the diagonal probe (the *last* live slot identical to the query,
     /// scored exactly; `None` for a map without a diagonal) and the best LSH
@@ -204,13 +190,6 @@ pub struct LshMips<'a, M: SphereMap> {
     diagonal: Diagonal,
     spec: JoinSpec,
     params: M::Params,
-    /// Quantized mirror of `data` for the cheap candidate-scoring kernel
-    /// ([`LshOps::set_scoring`]); cleared by insert/delete, which fall back to
-    /// exact scoring (correctness never depends on this tile).
-    quant: Option<QuantTile>,
-    /// Lifetime tallies of the quantized candidate kernel's activity
-    /// (scored/pruned/rescored) — the serving telemetry reads deltas of this.
-    kernel_counters: KernelCounters,
 }
 
 impl<'a, M: SphereMap> LshMips<'a, M> {
@@ -285,8 +264,6 @@ impl<'a, M: SphereMap> LshMips<'a, M> {
             diagonal,
             spec,
             params,
-            quant: None,
-            kernel_counters: KernelCounters::new(),
         }
     }
 
@@ -373,17 +350,6 @@ impl<'a, M: SphereMap> LshMips<'a, M> {
         self.data.into_owned()
     }
 
-    /// The quantized tile when the cheap candidate kernel is enabled
-    /// ([`LshOps::set_scoring`]) and no mutation has invalidated it.
-    pub(crate) fn quant_tile(&self) -> Option<&QuantTile> {
-        self.quant.as_ref()
-    }
-
-    /// The counters the quantized candidate kernel ticks into.
-    pub(crate) fn kernel_counters(&self) -> &KernelCounters {
-        &self.kernel_counters
-    }
-
     /// Number of candidates the LSH tables produce for a query, before the exact
     /// lookup and re-scoring — the quantity whose growth with `n` the ρ exponent
     /// predicts.
@@ -441,18 +407,6 @@ impl<'a, M: SphereMap> LshMips<'a, M> {
         point: Point<'_>,
     ) -> Result<Option<SearchResult>> {
         let candidates = self.gather(point)?;
-        if let Some(quant) = &self.quant {
-            // Cheap integer scoring + conservative pruning + exact rescoring:
-            // identical result to the exact loop below (see `crate::kernel`).
-            return crate::kernel::best_among_candidates_quantized(
-                &self.data,
-                quant,
-                &candidates,
-                query,
-                &self.spec,
-                &self.kernel_counters,
-            );
-        }
         let mut best: Option<SearchResult> = None;
         for i in candidates {
             let ip = self.data[i].dot(query)?;
@@ -514,9 +468,6 @@ impl<M: SphereMap> LshOps for LshMips<'_, M> {
         self.data.to_mut().push(v);
         self.live.push(true);
         self.live_count += 1;
-        // The quantized tile no longer mirrors the data; drop it so scoring
-        // falls back to the exact path (see `set_scoring`).
-        self.quant = None;
         Ok(slot)
     }
 
@@ -539,7 +490,6 @@ impl<M: SphereMap> LshOps for LshMips<'_, M> {
             })?;
         self.live[slot] = false;
         self.live_count -= 1;
-        self.quant = None;
         Ok(())
     }
 
@@ -550,7 +500,6 @@ impl<M: SphereMap> LshOps for LshMips<'_, M> {
         plan.apply(self.data.to_mut(), || DenseVector::zeros(0));
         self.live.truncate(self.live_count);
         self.live.fill(true);
-        self.quant = None;
         Ok(())
     }
 
@@ -568,19 +517,6 @@ impl<M: SphereMap> LshOps for LshMips<'_, M> {
 
     fn set_probes(&mut self, probes: usize) {
         M::set_probes(&mut self.params, probes);
-    }
-
-    fn set_scoring(&mut self, options: ScoringOptions) -> Result<()> {
-        self.quant = if options.quantized {
-            Some(QuantTile::from_vectors(&self.data)?)
-        } else {
-            None
-        };
-        Ok(())
-    }
-
-    fn kernel_activity(&self) -> KernelActivity {
-        self.kernel_counters.activity()
     }
 
     fn search_parts(&self, query: &DenseVector) -> Result<ShardParts> {

@@ -92,7 +92,7 @@ impl<I: MipsIndex + ?Sized> MipsIndex for &I {
 pub struct BruteForceMipsIndex {
     data: Vec<DenseVector>,
     spec: JoinSpec,
-    kernel: Option<crate::kernel::PreparedKernel>,
+    tile: Option<ips_linalg::FloatTile>,
 }
 
 impl BruteForceMipsIndex {
@@ -101,35 +101,27 @@ impl BruteForceMipsIndex {
         Self {
             data,
             spec,
-            kernel: None,
+            tile: None,
         }
     }
 
-    /// Builds the index with a scoring-kernel selection (`dtype` /
-    /// `quantized`). The default options add no preprocessing and keep batch
-    /// results bit-identical to [`BruteForceMipsIndex::new`].
+    /// Builds the index with a scoring-kernel selection (`dtype`). The
+    /// default options add no preprocessing and keep batch results
+    /// bit-identical to [`BruteForceMipsIndex::new`].
     pub fn with_options(
         data: Vec<DenseVector>,
         spec: JoinSpec,
         options: crate::kernel::ScoringOptions,
     ) -> Result<Self> {
-        let kernel = if options.is_default() {
-            None
-        } else {
-            Some(crate::kernel::PreparedKernel::prepare(&data, options)?)
-        };
-        Ok(Self { data, spec, kernel })
+        let tile = crate::kernel::prepare(&data, options)?;
+        Ok(Self { data, spec, tile })
     }
 
     /// Re-prepares the scoring kernel in place — what long-lived serving
     /// wrappers call after a rebuild. The default options drop any prepared
-    /// kernel and restore the bit-identical `f64` path.
+    /// tile and restore the bit-identical `f64` path.
     pub fn set_scoring(&mut self, options: crate::kernel::ScoringOptions) -> Result<()> {
-        self.kernel = if options.is_default() {
-            None
-        } else {
-            Some(crate::kernel::PreparedKernel::prepare(&self.data, options)?)
-        };
+        self.tile = crate::kernel::prepare(&self.data, options)?;
         Ok(())
     }
 
@@ -140,25 +132,16 @@ impl BruteForceMipsIndex {
 
     /// Appends `v` as the last vector. Storing is all there is to building this
     /// index, so the result is the index [`BruteForceMipsIndex::new`] gives over the
-    /// longer list; a prepared scoring kernel no longer covers the data and is
+    /// longer list; a prepared `f32` tile no longer covers the data and is
     /// dropped (see [`BruteForceMipsIndex::set_scoring`]).
     pub fn push(&mut self, v: DenseVector) {
         self.data.push(v);
-        self.kernel = None;
+        self.tile = None;
     }
 
     /// Consumes the index, returning its vectors.
     pub fn into_data(self) -> Vec<DenseVector> {
         self.data
-    }
-
-    /// The prepared kernel's activity tallies — zero on the default exact
-    /// path, which has no prepared kernel and records nothing.
-    pub fn kernel_activity(&self) -> crate::kernel::KernelActivity {
-        self.kernel
-            .as_ref()
-            .map(crate::kernel::PreparedKernel::activity)
-            .unwrap_or_default()
     }
 }
 
@@ -182,14 +165,9 @@ impl MipsIndex for BruteForceMipsIndex {
     /// the serial loop (strict `>` keeps the earliest argmax either way), much friendlier
     /// to the cache for wide batches. A non-default scoring kernel
     /// ([`BruteForceMipsIndex::with_options`]) dispatches through the tiled
-    /// `f32` / quantized paths instead.
+    /// `f32` path instead.
     fn search_batch(&self, queries: &[DenseVector]) -> Result<Vec<Option<SearchResult>>> {
-        match &self.kernel {
-            Some(prepared) => {
-                crate::kernel::scored_batch(&self.data, prepared, queries, &self.spec)
-            }
-            None => data_major_batch(&self.data, queries, &self.spec),
-        }
+        crate::kernel::scored_batch(&self.data, self.tile.as_ref(), queries, &self.spec)
     }
 }
 

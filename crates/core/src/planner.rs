@@ -39,7 +39,7 @@ use crate::asymmetric::{AlshParams, SphereTransform};
 use crate::brute::BorrowedBruteIndex;
 use crate::engine::{EngineConfig, JoinEngine};
 use crate::error::{CoreError, Result};
-use crate::lsh_mips::{LshMips, LshOps, SphereMap, Tuning, BUILD_BLOCK};
+use crate::lsh_mips::{LshMips, SphereMap, Tuning, BUILD_BLOCK};
 use crate::mips::SketchMipsAdapter;
 use crate::problem::{JoinSpec, MatchPair};
 use crate::symmetric::{SymmetricParams, SymmetricSphereMap};
@@ -288,10 +288,6 @@ pub struct CostModel {
     /// ns per flop of the tiled `f32` brute kernel (`dtype=f32`), measured by
     /// the `kernel_throughput` bench bin in `ips-bench`.
     pub brute_f32_ns_per_flop: f64,
-    /// ns per flop of the `i8` quantized brute kernel (`quantized=true`,
-    /// including the exact rescoring of pruned survivors), measured by
-    /// `kernel_throughput`.
-    pub brute_quantized_ns_per_flop: f64,
     /// ns per flop of ALSH hashing + candidate re-scoring.
     pub alsh_ns_per_flop: f64,
     /// ns per flop of the symmetric map + hashing + re-scoring.
@@ -334,13 +330,11 @@ impl Default for CostModel {
         // applied to the 0.575 and 1.29 that stood here.
         Self {
             brute_ns_per_flop: 0.415,
-            // Reduced-precision brute kernels: the calibrated f64 constant
-            // scaled by the dim=32 kernel ratios the kernel_throughput bench
-            // measures (f32 0.1221 / f64 0.1865 ns/flop, quantized 0.1638 /
-            // f64 0.1865 — see BENCH_BASELINE.json), so the planner's relative
-            // costs track the measured kernel speedups.
+            // The `f32` brute kernel: the calibrated f64 constant scaled by
+            // the dim=32 kernel ratio the kernel_throughput bench measures
+            // (f32 0.1221 / f64 0.1865 ns/flop — see BENCH_BASELINE.json), so
+            // the planner's relative costs track the measured kernel speedup.
             brute_f32_ns_per_flop: 0.272,
-            brute_quantized_ns_per_flop: 0.364,
             alsh_ns_per_flop: 0.42,
             symmetric_ns_per_flop: 1.01,
             sketch_ns_per_flop: 0.475,
@@ -359,17 +353,12 @@ impl CostModel {
         }
     }
 
-    /// The brute-force constant under a scoring-kernel selection: the
-    /// quantized kernel when `quantized=true` (it takes precedence, matching
-    /// [`crate::kernel`]'s dispatch), else the `f32` tile kernel for
-    /// `dtype=f32`, else the default `f64` scan.
+    /// The brute-force constant under a scoring-kernel selection: the `f32`
+    /// tile kernel for `dtype=f32`, else the default `f64` scan.
     pub fn brute_ns_per_flop_for(&self, scoring: crate::kernel::ScoringOptions) -> f64 {
-        if scoring.quantized {
-            self.brute_quantized_ns_per_flop
-        } else if scoring.dtype == crate::kernel::Dtype::F32 {
-            self.brute_f32_ns_per_flop
-        } else {
-            self.brute_ns_per_flop
+        match scoring.dtype {
+            crate::kernel::Dtype::F32 => self.brute_f32_ns_per_flop,
+            crate::kernel::Dtype::F64 => self.brute_ns_per_flop,
         }
     }
 }
@@ -410,9 +399,9 @@ pub struct PlannerConfig {
     pub symmetric: SymmetricParams,
     /// Engine schedule every dispatched strategy runs under.
     pub engine: EngineConfig,
-    /// Scoring-kernel selection (`dtype` / `quantized`) the dispatched
-    /// strategy runs with; the brute estimate is costed with the matching
-    /// per-dtype constant so `algo=auto` can pick the cheap path.
+    /// Scoring-kernel selection (`dtype`) the brute strategy runs with; the
+    /// brute estimate is costed with the matching per-dtype constant so
+    /// `algo=auto` can pick the cheap path.
     pub scoring: crate::kernel::ScoringOptions,
 }
 
@@ -531,12 +520,9 @@ impl JoinPlanner {
         // whichever kernel the scoring options select. Always eligible.
         let brute_flops = nf * mf * df;
         let brute_ns = self.model.brute_ns_per_flop_for(self.config.scoring);
-        let kernel_tag = if self.config.scoring.quantized {
-            " [quantized kernel]"
-        } else if self.config.scoring.dtype == crate::kernel::Dtype::F32 {
-            " [f32 kernel]"
-        } else {
-            ""
+        let kernel_tag = match self.config.scoring.dtype {
+            crate::kernel::Dtype::F32 => " [f32 kernel]",
+            crate::kernel::Dtype::F64 => "",
         };
         estimates.push(StrategyEstimate {
             strategy: Strategy::BruteForce,
@@ -835,8 +821,7 @@ fn run_lsh<M: SphereMap, R: Rng + ?Sized>(
     spec: JoinSpec,
     config: &PlannerConfig,
 ) -> Result<Vec<MatchPair>> {
-    let mut index = LshMips::<M>::build(Schedule::new(BUILD_BLOCK), rng, data, spec, params)?;
-    index.set_scoring(config.scoring)?;
+    let index = LshMips::<M>::build(Schedule::new(BUILD_BLOCK), rng, data, spec, params)?;
     JoinEngine::with_config(index, config.engine).run(queries)
 }
 

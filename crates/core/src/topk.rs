@@ -79,22 +79,7 @@ impl TopKMipsIndex for BruteForceMipsIndex {
 impl<M: SphereMap> TopKMipsIndex for LshMips<'_, M> {
     fn search_top_k(&self, query: &DenseVector, k: usize) -> Result<Vec<SearchResult>> {
         let candidates = self.candidate_indices(query)?;
-        let spec = self.spec();
-        if let (Some(quant), true) = (self.quant_tile(), k > 0) {
-            // Conservative quantized pruning keeps every exact top-k member
-            // (see `crate::kernel`), so finalizing the survivors is identical.
-            let survivors = crate::kernel::top_k_candidates_quantized(
-                self.data(),
-                quant,
-                &candidates,
-                query,
-                &spec,
-                k,
-                self.kernel_counters(),
-            )?;
-            return rescore_candidates(self.data(), &survivors, query, &spec, k);
-        }
-        rescore_candidates(self.data(), &candidates, query, &spec, k)
+        rescore_candidates(self.data(), &candidates, query, &self.spec(), k)
     }
 }
 

@@ -2,20 +2,13 @@
 //!
 //! Every join family in the workspace bottoms out in dense inner products, and
 //! the constant factor on those dot products is set by memory layout and lane
-//! width. This module provides the two reduced-precision mirrors of the
-//! [`DenseVector`] kernels that the scoring paths opt into:
-//!
-//! * [`FloatTile`] — a contiguous row-major `f32` tile (data-major when built
-//!   from the data set, query-major when built from the query batch). Half the
-//!   memory traffic of `f64` and twice the SIMD lane width, at the price of
-//!   ~7 decimal digits: the scoring paths that use it always *rescore* their
-//!   winners in exact `f64` before reporting, so validity is never at stake.
-//! * [`QuantTile`] — an `i8` symmetric fixed-point tile with one scale per
-//!   tile. Its integer dot products come with a rigorous error bound
-//!   ([`QuantTile::error_bound`]), which is what lets candidate pruning stay
-//!   *conservative*: a caller keeps every candidate whose optimistic bound
-//!   reaches the best pessimistic bound, then rescores survivors exactly in
-//!   `f64` — the final answer is provably identical to the pure `f64` scan.
+//! width. This module provides the reduced-precision mirror of the
+//! [`DenseVector`] kernels that the brute scan opts into: [`FloatTile`], a
+//! contiguous row-major `f32` tile (data-major when built from the data set,
+//! query-major when built from the query batch). Half the memory traffic of
+//! `f64` and twice the SIMD lane width, at the price of ~7 decimal digits: the
+//! scoring path that uses it always *rescores* its winners in exact `f64`
+//! before reporting, so validity is never at stake.
 //!
 //! All kernels are written as safe iterator/chunk code with multiple
 //! independent accumulators so LLVM autovectorizes them; the crate carries
@@ -33,9 +26,6 @@ use crate::vector::DenseVector;
 /// Number of independent accumulators in the `f32` kernels — wide enough for
 /// one AVX2 register per accumulator chain on x86-64, and harmless elsewhere.
 const F32_LANES: usize = 8;
-
-/// Number of independent accumulators in the widening `i8 → i32` kernel.
-const I8_LANES: usize = 16;
 
 /// Inner product of two equal-length `f64` slices, in the exact accumulation
 /// order of [`DenseVector::dot`] (sequential `iter().zip().map().sum()`), so a
@@ -101,34 +91,6 @@ pub fn axpy_f32(y: &mut [f32], alpha: f32, x: &[f32]) {
     for (o, &v) in y.iter_mut().zip(x.iter()) {
         *o += alpha * v;
     }
-}
-
-/// Widening dot product of two equal-length `i8` slices, accumulated in `i32`
-/// with sixteen independent accumulators.
-///
-/// Overflow cannot occur for the dimensions this workspace handles: each term
-/// is at most `127² < 2¹⁴`, so `2¹⁷` terms fit an `i32` accumulator — far
-/// beyond any vector dimension in use.
-///
-/// Lengths are only checked under `debug_assertions`.
-#[inline]
-pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    debug_assert_eq!(a.len(), b.len(), "dot_i8 requires equal lengths");
-    let main = a.len() - a.len() % I8_LANES;
-    let mut acc = [0i32; I8_LANES];
-    for (ca, cb) in a[..main]
-        .chunks_exact(I8_LANES)
-        .zip(b[..main].chunks_exact(I8_LANES))
-    {
-        for lane in 0..I8_LANES {
-            acc[lane] += i32::from(ca[lane]) * i32::from(cb[lane]);
-        }
-    }
-    let mut sum = acc.iter().sum::<i32>();
-    for (&x, &y) in a[main..].iter().zip(b[main..].iter()) {
-        sum += i32::from(x) * i32::from(y);
-    }
-    sum
 }
 
 /// A contiguous row-major `f32` tile over a collection of equal-dimension
@@ -224,143 +186,6 @@ impl FloatTile {
     }
 }
 
-/// One quantized vector: the query-side counterpart of a [`QuantTile`] row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantVector {
-    /// Quantized components, `x ≈ scale · q[i]`.
-    pub values: Vec<i8>,
-    /// Symmetric fixed-point scale (`max |x| / 127`; 0 for the zero vector).
-    pub scale: f64,
-    /// ℓ₁ norm of the *quantized reals*: `scale · Σ |values[i]|`.
-    pub l1: f64,
-}
-
-impl QuantVector {
-    /// Quantizes a vector on its own scale (`max |x| / 127`).
-    pub fn from_vector(v: &DenseVector) -> Self {
-        let scale = v.max_abs() / 127.0;
-        let values: Vec<i8> = if scale == 0.0 {
-            vec![0; v.dim()]
-        } else {
-            v.iter()
-                .map(|&x| (x / scale).round().clamp(-127.0, 127.0) as i8)
-                .collect()
-        };
-        let l1 = scale
-            * values
-                .iter()
-                .map(|&q| f64::from(q.unsigned_abs()))
-                .sum::<f64>();
-        Self { values, scale, l1 }
-    }
-}
-
-/// An `i8` symmetric fixed-point tile: one shared scale for the whole tile,
-/// per-row ℓ₁ norms of the quantized values, and a rigorous reconstruction
-/// error bound.
-///
-/// With `p = p̂ + δp` and `q = q̂ + δq` (`p̂`, `q̂` the dequantized values,
-/// `|δp_i| ≤ ε_p = scale_p/2` componentwise):
-///
-/// ```text
-/// |pᵀq − p̂ᵀq̂| ≤ ε_q·‖p̂‖₁ + ε_p·‖q̂‖₁ + d·ε_p·ε_q
-/// ```
-///
-/// which [`QuantTile::error_bound`] evaluates per (row, query) pair. The bound
-/// also covers the unsigned variant, since `| |a| − |b| | ≤ |a − b|`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantTile {
-    rows: usize,
-    dim: usize,
-    values: Vec<i8>,
-    scale: f64,
-    /// Per-row ℓ₁ norms of the quantized reals (`scale · Σ |values|`).
-    row_l1: Vec<f64>,
-}
-
-impl QuantTile {
-    /// Quantizes a collection of equal-dimension vectors onto one shared
-    /// symmetric scale (`max |x| over the whole tile / 127`).
-    pub fn from_vectors(vectors: &[DenseVector]) -> Result<Self> {
-        let dim = vectors.first().map_or(0, DenseVector::dim);
-        let mut max_abs = 0.0f64;
-        for v in vectors {
-            if v.dim() != dim {
-                return Err(LinalgError::DimensionMismatch {
-                    left: dim,
-                    right: v.dim(),
-                    op: "QuantTile::from_vectors",
-                });
-            }
-            max_abs = max_abs.max(v.max_abs());
-        }
-        let scale = max_abs / 127.0;
-        let mut values = Vec::with_capacity(vectors.len() * dim);
-        let mut row_l1 = Vec::with_capacity(vectors.len());
-        for v in vectors {
-            let start = values.len();
-            if scale == 0.0 {
-                values.resize(start + dim, 0i8);
-            } else {
-                values.extend(
-                    v.iter()
-                        .map(|&x| (x / scale).round().clamp(-127.0, 127.0) as i8),
-                );
-            }
-            let l1: f64 = values[start..]
-                .iter()
-                .map(|&q| f64::from(q.unsigned_abs()))
-                .sum();
-            row_l1.push(scale * l1);
-        }
-        Ok(Self {
-            rows: vectors.len(),
-            dim,
-            values,
-            scale,
-            row_l1,
-        })
-    }
-
-    /// Number of rows in the tile.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Shared dimension of every row.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// The shared symmetric scale of the tile.
-    pub fn scale(&self) -> f64 {
-        self.scale
-    }
-
-    /// Read-only slice view of row `r`'s quantized values.
-    ///
-    /// # Panics
-    /// Panics when `r` is out of range.
-    pub fn row(&self, r: usize) -> &[i8] {
-        assert!(r < self.rows, "row {r} out of range");
-        &self.values[r * self.dim..(r + 1) * self.dim]
-    }
-
-    /// The approximate inner product `p̂ᵀq̂` of row `r` with a quantized
-    /// query: the widening integer dot product scaled back to reals.
-    pub fn approx_dot(&self, r: usize, q: &QuantVector) -> f64 {
-        self.scale * q.scale * f64::from(dot_i8(self.row(r), &q.values))
-    }
-
-    /// The rigorous bound on `|pᵀq − p̂ᵀq̂|` for row `r` against the quantized
-    /// query (see the type-level docs for the derivation).
-    pub fn error_bound(&self, r: usize, q: &QuantVector) -> f64 {
-        let eps_p = self.scale / 2.0;
-        let eps_q = q.scale / 2.0;
-        eps_q * self.row_l1[r] + eps_p * q.l1 + self.dim as f64 * eps_p * eps_q
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,55 +247,5 @@ mod tests {
         // Mixed dimensions are rejected; empty input is an empty tile.
         assert!(FloatTile::from_vectors(&[dv(&[1.0]), dv(&[1.0, 2.0])]).is_err());
         assert!(FloatTile::from_vectors(&[]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn dot_i8_matches_scalar_reference() {
-        let a: Vec<i8> = (0..100).map(|i| ((i * 7) % 255 - 127) as i8).collect();
-        let b: Vec<i8> = (0..100).map(|i| ((i * 13) % 255 - 127) as i8).collect();
-        let reference: i32 = a
-            .iter()
-            .zip(b.iter())
-            .map(|(&x, &y)| i32::from(x) * i32::from(y))
-            .sum();
-        assert_eq!(dot_i8(&a, &b), reference);
-    }
-
-    #[test]
-    fn quantized_dot_respects_the_error_bound() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0x9A27);
-        for dim in [3usize, 8, 32, 100] {
-            let vectors: Vec<DenseVector> = (0..20)
-                .map(|_| (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect())
-                .collect();
-            let tile = QuantTile::from_vectors(&vectors).unwrap();
-            assert_eq!(tile.rows(), 20);
-            assert_eq!(tile.dim(), dim);
-            assert!(tile.scale() > 0.0);
-            let query: DenseVector = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let qq = QuantVector::from_vector(&query);
-            for (r, v) in vectors.iter().enumerate() {
-                let exact = v.dot(&query).unwrap();
-                let approx = tile.approx_dot(r, &qq);
-                let bound = tile.error_bound(r, &qq);
-                assert!(
-                    (exact - approx).abs() <= bound + 1e-12,
-                    "dim {dim} row {r}: |{exact} - {approx}| > {bound}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn zero_tile_quantizes_exactly() {
-        let vectors = vec![DenseVector::zeros(5), DenseVector::zeros(5)];
-        let tile = QuantTile::from_vectors(&vectors).unwrap();
-        assert_eq!(tile.scale(), 0.0);
-        let q = QuantVector::from_vector(&DenseVector::zeros(5));
-        assert_eq!(tile.approx_dot(0, &q), 0.0);
-        assert_eq!(tile.error_bound(0, &q), 0.0);
-        assert_eq!(tile.row(1), &[0i8; 5]);
     }
 }

@@ -7,8 +7,8 @@ use crate::metrics::Histogram;
 /// The pipeline stages a query batch passes through, in pipeline order.
 ///
 /// Every stage is always present in a trace breakdown; a stage that did not
-/// run for a given query (e.g. `CoalesceWait` on the direct path, `Rescore`
-/// on the exact f64 kernel) reports zero.
+/// run for a given query (e.g. `CoalesceWait` on the direct path) reports
+/// zero.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stage {
     /// Parsing the protocol line into vectors.
@@ -19,22 +19,19 @@ pub enum Stage {
     LockWait = 2,
     /// The `JoinEngine` pass itself (scoring across all shards).
     Engine = 3,
-    /// Exact rescoring of quantized-kernel survivors.
-    Rescore = 4,
     /// Merging per-shard winners into the global answer.
-    Merge = 5,
+    Merge = 4,
     /// Splitting a coalesced batch's answers back per requester.
-    Demux = 6,
+    Demux = 5,
 }
 
 impl Stage {
     /// Every stage, in pipeline order — the exposition iteration order.
-    pub const ALL: [Stage; 7] = [
+    pub const ALL: [Stage; 6] = [
         Stage::Parse,
         Stage::CoalesceWait,
         Stage::LockWait,
         Stage::Engine,
-        Stage::Rescore,
         Stage::Merge,
         Stage::Demux,
     ];
@@ -46,7 +43,6 @@ impl Stage {
             Stage::CoalesceWait => "coalesce_wait",
             Stage::LockWait => "lock_wait",
             Stage::Engine => "engine",
-            Stage::Rescore => "rescore",
             Stage::Merge => "merge",
             Stage::Demux => "demux",
         }
@@ -61,32 +57,17 @@ pub enum Observable {
     QueryNormMilli = 0,
     /// Number of queries per engine pass (1 on the uncoalesced path).
     BatchSize = 1,
-    /// Candidates examined by the scoring kernel.
-    Candidates = 2,
-    /// Candidates pruned by the quantized bound without exact rescoring.
-    Pruned = 3,
-    /// Candidates exactly rescored after pruning.
-    Rescored = 4,
 }
 
 impl Observable {
     /// Every observable — the exposition iteration order.
-    pub const ALL: [Observable; 5] = [
-        Observable::QueryNormMilli,
-        Observable::BatchSize,
-        Observable::Candidates,
-        Observable::Pruned,
-        Observable::Rescored,
-    ];
+    pub const ALL: [Observable; 2] = [Observable::QueryNormMilli, Observable::BatchSize];
 
     /// Stable snake_case name used in metric names and trace lines.
     pub fn name(self) -> &'static str {
         match self {
             Observable::QueryNormMilli => "query_norm_milli",
             Observable::BatchSize => "batch_size",
-            Observable::Candidates => "candidates",
-            Observable::Pruned => "pruned",
-            Observable::Rescored => "rescored",
         }
     }
 }
@@ -143,16 +124,16 @@ impl TraceSink for Fanout<'_> {
 /// from several shards or engine threads sums rather than overwrites.
 #[derive(Debug, Default)]
 pub struct TraceCapture {
-    stages: [AtomicU64; 7],
-    observables: [AtomicU64; 5],
+    stages: [AtomicU64; 6],
+    observables: [AtomicU64; 2],
 }
 
 impl TraceCapture {
     /// An empty capture.
     pub const fn new() -> Self {
         Self {
-            stages: [const { AtomicU64::new(0) }; 7],
-            observables: [const { AtomicU64::new(0) }; 5],
+            stages: [const { AtomicU64::new(0) }; 6],
+            observables: [const { AtomicU64::new(0) }; 2],
         }
     }
 
@@ -185,8 +166,8 @@ impl TraceSink for TraceCapture {
 /// `telemetry_overhead` bench bounds the cost at ≤5% of query throughput.
 #[derive(Debug, Default)]
 pub struct Telemetry {
-    stages: [Histogram; 7],
-    observables: [Histogram; 5],
+    stages: [Histogram; 6],
+    observables: [Histogram; 2],
     query_latency: Histogram,
 }
 
@@ -194,8 +175,8 @@ impl Telemetry {
     /// A fresh, empty telemetry block.
     pub const fn new() -> Self {
         Self {
-            stages: [const { Histogram::new() }; 7],
-            observables: [const { Histogram::new() }; 5],
+            stages: [const { Histogram::new() }; 6],
+            observables: [const { Histogram::new() }; 2],
             query_latency: Histogram::new(),
         }
     }
@@ -261,7 +242,7 @@ mod tests {
     fn noop_sink_is_usable_as_a_trait_object() {
         let sink: &dyn TraceSink = &NoopSink;
         sink.stage_ns(Stage::Parse, 1);
-        sink.observe(Observable::Candidates, 1);
+        sink.observe(Observable::BatchSize, 1);
     }
 
     #[test]

@@ -230,18 +230,11 @@ impl IndexBuilder {
 
     /// Floating-point width of the serving scoring kernel (default
     /// [`ips_core::Dtype::F64`], bit-identical to the pre-kernel layer); see
-    /// [`ServingConfig::scoring`]. Ignored when [`IndexBuilder::quantized`] is
-    /// on.
+    /// [`ServingConfig::scoring`]. Read by a brute primary only: the ALSH,
+    /// symmetric and sketch families score their few candidates exactly in
+    /// `f64` whatever the `dtype`.
     pub fn dtype(mut self, dtype: ips_core::Dtype) -> Self {
         self.scoring.dtype = dtype;
-        self
-    }
-
-    /// Opt into `i8` fixed-point candidate scoring with exact `f64` rescoring
-    /// of the survivors (default off); answers are identical to the default
-    /// path, the scan is just cheaper. See [`ServingConfig::scoring`].
-    pub fn quantized(mut self, quantized: bool) -> Self {
-        self.scoring.quantized = quantized;
         self
     }
 
@@ -665,45 +658,6 @@ mod tests {
             .unwrap_err();
         assert!(err.to_string().contains("spec"), "{err}");
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn quantized_serving_answers_match_the_default_path() {
-        let inst = workload();
-        for strategy in [
-            Strategy::Brute,
-            Strategy::Alsh,
-            Strategy::Symmetric,
-            Strategy::Sketch,
-        ] {
-            let build = |quantized: bool| {
-                Index::build(inst.data().to_vec())
-                    .spec(spec())
-                    .strategy(strategy)
-                    .seed(11)
-                    .quantized(quantized)
-                    .serve()
-                    .unwrap()
-            };
-            let plain = build(false);
-            let mut quant = build(true);
-            assert_eq!(
-                plain.query(inst.queries()).unwrap(),
-                quant.query(inst.queries()).unwrap(),
-                "{strategy}"
-            );
-            // Mutations re-prepare the quantized tile; answers stay identical
-            // to a default-path index holding the same live set.
-            let extra = inst.queries()[0].scaled(0.9);
-            let mut plain = build(false);
-            plain.insert(extra.clone()).unwrap();
-            quant.insert(extra).unwrap();
-            assert_eq!(
-                plain.query(inst.queries()).unwrap(),
-                quant.query(inst.queries()).unwrap(),
-                "{strategy} after insert"
-            );
-        }
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! already hold those configs.
 
 use crate::error::{Result, StoreError};
-use crate::snapshot::{AnyIndex, IndexFamily, Snapshot, SnapshotRef, View, ViewMut};
+use crate::snapshot::{AnyIndex, IndexFamily, Snapshot, SnapshotRef, ViewMut};
 use ips_core::asymmetric::AlshParams;
 use ips_core::engine::{EngineConfig, JoinEngine};
 use ips_core::mips::{BruteForceMipsIndex, MipsIndex, SearchResult, SketchMipsAdapter};
@@ -101,12 +101,11 @@ pub struct ServingConfig {
     pub rebuild_threshold: f64,
     /// Seed for every build and rebuild, making maintenance reproducible.
     pub seed: u64,
-    /// Scoring-kernel selection (`dtype` / `quantized`) applied to the primary
-    /// structure after every build, rebuild and mutation. The default keeps
-    /// serving bit-identical to the pre-kernel layer; `quantized` scores
-    /// candidates in `i8` fixed point and exactly rescores survivors, so
-    /// answers stay identical while the scan gets cheaper. Sketch-family
-    /// primaries ignore it (they already rescore their one candidate exactly).
+    /// Scoring-kernel selection (`dtype`): brute primaries only; re-prepared
+    /// after a rebuild. The default keeps serving bit-identical to the
+    /// pre-kernel layer; `dtype=f32` scans an `f32` tile and exactly rescores
+    /// each winner. ALSH, symmetric and sketch primaries score their few
+    /// candidates exactly in `f64` and ignore it. Not persisted in snapshots.
     pub scoring: ips_core::ScoringOptions,
     /// Slow-query log threshold in microseconds; `0` (the default) disables
     /// the log. A query batch whose wall time meets the threshold emits one
@@ -574,20 +573,6 @@ impl ServingIndex {
         self.counters.snapshot()
     }
 
-    /// The primary structure's reduced-precision kernel activity tallies —
-    /// zero on the default exact path, which records nothing. The sharded
-    /// telemetry layer reads per-batch deltas of this to observe candidate /
-    /// pruned / rescored counts.
-    pub fn kernel_activity(&self) -> ips_core::KernelActivity {
-        match self.primary.view() {
-            View::Brute(i) => i.kernel_activity(),
-            View::Lsh(i) => i.kernel_activity(),
-            // The sketch adapter rescores its single candidate exactly and
-            // has no reduced-precision kernel to count.
-            View::Sketch(_) => ips_core::KernelActivity::default(),
-        }
-    }
-
     /// Inserts a vector, returning its stable external id.
     pub fn insert(&mut self, v: DenseVector) -> Result<u64> {
         let id = self.next_id;
@@ -637,6 +622,8 @@ impl ServingIndex {
                 self.id_to_slot.insert(id, self.primary_ids.len());
                 self.primary_ids.push(id);
                 index.push(v);
+                // The push dropped a prepared `f32` tile; cover the new vector.
+                index.set_scoring(self.config.scoring)?;
             }
             ViewMut::Brute(_) => self.rebuild(Some((id, v)))?,
             ViewMut::Sketch => {
@@ -646,9 +633,6 @@ impl ServingIndex {
         self.next_id = self.next_id.max(id + 1);
         self.counters.inserts.fetch_add(1, Ordering::Relaxed);
         self.maybe_rebuild()?;
-        // Dynamic LSH mutations drop their quantized tile (it no longer covers
-        // the new slot set); re-prepare it so serving keeps the cheap path.
-        self.apply_scoring()?;
         Ok(())
     }
 
@@ -679,7 +663,6 @@ impl ServingIndex {
         }
         self.counters.deletes.fetch_add(1, Ordering::Relaxed);
         self.maybe_rebuild()?;
-        self.apply_scoring()?;
         Ok(())
     }
 
@@ -816,21 +799,12 @@ impl ServingIndex {
         Ok(())
     }
 
-    /// Re-applies [`ServingConfig::scoring`] to the primary structure. Free for
-    /// the default options (every family's default is "no prepared kernel", the
-    /// state a fresh build is already in); otherwise re-prepares the reduced-
-    /// precision tiles over the current slot set.
+    /// Re-applies [`ServingConfig::scoring`] to a brute primary, the one family
+    /// that reads it: re-packs the `f32` tile over the current vectors (free for
+    /// the default options, which prepare nothing).
     fn apply_scoring(&mut self) -> Result<()> {
-        let scoring = self.config.scoring;
-        if scoring.is_default() {
-            return Ok(());
-        }
-        match self.primary.view_mut() {
-            ViewMut::Brute(index) => index.set_scoring(scoring)?,
-            ViewMut::Lsh(index) => index.set_scoring(scoring)?,
-            // The sketch adapter already rescores its single recovered
-            // candidate exactly; there is no batched scoring loop to replace.
-            ViewMut::Sketch => {}
+        if let ViewMut::Brute(index) = self.primary.view_mut() {
+            index.set_scoring(self.config.scoring)?;
         }
         Ok(())
     }

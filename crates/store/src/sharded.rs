@@ -69,7 +69,6 @@ use ips_core::mips::{MipsIndex, SearchResult};
 use ips_core::problem::{JoinSpec, MatchPair};
 use ips_core::shard::{merge_best, merge_top_k, merge_two_step};
 use ips_core::topk::TopKMipsIndex;
-use ips_core::KernelActivity;
 use ips_linalg::par::available_threads;
 use ips_linalg::DenseVector;
 use ips_obs::prom::PromWriter;
@@ -622,7 +621,7 @@ impl ShardedServingIndex {
 
     /// [`ShardedServingIndex::query`] with a caller-supplied [`TraceSink`]
     /// receiving the per-stage breakdown of this batch (lock wait, engine,
-    /// rescore, merge) and its workload observables — the `trace on`
+    /// merge) and its workload observables — the `trace on`
     /// implementation. The sink only observes: answers are bit-identical to
     /// [`ShardedServingIndex::query`], and the always-on aggregate
     /// [`Telemetry`] records either way.
@@ -638,12 +637,10 @@ impl ShardedServingIndex {
         let start = Instant::now();
         let guards = self.read_all();
         fan.stage_ns(Stage::LockWait, start.elapsed().as_nanos() as u64);
-        let before = Self::guarded_kernel_activity(&guards);
         let engine =
             JoinEngine::with_config(self.sink_view(&guards, &fan), self.config.serving.engine);
         let pairs = engine.run_with_sink(queries, &fan)?;
-        let delta = Self::guarded_kernel_activity(&guards).delta_since(before);
-        self.observe_workload(&fan, queries, delta);
+        self.observe_workload(&fan, queries);
         let total = start.elapsed();
         self.telemetry.record_query_latency(total.as_nanos() as u64);
         self.counters
@@ -673,12 +670,10 @@ impl ShardedServingIndex {
         let start = Instant::now();
         let guards = self.read_all();
         fan.stage_ns(Stage::LockWait, start.elapsed().as_nanos() as u64);
-        let before = Self::guarded_kernel_activity(&guards);
         let engine =
             JoinEngine::with_config(self.sink_view(&guards, &fan), self.config.serving.engine);
         let pairs = engine.run_top_k_with_sink(queries, k, &fan)?;
-        let delta = Self::guarded_kernel_activity(&guards).delta_since(before);
-        self.observe_workload(&fan, queries, delta);
+        self.observe_workload(&fan, queries);
         let total = start.elapsed();
         self.telemetry.record_query_latency(total.as_nanos() as u64);
         self.counters
@@ -693,43 +688,11 @@ impl ShardedServingIndex {
         &self.telemetry
     }
 
-    /// Lifetime tallies of the quantized candidate kernels, summed across
-    /// shards (all zero on the exact `f64` scoring path, which tallies
-    /// nothing).
-    pub fn kernel_activity(&self) -> KernelActivity {
-        Self::guarded_kernel_activity(&self.read_all())
-    }
-
-    /// Sums kernel tallies through already-held guards — re-acquiring a read
-    /// lock while holding one could deadlock behind a queued writer.
-    fn guarded_kernel_activity(
-        guards: &[RwLockReadGuard<'_, Option<ServingIndex>>],
-    ) -> KernelActivity {
-        guards
-            .iter()
-            .filter_map(|g| g.as_ref())
-            .fold(KernelActivity::default(), |acc, shard| {
-                acc.merged(shard.kernel_activity())
-            })
-    }
-
-    /// Records the batch's workload observables: one norm sample per query,
-    /// plus what the quantized kernels did while this batch held the read
-    /// locks (approximate under concurrent batches — deltas of shared
-    /// counters — exact when batches run one at a time).
-    fn observe_workload(
-        &self,
-        sink: &dyn TraceSink,
-        queries: &[DenseVector],
-        delta: KernelActivity,
-    ) {
+    /// Records the batch's workload observables: one norm sample per query.
+    fn observe_workload(&self, sink: &dyn TraceSink, queries: &[DenseVector]) {
         for q in queries {
             sink.observe(Observable::QueryNormMilli, (q.norm() * 1000.0) as u64);
         }
-        sink.observe(Observable::Candidates, delta.scored);
-        sink.observe(Observable::Pruned, delta.pruned);
-        sink.observe(Observable::Rescored, delta.rescored);
-        sink.stage_ns(Stage::Rescore, delta.rescore_ns);
     }
 
     /// Emits one structured stderr line when the batch's wall time meets

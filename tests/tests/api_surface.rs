@@ -391,6 +391,44 @@ fn streaming_codec_and_compaction_surface_is_pinned() {
 }
 
 #[test]
+fn scoring_and_trace_surface_is_pinned() {
+    // PR 22 (MIGRATION.md, "Exact or f32"): the i8 `quantized` path and the
+    // counters only it fed are gone. What is left, and what the benchmark
+    // compiles against: one scoring field, six stages, two observables, with
+    // dense discriminants (they index fixed histogram arrays).
+    use ips_core::brute::BorrowedBruteIndex;
+    use ips_core::problem::{JoinSpec, JoinVariant};
+    use ips_core::{Dtype, MipsIndex, ScoringOptions};
+    use ips_obs::{Observable, Stage};
+    let ScoringOptions { dtype } = ScoringOptions::default();
+    assert_eq!(dtype, Dtype::F64);
+    let data = [DenseVector::from(&[0.5, 0.5][..])];
+    let spec = JoinSpec::new(0.4, 1.0, JoinVariant::Signed).unwrap();
+    #[allow(clippy::needless_update)] // the benchmark's spelling must keep compiling
+    let options = ScoringOptions {
+        dtype: Dtype::F32,
+        ..ScoringOptions::default()
+    };
+    let index = BorrowedBruteIndex::with_options(&data, spec, options).unwrap();
+    assert_eq!(index.search_batch(&data).unwrap()[0].unwrap().data_index, 0);
+    assert_eq!(
+        Stage::ALL.map(|s| (s as usize, s.name())),
+        [
+            (0, "parse"),
+            (1, "coalesce_wait"),
+            (2, "lock_wait"),
+            (3, "engine"),
+            (4, "merge"),
+            (5, "demux"),
+        ]
+    );
+    assert_eq!(
+        Observable::ALL.map(|o| (o as usize, o.name())),
+        [(0, "query_norm_milli"), (1, "batch_size")]
+    );
+}
+
+#[test]
 fn sketch_index_surface_is_pinned() {
     // What the persistence layer, the adapter and the benches compile against.
     // Since the cost cut-off (PR 15) a leaf is a range, an estimator is one

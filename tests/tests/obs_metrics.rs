@@ -20,13 +20,10 @@ use ips_cli::net::{serve_tcp, NetConfig};
 use ips_cli::serve::{serve_session_with, SessionOptions};
 use ips_core::asymmetric::AlshParams;
 use ips_core::problem::{JoinSpec, JoinVariant};
-use ips_core::ScoringOptions;
 use ips_linalg::random::random_ball_vector;
 use ips_linalg::DenseVector;
 use ips_obs::{Histogram, HistogramSnapshot, Observable};
-use ips_store::{
-    CoalesceConfig, Coalescer, IndexConfig, ServingConfig, ShardedConfig, ShardedServingIndex,
-};
+use ips_store::{CoalesceConfig, Coalescer, IndexConfig, ShardedConfig, ShardedServingIndex};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,34 +43,24 @@ fn spec() -> JoinSpec {
     JoinSpec::new(0.4, 0.6, JoinVariant::Signed).unwrap()
 }
 
-fn sharded_family(
-    seed: u64,
-    shards: usize,
-    family: IndexConfig,
-    scoring: ScoringOptions,
-) -> ShardedServingIndex {
+fn sharded_family(seed: u64, shards: usize, family: IndexConfig) -> ShardedServingIndex {
     ShardedServingIndex::build(
         vectors(seed, 48, 8),
         spec(),
         family,
         ShardedConfig {
             shards,
-            serving: ServingConfig {
-                scoring,
-                ..ServingConfig::default()
-            },
+            ..ShardedConfig::default()
         },
     )
     .unwrap()
 }
 
-fn sharded(seed: u64, shards: usize, scoring: ScoringOptions) -> ShardedServingIndex {
-    sharded_family(seed, shards, IndexConfig::Brute, scoring)
+fn sharded(seed: u64, shards: usize) -> ShardedServingIndex {
+    sharded_family(seed, shards, IndexConfig::Brute)
 }
 
-/// A small ALSH family so quantized candidate scoring actually runs in the
-/// per-query serving path (the brute family only engages its kernel in
-/// batch dispatch, which per-shard serving does not use).
+/// A small ALSH family, so a served batch runs the gather-and-rescore path.
 fn alsh_family() -> IndexConfig {
     IndexConfig::Alsh(AlshParams {
         bits_per_table: 4,
@@ -155,7 +142,7 @@ fn read_exposition(mut next_line: impl FnMut() -> String) -> String {
 
 #[test]
 fn metrics_are_byte_identical_over_stdin_and_tcp() {
-    let index = Arc::new(sharded(0x0B5, 2, ScoringOptions::default()));
+    let index = Arc::new(sharded(0x0B5, 2));
     let coalescer = Arc::new(Coalescer::new(
         Arc::clone(&index),
         CoalesceConfig::default(),
@@ -220,50 +207,26 @@ fn metrics_are_byte_identical_over_stdin_and_tcp() {
 }
 
 #[test]
-fn quantized_serving_feeds_the_kernel_observables() {
-    let quantized = ScoringOptions {
-        quantized: true,
-        ..ScoringOptions::default()
-    };
-    let index = sharded_family(0x0B6, 3, alsh_family(), quantized);
+fn a_served_batch_records_one_batch_size_and_one_norm_per_query() {
+    let index = sharded_family(0x0B6, 3, alsh_family());
     let queries = vectors(0x0B7, 6, 8);
     index.query(&queries).unwrap();
-    let activity = index.kernel_activity();
-    assert!(
-        activity.scored > 0,
-        "the quantized kernel scanned candidates"
-    );
-    assert_eq!(
-        activity.pruned + activity.rescored,
-        activity.scored,
-        "every candidate is either pruned or rescored"
-    );
     let telemetry = index.telemetry();
     assert_eq!(
-        telemetry.observable(Observable::Candidates).count(),
+        telemetry.observable(Observable::BatchSize).count(),
         1,
-        "one batch, one candidates sample"
+        "one batch, one batch-size sample"
     );
     assert_eq!(
         telemetry.observable(Observable::QueryNormMilli).count(),
         queries.len() as u64,
         "one norm sample per query vector"
     );
-
-    // The exact f64 default path tallies nothing (its zero overhead is
-    // literal), but still samples norms and batch sizes.
-    let exact = sharded_family(0x0B6, 3, alsh_family(), ScoringOptions::default());
-    exact.query(&queries).unwrap();
-    assert_eq!(exact.kernel_activity(), Default::default());
-    assert_eq!(
-        exact.telemetry().observable(Observable::BatchSize).count(),
-        1
-    );
 }
 
 #[test]
 fn concurrent_stats_snapshots_never_show_more_hits_than_queries() {
-    let index = Arc::new(sharded(0x0B8, 2, ScoringOptions::default()));
+    let index = Arc::new(sharded(0x0B8, 2));
     let queries = vectors(0x0B9, 4, 8);
     std::thread::scope(|scope| {
         for _ in 0..3 {

@@ -238,7 +238,6 @@ fn every_protocol_command_answers_with_its_documented_reply_shape() {
                     " coalesce_wait=0",
                     " lock_wait=",
                     " engine=",
-                    " rescore=",
                     " merge=",
                     " demux=",
                     " queries=1",
