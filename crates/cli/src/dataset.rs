@@ -8,8 +8,8 @@
 //!
 //! **Both directions run block by block** through the workspace's block driver
 //! ([`ips_linalg::par::pipeline`]), because both are CPU work — formatting a double
-//! costs ~180 ns and parsing one ~90 ns, against ~0.5 ns to move its text to or from
-//! the page cache. The calling thread does the I/O, in order, and owns everything that
+//! costs ~55 ns (`crate::decimal`; ~125 ns through `fmt`) and parsing one ~46 ns
+//! (std's `from_str`), against ~0.5 ns to move its text to or from the page cache. The calling thread does the I/O, in order, and owns everything that
 //! outlives the call; any thread turns text into numbers or numbers into text, in the
 //! buffers of a small ring that are reused block after block:
 //!
@@ -26,13 +26,15 @@
 //!   is bounded by the ring (text + coordinates of [`Schedule::ring`] blocks), not by
 //!   the file.
 //! * **Writing.** Blocks of [`WRITE_BLOCK`] coordinates' worth of rows are formatted
-//!   into text buffers — `format!("{x}")` per coordinate, joined by commas — and
-//!   written in order.
+//!   into byte buffers — per coordinate the bytes `format!("{x}")` gives (shortest
+//!   round-trip digits, positional), produced by `crate::decimal::push_f64` without
+//!   going through `fmt`, joined by commas — and written in order. The files are what
+//!   they have always been, byte for byte; a unit test keeps `format!` as the model.
 
+use crate::decimal::push_f64;
 use crate::error::{CliError, Result};
 use ips_linalg::par::{pipeline, Schedule};
 use ips_linalg::DenseVector;
-use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -141,8 +143,8 @@ impl TextBlock {
 }
 
 /// Appends the coordinates of one data line to `coords`; fixes `dim` if this is the
-/// first row, else holds the row to it.
-fn parse_row(
+/// first row, else holds the row to it. The serve session reads its vectors with it too.
+pub(crate) fn parse_row(
     row: &str,
     dim: &mut Option<usize>,
     coords: &mut Vec<f64>,
@@ -261,8 +263,8 @@ pub fn write_vectors_scheduled<W: Write>(
     let blocks = vectors.len().div_ceil(rows);
     // A block's rows and its text, in a buffer with room for what a coordinate usually
     // takes (whoever formats a block of longer ones grows it).
-    let mut ring: Vec<(&[DenseVector], String)> = (0..schedule.ring().min(blocks))
-        .map(|_| (&vectors[..0], String::with_capacity(rows * dim * 24)))
+    let mut ring: Vec<(&[DenseVector], Vec<u8>)> = (0..schedule.ring().min(blocks))
+        .map(|_| (&vectors[..0], Vec::with_capacity(rows * dim * 24)))
         .collect();
     if !ring.is_empty() {
         pipeline(
@@ -276,17 +278,17 @@ pub fn write_vectors_scheduled<W: Write>(
             |(), _, (block, text)| {
                 text.clear();
                 for v in block.iter() {
-                    for (i, x) in v.iter().enumerate() {
+                    for (i, &x) in v.iter().enumerate() {
                         if i > 0 {
-                            text.push(',');
+                            text.push(b',');
                         }
-                        write!(text, "{x}").expect("writing to a String cannot fail");
+                        push_f64(text, x);
                     }
-                    text.push('\n');
+                    text.push(b'\n');
                 }
                 Ok(())
             },
-            |_, (_, text)| Ok::<(), CliError>(writer.write_all(text.as_bytes())?),
+            |_, (_, text)| Ok::<(), CliError>(writer.write_all(text)?),
         )?;
     }
     writer.flush()?;
@@ -397,14 +399,17 @@ mod tests {
             DenseVector::from(&[0.1, 1.0 / 3.0, -0.05, f64::MAX, f64::MIN_POSITIVE][..]),
             DenseVector::from(&[-0.0][..]),
             DenseVector::new(Vec::new()),
+            // 326 characters a coordinate: a block of these outgrows the room its
+            // buffer was given, on whichever thread formats it.
+            DenseVector::new(vec![-5e-324; 48]),
         ];
         let mut written = Vec::new();
         write_vectors_to(&mut written, &vectors).unwrap();
         assert_eq!(written, reference(&vectors));
         // ...at every thread count, and wherever the blocks are cut (in coordinates:
         // a row each, a few rows, everything in one).
-        for threads in [1, 2, 3, 7] {
-            for block in [0, 1, 70, 1 << 20] {
+        for threads in [1, 2, 3, 7, 8] {
+            for block in [0, 1, 70, WRITE_BLOCK, 1 << 20] {
                 let mut written = Vec::new();
                 write_vectors_scheduled(&mut written, &vectors, Schedule { threads, block })
                     .unwrap();

@@ -23,7 +23,8 @@
 //!
 //! The crate is a thin, testable layer: raw `key=value` splitting lives in [`args`],
 //! the declarative command schema (argument types, defaults, generated help, the
-//! serve line protocol) in [`schema`], CSV I/O in [`dataset`], the serve REPL in
+//! serve line protocol) in [`schema`], CSV I/O in [`dataset`] (its number formatter in
+//! `decimal`), the serve REPL in
 //! [`serve`] (with the TCP front-end in [`net`]), and each subcommand is an ordinary
 //! function in [`commands`] that binds
 //! its arguments against the schema and returns its report as a value (the binary in
@@ -37,6 +38,7 @@
 pub mod args;
 pub mod commands;
 pub mod dataset;
+mod decimal;
 pub mod error;
 pub mod net;
 pub mod schema;

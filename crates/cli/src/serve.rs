@@ -47,6 +47,7 @@
 //! [`Coalescer`], merging concurrent single-query requests into batched engine
 //! passes.
 
+use crate::dataset::parse_row;
 use crate::error::{CliError, Result};
 use ips_linalg::DenseVector;
 use ips_obs::{Observable, Stage, TraceCapture, TraceSink};
@@ -54,26 +55,11 @@ use ips_store::{Coalescer, ShardedServingIndex};
 use std::io::{BufRead, Write};
 use std::time::Instant;
 
-/// Parses one `a,b,c` coordinate list.
+/// Parses one `a,b,c` coordinate list — a data line of a CSV file, by the file
+/// reader's own rule.
 fn parse_vector(text: &str) -> Result<DenseVector> {
     let mut coords = Vec::new();
-    for field in text.split(',') {
-        let field = field.trim();
-        let value: f64 = field.parse().map_err(|_| CliError::Usage {
-            reason: format!("`{field}` is not a number"),
-        })?;
-        if !value.is_finite() {
-            return Err(CliError::Usage {
-                reason: format!("non-finite coordinate `{field}`"),
-            });
-        }
-        coords.push(value);
-    }
-    if coords.is_empty() {
-        return Err(CliError::Usage {
-            reason: "empty vector".into(),
-        });
-    }
+    parse_row(text, &mut None, &mut coords).map_err(|reason| CliError::Usage { reason })?;
     Ok(DenseVector::new(coords))
 }
 

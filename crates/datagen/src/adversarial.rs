@@ -26,7 +26,7 @@
 use crate::error::{DatagenError, Result};
 use crate::planted::{PlantedConfig, PlantedInstance};
 use crate::sphere::unit_vectors;
-use ips_linalg::random::gaussian_vector;
+use ips_linalg::random::{fill_standard_gaussians, gaussian_vector};
 use ips_linalg::DenseVector;
 use rand::Rng;
 
@@ -173,16 +173,17 @@ pub fn unnormalised<R: Rng + ?Sized>(
     scale: AdversarialScale,
 ) -> Result<PlannerWorkload> {
     let scale = validated(scale)?;
-    let data = (0..scale.n)
-        .map(|_| gaussian_vector(rng, scale.dim))
-        .collect();
-    let queries = (0..scale.m)
-        .map(|_| gaussian_vector(rng, scale.dim))
-        .collect();
+    let gaussian_vectors = |count: usize, rng: &mut R| -> Vec<DenseVector> {
+        let mut flat = vec![0.0; count * scale.dim];
+        fill_standard_gaussians(rng, &mut flat);
+        flat.chunks_exact(scale.dim)
+            .map(DenseVector::from)
+            .collect()
+    };
     Ok(PlannerWorkload {
         name: "unnormalised",
-        data,
-        queries,
+        data: gaussian_vectors(scale.n, rng),
+        queries: gaussian_vectors(scale.m, rng),
         // Gaussian inner products concentrate around ±√d; threshold well into
         // the tail so the output stays sparse.
         threshold: 3.0 * (scale.dim as f64).sqrt(),

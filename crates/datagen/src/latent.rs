@@ -12,7 +12,7 @@
 //! data satisfies the domain assumptions of the Section 4 data structures.
 
 use crate::error::{DatagenError, Result};
-use ips_linalg::random::{random_unit_vector, standard_gaussian};
+use ips_linalg::random::{random_unit_vector, random_unit_vectors, standard_gaussian};
 use ips_linalg::DenseVector;
 use rand::Rng;
 
@@ -77,9 +77,7 @@ impl LatentFactorModel {
                 v.scale_in_place(1.0 / max_norm);
             }
         }
-        let users = (0..config.users)
-            .map(|_| random_unit_vector(rng, config.dim))
-            .collect::<std::result::Result<Vec<_>, _>>()?;
+        let users = random_unit_vectors(rng, config.users, config.dim)?;
         Ok(Self { items, users })
     }
 

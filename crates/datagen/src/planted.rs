@@ -10,7 +10,7 @@
 //! scaling of each algorithm.
 
 use crate::error::{DatagenError, Result};
-use ips_linalg::random::random_unit_vector;
+use ips_linalg::random::{random_unit_vector, random_unit_vectors};
 use ips_linalg::DenseVector;
 use rand::Rng;
 
@@ -76,12 +76,13 @@ impl PlantedInstance {
                 reason: "background scale must be positive and |planted_ip| <= 1".into(),
             });
         }
-        let queries: Vec<DenseVector> = (0..config.queries)
-            .map(|_| random_unit_vector(rng, config.dim))
-            .collect::<std::result::Result<_, ips_linalg::LinalgError>>()?;
-        let mut data: Vec<DenseVector> = (0..config.data)
-            .map(|_| Ok(random_unit_vector(rng, config.dim)?.scaled(config.background_scale)))
-            .collect::<std::result::Result<_, ips_linalg::LinalgError>>()?;
+        // Queries, then the background data: two plain runs of unit vectors, drawn in
+        // batches (the stream, and so the instance of a seed, is the scalar loop's).
+        let queries = random_unit_vectors(rng, config.queries, config.dim)?;
+        let mut data = random_unit_vectors(rng, config.data, config.dim)?;
+        for v in &mut data {
+            v.scale_in_place(config.background_scale);
+        }
         // Plant pair i: data vector at a random index gets inner product planted_ip with
         // query i while staying inside the unit ball (norm <= 1). Planted data indices
         // are chosen *distinct* (partial Fisher–Yates) so later pairs never overwrite
@@ -200,6 +201,59 @@ mod tests {
             ..Default::default()
         };
         assert!(PlantedInstance::generate(&mut r, bad).is_err());
+    }
+
+    #[test]
+    fn a_seeds_instance_is_the_one_the_scalar_loops_drew() {
+        // FNV-1a over every coordinate's bits, then the planted pairs. The recorded
+        // values are the parent build's — one `random_unit_vector` call per vector —
+        // for seed 7, scale 0.05, planted product 0.85; the larger shapes run the
+        // batch on several threads where there are several CPUs.
+        fn digest(instance: &PlantedInstance) -> u64 {
+            let vectors = instance.data().iter().chain(instance.queries());
+            let coordinates = vectors.flat_map(|v| v.iter().map(|x| x.to_bits()));
+            let pairs = instance.planted_pairs().iter();
+            let words = coordinates.chain(pairs.flat_map(|&(d, q)| [d as u64, q as u64]));
+            words
+                .flat_map(u64::to_le_bytes)
+                .fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+                    (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+                })
+        }
+        for (data, queries, dim, planted, recorded) in [
+            (300, 40, 48, 8, 0x192f_3374_1b86_af4f_u64),
+            (129, 64, 64, 64, 0x8ce5_4a0e_2031_820c),
+            (2000, 40, 48, 8, 0x0e10_4e2a_ba5e_74d5),
+            (20_000, 70, 2, 8, 0x79f6_f0ab_15c0_fd92),
+        ] {
+            let config = PlantedConfig {
+                data,
+                queries,
+                dim,
+                background_scale: 0.05,
+                planted_ip: 0.85,
+                planted,
+            };
+            let mut r = StdRng::seed_from_u64(7);
+            let inst = PlantedInstance::generate(&mut r, config).unwrap();
+            assert_eq!(digest(&inst), recorded, "{config:?}");
+            // The plain runs once more against the scalar code itself: every query,
+            // and every data vector no pair was planted over, bit for bit.
+            let mut r = StdRng::seed_from_u64(7);
+            let mut unit = || random_unit_vector(&mut r, dim).unwrap();
+            let bits = |v: &DenseVector| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for q in inst.queries() {
+                assert_eq!(bits(q), bits(&unit()));
+            }
+            for (di, p) in inst.data().iter().enumerate() {
+                let background = unit().scaled(0.05);
+                let planted_over = inst.planted_pairs().iter().any(|&(d, _)| d == di);
+                assert!(
+                    planted_over || bits(p) == bits(&background),
+                    "data vector {di}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! ball / sphere.
 
 use crate::error::{DatagenError, Result};
-use ips_linalg::random::{correlated_unit_pair, random_ball_vector, random_unit_vector};
+use ips_linalg::random::{correlated_unit_pair, random_ball_vector, random_unit_vectors};
 use ips_linalg::DenseVector;
 use rand::Rng;
 
@@ -16,9 +16,7 @@ pub fn unit_vectors<R: Rng + ?Sized>(
     count: usize,
     dim: usize,
 ) -> Result<Vec<DenseVector>> {
-    (0..count)
-        .map(|_| random_unit_vector(rng, dim).map_err(DatagenError::from))
-        .collect()
+    Ok(random_unit_vectors(rng, count, dim)?)
 }
 
 /// Draws `count` vectors uniform in the ball of the given radius.

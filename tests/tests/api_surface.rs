@@ -270,6 +270,20 @@ fn block_parallel_set_up_surface_is_pinned() {
     let read: ips_cli::Result<Vec<DenseVector>> =
         dataset::read_vectors_scheduled(&text[..], "text", Schedule::new(READ_BLOCK));
     assert_eq!(read.unwrap(), data);
+    // PR 24 (MIGRATION.md, "Batch samplers"): the two batch forms of the Gaussian
+    // sampler, on the same driver; the scalar forms keep their signatures (the
+    // benchmark compiles against `random_unit_vector`).
+    use ips_linalg::random;
+    let _fill: fn(&mut StdRng, &mut [f64]) = random::fill_standard_gaussians::<StdRng>;
+    let _batch: fn(&mut StdRng, usize, usize) -> ips_linalg::Result<Vec<DenseVector>> =
+        random::random_unit_vectors::<StdRng>;
+    let _one: fn(&mut StdRng, usize) -> ips_linalg::Result<DenseVector> =
+        random::random_unit_vector::<StdRng>;
+    let batch = random::random_unit_vectors(&mut StdRng::seed_from_u64(2), 3, 4).unwrap();
+    let mut one_by_one = StdRng::seed_from_u64(2);
+    for v in &batch {
+        assert_eq!(v, &random::random_unit_vector(&mut one_by_one, 4).unwrap());
+    }
 }
 
 #[test]

@@ -33,6 +33,9 @@
 //!    `docs/ARCHITECTURE.md`), so these per-thread numbers are the build's.
 //! 8. Reading a CSV file holds the vectors and a fixed number of block buffers, never
 //!    the file.
+//! 9. Generating a batch of unit vectors holds the vectors and the ring of sample
+//!    blocks, and the calling thread's counters see every vector: the threads that
+//!    compute the Gaussians allocate none of the data set.
 
 use ips_core::asymmetric::{AlshParams, SphereTransform};
 use ips_core::facade::{Join, Strategy};
@@ -41,7 +44,7 @@ use ips_core::problem::{JoinSpec, JoinVariant, MatchPair};
 use ips_core::symmetric::{SymmetricParams, SymmetricSphereMap};
 use ips_core::LshMips;
 use ips_linalg::par::Schedule;
-use ips_linalg::random::random_ball_vector;
+use ips_linalg::random::{random_ball_vector, random_unit_vectors};
 use ips_linalg::DenseVector;
 use ips_lsh::hyperplane::HyperplaneFamily;
 use ips_lsh::table::{IndexParams, LshIndex, BUILD_BLOCK};
@@ -734,4 +737,26 @@ fn reading_a_csv_file_holds_the_vectors_and_a_few_blocks() {
         );
     }
     std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn a_batch_of_unit_vectors_is_allocated_by_the_thread_that_asked_for_it() {
+    let (n, dim) = (20_000, 64);
+    let payload = n * dim * std::mem::size_of::<f64>();
+    let spine = n * std::mem::size_of::<DenseVector>();
+    // The ring: `threads × DEPTH` blocks of 4096 pairs of uniforms.
+    let ring = Schedule::new(4096).ring() * 2 * 4096 * std::mem::size_of::<f64>();
+    let span = Span::begin();
+    let batch = random_unit_vectors(&mut StdRng::seed_from_u64(9), n, dim).unwrap();
+    let (held, kept) = (span.held(), span.kept());
+    assert_eq!(batch.len(), n);
+    assert!(
+        held <= payload + spine + ring + 16 * KIB,
+        "generating held {held} bytes; the vectors are {payload} + {spine}, the ring {ring}"
+    );
+    // Whatever another thread had allocated would be missing here.
+    assert!(
+        kept >= payload + spine,
+        "this thread kept {kept} bytes of {payload} + {spine}"
+    );
 }
