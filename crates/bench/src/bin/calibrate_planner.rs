@@ -118,6 +118,11 @@ fn fit(measurements: &[Measurement], strategy: Strategy) -> Option<f64> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    const KEYS: [&str; 4] = ["n=", "m=", "dim=", "seed="];
+    if let Some(bad) = args.iter().find(|a| !KEYS.iter().any(|k| a.starts_with(k))) {
+        eprintln!("error: unrecognised argument `{bad}`; calibrate_planner takes n= m= dim= seed=");
+        std::process::exit(2);
+    }
     let get = |key: &str, default: u64| -> u64 {
         args.iter()
             .find_map(|a| a.strip_prefix(&format!("{key}=")))

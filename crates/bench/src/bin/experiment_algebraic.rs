@@ -11,7 +11,7 @@
 //!    family wins precisely when `c` is small (strong approximation allowed); the run
 //!    shows candidates exploding as `c → 1` and staying tiny for small `c`.
 
-use ips_bench::{fmt, render_table, JsonReporter, Timer};
+use ips_bench::{fmt, no_args, render_table, Timer};
 use ips_core::algebraic::algebraic_exact_join;
 use ips_core::brute::brute_force_join;
 use ips_core::problem::{JoinSpec, JoinVariant};
@@ -23,7 +23,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let mut json = JsonReporter::from_env_args();
+    no_args();
     let mut rng = StdRng::seed_from_u64(0xE9);
     println!("== E9: algebraic joins (the matrix-multiplication side of Table 1) ==\n");
 
@@ -47,21 +47,9 @@ fn main() {
         let t = Timer::start();
         let brute = brute_force_join(inst.data(), inst.queries(), &spec).unwrap();
         let t_brute = t.elapsed_ms();
-        json.record(
-            "algebraic_exact",
-            &[("algo", "brute".to_string()), ("n", n.to_string())],
-            t.elapsed_ns(),
-            (2 * n * 64 * 48) as f64,
-        );
         let t = Timer::start();
         let gram = algebraic_exact_join(inst.data(), inst.queries(), &spec, 64).unwrap();
         let t_gram = t.elapsed_ms();
-        json.record(
-            "algebraic_exact",
-            &[("algo", "gram".to_string()), ("n", n.to_string())],
-            t.elapsed_ns(),
-            (2 * n * 64 * 48) as f64,
-        );
         assert_eq!(brute, gram, "the two exact joins must agree");
         rows.push(vec![
             n.to_string(),
@@ -119,16 +107,6 @@ fn main() {
             )
             .unwrap();
             let elapsed = t.elapsed_ms();
-            json.record(
-                "amplified_join",
-                &[
-                    ("s_over_d", fmt(s / dim as f64, 3)),
-                    ("degree", degree.to_string()),
-                    ("candidates", report.candidates.to_string()),
-                ],
-                t.elapsed_ns(),
-                0.0,
-            );
             let answered: std::collections::HashSet<usize> =
                 report.pairs.iter().map(|p| p.query_index).collect();
             let recall = planted_pairs
@@ -171,5 +149,4 @@ fn main() {
          algebraic family only wins for approximation factors bounded away from 1 (Table 1).)",
         1.0 / (dim as f64).sqrt()
     );
-    json.finish().expect("write --json report");
 }

@@ -7,7 +7,7 @@
 //! MH-ALSH `a/(M + |q| − a)`, E2LSH closed form). The SIMPLE-ALSH row demonstrates the
 //! asymmetry cost: identical vectors do *not* collide with probability 1.
 
-use ips_bench::{fmt, render_table, JsonReporter, Timer};
+use ips_bench::{fmt, no_args, render_table, Timer};
 use ips_datagen::sphere::similarity_ladder;
 use ips_linalg::BinaryVector;
 use ips_lsh::collision::estimate_collision_curve;
@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let mut json = JsonReporter::from_env_args();
+    no_args();
     let mut rng = StdRng::seed_from_u64(0xE4);
     let timer = Timer::start();
     let dim = 32;
@@ -32,29 +32,14 @@ fn main() {
     // Hyperplane / SIMPLE-ALSH on the similarity ladder.
     let ladder = similarity_ladder(&mut rng, dim, &sims).expect("valid ladder");
     let hyperplane = SymmetricAsAsymmetric(HyperplaneFamily::single_bit(dim).unwrap());
-    let curve_timer = Timer::start();
     let hp_curve = estimate_collision_curve(&hyperplane, &ladder, trials, &mut rng).unwrap();
-    json.record(
-        "collision_hyperplane",
-        &[("dim", dim.to_string()), ("trials", trials.to_string())],
-        curve_timer.elapsed_ns(),
-        // One hash draw costs a d-dimensional dot product on each side.
-        (trials * sims.len() * 2 * 2 * dim) as f64,
-    );
     let simple = SimpleAlshFamily::new(dim, 1.0, 1).unwrap();
     // Rescale the ladder slightly inside the unit ball for the ALSH domain checks.
     let alsh_ladder: Vec<_> = ladder
         .iter()
         .map(|(s, a, b)| (*s, a.scaled(0.999), b.scaled(0.999)))
         .collect();
-    let curve_timer = Timer::start();
     let alsh_curve = estimate_collision_curve(&simple, &alsh_ladder, trials, &mut rng).unwrap();
-    json.record(
-        "collision_simple_alsh",
-        &[("dim", dim.to_string()), ("trials", trials.to_string())],
-        curve_timer.elapsed_ns(),
-        (trials * sims.len() * 2 * 2 * (dim + 2)) as f64,
-    );
 
     let mut rows = Vec::new();
     for (hp, alsh) in hp_curve.iter().zip(alsh_curve.iter()) {
@@ -83,7 +68,6 @@ fn main() {
     let universe = 200;
     let set_size = 40;
     let capacity = 50;
-    let mh_timer = Timer::start();
     let family = MhAlshFamily::new(universe, capacity).unwrap();
     let data = BinaryVector::from_support(universe, &(0..set_size).collect::<Vec<_>>()).unwrap();
     let mut rows = Vec::new();
@@ -108,16 +92,6 @@ fn main() {
             fmt(collisions as f64 / trials as f64, 4),
         ]);
     }
-    json.record(
-        "collision_mhalsh",
-        &[
-            ("universe", universe.to_string()),
-            ("set_size", set_size.to_string()),
-            ("trials", trials.to_string()),
-        ],
-        mh_timer.elapsed_ns(),
-        0.0,
-    );
     println!("MH-ALSH on binary sets (|x| = {set_size}, M = {capacity}):");
     println!(
         "{}",
@@ -138,5 +112,4 @@ fn main() {
         fmt(self_collisions as f64 / trials as f64, 4)
     );
     println!("total time: {} ms", fmt(timer.elapsed_ms(), 0));
-    json.finish().expect("write --json report");
 }

@@ -9,7 +9,7 @@
 //! and it shrinks further as the ratio `U/s` grows, which is why no asymmetric LSH can
 //! exist for unbounded query domains.
 
-use ips_bench::{fmt, render_table, JsonReporter, Timer};
+use ips_bench::{fmt, no_args, render_table};
 use ips_core::lower_bounds::grid::estimate_gap_on_sequence;
 use ips_core::lower_bounds::sequences::{
     hard_sequence_case1, hard_sequence_case2, hard_sequence_case3, HardSequence,
@@ -19,30 +19,13 @@ use ips_lsh::simple_alsh::SimpleAlshFamily;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn measure(
-    label: &str,
-    seq: &HardSequence,
-    trials: usize,
-    rng: &mut StdRng,
-    json: &mut JsonReporter,
-) -> Vec<String> {
-    let timer = Timer::start();
+fn measure(label: &str, seq: &HardSequence, trials: usize, rng: &mut StdRng) -> Vec<String> {
     let dim = seq.data[0].dim();
     // SIMPLE-ALSH needs the query radius; use the sequence's U.
     let simple = SimpleAlshFamily::new(dim, seq.u, 1).expect("valid family");
     let (p1, p2) = estimate_gap_on_sequence(&simple, seq, trials, rng).expect("measurable");
     let l2 = L2AlshFamily::with_defaults(dim, 1.0).expect("valid family");
     let (p1_l2, p2_l2) = estimate_gap_on_sequence(&l2, seq, trials, rng).expect("measurable");
-    json.record(
-        "hard_sequence_gap",
-        &[
-            ("sequence", label.to_string()),
-            ("n", seq.len().to_string()),
-            ("trials", trials.to_string()),
-        ],
-        timer.elapsed_ns(),
-        0.0,
-    );
     vec![
         label.to_string(),
         seq.len().to_string(),
@@ -53,7 +36,7 @@ fn measure(
 }
 
 fn main() {
-    let mut json = JsonReporter::from_env_args();
+    no_args();
     let mut rng = StdRng::seed_from_u64(0xE7);
     let trials = 1500;
     println!("== E7: measured P1 - P2 on the Theorem 3 hard sequences ==\n");
@@ -65,7 +48,6 @@ fn main() {
             &seq,
             trials,
             &mut rng,
-            &mut json,
         ));
     }
     for &(s, c, u) in &[(0.05, 0.8, 1.0), (0.01, 0.9, 1.0)] {
@@ -75,7 +57,6 @@ fn main() {
             &seq,
             trials,
             &mut rng,
-            &mut json,
         ));
     }
     for &(s, c, levels) in &[(0.05f64, 0.6, 3u32), (0.02, 0.6, 4)] {
@@ -85,7 +66,6 @@ fn main() {
             &seq,
             trials.min(400),
             &mut rng,
-            &mut json,
         ));
     }
     println!(
@@ -102,7 +82,6 @@ fn main() {
         )
     );
     println!("\nShape to verify: measured gaps sit below (or within sampling noise of) the bound,");
-    json.finish().expect("write --json report");
     println!("and both the bound and the measured gaps shrink as the sequences lengthen, i.e. as");
     println!("U/s grows — the mechanism behind the impossibility of ALSH for unbounded queries.");
 }

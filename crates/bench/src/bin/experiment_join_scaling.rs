@@ -4,16 +4,16 @@
 //! On planted-pair workloads of growing size the four joins are timed end to end:
 //! exact brute force (`O(n·|Q|·d)`), the Section 4.1 ALSH join, the Section 4.2
 //! symmetric-LSH join, and the Section 4.3 sketch join — the three index joins with
-//! their build and their query pass timed apart (the table's `build + query` columns;
-//! a `--json` record holds the sum, as it always has). The LSH builds hash on every
-//! available CPU, so the build column is the one that moves with the core count.
+//! their build and their query pass timed apart (the table's `build + query` columns).
+//! The LSH builds hash on every available CPU, so the build column is the one that
+//! moves with the core count.
 //! Recall of the planted pairs and validity (no reported pair below `cs`) are checked
 //! alongside the wall-clock numbers. The shape to verify against the paper:
 //! the brute-force column grows linearly in `n` (quadratically in total work), while the
 //! LSH/sketch columns grow sublinearly and keep recall high; absolute numbers are
 //! machine-dependent.
 
-use ips_bench::{fmt, render_table, JsonReporter, Timer};
+use ips_bench::{fmt, no_args, render_table, Timer};
 use ips_core::asymmetric::{AlshParams, SphereTransform};
 use ips_core::brute::brute_force_join;
 use ips_core::engine::{EngineConfig, JoinEngine};
@@ -27,11 +27,8 @@ use ips_sketch::linf_mips::MaxIpConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// An index join in its two phases: `(pairs, build ms, query ms)`, with the sum
-/// recorded under the key the join has always had.
+/// An index join in its two phases: `(pairs, build ms, query ms)`.
 fn index_join<I>(
-    json: &mut JsonReporter,
-    (algo, n): (&str, usize),
     build: impl FnOnce() -> I,
     query: impl FnOnce(&I) -> Vec<MatchPair>,
 ) -> (Vec<MatchPair>, f64, f64) {
@@ -39,13 +36,11 @@ fn index_join<I>(
     let built = build();
     let build_ms = t.elapsed_ms();
     let matches = query(&built);
-    let params = [("algo", algo.to_string()), ("n", n.to_string())];
-    json.record("join_scaling", &params, t.elapsed_ns(), 0.0);
     (matches, build_ms, t.elapsed_ms() - build_ms)
 }
 
 fn main() {
-    let mut json = JsonReporter::from_env_args();
+    no_args();
     let mut rng = StdRng::seed_from_u64(0xE5);
     println!("== E5: (cs, s) join scaling on planted-pair workloads ==\n");
     let spec = JoinSpec::new(0.8, 0.6, JoinVariant::Unsigned).unwrap();
@@ -67,17 +62,9 @@ fn main() {
         let t = Timer::start();
         let exact = brute_force_join(inst.data(), inst.queries(), &spec).unwrap();
         let t_brute = t.elapsed_ms();
-        json.record(
-            "join_scaling",
-            &[("algo", "brute".to_string()), ("n", n.to_string())],
-            t.elapsed_ns(),
-            (2 * n * 64 * 48) as f64,
-        );
 
         let (data, queries, schedule) = (inst.data(), inst.queries(), Schedule::new(BUILD_BLOCK));
         let (alsh, alsh_build, alsh_query) = index_join(
-            &mut json,
-            ("alsh", n),
             || {
                 let params = AlshParams::default();
                 let index =
@@ -92,8 +79,6 @@ fn main() {
             rows: None,
         };
         let (sketch, sketch_build, sketch_query) = index_join(
-            &mut json,
-            ("sketch", n),
             || {
                 JoinEngine::new(
                     SketchMipsAdapter::build(&mut rng, data, spec, sketch_config, 16).unwrap(),
@@ -105,8 +90,6 @@ fn main() {
         // other columns stay the ones recorded before this column existed.
         let mut own = StdRng::seed_from_u64(42);
         let (symmetric, symmetric_build, symmetric_query) = index_join(
-            &mut json,
-            ("symmetric", n),
             || {
                 let params = SymmetricParams::default();
                 let index =
@@ -196,22 +179,10 @@ fn main() {
     let t = Timer::start();
     let serial = serial_engine.run_serial(inst.queries()).unwrap();
     let t_serial = t.elapsed_ms();
-    json.record(
-        "engine_comparison",
-        &[("mode", "serial".to_string()), ("n", "8000".to_string())],
-        t.elapsed_ns(),
-        (2usize * 8000 * 256 * 48) as f64,
-    );
     let parallel_engine = JoinEngine::new(&index);
     let t = Timer::start();
     let parallel = parallel_engine.run(inst.queries()).unwrap();
     let t_parallel = t.elapsed_ms();
-    json.record(
-        "engine_comparison",
-        &[("mode", "parallel".to_string()), ("n", "8000".to_string())],
-        t.elapsed_ns(),
-        (2usize * 8000 * 256 * 48) as f64,
-    );
     assert_eq!(serial, parallel, "engine must not change join results");
     println!(
         "\nJoinEngine on |P| = 8000, |Q| = 256 (brute-force index, {cores} cores): \
@@ -220,5 +191,4 @@ serial loop {} ms, parallel batched {} ms, speedup {}x",
         fmt(t_parallel, 1),
         fmt(t_serial / t_parallel.max(1e-9), 2),
     );
-    json.finish().expect("write --json report");
 }

@@ -7,7 +7,7 @@
 //! reduction costs only an `n^{o(1)}` factor — so any truly subquadratic join algorithm
 //! in these parameter regimes would break the OVP conjecture.
 
-use ips_bench::{fmt, render_table, JsonReporter, Timer};
+use ips_bench::{fmt, no_args, render_table, Timer};
 use ips_ovp::reduction::{solve_via_join, BruteForceJoinOracle, OvpAnswer};
 use ips_ovp::{
     brute_force_pair, no_pair_instance, planted_instance, ChebyshevEmbedding, GapEmbedding,
@@ -23,7 +23,6 @@ fn run_case<E: GapEmbedding>(
     n: usize,
     rng: &mut StdRng,
     rows: &mut Vec<Vec<String>>,
-    json: &mut JsonReporter,
 ) {
     let mut oracle = BruteForceJoinOracle;
 
@@ -33,17 +32,6 @@ fn run_case<E: GapEmbedding>(
     let elapsed = timer.elapsed_ms();
     let expected = brute_force_pair(&planted).unwrap().is_some();
     let found = matches!(answer, OvpAnswer::OrthogonalPair(_, _));
-    json.record(
-        "ovp_reduction",
-        &[
-            ("embedding", label.to_string()),
-            ("instance", "planted".to_string()),
-            ("n", n.to_string()),
-            ("embedded_dim", embedding.output_dim().to_string()),
-        ],
-        timer.elapsed_ns(),
-        (2 * n * n * embedding.output_dim()) as f64,
-    );
     rows.push(vec![
         label.to_string(),
         "planted".to_string(),
@@ -60,17 +48,6 @@ fn run_case<E: GapEmbedding>(
     let answer = solve_via_join(&empty, embedding, &mut oracle).expect("reduction runs");
     let elapsed = timer.elapsed_ms();
     let found = matches!(answer, OvpAnswer::OrthogonalPair(_, _));
-    json.record(
-        "ovp_reduction",
-        &[
-            ("embedding", label.to_string()),
-            ("instance", "no_pair".to_string()),
-            ("n", n.to_string()),
-            ("embedded_dim", embedding.output_dim().to_string()),
-        ],
-        timer.elapsed_ns(),
-        (2 * n * n * embedding.output_dim()) as f64,
-    );
     rows.push(vec![
         label.to_string(),
         "no pair".to_string(),
@@ -84,7 +61,7 @@ fn run_case<E: GapEmbedding>(
 }
 
 fn main() {
-    let mut json = JsonReporter::from_env_args();
+    no_args();
     let mut rng = StdRng::seed_from_u64(0xE8);
     println!("== E8: solving OVP through a (cs, s) join oracle (Lemma 2) ==\n");
     let mut rows = Vec::new();
@@ -98,7 +75,6 @@ fn main() {
         n,
         &mut rng,
         &mut rows,
-        &mut json,
     );
 
     let dim = 10;
@@ -109,7 +85,6 @@ fn main() {
         n,
         &mut rng,
         &mut rows,
-        &mut json,
     );
 
     let dim = 16;
@@ -120,7 +95,6 @@ fn main() {
         n,
         &mut rng,
         &mut rows,
-        &mut json,
     );
 
     println!(
@@ -141,5 +115,4 @@ fn main() {
     );
     println!("\n(|P| = |Q| = {n}; the join oracle is the exact quadratic scan, so the timing");
     println!("column isolates the cost of the embedding + verification pipeline of Lemma 2.)");
-    json.finish().expect("write --json report");
 }

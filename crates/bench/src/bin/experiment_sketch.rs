@@ -7,7 +7,7 @@
 //! estimated and the true maximum absolute inner product, and how often the prefix-tree
 //! recovery returns the exact argmax on a latent-factor workload.
 
-use ips_bench::{fmt, render_table, JsonReporter, Timer};
+use ips_bench::{fmt, no_args, render_table};
 use ips_datagen::latent::{LatentFactorConfig, LatentFactorModel};
 use ips_sketch::linf_mips::{MaxIpConfig, MaxIpEstimator};
 use ips_sketch::recovery::SketchMipsIndex;
@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let mut json = JsonReporter::from_env_args();
+    no_args();
     let mut rng = StdRng::seed_from_u64(0xE6);
     println!("== E6: sketch-based unsigned c-MIPS quality vs kappa ==\n");
     let model = LatentFactorModel::generate(
@@ -37,7 +37,6 @@ fn main() {
             copies: 11,
             rows: None,
         };
-        let timer = Timer::start();
         let estimator = MaxIpEstimator::build(&mut rng, model.items(), config).unwrap();
         let index = SketchMipsIndex::build(&mut rng, model.items().to_vec(), config, 16).unwrap();
 
@@ -53,18 +52,6 @@ fn main() {
             }
         }
         let users = model.users().len() as f64;
-        // Per-query estimator cost: copies matrix-vector products of m x d each.
-        let query_flops = 11.0 * (estimator.rows_per_copy() * 32 * 2) as f64 * users;
-        json.record(
-            "sketch_quality",
-            &[
-                ("kappa", fmt(kappa, 0)),
-                ("rows", estimator.rows_per_copy().to_string()),
-                ("exact_hits", exact_hits.to_string()),
-            ],
-            timer.elapsed_ns(),
-            query_flops,
-        );
         rows.push(vec![
             fmt(kappa, 0),
             fmt((n as f64).powf(-1.0 / kappa), 4),
@@ -92,5 +79,4 @@ fn main() {
     println!("Shape to verify: larger kappa -> more rows (closer to linear scan) but a tighter");
     println!("approximation guarantee; the measured estimate/true ratio stays within a small");
     println!("constant of 1 across kappa, as the paper's analysis predicts.");
-    json.finish().expect("write --json report");
 }

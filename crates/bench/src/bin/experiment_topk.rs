@@ -8,7 +8,7 @@
 //! together with the average candidate-set size (the quantity the ρ exponent of
 //! Figure 2 predicts).
 
-use ips_bench::{fmt, render_table, JsonReporter, Timer};
+use ips_bench::{fmt, no_args, render_table, Timer};
 use ips_core::asymmetric::{AlshParams, SphereTransform};
 use ips_core::lsh_mips::{LshMips, BUILD_BLOCK};
 use ips_core::mips::BruteForceMipsIndex;
@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let mut json = JsonReporter::from_env_args();
+    no_args();
     let mut rng = StdRng::seed_from_u64(0xE10);
     println!("== E10: top-k recall of the Section 4.1 ALSH index on latent-factor data ==\n");
     let model = LatentFactorModel::generate(
@@ -67,17 +67,6 @@ fn main() {
                 recall_total += top_k_recall(&exact_top, &approx_top);
             }
             let query_ms = query_timer.elapsed_ms() / model.users().len() as f64;
-            json.record(
-                "topk_recall",
-                &[
-                    ("tables", tables.to_string()),
-                    ("k", k.to_string()),
-                    ("mean_candidates", fmt(mean_candidates, 0)),
-                ],
-                query_timer.elapsed_ns(),
-                // The exact reference side dominates: n * d mults+adds per user.
-                (2 * 4000 * 32 * 200) as f64,
-            );
             rows.push(vec![
                 tables.to_string(),
                 k.to_string(),
@@ -109,5 +98,4 @@ fn main() {
          as k grows, because deeper result lists reach further down the inner-product ranking where\n\
          collision probabilities are lower.)"
     );
-    json.finish().expect("write --json report");
 }

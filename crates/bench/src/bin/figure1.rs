@@ -7,12 +7,11 @@
 //! the squares partition the lower triangle exactly, and prints the implied bound
 //! `P1 − P2 ≤ 1/(8·log n)` for a range of sequence lengths.
 
-use ips_bench::{fmt, render_table, JsonReporter, Timer};
+use ips_bench::{fmt, no_args, render_table};
 use ips_core::lower_bounds::grid::{figure1_grid, gap_upper_bound, grid_squares, NodeClass};
 
 fn main() {
-    let mut json = JsonReporter::from_env_args();
-    let timer = Timer::start();
+    no_args();
     let ell = 4u32;
     let n = (1usize << ell) - 1;
     println!("== Figure 1: Lemma 4 grid partition on a {n} x {n} grid ==\n");
@@ -61,24 +60,10 @@ fn main() {
     println!("\nLemma 4 bound P1 - P2 <= 1/(8 log2 n) as the hard sequence grows:");
     let rows: Vec<Vec<String>> = [3usize, 7, 15, 63, 255, 1023, 4095, 65535]
         .iter()
-        .map(|&len| {
-            json.record("figure1_gap_bound", &[("n", len.to_string())], 0, 0.0);
-            vec![len.to_string(), fmt(gap_upper_bound(len), 6)]
-        })
+        .map(|&len| vec![len.to_string(), fmt(gap_upper_bound(len), 6)])
         .collect();
     println!(
         "{}",
         render_table(&["sequence length n", "max gap P1-P2"], &rows)
     );
-    json.record(
-        "figure1_grid",
-        &[
-            ("ell", ell.to_string()),
-            ("covered", covered.to_string()),
-            ("double_covered", double_covered.to_string()),
-        ],
-        timer.elapsed_ns(),
-        0.0,
-    );
-    json.finish().expect("write --json report");
 }

@@ -11,24 +11,17 @@
 //! paper: DATA-DEP is never above SIMP, and beats MH-ALSH for large `s` and `c` (e.g.
 //! `s ≥ 1/3`, `c ≥ 0.83`) while MH-ALSH wins for small `s`.
 
-use ips_bench::{fmt, render_table, JsonReporter, Timer};
+use ips_bench::{fmt, no_args, render_table};
 use ips_lsh::alsh_l2::L2AlshParams;
 use ips_lsh::rho::{figure2_series, rho_l2_alsh};
 
 fn main() {
-    let mut json = JsonReporter::from_env_args();
+    no_args();
     println!("== Figure 2: query exponent rho for signed (cs, s) inner product search ==");
     println!("   (data in the unit ball, queries in the unit ball, U = 1)\n");
     let s_grid: Vec<f64> = (1..=19).map(|i| i as f64 * 0.05).collect();
     for &c in &[0.5, 0.7, 0.83, 0.9] {
-        let timer = Timer::start();
         let series = figure2_series(c, &s_grid).expect("valid parameter grid");
-        json.record(
-            "figure2_series",
-            &[("c", fmt(c, 2)), ("points", series.len().to_string())],
-            timer.elapsed_ns(),
-            0.0,
-        );
         let rows: Vec<Vec<String>> = series
             .iter()
             .map(|row| {
@@ -73,5 +66,4 @@ fn main() {
             println!("   MH-ALSH dominates DATA-DEP on this grid\n");
         }
     }
-    json.finish().expect("write --json report");
 }

@@ -8,7 +8,7 @@
 //! classifier of `ips-core::theory` on a grid of `(c, n)` values so the asymptotic
 //! statements can be read off concretely.
 
-use ips_bench::{fmt, render_table, JsonReporter, Timer};
+use ips_bench::{fmt, no_args, render_table};
 use ips_core::theory::{
     classify_approximation, table1_rows, Hardness, ProblemVariant, VectorDomain,
 };
@@ -58,7 +58,7 @@ fn verify_embedding<E: GapEmbedding>(
 }
 
 fn main() {
-    let mut json = JsonReporter::from_env_args();
+    no_args();
     println!("== Table 1: hard vs permissible approximation ranges ==\n");
     let rows: Vec<Vec<String>> = table1_rows()
         .into_iter()
@@ -143,18 +143,7 @@ fn main() {
 
     for &d in &[8usize, 16, 32] {
         let e = SignedEmbedding::new(d).unwrap();
-        let timer = Timer::start();
         let (min_o, max_n, ok) = verify_embedding(&e, 200, &mut rng);
-        json.record(
-            "table1_embedding",
-            &[
-                ("embedding", "signed".to_string()),
-                ("d", d.to_string()),
-                ("gap_holds", ok.to_string()),
-            ],
-            timer.elapsed_ns(),
-            0.0,
-        );
         emb_rows.push(vec![
             format!("signed {{-1,1}}, embedding 1 (d={d})"),
             e.output_dim().to_string(),
@@ -167,19 +156,7 @@ fn main() {
     }
     for &(d, q) in &[(8usize, 2u32), (12, 2), (6, 3)] {
         let e = ChebyshevEmbedding::new(d, q).unwrap();
-        let timer = Timer::start();
         let (min_o, max_n, ok) = verify_embedding(&e, 100, &mut rng);
-        json.record(
-            "table1_embedding",
-            &[
-                ("embedding", "chebyshev".to_string()),
-                ("d", d.to_string()),
-                ("q", q.to_string()),
-                ("gap_holds", ok.to_string()),
-            ],
-            timer.elapsed_ns(),
-            0.0,
-        );
         emb_rows.push(vec![
             format!("unsigned {{-1,1}}, embedding 2 (d={d}, q={q})"),
             e.output_dim().to_string(),
@@ -192,19 +169,7 @@ fn main() {
     }
     for &(d, k) in &[(12usize, 3usize), (16, 4), (20, 10)] {
         let e = ZeroOneEmbedding::new(d, k).unwrap();
-        let timer = Timer::start();
         let (min_o, max_n, ok) = verify_embedding(&e, 200, &mut rng);
-        json.record(
-            "table1_embedding",
-            &[
-                ("embedding", "zero_one".to_string()),
-                ("d", d.to_string()),
-                ("k", k.to_string()),
-                ("gap_holds", ok.to_string()),
-            ],
-            timer.elapsed_ns(),
-            0.0,
-        );
         emb_rows.push(vec![
             format!("unsigned {{0,1}}, embedding 3 (d={d}, k={k})"),
             e.output_dim().to_string(),
@@ -230,5 +195,4 @@ fn main() {
             &emb_rows
         )
     );
-    json.finish().expect("write --json report");
 }

@@ -285,8 +285,10 @@ fn sample_indices<R: Rng + ?Sized>(rng: &mut R, len: usize, count: usize) -> Vec
 pub struct CostModel {
     /// ns per flop of the data-major brute-force kernel.
     pub brute_ns_per_flop: f64,
-    /// ns per flop of the tiled `f32` brute kernel (`dtype=f32`), measured by
-    /// the `kernel_throughput` bench bin in `ips-bench`.
+    /// ns per flop of the tiled `f32` brute kernel (`dtype=f32`): the brute
+    /// constant scaled by the `f32` / `f64` kernel ratio the repository
+    /// benchmark reports (`kernel.f32_ns_per_pair` / `kernel.f64_ns_per_pair`
+    /// under `benchmark/`).
     pub brute_f32_ns_per_flop: f64,
     /// ns per flop of ALSH hashing + candidate re-scoring.
     pub alsh_ns_per_flop: f64,
@@ -331,9 +333,11 @@ impl Default for CostModel {
         Self {
             brute_ns_per_flop: 0.415,
             // The `f32` brute kernel: the calibrated f64 constant scaled by
-            // the dim=32 kernel ratio the kernel_throughput bench measures
-            // (f32 0.1221 / f64 0.1865 ns/flop — see BENCH_BASELINE.json), so
-            // the planner's relative costs track the measured kernel speedup.
+            // the dim=32 kernel ratio f32 0.1221 / f64 0.1865 ns/flop, so the
+            // planner's relative costs track the measured kernel speedup. Both
+            // kernels score the same flops per (p, q) pair, so the ratio of
+            // `benchmark/`'s `kernel.f32_ns_per_pair` / `kernel.f64_ns_per_pair`
+            // is the one to re-check it against.
             brute_f32_ns_per_flop: 0.272,
             alsh_ns_per_flop: 0.42,
             symmetric_ns_per_flop: 1.01,

@@ -163,7 +163,8 @@ impl TraceSink for TraceCapture {
 ///
 /// Recording is a few relaxed atomic adds per *batch* (not per candidate),
 /// which is why the serving stack can leave this on by default — the
-/// `telemetry_overhead` bench bounds the cost at ≤5% of query throughput.
+/// repository benchmark's `obs.capture_overhead_pct` and `trace.overhead_pct`
+/// (under `benchmark/`) report what recording costs.
 #[derive(Debug, Default)]
 pub struct Telemetry {
     stages: [Histogram; 6],

@@ -6,21 +6,18 @@
 //! programmatic seam under `ips serve` — the CLI serves one registry entry,
 //! embedders can hold many.
 //!
-//! Entries are [`ShardedServingIndex`]es; a plain [`ServingIndex`] registers via
-//! its lossless one-shard conversion (`registry.register(name, index)` accepts
-//! both), so unsharded and sharded serving share one routing surface — and every
-//! routed operation takes `&self` on the entry (the shard locks live inside), so
-//! concurrent readers of different entries, or even of one entry, never contend
-//! on the registry itself.
+//! Entries are [`ShardedServingIndex`]es; a plain
+//! [`ServingIndex`](crate::ServingIndex) registers via its lossless one-shard
+//! conversion (`registry.register(name, index)` accepts both), so unsharded and
+//! sharded serving share one routing surface — and every routed operation takes
+//! `&self` on the entry (the shard locks live inside), so concurrent readers of
+//! different entries, or even of one entry, never contend on the registry itself.
 
 use crate::error::{Result, StoreError};
 use crate::serving::{ServingConfig, ServingStats};
 use crate::sharded::ShardedServingIndex;
 use std::collections::BTreeMap;
 use std::path::Path;
-
-#[allow(unused_imports)] // rustdoc link target
-use crate::serving::ServingIndex;
 
 /// A named collection of [`ShardedServingIndex`]es.
 #[derive(Default)]
@@ -50,8 +47,8 @@ impl ServingRegistry {
     }
 
     /// Registers an already-constructed serving index under `name` — sharded, or a
-    /// plain [`ServingIndex`] via its one-shard conversion — replacing and
-    /// returning any previous holder of the name.
+    /// plain [`ServingIndex`](crate::ServingIndex) via its one-shard conversion —
+    /// replacing and returning any previous holder of the name.
     pub fn register(
         &mut self,
         name: &str,

@@ -252,8 +252,6 @@ impl ShardedServingIndex {
         })
     }
 
-    /// Builds one shard's [`ServingIndex`] over its routed entries (`None` when the
-    /// shard receives no vectors). Entries arrive in ascending id order.
     /// Applies the [`ServingConfig::probes`] override to a family
     /// configuration. `build_shard` applies the same override per shard
     /// (inside [`ServingIndex::from_snapshot`]); normalising the incoming
@@ -271,6 +269,8 @@ impl ShardedServingIndex {
         index_config
     }
 
+    /// Builds one shard's [`ServingIndex`] over its routed entries (`None` when the
+    /// shard receives no vectors). Entries arrive in ascending id order.
     fn build_shard(
         entries: Vec<(u64, DenseVector)>,
         next_id: u64,

@@ -13,10 +13,22 @@
 //! 2. **Concurrency**: a migration fired in the middle of a reader/mutator
 //!    storm loses no mutation and serves only valid answers throughout; the
 //!    post-storm index still equals the sequential oracle's fresh build.
+//! 3. **Closed loop**: the two `ips_datagen::drift` scenarios driven through
+//!    [`AdaptiveController::check`] by hand. A streaming join whose norms ramp
+//!    up walks baseline → pending → migrated (ALSH → brute) exactly once; a
+//!    recommender whose query norms triple is re-planned once and stays on the
+//!    exact scan. The controller reads histogram counts and norms, never
+//!    times, so both decision sequences are fixed by their seeds.
 
+use ips_adapt::{plan_index_config, AdaptiveConfig, AdaptiveController, ControlDecision};
 use ips_core::asymmetric::AlshParams;
+use ips_core::planner::{JoinPlanner, PlannerConfig, Strategy};
 use ips_core::problem::{JoinSpec, JoinVariant, MatchPair};
 use ips_core::symmetric::SymmetricParams;
+use ips_datagen::{
+    recommender_shift, streaming_join, RecommenderShiftConfig, RecommenderShiftScenario,
+    StreamingJoinConfig, StreamingJoinScenario,
+};
 use ips_linalg::random::random_ball_vector;
 use ips_linalg::DenseVector;
 use ips_sketch::linf_mips::MaxIpConfig;
@@ -26,7 +38,8 @@ use ips_store::{
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Mutex;
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex};
 
 fn vectors(seed: u64, n: usize, dim: usize) -> Vec<DenseVector> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -426,4 +439,229 @@ fn migration_report_is_plumbed() {
     assert_eq!(reconciled, 0);
     assert!(build_ns > 0, "the build phase takes measurable time");
     assert!(swap_ns > 0, "the swap phase takes measurable time");
+}
+
+/// Steps of the streaming scenario after which the adaptive run folds its
+/// window: one to lock the baseline, one mid-ramp, one at the end of the ramp.
+const STREAM_CHECKS: [usize; 3] = [0, 5, 11];
+
+/// Eight 8-bit ALSH tables: selective on the low-norm opening window, so the
+/// build-time plan picks them, and degenerate once the ramp drags the window's
+/// inner products up, so a re-plan prefers the exact scan.
+fn stream_planner_config() -> PlannerConfig {
+    PlannerConfig {
+        alsh: AlshParams {
+            bits_per_table: 8,
+            tables: 8,
+            ..AlshParams::default()
+        },
+        ..PlannerConfig::default()
+    }
+}
+
+/// Replays the whole stream (inserts, expiries, query batches) against one
+/// index, folding the controller after the [`STREAM_CHECKS`] steps when one is
+/// given. The mutation order is the same for every caller, so two runs hold the
+/// same live set under the same ids.
+fn run_stream(
+    scenario: &StreamingJoinScenario,
+    spec: JoinSpec,
+    initial: IndexConfig,
+    adaptive: Option<AdaptiveConfig>,
+) -> (Arc<ShardedServingIndex>, Vec<ControlDecision>) {
+    let index = Arc::new(
+        ShardedServingIndex::build(
+            scenario.initial.clone(),
+            spec,
+            initial,
+            ShardedConfig::default(),
+        )
+        .unwrap(),
+    );
+    let mut controller = adaptive.map(|config| AdaptiveController::new(Arc::clone(&index), config));
+    let mut ids: VecDeque<u64> = (0..scenario.initial.len() as u64).collect();
+    let mut decisions = Vec::new();
+    for (i, step) in scenario.steps.iter().enumerate() {
+        for v in &step.inserts {
+            ids.push_back(index.insert(v.clone()).unwrap());
+        }
+        for _ in 0..step.expire {
+            index.delete(ids.pop_front().unwrap()).unwrap();
+        }
+        index.query(&step.queries).unwrap();
+        if let Some(controller) = controller.as_mut() {
+            if STREAM_CHECKS.contains(&i) {
+                decisions.push(controller.check().unwrap());
+            }
+        }
+    }
+    (index, decisions)
+}
+
+#[test]
+fn streaming_drift_migrates_alsh_to_brute_once() {
+    let mut rng = StdRng::seed_from_u64(0xAD_5E81);
+    let config = StreamingJoinConfig {
+        dim: 3,
+        window: 1024,
+        steps: 12,
+        inserts_per_step: 256,
+        queries_per_step: 1024,
+        scale_start: 0.3,
+        scale_end: 0.95,
+    };
+    let scenario = streaming_join(&mut rng, config).unwrap();
+    let spec = JoinSpec::new(
+        scenario.threshold,
+        scenario.approximation,
+        JoinVariant::Signed,
+    )
+    .unwrap();
+    let plan = JoinPlanner::new(stream_planner_config(), Default::default())
+        .plan(
+            &mut rng,
+            &scenario.initial,
+            &scenario.steps[0].queries,
+            spec,
+        )
+        .unwrap();
+    assert_eq!(
+        plan.choice,
+        Strategy::Alsh,
+        "the low-norm opening window is asymmetric LSH's turf"
+    );
+    let initial = plan_index_config(&plan);
+    let adaptive_config = AdaptiveConfig {
+        planner: stream_planner_config(),
+        seed: 0xBE7A,
+        ..AdaptiveConfig::default()
+    };
+    let (frozen, _) = run_stream(&scenario, spec, initial, None);
+    let (adaptive, decisions) = run_stream(&scenario, spec, initial, Some(adaptive_config));
+
+    assert_eq!(decisions.len(), STREAM_CHECKS.len());
+    assert!(
+        matches!(decisions[0], ControlDecision::BaselineEstablished),
+        "{decisions:?}"
+    );
+    assert!(
+        matches!(decisions[1], ControlDecision::Pending { streak: 1, .. }),
+        "{decisions:?}"
+    );
+    let ControlDecision::Migrated { drift, report } = &decisions[2] else {
+        panic!("the end-of-ramp check must migrate: {decisions:?}");
+    };
+    assert!(*drift >= 0.3, "migrated below the drift threshold: {drift}");
+    assert_eq!(report.from, IndexFamily::Alsh);
+    assert_eq!(report.to, IndexFamily::Brute);
+    assert_eq!(report.entries, config.window, "no entry lost in the swap");
+    assert_eq!(adaptive.migrations(), 1);
+    assert_eq!(adaptive.family(), IndexFamily::Brute);
+    assert_eq!(frozen.family(), IndexFamily::Alsh);
+    assert_eq!(frozen.live_entries(), adaptive.live_entries());
+
+    // The migrated index answers the post-drift traffic as a fresh build of the
+    // same strategy over the same live set does.
+    let post_drift = &scenario.steps.last().unwrap().queries;
+    let fresh = ShardedServingIndex::from_entries(
+        adaptive.live_entries(),
+        adaptive.next_id(),
+        spec,
+        adaptive.index_config(),
+        ShardedConfig::default(),
+    )
+    .unwrap();
+    assert_eq!(
+        fresh.query(post_drift).unwrap(),
+        adaptive.query(post_drift).unwrap()
+    );
+}
+
+/// Serves both phases of the recommender scenario top-k in fixed chunks, folding
+/// the controller after every chunk when one is given; returns the index, the
+/// answer transcript and the decisions.
+fn run_recommender(
+    scenario: &RecommenderShiftScenario,
+    spec: JoinSpec,
+    adaptive: Option<AdaptiveConfig>,
+) -> (
+    Arc<ShardedServingIndex>,
+    Vec<MatchPair>,
+    Vec<ControlDecision>,
+) {
+    let index = Arc::new(
+        ShardedServingIndex::build(
+            scenario.items.clone(),
+            spec,
+            IndexConfig::Brute,
+            ShardedConfig::default(),
+        )
+        .unwrap(),
+    );
+    let mut controller = adaptive.map(|config| AdaptiveController::new(Arc::clone(&index), config));
+    let mut transcript = Vec::new();
+    let mut decisions = Vec::new();
+    let chunks = scenario
+        .phase_one
+        .chunks(128)
+        .chain(scenario.phase_two.chunks(86));
+    for chunk in chunks {
+        transcript.extend(index.query_top_k(chunk, scenario.k).unwrap());
+        if let Some(controller) = controller.as_mut() {
+            decisions.push(controller.check().unwrap());
+        }
+    }
+    (index, transcript, decisions)
+}
+
+#[test]
+fn recommender_norm_shift_replans_without_migrating() {
+    let mut rng = StdRng::seed_from_u64(0xAD_0C4);
+    let scenario = recommender_shift(&mut rng, RecommenderShiftConfig::default()).unwrap();
+    let spec = JoinSpec::new(
+        scenario.threshold,
+        scenario.approximation,
+        JoinVariant::Signed,
+    )
+    .unwrap();
+    let plan = JoinPlanner::default()
+        .plan(&mut rng, &scenario.items, &scenario.phase_one, spec)
+        .unwrap();
+    assert_eq!(plan.choice, Strategy::BruteForce);
+    let adaptive_config = AdaptiveConfig {
+        seed: 0x0C4B,
+        ..AdaptiveConfig::default()
+    };
+    let (_, frozen, _) = run_recommender(&scenario, spec, None);
+    let (adaptive, transcript, decisions) = run_recommender(&scenario, spec, Some(adaptive_config));
+
+    let consulted = |d: &&ControlDecision| {
+        matches!(
+            d,
+            ControlDecision::Replanned { .. } | ControlDecision::Migrated { .. }
+        )
+    };
+    let phase_one = scenario.phase_one.chunks(128).count();
+    assert!(decisions.len() > phase_one + 1, "{decisions:?}");
+    assert!(
+        !decisions[..phase_one].iter().any(|d| consulted(&d)),
+        "phase one must not consult the planner: {decisions:?}"
+    );
+    let replans: Vec<&ControlDecision> = decisions[phase_one..].iter().filter(consulted).collect();
+    assert!(
+        matches!(
+            replans[..],
+            [ControlDecision::Replanned {
+                choice: Strategy::BruteForce,
+                ..
+            }]
+        ),
+        "the shift must re-confirm the exact scan exactly once: {decisions:?}"
+    );
+    assert_eq!(adaptive.migrations(), 0);
+    assert_eq!(adaptive.family(), IndexFamily::Brute);
+    assert_eq!(
+        frozen, transcript,
+        "the control loop changed a top-k answer"
+    );
 }

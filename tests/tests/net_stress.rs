@@ -17,8 +17,12 @@
 //!
 //! Threads own disjoint slices of the initial ids and otherwise delete only
 //! their own inserts, so the final state is interleaving-independent.
+//!
+//! A read-only companion pins the replies themselves: concurrent clients, with
+//! coalescing off and on, get byte for byte the lines the stdin path prints.
 
 use ips_cli::net::{serve_tcp, NetConfig, NetServer};
+use ips_cli::serve::{serve_session_with, SessionOptions};
 use ips_core::problem::{JoinSpec, JoinVariant};
 use ips_linalg::random::random_ball_vector;
 use ips_linalg::DenseVector;
@@ -332,4 +336,78 @@ fn tcp_storm_alsh() {
         }),
         0x7C_02,
     );
+}
+
+#[test]
+fn concurrent_tcp_replies_are_the_stdin_replies() {
+    let index = Arc::new(
+        ShardedServingIndex::build(
+            vectors(0x7C_03, N),
+            spec(),
+            IndexConfig::Brute,
+            ShardedConfig {
+                shards: SHARDS,
+                serving: ServingConfig::default(),
+            },
+        )
+        .unwrap(),
+    );
+    let queries = vectors(0x7C_04, 4 * THREADS);
+    let script: String = queries
+        .iter()
+        .map(|q| format!("query {}\n", wire(q)))
+        .collect();
+    let mut out = Vec::new();
+    serve_session_with(
+        &index,
+        &SessionOptions::default(),
+        script.as_bytes(),
+        &mut out,
+    )
+    .unwrap();
+    let expected: Vec<String> = String::from_utf8(out)
+        .unwrap()
+        .lines()
+        .skip(1) // banner
+        .take(queries.len())
+        .map(str::to_string)
+        .collect();
+
+    let before = index.stats();
+    let off = CoalesceConfig {
+        window_micros: 0,
+        ..CoalesceConfig::default()
+    };
+    let on = CoalesceConfig {
+        window_micros: 2_000,
+        max_batch: THREADS,
+    };
+    for coalesce in [off, on] {
+        let coalescer = Arc::new(Coalescer::new(Arc::clone(&index), coalesce));
+        let server = serve_tcp(coalescer, NetConfig::default()).unwrap();
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (server, queries, expected) = (&server, &queries, &expected);
+                scope.spawn(move || {
+                    let mut client = Client::connect(server);
+                    for i in (t..queries.len()).step_by(THREADS) {
+                        let reply = client
+                            .exchange(&format!("query {}", wire(&queries[i])), 1)
+                            .remove(0);
+                        assert_eq!(reply, expected[i], "{coalesce:?}: query {i}");
+                    }
+                    client.send("quit");
+                    assert_eq!(client.recv(), "bye");
+                });
+            }
+        });
+        server.stop();
+        server.join().unwrap();
+    }
+
+    // Every server is joined, so the counters are at rest and the deltas exact.
+    let after = index.stats();
+    assert_eq!(after.connections - before.connections, 2 * THREADS as u64);
+    assert_eq!(after.queries - before.queries, 2 * queries.len() as u64);
+    assert!(after.hits <= after.queries);
 }

@@ -1,6 +1,6 @@
 //! Telemetry-correctness suite for the observability layer (`ips-obs`).
 //!
-//! Three properties anchor the layer:
+//! Four properties anchor the layer:
 //!
 //! * **Histogram merges are a commutative monoid** — merge is associative and
 //!   commutative with the empty snapshot as identity, so per-shard (or
@@ -15,14 +15,19 @@
 //!   every query yields at most one hit, and the consistent-direction tear in
 //!   `Counters::snapshot` (see `ips_store::serving`) guarantees a concurrent
 //!   reader can never observe `hits > queries`.
+//! * **Tracing only observes** — a batch served through an attached
+//!   `TraceCapture` (what the protocol's `trace on` does) answers exactly as
+//!   the untraced batch does, for every family and shard count.
 
 use ips_cli::net::{serve_tcp, NetConfig};
 use ips_cli::serve::{serve_session_with, SessionOptions};
 use ips_core::asymmetric::AlshParams;
 use ips_core::problem::{JoinSpec, JoinVariant};
+use ips_core::symmetric::SymmetricParams;
 use ips_linalg::random::random_ball_vector;
 use ips_linalg::DenseVector;
-use ips_obs::{Histogram, HistogramSnapshot, Observable};
+use ips_obs::{Histogram, HistogramSnapshot, Observable, Stage, TraceCapture};
+use ips_sketch::linf_mips::MaxIpConfig;
 use ips_store::{CoalesceConfig, Coalescer, IndexConfig, ShardedConfig, ShardedServingIndex};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -257,4 +262,46 @@ fn concurrent_stats_snapshots_never_show_more_hits_than_queries() {
         3 * 50 * queries.len() as u64,
         "exact at rest"
     );
+}
+
+#[test]
+fn a_trace_capture_changes_no_answer() {
+    let families = [
+        IndexConfig::Brute,
+        alsh_family(),
+        IndexConfig::Symmetric(SymmetricParams {
+            bits_per_table: 4,
+            tables: 8,
+            ..SymmetricParams::default()
+        }),
+        IndexConfig::Sketch {
+            config: MaxIpConfig {
+                kappa: 2.0,
+                copies: 3,
+                rows: Some(1),
+            },
+            leaf_size: 4,
+        },
+    ];
+    let queries = vectors(0x0BA, 8, 8);
+    for family in families {
+        for shards in [1, 3] {
+            let index = sharded_family(0x0BB, shards, family);
+            let capture = TraceCapture::new();
+            assert_eq!(
+                index.query_with_sink(&queries, &capture).unwrap(),
+                index.query(&queries).unwrap(),
+                "{family:?} at {shards} shards"
+            );
+            assert_eq!(
+                index.query_top_k_with_sink(&queries, 3, &capture).unwrap(),
+                index.query_top_k(&queries, 3).unwrap(),
+                "{family:?} at {shards} shards, top-k"
+            );
+            assert!(
+                capture.stage(Stage::Engine) > 0,
+                "the capture was not attached: {family:?} at {shards} shards"
+            );
+        }
+    }
 }

@@ -15,6 +15,9 @@
 //!    *valid* per [`evaluate_join`] (every pair clears the relaxed threshold
 //!    `cs`). Extra lookups can surface better partners, never wrong ones —
 //!    and never lose an answer.
+//! 3. **Probes can stand in for tables** — on the adversarial suite's
+//!    `sparse_needles` workload, half the ALSH tables plus eight probes report
+//!    only valid pairs and recall at least what the full table count does.
 //!
 //! Together these are the compatibility half of the probing layer's contract:
 //! existing deployments see identical answers until they opt in, and opting
@@ -24,6 +27,7 @@ use ips_core::asymmetric::AlshParams;
 use ips_core::problem::{evaluate_join, JoinSpec, JoinVariant, MatchPair};
 use ips_core::symmetric::SymmetricParams;
 use ips_core::{Join, Strategy};
+use ips_datagen::adversarial::{sparse_needles, AdversarialScale};
 use ips_linalg::random::random_ball_vector;
 use ips_linalg::DenseVector;
 use ips_store::{IndexConfig, ServingConfig, ShardedConfig, ShardedServingIndex};
@@ -211,4 +215,51 @@ proptest! {
         let (_, valid) = evaluate_join(&data, &queries, &spec(), &extended).unwrap();
         prop_assert!(valid, "post-migration probing reported an invalid pair");
     }
+}
+
+/// Half the tables plus query-directed probing keeps the match set: on
+/// `sparse_needles` (near-orthogonal background with planted needles, ALSH's
+/// home turf) 16 tables with 8 probes report only valid pairs and recall at
+/// least what 32 tables without probes do.
+#[test]
+fn half_the_tables_with_probes_keep_the_recall_on_sparse_needles() {
+    let seed = 0x9806;
+    let scale = AdversarialScale {
+        n: 2000,
+        m: 400,
+        dim: 32,
+    };
+    let w = sparse_needles(&mut StdRng::seed_from_u64(seed), scale).unwrap();
+    let variant = if w.unsigned {
+        JoinVariant::Unsigned
+    } else {
+        JoinVariant::Signed
+    };
+    let spec = JoinSpec::new(w.threshold, w.approximation, variant).unwrap();
+    let run = |tables: usize, probes: usize| {
+        let matches = Join::data(&w.data)
+            .queries(&w.queries)
+            .spec(spec)
+            .strategy(Strategy::Alsh)
+            .alsh_params(AlshParams {
+                tables,
+                probes,
+                ..AlshParams::default()
+            })
+            .seed(seed ^ 0x517)
+            .run()
+            .unwrap()
+            .matches;
+        evaluate_join(&w.data, &w.queries, &spec, &matches).unwrap()
+    };
+    let (classical_recall, classical_valid) = run(32, 0);
+    let (probed_recall, probed_valid) = run(16, 8);
+    assert!(
+        classical_valid && probed_valid,
+        "an invalid pair was reported"
+    );
+    assert!(
+        probed_recall + 1e-9 >= classical_recall,
+        "probed recall {probed_recall} fell below the classical {classical_recall}"
+    );
 }
