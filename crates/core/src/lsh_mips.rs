@@ -285,6 +285,10 @@ impl<'a, M: SphereMap> LshMips<'a, M> {
     /// functions, same buckets, same query results) without re-sampling. The map and
     /// the exact-match lookup are deterministic functions of `data`, `live` and
     /// `params`, so only the sampled LSH state needs to have been persisted.
+    ///
+    /// Rejected: vectors of mixed dimension, a mask of another length than `data` or
+    /// marking another number of slots live than the LSH index stores, and tables
+    /// that hold an id which is not a live slot, or one id twice.
     pub fn from_raw_parts(
         data: Vec<DenseVector>,
         live: Vec<bool>,
@@ -313,6 +317,7 @@ impl<'a, M: SphereMap> LshMips<'a, M> {
                 ),
             });
         }
+        Self::check_table_ids(&index, &live)?;
         let map = M::new(dim, &spec, &params)?;
         let mut diagonal = Self::empty_diagonal(&map, &data);
         for (i, v) in data.iter().enumerate().filter(|&(i, _)| live[i]) {
@@ -324,6 +329,33 @@ impl<'a, M: SphereMap> LshMips<'a, M> {
         Ok(Self::assemble(
             data, live, map, index, diagonal, spec, params,
         ))
+    }
+
+    /// Every id a table stores names a live slot, and no table stores one twice. The
+    /// index has checked that each table holds as many ids as there are live slots,
+    /// so each live slot is then in every table exactly once — and a search can only
+    /// ever gather a slot it may answer with.
+    fn check_table_ids(index: &LshIndex<M::Family>, live: &[bool]) -> Result<()> {
+        let mut seen = vec![0u64; live.len().div_ceil(64)];
+        for table in index.tables() {
+            seen.fill(0);
+            for id in table.ids() {
+                let slot = id as usize;
+                let defect = if !live.get(slot).copied().unwrap_or(false) {
+                    "is not a live slot"
+                } else if seen[slot / 64] & (1 << (slot % 64)) != 0 {
+                    "is stored twice in one table"
+                } else {
+                    seen[slot / 64] |= 1 << (slot % 64);
+                    continue;
+                };
+                return Err(CoreError::InvalidParameter {
+                    name: "index",
+                    reason: format!("LSH id {id} {defect}"),
+                });
+            }
+        }
+        Ok(())
     }
 
     /// The tuning parameters.

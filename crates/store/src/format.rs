@@ -415,18 +415,33 @@ impl<'a> ByteReader<'a> {
     /// instead of a value at a time. `out` grows as values arrive: a `count` the
     /// input cannot back fails at the first missing value, whatever it claims.
     pub fn take_f64s(&mut self, count: usize, out: &mut Vec<f64>) -> Result<()> {
+        self.take_run(count, out, |v| f64::from_bits(u64::from_le_bytes(v)))
+    }
+
+    /// Consumes `count` little-endian `u32`s onto the end of `out`, a run at a time
+    /// like [`ByteReader::take_f64s`] — the ids of an LSH table.
+    pub fn take_u32s(&mut self, count: usize, out: &mut Vec<u32>) -> Result<()> {
+        self.take_run(count, out, u32::from_le_bytes)
+    }
+
+    fn take_run<const N: usize, T>(
+        &mut self,
+        count: usize,
+        out: &mut Vec<T>,
+        value: impl Fn([u8; N]) -> T,
+    ) -> Result<()> {
         let mut left = count;
         while left > 0 {
-            self.need(8)?;
+            self.need(N)?;
             // As many whole values as the block and the open section hold.
             let within = (self.buf.len() - self.pos).min(self.remaining() as usize);
-            let run = &self.buf[self.pos..self.pos + 8 * left.min(within / 8)];
+            let run = &self.buf[self.pos..self.pos + N * left.min(within / N)];
             fold_all(&mut self.checksums, run);
             out.extend(
-                run.chunks_exact(8)
-                    .map(|v| f64::from_bits(u64::from_le_bytes(v.try_into().expect("8 bytes")))),
+                run.chunks_exact(N)
+                    .map(|v| value(v.try_into().expect("N bytes"))),
             );
-            left -= run.len() / 8;
+            left -= run.len() / N;
             self.pos += run.len();
         }
         Ok(())

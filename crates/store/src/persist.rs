@@ -22,11 +22,10 @@ use ips_linalg::{DenseVector, Matrix};
 use ips_lsh::amplify::AndFunction;
 use ips_lsh::hyperplane::HyperplaneFunction;
 use ips_lsh::simple_alsh::{SimpleAlshFunction, SphereTransform};
-use ips_lsh::table::{IndexParams, LshIndex};
+use ips_lsh::table::{IndexParams, LshIndex, Table};
 use ips_lsh::{AsymmetricLshFamily, SymmetricFunctionPair};
 use ips_sketch::linf_mips::{MaxIpConfig, MaxIpEstimator};
 use ips_sketch::recovery::{Node, SketchMipsIndex};
-use std::collections::HashMap;
 
 /// A structure that can be written to and restored from the snapshot byte format.
 pub trait Persist: Sized {
@@ -98,11 +97,12 @@ impl<T: Persist> Persist for Vec<T> {
     }
 }
 
-/// `count` 8-byte values are announced: the capacity to reserve for them, which is
-/// `count` itself unless the input is too short to hold that many — a corrupt or
-/// hostile count then fails at the first missing value, not on allocation.
-fn bounded_by_input(r: &ByteReader<'_>, count: usize) -> usize {
-    count.min(usize::try_from(r.remaining() / 8).unwrap_or(usize::MAX))
+/// `count` values of at least `bytes` bytes each are announced: the capacity to
+/// reserve for them, which is `count` itself unless the input is too short to hold
+/// that many — a corrupt or hostile count then fails at the first missing value, not
+/// on allocation.
+fn bounded_by_input(r: &ByteReader<'_>, count: usize, bytes: u64) -> usize {
+    count.min(usize::try_from(r.remaining() / bytes).unwrap_or(usize::MAX))
 }
 
 impl Persist for DenseVector {
@@ -115,7 +115,7 @@ impl Persist for DenseVector {
 
     fn read(r: &mut ByteReader<'_>) -> Result<Self> {
         let dim = r.take_usize()?;
-        let mut components = Vec::with_capacity(bounded_by_input(r, dim));
+        let mut components = Vec::with_capacity(bounded_by_input(r, dim, 8));
         r.take_f64s(dim, &mut components)?;
         Ok(DenseVector::new(components))
     }
@@ -139,7 +139,7 @@ impl Persist for Matrix {
             context: "matrix",
             reason: "rows * cols overflows".into(),
         })?;
-        let mut data = Vec::with_capacity(bounded_by_input(r, total));
+        let mut data = Vec::with_capacity(bounded_by_input(r, total, 8));
         r.take_f64s(total, &mut data)?;
         Ok(Matrix::from_row_major(rows, cols, data)?)
     }
@@ -298,35 +298,38 @@ impl<H: Persist> Persist for AndFunction<H> {
     }
 }
 
-impl Persist for HashMap<u64, Vec<u32>> {
-    /// Buckets are written in ascending key order — `HashMap` iteration order is
-    /// nondeterministic, and a deterministic encoding is what makes re-saving a
-    /// loaded snapshot byte-identical.
-    fn write(&self, w: &mut ByteWriter) {
-        let mut keys: Vec<u64> = self.keys().copied().collect();
-        keys.sort_unstable();
-        w.put_usize(keys.len());
-        for key in keys {
-            w.put_u64(key);
-            self[&key].write(w);
+/// A table as every build has written one: the number of buckets, then each
+/// non-empty bucket in ascending key order — its key and its length-prefixed ids,
+/// the base's survivors and the overlay's merged as [`Table::buckets`] reads them.
+fn write_table(w: &mut ByteWriter, table: &Table) {
+    let buckets = table.buckets();
+    w.put_usize(buckets.clone().count());
+    for (key, bucket) in buckets {
+        w.put_u64(key);
+        w.put_usize(bucket.len());
+        for id in bucket.iter() {
+            w.put_u32(id);
         }
     }
+}
 
-    fn read(r: &mut ByteReader<'_>) -> Result<Self> {
-        let n = r.take_usize()?;
-        let mut out = HashMap::new();
-        for _ in 0..n {
-            let key = r.take_u64()?;
-            let ids = Vec::<u32>::read(r)?;
-            if out.insert(key, ids).is_some() {
-                return Err(crate::StoreError::Corrupt {
-                    context: "hash table",
-                    reason: format!("bucket {key} appears twice"),
-                });
-            }
-        }
-        Ok(out)
+/// A table as [`write_table`] spells it, straight into the base's arrays; `entries`,
+/// what the index says each table holds, sizes the ids as far as the input can hold
+/// them. Keys out of order and empty buckets are refused ([`Table::from_parts`]).
+fn read_table(r: &mut ByteReader<'_>, entries: usize) -> Result<Table> {
+    let buckets = r.take_usize()?;
+    // A bucket is at least a key, a length and an id.
+    let mut keys = Vec::with_capacity(bounded_by_input(r, buckets, 20));
+    let mut offsets = Vec::with_capacity(bounded_by_input(r, buckets, 20));
+    let mut ids = Vec::with_capacity(bounded_by_input(r, entries, 4));
+    for _ in 0..buckets {
+        keys.push(r.take_u64()?);
+        // Wraps only past `u32::MAX` ids, which `from_parts` refuses.
+        offsets.push(ids.len() as u32);
+        let len = r.take_usize()?;
+        r.take_u32s(len, &mut ids)?;
     }
+    Ok(Table::from_parts(keys, offsets, ids)?)
 }
 
 /// Params, length, the sampled functions, then the tables.
@@ -338,14 +341,20 @@ where
         self.params().write(w);
         w.put_usize(self.len());
         write_slice(w, &self.functions());
-        write_slice(w, self.tables());
+        w.put_usize(self.tables().len());
+        for table in self.tables() {
+            write_table(w, table);
+        }
     }
 
     fn read(r: &mut ByteReader<'_>) -> Result<Self> {
         let params = IndexParams::read(r)?;
         let len = r.take_usize()?;
         let functions = Vec::read(r)?;
-        let tables = Vec::read(r)?;
+        let mut tables = Vec::new();
+        for _ in 0..r.take_usize()? {
+            tables.push(read_table(r, len)?);
+        }
         Ok(LshIndex::from_raw_parts(functions, tables, params, len)?)
     }
 }
@@ -552,9 +561,21 @@ mod tests {
             SymmetricParams::default()
         );
         assert_eq!(roundtrip(&MaxIpConfig::default()), MaxIpConfig::default());
-        let table: HashMap<u64, Vec<u32>> =
-            [(3u64, vec![1u32, 2]), (1, vec![7])].into_iter().collect();
-        assert_eq!(roundtrip(&table), table);
+        // A table: its bucket count, then each bucket's key and ids, keys ascending.
+        let table = Table::from_parts(vec![1, 3], vec![0, 1], vec![7, 1, 2]).unwrap();
+        let mut w = ByteWriter::new();
+        write_table(&mut w, &table);
+        let mut expected = ByteWriter::new();
+        expected.put_usize(2);
+        expected.put_u64(1);
+        write_slice(&mut expected, &[7u32]);
+        expected.put_u64(3);
+        write_slice(&mut expected, &[1u32, 2]);
+        assert_eq!(w.as_bytes(), expected.as_bytes());
+        assert_eq!(
+            read_table(&mut ByteReader::new(w.as_bytes()), 3).unwrap(),
+            table
+        );
     }
 
     #[test]
@@ -624,13 +645,19 @@ mod tests {
         let mut w = ByteWriter::new();
         w.put_u8(9);
         assert!(Node::read(&mut ByteReader::new(w.as_bytes())).is_err());
-        // Duplicate bucket in a table.
-        let mut w = ByteWriter::new();
-        w.put_usize(2);
-        w.put_u64(4);
-        vec![1u32].write(&mut w);
-        w.put_u64(4);
-        vec![2u32].write(&mut w);
-        assert!(HashMap::<u64, Vec<u32>>::read(&mut ByteReader::new(w.as_bytes())).is_err());
+        // A table with a bucket twice, with keys out of order, with an empty bucket.
+        for buckets in [
+            [(4u64, vec![1u32]), (4, vec![2])],
+            [(5, vec![1]), (4, vec![2])],
+            [(4, vec![1]), (5, vec![])],
+        ] {
+            let mut w = ByteWriter::new();
+            w.put_usize(buckets.len());
+            for (key, ids) in &buckets {
+                w.put_u64(*key);
+                ids.write(&mut w);
+            }
+            assert!(read_table(&mut ByteReader::new(w.as_bytes()), 2).is_err());
+        }
     }
 }

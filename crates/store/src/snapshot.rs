@@ -1100,26 +1100,133 @@ mod tests {
         w.into_bytes()
     }
 
-    /// The bytes of a snapshot of `index` whose LSH functions are replaced by
-    /// `functions` — every other byte as [`SnapshotRef::write`] writes it, checksum included.
+    /// An LSH table as the bytes spell it, `(key, ids)` per bucket in the order
+    /// written, so a test can state tables that [`ips_lsh::table::Table`] refuses.
+    type RawTable = Vec<(u64, Vec<u32>)>;
+
+    fn raw_tables(tables: &[ips_lsh::table::Table]) -> Vec<RawTable> {
+        let raw = |table: &ips_lsh::table::Table| {
+            let buckets = table.buckets();
+            buckets
+                .map(|(key, ids)| (key, ids.iter().collect()))
+                .collect()
+        };
+        tables.iter().map(raw).collect()
+    }
+
+    /// The bytes of a snapshot of an LSH index over `data` with liveness `live`, whose
+    /// LSH functions and tables are the ones given — every other byte as
+    /// [`SnapshotRef::write`] writes it, checksum included.
     fn snapshot_with_functions<F: Persist>(
         family: IndexFamily,
         header: impl FnOnce(&mut ByteWriter),
-        data: &[DenseVector],
+        (data, live): (&[DenseVector], &[bool]),
         lsh: (ips_lsh::table::IndexParams, usize),
         functions: &[F],
-        tables: &[std::collections::HashMap<u64, Vec<u32>>],
+        tables: &[RawTable],
     ) -> Vec<u8> {
         let mut w = ByteWriter::new();
         header(&mut w);
         crate::persist::write_slice(&mut w, data);
-        vec![true; data.len()].write(&mut w);
+        crate::persist::write_slice(&mut w, live);
         lsh.0.write(&mut w);
         w.put_usize(lsh.1);
         crate::persist::write_slice(&mut w, functions);
-        crate::persist::write_slice(&mut w, tables);
+        w.put_usize(tables.len());
+        for table in tables {
+            w.put_usize(table.len());
+            for (key, ids) in table {
+                w.put_u64(*key);
+                crate::persist::write_slice(&mut w, ids);
+            }
+        }
         let ids: Vec<u64> = (0..data.len() as u64).collect();
         seal(family, &ids, data.len() as u64, w)
+    }
+
+    #[test]
+    fn inconsistent_lsh_tables_are_rejected_at_load() {
+        use ips_core::asymmetric::AlshParams;
+        use ips_lsh::simple_alsh::SphereTransform;
+
+        let mut rng = StdRng::seed_from_u64(0xBAD7);
+        let data: Vec<DenseVector> = (0..30)
+            .map(|_| random_ball_vector(&mut rng, 6, 1.0).unwrap())
+            .collect();
+        let spec = JoinSpec::new(0.4, 0.5, JoinVariant::Signed).unwrap();
+        let params = AlshParams {
+            bits_per_table: 3,
+            tables: 4,
+            ..Default::default()
+        };
+        let schedule = ips_linalg::par::Schedule::new(ips_lsh::table::BUILD_BLOCK);
+        let alsh: LshMips<'_, SphereTransform> =
+            LshMips::build(schedule, &mut rng, data.clone(), spec, params).unwrap();
+        let lsh = alsh.lsh_index();
+        let functions = lsh.functions();
+        // Checksummed and structurally decodable, so only the table decoder and the
+        // load-time checks of `LshMips::from_raw_parts` stand between these bytes and
+        // a served index.
+        let bytes = |live: &[bool], tables: &[RawTable]| {
+            let len = live.iter().filter(|&&l| l).count();
+            snapshot_with_functions(
+                IndexFamily::Alsh,
+                |w| {
+                    spec.write(w);
+                    params.write(w);
+                },
+                (&data, live),
+                (lsh.params(), len),
+                &functions,
+                tables,
+            )
+        };
+        let (live, good) = (vec![true; data.len()], raw_tables(lsh.tables()));
+        let untouched = bytes(&live, &good);
+        let loaded = Snapshot::from_bytes(&untouched).expect("the untouched re-encoding loads");
+        assert!(loaded.to_bytes() == untouched);
+        // `raw` with every `from` in the tables `which` renamed `to`.
+        let renamed = |raw: &[RawTable], from: u32, to: u32, which: &[usize]| {
+            let mut raw = raw.to_vec();
+            for &t in which {
+                for id in raw[t].iter_mut().flat_map(|(_, ids)| ids) {
+                    if *id == from {
+                        *id = to;
+                    }
+                }
+            }
+            raw
+        };
+        let all = [0, 1, 2, 3];
+
+        // 1. Every stored id 0 renamed to 999, past the 30 slots: this loaded, and the
+        //    first query to gather it indexed out of bounds.
+        assert!(Snapshot::from_bytes(&bytes(&live, &renamed(&good, 0, 999, &all))).is_err());
+        // 2. Slot 5 deleted (which loads), then id 5 stored in place of id 6: the count
+        //    is right, but a deleted vector would be answered.
+        let mut dead = live.clone();
+        dead[5] = false;
+        let mut deleted = good.clone();
+        for table in &mut deleted {
+            for (_, ids) in table.iter_mut() {
+                ids.retain(|&id| id != 5);
+            }
+            table.retain(|(_, ids)| !ids.is_empty());
+        }
+        assert!(Snapshot::from_bytes(&bytes(&dead, &deleted)).is_ok());
+        let resurrected = renamed(&deleted, 6, 5, &all);
+        assert!(Snapshot::from_bytes(&bytes(&dead, &resurrected)).is_err());
+        // 3. One table stores id 8 twice and id 7 not at all.
+        assert!(Snapshot::from_bytes(&bytes(&live, &renamed(&good, 7, 8, &[2]))).is_err());
+        // 4. Two buckets out of key order.
+        let mut swapped = good.clone();
+        swapped[1].swap(0, 1);
+        assert!(Snapshot::from_bytes(&bytes(&live, &swapped)).is_err());
+        // 5. An empty bucket, under a key of its own.
+        let mut padded = good.clone();
+        let first = padded[3][0].0;
+        padded[3].insert(0, (first.checked_sub(1).expect("a key above 0"), vec![]));
+        assert!(Snapshot::from_bytes(&bytes(&live, &padded)).is_err());
     }
 
     #[test]
@@ -1158,6 +1265,7 @@ mod tests {
         let schedule = ips_linalg::par::Schedule::new(ips_lsh::table::BUILD_BLOCK);
         let alsh: LshMips<'_, SphereTransform> =
             LshMips::build(schedule, &mut rng, data.clone(), spec, alsh_params).unwrap();
+        let live = vec![true; data.len()];
         let alsh_bytes = |functions: &[AndFunction<SimpleAlshFunction>]| {
             let lsh = alsh.lsh_index();
             snapshot_with_functions(
@@ -1166,10 +1274,10 @@ mod tests {
                     spec.write(w);
                     alsh_params.write(w);
                 },
-                &data,
+                (&data, &live),
                 (lsh.params(), lsh.len()),
                 functions,
-                lsh.tables(),
+                &raw_tables(lsh.tables()),
             )
         };
         let good = alsh.lsh_index().functions();
@@ -1213,10 +1321,10 @@ mod tests {
                         spec.write(w);
                         symmetric_params.write(w);
                     },
-                    &data,
+                    (&data, &live),
                     (lsh.params(), lsh.len()),
                     functions,
-                    lsh.tables(),
+                    &raw_tables(lsh.tables()),
                 )
             };
         let good = symmetric.lsh_index().functions();

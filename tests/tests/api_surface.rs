@@ -125,15 +125,24 @@ fn store_facade_surface_is_pinned() {
 fn lsh_index_surface_is_pinned() {
     // What the benchmark and the persistence layer compile against. Since the
     // plane bank (PR 13) `functions()` hands out owned functions — a banked
-    // family's live only as the bank — while every other signature is as before.
+    // family's live only as the bank. A table is a `Table` (MIGRATION.md,
+    // "Sorted-key tables"), not a `HashMap<u64, Vec<u32>>`: read through
+    // `buckets()` / `ids()` / `entries()`, built by `from_parts`.
     use ips_lsh::amplify::AndFunction;
     use ips_lsh::simple_alsh::{SimpleAlshFamily, SimpleAlshFunction};
-    use ips_lsh::table::{IndexParams, LshIndex};
+    use ips_lsh::table::{Bucket, IndexParams, LshIndex, Table};
     use rand::rngs::StdRng;
-    use std::collections::HashMap;
     type Alsh = LshIndex<SimpleAlshFamily>;
     type Functions = Vec<AndFunction<SimpleAlshFunction>>;
-    type Table = HashMap<u64, Vec<u32>>;
+    let _parts: fn(Vec<u64>, Vec<u32>, Vec<u32>) -> ips_lsh::Result<Table> = Table::from_parts;
+    let _entries: fn(&Table) -> usize = Table::entries;
+    let table = Table::from_parts(vec![3, 8], vec![0, 2], vec![4, 1, 5]).unwrap();
+    let listed: Vec<(u64, usize, Vec<u32>)> = table
+        .buckets()
+        .map(|(key, bucket): (u64, Bucket<'_>)| (key, bucket.len(), bucket.iter().collect()))
+        .collect();
+    assert_eq!(listed, [(3, 2, vec![4, 1]), (8, 1, vec![5])]);
+    assert_eq!(table.ids().collect::<Vec<u32>>(), [4, 1, 5]);
     let _build: fn(
         &SimpleAlshFamily,
         IndexParams,

@@ -15,6 +15,14 @@
 //! * a vector the oracle rejects is rejected with the same error, by `insert` and
 //!   `remove` alike, with no table touched.
 //!
+//! The reference tables are `HashMap<u64, Vec<u32>>`, the model of the sorted-key
+//! layout `LshIndex` keeps (a flat base, an insert overlay, remove tombstones). At
+//! build thread counts 1, 2 and 3, removes interleave built points (tombstones) with
+//! inserted ones (overlay entries), and a removed built point comes back under a new
+//! id; after that the encoding equals the reference tables' — buckets in key order —
+//! and decodes to them, and a `renumber` that keeps the id order, or reverses it,
+//! leaves the tables of a fresh build under the new ids, down to the bytes.
+//!
 //! The functions are sampled here, from the same seed `LshIndex::build` gets, so the
 //! test also pins that the index draws them in the same RNG order as before.
 //!
@@ -45,16 +53,60 @@ use ips_lsh::amplify::{AndConstruction, AndFunction};
 use ips_lsh::bank::{BankScratch, Point, Side, SparseImage};
 use ips_lsh::hyperplane::HyperplaneFamily;
 use ips_lsh::simple_alsh::{SimpleAlshFamily, SphereTransform};
-use ips_lsh::table::{IndexParams, LshIndex, BUILD_BLOCK};
+use ips_lsh::table::{IndexParams, LshIndex, Table, BUILD_BLOCK};
 use ips_lsh::{
     AsymmetricHashFunction, AsymmetricLshFamily, LshError, ProbeSequence, SymmetricAsAsymmetric,
 };
+use ips_store::format::{ByteReader, ByteWriter};
+use ips_store::persist::{write_slice, Persist};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 
 type Tables = Vec<HashMap<u64, Vec<u32>>>;
+
+/// What an index's tables hold, in the reference tables' form.
+fn as_maps(tables: &[Table]) -> Tables {
+    let map = |table: &Table| {
+        let buckets = table.buckets();
+        buckets
+            .map(|(key, ids)| (key, ids.iter().collect()))
+            .collect()
+    };
+    tables.iter().map(map).collect()
+}
+
+/// The encoding of an index over the reference tables: params, length, functions,
+/// then each table's bucket count and buckets in ascending key order.
+fn reference_bytes<H: Persist>(
+    params: IndexParams,
+    len: usize,
+    functions: &[AndFunction<H>],
+    tables: &Tables,
+) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    params.write(&mut w);
+    w.put_usize(len);
+    write_slice(&mut w, functions);
+    w.put_usize(tables.len());
+    for table in tables {
+        let mut keys: Vec<u64> = table.keys().copied().collect();
+        keys.sort_unstable();
+        w.put_usize(keys.len());
+        for key in keys {
+            w.put_u64(key);
+            write_slice(&mut w, &table[&key]);
+        }
+    }
+    w.into_bytes()
+}
+
+fn bytes_of<T: Persist>(x: &T) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    x.write(&mut w);
+    w.into_bytes()
+}
 
 /// Vectors of norm at most `radius` (up to the families' `1e-9` slack) that exercise
 /// the kernel's edge cases, followed by `random` ordinary ones.
@@ -132,7 +184,7 @@ fn check_family<F>(
 ) -> Result<(), TestCaseError>
 where
     F: AsymmetricLshFamily + Clone,
-    F::Function: Clone,
+    F::Function: Clone + Persist + Sync,
     AndFunction<F::Function>: ProbeSequence,
 {
     // The oracle's functions: what `build` samples from the same seed.
@@ -173,79 +225,147 @@ where
         );
     }
 
-    // Build over the first half, insert the rest, remove every third point.
+    // Every third point goes, built ones (tombstones) and inserted ones (overlay
+    // entries) in turn; then the first built point comes back under a new id, an
+    // overlay entry beside its own tombstone.
     let split = data.len() / 2;
-    let mut index = LshIndex::build(
-        family,
-        params,
-        &data[..split],
-        &mut StdRng::seed_from_u64(seed),
-    )
-    .unwrap();
-    let scattered = index.functions();
-    prop_assert_eq!(scattered.len(), functions.len());
-    for (ours, theirs) in scattered.iter().zip(&functions) {
-        prop_assert_eq!(ours.functions().len(), theirs.functions().len());
-        for (a, b) in ours.functions().iter().zip(theirs.functions()) {
-            prop_assert_eq!(planes_of(a), planes_of(b));
-        }
-    }
-    let mut points: Vec<(u32, &DenseVector)> = (0u32..).zip(&data[..split]).collect();
-    prop_assert_eq!(index.tables(), &reference_tables(&functions, &points)[..]);
-    for (id, p) in (split as u32..).zip(&data[split..]) {
-        index.insert(id, p).unwrap();
-        points.push((id, p));
-    }
-    let reference = reference_tables(&functions, &points);
-    prop_assert_eq!(index.tables(), &reference[..]);
-    prop_assert_eq!(index.len(), data.len());
-    prop_assert_eq!(index.stored_entries(), data.len() * params.l);
-
-    // Lookups read the same buckets the oracle names.
-    for q in queries {
-        let home: Vec<Vec<u64>> = functions
-            .iter()
-            .map(|f| vec![f.hash_query(q).unwrap()])
-            .collect();
-        prop_assert_eq!(
-            index.query_candidates(q).unwrap(),
-            reference_candidates(&reference, &home)
+    let (built_victims, inserted_victims): (Vec<usize>, Vec<usize>) =
+        (0..data.len()).step_by(3).partition(|&id| id < split);
+    let mut victims: Vec<usize> = Vec::new();
+    for i in 0..built_victims.len().max(inserted_victims.len()) {
+        victims.extend(
+            built_victims
+                .get(i)
+                .into_iter()
+                .chain(inserted_victims.get(i)),
         );
-        for probes in [0usize, 1, 8] {
-            let probed: Vec<Vec<u64>> = functions
+    }
+    let comeback = data.len() as u32;
+
+    for threads in 1..=3 {
+        // Built over the first half in blocks of five, the rest inserted.
+        let schedule = Schedule { threads, block: 5 };
+        let build = || {
+            let mut rng = StdRng::seed_from_u64(seed);
+            LshIndex::build_scheduled(schedule, family, params, &data[..split], &mut rng).unwrap()
+        };
+        let mut index = build();
+        let scattered = index.functions();
+        prop_assert_eq!(scattered.len(), functions.len());
+        for (ours, theirs) in scattered.iter().zip(&functions) {
+            prop_assert_eq!(ours.functions().len(), theirs.functions().len());
+            for (a, b) in ours.functions().iter().zip(theirs.functions()) {
+                prop_assert_eq!(planes_of(a), planes_of(b));
+            }
+        }
+        let mut points: Vec<(u32, &DenseVector)> = (0u32..).zip(&data[..split]).collect();
+        prop_assert_eq!(
+            as_maps(index.tables()),
+            reference_tables(&functions, &points)
+        );
+        for (id, p) in (split as u32..).zip(&data[split..]) {
+            index.insert(id, p).unwrap();
+            points.push((id, p));
+        }
+        let reference = reference_tables(&functions, &points);
+        prop_assert_eq!(as_maps(index.tables()), reference.clone());
+        prop_assert_eq!(index.len(), data.len());
+        prop_assert_eq!(index.stored_entries(), data.len() * params.l);
+
+        // Lookups read the same buckets the oracle names.
+        for q in queries {
+            let home: Vec<Vec<u64>> = functions
                 .iter()
-                .map(|f| f.probe_query(q, probes).unwrap())
+                .map(|f| vec![f.hash_query(q).unwrap()])
                 .collect();
             prop_assert_eq!(
-                index.probe_lookup(q, probes).unwrap(),
-                reference_candidates(&reference, &probed)
+                index.query_candidates(q).unwrap(),
+                reference_candidates(&reference, &home)
             );
+            for probes in [0usize, 1, 8] {
+                let probed: Vec<Vec<u64>> = functions
+                    .iter()
+                    .map(|f| f.probe_query(q, probes).unwrap())
+                    .collect();
+                prop_assert_eq!(
+                    index.probe_lookup(q, probes).unwrap(),
+                    reference_candidates(&reference, &probed)
+                );
+            }
+        }
+
+        // A rejected vector fails insert and remove alike and touches no table.
+        for v in rejected {
+            let oracle = functions[0].hash_data(v).unwrap_err();
+            let expected_variant = matches!(
+                oracle,
+                LshError::DimensionMismatch { .. } | LshError::DomainViolation { .. }
+            );
+            prop_assert!(expected_variant);
+            prop_assert_eq!(index.insert(9_999, v).unwrap_err(), oracle.clone());
+            prop_assert_eq!(index.remove(0, v).unwrap_err(), oracle);
+            prop_assert_eq!(as_maps(index.tables()), reference.clone());
+            prop_assert_eq!(index.len(), data.len());
+        }
+
+        // The removes leave exactly the tables of the points kept; a second remove of
+        // the same id finds nothing.
+        for &id in &victims {
+            prop_assert!(index.remove(id as u32, &data[id]).unwrap());
+            prop_assert!(!index.remove(id as u32, &data[id]).unwrap());
+        }
+        points.retain(|(id, _)| id % 3 != 0);
+        prop_assert_eq!(
+            as_maps(index.tables()),
+            reference_tables(&functions, &points)
+        );
+        index.insert(comeback, &data[0]).unwrap();
+        points.push((comeback, &data[0]));
+        let reference = reference_tables(&functions, &points);
+        prop_assert_eq!(as_maps(index.tables()), reference.clone());
+        prop_assert_eq!(index.len(), points.len());
+
+        // Saved, the buckets merge in key order into the reference's encoding, and
+        // load back as they were.
+        let bytes = bytes_of(&index);
+        prop_assert_eq!(
+            &bytes,
+            &reference_bytes(params, points.len(), &functions, &reference)
+        );
+        let loaded = LshIndex::<F>::read(&mut ByteReader::new(&bytes)).unwrap();
+        prop_assert_eq!(as_maps(loaded.tables()), reference.clone());
+        prop_assert_eq!(bytes_of(&loaded), bytes);
+
+        // Renamed in id order (the survivors' ids ascend) and against it, the tables
+        // are a fresh build's over the survivors in the new order.
+        let replayed = || {
+            let mut index = build();
+            for (id, p) in (split as u32..).zip(&data[split..]) {
+                index.insert(id, p).unwrap();
+            }
+            for &id in &victims {
+                index.remove(id as u32, &data[id]).unwrap();
+            }
+            index.insert(comeback, &data[0]).unwrap();
+            index
+        };
+        for (reverse, mut index) in [(false, index), (true, replayed())] {
+            let mut ranked = points.clone();
+            if reverse {
+                ranked.reverse();
+            }
+            let mut new_id = vec![u32::MAX; data.len() + 1];
+            for (new, &(old, _)) in (0u32..).zip(&ranked) {
+                new_id[old as usize] = new;
+            }
+            index.renumber(&new_id).unwrap();
+            let kept: Vec<DenseVector> = ranked.iter().map(|&(_, p)| p.clone()).collect();
+            let fresh =
+                LshIndex::build(family, params, &kept, &mut StdRng::seed_from_u64(seed)).unwrap();
+            prop_assert_eq!(index.tables(), fresh.tables());
+            prop_assert_eq!(bytes_of(&index), bytes_of(&fresh));
         }
     }
-
-    // A rejected vector fails insert and remove alike and touches no table.
-    for v in rejected {
-        let oracle = functions[0].hash_data(v).unwrap_err();
-        let expected_variant = matches!(
-            oracle,
-            LshError::DimensionMismatch { .. } | LshError::DomainViolation { .. }
-        );
-        prop_assert!(expected_variant);
-        prop_assert_eq!(index.insert(9_999, v).unwrap_err(), oracle.clone());
-        prop_assert_eq!(index.remove(0, v).unwrap_err(), oracle);
-        prop_assert_eq!(index.tables(), &reference[..]);
-        prop_assert_eq!(index.len(), data.len());
-    }
-
-    // Removing every third point leaves exactly the tables of the points kept; a
-    // second remove of the same id finds nothing.
-    for &(id, p) in points.iter().filter(|(id, _)| id % 3 == 0) {
-        prop_assert!(index.remove(id, p).unwrap());
-        prop_assert!(!index.remove(id, p).unwrap());
-    }
-    points.retain(|(id, _)| id % 3 != 0);
-    prop_assert_eq!(index.tables(), &reference_tables(&functions, &points)[..]);
-    prop_assert_eq!(index.len(), points.len());
     Ok(())
 }
 
@@ -390,7 +510,7 @@ proptest! {
         for (id, v) in (0u32..).zip(&data) {
             prop_assert!(index.remove(id, sparse(&map, v, &mut image)).unwrap());
         }
-        prop_assert!(index.tables().iter().all(|table| table.is_empty()));
+        prop_assert!(index.tables().iter().all(|table| table.entries() == 0));
 
         // The product's index, which only ever sees sparse images, holds those tables.
         let symmetric_params = SymmetricParams {

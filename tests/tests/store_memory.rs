@@ -47,7 +47,7 @@ use ips_linalg::par::Schedule;
 use ips_linalg::random::{random_ball_vector, random_unit_vectors};
 use ips_linalg::DenseVector;
 use ips_lsh::hyperplane::HyperplaneFamily;
-use ips_lsh::table::{IndexParams, LshIndex, BUILD_BLOCK};
+use ips_lsh::table::{IndexParams, LshIndex, Table, BUILD_BLOCK};
 use ips_lsh::SymmetricAsAsymmetric;
 use ips_sketch::linf_mips::MaxIpConfig;
 use ips_store::{
@@ -57,6 +57,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::HashMap;
 use std::path::PathBuf;
 
 /// The system allocator, with the calling thread's live bytes, their high-water mark,
@@ -654,10 +655,14 @@ fn a_block_build_holds_its_index_a_key_buffer_and_a_scratch_per_thread() {
         )
         .unwrap();
         let (transient, kept) = (span.transient(), span.kept());
+        // Laying the tables out adds the key maps and the counting scratch (see
+        // `lsh_tables_hold_their_ids_and_a_few_words_per_bucket`); the key buffer and
+        // the scratches are gone by then, so only where they outgrow them shows.
+        let filing = filing_transient(index.lsh_index().tables(), n);
         assert!(
-            transient <= key_buffer + scratches + 16 * KIB,
+            transient <= key_buffer + scratches + filing + 16 * KIB,
             "alsh, {threads} threads: the build held {transient} bytes beyond its index; \
-             the key buffer is {key_buffer}, the scratches {scratches}"
+             the key buffer is {key_buffer}, the scratches {scratches}, filing {filing}"
         );
         // Every stored id and the bank were allocated by this thread.
         let entries = index.lsh_index().stored_entries();
@@ -686,12 +691,16 @@ fn a_block_build_holds_its_index_a_key_buffer_and_a_scratch_per_thread() {
         .unwrap();
         let (transient, kept) = (span.transient(), span.kept());
         // Sampling holds one table's functions beside the bank: k planes of the
-        // image's dimension.
+        // image's dimension. The images are not concentrated — a sphere image's tag
+        // depends on the whole vector — so its tables have ~1000 buckets each, and
+        // their key maps show.
         let sampling = 2 * params.bits_per_table * map.output_dim() * word;
+        let filing = filing_transient(index.lsh_index().tables(), n);
         assert!(
-            transient <= key_buffer + scratches + sampling + 16 * KIB,
+            transient <= key_buffer + scratches + sampling + filing + 16 * KIB,
             "symmetric, {threads} threads: the build held {transient} bytes beyond its \
-             index; the key buffer is {key_buffer}, the scratches {scratches}"
+             index; the key buffer is {key_buffer}, the scratches {scratches}, filing \
+             {filing}"
         );
         let entries = index.lsh_index().stored_entries();
         assert!(
@@ -699,6 +708,91 @@ fn a_block_build_holds_its_index_a_key_buffer_and_a_scratch_per_thread() {
             "symmetric, {threads} threads: this thread kept {kept} bytes of the index"
         );
     }
+}
+
+/// What laying out a build's tables holds beyond them. Until its table is laid out,
+/// a map from each key to a bucket number: a 16-byte entry and a control byte per
+/// slot, fewer than 16/7 slots per bucket, and a small table's minimum — the one map
+/// that is growing holds its old slots beside the new. While a table is laid out, its
+/// buckets' order and sizes, 20 bytes a bucket. And the counting sort's scratch, a
+/// `u32` per point.
+fn filing_transient(tables: &[Table], points: usize) -> usize {
+    let buckets: Vec<usize> = tables.iter().map(|t| t.buckets().count()).collect();
+    let widest = buckets.iter().copied().max().unwrap_or(0);
+    let maps: usize = buckets.iter().map(|&b| 40 * b + 128).sum();
+    maps + 20 * widest + 4 * points
+}
+
+#[test]
+fn lsh_tables_hold_their_ids_and_a_few_words_per_bucket() {
+    let n = 8000;
+    let data = join_vectors(0x7AB1E, n);
+    let params = SymmetricParams::default();
+    let schedule = Schedule::new(BUILD_BLOCK);
+    let span = Span::begin();
+    let index = LshMips::<SymmetricSphereMap>::build(
+        schedule,
+        &mut StdRng::seed_from_u64(11),
+        &data[..],
+        spec(),
+        params,
+    )
+    .unwrap();
+    let transient = span.transient();
+    let tables = index.lsh_index().tables();
+    let entries = index.lsh_index().stored_entries();
+    let buckets: usize = tables.iter().map(|t| t.buckets().count()).sum();
+    assert_eq!(entries, n * params.tables);
+    assert!(
+        buckets > 500 * params.tables,
+        "spread points: {buckets} buckets"
+    );
+
+    // A table is its ids, a key and an offset a bucket, and a constant.
+    let bound = 4 * entries + 16 * buckets + 256 * tables.len();
+    let span = Span::begin();
+    let copy = tables.to_vec();
+    let held = span.kept();
+    assert!(
+        held <= bound,
+        "{entries} ids in {buckets} buckets take {held} bytes, more than {bound}"
+    );
+    assert!(copy == tables);
+    drop(copy);
+    // What a `HashMap<u64, Vec<u32>>` a table holds for the same buckets.
+    let span = Span::begin();
+    let maps: Vec<HashMap<u64, Vec<u32>>> = tables
+        .iter()
+        .map(|t| {
+            t.buckets()
+                .map(|(key, ids)| (key, ids.iter().collect()))
+                .collect()
+        })
+        .collect();
+    let mapped = span.kept();
+    assert!(
+        mapped > 2 * held,
+        "the map form takes {mapped} bytes, the tables {held}"
+    );
+    drop(maps);
+
+    // Beyond the index it keeps, the build held its key buffer and scratches while
+    // hashing, then the key maps and the counting scratch while laying the tables
+    // out — never the map form.
+    let map = SymmetricSphereMap::new(JOIN_DIM, params.epsilon, params.precision_bits).unwrap();
+    let word = std::mem::size_of::<f64>();
+    let width = params.tables * params.bits_per_table;
+    let key_buffer = schedule.ring() * BUILD_BLOCK * params.tables * word;
+    let image = 32 + map.tag_nonzeros() * 2 * word;
+    let scratches = schedule.threads * (4 * width * word + BUILD_BLOCK * image);
+    let sampling = 2 * params.bits_per_table * map.output_dim() * word;
+    let filing = filing_transient(tables, n);
+    assert!(
+        transient <= key_buffer + scratches + sampling + filing + 16 * KIB,
+        "the build held {transient} bytes beyond its index: the key buffer is \
+         {key_buffer}, the scratches {scratches}, sampling {sampling}, filing {filing}"
+    );
+    assert!(filing < mapped, "filing {filing}, the map form {mapped}");
 }
 
 #[test]
