@@ -3,12 +3,12 @@
 //! substrate").
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use ips_bench::crosspolytope::CrossPolytopeFamily;
+use ips_bench::e2lsh::E2LshFamily;
+use ips_bench::mhalsh::MhAlshFamily;
+use ips_bench::minhash::MinHashFamily;
 use ips_linalg::random::{random_ball_vector, random_binary_vector, random_unit_vector};
-use ips_lsh::crosspolytope::CrossPolytopeFamily;
-use ips_lsh::e2lsh::E2LshFamily;
 use ips_lsh::hyperplane::HyperplaneFamily;
-use ips_lsh::mhalsh::MhAlshFamily;
-use ips_lsh::minhash::MinHashFamily;
 use ips_lsh::simple_alsh::SimpleAlshFamily;
 use ips_lsh::traits::{AsymmetricHashFunction, AsymmetricLshFamily, HashFunction, LshFamily};
 use rand::rngs::StdRng;

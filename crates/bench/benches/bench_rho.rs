@@ -5,8 +5,9 @@
 //! `figure2` binary's data generation.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ips_lsh::alsh_l2::L2AlshParams;
-use ips_lsh::rho::{figure2_series, rho_data_dependent, rho_l2_alsh, rho_mh_alsh, rho_simple_alsh};
+use ips_lsh::rho::{
+    figure2_series, rho_data_dependent, rho_l2_alsh, rho_mh_alsh, rho_simple_alsh, L2AlshParams,
+};
 
 fn bench_single_formulas(c: &mut Criterion) {
     let mut group = c.benchmark_group("rho_formulas");

@@ -12,35 +12,15 @@
 //! vanishes as `m` grows because `U < 1` shrinks norms, so small distances correspond to
 //! large inner products and standard p-stable E2LSH applies. This is the construction
 //! whose "very weak guarantees when inner products are small relative to the lengths of
-//! vectors" motivated much of the paper.
+//! vectors" motivated much of the paper. Its parameters, [`L2AlshParams`], live with
+//! the ρ exponent they determine ([`ips_lsh::rho::rho_l2_alsh`]).
 
 use crate::e2lsh::{E2LshFamily, E2LshFunction};
-use crate::error::{LshError, Result};
-use crate::traits::{AsymmetricHashFunction, AsymmetricLshFamily, HashFunction, LshFamily};
 use ips_linalg::DenseVector;
+use ips_lsh::rho::L2AlshParams;
+use ips_lsh::traits::{AsymmetricHashFunction, AsymmetricLshFamily, HashFunction, LshFamily};
+use ips_lsh::{LshError, Result};
 use rand::Rng;
-
-/// Parameters of the L2-ALSH(SL) construction.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct L2AlshParams {
-    /// Number of norm-augmentation coordinates `m`.
-    pub m: usize,
-    /// Shrinkage factor `U ∈ (0, 1)` applied to data vectors.
-    pub u: f64,
-    /// Bucket width `r` of the underlying E2LSH family.
-    pub r: f64,
-}
-
-impl Default for L2AlshParams {
-    /// The parameter setting recommended in \[45\]: `m = 3`, `U = 0.83`, `r = 2.5`.
-    fn default() -> Self {
-        Self {
-            m: 3,
-            u: 0.83,
-            r: 2.5,
-        }
-    }
-}
 
 /// The L2-ALSH(SL) family.
 #[derive(Debug, Clone)]
@@ -53,7 +33,7 @@ pub struct L2AlshFamily {
 
 impl L2AlshFamily {
     /// Creates a family for data vectors of dimension `dim` with norms bounded by
-    /// `max_data_norm`, using the given parameters.
+    /// `max_data_norm`, using the given parameters ([`L2AlshParams::validate`]).
     pub fn new(dim: usize, max_data_norm: f64, params: L2AlshParams) -> Result<Self> {
         if dim == 0 {
             return Err(LshError::InvalidParameter {
@@ -67,24 +47,7 @@ impl L2AlshFamily {
                 reason: "maximum data norm must be positive".into(),
             });
         }
-        if params.m == 0 {
-            return Err(LshError::InvalidParameter {
-                name: "m",
-                reason: "norm augmentation count m must be positive".into(),
-            });
-        }
-        if !(params.u > 0.0 && params.u < 1.0) {
-            return Err(LshError::InvalidParameter {
-                name: "u",
-                reason: format!("shrinkage factor must lie in (0,1), got {}", params.u),
-            });
-        }
-        if !(params.r > 0.0) {
-            return Err(LshError::InvalidParameter {
-                name: "r",
-                reason: "bucket width must be positive".into(),
-            });
-        }
+        params.validate()?;
         let inner = E2LshFamily::new(dim + params.m, params.r)?;
         Ok(Self {
             dim,
@@ -158,8 +121,7 @@ impl L2AlshFamily {
     pub fn transformed_distance_sq(&self, s_hat: f64, data_norm_ratio: f64) -> f64 {
         let m = self.params.m as f64;
         let u = self.params.u;
-        1.0 + m / 4.0 - 2.0 * u * s_hat
-            + (u * data_norm_ratio).powi(1 << (self.params.m + 1) as i32)
+        1.0 + m / 4.0 - 2.0 * u * s_hat + self.params.norm_tail(u * data_norm_ratio)
     }
 }
 

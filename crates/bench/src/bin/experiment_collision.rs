@@ -7,12 +7,12 @@
 //! MH-ALSH `a/(M + |q| − a)`, E2LSH closed form). The SIMPLE-ALSH row demonstrates the
 //! asymmetry cost: identical vectors do *not* collide with probability 1.
 
+use ips_bench::mhalsh::MhAlshFamily;
 use ips_bench::{fmt, no_args, render_table, Timer};
 use ips_datagen::sphere::similarity_ladder;
 use ips_linalg::BinaryVector;
 use ips_lsh::collision::estimate_collision_curve;
 use ips_lsh::hyperplane::HyperplaneFamily;
-use ips_lsh::mhalsh::MhAlshFamily;
 use ips_lsh::simple_alsh::SimpleAlshFamily;
 use ips_lsh::traits::{AsymmetricHashFunction, AsymmetricLshFamily};
 use ips_lsh::SymmetricAsAsymmetric;

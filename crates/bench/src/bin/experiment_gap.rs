@@ -9,12 +9,12 @@
 //! and it shrinks further as the ratio `U/s` grows, which is why no asymmetric LSH can
 //! exist for unbounded query domains.
 
+use ips_bench::alsh_l2::L2AlshFamily;
 use ips_bench::{fmt, no_args, render_table};
 use ips_core::lower_bounds::grid::estimate_gap_on_sequence;
 use ips_core::lower_bounds::sequences::{
     hard_sequence_case1, hard_sequence_case2, hard_sequence_case3, HardSequence,
 };
-use ips_lsh::alsh_l2::L2AlshFamily;
 use ips_lsh::simple_alsh::SimpleAlshFamily;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

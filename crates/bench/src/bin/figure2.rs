@@ -12,8 +12,7 @@
 //! `s ≥ 1/3`, `c ≥ 0.83`) while MH-ALSH wins for small `s`.
 
 use ips_bench::{fmt, no_args, render_table};
-use ips_lsh::alsh_l2::L2AlshParams;
-use ips_lsh::rho::{figure2_series, rho_l2_alsh};
+use ips_lsh::rho::{figure2_series, rho_l2_alsh, L2AlshParams};
 
 fn main() {
     no_args();

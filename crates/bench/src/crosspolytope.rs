@@ -12,10 +12,10 @@
 //! projection dimensions trade accuracy for speed exactly as in the feature-hashing
 //! variant of the original paper.
 
-use crate::error::{LshError, Result};
-use crate::traits::{HashFunction, LshFamily};
 use ips_linalg::projection::GaussianProjection;
 use ips_linalg::DenseVector;
+use ips_lsh::traits::{HashFunction, LshFamily};
+use ips_lsh::{LshError, Result};
 use rand::Rng;
 
 /// Family of cross-polytope hash functions on `R^dim`.

@@ -8,13 +8,15 @@
 //! p(r) = 1 − 2Φ(−w/r) − (2r/(√(2π) w)) (1 − exp(−w²/(2r²)))
 //! ```
 //!
-//! which is what L2-ALSH(SL) \[45\] plugs its asymmetric transformations into. The family
-//! is symmetric; the ALSH constructions wrap it with different data/query preprocessing.
+//! which is what L2-ALSH(SL) \[45\] plugs its asymmetric transformations into. The
+//! closed form is [`ips_lsh::rho::e2lsh_collision_probability`], beside the ρ exponent
+//! it feeds. The family is symmetric; the ALSH constructions wrap it with different
+//! data/query preprocessing.
 
-use crate::error::{LshError, Result};
-use crate::traits::{HashFunction, LshFamily};
 use ips_linalg::random::{gaussian_vector, standard_gaussian};
 use ips_linalg::DenseVector;
+use ips_lsh::traits::{HashFunction, LshFamily};
+use ips_lsh::{LshError, Result};
 use rand::Rng;
 
 /// Family of 1-dimensional p-stable (Gaussian) bucket hashes on `R^dim` with bucket
@@ -47,38 +49,6 @@ impl E2LshFamily {
     pub fn width(&self) -> f64 {
         self.width
     }
-
-    /// Standard normal CDF (via `erf`-free Abramowitz–Stegun style approximation built
-    /// on `erfc` identities; accurate to ~1e-7 which is ample for collision curves).
-    fn phi(x: f64) -> f64 {
-        0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
-    }
-
-    /// Theoretical collision probability of a single hash for two points at Euclidean
-    /// distance `r > 0` with bucket width `w`.
-    pub fn collision_probability(r: f64, w: f64) -> f64 {
-        if r <= 0.0 {
-            return 1.0;
-        }
-        let ratio = w / r;
-        let term1 = 1.0 - 2.0 * Self::phi(-ratio);
-        let term2 = (2.0 / ((2.0 * std::f64::consts::PI).sqrt() * ratio))
-            * (1.0 - (-(ratio * ratio) / 2.0).exp());
-        (term1 - term2).clamp(0.0, 1.0)
-    }
-}
-
-/// Error function approximation (Abramowitz–Stegun 7.1.26, max error ~1.5e-7).
-fn erf(x: f64) -> f64 {
-    let sign = if x < 0.0 { -1.0 } else { 1.0 };
-    let x = x.abs();
-    let t = 1.0 / (1.0 + 0.3275911 * x);
-    let y = 1.0
-        - (((((1.061405429 * t - 1.453152027) * t) + 1.421413741) * t - 0.284496736) * t
-            + 0.254829592)
-            * t
-            * (-x * x).exp();
-    sign * y
 }
 
 /// A sampled E2LSH hash function.
@@ -131,6 +101,7 @@ impl LshFamily for E2LshFamily {
 mod tests {
     use super::*;
     use ips_linalg::random::random_unit_vector;
+    use ips_lsh::rho::e2lsh_collision_probability;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -145,21 +116,13 @@ mod tests {
     }
 
     #[test]
-    fn erf_sanity() {
-        assert!(erf(0.0).abs() < 1e-6);
-        assert!((erf(1.0) - 0.8427007).abs() < 1e-5);
-        assert!((erf(-1.0) + 0.8427007).abs() < 1e-5);
-        assert!((erf(3.0) - 1.0).abs() < 1e-4);
-    }
-
-    #[test]
     fn collision_probability_monotone_in_distance() {
         let w = 4.0;
-        let p_close = E2LshFamily::collision_probability(0.5, w);
-        let p_mid = E2LshFamily::collision_probability(2.0, w);
-        let p_far = E2LshFamily::collision_probability(8.0, w);
+        let p_close = e2lsh_collision_probability(0.5, w);
+        let p_mid = e2lsh_collision_probability(2.0, w);
+        let p_far = e2lsh_collision_probability(8.0, w);
         assert!(p_close > p_mid && p_mid > p_far);
-        assert_eq!(E2LshFamily::collision_probability(0.0, w), 1.0);
+        assert_eq!(e2lsh_collision_probability(0.0, w), 1.0);
         assert!(p_far > 0.0 && p_close < 1.0);
     }
 
@@ -193,7 +156,7 @@ mod tests {
                 }
             }
             let empirical = collisions as f64 / trials as f64;
-            let theory = E2LshFamily::collision_probability(dist, w);
+            let theory = e2lsh_collision_probability(dist, w);
             assert!(
                 (empirical - theory).abs() < 0.04,
                 "dist={dist}: empirical {empirical} vs theory {theory}"

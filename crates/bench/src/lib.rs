@@ -8,14 +8,28 @@
 //! | `table1` | Table 1 — hard vs permissible approximation ranges, with the gap of each Lemma 3 embedding verified numerically |
 //! | `figure1` | Figure 1 — the Lemma 4 grid partition and mass-accounting bound |
 //! | `figure2` | Figure 2 — ρ of DATA-DEP vs SIMP vs MH-ALSH |
-//! | `experiment_collision` | E4 — empirical collision probabilities vs theory |
+//! | `experiment_collision` | E4 — empirical collision probabilities vs theory: SimHash and SIMPLE-ALSH from `ips-lsh`, MH-ALSH from [`mhalsh`] |
 //! | `experiment_join_scaling` | E5 — join runtime scaling (ALSH / sketch vs brute force) |
 //! | `experiment_sketch` | E6 — sketch approximation quality vs κ |
-//! | `experiment_gap` | E7 — measured P1 − P2 on hard sequences vs the Lemma 4 bound |
+//! | `experiment_gap` | E7 — measured P1 − P2 on hard sequences vs the Lemma 4 bound, for SIMPLE-ALSH and L2-ALSH ([`alsh_l2`]) |
 //! | `experiment_ovp` | E8 — the OVP → join reduction end-to-end |
 //! | `experiment_algebraic` | E9 — the algebraic (matrix-multiplication) joins: Gram-product exact join and the amplified unsigned join over `{−1,1}` |
 //! | `experiment_topk` | E10 — top-k recall of the Section 4.1 ALSH index vs table count on the recommender workload |
 //! | `calibrate_planner` | fits the adaptive join planner's `CostModel` constants on the adversarial workload suite and checks every pick against measured runtimes |
+//!
+//! **The comparison families.** The paper measures its §4.1 index against hashing
+//! schemes that no index here is built over. They are sampled only by the experiments
+//! above, the `bench_lsh_families` bench and the `set_containment` example, so they live
+//! in this crate, one module each; their closed forms (ρ, the E2LSH collision
+//! probability, [`ips_lsh::rho::L2AlshParams`]) stay in `ips_lsh::rho`:
+//!
+//! | Scheme | Module | Role in the paper |
+//! |---|---|---|
+//! | Cross-polytope LSH | [`crosspolytope`] | the "practical and optimal" sphere LSH of \[7\] |
+//! | p-stable E2LSH | [`e2lsh`] | substrate of L2-ALSH |
+//! | MinHash | [`minhash`] | substrate of MH-ALSH |
+//! | Asymmetric minwise hashing (MH-ALSH) | [`mhalsh`] | state of the art for binary data \[46\] |
+//! | L2-ALSH(SL) | [`alsh_l2`] | the original ALSH for MIPS \[45\] |
 //!
 //! The serving system's numbers (throughput, latency, kernel speed, telemetry and
 //! adaptation overhead) are measured by the repository benchmark under `benchmark/`,
@@ -25,12 +39,18 @@
 //! rigour; the binaries print the rows/series the paper reports so the shapes can be
 //! compared side by side.
 //!
-//! This library crate holds the small amount of shared harness code (text tables, a
-//! wall-clock timer, the argument check) so the binaries stay focused on the
-//! experiment logic.
+//! Beside the families, this library crate holds the small amount of shared harness
+//! code (text tables, a wall-clock timer, the argument check) so the binaries stay
+//! focused on the experiment logic.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+
+pub mod alsh_l2;
+pub mod crosspolytope;
+pub mod e2lsh;
+pub mod mhalsh;
+pub mod minhash;
 
 use std::time::Instant;
 

@@ -16,10 +16,10 @@
 //! the state of the art for the `{0,1}` domain that the DATA-DEP construction sometimes
 //! beats.
 
-use crate::error::{LshError, Result};
 use crate::minhash::{MinHashFamily, MinHashFunction};
-use crate::traits::{AsymmetricHashFunction, AsymmetricLshFamily, LshFamily};
 use ips_linalg::{BinaryVector, DenseVector};
+use ips_lsh::traits::{AsymmetricHashFunction, AsymmetricLshFamily, LshFamily};
+use ips_lsh::{LshError, Result};
 use rand::Rng;
 
 /// The MH-ALSH family: asymmetric padding followed by MinHash.

@@ -8,9 +8,9 @@
 //! MinHash is the substrate of asymmetric minwise hashing (MH-ALSH, [`crate::mhalsh`]),
 //! the binary-data ALSH the paper compares against in Figure 2.
 
-use crate::error::{LshError, Result};
-use crate::traits::{HashFunction, LshFamily};
 use ips_linalg::{BinaryVector, DenseVector};
+use ips_lsh::traits::{HashFunction, LshFamily};
+use ips_lsh::{LshError, Result};
 use rand::Rng;
 
 /// SplitMix64 finaliser; a cheap, well-distributed 64-bit mixer used to realise the

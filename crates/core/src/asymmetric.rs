@@ -138,7 +138,7 @@ impl SphereMap for SphereTransform {
         &self,
         vectors: &[DenseVector],
         (): &mut (),
-        hasher: &mut BlockHasher<'_, SimpleAlshFamily>,
+        hasher: &mut BlockHasher<'_>,
         keys: &mut [u64],
     ) -> Result<()> {
         vectors.iter().try_for_each(|v| check_data(self, v))?;

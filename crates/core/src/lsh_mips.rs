@@ -21,7 +21,7 @@ use ips_linalg::DenseVector;
 use ips_lsh::bank::{Point, Side};
 pub use ips_lsh::table::BUILD_BLOCK;
 use ips_lsh::table::{BlockHasher, IndexParams, LshIndex};
-use ips_lsh::{AsymmetricLshFamily, ProbeSequence};
+use ips_lsh::BankedFamily;
 use rand::Rng;
 use std::borrow::Cow;
 
@@ -48,8 +48,8 @@ pub struct Tuning {
 pub trait SphereMap: Sized + Send + Sync {
     /// The family's tuning parameters.
     type Params: Copy + Send + Sync;
-    /// The LSH family sampled over the sphere.
-    type Family: AsymmetricLshFamily<Function: ProbeSequence + Clone> + Clone;
+    /// The LSH family sampled over the sphere, hashed through its plane bank.
+    type Family: BankedFamily;
     /// What a build thread keeps to present a block of points.
     type Block: Send;
 
@@ -85,7 +85,7 @@ pub trait SphereMap: Sized + Send + Sync {
         &self,
         vectors: &[DenseVector],
         block: &mut Self::Block,
-        hasher: &mut BlockHasher<'_, Self::Family>,
+        hasher: &mut BlockHasher<'_>,
         keys: &mut [u64],
     ) -> Result<()>;
 

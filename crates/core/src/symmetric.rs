@@ -328,7 +328,7 @@ impl SphereMap for SymmetricSphereMap {
         &self,
         vectors: &[DenseVector],
         images: &mut Vec<SphereImage>,
-        hasher: &mut BlockHasher<'_, Self::Family>,
+        hasher: &mut BlockHasher<'_>,
         keys: &mut [u64],
     ) -> Result<()> {
         let images = &mut images[..vectors.len()];

@@ -304,11 +304,11 @@ impl PlaneBank {
 
     /// Scatters the bank back into per-table composite functions — the inverse of
     /// [`PlaneBank::from_functions`]. `assemble` rebuilds one component from its
-    /// embedding and hyperplanes; the result is `None` when it declines any.
+    /// embedding and hyperplanes.
     pub fn to_functions<H>(
         &self,
-        assemble: impl Fn(&Embedding, HyperplaneFunction) -> Option<H>,
-    ) -> Option<Vec<AndFunction<H>>> {
+        assemble: impl Fn(&Embedding, HyperplaneFunction) -> H,
+    ) -> Vec<AndFunction<H>> {
         let width = self.width();
         let plane = |f: usize| {
             DenseVector::new(
@@ -327,11 +327,9 @@ impl PlaneBank {
             .map(|t| {
                 let components = (0..self.components)
                     .map(|c| component((t * self.components + c) * self.bits))
-                    .collect::<Option<Vec<H>>>()?;
-                Some(
-                    AndFunction::from_functions(components)
-                        .expect("a bank holds at least one component per table"),
-                )
+                    .collect();
+                AndFunction::from_functions(components)
+                    .expect("a bank holds at least one component per table")
             })
             .collect()
     }

@@ -8,13 +8,15 @@
 //! AND-construction internally.
 //!
 //! [`HyperplaneFunction::hash`] is one dot product per plane. An index over this
-//! family (lifted by [`crate::SymmetricAsAsymmetric`]) evaluates all its functions at
-//! once through a [`crate::bank::PlaneBank`] instead, with bit-identical buckets;
-//! [`LshFamily::hyperplanes`] / [`LshFamily::from_hyperplanes`] are how the family
-//! opts in.
+//! family (lifted by [`SymmetricAsAsymmetric`]) evaluates all its functions at once
+//! through a [`crate::bank::PlaneBank`] instead, with bit-identical buckets: the lift
+//! is a [`BankedFamily`] whose planes need no embedding.
 
+use crate::bank::Embedding;
 use crate::error::{LshError, Result};
-use crate::traits::{HashFunction, LshFamily};
+use crate::traits::{
+    BankedFamily, HashFunction, LshFamily, SymmetricAsAsymmetric, SymmetricFunctionPair,
+};
 use ips_linalg::random::gaussian_vector;
 use ips_linalg::DenseVector;
 use rand::Rng;
@@ -139,13 +141,16 @@ impl LshFamily for HyperplaneFamily {
     fn dim(&self) -> Option<usize> {
         Some(self.dim)
     }
+}
 
-    fn hyperplanes(function: &Self::Function) -> Option<&HyperplaneFunction> {
-        Some(function)
+/// The symmetric family hashes the vector as it is.
+impl BankedFamily for SymmetricAsAsymmetric<HyperplaneFamily> {
+    fn bank_parts(function: &Self::Function) -> (Embedding, &HyperplaneFunction) {
+        (Embedding::Identity, &function.0)
     }
 
-    fn from_hyperplanes(planes: HyperplaneFunction) -> Option<Self::Function> {
-        Some(planes)
+    fn from_bank_parts(_: &Embedding, planes: HyperplaneFunction) -> Self::Function {
+        SymmetricFunctionPair(planes)
     }
 }
 

@@ -14,11 +14,10 @@
 //!   so that `|x| = |q| = M` and inner product `a = s·M`, the transformed Jaccard is
 //!   `s/(2 − s)`, giving `ρ = log(s/(2 − s)) / log(cs/(2 − cs))`.
 //!
-//! The L2-ALSH(SL) exponent is also provided for completeness (it needs the E2LSH
-//! collision probability and the worst-case norm term).
+//! The L2-ALSH(SL) exponent is also provided for completeness, with what it is made
+//! of: the construction's [`L2AlshParams`], the worst-case norm term and the E2LSH
+//! collision probability ([`e2lsh_collision_probability`]).
 
-use crate::alsh_l2::L2AlshParams;
-use crate::e2lsh::E2LshFamily;
 use crate::error::{LshError, Result};
 
 /// Generic ρ from collision probabilities: `ln P1 / ln P2`.
@@ -80,21 +79,116 @@ pub fn rho_mh_alsh(s: f64, c: f64) -> Result<f64> {
     rho_from_probabilities(p1, p2)
 }
 
+/// Parameters of the L2-ALSH(SL) construction \[45\]: data vectors are shrunk to norm
+/// at most `U` and augmented with `m` successive squared norms, and the result is
+/// hashed by E2LSH with bucket width `r`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct L2AlshParams {
+    /// Number of norm-augmentation coordinates `m`.
+    pub m: usize,
+    /// Shrinkage factor `U ∈ (0, 1)` applied to data vectors.
+    pub u: f64,
+    /// Bucket width `r` of the underlying E2LSH family.
+    pub r: f64,
+}
+
+impl Default for L2AlshParams {
+    /// The parameter setting recommended in \[45\]: `m = 3`, `U = 0.83`, `r = 2.5`.
+    fn default() -> Self {
+        Self {
+            m: 3,
+            u: 0.83,
+            r: 2.5,
+        }
+    }
+}
+
+impl L2AlshParams {
+    /// Checks `m ≥ 1`, `0 < U < 1` and `r > 0`.
+    pub fn validate(&self) -> Result<()> {
+        let invalid = |name, reason: String| Err(LshError::InvalidParameter { name, reason });
+        if self.m == 0 {
+            return invalid("m", "norm augmentation count m must be positive".into());
+        }
+        if !(self.u > 0.0 && self.u < 1.0) {
+            return invalid(
+                "u",
+                format!("shrinkage factor must lie in (0,1), got {}", self.u),
+            );
+        }
+        if !(self.r > 0.0) {
+            return invalid(
+                "r",
+                format!("bucket width must be positive, got {}", self.r),
+            );
+        }
+        Ok(())
+    }
+
+    /// The norm term `x^{2^{m+1}}` of the transformed distance, for a shrunk data norm
+    /// `x`: `x` squared `m + 1` times, and no further once it has underflowed to zero
+    /// — so for `x < 1` any `m` costs at most a few dozen multiplications.
+    pub fn norm_tail(&self, x: f64) -> f64 {
+        let mut tail = x;
+        for _ in 0..=self.m {
+            if tail == 0.0 {
+                break;
+            }
+            tail *= tail;
+        }
+        tail
+    }
+}
+
+/// Error function approximation (Abramowitz–Stegun 7.1.26, max error ~1.5e-7).
+fn erf(x: f64) -> f64 {
+    let sign = if x < 0.0 { -1.0 } else { 1.0 };
+    let x = x.abs();
+    let t = 1.0 / (1.0 + 0.3275911 * x);
+    let y = 1.0
+        - (((((1.061405429 * t - 1.453152027) * t) + 1.421413741) * t - 0.284496736) * t
+            + 0.254829592)
+            * t
+            * (-x * x).exp();
+    sign * y
+}
+
+/// Standard normal CDF through [`erf`] (accurate to ~1e-7, ample for collision curves).
+fn phi(x: f64) -> f64 {
+    0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
+}
+
+/// Collision probability of one p-stable (Gaussian) E2LSH hash of bucket width `w`
+/// for two points at Euclidean distance `r`:
+/// `1 − 2Φ(−w/r) − (2r/(√(2π) w))·(1 − exp(−w²/(2r²)))`, and `1` at `r ≤ 0`.
+pub fn e2lsh_collision_probability(r: f64, w: f64) -> f64 {
+    if r <= 0.0 {
+        return 1.0;
+    }
+    let ratio = w / r;
+    let term1 = 1.0 - 2.0 * phi(-ratio);
+    let term2 = (2.0 / ((2.0 * std::f64::consts::PI).sqrt() * ratio))
+        * (1.0 - (-(ratio * ratio) / 2.0).exp());
+    (term1 - term2).clamp(0.0, 1.0)
+}
+
 /// The L2-ALSH(SL) exponent \[45\] for normalised queries and data norms at most 1,
 /// computed from the E2LSH collision probability at the worst-case transformed
-/// distances.
+/// distances. Fails on a threshold out of range or on parameters
+/// [`L2AlshParams::validate`] refuses.
 pub fn rho_l2_alsh(s: f64, c: f64, params: L2AlshParams) -> Result<f64> {
     validate_threshold(s, c, 1.0)?;
+    params.validate()?;
     let m = params.m as f64;
     let u = params.u;
-    let tail = u.powi(1 << (params.m + 1) as i32);
+    let tail = params.norm_tail(u);
     // Near pairs: inner product >= s, worst-case distance uses the full norm tail.
     let d_near = (1.0 + m / 4.0 - 2.0 * u * s + tail).max(0.0).sqrt();
     // Far pairs: inner product < cs; the most favourable (smallest-distance) far pair
     // has no norm tail, which is the conservative choice for P2.
     let d_far = (1.0 + m / 4.0 - 2.0 * u * c * s).max(0.0).sqrt();
-    let p1 = E2LshFamily::collision_probability(d_near, params.r);
-    let p2 = E2LshFamily::collision_probability(d_far, params.r);
+    let p1 = e2lsh_collision_probability(d_near, params.r);
+    let p2 = e2lsh_collision_probability(d_far, params.r);
     rho_from_probabilities(p1, p2)
 }
 
@@ -133,6 +227,7 @@ pub fn figure2_series(c: f64, s_values: &[f64]) -> Result<Vec<RhoComparison>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hint::black_box;
 
     #[test]
     fn generic_rho_validation() {
@@ -239,6 +334,56 @@ mod tests {
                 "DATA-DEP should be competitive with L2-ALSH"
             );
         }
+    }
+
+    #[test]
+    fn l2_alsh_rho_takes_any_m_and_refuses_invalid_params() {
+        // The exponent with the norm term given: what `rho_l2_alsh` computes.
+        let closed_form = |s: f64, c: f64, params: L2AlshParams, tail: f64| {
+            let (m, u) = (params.m as f64, params.u);
+            let d_near = (1.0 + m / 4.0 - 2.0 * u * s + tail).max(0.0).sqrt();
+            let d_far = (1.0 + m / 4.0 - 2.0 * u * c * s).max(0.0).sqrt();
+            let p1 = e2lsh_collision_probability(d_near, params.r);
+            let p2 = e2lsh_collision_probability(d_far, params.r);
+            p1.ln() / p2.ln()
+        };
+        let default = L2AlshParams::default();
+        for s in [0.3, 0.5, 0.8] {
+            // The default `m = 3` takes `U^16`, bit for bit what `powi` gives at run
+            // time (a constant-folded `powi` rounds once, not four times).
+            let sixteenth = black_box(default.u).powi(black_box(16));
+            let rho = rho_l2_alsh(s, 0.7, default).unwrap();
+            let expected = closed_form(s, 0.7, default, sixteenth);
+            assert_eq!(rho.to_bits(), expected.to_bits());
+            // A shift by `m + 1` overflowed here; the tail has long underflowed.
+            for m in [31, 64] {
+                let params = L2AlshParams { m, ..default };
+                let rho = rho_l2_alsh(s, 0.7, params).unwrap();
+                assert_eq!(rho, closed_form(s, 0.7, params, 0.0), "m = {m}");
+            }
+        }
+        for params in [
+            L2AlshParams { u: 0.0, ..default },
+            L2AlshParams { u: 1.0, ..default },
+            L2AlshParams { r: 0.0, ..default },
+            L2AlshParams { m: 0, ..default },
+        ] {
+            assert!(params.validate().is_err(), "{params:?}");
+            assert!(rho_l2_alsh(0.5, 0.7, params).is_err(), "{params:?}");
+        }
+        assert_eq!(
+            default.norm_tail(default.u),
+            black_box(default.u).powi(black_box(16))
+        );
+        assert_eq!(L2AlshParams { m: 64, ..default }.norm_tail(0.0), 0.0);
+    }
+
+    #[test]
+    fn erf_sanity() {
+        assert!(erf(0.0).abs() < 1e-6);
+        assert!((erf(1.0) - 0.8427007).abs() < 1e-5);
+        assert!((erf(-1.0) + 0.8427007).abs() < 1e-5);
+        assert!((erf(3.0) - 1.0).abs() < 1e-4);
     }
 
     #[test]

@@ -17,17 +17,18 @@
 //!
 //! A [`SimpleAlshFunction`] embeds and hashes one vector on its own — the definition
 //! of the family, and the oracle the bit-identity tests compare against. An
-//! [`crate::table::LshIndex`] does not call it: [`SimpleAlshFamily`] hands the index
-//! its functions as a [`PlaneBank`] ([`AsymmetricLshFamily::plane_bank`]), which
-//! embeds each vector once through [`SphereTransform::transform_data_into`] /
+//! [`crate::table::LshIndex`] does not call it: [`SimpleAlshFamily`] is a
+//! [`BankedFamily`], so the index holds its functions as a
+//! [`PlaneBank`](crate::bank::PlaneBank), which embeds each vector once through [`SphereTransform::transform_data_into`] /
 //! [`SphereTransform::transform_query_into`] — the same code the allocating
 //! `transform_*` wrap — and evaluates every hyperplane of every table in one pass.
 
-use crate::amplify::AndFunction;
-use crate::bank::{Embedding, PlaneBank};
+use crate::bank::Embedding;
 use crate::error::{LshError, Result};
 use crate::hyperplane::{HyperplaneFamily, HyperplaneFunction};
-use crate::traits::{AsymmetricHashFunction, AsymmetricLshFamily, HashFunction, LshFamily};
+use crate::traits::{
+    AsymmetricHashFunction, AsymmetricLshFamily, BankedFamily, HashFunction, LshFamily,
+};
 use ips_linalg::DenseVector;
 use rand::Rng;
 
@@ -231,22 +232,25 @@ impl AsymmetricLshFamily for SimpleAlshFamily {
     fn dim(&self) -> Option<usize> {
         Some(self.transform.dim())
     }
+}
 
-    fn bank_parts(function: &Self::Function) -> Option<(Embedding, &HyperplaneFunction)> {
-        Some((
+/// SIMPLE-ALSH hashes the Section 4.1 sphere image of a vector.
+impl BankedFamily for SimpleAlshFamily {
+    fn bank_parts(function: &Self::Function) -> (Embedding, &HyperplaneFunction) {
+        (
             Embedding::Sphere(function.transform.clone()),
             &function.inner,
-        ))
+        )
     }
 
-    fn functions_of_bank(bank: &PlaneBank) -> Option<Vec<AndFunction<Self::Function>>> {
-        bank.to_functions(|embedding, inner| match embedding {
-            Embedding::Sphere(transform) => Some(SimpleAlshFunction {
-                transform: transform.clone(),
-                inner,
-            }),
-            Embedding::Identity => None,
-        })
+    fn from_bank_parts(embedding: &Embedding, inner: HyperplaneFunction) -> Self::Function {
+        let Embedding::Sphere(transform) = embedding else {
+            unreachable!("a SIMPLE-ALSH bank embeds through the sphere transform");
+        };
+        SimpleAlshFunction {
+            transform: transform.clone(),
+            inner,
+        }
     }
 }
 

@@ -8,16 +8,13 @@
 //! (Sections 1.1 and 4) refer to.
 //!
 //! **Hashing.** Every operation — build, insert, remove, lookup, probed lookup — asks
-//! one place for a vector's `L` bucket keys. For a family that provides a
-//! [`PlaneBank`] ([`AsymmetricLshFamily::plane_bank`]: SIMPLE-ALSH and the symmetric
-//! hyperplane family) that place is the bank's kernel: the vector is embedded once and
-//! all `k·L` hyperplane margins come from one pass over the coordinate-major
-//! coefficients, with keys bit-identical to the per-function walk. Any other family
-//! (e.g. MH-ALSH) is hashed function by function through its trait implementation.
-//! The index holds exactly one of the two representations; see [`crate::bank`].
-//! A point arrives as a `&DenseVector` or — at a banked index — as a [`SparseImage`]
-//! (`impl Into<Point>` throughout): same keys as the dense vector the image stands
-//! for, for the rows it names only.
+//! one place for a vector's `L` bucket keys: the index's [`PlaneBank`]. The family is
+//! a [`BankedFamily`] (SIMPLE-ALSH or the symmetric hyperplane family), so the vector
+//! is embedded once and all `k·L` hyperplane margins come from one pass over the
+//! coordinate-major coefficients, with keys bit-identical to the per-function walk;
+//! see [`crate::bank`]. A point arrives as a `&DenseVector` or — at an index whose
+//! bank has no embedding — as a [`SparseImage`] (`impl Into<Point>` throughout): same
+//! keys as the dense vector the image stands for, for the rows it names only.
 //! The kernel's buffers are reused: `insert` / `remove` hash through a scratch the
 //! index owns, the `&self` lookups through one per thread.
 //!
@@ -59,13 +56,13 @@ use crate::amplify::{AndConstruction, AndFunction};
 use crate::bank::SparseImage;
 use crate::bank::{BankScratch, PlaneBank, Point, Side};
 use crate::error::{LshError, Result};
-use crate::probe::ProbeSequence;
-use crate::traits::{AsymmetricHashFunction, AsymmetricLshFamily};
+use crate::traits::{AsymmetricLshFamily, BankedFamily};
 use ips_linalg::par::{pipeline, Schedule};
 use ips_linalg::DenseVector;
 use rand::Rng;
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::marker::PhantomData;
 use std::ops::Range;
 
 /// Points a build thread claims at a time: enough that a claim (two lock hand-offs,
@@ -114,110 +111,15 @@ impl IndexParams {
     }
 }
 
-/// The `L` sampled composite functions in the one form the index evaluates them in.
-enum Hasher<F: AsymmetricLshFamily> {
-    /// Hyperplane families: every normal in one coordinate-major bank.
-    Bank(PlaneBank),
-    /// Every other family: the functions as sampled.
-    Functions(Vec<AndFunction<F::Function>>),
-}
-
-impl<F: AsymmetricLshFamily> Hasher<F> {
-    fn new(functions: Vec<AndFunction<F::Function>>) -> Result<Self> {
-        Ok(match F::plane_bank(&functions)? {
-            Some(bank) => Self::Bank(bank),
-            None => Self::Functions(functions),
-        })
-    }
-
-    /// `tables` composites drawn from `composite`, in table order. A banked family's
-    /// go into the bank one table at a time (see [`PlaneBank::sampled`]): same draws
-    /// in the same order as collecting them first, half the memory.
-    fn sampled<R: Rng + ?Sized>(
-        composite: &AndConstruction<F>,
-        tables: usize,
-        rng: &mut R,
-    ) -> Result<Self> {
-        let first = composite.sample(rng)?;
-        if !first.functions().iter().all(|f| F::bank_parts(f).is_some()) {
-            let rest = (1..tables).map(|_| composite.sample(rng));
-            let functions = std::iter::once(Ok(first)).chain(rest);
-            return Ok(Self::Functions(functions.collect::<Result<_>>()?));
-        }
-        let mut first = Some(first);
-        let bank = PlaneBank::sampled(
-            tables,
-            || first.take().map_or_else(|| composite.sample(rng), Ok),
-            |f| F::bank_parts(f).expect("a banked family banks every function"),
-        )?;
-        Ok(Self::Bank(bank))
-    }
-
-    /// The `L` bucket keys of the point into `buffers.keys`, every one computed
-    /// before the caller sees any — so a dimension or domain error leaves nothing
-    /// half-done.
-    fn keys_into(&self, side: Side, point: Point<'_>, buffers: &mut KeyBuffers) -> Result<()> {
-        let KeyBuffers { scratch, keys } = buffers;
-        keys.clear();
-        keys.resize(self.tables(), 0);
-        self.block_keys(side, [point], scratch, keys)
-    }
-
-    /// The bucket keys of a block of points, point-major (`L` per point) — for a bank,
-    /// [`PlaneBank::block_keys`]; for any other family, function by function.
-    fn block_keys<'a>(
-        &self,
-        side: Side,
-        points: impl IntoIterator<Item = Point<'a>>,
-        scratch: &mut BankScratch,
-        keys: &mut [u64],
-    ) -> Result<()> {
-        let functions = match self {
-            Self::Bank(bank) => return bank.block_keys(side, points, scratch, keys),
-            Self::Functions(functions) => functions,
-        };
-        for (point, keys) in points
-            .into_iter()
-            .zip(keys.chunks_exact_mut(functions.len()))
-        {
-            let Point::Dense(v) = point else {
-                return Err(not_banked());
-            };
-            for (key, f) in keys.iter_mut().zip(functions) {
-                *key = match side {
-                    Side::Data => f.hash_data(v)?,
-                    Side::Query => f.hash_query(v)?,
-                };
-            }
-        }
-        Ok(())
-    }
-
-    fn tables(&self) -> usize {
-        match self {
-            Self::Bank(bank) => bank.tables(),
-            Self::Functions(functions) => functions.len(),
-        }
-    }
-
-    /// A kernel scratch at its full size, so that hashing through it allocates nothing.
-    fn scratch(&self) -> BankScratch {
-        match self {
-            Self::Bank(bank) => bank.scratch(),
-            Self::Functions(_) => BankScratch::default(),
-        }
-    }
-}
-
 /// The hashing half of an index, as a build worker sees it (see
-/// [`LshIndex::extend_blocks`]): the functions, shared and read-only, and a kernel
-/// scratch of the worker's own. Good for the data side only.
-pub struct BlockHasher<'a, F: AsymmetricLshFamily> {
-    hasher: &'a Hasher<F>,
+/// [`LshIndex::extend_blocks`]): the bank, shared and read-only, and a kernel scratch
+/// of the worker's own. Good for the data side only.
+pub struct BlockHasher<'a> {
+    bank: &'a PlaneBank,
     scratch: &'a mut BankScratch,
 }
 
-impl<F: AsymmetricLshFamily> BlockHasher<'_, F> {
+impl BlockHasher<'_> {
     /// The data-side bucket keys of a block of points, point-major: point `i`'s `L`
     /// keys are `keys[i·L..(i+1)·L]`, which must be exactly the slots given. Fails with
     /// the error of the first point the family refuses.
@@ -226,16 +128,7 @@ impl<F: AsymmetricLshFamily> BlockHasher<'_, F> {
         points: impl IntoIterator<Item = Point<'p>>,
         keys: &mut [u64],
     ) -> Result<()> {
-        self.hasher
-            .block_keys(Side::Data, points, self.scratch, keys)
-    }
-}
-
-/// What a family hashed function by function answers to a [`SparseImage`].
-fn not_banked() -> LshError {
-    LshError::InvalidParameter {
-        name: "image",
-        reason: "only a family hashed through a plane bank takes a sparse image".into(),
+        self.bank.block_keys(Side::Data, points, self.scratch, keys)
     }
 }
 
@@ -601,17 +494,19 @@ impl Filing {
     }
 }
 
-/// A multi-table LSH index over data vectors, generic over any asymmetric family.
-pub struct LshIndex<F: AsymmetricLshFamily> {
-    hasher: Hasher<F>,
+/// A multi-table LSH index over data vectors, hashed through the plane bank of a
+/// [`BankedFamily`].
+pub struct LshIndex<F: BankedFamily> {
+    bank: PlaneBank,
     tables: Vec<Table>,
     params: IndexParams,
     len: usize,
     /// What `insert` and `remove` hash through.
     buffers: KeyBuffers,
+    family: PhantomData<fn() -> F>,
 }
 
-impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
+impl<F: BankedFamily> LshIndex<F> {
     /// Builds an index over `data` using `params.l` tables of `params.k`-wise composite
     /// functions sampled from `family`, hashing on every available CPU
     /// ([`LshIndex::build_scheduled`] with the default [`Schedule`]).
@@ -620,10 +515,7 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
         params: IndexParams,
         data: &[DenseVector],
         rng: &mut R,
-    ) -> Result<Self>
-    where
-        F::Function: Sync,
-    {
+    ) -> Result<Self> {
         Self::build_scheduled(Schedule::new(BUILD_BLOCK), family, params, data, rng)
     }
 
@@ -637,10 +529,7 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
         params: IndexParams,
         data: &[DenseVector],
         rng: &mut R,
-    ) -> Result<Self>
-    where
-        F::Function: Sync,
-    {
+    ) -> Result<Self> {
         if params.l == 0 {
             return Err(LshError::InvalidParameter {
                 name: "l",
@@ -653,13 +542,18 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
                 reason: "index supports at most 2^32 - 1 points".into(),
             });
         }
+        // The composites go into the bank one table at a time (see
+        // [`PlaneBank::sampled`]): same draws in the same order as collecting them
+        // first, half the memory.
         let composite = AndConstruction::new(family.clone(), params.k)?;
+        let bank = PlaneBank::sampled(params.l, || composite.sample(rng), F::bank_parts)?;
         let mut index = Self {
-            hasher: Hasher::sampled(&composite, params.l, rng)?,
+            bank,
             tables: vec![Table::default(); params.l],
             params,
             len: 0,
             buffers: KeyBuffers::default(),
+            family: PhantomData,
         };
         index.extend_blocks(
             schedule,
@@ -710,18 +604,10 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
         first_id: u32,
         count: usize,
         thread_state: impl Fn(usize) -> T,
-        hash: impl Fn(
-                &mut BlockHasher<'_, F>,
-                Range<usize>,
-                &mut T,
-                &mut [u64],
-            ) -> std::result::Result<(), E>
+        hash: impl Fn(&mut BlockHasher<'_>, Range<usize>, &mut T, &mut [u64]) -> std::result::Result<(), E>
             + Sync,
         mut filed: impl FnMut(Range<usize>),
-    ) -> std::result::Result<(), E>
-    where
-        F::Function: Sync,
-    {
+    ) -> std::result::Result<(), E> {
         assert!(self.is_empty(), "extend_blocks files into an empty index");
         assert!(
             count <= (u32::MAX - first_id) as usize,
@@ -730,12 +616,12 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
         if count == 0 {
             return Ok(());
         }
-        let Self { hasher, tables, .. } = self;
-        let hasher = &*hasher;
+        let Self { bank, tables, .. } = self;
+        let bank = &*bank;
         let (block, l) = (schedule.block.clamp(1, count), tables.len());
         let blocks = count.div_ceil(block);
         let mut locals: Vec<(BankScratch, T)> = (0..schedule.threads.clamp(1, blocks))
-            .map(|_| (hasher.scratch(), thread_state(block)))
+            .map(|_| (bank.scratch(), thread_state(block)))
             .collect();
         let mut keys = vec![0u64; schedule.ring().min(blocks) * block * l];
         let mut ring: Vec<(Range<usize>, &mut [u64])> = keys
@@ -756,7 +642,7 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
                 Ok(positions.start < positions.end)
             },
             |(scratch, state), _, (positions, keys)| {
-                let mut hasher = BlockHasher { hasher, scratch };
+                let mut hasher = BlockHasher { bank, scratch };
                 let keys = &mut keys[..positions.len() * l];
                 hash(&mut hasher, positions.clone(), state, keys)
             },
@@ -814,9 +700,9 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
     }
 
     fn home_candidates(&self, q: Point<'_>) -> Result<Vec<usize>> {
-        LOOKUP_BUFFERS.with_borrow_mut(|buffers| {
-            self.hasher.keys_into(Side::Query, q, buffers)?;
-            let buckets = self.tables.iter().zip(&buffers.keys);
+        LOOKUP_BUFFERS.with_borrow_mut(|KeyBuffers { scratch, keys }| {
+            self.bank.keys(Side::Query, q, scratch, keys)?;
+            let buckets = self.tables.iter().zip(&*keys);
             Ok(sorted_candidates(
                 buckets.map(|(table, &key)| table.get(key)),
             ))
@@ -835,8 +721,8 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
     /// for a given index structure regardless of probe count.
     ///
     /// The query is a `&DenseVector` or a [`SparseImage`] — the candidates of the
-    /// dense vector the image stands for; only an index hashed through a plane bank
-    /// without an embedding takes one.
+    /// dense vector the image stands for; only an index whose bank has no embedding
+    /// takes one.
     ///
     /// ```
     /// use ips_lsh::simple_alsh::SimpleAlshFamily;
@@ -858,27 +744,14 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
     /// assert!(classical.iter().all(|id| probed.contains(id)));
     /// # Ok::<(), ips_lsh::LshError>(())
     /// ```
-    pub fn probe_lookup<'p>(&self, q: impl Into<Point<'p>>, probes: usize) -> Result<Vec<usize>>
-    where
-        <AndConstruction<F> as AsymmetricLshFamily>::Function: ProbeSequence,
-    {
+    pub fn probe_lookup<'p>(&self, q: impl Into<Point<'p>>, probes: usize) -> Result<Vec<usize>> {
         let q = q.into();
         if probes == 0 {
             return self.home_candidates(q);
         }
-        let sequences = match (&self.hasher, q) {
-            (Hasher::Bank(bank), q) => Self::bank_probe_keys(bank, q, probes)?,
-            (Hasher::Functions(functions), Point::Dense(q)) => functions
-                .iter()
-                .map(|f| f.probe_query(q, probes))
-                .collect::<Result<Vec<_>>>()?,
-            (Hasher::Functions(_), Point::Sparse(_)) => return Err(not_banked()),
-        };
+        let sequences = LOOKUP_BUFFERS
+            .with_borrow_mut(|buffers| self.bank.probe_keys(q, probes, &mut buffers.scratch))?;
         Ok(self.probed_candidates(&sequences))
-    }
-
-    fn bank_probe_keys(bank: &PlaneBank, q: Point<'_>, probes: usize) -> Result<Vec<Vec<u64>>> {
-        LOOKUP_BUFFERS.with_borrow_mut(|buffers| bank.probe_keys(q, probes, &mut buffers.scratch))
     }
 
     fn probed_candidates(&self, sequences: &[Vec<u64>]) -> Vec<usize> {
@@ -896,17 +769,10 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
 
     /// The `L` sampled composite functions, in table order (persistence accessor).
     ///
-    /// Owned, not borrowed: a hyperplane family's functions live in the index only as
-    /// its [`PlaneBank`] and are scattered back out here, bit for bit.
-    pub fn functions(&self) -> Vec<AndFunction<F::Function>>
-    where
-        F::Function: Clone,
-    {
-        match &self.hasher {
-            Hasher::Bank(bank) => F::functions_of_bank(bank)
-                .expect("a family that banks its functions also rebuilds them"),
-            Hasher::Functions(functions) => functions.clone(),
-        }
+    /// Owned, not borrowed: the functions live in the index only as its
+    /// [`PlaneBank`] and are scattered back out here, bit for bit.
+    pub fn functions(&self) -> Vec<AndFunction<F::Function>> {
+        self.bank.to_functions(F::from_bank_parts)
     }
 
     /// The `L` hash tables, in table order (persistence accessor). Each maps a bucket
@@ -924,8 +790,8 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
     /// with [`LshError::InvalidParameter`]: function and table counts that disagree
     /// with each other or with `params.l`, a function that does not concatenate
     /// exactly `params.k` components, a table whose entry count differs from `len`,
-    /// and — for a family hashed through a [`PlaneBank`] — components that disagree on
-    /// embedding, plane count or plane dimension (see [`PlaneBank::from_functions`]).
+    /// and components that disagree on embedding, plane count or plane dimension (see
+    /// [`PlaneBank::from_functions`]).
     /// Which ids the tables may hold is the id space's owner's to check.
     pub fn from_raw_parts(
         functions: Vec<AndFunction<F::Function>>,
@@ -964,18 +830,19 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
             }
         }
         Ok(Self {
-            hasher: Hasher::new(functions)?,
+            bank: PlaneBank::from_functions(&functions, F::bank_parts)?,
             tables,
             params,
             len,
             buffers: KeyBuffers::default(),
+            family: PhantomData,
         })
     }
 
     /// Inserts a point under id `id`, hashing it into every table with that table's
     /// stored function — the dynamic-maintenance half of the serving layer. A point
     /// given as a [`SparseImage`] is filed where the dense vector it stands for would
-    /// go; only an index hashed through a plane bank without an embedding takes one.
+    /// go; only an index whose bank has no embedding takes one.
     ///
     /// The caller owns the id space, which ends below `u32::MAX` (an id of `u32::MAX`
     /// is refused); inserting an id that is already present stores it twice and is a
@@ -993,8 +860,9 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
         }
         // Every key before any table is touched, so a domain or dimension error
         // cannot leave the point half-inserted.
-        self.hasher.keys_into(Side::Data, p, &mut self.buffers)?;
-        for (table, &key) in self.tables.iter_mut().zip(&self.buffers.keys) {
+        let KeyBuffers { scratch, keys } = &mut self.buffers;
+        self.bank.keys(Side::Data, p, scratch, keys)?;
+        for (table, &key) in self.tables.iter_mut().zip(&*keys) {
             table.insert(key, id);
         }
         self.len += 1;
@@ -1012,9 +880,10 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
     }
 
     fn remove_point(&mut self, id: u32, p: Point<'_>) -> Result<bool> {
-        self.hasher.keys_into(Side::Data, p, &mut self.buffers)?;
+        let KeyBuffers { scratch, keys } = &mut self.buffers;
+        self.bank.keys(Side::Data, p, scratch, keys)?;
         let mut removed = false;
-        for (table, &key) in self.tables.iter_mut().zip(&self.buffers.keys) {
+        for (table, &key) in self.tables.iter_mut().zip(&*keys) {
             removed |= table.remove(key, id);
         }
         if removed {

@@ -9,14 +9,17 @@
 //! * [`AsymmetricLshFamily`] / [`AsymmetricHashFunction`] — asymmetric families;
 //! * [`SymmetricAsAsymmetric`] — an adapter lifting any symmetric family to the
 //!   asymmetric interface, so that indexes and joins can be written once against the
-//!   asymmetric API.
+//!   asymmetric API;
+//! * [`BankedFamily`] — the hyperplane families an index hashes through a
+//!   [`PlaneBank`].
 //!
 //! A family is a *distribution* over functions; [`LshFamily::sample`] draws one
 //! function. Hash values are `u64` buckets; amplification concatenates several values
 //! (see the [`crate::amplify`] module).
 
-use crate::amplify::AndFunction;
-use crate::bank::{Embedding, PlaneBank};
+use crate::bank::Embedding;
+#[cfg(doc)]
+use crate::bank::PlaneBank;
 use crate::error::Result;
 use crate::hyperplane::HyperplaneFunction;
 use ips_linalg::DenseVector;
@@ -38,20 +41,6 @@ pub trait LshFamily {
 
     /// The ambient dimension the family expects, if it is dimension-specific.
     fn dim(&self) -> Option<usize>;
-
-    /// The hyperplanes behind `function`, for a family that hashes by hyperplane
-    /// signs and nothing else — what lets [`SymmetricAsAsymmetric`] hand its
-    /// functions to the [`PlaneBank`] kernel. `None` (the default) for every other
-    /// family; a family that overrides this also overrides
-    /// [`LshFamily::from_hyperplanes`].
-    fn hyperplanes(_function: &Self::Function) -> Option<&HyperplaneFunction> {
-        None
-    }
-
-    /// The inverse of [`LshFamily::hyperplanes`].
-    fn from_hyperplanes(_planes: HyperplaneFunction) -> Option<Self::Function> {
-        None
-    }
 }
 
 /// A single *asymmetric* hash function: a pair `(h_p, h_q)` in the sense of
@@ -79,39 +68,21 @@ pub trait AsymmetricLshFamily {
 
     /// The ambient dimension the family expects, if it is dimension-specific.
     fn dim(&self) -> Option<usize>;
+}
 
-    /// A function's embedding and hyperplanes, for a family whose functions are
-    /// hyperplane signs of an embedded vector.
-    ///
-    /// This is how [`crate::table::LshIndex`] picks its hashing kernel: a family that
-    /// answers here is hashed through a [`PlaneBank`] — one embedding and one pass
-    /// over the coefficients per vector — and its per-function `hash_*` walk is never
-    /// called by the index; a family that returns `None` (the default) is hashed
-    /// function by function. An override also overrides
-    /// [`AsymmetricLshFamily::functions_of_bank`].
-    fn bank_parts(_function: &Self::Function) -> Option<(Embedding, &HyperplaneFunction)> {
-        None
-    }
+/// An asymmetric family whose functions are hyperplane signs of an embedded vector —
+/// the families a [`crate::table::LshIndex`] is built over. The index holds its `L`
+/// composites as one [`PlaneBank`]: one embedding and one pass over the coefficients
+/// per vector. The per-function `hash_*` walk defines the family; the index never
+/// calls it.
+pub trait BankedFamily: AsymmetricLshFamily + Clone {
+    /// A function's embedding and hyperplanes: what [`PlaneBank::from_functions`]
+    /// gathers.
+    fn bank_parts(function: &Self::Function) -> (Embedding, &HyperplaneFunction);
 
-    /// The [`PlaneBank`] of `functions` (one composite per table), when every
-    /// component has [`AsymmetricLshFamily::bank_parts`]. Fails when the functions do
-    /// not form a consistent bank (see [`PlaneBank::from_functions`]).
-    fn plane_bank(functions: &[AndFunction<Self::Function>]) -> Result<Option<PlaneBank>> {
-        let banked = |function: &Self::Function| Self::bank_parts(function).is_some();
-        if !functions.iter().flat_map(|f| f.functions()).all(banked) {
-            return Ok(None);
-        }
-        PlaneBank::from_functions(functions, |function| {
-            Self::bank_parts(function).expect("checked for every component above")
-        })
-        .map(Some)
-    }
-
-    /// The inverse of [`AsymmetricLshFamily::plane_bank`]: the composite functions a
-    /// bank was gathered from, bit for bit.
-    fn functions_of_bank(_bank: &PlaneBank) -> Option<Vec<AndFunction<Self::Function>>> {
-        None
-    }
+    /// The inverse of [`BankedFamily::bank_parts`], for [`PlaneBank::to_functions`]:
+    /// the function of an embedding and hyperplanes that a bank of this family holds.
+    fn from_bank_parts(embedding: &Embedding, planes: HyperplaneFunction) -> Self::Function;
 }
 
 /// Adapter that exposes a symmetric family through the asymmetric interface by using
@@ -142,14 +113,6 @@ impl<F: LshFamily> AsymmetricLshFamily for SymmetricAsAsymmetric<F> {
 
     fn dim(&self) -> Option<usize> {
         self.0.dim()
-    }
-
-    fn bank_parts(function: &Self::Function) -> Option<(Embedding, &HyperplaneFunction)> {
-        F::hyperplanes(&function.0).map(|planes| (Embedding::Identity, planes))
-    }
-
-    fn functions_of_bank(bank: &PlaneBank) -> Option<Vec<AndFunction<Self::Function>>> {
-        bank.to_functions(|_, planes| F::from_hyperplanes(planes).map(SymmetricFunctionPair))
     }
 }
 

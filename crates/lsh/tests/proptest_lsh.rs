@@ -1,13 +1,11 @@
 //! Property-based tests for the LSH layer: determinism of sampled functions, domain
-//! preservation of the asymmetric transforms, and monotonicity of the closed-form ρ and
-//! collision-probability formulas.
+//! preservation of the sphere transform, and monotonicity of the closed-form ρ and
+//! collision-probability formulas. The comparison families' properties are with them,
+//! in `ips-bench`.
 
-use ips_linalg::BinaryVector;
 use ips_linalg::DenseVector;
-use ips_lsh::alsh_l2::{L2AlshFamily, L2AlshParams};
 use ips_lsh::amplify::AndConstruction;
 use ips_lsh::hyperplane::HyperplaneFamily;
-use ips_lsh::mhalsh::MhAlshFamily;
 use ips_lsh::rho::{rho_data_dependent, rho_mh_alsh, rho_simple_alsh};
 use ips_lsh::simple_alsh::SphereTransform;
 use ips_lsh::traits::{
@@ -60,17 +58,6 @@ proptest! {
     }
 
     #[test]
-    fn l2_alsh_distance_identity(p in unit_ballish(8), q in unit_ballish(8)) {
-        prop_assume!(q.norm() > 1e-6);
-        let fam = L2AlshFamily::new(8, 1.0, L2AlshParams::default()).unwrap();
-        let px = fam.transform_data(&p).unwrap();
-        let qq = fam.transform_query(&q).unwrap();
-        let s_hat = q.normalized().unwrap().dot(&p).unwrap();
-        let predicted = fam.transformed_distance_sq(s_hat, p.norm());
-        prop_assert!((qq.distance_sq(&px).unwrap() - predicted).abs() < 1e-6);
-    }
-
-    #[test]
     fn and_construction_never_collides_less_than_each_component(
         seed in any::<u64>(), k in 1usize..=6
     ) {
@@ -104,23 +91,5 @@ proptest! {
         }
         // Equation 3 never loses to the hyperplane instantiation of the same reduction.
         prop_assert!(dd <= simp + 1e-9);
-    }
-
-    #[test]
-    fn mh_alsh_transform_preserves_intersections(
-        bits_x in prop::collection::vec(any::<bool>(), 40),
-        bits_q in prop::collection::vec(any::<bool>(), 40),
-    ) {
-        let x = BinaryVector::from_bools(&bits_x);
-        let q = BinaryVector::from_bools(&bits_q);
-        let capacity = 40;
-        let family = MhAlshFamily::new(40, capacity).unwrap();
-        let px = family.transform_data(&x).unwrap();
-        let qq = family.transform_query(&q).unwrap();
-        // Padding never changes the intersection with a query (padding lives outside the
-        // original universe and queries are not padded).
-        prop_assert_eq!(px.dot(&qq).unwrap(), x.dot(&q).unwrap());
-        // Data vectors are padded to exactly `capacity` ones.
-        prop_assert_eq!(px.count_ones(), capacity);
     }
 }

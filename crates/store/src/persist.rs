@@ -23,7 +23,7 @@ use ips_lsh::amplify::AndFunction;
 use ips_lsh::hyperplane::HyperplaneFunction;
 use ips_lsh::simple_alsh::{SimpleAlshFunction, SphereTransform};
 use ips_lsh::table::{IndexParams, LshIndex, Table};
-use ips_lsh::{AsymmetricLshFamily, SymmetricFunctionPair};
+use ips_lsh::{BankedFamily, SymmetricFunctionPair};
 use ips_sketch::linf_mips::{MaxIpConfig, MaxIpEstimator};
 use ips_sketch::recovery::{Node, SketchMipsIndex};
 
@@ -335,7 +335,7 @@ fn read_table(r: &mut ByteReader<'_>, entries: usize) -> Result<Table> {
 /// Params, length, the sampled functions, then the tables.
 impl<F> Persist for LshIndex<F>
 where
-    F: AsymmetricLshFamily<Function: Persist + Clone> + Clone,
+    F: BankedFamily<Function: Persist>,
 {
     fn write(&self, w: &mut ByteWriter) {
         self.params().write(w);

@@ -3,16 +3,19 @@
 //! For set data the inner product is the intersection size, and the paper's Table 1
 //! shows this domain has the weakest hardness (only `c = 1 − o(1)` is ruled out) and a
 //! dedicated ALSH — asymmetric minwise hashing. This example indexes a Zipfian corpus of
-//! sets with an MH-ALSH multi-table index, runs containment-style queries with a
-//! controlled overlap, and compares the collision behaviour with the theoretical
-//! `a/(M + |q| − a)` curve.
+//! sets in MH-ALSH tables (the family lives in `ips-bench` with the other comparison
+//! schemes; the tables are a plain map per composite function, the OR-construction
+//! spelled out), runs containment-style queries with a controlled overlap, and compares
+//! the collision behaviour with the theoretical `a/(M + |q| − a)` curve.
 //!
 //! Run with `cargo run --release -p ips-examples --example set_containment`.
 
+use ips_bench::mhalsh::MhAlshFamily;
 use ips_datagen::binary_sets::{containment_pairs, zipfian_sets};
 use ips_examples::{example_rng, f3, section};
-use ips_lsh::mhalsh::MhAlshFamily;
-use ips_lsh::table::{IndexParams, LshIndex};
+use ips_lsh::amplify::AndConstruction;
+use ips_lsh::{AsymmetricHashFunction, AsymmetricLshFamily};
+use std::collections::HashMap;
 
 fn main() {
     let mut rng = example_rng(77);
@@ -28,20 +31,26 @@ fn main() {
 
     section("MH-ALSH index");
     let family = MhAlshFamily::new(universe, set_size).expect("valid family");
-    let dense_corpus: Vec<_> = corpus.iter().map(|s| s.to_dense()).collect();
-    let index = LshIndex::build(
-        &family,
-        IndexParams { k: 4, l: 24 },
-        &dense_corpus,
-        &mut rng,
-    )
-    .expect("index construction");
-    println!(
-        "{} tables x {} minhashes each, {} stored entries",
-        index.params().l,
-        index.params().k,
-        index.stored_entries()
-    );
+    let (k, l) = (4, 24);
+    // One composite of `k` minhashes per table, drawn in table order.
+    let composite = AndConstruction::new(family, k).expect("k is positive");
+    let functions: Vec<_> = (0..l)
+        .map(|_| composite.sample(&mut rng).expect("sampling"))
+        .collect();
+    // Each table files every set under its composite's data-side key.
+    let tables: Vec<HashMap<u64, Vec<usize>>> = functions
+        .iter()
+        .map(|f| {
+            let mut table: HashMap<u64, Vec<usize>> = HashMap::new();
+            for (id, set) in corpus.iter().enumerate() {
+                let key = f.hash_data(&set.to_dense()).expect("sets fit the capacity");
+                table.entry(key).or_default().push(id);
+            }
+            table
+        })
+        .collect();
+    let stored: usize = tables.iter().flat_map(|t| t.values()).map(Vec::len).sum();
+    println!("{l} tables x {k} minhashes each, {stored} stored entries");
 
     section("containment queries with controlled overlap");
     let target = 123usize;
@@ -50,9 +59,17 @@ fn main() {
             .expect("feasible request");
         let jaccard_like =
             MhAlshFamily::collision_probability(overlap, query.count_ones(), set_size);
-        let candidates = index
-            .query_candidates(&query.to_dense())
-            .expect("query runs");
+        // The union of the query's buckets over the tables.
+        let dense_query = query.to_dense();
+        let mut candidates: Vec<usize> = functions
+            .iter()
+            .zip(&tables)
+            .filter_map(|(f, table)| table.get(&f.hash_query(&dense_query).expect("query runs")))
+            .flatten()
+            .copied()
+            .collect();
+        candidates.sort_unstable();
+        candidates.dedup();
         let found = candidates.contains(&target);
         println!(
             "overlap {overlap}/{set_size}: transformed collision prob = {}, candidates = {}, target retrieved = {found}",

@@ -50,12 +50,13 @@ use ips_linalg::par::Schedule;
 use ips_linalg::random::{random_ball_vector, random_unit_vector};
 use ips_linalg::DenseVector;
 use ips_lsh::amplify::{AndConstruction, AndFunction};
-use ips_lsh::bank::{BankScratch, Point, Side, SparseImage};
+use ips_lsh::bank::{BankScratch, PlaneBank, Point, Side, SparseImage};
 use ips_lsh::hyperplane::HyperplaneFamily;
 use ips_lsh::simple_alsh::{SimpleAlshFamily, SphereTransform};
 use ips_lsh::table::{IndexParams, LshIndex, Table, BUILD_BLOCK};
 use ips_lsh::{
-    AsymmetricHashFunction, AsymmetricLshFamily, LshError, ProbeSequence, SymmetricAsAsymmetric,
+    AsymmetricHashFunction, AsymmetricLshFamily, BankedFamily, LshError, ProbeSequence,
+    SymmetricAsAsymmetric,
 };
 use ips_store::format::{ByteReader, ByteWriter};
 use ips_store::persist::{write_slice, Persist};
@@ -183,7 +184,7 @@ fn check_family<F>(
     planes_of: fn(&F::Function) -> &[DenseVector],
 ) -> Result<(), TestCaseError>
 where
-    F: AsymmetricLshFamily + Clone,
+    F: BankedFamily,
     F::Function: Clone + Persist + Sync,
     AndFunction<F::Function>: ProbeSequence,
 {
@@ -195,9 +196,7 @@ where
         .collect();
 
     // Keys and probe sequences straight from the bank.
-    let bank = F::plane_bank(&functions)
-        .unwrap()
-        .expect("both hyperplane families provide a bank");
+    let bank = PlaneBank::from_functions(&functions, F::bank_parts).unwrap();
     let (mut scratch, mut keys) = (BankScratch::default(), Vec::new());
     for p in data {
         bank.keys(Side::Data, p, &mut scratch, &mut keys).unwrap();
@@ -470,9 +469,11 @@ proptest! {
         let composite = AndConstruction::new(family.clone(), k).unwrap();
         let mut sampler = StdRng::seed_from_u64(seed);
         let functions: Vec<_> = (0..l).map(|_| composite.sample(&mut sampler).unwrap()).collect();
-        let bank = <SymmetricAsAsymmetric<HyperplaneFamily>>::plane_bank(&functions)
-            .unwrap()
-            .expect("the hyperplane family provides a bank");
+        let bank = PlaneBank::from_functions(
+            &functions,
+            <SymmetricAsAsymmetric<HyperplaneFamily>>::bank_parts,
+        )
+        .unwrap();
         let (mut scratch, mut dense_keys, mut sparse_keys) = (BankScratch::default(), vec![], vec![]);
         for v in &data {
             let dense = map.map(v).unwrap();
@@ -578,14 +579,16 @@ proptest! {
         let mut sampler = sample(seed);
         let functions: Vec<_> =
             (0..l).map(|_| alsh_composite.sample(&mut sampler).unwrap()).collect();
-        let alsh_bank = SimpleAlshFamily::plane_bank(&functions).unwrap().unwrap();
+        let alsh_bank = PlaneBank::from_functions(&functions, SimpleAlshFamily::bank_parts).unwrap();
         let symmetric_composite = AndConstruction::new(symmetric_family.clone(), k).unwrap();
         let mut sampler = sample(seed);
         let functions: Vec<_> =
             (0..l).map(|_| symmetric_composite.sample(&mut sampler).unwrap()).collect();
-        let symmetric_bank = <SymmetricAsAsymmetric<HyperplaneFamily>>::plane_bank(&functions)
-            .unwrap()
-            .unwrap();
+        let symmetric_bank = PlaneBank::from_functions(
+            &functions,
+            <SymmetricAsAsymmetric<HyperplaneFamily>>::bank_parts,
+        )
+        .unwrap();
         let mut images = vec![SphereImage::default(); data.len()];
         for (v, image) in data.iter().zip(&mut images) {
             map.image_into(v, image).unwrap();
