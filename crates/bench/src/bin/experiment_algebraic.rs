@@ -1,21 +1,13 @@
 //! Experiment E9: the algebraic (matrix-multiplication) side of Table 1.
 //!
-//! Two questions from the paper are exercised on laptop-scale `{−1,1}` workloads:
-//!
-//! 1. **Exact joins as Gram products.** How does the blockwise `P·Qᵀ` join compare with
-//!    the scalar brute-force loop as `|P|` grows? (Same asymptotics, better locality —
-//!    this is the substrate both Valiant \[51\] and Karppa et al. \[29\] rely on.)
-//! 2. **Amplify-and-multiply.** For the unsigned `(cs, s)` join over `{−1,1}`, how do
-//!    recall and candidate counts of the amplified join behave as the approximation
-//!    factor `c` and the amplification degree `t` vary? The paper's Table 1 says this
-//!    family wins precisely when `c` is small (strong approximation allowed); the run
-//!    shows candidates exploding as `c → 1` and staying tiny for small `c`.
+//! **Amplify-and-multiply** (Valiant \[51\], Karppa et al. \[29\]) on laptop-scale
+//! `{−1,1}` workloads: for the unsigned `(cs, s)` join, how do recall and candidate
+//! counts of the amplified join behave as the planted correlation `s/d` weakens and the
+//! amplification degree `t` grows? The paper's Table 1 says this family wins precisely
+//! when the approximation is strong; the run shows candidates exploding as the
+//! correlation sinks towards the noise and staying tiny while it is strong.
 
 use ips_bench::{fmt, no_args, render_table, Timer};
-use ips_core::algebraic::algebraic_exact_join;
-use ips_core::brute::brute_force_join;
-use ips_core::problem::{JoinSpec, JoinVariant};
-use ips_datagen::planted::{PlantedConfig, PlantedInstance};
 use ips_linalg::random::random_sign_vector;
 use ips_linalg::SignVector;
 use ips_matmul::{amplified_unsigned_join, AmplifiedJoinConfig};
@@ -25,49 +17,9 @@ use rand::SeedableRng;
 fn main() {
     no_args();
     let mut rng = StdRng::seed_from_u64(0xE9);
-    println!("== E9: algebraic joins (the matrix-multiplication side of Table 1) ==\n");
+    println!("== E9: the amplified join (the matrix-multiplication side of Table 1) ==\n");
 
-    // Part 1: exact join, scalar loop vs blockwise Gram product.
-    println!("-- exact join: scalar brute force vs blockwise Gram product --");
-    let spec = JoinSpec::new(0.8, 0.6, JoinVariant::Unsigned).unwrap();
-    let mut rows = Vec::new();
-    for &n in &[1000usize, 2000, 4000, 8000] {
-        let inst = PlantedInstance::generate(
-            &mut rng,
-            PlantedConfig {
-                data: n,
-                queries: 64,
-                dim: 48,
-                background_scale: 0.05,
-                planted_ip: 0.85,
-                planted: 16,
-            },
-        )
-        .expect("valid config");
-        let t = Timer::start();
-        let brute = brute_force_join(inst.data(), inst.queries(), &spec).unwrap();
-        let t_brute = t.elapsed_ms();
-        let t = Timer::start();
-        let gram = algebraic_exact_join(inst.data(), inst.queries(), &spec, 64).unwrap();
-        let t_gram = t.elapsed_ms();
-        assert_eq!(brute, gram, "the two exact joins must agree");
-        rows.push(vec![
-            n.to_string(),
-            brute.len().to_string(),
-            fmt(t_brute, 1),
-            fmt(t_gram, 1),
-            fmt(t_brute / t_gram.max(1e-9), 2),
-        ]);
-    }
-    println!(
-        "{}",
-        render_table(&["|P|", "pairs", "brute ms", "gram ms", "speedup"], &rows)
-    );
-
-    // Part 2: the amplified unsigned join over {−1,1}, as the planted correlation
-    // weakens (s/d shrinks towards the background noise level ≈ 1/√d) and the
-    // amplification degree grows.
-    println!("\n-- amplified (Valiant/Karppa-style) unsigned join over {{−1,1}} --");
+    println!("-- amplified (Valiant/Karppa-style) unsigned join over {{−1,1}} --");
     let dim = 128;
     let n = 2000;
     let queries = 64;

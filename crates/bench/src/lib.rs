@@ -13,7 +13,7 @@
 //! | `experiment_sketch` | E6 — sketch approximation quality vs κ |
 //! | `experiment_gap` | E7 — measured P1 − P2 on hard sequences vs the Lemma 4 bound, for SIMPLE-ALSH and L2-ALSH ([`alsh_l2`]) |
 //! | `experiment_ovp` | E8 — the OVP → join reduction end-to-end |
-//! | `experiment_algebraic` | E9 — the algebraic (matrix-multiplication) joins: Gram-product exact join and the amplified unsigned join over `{−1,1}` |
+//! | `experiment_algebraic` | E9 — the algebraic (matrix-multiplication) side: the amplified unsigned join over `{−1,1}` as `s/d` and the degree vary |
 //! | `experiment_topk` | E10 — top-k recall of the Section 4.1 ALSH index vs table count on the recommender workload |
 //! | `calibrate_planner` | fits the adaptive join planner's `CostModel` constants on the adversarial workload suite and checks every pick against measured runtimes |
 //!

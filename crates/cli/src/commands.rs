@@ -14,7 +14,6 @@ use crate::args::ParsedArgs;
 use crate::dataset::{read_vectors, write_vectors, DatasetSummary};
 use crate::error::{CliError, Result};
 use crate::schema::{self, CommandArgs};
-use ips_core::algebraic::algebraic_exact_join;
 use ips_core::asymmetric::{AlshParams, SphereTransform};
 use ips_core::engine::EngineConfig;
 use ips_core::facade::{Join, Strategy};
@@ -211,8 +210,7 @@ pub fn cmd_info(raw: &ParsedArgs) -> Result<DatasetSummary> {
 
 /// `ips join` — run a `(cs, s)` join between two CSV files.
 ///
-/// Every strategy dispatches through the fluent [`Join`] facade of `ips-core`
-/// (the `matmul` baseline keeps its own blockwise Gram-product path);
+/// Every strategy dispatches through the fluent [`Join`] facade of `ips-core`;
 /// `algorithm=auto` (or `algo=auto`) hands the choice to the cost-based
 /// planner, and the resulting [`JoinPlan`] is attached to the report and
 /// rendered by the binary when `explain=true` is given.
@@ -227,37 +225,31 @@ pub fn cmd_join(raw: &ParsedArgs) -> Result<JoinReport> {
             reason: format!("explain= requires algo=auto (got algorithm `{algorithm}`)"),
         });
     }
+    let strategy: Strategy = algorithm.parse().map_err(CliError::from)?;
     let start = Instant::now();
-    let (pairs, plan) = match algorithm.as_str() {
-        "matmul" => (algebraic_exact_join(&data, &queries, &spec, 64)?, None),
-        name => {
-            let strategy: Strategy = name.parse().map_err(CliError::from)?;
-            let report = Join::data(&data)
-                .queries(&queries)
-                .spec(spec)
-                .strategy(strategy)
-                .alsh_params(alsh_params(&args))
-                .probes(args.usize("probes"))
-                .engine(engine_config(&args))
-                .dtype(dtype(&args)?)
-                .seed(args.u64("seed"))
-                .run()?;
-            (report.matches, report.plan)
-        }
-    };
+    let report = Join::data(&data)
+        .queries(&queries)
+        .spec(spec)
+        .strategy(strategy)
+        .alsh_params(alsh_params(&args))
+        .probes(args.usize("probes"))
+        .engine(engine_config(&args))
+        .dtype(dtype(&args)?)
+        .seed(args.u64("seed"))
+        .run()?;
     let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-    let (recall, valid) = evaluate_join(&data, &queries, &spec, &pairs)?;
-    let algorithm = match &plan {
+    let (recall, valid) = evaluate_join(&data, &queries, &spec, &report.matches)?;
+    let algorithm = match &report.plan {
         Some(p) => format!("auto→{}", p.choice),
         None => algorithm,
     };
     Ok(JoinReport {
         algorithm,
-        pairs,
+        pairs: report.matches,
         recall,
         valid,
         elapsed_ms,
-        plan,
+        plan: report.plan,
         explain: args.bool("explain"),
         limit: args.usize("limit"),
     })
@@ -523,16 +515,22 @@ mod tests {
         assert!(join.valid);
         assert!(join.elapsed_ms >= 0.0);
 
-        // The matmul join must agree with brute force exactly.
-        let matmul = cmd_join(&args(&[
+        // `brute` is the one exact join: `matmul` is not an algorithm, and the
+        // schema refuses it with the list of those that are.
+        let err = cmd_join(&args(&[
             &format!("data={}", data.display()),
             &format!("queries={}", queries.display()),
             "s=0.2",
             "c=0.8",
             "algorithm=matmul",
         ]))
-        .unwrap();
-        assert_eq!(matmul.pairs, join.pairs);
+        .unwrap_err();
+        assert!(matches!(err, CliError::Usage { .. }), "{err}");
+        assert!(
+            err.to_string()
+                .contains("must be one of auto, brute, alsh, symmetric, sketch, got `matmul`"),
+            "{err}"
+        );
 
         let search = cmd_search(&args(&[
             &format!("data={}", data.display()),

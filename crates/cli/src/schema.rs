@@ -203,8 +203,7 @@ const LEAF_DEFAULT: &str = {
     }
 };
 
-const ALGO_JOIN: &[&str] = &["auto", "brute", "matmul", "alsh", "symmetric", "sketch"];
-const ALGO_BUILD: &[&str] = &["auto", "brute", "alsh", "symmetric", "sketch"];
+const ALGO_STRATEGY: &[&str] = &["auto", "brute", "alsh", "symmetric", "sketch"];
 const ALGO_SEARCH: &[&str] = &["brute", "alsh"];
 
 const THREADS: ArgSpec = ArgSpec::defaulted(
@@ -346,13 +345,13 @@ pub const JOIN: CommandSpec = CommandSpec {
         VARIANT,
         ArgSpec::defaulted(
             "algorithm",
-            ArgKind::Choice(ALGO_JOIN),
+            ArgKind::Choice(ALGO_STRATEGY),
             "brute",
             "join strategy (`auto` = cost-based planner)",
         ),
         ArgSpec::optional(
             "algo",
-            ArgKind::Choice(ALGO_JOIN),
+            ArgKind::Choice(ALGO_STRATEGY),
             "shorthand for algorithm= (giving both is an error)",
         ),
         ArgSpec::defaulted(
@@ -418,13 +417,13 @@ pub const BUILD: CommandSpec = CommandSpec {
         VARIANT,
         ArgSpec::defaulted(
             "algorithm",
-            ArgKind::Choice(ALGO_BUILD),
+            ArgKind::Choice(ALGO_STRATEGY),
             "alsh",
             "index family (`auto` = cost-based planner)",
         ),
         ArgSpec::optional(
             "algo",
-            ArgKind::Choice(ALGO_BUILD),
+            ArgKind::Choice(ALGO_STRATEGY),
             "shorthand for algorithm= (giving both is an error)",
         ),
         SEED,
@@ -1040,7 +1039,7 @@ mod tests {
             bindable(&JOIN, &["data=a", "queries=b", "s=0.5", "algorithm=nope"])
                 .unwrap_err()
                 .to_string()
-                .contains("one of auto, brute, matmul, alsh, symmetric, sketch")
+                .contains("one of auto, brute, alsh, symmetric, sketch")
         );
         assert!(bindable(&JOIN, &["data=a", "queries=b", "s=0.5", "variant=sideways"]).is_err());
         assert!(

@@ -1,20 +1,18 @@
-//! The algebraic (matrix-multiplication) joins, wrapped behind the core API.
+//! The algebraic (matrix-multiplication) join, wrapped behind the core API.
 //!
 //! Section 1.2 of the paper ("Algebraic techniques") credits Valiant \[51\] and
 //! Karppa et al. \[29\] with the only truly subquadratic algorithms for unsigned join in
-//! the *permissible* ranges of Table 1 — they reduce the join to (fast) matrix
-//! multiplication rather than to hashing. The implementations live in the `ips-matmul`
-//! substrate crate; this module adapts them to the workspace-wide [`JoinSpec`] /
-//! [`MatchPair`] vocabulary so the benchmark harness can compare them head-to-head with
-//! the brute-force, LSH and sketch joins.
+//! the *permissible* ranges of Table 1 — they amplify the gap between inner products
+//! and reduce the join to (fast) matrix multiplication rather than to hashing. The
+//! amplify-and-multiply join lives in the `ips-matmul` substrate crate; this module
+//! adapts it to the workspace-wide [`JoinSpec`] / [`MatchPair`] vocabulary so the
+//! benchmark harness can compare it head-to-head with the brute-force, LSH and sketch
+//! joins. The exact join is the brute-force scan of [`crate::brute`].
 
 use crate::error::{CoreError, Result};
 use crate::problem::{JoinSpec, JoinVariant, MatchPair};
-use ips_linalg::{DenseVector, SignVector};
-use ips_matmul::{
-    amplified_unsigned_join, matmul_exact_join, matmul_exact_join_parallel, AlgebraicPair,
-    AmplifiedJoinConfig,
-};
+use ips_linalg::SignVector;
+use ips_matmul::{amplified_unsigned_join, AlgebraicPair, AmplifiedJoinConfig};
 use rand::Rng;
 
 fn convert(pairs: Vec<AlgebraicPair>) -> Vec<MatchPair> {
@@ -26,40 +24,6 @@ fn convert(pairs: Vec<AlgebraicPair>) -> Vec<MatchPair> {
             inner_product: p.inner_product,
         })
         .collect()
-}
-
-/// Exact join evaluated as one blockwise Gram product: for every query, the best
-/// partner is reported when it clears the promise threshold `s` — the same semantics as
-/// [`crate::brute::brute_force_join`], but with matrix-multiplication memory locality.
-pub fn algebraic_exact_join(
-    data: &[DenseVector],
-    queries: &[DenseVector],
-    spec: &JoinSpec,
-    query_block: usize,
-) -> Result<Vec<MatchPair>> {
-    let unsigned = spec.variant == JoinVariant::Unsigned;
-    let pairs = matmul_exact_join(data, queries, spec.threshold, unsigned, query_block)?;
-    Ok(convert(pairs))
-}
-
-/// Multi-threaded variant of [`algebraic_exact_join`].
-pub fn algebraic_exact_join_parallel(
-    data: &[DenseVector],
-    queries: &[DenseVector],
-    spec: &JoinSpec,
-    query_block: usize,
-    threads: usize,
-) -> Result<Vec<MatchPair>> {
-    let unsigned = spec.variant == JoinVariant::Unsigned;
-    let pairs = matmul_exact_join_parallel(
-        data,
-        queries,
-        spec.threshold,
-        unsigned,
-        query_block,
-        threads,
-    )?;
-    Ok(convert(pairs))
 }
 
 /// The amplify-and-multiply `(cs, s)` join for `{−1,1}` data (Valiant/Karppa style).
@@ -100,33 +64,12 @@ pub fn amplified_sign_join<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::brute::brute_force_join;
-    use ips_linalg::random::{random_sign_vector, random_unit_vector};
+    use ips_linalg::random::random_sign_vector;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(0xA1_6E)
-    }
-
-    #[test]
-    fn algebraic_exact_join_matches_brute_force() {
-        let mut r = rng();
-        let dim = 12;
-        let data: Vec<DenseVector> = (0..50)
-            .map(|_| random_unit_vector(&mut r, dim).unwrap())
-            .collect();
-        let queries: Vec<DenseVector> = (0..20)
-            .map(|_| random_unit_vector(&mut r, dim).unwrap())
-            .collect();
-        for variant in [JoinVariant::Signed, JoinVariant::Unsigned] {
-            let spec = JoinSpec::exact(0.3, variant).unwrap();
-            let expected = brute_force_join(&data, &queries, &spec).unwrap();
-            let got = algebraic_exact_join(&data, &queries, &spec, 7).unwrap();
-            assert_eq!(got, expected, "variant {variant:?}");
-            let parallel = algebraic_exact_join_parallel(&data, &queries, &spec, 7, 3).unwrap();
-            assert_eq!(parallel, expected, "parallel variant {variant:?}");
-        }
     }
 
     #[test]

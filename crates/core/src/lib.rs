@@ -8,9 +8,9 @@
 //!
 //! * **Problem definitions and baselines** — [`problem`] defines signed/unsigned exact
 //!   and `(cs, s)`-approximate joins and search (Definition 1); [`brute`] provides the
-//!   quadratic baselines every upper bound is measured against; [`algebraic`] wraps the
-//!   matrix-multiplication joins of `ips-matmul` — the Valiant/Karppa-style baselines
-//!   behind the *permissible* entries of Table 1.
+//!   quadratic baselines every upper bound is measured against, the one exact join;
+//!   [`algebraic`] wraps the amplify-and-multiply join of `ips-matmul` — the
+//!   Valiant/Karppa-style baseline behind the *permissible* entries of Table 1.
 //! * **Upper bounds (Section 4)** — [`lsh_mips`] is the one LSH MIPS index of
 //!   Sections 4.1 and 4.2 (ball-to-sphere map + sphere LSH + exact re-scoring),
 //!   generic over the map: [`asymmetric`] holds the Section 4.1 map and parameters

@@ -6,8 +6,7 @@
 //! thread consumes the results **in block order** (appends pairs, files table entries,
 //! writes bytes). [`pipeline`] is that loop, once; [`map_blocks`] is the same loop for
 //! a list of blocks known up front. `JoinEngine` chunks queries through it, `LshIndex`
-//! hashes blocks of points, the CSV codec parses and formats blocks of lines,
-//! `ips-matmul` splits rows and query chunks.
+//! hashes blocks of points, the CSV codec parses and formats blocks of lines.
 //!
 //! ```text
 //!   calling thread:  load block k ──► ready queue ──► work (any thread) ──► done

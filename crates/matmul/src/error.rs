@@ -4,7 +4,7 @@
 use ips_linalg::LinalgError;
 
 ips_linalg::define_error! {
-    /// Errors produced by the matrix-multiplication routines and the algebraic joins.
+    /// Errors produced by the matrix-multiplication kernels and the amplified join.
     #[derive(Clone, PartialEq)]
     MatmulError, Result {
         variants {

@@ -7,40 +7,33 @@
 //! Table 1 of the paper splits approximation ranges into *hard* and *permissible*; the
 //! permissible entries for unsigned join over `{−1,1}` are achieved by reductions to
 //! fast matrix multiplication (Valiant \[51\] and Karppa–Kaski–Kohonen \[29\]) rather than
-//! by LSH. This crate builds that baseline family so the benchmark harness can compare
-//! the LSH/sketch data structures of Section 4 against it:
+//! by LSH. This crate builds that baseline so the benchmark harness can compare the
+//! LSH/sketch data structures of Section 4 against it:
 //!
-//! * [`dense`] — cache-blocked and multi-threaded dense matrix multiplication, plus the
-//!   Gram-matrix product `P·Qᵀ` that turns an all-pairs inner-product computation into
-//!   one matrix product;
-//! * [`strassen`] — Strassen's sub-cubic recursion, the laptop-scale stand-in for the
-//!   `ω < 3` fast matrix multiplication the paper's permissible upper bounds assume;
-//! * [`join`] — exact signed/unsigned joins driven by blockwise Gram products (the
-//!   "one big matrix product instead of n² dot loops" baseline);
+//! * [`dense`] — the cache-blocked dense matrix product that computes the one Gram
+//!   product `P·Qᵀ` of the amplified join, and the textbook product it is tested
+//!   against;
 //! * [`valiant`] — the amplify-and-multiply unsigned `(cs, s)` join for `{−1,1}` data:
 //!   a degree-`t` tensor-power amplification compressed by random coordinate sampling,
 //!   followed by a Gram product and exact verification of the surviving candidates —
 //!   the laptop-scale analogue of the outlier-correlation detection of [51, 29].
 //!
-//! The crate depends only on `ips-linalg` (vectors and matrices) and `rand`;
-//! the `ips-core` crate re-exports the joins behind its common interface.
+//! The exact join is not here: it is the brute-force scan of `ips-core`. The crate
+//! depends only on `ips-linalg` (vectors and matrices) and `rand`; the `ips-core`
+//! crate adapts the amplified join to its common interface.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-// The micro-kernels must stay autovectorized safe Rust: no intrinsics or
-// raw-pointer tricks in the hot loops.
+// The kernels must stay autovectorized safe Rust: no intrinsics or raw-pointer
+// tricks in the hot loops.
 #![deny(unsafe_code)]
 
 pub mod dense;
 pub mod error;
-pub mod join;
-pub mod micro;
-pub mod strassen;
 pub mod valiant;
 
-pub use dense::{gram_matrix, multiply_blocked, multiply_naive, multiply_parallel};
+pub use dense::{multiply_blocked, multiply_naive};
 pub use error::{MatmulError, Result};
-pub use join::{matmul_exact_join, matmul_exact_join_parallel, AlgebraicPair};
-pub use micro::gram_f32;
-pub use strassen::strassen_multiply;
-pub use valiant::{amplified_unsigned_join, AmplifiedJoinConfig, AmplifiedJoinReport};
+pub use valiant::{
+    amplified_unsigned_join, AlgebraicPair, AmplifiedJoinConfig, AmplifiedJoinReport,
+};

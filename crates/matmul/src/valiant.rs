@@ -25,9 +25,19 @@
 
 use crate::dense::{multiply_blocked, DEFAULT_BLOCK};
 use crate::error::{MatmulError, Result};
-use crate::join::AlgebraicPair;
 use ips_linalg::{DenseVector, Matrix, SignVector};
 use rand::Rng;
+
+/// One pair reported by the amplified join.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AlgebraicPair {
+    /// Index into the data set `P`.
+    pub data_index: usize,
+    /// Index into the query set `Q`.
+    pub query_index: usize,
+    /// The exact inner product `pᵀq`.
+    pub inner_product: f64,
+}
 
 /// Tuning parameters of [`amplified_unsigned_join`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,12 +104,17 @@ fn validate(
             reason: "vectors must have positive dimension".into(),
         });
     }
-    for v in data.iter().chain(queries.iter()) {
-        if v.dim() != dim {
+    // The data set's shape is fixed by its first vector; a stray vector is reported
+    // with the length of the collection it came from.
+    for (op, vectors) in [
+        ("amplified_unsigned_join (data)", data),
+        ("amplified_unsigned_join (queries)", queries),
+    ] {
+        if let Some(v) = vectors.iter().find(|v| v.dim() != dim) {
             return Err(MatmulError::ShapeMismatch {
                 left: (data.len(), dim),
-                right: (queries.len(), v.dim()),
-                op: "amplified_unsigned_join",
+                right: (vectors.len(), v.dim()),
+                op,
             });
         }
     }
@@ -333,6 +348,27 @@ mod tests {
         assert!(
             amplified_unsigned_join(&mut r, &[v], &[mismatched], 4.0, 0.5, cfg).is_err(),
             "dimension mismatch must be rejected"
+        );
+    }
+
+    #[test]
+    fn dimension_mismatch_names_the_collection_it_came_from() {
+        let mut r = rng();
+        let cfg = AmplifiedJoinConfig::default();
+        let vectors = |r: &mut StdRng, dims: &[usize]| -> Vec<SignVector> {
+            dims.iter().map(|&d| random_sign_vector(r, d)).collect()
+        };
+        let (data, queries) = (vectors(&mut r, &[8, 8, 9]), vectors(&mut r, &[8]));
+        let err = amplified_unsigned_join(&mut r, &data, &queries, 4.0, 0.5, cfg).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "shape mismatch in amplified_unsigned_join (data): 3x8 vs 3x9"
+        );
+        let (data, queries) = (vectors(&mut r, &[8]), vectors(&mut r, &[8, 9]));
+        let err = amplified_unsigned_join(&mut r, &data, &queries, 4.0, 0.5, cfg).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "shape mismatch in amplified_unsigned_join (queries): 1x8 vs 2x9"
         );
     }
 

@@ -102,27 +102,18 @@ pub fn c_mips_via_threshold_search<T: ThresholdSearch>(
     }
     let s = structure.threshold();
     let max_probes = ((s / gamma).ln() / (1.0 / c).ln()).ceil().max(0.0) as usize + 1;
-    let mut best: Option<MipsCandidate> = None;
     for i in 0..max_probes {
-        let scaled = query.scaled(1.0 / c.powi(i as i32));
-        if let Some(candidate) = structure.search(&scaled)? {
-            // Recompute the inner product against the *original* query.
-            let better = best
-                .as_ref()
-                .map(|b| candidate.inner_product.abs() / c.powi(i as i32) > b.inner_product.abs())
-                .unwrap_or(true);
-            if better {
-                best = Some(MipsCandidate {
-                    index: candidate.index,
-                    inner_product: candidate.inner_product / (1.0 / c.powi(i as i32)),
-                });
-            }
-            // The first probe that fires already gives a c-approximation; keep going is
-            // unnecessary, mirroring the paper's argument.
-            break;
+        let factor = 1.0 / c.powi(i as i32);
+        if let Some(candidate) = structure.search(&query.scaled(factor))? {
+            // The first probe that fires already gives a c-approximation (the paper's
+            // argument); its inner product is rescaled to the original query.
+            return Ok(Some(MipsCandidate {
+                index: candidate.index,
+                inner_product: candidate.inner_product / factor,
+            }));
         }
     }
-    Ok(best)
+    Ok(None)
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! `{−1,1}` are owned by the algebraic family of Valiant \[51\] and Karppa et al. \[29\],
 //! not by LSH. This example makes that split tangible on a planted workload:
 //!
-//! * the exact Gram-product join (always correct, quadratic),
+//! * the exact brute-force scan (always correct, quadratic),
 //! * the amplify-and-multiply join (finds the planted pairs with few candidates while
 //!   the planted correlation is strong),
 //! * the Section 4.1 ALSH join run on the same vectors rescaled to the unit ball
@@ -14,8 +14,9 @@
 //!
 //! Run with: `cargo run --release -p ips-examples --example algebraic_join`
 
-use ips_core::algebraic::{algebraic_exact_join, amplified_sign_join};
+use ips_core::algebraic::amplified_sign_join;
 use ips_core::asymmetric::AlshParams;
+use ips_core::brute::brute_force_join;
 use ips_core::facade::{Join, Strategy};
 use ips_core::problem::{JoinSpec, JoinVariant};
 use ips_linalg::random::random_sign_vector;
@@ -61,13 +62,13 @@ fn main() {
         planted_queries.intersection(&answered).count() as f64 / planted as f64
     };
 
-    // 1. Exact join as a blockwise Gram product.
+    // 1. The exact join: the brute-force scan over the ±1 vectors as dense vectors.
     let dense_data: Vec<DenseVector> = data.iter().map(SignVector::to_dense).collect();
     let dense_queries: Vec<DenseVector> = query_vectors.iter().map(SignVector::to_dense).collect();
     let t = Instant::now();
-    let exact = algebraic_exact_join(&dense_data, &dense_queries, &spec, 64).unwrap();
+    let exact = brute_force_join(&dense_data, &dense_queries, &spec).unwrap();
     println!(
-        "exact Gram-product join : {:>3} pairs, planted recall {:.2}, {:>7.1} ms",
+        "exact brute-force join  : {:>3} pairs, planted recall {:.2}, {:>7.1} ms",
         exact.len(),
         recall(&exact),
         t.elapsed().as_secs_f64() * 1e3

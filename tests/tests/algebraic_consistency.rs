@@ -1,12 +1,12 @@
-//! Cross-crate checks of the algebraic (matrix-multiplication) joins: the blockwise
-//! Gram-product join must agree exactly with the quadratic baseline, and the
-//! amplify-and-multiply join must respect the `(cs, s)` contract on `{−1,1}` data.
+//! Cross-crate checks of the exact join and the algebraic join: the brute-force scan —
+//! the one exact join — must give the same pairs, bit for bit, under every schedule on
+//! recommender data, and the amplify-and-multiply join must respect the `(cs, s)`
+//! contract on `{−1,1}` data.
 
-use ips_core::algebraic::{
-    algebraic_exact_join, algebraic_exact_join_parallel, amplified_sign_join,
-};
-use ips_core::brute::brute_force_join;
-use ips_core::problem::{evaluate_join, JoinSpec, JoinVariant};
+use ips_core::algebraic::amplified_sign_join;
+use ips_core::brute::{brute_force_join, brute_force_join_parallel};
+use ips_core::facade::{Join, Strategy};
+use ips_core::problem::{evaluate_join, JoinSpec, JoinVariant, MatchPair};
 use ips_datagen::latent::{LatentFactorConfig, LatentFactorModel};
 use ips_linalg::random::random_sign_vector;
 use ips_linalg::SignVector;
@@ -31,36 +31,47 @@ fn latent_model(rng: &mut StdRng) -> LatentFactorModel {
     .unwrap()
 }
 
+/// A pair listing with each inner product as its bit pattern.
+fn bits(pairs: &[MatchPair]) -> Vec<(usize, usize, u64)> {
+    pairs
+        .iter()
+        .map(|p| (p.data_index, p.query_index, p.inner_product.to_bits()))
+        .collect()
+}
+
 #[test]
-fn gram_join_agrees_with_brute_force_on_recommender_data() {
+fn exact_scan_is_schedule_invariant_on_recommender_data() {
     let mut rng = rng();
     let model = latent_model(&mut rng);
+    let (items, users) = (model.items(), model.users());
     for variant in [JoinVariant::Signed, JoinVariant::Unsigned] {
         let s = model.best_ip_quantile(0.4).unwrap();
         let spec = JoinSpec::new(s, 0.8, variant).unwrap();
-        let expected = brute_force_join(model.items(), model.users(), &spec).unwrap();
+        let expected = brute_force_join(items, users, &spec).unwrap();
         assert!(!expected.is_empty(), "workload must promise some queries");
-        for query_block in [1usize, 7, 64, 1024] {
-            let got =
-                algebraic_exact_join(model.items(), model.users(), &spec, query_block).unwrap();
+        for threads in [1usize, 3, 8] {
+            let got = brute_force_join_parallel(items, users, &spec, threads).unwrap();
             assert_eq!(
-                got, expected,
-                "query_block = {query_block}, variant {variant:?}"
+                bits(&got),
+                bits(&expected),
+                "threads = {threads}, variant {variant:?}"
             );
         }
-        for threads in [1usize, 3, 8] {
-            let got =
-                algebraic_exact_join_parallel(model.items(), model.users(), &spec, 16, threads)
-                    .unwrap();
-            assert_eq!(got, expected, "threads = {threads}, variant {variant:?}");
-        }
-        let (recall, valid) = evaluate_join(
-            model.items(),
-            model.users(),
-            &spec,
-            &algebraic_exact_join(model.items(), model.users(), &spec, 32).unwrap(),
-        )
-        .unwrap();
+        let facade = Join::data(items)
+            .queries(users)
+            .spec(spec)
+            .strategy(Strategy::Brute)
+            .threads(3)
+            .chunk_size(7)
+            .run()
+            .unwrap()
+            .matches;
+        assert_eq!(
+            bits(&facade),
+            bits(&expected),
+            "facade, variant {variant:?}"
+        );
+        let (recall, valid) = evaluate_join(items, users, &spec, &expected).unwrap();
         assert_eq!(recall, 1.0);
         assert!(valid);
     }

@@ -1,8 +1,8 @@
 //! Property-based integration tests: every join implementation, whatever its recall,
 //! must produce *valid* output under Definition 1 (no reported pair below `cs`), and
-//! the exact algorithms must agree with each other on arbitrary inputs.
+//! the one exact join — the brute-force scan — must give the same pairs serial and
+//! parallel on arbitrary inputs.
 
-use ips_core::algebraic::algebraic_exact_join;
 use ips_core::asymmetric::{AlshParams, SphereTransform};
 use ips_core::brute::{brute_force_join, brute_force_join_parallel};
 use ips_core::engine::{EngineConfig, JoinEngine};
@@ -49,8 +49,6 @@ proptest! {
         let reference = brute_force_join(&data, &queries, &spec).unwrap();
         let parallel = brute_force_join_parallel(&data, &queries, &spec, 3).unwrap();
         prop_assert_eq!(&parallel, &reference);
-        let algebraic = algebraic_exact_join(&data, &queries, &spec, 4).unwrap();
-        prop_assert_eq!(&algebraic, &reference);
         // Exact joins answer every promised query with a valid pair.
         let (recall, valid) = evaluate_join(&data, &queries, &spec, &reference).unwrap();
         prop_assert_eq!(recall, 1.0);
