@@ -127,9 +127,9 @@ impl AdaptiveController {
     ///
     /// The planner's per-family parameters start from the index's live
     /// configuration (so a migration *away* from a tuned family can migrate
-    /// *back* to the identical structure), and its engine/scoring options are
-    /// copied from the index's serving configuration so every candidate
-    /// strategy is costed the way it would actually run.
+    /// *back* to the identical structure), and its engine schedule is copied
+    /// from the index's serving configuration so every candidate strategy is
+    /// costed the way it would actually run.
     pub fn new(index: Arc<ShardedServingIndex>, mut config: AdaptiveConfig) -> Self {
         match index.index_config() {
             IndexConfig::Brute => {}
@@ -143,9 +143,7 @@ impl AdaptiveController {
                 config.planner.sketch_leaf_size = leaf_size;
             }
         }
-        let serving = index.serving_config();
-        config.planner.engine = serving.engine;
-        config.planner.scoring = serving.scoring;
+        config.planner.engine = index.serving_config().engine;
         let planner = JoinPlanner {
             config: config.planner,
             model: config.model,

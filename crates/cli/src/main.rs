@@ -134,11 +134,10 @@ fn run() -> Result<(), CliError> {
             // adaptive=true puts the drift-detecting controller on its own
             // thread next to the sessions; the handle stops and joins it when
             // the server winds down.
-            let serving_config = serving.serving_config();
-            let _controller = serving_config.adaptive.then(|| {
+            let _controller = setup.drift_check_secs.map(|drift_check_secs| {
                 let config = AdaptiveConfig {
-                    drift_check_secs: serving_config.drift_check_secs,
-                    seed: serving_config.seed,
+                    drift_check_secs,
+                    seed: serving.serving_config().seed,
                     ..AdaptiveConfig::default()
                 };
                 println!(

@@ -445,7 +445,6 @@ pub const BUILD: CommandSpec = CommandSpec {
              (the tree also stops where a sketch would cost more than the scan)",
         ),
         SHARDS_BUILD,
-        DTYPE,
     ],
     notes: &[
         "algorithm=auto consults the cost-based planner and needs queries=<path>.",
@@ -500,13 +499,6 @@ pub const SERVE: CommandSpec = CommandSpec {
             ArgKind::PositiveUsize,
             "32",
             "maximum query vectors merged into one coalesced engine pass",
-        ),
-        ArgSpec::defaulted(
-            "slow-log-micros",
-            ArgKind::Usize,
-            "0",
-            "log a structured stderr line for any query batch at least this many \
-             microseconds of wall time (0 disables)",
         ),
         ArgSpec::defaulted(
             "adaptive",

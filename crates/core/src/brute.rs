@@ -8,7 +8,7 @@
 
 use crate::engine::{EngineConfig, JoinEngine};
 use crate::error::{CoreError, Result};
-use crate::mips::{data_major_batch, MipsIndex, SearchResult};
+use crate::mips::{data_major_batch, BruteForceMipsIndex};
 use crate::problem::{JoinSpec, MatchPair};
 use ips_linalg::DenseVector;
 
@@ -32,57 +32,11 @@ pub fn brute_force_join(
     Ok(out)
 }
 
-/// The exact quadratic-scan index over *borrowed* data: the zero-copy sibling of
-/// [`crate::mips::BruteForceMipsIndex`], for callers that already own the vectors
-/// (the parallel baseline below, the CLI's default algorithm) and should not pay
-/// a second copy just to join through the engine.
-pub struct BorrowedBruteIndex<'a> {
-    data: &'a [DenseVector],
-    spec: JoinSpec,
-    tile: Option<ips_linalg::FloatTile>,
-}
-
-impl<'a> BorrowedBruteIndex<'a> {
-    /// Wraps the data set (no copy, no preprocessing).
-    pub fn new(data: &'a [DenseVector], spec: JoinSpec) -> Self {
-        Self {
-            data,
-            spec,
-            tile: None,
-        }
-    }
-
-    /// Wraps the data set with a scoring-kernel selection: `dtype=f32`
-    /// packs the data into the `f32` tile once, so every batch scores
-    /// through the cheap kernel. Default options are exactly
-    /// [`BorrowedBruteIndex::new`].
-    pub fn with_options(
-        data: &'a [DenseVector],
-        spec: JoinSpec,
-        options: crate::kernel::ScoringOptions,
-    ) -> Result<Self> {
-        let tile = crate::kernel::prepare(data, options)?;
-        Ok(Self { data, spec, tile })
-    }
-}
-
-impl MipsIndex for BorrowedBruteIndex<'_> {
-    fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    fn spec(&self) -> JoinSpec {
-        self.spec
-    }
-
-    fn search(&self, query: &DenseVector) -> Result<Option<SearchResult>> {
-        Ok(brute_force_mips(self.data, query, &self.spec)?.map(SearchResult::from))
-    }
-
-    fn search_batch(&self, queries: &[DenseVector]) -> Result<Vec<Option<SearchResult>>> {
-        crate::kernel::scored_batch(self.data, self.tile.as_ref(), queries, &self.spec)
-    }
-}
+/// The exact quadratic-scan index over *borrowed* data, for callers that already
+/// own the vectors (the parallel baseline below, the join facade) and should not
+/// pay a second copy just to join through the engine: the one
+/// [`BruteForceMipsIndex`] built from a slice.
+pub type BorrowedBruteIndex<'a> = BruteForceMipsIndex<'a>;
 
 /// Multi-threaded exact join: the [`JoinEngine`] over a borrowed exact index, with
 /// the query set split across `threads` workers (one chunk each, mirroring the

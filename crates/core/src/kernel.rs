@@ -15,7 +15,8 @@
 //!   from the `f64` ranking, which costs recall, never validity.
 //!
 //! The LSH and sketch families gather few candidates and score them exactly
-//! in `f64` whatever the `dtype`: the knob reaches the brute scan only.
+//! in `f64` whatever the `dtype`: the knob reaches the brute scan of a join
+//! only. Serving has no `dtype`: a served brute index scans in `f64`.
 
 use crate::error::{CoreError, Result};
 use crate::mips::SearchResult;
@@ -59,8 +60,9 @@ impl std::str::FromStr for Dtype {
     }
 }
 
-/// The scoring-kernel knob surfaced through `JoinBuilder`, `IndexBuilder`
-/// and the CLI (`dtype=`).
+/// The scoring-kernel knob of a join, surfaced through `JoinBuilder::dtype`
+/// and `ips join dtype=`; the planner prices the brute strategy with it. A
+/// served index always scans in `f64`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ScoringOptions {
     /// Floating-point width of the brute scan's scoring kernel.

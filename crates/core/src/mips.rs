@@ -9,6 +9,7 @@ use crate::brute::brute_force_mips;
 use crate::error::Result;
 use crate::problem::{JoinSpec, MatchPair};
 use ips_linalg::DenseVector;
+use std::borrow::Cow;
 
 /// The outcome of one search query.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -89,40 +90,38 @@ impl<I: MipsIndex + ?Sized> MipsIndex for &I {
 }
 
 /// The exact quadratic-scan index: the reference [`MipsIndex`] implementation.
-pub struct BruteForceMipsIndex {
-    data: Vec<DenseVector>,
+///
+/// It holds its vectors as a `Cow`, like the LSH and sketch indexes: `'static` is
+/// the owning form the serving layer stores, a borrow is what a join scans without
+/// copying the caller's data (spelled [`crate::brute::BorrowedBruteIndex`] there).
+pub struct BruteForceMipsIndex<'a> {
+    data: Cow<'a, [DenseVector]>,
     spec: JoinSpec,
     tile: Option<ips_linalg::FloatTile>,
 }
 
-impl BruteForceMipsIndex {
-    /// Builds the index (which just stores the data).
-    pub fn new(data: Vec<DenseVector>, spec: JoinSpec) -> Self {
+impl<'a> BruteForceMipsIndex<'a> {
+    /// Builds the index over `data` (a `Vec` to own, a slice to borrow): storing is
+    /// all there is to it.
+    pub fn new(data: impl Into<Cow<'a, [DenseVector]>>, spec: JoinSpec) -> Self {
         Self {
-            data,
+            data: data.into(),
             spec,
             tile: None,
         }
     }
 
-    /// Builds the index with a scoring-kernel selection (`dtype`). The
-    /// default options add no preprocessing and keep batch results
-    /// bit-identical to [`BruteForceMipsIndex::new`].
+    /// Builds the index with a scoring-kernel selection: `dtype=f32` packs the
+    /// data into the `f32` tile once, so every batch scores through the cheap
+    /// kernel. Default options are exactly [`BruteForceMipsIndex::new`].
     pub fn with_options(
-        data: Vec<DenseVector>,
+        data: impl Into<Cow<'a, [DenseVector]>>,
         spec: JoinSpec,
         options: crate::kernel::ScoringOptions,
     ) -> Result<Self> {
+        let data = data.into();
         let tile = crate::kernel::prepare(&data, options)?;
         Ok(Self { data, spec, tile })
-    }
-
-    /// Re-prepares the scoring kernel in place — what long-lived serving
-    /// wrappers call after a rebuild. The default options drop any prepared
-    /// tile and restore the bit-identical `f64` path.
-    pub fn set_scoring(&mut self, options: crate::kernel::ScoringOptions) -> Result<()> {
-        self.tile = crate::kernel::prepare(&self.data, options)?;
-        Ok(())
     }
 
     /// Access to the underlying data vectors.
@@ -130,22 +129,21 @@ impl BruteForceMipsIndex {
         &self.data
     }
 
-    /// Appends `v` as the last vector. Storing is all there is to building this
-    /// index, so the result is the index [`BruteForceMipsIndex::new`] gives over the
-    /// longer list; a prepared `f32` tile no longer covers the data and is
-    /// dropped (see [`BruteForceMipsIndex::set_scoring`]).
+    /// Appends `v` as the last vector (a borrowing index takes its own copy
+    /// first). The result is the index [`BruteForceMipsIndex::new`] gives over the
+    /// longer list: an `f32` tile no longer covers the data and is dropped.
     pub fn push(&mut self, v: DenseVector) {
-        self.data.push(v);
+        self.data.to_mut().push(v);
         self.tile = None;
     }
 
     /// Consumes the index, returning its vectors.
     pub fn into_data(self) -> Vec<DenseVector> {
-        self.data
+        self.data.into_owned()
     }
 }
 
-impl MipsIndex for BruteForceMipsIndex {
+impl MipsIndex for BruteForceMipsIndex<'_> {
     fn len(&self) -> usize {
         self.data.len()
     }
@@ -172,7 +170,7 @@ impl MipsIndex for BruteForceMipsIndex {
 }
 
 /// The data-major batched exact scan shared by [`BruteForceMipsIndex`] and the
-/// brute-force join baseline in [`crate::brute`].
+/// brute-force joins in [`crate::brute`].
 ///
 /// Matches the serial one-`search`-per-query loop exactly, including the corners:
 /// an empty batch is trivially answered whatever the index holds, and a non-empty
@@ -239,7 +237,7 @@ impl<'a> SketchMipsAdapter<'a> {
     /// for the given spec.
     pub fn build<R: rand::Rng + ?Sized>(
         rng: &mut R,
-        data: impl Into<std::borrow::Cow<'a, [DenseVector]>>,
+        data: impl Into<Cow<'a, [DenseVector]>>,
         spec: JoinSpec,
         config: ips_sketch::linf_mips::MaxIpConfig,
         leaf_size: usize,

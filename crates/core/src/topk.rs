@@ -69,7 +69,7 @@ fn rescore_candidates(
     Ok(finalize(hits, spec, k))
 }
 
-impl TopKMipsIndex for BruteForceMipsIndex {
+impl TopKMipsIndex for BruteForceMipsIndex<'_> {
     fn search_top_k(&self, query: &DenseVector, k: usize) -> Result<Vec<SearchResult>> {
         let all: Vec<usize> = (0..self.len()).collect();
         rescore_candidates(self.data(), &all, query, &self.spec(), k)

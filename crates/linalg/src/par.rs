@@ -60,7 +60,6 @@
 //! flight, which is what bounds a streaming pass's memory.
 
 use std::collections::VecDeque;
-use std::convert::Infallible;
 use std::num::NonZeroUsize;
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -349,22 +348,6 @@ where
         .collect())
 }
 
-/// [`map_blocks`] for work that cannot fail and leaves its output in the blocks.
-pub fn for_each_block<J: Send>(
-    threads: usize,
-    blocks: &mut [J],
-    work: impl Fn(usize, &mut J) + Sync,
-) {
-    let done = map_blocks(threads, blocks, |k, block| {
-        work(k, block);
-        Ok::<(), Infallible>(())
-    });
-    match done {
-        Ok(_) => {}
-        Err(never) => match never {},
-    }
-}
-
 /// Where a pass's workers run, on a kernel that will not see to it (see the module
 /// docs, "workers start on CPUs of their own").
 #[cfg(target_os = "linux")]
@@ -480,9 +463,11 @@ mod tests {
         let mut out = vec![0usize; 50];
         for threads in [1, 3] {
             let mut blocks: Vec<(usize, &mut [usize])> = out.chunks_mut(7).enumerate().collect();
-            for_each_block(threads, &mut blocks, |_, (k, slots)| {
+            map_blocks(threads, &mut blocks, |_, (k, slots)| {
                 slots.iter_mut().for_each(|slot| *slot = *k + 1);
-            });
+                Ok::<_, ()>(())
+            })
+            .unwrap();
             let expected: Vec<usize> = (0..50).map(|i| i / 7 + 1).collect();
             assert_eq!(out, expected);
         }

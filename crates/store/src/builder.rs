@@ -110,11 +110,7 @@ pub struct IndexBuilder {
     engine: EngineConfig,
     rebuild_threshold: f64,
     seed: u64,
-    scoring: ips_core::ScoringOptions,
-    slow_log_micros: u64,
     probes: Option<usize>,
-    adaptive: bool,
-    drift_check_secs: u64,
     shards: Option<usize>,
     coalesce: CoalesceConfig,
 }
@@ -134,11 +130,7 @@ impl IndexBuilder {
             engine: serving.engine,
             rebuild_threshold: serving.rebuild_threshold,
             seed: serving.seed,
-            scoring: serving.scoring,
-            slow_log_micros: serving.slow_log_micros,
             probes: serving.probes,
-            adaptive: serving.adaptive,
-            drift_check_secs: serving.drift_check_secs,
             shards: None,
             coalesce: CoalesceConfig::default(),
         }
@@ -228,16 +220,6 @@ impl IndexBuilder {
         self
     }
 
-    /// Floating-point width of the serving scoring kernel (default
-    /// [`ips_core::Dtype::F64`], bit-identical to the pre-kernel layer); see
-    /// [`ServingConfig::scoring`]. Read by a brute primary only: the ALSH,
-    /// symmetric and sketch families score their few candidates exactly in
-    /// `f64` whatever the `dtype`.
-    pub fn dtype(mut self, dtype: ips_core::Dtype) -> Self {
-        self.scoring.dtype = dtype;
-        self
-    }
-
     /// Number of shards for [`IndexBuilder::serve_sharded`] (at least 1). When
     /// building from data the default is 1; when opening a snapshot the default is
     /// to *keep the file's stored layout* — setting a count re-partitions the live
@@ -265,32 +247,6 @@ impl IndexBuilder {
         self
     }
 
-    /// Slow-query threshold in microseconds (default 0 = disabled): a query
-    /// batch whose total wall time meets the threshold emits one structured
-    /// line on stderr. See [`ServingConfig::slow_log_micros`].
-    pub fn slow_log_micros(mut self, micros: u64) -> Self {
-        self.slow_log_micros = micros;
-        self
-    }
-
-    /// Marks the served index for closed-loop adaptive control (default off):
-    /// front ends spawn an `ips-adapt` drift controller next to it, which
-    /// re-plans and migrates strategies when the observed workload drifts
-    /// from the one the live plan was costed on. See
-    /// [`ServingConfig::adaptive`]; the serving layers themselves only carry
-    /// the flag.
-    pub fn adaptive(mut self, adaptive: bool) -> Self {
-        self.adaptive = adaptive;
-        self
-    }
-
-    /// Seconds between the adaptive controller's drift checks (default 5).
-    /// See [`ServingConfig::drift_check_secs`].
-    pub fn drift_check_secs(mut self, secs: u64) -> Self {
-        self.drift_check_secs = secs;
-        self
-    }
-
     /// How long the query coalescer of [`IndexBuilder::serve_coalescing`] waits
     /// for concurrent requests to merge, in microseconds (default 200; `0`
     /// disables coalescing). See [`CoalesceConfig::window_micros`].
@@ -312,11 +268,7 @@ impl IndexBuilder {
             engine: self.engine,
             rebuild_threshold: self.rebuild_threshold,
             seed: self.seed,
-            scoring: self.scoring,
-            slow_log_micros: self.slow_log_micros,
             probes: self.probes,
-            adaptive: self.adaptive,
-            drift_check_secs: self.drift_check_secs,
         }
     }
 
@@ -340,16 +292,14 @@ impl IndexBuilder {
                             .into(),
                     });
                 };
-                let mut config = PlannerConfig::with_params(
-                    self.alsh,
-                    self.symmetric,
-                    self.sketch,
-                    self.sketch_leaf_size,
-                    self.engine,
-                );
-                config.scoring = self.scoring;
                 let planner = JoinPlanner {
-                    config,
+                    config: PlannerConfig::with_params(
+                        self.alsh,
+                        self.symmetric,
+                        self.sketch,
+                        self.sketch_leaf_size,
+                        self.engine,
+                    ),
                     ..JoinPlanner::default()
                 };
                 let mut rng = StdRng::seed_from_u64(self.seed);
@@ -661,25 +611,6 @@ mod tests {
     }
 
     #[test]
-    fn f32_serving_reports_valid_pairs() {
-        let inst = workload();
-        let serving = Index::build(inst.data().to_vec())
-            .spec(spec())
-            .strategy(Strategy::Brute)
-            .dtype(ips_core::Dtype::F32)
-            .serve()
-            .unwrap();
-        let pairs = serving.query(inst.queries()).unwrap();
-        assert!(!pairs.is_empty());
-        for p in &pairs {
-            let v = serving.vector(p.data_index as u64).unwrap();
-            let exact = v.dot(&inst.queries()[p.query_index]).unwrap();
-            assert_eq!(exact.to_bits(), p.inner_product.to_bits());
-            assert!(spec().satisfies_promise(exact));
-        }
-    }
-
-    #[test]
     fn probes_flow_through_build_and_override_a_reopened_snapshot() {
         let inst = workload();
         // Built with probes: the serving answers stay a superset of unprobed.
@@ -725,11 +656,20 @@ mod tests {
             .strategy(Strategy::Brute)
             .engine(EngineConfig::serial())
             .rebuild_threshold(0.5)
-            .slow_log_micros(1_500)
-            .serve()
+            .seed(9)
+            .probes(2)
+            .serve_sharded()
             .unwrap();
         assert_eq!(serving.spec(), spec());
-        assert_eq!(serving.serving_config().slow_log_micros, 1_500);
+        assert_eq!(
+            serving.serving_config(),
+            ServingConfig {
+                engine: EngineConfig::serial(),
+                rebuild_threshold: 0.5,
+                seed: 9,
+                probes: Some(2),
+            }
+        );
         // A non-positive rebuild threshold is rejected by the serving layer.
         assert!(Index::build(inst.data().to_vec())
             .spec(spec())

@@ -31,11 +31,6 @@ ips_linalg::define_error! {
                 /// The offending external id.
                 id: u64,
             } => ("unknown or deleted vector id {id}"),
-            /// A registry name was not found.
-            UnknownIndex {
-                /// The offending registry name.
-                name: String,
-            } => ("no serving index named `{name}`"),
         }
         wraps {
             /// An underlying I/O operation failed.
@@ -73,7 +68,5 @@ mod tests {
         assert!(std::error::Error::source(&e).is_some());
         let e = StoreError::UnknownId { id: 7 };
         assert!(e.to_string().contains("7"));
-        let e = StoreError::UnknownIndex { name: "x".into() };
-        assert!(e.to_string().contains("`x`"));
     }
 }

@@ -24,8 +24,8 @@
 //!   per-shard `RwLock`s — concurrent batched reads, mutations routed to the
 //!   owning shard, per-shard answers merged exactly through [`ips_core::shard`]
 //!   (bit-identical to the unsharded index for the candidate-decomposable
-//!   families; see [`sharded`]) — and [`ServingRegistry`] routes between several
-//!   loaded (sharded) indexes by name.
+//!   families; see [`sharded`]). [`ShardedServingIndex::open`] loads either
+//!   snapshot layout, a single-shard file as a one-shard index.
 //!
 //! Both halves are configured through one fluent facade, [`builder::IndexBuilder`]
 //! (`Index::build(data).spec(s).strategy(…).serve()` /
@@ -72,7 +72,6 @@ pub mod coalesce;
 pub mod error;
 pub mod format;
 pub mod persist;
-pub mod registry;
 pub mod serving;
 pub mod sharded;
 pub mod snapshot;
@@ -81,7 +80,6 @@ pub use builder::{Index, IndexBuilder};
 pub use coalesce::{CoalesceConfig, Coalescer};
 pub use error::{Result, StoreError};
 pub use persist::Persist;
-pub use registry::ServingRegistry;
 pub use serving::{IndexConfig, ServingConfig, ServingIndex, ServingStats, ServingView};
 pub use sharded::{shard_of, MigrationReport, ShardedConfig, ShardedServingIndex, ShardedView};
 pub use snapshot::{AnyIndex, IndexFamily, Snapshot};

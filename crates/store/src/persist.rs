@@ -463,7 +463,7 @@ impl Persist for SketchMipsIndex<'static> {
     }
 }
 
-impl Persist for BruteForceMipsIndex {
+impl Persist for BruteForceMipsIndex<'static> {
     fn write(&self, w: &mut ByteWriter) {
         self.spec().write(w);
         write_slice(w, self.data());

@@ -101,16 +101,6 @@ pub struct ServingConfig {
     pub rebuild_threshold: f64,
     /// Seed for every build and rebuild, making maintenance reproducible.
     pub seed: u64,
-    /// Scoring-kernel selection (`dtype`): brute primaries only; re-prepared
-    /// after a rebuild. The default keeps serving bit-identical to the
-    /// pre-kernel layer; `dtype=f32` scans an `f32` tile and exactly rescores
-    /// each winner. ALSH, symmetric and sketch primaries score their few
-    /// candidates exactly in `f64` and ignore it. Not persisted in snapshots.
-    pub scoring: ips_core::ScoringOptions,
-    /// Slow-query log threshold in microseconds; `0` (the default) disables
-    /// the log. A query batch whose wall time meets the threshold emits one
-    /// structured line on stderr from the sharded serving layer.
-    pub slow_log_micros: u64,
     /// Extra query-directed probe buckets per LSH table (see [`ips_lsh::probe`]),
     /// applied to ALSH / symmetric primaries. `None` (the default) keeps
     /// whatever the loaded snapshot or the [`IndexConfig`] parameters carry;
@@ -119,15 +109,6 @@ pub struct ServingConfig {
     /// compaction and migration rebuild keeps probing at `p`. Brute and sketch
     /// primaries have no buckets to probe and ignore the override.
     pub probes: Option<usize>,
-    /// Run the closed-loop adaptive controller (`ips-adapt`) over this index:
-    /// periodically compare the observed workload against the statistics the
-    /// live plan was costed on, re-plan on drift, and migrate strategies
-    /// in place. The serving layers themselves ignore the flag — it rides
-    /// here so front ends (the CLI `serve` command) know to spawn the
-    /// controller next to the index they built.
-    pub adaptive: bool,
-    /// Seconds between the adaptive controller's drift checks.
-    pub drift_check_secs: u64,
 }
 
 impl Default for ServingConfig {
@@ -136,11 +117,7 @@ impl Default for ServingConfig {
             engine: EngineConfig::default(),
             rebuild_threshold: 0.25,
             seed: 0x1B5_5E4E,
-            scoring: ips_core::ScoringOptions::default(),
-            slow_log_micros: 0,
             probes: None,
-            adaptive: false,
-            drift_check_secs: 5,
         }
     }
 }
@@ -203,19 +180,6 @@ pub(crate) struct Counters {
 }
 
 impl Counters {
-    /// A counter block pre-loaded with another index's query/hit/latency history —
-    /// what the one-shard `ServingIndex → ShardedServingIndex` conversion uses so
-    /// wrapping a warm index does not zero its query metrics. Mutation counters
-    /// stay zero here: those keep living (and arriving pre-accumulated) in the
-    /// wrapped shard itself.
-    pub(crate) fn with_query_history(stats: &ServingStats) -> Self {
-        let counters = Self::default();
-        counters.queries.store(stats.queries, Ordering::Relaxed);
-        counters.hits.store(stats.hits, Ordering::Relaxed);
-        counters.query_ns.store(stats.query_ns, Ordering::Relaxed);
-        counters
-    }
-
     /// A point-in-time copy.
     ///
     /// The three query-path counters are read in the *reverse* of the order
@@ -387,7 +351,7 @@ impl ServingIndex {
         }
         let index_config = extract_index_config(&primary);
         let spec = primary.spec();
-        let mut serving = Self {
+        Ok(Self {
             primary,
             primary_ids,
             id_to_slot,
@@ -399,9 +363,7 @@ impl ServingIndex {
             index_config,
             config,
             counters: Counters::default(),
-        };
-        serving.apply_scoring()?;
-        Ok(serving)
+        })
     }
 
     /// Loads a snapshot file and wraps it for serving.
@@ -503,11 +465,6 @@ impl ServingIndex {
     /// The family configuration this index was built with (what a rebuild re-builds).
     pub(crate) fn index_config(&self) -> IndexConfig {
         self.index_config
-    }
-
-    /// The serving configuration (engine schedule, rebuild threshold, seed).
-    pub(crate) fn serving_config(&self) -> ServingConfig {
-        self.config
     }
 
     /// The next external id the internal allocator would hand out.
@@ -622,8 +579,6 @@ impl ServingIndex {
                 self.id_to_slot.insert(id, self.primary_ids.len());
                 self.primary_ids.push(id);
                 index.push(v);
-                // The push dropped a prepared `f32` tile; cover the new vector.
-                index.set_scoring(self.config.scoring)?;
             }
             ViewMut::Brute(_) => self.rebuild(Some((id, v)))?,
             ViewMut::Sketch => {
@@ -767,7 +722,7 @@ impl ServingIndex {
             self.rebuild_from_vectors(inserted)?;
         }
         self.counters.rebuilds.fetch_add(1, Ordering::Relaxed);
-        self.apply_scoring()
+        Ok(())
     }
 
     /// The brute / sketch half of [`ServingIndex::rebuild`].
@@ -796,16 +751,6 @@ impl ServingIndex {
         )?;
         self.id_to_slot = ids.iter().enumerate().map(|(s, &id)| (id, s)).collect();
         self.primary_ids = ids;
-        Ok(())
-    }
-
-    /// Re-applies [`ServingConfig::scoring`] to a brute primary, the one family
-    /// that reads it: re-packs the `f32` tile over the current vectors (free for
-    /// the default options, which prepare nothing).
-    fn apply_scoring(&mut self) -> Result<()> {
-        if let ViewMut::Brute(index) = self.primary.view_mut() {
-            index.set_scoring(self.config.scoring)?;
-        }
         Ok(())
     }
 }

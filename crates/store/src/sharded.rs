@@ -309,12 +309,12 @@ impl ShardedServingIndex {
     /// Only serving-time configuration applies; the structures are restored
     /// bit-identically, never rebuilt.
     pub fn open(path: &Path, serving: ServingConfig) -> Result<Self> {
-        match snapshot::load_any(path)? {
-            LoadedSnapshot::Single(snap) => Ok(ServingIndex::from_snapshot(*snap, serving)?.into()),
-            LoadedSnapshot::Sharded { shards, next_id } => {
-                Self::from_shard_snapshots(shards, next_id, serving)
-            }
-        }
+        let (shards, next_id) = match snapshot::load_any(path)? {
+            // A one-shard file is a one-shard list whose allocator is the shard's own.
+            LoadedSnapshot::Single(snap) => (vec![Some(*snap)], 0),
+            LoadedSnapshot::Sharded { shards, next_id } => (shards, next_id),
+        };
+        Self::from_shard_snapshots(shards, next_id, serving)
     }
 
     /// Loads a snapshot file and re-partitions its live vectors across `config.shards`
@@ -445,7 +445,7 @@ impl ShardedServingIndex {
     }
 
     /// The per-shard serving configuration (engine schedule, rebuild
-    /// threshold, structure seed, adaptive knobs).
+    /// threshold, structure seed, probes override).
     pub fn serving_config(&self) -> ServingConfig {
         self.config.serving
     }
@@ -534,10 +534,12 @@ impl ShardedServingIndex {
     /// shards), insert/delete/rebuild summed from the shards.
     pub fn stats(&self) -> ServingStats {
         let mut total = self.counters.snapshot();
-        for (_, stats) in self.per_shard(|s| s.stats()) {
-            total.inserts += stats.inserts;
-            total.deletes += stats.deletes;
-            total.rebuilds += stats.rebuilds;
+        for shard in &self.shards {
+            if let Some(stats) = self.read_shard(shard).as_ref().map(ServingIndex::stats) {
+                total.inserts += stats.inserts;
+                total.deletes += stats.deletes;
+                total.rebuilds += stats.rebuilds;
+            }
         }
         total
     }
@@ -553,23 +555,6 @@ impl ShardedServingIndex {
     /// engine pass merged two or more concurrent requests.
     pub(crate) fn note_coalesced_batch(&self) {
         self.counters.note_coalesced_batch();
-    }
-
-    /// Per-shard `(live vectors, counters)` rows, in shard order — what `ips serve`
-    /// prints so a skewed shard is visible.
-    pub fn shard_stats(&self) -> Vec<(usize, ServingStats)> {
-        self.per_shard(|s| (s.len(), s.stats()))
-            .into_iter()
-            .map(|(_, v)| v)
-            .collect()
-    }
-
-    fn per_shard<T: Default>(&self, f: impl Fn(&ServingIndex) -> T) -> Vec<(usize, T)> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(j, s)| (j, self.read_shard(s).as_ref().map(&f).unwrap_or_default()))
-            .collect()
     }
 
     /// Inserts a vector, returning its stable external id. The id comes from the
@@ -641,11 +626,10 @@ impl ShardedServingIndex {
             JoinEngine::with_config(self.sink_view(&guards, &fan), self.config.serving.engine);
         let pairs = engine.run_with_sink(queries, &fan)?;
         self.observe_workload(&fan, queries);
-        let total = start.elapsed();
-        self.telemetry.record_query_latency(total.as_nanos() as u64);
+        self.telemetry
+            .record_query_latency(start.elapsed().as_nanos() as u64);
         self.counters
             .note_queries(queries.len(), pairs.len(), start);
-        self.slow_log("query", queries.len(), pairs.len(), total);
         Ok(pairs)
     }
 
@@ -674,16 +658,15 @@ impl ShardedServingIndex {
             JoinEngine::with_config(self.sink_view(&guards, &fan), self.config.serving.engine);
         let pairs = engine.run_top_k_with_sink(queries, k, &fan)?;
         self.observe_workload(&fan, queries);
-        let total = start.elapsed();
-        self.telemetry.record_query_latency(total.as_nanos() as u64);
+        self.telemetry
+            .record_query_latency(start.elapsed().as_nanos() as u64);
         self.counters
             .note_queries(queries.len(), pairs.len(), start);
-        self.slow_log("query_top_k", queries.len(), pairs.len(), total);
         Ok(pairs)
     }
 
     /// The always-on aggregate telemetry block (stage-latency and workload
-    /// histograms) — what `stats` percentiles and the slow-query log read.
+    /// histograms) — what `stats` percentiles and `metrics` read.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }
@@ -692,18 +675,6 @@ impl ShardedServingIndex {
     fn observe_workload(&self, sink: &dyn TraceSink, queries: &[DenseVector]) {
         for q in queries {
             sink.observe(Observable::QueryNormMilli, (q.norm() * 1000.0) as u64);
-        }
-    }
-
-    /// Emits one structured stderr line when the batch's wall time meets
-    /// [`ServingConfig::slow_log_micros`] (0 disables).
-    fn slow_log(&self, op: &str, queries: usize, hits: usize, total: std::time::Duration) {
-        let threshold = self.config.serving.slow_log_micros;
-        if threshold > 0 && total.as_micros() as u64 >= threshold {
-            eprintln!(
-                "slow-query op={op} queries={queries} hits={hits} total_micros={}",
-                total.as_micros()
-            );
         }
     }
 
@@ -1055,32 +1026,6 @@ impl ShardedServingIndex {
     }
 }
 
-/// A one-shard sharded index is exactly a [`ServingIndex`] plus the (trivial)
-/// merge layer — the conversion the registry and builder use so unsharded and
-/// sharded serving share one routing surface.
-impl From<ServingIndex> for ShardedServingIndex {
-    fn from(index: ServingIndex) -> Self {
-        Self {
-            next_id: AtomicU64::new(index.next_id()),
-            spec: index.spec(),
-            dim: index.dim(),
-            index_config: RwLock::new(index.index_config()),
-            config: ShardedConfig {
-                shards: 1,
-                serving: index.serving_config(),
-            },
-            // Query/hit/latency history carries over (queries tick at this layer
-            // from now on); mutation counters keep living in the wrapped shard.
-            counters: Counters::with_query_history(&index.stats()),
-            telemetry: Telemetry::new(),
-            migrations: Counter::new(),
-            drift_milli: Gauge::new(),
-            stats_window: Mutex::new(HistogramSnapshot::empty()),
-            shards: vec![RwLock::new(Some(index))],
-        }
-    }
-}
-
 /// A borrow of every (non-empty) shard that speaks [`MipsIndex`] /
 /// [`TopKMipsIndex`] with external ids, merging per-shard answers exactly — the
 /// adapter [`ShardedServingIndex::query`] feeds to the [`JoinEngine`], mirroring
@@ -1314,7 +1259,7 @@ mod tests {
             assert!(stats.query_ns > 0);
             assert_eq!(sharded.len(), 40);
             assert_eq!(sharded.ids(), (0..40).collect::<Vec<u64>>());
-            assert_eq!(sharded.shard_stats().len(), 4);
+            assert_eq!(sharded.shard_lens().len(), 4);
         }
     }
 
@@ -1569,31 +1514,26 @@ mod tests {
     }
 
     #[test]
-    fn one_shard_conversion_preserves_behaviour() {
+    fn a_one_shard_file_opens_as_a_one_shard_list() {
         let dim = 6;
         let data = vectors(0xCA, 20, dim, 0.9);
         let queries = vectors(0xCB, 5, dim, 1.0);
-        let mut plain = ServingIndex::build(
-            data.clone(),
-            spec(),
-            IndexConfig::Brute,
-            ServingConfig::default(),
-        )
-        .unwrap();
+        let mut plain =
+            ServingIndex::build(data, spec(), IndexConfig::Brute, ServingConfig::default())
+                .unwrap();
         plain.delete(0).unwrap();
         plain.insert(queries[0].scaled(0.5)).unwrap();
-        let expected = plain.query(&queries).unwrap();
-        let history = plain.stats();
-        let wrapped: ShardedServingIndex = plain.into();
-        assert_eq!(wrapped.shard_count(), 1);
-        // Wrapping a warm index keeps its whole counter history...
-        assert_eq!(wrapped.stats(), history);
-        // ...and its answers.
-        assert_eq!(wrapped.query(&queries).unwrap(), expected);
-        let id = wrapped.insert(queries[0].scaled(0.9)).unwrap();
-        assert_eq!(id, 21);
-        let after = wrapped.stats();
-        assert_eq!(after.inserts, history.inserts + 1);
-        assert_eq!(after.queries, history.queries + queries.len() as u64);
+        let path = std::env::temp_dir().join("ips-store-one-shard-open.snap");
+        plain.save(&path).unwrap();
+        let opened = ShardedServingIndex::open(&path, ServingConfig::default()).unwrap();
+        assert_eq!(opened.shard_count(), 1);
+        assert_eq!(opened.next_id(), plain.next_id());
+        let served = crate::builder::Index::open(&path).serve().unwrap();
+        assert_eq!(
+            opened.query(&queries).unwrap(),
+            served.query(&queries).unwrap()
+        );
+        assert_eq!(opened.insert(queries[0].scaled(0.9)).unwrap(), 21);
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -153,7 +153,7 @@ impl std::fmt::Display for IndexFamily {
 /// as one [`LshOps`] ([`AnyIndex::as_lsh`] / [`AnyIndex::as_lsh_mut`]) everywhere else.
 pub enum AnyIndex {
     /// The exact quadratic scan.
-    Brute(BruteForceMipsIndex),
+    Brute(BruteForceMipsIndex<'static>),
     /// The Section 4.1 asymmetric-LSH index.
     Alsh(LshMips<'static, SphereTransform>),
     /// The Section 4.2 symmetric LSH.
@@ -165,7 +165,7 @@ pub enum AnyIndex {
 /// An [`AnyIndex`] by kind of structure: the LSH families as one.
 pub(crate) enum View<'a> {
     /// The exact quadratic scan.
-    Brute(&'a BruteForceMipsIndex),
+    Brute(&'a BruteForceMipsIndex<'static>),
     /// Either LSH family.
     Lsh(&'a dyn LshOps),
     /// The Section 4.3 sketch structure.
@@ -175,7 +175,7 @@ pub(crate) enum View<'a> {
 /// [`View`] for mutation (the sketch structure has no operation to offer).
 pub(crate) enum ViewMut<'a> {
     /// The exact quadratic scan.
-    Brute(&'a mut BruteForceMipsIndex),
+    Brute(&'a mut BruteForceMipsIndex<'static>),
     /// Either LSH family.
     Lsh(&'a mut dyn LshOps),
     /// The Section 4.3 sketch structure.

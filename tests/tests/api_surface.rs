@@ -228,7 +228,6 @@ fn block_parallel_set_up_surface_is_pinned() {
     let squares: Result<Vec<usize>, ()> =
         par::map_blocks(2, &mut [1usize, 2, 3], |_, x| Ok(*x * *x));
     assert_eq!(squares, Ok(vec![1, 4, 9]));
-    par::for_each_block(2, &mut [0u8; 2], |k, x| *x = k as u8);
     // Builds under a schedule.
     let data = vec![DenseVector::from(&[0.6, 0.0][..]); 5];
     let spec = JoinSpec::new(0.5, 0.6, JoinVariant::Signed).unwrap();
@@ -343,6 +342,16 @@ fn join_indexes_borrow_or_own_their_vectors() {
         .unwrap();
     assert_ne!(borrowing.data().as_ptr(), data.as_ptr());
     assert_eq!((borrowing.slots(), data.len()), (5, 4));
+    // The exact scan is one struct too, under its two names (MIGRATION.md, "Serving
+    // knobs"): a slice borrows, a `Vec` owns, a push onto a borrowing index copies.
+    use ips_core::brute::BorrowedBruteIndex;
+    use ips_core::mips::BruteForceMipsIndex;
+    let mut borrowing: BruteForceMipsIndex<'_> = BorrowedBruteIndex::new(&data, spec);
+    assert_eq!(borrowing.data().as_ptr(), data.as_ptr());
+    borrowing.push(DenseVector::from(&[0.0, 0.6][..]));
+    assert_ne!(borrowing.data().as_ptr(), data.as_ptr());
+    let owning: BorrowedBruteIndex<'static> = BruteForceMipsIndex::new(data.clone(), spec);
+    assert_eq!(owning.into_data(), data);
 }
 
 #[test]
@@ -410,7 +419,7 @@ fn streaming_codec_and_compaction_surface_is_pinned() {
     // ...`compact` and the other operations that do not name the map being methods
     // of one object-safe trait, which is how the serving layers reach either family.
     let _view: fn(&ips_store::AnyIndex) -> Option<&dyn LshOps> = ips_store::AnyIndex::as_lsh;
-    let _push: fn(&mut BruteForceMipsIndex, DenseVector) = BruteForceMipsIndex::push;
+    let _push: fn(&mut BruteForceMipsIndex<'static>, DenseVector) = BruteForceMipsIndex::push;
 }
 
 #[test]
@@ -528,9 +537,8 @@ fn builder_setters_are_pinned() {
         .rebuild_threshold(0.5)
         .coalesce_window_micros(200)
         .coalesce_max(8)
-        .adaptive(false)
-        .drift_check_secs(5)
         .seed(1)
+        .probes(0)
         .serve()
         .unwrap();
     assert_eq!(serving.len(), 1);
