@@ -20,6 +20,7 @@
 //! candidate-set sizes.
 
 use crate::error::{CoreError, Result};
+use crate::lsh_join::JoinMap;
 use crate::lsh_mips::{LshMips, SphereMap, Tuning};
 use crate::problem::JoinSpec;
 use ips_linalg::DenseVector;
@@ -143,6 +144,13 @@ impl SphereMap for SphereTransform {
     ) -> Result<()> {
         vectors.iter().try_for_each(|v| check_data(self, v))?;
         Ok(hasher.data_keys(vectors.iter().map(Point::from), keys)?)
+    }
+}
+
+/// A join hands the kernel each vector as it is: nothing to keep between groups.
+impl JoinMap for SphereTransform {
+    fn plane_rows(&self) -> usize {
+        self.output_dim()
     }
 }
 

@@ -17,10 +17,11 @@
 //!
 //! This is the seam future sharding and caching work plugs into: anything that can
 //! answer `search_batch` — a remote shard, a cached layer, a GPU kernel — joins through
-//! the same driver. It is also the execution core every run of the fluent
-//! [`crate::facade::JoinBuilder`] ends in: whatever strategy the builder (or the
-//! planner behind [`crate::facade::Strategy::Auto`]) selects, the query set reaches the
-//! chosen index through `JoinEngine::run`.
+//! the same driver. It is also the execution core of the fluent
+//! [`crate::facade::JoinBuilder`]: the brute-force and sketch strategies reach their
+//! index through `JoinEngine::run`, and the ALSH and symmetric joins, which ask each
+//! query of one group of tables at a time, run every pass in the engine's chunks on the
+//! engine's threads.
 
 use crate::error::Result;
 use crate::mips::MipsIndex;
@@ -55,7 +56,7 @@ impl EngineConfig {
         }
     }
 
-    fn resolved_threads(&self) -> usize {
+    pub(crate) fn resolved_threads(&self) -> usize {
         if self.threads > 0 {
             self.threads
         } else {
@@ -63,7 +64,7 @@ impl EngineConfig {
         }
     }
 
-    fn resolved_chunk_size(&self) -> usize {
+    pub(crate) fn resolved_chunk_size(&self) -> usize {
         self.chunk_size.max(1)
     }
 }

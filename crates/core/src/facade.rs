@@ -36,8 +36,15 @@
 //! [`JoinBuilder::run`] seeds a [`rand::rngs::StdRng`] from [`JoinBuilder::seed`];
 //! [`JoinBuilder::run_with_rng`] draws from the caller's RNG instead. Either way an
 //! explicit strategy and the planner's choice of the same strategy run through one
-//! function (index build, then [`crate::engine::JoinEngine`]), so under one RNG state
-//! their outputs are **bit-identical**, at every engine schedule.
+//! function, so under one RNG state their outputs are **bit-identical**, at every
+//! engine schedule. Brute force and the sketch build their index and run it through
+//! the [`crate::engine::JoinEngine`]. The ALSH and symmetric joins hold no index: they
+//! draw the tables' hash functions from the RNG a group of tables at a time — a group's
+//! planes fit in 1 MiB — hash the data and the queries against that group only, keep
+//! each query's best candidate so far, and drop the group before drawing the next. The
+//! draws, the keys, the candidates and the tie rule are those of the whole index, so
+//! the pairs are the ones [`crate::LshMips::build`] followed by a `JoinEngine` pass
+//! gives from the same RNG state.
 //!
 //! # Contract
 //!
@@ -298,7 +305,8 @@ impl<'a> JoinBuilder<'a> {
     }
 
     /// Worker threads of the [`JoinEngine`](crate::engine::JoinEngine) (`0` = one per available CPU,
-    /// the default).
+    /// the default). Under [`Strategy::Alsh`] and [`Strategy::Symmetric`] they also hash
+    /// the data: no pass of the join runs on more threads than this.
     pub fn threads(mut self, threads: usize) -> Self {
         self.engine.threads = threads;
         self

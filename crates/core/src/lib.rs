@@ -89,6 +89,7 @@ pub mod error;
 pub mod facade;
 pub mod kernel;
 pub mod lower_bounds;
+mod lsh_join;
 pub mod lsh_mips;
 pub mod mips;
 pub mod planner;

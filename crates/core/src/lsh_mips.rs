@@ -103,11 +103,80 @@ pub trait SphereMap: Sized + Send + Sync {
 }
 
 /// The slot id of position `i`, which the LSH tables store as a `u32`.
-fn slot_id(i: usize) -> Result<u32> {
+pub(crate) fn slot_id(i: usize) -> Result<u32> {
     u32::try_from(i).map_err(|_| CoreError::InvalidParameter {
         name: "data",
         reason: "index supports at most 2^32 - 1 points".into(),
     })
+}
+
+/// The dimension every vector of a non-empty `data` shares.
+pub(crate) fn common_dim(data: &[DenseVector]) -> Result<usize> {
+    let dim = data.first().ok_or(CoreError::EmptyDataSet)?.dim();
+    match data.iter().find(|v| v.dim() != dim) {
+        Some(v) => Err(CoreError::DimensionMismatch {
+            expected: dim,
+            actual: v.dim(),
+        }),
+        None => Ok(dim),
+    }
+}
+
+/// The last slot of `data` registered in `diagonal` under `key` whose vector `map`
+/// finds identical to `query`.
+pub(crate) fn diagonal_slot<M: SphereMap>(
+    map: &M,
+    diagonal: &Diagonal,
+    data: &[DenseVector],
+    query: &DenseVector,
+    key: Option<u64>,
+) -> Option<usize> {
+    let same = |slot: u32| map.identical(&data[slot as usize], query);
+    diagonal.lookup(key?, same).map(|slot| slot as usize)
+}
+
+/// The [`diagonal_slot`] scored exactly: step 1 of the two-step search.
+pub(crate) fn diagonal_hit<M: SphereMap>(
+    map: &M,
+    diagonal: &Diagonal,
+    data: &[DenseVector],
+    query: &DenseVector,
+    key: Option<u64>,
+) -> Result<Option<SearchResult>> {
+    diagonal_slot(map, diagonal, data, query, key)
+        .map(|i| {
+            Ok(SearchResult {
+                data_index: i,
+                inner_product: data[i].dot(query)?,
+            })
+        })
+        .transpose()
+}
+
+/// The best of `candidates` (ascending slots of `data`) by exact re-scoring — strict
+/// `>`, so ties keep the lowest slot — unfiltered by the relaxed threshold.
+pub(crate) fn best_candidate(
+    spec: &JoinSpec,
+    data: &[DenseVector],
+    query: &DenseVector,
+    candidates: Vec<usize>,
+) -> Result<Option<SearchResult>> {
+    let mut best: Option<SearchResult> = None;
+    for i in candidates {
+        let ip = data[i].dot(query)?;
+        let value = spec.variant.value(ip);
+        let better = best
+            .as_ref()
+            .map(|b| value > spec.variant.value(b.inner_product))
+            .unwrap_or(true);
+        if better {
+            best = Some(SearchResult {
+                data_index: i,
+                inner_product: ip,
+            });
+        }
+    }
+    Ok(best)
 }
 
 /// What an [`LshMips`] does that does not name its map: mutation, compaction, the
@@ -209,7 +278,7 @@ impl<'a, M: SphereMap> LshMips<'a, M> {
         params: M::Params,
     ) -> Result<Self> {
         let data = data.into();
-        let dim = Self::common_dim(&data)?;
+        let dim = common_dim(&data)?;
         slot_id(data.len())?;
         let map = M::new(dim, &spec, &params)?;
         // Sample the functions over an empty index, then stream the points through it
@@ -267,18 +336,6 @@ impl<'a, M: SphereMap> LshMips<'a, M> {
         }
     }
 
-    /// The dimension every vector of a non-empty `data` shares.
-    fn common_dim(data: &[DenseVector]) -> Result<usize> {
-        let dim = data.first().ok_or(CoreError::EmptyDataSet)?.dim();
-        match data.iter().find(|v| v.dim() != dim) {
-            Some(v) => Err(CoreError::DimensionMismatch {
-                expected: dim,
-                actual: v.dim(),
-            }),
-            None => Ok(dim),
-        }
-    }
-
     /// Reassembles an index from previously extracted state — the inverse of
     /// [`LshOps::data`] / [`LshMips::lsh_index`] / the accessors plus the liveness
     /// mask, used by snapshot persistence to restore an index bit-identically (same
@@ -296,7 +353,7 @@ impl<'a, M: SphereMap> LshMips<'a, M> {
         spec: JoinSpec,
         params: M::Params,
     ) -> Result<Self> {
-        let dim = Self::common_dim(&data)?;
+        let dim = common_dim(&data)?;
         if live.len() != data.len() {
             return Err(CoreError::InvalidParameter {
                 name: "live",
@@ -396,7 +453,7 @@ impl<'a, M: SphereMap> LshMips<'a, M> {
     pub fn candidate_indices(&self, query: &DenseVector) -> Result<Vec<usize>> {
         self.map.with_point(Side::Query, query, |point, key| {
             let mut out = self.gather(point)?;
-            if let Some(i) = self.diagonal_slot(query, key) {
+            if let Some(i) = diagonal_slot(&self.map, &self.diagonal, &self.data, query, key) {
                 if let Err(position) = out.binary_search(&i) {
                     out.insert(position, i);
                 }
@@ -414,47 +471,18 @@ impl<'a, M: SphereMap> LshMips<'a, M> {
         Ok(candidates)
     }
 
-    /// The last live slot whose vector is identical to the query.
-    fn diagonal_slot(&self, query: &DenseVector, key: Option<u64>) -> Option<usize> {
-        let same = |slot: u32| self.map.identical(&self.data[slot as usize], query);
-        self.diagonal.lookup(key?, same).map(|slot| slot as usize)
-    }
-
+    /// The last live slot whose vector is identical to the query, scored exactly.
     fn diagonal_hit(&self, query: &DenseVector, key: Option<u64>) -> Result<Option<SearchResult>> {
-        self.diagonal_slot(query, key)
-            .map(|i| {
-                Ok(SearchResult {
-                    data_index: i,
-                    inner_product: self.data[i].dot(query)?,
-                })
-            })
-            .transpose()
+        diagonal_hit(&self.map, &self.diagonal, &self.data, query, key)
     }
 
-    /// The best LSH candidate by exact re-scoring (strict `>`, so ties keep the
-    /// lowest slot), unfiltered by the relaxed threshold.
+    /// The best LSH candidate by exact re-scoring, unfiltered by the relaxed threshold.
     fn best_candidate(
         &self,
         query: &DenseVector,
         point: Point<'_>,
     ) -> Result<Option<SearchResult>> {
-        let candidates = self.gather(point)?;
-        let mut best: Option<SearchResult> = None;
-        for i in candidates {
-            let ip = self.data[i].dot(query)?;
-            let value = self.spec.variant.value(ip);
-            let better = best
-                .as_ref()
-                .map(|b| value > self.spec.variant.value(b.inner_product))
-                .unwrap_or(true);
-            if better {
-                best = Some(SearchResult {
-                    data_index: i,
-                    inner_product: ip,
-                });
-            }
-        }
-        Ok(best)
+        best_candidate(&self.spec, &self.data, query, self.gather(point)?)
     }
 }
 

@@ -39,11 +39,11 @@ use crate::asymmetric::{AlshParams, SphereTransform};
 use crate::brute::BorrowedBruteIndex;
 use crate::engine::{EngineConfig, JoinEngine};
 use crate::error::{CoreError, Result};
-use crate::lsh_mips::{LshMips, SphereMap, Tuning, BUILD_BLOCK};
+use crate::lsh_join;
+use crate::lsh_mips::{SphereMap, Tuning};
 use crate::mips::SketchMipsAdapter;
 use crate::problem::{JoinSpec, MatchPair};
 use crate::symmetric::{SymmetricParams, SymmetricSphereMap};
-use ips_linalg::par::Schedule;
 use ips_linalg::DenseVector;
 use ips_sketch::linf_mips::MaxIpConfig;
 use rand::Rng;
@@ -226,7 +226,7 @@ impl WorkloadStats {
     }
 }
 
-/// What an [`LshMips`] join under the map `M` is predicted to do on a workload whose
+/// What an LSH join under the map `M` is predicted to do on a workload whose
 /// sampled pairs have the mapped `cosines`: the candidates a query gathers, and the
 /// flops of hashing every data and query vector over `rows` non-zero rows and
 /// re-scoring those candidates. Probing widens the per-table hit probability (more
@@ -779,15 +779,19 @@ fn format_ns(ns: f64) -> String {
     }
 }
 
-/// Builds the index `strategy` names over `data` — where it stands: the index borrows
-/// the slice for the join's duration, no copy of the data set is made — with its
-/// parameters out of `config`, and joins `queries` against it through the
-/// [`JoinEngine`]. The one place a strategy becomes an index: an explicit choice
-/// ([`crate::facade::JoinBuilder::run`]) and a planned one ([`JoinPlan::execute`])
-/// both end here, which is what makes them bit-identical under one RNG state.
+/// Joins `queries` against `data` — where it stands: nothing borrows more than the
+/// slice, no copy of the data set is made — under `strategy`, with its parameters out
+/// of `config`, on `config.engine`'s threads. The brute and sketch strategies build
+/// their index and run it through the [`JoinEngine`]. The ALSH and symmetric ones never
+/// hold an index: their join draws, hashes and queries the tables a cache-sized group
+/// at a time and merges each query's answer across the groups (`lsh_join`), to the
+/// pairs the whole index would give. The one place a strategy becomes a join: an
+/// explicit choice ([`crate::facade::JoinBuilder::run`]) and a planned one
+/// ([`JoinPlan::execute`]) both end here, which is what makes them bit-identical under
+/// one RNG state.
 ///
 /// An **empty query set** joins to an empty result under every strategy; an empty
-/// *data* set fails at index construction or on the first search.
+/// *data* set fails before any query is looked at.
 pub(crate) fn run_strategy<R: Rng + ?Sized>(
     strategy: Strategy,
     rng: &mut R,
@@ -802,31 +806,28 @@ pub(crate) fn run_strategy<R: Rng + ?Sized>(
             config.engine,
         )
         .run(queries),
-        Strategy::Alsh => {
-            run_lsh::<SphereTransform, R>(config.alsh, rng, data, queries, spec, config)
-        }
-        Strategy::Symmetric => {
-            run_lsh::<SymmetricSphereMap, R>(config.symmetric, rng, data, queries, spec, config)
-        }
+        Strategy::Alsh => lsh_join::run::<SphereTransform, R>(
+            config.alsh,
+            rng,
+            data,
+            queries,
+            spec,
+            config.engine,
+        ),
+        Strategy::Symmetric => lsh_join::run::<SymmetricSphereMap, R>(
+            config.symmetric,
+            rng,
+            data,
+            queries,
+            spec,
+            config.engine,
+        ),
         Strategy::Sketch => JoinEngine::with_config(
             SketchMipsAdapter::build(rng, data, spec, config.sketch, config.sketch_leaf_size)?,
             config.engine,
         )
         .run(queries),
     }
-}
-
-/// The LSH arms of [`run_strategy`]: the [`LshMips`] join under the map `M`.
-fn run_lsh<M: SphereMap, R: Rng + ?Sized>(
-    params: M::Params,
-    rng: &mut R,
-    data: &[DenseVector],
-    queries: &[DenseVector],
-    spec: JoinSpec,
-    config: &PlannerConfig,
-) -> Result<Vec<MatchPair>> {
-    let index = LshMips::<M>::build(Schedule::new(BUILD_BLOCK), rng, data, spec, params)?;
-    JoinEngine::with_config(index, config.engine).run(queries)
 }
 
 #[cfg(test)]

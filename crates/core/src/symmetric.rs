@@ -37,6 +37,7 @@
 //! with the query's, so "identical" means what it always did.
 
 use crate::error::{CoreError, Result};
+use crate::lsh_join::JoinMap;
 use crate::lsh_mips::{SphereMap, Tuning};
 use crate::problem::JoinSpec;
 use ips_linalg::incoherent::{Fingerprint, ReedSolomonCollection};
@@ -348,6 +349,96 @@ impl SphereMap for SymmetricSphereMap {
 
     fn identical(&self, a: &DenseVector, b: &DenseVector) -> bool {
         self.same_encoding(a, b)
+    }
+}
+
+/// The `u16` words of a kept image that hold the bits of the tag's value.
+const VALUE_WORDS: usize = 4;
+
+/// A join keeps each point's image in `2·(4 + t)` bytes — 96 at the defaults, where
+/// `t = 44` and `p = 47`: the bits of the tag's one value, then one symbol a
+/// Reed–Solomon block, the row of block `x` being `d + x·p + symbol`. Quantising,
+/// fingerprinting, the symbols and the value are done once a join; unpacking is a copy.
+impl JoinMap for SymmetricSphereMap {
+    fn plane_rows(&self) -> usize {
+        self.output_dim()
+    }
+
+    fn kept_words(&self) -> usize {
+        VALUE_WORDS + self.tag_nonzeros()
+    }
+
+    fn keep(&self, _side: Side, v: &DenseVector, kept: &mut [u16]) -> Result<Option<u64>> {
+        IMAGE.with_borrow_mut(|image| {
+            self.image_into(v, image)?;
+            let (value, symbols) = kept.split_at_mut(VALUE_WORDS);
+            let bits = image.tag.first().map_or(0, |&(_, value)| value.to_bits());
+            for (i, word) in value.iter_mut().enumerate() {
+                *word = (bits >> (16 * i)) as u16;
+            }
+            let p = self.field();
+            for (x, (word, &(row, _))) in symbols.iter_mut().zip(&image.tag).enumerate() {
+                *word = u16::try_from(row - self.dim - x * p).map_err(|_| {
+                    CoreError::InvalidParameter {
+                        name: "epsilon",
+                        reason: format!("a join keeps tag symbols in 16 bits, not GF({p})'s"),
+                    }
+                })?;
+            }
+            Ok(Some(image.fingerprint))
+        })
+    }
+
+    fn kept_block_keys(
+        &self,
+        vectors: &[DenseVector],
+        kept: &[u16],
+        images: &mut Vec<SphereImage>,
+        hasher: &mut BlockHasher<'_>,
+        keys: &mut [u64],
+    ) -> Result<()> {
+        let images = &mut images[..vectors.len()];
+        for (kept, image) in kept.chunks_exact(self.kept_words()).zip(images.iter_mut()) {
+            self.unpack(kept, image);
+        }
+        let points = vectors.iter().zip(images.iter());
+        let points = points.map(|(v, image)| Point::from(self.sparse(v, image)));
+        Ok(hasher.data_keys(points, keys)?)
+    }
+
+    fn with_kept_query<T>(
+        &self,
+        q: &DenseVector,
+        kept: &[u16],
+        f: impl FnOnce(Point<'_>) -> Result<T>,
+    ) -> Result<T> {
+        IMAGE.with_borrow_mut(|image| {
+            self.unpack(kept, image);
+            f(self.sparse(q, image).into())
+        })
+    }
+}
+
+impl SymmetricSphereMap {
+    /// The field size `p`: the rows of one Reed–Solomon block of the tag.
+    fn field(&self) -> usize {
+        self.collection.dim() / self.collection.nonzeros()
+    }
+
+    /// The tag [`SymmetricSphereMap::image_into`] computed, from what a join kept of
+    /// it, into `image`.
+    fn unpack(&self, kept: &[u16], image: &mut SphereImage) {
+        let (value, symbols) = kept.split_at(VALUE_WORDS);
+        let bits = value
+            .iter()
+            .rev()
+            .fold(0, |bits, &word| bits << 16 | u64::from(word));
+        let (d, p, value) = (self.dim, self.field(), f64::from_bits(bits));
+        image.tag.clear();
+        let rows = symbols.iter().enumerate();
+        image
+            .tag
+            .extend(rows.map(|(x, &symbol)| (d + x * p + usize::from(symbol), value)));
     }
 }
 

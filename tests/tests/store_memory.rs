@@ -22,7 +22,8 @@
 //!    build that wrote them did.
 //! 5. A facade join of the three index strategies borrows the caller's vectors: it
 //!    peaks within a fraction of the data set of what building the same index over
-//!    vectors *handed over* peaks at.
+//!    vectors *handed over* peaks at. A symmetric join holds one group of tables at a
+//!    time: less than half the plane bank beyond a few hundred bytes a point.
 //! 6. The Section 4.2 index is built from sparse sphere images: sampling its planes
 //!    peaks at the plane bank (not at a bank and the functions it was gathered from),
 //!    its exact-match table costs a few dozen bytes a point, and a search allocates
@@ -550,6 +551,42 @@ fn a_facade_join_holds_its_index_and_no_copy_of_the_data() {
                  the data set is {data_bytes}"
             );
         }
+    }
+}
+
+/// What a symmetric join holds a point beyond one group's planes and filing maps: its
+/// image as the join keeps it (96 B at the defaults), its diagonal entry (≤ 40 B, see
+/// `the_symmetric_index_is_built_from_sparse_images`), and one group's share of the
+/// tables — six tables' ids and the build's bucket number and counting slot for each,
+/// 6 × 8 + 4 B; a query's kept image and its parts are less than that.
+const JOIN_BYTES_PER_POINT: usize = 256;
+
+#[test]
+fn a_symmetric_join_holds_a_group_of_tables_and_not_the_bank() {
+    let params = SymmetricParams::default();
+    let map = SymmetricSphereMap::new(JOIN_DIM, params.epsilon, params.precision_bits).unwrap();
+    let bank =
+        map.output_dim() * params.bits_per_table * params.tables * std::mem::size_of::<f64>();
+    for n in [2000usize, 8000] {
+        let data = join_vectors(n as u64 + 2, n);
+        let queries = join_vectors(7, 32);
+        // One thread: every block the join allocates is this thread's to count.
+        let span = Span::begin();
+        let report = Join::data(&data)
+            .queries(&queries)
+            .spec(spec())
+            .strategy(Strategy::Symmetric)
+            .threads(1)
+            .run()
+            .unwrap();
+        let held = span.held();
+        drop(report);
+        let allowance = JOIN_BYTES_PER_POINT * (n + queries.len());
+        assert!(
+            held < bank / 2 + allowance,
+            "n={n}: the join held {held} bytes; half the bank is {}, the allowance {allowance}",
+            bank / 2
+        );
     }
 }
 
