@@ -110,7 +110,7 @@ pub enum ControlDecision {
 /// [`ShardedServingIndex`].
 ///
 /// Drive it manually with [`AdaptiveController::check`] (deterministic — what
-/// the tests and benches do) or hand it its own thread with
+/// the tests and the benchmark do) or hand it its own thread with
 /// [`AdaptiveController::spawn`] (what `ips serve adaptive=on` does).
 pub struct AdaptiveController {
     index: Arc<ShardedServingIndex>,

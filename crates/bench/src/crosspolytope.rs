@@ -11,6 +11,11 @@
 //! dim`). With `projection_dim = dim` this is the classical construction; smaller
 //! projection dimensions trade accuracy for speed exactly as in the feature-hashing
 //! variant of the original paper.
+//!
+//! No experiment, example or index samples this family: only its unit tests reach it
+//! (and through it [`ips_linalg::projection`], which has no other user). Both stay
+//! until ROADMAP item 6 decides whether cross-polytope becomes a second plane bank
+//! or leaves the tree.
 
 use ips_linalg::projection::GaussianProjection;
 use ips_linalg::DenseVector;

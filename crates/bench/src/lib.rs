@@ -1,6 +1,6 @@
 //! # ips-bench
 //!
-//! The benchmark harness that regenerates every table and figure of the paper plus the
+//! The experiment binaries that regenerate every table and figure of the paper plus the
 //! supporting experiments listed in `DESIGN.md` / `EXPERIMENTS.md`:
 //!
 //! | Binary | Artefact |
@@ -19,9 +19,9 @@
 //!
 //! **The comparison families.** The paper measures its §4.1 index against hashing
 //! schemes that no index here is built over. They are sampled only by the experiments
-//! above, the `bench_lsh_families` bench and the `set_containment` example, so they live
-//! in this crate, one module each; their closed forms (ρ, the E2LSH collision
-//! probability, [`ips_lsh::rho::L2AlshParams`]) stay in `ips_lsh::rho`:
+//! above and the `set_containment` example (cross-polytope by its unit tests alone),
+//! so they live in this crate, one module each; their closed forms (ρ, the E2LSH
+//! collision probability, [`ips_lsh::rho::L2AlshParams`]) stay in `ips_lsh::rho`:
 //!
 //! | Scheme | Module | Role in the paper |
 //! |---|---|---|
@@ -31,13 +31,10 @@
 //! | Asymmetric minwise hashing (MH-ALSH) | [`mhalsh`] | state of the art for binary data \[46\] |
 //! | L2-ALSH(SL) | [`alsh_l2`] | the original ALSH for MIPS \[45\] |
 //!
-//! The serving system's numbers (throughput, latency, kernel speed, telemetry and
-//! adaptation overhead) are measured by the repository benchmark under `benchmark/`,
-//! not here.
-//!
-//! The Criterion benches under `benches/` measure the same code paths with statistical
-//! rigour; the binaries print the rows/series the paper reports so the shapes can be
-//! compared side by side.
+//! The binaries print the rows and series the paper reports, so the shapes can be
+//! compared side by side. Every timing of the system (join and index speed per
+//! strategy, kernel speed, serving throughput and latency, telemetry and adaptation
+//! overhead) is measured by the repository benchmark under `benchmark/`, not here.
 //!
 //! Beside the families, this library crate holds the small amount of shared harness
 //! code (text tables, a wall-clock timer, the argument check) so the binaries stay

@@ -1,9 +1,9 @@
 //! Random projections (Johnson–Lindenstrauss style).
 //!
-//! Several constructions in the workspace need a random linear map that roughly
-//! preserves inner products: dimensionality reduction before LSH, the pseudo-random
-//! rotations of cross-polytope hashing, and the third hard-sequence construction of
-//! Theorem 3 (which invokes the JL lemma to obtain nearly-orthogonal vector families).
+//! A random linear map that roughly preserves inner products. Its one user is the
+//! pseudo-random rotation of cross-polytope hashing (`ips_bench::crosspolytope`), which
+//! only that family's unit tests reach; both stay until ROADMAP item 6 decides whether
+//! cross-polytope becomes a second plane bank or leaves the tree.
 
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;

@@ -22,8 +22,8 @@
 //! * [`recovery`] — the bit-by-bit / prefix-tree index recovery structure that also
 //!   returns *which* row attains (approximately) the maximum, cut off where a sketch
 //!   would cost a query more than the scan it saves;
-//! * [`join`] — the unsigned `(cs, s)` join built on top of the recovery structure,
-//!   including the query-scaling reduction described in the paper;
+//! * [`join`] — the paper's query-scaling reduction from unsigned `c`-MIPS to unsigned
+//!   `(cs, s)` search (the sketch join itself runs through `ips_core`'s `Join` facade);
 //! * [`cost`] — closed-form build/query flop predictions for the adaptive join
 //!   planner in `ips-core`, and the split rule the tree and the predictions share.
 

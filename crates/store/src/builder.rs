@@ -7,7 +7,7 @@
 //! data set or loaded from a snapshot file — from the same typed strategy and
 //! parameter vocabulary ([`Strategy`], [`ips_core::asymmetric::AlshParams`],
 //! [`EngineConfig`], …), so the CLI's `build`/`serve`/`query` subcommands, the
-//! benches, and library users all configure serving the same way.
+//! benchmark, and library users all configure serving the same way.
 //!
 //! ```
 //! use ips_core::facade::Strategy;

@@ -462,7 +462,7 @@ fn scoring_and_trace_surface_is_pinned() {
 
 #[test]
 fn sketch_index_surface_is_pinned() {
-    // What the persistence layer, the adapter and the benches compile against.
+    // What the persistence layer, the adapter and the benchmark compile against.
     // Since the cost cut-off (PR 15) a leaf is a range, an estimator is one
     // coordinate-major block — `sketched()` scatters owned matrices out of it, as
     // `LshIndex::functions()` does for the plane bank — and the tree reports how

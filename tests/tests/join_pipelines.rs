@@ -36,6 +36,11 @@ fn planted_pairs_are_found_by_every_join() {
     )
     .unwrap();
     let spec = JoinSpec::new(0.8, 0.6, JoinVariant::Unsigned).unwrap();
+    let sketch_config = MaxIpConfig {
+        kappa: 2.0,
+        copies: 11,
+        rows: None,
+    };
 
     let exact = brute_force_join(inst.data(), inst.queries(), &spec).unwrap();
     let alsh = Join::data(inst.data())
@@ -50,11 +55,7 @@ fn planted_pairs_are_found_by_every_join() {
         .queries(inst.queries())
         .spec(spec)
         .strategy(Strategy::Sketch)
-        .sketch_config(MaxIpConfig {
-            kappa: 2.0,
-            copies: 11,
-            rows: None,
-        })
+        .sketch_config(sketch_config)
         .sketch_leaf_size(8)
         .run_with_rng(&mut rng)
         .unwrap()
@@ -80,6 +81,32 @@ fn planted_pairs_are_found_by_every_join() {
         let (_, valid) = evaluate_join(inst.data(), inst.queries(), &spec, pairs).unwrap();
         assert!(valid, "{name} join reported a pair below cs");
     }
+
+    // The unsigned sketch join also finds an anti-correlated partner: a data point
+    // planted at −0.85·q for an unplanted query.
+    let planted = inst.planted_pairs();
+    let anti_query = planted.len();
+    let anti_index = (0..inst.data().len())
+        .find(|i| planted.iter().all(|&(di, _)| di != *i))
+        .unwrap();
+    let mut anti_data = inst.data().to_vec();
+    anti_data[anti_index] = inst.queries()[anti_query].scaled(-0.85);
+    let anti = Join::data(&anti_data)
+        .queries(inst.queries())
+        .spec(spec)
+        .strategy(Strategy::Sketch)
+        .sketch_config(sketch_config)
+        .sketch_leaf_size(8)
+        .run_with_rng(&mut rng)
+        .unwrap()
+        .matches;
+    assert!(
+        anti.iter()
+            .any(|p| (p.data_index, p.query_index) == (anti_index, anti_query)),
+        "sketch join missed the anti-correlated pair: {anti:?}"
+    );
+    let (_, valid) = evaluate_join(&anti_data, inst.queries(), &spec, &anti).unwrap();
+    assert!(valid, "sketch join reported a pair below cs");
 }
 
 #[test]
