@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use ips_core::planner::{self, CostModel, JoinPlan, JoinPlanner, PlannerConfig, WorkloadStats};
+use ips_core::planner::{CostModel, IndexFamily, JoinPlanner, PlannerConfig, WorkloadStats};
 use ips_core::problem::JoinSpec;
 use ips_linalg::DenseVector;
 use ips_store::{IndexConfig, MigrationReport, Result, ShardedServingIndex, StoreError};
@@ -94,8 +94,8 @@ pub enum ControlDecision {
     Replanned {
         /// The scored drift.
         drift: f64,
-        /// The (re-confirmed) winning strategy.
-        choice: planner::Strategy,
+        /// The (re-confirmed) winning family.
+        choice: IndexFamily,
     },
     /// The planner chose a different structure and the index migrated to it.
     Migrated {
@@ -216,13 +216,12 @@ impl AdaptiveController {
         // fresh statistics and re-anchor the baseline on them either way —
         // the decision (migrate or stay) now reflects this workload.
         self.streak = 0;
-        let plan = self.planner.plan_from_stats(fresh.clone(), spec);
+        let target = self.planner.plan_from_stats(fresh.clone(), spec).choice;
         self.baseline = Some(fresh);
-        let target = plan_index_config(&plan);
         if target == self.index.index_config() {
             return Ok(ControlDecision::Replanned {
                 drift,
-                choice: plan.choice,
+                choice: target.family(),
             });
         }
         let report = self.index.migrate_to(target)?;
@@ -233,8 +232,7 @@ impl AdaptiveController {
     /// [`AdaptiveConfig::drift_check_secs`] until the handle is stopped or
     /// dropped.
     ///
-    /// Migrations and errors emit one structured line each on stderr, next to
-    /// the serving layer's slow-query log.
+    /// Migrations and errors emit one structured line each on stderr.
     pub fn spawn(self) -> ControllerHandle {
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
@@ -301,21 +299,6 @@ impl ControllerHandle {
 impl Drop for ControllerHandle {
     fn drop(&mut self) {
         self.halt();
-    }
-}
-
-/// Maps a resolved [`JoinPlan`] onto the serving layer's structure
-/// configuration — the same mapping `IndexBuilder`'s `algo=auto` arm applies
-/// at build time.
-pub fn plan_index_config(plan: &JoinPlan) -> IndexConfig {
-    match plan.choice {
-        planner::Strategy::BruteForce => IndexConfig::Brute,
-        planner::Strategy::Alsh => IndexConfig::Alsh(plan.alsh_params),
-        planner::Strategy::Symmetric => IndexConfig::Symmetric(plan.symmetric_params),
-        planner::Strategy::Sketch => IndexConfig::Sketch {
-            config: plan.sketch_config,
-            leaf_size: plan.sketch_leaf_size,
-        },
     }
 }
 
@@ -562,7 +545,7 @@ mod tests {
         drive(&index, 3.0, 8);
         match controller.check().unwrap() {
             ControlDecision::Replanned { choice, .. } => {
-                assert_eq!(choice, planner::Strategy::BruteForce)
+                assert_eq!(choice, IndexFamily::Brute)
             }
             other => panic!("expected replan, got {other:?}"),
         }

@@ -63,7 +63,5 @@
 pub mod controller;
 pub mod observe;
 
-pub use controller::{
-    plan_index_config, AdaptiveConfig, AdaptiveController, ControlDecision, ControllerHandle,
-};
+pub use controller::{AdaptiveConfig, AdaptiveController, ControlDecision, ControllerHandle};
 pub use observe::{ObservedWorkload, TelemetryWindow};

@@ -23,7 +23,9 @@
 //! [`WorkloadStats`]: ips_core::planner::WorkloadStats
 
 use ips_bench::{fmt, render_table, Timer};
-use ips_core::planner::{CostModel, JoinPlan, JoinPlanner, Strategy, WorkloadStats};
+use ips_core::planner::{
+    CostModel, IndexFamily, JoinPlan, JoinPlanner, StrategyEstimate, WorkloadStats,
+};
 use ips_core::problem::{evaluate_join, JoinSpec, JoinVariant};
 use ips_datagen::adversarial::{planner_suite, AdversarialScale, PlannerWorkload};
 use rand::rngs::StdRng;
@@ -42,7 +44,7 @@ const TIMER_RESOLUTION_NS: f64 = 50_000.0;
 /// One measured (workload, strategy) point.
 struct Measurement {
     workload: String,
-    strategy: Strategy,
+    strategy: IndexFamily,
     flops: f64,
     elapsed_ns: f64,
     qps: f64,
@@ -59,23 +61,18 @@ fn spec_of(w: &PlannerWorkload) -> JoinSpec {
     JoinSpec::new(w.threshold, w.approximation, variant).expect("suite specs are valid")
 }
 
-/// Runs one strategy of `plan` end to end and measures it.
+/// Runs the structure `estimate` costed in `plan` end to end and measures it.
 fn measure(
     w: &PlannerWorkload,
     plan: &JoinPlan,
-    strategy: Strategy,
+    estimate: &StrategyEstimate,
     seed: u64,
 ) -> Option<Measurement> {
-    let estimate = plan
-        .estimates
-        .iter()
-        .find(|e| e.strategy == strategy)
-        .expect("plan carries every strategy");
     if !estimate.eligible {
         return None;
     }
     let mut forced = plan.clone();
-    forced.choice = strategy;
+    forced.choice = estimate.config;
     let run = || {
         let mut rng = StdRng::seed_from_u64(seed);
         let t = Timer::start();
@@ -92,7 +89,7 @@ fn measure(
         evaluate_join(&w.data, &w.queries, &plan.spec, &pairs).expect("evaluation runs");
     Some(Measurement {
         workload: w.name.to_string(),
-        strategy,
+        strategy: estimate.config.family(),
         flops: estimate.flops,
         elapsed_ns,
         qps: w.queries.len() as f64 / (elapsed_ns / 1e9).max(1e-12),
@@ -103,7 +100,7 @@ fn measure(
 
 /// Least squares through the origin: the `ns/flop` constant minimising
 /// `Σ (t_i − u·f_i)²` over the strategy's measurements.
-fn fit(measurements: &[Measurement], strategy: Strategy) -> Option<f64> {
+fn fit(measurements: &[Measurement], strategy: IndexFamily) -> Option<f64> {
     let points: Vec<&Measurement> = measurements
         .iter()
         .filter(|m| m.strategy == strategy && m.flops > 0.0)
@@ -159,8 +156,8 @@ fn main() {
         )
         .expect("stats sample");
         let plan = planner.plan_from_stats(stats, spec);
-        for strategy in Strategy::ALL {
-            if let Some(m) = measure(w, &plan, strategy, seed ^ 0xBEEF) {
+        for estimate in &plan.estimates {
+            if let Some(m) = measure(w, &plan, estimate, seed ^ 0xBEEF) {
                 measurements.push(m);
             }
         }
@@ -199,13 +196,13 @@ fn main() {
 
     // Phase 3: fit the per-strategy constants.
     let mut fitted = CostModel::default();
-    for strategy in Strategy::ALL {
-        if let Some(u) = fit(&measurements, strategy) {
-            match strategy {
-                Strategy::BruteForce => fitted.brute_ns_per_flop = u,
-                Strategy::Alsh => fitted.alsh_ns_per_flop = u,
-                Strategy::Symmetric => fitted.symmetric_ns_per_flop = u,
-                Strategy::Sketch => fitted.sketch_ns_per_flop = u,
+    for family in IndexFamily::ALL {
+        if let Some(u) = fit(&measurements, family) {
+            match family {
+                IndexFamily::Brute => fitted.brute_ns_per_flop = u,
+                IndexFamily::Alsh => fitted.alsh_ns_per_flop = u,
+                IndexFamily::Symmetric => fitted.symmetric_ns_per_flop = u,
+                IndexFamily::Sketch => fitted.sketch_ns_per_flop = u,
             }
         }
     }
@@ -229,25 +226,25 @@ fn main() {
     let mut failures = 0usize;
     for (w, plan) in suite.iter().zip(&plans) {
         let refit = fitted_planner.plan_from_stats(plan.stats.clone(), plan.spec);
-        let of = |s: Strategy| {
+        let of = |s: IndexFamily| {
             measurements
                 .iter()
                 .find(|m| m.workload == w.name && m.strategy == s)
                 .map(|m| m.elapsed_ns)
         };
-        let best = Strategy::ALL
+        let best = IndexFamily::ALL
             .into_iter()
             .filter_map(|s| of(s).map(|t| (s, t)))
             .min_by(|a, b| a.1.total_cmp(&b.1))
             .expect("every workload has a measurement");
-        let picked = of(refit.choice).expect("picked strategy was measured");
+        let picked = of(refit.choice.family()).expect("picked strategy was measured");
         let ok = picked <= 1.2 * best.1 + TIMER_RESOLUTION_NS;
         if !ok {
             failures += 1;
         }
         rows.push(vec![
             w.name.to_string(),
-            refit.choice.to_string(),
+            refit.choice.family().to_string(),
             best.0.to_string(),
             fmt(picked / 1e6, 1),
             fmt(best.1 / 1e6, 1),

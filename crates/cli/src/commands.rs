@@ -14,18 +14,15 @@ use crate::args::ParsedArgs;
 use crate::dataset::{read_vectors, write_vectors, DatasetSummary};
 use crate::error::{CliError, Result};
 use crate::schema::{self, CommandArgs};
-use ips_core::asymmetric::{AlshParams, SphereTransform};
+use ips_core::asymmetric::AlshParams;
 use ips_core::engine::EngineConfig;
 use ips_core::facade::{Join, Strategy};
-use ips_core::lsh_mips::{LshMips, BUILD_BLOCK};
-use ips_core::mips::{BruteForceMipsIndex, SearchResult};
+use ips_core::mips::SearchResult;
 use ips_core::planner::JoinPlan;
 use ips_core::problem::{evaluate_join, JoinSpec, JoinVariant, MatchPair};
-use ips_core::topk::TopKMipsIndex;
 use ips_datagen::latent::{LatentFactorConfig, LatentFactorModel};
 use ips_datagen::planted::{PlantedConfig, PlantedInstance};
 use ips_datagen::sphere::unit_vectors;
-use ips_linalg::par::Schedule;
 use ips_sketch::linf_mips::MaxIpConfig;
 use ips_store::{CoalesceConfig, Index, ShardedServingIndex};
 use rand::rngs::StdRng;
@@ -240,7 +237,7 @@ pub fn cmd_join(raw: &ParsedArgs) -> Result<JoinReport> {
     let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
     let (recall, valid) = evaluate_join(&data, &queries, &spec, &report.matches)?;
     let algorithm = match &report.plan {
-        Some(p) => format!("auto→{}", p.choice),
+        Some(p) => format!("auto→{}", p.choice.family()),
         None => algorithm,
     };
     Ok(JoinReport {
@@ -439,28 +436,20 @@ pub fn cmd_search(raw: &ParsedArgs) -> Result<SearchReport> {
     let data = read_vectors(Path::new(args.str("data")))?;
     let queries = read_vectors(Path::new(args.str("queries")))?;
     let spec = parse_spec(&args)?;
-    let k = args.usize("k");
     let algorithm = args.str("algorithm").to_string();
-    let mut rng = StdRng::seed_from_u64(args.u64("seed"));
-    let results = match algorithm.as_str() {
-        "alsh" => {
-            let schedule = Schedule::new(BUILD_BLOCK);
-            let index: LshMips<'_, SphereTransform> =
-                LshMips::build(schedule, &mut rng, data, spec, alsh_params(&args))?;
-            queries
-                .iter()
-                .map(|q| index.search_top_k(q, k))
-                .collect::<ips_core::Result<Vec<_>>>()?
-        }
-        "brute" => {
-            let index = BruteForceMipsIndex::new(data, spec);
-            queries
-                .iter()
-                .map(|q| index.search_top_k(q, k))
-                .collect::<ips_core::Result<Vec<_>>>()?
-        }
-        other => unreachable!("schema restricts algorithm to brute|alsh, got `{other}`"),
-    };
+    let serving = Index::build(data)
+        .spec(spec)
+        .strategy(algorithm.parse().map_err(CliError::from)?)
+        .alsh_params(alsh_params(&args))
+        .seed(args.u64("seed"))
+        .serve()?;
+    let mut results = vec![Vec::new(); queries.len()];
+    for pair in serving.query_top_k(&queries, args.usize("k"))? {
+        results[pair.query_index].push(SearchResult {
+            data_index: pair.data_index,
+            inner_product: pair.inner_product,
+        });
+    }
     Ok(SearchReport { algorithm, results })
 }
 
@@ -614,10 +603,10 @@ mod tests {
         ]))
         .unwrap();
         let plan = report.plan.as_ref().expect("auto attaches a plan");
-        assert_eq!(report.algorithm, format!("auto→{}", plan.choice));
+        assert_eq!(report.algorithm, format!("auto→{}", plan.choice.family()));
         assert!(report.valid);
         // The small workload must be answered by the exact scan.
-        assert_eq!(plan.choice, ips_core::planner::Strategy::BruteForce);
+        assert_eq!(plan.choice, ips_core::IndexConfig::Brute);
         assert!(plan.explain().contains("plan: brute"));
         // A manual algorithm never carries a plan.
         let manual = cmd_join(&args(&[

@@ -2,11 +2,12 @@
 //!
 //! Every upper bound in the paper is an attempt to beat these `O(|P|·|Q|·d)` loops, and
 //! every conditional lower bound says that in certain regimes one essentially cannot.
-//! Both a sequential and a multi-threaded variant are provided; the parallel variant
-//! (the [`crate::engine::JoinEngine`] over a borrowed exact index) is the honest
-//! baseline for the wall-clock benchmarks on multi-core machines.
+//! [`brute_force_join`] is the sequential reference the tests check every join
+//! against. The multi-threaded exact join is the facade's
+//! `Join::data(d).queries(q).spec(s).strategy(Strategy::Brute).threads(n).run()`
+//! (see [`crate::facade`]): the [`crate::engine::JoinEngine`] over a
+//! [`BorrowedBruteIndex`], the honest baseline on multi-core machines.
 
-use crate::engine::{EngineConfig, JoinEngine};
 use crate::error::{CoreError, Result};
 use crate::mips::{data_major_batch, BruteForceMipsIndex};
 use crate::problem::{JoinSpec, MatchPair};
@@ -33,39 +34,10 @@ pub fn brute_force_join(
 }
 
 /// The exact quadratic-scan index over *borrowed* data, for callers that already
-/// own the vectors (the parallel baseline below, the join facade) and should not
+/// own the vectors (the join facade, the engine baselines) and should not
 /// pay a second copy just to join through the engine: the one
 /// [`BruteForceMipsIndex`] built from a slice.
 pub type BorrowedBruteIndex<'a> = BruteForceMipsIndex<'a>;
-
-/// Multi-threaded exact join: the [`JoinEngine`] over a borrowed exact index, with
-/// the query set split across `threads` workers (one chunk each, mirroring the
-/// pre-engine behaviour of this baseline). The builder spelling is
-/// `Join::data(d).queries(q).spec(s).strategy(Strategy::Brute).threads(n).run()`
-/// (see [`crate::facade`]; no randomness is involved either way).
-pub fn brute_force_join_parallel(
-    data: &[DenseVector],
-    queries: &[DenseVector],
-    spec: &JoinSpec,
-    threads: usize,
-) -> Result<Vec<MatchPair>> {
-    if data.is_empty() || queries.is_empty() {
-        return Err(CoreError::EmptyDataSet);
-    }
-    if threads == 0 {
-        return Err(CoreError::InvalidParameter {
-            name: "threads",
-            reason: "at least one worker thread is required".into(),
-        });
-    }
-    let threads = threads.min(queries.len());
-    let index = BorrowedBruteIndex::new(data, *spec);
-    let config = EngineConfig {
-        threads,
-        chunk_size: queries.len().div_ceil(threads),
-    };
-    JoinEngine::with_config(index, config).run(queries)
-}
 
 /// Exact maximum inner product search: the data index maximising the variant's value,
 /// together with the (signed) inner product.
@@ -101,6 +73,7 @@ fn best_for_query(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::facade::{Join, Strategy};
     use crate::problem::JoinVariant;
     use ips_linalg::random::random_unit_vector;
     use rand::rngs::StdRng;
@@ -116,7 +89,6 @@ mod tests {
         assert!(brute_force_join(&[], &[dv(&[1.0])], &spec).is_err());
         assert!(brute_force_join(&[dv(&[1.0])], &[], &spec).is_err());
         assert!(brute_force_mips(&[], &dv(&[1.0]), &spec).is_err());
-        assert!(brute_force_join_parallel(&[dv(&[1.0])], &[dv(&[1.0])], &spec, 0).is_err());
     }
 
     #[test]
@@ -170,7 +142,15 @@ mod tests {
         let spec = JoinSpec::exact(0.3, JoinVariant::Unsigned).unwrap();
         let sequential = brute_force_join(&data, &queries, &spec).unwrap();
         for threads in [1, 2, 4, 7, 64] {
-            let parallel = brute_force_join_parallel(&data, &queries, &spec, threads).unwrap();
+            let parallel = Join::data(&data)
+                .queries(&queries)
+                .spec(spec)
+                .strategy(Strategy::Brute)
+                .threads(threads)
+                .chunk_size(queries.len().div_ceil(threads))
+                .run()
+                .unwrap()
+                .matches;
             assert_eq!(parallel, sequential, "threads = {threads}");
         }
     }

@@ -58,8 +58,8 @@
 use crate::asymmetric::AlshParams;
 use crate::engine::EngineConfig;
 use crate::error::{CoreError, Result};
-use crate::kernel::{Dtype, ScoringOptions};
-use crate::planner::{self, CostModel, JoinPlan, JoinPlanner, PlannerConfig, WorkloadStats};
+use crate::kernel::Dtype;
+use crate::planner::{self, CostModel, IndexFamily, JoinPlan, JoinPlanner};
 use crate::problem::{JoinSpec, JoinVariant, MatchPair};
 use crate::symmetric::SymmetricParams;
 use ips_linalg::DenseVector;
@@ -70,9 +70,9 @@ use rand::{Rng, SeedableRng};
 /// Which join strategy a [`JoinBuilder`] dispatches — the four fixed families
 /// plus [`Strategy::Auto`], which consults the cost-based [`JoinPlanner`].
 ///
-/// This is the *selection* type of the facade; the planner's
-/// [`planner::Strategy`] is the *decision* type (always concrete). Conversions
-/// go both ways via [`From`].
+/// This is the *selection* type of the facade. What runs is always concrete: a
+/// [`planner::IndexConfig`], which [`planner::PlannerConfig::index_config`] resolves a
+/// fixed strategy to and the planner picks for `Auto`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Strategy {
     /// Let the cost-based planner pick the cheapest eligible strategy.
@@ -136,17 +136,6 @@ impl std::str::FromStr for Strategy {
     }
 }
 
-impl From<planner::Strategy> for Strategy {
-    fn from(s: planner::Strategy) -> Self {
-        match s {
-            planner::Strategy::BruteForce => Strategy::Brute,
-            planner::Strategy::Alsh => Strategy::Alsh,
-            planner::Strategy::Symmetric => Strategy::Symmetric,
-            planner::Strategy::Sketch => Strategy::Sketch,
-        }
-    }
-}
-
 /// What a [`JoinBuilder::run`] produced: the matches plus everything a caller
 /// needs to report on the run without re-deriving it.
 #[derive(Debug, Clone, PartialEq)]
@@ -154,15 +143,13 @@ pub struct JoinReport {
     /// The reported pairs; every one clears the relaxed threshold `cs`
     /// (the validity half of Definition 1, by construction).
     pub matches: Vec<MatchPair>,
-    /// The concrete strategy that ran — for [`Strategy::Auto`] this is the
-    /// planner's choice, otherwise the requested strategy itself.
-    pub strategy: planner::Strategy,
-    /// The cost-based plan, present only under [`Strategy::Auto`].
+    /// The family that ran — for [`Strategy::Auto`] the planner's choice,
+    /// otherwise the requested strategy itself.
+    pub strategy: IndexFamily,
+    /// The cost-based plan, with the sampled workload statistics it was based on,
+    /// present only under [`Strategy::Auto`] (manual strategies never sample the
+    /// workload, so they draw nothing from the RNG before the index build).
     pub plan: Option<JoinPlan>,
-    /// The sampled workload statistics the plan was based on, present only
-    /// under [`Strategy::Auto`] (manual strategies never sample the workload, so
-    /// they draw nothing from the RNG before the index build).
-    pub stats: Option<WorkloadStats>,
     /// End-to-end wall-clock nanoseconds of the dispatch (planning included
     /// under [`Strategy::Auto`]).
     pub wall_ns: u128,
@@ -182,13 +169,7 @@ impl Join {
             approximation: 1.0,
             variant: JoinVariant::Signed,
             strategy: Strategy::Auto,
-            alsh: AlshParams::default(),
-            symmetric: SymmetricParams::default(),
-            sketch: MaxIpConfig::default(),
-            sketch_leaf_size: ips_sketch::DEFAULT_LEAF_SIZE,
-            engine: EngineConfig::default(),
-            cost_model: CostModel::default(),
-            scoring: ScoringOptions::default(),
+            planner: JoinPlanner::default(),
             seed: 42,
         }
     }
@@ -212,13 +193,9 @@ pub struct JoinBuilder<'a> {
     approximation: f64,
     variant: JoinVariant,
     strategy: Strategy,
-    alsh: AlshParams,
-    symmetric: SymmetricParams,
-    sketch: MaxIpConfig,
-    sketch_leaf_size: usize,
-    engine: EngineConfig,
-    cost_model: CostModel,
-    scoring: ScoringOptions,
+    /// The per-family parameters, the engine schedule, the scoring kernel and the
+    /// cost model: what a fixed strategy runs with and what `Auto` plans with.
+    planner: JoinPlanner,
     seed: u64,
 }
 
@@ -267,13 +244,13 @@ impl<'a> JoinBuilder<'a> {
     /// ALSH parameters used by [`Strategy::Alsh`] (and as the planner's ALSH
     /// candidate under [`Strategy::Auto`]).
     pub fn alsh_params(mut self, params: AlshParams) -> Self {
-        self.alsh = params;
+        self.planner.config.alsh = params;
         self
     }
 
     /// Symmetric-LSH parameters used by [`Strategy::Symmetric`].
     pub fn symmetric_params(mut self, params: SymmetricParams) -> Self {
-        self.symmetric = params;
+        self.planner.config.symmetric = params;
         self
     }
 
@@ -285,14 +262,14 @@ impl<'a> JoinBuilder<'a> {
     /// [`JoinBuilder::symmetric_params`] if you set both — those setters
     /// replace the whole parameter structs, probes field included.
     pub fn probes(mut self, probes: usize) -> Self {
-        self.alsh.probes = probes;
-        self.symmetric.probes = probes;
+        self.planner.config.alsh.probes = probes;
+        self.planner.config.symmetric.probes = probes;
         self
     }
 
     /// Sketch configuration used by [`Strategy::Sketch`].
     pub fn sketch_config(mut self, config: MaxIpConfig) -> Self {
-        self.sketch = config;
+        self.planner.config.sketch = config;
         self
     }
 
@@ -300,7 +277,7 @@ impl<'a> JoinBuilder<'a> {
     /// [`ips_sketch::DEFAULT_LEAF_SIZE`]): never split a range of at most this many
     /// vectors. The tree also stops where a sketch would cost more than the scan.
     pub fn sketch_leaf_size(mut self, leaf_size: usize) -> Self {
-        self.sketch_leaf_size = leaf_size;
+        self.planner.config.sketch_leaf_size = leaf_size;
         self
     }
 
@@ -308,26 +285,26 @@ impl<'a> JoinBuilder<'a> {
     /// the default). Under [`Strategy::Alsh`] and [`Strategy::Symmetric`] they also hash
     /// the data: no pass of the join runs on more threads than this.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.engine.threads = threads;
+        self.planner.config.engine.threads = threads;
         self
     }
 
     /// Queries per batched engine work unit (default 32).
     pub fn chunk_size(mut self, chunk_size: usize) -> Self {
-        self.engine.chunk_size = chunk_size;
+        self.planner.config.engine.chunk_size = chunk_size;
         self
     }
 
     /// The whole engine schedule in one call.
     pub fn engine(mut self, engine: EngineConfig) -> Self {
-        self.engine = engine;
+        self.planner.config.engine = engine;
         self
     }
 
     /// The planner's calibrated cost constants (only consulted under
     /// [`Strategy::Auto`]).
     pub fn cost_model(mut self, model: CostModel) -> Self {
-        self.cost_model = model;
+        self.planner.model = model;
         self
     }
 
@@ -341,7 +318,7 @@ impl<'a> JoinBuilder<'a> {
     /// scan only: the ALSH, symmetric and sketch strategies score their few
     /// candidates exactly in `f64` whatever the `dtype`.
     pub fn dtype(mut self, dtype: Dtype) -> Self {
-        self.scoring.dtype = dtype;
+        self.planner.config.scoring.dtype = dtype;
         self
     }
 
@@ -373,41 +350,32 @@ impl<'a> JoinBuilder<'a> {
     pub fn run_with_rng<R: Rng + ?Sized>(self, rng: &mut R) -> Result<JoinReport> {
         let spec = self.build_spec()?;
         let start = std::time::Instant::now();
-        let mut config = PlannerConfig::with_params(
-            self.alsh,
-            self.symmetric,
-            self.sketch,
-            self.sketch_leaf_size,
-            self.engine,
-        );
-        config.scoring = self.scoring;
-        let fixed = planner::Strategy::ALL
-            .into_iter()
-            .find(|&fixed| Strategy::from(fixed) == self.strategy);
-        let (matches, strategy, plan) = match fixed {
-            Some(strategy) => {
-                let matches =
-                    planner::run_strategy(strategy, rng, self.data, self.queries, spec, &config)?;
-                (matches, strategy, None)
+        let config = &self.planner.config;
+        let (matches, strategy, plan) = match config.index_config(self.strategy) {
+            Some(index) => {
+                let matches = planner::run_strategy(
+                    index,
+                    rng,
+                    self.data,
+                    self.queries,
+                    spec,
+                    config.engine,
+                    config.scoring,
+                )?;
+                (matches, index.family(), None)
             }
             // `Strategy::Auto`: the planner's pick, through the same function.
             None => {
-                let planner = JoinPlanner {
-                    config,
-                    model: self.cost_model,
-                };
-                let plan = planner.plan(rng, self.data, self.queries, spec)?;
+                let plan = self.planner.plan(rng, self.data, self.queries, spec)?;
                 let matches = plan.execute(rng, self.data, self.queries)?;
-                (matches, plan.choice, Some(plan))
+                (matches, plan.choice.family(), Some(plan))
             }
         };
         let wall_ns = start.elapsed().as_nanos();
-        let stats = plan.as_ref().map(|p| p.stats.clone());
         Ok(JoinReport {
             matches,
             strategy,
             plan,
-            stats,
             wall_ns,
         })
     }
@@ -463,8 +431,9 @@ mod tests {
             .run()
             .unwrap();
         let plan = report.plan.as_ref().expect("auto attaches a plan");
-        assert_eq!(plan.choice, report.strategy);
-        assert_eq!(report.stats.as_ref().unwrap(), &plan.stats);
+        assert_eq!(plan.choice.family(), report.strategy);
+        assert_eq!(plan.stats.data_count, inst.data().len());
+        assert_eq!(plan.stats.query_count, inst.queries().len());
         let spec = JoinSpec::new(0.8, 0.6, JoinVariant::Signed).unwrap();
         let (_, valid) =
             evaluate_join(inst.data(), inst.queries(), &spec, &report.matches).unwrap();
@@ -488,8 +457,7 @@ mod tests {
                 .run()
                 .unwrap();
             assert!(report.plan.is_none(), "{strategy} carried a plan");
-            assert!(report.stats.is_none());
-            assert_eq!(Strategy::from(report.strategy), strategy);
+            assert_eq!(report.strategy.name(), strategy.name());
         }
     }
 
@@ -517,9 +485,12 @@ mod tests {
             assert_eq!(format!("{s}"), s.name());
         }
         assert!("nope".parse::<Strategy>().is_err());
-        // The planner's concrete strategies map onto the facade's.
-        for p in planner::Strategy::ALL {
-            assert_eq!(Strategy::from(p).name(), p.name());
+        // Every family is selectable by its own name.
+        for family in IndexFamily::ALL {
+            assert_eq!(
+                family.name().parse::<Strategy>().unwrap().name(),
+                family.name()
+            );
         }
     }
 

@@ -106,6 +106,6 @@ pub use facade::{Join, JoinBuilder, JoinReport, Strategy};
 pub use kernel::{Dtype, ScoringOptions};
 pub use lsh_mips::{LshMips, LshOps, SphereMap};
 pub use mips::{MipsIndex, SearchResult, SketchMipsAdapter};
-pub use planner::{CostModel, JoinPlan, JoinPlanner};
+pub use planner::{CostModel, IndexConfig, IndexFamily, JoinPlan, JoinPlanner};
 pub use problem::{JoinSpec, JoinVariant, MatchPair};
-pub use topk::{top_k_join, top_k_recall, TopKMipsIndex};
+pub use topk::{top_k_recall, TopKMipsIndex};

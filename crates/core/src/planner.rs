@@ -31,7 +31,7 @@
 //!    explicitly chosen strategy runs through, so a plan's result is
 //!    bit-identical to the manual choice with the same parameters and RNG.
 //!
-//! Ties favour the earlier entry in [`Strategy::ALL`], which lists the exact
+//! Ties favour the earlier entry in [`IndexFamily::ALL`], which lists the exact
 //! scan first — when the model cannot separate two strategies, the planner
 //! prefers the one with guaranteed recall.
 
@@ -39,6 +39,8 @@ use crate::asymmetric::{AlshParams, SphereTransform};
 use crate::brute::BorrowedBruteIndex;
 use crate::engine::{EngineConfig, JoinEngine};
 use crate::error::{CoreError, Result};
+use crate::facade::Strategy;
+use crate::kernel::ScoringOptions;
 use crate::lsh_join;
 use crate::lsh_mips::{SphereMap, Tuning};
 use crate::mips::SketchMipsAdapter;
@@ -52,12 +54,12 @@ use rand::Rng;
 /// index constructors themselves allow on vector norms.
 const NORM_TOLERANCE: f64 = 1e-9;
 
-/// The join strategies the planner chooses between — the exact scan and one
-/// per Section 4 data structure.
+/// Which structure runs: the exact scan or one of the three Section 4 data
+/// structures. The planner costs each of them; a snapshot records which one it holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Strategy {
+pub enum IndexFamily {
     /// The exact data-major quadratic scan ([`crate::brute`]).
-    BruteForce,
+    Brute,
     /// The Section 4.1 asymmetric-LSH index ([`crate::asymmetric`]).
     Alsh,
     /// The Section 4.2 symmetric LSH ([`crate::symmetric`]).
@@ -66,36 +68,69 @@ pub enum Strategy {
     Sketch,
 }
 
-impl Strategy {
-    /// Every strategy, in tie-breaking order: exact first, then the
+impl IndexFamily {
+    /// Every family, in the planner's tie-breaking order: exact first, then the
     /// approximate structures in paper-section order.
-    pub const ALL: [Strategy; 4] = [
-        Strategy::BruteForce,
-        Strategy::Alsh,
-        Strategy::Symmetric,
-        Strategy::Sketch,
+    pub const ALL: [IndexFamily; 4] = [
+        IndexFamily::Brute,
+        IndexFamily::Alsh,
+        IndexFamily::Symmetric,
+        IndexFamily::Sketch,
     ];
 
-    /// The name used by the CLI (`algorithm=`) and in explain output.
+    /// The family's lower-case name, as used by the CLI (`algorithm=`) and in
+    /// explain output.
     pub fn name(self) -> &'static str {
         match self {
-            Strategy::BruteForce => "brute",
-            Strategy::Alsh => "alsh",
-            Strategy::Symmetric => "symmetric",
-            Strategy::Sketch => "sketch",
+            IndexFamily::Brute => "brute",
+            IndexFamily::Alsh => "alsh",
+            IndexFamily::Symmetric => "symmetric",
+            IndexFamily::Sketch => "sketch",
         }
     }
 
-    /// Whether the strategy answers every promised query (recall 1 by
+    /// Whether the family answers every promised query (recall 1 by
     /// construction rather than by measurement).
     pub fn is_exact(self) -> bool {
-        matches!(self, Strategy::BruteForce)
+        matches!(self, IndexFamily::Brute)
     }
 }
 
-impl std::fmt::Display for Strategy {
+impl std::fmt::Display for IndexFamily {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+/// Which structure to build over the data, with its family-specific tuning.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum IndexConfig {
+    /// The exact quadratic scan.
+    Brute,
+    /// The Section 4.1 asymmetric-LSH index.
+    Alsh(AlshParams),
+    /// The Section 4.2 symmetric LSH.
+    Symmetric(SymmetricParams),
+    /// The Section 4.3 sketch structure.
+    Sketch {
+        /// Per-node sketch configuration.
+        config: MaxIpConfig,
+        /// The recovery tree's leaf-size floor: a range of at most this many vectors
+        /// is never split (the tree also stops where a sketch would cost more than
+        /// the scan).
+        leaf_size: usize,
+    },
+}
+
+impl IndexConfig {
+    /// The family this configuration builds.
+    pub fn family(&self) -> IndexFamily {
+        match self {
+            IndexConfig::Brute => IndexFamily::Brute,
+            IndexConfig::Alsh(_) => IndexFamily::Alsh,
+            IndexConfig::Symmetric(_) => IndexFamily::Symmetric,
+            IndexConfig::Sketch { .. } => IndexFamily::Sketch,
+        }
     }
 }
 
@@ -347,19 +382,19 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// The constant applied to a strategy's flop count.
-    pub fn ns_per_flop(&self, strategy: Strategy) -> f64 {
-        match strategy {
-            Strategy::BruteForce => self.brute_ns_per_flop,
-            Strategy::Alsh => self.alsh_ns_per_flop,
-            Strategy::Symmetric => self.symmetric_ns_per_flop,
-            Strategy::Sketch => self.sketch_ns_per_flop,
+    /// The constant applied to a family's flop count.
+    pub fn ns_per_flop(&self, family: IndexFamily) -> f64 {
+        match family {
+            IndexFamily::Brute => self.brute_ns_per_flop,
+            IndexFamily::Alsh => self.alsh_ns_per_flop,
+            IndexFamily::Symmetric => self.symmetric_ns_per_flop,
+            IndexFamily::Sketch => self.sketch_ns_per_flop,
         }
     }
 
     /// The brute-force constant under a scoring-kernel selection: the `f32`
     /// tile kernel for `dtype=f32`, else the default `f64` scan.
-    pub fn brute_ns_per_flop_for(&self, scoring: crate::kernel::ScoringOptions) -> f64 {
+    pub fn brute_ns_per_flop_for(&self, scoring: ScoringOptions) -> f64 {
         match scoring.dtype {
             crate::kernel::Dtype::F32 => self.brute_f32_ns_per_flop,
             crate::kernel::Dtype::F64 => self.brute_ns_per_flop,
@@ -370,8 +405,9 @@ impl CostModel {
 /// What the planner predicted for one strategy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StrategyEstimate {
-    /// The strategy this estimate describes.
-    pub strategy: Strategy,
+    /// The structure this estimate costed, with the parameters it would run with
+    /// (for ALSH, the query radius already resolved).
+    pub config: IndexConfig,
     /// Predicted total flops (build + all queries).
     pub flops: f64,
     /// Predicted wall-clock cost in nanoseconds (`flops × ns_per_flop`).
@@ -406,7 +442,7 @@ pub struct PlannerConfig {
     /// Scoring-kernel selection (`dtype`) the brute strategy runs with; the
     /// brute estimate is costed with the matching per-dtype constant so
     /// `algo=auto` can pick the cheap path.
-    pub scoring: crate::kernel::ScoringOptions,
+    pub scoring: ScoringOptions,
 }
 
 impl Default for PlannerConfig {
@@ -419,31 +455,27 @@ impl Default for PlannerConfig {
             sketch_leaf_size: ips_sketch::DEFAULT_LEAF_SIZE,
             symmetric: SymmetricParams::default(),
             engine: EngineConfig::default(),
-            scoring: crate::kernel::ScoringOptions::default(),
+            scoring: ScoringOptions::default(),
         }
     }
 }
 
 impl PlannerConfig {
-    /// Default sampling with explicit per-strategy parameters — the one
-    /// assembly both fluent builders ([`crate::facade::JoinBuilder`] and
-    /// `ips_store`'s `IndexBuilder`) use, so their planner configuration
-    /// cannot drift.
-    pub fn with_params(
-        alsh: AlshParams,
-        symmetric: SymmetricParams,
-        sketch: MaxIpConfig,
-        sketch_leaf_size: usize,
-        engine: EngineConfig,
-    ) -> Self {
-        Self {
-            alsh,
-            symmetric,
-            sketch,
-            sketch_leaf_size,
-            engine,
-            ..Self::default()
-        }
+    /// The structure a fixed strategy runs, with this configuration's parameters;
+    /// `None` for [`Strategy::Auto`], which [`JoinPlanner::plan`] resolves to a
+    /// [`JoinPlan::choice`]. Both fluent builders ([`crate::facade::JoinBuilder`]
+    /// and `ips_store`'s `IndexBuilder`) resolve a strategy here.
+    pub fn index_config(&self, strategy: Strategy) -> Option<IndexConfig> {
+        Some(match strategy {
+            Strategy::Auto => return None,
+            Strategy::Brute => IndexConfig::Brute,
+            Strategy::Alsh => IndexConfig::Alsh(self.alsh),
+            Strategy::Symmetric => IndexConfig::Symmetric(self.symmetric),
+            Strategy::Sketch => IndexConfig::Sketch {
+                config: self.sketch,
+                leaf_size: self.sketch_leaf_size,
+            },
+        })
     }
 }
 
@@ -456,30 +488,22 @@ pub struct JoinPlanner {
     pub model: CostModel,
 }
 
-/// A fully resolved plan: the chosen strategy, the parameters it will run
+/// A fully resolved plan: the chosen structure with the parameters it will run
 /// with, and the estimates that justified the choice.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JoinPlan {
     /// The `(cs, s)` spec the plan answers.
     pub spec: JoinSpec,
-    /// The winning strategy.
-    pub choice: Strategy,
+    /// The winning estimate's structure and parameters.
+    pub choice: IndexConfig,
     /// The statistics the decision was based on.
     pub stats: WorkloadStats,
-    /// One estimate per strategy, in [`Strategy::ALL`] order.
+    /// One estimate per family, in [`IndexFamily::ALL`] order.
     pub estimates: Vec<StrategyEstimate>,
-    /// ALSH parameters (with the query radius resolved) used if ALSH runs.
-    pub alsh_params: AlshParams,
-    /// Sketch configuration used if the sketch strategy runs.
-    pub sketch_config: MaxIpConfig,
-    /// Sketch recovery-tree leaf-size floor.
-    pub sketch_leaf_size: usize,
-    /// Symmetric-LSH parameters used if the symmetric strategy runs.
-    pub symmetric_params: SymmetricParams,
     /// The engine schedule the join runs under.
     pub engine: EngineConfig,
     /// The scoring-kernel selection the dispatched strategy runs with.
-    pub scoring: crate::kernel::ScoringOptions,
+    pub scoring: ScoringOptions,
 }
 
 impl JoinPlanner {
@@ -510,7 +534,7 @@ impl JoinPlanner {
 
     /// The pure decision step: estimates every strategy's cost on the given
     /// statistics and picks the cheapest eligible one (ties go to the earlier
-    /// entry in [`Strategy::ALL`], i.e. toward the exact scan).
+    /// entry in [`IndexFamily::ALL`], i.e. toward the exact scan).
     pub fn plan_from_stats(&self, stats: WorkloadStats, spec: JoinSpec) -> JoinPlan {
         let (n, m, d) = (stats.data_count, stats.query_count, stats.dim);
         let nf = n as f64;
@@ -518,7 +542,7 @@ impl JoinPlanner {
         let df = d as f64;
         let alsh_params = self.resolved_alsh_params(&stats, spec);
 
-        let mut estimates = Vec::with_capacity(Strategy::ALL.len());
+        let mut estimates = Vec::with_capacity(IndexFamily::ALL.len());
 
         // Brute force: the n·m·d data-major scan, costed with the constant of
         // whichever kernel the scoring options select. Always eligible.
@@ -529,7 +553,7 @@ impl JoinPlanner {
             crate::kernel::Dtype::F64 => "",
         };
         estimates.push(StrategyEstimate {
-            strategy: Strategy::BruteForce,
+            config: IndexConfig::Brute,
             flops: brute_flops,
             cost_ns: brute_flops * brute_ns,
             eligible: true,
@@ -552,7 +576,7 @@ impl JoinPlanner {
         // is the index constructor's unit-ball requirement on the data side.
         let alsh_eligible = stats.max_data_norm <= 1.0 + NORM_TOLERANCE;
         estimates.push(self.estimate(
-            Strategy::Alsh,
+            IndexConfig::Alsh(alsh_params),
             alsh_flops,
             alsh_eligible,
             if alsh_eligible {
@@ -572,6 +596,7 @@ impl JoinPlanner {
 
         // Symmetric LSH: the same hashing shape over the (d + tag)-dimensional
         // mapped sphere, with the mapped cosine ≈ pᵀq itself (within ε).
+        let symmetric = IndexConfig::Symmetric(self.config.symmetric);
         let map_probe = SymmetricSphereMap::new(
             d.max(1),
             self.config.symmetric.epsilon,
@@ -593,7 +618,7 @@ impl JoinPlanner {
                     &self.config.symmetric,
                 );
                 estimates.push(self.estimate(
-                    Strategy::Symmetric,
+                    symmetric,
                     sym_flops,
                     sym_in_ball,
                     if sym_in_ball {
@@ -604,7 +629,7 @@ impl JoinPlanner {
                 ));
             }
             Err(e) => estimates.push(self.estimate(
-                Strategy::Symmetric,
+                symmetric,
                 f64::INFINITY,
                 false,
                 format!("ineligible: {e}"),
@@ -628,7 +653,10 @@ impl JoinPlanner {
                 self.config.sketch_leaf_size,
             );
         estimates.push(self.estimate(
-            Strategy::Sketch,
+            IndexConfig::Sketch {
+                config: self.config.sketch,
+                leaf_size: self.config.sketch_leaf_size,
+            },
             sketch_flops,
             true,
             format!(
@@ -642,18 +670,14 @@ impl JoinPlanner {
             .iter()
             .filter(|e| e.eligible)
             .min_by(|a, b| a.cost_ns.total_cmp(&b.cost_ns))
-            .map(|e| e.strategy)
-            .unwrap_or(Strategy::BruteForce);
+            .map(|e| e.config)
+            .unwrap_or(IndexConfig::Brute);
 
         JoinPlan {
             spec,
             choice,
             stats,
             estimates,
-            alsh_params,
-            sketch_config: self.config.sketch,
-            sketch_leaf_size: self.config.sketch_leaf_size,
-            symmetric_params: self.config.symmetric,
             engine: self.config.engine,
             scoring: self.config.scoring,
         }
@@ -676,15 +700,15 @@ impl JoinPlanner {
 
     fn estimate(
         &self,
-        strategy: Strategy,
+        config: IndexConfig,
         flops: f64,
         eligible: bool,
         note: String,
     ) -> StrategyEstimate {
         StrategyEstimate {
-            strategy,
+            config,
             flops,
-            cost_ns: flops * self.model.ns_per_flop(strategy),
+            cost_ns: flops * self.model.ns_per_flop(config.family()),
             eligible,
             note,
         }
@@ -702,22 +726,23 @@ impl JoinPlan {
         data: &[DenseVector],
         queries: &[DenseVector],
     ) -> Result<Vec<MatchPair>> {
-        let mut config = PlannerConfig::with_params(
-            self.alsh_params,
-            self.symmetric_params,
-            self.sketch_config,
-            self.sketch_leaf_size,
+        run_strategy(
+            self.choice,
+            rng,
+            data,
+            queries,
+            self.spec,
             self.engine,
-        );
-        config.scoring = self.scoring;
-        run_strategy(self.choice, rng, data, queries, self.spec, &config)
+            self.scoring,
+        )
     }
 
-    /// The estimate of the chosen strategy.
+    /// The estimate of the chosen structure.
     pub fn chosen_estimate(&self) -> &StrategyEstimate {
+        let chosen = self.choice.family();
         self.estimates
             .iter()
-            .find(|e| e.strategy == self.choice)
+            .find(|e| e.config.family() == chosen)
             .expect("plan always carries an estimate for its choice")
     }
 
@@ -729,7 +754,7 @@ impl JoinPlan {
         let s = &self.stats;
         out.push_str(&format!(
             "plan: {} (estimated {})\n",
-            self.choice,
+            self.choice.family(),
             format_ns(self.chosen_estimate().cost_ns)
         ));
         out.push_str(&format!(
@@ -748,11 +773,13 @@ impl JoinPlan {
             s.promise_density,
             s.output_density,
         ));
+        let chosen = self.choice.family();
         for e in &self.estimates {
-            let marker = if e.strategy == self.choice { "*" } else { " " };
+            let family = e.config.family();
+            let marker = if family == chosen { "*" } else { " " };
             out.push_str(&format!(
                 "{marker} {:<10} {:>12}  {}\n",
-                e.strategy.name(),
+                family.name(),
                 if e.eligible {
                     format_ns(e.cost_ns)
                 } else {
@@ -780,12 +807,12 @@ fn format_ns(ns: f64) -> String {
 }
 
 /// Joins `queries` against `data` — where it stands: nothing borrows more than the
-/// slice, no copy of the data set is made — under `strategy`, with its parameters out
-/// of `config`, on `config.engine`'s threads. The brute and sketch strategies build
+/// slice, no copy of the data set is made — on the structure `index` names, on
+/// `engine`'s threads, the brute scan scoring under `scoring`. The brute and sketch strategies build
 /// their index and run it through the [`JoinEngine`]. The ALSH and symmetric ones never
 /// hold an index: their join draws, hashes and queries the tables a cache-sized group
 /// at a time and merges each query's answer across the groups (`lsh_join`), to the
-/// pairs the whole index would give. The one place a strategy becomes a join: an
+/// pairs the whole index would give. The one place a structure becomes a join: an
 /// explicit choice ([`crate::facade::JoinBuilder::run`]) and a planned one
 /// ([`JoinPlan::execute`]) both end here, which is what makes them bit-identical under
 /// one RNG state.
@@ -793,38 +820,29 @@ fn format_ns(ns: f64) -> String {
 /// An **empty query set** joins to an empty result under every strategy; an empty
 /// *data* set fails before any query is looked at.
 pub(crate) fn run_strategy<R: Rng + ?Sized>(
-    strategy: Strategy,
+    index: IndexConfig,
     rng: &mut R,
     data: &[DenseVector],
     queries: &[DenseVector],
     spec: JoinSpec,
-    config: &PlannerConfig,
+    engine: EngineConfig,
+    scoring: ScoringOptions,
 ) -> Result<Vec<MatchPair>> {
-    match strategy {
-        Strategy::BruteForce => JoinEngine::with_config(
-            BorrowedBruteIndex::with_options(data, spec, config.scoring)?,
-            config.engine,
+    match index {
+        IndexConfig::Brute => JoinEngine::with_config(
+            BorrowedBruteIndex::with_options(data, spec, scoring)?,
+            engine,
         )
         .run(queries),
-        Strategy::Alsh => lsh_join::run::<SphereTransform, R>(
-            config.alsh,
-            rng,
-            data,
-            queries,
-            spec,
-            config.engine,
-        ),
-        Strategy::Symmetric => lsh_join::run::<SymmetricSphereMap, R>(
-            config.symmetric,
-            rng,
-            data,
-            queries,
-            spec,
-            config.engine,
-        ),
-        Strategy::Sketch => JoinEngine::with_config(
-            SketchMipsAdapter::build(rng, data, spec, config.sketch, config.sketch_leaf_size)?,
-            config.engine,
+        IndexConfig::Alsh(params) => {
+            lsh_join::run::<SphereTransform, R>(params, rng, data, queries, spec, engine)
+        }
+        IndexConfig::Symmetric(params) => {
+            lsh_join::run::<SymmetricSphereMap, R>(params, rng, data, queries, spec, engine)
+        }
+        IndexConfig::Sketch { config, leaf_size } => JoinEngine::with_config(
+            SketchMipsAdapter::build(rng, data, spec, config, leaf_size)?,
+            engine,
         )
         .run(queries),
     }
@@ -865,6 +883,26 @@ mod tests {
         }
     }
 
+    /// The estimated cost of `family` in `plan`.
+    fn cost(plan: &JoinPlan, family: IndexFamily) -> f64 {
+        plan.estimates
+            .iter()
+            .find(|e| e.config.family() == family)
+            .unwrap()
+            .cost_ns
+    }
+
+    /// The ALSH parameters `plan` costed (its query radius resolved).
+    fn alsh_of(plan: &JoinPlan) -> AlshParams {
+        plan.estimates
+            .iter()
+            .find_map(|e| match e.config {
+                IndexConfig::Alsh(params) => Some(params),
+                _ => None,
+            })
+            .unwrap()
+    }
+
     #[test]
     fn drift_score_is_zero_on_identical_stats_and_tracks_the_worst_dimension() {
         let base = stats(1000, 100, 32, vec![0.1; 64]);
@@ -902,7 +940,7 @@ mod tests {
         // 30×10×8: hashing alone would dwarf the 2400-flop scan.
         let plan =
             JoinPlanner::default().plan_from_stats(stats(30, 10, 8, vec![0.1; 64]), spec(0.8, 0.6));
-        assert_eq!(plan.choice, Strategy::BruteForce);
+        assert_eq!(plan.choice, IndexConfig::Brute);
     }
 
     #[test]
@@ -916,18 +954,14 @@ mod tests {
         let plan = JoinPlanner::default()
             .plan_from_stats(stats(100_000, 10_000, 32, sampled), spec(0.8, 0.6));
         assert!(
-            matches!(plan.choice, Strategy::Alsh | Strategy::Sketch),
+            matches!(
+                plan.choice.family(),
+                IndexFamily::Alsh | IndexFamily::Sketch
+            ),
             "expected an index strategy, got {:?}",
             plan.choice
         );
-        let cost = |s: Strategy| {
-            plan.estimates
-                .iter()
-                .find(|e| e.strategy == s)
-                .unwrap()
-                .cost_ns
-        };
-        assert!(cost(plan.choice) < cost(Strategy::BruteForce));
+        assert!(cost(&plan, plan.choice.family()) < cost(&plan, IndexFamily::Brute));
     }
 
     #[test]
@@ -940,10 +974,10 @@ mod tests {
         let sparse = vec![0.01; 256];
         let square = JoinPlanner::default()
             .plan_from_stats(stats(6_000, 6_000, 48, sparse.clone()), spec(0.8, 0.6));
-        assert_eq!(square.choice, Strategy::Alsh);
+        assert_eq!(square.choice.family(), IndexFamily::Alsh);
         let skinny =
             JoinPlanner::default().plan_from_stats(stats(12_000, 64, 48, sparse), spec(0.8, 0.6));
-        assert_eq!(skinny.choice, Strategy::BruteForce);
+        assert_eq!(skinny.choice, IndexConfig::Brute);
     }
 
     #[test]
@@ -954,16 +988,13 @@ mod tests {
         let sampled = vec![0.95; 256];
         let plan = JoinPlanner::default()
             .plan_from_stats(stats(100_000, 10_000, 32, sampled), spec(0.8, 0.6));
-        let cost = |s: Strategy| {
-            plan.estimates
-                .iter()
-                .find(|e| e.strategy == s)
-                .unwrap()
-                .cost_ns
-        };
-        assert!(cost(Strategy::Alsh) > cost(Strategy::BruteForce));
-        assert!(cost(Strategy::Symmetric) > cost(Strategy::BruteForce));
-        assert!(!matches!(plan.choice, Strategy::Alsh | Strategy::Symmetric));
+        let cost = |family| cost(&plan, family);
+        assert!(cost(IndexFamily::Alsh) > cost(IndexFamily::Brute));
+        assert!(cost(IndexFamily::Symmetric) > cost(IndexFamily::Brute));
+        assert!(!matches!(
+            plan.choice.family(),
+            IndexFamily::Alsh | IndexFamily::Symmetric
+        ));
     }
 
     #[test]
@@ -973,7 +1004,7 @@ mod tests {
         let sampled = vec![0.95; 256];
         let plan =
             JoinPlanner::default().plan_from_stats(stats(50_000, 50, 32, sampled), spec(0.8, 0.6));
-        assert_eq!(plan.choice, Strategy::BruteForce);
+        assert_eq!(plan.choice, IndexConfig::Brute);
     }
 
     #[test]
@@ -982,14 +1013,14 @@ mod tests {
         st.max_data_norm = 3.0;
         let plan = JoinPlanner::default().plan_from_stats(st, spec(0.8, 0.6));
         for e in &plan.estimates {
-            match e.strategy {
-                Strategy::Alsh | Strategy::Symmetric => assert!(!e.eligible, "{e:?}"),
+            match e.config {
+                IndexConfig::Alsh(_) | IndexConfig::Symmetric(_) => assert!(!e.eligible, "{e:?}"),
                 _ => assert!(e.eligible),
             }
         }
         assert!(matches!(
-            plan.choice,
-            Strategy::BruteForce | Strategy::Sketch
+            plan.choice.family(),
+            IndexFamily::Brute | IndexFamily::Sketch
         ));
     }
 
@@ -1005,20 +1036,14 @@ mod tests {
         config.alsh.probes = 4;
         let probed =
             JoinPlanner::new(config, CostModel::default()).plan_from_stats(st, spec(0.8, 0.6));
-        let alsh_cost = |p: &JoinPlan| {
-            p.estimates
-                .iter()
-                .find(|e| e.strategy == Strategy::Alsh)
-                .unwrap()
-                .cost_ns
-        };
+        let alsh_cost = |p: &JoinPlan| cost(p, IndexFamily::Alsh);
         assert!(
             alsh_cost(&probed) < alsh_cost(&full),
             "half the tables with probes must be estimated cheaper: {} vs {}",
             alsh_cost(&probed),
             alsh_cost(&full)
         );
-        assert_eq!(probed.alsh_params.probes, 4, "plan carries the probe count");
+        assert_eq!(alsh_of(&probed).probes, 4, "plan carries the probe count");
         assert!(probed
             .estimates
             .iter()
@@ -1030,23 +1055,23 @@ mod tests {
         let mut st = stats(1000, 100, 16, vec![0.1; 64]);
         st.max_query_norm = 2.5;
         let plan = JoinPlanner::default().plan_from_stats(st, spec(0.8, 0.6));
-        assert!(plan.alsh_params.query_radius >= 2.5);
+        assert!(alsh_of(&plan).query_radius >= 2.5);
         let st2 = stats(1000, 100, 16, vec![0.1; 64]);
         let plan2 = JoinPlanner::default()
             .plan_from_stats(st2, JoinSpec::new(0.9, 0.6, JoinVariant::Signed).unwrap());
-        assert!(plan2.alsh_params.query_radius >= 0.9);
+        assert!(alsh_of(&plan2).query_radius >= 0.9);
     }
 
     #[test]
     fn estimates_cover_every_strategy_in_order() {
         let plan =
             JoinPlanner::default().plan_from_stats(stats(50, 5, 4, vec![0.0; 16]), spec(0.8, 0.6));
-        let order: Vec<Strategy> = plan.estimates.iter().map(|e| e.strategy).collect();
-        assert_eq!(order, Strategy::ALL.to_vec());
-        assert_eq!(plan.chosen_estimate().strategy, plan.choice);
+        let order: Vec<IndexFamily> = plan.estimates.iter().map(|e| e.config.family()).collect();
+        assert_eq!(order, IndexFamily::ALL.to_vec());
+        assert_eq!(plan.chosen_estimate().config, plan.choice);
         // Explain renders every strategy plus the header lines.
         let text = plan.explain();
-        for s in Strategy::ALL {
+        for s in IndexFamily::ALL {
             assert!(text.contains(s.name()), "{text}");
         }
         assert!(text.contains("plan: brute"));
@@ -1120,8 +1145,9 @@ mod tests {
         assert!(plan.estimates.iter().any(|e| e.eligible));
         // Whatever the planner picked, and whatever it could have picked: no pair below
         // cs, and most of the planted ones.
-        for choice in Strategy::ALL {
-            plan.choice = choice;
+        for estimate in plan.estimates.clone() {
+            let choice = estimate.config.family();
+            plan.choice = estimate.config;
             let pairs = plan.execute(&mut rng, inst.data(), inst.queries()).unwrap();
             let (_, valid) =
                 crate::problem::evaluate_join(inst.data(), inst.queries(), &sp, &pairs).unwrap();

@@ -12,7 +12,7 @@
 use crate::error::Result;
 use crate::lsh_mips::{LshMips, LshOps, SphereMap};
 use crate::mips::{BruteForceMipsIndex, MipsIndex, SearchResult};
-use crate::problem::{JoinSpec, MatchPair};
+use crate::problem::JoinSpec;
 use ips_linalg::DenseVector;
 
 /// A MIPS index that can report several partners per query.
@@ -97,26 +97,6 @@ impl TopKMipsIndex for crate::mips::SketchMipsAdapter<'_> {
     }
 }
 
-/// Runs a top-`k` join through any [`TopKMipsIndex`]: up to `k` pairs per query, each
-/// clearing the relaxed threshold `cs`.
-pub fn top_k_join<I: TopKMipsIndex>(
-    index: &I,
-    queries: &[DenseVector],
-    k: usize,
-) -> Result<Vec<MatchPair>> {
-    let mut out = Vec::new();
-    for (j, q) in queries.iter().enumerate() {
-        for hit in index.search_top_k(q, k)? {
-            out.push(MatchPair {
-                data_index: hit.data_index,
-                query_index: j,
-                inner_product: hit.inner_product,
-            });
-        }
-    }
-    Ok(out)
-}
-
 /// Recall of an approximate top-`k` result against the exact one: the fraction of the
 /// exact top-`k` data indices that the approximate result also reports. Returns 1 when
 /// the exact result is empty.
@@ -137,6 +117,7 @@ pub fn top_k_recall(exact: &[SearchResult], approximate: &[SearchResult]) -> f64
 mod tests {
     use super::*;
     use crate::asymmetric::{AlshParams, SphereTransform};
+    use crate::engine::JoinEngine;
     use crate::problem::JoinVariant;
     use crate::symmetric::{SymmetricParams, SymmetricSphereMap};
     use ips_linalg::par::Schedule;
@@ -276,9 +257,9 @@ mod tests {
             .map(|_| random_unit_vector(&mut r, dim).unwrap())
             .collect();
         let spec = spec(0.3, 0.5);
-        let index = BruteForceMipsIndex::new(data.clone(), spec);
+        let engine = JoinEngine::new(BruteForceMipsIndex::new(data.clone(), spec));
         for k in [1usize, 3, 7] {
-            let pairs = top_k_join(&index, &queries, k).unwrap();
+            let pairs = engine.run_top_k(&queries, k).unwrap();
             let mut per_query = std::collections::HashMap::new();
             for p in &pairs {
                 *per_query.entry(p.query_index).or_insert(0usize) += 1;

@@ -48,7 +48,7 @@ use crate::sharded::{ShardedConfig, ShardedServingIndex};
 use ips_core::asymmetric::AlshParams;
 use ips_core::engine::EngineConfig;
 use ips_core::facade::Strategy;
-use ips_core::planner::{self, JoinPlanner, PlannerConfig};
+use ips_core::planner::{JoinPlanner, PlannerConfig};
 use ips_core::problem::JoinSpec;
 use ips_core::symmetric::SymmetricParams;
 use ips_linalg::DenseVector;
@@ -103,11 +103,9 @@ pub struct IndexBuilder {
     spec: Option<JoinSpec>,
     strategy: Strategy,
     queries: Option<Vec<DenseVector>>,
-    alsh: AlshParams,
-    symmetric: SymmetricParams,
-    sketch: MaxIpConfig,
-    sketch_leaf_size: usize,
-    engine: EngineConfig,
+    /// The per-family parameters and the engine schedule: what a fixed strategy
+    /// builds with and what `Auto` plans with.
+    planner: PlannerConfig,
     rebuild_threshold: f64,
     seed: u64,
     probes: Option<usize>,
@@ -123,11 +121,10 @@ impl IndexBuilder {
             spec: None,
             strategy: Strategy::Alsh,
             queries: None,
-            alsh: AlshParams::default(),
-            symmetric: SymmetricParams::default(),
-            sketch: MaxIpConfig::default(),
-            sketch_leaf_size: ips_sketch::DEFAULT_LEAF_SIZE,
-            engine: serving.engine,
+            planner: PlannerConfig {
+                engine: serving.engine,
+                ..PlannerConfig::default()
+            },
             rebuild_threshold: serving.rebuild_threshold,
             seed: serving.seed,
             probes: serving.probes,
@@ -164,19 +161,19 @@ impl IndexBuilder {
     /// ALSH parameters used by [`Strategy::Alsh`] (and as the planner's ALSH
     /// candidate under [`Strategy::Auto`]).
     pub fn alsh_params(mut self, params: AlshParams) -> Self {
-        self.alsh = params;
+        self.planner.alsh = params;
         self
     }
 
     /// Symmetric-LSH parameters used by [`Strategy::Symmetric`].
     pub fn symmetric_params(mut self, params: SymmetricParams) -> Self {
-        self.symmetric = params;
+        self.planner.symmetric = params;
         self
     }
 
     /// Sketch configuration used by [`Strategy::Sketch`].
     pub fn sketch_config(mut self, config: MaxIpConfig) -> Self {
-        self.sketch = config;
+        self.planner.sketch = config;
         self
     }
 
@@ -184,26 +181,26 @@ impl IndexBuilder {
     /// [`ips_sketch::DEFAULT_LEAF_SIZE`]): never split a range of at most this many
     /// vectors. The tree also stops where a sketch would cost more than the scan.
     pub fn sketch_leaf_size(mut self, leaf_size: usize) -> Self {
-        self.sketch_leaf_size = leaf_size;
+        self.planner.sketch_leaf_size = leaf_size;
         self
     }
 
     /// Worker threads of the serving [`ips_core::JoinEngine`] (`0` = one per
     /// available CPU, the default).
     pub fn threads(mut self, threads: usize) -> Self {
-        self.engine.threads = threads;
+        self.planner.engine.threads = threads;
         self
     }
 
     /// Queries per batched engine work unit (default 32).
     pub fn chunk_size(mut self, chunk_size: usize) -> Self {
-        self.engine.chunk_size = chunk_size;
+        self.planner.engine.chunk_size = chunk_size;
         self
     }
 
     /// The whole engine schedule in one call.
     pub fn engine(mut self, engine: EngineConfig) -> Self {
-        self.engine = engine;
+        self.planner.engine = engine;
         self
     }
 
@@ -241,8 +238,8 @@ impl IndexBuilder {
     /// sticks across rebuilds. Brute and sketch indexes have no buckets to
     /// probe and ignore it.
     pub fn probes(mut self, probes: usize) -> Self {
-        self.alsh.probes = probes;
-        self.symmetric.probes = probes;
+        self.planner.alsh.probes = probes;
+        self.planner.symmetric.probes = probes;
         self.probes = Some(probes);
         self
     }
@@ -265,7 +262,7 @@ impl IndexBuilder {
     /// The serving-time configuration this builder describes.
     fn serving_config(&self) -> ServingConfig {
         ServingConfig {
-            engine: self.engine,
+            engine: self.planner.engine,
             rebuild_threshold: self.rebuild_threshold,
             seed: self.seed,
             probes: self.probes,
@@ -275,46 +272,23 @@ impl IndexBuilder {
     /// Resolves the strategy choice into a concrete [`IndexConfig`],
     /// consulting the cost-based planner for [`Strategy::Auto`].
     fn resolve_index_config(&self, data: &[DenseVector], spec: JoinSpec) -> Result<IndexConfig> {
-        Ok(match self.strategy {
-            Strategy::Brute => IndexConfig::Brute,
-            Strategy::Alsh => IndexConfig::Alsh(self.alsh),
-            Strategy::Symmetric => IndexConfig::Symmetric(self.symmetric),
-            Strategy::Sketch => IndexConfig::Sketch {
-                config: self.sketch,
-                leaf_size: self.sketch_leaf_size,
-            },
-            Strategy::Auto => {
-                let Some(queries) = &self.queries else {
-                    return Err(StoreError::InvalidParameter {
-                        name: "queries",
-                        reason: "Strategy::Auto needs a representative query workload for the \
-                                 cost-based planner; call .queries(...)"
-                            .into(),
-                    });
-                };
-                let planner = JoinPlanner {
-                    config: PlannerConfig::with_params(
-                        self.alsh,
-                        self.symmetric,
-                        self.sketch,
-                        self.sketch_leaf_size,
-                        self.engine,
-                    ),
-                    ..JoinPlanner::default()
-                };
-                let mut rng = StdRng::seed_from_u64(self.seed);
-                let plan = planner.plan(&mut rng, data, queries, spec)?;
-                match plan.choice {
-                    planner::Strategy::BruteForce => IndexConfig::Brute,
-                    planner::Strategy::Alsh => IndexConfig::Alsh(plan.alsh_params),
-                    planner::Strategy::Symmetric => IndexConfig::Symmetric(plan.symmetric_params),
-                    planner::Strategy::Sketch => IndexConfig::Sketch {
-                        config: plan.sketch_config,
-                        leaf_size: plan.sketch_leaf_size,
-                    },
-                }
-            }
-        })
+        if let Some(index) = self.planner.index_config(self.strategy) {
+            return Ok(index);
+        }
+        let Some(queries) = &self.queries else {
+            return Err(StoreError::InvalidParameter {
+                name: "queries",
+                reason: "Strategy::Auto needs a representative query workload for the \
+                         cost-based planner; call .queries(...)"
+                    .into(),
+            });
+        };
+        let planner = JoinPlanner {
+            config: self.planner,
+            ..JoinPlanner::default()
+        };
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        Ok(planner.plan(&mut rng, data, queries, spec)?.choice)
     }
 
     /// Terminal call: builds (or loads) the index and wraps it for serving.

@@ -41,17 +41,14 @@
 
 use crate::error::{Result, StoreError};
 use crate::snapshot::{AnyIndex, IndexFamily, Snapshot, SnapshotRef, ViewMut};
-use ips_core::asymmetric::AlshParams;
 use ips_core::engine::{EngineConfig, JoinEngine};
 use ips_core::mips::{BruteForceMipsIndex, MipsIndex, SearchResult, SketchMipsAdapter};
 use ips_core::problem::{JoinSpec, MatchPair};
-use ips_core::symmetric::SymmetricParams;
 use ips_core::topk::TopKMipsIndex;
 use ips_core::LshMips;
 use ips_linalg::par::{available_threads, Schedule};
 use ips_linalg::DenseVector;
 use ips_lsh::table::BUILD_BLOCK;
-use ips_sketch::linf_mips::MaxIpConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, HashSet};
@@ -59,37 +56,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Which structure to build over the data, with its family-specific tuning.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum IndexConfig {
-    /// The exact quadratic scan.
-    Brute,
-    /// The Section 4.1 asymmetric-LSH index.
-    Alsh(AlshParams),
-    /// The Section 4.2 symmetric LSH.
-    Symmetric(SymmetricParams),
-    /// The Section 4.3 sketch structure.
-    Sketch {
-        /// Per-node sketch configuration.
-        config: MaxIpConfig,
-        /// The recovery tree's leaf-size floor: a range of at most this many vectors
-        /// is never split (the tree also stops where a sketch would cost more than
-        /// the scan).
-        leaf_size: usize,
-    },
-}
-
-impl IndexConfig {
-    /// The family this configuration builds.
-    pub fn family(&self) -> IndexFamily {
-        match self {
-            IndexConfig::Brute => IndexFamily::Brute,
-            IndexConfig::Alsh(_) => IndexFamily::Alsh,
-            IndexConfig::Symmetric(_) => IndexFamily::Symmetric,
-            IndexConfig::Sketch { .. } => IndexFamily::Sketch,
-        }
-    }
-}
+pub use ips_core::IndexConfig;
 
 /// Tuning of a [`ServingIndex`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -855,8 +822,11 @@ impl TopKMipsIndex for ServingView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ips_core::asymmetric::AlshParams;
     use ips_core::problem::JoinVariant;
+    use ips_core::symmetric::SymmetricParams;
     use ips_linalg::random::{random_ball_vector, random_unit_vector};
+    use ips_sketch::linf_mips::MaxIpConfig;
 
     fn vectors(seed: u64, n: usize, dim: usize, scale: f64) -> Vec<DenseVector> {
         let mut rng = StdRng::seed_from_u64(seed);

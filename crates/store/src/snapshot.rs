@@ -62,6 +62,8 @@ use ips_core::{LshMips, LshOps};
 use ips_linalg::DenseVector;
 use std::path::Path;
 
+pub use ips_core::IndexFamily;
+
 /// The 8-byte magic at offset 0 of every snapshot.
 pub const MAGIC: [u8; 8] = *b"IPSSNAP\0";
 /// The single-shard format version (the only version up to PR 4; still written
@@ -87,61 +89,30 @@ pub const SECTION_SHARD: u32 = 3;
 /// empty at save time cannot regress the allocator — external ids are never reused.
 pub const SECTION_NEXT_ID: u32 = 4;
 
-/// Which of the paper's index families a snapshot holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexFamily {
-    /// The exact quadratic scan ([`BruteForceMipsIndex`]).
-    Brute,
-    /// The Section 4.1 asymmetric-LSH index ([`LshMips`] over [`SphereTransform`]).
-    Alsh,
-    /// The Section 4.2 symmetric LSH ([`LshMips`] over [`SymmetricSphereMap`]).
-    Symmetric,
-    /// The Section 4.3 sketch structure ([`SketchMipsAdapter`]).
-    Sketch,
-}
-
-impl IndexFamily {
-    /// The family's on-disk tag byte.
-    pub fn tag(self) -> u8 {
-        match self {
-            IndexFamily::Brute => 0,
-            IndexFamily::Alsh => 1,
-            IndexFamily::Symmetric => 2,
-            IndexFamily::Sketch => 3,
-        }
-    }
-
-    /// Decodes a tag byte.
-    pub fn from_tag(tag: u8) -> Result<Self> {
-        Ok(match tag {
-            0 => IndexFamily::Brute,
-            1 => IndexFamily::Alsh,
-            2 => IndexFamily::Symmetric,
-            3 => IndexFamily::Sketch,
-            other => {
-                return Err(StoreError::Corrupt {
-                    context: "header",
-                    reason: format!("unknown index family tag {other}"),
-                })
-            }
-        })
-    }
-
-    /// The family's lower-case name, as used by the CLI (`algorithm=`).
-    pub fn name(self) -> &'static str {
-        match self {
-            IndexFamily::Brute => "brute",
-            IndexFamily::Alsh => "alsh",
-            IndexFamily::Symmetric => "symmetric",
-            IndexFamily::Sketch => "sketch",
-        }
+/// The family's on-disk tag byte.
+fn family_tag(family: IndexFamily) -> u8 {
+    match family {
+        IndexFamily::Brute => 0,
+        IndexFamily::Alsh => 1,
+        IndexFamily::Symmetric => 2,
+        IndexFamily::Sketch => 3,
     }
 }
 
-impl std::fmt::Display for IndexFamily {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
+/// Decodes a family tag byte.
+fn family_from_tag(tag: u8) -> Result<IndexFamily> {
+    Ok(match tag {
+        0 => IndexFamily::Brute,
+        1 => IndexFamily::Alsh,
+        2 => IndexFamily::Symmetric,
+        3 => IndexFamily::Sketch,
+        other => {
+            return Err(StoreError::Corrupt {
+                context: "header",
+                reason: format!("unknown index family tag {other}"),
+            })
+        }
+    })
 }
 
 /// A built index of any of the four persistable families, behind one enum so
@@ -411,7 +382,7 @@ impl Snapshot {
     /// Decodes the body of a version-1 snapshot (everything between the version field
     /// and the checksum), already envelope-verified and entered as a section.
     fn read_v1_body(r: &mut ByteReader<'_>) -> Result<Self> {
-        let family = IndexFamily::from_tag(r.take_u8()?)?;
+        let family = family_from_tag(r.take_u8()?)?;
         let sections = r.take_u32()?;
         let mut ids_state: Option<(Vec<u64>, u64)> = None;
         let mut index: Option<AnyIndex> = None;
@@ -514,7 +485,7 @@ fn write_v1(
     index: Encoder<'_>,
 ) {
     write_envelope(w, VERSION, |w| {
-        w.put_u8(family.tag());
+        w.put_u8(family_tag(family));
         w.put_u32(2); // section count
         write_section(w, SECTION_IDS, &|w| {
             w.put_usize(ids.len());
@@ -1599,15 +1570,10 @@ mod tests {
 
     #[test]
     fn family_tags_roundtrip() {
-        for family in [
-            IndexFamily::Brute,
-            IndexFamily::Alsh,
-            IndexFamily::Symmetric,
-            IndexFamily::Sketch,
-        ] {
-            assert_eq!(IndexFamily::from_tag(family.tag()).unwrap(), family);
+        for family in IndexFamily::ALL {
+            assert_eq!(family_from_tag(family_tag(family)).unwrap(), family);
             assert_eq!(family.to_string(), family.name());
         }
-        assert!(IndexFamily::from_tag(9).is_err());
+        assert!(family_from_tag(9).is_err());
     }
 }

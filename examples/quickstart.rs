@@ -120,7 +120,7 @@ fn main() {
     print!("{}", plan.explain());
     println!(
         "auto join ({}) answered {} queries in {:.1} ms",
-        plan.choice,
+        plan.choice.family(),
         report.matches.len(),
         report.wall_ns as f64 / 1e6,
     );

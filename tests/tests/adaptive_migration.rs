@@ -20,9 +20,9 @@
 //!    exact scan. The controller reads histogram counts and norms, never
 //!    times, so both decision sequences are fixed by their seeds.
 
-use ips_adapt::{plan_index_config, AdaptiveConfig, AdaptiveController, ControlDecision};
+use ips_adapt::{AdaptiveConfig, AdaptiveController, ControlDecision};
 use ips_core::asymmetric::AlshParams;
-use ips_core::planner::{JoinPlanner, PlannerConfig, Strategy};
+use ips_core::planner::{JoinPlanner, PlannerConfig};
 use ips_core::problem::{JoinSpec, JoinVariant, MatchPair};
 use ips_core::symmetric::SymmetricParams;
 use ips_datagen::{
@@ -526,11 +526,11 @@ fn streaming_drift_migrates_alsh_to_brute_once() {
         )
         .unwrap();
     assert_eq!(
-        plan.choice,
-        Strategy::Alsh,
+        plan.choice.family(),
+        IndexFamily::Alsh,
         "the low-norm opening window is asymmetric LSH's turf"
     );
-    let initial = plan_index_config(&plan);
+    let initial = plan.choice;
     let adaptive_config = AdaptiveConfig {
         planner: stream_planner_config(),
         seed: 0xBE7A,
@@ -627,7 +627,7 @@ fn recommender_norm_shift_replans_without_migrating() {
     let plan = JoinPlanner::default()
         .plan(&mut rng, &scenario.items, &scenario.phase_one, spec)
         .unwrap();
-    assert_eq!(plan.choice, Strategy::BruteForce);
+    assert_eq!(plan.choice, IndexConfig::Brute);
     let adaptive_config = AdaptiveConfig {
         seed: 0x0C4B,
         ..AdaptiveConfig::default()
@@ -652,7 +652,7 @@ fn recommender_norm_shift_replans_without_migrating() {
         matches!(
             replans[..],
             [ControlDecision::Replanned {
-                choice: Strategy::BruteForce,
+                choice: IndexFamily::Brute,
                 ..
             }]
         ),

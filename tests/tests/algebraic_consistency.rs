@@ -4,7 +4,7 @@
 //! contract on `{−1,1}` data.
 
 use ips_core::algebraic::amplified_sign_join;
-use ips_core::brute::{brute_force_join, brute_force_join_parallel};
+use ips_core::brute::brute_force_join;
 use ips_core::facade::{Join, Strategy};
 use ips_core::problem::{evaluate_join, JoinSpec, JoinVariant, MatchPair};
 use ips_datagen::latent::{LatentFactorConfig, LatentFactorModel};
@@ -50,7 +50,15 @@ fn exact_scan_is_schedule_invariant_on_recommender_data() {
         let expected = brute_force_join(items, users, &spec).unwrap();
         assert!(!expected.is_empty(), "workload must promise some queries");
         for threads in [1usize, 3, 8] {
-            let got = brute_force_join_parallel(items, users, &spec, threads).unwrap();
+            let got = Join::data(items)
+                .queries(users)
+                .spec(spec)
+                .strategy(Strategy::Brute)
+                .threads(threads)
+                .chunk_size(users.len().div_ceil(threads))
+                .run()
+                .unwrap()
+                .matches;
             assert_eq!(
                 bits(&got),
                 bits(&expected),

@@ -90,13 +90,24 @@ fn core_facade_report_fields_are_pinned() {
         matches,
         strategy,
         plan,
-        stats,
         wall_ns,
     } = report;
     assert_eq!(matches.len(), 1);
-    assert_eq!(strategy, ips_core::planner::Strategy::BruteForce);
-    assert!(plan.is_none() && stats.is_none());
+    assert_eq!(strategy, ips_core::IndexFamily::Brute);
+    assert!(plan.is_none());
     let _: u128 = wall_ns;
+}
+
+#[test]
+fn the_structure_vocabulary_is_one_type_in_every_crate() {
+    // `ips-core` defines the family and the configured structure once; the store
+    // re-exports them where its callers have always found them.
+    let family: ips_core::IndexFamily = ips_store::IndexFamily::Brute;
+    let _: ips_core::planner::IndexFamily = ips_store::snapshot::IndexFamily::Sketch;
+    let config: ips_core::IndexConfig = ips_store::IndexConfig::Brute;
+    let _: ips_core::planner::IndexConfig = ips_store::serving::IndexConfig::Brute;
+    assert_eq!(config.family(), family);
+    assert!(family.is_exact());
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! the paper's Definition 1 semantics.
 
 use ips_core::asymmetric::{AlshParams, SphereTransform};
-use ips_core::brute::{brute_force_join, brute_force_join_parallel};
+use ips_core::brute::brute_force_join;
 use ips_core::engine::{EngineConfig, JoinEngine};
 use ips_core::facade::{Join, Strategy};
 use ips_core::lsh_mips::{LshMips, BUILD_BLOCK};
@@ -241,6 +241,14 @@ fn parallel_and_sequential_brute_force_agree_on_latent_data() {
     .unwrap();
     let spec = JoinSpec::exact(0.1, JoinVariant::Signed).unwrap();
     let sequential = brute_force_join(model.items(), model.users(), &spec).unwrap();
-    let parallel = brute_force_join_parallel(model.items(), model.users(), &spec, 4).unwrap();
+    let parallel = Join::data(model.items())
+        .queries(model.users())
+        .spec(spec)
+        .strategy(Strategy::Brute)
+        .threads(4)
+        .chunk_size(model.users().len().div_ceil(4))
+        .run()
+        .unwrap()
+        .matches;
     assert_eq!(sequential, parallel);
 }

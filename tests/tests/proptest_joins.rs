@@ -5,17 +5,16 @@
 //! a time, must give the pairs of the whole index run through the engine, bit for bit.
 
 use ips_core::asymmetric::{AlshParams, SphereTransform};
-use ips_core::brute::{brute_force_join, brute_force_join_parallel};
+use ips_core::brute::brute_force_join;
 use ips_core::engine::{EngineConfig, JoinEngine};
 use ips_core::facade::{Join, Strategy as JoinStrategy};
 use ips_core::lsh_mips::{LshMips, SphereMap, BUILD_BLOCK};
 use ips_core::mips::{BruteForceMipsIndex, MipsIndex, SearchResult};
-use ips_core::planner::{CostModel, JoinPlanner, PlannerConfig, Strategy as Planned};
+use ips_core::planner::{CostModel, IndexConfig, JoinPlanner, PlannerConfig};
 use ips_core::problem::{evaluate_join, JoinSpec, JoinVariant, MatchPair};
 use ips_core::symmetric::{SymmetricParams, SymmetricSphereMap};
 use ips_linalg::par::Schedule;
 use ips_linalg::DenseVector;
-use ips_sketch::linf_mips::MaxIpConfig;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -51,7 +50,15 @@ proptest! {
         let variant = if signed { JoinVariant::Signed } else { JoinVariant::Unsigned };
         let spec = JoinSpec::new(s, c, variant).unwrap();
         let reference = brute_force_join(&data, &queries, &spec).unwrap();
-        let parallel = brute_force_join_parallel(&data, &queries, &spec, 3).unwrap();
+        let parallel = Join::data(&data)
+            .queries(&queries)
+            .spec(spec)
+            .strategy(JoinStrategy::Brute)
+            .threads(3)
+            .chunk_size(queries.len().div_ceil(3))
+            .run()
+            .unwrap()
+            .matches;
         prop_assert_eq!(&parallel, &reference);
         // Exact joins answer every promised query with a valid pair.
         let (recall, valid) = evaluate_join(&data, &queries, &spec, &reference).unwrap();
@@ -374,23 +381,22 @@ proptest! {
             sketch_ns_per_flop: expensive,
         };
         for schedule in SCHEDULES {
-            let config = PlannerConfig::with_params(
-                params.0,
-                params.1,
-                MaxIpConfig::default(),
-                ips_sketch::DEFAULT_LEAF_SIZE,
-                engine(schedule),
-            );
+            let config = PlannerConfig {
+                alsh: params.0,
+                symmetric: params.1,
+                engine: engine(schedule),
+                ..PlannerConfig::default()
+            };
             let mut rng = StdRng::seed_from_u64(seed);
             let plan = JoinPlanner::new(config, model).plan(&mut rng, &data, &queries, spec).unwrap();
             let expected = match plan.choice {
-                Planned::Alsh => whole_index_join::<SphereTransform>(
-                    &mut rng, &data, &queries, spec, plan.alsh_params, schedule,
+                IndexConfig::Alsh(params) => whole_index_join::<SphereTransform>(
+                    &mut rng, &data, &queries, spec, params, schedule,
                 ),
-                Planned::Symmetric => whole_index_join::<SymmetricSphereMap>(
-                    &mut rng, &data, &queries, spec, plan.symmetric_params, schedule,
+                IndexConfig::Symmetric(params) => whole_index_join::<SymmetricSphereMap>(
+                    &mut rng, &data, &queries, spec, params, schedule,
                 ),
-                other => panic!("the model makes {other} dear"),
+                other => panic!("the model makes {} dear", other.family()),
             };
             let report = Join::data(&data)
                 .queries(&queries)
@@ -402,7 +408,7 @@ proptest! {
                 .seed(seed)
                 .run()
                 .unwrap();
-            prop_assert_eq!(report.strategy, plan.choice);
+            prop_assert_eq!(report.strategy, plan.choice.family());
             prop_assert_eq!(&bits(&report.matches), &expected, "schedule {:?}", schedule);
         }
     }

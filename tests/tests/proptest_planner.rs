@@ -8,8 +8,8 @@
 //! functions of the sampled statistics, and a third that *every* strategy a
 //! plan could dispatch to stays valid under Definition 1.
 
-use ips_core::facade::Join;
-use ips_core::planner::{JoinPlanner, Strategy};
+use ips_core::facade::{Join, Strategy};
+use ips_core::planner::{IndexConfig, JoinPlan, JoinPlanner};
 use ips_core::problem::{evaluate_join, JoinSpec, JoinVariant, MatchPair};
 use ips_linalg::DenseVector;
 use proptest::prelude::*;
@@ -34,24 +34,30 @@ fn workload(seed: u64, n: usize, m: usize, dim: usize) -> (Vec<DenseVector>, Vec
     (data, queries)
 }
 
-/// Runs `strategy` the way a user names it by hand — the builder with an explicit
-/// strategy — under the plan's resolved parameters.
+/// Runs the plan's choice the way a user names it by hand — the builder with an
+/// explicit strategy and the chosen structure's resolved parameters.
 fn manual_run(
-    plan: &ips_core::planner::JoinPlan,
-    strategy: Strategy,
+    plan: &JoinPlan,
     exec_seed: u64,
     data: &[DenseVector],
     queries: &[DenseVector],
 ) -> Vec<MatchPair> {
-    Join::data(data)
+    let builder = Join::data(data)
         .queries(queries)
         .spec(plan.spec)
-        .strategy(strategy.into())
-        .alsh_params(plan.alsh_params)
-        .symmetric_params(plan.symmetric_params)
-        .sketch_config(plan.sketch_config)
-        .sketch_leaf_size(plan.sketch_leaf_size)
-        .engine(plan.engine)
+        .engine(plan.engine);
+    let builder = match plan.choice {
+        IndexConfig::Brute => builder.strategy(Strategy::Brute),
+        IndexConfig::Alsh(params) => builder.strategy(Strategy::Alsh).alsh_params(params),
+        IndexConfig::Symmetric(params) => builder
+            .strategy(Strategy::Symmetric)
+            .symmetric_params(params),
+        IndexConfig::Sketch { config, leaf_size } => builder
+            .strategy(Strategy::Sketch)
+            .sketch_config(config)
+            .sketch_leaf_size(leaf_size),
+    };
+    builder
         .run_with_rng(&mut StdRng::seed_from_u64(exec_seed))
         .unwrap()
         .matches
@@ -80,8 +86,8 @@ proptest! {
         let auto = plan
             .execute(&mut StdRng::seed_from_u64(exec_seed), &data, &queries)
             .unwrap();
-        let manual = manual_run(&plan, plan.choice, exec_seed, &data, &queries);
-        prop_assert_eq!(auto, manual, "choice = {}", plan.choice);
+        let manual = manual_run(&plan, exec_seed, &data, &queries);
+        prop_assert_eq!(auto, manual, "choice = {}", plan.choice.family());
     }
 
     // Every strategy a plan could dispatch to — not just the chosen one —
@@ -104,12 +110,12 @@ proptest! {
                 continue;
             }
             let mut forced = plan.clone();
-            forced.choice = estimate.strategy;
+            forced.choice = estimate.config;
             let pairs = forced
                 .execute(&mut StdRng::seed_from_u64(exec_seed), &data, &queries)
                 .unwrap();
             let (_, valid) = evaluate_join(&data, &queries, &spec, &pairs).unwrap();
-            prop_assert!(valid, "{} reported a pair below cs", estimate.strategy);
+            prop_assert!(valid, "{} reported a pair below cs", estimate.config.family());
         }
     }
 

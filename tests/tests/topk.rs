@@ -2,10 +2,11 @@
 //! on recommender-style data.
 
 use ips_core::asymmetric::{AlshParams, SphereTransform};
+use ips_core::engine::JoinEngine;
 use ips_core::lsh_mips::{LshMips, BUILD_BLOCK};
 use ips_core::mips::BruteForceMipsIndex;
 use ips_core::problem::{JoinSpec, JoinVariant};
-use ips_core::topk::{top_k_join, top_k_recall, TopKMipsIndex};
+use ips_core::topk::{top_k_recall, TopKMipsIndex};
 use ips_datagen::latent::{LatentFactorConfig, LatentFactorModel};
 use ips_linalg::par::Schedule;
 use rand::rngs::StdRng;
@@ -32,7 +33,7 @@ fn top_k_join_on_recommender_data_respects_definition1_per_pair() {
     let spec = JoinSpec::new(s, 0.7, JoinVariant::Signed).unwrap();
     let exact = BruteForceMipsIndex::new(model.items().to_vec(), spec);
     let k = 5;
-    let pairs = top_k_join(&exact, model.users(), k).unwrap();
+    let pairs = JoinEngine::new(&exact).run_top_k(model.users(), k).unwrap();
     let mut per_query = std::collections::HashMap::new();
     for p in &pairs {
         assert!(spec.acceptable(p.inner_product));
