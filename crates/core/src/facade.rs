@@ -37,14 +37,18 @@
 //! [`JoinBuilder::run_with_rng`] draws from the caller's RNG instead. Either way an
 //! explicit strategy and the planner's choice of the same strategy run through one
 //! function, so under one RNG state their outputs are **bit-identical**, at every
-//! engine schedule. Brute force and the sketch build their index and run it through
-//! the [`crate::engine::JoinEngine`]. The ALSH and symmetric joins hold no index: they
+//! engine schedule. Brute force builds its index and runs it through the
+//! [`crate::engine::JoinEngine`]. The ALSH and symmetric joins hold no index: they
 //! draw the tables' hash functions from the RNG a group of tables at a time — a group's
 //! planes fit in 1 MiB — hash the data and the queries against that group only, keep
 //! each query's best candidate so far, and drop the group before drawing the next. The
 //! draws, the keys, the candidates and the tie rule are those of the whole index, so
 //! the pairs are the ones [`crate::LshMips::build`] followed by a `JoinEngine` pass
-//! gives from the same RNG state.
+//! gives from the same RNG state. The sketch join holds no tree either: it walks the
+//! recovery tree depth first ([`ips_sketch::recovery::join_walk`]), drawing each node's
+//! two estimators as the build does, sending every query that reaches the node down one
+//! side, and dropping them before the subtrees; its pairs, and the RNG state it leaves,
+//! are those of [`crate::SketchMipsAdapter::build`] followed by a `JoinEngine` pass.
 //!
 //! # Contract
 //!

@@ -9,6 +9,7 @@ use crate::brute::brute_force_mips;
 use crate::error::Result;
 use crate::problem::{JoinSpec, MatchPair};
 use ips_linalg::DenseVector;
+use ips_sketch::recovery::MipsCandidate;
 use std::borrow::Cow;
 
 /// The outcome of one search query.
@@ -273,18 +274,20 @@ impl MipsIndex for SketchMipsAdapter<'_> {
     }
 
     fn search(&self, query: &DenseVector) -> Result<Option<SearchResult>> {
-        let candidate = self.inner.query(query)?;
-        // `acceptable` applies the spec's variant, so a Signed spec never reports
-        // an anti-correlated candidate below cs (the validity half of the trait
-        // contract); for Unsigned specs this is the seed's abs() >= cs check.
-        Ok(self
-            .spec
-            .acceptable(candidate.inner_product)
-            .then_some(SearchResult {
-                data_index: candidate.index,
-                inner_product: candidate.inner_product,
-            }))
+        Ok(sketch_hit(self.spec, self.inner.query(query)?))
     }
+}
+
+/// What the sketch structure reports of the candidate its walk recovered, in the index
+/// and in the join alike. `acceptable` applies the spec's variant, so a Signed spec never
+/// reports an anti-correlated candidate below cs (the validity half of the
+/// [`MipsIndex`] contract); for Unsigned specs this is the seed's abs() >= cs check.
+pub(crate) fn sketch_hit(spec: JoinSpec, candidate: MipsCandidate) -> Option<SearchResult> {
+    spec.acceptable(candidate.inner_product)
+        .then_some(SearchResult {
+            data_index: candidate.index,
+            inner_product: candidate.inner_product,
+        })
 }
 
 #[cfg(test)]

@@ -43,11 +43,13 @@ use crate::facade::Strategy;
 use crate::kernel::ScoringOptions;
 use crate::lsh_join;
 use crate::lsh_mips::{SphereMap, Tuning};
-use crate::mips::SketchMipsAdapter;
+use crate::mips::sketch_hit;
 use crate::problem::{JoinSpec, MatchPair};
 use crate::symmetric::{SymmetricParams, SymmetricSphereMap};
+use ips_linalg::par::Schedule;
 use ips_linalg::DenseVector;
 use ips_sketch::linf_mips::MaxIpConfig;
+use ips_sketch::recovery::join_walk;
 use rand::Rng;
 
 /// Tolerance applied to unit-ball eligibility checks, matching the slack the
@@ -808,12 +810,14 @@ fn format_ns(ns: f64) -> String {
 
 /// Joins `queries` against `data` — where it stands: nothing borrows more than the
 /// slice, no copy of the data set is made — on the structure `index` names, on
-/// `engine`'s threads, the brute scan scoring under `scoring`. The brute and sketch strategies build
-/// their index and run it through the [`JoinEngine`]. The ALSH and symmetric ones never
+/// `engine`'s threads, the brute scan scoring under `scoring`. The brute strategy builds
+/// its index and runs it through the [`JoinEngine`]. The ALSH and symmetric ones never
 /// hold an index: their join draws, hashes and queries the tables a cache-sized group
 /// at a time and merges each query's answer across the groups (`lsh_join`), to the
-/// pairs the whole index would give. The one place a structure becomes a join: an
-/// explicit choice ([`crate::facade::JoinBuilder::run`]) and a planned one
+/// pairs the whole index would give. Nor does the sketch: [`join_walk`] walks the
+/// recovery tree a node at a time, and the adapter's filter ([`sketch_hit`]) turns its
+/// candidates into the pairs the whole tree would give. The one place a structure
+/// becomes a join: an explicit choice ([`crate::facade::JoinBuilder::run`]) and a planned one
 /// ([`JoinPlan::execute`]) both end here, which is what makes them bit-identical under
 /// one RNG state.
 ///
@@ -840,11 +844,25 @@ pub(crate) fn run_strategy<R: Rng + ?Sized>(
         IndexConfig::Symmetric(params) => {
             lsh_join::run::<SymmetricSphereMap, R>(params, rng, data, queries, spec, engine)
         }
-        IndexConfig::Sketch { config, leaf_size } => JoinEngine::with_config(
-            SketchMipsAdapter::build(rng, data, spec, config, leaf_size)?,
-            engine,
-        )
-        .run(queries),
+        IndexConfig::Sketch { config, leaf_size } => {
+            let schedule = Schedule {
+                threads: engine.resolved_threads(),
+                block: engine.resolved_chunk_size(),
+            };
+            let found = join_walk(rng, data, queries, config, leaf_size, schedule)?;
+            Ok(found
+                .into_iter()
+                .enumerate()
+                .filter_map(|(query_index, candidate)| {
+                    let hit = sketch_hit(spec, candidate)?;
+                    Some(MatchPair {
+                        data_index: hit.data_index,
+                        query_index,
+                        inner_product: hit.inner_product,
+                    })
+                })
+                .collect())
+        }
     }
 }
 

@@ -8,8 +8,11 @@
 //! larger than the threshold s".
 //!
 //! The sketch-based unsigned join itself is `ips_core`'s `Join` facade with
-//! `Strategy::Sketch`: it builds one [`SketchMipsIndex`](crate::SketchMipsIndex) over
-//! the data set and keeps a query's candidate when its exact `|ip|` reaches `cs`.
+//! `Strategy::Sketch`: it walks the recovery tree depth first, one node's estimators at
+//! a time, for every query that reaches the node
+//! ([`join_walk`](crate::recovery::join_walk)) — never holding the whole
+//! [`SketchMipsIndex`](crate::SketchMipsIndex) — and keeps a query's candidate when its
+//! exact `|ip|` reaches `cs`.
 
 use crate::error::{Result, SketchError};
 use crate::recovery::MipsCandidate;

@@ -21,7 +21,8 @@
 //!   of coefficients per estimator and the allocation-free kernel that evaluates it;
 //! * [`recovery`] — the bit-by-bit / prefix-tree index recovery structure that also
 //!   returns *which* row attains (approximately) the maximum, cut off where a sketch
-//!   would cost a query more than the scan it saves;
+//!   would cost a query more than the scan it saves, and the same tree walked as a
+//!   join, one node at a time;
 //! * [`join`] — the paper's query-scaling reduction from unsigned `c`-MIPS to unsigned
 //!   `(cs, s)` search (the sketch join itself runs through `ips_core`'s `Join` facade);
 //! * [`cost`] — closed-form build/query flop predictions for the adaptive join

@@ -137,13 +137,37 @@ impl MaxIpEstimator {
         let rows = resolved_rows(n, &config);
         let mut estimator = Self::zeroed(config.kappa, n, dim, config.copies, rows);
         let mut sketched = vec![0.0; rows * dim];
-        for t in 0..config.copies {
-            let sketch = MaxStableSketch::sample(rng, n, rows, config.kappa)?;
+        Self::draw_sketches(rng, n, config, |t, sketch| {
             sketched.fill(0.0);
             sketch.apply_to_rows_into(data, dim, &mut sketched);
             estimator.scatter_copy(t, (0..rows).map(|r| &sketched[r * dim..(r + 1) * dim]));
-        }
+        })?;
         Ok(estimator)
+    }
+
+    /// Draws from `rng` what [`MaxIpEstimator::build_trusted`] draws over `n` vectors
+    /// and applies none of it: the RNG leaves in the state that build leaves it in.
+    pub(crate) fn skip_trusted<R: Rng + ?Sized>(
+        rng: &mut R,
+        n: usize,
+        config: MaxIpConfig,
+    ) -> Result<()> {
+        Self::draw_sketches(rng, n, config, |_, _| {})
+    }
+
+    /// The estimator's randomness, in its one order: the `copies` sketches over `n`
+    /// inputs, each handed to `each` with its copy number as soon as it is drawn.
+    fn draw_sketches<R: Rng + ?Sized>(
+        rng: &mut R,
+        n: usize,
+        config: MaxIpConfig,
+        mut each: impl FnMut(usize, MaxStableSketch),
+    ) -> Result<()> {
+        let rows = resolved_rows(n, &config);
+        for t in 0..config.copies {
+            each(t, MaxStableSketch::sample(rng, n, rows, config.kappa)?);
+        }
+        Ok(())
     }
 
     fn zeroed(kappa: f64, n: usize, dim: usize, copies: usize, rows: usize) -> Self {

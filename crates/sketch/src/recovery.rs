@@ -27,10 +27,20 @@
 //! The walk itself asks nothing of the shape: a tree assembled through
 //! [`SketchMipsIndex::from_raw_parts`] — a snapshot written before the cut-off rule
 //! existed, say — is walked exactly as built, however deep it is.
+//!
+//! # As a join
+//!
+//! A server holds the tree because any query may walk any path; a join asks every node
+//! once, for the queries that reach it. [`join_walk`] is that join: it draws the tree in
+//! the build's order a node at a time, sends the node's queries down, and drops the
+//! node's estimators before its subtrees — the answers of [`SketchMipsIndex::query`]
+//! over the tree [`SketchMipsIndex::build`] would have drawn, holding one node's pair of
+//! estimators instead of all of them.
 
 use crate::cost::splits;
 use crate::error::{uniform_dim, Result, SketchError};
 use crate::linf_mips::{with_scratch, MaxIpConfig, MaxIpEstimator};
+use ips_linalg::par::{map_blocks, Schedule};
 use ips_linalg::DenseVector;
 use rand::Rng;
 use std::borrow::Cow;
@@ -114,7 +124,13 @@ impl<'a> SketchMipsIndex<'a> {
     ) -> Result<Self> {
         let data = data.into();
         let dim = validate_inputs(&data, &config, leaf_size)?;
-        let root = Self::build_node(rng, &data, 0..data.len(), dim, config, leaf_size)?;
+        let tree = Tree {
+            data: &data,
+            dim,
+            config,
+            leaf_size,
+        };
+        let root = Self::build_node(rng, tree, 0..data.len())?;
         Ok(Self {
             data,
             root,
@@ -125,22 +141,20 @@ impl<'a> SketchMipsIndex<'a> {
 
     fn build_node<R: Rng + ?Sized>(
         rng: &mut R,
-        data: &[DenseVector],
+        tree: Tree<'_>,
         range: Range<usize>,
-        dim: usize,
-        config: MaxIpConfig,
-        leaf_size: usize,
     ) -> Result<Node> {
-        if !splits(range.len(), &config, leaf_size) {
+        let Some(split) = tree.draw(rng, range.clone(), true)? else {
             return Ok(Node::Leaf { range });
-        }
-        let mid = range.start + range.len() / 2;
-        let (left, right) = (range.start..mid, mid..range.end);
+        };
+        let (estimator_left, estimator_right) = split.estimators.expect("drawn and applied");
+        let left = Self::build_node(rng, tree, split.left)?;
+        let right = Self::build_node(rng, tree, split.right)?;
         Ok(Node::Internal {
-            estimator_left: MaxIpEstimator::build_trusted(rng, &data[left.clone()], dim, config)?,
-            estimator_right: MaxIpEstimator::build_trusted(rng, &data[right.clone()], dim, config)?,
-            left: Box::new(Self::build_node(rng, data, left, dim, config, leaf_size)?),
-            right: Box::new(Self::build_node(rng, data, right, dim, config, leaf_size)?),
+            estimator_left,
+            estimator_right,
+            left: Box::new(left),
+            right: Box::new(right),
         })
     }
 
@@ -259,27 +273,13 @@ impl<'a> SketchMipsIndex<'a> {
                     left,
                     right,
                 } => {
-                    let l = estimator_left.estimate_with(q.as_slice(), scratch);
-                    let r = estimator_right.estimate_with(q.as_slice(), scratch);
-                    node = if l >= r { left } else { right };
+                    let turn_left = goes_left(estimator_left, estimator_right, q, scratch);
+                    node = if turn_left { left } else { right };
                 }
                 Node::Leaf { range } => break range.clone(),
             }
         });
-        let mut best = MipsCandidate {
-            index: leaf.start,
-            inner_product: self.data[leaf.start].dot_unchecked_len(q),
-        };
-        for i in leaf.start + 1..leaf.end {
-            let ip = self.data[i].dot_unchecked_len(q);
-            if ip.abs() > best.inner_product.abs() {
-                best = MipsCandidate {
-                    index: i,
-                    inner_product: ip,
-                };
-            }
-        }
-        Ok(best)
+        Ok(scan_leaf(&self.data, leaf, q))
     }
 
     /// Exact (quadratic-time) maximiser of `|p_iᵀq|`, used as ground truth by the
@@ -300,6 +300,263 @@ impl<'a> SketchMipsIndex<'a> {
             }
         }
         best.ok_or(SketchError::EmptyDataSet)
+    }
+}
+
+/// What every node of one tree is drawn from: the validated data, its dimension, the
+/// estimators' configuration and the leaf-size floor.
+#[derive(Clone, Copy)]
+struct Tree<'d> {
+    data: &'d [DenseVector],
+    dim: usize,
+    config: MaxIpConfig,
+    leaf_size: usize,
+}
+
+/// A split node as [`Tree::draw`] draws it: the halves of its range and, unless the
+/// draw skipped them, the estimators over them, left first.
+struct Split {
+    left: Range<usize>,
+    right: Range<usize>,
+    estimators: Option<(MaxIpEstimator, MaxIpEstimator)>,
+}
+
+impl Tree<'_> {
+    /// The one place the tree's shape and randomness are decided, for the build and the
+    /// join walk alike: `None` where `range` is a leaf ([`splits`]), else its halves and
+    /// the estimator over each, the left one drawn first. With `apply` false the
+    /// sketches are drawn and applied to nothing — the RNG advances exactly as for a
+    /// built node — and no estimator is returned: a node of the join walk that no query
+    /// reaches.
+    fn draw<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        range: Range<usize>,
+        apply: bool,
+    ) -> Result<Option<Split>> {
+        let Self {
+            data,
+            dim,
+            config,
+            leaf_size,
+        } = *self;
+        if !splits(range.len(), &config, leaf_size) {
+            return Ok(None);
+        }
+        let mid = range.start + range.len() / 2;
+        let (left, right) = (range.start..mid, mid..range.end);
+        let estimators = if apply {
+            let estimator_left =
+                MaxIpEstimator::build_trusted(rng, &data[left.clone()], dim, config)?;
+            let estimator_right =
+                MaxIpEstimator::build_trusted(rng, &data[right.clone()], dim, config)?;
+            Some((estimator_left, estimator_right))
+        } else {
+            MaxIpEstimator::skip_trusted(rng, left.len(), config)?;
+            MaxIpEstimator::skip_trusted(rng, right.len(), config)?;
+            None
+        };
+        Ok(Some(Split {
+            left,
+            right,
+            estimators,
+        }))
+    }
+}
+
+/// The walk's turn at a split node: left iff the left half's estimate is at least the
+/// right half's.
+fn goes_left(
+    left: &MaxIpEstimator,
+    right: &MaxIpEstimator,
+    q: &DenseVector,
+    scratch: &mut Vec<f64>,
+) -> bool {
+    left.estimate_with(q.as_slice(), scratch) >= right.estimate_with(q.as_slice(), scratch)
+}
+
+/// The exact end of a walk: the first vector of the non-empty `leaf` whose `|p·q|` no
+/// later one beats strictly.
+fn scan_leaf(data: &[DenseVector], leaf: Range<usize>, q: &DenseVector) -> MipsCandidate {
+    let mut best = MipsCandidate {
+        index: leaf.start,
+        inner_product: data[leaf.start].dot_unchecked_len(q),
+    };
+    for i in leaf.start + 1..leaf.end {
+        let ip = data[i].dot_unchecked_len(q);
+        if ip.abs() > best.inner_product.abs() {
+            best = MipsCandidate {
+                index: i,
+                inner_product: ip,
+            };
+        }
+    }
+    best
+}
+
+/// Section 4.3 as a join: for every query, in query order, the candidate
+/// [`SketchMipsIndex::query`] returns from the tree that [`SketchMipsIndex::build`]
+/// draws from the same `rng` state — bit for bit — without ever holding that tree.
+///
+/// The walk visits the nodes in the build's pre-order and draws each split's two
+/// estimators as the build does. It evaluates both for every query that reaches the
+/// node, sends a query left iff its left estimate is at least its right one, drops the
+/// estimators, and recurses left, then right. A leaf scans its range for the queries
+/// that reach it, keeping the first strict `>` of `|p·q|`. So the walk holds one node's
+/// pair of estimators at a time — the root's is the largest — and a few words a query,
+/// and each coefficient is read once a node, not once a query that passes it. A node
+/// no query reaches still draws its sketches, and applies them to nothing: the RNG
+/// leaves in the state the build leaves it in.
+///
+/// A node's queries are evaluated in blocks of `schedule.block` on `schedule.threads`
+/// workers through [`map_blocks`]; every draw is made on the calling thread, so the
+/// answer and the RNG state do not depend on the schedule.
+///
+/// Fails as `build` does on the data and the parameters, then as `query` does on the
+/// first query of another dimension than the data's — before anything is drawn. An
+/// empty query set draws the whole tree and returns nothing.
+pub fn join_walk<R: Rng + ?Sized>(
+    rng: &mut R,
+    data: &[DenseVector],
+    queries: &[DenseVector],
+    config: MaxIpConfig,
+    leaf_size: usize,
+    schedule: Schedule,
+) -> Result<Vec<MipsCandidate>> {
+    let dim = validate_inputs(data, &config, leaf_size)?;
+    if let Some(q) = queries.iter().find(|q| q.dim() != dim) {
+        return Err(SketchError::DimensionMismatch {
+            expected: dim,
+            actual: q.dim(),
+        });
+    }
+    let m = u32::try_from(queries.len()).map_err(|_| SketchError::InvalidParameter {
+        name: "queries",
+        reason: format!(
+            "a join walk numbers its queries in 32 bits, got {}",
+            queries.len()
+        ),
+    })?;
+    let unset = MipsCandidate {
+        index: 0,
+        inner_product: 0.0,
+    };
+    let mut walk = Walk {
+        tree: Tree {
+            data,
+            dim,
+            config,
+            leaf_size,
+        },
+        queries,
+        schedule,
+        order: (0..m).collect(),
+        turned_left: vec![false; queries.len()],
+        best: vec![unset; queries.len()],
+        spill: Vec::with_capacity(queries.len()),
+    };
+    walk.node(rng, 0..data.len(), 0..queries.len())?;
+    let mut found = vec![unset; queries.len()];
+    for (&q, &best) in walk.order.iter().zip(&walk.best) {
+        found[q as usize] = best;
+    }
+    Ok(found)
+}
+
+/// The state of one [`join_walk`]. `order` lists the queries so that those reaching a
+/// node sit at consecutive positions; `turned_left` and `best` are per position.
+struct Walk<'a> {
+    tree: Tree<'a>,
+    queries: &'a [DenseVector],
+    schedule: Schedule,
+    order: Vec<u32>,
+    /// A split node's turn for the query at each of its positions.
+    turned_left: Vec<bool>,
+    /// A leaf's answer for the query at each of its positions.
+    best: Vec<MipsCandidate>,
+    /// Room for the queries that turn right while a node's positions are partitioned.
+    spill: Vec<u32>,
+}
+
+impl Walk<'_> {
+    /// The subtree over the data `range`, reached by the queries at positions `at`.
+    fn node<R: Rng + ?Sized>(
+        &mut self,
+        rng: &mut R,
+        range: Range<usize>,
+        at: Range<usize>,
+    ) -> Result<()> {
+        let Some(split) = self.tree.draw(rng, range.clone(), !at.is_empty())? else {
+            return self.leaf(range, at);
+        };
+        let mid = match split.estimators {
+            Some((left, right)) => {
+                self.turn(&left, &right, at.clone())?;
+                at.start + self.partition(at.clone())
+            }
+            None => at.start,
+        };
+        // The node's estimators are gone: each subtree draws its own from here.
+        self.node(rng, split.left, at.start..mid)?;
+        self.node(rng, split.right, mid..at.end)
+    }
+
+    /// Fills `turned_left` at positions `at` for the split estimated by `left` and
+    /// `right`.
+    fn turn(
+        &mut self,
+        left: &MaxIpEstimator,
+        right: &MaxIpEstimator,
+        at: Range<usize>,
+    ) -> Result<()> {
+        let (queries, block) = (self.queries, self.schedule.block.max(1));
+        let mut blocks: Vec<(&[u32], &mut [bool])> = self.order[at.clone()]
+            .chunks(block)
+            .zip(self.turned_left[at].chunks_mut(block))
+            .collect();
+        map_blocks(self.schedule.threads, &mut blocks, |_, (order, turned)| {
+            with_scratch(|scratch| {
+                for (&q, turned) in order.iter().zip(turned.iter_mut()) {
+                    *turned = goes_left(left, right, &queries[q as usize], scratch);
+                }
+            });
+            Ok::<(), SketchError>(())
+        })?;
+        Ok(())
+    }
+
+    /// Orders positions `at` stably, the queries that turned left first; returns how
+    /// many did.
+    fn partition(&mut self, at: Range<usize>) -> usize {
+        self.spill.clear();
+        let mut lefts = 0;
+        for p in at.clone() {
+            let q = self.order[p];
+            if self.turned_left[p] {
+                self.order[at.start + lefts] = q;
+                lefts += 1;
+            } else {
+                self.spill.push(q);
+            }
+        }
+        self.order[at.start + lefts..at.end].copy_from_slice(&self.spill);
+        lefts
+    }
+
+    /// Fills `best` at positions `at` with the scan of the leaf `range`.
+    fn leaf(&mut self, range: Range<usize>, at: Range<usize>) -> Result<()> {
+        let (data, queries, block) = (self.tree.data, self.queries, self.schedule.block.max(1));
+        let mut blocks: Vec<(&[u32], &mut [MipsCandidate])> = self.order[at.clone()]
+            .chunks(block)
+            .zip(self.best[at].chunks_mut(block))
+            .collect();
+        map_blocks(self.schedule.threads, &mut blocks, |_, (order, best)| {
+            for (&q, best) in order.iter().zip(best.iter_mut()) {
+                *best = scan_leaf(data, range.clone(), &queries[q as usize]);
+            }
+            Ok::<(), SketchError>(())
+        })?;
+        Ok(())
     }
 }
 
@@ -496,6 +753,88 @@ mod tests {
                 n * dim
             );
         }
+    }
+
+    /// Schedules from one worker taking one query at a time to more workers than blocks.
+    const SCHEDULES: [Schedule; 3] = [
+        Schedule {
+            threads: 1,
+            block: 1,
+        },
+        Schedule {
+            threads: 3,
+            block: 7,
+        },
+        Schedule {
+            threads: 2,
+            block: 64,
+        },
+    ];
+
+    #[test]
+    fn the_join_walk_answers_as_the_whole_tree_does() {
+        use rand::RngCore;
+        let mut r = rng();
+        let dim = 12;
+        let data = background(&mut r, 200, dim, 1.0);
+        // Half the queries are data vectors, so some leaves are reached by several
+        // queries and, under the deep config, many by none.
+        let mut queries = background(&mut r, 20, dim, 0.5);
+        queries.extend(data[..20].iter().cloned());
+        for (config, leaf_size) in [
+            (deep_config(), 8),
+            (MaxIpConfig::default(), 16),
+            (deep_config(), 200),
+        ] {
+            for schedule in SCHEDULES {
+                let mut tree_rng = rng();
+                let tree =
+                    SketchMipsIndex::build(&mut tree_rng, &data[..], config, leaf_size).unwrap();
+                let mut walk_rng = rng();
+                let found =
+                    join_walk(&mut walk_rng, &data, &queries, config, leaf_size, schedule).unwrap();
+                assert_eq!(found.len(), queries.len());
+                for (q, got) in queries.iter().zip(&found) {
+                    let want = tree.query(q).unwrap();
+                    assert_eq!(got.index, want.index, "{config:?} {schedule:?}");
+                    assert_eq!(got.inner_product.to_bits(), want.inner_product.to_bits());
+                }
+                assert_eq!(
+                    walk_rng.next_u64(),
+                    tree_rng.next_u64(),
+                    "{config:?} {schedule:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_join_walk_fails_as_the_build_and_the_query_do() {
+        use rand::RngCore;
+        let mut r = rng();
+        let data = background(&mut r, 40, 6, 1.0);
+        let schedule = SCHEDULES[1];
+        let config = deep_config();
+        assert!(matches!(
+            join_walk(&mut r, &[], &data, config, 4, schedule),
+            Err(SketchError::EmptyDataSet)
+        ));
+        assert!(join_walk(&mut r, &data, &data, config, 0, schedule).is_err());
+        let queries = vec![data[0].clone(), DenseVector::zeros(5)];
+        assert!(matches!(
+            join_walk(&mut r, &data, &queries, config, 4, schedule),
+            Err(SketchError::DimensionMismatch {
+                expected: 6,
+                actual: 5
+            })
+        ));
+        // No queries: nothing is found, and every node is drawn all the same.
+        let (mut walk_rng, mut tree_rng) = (rng(), rng());
+        assert!(join_walk(&mut walk_rng, &data, &[], config, 4, schedule)
+            .unwrap()
+            .is_empty());
+        SketchMipsIndex::build(&mut tree_rng, &data[..], config, 4).unwrap();
+        assert_eq!(walk_rng.next_u64(), tree_rng.next_u64());
     }
 
     #[test]

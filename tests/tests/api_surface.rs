@@ -508,6 +508,17 @@ fn sketch_index_surface_is_pinned() {
     let _estimator_raw: fn(f64, usize, usize, Vec<Matrix>) -> ips_sketch::Result<MaxIpEstimator> =
         MaxIpEstimator::from_raw_parts;
     let _default_floor: usize = ips_sketch::DEFAULT_LEAF_SIZE;
+    // A join walks the tree a node at a time and never holds it: one candidate a
+    // query, in query order, on a block schedule of the caller's.
+    type JoinWalk = fn(
+        &mut StdRng,
+        &[DenseVector],
+        &[DenseVector],
+        MaxIpConfig,
+        usize,
+        ips_linalg::par::Schedule,
+    ) -> ips_sketch::Result<Vec<MipsCandidate>>;
+    let _join_walk: JoinWalk = ips_sketch::recovery::join_walk::<StdRng>;
 }
 
 #[test]

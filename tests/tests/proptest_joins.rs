@@ -2,22 +2,24 @@
 //! must produce *valid* output under Definition 1 (no reported pair below `cs`), the
 //! one exact join — the brute-force scan — must give the same pairs serial and
 //! parallel on arbitrary inputs, and the LSH joins, which hold one group of tables at
-//! a time, must give the pairs of the whole index run through the engine, bit for bit.
+//! a time, and the sketch join, which holds one node of its tree at a time, must give
+//! the pairs of the whole structure run through the engine, bit for bit.
 
 use ips_core::asymmetric::{AlshParams, SphereTransform};
 use ips_core::brute::brute_force_join;
 use ips_core::engine::{EngineConfig, JoinEngine};
 use ips_core::facade::{Join, Strategy as JoinStrategy};
 use ips_core::lsh_mips::{LshMips, SphereMap, BUILD_BLOCK};
-use ips_core::mips::{BruteForceMipsIndex, MipsIndex, SearchResult};
+use ips_core::mips::{BruteForceMipsIndex, MipsIndex, SearchResult, SketchMipsAdapter};
 use ips_core::planner::{CostModel, IndexConfig, JoinPlanner, PlannerConfig};
 use ips_core::problem::{evaluate_join, JoinSpec, JoinVariant, MatchPair};
 use ips_core::symmetric::{SymmetricParams, SymmetricSphereMap};
 use ips_linalg::par::Schedule;
 use ips_linalg::DenseVector;
+use ips_sketch::linf_mips::MaxIpConfig;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 /// Strategy: a small collection of vectors with coordinates in [−0.4, 0.4] so that every
 /// vector stays comfortably inside the unit ball (dimension ≤ 6).
@@ -410,6 +412,53 @@ proptest! {
                 .unwrap();
             prop_assert_eq!(report.strategy, plan.choice.family());
             prop_assert_eq!(&bits(&report.matches), &expected, "schedule {:?}", schedule);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    // One row a copy and at most three copies split every range above the leaf floor
+    // (a tree as deep as `log₂(n / leaf)`); a floor of at least `n` is a tree of depth
+    // 0, whose root scans. The join walks the tree a node at a time, the whole-tree
+    // join builds it and queries it through the engine: the same pairs, bit for bit,
+    // and the same RNG state after.
+    #[test]
+    fn the_sketch_join_is_the_whole_tree_join(
+        (data, queries) in twinned_workload(),
+        seed in any::<u64>(),
+        s in 0.02f64..0.2,
+        c in 0.3f64..0.95,
+        signed in any::<bool>(),
+        (copies, rows) in (1usize..=3, 0usize..=2),
+        (leaf, depth_zero) in (1usize..=4, any::<bool>()),
+    ) {
+        let variant = if signed { JoinVariant::Signed } else { JoinVariant::Unsigned };
+        let spec = JoinSpec::new(s, c, variant).unwrap();
+        // `rows = 0` stands for the recommended count, which splits far less.
+        let config = MaxIpConfig { kappa: 2.0, copies, rows: (rows > 0).then_some(rows) };
+        let leaf_size = if depth_zero { data.len() + leaf - 1 } else { leaf };
+        for schedule in SCHEDULES {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let tree = SketchMipsAdapter::build(&mut rng, &data[..], spec, config, leaf_size)
+                .unwrap();
+            let expected = bits(
+                &JoinEngine::with_config(tree, engine(schedule)).run(&queries).unwrap(),
+            );
+            let after_tree = rng.next_u64();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let report = Join::data(&data)
+                .queries(&queries)
+                .spec(spec)
+                .strategy(JoinStrategy::Sketch)
+                .sketch_config(config)
+                .sketch_leaf_size(leaf_size)
+                .engine(engine(schedule))
+                .run_with_rng(&mut rng)
+                .unwrap();
+            prop_assert_eq!(&bits(&report.matches), &expected, "schedule {:?}", schedule);
+            prop_assert_eq!(rng.next_u64(), after_tree, "schedule {:?}", schedule);
         }
     }
 }

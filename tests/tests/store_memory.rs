@@ -23,7 +23,9 @@
 //! 5. A facade join of the three index strategies borrows the caller's vectors: it
 //!    peaks within a fraction of the data set of what building the same index over
 //!    vectors *handed over* peaks at. A symmetric join holds one group of tables at a
-//!    time: less than half the plane bank beyond a few hundred bytes a point.
+//!    time: less than half the plane bank beyond a few hundred bytes a point. A sketch
+//!    join holds one node of its tree at a time: less than the root's pair of
+//!    estimators, one draw's temporaries and a hundred-odd bytes a query.
 //! 6. The Section 4.2 index is built from sparse sphere images: sampling its planes
 //!    peaks at the plane bank (not at a bank and the functions it was gathered from),
 //!    its exact-match table costs a few dozen bytes a point, and a search allocates
@@ -586,6 +588,60 @@ fn a_symmetric_join_holds_a_group_of_tables_and_not_the_bank() {
             held < bank / 2 + allowance,
             "n={n}: the join held {held} bytes; half the bank is {}, the allowance {allowance}",
             bank / 2
+        );
+    }
+}
+
+/// What a sketch join holds a query beyond its node's estimators: its place in the walk's
+/// order and the partition's room for it (4 B each), its turn at a node (1 B) and its
+/// leaf's answer, by place and then by query (16 B each); after the walk, its answer and
+/// its pair (24 B, twice while the list grows). 25 B a query are held at the peak, while
+/// the root's second estimator is drawn.
+const SKETCH_JOIN_BYTES_PER_QUERY: usize = 128;
+
+#[test]
+fn a_sketch_join_holds_one_node_and_not_the_tree() {
+    let (config, leaf_size) = (MaxIpConfig::default(), ips_sketch::DEFAULT_LEAF_SIZE);
+    let f64_bytes = std::mem::size_of::<f64>();
+    for n in [2000usize, 8000] {
+        let data = join_vectors(n as u64 + 3, n);
+        let queries = join_vectors(7, 32);
+        // The root's pair of estimators over n/2 vectors each, and the temporaries of
+        // drawing one of them: a bucket and a scale a summarised vector, and one copy's
+        // rows before they are scattered into the estimator.
+        let rows = ips_sketch::cost::resolved_rows(n / 2, &config);
+        let root_pair = 2 * config.copies * rows * JOIN_DIM * f64_bytes;
+        let draw = 16 * (n / 2) + rows * JOIN_DIM * f64_bytes;
+        let bound = root_pair + draw + SKETCH_JOIN_BYTES_PER_QUERY * queries.len();
+        if n == 8000 {
+            let tree = SketchMipsAdapter::build(
+                &mut StdRng::seed_from_u64(0),
+                &data[..],
+                spec(),
+                config,
+                leaf_size,
+            )
+            .unwrap();
+            let tree_bytes = tree.inner().stored_coefficients() * f64_bytes;
+            assert!(
+                bound < tree_bytes,
+                "the bound ({bound} bytes) must not admit the whole tree ({tree_bytes} bytes)"
+            );
+        }
+        // One thread: every block the join allocates is this thread's to count.
+        let span = Span::begin();
+        let report = Join::data(&data)
+            .queries(&queries)
+            .spec(spec())
+            .strategy(Strategy::Sketch)
+            .threads(1)
+            .run()
+            .unwrap();
+        let held = span.held();
+        drop(report);
+        assert!(
+            held < bound,
+            "n={n}: the join held {held} bytes; the root's pair is {root_pair}, a draw {draw}"
         );
     }
 }
