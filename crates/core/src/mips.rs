@@ -130,12 +130,29 @@ impl<'a> BruteForceMipsIndex<'a> {
         &self.data
     }
 
-    /// Appends `v` as the last vector (a borrowing index takes its own copy
-    /// first). The result is the index [`BruteForceMipsIndex::new`] gives over the
-    /// longer list: an `f32` tile no longer covers the data and is dropped.
-    pub fn push(&mut self, v: DenseVector) {
-        self.data.to_mut().push(v);
+    /// Puts `v` at `slot`, moving the vectors from `slot` on up by one (a borrowing
+    /// index takes its own copy first). The result is the index
+    /// [`BruteForceMipsIndex::new`] gives over the longer list: an `f32` tile no
+    /// longer covers the data and is dropped.
+    ///
+    /// # Panics
+    ///
+    /// When `slot > len()`.
+    pub fn insert(&mut self, slot: usize, v: DenseVector) {
+        self.data.to_mut().insert(slot, v);
         self.tile = None;
+    }
+
+    /// Takes the vector at `slot` out, moving the ones above it down by one: the
+    /// index [`BruteForceMipsIndex::new`] gives over the shorter list (an `f32` tile
+    /// is dropped, as on [`BruteForceMipsIndex::insert`]).
+    ///
+    /// # Panics
+    ///
+    /// When `slot >= len()`.
+    pub fn remove(&mut self, slot: usize) -> DenseVector {
+        self.tile = None;
+        self.data.to_mut().remove(slot)
     }
 
     /// Consumes the index, returning its vectors.

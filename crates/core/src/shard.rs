@@ -37,6 +37,7 @@
 
 use crate::mips::SearchResult;
 use crate::problem::JoinSpec;
+use crate::topk::BestK;
 
 /// One shard's contribution to a two-step (symmetric-LSH) sharded search:
 /// both halves of [`crate::lsh_mips::LshOps::search_parts`], unfiltered,
@@ -53,6 +54,14 @@ pub struct ShardParts {
 /// Whether `a` beats `b` under the spec's ordering: higher similarity value
 /// first, ties toward the lower data index — exactly the order a strict-`>`
 /// scan over ascending candidate indices settles on.
+///
+/// This is the one ranking order of the workspace: the single-partner merges
+/// here, every top-`k` selection ([`crate::topk::BestK`]) and the sharded and
+/// serving top-`k` merges built on it. It is a strict total order on results
+/// with distinct data indices because the values that reach a ranking are
+/// finite or infinite but never NaN: [`JoinSpec::acceptable`] is false for a
+/// NaN inner product, and the serving layers refuse a vector with a NaN
+/// coordinate on insert.
 pub fn beats(spec: &JoinSpec, a: &SearchResult, b: &SearchResult) -> bool {
     let (va, vb) = (
         spec.variant.value(a.inner_product),
@@ -121,16 +130,11 @@ pub fn merge_top_k(
     lists: impl IntoIterator<Item = Vec<SearchResult>>,
     k: usize,
 ) -> Vec<SearchResult> {
-    let mut all: Vec<SearchResult> = lists.into_iter().flatten().collect();
-    all.sort_by(|a, b| {
-        spec.variant
-            .value(b.inner_product)
-            .partial_cmp(&spec.variant.value(a.inner_product))
-            .expect("inner products are finite")
-            .then(a.data_index.cmp(&b.data_index))
-    });
-    all.truncate(k);
-    all
+    let mut best = BestK::new(spec, k);
+    for hit in lists.into_iter().flatten() {
+        best.offer(hit);
+    }
+    best.into_vec()
 }
 
 #[cfg(test)]

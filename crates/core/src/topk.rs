@@ -13,13 +13,16 @@ use crate::error::Result;
 use crate::lsh_mips::{LshMips, LshOps, SphereMap};
 use crate::mips::{BruteForceMipsIndex, MipsIndex, SearchResult};
 use crate::problem::JoinSpec;
+use crate::shard::beats;
 use ips_linalg::DenseVector;
+use std::cmp::Ordering;
 
 /// A MIPS index that can report several partners per query.
 ///
 /// Every returned result clears the spec's relaxed threshold `cs`, results are sorted by
 /// decreasing similarity value (signed inner product or absolute value, depending on the
-/// variant), and at most `k` results are returned. Approximate implementations may
+/// variant) with ties toward the lower data index ([`beats`]), and at most `k` results
+/// are returned. Approximate implementations may
 /// return fewer than `k` even when `k` acceptable partners exist — that is the recall
 /// the experiments measure.
 pub trait TopKMipsIndex: MipsIndex {
@@ -35,51 +38,114 @@ impl<I: TopKMipsIndex + ?Sized> TopKMipsIndex for &I {
     }
 }
 
-/// Sorts candidate results by the spec's similarity value (descending), keeps only
-/// acceptable ones, and truncates to `k`.
-fn finalize(mut hits: Vec<SearchResult>, spec: &JoinSpec, k: usize) -> Vec<SearchResult> {
-    hits.retain(|h| spec.acceptable(h.inner_product));
-    hits.sort_by(|a, b| {
-        spec.variant
-            .value(b.inner_product)
-            .partial_cmp(&spec.variant.value(a.inner_product))
-            .expect("inner products are finite")
-            .then(a.data_index.cmp(&b.data_index))
-    });
-    hits.truncate(k);
-    hits
+/// The best `k` results offered so far, best first under [`beats`] — the one
+/// bounded selection behind every top-`k` answer: the index searches below, the
+/// sharded merge ([`crate::shard::merge_top_k`]) and the serving layer's merge of
+/// its primary structure with pending inserts.
+///
+/// It holds at most `k` results whatever is offered, and [`BestK::into_vec`] returns
+/// exactly what sorting every offered result by [`beats`] (stably) and keeping the
+/// first `k` would: best first, ties toward the lower data index. Until `k` results
+/// have arrived they are kept as they came and sorted once — so asking for more
+/// results than there are candidates costs one sort, as ranking them all always
+/// did; from then on the list stays sorted, and a result gets in only by beating the
+/// last one kept.
+///
+/// `offer` does not filter: callers offer the results their contract admits (the
+/// searches only [`JoinSpec::acceptable`] ones).
+pub struct BestK<'s> {
+    spec: &'s JoinSpec,
+    k: usize,
+    hits: Vec<SearchResult>,
 }
 
-/// Scores every index in `candidates` against the query and applies [`finalize`].
+impl<'s> BestK<'s> {
+    /// An empty selection of the best `k` under `spec`'s ordering.
+    pub fn new(spec: &'s JoinSpec, k: usize) -> Self {
+        Self {
+            spec,
+            k,
+            hits: Vec::new(),
+        }
+    }
+
+    /// Offers one result.
+    pub fn offer(&mut self, hit: SearchResult) {
+        let spec = self.spec;
+        if self.hits.len() < self.k {
+            self.hits.push(hit);
+            if self.hits.len() == self.k {
+                self.sort();
+            }
+            return;
+        }
+        // Full (or `k = 0`): only a result that beats the last one kept gets in,
+        // after the results it does not beat — where a stable sort would put it.
+        match self.hits.last() {
+            Some(last) if beats(spec, &hit, last) => {
+                self.hits.pop();
+            }
+            _ => return,
+        }
+        let at = self.hits.partition_point(|kept| !beats(spec, &hit, kept));
+        self.hits.insert(at, hit);
+    }
+
+    /// The selected results, best first.
+    pub fn into_vec(mut self) -> Vec<SearchResult> {
+        if self.hits.len() < self.k {
+            self.sort();
+        }
+        self.hits
+    }
+
+    fn sort(&mut self) {
+        let spec = self.spec;
+        self.hits.sort_by(|a, b| {
+            if beats(spec, a, b) {
+                Ordering::Less
+            } else if beats(spec, b, a) {
+                Ordering::Greater
+            } else {
+                Ordering::Equal
+            }
+        });
+    }
+}
+
+/// Scores every index in `candidates` against the query and keeps the best `k`
+/// acceptable results. Every candidate is scored, whatever `k`: a dimension mismatch
+/// fails even a `k = 0` search.
 fn rescore_candidates(
     data: &[DenseVector],
-    candidates: &[usize],
+    candidates: impl IntoIterator<Item = usize>,
     query: &DenseVector,
     spec: &JoinSpec,
     k: usize,
 ) -> Result<Vec<SearchResult>> {
-    let mut hits = Vec::with_capacity(candidates.len());
-    for &i in candidates {
+    let mut best = BestK::new(spec, k);
+    for i in candidates {
         let ip = data[i].dot(query)?;
-        hits.push(SearchResult {
-            data_index: i,
-            inner_product: ip,
-        });
+        if spec.acceptable(ip) {
+            best.offer(SearchResult {
+                data_index: i,
+                inner_product: ip,
+            });
+        }
     }
-    Ok(finalize(hits, spec, k))
+    Ok(best.into_vec())
 }
 
 impl TopKMipsIndex for BruteForceMipsIndex<'_> {
     fn search_top_k(&self, query: &DenseVector, k: usize) -> Result<Vec<SearchResult>> {
-        let all: Vec<usize> = (0..self.len()).collect();
-        rescore_candidates(self.data(), &all, query, &self.spec(), k)
+        rescore_candidates(self.data(), 0..self.len(), query, &self.spec(), k)
     }
 }
 
 impl<M: SphereMap> TopKMipsIndex for LshMips<'_, M> {
     fn search_top_k(&self, query: &DenseVector, k: usize) -> Result<Vec<SearchResult>> {
         let candidates = self.candidate_indices(query)?;
-        rescore_candidates(self.data(), &candidates, query, &self.spec(), k)
+        rescore_candidates(self.data(), candidates, query, &self.spec(), k)
     }
 }
 

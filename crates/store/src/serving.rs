@@ -14,9 +14,11 @@
 //!   memory, so when their fraction exceeds the rebuild threshold the index is
 //!   compacted **in place**: the dead slots are dropped and the buckets renumbered,
 //!   with no vector hashed again (see [`ips_core::LshOps::compact`]).
-//! * **Brute force** — building *is* storing the vectors: an insert under a new
-//!   highest id appends, every other mutation rebuilds the primary (the threshold
-//!   is irrelevant).
+//! * **Brute force** — building *is* storing the vectors in ascending id order, so
+//!   writes land where a build would put them: an insert puts its vector at its id's
+//!   rank, a delete takes its slot out, and the ids above close up. The index is
+//!   after every write the one a fresh build over its live vectors gives; it never
+//!   rebuilds (the threshold is irrelevant).
 //! * **Sketch** — the Section 4.3 structure cannot absorb single-vector updates, so
 //!   inserts go to a brute-scanned *overlay* and deletes *tombstone* the id (a
 //!   tombstoned primary answer is suppressed, costing recall, never validity). When
@@ -44,7 +46,7 @@ use crate::snapshot::{AnyIndex, IndexFamily, Snapshot, SnapshotRef, ViewMut};
 use ips_core::engine::{EngineConfig, JoinEngine};
 use ips_core::mips::{BruteForceMipsIndex, MipsIndex, SearchResult, SketchMipsAdapter};
 use ips_core::problem::{JoinSpec, MatchPair};
-use ips_core::topk::TopKMipsIndex;
+use ips_core::topk::{BestK, TopKMipsIndex};
 use ips_core::LshMips;
 use ips_linalg::par::{available_threads, Schedule};
 use ips_linalg::DenseVector;
@@ -64,7 +66,7 @@ pub struct ServingConfig {
     /// Schedule of the [`JoinEngine`] answering query batches.
     pub engine: EngineConfig,
     /// Rebuild when `(tombstoned + overlaid) / live` exceeds this fraction
-    /// (brute rebuilds on every mutation but an appending insert, regardless).
+    /// (brute has neither: it writes in place and never rebuilds).
     pub rebuild_threshold: f64,
     /// Seed for every build and rebuild, making maintenance reproducible.
     pub seed: u64,
@@ -115,7 +117,8 @@ pub struct ServingStats {
     pub inserts: u64,
     /// Vectors deleted.
     pub deletes: u64,
-    /// Primary-structure rebuilds performed.
+    /// Primary-structure rebuilds performed: LSH compactions and sketch rebuilds
+    /// (a brute index writes in place and never rebuilds).
     pub rebuilds: u64,
     /// Network connections accepted (0 unless served over TCP).
     pub connections: u64,
@@ -318,7 +321,7 @@ impl ServingIndex {
         }
         let index_config = extract_index_config(&primary);
         let spec = primary.spec();
-        Ok(Self {
+        let mut serving = Self {
             primary,
             primary_ids,
             id_to_slot,
@@ -330,7 +333,14 @@ impl ServingIndex {
             index_config,
             config,
             counters: Counters::default(),
-        })
+        };
+        // A brute index holds its vectors in ascending id order, the order a fresh
+        // build gives and the one its writes keep. Every file this layer writes is in
+        // it; a snapshot assembled in another order is rebuilt in it once, here.
+        if serving.family() == IndexFamily::Brute && !serving.primary_ids.is_sorted() {
+            serving.rebuild_from_vectors()?;
+        }
+        Ok(serving)
     }
 
     /// Loads a snapshot file and wraps it for serving.
@@ -540,14 +550,15 @@ impl ServingIndex {
                 self.primary_ids.push(id);
                 self.id_to_slot.insert(id, slot);
             }
-            // Storing is all there is to building a brute index: behind ids that
-            // ascend, a new highest id appends where a rebuild would put it.
-            ViewMut::Brute(index) if id >= self.next_id && self.primary_ids.is_sorted() => {
-                self.id_to_slot.insert(id, self.primary_ids.len());
-                self.primary_ids.push(id);
-                index.push(v);
+            // Storing is all there is to building a brute index: the vector goes
+            // where a build would put it, at its id's rank.
+            ViewMut::Brute(index) => {
+                let slot = self.primary_ids.partition_point(|&held| held < id);
+                index.insert(slot, v);
+                self.primary_ids.insert(slot, id);
+                self.id_to_slot.insert(id, slot);
+                self.renumber_from(slot + 1);
             }
-            ViewMut::Brute(_) => self.rebuild(Some((id, v)))?,
             ViewMut::Sketch => {
                 self.overlay.push((id, v));
             }
@@ -574,9 +585,11 @@ impl ServingIndex {
                 index.delete(slot)?;
                 self.id_to_slot.remove(&id);
             }
-            ViewMut::Brute(_) => {
+            ViewMut::Brute(index) => {
+                index.remove(slot);
+                self.primary_ids.remove(slot);
                 self.id_to_slot.remove(&id);
-                self.rebuild(None)?;
+                self.renumber_from(slot);
             }
             ViewMut::Sketch => {
                 self.tombstones.insert(id);
@@ -622,11 +635,22 @@ impl ServingIndex {
         if dirty == 0 && self.primary_ids.is_sorted() {
             return Ok(());
         }
-        self.rebuild(None)
+        self.rebuild()
     }
 
     fn note_queries(&self, queries: usize, hits: usize, start: Instant) {
         self.counters.note_queries(queries, hits, start);
+    }
+
+    /// Points the id map at the slots from `slot` on again, after a brute write
+    /// moved them by one.
+    fn renumber_from(&mut self, slot: usize) {
+        for (moved, id) in self.primary_ids.iter().enumerate().skip(slot) {
+            *self
+                .id_to_slot
+                .get_mut(id)
+                .expect("every brute slot is live") = moved;
+        }
     }
 
     fn maybe_rebuild(&mut self) -> Result<()> {
@@ -637,19 +661,19 @@ impl ServingIndex {
         }
         let live = self.len().max(1);
         if dirty as f64 / live as f64 > self.config.rebuild_threshold {
-            return self.rebuild(None);
+            return self.rebuild();
         }
         Ok(())
     }
 
-    /// Folds the pending state — dead slots, overlay, tombstones, plus `inserted` for
-    /// the brute family's out-of-order insert — into the primary structure, leaving
-    /// the index identical to one built from its live vectors in **ascending id
-    /// order** with the configured seed. That order is the canonical one: a
-    /// sequential index inserts in ascending id order anyway; it matters when the
-    /// sharded layer routed out-of-order ids into this shard. With no live vectors
-    /// left, non-brute structures cannot be built (their constructors reject empty
-    /// data), so pending state is kept and filtered at query time instead.
+    /// Folds the pending state — dead slots, overlay, tombstones — into the primary
+    /// structure, leaving the index identical to one built from its live vectors in
+    /// **ascending id order** with the configured seed. That order is the canonical
+    /// one: a sequential index inserts in ascending id order anyway; it matters when
+    /// the sharded layer routed out-of-order ids into this shard. With no live vectors
+    /// left, the structures cannot be built (their constructors reject empty data),
+    /// so pending state is kept and filtered at query time instead. A brute index
+    /// has no pending state — it writes in place — so it never gets here.
     ///
     /// **ALSH / symmetric LSH compact in place** ([`LshOps::compact`]): a
     /// delete already took its slot out of every bucket, and the bucket of a vector
@@ -662,15 +686,14 @@ impl ServingIndex {
     /// [`ServingConfig::seed`] samples, whenever the index was built under that
     /// seed — and the ones the sibling shards hold in any case).
     ///
-    /// **Brute and sketch really rebuild**: the vectors are moved, not copied, and
-    /// the old structure is freed before its replacement is built, so a rebuild holds
-    /// one index worth of memory, not two. The build cannot fail for vectors the index
+    /// **Sketch really rebuilds**: the vectors are moved, not copied, and the old
+    /// structure is freed before its replacement is built, so a rebuild holds one
+    /// index worth of memory, not two. The build cannot fail for vectors the index
     /// already holds — they passed the same constructor's checks under the same
     /// configuration. Should it fail all the same, the vectors went with it: the
     /// error is returned and the index is left empty (and consistent), not half-built.
-    fn rebuild(&mut self, inserted: Option<(u64, DenseVector)>) -> Result<()> {
-        if self.is_empty() && inserted.is_none() && !matches!(self.index_config, IndexConfig::Brute)
-        {
+    fn rebuild(&mut self) -> Result<()> {
+        if self.is_empty() {
             return Ok(());
         }
         if let Some(index) = self.primary.as_lsh_mut() {
@@ -686,14 +709,15 @@ impl ServingIndex {
             self.id_to_slot
                 .extend(renumbered.map(|(slot, &id)| (id, slot)));
         } else {
-            self.rebuild_from_vectors(inserted)?;
+            self.rebuild_from_vectors()?;
         }
         self.counters.rebuilds.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    /// The brute / sketch half of [`ServingIndex::rebuild`].
-    fn rebuild_from_vectors(&mut self, inserted: Option<(u64, DenseVector)>) -> Result<()> {
+    /// The sketch half of [`ServingIndex::rebuild`], and the one time a brute index is
+    /// built again: a snapshot whose ids do not ascend, at load.
+    fn rebuild_from_vectors(&mut self) -> Result<()> {
         let emptied = AnyIndex::Brute(BruteForceMipsIndex::new(Vec::new(), self.spec));
         let vectors = std::mem::replace(&mut self.primary, emptied).into_vectors();
         let slots = std::mem::take(&mut self.primary_ids)
@@ -703,7 +727,6 @@ impl ServingIndex {
             .filter(|(id, _)| self.id_to_slot.contains_key(id))
             .collect();
         entries.append(&mut self.overlay);
-        entries.extend(inserted);
         entries.sort_unstable_by_key(|(id, _)| *id);
         self.id_to_slot.clear();
         self.tombstones.clear();
@@ -785,12 +808,12 @@ impl MipsIndex for ServingView<'_> {
 impl TopKMipsIndex for ServingView<'_> {
     fn search_top_k(&self, query: &DenseVector, k: usize) -> ips_core::Result<Vec<SearchResult>> {
         let spec = self.0.spec;
-        let mut hits: Vec<SearchResult> = Vec::new();
+        let mut best = BestK::new(&spec, k);
         if !self.0.id_to_slot.is_empty() {
             for hit in self.0.primary.search_top_k(query, k)? {
                 let id = self.0.primary_ids[hit.data_index];
                 if !self.0.tombstones.contains(&id) {
-                    hits.push(SearchResult {
+                    best.offer(SearchResult {
                         data_index: id as usize,
                         inner_product: hit.inner_product,
                     });
@@ -800,22 +823,13 @@ impl TopKMipsIndex for ServingView<'_> {
         for (id, v) in &self.0.overlay {
             let ip = v.dot(query)?;
             if spec.acceptable(ip) {
-                hits.push(SearchResult {
+                best.offer(SearchResult {
                     data_index: *id as usize,
                     inner_product: ip,
                 });
             }
         }
-        // Same ordering contract as `TopKMipsIndex`: best first, ties by ascending id.
-        hits.sort_by(|a, b| {
-            spec.variant
-                .value(b.inner_product)
-                .partial_cmp(&spec.variant.value(a.inner_product))
-                .expect("inner products are finite")
-                .then(a.data_index.cmp(&b.data_index))
-        });
-        hits.truncate(k);
-        Ok(hits)
+        Ok(best.into_vec())
     }
 }
 
@@ -1068,28 +1082,58 @@ mod tests {
     }
 
     #[test]
-    fn brute_appends_a_new_highest_id_and_rebuilds_for_anything_else() {
+    fn brute_writes_in_place_at_the_rank_of_the_id_and_never_rebuilds() {
         let dim = 6;
         let data = vectors(0x75, 30, dim, 0.9);
         let extra = vectors(0x76, 4, dim, 0.9);
         let mut serving =
             ServingIndex::build(data, spec(), IndexConfig::Brute, ServingConfig::default())
                 .unwrap();
+        let ascending = |serving: &ServingIndex| {
+            let AnyIndex::Brute(index) = &serving.primary else {
+                panic!("a brute index");
+            };
+            assert!(serving.primary_ids.is_sorted());
+            assert_eq!(serving.primary_ids, serving.ids());
+            for (slot, id) in serving.primary_ids.iter().enumerate() {
+                assert_eq!(serving.id_to_slot[id], slot);
+            }
+            assert_eq!(index.len(), serving.primary_ids.len());
+        };
         assert_eq!(serving.insert(extra[0].clone()).unwrap(), 30);
         serving.insert_with_id(35, extra[1].clone()).unwrap();
-        assert_eq!(serving.stats().rebuilds, 0, "appended where they stand");
+        ascending(&serving);
         assert_eq!(serving.vector(35).unwrap(), &extra[1]);
-        // An id below the highest belongs in the middle: that is a rebuild.
+        // An id below the highest goes in the middle, where a build would put it.
         serving.insert_with_id(33, extra[2].clone()).unwrap();
-        assert_eq!(serving.stats().rebuilds, 1);
+        ascending(&serving);
+        assert_eq!(serving.vector(33).unwrap(), &extra[2]);
         serving.delete(4).unwrap();
-        assert_eq!(serving.stats().rebuilds, 2);
+        ascending(&serving);
         assert_eq!(serving.insert(extra[3].clone()).unwrap(), 36);
-        assert_eq!(serving.stats().rebuilds, 2);
+        ascending(&serving);
+        assert_eq!(serving.stats().rebuilds, 0, "every write landed in place");
         let mut expected: Vec<u64> = (0..31).filter(|id| *id != 4).collect();
         expected.extend([33, 35, 36]);
         assert_eq!(serving.ids(), expected);
         assert_eq!(serving.stats().inserts, 4);
+        // A snapshot assembled out of id order is put in order once, at load.
+        let mut shuffled = ServingIndex::from_snapshot(
+            Snapshot::with_ids(
+                AnyIndex::Brute(BruteForceMipsIndex::new(extra.clone(), spec())),
+                vec![7, 2, 9, 4],
+                10,
+            )
+            .unwrap(),
+            ServingConfig::default(),
+        )
+        .unwrap();
+        ascending(&shuffled);
+        assert_eq!(shuffled.vector(2).unwrap(), &extra[1]);
+        assert_eq!(shuffled.vector(9).unwrap(), &extra[2]);
+        shuffled.insert_with_id(3, extra[0].clone()).unwrap();
+        ascending(&shuffled);
+        assert_eq!(shuffled.stats().rebuilds, 0);
     }
 
     #[test]

@@ -354,12 +354,12 @@ fn join_indexes_borrow_or_own_their_vectors() {
     assert_ne!(borrowing.data().as_ptr(), data.as_ptr());
     assert_eq!((borrowing.slots(), data.len()), (5, 4));
     // The exact scan is one struct too, under its two names (MIGRATION.md, "Serving
-    // knobs"): a slice borrows, a `Vec` owns, a push onto a borrowing index copies.
+    // knobs"): a slice borrows, a `Vec` owns, a write into a borrowing index copies.
     use ips_core::brute::BorrowedBruteIndex;
     use ips_core::mips::BruteForceMipsIndex;
     let mut borrowing: BruteForceMipsIndex<'_> = BorrowedBruteIndex::new(&data, spec);
     assert_eq!(borrowing.data().as_ptr(), data.as_ptr());
-    borrowing.push(DenseVector::from(&[0.0, 0.6][..]));
+    borrowing.insert(data.len(), DenseVector::from(&[0.0, 0.6][..]));
     assert_ne!(borrowing.data().as_ptr(), data.as_ptr());
     let owning: BorrowedBruteIndex<'static> = BruteForceMipsIndex::new(data.clone(), spec);
     assert_eq!(owning.into_data(), data);
@@ -430,7 +430,11 @@ fn streaming_codec_and_compaction_surface_is_pinned() {
     // ...`compact` and the other operations that do not name the map being methods
     // of one object-safe trait, which is how the serving layers reach either family.
     let _view: fn(&ips_store::AnyIndex) -> Option<&dyn LshOps> = ips_store::AnyIndex::as_lsh;
-    let _push: fn(&mut BruteForceMipsIndex<'static>, DenseVector) = BruteForceMipsIndex::push;
+    // A brute serving index writes at a slot; `insert(len, v)` appends.
+    let _insert: fn(&mut BruteForceMipsIndex<'static>, usize, DenseVector) =
+        BruteForceMipsIndex::insert;
+    let _remove: fn(&mut BruteForceMipsIndex<'static>, usize) -> DenseVector =
+        BruteForceMipsIndex::remove;
 }
 
 #[test]

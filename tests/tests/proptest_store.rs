@@ -11,7 +11,8 @@
 //!    sequence answers queries exactly like an index built fresh from the final
 //!    vector set with the same seed — same inner products (to the bit), same vectors.
 //!    External ids differ (the mutated index keeps its originals), so answers are
-//!    compared through the vectors they name.
+//!    compared through the vectors they name. A brute index writes in place, so it
+//!    answers so *before* the compaction too, and never rebuilds.
 //! 3. **Sharding is invisible** (the PR-5 exact-merge contract): under one seed, a
 //!    `ShardedServingIndex` answers above-threshold and top-`k` queries
 //!    bit-identically to the unsharded `ServingIndex` — for every shard count for
@@ -27,7 +28,8 @@
 //!    compacts to the snapshot *bytes* of a fresh build in ascending id order — the
 //!    same structure, not only the same answers. (Checked a shard at a time: the
 //!    shards of a mutated index and of a fresh one legitimately differ in their
-//!    private id allocators, which the container's global one supersedes.)
+//!    private id allocators, which the container's global one supersedes.) A brute
+//!    shard is those bytes after every write, with no rebuild.
 
 use ips_core::asymmetric::AlshParams;
 use ips_core::lsh_mips::{LshMips, BUILD_BLOCK};
@@ -137,9 +139,9 @@ proptest! {
     }
 
     // Property 2: a serving index after a random insert/delete sequence answers
-    // like one built fresh from the final vector set (same seed). For sketch and
-    // brute this holds after compaction; the dynamic LSH families are compacted
-    // too so all four share one oracle.
+    // like one built fresh from the final vector set (same seed). For sketch this
+    // holds after compaction; the dynamic LSH families are compacted too so all
+    // four share one oracle. Brute answers so before the compaction as well.
     #[test]
     fn mutated_serving_index_equals_fresh_build(
         data_seed in any::<u64>(),
@@ -175,31 +177,22 @@ proptest! {
                     let id = serving.insert(v.clone()).unwrap();
                     live.push((id, v));
                 }
+                if index_config == IndexConfig::Brute {
+                    prop_assert_eq!(serving.stats().rebuilds, 0);
+                }
             }
-            serving.compact().unwrap();
-            prop_assert_eq!(serving.len(), live.len());
             let final_vectors: Vec<DenseVector> =
                 live.iter().map(|(_, v)| v.clone()).collect();
             let fresh =
                 ServingIndex::build(final_vectors, spec, index_config, config).unwrap();
-            let a = serving.query(&queries).unwrap();
-            let b = fresh.query(&queries).unwrap();
-            prop_assert_eq!(a.len(), b.len(), "family {:?}", serving.family());
-            for (x, y) in a.iter().zip(b.iter()) {
-                prop_assert_eq!(x.query_index, y.query_index);
-                prop_assert_eq!(x.inner_product.to_bits(), y.inner_product.to_bits(),
-                    "family {:?}", serving.family());
-                prop_assert_eq!(
-                    serving.vector(x.data_index as u64).unwrap(),
-                    fresh.vector(y.data_index as u64).unwrap()
-                );
+            if index_config == IndexConfig::Brute {
+                answers_like(&serving, &fresh, &queries)?;
             }
-            // Top-k answers agree the same way.
-            let a = serving.query_top_k(&queries, 3).unwrap();
-            let b = fresh.query_top_k(&queries, 3).unwrap();
-            prop_assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(b.iter()) {
-                prop_assert_eq!(x.inner_product.to_bits(), y.inner_product.to_bits());
+            serving.compact().unwrap();
+            prop_assert_eq!(serving.len(), live.len());
+            answers_like(&serving, &fresh, &queries)?;
+            if index_config == IndexConfig::Brute {
+                prop_assert_eq!(serving.stats().rebuilds, 0);
             }
         }
     }
@@ -343,6 +336,14 @@ proptest! {
             IndexConfig::Symmetric(small_symmetric()),
         ] {
             let mut index = ServingIndex::build(data.clone(), spec, index_config, serving).unwrap();
+            // The bytes of a one-shard fresh build over `live` in ascending id order.
+            let fresh_bytes = |live: &[(u64, DenseVector)], next_id: u64| {
+                let mut live = live.to_vec();
+                live.sort_unstable_by_key(|(id, _)| *id);
+                saved(&ShardedServingIndex::from_entries(
+                    live, next_id, spec, index_config, ShardedConfig { shards: 1, serving },
+                ).unwrap())
+            };
             let mut live: Vec<(u64, DenseVector)> =
                 data.iter().cloned().enumerate().map(|(i, v)| (i as u64, v)).collect();
             let mut next_id = n as u64;
@@ -359,16 +360,52 @@ proptest! {
                     let (victim, _) = live.remove(pick as usize % live.len());
                     index.delete(victim).unwrap();
                 }
+                if index_config == IndexConfig::Brute {
+                    // `snapshot_bytes` compacts first; a brute index has nothing to
+                    // compact, so these are the bytes the write left.
+                    prop_assert!(index.snapshot_bytes().unwrap() == fresh_bytes(&live, next_id),
+                        "brute after write {}", k);
+                    prop_assert_eq!(index.stats().rebuilds, 0);
+                }
             }
             index.compact().unwrap();
-            live.sort_unstable_by_key(|(id, _)| *id);
-            let fresh = ShardedServingIndex::from_entries(
-                live, next_id, spec, index_config, ShardedConfig { shards: 1, serving },
-            ).unwrap();
-            prop_assert!(index.snapshot_bytes().unwrap() == saved(&fresh),
+            prop_assert!(index.snapshot_bytes().unwrap() == fresh_bytes(&live, next_id),
                 "family {:?}", index_config);
         }
     }
+}
+
+/// Checks that `serving` answers `queries` like `fresh` — above-threshold and
+/// top-`k` — by inner product to the bit and by the vector each answer names.
+fn answers_like(
+    serving: &ServingIndex,
+    fresh: &ServingIndex,
+    queries: &[DenseVector],
+) -> Result<(), TestCaseError> {
+    let a = serving.query(queries).unwrap();
+    let b = fresh.query(queries).unwrap();
+    prop_assert_eq!(a.len(), b.len(), "family {:?}", serving.family());
+    for (x, y) in a.iter().zip(b.iter()) {
+        prop_assert_eq!(x.query_index, y.query_index);
+        prop_assert_eq!(
+            x.inner_product.to_bits(),
+            y.inner_product.to_bits(),
+            "family {:?}",
+            serving.family()
+        );
+        prop_assert_eq!(
+            serving.vector(x.data_index as u64).unwrap(),
+            fresh.vector(y.data_index as u64).unwrap()
+        );
+    }
+    // Top-k answers agree the same way.
+    let a = serving.query_top_k(queries, 3).unwrap();
+    let b = fresh.query_top_k(queries, 3).unwrap();
+    prop_assert_eq!(a.len(), b.len());
+    for (x, y) in a.iter().zip(b.iter()) {
+        prop_assert_eq!(x.inner_product.to_bits(), y.inner_product.to_bits());
+    }
+    Ok(())
 }
 
 /// The bytes `index.save` writes.

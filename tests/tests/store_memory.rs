@@ -39,10 +39,15 @@
 //! 9. Generating a batch of unit vectors holds the vectors and the ring of sample
 //!    blocks, and the calling thread's counters see every vector: the threads that
 //!    compute the Gaussians allocate none of the data set.
+//! 10. A brute shard writes and ranks in place: a delete, an insert that lands
+//!     between held ids and a top-`k` query each allocate a constant plus a few
+//!     words per result, at any number of vectors — no rebuild, no list of every
+//!     slot.
 
 use ips_core::asymmetric::{AlshParams, SphereTransform};
+use ips_core::engine::EngineConfig;
 use ips_core::facade::{Join, Strategy};
-use ips_core::mips::{MipsIndex, SketchMipsAdapter};
+use ips_core::mips::{BruteForceMipsIndex, MipsIndex, SketchMipsAdapter};
 use ips_core::problem::{JoinSpec, JoinVariant, MatchPair};
 use ips_core::symmetric::{SymmetricParams, SymmetricSphereMap};
 use ips_core::LshMips;
@@ -54,7 +59,8 @@ use ips_lsh::table::{IndexParams, LshIndex, Table, BUILD_BLOCK};
 use ips_lsh::SymmetricAsAsymmetric;
 use ips_sketch::linf_mips::MaxIpConfig;
 use ips_store::{
-    IndexConfig, ServingConfig, ServingIndex, ShardedConfig, ShardedServingIndex, StoreError,
+    AnyIndex, IndexConfig, ServingConfig, ServingIndex, ShardedConfig, ShardedServingIndex,
+    Snapshot, StoreError,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -359,6 +365,58 @@ fn an_lsh_shard_compacts_without_allocating_a_table() {
             4 * n
         );
         assert_eq!(serving.len(), n - dead);
+    }
+}
+
+#[test]
+fn a_brute_shard_writes_and_ranks_in_place() {
+    const K: usize = 10;
+    // What one write or one ranking may hold at any `n`: the engine's lists for one
+    // query's chunk, plus the best-`k` list and the reply (a few words a result).
+    let bound = KIB + 64 * K;
+    // A rebuild moved every vector into an `(id, vector)` list and refilled the id
+    // map (~50 B a vector); a ranking listed every slot and scored it (24 B a
+    // vector): at n = 2000 both are far above the bound, and they grow with n where
+    // the bound does not. (Measured: 0 B a delete, 0 B an insert, under 1 KiB a
+    // ranking at both sizes.)
+    assert!(bound < 24 * 2000);
+    // A low threshold, so that about half the vectors are acceptable to a query and
+    // the selection has hundreds of results to rank.
+    let spec = JoinSpec::new(0.05, 0.5, JoinVariant::Signed).unwrap();
+    let config = ServingConfig {
+        engine: EngineConfig::serial(),
+        ..ServingConfig::default()
+    };
+    for n in [2000usize, 8000] {
+        // Even ids, so an odd one belongs between two held ones.
+        let index = AnyIndex::Brute(BruteForceMipsIndex::new(vectors(0xB7, n), spec));
+        let ids = (0..n as u64).map(|i| 2 * i).collect();
+        let snapshot = Snapshot::with_ids(index, ids, 2 * n as u64).unwrap();
+        let mut serving = ServingIndex::from_snapshot(snapshot, config).unwrap();
+        let middle = n as u64;
+        let span = Span::begin();
+        serving.delete(middle).unwrap();
+        let delete = span.held();
+        // Its vector is the caller's; the insert moves it in and allocates nothing
+        // (the slot the delete freed leaves room in every list).
+        let v = vectors(0xB8, 1).pop().unwrap();
+        let expected = v.clone();
+        let span = Span::begin();
+        serving.insert_with_id(middle + 1, v).unwrap();
+        let insert = span.held();
+        assert_eq!(serving.vector(middle + 1).unwrap(), &expected);
+        let queries = vectors(0xB9, 1);
+        let span = Span::begin();
+        let top = serving.query_top_k(&queries, K).unwrap();
+        let ranking = span.held();
+        assert_eq!(top.len(), K);
+        assert_eq!(serving.stats().rebuilds, 0);
+        for (what, bytes) in [("delete", delete), ("insert", insert), ("top-k", ranking)] {
+            assert!(
+                bytes <= bound,
+                "n = {n}: a brute {what} held {bytes} bytes, above {bound}"
+            );
+        }
     }
 }
 
