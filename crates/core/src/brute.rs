@@ -26,8 +26,11 @@ pub fn brute_force_join(
     }
     let mut out = Vec::new();
     for (j, q) in queries.iter().enumerate() {
-        if let Some(pair) = best_for_query(data, q, j, spec)? {
-            out.push(pair);
+        if let Some(pair) = brute_force_mips(data, q, spec)? {
+            out.push(MatchPair {
+                query_index: j,
+                ..pair
+            });
         }
     }
     Ok(out)
@@ -46,26 +49,12 @@ pub fn brute_force_mips(
     query: &DenseVector,
     spec: &JoinSpec,
 ) -> Result<Option<MatchPair>> {
-    if data.is_empty() {
-        return Err(CoreError::EmptyDataSet);
-    }
-    best_for_query(data, query, 0, spec)
-}
-
-fn best_for_query(
-    data: &[DenseVector],
-    q: &DenseVector,
-    query_index: usize,
-    spec: &JoinSpec,
-) -> Result<Option<MatchPair>> {
-    // One-query batch through the shared kernel, so the argmax tie-breaking and
-    // promise filter have a single definition crate-wide.
-    let hit = data_major_batch(data, std::slice::from_ref(q), spec)?
-        .pop()
-        .flatten();
-    Ok(hit.map(|h| MatchPair {
+    // A one-query batch through the shared scan, so the tie rule, the promise filter
+    // and the empty-data error have one definition crate-wide.
+    let hit = data_major_batch(data, std::slice::from_ref(query), spec)?;
+    Ok(hit[0].map(|h| MatchPair {
         data_index: h.data_index,
-        query_index,
+        query_index: 0,
         inner_product: h.inner_product,
     }))
 }

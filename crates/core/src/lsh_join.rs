@@ -7,9 +7,10 @@
 //! its parts. So [`run`] draws the tables' composites a group at a time, hashes the data
 //! (through [`LshIndex::extend_blocks`]) and the queries against that group's planes
 //! only, folds each query's best candidate of the group into a running [`ShardParts`]
-//! with [`beats`], drops the group and draws the next; [`merge_two_step`] finishes each
-//! query. This is the partition-at-a-time join of Pagh, Pham, Silvestri and Stöckel,
-//! "I/O-efficient similarity join" (ESA 2015), with groups of tables as the partition.
+//! with [`keep_best`], drops the group and draws the next; [`merge_two_step`] finishes
+//! each query. This is the partition-at-a-time join of Pagh, Pham, Silvestri and
+//! Stöckel, "I/O-efficient similarity join" (ESA 2015), with groups of tables as the
+//! partition.
 //!
 //! **The index's answers, bit for bit.** Four things are what they are in an index
 //! build followed by a [`JoinEngine`](crate::engine::JoinEngine) pass:
@@ -17,9 +18,9 @@
 //!   at a time instead of all at once;
 //! - each plane's margins, summed over ascending `j` by the same kernel, so every key;
 //! - the candidate union: per table, so per group, and the union of the groups';
-//! - the tie rule: a group's best is the strict-`>` scan over its ascending candidates,
-//!   and [`beats`] — higher value, then lower id — folds the groups' bests into the best
-//!   of the union with the lowest id among equals.
+//! - the tie rule: [`keep_best`] — higher value, then lower id — picks a group's best
+//!   among its candidates and folds the groups' bests into the best of the union with
+//!   the lowest id among equals.
 //!
 //! A candidate that collides in several groups is scored once per group, to the same
 //! bits each time. A re-scoring cap cuts the candidate union over *every* table, so under
@@ -47,7 +48,7 @@ use crate::engine::EngineConfig;
 use crate::error::Result;
 use crate::lsh_mips::{best_candidate, common_dim, diagonal_hit, slot_id, SphereMap, BUILD_BLOCK};
 use crate::problem::{JoinSpec, MatchPair};
-use crate::shard::{beats, merge_two_step, ShardParts};
+use crate::shard::{keep_best, merge_two_step, ShardParts};
 use ips_linalg::par::{map_blocks, Schedule};
 use ips_linalg::DenseVector;
 use ips_lsh::bank::{Point, Side};
@@ -213,9 +214,7 @@ pub(crate) fn run<M: JoinMap, R: Rng + ?Sized>(
                         best_candidate(&spec, data, q, candidates)
                     })?;
                     if let Some(hit) = hit {
-                        if part.best.is_none_or(|best| beats(&spec, &hit, &best)) {
-                            part.best = Some(hit);
-                        }
+                        keep_best(&spec, &mut part.best, hit);
                     }
                 }
                 Ok(())

@@ -13,11 +13,11 @@ use crate::diagonal::Diagonal;
 use crate::error::{CoreError, Result};
 use crate::mips::{MipsIndex, SearchResult};
 use crate::problem::JoinSpec;
-use crate::shard::ShardParts;
+use crate::shard::{keep_best, ShardParts};
 use crate::slots::Renumbering;
 use crate::topk::TopKMipsIndex;
 use ips_linalg::par::Schedule;
-use ips_linalg::DenseVector;
+use ips_linalg::{score_block, DenseVector};
 use ips_lsh::bank::{Point, Side};
 pub use ips_lsh::table::BUILD_BLOCK;
 use ips_lsh::table::{BlockHasher, IndexParams, LshIndex};
@@ -153,29 +153,23 @@ pub(crate) fn diagonal_hit<M: SphereMap>(
         .transpose()
 }
 
-/// The best of `candidates` (ascending slots of `data`) by exact re-scoring — strict
-/// `>`, so ties keep the lowest slot — unfiltered by the relaxed threshold.
+/// The best of `candidates` (slots of `data`) by exact re-scoring, ranked by
+/// [`keep_best`] — unfiltered by the relaxed threshold.
 pub(crate) fn best_candidate(
     spec: &JoinSpec,
     data: &[DenseVector],
     query: &DenseVector,
     candidates: Vec<usize>,
 ) -> Result<Option<SearchResult>> {
-    let mut best: Option<SearchResult> = None;
-    for i in candidates {
-        let ip = data[i].dot(query)?;
-        let value = spec.variant.value(ip);
-        let better = best
-            .as_ref()
-            .map(|b| value > spec.variant.value(b.inner_product))
-            .unwrap_or(true);
-        if better {
-            best = Some(SearchResult {
-                data_index: i,
-                inner_product: ip,
-            });
-        }
-    }
+    let mut best = None;
+    let rows = candidates.into_iter().map(|i| (i, &data[i]));
+    score_block(rows, [query], |data_index, _, inner_product| {
+        let hit = SearchResult {
+            data_index,
+            inner_product,
+        };
+        keep_best(spec, &mut best, hit);
+    })?;
     Ok(best)
 }
 
@@ -475,15 +469,6 @@ impl<'a, M: SphereMap> LshMips<'a, M> {
     fn diagonal_hit(&self, query: &DenseVector, key: Option<u64>) -> Result<Option<SearchResult>> {
         diagonal_hit(&self.map, &self.diagonal, &self.data, query, key)
     }
-
-    /// The best LSH candidate by exact re-scoring, unfiltered by the relaxed threshold.
-    fn best_candidate(
-        &self,
-        query: &DenseVector,
-        point: Point<'_>,
-    ) -> Result<Option<SearchResult>> {
-        best_candidate(&self.spec, &self.data, query, self.gather(point)?)
-    }
 }
 
 impl<M: SphereMap> MipsIndex for LshMips<'_, M> {
@@ -506,9 +491,8 @@ impl<M: SphereMap> MipsIndex for LshMips<'_, M> {
             }
             // Step 2: LSH lookup plus exact re-scoring. Only answers clearing the
             // relaxed threshold cs are reported (Definition 1).
-            Ok(self
-                .best_candidate(query, point)?
-                .filter(|b| self.spec.acceptable(b.inner_product)))
+            let best = best_candidate(&self.spec, &self.data, query, self.gather(point)?)?;
+            Ok(best.filter(|b| self.spec.acceptable(b.inner_product)))
         })
     }
 }
@@ -583,7 +567,7 @@ impl<M: SphereMap> LshOps for LshMips<'_, M> {
         self.map.with_point(Side::Query, query, |point, key| {
             Ok(ShardParts {
                 exact: self.diagonal_hit(query, key)?,
-                best: self.best_candidate(query, point)?,
+                best: best_candidate(&self.spec, &self.data, query, self.gather(point)?)?,
             })
         })
     }

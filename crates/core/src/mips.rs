@@ -7,8 +7,9 @@
 
 use crate::brute::brute_force_mips;
 use crate::error::Result;
-use crate::problem::{JoinSpec, MatchPair};
-use ips_linalg::DenseVector;
+use crate::problem::{JoinSpec, JoinVariant, MatchPair};
+use crate::shard::keep_best;
+use ips_linalg::{score_block, DenseVector};
 use ips_sketch::recovery::MipsCandidate;
 use std::borrow::Cow;
 
@@ -176,10 +177,10 @@ impl MipsIndex for BruteForceMipsIndex<'_> {
         Ok(brute_force_mips(&self.data, query, &self.spec)?.map(SearchResult::from))
     }
 
-    /// Data-major scan: each data vector is loaded once and scored against the whole
-    /// batch, instead of streaming the full data set past every query. Same results as
-    /// the serial loop (strict `>` keeps the earliest argmax either way), much friendlier
-    /// to the cache for wide batches. A non-default scoring kernel
+    /// Data-major scan ([`score_block`]): each data vector is loaded once and scored
+    /// against the whole batch, instead of streaming the full data set past every query.
+    /// Same results as the serial loop (ties keep the lowest index either way), much
+    /// friendlier to the cache for wide batches. A non-default scoring kernel
     /// ([`BruteForceMipsIndex::with_options`]) dispatches through the tiled
     /// `f32` path instead.
     fn search_batch(&self, queries: &[DenseVector]) -> Result<Vec<Option<SearchResult>>> {
@@ -205,34 +206,39 @@ pub(crate) fn data_major_batch(
         return Err(crate::error::CoreError::EmptyDataSet);
     }
     let mut best: Vec<Option<SearchResult>> = vec![None; queries.len()];
-    for (i, p) in data.iter().enumerate() {
-        for (j, q) in queries.iter().enumerate() {
-            // Hot loop: skip the checked dot's length test and error
-            // allocation when the dimensions agree (`dot_unchecked_len` is
-            // bit-identical to `dot`); fall back to the checked path so a
-            // mismatched batch fails exactly as the serial loop would.
-            let ip = if p.dim() == q.dim() {
-                p.dot_unchecked_len(q)
-            } else {
-                p.dot(q)?
-            };
-            let value = spec.variant.value(ip);
-            let better = best[j]
-                .as_ref()
-                .map(|b| value > spec.variant.value(b.inner_product))
-                .unwrap_or(true);
-            if better {
-                best[j] = Some(SearchResult {
-                    data_index: i,
-                    inner_product: ip,
-                });
-            }
-        }
+    // Each arm hands `keep_best` a spec whose variant is a constant, so the pair loop
+    // compiles without a variant test per score.
+    let fixed = |variant| JoinSpec { variant, ..*spec };
+    match spec.variant {
+        JoinVariant::Signed => scan(data, queries, &fixed(JoinVariant::Signed), &mut best)?,
+        JoinVariant::Unsigned => scan(data, queries, &fixed(JoinVariant::Unsigned), &mut best)?,
     }
     Ok(best
         .into_iter()
         .map(|slot| slot.filter(|b| spec.satisfies_promise(b.inner_product)))
         .collect())
+}
+
+/// [`data_major_batch`]'s pair loop under one spec.
+#[inline(always)]
+fn scan(
+    data: &[DenseVector],
+    queries: &[DenseVector],
+    spec: &JoinSpec,
+    best: &mut [Option<SearchResult>],
+) -> Result<()> {
+    score_block(
+        data.iter().enumerate(),
+        queries,
+        |data_index, j, inner_product| {
+            let hit = SearchResult {
+                data_index,
+                inner_product,
+            };
+            keep_best(spec, &mut best[j], hit);
+        },
+    )?;
+    Ok(())
 }
 
 /// The Section 4.3 linear-sketch structure behind the common [`MipsIndex`] interface.

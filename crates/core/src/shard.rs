@@ -55,19 +55,35 @@ pub struct ShardParts {
 /// first, ties toward the lower data index — exactly the order a strict-`>`
 /// scan over ascending candidate indices settles on.
 ///
-/// This is the one ranking order of the workspace: the single-partner merges
-/// here, every top-`k` selection ([`crate::topk::BestK`]) and the sharded and
-/// serving top-`k` merges built on it. It is a strict total order on results
-/// with distinct data indices because the values that reach a ranking are
-/// finite or infinite but never NaN: [`JoinSpec::acceptable`] is false for a
-/// NaN inner product, and the serving layers refuse a vector with a NaN
-/// coordinate on insert.
+/// This is the one ranking order of `ips-core` and `ips-store`. Every single-partner
+/// choice ranks with it through [`keep_best`]: the brute scan, LSH re-scoring in the
+/// index and in the LSH join (and the join's fold of its table groups), the serving
+/// layer's merge of pending inserts, [`merge_best`] and [`merge_two_step`]. Every
+/// top-`k` ranks with it through [`crate::topk::BestK`]: the index searches,
+/// [`merge_top_k`] and the serving layer's top-`k` merge. The sketch structure, below
+/// this crate, keeps its own unsigned first-strict-`>` rule.
+///
+/// It is a strict total order on results with distinct data indices because the
+/// values that reach a ranking are finite or infinite but never NaN:
+/// [`JoinSpec::acceptable`] is false for a NaN inner product, and the serving
+/// layers refuse a vector with a non-finite coordinate on a fresh build and on
+/// insert (a loaded snapshot is not checked).
+#[inline]
 pub fn beats(spec: &JoinSpec, a: &SearchResult, b: &SearchResult) -> bool {
     let (va, vb) = (
         spec.variant.value(a.inner_product),
         spec.variant.value(b.inner_product),
     );
     va > vb || (va == vb && a.data_index < b.data_index)
+}
+
+/// Puts `hit` in `best` when `best` is empty or `hit` [`beats`] it: the one step of
+/// every single-partner choice, and what [`merge_best`] folds.
+#[inline]
+pub fn keep_best(spec: &JoinSpec, best: &mut Option<SearchResult>, hit: SearchResult) {
+    if best.as_ref().is_none_or(|b| beats(spec, &hit, b)) {
+        *best = Some(hit);
+    }
 }
 
 /// Merges per-shard single-partner answers into the global best.
@@ -82,12 +98,9 @@ pub fn merge_best(
     spec: &JoinSpec,
     hits: impl IntoIterator<Item = SearchResult>,
 ) -> Option<SearchResult> {
-    let mut best: Option<SearchResult> = None;
+    let mut best = None;
     for hit in hits {
-        let better = best.as_ref().map(|b| beats(spec, &hit, b)).unwrap_or(true);
-        if better {
-            best = Some(hit);
-        }
+        keep_best(spec, &mut best, hit);
     }
     best
 }

@@ -14,7 +14,7 @@ use crate::lsh_mips::{LshMips, LshOps, SphereMap};
 use crate::mips::{BruteForceMipsIndex, MipsIndex, SearchResult};
 use crate::problem::JoinSpec;
 use crate::shard::beats;
-use ips_linalg::DenseVector;
+use ips_linalg::{score_block, DenseVector};
 use std::cmp::Ordering;
 
 /// A MIPS index that can report several partners per query.
@@ -124,15 +124,15 @@ fn rescore_candidates(
     k: usize,
 ) -> Result<Vec<SearchResult>> {
     let mut best = BestK::new(spec, k);
-    for i in candidates {
-        let ip = data[i].dot(query)?;
-        if spec.acceptable(ip) {
+    let rows = candidates.into_iter().map(|i| (i, &data[i]));
+    score_block(rows, [query], |data_index, _, inner_product| {
+        if spec.acceptable(inner_product) {
             best.offer(SearchResult {
-                data_index: i,
-                inner_product: ip,
+                data_index,
+                inner_product,
             });
         }
-    }
+    })?;
     Ok(best.into_vec())
 }
 

@@ -56,5 +56,5 @@ pub use binary::BinaryVector;
 pub use error::{LinalgError, Result};
 pub use matrix::Matrix;
 pub use sign::SignVector;
-pub use tile::FloatTile;
+pub use tile::{score_block, FloatTile};
 pub use vector::DenseVector;

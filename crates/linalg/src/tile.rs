@@ -18,7 +18,9 @@
 //! hygiene: they skip the per-call length check and error-string allocation of
 //! the checked [`DenseVector`] methods while preserving the
 //! exact accumulation order, so routing an engine loop through them is
-//! bit-identical to the checked path.
+//! bit-identical to the checked path. [`score_block`] is the one exact scoring loop
+//! built on them: the brute scan, LSH re-scoring, the serving overlay and the sketch
+//! leaves all score their candidates through it.
 
 use crate::error::{LinalgError, Result};
 use crate::vector::DenseVector;
@@ -37,6 +39,34 @@ const F32_LANES: usize = 8;
 pub fn dot_slices(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len(), "dot_slices requires equal lengths");
     a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
+}
+
+/// The one exact scoring loop: calls `emit(row_index, query_position, score)` for every
+/// row against every query, data-major (each row against all queries before the next).
+/// Rows come in the order given, each with the index `emit` reports; every score has
+/// [`DenseVector::dot`]'s bits, and the first pair whose dimensions differ fails with
+/// `dot`'s error. Over ascending rows, a first-strict-`>` rule per query keeps the
+/// lowest index among equal scores, as a query-at-a-time scan does.
+#[inline]
+pub fn score_block<'r, 'q, Q>(
+    rows: impl IntoIterator<Item = (usize, &'r DenseVector)>,
+    queries: Q,
+    mut emit: impl FnMut(usize, usize, f64),
+) -> Result<()>
+where
+    Q: IntoIterator<Item = &'q DenseVector> + Clone,
+{
+    for (i, p) in rows {
+        for (j, q) in queries.clone().into_iter().enumerate() {
+            let score = if p.dim() == q.dim() {
+                dot_slices(p.as_slice(), q.as_slice())
+            } else {
+                p.dot(q)?
+            };
+            emit(i, j, score);
+        }
+    }
+    Ok(())
 }
 
 /// `y += alpha · x` over equal-length `f64` slices, in the exact accumulation
@@ -201,6 +231,29 @@ mod tests {
         let checked = a.dot(&b).unwrap();
         let fast = dot_slices(a.as_slice(), b.as_slice());
         assert_eq!(checked.to_bits(), fast.to_bits());
+    }
+
+    #[test]
+    fn score_block_is_data_major_with_dot_bits_and_fails_at_the_first_mismatch() {
+        let rows = [dv(&[0.1, -0.7, 0.33]), dv(&[1e-9, 123.456, -2.5])];
+        let queries = [dv(&[-3.3, 0.2, 1.5]), dv(&[2e9, -0.001, 4.25])];
+        let mut seen = Vec::new();
+        score_block([(7, &rows[0]), (3, &rows[1])], &queries, |i, j, s| {
+            seen.push((i, j, s.to_bits()))
+        })
+        .unwrap();
+        let expected: Vec<_> = [(7, 0), (3, 1)]
+            .iter()
+            .flat_map(|&(i, r)| (0..2).map(move |j| (i, j, r)))
+            .map(|(i, j, r)| (i, j, rows[r].dot(&queries[j]).unwrap().to_bits()))
+            .collect();
+        assert_eq!(seen, expected);
+        // The pairs before the mismatch are emitted, then `dot`'s error.
+        let ragged = [dv(&[1.0, 0.0, 0.0]), dv(&[1.0])];
+        let mut emitted = 0;
+        let err = score_block(ragged.iter().enumerate(), &queries, |_, _, _| emitted += 1);
+        assert_eq!(err, Err(ragged[1].dot(&queries[0]).unwrap_err()));
+        assert_eq!(emitted, 2);
     }
 
     #[test]

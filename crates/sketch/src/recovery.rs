@@ -41,7 +41,7 @@ use crate::cost::splits;
 use crate::error::{uniform_dim, Result, SketchError};
 use crate::linf_mips::{with_scratch, MaxIpConfig, MaxIpEstimator};
 use ips_linalg::par::{map_blocks, Schedule};
-use ips_linalg::DenseVector;
+use ips_linalg::{score_block, DenseVector};
 use rand::Rng;
 use std::borrow::Cow;
 use std::ops::Range;
@@ -58,6 +58,12 @@ pub struct MipsCandidate {
     /// The exact inner product of that vector with the query.
     pub inner_product: f64,
 }
+
+/// What a scan's answer holds until its first row overwrites it.
+const UNSET: MipsCandidate = MipsCandidate {
+    index: 0,
+    inner_product: 0.0,
+};
 
 /// One node of the recovery prefix tree.
 ///
@@ -279,27 +285,20 @@ impl<'a> SketchMipsIndex<'a> {
                 Node::Leaf { range } => break range.clone(),
             }
         });
-        Ok(scan_leaf(&self.data, leaf, q))
+        let mut best = [UNSET];
+        scan_leaf(&self.data, leaf, [q], &mut best)?;
+        Ok(best[0])
     }
 
     /// Exact (quadratic-time) maximiser of `|p_iᵀq|`, used as ground truth by the
-    /// experiments.
+    /// experiments: the scan of a leaf holding the whole data set.
     pub fn exact_max(&self, q: &DenseVector) -> Result<MipsCandidate> {
-        let mut best: Option<MipsCandidate> = None;
-        for (i, p) in self.data.iter().enumerate() {
-            let ip = p.dot(q)?;
-            if best
-                .as_ref()
-                .map(|b| ip.abs() > b.inner_product.abs())
-                .unwrap_or(true)
-            {
-                best = Some(MipsCandidate {
-                    index: i,
-                    inner_product: ip,
-                });
-            }
+        if self.data.is_empty() {
+            return Err(SketchError::EmptyDataSet);
         }
-        best.ok_or(SketchError::EmptyDataSet)
+        let mut best = [UNSET];
+        scan_leaf(&self.data, 0..self.data.len(), [q], &mut best)?;
+        Ok(best[0])
     }
 }
 
@@ -375,23 +374,25 @@ fn goes_left(
     left.estimate_with(q.as_slice(), scratch) >= right.estimate_with(q.as_slice(), scratch)
 }
 
-/// The exact end of a walk: the first vector of the non-empty `leaf` whose `|p·q|` no
-/// later one beats strictly.
-fn scan_leaf(data: &[DenseVector], leaf: Range<usize>, q: &DenseVector) -> MipsCandidate {
-    let mut best = MipsCandidate {
-        index: leaf.start,
-        inner_product: data[leaf.start].dot_unchecked_len(q),
-    };
-    for i in leaf.start + 1..leaf.end {
-        let ip = data[i].dot_unchecked_len(q);
-        if ip.abs() > best.inner_product.abs() {
-            best = MipsCandidate {
-                index: i,
-                inner_product: ip,
+/// The exact end of a walk, for each of `queries` at once: `best[j]` becomes the first
+/// vector of the non-empty `leaf` whose `|p·q_j|` no later one beats strictly.
+fn scan_leaf<'q>(
+    data: &[DenseVector],
+    leaf: Range<usize>,
+    queries: impl IntoIterator<Item = &'q DenseVector> + Clone,
+    best: &mut [MipsCandidate],
+) -> Result<()> {
+    let first = leaf.start;
+    let rows = leaf.clone().zip(&data[leaf]);
+    score_block(rows, queries, |index, j, inner_product| {
+        if index == first || inner_product.abs() > best[j].inner_product.abs() {
+            best[j] = MipsCandidate {
+                index,
+                inner_product,
             };
         }
-    }
-    best
+    })?;
+    Ok(())
 }
 
 /// Section 4.3 as a join: for every query, in query order, the candidate
@@ -437,10 +438,6 @@ pub fn join_walk<R: Rng + ?Sized>(
             queries.len()
         ),
     })?;
-    let unset = MipsCandidate {
-        index: 0,
-        inner_product: 0.0,
-    };
     let mut walk = Walk {
         tree: Tree {
             data,
@@ -452,11 +449,11 @@ pub fn join_walk<R: Rng + ?Sized>(
         schedule,
         order: (0..m).collect(),
         turned_left: vec![false; queries.len()],
-        best: vec![unset; queries.len()],
+        best: vec![UNSET; queries.len()],
         spill: Vec::with_capacity(queries.len()),
     };
     walk.node(rng, 0..data.len(), 0..queries.len())?;
-    let mut found = vec![unset; queries.len()];
+    let mut found = vec![UNSET; queries.len()];
     for (&q, &best) in walk.order.iter().zip(&walk.best) {
         found[q as usize] = best;
     }
@@ -551,10 +548,8 @@ impl Walk<'_> {
             .zip(self.best[at].chunks_mut(block))
             .collect();
         map_blocks(self.schedule.threads, &mut blocks, |_, (order, best)| {
-            for (&q, best) in order.iter().zip(best.iter_mut()) {
-                *best = scan_leaf(data, range.clone(), &queries[q as usize]);
-            }
-            Ok::<(), SketchError>(())
+            let block = order.iter().map(|&q| &queries[q as usize]);
+            scan_leaf(data, range.clone(), block, best)
         })?;
         Ok(())
     }

@@ -41,7 +41,6 @@
 //! raised ALSH query radius) are what gets built, exactly as `ips build
 //! algorithm=auto` has always behaved.
 
-use crate::coalesce::{CoalesceConfig, Coalescer};
 use crate::error::{Result, StoreError};
 use crate::serving::{IndexConfig, ServingConfig, ServingIndex};
 use crate::sharded::{ShardedConfig, ShardedServingIndex};
@@ -110,7 +109,6 @@ pub struct IndexBuilder {
     seed: u64,
     probes: Option<usize>,
     shards: Option<usize>,
-    coalesce: CoalesceConfig,
 }
 
 impl IndexBuilder {
@@ -129,7 +127,6 @@ impl IndexBuilder {
             seed: serving.seed,
             probes: serving.probes,
             shards: None,
-            coalesce: CoalesceConfig::default(),
         }
     }
 
@@ -244,21 +241,6 @@ impl IndexBuilder {
         self
     }
 
-    /// How long the query coalescer of [`IndexBuilder::serve_coalescing`] waits
-    /// for concurrent requests to merge, in microseconds (default 200; `0`
-    /// disables coalescing). See [`CoalesceConfig::window_micros`].
-    pub fn coalesce_window_micros(mut self, micros: u64) -> Self {
-        self.coalesce.window_micros = micros;
-        self
-    }
-
-    /// Maximum query vectors merged into one coalesced engine pass (default 32;
-    /// reaching it closes the window early). See [`CoalesceConfig::max_batch`].
-    pub fn coalesce_max(mut self, max_batch: usize) -> Self {
-        self.coalesce.max_batch = max_batch;
-        self
-    }
-
     /// The serving-time configuration this builder describes.
     fn serving_config(&self) -> ServingConfig {
         ServingConfig {
@@ -357,16 +339,6 @@ impl IndexBuilder {
                 )
             }
         }
-    }
-
-    /// Terminal call: [`IndexBuilder::serve_sharded`] wrapped in a query
-    /// [`Coalescer`] configured by [`IndexBuilder::coalesce_window_micros`] /
-    /// [`IndexBuilder::coalesce_max`] — the entry point of the network serving
-    /// front-end, where concurrent single queries merge into one engine pass.
-    pub fn serve_coalescing(self) -> Result<Coalescer> {
-        let coalesce = self.coalesce;
-        let serving = self.serve_sharded()?;
-        Ok(Coalescer::new(std::sync::Arc::new(serving), coalesce))
     }
 
     fn reject_spec_on_snapshot(&self) -> Result<()> {

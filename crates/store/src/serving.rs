@@ -46,10 +46,11 @@ use crate::snapshot::{AnyIndex, IndexFamily, Snapshot, SnapshotRef, ViewMut};
 use ips_core::engine::{EngineConfig, JoinEngine};
 use ips_core::mips::{BruteForceMipsIndex, MipsIndex, SearchResult, SketchMipsAdapter};
 use ips_core::problem::{JoinSpec, MatchPair};
+use ips_core::shard::keep_best;
 use ips_core::topk::{BestK, TopKMipsIndex};
 use ips_core::LshMips;
 use ips_linalg::par::{available_threads, Schedule};
-use ips_linalg::DenseVector;
+use ips_linalg::{score_block, DenseVector};
 use ips_lsh::table::BUILD_BLOCK;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -216,7 +217,8 @@ pub struct ServingIndex {
     primary_ids: Vec<u64>,
     /// Live external id → primary slot.
     id_to_slot: HashMap<u64, usize>,
-    /// Sketch-family inserts not yet absorbed by a rebuild, in id order.
+    /// Sketch-family inserts not yet absorbed by a rebuild, in arrival order (the
+    /// sharded layer can route concurrent ids out of order; queries rank by id).
     overlay: Vec<(u64, DenseVector)>,
     /// Sketch-family deletes not yet absorbed by a rebuild.
     tombstones: HashSet<u64>,
@@ -254,6 +256,21 @@ pub(crate) fn build_index(
     })
 }
 
+/// Refuses a vector with a NaN or infinite coordinate, so no family ranks a score that
+/// compares false with everything. The public entry points check here: the fresh
+/// builds ([`ServingIndex::build`], `ShardedServingIndex::build`) and the inserts
+/// ([`ServingIndex::insert_with_id`], `ShardedServingIndex::insert`). A rebuild does
+/// not, so a loaded snapshot that holds such a vector keeps it.
+pub(crate) fn finite(v: &DenseVector) -> Result<()> {
+    match v.iter().find(|x| !x.is_finite()) {
+        Some(x) => Err(StoreError::InvalidParameter {
+            name: "v",
+            reason: format!("non-finite coordinate `{x}`"),
+        }),
+        None => Ok(()),
+    }
+}
+
 fn extract_index_config(index: &AnyIndex) -> IndexConfig {
     match index {
         AnyIndex::Brute(_) => IndexConfig::Brute,
@@ -281,6 +298,7 @@ impl ServingIndex {
                 reason: "a serving index needs at least one vector".into(),
             });
         }
+        data.iter().try_for_each(finite)?;
         let primary = build_index(data, spec, index_config, config.seed, available_threads())?;
         Self::from_snapshot(Snapshot::new(primary), config)
     }
@@ -530,6 +548,7 @@ impl ServingIndex {
                 reason: format!("dimension {} != index dimension {}", v.dim(), self.dim),
             });
         }
+        finite(&v)?;
         // Ids at or above the allocator are fresh by construction; below it, the id
         // may have been used before (even a tombstoned LSH slot still owns its id),
         // so every holder of old ids is consulted.
@@ -752,29 +771,33 @@ impl ServingIndex {
 pub struct ServingView<'a>(pub &'a ServingIndex);
 
 impl ServingView<'_> {
-    fn merge_overlay(
+    /// A primary answer under its external id, unless that id is tombstoned.
+    fn external(&self, hit: SearchResult) -> Option<SearchResult> {
+        let id = self.0.primary_ids[hit.data_index];
+        (!self.0.tombstones.contains(&id)).then_some(SearchResult {
+            data_index: id as usize,
+            inner_product: hit.inner_product,
+        })
+    }
+
+    /// Scores the pending overlay against `query` and hands every acceptable hit, under
+    /// its external id, to `keep`.
+    fn overlay_hits(
         &self,
         query: &DenseVector,
-        mut best: Option<SearchResult>,
-    ) -> ips_core::Result<Option<SearchResult>> {
+        mut keep: impl FnMut(SearchResult),
+    ) -> ips_core::Result<()> {
         let spec = self.0.spec;
-        for (id, v) in &self.0.overlay {
-            let ip = v.dot(query)?;
-            if !spec.acceptable(ip) {
-                continue;
-            }
-            let better = best
-                .as_ref()
-                .map(|b| spec.variant.value(ip) > spec.variant.value(b.inner_product))
-                .unwrap_or(true);
-            if better {
-                best = Some(SearchResult {
-                    data_index: *id as usize,
-                    inner_product: ip,
+        let rows = self.0.overlay.iter().map(|(id, v)| (*id as usize, v));
+        score_block(rows, [query], |data_index, _, inner_product| {
+            if spec.acceptable(inner_product) {
+                keep(SearchResult {
+                    data_index,
+                    inner_product,
                 });
             }
-        }
-        Ok(best)
+        })?;
+        Ok(())
     }
 }
 
@@ -790,18 +813,16 @@ impl MipsIndex for ServingView<'_> {
     fn search(&self, query: &DenseVector) -> ips_core::Result<Option<SearchResult>> {
         // An all-deleted serving index answers misses rather than erroring like a
         // never-built index would: an empty live set is a legal serving state.
-        let primary = if self.0.id_to_slot.is_empty() {
-            None
-        } else {
-            self.0.primary.search(query)?.and_then(|hit| {
-                let id = self.0.primary_ids[hit.data_index];
-                (!self.0.tombstones.contains(&id)).then_some(SearchResult {
-                    data_index: id as usize,
-                    inner_product: hit.inner_product,
-                })
-            })
-        };
-        self.merge_overlay(query, primary)
+        let mut best = None;
+        if !self.0.id_to_slot.is_empty() {
+            best = self
+                .0
+                .primary
+                .search(query)?
+                .and_then(|hit| self.external(hit));
+        }
+        self.overlay_hits(query, |hit| keep_best(&self.0.spec, &mut best, hit))?;
+        Ok(best)
     }
 }
 
@@ -810,25 +831,12 @@ impl TopKMipsIndex for ServingView<'_> {
         let spec = self.0.spec;
         let mut best = BestK::new(&spec, k);
         if !self.0.id_to_slot.is_empty() {
-            for hit in self.0.primary.search_top_k(query, k)? {
-                let id = self.0.primary_ids[hit.data_index];
-                if !self.0.tombstones.contains(&id) {
-                    best.offer(SearchResult {
-                        data_index: id as usize,
-                        inner_product: hit.inner_product,
-                    });
-                }
+            let primary = self.0.primary.search_top_k(query, k)?;
+            for hit in primary.into_iter().filter_map(|hit| self.external(hit)) {
+                best.offer(hit);
             }
         }
-        for (id, v) in &self.0.overlay {
-            let ip = v.dot(query)?;
-            if spec.acceptable(ip) {
-                best.offer(SearchResult {
-                    data_index: *id as usize,
-                    inner_product: ip,
-                });
-            }
-        }
+        self.overlay_hits(query, |hit| best.offer(hit))?;
         Ok(best.into_vec())
     }
 }
@@ -836,6 +844,7 @@ impl TopKMipsIndex for ServingView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sharded::{ShardedConfig, ShardedServingIndex};
     use ips_core::asymmetric::AlshParams;
     use ips_core::problem::JoinVariant;
     use ips_core::symmetric::SymmetricParams;
@@ -1142,19 +1151,26 @@ mod tests {
         let data = vectors(0x77, 40, dim, 0.9);
         let mut poisoned = data[0].clone();
         poisoned[3] = f64::NAN;
+        let mut infinite = data[0].clone();
+        infinite[5] = f64::NEG_INFINITY;
         for index_config in [
+            IndexConfig::Brute,
             IndexConfig::Alsh(AlshParams::default()),
             IndexConfig::Symmetric(SymmetricParams::default()),
+            IndexConfig::Sketch {
+                config: MaxIpConfig::default(),
+                leaf_size: 4,
+            },
         ] {
-            // NaN compares false with everything, `norm > 1` included.
+            // NaN compares false with everything, so one check refuses it for every
+            // family before any of them ranks a score.
             let mut serving =
                 ServingIndex::build(data.clone(), spec(), index_config, ServingConfig::default())
                     .unwrap();
             let before = serving.snapshot_bytes().unwrap();
-            assert!(
-                serving.insert(poisoned.clone()).is_err(),
-                "{index_config:?}"
-            );
+            for bad in [&poisoned, &infinite] {
+                assert!(serving.insert(bad.clone()).is_err(), "{index_config:?}");
+            }
             assert_eq!(serving.len(), 40);
             assert_eq!(serving.stats().inserts, 0);
             assert_eq!(serving.snapshot_bytes().unwrap(), before);
@@ -1166,11 +1182,88 @@ mod tests {
             // A build over such a vector is refused the same way.
             let mut with_nan = data.clone();
             with_nan.push(poisoned.clone());
-            assert!(
-                ServingIndex::build(with_nan, spec(), index_config, ServingConfig::default())
-                    .is_err()
-            );
+            let config = ServingConfig::default();
+            let refused = ServingIndex::build(with_nan.clone(), spec(), index_config, config);
+            assert!(refused.is_err());
+            // The sharded layer reaches the same check on build and on insert.
+            let sharded = ShardedConfig {
+                shards: 2,
+                ..Default::default()
+            };
+            assert!(ShardedServingIndex::build(with_nan, spec(), index_config, sharded).is_err());
+            let sharded =
+                ShardedServingIndex::build(data.clone(), spec(), index_config, sharded).unwrap();
+            let dir = std::env::temp_dir().join(format!("ips-store-nan-{}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            let saved = |name: &str| {
+                let path = dir.join(format!("{name}.snap"));
+                sharded.save(&path).unwrap();
+                std::fs::read(&path).unwrap()
+            };
+            let before = saved("before");
+            for bad in [&poisoned, &infinite] {
+                assert!(sharded.insert(bad.clone()).is_err(), "{index_config:?}");
+            }
+            assert_eq!(sharded.len(), 40);
+            assert_eq!(sharded.next_id(), 40, "no id was used up");
+            assert_eq!(saved("after"), before);
+            std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    #[test]
+    fn a_loaded_sketch_snapshot_with_a_nan_coordinate_keeps_its_vectors_through_a_rebuild() {
+        // Snapshot loading does not check coordinates, so such a snapshot can exist;
+        // rebuilding it must not drop what it holds.
+        let dim = 8;
+        let mut data = vectors(0x7A, 40, dim, 0.9);
+        data[7][2] = f64::NAN;
+        let sketch = IndexConfig::Sketch {
+            config: MaxIpConfig::default(),
+            leaf_size: 4,
+        };
+        let index = build_index(data.clone(), spec(), sketch, 0, 1).unwrap();
+        let config = ServingConfig::default();
+        let mut written = ServingIndex::from_snapshot(Snapshot::new(index), config).unwrap();
+        let bytes = written.snapshot_bytes().unwrap();
+        let mut serving =
+            ServingIndex::from_snapshot(Snapshot::from_bytes(&bytes).unwrap(), config).unwrap();
+        let extra = vectors(0x7B, 1, dim, 0.9).pop().unwrap();
+        serving.insert(extra.clone()).unwrap();
+        serving.compact().unwrap();
+        assert_eq!(serving.stats().rebuilds, 1);
+        assert_eq!(serving.len(), 41);
+        let bytes = serving.snapshot_bytes().unwrap();
+        let reloaded =
+            ServingIndex::from_snapshot(Snapshot::from_bytes(&bytes).unwrap(), config).unwrap();
+        assert_eq!(reloaded.len(), 41);
+        assert_eq!(reloaded.vector(40).unwrap(), &extra);
+        assert!(reloaded.vector(7).unwrap()[2].is_nan());
+    }
+
+    #[test]
+    fn the_sketch_overlay_ranks_equal_hits_by_id_not_by_arrival() {
+        let dim = 8;
+        let data = vectors(0x78, 40, dim, 0.2);
+        let query = random_unit_vector(&mut StdRng::seed_from_u64(0x79), dim).unwrap();
+        let v = query.scaled(0.9);
+        let sketch = IndexConfig::Sketch {
+            config: MaxIpConfig::default(),
+            leaf_size: 4,
+        };
+        let mut serving =
+            ServingIndex::build(data, spec(), sketch, ServingConfig::default()).unwrap();
+        // Two equal vectors reach the overlay with the higher id first, as the sharded
+        // layer can route concurrent inserts.
+        serving.insert_with_id(50, v.clone()).unwrap();
+        serving.insert_with_id(45, v.clone()).unwrap();
+        let ids =
+            |pairs: Vec<MatchPair>| -> Vec<usize> { pairs.iter().map(|p| p.data_index).collect() };
+        let query = std::slice::from_ref(&query);
+        assert_eq!(ids(serving.query(query).unwrap()), [45]);
+        assert_eq!(ids(serving.query_top_k(query, 1).unwrap()), [45]);
+        serving.compact().unwrap();
+        assert_eq!(ids(serving.query(query).unwrap()), [45]);
     }
 
     #[test]

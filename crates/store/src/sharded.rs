@@ -61,7 +61,7 @@
 
 use crate::error::{Result, StoreError};
 use crate::format::fnv1a64;
-use crate::serving::{build_index, IndexConfig, ServingConfig, ServingIndex, ServingStats};
+use crate::serving::{build_index, finite, IndexConfig, ServingConfig, ServingIndex, ServingStats};
 use crate::serving::{Counters, ServingView};
 use crate::snapshot::{self, IndexFamily, LoadedSnapshot, Snapshot};
 use ips_core::engine::JoinEngine;
@@ -181,6 +181,7 @@ impl ShardedServingIndex {
         index_config: IndexConfig,
         config: ShardedConfig,
     ) -> Result<Self> {
+        data.iter().try_for_each(finite)?;
         let next_id = data.len() as u64;
         let entries = data
             .into_iter()
@@ -568,6 +569,7 @@ impl ShardedServingIndex {
                 reason: format!("dimension {} != index dimension {}", v.dim(), self.dim),
             });
         }
+        finite(&v)?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let mut shard = self.write_shard(&self.shards[shard_of(id, self.shards.len())]);
         match shard.as_mut() {

@@ -120,9 +120,6 @@ fn store_facade_surface_is_pinned() {
     // ...and the sharded terminal alongside it (PR 5).
     let _serve_sharded: fn(IndexBuilder) -> ips_store::Result<ips_store::ShardedServingIndex> =
         IndexBuilder::serve_sharded;
-    // ...and the coalescing terminal behind the TCP front-end (PR 7).
-    let _serve_coalescing: fn(IndexBuilder) -> ips_store::Result<ips_store::Coalescer> =
-        IndexBuilder::serve_coalescing;
     // The builder speaks the core facade's Strategy vocabulary, not its own.
     let _ = Index::build(vec![DenseVector::from(&[1.0][..])]).strategy(Strategy::Alsh);
     // Source-scan snapshot: an item *added* to the builder module fails here.
@@ -561,8 +558,6 @@ fn builder_setters_are_pinned() {
         .chunk_size(4)
         .engine(ips_core::EngineConfig::serial())
         .rebuild_threshold(0.5)
-        .coalesce_window_micros(200)
-        .coalesce_max(8)
         .seed(1)
         .probes(0)
         .serve()
@@ -577,22 +572,12 @@ fn builder_setters_are_pinned() {
         .unwrap();
     assert_eq!(sharded.shard_count(), 2);
     assert_eq!(sharded.len(), 1);
-    // The coalescing knobs route to the coalescer terminal (the TCP
-    // front-end's entry point).
-    let coalescer = Index::build(vec![DenseVector::from(&[0.9, 0.0][..])])
-        .spec(ips_core::JoinSpec::new(0.5, 0.8, ips_core::JoinVariant::Signed).unwrap())
-        .strategy(Strategy::Brute)
-        .shards(2)
-        .coalesce_window_micros(150)
-        .coalesce_max(8)
-        .serve_coalescing()
-        .unwrap();
-    assert_eq!(
-        coalescer.config(),
-        ips_store::CoalesceConfig {
-            window_micros: 150,
-            max_batch: 8,
-        }
-    );
+    // The TCP front-end's coalescer wraps a sharded index directly.
+    let config = ips_store::CoalesceConfig {
+        window_micros: 150,
+        max_batch: 8,
+    };
+    let coalescer = ips_store::Coalescer::new(std::sync::Arc::new(sharded), config);
+    assert_eq!(coalescer.config(), config);
     assert_eq!(coalescer.index().len(), 1);
 }
