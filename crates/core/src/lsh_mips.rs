@@ -614,7 +614,7 @@ pub(crate) mod suite {
     ) -> Result<LshMips<'static, M>> {
         let lsh = index.lsh_index();
         let lsh = LshIndex::from_raw_parts(
-            lsh.functions(),
+            lsh.bank().clone(),
             lsh.tables().to_vec(),
             lsh.params(),
             lsh.len(),

@@ -66,8 +66,8 @@ pub struct ShardParts {
 /// It is a strict total order on results with distinct data indices because the
 /// values that reach a ranking are finite or infinite but never NaN:
 /// [`JoinSpec::acceptable`] is false for a NaN inner product, and the serving
-/// layers refuse a vector with a non-finite coordinate on a fresh build and on
-/// insert (a loaded snapshot is not checked).
+/// layers refuse a vector with a non-finite coordinate on a fresh build, on insert
+/// and on loading a snapshot.
 #[inline]
 pub fn beats(spec: &JoinSpec, a: &SearchResult, b: &SearchResult) -> bool {
     let (va, vb) = (

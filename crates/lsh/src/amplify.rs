@@ -76,21 +76,6 @@ impl<H> AndFunction<H> {
     pub fn functions(&self) -> &[H] {
         &self.functions
     }
-
-    /// Reassembles a composite function from its components — the inverse of
-    /// [`AndFunction::functions`], used by snapshot persistence.
-    ///
-    /// Returns an error when the list is empty (a 0-wise AND hashes everything
-    /// to one bucket, which [`AndConstruction::new`] also rejects).
-    pub fn from_functions(functions: Vec<H>) -> Result<Self> {
-        if functions.is_empty() {
-            return Err(LshError::InvalidParameter {
-                name: "functions",
-                reason: "AND-function needs at least one component".into(),
-            });
-        }
-        Ok(Self { functions })
-    }
 }
 
 impl<H: AsymmetricHashFunction> AsymmetricHashFunction for AndFunction<H> {

@@ -49,15 +49,15 @@
 //! cache since the last request, where the tile's column-wise walk would stall on every
 //! row.
 //!
-//! The bank is *derived state*: [`PlaneBank::from_functions`] gathers it from
-//! snapshot-decoded functions, [`PlaneBank::sampled`] from functions drawn one table at
-//! a time (so a fresh index never holds its planes twice), and
-//! [`PlaneBank::to_functions`] scatters it back, so the snapshot format still holds
-//! per-function hyperplanes.
+//! **One form of the planes.** The bank is the only place an index holds its planes:
+//! [`PlaneBank::new`] fills each plane's column straight from its source — an index's
+//! RNG, in the order the per-function sampler draws them, or a snapshot's plane
+//! section — and [`PlaneBank::plane`] reads a plane back for the snapshot writer.
 
-use crate::amplify::{combine_hashes, AndFunction};
+use crate::amplify::combine_hashes;
+#[cfg(doc)]
+use crate::amplify::AndFunction;
 use crate::error::{LshError, Result};
-use crate::hyperplane::HyperplaneFunction;
 use crate::probe::{compose_probes, push_flips, sign_bucket, ProbeFlip};
 use crate::simple_alsh::SphereTransform;
 use ips_linalg::DenseVector;
@@ -133,214 +133,135 @@ type Walk<'a> = (&'a [f64], &'a [(usize, f64)]);
 
 fn invalid(reason: String) -> LshError {
     LshError::InvalidParameter {
-        name: "functions",
+        name: "planes",
         reason,
     }
+}
+
+/// How many planes a [`PlaneBank`] holds, and of which dimension: `tables` composites
+/// of `components` functions of `bits` planes each, every plane `rows` coefficients.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BankShape {
+    /// Composites, one per table: `L`.
+    pub tables: usize,
+    /// Functions a composite concatenates: `k`.
+    pub components: usize,
+    /// Planes per function, one sign bit each.
+    pub bits: usize,
+    /// Dimension of every plane: the embedding's output dimension.
+    pub rows: usize,
 }
 
 /// All hyperplanes of an `L`-table index, coordinate-major (see the module docs).
 #[derive(Debug, Clone)]
 pub struct PlaneBank {
     embedding: Embedding,
-    /// Dimension the planes live in (the embedding's output dimension).
-    rows: usize,
-    tables: usize,
-    components: usize,
-    bits: usize,
+    shape: BankShape,
     /// `rows × width` coefficients, `width = tables · components · bits`.
     coefficients: Vec<f64>,
 }
 
 impl PlaneBank {
-    /// Gathers the bank of `functions` (one composite per table). `parts` names a
-    /// component's embedding and hyperplanes.
+    /// The bank of `shape`'s planes under `embedding`, each written by `fill` in plane
+    /// order — table, component, plane — which is the order an index draws its planes
+    /// in and a snapshot stores them in. `fill((table, component, plane), coefficients)`
+    /// appends the plane's `rows` coefficients, coordinate by coordinate, to the empty
+    /// `coefficients`; the bank files them in the plane's column.
     ///
-    /// Everything the kernel indexes by is checked here, so a bank decoded from a
-    /// hostile snapshot fails at load instead of per query: every composite must have
-    /// the same number of components, every component the same embedding and number
-    /// of planes, every plane the embedding's output dimension, and every coefficient
-    /// must be finite. Violations are [`LshError::InvalidParameter`].
-    pub fn from_functions<H>(
-        functions: &[AndFunction<H>],
-        parts: impl Fn(&H) -> (Embedding, &HyperplaneFunction),
-    ) -> Result<Self> {
-        let first = functions
-            .first()
-            .ok_or_else(|| invalid("a plane bank needs at least one component".into()))?;
-        let mut bank = Self::shaped_like(first, functions.len(), &parts)?;
-        // Validate every shape before allocating: the bank is sized by a product of
-        // counts, which only the checks make equal to the number of coefficients
-        // actually present.
-        for (t, composite) in functions.iter().enumerate() {
-            bank.check(t, composite, &parts)?;
+    /// Everything the kernel indexes by is checked, so a bank from a hostile snapshot
+    /// fails here instead of per query. Before the bank is allocated: at least one
+    /// table and one component, `1..=64` planes a function (its bucket is a `u64` of
+    /// sign bits), `rows` equal to the embedding's output dimension, and a size within
+    /// the address space. Then every coefficient must be finite (the zero-row skip
+    /// relies on it). Violations are [`LshError::InvalidParameter`]; an error of
+    /// `fill`'s is returned as it is.
+    ///
+    /// # Panics
+    ///
+    /// If `fill` appends other than `rows` coefficients.
+    pub fn new<E: From<LshError>>(
+        embedding: Embedding,
+        shape: BankShape,
+        mut fill: impl FnMut((usize, usize, usize), &mut Vec<f64>) -> std::result::Result<(), E>,
+    ) -> std::result::Result<Self, E> {
+        let BankShape {
+            tables,
+            components,
+            bits,
+            rows,
+        } = shape;
+        if tables == 0 || components == 0 {
+            return Err(invalid(format!(
+                "a plane bank needs at least one table and one component, got {tables} and {components}"
+            ))
+            .into());
         }
-        bank.coefficients = vec![0.0; bank.rows * bank.width()];
-        for (t, composite) in functions.iter().enumerate() {
-            bank.scatter(t, composite, &parts);
+        if !(1..=64).contains(&bits) {
+            return Err(invalid(format!("need 1..=64 planes a function, got {bits}")).into());
         }
-        Ok(bank)
-    }
-
-    /// The bank of `tables` composites drawn from `sample` one at a time, each
-    /// scattered into the bank and dropped before the next is drawn — the planes are
-    /// held once, not once as functions and once as coefficients. Same checks as
-    /// [`PlaneBank::from_functions`], same bank as gathering the collected draws.
-    pub fn sampled<H>(
-        tables: usize,
-        mut sample: impl FnMut() -> Result<AndFunction<H>>,
-        parts: impl Fn(&H) -> (Embedding, &HyperplaneFunction),
-    ) -> Result<Self> {
-        if tables == 0 {
-            return Err(invalid("a plane bank needs at least one table".into()));
-        }
-        let first = sample()?;
-        let mut bank = Self::shaped_like(&first, tables, &parts)?;
-        bank.check(0, &first, &parts)?;
-        bank.coefficients = vec![0.0; bank.rows * bank.width()];
-        bank.scatter(0, &first, &parts);
-        drop(first);
-        for t in 1..tables {
-            let drawn = sample()?;
-            bank.check(t, &drawn, &parts)?;
-            bank.scatter(t, &drawn, &parts);
-        }
-        Ok(bank)
-    }
-
-    /// An empty bank of `tables` tables with the shape of `first`'s first component.
-    fn shaped_like<H>(
-        first: &AndFunction<H>,
-        tables: usize,
-        parts: &impl Fn(&H) -> (Embedding, &HyperplaneFunction),
-    ) -> Result<Self> {
-        let component = first
-            .functions()
-            .first()
-            .ok_or_else(|| invalid("a plane bank needs at least one component".into()))?;
-        let (embedding, planes) = parts(component);
-        let rows = planes.planes()[0].dim();
         if let Embedding::Sphere(transform) = &embedding {
             if transform.dim().checked_add(2) != Some(rows) {
                 return Err(invalid(format!(
                     "planes of dimension {rows} under a sphere transform of input dimension {}",
                     transform.dim()
-                )));
+                ))
+                .into());
             }
         }
-        Ok(Self {
+        let size = [components, bits, rows]
+            .into_iter()
+            .try_fold(tables, usize::checked_mul)
+            .ok_or_else(|| invalid(format!("{shape:?} overflows the address space")))?;
+        let mut bank = Self {
             embedding,
-            rows,
-            tables,
-            components: first.functions().len(),
-            bits: planes.planes().len(),
-            coefficients: Vec::new(),
-        })
-    }
-
-    /// Whether table `t`'s composite has the bank's shape and finite coefficients.
-    fn check<H>(
-        &self,
-        t: usize,
-        composite: &AndFunction<H>,
-        parts: &impl Fn(&H) -> (Embedding, &HyperplaneFunction),
-    ) -> Result<()> {
-        let (components, bits, rows) = (self.components, self.bits, self.rows);
-        if composite.functions().len() != components {
-            return Err(invalid(format!(
-                "table {t} concatenates {} components, table 0 concatenates {components}",
-                composite.functions().len()
-            )));
-        }
-        for (c, component) in composite.functions().iter().enumerate() {
-            let (component_embedding, planes) = parts(component);
-            if component_embedding != self.embedding {
+            shape,
+            coefficients: vec![0.0; size],
+        };
+        let width = bank.width();
+        let mut plane = Vec::with_capacity(rows);
+        let at = |f: usize| (f / (components * bits), f / bits % components, f % bits);
+        for f in 0..width {
+            plane.clear();
+            fill(at(f), &mut plane)?;
+            assert_eq!(plane.len(), rows, "a plane has one coefficient a row");
+            if !plane.iter().all(|g| g.is_finite()) {
+                let (t, c, b) = at(f);
                 return Err(invalid(format!(
-                    "table {t} component {c} embeds through {component_embedding:?}, \
-                     the first component through {:?}",
-                    self.embedding
-                )));
+                    "table {t} component {c} plane {b} has a non-finite coefficient"
+                ))
+                .into());
             }
-            if planes.planes().len() != bits {
-                return Err(invalid(format!(
-                    "table {t} component {c} has {} planes, the first component has {bits}",
-                    planes.planes().len()
-                )));
-            }
-            for (b, plane) in planes.planes().iter().enumerate() {
-                if plane.dim() != rows {
-                    return Err(invalid(format!(
-                        "table {t} component {c} plane {b} has dimension {}, expected {rows}",
-                        plane.dim()
-                    )));
-                }
-                if !plane.iter().all(|g| g.is_finite()) {
-                    return Err(invalid(format!(
-                        "table {t} component {c} plane {b} has a non-finite coefficient"
-                    )));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Writes table `t`'s planes into their columns of the (allocated) bank.
-    fn scatter<H>(
-        &mut self,
-        t: usize,
-        composite: &AndFunction<H>,
-        parts: &impl Fn(&H) -> (Embedding, &HyperplaneFunction),
-    ) {
-        let width = self.width();
-        let planes = composite
-            .functions()
-            .iter()
-            .flat_map(|component| parts(component).1.planes());
-        for (f, plane) in (t * self.components * self.bits..).zip(planes) {
             for (j, &g) in plane.iter().enumerate() {
-                self.coefficients[j * width + f] = g;
+                bank.coefficients[j * width + f] = g;
             }
         }
+        Ok(bank)
     }
 
-    /// Scatters the bank back into per-table composite functions — the inverse of
-    /// [`PlaneBank::from_functions`]. `assemble` rebuilds one component from its
-    /// embedding and hyperplanes.
-    pub fn to_functions<H>(
-        &self,
-        assemble: impl Fn(&Embedding, HyperplaneFunction) -> H,
-    ) -> Vec<AndFunction<H>> {
+    /// The map the planes are applied after.
+    pub fn embedding(&self) -> &Embedding {
+        &self.embedding
+    }
+
+    /// How many planes the bank holds, and of which dimension.
+    pub fn shape(&self) -> BankShape {
+        self.shape
+    }
+
+    /// Plane `f = (table·k + component)·bits + plane`'s coefficients, coordinate by
+    /// coordinate: what [`PlaneBank::new`]'s `fill` appended for it.
+    ///
+    /// # Panics
+    ///
+    /// If `f` is not below `tables · components · bits`.
+    pub fn plane(&self, f: usize) -> impl Iterator<Item = f64> + '_ {
         let width = self.width();
-        let plane = |f: usize| {
-            DenseVector::new(
-                (0..self.rows)
-                    .map(|j| self.coefficients[j * width + f])
-                    .collect(),
-            )
-        };
-        let component = |first: usize| {
-            let planes = (first..first + self.bits).map(plane).collect();
-            let planes = HyperplaneFunction::from_planes(planes)
-                .expect("a bank holds 1..=64 equal-dimension planes per component");
-            assemble(&self.embedding, planes)
-        };
-        (0..self.tables)
-            .map(|t| {
-                let components = (0..self.components)
-                    .map(|c| component((t * self.components + c) * self.bits))
-                    .collect();
-                AndFunction::from_functions(components)
-                    .expect("a bank holds at least one component per table")
-            })
-            .collect()
+        assert!(f < width, "plane {f} of a bank of {width}");
+        self.coefficients.iter().skip(f).step_by(width).copied()
     }
 
     fn width(&self) -> usize {
-        self.tables * self.components * self.bits
-    }
-
-    /// Number of tables `L`: how many keys a point has.
-    pub fn tables(&self) -> usize {
-        self.tables
+        self.shape.tables * self.shape.components * self.shape.bits
     }
 
     /// A scratch at the size this bank's kernel uses, so that hashing through it
@@ -348,7 +269,7 @@ impl PlaneBank {
     pub fn scratch(&self) -> BankScratch {
         let embedded = match self.embedding {
             Embedding::Identity => 0,
-            Embedding::Sphere(_) => self.rows,
+            Embedding::Sphere(_) => self.shape.rows,
         };
         BankScratch {
             embedded: std::array::from_fn(|_| Vec::with_capacity(embedded)),
@@ -361,12 +282,12 @@ impl PlaneBank {
     /// coefficient is read.
     fn walk<'a>(&self, side: Side, point: Point<'a>, buffer: &'a mut Vec<f64>) -> Result<Walk<'a>> {
         let mismatch = |actual: usize| LshError::DimensionMismatch {
-            expected: self.rows,
+            expected: self.shape.rows,
             actual,
         };
         match (point, &self.embedding) {
             (Point::Dense(v), Embedding::Identity) => {
-                if v.dim() != self.rows {
+                if v.dim() != self.shape.rows {
                     return Err(mismatch(v.dim()));
                 }
                 Ok((v.as_slice(), &[]))
@@ -379,17 +300,17 @@ impl PlaneBank {
                 Ok((buffer, &[]))
             }
             (Point::Sparse(image), Embedding::Identity) => {
-                if image.dim != self.rows || image.head.len() > self.rows {
+                if image.dim != self.shape.rows || image.head.len() > self.shape.rows {
                     return Err(mismatch(image.dim.max(image.head.len())));
                 }
                 let mut floor = image.head.len();
                 for &(j, _) in image.tail {
-                    if j < floor || j >= self.rows {
+                    if j < floor || j >= self.shape.rows {
                         return Err(LshError::InvalidParameter {
                             name: "image",
                             reason: format!(
                                 "tail row {j} is not ascending within {floor}..{}",
-                                self.rows
+                                self.shape.rows
                             ),
                         });
                     }
@@ -446,11 +367,13 @@ impl PlaneBank {
 
     /// The bucket keys of one point's margins, one per table, into `keys`.
     fn fold_keys(&self, margins: &[f64], keys: &mut [u64]) {
-        let tables = margins.chunks_exact(self.components * self.bits);
+        let tables = margins.chunks_exact(self.shape.components * self.shape.bits);
         for (key, table) in keys.iter_mut().zip(tables) {
-            *key = table.chunks_exact(self.bits).fold(0u64, |key, component| {
-                combine_hashes(key, sign_bucket(component))
-            });
+            *key = table
+                .chunks_exact(self.shape.bits)
+                .fold(0u64, |key, component| {
+                    combine_hashes(key, sign_bucket(component))
+                });
         }
     }
 
@@ -467,7 +390,7 @@ impl PlaneBank {
         keys: &mut Vec<u64>,
     ) -> Result<()> {
         keys.clear();
-        keys.resize(self.tables, 0);
+        keys.resize(self.shape.tables, 0);
         self.block_keys(side, [v.into()], scratch, keys)
     }
 
@@ -489,7 +412,7 @@ impl PlaneBank {
         let BankScratch { embedded, margins } = scratch;
         margins.resize(TILE * width, 0.0);
         let mut points = points.into_iter();
-        let mut keys = keys.chunks_exact_mut(self.tables);
+        let mut keys = keys.chunks_exact_mut(self.shape.tables);
         loop {
             let mut tile: [Walk<'_>; TILE] = [(&[], &[]); TILE];
             let mut filled = 0;
@@ -503,13 +426,15 @@ impl PlaneBank {
             }
             self.tile_margins(&tile[..filled], margins);
             for margins in margins.chunks_exact(width).take(filled) {
-                let keys = keys.next().ok_or_else(|| miscounted_keys(self.tables))?;
+                let keys = keys
+                    .next()
+                    .ok_or_else(|| miscounted_keys(self.shape.tables))?;
                 self.fold_keys(margins, keys);
             }
         }
         match keys.next() {
             None if keys.into_remainder().is_empty() => Ok(()),
-            _ => Err(miscounted_keys(self.tables)),
+            _ => Err(miscounted_keys(self.shape.tables)),
         }
     }
 
@@ -527,15 +452,17 @@ impl PlaneBank {
         margins.resize(TILE * width, 0.0);
         let walk = self.walk(Side::Query, q.into(), &mut embedded[0])?;
         self.tile_margins(&[walk], margins);
-        let starts: Vec<usize> = (0..=self.components).map(|c| c * self.bits).collect();
-        let mut homes = Vec::with_capacity(self.components);
-        let mut atoms: Vec<ProbeFlip> = Vec::with_capacity(self.components * self.bits);
+        let starts: Vec<usize> = (0..=self.shape.components)
+            .map(|c| c * self.shape.bits)
+            .collect();
+        let mut homes = Vec::with_capacity(self.shape.components);
+        let mut atoms: Vec<ProbeFlip> = Vec::with_capacity(self.shape.components * self.shape.bits);
         Ok(margins[..width]
-            .chunks_exact(self.components * self.bits)
+            .chunks_exact(self.shape.components * self.shape.bits)
             .map(|table| {
                 homes.clear();
                 atoms.clear();
-                for component in table.chunks_exact(self.bits) {
+                for component in table.chunks_exact(self.shape.bits) {
                     let home = sign_bucket(component);
                     homes.push(home);
                     push_flips(home, component, &mut atoms);
@@ -606,43 +533,52 @@ fn head_margins(coefficients: &[f64], width: usize, heads: [&[f64]; TILE], margi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::{AsymmetricHashFunction, SymmetricFunctionPair};
+    use crate::hyperplane::HyperplaneFunction;
+    use crate::traits::HashFunction;
 
-    fn composite(planes: &[&[f64]]) -> AndFunction<SymmetricFunctionPair<HyperplaneFunction>> {
-        let components = planes
-            .iter()
-            .map(|g| {
-                let plane = DenseVector::from(*g);
-                SymmetricFunctionPair(HyperplaneFunction::from_planes(vec![plane]).unwrap())
-            })
-            .collect();
-        AndFunction::from_functions(components).unwrap()
+    /// The bank of one-plane components, `tables[t][c]` the plane of table `t`'s
+    /// component `c`.
+    fn bank_of(tables: &[&[&[f64]]]) -> Result<PlaneBank> {
+        let shape = BankShape {
+            tables: tables.len(),
+            components: tables.first().map_or(0, |planes| planes.len()),
+            bits: 1,
+            rows: tables
+                .first()
+                .and_then(|planes| planes.first())
+                .map_or(0, |g| g.len()),
+        };
+        PlaneBank::new(Embedding::Identity, shape, |(t, c, _), plane| {
+            plane.extend_from_slice(tables[t][c]);
+            Ok::<_, LshError>(())
+        })
     }
 
-    fn bank_of(
-        functions: &[AndFunction<SymmetricFunctionPair<HyperplaneFunction>>],
-    ) -> Result<PlaneBank> {
-        PlaneBank::from_functions(functions, |pair| (Embedding::Identity, &pair.0))
+    /// The per-function walk over the same planes: each component's sign bit, chained
+    /// into a table's key as [`AndFunction`] chains them.
+    fn oracle_keys(tables: &[&[&[f64]]], v: &DenseVector) -> Vec<u64> {
+        let hash = |g: &[f64]| {
+            let function = HyperplaneFunction::from_planes(vec![DenseVector::from(g)]).unwrap();
+            function.hash(v).unwrap()
+        };
+        let key = |planes: &[&[f64]]| planes.iter().fold(0, |key, g| combine_hashes(key, hash(g)));
+        tables.iter().map(|planes| key(planes)).collect()
     }
 
     #[test]
     fn margins_sum_in_coordinate_order_like_a_dense_dot() {
         // Catastrophic cancellation makes the sign depend on the summation order:
         // left to right the first plane sums to -1, right to left to 0.
-        let functions = vec![
-            composite(&[&[1e16, -1e16, -1.0], &[-1.0, 1e16, -1e16]]),
-            composite(&[&[1e16, 1.0, -1e16], &[3.0, -2.0, -1.0]]),
+        let tables: [&[&[f64]]; 2] = [
+            &[&[1e16, -1e16, -1.0], &[-1.0, 1e16, -1e16]],
+            &[&[1e16, 1.0, -1e16], &[3.0, -2.0, -1.0]],
         ];
-        let bank = bank_of(&functions).unwrap();
+        let bank = bank_of(&tables).unwrap();
         let (mut scratch, mut keys) = (BankScratch::default(), Vec::new());
         for v in [[1.0, 1.0, 1.0], [1.0, 0.0, 1.0], [-0.0, 1.0, 1.0]] {
             let v = DenseVector::from(&v[..]);
             bank.keys(Side::Query, &v, &mut scratch, &mut keys).unwrap();
-            let oracle: Vec<u64> = functions
-                .iter()
-                .map(|f| f.hash_query(&v).unwrap())
-                .collect();
-            assert_eq!(keys, oracle, "v = {v:?}");
+            assert_eq!(keys, oracle_keys(&tables, &v), "v = {v:?}");
         }
     }
 
@@ -650,14 +586,14 @@ mod tests {
     fn a_sparse_image_hashes_like_the_dense_vector_it_stands_for() {
         // The cancellation planes again, two coordinates wider: the sign depends on
         // the order the products are added in, so the sparse walk must keep it.
-        let functions = vec![
-            composite(&[
+        let tables: [&[&[f64]]; 2] = [
+            &[
                 &[1e16, 0.5, -1e16, 7.0, -1.0],
                 &[-1.0, 2.0, 1e16, 3.0, -1e16],
-            ]),
-            composite(&[&[1e16, 4.0, 1.0, -5.0, -1e16], &[3.0, 1.0, -2.0, 6.0, -1.0]]),
+            ],
+            &[&[1e16, 4.0, 1.0, -5.0, -1e16], &[3.0, 1.0, -2.0, 6.0, -1.0]],
         ];
-        let bank = bank_of(&functions).unwrap();
+        let bank = bank_of(&tables).unwrap();
         let (mut scratch, mut dense, mut sparse) = (BankScratch::default(), vec![], vec![]);
         for (head, tail) in [
             (&[1.0][..], &[(2, 1.0), (4, 1.0)][..]),
@@ -710,41 +646,78 @@ mod tests {
     }
 
     #[test]
-    fn a_bank_sampled_table_by_table_is_the_bank_of_the_collected_draws() {
-        let functions = vec![
-            composite(&[&[1.0, 2.0], &[3.0, 4.0]]),
-            composite(&[&[5.0, 6.0], &[7.0, 8.0]]),
-            composite(&[&[9.0, 10.0], &[11.0, 12.0]]),
-        ];
-        fn parts(
-            pair: &SymmetricFunctionPair<HyperplaneFunction>,
-        ) -> (Embedding, &HyperplaneFunction) {
-            (Embedding::Identity, &pair.0)
+    fn planes_are_filled_and_read_back_in_table_component_plane_order() {
+        let shape = BankShape {
+            tables: 2,
+            components: 3,
+            bits: 2,
+            rows: 4,
+        };
+        let mut order = Vec::new();
+        let bank = PlaneBank::new(Embedding::Identity, shape, |at, plane| {
+            let f = order.len() as f64;
+            order.push(at);
+            plane.extend((0..4).map(|j| 10.0 * f + j as f64));
+            Ok::<_, LshError>(())
+        })
+        .unwrap();
+        let nested = (0..2).flat_map(|t| (0..3).flat_map(move |c| (0..2).map(move |b| (t, c, b))));
+        assert_eq!(order, nested.collect::<Vec<_>>());
+        assert_eq!(bank.shape(), shape);
+        for f in 0..12 {
+            let expected: Vec<f64> = (0..4).map(|j| 10.0 * f as f64 + j as f64).collect();
+            assert_eq!(bank.plane(f).collect::<Vec<_>>(), expected);
         }
-        let mut draws = functions.iter().cloned();
-        let streamed = PlaneBank::sampled(3, || Ok(draws.next().unwrap()), parts).unwrap();
-        assert_eq!(
-            streamed.coefficients,
-            bank_of(&functions).unwrap().coefficients
-        );
-        // A later draw of another shape fails as it would in the gathered list, and a
-        // bank of no tables is refused.
-        let mut draws = [functions[0].clone(), composite(&[&[1.0, 2.0]])].into_iter();
-        assert!(PlaneBank::sampled(2, || Ok(draws.next().unwrap()), parts).is_err());
-        assert!(PlaneBank::sampled(0, || Ok(functions[0].clone()), parts).is_err());
     }
 
     #[test]
     fn inconsistent_functions_are_rejected_before_any_allocation_is_sized() {
-        let good = composite(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        assert!(bank_of(&[]).is_err());
-        // A table with a different number of components.
-        assert!(bank_of(&[good.clone(), composite(&[&[1.0, 2.0]])]).is_err());
-        // A plane of another dimension.
-        assert!(bank_of(&[good.clone(), composite(&[&[1.0, 2.0], &[3.0]])]).is_err());
+        let shape = BankShape {
+            tables: 2,
+            components: 2,
+            bits: 1,
+            rows: 4,
+        };
+        let sphere = Embedding::Sphere(SphereTransform::new(2, 1.0).unwrap());
+        let refused = |embedding: &Embedding, shape: BankShape| {
+            let never = |_, _: &mut Vec<f64>| -> Result<()> { panic!("filled") };
+            PlaneBank::new(embedding.clone(), shape, never).is_err()
+        };
+        assert!(refused(
+            &Embedding::Identity,
+            BankShape { tables: 0, ..shape }
+        ));
+        assert!(refused(
+            &Embedding::Identity,
+            BankShape {
+                components: 0,
+                ..shape
+            }
+        ));
+        assert!(refused(
+            &Embedding::Identity,
+            BankShape { bits: 0, ..shape }
+        ));
+        assert!(refused(
+            &Embedding::Identity,
+            BankShape { bits: 65, ..shape }
+        ));
+        assert!(refused(&sphere, BankShape { rows: 3, ..shape }));
+        assert!(refused(
+            &Embedding::Identity,
+            BankShape {
+                tables: usize::MAX,
+                ..shape
+            }
+        ));
         // A non-finite coefficient (the zero-row skip relies on finite planes).
-        assert!(bank_of(&[good.clone(), composite(&[&[1.0, f64::NAN], &[3.0, 4.0]])]).is_err());
-        assert!(bank_of(&[composite(&[&[f64::INFINITY, 0.0], &[3.0, 4.0]])]).is_err());
-        assert!(bank_of(&[good.clone(), good]).is_ok());
+        for bad in [f64::NAN, f64::INFINITY] {
+            let filled = PlaneBank::new(sphere.clone(), shape, |(t, c, _), plane| {
+                plane.extend([1.0, 2.0, 3.0, if (t, c) == (1, 0) { bad } else { 4.0 }]);
+                Ok::<_, LshError>(())
+            });
+            assert!(filled.is_err());
+        }
+        assert!(bank_of(&[&[&[1.0, 2.0], &[3.0, 4.0]], &[&[5.0, 6.0], &[7.0, 8.0]]]).is_ok());
     }
 }

@@ -14,9 +14,7 @@
 
 use crate::bank::Embedding;
 use crate::error::{LshError, Result};
-use crate::traits::{
-    BankedFamily, HashFunction, LshFamily, SymmetricAsAsymmetric, SymmetricFunctionPair,
-};
+use crate::traits::{BankedFamily, HashFunction, LshFamily, SymmetricAsAsymmetric};
 use ips_linalg::random::gaussian_vector;
 use ips_linalg::DenseVector;
 use rand::Rng;
@@ -58,6 +56,11 @@ impl HyperplaneFamily {
         self.bits
     }
 
+    /// Dimension of the planes, [`LshFamily::dim`] unwrapped.
+    pub(crate) fn plane_dim(&self) -> usize {
+        self.dim
+    }
+
     /// Theoretical collision probability of a *single-bit* hyperplane hash for two
     /// vectors with the given cosine similarity: `1 − arccos(cos)/π`.
     pub fn collision_probability(cosine: f64) -> f64 {
@@ -83,9 +86,8 @@ impl HyperplaneFunction {
         &self.planes
     }
 
-    /// Reassembles a function from its hyperplane normals — the inverse of
-    /// [`HyperplaneFunction::planes`], used by snapshot persistence to restore a
-    /// sampled function without re-drawing it.
+    /// A function of the given hyperplane normals — the inverse of
+    /// [`HyperplaneFunction::planes`].
     ///
     /// Returns an error when the list is empty, longer than 64 (the bucket is a
     /// `u64` bit pattern), or the planes disagree on dimension.
@@ -145,12 +147,8 @@ impl LshFamily for HyperplaneFamily {
 
 /// The symmetric family hashes the vector as it is.
 impl BankedFamily for SymmetricAsAsymmetric<HyperplaneFamily> {
-    fn bank_parts(function: &Self::Function) -> (Embedding, &HyperplaneFunction) {
-        (Embedding::Identity, &function.0)
-    }
-
-    fn from_bank_parts(_: &Embedding, planes: HyperplaneFunction) -> Self::Function {
-        SymmetricFunctionPair(planes)
+    fn planes(&self) -> (Embedding, &HyperplaneFamily) {
+        (Embedding::Identity, &self.0)
     }
 }
 

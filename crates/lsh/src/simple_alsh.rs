@@ -18,7 +18,7 @@
 //! A [`SimpleAlshFunction`] embeds and hashes one vector on its own — the definition
 //! of the family, and the oracle the bit-identity tests compare against. An
 //! [`crate::table::LshIndex`] does not call it: [`SimpleAlshFamily`] is a
-//! [`BankedFamily`], so the index holds its functions as a
+//! [`BankedFamily`], so the index draws its planes straight into a
 //! [`PlaneBank`](crate::bank::PlaneBank), which embeds each vector once through [`SphereTransform::transform_data_into`] /
 //! [`SphereTransform::transform_query_into`] — the same code the allocating
 //! `transform_*` wrap — and evaluates every hyperplane of every table in one pass.
@@ -187,24 +187,6 @@ impl SimpleAlshFunction {
     pub fn hyperplane(&self) -> &HyperplaneFunction {
         &self.inner
     }
-
-    /// Reassembles a function pair from its parts — the inverse of
-    /// [`SimpleAlshFunction::transform`] / [`SimpleAlshFunction::hyperplane`],
-    /// used by snapshot persistence.
-    ///
-    /// Returns an error when the hyperplanes are not of the transform's output
-    /// dimension (`dim + 2`).
-    pub fn from_parts(transform: SphereTransform, inner: HyperplaneFunction) -> Result<Self> {
-        for plane in inner.planes() {
-            if plane.dim() != transform.output_dim() {
-                return Err(LshError::DimensionMismatch {
-                    expected: transform.output_dim(),
-                    actual: plane.dim(),
-                });
-            }
-        }
-        Ok(Self { transform, inner })
-    }
 }
 
 impl AsymmetricHashFunction for SimpleAlshFunction {
@@ -236,21 +218,8 @@ impl AsymmetricLshFamily for SimpleAlshFamily {
 
 /// SIMPLE-ALSH hashes the Section 4.1 sphere image of a vector.
 impl BankedFamily for SimpleAlshFamily {
-    fn bank_parts(function: &Self::Function) -> (Embedding, &HyperplaneFunction) {
-        (
-            Embedding::Sphere(function.transform.clone()),
-            &function.inner,
-        )
-    }
-
-    fn from_bank_parts(embedding: &Embedding, inner: HyperplaneFunction) -> Self::Function {
-        let Embedding::Sphere(transform) = embedding else {
-            unreachable!("a SIMPLE-ALSH bank embeds through the sphere transform");
-        };
-        SimpleAlshFunction {
-            transform: transform.clone(),
-            inner,
-        }
+    fn planes(&self) -> (Embedding, &HyperplaneFamily) {
+        (Embedding::Sphere(self.transform.clone()), &self.hasher)
     }
 }
 

@@ -47,17 +47,19 @@
 //! The index is *dynamic*: [`LshIndex::insert`] and [`LshIndex::remove`] maintain the
 //! `L` tables incrementally (hashing the point with each table's stored function), so a
 //! long-lived serving process can mutate an index without rebuilding it; and it is
-//! *persistable*: [`LshIndex::functions`] / [`LshIndex::tables`] /
+//! *persistable*: [`LshIndex::bank`] / [`LshIndex::tables`] /
 //! [`LshIndex::from_raw_parts`] expose exactly the state a snapshot needs to restore an
-//! index bit-identically (same sampled functions, same buckets, same query results).
+//! index bit-identically (same sampled planes, same buckets, same query results).
 
-use crate::amplify::{AndConstruction, AndFunction};
+#[cfg(doc)]
+use crate::amplify::AndConstruction;
 #[cfg(doc)]
 use crate::bank::SparseImage;
-use crate::bank::{BankScratch, PlaneBank, Point, Side};
+use crate::bank::{BankScratch, BankShape, PlaneBank, Point, Side};
 use crate::error::{LshError, Result};
-use crate::traits::{AsymmetricLshFamily, BankedFamily};
+use crate::traits::BankedFamily;
 use ips_linalg::par::{pipeline, Schedule};
+use ips_linalg::random::standard_gaussian;
 use ips_linalg::DenseVector;
 use rand::Rng;
 use std::cell::RefCell;
@@ -508,7 +510,8 @@ pub struct LshIndex<F: BankedFamily> {
 
 impl<F: BankedFamily> LshIndex<F> {
     /// Builds an index over `data` using `params.l` tables of `params.k`-wise composite
-    /// functions sampled from `family`, hashing on every available CPU
+    /// functions sampled from `family` — the planes `params.l` composites drawn by
+    /// [`AndConstruction`] from `rng` would hold — hashing on every available CPU
     /// ([`LshIndex::build_scheduled`] with the default [`Schedule`]).
     pub fn build<R: Rng + ?Sized>(
         family: &F,
@@ -530,23 +533,26 @@ impl<F: BankedFamily> LshIndex<F> {
         data: &[DenseVector],
         rng: &mut R,
     ) -> Result<Self> {
-        if params.l == 0 {
-            return Err(LshError::InvalidParameter {
-                name: "l",
-                reason: "index needs at least one table".into(),
-            });
-        }
         if data.len() > u32::MAX as usize {
             return Err(LshError::InvalidParameter {
                 name: "data",
                 reason: "index supports at most 2^32 - 1 points".into(),
             });
         }
-        // The composites go into the bank one table at a time (see
-        // [`PlaneBank::sampled`]): same draws in the same order as collecting them
-        // first, half the memory.
-        let composite = AndConstruction::new(family.clone(), params.k)?;
-        let bank = PlaneBank::sampled(params.l, || composite.sample(rng), F::bank_parts)?;
+        // Every Gaussian goes straight into its plane's column of the bank, in the
+        // order the composites' own sampler draws them: table, component, plane,
+        // coordinate.
+        let (embedding, planes) = family.planes();
+        let shape = BankShape {
+            tables: params.l,
+            components: params.k,
+            bits: planes.bits(),
+            rows: planes.plane_dim(),
+        };
+        let bank = PlaneBank::new(embedding, shape, |_, plane| {
+            plane.extend((0..shape.rows).map(|_| standard_gaussian(rng)));
+            Ok::<_, LshError>(())
+        })?;
         let mut index = Self {
             bank,
             tables: vec![Table::default(); params.l],
@@ -767,12 +773,9 @@ impl<F: BankedFamily> LshIndex<F> {
         self.tables.iter().map(Table::entries).sum()
     }
 
-    /// The `L` sampled composite functions, in table order (persistence accessor).
-    ///
-    /// Owned, not borrowed: the functions live in the index only as its
-    /// [`PlaneBank`] and are scattered back out here, bit for bit.
-    pub fn functions(&self) -> Vec<AndFunction<F::Function>> {
-        self.bank.to_functions(F::from_bank_parts)
+    /// The `L` sampled composites' planes (persistence accessor).
+    pub fn bank(&self) -> &PlaneBank {
+        &self.bank
     }
 
     /// The `L` hash tables, in table order (persistence accessor). Each maps a bucket
@@ -782,41 +785,32 @@ impl<F: BankedFamily> LshIndex<F> {
     }
 
     /// Reassembles an index from previously extracted state — the inverse of
-    /// [`LshIndex::functions`] / [`LshIndex::tables`] / [`LshIndex::params`], used by
-    /// snapshot persistence to restore an index without re-sampling its functions.
+    /// [`LshIndex::bank`] / [`LshIndex::tables`] / [`LshIndex::params`], used by
+    /// snapshot persistence to restore an index without re-sampling its planes.
     ///
     /// `len` is the number of *distinct* points stored (each point appears once per
     /// table). Everything a later query would otherwise trip over is rejected here
-    /// with [`LshError::InvalidParameter`]: function and table counts that disagree
-    /// with each other or with `params.l`, a function that does not concatenate
-    /// exactly `params.k` components, a table whose entry count differs from `len`,
-    /// and components that disagree on embedding, plane count or plane dimension (see
-    /// [`PlaneBank::from_functions`]).
-    /// Which ids the tables may hold is the id space's owner's to check.
+    /// with [`LshError::InvalidParameter`]: a bank whose composites are not `params.l`
+    /// of `params.k` components, a table count other than `params.l`, and a table whose
+    /// entry count differs from `len`. Which ids the tables may hold is the id space's
+    /// owner's to check.
     pub fn from_raw_parts(
-        functions: Vec<AndFunction<F::Function>>,
+        bank: PlaneBank,
         tables: Vec<Table>,
         params: IndexParams,
         len: usize,
     ) -> Result<Self> {
-        if functions.is_empty() || functions.len() != tables.len() || functions.len() != params.l {
+        let shape = bank.shape();
+        if (shape.tables, shape.components, tables.len()) != (params.l, params.k, params.l) {
             return Err(LshError::InvalidParameter {
-                name: "functions/tables",
+                name: "bank/tables",
                 reason: format!(
-                    "need params.l = {} non-empty matching function and table lists, got {} and {}",
+                    "params (k = {}, l = {}) for {} composites of {} components and {} tables",
+                    params.k,
                     params.l,
-                    functions.len(),
+                    shape.tables,
+                    shape.components,
                     tables.len()
-                ),
-            });
-        }
-        if let Some(f) = functions.iter().find(|f| f.functions().len() != params.k) {
-            return Err(LshError::InvalidParameter {
-                name: "functions",
-                reason: format!(
-                    "a function concatenates {} components, params.k = {}",
-                    f.functions().len(),
-                    params.k
                 ),
             });
         }
@@ -830,7 +824,7 @@ impl<F: BankedFamily> LshIndex<F> {
             }
         }
         Ok(Self {
-            bank: PlaneBank::from_functions(&functions, F::bank_parts)?,
+            bank,
             tables,
             params,
             len,
@@ -1107,7 +1101,7 @@ mod tests {
         let params = IndexParams { k: 2, l: 6 };
         let index = LshIndex::build(&fam, params, &data, &mut rng).unwrap();
         let rebuilt = LshIndex::<SimpleAlshFamily>::from_raw_parts(
-            index.functions(),
+            index.bank().clone(),
             index.tables().to_vec(),
             index.params(),
             index.len(),
@@ -1121,14 +1115,14 @@ mod tests {
         }
         // Validation: mismatched table count and wrong entry totals are rejected.
         assert!(LshIndex::<SimpleAlshFamily>::from_raw_parts(
-            index.functions(),
+            index.bank().clone(),
             index.tables()[..3].to_vec(),
             index.params(),
             index.len(),
         )
         .is_err());
         assert!(LshIndex::<SimpleAlshFamily>::from_raw_parts(
-            index.functions(),
+            index.bank().clone(),
             index.tables().to_vec(),
             index.params(),
             index.len() + 1,

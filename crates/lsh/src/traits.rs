@@ -21,7 +21,7 @@ use crate::bank::Embedding;
 #[cfg(doc)]
 use crate::bank::PlaneBank;
 use crate::error::Result;
-use crate::hyperplane::HyperplaneFunction;
+use crate::hyperplane::HyperplaneFamily;
 use ips_linalg::DenseVector;
 use rand::Rng;
 
@@ -71,18 +71,15 @@ pub trait AsymmetricLshFamily {
 }
 
 /// An asymmetric family whose functions are hyperplane signs of an embedded vector —
-/// the families a [`crate::table::LshIndex`] is built over. The index holds its `L`
-/// composites as one [`PlaneBank`]: one embedding and one pass over the coefficients
-/// per vector. The per-function `hash_*` walk defines the family; the index never
-/// calls it.
-pub trait BankedFamily: AsymmetricLshFamily + Clone {
-    /// A function's embedding and hyperplanes: what [`PlaneBank::from_functions`]
-    /// gathers.
-    fn bank_parts(function: &Self::Function) -> (Embedding, &HyperplaneFunction);
-
-    /// The inverse of [`BankedFamily::bank_parts`], for [`PlaneBank::to_functions`]:
-    /// the function of an embedding and hyperplanes that a bank of this family holds.
-    fn from_bank_parts(embedding: &Embedding, planes: HyperplaneFunction) -> Self::Function;
+/// the families a [`crate::table::LshIndex`] is built over. The index draws its `L`
+/// composites straight into one [`PlaneBank`]: one embedding and one pass over the
+/// coefficients per vector. The per-function `hash_*` walk defines the family; the
+/// index never calls it.
+pub trait BankedFamily: AsymmetricLshFamily {
+    /// What sampling a bank needs of the family: the map a vector goes through before
+    /// the planes see it, and the hyperplane family every component draws its planes
+    /// from, in the embedding's output space.
+    fn planes(&self) -> (Embedding, &HyperplaneFamily);
 }
 
 /// Adapter that exposes a symmetric family through the asymmetric interface by using

@@ -26,14 +26,16 @@
 //! per-row sum; only which sums are *interleaved* changed. That is what lets an
 //! estimator decoded from a snapshot answer as the build that wrote it did.
 //!
-//! The block is the only resident copy of the coefficients:
-//! [`MaxIpEstimator::sketched`] scatters it back into per-copy matrices for persistence.
+//! The block is the only copy of the coefficients an estimator holds: a build files
+//! each sketched copy into it as soon as the copy is computed,
+//! [`MaxIpEstimator::from_copies`] each copy a snapshot stores, and
+//! [`MaxIpEstimator::sketch_row`] reads a row of a copy back for the snapshot writer.
 
 use crate::cost::resolved_rows;
 use crate::error::{uniform_dim, Result, SketchError};
 use crate::maxstable::MaxStableSketch;
 use crate::stable::median_in_place;
-use ips_linalg::{DenseVector, Matrix};
+use ips_linalg::DenseVector;
 use rand::Rng;
 use std::cell::RefCell;
 
@@ -238,65 +240,73 @@ impl MaxIpEstimator {
         self.block.len()
     }
 
-    /// The pre-sketched `Π_t·A` matrices, one `m × d` matrix per independent copy,
-    /// scattered out of the block (persistence accessor — together with `κ`, `n` and
-    /// `d` this is the estimator's whole state).
-    pub fn sketched(&self) -> Vec<Matrix> {
+    /// Row `r` of the sketched matrix `Π_t·A` of copy `t`, coordinate by coordinate
+    /// (persistence accessor — together with `κ`, `n`, `d`, the copies and the rows per
+    /// copy this is the estimator's whole state).
+    ///
+    /// # Panics
+    ///
+    /// If `t` is not a copy or `r` not a row of one.
+    pub fn sketch_row(&self, t: usize, r: usize) -> impl Iterator<Item = f64> + '_ {
+        assert!(t < self.copies && r < self.rows, "row {r} of copy {t}");
         let width = self.width();
-        (0..self.copies)
-            .map(|t| {
-                let mut row_major = Vec::with_capacity(self.rows * self.dim);
-                for r in 0..self.rows {
-                    let column = t * self.rows + r;
-                    row_major.extend((0..self.dim).map(|j| self.block[j * width + column]));
-                }
-                Matrix::from_row_major(self.rows, self.dim, row_major)
-                    .expect("rows · dim coefficients were gathered")
-            })
-            .collect()
+        let column = t * self.rows + r;
+        self.block.iter().skip(column).step_by(width).copied()
     }
 
-    /// Reassembles an estimator from previously extracted state — the inverse of
-    /// [`MaxIpEstimator::sketched`] and friends, used by snapshot persistence to
+    /// An estimator over `n` vectors of dimension `dim` from its `copies` sketched
+    /// matrices `Π_t·A` of `rows` rows each, copy by copy: `fill(t, coefficients)`
+    /// appends copy `t`'s `rows · dim` coefficients, row-major, to the empty
+    /// `coefficients`, which the estimator files into its block. The inverse of
+    /// [`MaxIpEstimator::sketch_row`] and friends, used by snapshot persistence to
     /// restore an estimator without re-drawing its sketches.
     ///
-    /// Returns an error for an invalid `κ`, an empty copy list, `n == 0`, sketched
-    /// matrices that disagree on shape (every copy must be `m × d` with `m ≥ 1`), or
-    /// a coefficient that is not finite.
-    pub fn from_raw_parts(kappa: f64, n: usize, dim: usize, sketched: Vec<Matrix>) -> Result<Self> {
-        if !(kappa >= 2.0) {
-            return Err(SketchError::InvalidParameter {
-                name: "kappa",
-                reason: format!("kappa must be at least 2, got {kappa}"),
-            });
-        }
+    /// Refused before the block is allocated: `κ < 2`, `n == 0`, no copy, no row and a
+    /// block past the address space; then a coefficient that is not finite. These are
+    /// [`SketchError`]s; an error of `fill`'s is returned as it is.
+    ///
+    /// # Panics
+    ///
+    /// If `fill` appends other than `rows · dim` coefficients.
+    pub fn from_copies<E: From<SketchError>>(
+        kappa: f64,
+        n: usize,
+        dim: usize,
+        copies: usize,
+        rows: usize,
+        mut fill: impl FnMut(usize, &mut Vec<f64>) -> std::result::Result<(), E>,
+    ) -> std::result::Result<Self, E> {
+        let config = MaxIpConfig {
+            kappa,
+            copies,
+            rows: Some(rows),
+        };
+        config.validate()?;
         if n == 0 {
-            return Err(SketchError::EmptyDataSet);
+            return Err(SketchError::EmptyDataSet.into());
         }
         let invalid = |reason: String| SketchError::InvalidParameter {
             name: "sketched",
             reason,
         };
-        let rows = match sketched.first() {
-            Some(m) if m.rows() > 0 => m.rows(),
-            Some(_) => return Err(invalid("a sketch copy needs at least one row".into())),
-            None => return Err(invalid("at least one sketch copy is required".into())),
-        };
-        for m in &sketched {
-            if m.cols() != dim || m.rows() != rows {
-                return Err(invalid(format!(
-                    "every copy must be {rows}x{dim}, got {}x{}",
-                    m.rows(),
-                    m.cols()
-                )));
-            }
-            if !m.iter_rows().flatten().all(|c| c.is_finite()) {
-                return Err(invalid("a sketched coefficient is not finite".into()));
-            }
+        if copies
+            .checked_mul(rows)
+            .and_then(|width| width.checked_mul(dim))
+            .is_none()
+        {
+            return Err(invalid(format!("{copies} copies of {rows}x{dim} overflow")).into());
         }
-        let mut estimator = Self::zeroed(kappa, n, dim, sketched.len(), rows);
-        for (t, m) in sketched.iter().enumerate() {
-            estimator.scatter_copy(t, m.iter_rows());
+        let size = rows * dim;
+        let mut estimator = Self::zeroed(kappa, n, dim, copies, rows);
+        let mut copy = Vec::with_capacity(size);
+        for t in 0..copies {
+            copy.clear();
+            fill(t, &mut copy)?;
+            assert_eq!(copy.len(), size, "a copy holds rows · dim coefficients");
+            if !copy.iter().all(|c| c.is_finite()) {
+                return Err(invalid(format!("copy {t} has a non-finite coefficient")).into());
+            }
+            estimator.scatter_copy(t, (0..rows).map(|r| &copy[r * dim..(r + 1) * dim]));
         }
         Ok(estimator)
     }

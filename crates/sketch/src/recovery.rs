@@ -236,7 +236,7 @@ impl<'a> SketchMipsIndex<'a> {
     ///   number of copies and — when `config.rows` fixes it — the rows per copy;
     ///   siblings over equally many vectors have equally many rows.
     ///
-    /// ([`MaxIpEstimator::from_raw_parts`] has already rejected ragged or non-finite
+    /// ([`MaxIpEstimator::from_copies`] has already rejected non-finite
     /// coefficients.) The tree's *depth* is not checked against the split rule: a tree
     /// built under another rule loads and is walked as it is.
     pub fn from_raw_parts(

@@ -4,7 +4,7 @@
 //! model of the whole recovery path — kernel, tree shape, walk, determinism and
 //! reassembly — against row-major / recursive references.
 
-use ips_linalg::DenseVector;
+use ips_linalg::{DenseVector, Matrix};
 use ips_sketch::linf_mips::{MaxIpConfig, MaxIpEstimator};
 use ips_sketch::maxstable::MaxStableSketch;
 use ips_sketch::recovery::{MipsCandidate, Node, SketchMipsIndex};
@@ -37,11 +37,18 @@ fn vectors_with_zeros(rng: &mut StdRng, n: usize, dim: usize) -> Vec<DenseVector
         .collect()
 }
 
+/// The sketched matrices `Π_t·A`, one row-major `m × d` matrix a copy.
+fn sketch_matrices(estimator: &MaxIpEstimator) -> Vec<Matrix> {
+    let (rows, dim) = (estimator.rows_per_copy(), estimator.dim());
+    let copy = |t| (0..rows).flat_map(|r| estimator.sketch_row(t, r)).collect();
+    let matrix = |t| Matrix::from_row_major(rows, dim, copy(t)).unwrap();
+    (0..estimator.copies()).map(matrix).collect()
+}
+
 /// The estimate as the row-major structure computed it: one `matvec` per copy, the
 /// largest magnitude with the Fréchet correction, the median over copies.
 fn row_major_estimate(estimator: &MaxIpEstimator, q: &DenseVector) -> f64 {
-    let per_copy: Vec<f64> = estimator
-        .sketched()
+    let per_copy: Vec<f64> = sketch_matrices(estimator)
         .iter()
         .map(|m| MaxStableSketch::estimate_from_sketched(&m.matvec(q).unwrap(), estimator.kappa()))
         .collect();
@@ -131,7 +138,8 @@ fn fixed_floor_tree(
 }
 
 /// Takes a tree apart into raw parts and reassembles it, estimator by estimator,
-/// through the `from_raw_parts` constructors — what a snapshot load does.
+/// through `MaxIpEstimator::from_copies` and `SketchMipsIndex::from_raw_parts` — what
+/// a snapshot load does.
 fn reassembled(node: &Node) -> Node {
     match node {
         Node::Leaf { range } => Node::Leaf {
@@ -144,7 +152,19 @@ fn reassembled(node: &Node) -> Node {
             right,
         } => {
             let rebuild = |e: &MaxIpEstimator| {
-                MaxIpEstimator::from_raw_parts(e.kappa(), e.len(), e.dim(), e.sketched()).unwrap()
+                let rows = e.rows_per_copy();
+                let copied = MaxIpEstimator::from_copies(
+                    e.kappa(),
+                    e.len(),
+                    e.dim(),
+                    e.copies(),
+                    rows,
+                    |t, copy| {
+                        copy.extend((0..rows).flat_map(|r| e.sketch_row(t, r)));
+                        Ok::<_, SketchError>(())
+                    },
+                );
+                copied.unwrap()
             };
             Node::Internal {
                 estimator_left: rebuild(estimator_left),
@@ -168,7 +188,7 @@ fn coefficient_bits(index: &SketchMipsIndex) -> Vec<u64> {
     );
     estimators
         .iter()
-        .flat_map(|(e, _)| e.sketched())
+        .flat_map(|(e, _)| sketch_matrices(e))
         .flat_map(|m| {
             m.iter_rows()
                 .flatten()

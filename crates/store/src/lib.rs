@@ -9,8 +9,8 @@
 //!
 //! * **Persistence** — a versioned, endian-stable, checksummed binary snapshot format
 //!   ([`snapshot`]: magic + header + per-structure sections + FNV-1a checksum) over
-//!   the [`persist::Persist`] trait, which the `ips-lsh` tables and `ips-sketch`
-//!   recovery structures implement down to their sampled hash functions and sketched
+//!   the [`persist::Persist`] trait, which the `ips-lsh` indexes and `ips-sketch`
+//!   recovery structures implement down to their sampled planes and sketched
 //!   matrices. Round-trips are **bit-identical**: a saved-then-loaded index has the
 //!   same buckets, the same (already-drawn) randomness, and returns bit-equal query
 //!   results.

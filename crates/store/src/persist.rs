@@ -1,29 +1,37 @@
 //! The [`Persist`] trait: structure ↔ bytes, losslessly.
 //!
-//! Every structure a snapshot stores — vectors, sampled LSH functions, hash tables,
-//! sketched matrices, recovery trees, whole indexes — implements `Persist` over the
-//! little-endian primitives of [`crate::format`]. The contract is **bit-identical
+//! Every structure a snapshot stores — vectors, LSH indexes with their planes and hash
+//! tables, sketch estimators, recovery trees, whole indexes — implements `Persist` over
+//! the little-endian primitives of [`crate::format`]. The contract is **bit-identical
 //! round-tripping**: `read(write(x))` rebuilds state whose every query answer equals
 //! `x`'s, bucket for bucket and bit for bit (floats travel as IEEE-754 bit patterns,
 //! hash tables are written in sorted bucket order so encoding is deterministic).
 //!
+//! The planes of an LSH index and the sketched matrices of an estimator are written
+//! straight out of the one form the structures hold them in — the plane bank, the
+//! estimator's block — and read straight back into it: the decoder checks the
+//! announced shape against what the input can hold before it allocates, then fills
+//! the bank or block as the values arrive. The encodings are the ones every earlier
+//! build wrote (a composite function per table, a row-major matrix per copy).
+//!
 //! Decoding validates through the owning types' public raw-parts constructors
-//! (`from_raw_parts` / `from_planes` / `from_parts`), so a corrupt payload that
-//! happens to pass the checksum still cannot materialise an inconsistent index.
+//! (`from_raw_parts` / `from_parts` / `PlaneBank::new` / `MaxIpEstimator::from_copies`)
+//! and refuses a non-finite vector coordinate, so a corrupt payload that happens to
+//! pass the checksum still cannot materialise an inconsistent index.
 
-use crate::error::Result;
+use crate::error::{Result, StoreError};
 use crate::format::{ByteReader, ByteWriter};
 use ips_core::asymmetric::AlshParams;
 use ips_core::mips::{BruteForceMipsIndex, MipsIndex, SketchMipsAdapter};
 use ips_core::problem::{JoinSpec, JoinVariant};
 use ips_core::symmetric::SymmetricParams;
 use ips_core::{LshMips, LshOps, SphereMap};
-use ips_linalg::{DenseVector, Matrix};
-use ips_lsh::amplify::AndFunction;
-use ips_lsh::hyperplane::HyperplaneFunction;
-use ips_lsh::simple_alsh::{SimpleAlshFunction, SphereTransform};
+use ips_linalg::DenseVector;
+use ips_lsh::bank::{BankShape, Embedding, PlaneBank};
+use ips_lsh::hyperplane::HyperplaneFamily;
+use ips_lsh::simple_alsh::{SimpleAlshFamily, SphereTransform};
 use ips_lsh::table::{IndexParams, LshIndex, Table};
-use ips_lsh::{BankedFamily, SymmetricFunctionPair};
+use ips_lsh::{BankedFamily, SymmetricAsAsymmetric};
 use ips_sketch::linf_mips::{MaxIpConfig, MaxIpEstimator};
 use ips_sketch::recovery::{Node, SketchMipsIndex};
 
@@ -113,35 +121,19 @@ impl Persist for DenseVector {
         }
     }
 
+    /// Refuses a non-finite coordinate, as every fresh build and insert does: no
+    /// family may rank a score that compares false with everything.
     fn read(r: &mut ByteReader<'_>) -> Result<Self> {
         let dim = r.take_usize()?;
         let mut components = Vec::with_capacity(bounded_by_input(r, dim, 8));
         r.take_f64s(dim, &mut components)?;
-        Ok(DenseVector::new(components))
-    }
-}
-
-impl Persist for Matrix {
-    fn write(&self, w: &mut ByteWriter) {
-        w.put_usize(self.rows());
-        w.put_usize(self.cols());
-        for row in self.iter_rows() {
-            for &x in row {
-                w.put_f64(x);
-            }
+        if let Some(x) = components.iter().find(|x| !x.is_finite()) {
+            return Err(StoreError::Corrupt {
+                context: "vector",
+                reason: format!("non-finite coordinate `{x}`"),
+            });
         }
-    }
-
-    fn read(r: &mut ByteReader<'_>) -> Result<Self> {
-        let rows = r.take_usize()?;
-        let cols = r.take_usize()?;
-        let total = rows.checked_mul(cols).ok_or(crate::StoreError::Corrupt {
-            context: "matrix",
-            reason: "rows * cols overflows".into(),
-        })?;
-        let mut data = Vec::with_capacity(bounded_by_input(r, total, 8));
-        r.take_f64s(total, &mut data)?;
-        Ok(Matrix::from_row_major(rows, cols, data)?)
+        Ok(DenseVector::new(components))
     }
 }
 
@@ -162,7 +154,7 @@ impl Persist for JoinSpec {
             0 => JoinVariant::Signed,
             1 => JoinVariant::Unsigned,
             other => {
-                return Err(crate::StoreError::Corrupt {
+                return Err(StoreError::Corrupt {
                     context: "spec",
                     reason: format!("unknown join variant tag {other}"),
                 })
@@ -244,60 +236,6 @@ impl Persist for IndexParams {
     }
 }
 
-impl Persist for HyperplaneFunction {
-    fn write(&self, w: &mut ByteWriter) {
-        write_slice(w, self.planes());
-    }
-
-    fn read(r: &mut ByteReader<'_>) -> Result<Self> {
-        Ok(HyperplaneFunction::from_planes(Vec::read(r)?)?)
-    }
-}
-
-impl Persist for SimpleAlshFunction {
-    fn write(&self, w: &mut ByteWriter) {
-        w.put_usize(self.transform().dim());
-        w.put_f64(self.transform().query_radius());
-        self.hyperplane().write(w);
-    }
-
-    fn read(r: &mut ByteReader<'_>) -> Result<Self> {
-        let dim = r.take_usize()?;
-        let radius = r.take_f64()?;
-        let transform = SphereTransform::new(dim, radius)?;
-        let inner = HyperplaneFunction::read(r)?;
-        Ok(SimpleAlshFunction::from_parts(transform, inner)?)
-    }
-}
-
-impl<H: Persist> Persist for SymmetricFunctionPair<H> {
-    fn write(&self, w: &mut ByteWriter) {
-        self.0.write(w);
-    }
-
-    fn read(r: &mut ByteReader<'_>) -> Result<Self> {
-        Ok(SymmetricFunctionPair(H::read(r)?))
-    }
-}
-
-impl<H: Persist> Persist for AndFunction<H> {
-    fn write(&self, w: &mut ByteWriter) {
-        w.put_usize(self.functions().len());
-        for f in self.functions() {
-            f.write(w);
-        }
-    }
-
-    fn read(r: &mut ByteReader<'_>) -> Result<Self> {
-        let n = r.take_usize()?;
-        let mut functions = Vec::new();
-        for _ in 0..n {
-            functions.push(H::read(r)?);
-        }
-        Ok(AndFunction::from_functions(functions)?)
-    }
-}
-
 /// A table as every build has written one: the number of buckets, then each
 /// non-empty bucket in ascending key order — its key and its length-prefixed ids,
 /// the base's survivors and the overlay's merged as [`Table::buckets`] reads them.
@@ -332,47 +270,191 @@ fn read_table(r: &mut ByteReader<'_>, entries: usize) -> Result<Table> {
     Ok(Table::from_parts(keys, offsets, ids)?)
 }
 
-/// Params, length, the sampled functions, then the tables.
-impl<F> Persist for LshIndex<F>
-where
-    F: BankedFamily<Function: Persist>,
-{
-    fn write(&self, w: &mut ByteWriter) {
-        self.params().write(w);
-        w.put_usize(self.len());
-        write_slice(w, &self.functions());
-        w.put_usize(self.tables().len());
-        for table in self.tables() {
-            write_table(w, table);
+/// The planes as every build has written them: one composite function per table —
+/// the number of tables; per table, its number of components; per component, the
+/// sphere transform's dimension and query radius (SIMPLE-ALSH only), its number of
+/// planes and each plane as a length-prefixed vector — walked out of the bank.
+fn write_bank(w: &mut ByteWriter, bank: &PlaneBank) {
+    let BankShape {
+        tables,
+        components,
+        bits,
+        rows,
+    } = bank.shape();
+    let mut planes = 0..;
+    w.put_usize(tables);
+    for _ in 0..tables {
+        w.put_usize(components);
+        for _ in 0..components {
+            if let Embedding::Sphere(transform) = bank.embedding() {
+                w.put_usize(transform.dim());
+                w.put_f64(transform.query_radius());
+            }
+            w.put_usize(bits);
+            for f in planes.by_ref().take(bits) {
+                w.put_usize(rows);
+                bank.plane(f).for_each(|g| w.put_f64(g));
+            }
         }
-    }
-
-    fn read(r: &mut ByteReader<'_>) -> Result<Self> {
-        let params = IndexParams::read(r)?;
-        let len = r.take_usize()?;
-        let functions = Vec::read(r)?;
-        let mut tables = Vec::new();
-        for _ in 0..r.take_usize()? {
-            tables.push(read_table(r, len)?);
-        }
-        Ok(LshIndex::from_raw_parts(functions, tables, params, len)?)
     }
 }
 
+/// A component's embedding as [`write_bank`] spells it: a sphere transform's
+/// dimension and query radius when the family embeds, nothing when it does not.
+fn read_embedding(r: &mut ByteReader<'_>, embeds: bool) -> Result<Embedding> {
+    Ok(match embeds {
+        true => Embedding::Sphere(SphereTransform::new(r.take_usize()?, r.take_f64()?)?),
+        false => Embedding::Identity,
+    })
+}
+
+/// The planes [`write_bank`] wrote, straight into a bank. The first component's
+/// header names the bank's shape; the bank is allocated only once the input can hold
+/// every coefficient that shape announces, and every later header must repeat it: as
+/// many components a table, one embedding, as many planes a component, and planes of
+/// one dimension throughout. [`PlaneBank::new`] checks the shape itself and refuses a
+/// non-finite coefficient.
+fn read_bank(r: &mut ByteReader<'_>, embeds: bool) -> Result<PlaneBank> {
+    let corrupt = |reason: String| StoreError::Corrupt {
+        context: "planes",
+        reason,
+    };
+    let tables = r.take_usize()?;
+    // Table 0's first component names the shape; it is read again as the bank fills.
+    let (embedding, shape) = r.peek(|r| {
+        let components = r.take_usize()?;
+        let embedding = read_embedding(r, embeds)?;
+        let shape = BankShape {
+            tables,
+            components,
+            bits: r.take_usize()?,
+            rows: r.take_usize()?,
+        };
+        Ok((embedding, shape))
+    })?;
+    let coefficients = [shape.components, shape.bits, shape.rows]
+        .into_iter()
+        .try_fold(shape.tables, usize::checked_mul);
+    if coefficients.is_none_or(|c| c as u64 > r.remaining() / 8) {
+        return Err(corrupt(format!(
+            "{shape:?} announces more coefficients than the {} bytes left hold",
+            r.remaining()
+        )));
+    }
+    PlaneBank::new(embedding.clone(), shape, |(t, c, b), plane| {
+        // A table's component count, a component's embedding and plane count, a
+        // plane's dimension: each as the first.
+        let repeated = (c > 0 || b > 0 || r.take_usize()? == shape.components)
+            && (b > 0
+                || (read_embedding(r, embeds)? == embedding && r.take_usize()? == shape.bits))
+            && r.take_usize()? == shape.rows;
+        if !repeated {
+            return Err(corrupt(format!(
+                "table {t} component {c} plane {b} is not shaped as the first: {shape:?}"
+            )));
+        }
+        r.take_f64s(shape.rows, plane)
+    })
+}
+
+/// Params, length, the planes ([`write_bank`]), then the tables.
+fn write_lsh_index<F: BankedFamily>(w: &mut ByteWriter, index: &LshIndex<F>) {
+    index.params().write(w);
+    w.put_usize(index.len());
+    write_bank(w, index.bank());
+    w.put_usize(index.tables().len());
+    for table in index.tables() {
+        write_table(w, table);
+    }
+}
+
+/// What [`write_lsh_index`] wrote, for a family whose components carry a sphere
+/// transform (`embeds`) or not.
+fn read_lsh_index<F: BankedFamily>(r: &mut ByteReader<'_>, embeds: bool) -> Result<LshIndex<F>> {
+    let params = IndexParams::read(r)?;
+    let len = r.take_usize()?;
+    let bank = read_bank(r, embeds)?;
+    let mut tables = Vec::new();
+    for _ in 0..r.take_usize()? {
+        tables.push(read_table(r, len)?);
+    }
+    Ok(LshIndex::from_raw_parts(bank, tables, params, len)?)
+}
+
+/// Section 4.1: every component carries the sphere transform.
+impl Persist for LshIndex<SimpleAlshFamily> {
+    fn write(&self, w: &mut ByteWriter) {
+        write_lsh_index(w, self);
+    }
+
+    fn read(r: &mut ByteReader<'_>) -> Result<Self> {
+        read_lsh_index(r, true)
+    }
+}
+
+/// Section 4.2: the planes hash the sphere image as it is.
+impl Persist for LshIndex<SymmetricAsAsymmetric<HyperplaneFamily>> {
+    fn write(&self, w: &mut ByteWriter) {
+        write_lsh_index(w, self);
+    }
+
+    fn read(r: &mut ByteReader<'_>) -> Result<Self> {
+        read_lsh_index(r, false)
+    }
+}
+
+/// `κ`, `n`, `d`, then the copies as every build has written them: their number,
+/// then each as a row-major matrix — rows, columns, coefficients — walked out of the
+/// block.
 impl Persist for MaxIpEstimator {
     fn write(&self, w: &mut ByteWriter) {
         w.put_f64(self.kappa());
         w.put_usize(self.len());
         w.put_usize(self.dim());
-        write_slice(w, &self.sketched());
+        w.put_usize(self.copies());
+        for t in 0..self.copies() {
+            w.put_usize(self.rows_per_copy());
+            w.put_usize(self.dim());
+            for r in 0..self.rows_per_copy() {
+                self.sketch_row(t, r).for_each(|c| w.put_f64(c));
+            }
+        }
     }
 
+    /// Copy 0's shape is the block's: the block is allocated only once the input can
+    /// hold every coefficient it announces, and each later copy must repeat it.
     fn read(r: &mut ByteReader<'_>) -> Result<Self> {
+        let corrupt = |reason: String| StoreError::Corrupt {
+            context: "estimator",
+            reason,
+        };
         let kappa = r.take_f64()?;
         let n = r.take_usize()?;
         let dim = r.take_usize()?;
-        let sketched = Vec::read(r)?;
-        Ok(MaxIpEstimator::from_raw_parts(kappa, n, dim, sketched)?)
+        let copies = r.take_usize()?;
+        // No copy at all is the estimator's to refuse.
+        let (rows, cols) = match copies {
+            0 => (0, dim),
+            _ => (r.take_usize()?, r.take_usize()?),
+        };
+        if cols != dim {
+            return Err(corrupt(format!(
+                "a {rows}x{cols} copy of {dim}-dimensional data"
+            )));
+        }
+        let coefficients = [rows, dim].into_iter().try_fold(copies, usize::checked_mul);
+        if coefficients.is_none_or(|c| c as u64 > r.remaining() / 8) {
+            return Err(corrupt(format!(
+                "{copies} copies of {rows}x{dim} outnumber the {} bytes left",
+                r.remaining()
+            )));
+        }
+        MaxIpEstimator::from_copies(kappa, n, dim, copies, rows, |t, copy| {
+            if t > 0 && (r.take_usize()?, r.take_usize()?) != (rows, dim) {
+                return Err(corrupt(format!("copy {t} is not {rows}x{dim} like copy 0")));
+            }
+            r.take_f64s(rows * dim, copy)
+        })
     }
 }
 
@@ -405,42 +487,53 @@ impl Persist for Node {
     }
 
     fn read(r: &mut ByteReader<'_>) -> Result<Self> {
-        match r.take_u8()? {
-            0 => {
-                let corrupt = |reason: String| crate::StoreError::Corrupt {
-                    context: "recovery tree",
-                    reason,
-                };
-                let len = r.take_usize()?;
-                if len == 0 {
-                    return Err(corrupt("a leaf holds no index".into()));
-                }
-                let start = r.take_usize()?;
-                let end = start
-                    .checked_add(len)
-                    .ok_or_else(|| corrupt(format!("a leaf of {len} indices from {start}")))?;
-                // One read per listed index, so the bytes present bound the loop.
-                for expected in start + 1..end {
-                    let index = r.take_usize()?;
-                    if index != expected {
-                        return Err(corrupt(format!(
-                            "a leaf lists {index} where {expected} belongs"
-                        )));
-                    }
-                }
-                Ok(Node::Leaf { range: start..end })
+        read_node(r, TREE_LEVELS)
+    }
+}
+
+/// Internal levels a decoded recovery tree may stack. Every split halves its range, so
+/// no build writes a tree deeper than `⌈log₂ n⌉ ≤ 64`; a deeper one is refused before
+/// the decoder's recursion — or the checks' and the drop's after it — can run off the
+/// end of the stack.
+const TREE_LEVELS: usize = 64;
+
+/// A [`Node`] with at most `levels` internal levels.
+fn read_node(r: &mut ByteReader<'_>, levels: usize) -> Result<Node> {
+    let corrupt = |reason: String| StoreError::Corrupt {
+        context: "recovery tree",
+        reason,
+    };
+    match r.take_u8()? {
+        0 => {
+            let len = r.take_usize()?;
+            if len == 0 {
+                return Err(corrupt("a leaf holds no index".into()));
             }
-            1 => Ok(Node::Internal {
-                estimator_left: MaxIpEstimator::read(r)?,
-                estimator_right: MaxIpEstimator::read(r)?,
-                left: Box::new(Node::read(r)?),
-                right: Box::new(Node::read(r)?),
-            }),
-            other => Err(crate::StoreError::Corrupt {
-                context: "recovery tree",
-                reason: format!("unknown node tag {other}"),
-            }),
+            let start = r.take_usize()?;
+            let end = start
+                .checked_add(len)
+                .ok_or_else(|| corrupt(format!("a leaf of {len} indices from {start}")))?;
+            // One read per listed index, so the bytes present bound the loop.
+            for expected in start + 1..end {
+                let index = r.take_usize()?;
+                if index != expected {
+                    return Err(corrupt(format!(
+                        "a leaf lists {index} where {expected} belongs"
+                    )));
+                }
+            }
+            Ok(Node::Leaf { range: start..end })
         }
+        1 if levels == 0 => Err(corrupt(format!(
+            "the tree is deeper than {TREE_LEVELS} levels"
+        ))),
+        1 => Ok(Node::Internal {
+            estimator_left: MaxIpEstimator::read(r)?,
+            estimator_right: MaxIpEstimator::read(r)?,
+            left: Box::new(read_node(r, levels - 1)?),
+            right: Box::new(read_node(r, levels - 1)?),
+        }),
+        other => Err(corrupt(format!("unknown node tag {other}"))),
     }
 }
 
@@ -547,8 +640,14 @@ mod tests {
     fn primitive_structures_roundtrip() {
         let v = DenseVector::from(&[1.5, -0.25, 0.0][..]);
         assert_eq!(roundtrip(&v), v);
-        let m = Matrix::from_rows(&[v.clone(), v.scaled(2.0)]).unwrap();
-        assert_eq!(roundtrip(&m), m);
+        for x in [f64::NAN, f64::NEG_INFINITY] {
+            let mut w = ByteWriter::new();
+            DenseVector::from(&[1.0, x][..]).write(&mut w);
+            assert!(matches!(
+                DenseVector::read(&mut ByteReader::new(w.as_bytes())),
+                Err(StoreError::Corrupt { .. })
+            ));
+        }
         let spec = JoinSpec::new(0.7, 0.6, JoinVariant::Unsigned).unwrap();
         assert_eq!(roundtrip(&spec), spec);
         let params = AlshParams {
@@ -579,15 +678,26 @@ mod tests {
     }
 
     #[test]
-    fn sampled_functions_roundtrip_bit_identically() {
-        use ips_lsh::traits::{AsymmetricHashFunction, AsymmetricLshFamily};
+    fn lsh_indexes_roundtrip_bit_identically() {
+        use ips_linalg::random::random_ball_vector;
         let mut rng = StdRng::seed_from_u64(0x9A9A);
-        let family = ips_lsh::simple_alsh::SimpleAlshFamily::new(6, 1.5, 3).unwrap();
-        let f = family.sample(&mut rng).unwrap();
-        let back = roundtrip(&f);
-        let p = DenseVector::from(&[0.1, 0.2, -0.3, 0.0, 0.4, 0.1][..]);
-        assert_eq!(f.hash_data(&p).unwrap(), back.hash_data(&p).unwrap());
-        assert_eq!(f.hash_query(&p).unwrap(), back.hash_query(&p).unwrap());
+        let data: Vec<DenseVector> = (0..40)
+            .map(|_| random_ball_vector(&mut rng, 6, 1.0).unwrap())
+            .collect();
+        let params = IndexParams { k: 3, l: 4 };
+        let family = SimpleAlshFamily::new(6, 1.5, 2).unwrap();
+        let index = LshIndex::build(&family, params, &data, &mut rng).unwrap();
+        let back = roundtrip(&index);
+        assert_eq!(back.tables(), index.tables());
+        for q in &data[..10] {
+            assert_eq!(
+                back.probe_lookup(q, 3).unwrap(),
+                index.probe_lookup(q, 3).unwrap()
+            );
+        }
+        let family = SymmetricAsAsymmetric(HyperplaneFamily::new(6, 2).unwrap());
+        let index = LshIndex::build(&family, params, &data, &mut rng).unwrap();
+        assert_eq!(roundtrip(&index).tables(), index.tables());
     }
 
     #[test]
@@ -628,7 +738,7 @@ mod tests {
             write_slice(&mut w, &indices);
             assert!(matches!(
                 Node::read(&mut ByteReader::new(w.as_bytes())),
-                Err(crate::StoreError::Corrupt { .. })
+                Err(StoreError::Corrupt { .. })
             ));
         }
     }

@@ -259,8 +259,8 @@ pub(crate) fn build_index(
 /// Refuses a vector with a NaN or infinite coordinate, so no family ranks a score that
 /// compares false with everything. The public entry points check here: the fresh
 /// builds ([`ServingIndex::build`], `ShardedServingIndex::build`) and the inserts
-/// ([`ServingIndex::insert_with_id`], `ShardedServingIndex::insert`). A rebuild does
-/// not, so a loaded snapshot that holds such a vector keeps it.
+/// ([`ServingIndex::insert_with_id`], `ShardedServingIndex::insert`). A snapshot's
+/// decoder refuses such a vector too, so a rebuild does not check again.
 pub(crate) fn finite(v: &DenseVector) -> Result<()> {
     match v.iter().find(|x| !x.is_finite()) {
         Some(x) => Err(StoreError::InvalidParameter {
@@ -1212,33 +1212,40 @@ mod tests {
     }
 
     #[test]
-    fn a_loaded_sketch_snapshot_with_a_nan_coordinate_keeps_its_vectors_through_a_rebuild() {
-        // Snapshot loading does not check coordinates, so such a snapshot can exist;
-        // rebuilding it must not drop what it holds.
+    fn a_snapshot_with_a_nan_coordinate_is_refused_at_load_and_left_untouched() {
+        // Only the unchecked internal build can write such a file: the fresh builds and
+        // inserts refuse the vector, and the ALSH and symmetric builds refuse it as a
+        // vector outside the ball.
         let dim = 8;
         let mut data = vectors(0x7A, 40, dim, 0.9);
         data[7][2] = f64::NAN;
-        let sketch = IndexConfig::Sketch {
-            config: MaxIpConfig::default(),
-            leaf_size: 4,
-        };
-        let index = build_index(data.clone(), spec(), sketch, 0, 1).unwrap();
-        let config = ServingConfig::default();
-        let mut written = ServingIndex::from_snapshot(Snapshot::new(index), config).unwrap();
-        let bytes = written.snapshot_bytes().unwrap();
-        let mut serving =
-            ServingIndex::from_snapshot(Snapshot::from_bytes(&bytes).unwrap(), config).unwrap();
-        let extra = vectors(0x7B, 1, dim, 0.9).pop().unwrap();
-        serving.insert(extra.clone()).unwrap();
-        serving.compact().unwrap();
-        assert_eq!(serving.stats().rebuilds, 1);
-        assert_eq!(serving.len(), 41);
-        let bytes = serving.snapshot_bytes().unwrap();
-        let reloaded =
-            ServingIndex::from_snapshot(Snapshot::from_bytes(&bytes).unwrap(), config).unwrap();
-        assert_eq!(reloaded.len(), 41);
-        assert_eq!(reloaded.vector(40).unwrap(), &extra);
-        assert!(reloaded.vector(7).unwrap()[2].is_nan());
+        let dir = std::env::temp_dir().join(format!("ips-store-nan-load-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for index_config in [
+            IndexConfig::Brute,
+            IndexConfig::Sketch {
+                config: MaxIpConfig::default(),
+                leaf_size: 4,
+            },
+        ] {
+            let index = build_index(data.clone(), spec(), index_config, 0, 1).unwrap();
+            let config = ServingConfig::default();
+            let mut written = ServingIndex::from_snapshot(Snapshot::new(index), config).unwrap();
+            let path = dir.join(format!("{index_config:?}.snap"));
+            written.save(&path).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            assert!(
+                matches!(
+                    ServingIndex::open(&path, config),
+                    Err(StoreError::Corrupt { .. })
+                ),
+                "{index_config:?}"
+            );
+            assert!(ShardedServingIndex::open(&path, config).is_err());
+            assert!(Snapshot::from_bytes(&bytes).is_err());
+            assert!(std::fs::read(&path).unwrap() == bytes, "{index_config:?}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -1085,15 +1085,47 @@ mod tests {
         tables.iter().map(raw).collect()
     }
 
+    /// One component of an LSH index's planes as the bytes spell it: the sphere
+    /// transform's dimension and query radius (SIMPLE-ALSH only), then its planes — so
+    /// a test can state planes that [`ips_lsh::bank::PlaneBank`] refuses.
+    #[derive(Clone)]
+    struct RawComponent {
+        transform: Option<(usize, f64)>,
+        planes: Vec<DenseVector>,
+    }
+
+    /// A table's composite function: its components in order.
+    type RawComposite = Vec<RawComponent>;
+
+    fn raw_planes(bank: &ips_lsh::bank::PlaneBank) -> Vec<RawComposite> {
+        use ips_lsh::bank::Embedding;
+        let shape = bank.shape();
+        let transform = match bank.embedding() {
+            Embedding::Sphere(transform) => Some((transform.dim(), transform.query_radius())),
+            Embedding::Identity => None,
+        };
+        let plane = |f| DenseVector::new(bank.plane(f).collect());
+        let component = |first| RawComponent {
+            transform,
+            planes: (first..first + shape.bits).map(plane).collect(),
+        };
+        (0..shape.tables)
+            .map(|t| {
+                let first = |c| (t * shape.components + c) * shape.bits;
+                (0..shape.components).map(|c| component(first(c))).collect()
+            })
+            .collect()
+    }
+
     /// The bytes of a snapshot of an LSH index over `data` with liveness `live`, whose
-    /// LSH functions and tables are the ones given — every other byte as
+    /// LSH planes and tables are the ones given — every other byte as
     /// [`SnapshotRef::write`] writes it, checksum included.
-    fn snapshot_with_functions<F: Persist>(
+    fn snapshot_with_planes(
         family: IndexFamily,
         header: impl FnOnce(&mut ByteWriter),
         (data, live): (&[DenseVector], &[bool]),
         lsh: (ips_lsh::table::IndexParams, usize),
-        functions: &[F],
+        planes: &[RawComposite],
         tables: &[RawTable],
     ) -> Vec<u8> {
         let mut w = ByteWriter::new();
@@ -1102,7 +1134,17 @@ mod tests {
         crate::persist::write_slice(&mut w, live);
         lsh.0.write(&mut w);
         w.put_usize(lsh.1);
-        crate::persist::write_slice(&mut w, functions);
+        w.put_usize(planes.len());
+        for composite in planes {
+            w.put_usize(composite.len());
+            for component in composite {
+                if let Some((dim, radius)) = component.transform {
+                    w.put_usize(dim);
+                    w.put_f64(radius);
+                }
+                crate::persist::write_slice(&mut w, &component.planes);
+            }
+        }
         w.put_usize(tables.len());
         for table in tables {
             w.put_usize(table.len());
@@ -1134,13 +1176,13 @@ mod tests {
         let alsh: LshMips<'_, SphereTransform> =
             LshMips::build(schedule, &mut rng, data.clone(), spec, params).unwrap();
         let lsh = alsh.lsh_index();
-        let functions = lsh.functions();
+        let planes = raw_planes(lsh.bank());
         // Checksummed and structurally decodable, so only the table decoder and the
         // load-time checks of `LshMips::from_raw_parts` stand between these bytes and
         // a served index.
         let bytes = |live: &[bool], tables: &[RawTable]| {
             let len = live.iter().filter(|&&l| l).count();
-            snapshot_with_functions(
+            snapshot_with_planes(
                 IndexFamily::Alsh,
                 |w| {
                     spec.write(w);
@@ -1148,7 +1190,7 @@ mod tests {
                 },
                 (&data, live),
                 (lsh.params(), len),
-                &functions,
+                &planes,
                 tables,
             )
         };
@@ -1204,10 +1246,7 @@ mod tests {
     fn inconsistent_lsh_functions_are_rejected_at_load() {
         use ips_core::asymmetric::AlshParams;
         use ips_core::symmetric::SymmetricParams;
-        use ips_lsh::amplify::AndFunction;
-        use ips_lsh::hyperplane::HyperplaneFunction;
-        use ips_lsh::simple_alsh::{SimpleAlshFunction, SphereTransform};
-        use ips_lsh::SymmetricFunctionPair;
+        use ips_lsh::simple_alsh::SphereTransform;
 
         let mut rng = StdRng::seed_from_u64(0xBAD);
         let dim = 6;
@@ -1219,8 +1258,9 @@ mod tests {
             "ips-inconsistent-functions-{}.snap",
             std::process::id()
         ));
-        // Checksummed and structurally decodable, so only the load-time checks of
-        // `LshIndex::from_raw_parts` stand between these bytes and a served index.
+        // Checksummed and structurally decodable, so only the load-time checks of the
+        // plane decoder and `LshIndex::from_raw_parts` stand between these bytes and a
+        // served index.
         let load = |bytes: Vec<u8>| {
             std::fs::write(&path, bytes).unwrap();
             let loaded = Snapshot::load(&path);
@@ -1237,9 +1277,9 @@ mod tests {
         let alsh: LshMips<'_, SphereTransform> =
             LshMips::build(schedule, &mut rng, data.clone(), spec, alsh_params).unwrap();
         let live = vec![true; data.len()];
-        let alsh_bytes = |functions: &[AndFunction<SimpleAlshFunction>]| {
+        let alsh_bytes = |planes: &[RawComposite]| {
             let lsh = alsh.lsh_index();
-            snapshot_with_functions(
+            snapshot_with_planes(
                 IndexFamily::Alsh,
                 |w| {
                     spec.write(w);
@@ -1247,35 +1287,38 @@ mod tests {
                 },
                 (&data, &live),
                 (lsh.params(), lsh.len()),
-                functions,
+                planes,
                 &raw_tables(lsh.tables()),
             )
         };
-        let good = alsh.lsh_index().functions();
+        let good = raw_planes(alsh.lsh_index().bank());
         assert!(
             load(alsh_bytes(&good)).is_ok(),
             "the untouched re-encoding loads"
         );
 
-        // 1. A function with fewer components than params.k.
-        let mut short = good.clone();
-        short[1] = AndFunction::from_functions(good[1].functions()[..2].to_vec()).unwrap();
-        assert!(load(alsh_bytes(&short)).is_err());
+        // 1. A function with fewer components than params.k, in the first table or a
+        //    later one.
+        for t in [0, 1] {
+            let mut short = good.clone();
+            short[t].truncate(2);
+            assert!(load(alsh_bytes(&short)).is_err(), "table {t}");
+        }
 
         // 2. A component under a different sphere transform (same dimension, other
         //    query radius): nothing about it is malformed on its own.
         let mut mixed = good.clone();
-        let mut components = good[2].functions().to_vec();
-        components[0] = SimpleAlshFunction::from_parts(
-            SphereTransform::new(dim, 2.0).unwrap(),
-            components[0].hyperplane().clone(),
-        )
-        .unwrap();
-        mixed[2] = AndFunction::from_functions(components).unwrap();
+        mixed[2][0].transform = Some((dim, 2.0));
         assert!(load(alsh_bytes(&mixed)).is_err());
 
-        // 3. Planes of mixed dimension, in the family that has no transform to pin
-        //    them (dimension 3 hashes nothing this index stores).
+        // 3. A non-finite coefficient.
+        let mut poisoned = good.clone();
+        poisoned[3][2].planes[0][1] = f64::NAN;
+        assert!(load(alsh_bytes(&poisoned)).is_err());
+
+        // 4. Planes of mixed dimension, in the family that has no transform to pin
+        //    them (dimension 3 hashes nothing this index stores), and a component
+        //    with another number of planes.
         let symmetric_params = SymmetricParams {
             bits_per_table: 3,
             tables: 4,
@@ -1283,31 +1326,29 @@ mod tests {
         };
         let symmetric: LshMips<'_, SymmetricSphereMap> =
             LshMips::build(schedule, &mut rng, data.clone(), spec, symmetric_params).unwrap();
-        let symmetric_bytes =
-            |functions: &[AndFunction<SymmetricFunctionPair<HyperplaneFunction>>]| {
-                let lsh = symmetric.lsh_index();
-                snapshot_with_functions(
-                    IndexFamily::Symmetric,
-                    |w| {
-                        spec.write(w);
-                        symmetric_params.write(w);
-                    },
-                    (&data, &live),
-                    (lsh.params(), lsh.len()),
-                    functions,
-                    &raw_tables(lsh.tables()),
-                )
-            };
-        let good = symmetric.lsh_index().functions();
+        let symmetric_bytes = |planes: &[RawComposite]| {
+            let lsh = symmetric.lsh_index();
+            snapshot_with_planes(
+                IndexFamily::Symmetric,
+                |w| {
+                    spec.write(w);
+                    symmetric_params.write(w);
+                },
+                (&data, &live),
+                (lsh.params(), lsh.len()),
+                planes,
+                &raw_tables(lsh.tables()),
+            )
+        };
+        let good = raw_planes(symmetric.lsh_index().bank());
         assert!(load(symmetric_bytes(&good)).is_ok());
         let mut ragged = good.clone();
-        let mut components = good[3].functions().to_vec();
-        components[1] = SymmetricFunctionPair(
-            HyperplaneFunction::from_planes(vec![DenseVector::from(&[1.0, -1.0, 0.5][..])])
-                .unwrap(),
-        );
-        ragged[3] = AndFunction::from_functions(components).unwrap();
+        ragged[3][1].planes = vec![DenseVector::from(&[1.0, -1.0, 0.5][..])];
         assert!(load(symmetric_bytes(&ragged)).is_err());
+        let mut doubled = good.clone();
+        let plane = doubled[1][2].planes[0].clone();
+        doubled[1][2].planes.push(plane);
+        assert!(load(symmetric_bytes(&doubled)).is_err());
     }
 
     /// A recovery tree as the bytes spell it, so a test can state trees the in-memory
@@ -1333,7 +1374,13 @@ mod tests {
                 kappa: e.kappa(),
                 n: e.len(),
                 dim: e.dim(),
-                sketched: e.sketched(),
+                sketched: (0..e.copies())
+                    .map(|t| {
+                        let rows = e.rows_per_copy();
+                        let row_major = (0..rows).flat_map(|r| e.sketch_row(t, r)).collect();
+                        ips_linalg::Matrix::from_row_major(rows, e.dim(), row_major).unwrap()
+                    })
+                    .collect(),
             };
             match node {
                 Node::Leaf { range } => RawNode::Leaf(range.clone().collect()),
@@ -1363,7 +1410,12 @@ mod tests {
                         w.put_f64(e.kappa);
                         w.put_usize(e.n);
                         w.put_usize(e.dim);
-                        crate::persist::write_slice(w, &e.sketched);
+                        w.put_usize(e.sketched.len());
+                        for m in &e.sketched {
+                            w.put_usize(m.rows());
+                            w.put_usize(m.cols());
+                            m.iter_rows().flatten().for_each(|&x| w.put_f64(x));
+                        }
                     }
                     left.write(w);
                     right.write(w);
@@ -1500,6 +1552,56 @@ mod tests {
         let mut root = tree();
         root.first_leaf().clear();
         rejected("empty leaf", config, &root);
+    }
+
+    #[test]
+    fn a_tree_deeper_than_any_build_writes_is_refused_at_load() {
+        use ips_sketch::linf_mips::MaxIpConfig;
+
+        let data: Vec<DenseVector> = vec![DenseVector::from(&[0.5, 0.5][..]); 4];
+        let spec = JoinSpec::new(0.4, 0.5, JoinVariant::Unsigned).unwrap();
+        let config = MaxIpConfig {
+            kappa: 2.0,
+            copies: 1,
+            rows: Some(1),
+        };
+        // `levels` internal nodes down the left spine, every estimator κ = 2 over one
+        // vector with one 1 × 0 copy; a one-index leaf right of each.
+        let load = |levels: usize| {
+            let mut w = ByteWriter::new();
+            spec.write(&mut w);
+            crate::persist::write_slice(&mut w, &data);
+            config.write(&mut w);
+            w.put_usize(2);
+            for _ in 0..levels {
+                w.put_u8(1);
+                for _estimator in 0..2 {
+                    w.put_f64(2.0);
+                    for count in [1, 0, 1, 1, 0] {
+                        w.put_usize(count);
+                    }
+                }
+            }
+            for i in 0..=levels {
+                w.put_u8(0);
+                crate::persist::write_slice(&mut w, &[i]);
+            }
+            let ids: Vec<u64> = (0..data.len() as u64).collect();
+            Snapshot::from_bytes(&seal(IndexFamily::Sketch, &ids, data.len() as u64, w))
+        };
+        // 64 levels decode (and fail the tree's own checks); one more is refused as
+        // deeper than any build goes — and so is a spine of 5 000, on which the
+        // recursive decoder overflowed the stack of a test thread.
+        assert!(matches!(load(64), Err(StoreError::Sketch(_))));
+        for levels in [65, 5_000] {
+            assert!(matches!(
+                load(levels),
+                Err(StoreError::Corrupt {
+                    context: "recovery tree",
+                    ..
+                })
+            ));
+        }
     }
 
     #[test]

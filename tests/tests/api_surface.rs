@@ -131,17 +131,17 @@ fn store_facade_surface_is_pinned() {
 
 #[test]
 fn lsh_index_surface_is_pinned() {
-    // What the benchmark and the persistence layer compile against. Since the
-    // plane bank (PR 13) `functions()` hands out owned functions — a banked
-    // family's live only as the bank. A table is a `Table` (MIGRATION.md,
-    // "Sorted-key tables"), not a `HashMap<u64, Vec<u32>>`: read through
-    // `buckets()` / `ids()` / `entries()`, built by `from_parts`.
-    use ips_lsh::amplify::AndFunction;
-    use ips_lsh::simple_alsh::{SimpleAlshFamily, SimpleAlshFunction};
+    // What the benchmark and the persistence layer compile against. The plane bank
+    // is the only form of an index's planes: `bank()` lends it and `from_raw_parts`
+    // takes one (MIGRATION.md, "Planes and sketches stored once").
+    // A table is a `Table` (MIGRATION.md, "Sorted-key tables"), not a
+    // `HashMap<u64, Vec<u32>>`: read through `buckets()` / `ids()` / `entries()`,
+    // built by `from_parts`.
+    use ips_lsh::bank::PlaneBank;
+    use ips_lsh::simple_alsh::SimpleAlshFamily;
     use ips_lsh::table::{Bucket, IndexParams, LshIndex, Table};
     use rand::rngs::StdRng;
     type Alsh = LshIndex<SimpleAlshFamily>;
-    type Functions = Vec<AndFunction<SimpleAlshFunction>>;
     let _parts: fn(Vec<u64>, Vec<u32>, Vec<u32>) -> ips_lsh::Result<Table> = Table::from_parts;
     let _entries: fn(&Table) -> usize = Table::entries;
     let table = Table::from_parts(vec![3, 8], vec![0, 2], vec![4, 1, 5]).unwrap();
@@ -159,9 +159,9 @@ fn lsh_index_surface_is_pinned() {
     ) -> ips_lsh::Result<Alsh> = LshIndex::build::<StdRng>;
     let _query: fn(&Alsh, &DenseVector) -> ips_lsh::Result<Vec<usize>> = Alsh::query_candidates;
     let _entries: fn(&Alsh) -> usize = Alsh::stored_entries;
-    let _functions: fn(&Alsh) -> Functions = Alsh::functions;
+    let _bank: fn(&Alsh) -> &PlaneBank = Alsh::bank;
     let _tables: fn(&Alsh) -> &[Table] = Alsh::tables;
-    let _raw: fn(Functions, Vec<Table>, IndexParams, usize) -> ips_lsh::Result<Alsh> =
+    let _raw: fn(PlaneBank, Vec<Table>, IndexParams, usize) -> ips_lsh::Result<Alsh> =
         Alsh::from_raw_parts;
     // In-place compaction (PR 16): ids are renamed where they are stored.
     let _renumber: fn(&mut Alsh, &[u32]) -> ips_lsh::Result<()> = Alsh::renumber;
@@ -476,10 +476,9 @@ fn scoring_and_trace_surface_is_pinned() {
 fn sketch_index_surface_is_pinned() {
     // What the persistence layer, the adapter and the benchmark compile against.
     // Since the cost cut-off (PR 15) a leaf is a range, an estimator is one
-    // coordinate-major block — `sketched()` scatters owned matrices out of it, as
-    // `LshIndex::functions()` does for the plane bank — and the tree reports how
-    // many coefficients it holds; `leaf_size` keeps its name and type throughout.
-    use ips_linalg::Matrix;
+    // coordinate-major block — read a sketch row at a time (`sketch_row`) and
+    // filled a copy at a time (`from_copies`, pinned by use) — and the tree reports
+    // how many coefficients it holds; `leaf_size` keeps its name and type throughout.
     use ips_sketch::linf_mips::{MaxIpConfig, MaxIpEstimator};
     use ips_sketch::recovery::{MipsCandidate, Node, SketchMipsIndex};
     use rand::rngs::StdRng;
@@ -505,9 +504,17 @@ fn sketch_index_surface_is_pinned() {
     let _leaf = Node::Leaf { range: 0..1 };
     let _estimate: fn(&MaxIpEstimator, &DenseVector) -> ips_sketch::Result<f64> =
         MaxIpEstimator::estimate;
-    let _sketched: fn(&MaxIpEstimator) -> Vec<Matrix> = MaxIpEstimator::sketched;
-    let _estimator_raw: fn(f64, usize, usize, Vec<Matrix>) -> ips_sketch::Result<MaxIpEstimator> =
-        MaxIpEstimator::from_raw_parts;
+    let estimator = MaxIpEstimator::build(&mut rng, &data, MaxIpConfig::default()).unwrap();
+    let rows = estimator.rows_per_copy();
+    let copied: ips_sketch::Result<MaxIpEstimator> =
+        MaxIpEstimator::from_copies(2.0, 3, 2, estimator.copies(), rows, |t, copy| {
+            copy.extend((0..rows).flat_map(|r| estimator.sketch_row(t, r)));
+            Ok(())
+        });
+    assert_eq!(
+        copied.unwrap().stored_coefficients(),
+        estimator.stored_coefficients()
+    );
     let _default_floor: usize = ips_sketch::DEFAULT_LEAF_SIZE;
     // A join walks the tree a node at a time and never holds it: one candidate a
     // query, in query order, on a block schedule of the caller's.

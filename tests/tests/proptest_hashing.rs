@@ -23,8 +23,9 @@
 //! and decodes to them, and a `renumber` that keeps the id order, or reverses it,
 //! leaves the tables of a fresh build under the new ids, down to the bytes.
 //!
-//! The functions are sampled here, from the same seed `LshIndex::build` gets, so the
-//! test also pins that the index draws them in the same RNG order as before.
+//! The oracle's functions are sampled here by `AndConstruction::sample`, from the same
+//! seed `LshIndex::build` gets, and the index's bank must hold exactly their planes:
+//! the test pins that the index draws its planes in the sampler's RNG order.
 //!
 //! The second property is the Section 4.2 layer's: the index hashes a vector's sphere
 //! image from its non-zeros ([`SymmetricSphereMap::image_into`] → [`SparseImage`]) and
@@ -37,7 +38,7 @@
 //! The third property is the build's: both indexes hash their points block by block on
 //! several threads (`LshIndex::extend_blocks`, full blocks through the register tile of
 //! `PlaneBank::block_keys`). For threads ∈ {1, 2, 3, 7} and blocks of 1, 5 and 256
-//! points the index — functions, tables, bucket order, entry count, snapshot bytes —
+//! points the index — planes, tables, bucket order, entry count, snapshot bytes —
 //! must be the one a single thread builds; a block's keys must be each point's own
 //! [`PlaneBank::keys`]; and a point outside the ball must fail the build with the error
 //! it gives alone, whichever block it lands in.
@@ -58,6 +59,9 @@ use ips_lsh::{
     AsymmetricHashFunction, AsymmetricLshFamily, BankedFamily, LshError, ProbeSequence,
     SymmetricAsAsymmetric,
 };
+
+/// A component's sphere transform, if it has one, and its hyperplanes.
+type Parts<H> = fn(&H) -> (Option<&SphereTransform>, &[DenseVector]);
 use ips_store::format::{ByteReader, ByteWriter};
 use ips_store::persist::{write_slice, Persist};
 use proptest::prelude::*;
@@ -78,18 +82,31 @@ fn as_maps(tables: &[Table]) -> Tables {
     tables.iter().map(map).collect()
 }
 
-/// The encoding of an index over the reference tables: params, length, functions,
-/// then each table's bucket count and buckets in ascending key order.
-fn reference_bytes<H: Persist>(
+/// The encoding of an index over the reference tables: params, length, the oracle's
+/// functions (per table its components, per component the sphere transform if any and
+/// the planes), then each table's bucket count and buckets in ascending key order.
+fn reference_bytes<H>(
     params: IndexParams,
     len: usize,
     functions: &[AndFunction<H>],
+    parts_of: Parts<H>,
     tables: &Tables,
 ) -> Vec<u8> {
     let mut w = ByteWriter::new();
     params.write(&mut w);
     w.put_usize(len);
-    write_slice(&mut w, functions);
+    w.put_usize(functions.len());
+    for composite in functions {
+        w.put_usize(composite.functions().len());
+        for component in composite.functions() {
+            let (transform, planes) = parts_of(component);
+            if let Some(transform) = transform {
+                w.put_usize(transform.dim());
+                w.put_f64(transform.query_radius());
+            }
+            write_slice(&mut w, planes);
+        }
+    }
     w.put_usize(tables.len());
     for table in tables {
         let mut keys: Vec<u64> = table.keys().copied().collect();
@@ -101,6 +118,13 @@ fn reference_bytes<H: Persist>(
         }
     }
     w.into_bytes()
+}
+
+/// Every plane of a bank, in plane order.
+fn planes(bank: &PlaneBank) -> Vec<Vec<f64>> {
+    let shape = bank.shape();
+    let width = shape.tables * shape.components * shape.bits;
+    (0..width).map(|f| bank.plane(f).collect()).collect()
 }
 
 fn bytes_of<T: Persist>(x: &T) -> Vec<u8> {
@@ -172,8 +196,9 @@ fn reference_candidates(tables: &Tables, keys: &[Vec<u64>]) -> Vec<usize> {
 }
 
 /// Everything the module docs list, for one family and one shape. `rejected` are
-/// vectors the family must refuse; `planes_of` exposes a component's hyperplanes so
-/// the bank → functions scatter can be compared coefficient by coefficient.
+/// vectors the family must refuse; `parts_of` exposes a component's transform and
+/// hyperplanes, so that the index's bank can be compared with the oracle's planes
+/// coefficient by coefficient and the oracle's encoding spelled out.
 fn check_family<F>(
     family: &F,
     params: IndexParams,
@@ -181,12 +206,13 @@ fn check_family<F>(
     data: &[DenseVector],
     queries: &[DenseVector],
     rejected: &[DenseVector],
-    planes_of: fn(&F::Function) -> &[DenseVector],
+    parts_of: Parts<F::Function>,
 ) -> Result<(), TestCaseError>
 where
-    F: BankedFamily,
-    F::Function: Clone + Persist + Sync,
+    F: BankedFamily + Clone,
+    F::Function: Sync,
     AndFunction<F::Function>: ProbeSequence,
+    LshIndex<F>: Persist,
 {
     // The oracle's functions: what `build` samples from the same seed.
     let composite = AndConstruction::new(family.clone(), params.k).unwrap();
@@ -194,9 +220,18 @@ where
     let functions: Vec<_> = (0..params.l)
         .map(|_| composite.sample(&mut rng).unwrap())
         .collect();
+    let oracle_planes: Vec<Vec<f64>> = functions
+        .iter()
+        .flat_map(|f| f.functions())
+        .flat_map(|component| parts_of(component).1)
+        .map(|plane| plane.as_slice().to_vec())
+        .collect();
 
-    // Keys and probe sequences straight from the bank.
-    let bank = PlaneBank::from_functions(&functions, F::bank_parts).unwrap();
+    // The bank an index draws from that seed holds the oracle's planes; its keys and
+    // probe sequences are the oracle's.
+    let empty = LshIndex::build(family, params, &[], &mut StdRng::seed_from_u64(seed)).unwrap();
+    let bank = empty.bank();
+    prop_assert_eq!(planes(bank), oracle_planes.clone());
     let (mut scratch, mut keys) = (BankScratch::default(), Vec::new());
     for p in data {
         bank.keys(Side::Data, p, &mut scratch, &mut keys).unwrap();
@@ -249,14 +284,7 @@ where
             LshIndex::build_scheduled(schedule, family, params, &data[..split], &mut rng).unwrap()
         };
         let mut index = build();
-        let scattered = index.functions();
-        prop_assert_eq!(scattered.len(), functions.len());
-        for (ours, theirs) in scattered.iter().zip(&functions) {
-            prop_assert_eq!(ours.functions().len(), theirs.functions().len());
-            for (a, b) in ours.functions().iter().zip(theirs.functions()) {
-                prop_assert_eq!(planes_of(a), planes_of(b));
-            }
-        }
+        prop_assert_eq!(planes(index.bank()), oracle_planes.clone());
         let mut points: Vec<(u32, &DenseVector)> = (0u32..).zip(&data[..split]).collect();
         prop_assert_eq!(
             as_maps(index.tables()),
@@ -329,7 +357,7 @@ where
         let bytes = bytes_of(&index);
         prop_assert_eq!(
             &bytes,
-            &reference_bytes(params, points.len(), &functions, &reference)
+            &reference_bytes(params, points.len(), &functions, parts_of, &reference)
         );
         let loaded = LshIndex::<F>::read(&mut ByteReader::new(&bytes)).unwrap();
         prop_assert_eq!(as_maps(loaded.tables()), reference.clone());
@@ -396,7 +424,7 @@ proptest! {
             &data,
             &queries,
             &[outside, wrong_dim.clone()],
-            |f| f.hyperplane().planes(),
+            |f| (Some(f.transform()), f.hyperplane().planes()),
         )?;
 
         // The symmetric hyperplane family: no embedding, so no ball to leave.
@@ -407,7 +435,7 @@ proptest! {
             &data,
             &queries,
             &[wrong_dim],
-            |f| f.0.planes(),
+            |f| (None, f.0.planes()),
         )?;
     }
 }
@@ -466,14 +494,8 @@ proptest! {
         }
 
         // Keys and probe sequences straight from the bank.
-        let composite = AndConstruction::new(family.clone(), k).unwrap();
-        let mut sampler = StdRng::seed_from_u64(seed);
-        let functions: Vec<_> = (0..l).map(|_| composite.sample(&mut sampler).unwrap()).collect();
-        let bank = PlaneBank::from_functions(
-            &functions,
-            <SymmetricAsAsymmetric<HyperplaneFamily>>::bank_parts,
-        )
-        .unwrap();
+        let empty = LshIndex::build(&family, params, &[], &mut StdRng::seed_from_u64(seed)).unwrap();
+        let bank = empty.bank();
         let (mut scratch, mut dense_keys, mut sparse_keys) = (BankScratch::default(), vec![], vec![]);
         for v in &data {
             let dense = map.map(v).unwrap();
@@ -575,20 +597,11 @@ proptest! {
         let symmetric_family =
             SymmetricAsAsymmetric(HyperplaneFamily::single_bit(map.output_dim()).unwrap());
         let sample = |seed: u64| StdRng::seed_from_u64(seed);
-        let alsh_composite = AndConstruction::new(alsh_family.clone(), k).unwrap();
-        let mut sampler = sample(seed);
-        let functions: Vec<_> =
-            (0..l).map(|_| alsh_composite.sample(&mut sampler).unwrap()).collect();
-        let alsh_bank = PlaneBank::from_functions(&functions, SimpleAlshFamily::bank_parts).unwrap();
-        let symmetric_composite = AndConstruction::new(symmetric_family.clone(), k).unwrap();
-        let mut sampler = sample(seed);
-        let functions: Vec<_> =
-            (0..l).map(|_| symmetric_composite.sample(&mut sampler).unwrap()).collect();
-        let symmetric_bank = PlaneBank::from_functions(
-            &functions,
-            <SymmetricAsAsymmetric<HyperplaneFamily>>::bank_parts,
-        )
-        .unwrap();
+        let alsh_empty = LshIndex::build(&alsh_family, params, &[], &mut sample(seed)).unwrap();
+        let alsh_bank = alsh_empty.bank();
+        let symmetric_empty =
+            LshIndex::build(&symmetric_family, params, &[], &mut sample(seed)).unwrap();
+        let symmetric_bank = symmetric_empty.bank();
         let mut images = vec![SphereImage::default(); data.len()];
         for (v, image) in data.iter().zip(&mut images) {
             map.image_into(v, image).unwrap();
@@ -650,20 +663,12 @@ proptest! {
             prop_assert_eq!(ours.tables(), theirs.tables());
             prop_assert_eq!(ours.stored_entries(), theirs.stored_entries());
             prop_assert_eq!(ours.len(), theirs.len());
-            for (a, b) in ours.functions().iter().zip(theirs.functions()) {
-                for (a, b) in a.functions().iter().zip(b.functions()) {
-                    prop_assert_eq!(a.hyperplane().planes(), b.hyperplane().planes());
-                }
-            }
+            prop_assert_eq!(planes(ours.bank()), planes(theirs.bank()));
             let built = symmetric(schedule).unwrap();
             let (ours, theirs) = (built.lsh_index(), symmetric_reference.lsh_index());
             prop_assert_eq!(ours.tables(), theirs.tables());
             prop_assert_eq!(ours.stored_entries(), theirs.stored_entries());
-            for (a, b) in ours.functions().iter().zip(theirs.functions()) {
-                for (a, b) in a.functions().iter().zip(b.functions()) {
-                    prop_assert_eq!(a.0.planes(), b.0.planes());
-                }
-            }
+            prop_assert_eq!(planes(ours.bank()), planes(theirs.bank()));
             // The diagonal was filed in slot order too: every vector finds itself.
             for (slot, v) in data.iter().enumerate() {
                 let diagonal =

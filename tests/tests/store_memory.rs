@@ -9,11 +9,13 @@
 //!
 //! 1. [`ShardedServingIndex::save`] and [`ShardedServingIndex::open`] peak at the live
 //!    index plus a constant that does not grow with the number of vectors — for the
-//!    four families, at one shard and at three. (The constant is a block of the codec
-//!    and one copy of the sampled functions, which a save scatters out of the plane
-//!    bank and a load gathers into it.)
+//!    four families, at one shard and at three — the same constant for all four: a
+//!    block of the codec. A save walks the planes out of the plane bank and the
+//!    sketches out of the estimators' blocks, and a load fills them in place.
 //! 2. A file that fails its envelope check is refused with nothing decoded: the
-//!    refusal allocates a block, not a structure.
+//!    refusal allocates a block, not a structure. A file whose plane section announces
+//!    more coefficients than it holds is refused before a bank of that size is
+//!    allocated.
 //! 3. An LSH shard compacts in place: crossing the rebuild threshold allocates less
 //!    than one of its hash tables occupies, where a rebuild allocated all of them.
 //! 4. What is streamed to a file is byte for byte what `snapshot_bytes()` encodes in
@@ -27,8 +29,8 @@
 //!    join holds one node of its tree at a time: less than the root's pair of
 //!    estimators, one draw's temporaries and a hundred-odd bytes a query.
 //! 6. The Section 4.2 index is built from sparse sphere images: sampling its planes
-//!    peaks at the plane bank (not at a bank and the functions it was gathered from),
-//!    its exact-match table costs a few dozen bytes a point, and a search allocates
+//!    peaks at the plane bank, which the Gaussians are drawn straight into, its
+//!    exact-match table costs a few dozen bytes a point, and a search allocates
 //!    nothing of the image's dimension.
 //! 7. A block-parallel LSH build holds, beyond the index it returns, the key buffer and
 //!    one scratch per thread — and the *calling* thread's counters see all of it and
@@ -188,14 +190,15 @@ fn spec() -> JoinSpec {
     JoinSpec::new(0.5, 0.6, JoinVariant::Signed).unwrap()
 }
 
-/// The four families, each with the bound on what its save and its open may hold
-/// beyond the index: a few codec blocks everywhere, plus one copy of the sampled
-/// functions for the LSH families (3 KiB a plane for the symmetric family's
-/// 400-odd-dimensional sphere images) and of the widest estimator for sketch.
-fn families() -> [(&'static str, IndexConfig, usize); 4] {
+/// What a save and an open may hold beyond the index, for every family: a few codec
+/// blocks, and one plane or one sketched copy at a time.
+const CODEC_BOUND: usize = 128 * KIB;
+
+/// The four families.
+fn families() -> [(&'static str, IndexConfig); 4] {
     [
-        ("brute", IndexConfig::Brute, 128 * KIB),
-        ("alsh", IndexConfig::Alsh(AlshParams::default()), 256 * KIB),
+        ("brute", IndexConfig::Brute),
+        ("alsh", IndexConfig::Alsh(AlshParams::default())),
         (
             "symmetric",
             IndexConfig::Symmetric(SymmetricParams {
@@ -205,7 +208,6 @@ fn families() -> [(&'static str, IndexConfig, usize); 4] {
                 tables: 8,
                 probes: 0,
             }),
-            512 * KIB,
         ),
         (
             "sketch",
@@ -217,7 +219,6 @@ fn families() -> [(&'static str, IndexConfig, usize); 4] {
                 },
                 leaf_size: 16,
             },
-            128 * KIB,
         ),
     ]
 }
@@ -230,7 +231,8 @@ fn scratch_file(name: &str) -> PathBuf {
 
 #[test]
 fn save_and_open_hold_one_index_and_a_constant() {
-    for (name, index_config, bound) in families() {
+    let bound = CODEC_BOUND;
+    for (name, index_config) in families() {
         for shards in [1usize, 3] {
             // The same bound at both sizes: it does not scale with the index. At the
             // larger size the file alone is several times the bound, so holding the
@@ -319,6 +321,59 @@ fn a_file_that_fails_its_checksum_is_refused_with_nothing_decoded() {
         );
     }
     std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn a_plane_section_that_outnumbers_its_file_is_refused_before_a_bank_is_allocated() {
+    let mut serving = ServingIndex::build(
+        vectors(0xBA7C, 200),
+        spec(),
+        IndexConfig::Alsh(AlshParams::default()),
+        ServingConfig::default(),
+    )
+    .unwrap();
+    let mut bytes = serving.snapshot_bytes().unwrap();
+    // The plane section opens with the table count, then table 0's component count
+    // and its first component's header: the transform's dimension and query radius,
+    // one plane, of dimension d + 2.
+    let params = AlshParams::default();
+    let words = [params.tables, params.bits_per_table, DIM]
+        .map(|word| word as u64)
+        .into_iter()
+        .chain([params.query_radius.to_bits(), 1, DIM as u64 + 2]);
+    let header: Vec<u8> = words.flat_map(u64::to_le_bytes).collect();
+    let at = bytes
+        .windows(header.len())
+        .position(|window| window == header)
+        .expect("the plane section's header");
+    // 16 384 tables announce a 41 MB bank in a file of some 150 KB. The checksum is
+    // made to match, so the decoder has to see it.
+    let tables = 16_384usize;
+    let announced = tables * params.bits_per_table * (DIM + 2) * std::mem::size_of::<f64>();
+    assert!(announced > 100 * bytes.len());
+    bytes[at..at + 8].copy_from_slice(&(tables as u64).to_le_bytes());
+    let end = bytes.len() - 8;
+    let checksum = ips_store::format::fnv1a64(&bytes[12..end]);
+    bytes[end..].copy_from_slice(&checksum.to_le_bytes());
+    let span = Span::begin();
+    let refused = Snapshot::from_bytes(&bytes).map(|_| ());
+    assert!(
+        matches!(
+            refused,
+            Err(StoreError::Corrupt {
+                context: "planes",
+                ..
+            })
+        ),
+        "{refused:?}"
+    );
+    drop(refused);
+    assert!(
+        span.largest() < 4 * bytes.len(),
+        "a block of {} bytes for a {}-byte file",
+        span.largest(),
+        bytes.len()
+    );
 }
 
 #[test]
@@ -423,7 +478,7 @@ fn a_brute_shard_writes_and_ranks_in_place() {
 #[test]
 fn streamed_files_equal_the_bytes_encoded_in_memory() {
     let n = 3000;
-    for (name, index_config, _) in families() {
+    for (name, index_config) in families() {
         let mut serving = ServingIndex::build(
             vectors(7, n),
             spec(),
@@ -740,7 +795,7 @@ fn the_symmetric_index_is_built_from_sparse_images() {
         // The exact-match table alone: reassembling an index from its parts adds
         // nothing else (the vectors and the LSH state are moved in).
         let lsh = LshIndex::from_raw_parts(
-            index.lsh_index().functions(),
+            index.lsh_index().bank().clone(),
             index.lsh_index().tables().to_vec(),
             index.lsh_index().params(),
             index.lsh_index().len(),
@@ -841,11 +896,10 @@ fn a_block_build_holds_its_index_a_key_buffer_and_a_scratch_per_thread() {
         )
         .unwrap();
         let (transient, kept) = (span.transient(), span.kept());
-        // Sampling holds one table's functions beside the bank: k planes of the
-        // image's dimension. The images are not concentrated — a sphere image's tag
-        // depends on the whole vector — so its tables have ~1000 buckets each, and
-        // their key maps show.
-        let sampling = 2 * params.bits_per_table * map.output_dim() * word;
+        // Sampling holds one plane beside the bank, of the image's dimension. The
+        // images are not concentrated — a sphere image's tag depends on the whole
+        // vector — so its tables have ~1000 buckets each, and their key maps show.
+        let sampling = map.output_dim() * word;
         let filing = filing_transient(index.lsh_index().tables(), n);
         assert!(
             transient <= key_buffer + scratches + sampling + filing + 16 * KIB,
