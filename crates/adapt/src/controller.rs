@@ -4,9 +4,9 @@
 //! last check into an [`ObservedWorkload`], synthesises fresh
 //! [`WorkloadStats`] from it, and scores the drift against the statistics the
 //! live plan was costed on ([`WorkloadStats::drift_from`]). Drift must exceed
-//! the threshold for [`AdaptiveConfig::hysteresis_checks`] *consecutive*
-//! checks before the planner is consulted — one anomalous window (a traffic
-//! blip, a teared snapshot) never triggers a multi-second rebuild. When the
+//! [`DRIFT_THRESHOLD`] for [`HYSTERESIS_CHECKS`] *consecutive* checks before
+//! the planner is consulted — one anomalous window (a traffic blip, a teared
+//! snapshot) never triggers a multi-second rebuild. When the
 //! planner's fresh choice differs from the structure currently serving, the
 //! controller calls [`ShardedServingIndex::migrate_to`], which builds the
 //! replacement in the background of the serving traffic and swaps it in
@@ -17,7 +17,10 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use ips_core::planner::{CostModel, IndexFamily, JoinPlanner, PlannerConfig, WorkloadStats};
+use ips_core::planner::{
+    sample_indices, CostModel, IndexFamily, JoinPlanner, PlannerConfig, WorkloadStats, SAMPLE_DATA,
+    SAMPLE_QUERIES,
+};
 use ips_core::problem::JoinSpec;
 use ips_linalg::DenseVector;
 use ips_store::{IndexConfig, MigrationReport, Result, ShardedServingIndex, StoreError};
@@ -26,24 +29,26 @@ use rand::{Rng, SeedableRng};
 
 use crate::observe::{ObservedWorkload, TelemetryWindow};
 
-/// Tuning of the adaptive control loop.
+/// Drift score (worst relative change across the watched workload
+/// dimensions, in `[0, 1]`) at or above which a window counts toward
+/// triggering a re-plan.
+pub const DRIFT_THRESHOLD: f64 = 0.3;
+
+/// Consecutive drifted windows required before the planner runs. The
+/// hysteresis: a single anomalous window never migrates.
+pub const HYSTERESIS_CHECKS: u32 = 2;
+
+/// Windows with fewer observed queries than this are skipped outright — too
+/// little signal to compare distributions.
+pub const MIN_WINDOW_QUERIES: u64 = 16;
+
+/// Tuning of the adaptive control loop. The re-planning decision is scored
+/// with [`CostModel::default`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveConfig {
-    /// Drift score (worst relative change across the watched workload
-    /// dimensions, in `[0, 1]`) at or above which a window counts toward
-    /// triggering a re-plan.
-    pub drift_threshold: f64,
-    /// Consecutive drifted windows required before the planner runs. The
-    /// hysteresis: a single anomalous window never migrates.
-    pub hysteresis_checks: u32,
-    /// Windows with fewer observed queries than this are skipped outright —
-    /// too little signal to compare distributions.
-    pub min_window_queries: u64,
-    /// Sampling and per-strategy parameters for planner re-entry. Seeded from
-    /// the serving index's live configuration by [`AdaptiveController::new`].
+    /// Per-strategy parameters for planner re-entry. Seeded from the serving
+    /// index's live configuration by [`AdaptiveController::new`].
     pub planner: PlannerConfig,
-    /// Cost constants the re-planning decision is scored with.
-    pub model: CostModel,
     /// Seed for the mini-join sampling inside stats synthesis.
     pub seed: u64,
     /// Seconds between checks when the controller runs on its own thread
@@ -54,11 +59,7 @@ pub struct AdaptiveConfig {
 impl Default for AdaptiveConfig {
     fn default() -> Self {
         Self {
-            drift_threshold: 0.3,
-            hysteresis_checks: 2,
-            min_window_queries: 16,
             planner: PlannerConfig::default(),
-            model: CostModel::default(),
             seed: 0xAD_AF7,
             drift_check_secs: 5,
         }
@@ -82,7 +83,7 @@ pub enum ControlDecision {
         drift: f64,
     },
     /// Drift at or above threshold, but the hysteresis streak has not yet
-    /// reached [`AdaptiveConfig::hysteresis_checks`].
+    /// reached [`HYSTERESIS_CHECKS`].
     Pending {
         /// The scored drift.
         drift: f64,
@@ -144,10 +145,7 @@ impl AdaptiveController {
             }
         }
         config.planner.engine = index.serving_config().engine;
-        let planner = JoinPlanner {
-            config: config.planner,
-            model: config.model,
-        };
+        let planner = JoinPlanner::new(config.planner, CostModel::default());
         let rng = StdRng::seed_from_u64(config.seed);
         Self {
             index,
@@ -179,21 +177,14 @@ impl AdaptiveController {
     /// the `stats`/`plan` protocol replies always show the latest reading.
     pub fn check(&mut self) -> Result<ControlDecision> {
         let observed = self.window.advance(&self.index);
-        if observed.queries < self.config.min_window_queries {
+        if observed.queries < MIN_WINDOW_QUERIES {
             return Ok(ControlDecision::InsufficientWindow {
                 queries: observed.queries,
             });
         }
         let entries = self.index.live_entries();
         let spec = self.index.spec();
-        let fresh = observed_stats(
-            &mut self.rng,
-            &entries,
-            &observed,
-            spec,
-            self.planner.config.sample_data,
-            self.planner.config.sample_queries,
-        )?;
+        let fresh = observed_stats(&mut self.rng, &entries, &observed, spec)?;
         let Some(baseline) = &self.baseline else {
             self.index.set_drift_score(0.0);
             self.baseline = Some(fresh);
@@ -201,12 +192,12 @@ impl AdaptiveController {
         };
         let drift = fresh.drift_from(baseline);
         self.index.set_drift_score(drift);
-        if drift < self.config.drift_threshold {
+        if drift < DRIFT_THRESHOLD {
             self.streak = 0;
             return Ok(ControlDecision::Steady { drift });
         }
         self.streak += 1;
-        if self.streak < self.config.hysteresis_checks {
+        if self.streak < HYSTERESIS_CHECKS {
             return Ok(ControlDecision::Pending {
                 drift,
                 streak: self.streak,
@@ -319,8 +310,6 @@ pub fn observed_stats<R: Rng + ?Sized>(
     entries: &[(u64, DenseVector)],
     observed: &ObservedWorkload,
     spec: JoinSpec,
-    sample_data: usize,
-    sample_queries: usize,
 ) -> Result<WorkloadStats> {
     if entries.is_empty() {
         return Err(StoreError::InvalidParameter {
@@ -335,19 +324,10 @@ pub fn observed_stats<R: Rng + ?Sized>(
     let mean_query_norm = observed.mean_query_norm;
     let max_query_norm = observed.max_query_norm.max(mean_query_norm);
 
-    let sample = |rng: &mut R, count: usize| -> Vec<usize> {
-        if entries.len() <= count {
-            (0..entries.len()).collect()
-        } else {
-            (0..count)
-                .map(|_| rng.gen_range(0..entries.len()))
-                .collect()
-        }
-    };
-    let data_sample = sample(rng, sample_data);
+    let data_sample = sample_indices(rng, entries.len(), SAMPLE_DATA);
     // Synthetic queries: sampled data directions rescaled to the observed
     // mean query norm (zero vectors stay zero).
-    let queries: Vec<DenseVector> = sample(rng, sample_queries)
+    let queries: Vec<DenseVector> = sample_indices(rng, entries.len(), SAMPLE_QUERIES)
         .into_iter()
         .map(|i| {
             let v = &entries[i].1;
@@ -410,14 +390,6 @@ mod tests {
             .collect()
     }
 
-    fn test_config() -> AdaptiveConfig {
-        AdaptiveConfig {
-            min_window_queries: 4,
-            hysteresis_checks: 2,
-            ..AdaptiveConfig::default()
-        }
-    }
-
     fn drive(index: &ShardedServingIndex, norm: f64, count: usize) {
         let dim = 4;
         let queries: Vec<DenseVector> = (0..count)
@@ -452,7 +424,7 @@ mod tests {
             )
             .unwrap(),
         );
-        let mut controller = AdaptiveController::new(Arc::clone(&index), test_config());
+        let mut controller = AdaptiveController::new(Arc::clone(&index), AdaptiveConfig::default());
         assert_eq!(
             controller.config().planner.alsh,
             alsh,
@@ -465,13 +437,13 @@ mod tests {
             ControlDecision::InsufficientWindow { queries: 0 }
         );
         // First sufficient window locks the baseline.
-        drive(&index, 1.0, 8);
+        drive(&index, 1.0, 16);
         assert_eq!(
             controller.check().unwrap(),
             ControlDecision::BaselineEstablished
         );
         // Same traffic again: steady, no streak.
-        drive(&index, 1.0, 8);
+        drive(&index, 1.0, 16);
         match controller.check().unwrap() {
             ControlDecision::Steady { drift } => assert!(drift < 0.3, "drift {drift}"),
             other => panic!("expected steady, got {other:?}"),
@@ -479,7 +451,7 @@ mod tests {
         assert!(index.drift_score() < 0.3);
         // The workload shifts: query norms triple. One drifted window is
         // hysteresis-pending, the second triggers the planner.
-        drive(&index, 3.0, 8);
+        drive(&index, 3.0, 16);
         match controller.check().unwrap() {
             ControlDecision::Pending { drift, streak } => {
                 assert!(drift >= 0.3, "drift {drift}");
@@ -492,7 +464,7 @@ mod tests {
             }
             other => panic!("expected pending, got {other:?}"),
         }
-        drive(&index, 3.0, 8);
+        drive(&index, 3.0, 16);
         let report = match controller.check().unwrap() {
             ControlDecision::Migrated { drift, report } => {
                 assert!(drift >= 0.3);
@@ -516,7 +488,7 @@ mod tests {
 
         // The baseline re-anchored on the post-shift workload: the same
         // traffic is steady again, not a migration loop.
-        drive(&index, 3.0, 8);
+        drive(&index, 3.0, 16);
         match controller.check().unwrap() {
             ControlDecision::Steady { drift } => assert!(drift < 0.3, "drift {drift}"),
             other => panic!("expected steady after re-anchor, got {other:?}"),
@@ -537,12 +509,12 @@ mod tests {
             )
             .unwrap(),
         );
-        let mut controller = AdaptiveController::new(Arc::clone(&index), test_config());
-        drive(&index, 1.0, 8);
+        let mut controller = AdaptiveController::new(Arc::clone(&index), AdaptiveConfig::default());
+        drive(&index, 1.0, 16);
         controller.check().unwrap();
-        drive(&index, 3.0, 8);
+        drive(&index, 3.0, 16);
         controller.check().unwrap();
-        drive(&index, 3.0, 8);
+        drive(&index, 3.0, 16);
         match controller.check().unwrap() {
             ControlDecision::Replanned { choice, .. } => {
                 assert_eq!(choice, IndexFamily::Brute)
@@ -586,7 +558,7 @@ mod tests {
             live: 6,
         };
         let mut rng = StdRng::seed_from_u64(7);
-        let stats = observed_stats(&mut rng, &entries, &observed, spec(), 48, 24).unwrap();
+        let stats = observed_stats(&mut rng, &entries, &observed, spec()).unwrap();
         assert_eq!(stats.data_count, 6);
         assert_eq!(stats.query_count, 10);
         assert_eq!(stats.dim, 4);
@@ -595,7 +567,7 @@ mod tests {
         // Every synthetic query carries the observed mean norm.
         assert_eq!(stats.sampled_inner_products.len(), 6 * 6);
         assert!(stats.promise_density >= stats.output_density);
-        let err = observed_stats(&mut rng, &[], &observed, spec(), 48, 24);
+        let err = observed_stats(&mut rng, &[], &observed, spec());
         assert!(err.is_err(), "empty entry set must be rejected");
     }
 }

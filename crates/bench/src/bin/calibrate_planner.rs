@@ -146,15 +146,8 @@ fn main() {
     let mut plans = Vec::new();
     for w in &suite {
         let spec = spec_of(w);
-        let stats = WorkloadStats::sample(
-            &mut rng,
-            &w.data,
-            &w.queries,
-            spec,
-            planner.config.sample_data,
-            planner.config.sample_queries,
-        )
-        .expect("stats sample");
+        let stats =
+            WorkloadStats::sample(&mut rng, &w.data, &w.queries, spec).expect("stats sample");
         let plan = planner.plan_from_stats(stats, spec);
         for estimate in &plan.estimates {
             if let Some(m) = measure(w, &plan, estimate, seed ^ 0xBEEF) {

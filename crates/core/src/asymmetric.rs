@@ -39,9 +39,6 @@ pub struct AlshParams {
     pub bits_per_table: usize,
     /// Number of hash tables (the OR-construction width `L`).
     pub tables: usize,
-    /// Cap on the number of candidates that are exactly re-scored per query; `None`
-    /// re-scores every candidate.
-    pub rescore_limit: Option<usize>,
     /// Extra query-directed probe buckets visited per table (see `ips_lsh::probe`).
     /// `0` (the default) is the classical single-bucket lookup, bit-identical to the
     /// pre-probing behaviour; larger values trade lookups for fewer tables.
@@ -54,7 +51,6 @@ impl Default for AlshParams {
             query_radius: 1.0,
             bits_per_table: 12,
             tables: 32,
-            rescore_limit: None,
             probes: 0,
         }
     }
@@ -112,7 +108,6 @@ impl SphereMap for SphereTransform {
                 l: params.tables,
             },
             probes: params.probes,
-            rescore_limit: params.rescore_limit,
         }
     }
 
@@ -191,14 +186,6 @@ mod tests {
     use rand::SeedableRng;
 
     suite::lsh_mips_suite!(SphereTransform);
-
-    #[test]
-    fn rescore_limit_is_respected() {
-        suite::rescore_limit_is_respected::<SphereTransform>(AlshParams {
-            rescore_limit: Some(1),
-            ..Default::default()
-        });
-    }
 
     fn build(spec: JoinSpec) -> Result<LshMips<'static, SphereTransform>> {
         let data = vec![DenseVector::from(&[0.3, 0.1][..])];

@@ -63,7 +63,7 @@ use crate::asymmetric::AlshParams;
 use crate::engine::EngineConfig;
 use crate::error::{CoreError, Result};
 use crate::kernel::Dtype;
-use crate::planner::{self, CostModel, IndexFamily, JoinPlan, JoinPlanner};
+use crate::planner::{self, CostModel, IndexFamily, JoinPlan, JoinPlanner, PlannerConfig};
 use crate::problem::{JoinSpec, JoinVariant, MatchPair};
 use crate::symmetric::SymmetricParams;
 use ips_linalg::DenseVector;
@@ -173,7 +173,7 @@ impl Join {
             approximation: 1.0,
             variant: JoinVariant::Signed,
             strategy: Strategy::Auto,
-            planner: JoinPlanner::default(),
+            config: PlannerConfig::default(),
             seed: 42,
         }
     }
@@ -197,9 +197,10 @@ pub struct JoinBuilder<'a> {
     approximation: f64,
     variant: JoinVariant,
     strategy: Strategy,
-    /// The per-family parameters, the engine schedule, the scoring kernel and the
-    /// cost model: what a fixed strategy runs with and what `Auto` plans with.
-    planner: JoinPlanner,
+    /// The per-family parameters, the engine schedule and the scoring kernel: what a
+    /// fixed strategy runs with and what `Auto` plans with, under the default cost
+    /// model.
+    config: PlannerConfig,
     seed: u64,
 }
 
@@ -248,13 +249,13 @@ impl<'a> JoinBuilder<'a> {
     /// ALSH parameters used by [`Strategy::Alsh`] (and as the planner's ALSH
     /// candidate under [`Strategy::Auto`]).
     pub fn alsh_params(mut self, params: AlshParams) -> Self {
-        self.planner.config.alsh = params;
+        self.config.alsh = params;
         self
     }
 
     /// Symmetric-LSH parameters used by [`Strategy::Symmetric`].
     pub fn symmetric_params(mut self, params: SymmetricParams) -> Self {
-        self.planner.config.symmetric = params;
+        self.config.symmetric = params;
         self
     }
 
@@ -266,14 +267,14 @@ impl<'a> JoinBuilder<'a> {
     /// [`JoinBuilder::symmetric_params`] if you set both — those setters
     /// replace the whole parameter structs, probes field included.
     pub fn probes(mut self, probes: usize) -> Self {
-        self.planner.config.alsh.probes = probes;
-        self.planner.config.symmetric.probes = probes;
+        self.config.alsh.probes = probes;
+        self.config.symmetric.probes = probes;
         self
     }
 
     /// Sketch configuration used by [`Strategy::Sketch`].
     pub fn sketch_config(mut self, config: MaxIpConfig) -> Self {
-        self.planner.config.sketch = config;
+        self.config.sketch = config;
         self
     }
 
@@ -281,7 +282,7 @@ impl<'a> JoinBuilder<'a> {
     /// [`ips_sketch::DEFAULT_LEAF_SIZE`]): never split a range of at most this many
     /// vectors. The tree also stops where a sketch would cost more than the scan.
     pub fn sketch_leaf_size(mut self, leaf_size: usize) -> Self {
-        self.planner.config.sketch_leaf_size = leaf_size;
+        self.config.sketch_leaf_size = leaf_size;
         self
     }
 
@@ -289,26 +290,19 @@ impl<'a> JoinBuilder<'a> {
     /// the default). Under [`Strategy::Alsh`] and [`Strategy::Symmetric`] they also hash
     /// the data: no pass of the join runs on more threads than this.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.planner.config.engine.threads = threads;
+        self.config.engine.threads = threads;
         self
     }
 
     /// Queries per batched engine work unit (default 32).
     pub fn chunk_size(mut self, chunk_size: usize) -> Self {
-        self.planner.config.engine.chunk_size = chunk_size;
+        self.config.engine.chunk_size = chunk_size;
         self
     }
 
     /// The whole engine schedule in one call.
     pub fn engine(mut self, engine: EngineConfig) -> Self {
-        self.planner.config.engine = engine;
-        self
-    }
-
-    /// The planner's calibrated cost constants (only consulted under
-    /// [`Strategy::Auto`]).
-    pub fn cost_model(mut self, model: CostModel) -> Self {
-        self.planner.model = model;
+        self.config.engine = engine;
         self
     }
 
@@ -322,7 +316,7 @@ impl<'a> JoinBuilder<'a> {
     /// scan only: the ALSH, symmetric and sketch strategies score their few
     /// candidates exactly in `f64` whatever the `dtype`.
     pub fn dtype(mut self, dtype: Dtype) -> Self {
-        self.planner.config.scoring.dtype = dtype;
+        self.config.scoring.dtype = dtype;
         self
     }
 
@@ -354,7 +348,7 @@ impl<'a> JoinBuilder<'a> {
     pub fn run_with_rng<R: Rng + ?Sized>(self, rng: &mut R) -> Result<JoinReport> {
         let spec = self.build_spec()?;
         let start = std::time::Instant::now();
-        let config = &self.planner.config;
+        let config = &self.config;
         let (matches, strategy, plan) = match config.index_config(self.strategy) {
             Some(index) => {
                 let matches = planner::run_strategy(
@@ -370,7 +364,12 @@ impl<'a> JoinBuilder<'a> {
             }
             // `Strategy::Auto`: the planner's pick, through the same function.
             None => {
-                let plan = self.planner.plan(rng, self.data, self.queries, spec)?;
+                let plan = JoinPlanner::new(self.config, CostModel::default()).plan(
+                    rng,
+                    self.data,
+                    self.queries,
+                    spec,
+                )?;
                 let matches = plan.execute(rng, self.data, self.queries)?;
                 (matches, plan.choice.family(), Some(plan))
             }
@@ -442,6 +441,18 @@ mod tests {
         let (_, valid) =
             evaluate_join(inst.data(), inst.queries(), &spec, &report.matches).unwrap();
         assert!(valid);
+        // `Auto` is the default planner's plan, executed from the same RNG.
+        let mut rng = StdRng::seed_from_u64(42);
+        let replay = JoinPlanner::default()
+            .plan(&mut rng, inst.data(), inst.queries(), spec)
+            .unwrap();
+        assert_eq!(replay.choice, plan.choice);
+        assert_eq!(
+            replay
+                .execute(&mut rng, inst.data(), inst.queries())
+                .unwrap(),
+            report.matches
+        );
     }
 
     #[test]

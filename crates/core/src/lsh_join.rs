@@ -23,8 +23,7 @@
 //!   the lowest id among equals.
 //!
 //! A candidate that collides in several groups is scored once per group, to the same
-//! bits each time. A re-scoring cap cuts the candidate union over *every* table, so under
-//! `rescore_limit = Some(_)` the join runs as one group.
+//! bits each time.
 //!
 //! **What a group holds.** At most [`GROUP_PLANE_BYTES`] of planes: a slice of the bank
 //! that stays in a core's L2 while both sides stream past it. At `d = 48` that is 6 of
@@ -142,11 +141,7 @@ pub(crate) fn run<M: JoinMap, R: Rng + ?Sized>(
     let tuning = M::tuning(&params);
     let IndexParams { k, l } = tuning.tables;
     let table_bytes = k * map.plane_rows() * std::mem::size_of::<f64>();
-    let group = match tuning.rescore_limit {
-        Some(_) => l,
-        None => GROUP_PLANE_BYTES / table_bytes.max(1),
-    }
-    .max(1);
+    let group = (GROUP_PLANE_BYTES / table_bytes.max(1)).max(1);
     let (threads, chunk) = (engine.resolved_threads(), engine.resolved_chunk_size());
     let schedule = Schedule {
         threads,
@@ -209,8 +204,7 @@ pub(crate) fn run<M: JoinMap, R: Rng + ?Sized>(
                     }
                     let (q, kept) = (&queries[j], &kept_queries[j * words..(j + 1) * words]);
                     let hit = map.with_kept_query(q, kept, |point| {
-                        let mut candidates = index.probe_lookup(point, tuning.probes)?;
-                        candidates.truncate(tuning.rescore_limit.unwrap_or(usize::MAX));
+                        let candidates = index.probe_lookup(point, tuning.probes)?;
                         best_candidate(&spec, data, q, candidates)
                     })?;
                     if let Some(hit) = hit {

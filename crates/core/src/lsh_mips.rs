@@ -32,8 +32,6 @@ pub struct Tuning {
     pub tables: IndexParams,
     /// Extra query-directed probe buckets visited per table (see `ips_lsh::probe`).
     pub probes: usize,
-    /// Cap on the candidates a query gathers for exact re-scoring; `None` for no cap.
-    pub rescore_limit: Option<usize>,
 }
 
 /// How an [`LshMips`] takes its vectors to the sphere its LSH hashes on — the one
@@ -456,13 +454,12 @@ impl<'a, M: SphereMap> LshMips<'a, M> {
         })
     }
 
-    /// The LSH candidates of a query presented as `point` (deduplicated, ascending),
-    /// cut to the re-scoring cap: the one place a search of either kind gathers them.
+    /// The LSH candidates of a query presented as `point` (deduplicated, ascending):
+    /// the one place a search of either kind gathers them.
     fn gather(&self, point: Point<'_>) -> Result<Vec<usize>> {
-        let tuning = M::tuning(&self.params);
-        let mut candidates = self.index.probe_lookup(point, tuning.probes)?;
-        candidates.truncate(tuning.rescore_limit.unwrap_or(usize::MAX));
-        Ok(candidates)
+        Ok(self
+            .index
+            .probe_lookup(point, M::tuning(&self.params).probes)?)
     }
 
     /// The last live slot whose vector is identical to the query, scored exactly.
@@ -837,30 +834,6 @@ pub(crate) mod suite {
         for (q, base) in queries.iter().zip(&baseline) {
             assert_eq!(&index.candidate_indices(q).unwrap(), base);
         }
-    }
-
-    /// `limited` must cap re-scoring at one candidate.
-    pub(crate) fn rescore_limit_is_respected<M: SphereMap>(limited: M::Params) {
-        assert_eq!(M::tuning(&limited).rescore_limit, Some(1));
-        let mut r = rng();
-        let dim = 8;
-        let data = ball(&mut r, 50, dim, 1.0);
-        // Everything is acceptable, so only the cap keeps an answer list short.
-        let spec = JoinSpec::new(0.9, 1e-6, JoinVariant::Unsigned).unwrap();
-        let index = build::<M>(&mut r, data.clone(), spec, limited).unwrap();
-        let mut capped = false;
-        for q in &data {
-            let gathered = index.candidate_indices(q).unwrap();
-            assert!(gathered.len() <= 1, "{gathered:?}");
-            let top = index.search_top_k(q, 5).unwrap();
-            assert_eq!(
-                top.iter().map(|hit| hit.data_index).collect::<Vec<_>>(),
-                gathered
-            );
-            assert_eq!(index.search(q).unwrap(), top.first().copied());
-            capped |= index.lsh_index().query_candidates(q).unwrap().len() > 1;
-        }
-        assert!(capped, "no query ever gathered more than the cap allows");
     }
 
     /// One `#[test]` per suite function that needs nothing but the map `$map`.

@@ -169,7 +169,7 @@ pub struct WorkloadStats {
 
 impl WorkloadStats {
     /// Measures a workload: exact `n`/`m`/`d`/norm statistics plus a sampled
-    /// mini-join of at most `sample_data × sample_queries` inner products.
+    /// mini-join of at most [`SAMPLE_DATA`] `×` [`SAMPLE_QUERIES`] inner products.
     ///
     /// Fails on an empty data set (nothing can be planned, matching the join
     /// entry points) and on mixed dimensions. An empty *query* set is fine and
@@ -179,8 +179,6 @@ impl WorkloadStats {
         data: &[DenseVector],
         queries: &[DenseVector],
         spec: JoinSpec,
-        sample_data: usize,
-        sample_queries: usize,
     ) -> Result<Self> {
         if data.is_empty() {
             return Err(CoreError::EmptyDataSet);
@@ -198,9 +196,9 @@ impl WorkloadStats {
         let (max_query_norm, mean_query_norm) = norm_stats(queries);
 
         let mut sampled = Vec::new();
-        if !queries.is_empty() && sample_data > 0 && sample_queries > 0 {
-            let picked_data = sample_indices(rng, data.len(), sample_data);
-            let picked_queries = sample_indices(rng, queries.len(), sample_queries);
+        if !queries.is_empty() {
+            let picked_data = sample_indices(rng, data.len(), SAMPLE_DATA);
+            let picked_queries = sample_indices(rng, queries.len(), SAMPLE_QUERIES);
             sampled.reserve(picked_data.len() * picked_queries.len());
             for &i in &picked_data {
                 for &j in &picked_queries {
@@ -276,7 +274,7 @@ fn lsh_flops<M: SphereMap>(
     rows: usize,
     params: &M::Params,
 ) -> (f64, f64) {
-    let Tuning { tables, probes, .. } = M::tuning(params);
+    let Tuning { tables, probes } = M::tuning(params);
     let (n, m, d) = (stats.data_count, stats.query_count, stats.dim);
     let candidates =
         ips_lsh::cost::expected_candidates_probed(n, cosines, tables.k, tables.l, probes);
@@ -299,9 +297,15 @@ fn norm_stats(vectors: &[DenseVector]) -> (f64, f64) {
     (max, sum / vectors.len() as f64)
 }
 
+/// Data vectors [`WorkloadStats::sample`] draws for its mini-join.
+pub const SAMPLE_DATA: usize = 48;
+
+/// Query vectors [`WorkloadStats::sample`] draws for its mini-join.
+pub const SAMPLE_QUERIES: usize = 24;
+
 /// `count` indices drawn uniformly (with replacement) from `0..len`, or every
 /// index when the population is no larger than the request.
-fn sample_indices<R: Rng + ?Sized>(rng: &mut R, len: usize, count: usize) -> Vec<usize> {
+pub fn sample_indices<R: Rng + ?Sized>(rng: &mut R, len: usize, count: usize) -> Vec<usize> {
     if len <= count {
         (0..len).collect()
     } else {
@@ -420,14 +424,10 @@ pub struct StrategyEstimate {
     pub note: String,
 }
 
-/// Tuning knobs of the [`JoinPlanner`].
+/// The per-strategy parameters, engine schedule and scoring kernel of the
+/// [`JoinPlanner`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlannerConfig {
-    /// Data vectors sampled for the mini-join (the sample has at most
-    /// `sample_data × sample_queries` pairs).
-    pub sample_data: usize,
-    /// Query vectors sampled for the mini-join.
-    pub sample_queries: usize,
     /// ALSH parameters; `query_radius` is treated as a lower bound and raised
     /// to the measured maximum query norm at plan time.
     pub alsh: AlshParams,
@@ -450,8 +450,6 @@ pub struct PlannerConfig {
 impl Default for PlannerConfig {
     fn default() -> Self {
         Self {
-            sample_data: 48,
-            sample_queries: 24,
             alsh: AlshParams::default(),
             sketch: MaxIpConfig::default(),
             sketch_leaf_size: ips_sketch::DEFAULT_LEAF_SIZE,
@@ -484,7 +482,7 @@ impl PlannerConfig {
 /// The cost-based join planner: statistics in, [`JoinPlan`] out.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct JoinPlanner {
-    /// Sampling and per-strategy parameter configuration.
+    /// Per-strategy parameters, engine schedule and scoring kernel.
     pub config: PlannerConfig,
     /// The calibrated cost constants.
     pub model: CostModel,
@@ -523,14 +521,7 @@ impl JoinPlanner {
         queries: &[DenseVector],
         spec: JoinSpec,
     ) -> Result<JoinPlan> {
-        let stats = WorkloadStats::sample(
-            rng,
-            data,
-            queries,
-            spec,
-            self.config.sample_data,
-            self.config.sample_queries,
-        )?;
+        let stats = WorkloadStats::sample(rng, data, queries, spec)?;
         Ok(self.plan_from_stats(stats, spec))
     }
 
@@ -1104,14 +1095,32 @@ mod tests {
         let queries: Vec<DenseVector> = (0..10)
             .map(|_| random_unit_vector(&mut rng, 8).unwrap())
             .collect();
-        let st = WorkloadStats::sample(&mut rng, &data, &queries, spec(0.8, 0.6), 16, 8).unwrap();
+        let st = WorkloadStats::sample(&mut rng, &data, &queries, spec(0.8, 0.6)).unwrap();
         assert_eq!(st.data_count, 40);
         assert_eq!(st.query_count, 10);
         assert_eq!(st.dim, 8);
         assert!((st.max_data_norm - 0.5).abs() < 1e-9);
         assert!((st.max_query_norm - 1.0).abs() < 1e-9);
-        assert_eq!(st.sampled_inner_products.len(), 16 * 8);
+        // Both sets are smaller than the sample sizes, so every pair is sampled.
+        assert_eq!(st.sampled_inner_products.len(), 40 * 10);
         // All inner products are at most 0.5, so nothing clears s = 0.8.
+        assert_eq!(st.promise_density, 0.0);
+
+        // Both sets larger than the sample sizes: the mini-join draws with
+        // replacement and has exactly SAMPLE_DATA × SAMPLE_QUERIES pairs.
+        let data: Vec<DenseVector> = (0..60)
+            .map(|_| random_unit_vector(&mut rng, 8).unwrap().scaled(0.5))
+            .collect();
+        let queries: Vec<DenseVector> = (0..30)
+            .map(|_| random_unit_vector(&mut rng, 8).unwrap())
+            .collect();
+        let st = WorkloadStats::sample(&mut rng, &data, &queries, spec(0.8, 0.6)).unwrap();
+        assert_eq!(st.data_count, 60);
+        assert_eq!(st.query_count, 30);
+        assert_eq!(
+            st.sampled_inner_products.len(),
+            SAMPLE_DATA * SAMPLE_QUERIES
+        );
         assert_eq!(st.promise_density, 0.0);
     }
 
@@ -1119,12 +1128,12 @@ mod tests {
     fn sampling_rejects_bad_workloads() {
         let mut rng = StdRng::seed_from_u64(1);
         let q = vec![DenseVector::from(&[1.0, 0.0][..])];
-        assert!(WorkloadStats::sample(&mut rng, &[], &q, spec(0.8, 0.6), 8, 8).is_err());
+        assert!(WorkloadStats::sample(&mut rng, &[], &q, spec(0.8, 0.6)).is_err());
         let mixed = vec![
             DenseVector::from(&[1.0, 0.0][..]),
             DenseVector::from(&[1.0][..]),
         ];
-        assert!(WorkloadStats::sample(&mut rng, &mixed, &q, spec(0.8, 0.6), 8, 8).is_err());
+        assert!(WorkloadStats::sample(&mut rng, &mixed, &q, spec(0.8, 0.6)).is_err());
     }
 
     #[test]

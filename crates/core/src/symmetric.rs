@@ -297,7 +297,6 @@ impl SphereMap for SymmetricSphereMap {
                 l: params.tables,
             },
             probes: params.probes,
-            rescore_limit: None,
         }
     }
 

@@ -35,7 +35,7 @@ ips_linalg::define_error! {
 /// The dimension shared by every vector of a non-empty list, which is what each
 /// sketch structure asks of its data before it touches a coordinate.
 pub(crate) fn uniform_dim(vectors: &[ips_linalg::DenseVector]) -> Result<usize> {
-    let dim = vectors.first().ok_or(SketchError::EmptyDataSet)?.dim();
+    let dim = positive_dim(vectors.first().ok_or(SketchError::EmptyDataSet)?.dim())?;
     match vectors.iter().find(|v| v.dim() != dim) {
         Some(v) => Err(SketchError::DimensionMismatch {
             expected: dim,
@@ -43,6 +43,18 @@ pub(crate) fn uniform_dim(vectors: &[ips_linalg::DenseVector]) -> Result<usize> 
         }),
         None => Ok(dim),
     }
+}
+
+/// `dim`, unless it is 0: a sketch of 0-dimensional data holds no coefficient, so
+/// nothing it is stored with bounds how many rows it claims.
+pub(crate) fn positive_dim(dim: usize) -> Result<usize> {
+    if dim == 0 {
+        return Err(SketchError::InvalidParameter {
+            name: "dim",
+            reason: "a sketch needs data of at least one dimension".into(),
+        });
+    }
+    Ok(dim)
 }
 
 #[cfg(test)]

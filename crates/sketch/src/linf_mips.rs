@@ -32,7 +32,7 @@
 //! [`MaxIpEstimator::sketch_row`] reads a row of a copy back for the snapshot writer.
 
 use crate::cost::resolved_rows;
-use crate::error::{uniform_dim, Result, SketchError};
+use crate::error::{positive_dim, uniform_dim, Result, SketchError};
 use crate::maxstable::MaxStableSketch;
 use crate::stable::median_in_place;
 use ips_linalg::DenseVector;
@@ -261,9 +261,9 @@ impl MaxIpEstimator {
     /// [`MaxIpEstimator::sketch_row`] and friends, used by snapshot persistence to
     /// restore an estimator without re-drawing its sketches.
     ///
-    /// Refused before the block is allocated: `κ < 2`, `n == 0`, no copy, no row and a
-    /// block past the address space; then a coefficient that is not finite. These are
-    /// [`SketchError`]s; an error of `fill`'s is returned as it is.
+    /// Refused before the block is allocated: `κ < 2`, `n == 0`, `dim == 0`, no copy,
+    /// no row and a block past the address space; then a coefficient that is not
+    /// finite. These are [`SketchError`]s; an error of `fill`'s is returned as it is.
     ///
     /// # Panics
     ///
@@ -285,6 +285,7 @@ impl MaxIpEstimator {
         if n == 0 {
             return Err(SketchError::EmptyDataSet.into());
         }
+        positive_dim(dim)?;
         let invalid = |reason: String| SketchError::InvalidParameter {
             name: "sketched",
             reason,
@@ -378,6 +379,11 @@ mod tests {
         let mut mixed = data.clone();
         mixed.push(gaussian_vector(&mut r, 5));
         assert!(MaxIpEstimator::build(&mut r, &mixed, MaxIpConfig::default()).is_err());
+        let flat = vec![DenseVector::zeros(0); 10];
+        assert!(MaxIpEstimator::build(&mut r, &flat, MaxIpConfig::default()).is_err());
+        let no_coordinate =
+            MaxIpEstimator::from_copies(2.0, 10, 0, 1, 1 << 40, |_, _| Ok::<_, SketchError>(()));
+        assert!(no_coordinate.is_err());
         let est = MaxIpEstimator::build(&mut r, &data, MaxIpConfig::default()).unwrap();
         assert_eq!(est.len(), 10);
         assert!(!est.is_empty());

@@ -651,6 +651,8 @@ mod tests {
         let mut mixed = data.clone();
         mixed.push(DenseVector::zeros(5));
         assert!(SketchMipsIndex::build(&mut r, mixed, MaxIpConfig::default(), 4).is_err());
+        let flat = vec![DenseVector::zeros(0); 8];
+        assert!(SketchMipsIndex::build(&mut r, flat, MaxIpConfig::default(), 4).is_err());
         let index = SketchMipsIndex::build(&mut r, data, MaxIpConfig::default(), 4).unwrap();
         assert_eq!(index.len(), 8);
         assert!(!index.is_empty());

@@ -169,17 +169,31 @@ impl Persist for AlshParams {
         w.put_f64(self.query_radius);
         w.put_usize(self.bits_per_table);
         w.put_usize(self.tables);
-        w.put_opt_u64(self.rescore_limit.map(|v| v as u64));
+        // The re-scoring cap's presence byte: the index re-scores every candidate, so
+        // it is always absent (see MIGRATION.md, "Options with one value").
+        w.put_u8(0);
         // PR 10: probes appended to the payload (see MIGRATION.md, "Multi-probe").
         w.put_usize(self.probes);
     }
 
     fn read(r: &mut ByteReader<'_>) -> Result<Self> {
+        let query_radius = r.take_f64()?;
+        let bits_per_table = r.take_usize()?;
+        let tables = r.take_usize()?;
+        // A file written with a cap (tag 1, then the cap) is refused: the index
+        // re-scores every candidate, so it would answer otherwise than the file's
+        // writer did, and re-save to other bytes.
+        let cap = r.take_u8()?;
+        if cap != 0 {
+            return Err(StoreError::Corrupt {
+                context: "alsh params",
+                reason: format!("re-scoring cap tag {cap}; no cap is served"),
+            });
+        }
         Ok(Self {
-            query_radius: r.take_f64()?,
-            bits_per_table: r.take_usize()?,
-            tables: r.take_usize()?,
-            rescore_limit: r.take_opt_u64()?.map(|v| v as usize),
+            query_radius,
+            bits_per_table,
+            tables,
             probes: r.take_usize()?,
         })
     }
@@ -651,7 +665,7 @@ mod tests {
         let spec = JoinSpec::new(0.7, 0.6, JoinVariant::Unsigned).unwrap();
         assert_eq!(roundtrip(&spec), spec);
         let params = AlshParams {
-            rescore_limit: Some(5),
+            probes: 5,
             ..Default::default()
         };
         assert_eq!(roundtrip(&params), params);

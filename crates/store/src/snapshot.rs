@@ -1243,6 +1243,63 @@ mod tests {
     }
 
     #[test]
+    fn an_alsh_params_section_with_a_rescoring_cap_is_refused_at_load() {
+        use ips_core::asymmetric::AlshParams;
+        use ips_lsh::simple_alsh::SphereTransform;
+
+        let mut rng = StdRng::seed_from_u64(0xCA9);
+        let data: Vec<DenseVector> = (0..20)
+            .map(|_| random_ball_vector(&mut rng, 4, 1.0).unwrap())
+            .collect();
+        let spec = JoinSpec::new(0.4, 0.5, JoinVariant::Signed).unwrap();
+        let params = AlshParams {
+            bits_per_table: 3,
+            tables: 2,
+            ..Default::default()
+        };
+        let schedule = ips_linalg::par::Schedule::new(ips_lsh::table::BUILD_BLOCK);
+        let alsh: LshMips<'_, SphereTransform> =
+            LshMips::build(schedule, &mut rng, data.clone(), spec, params).unwrap();
+        let lsh = alsh.lsh_index();
+        // The params section as earlier builds wrote it, with the cap's presence byte
+        // and, when present, the cap.
+        let bytes = |cap: Option<u64>| {
+            snapshot_with_planes(
+                IndexFamily::Alsh,
+                |w| {
+                    spec.write(w);
+                    w.put_f64(params.query_radius);
+                    w.put_usize(params.bits_per_table);
+                    w.put_usize(params.tables);
+                    w.put_opt_u64(cap);
+                    w.put_usize(params.probes);
+                },
+                (&data, &vec![true; data.len()]),
+                (lsh.params(), data.len()),
+                &raw_planes(lsh.bank()),
+                &raw_tables(lsh.tables()),
+            )
+        };
+        let uncapped = bytes(None);
+        assert_eq!(
+            Snapshot::from_bytes(&uncapped).unwrap().to_bytes(),
+            uncapped
+        );
+        let capped = Snapshot::from_bytes(&bytes(Some(1)));
+        assert!(
+            matches!(
+                capped,
+                Err(StoreError::Corrupt {
+                    context: "alsh params",
+                    ..
+                })
+            ),
+            "{:?}",
+            capped.map(|_| ())
+        );
+    }
+
+    #[test]
     fn inconsistent_lsh_functions_are_rejected_at_load() {
         use ips_core::asymmetric::AlshParams;
         use ips_core::symmetric::SymmetricParams;
@@ -1566,7 +1623,7 @@ mod tests {
             rows: Some(1),
         };
         // `levels` internal nodes down the left spine, every estimator κ = 2 over one
-        // vector with one 1 × 0 copy; a one-index leaf right of each.
+        // vector with one 1 × 2 copy; a one-index leaf right of each.
         let load = |levels: usize| {
             let mut w = ByteWriter::new();
             spec.write(&mut w);
@@ -1577,9 +1634,11 @@ mod tests {
                 w.put_u8(1);
                 for _estimator in 0..2 {
                     w.put_f64(2.0);
-                    for count in [1, 0, 1, 1, 0] {
+                    for count in [1, 2, 1, 1, 2] {
                         w.put_usize(count);
                     }
+                    w.put_f64(0.5);
+                    w.put_f64(0.5);
                 }
             }
             for i in 0..=levels {
@@ -1602,6 +1661,46 @@ mod tests {
                 })
             ));
         }
+    }
+
+    #[test]
+    fn a_sketch_of_zero_dimensional_data_is_refused_at_load() {
+        use ips_sketch::linf_mips::MaxIpConfig;
+
+        // Four vectors of no coordinate, split into two leaves of two under a root
+        // whose estimators claim 2⁴⁰ rows a copy. No coefficient stands for a row, so
+        // the file is small; the first estimate would have sized 2⁴⁰ accumulators.
+        let rows = 1usize << 40;
+        let data = vec![DenseVector::zeros(0); 4];
+        let spec = JoinSpec::new(0.4, 0.5, JoinVariant::Unsigned).unwrap();
+        let config = MaxIpConfig {
+            kappa: 2.0,
+            copies: 1,
+            rows: Some(rows),
+        };
+        let mut w = ByteWriter::new();
+        spec.write(&mut w);
+        crate::persist::write_slice(&mut w, &data);
+        config.write(&mut w);
+        w.put_usize(1);
+        w.put_u8(1);
+        for _estimator in 0..2 {
+            w.put_f64(2.0);
+            for count in [2, 0, 1, rows, 0] {
+                w.put_usize(count);
+            }
+        }
+        for leaf in [[0usize, 1], [2, 3]] {
+            w.put_u8(0);
+            crate::persist::write_slice(&mut w, &leaf);
+        }
+        let ids: Vec<u64> = (0..data.len() as u64).collect();
+        let bytes = seal(IndexFamily::Sketch, &ids, data.len() as u64, w);
+        assert!(bytes.len() < 512);
+        assert!(matches!(
+            Snapshot::from_bytes(&bytes),
+            Err(StoreError::Sketch(_))
+        ));
     }
 
     #[test]

@@ -547,7 +547,6 @@ fn builder_setters_are_pinned() {
         .threads(1)
         .chunk_size(4)
         .engine(ips_core::EngineConfig::serial())
-        .cost_model(ips_core::CostModel::default())
         .seed(1)
         .run()
         .unwrap();

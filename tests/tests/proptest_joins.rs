@@ -327,21 +327,19 @@ proptest! {
     }
 
     #[test]
-    fn the_alsh_join_is_the_whole_index_join_capped_or_not(
+    fn the_alsh_join_is_the_whole_index_join(
         (data, queries) in twinned_workload(),
         seed in any::<u64>(),
         s in 0.02f64..0.2,
         c in 0.3f64..0.95,
         bits_per_table in 1usize..=16,
         tables in 1usize..=48,
-        limit in 0usize..6,
         probed in any::<bool>(),
     ) {
         let spec = JoinSpec::new(s, c, JoinVariant::Unsigned).unwrap();
         let params = AlshParams {
             bits_per_table,
             tables,
-            rescore_limit: (limit > 0).then_some(limit),
             probes: if probed { 2 } else { 0 },
             ..AlshParams::default()
         };
@@ -359,6 +357,9 @@ proptest! {
 
     // A cost model under which only the chosen LSH strategy is cheap: the planner's
     // pick runs the grouped join, after the RNG has paid for the workload sample.
+    // `JoinPlan::execute` is how an `Auto` facade join runs its plan; the facade's
+    // `auto_attaches_plan_and_stats_and_is_valid` pins that its `Auto` arm is exactly
+    // plan + execute.
     #[test]
     fn an_auto_join_of_an_lsh_pick_is_the_whole_index_join(
         (data, queries) in twinned_workload(),
@@ -389,8 +390,11 @@ proptest! {
                 engine: engine(schedule),
                 ..PlannerConfig::default()
             };
+            let planned = |rng: &mut StdRng| {
+                JoinPlanner::new(config, model).plan(rng, &data, &queries, spec).unwrap()
+            };
             let mut rng = StdRng::seed_from_u64(seed);
-            let plan = JoinPlanner::new(config, model).plan(&mut rng, &data, &queries, spec).unwrap();
+            let plan = planned(&mut rng);
             let expected = match plan.choice {
                 IndexConfig::Alsh(params) => whole_index_join::<SphereTransform>(
                     &mut rng, &data, &queries, spec, params, schedule,
@@ -400,18 +404,9 @@ proptest! {
                 ),
                 other => panic!("the model makes {} dear", other.family()),
             };
-            let report = Join::data(&data)
-                .queries(&queries)
-                .spec(spec)
-                .alsh_params(params.0)
-                .symmetric_params(params.1)
-                .cost_model(model)
-                .engine(engine(schedule))
-                .seed(seed)
-                .run()
-                .unwrap();
-            prop_assert_eq!(report.strategy, plan.choice.family());
-            prop_assert_eq!(&bits(&report.matches), &expected, "schedule {:?}", schedule);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let matches = planned(&mut rng).execute(&mut rng, &data, &queries).unwrap();
+            prop_assert_eq!(&bits(&matches), &expected, "schedule {:?}", schedule);
         }
     }
 }
@@ -463,11 +458,10 @@ proptest! {
     }
 }
 
-/// A re-scoring cap cuts the candidate union over every table, so a capped join runs
-/// as one group even where an uncapped one needs several: here each table's planes
-/// (4 × 20 002 coefficients) fill more than half the group budget, one table a group.
+/// Where one table's planes (4 × 20 002 coefficients) fill more than half the group
+/// budget, an ALSH join runs one table a group, and still answers as the whole index.
 #[test]
-fn a_capped_alsh_join_runs_as_one_group() {
+fn an_alsh_join_of_one_table_a_group_is_the_whole_index_join() {
     let dim = 20_000;
     let mut rng = StdRng::seed_from_u64(0xCA9);
     let mut ball = |count: usize| -> Vec<DenseVector> {
@@ -482,46 +476,27 @@ fn a_capped_alsh_join_runs_as_one_group() {
         .map(|(p, noise)| p.scaled(0.7).add(&noise.scaled(0.3)).unwrap())
         .collect();
     let spec = JoinSpec::new(0.05, 0.5, JoinVariant::Unsigned).unwrap();
-    let mut capped_a_union = false;
-    for rescore_limit in [None, Some(1), Some(2)] {
-        let params = AlshParams {
-            bits_per_table: 4,
-            tables: 6,
-            rescore_limit,
-            ..AlshParams::default()
-        };
-        let expected = whole_index_join::<SphereTransform>(
-            &mut StdRng::seed_from_u64(3),
-            &data,
-            &queries,
-            spec,
-            params,
-            (2, 4),
-        );
-        let got = facade_join(
-            3,
-            &data,
-            &queries,
-            spec,
-            JoinStrategy::Alsh,
-            (params, SymmetricParams::default()),
-            (2, 4),
-        );
-        assert_eq!(got, expected, "rescore_limit {rescore_limit:?}");
-        let uncapped = AlshParams {
-            rescore_limit: None,
-            ..params
-        };
-        capped_a_union |= rescore_limit.is_some()
-            && expected
-                != whole_index_join::<SphereTransform>(
-                    &mut StdRng::seed_from_u64(3),
-                    &data,
-                    &queries,
-                    spec,
-                    uncapped,
-                    (2, 4),
-                );
-    }
-    assert!(capped_a_union, "no cap changed an answer");
+    let params = AlshParams {
+        bits_per_table: 4,
+        tables: 6,
+        ..AlshParams::default()
+    };
+    let expected = whole_index_join::<SphereTransform>(
+        &mut StdRng::seed_from_u64(3),
+        &data,
+        &queries,
+        spec,
+        params,
+        (2, 4),
+    );
+    let got = facade_join(
+        3,
+        &data,
+        &queries,
+        spec,
+        JoinStrategy::Alsh,
+        (params, SymmetricParams::default()),
+        (2, 4),
+    );
+    assert_eq!(got, expected);
 }
