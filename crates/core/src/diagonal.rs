@@ -81,19 +81,12 @@ impl Diagonal {
         }
     }
 
-    /// Renames every slot `s` to `new_slot[s]` (injective on the registered slots),
-    /// keeping every list ascending under the new names.
+    /// Renames every slot `s` to `new_slot[s]`, which ascends over the registered
+    /// slots, so every list stays ascending and every highest slot the highest.
     pub(crate) fn renumber(&mut self, new_slot: &[u32]) {
-        for slot in self.last.values_mut() {
+        let shared = self.shared.values_mut().flatten();
+        for slot in self.last.values_mut().chain(shared) {
             *slot = new_slot[*slot as usize];
-        }
-        for (fingerprint, slots) in &mut self.shared {
-            for slot in slots.iter_mut() {
-                *slot = new_slot[*slot as usize];
-            }
-            slots.sort_unstable();
-            let highest = *slots.last().expect("a shared list holds two or more slots");
-            self.last.insert(*fingerprint, highest);
         }
     }
 }
@@ -141,25 +134,18 @@ mod tests {
                     diagonal.remove(fingerprint(&slots[s].0), s as u32);
                 }
                 _ => {
-                    // Compact: survivors renamed by a random permutation, which is the
-                    // general case of `Renumbering` (ascending key order or not).
+                    // Compact: the survivors move down to their rank, as `Renumbering`
+                    // moves them.
                     let live: Vec<usize> = (0..slots.len()).filter(|&s| slots[s].1).collect();
-                    let mut names: Vec<u32> = (0..live.len() as u32).collect();
-                    for i in (1..names.len()).rev() {
-                        names.swap(i, rng.gen_range(0..=i));
-                    }
                     let mut new_slot = vec![u32::MAX; slots.len()];
-                    let mut moved = vec![(Vec::new(), false); live.len()];
-                    for (&old, &new) in live.iter().zip(&names) {
-                        new_slot[old] = new;
-                        moved[new as usize] = (slots[old].0.clone(), true);
+                    for (new, &old) in live.iter().enumerate() {
+                        new_slot[old] = new as u32;
                     }
-                    slots = moved;
+                    slots.retain(|(_, kept)| *kept);
                     for list in model.values_mut() {
                         for s in list.iter_mut() {
                             *s = new_slot[*s] as usize;
                         }
-                        list.sort_unstable();
                     }
                     diagonal.renumber(&new_slot);
                 }

@@ -187,16 +187,15 @@ pub trait LshOps: TopKMipsIndex + Send + Sync {
     /// Returns an error for an out-of-range or already-deleted slot.
     fn delete(&mut self, slot: usize) -> Result<()>;
 
-    /// Drops every tombstoned slot and renumbers the live ones `0..len` in ascending
-    /// order of `keys[slot]` (one key per slot, distinct on live slots), in place.
+    /// Drops every tombstoned slot and renumbers the live ones `0..len` in slot
+    /// order, in place.
     ///
     /// Deletes already took the dead slots out of every bucket and a bucket depends
     /// on the vector alone, so nothing is hashed: the vectors move down where they
-    /// stand (or are permuted, when the key order differs from the slot order) and the
-    /// buckets — and the exact-match lookup — are renamed. The result is the index
-    /// [`LshMips::build`] gives over the surviving vectors in key order with the same
-    /// sampled functions — same buckets, same answers, same snapshot bytes.
-    fn compact(&mut self, keys: &[u64]) -> Result<()>;
+    /// stand and the buckets — and the exact-match lookup — are renamed. The result is
+    /// the index [`LshMips::build`] gives over the surviving vectors in slot order with
+    /// the same sampled functions — same buckets, same answers, same snapshot bytes.
+    fn compact(&mut self) -> Result<()>;
 
     /// Whether slot `slot` currently holds a live (non-deleted) vector.
     fn is_live(&self, slot: usize) -> bool;
@@ -534,11 +533,11 @@ impl<M: SphereMap> LshOps for LshMips<'_, M> {
         Ok(())
     }
 
-    fn compact(&mut self, keys: &[u64]) -> Result<()> {
-        let plan = Renumbering::new(&self.live, keys)?;
+    fn compact(&mut self) -> Result<()> {
+        let plan = Renumbering::new(&self.live);
         self.index.renumber(&plan.new_slot)?;
         self.diagonal.renumber(&plan.new_slot);
-        plan.apply(self.data.to_mut(), || DenseVector::zeros(0));
+        plan.apply(self.data.to_mut());
         self.live.truncate(self.live_count);
         self.live.fill(true);
         Ok(())
@@ -744,20 +743,11 @@ pub(crate) mod suite {
         for slot in [3usize, 17, 40, twins[1]] {
             index.delete(slot).unwrap();
         }
-        // Keys out of slot order: the survivors are permuted, not only moved down.
-        let keys: Vec<u64> = (0..index.slots() as u64)
-            .map(|slot| (slot * 37) % 101)
-            .collect();
-        let mut order: Vec<usize> = (0..index.slots())
+        let survivors: Vec<DenseVector> = (0..index.slots())
             .filter(|&slot| index.is_live(slot))
+            .map(|slot| index.data()[slot].clone())
             .collect();
-        order.sort_unstable_by_key(|&slot| keys[slot]);
-        let survivors: Vec<DenseVector> = order
-            .iter()
-            .map(|&slot| index.data()[slot].clone())
-            .collect();
-        assert!(index.compact(&keys[1..]).is_err(), "one key per slot");
-        index.compact(&keys).unwrap();
+        index.compact().unwrap();
         let rebuilt = fresh(survivors.clone());
         assert_eq!(index.data(), &survivors[..]);
         assert_eq!(

@@ -334,9 +334,8 @@ impl Table {
         true
     }
 
-    /// Renames every id `i` to `new_id[i]` (which the caller has checked covers them),
-    /// folds the overlay and the tombstones into the base and sorts each bucket whose
-    /// order the renaming broke.
+    /// Renames every id `i` to `new_id[i]` (which the caller has checked covers them
+    /// and keeps their order) and folds the overlay and the tombstones into the base.
     fn renumber(&mut self, new_id: &[u32]) {
         let base = self.ids.iter_mut().filter(|id| **id != TOMBSTONE);
         for id in base.chain(self.overlay.values_mut().flatten()) {
@@ -347,13 +346,6 @@ impl Table {
         }
         if !self.overlay.is_empty() {
             self.merge_overlay();
-        }
-        for b in 0..self.keys.len() {
-            let run = self.run(b);
-            let bucket = &mut self.ids[run];
-            if !bucket.is_sorted() {
-                bucket.sort_unstable();
-            }
         }
     }
 
@@ -891,12 +883,20 @@ impl<F: BankedFamily> LshIndex<F> {
     /// again (a point's bucket depends on the vector alone, never on its id) — and
     /// folds each table's overlay and tombstones into its base on the way.
     ///
-    /// `new_id` must be injective on the stored ids. Buckets list ids in ascending
-    /// order after a build or any sequence of ascending inserts; a bucket whose order
-    /// the renaming breaks is sorted again, so the tables equal those of an index
-    /// built over the same points under the new ids. A stored id outside `new_id`, or
-    /// renamed to `u32::MAX`, is rejected before any table is touched.
+    /// The names `new_id` gives — its entries other than `u32::MAX` — must strictly
+    /// ascend, so every bucket keeps its order: after a build or any sequence of
+    /// ascending inserts, the tables then equal those of an index built over the same
+    /// points under the new ids. A map whose names do not ascend, and a stored id
+    /// outside `new_id` or renamed to `u32::MAX`, are rejected before any table is
+    /// touched.
     pub fn renumber(&mut self, new_id: &[u32]) -> Result<()> {
+        let names = new_id.iter().filter(|&&to| to != TOMBSTONE);
+        if let Some((a, b)) = names.clone().zip(names.skip(1)).find(|(a, b)| a >= b) {
+            return Err(LshError::InvalidParameter {
+                name: "new_id",
+                reason: format!("new id {b} follows {a}: a renaming must keep the ids' order"),
+            });
+        }
         let renamed = |id: u32| new_id.get(id as usize).filter(|&&to| to != TOMBSTONE);
         let unnamed = (self.tables.iter().flat_map(Table::ids)).find(|&id| renamed(id).is_none());
         if let Some(id) = unnamed {
@@ -1006,9 +1006,21 @@ mod tests {
         assert_eq!(table.keys, [5, 20, 30, 40]);
         assert_eq!(table.offsets, [0, 1, 3, 6]);
         assert_eq!(table.ids, [6, 2, 7, 3, 5, 10, 9]);
-        // A renaming that breaks a bucket's order sorts it.
-        table.renumber(&(0..11).rev().collect::<Vec<u32>>());
-        assert_eq!(listed(&table)[2], (30, vec![0, 5, 7]));
+        // Closing the gaps keeps every bucket's order.
+        let mut closed = [u32::MAX; 11];
+        for (new, old) in (0..).zip([2, 3, 5, 6, 7, 9, 10]) {
+            closed[old] = new;
+        }
+        table.renumber(&closed);
+        assert_eq!(
+            listed(&table),
+            [
+                (5, vec![3]),
+                (20, vec![0, 4]),
+                (30, vec![1, 2, 6]),
+                (40, vec![5])
+            ]
+        );
     }
 
     #[test]
@@ -1166,21 +1178,46 @@ mod tests {
         assert_eq!(index.tables(), build(&kept).tables());
         assert_eq!(index.len(), kept.len());
 
-        // A renaming that reverses the order has every bucket sorted again.
-        let mut reversed = vec![u32::MAX; data.len()];
-        for (new, &old) in survivors.iter().rev().enumerate() {
-            reversed[old] = new as u32;
+        // Names with gaps between them keep the order too: the tables of the same
+        // points inserted one by one under those ids.
+        let spread: Vec<u32> = closed.iter().map(|&to| to.saturating_mul(2)).collect();
+        let mut index = removed();
+        index.renumber(&spread).unwrap();
+        let mut inserted = build(&[]);
+        for (id, p) in (0..).step_by(2).zip(&kept) {
+            inserted.insert(id, p).unwrap();
         }
-        let mut index = removed();
-        index.renumber(&reversed).unwrap();
-        let kept: Vec<DenseVector> = survivors.iter().rev().map(|&i| data[i].clone()).collect();
-        assert_eq!(index.tables(), build(&kept).tables());
+        assert_eq!(index.tables(), inserted.tables());
+    }
 
-        // An id with no new name is refused and nothing moves.
-        let mut index = removed();
+    #[test]
+    fn renumber_refuses_a_map_that_reorders_or_drops_an_id_before_anything_moves() {
+        let dim = 8;
+        let fam = SimpleAlshFamily::new(dim, 1.0, 1).unwrap();
+        let mut rng = StdRng::seed_from_u64(97);
+        let data: Vec<DenseVector> = (0..30)
+            .map(|_| random_ball_vector(&mut rng, dim, 1.0).unwrap())
+            .collect();
+        let params = IndexParams { k: 3, l: 4 };
+        let mut index = LshIndex::build(&fam, params, &data[..20], &mut rng).unwrap();
+        // An overlay and a tombstone in every table: the state a fold would change.
+        for (id, p) in (20..).zip(&data[20..]) {
+            index.insert(id, p).unwrap();
+        }
+        assert!(index.remove(4, &data[4]).unwrap());
+        let mut closed: Vec<u32> = (0..30).map(|id| id - u32::from(id > 4)).collect();
+        closed[4] = u32::MAX;
+        let mut swapped = closed.clone();
+        swapped.swap(7, 8);
+        let mut dropped = closed.clone();
+        dropped[12] = u32::MAX;
         let before = index.tables().to_vec();
-        assert!(index.renumber(&closed[..20]).is_err());
-        assert_eq!(index.tables(), before);
+        for refused in [&swapped[..], &dropped[..], &closed[..25]] {
+            assert!(index.renumber(refused).is_err());
+            assert_eq!(index.tables(), before);
+        }
+        index.renumber(&closed).unwrap();
+        assert_ne!(index.tables(), before);
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! A [`ServingIndex`] owns one [`AnyIndex`] (the *primary* structure) and hands out
 //! **stable external ids**: the id returned by [`ServingIndex::insert`] stays valid
 //! across every later mutation, rebuild and save/load cycle, which is what clients of
-//! a long-lived service key their state on.
+//! a long-lived service key their state on. Ids only grow: the index takes no id
+//! below its `next_id` ([`ServingIndex::insert_with_id`]) and a snapshot's ids
+//! ascend ([`Snapshot::with_ids`]), so the slots hold their ids in ascending order —
+//! the order a fresh build gives — and an id's slot is a binary search away.
 //!
 //! # Mutation strategy per family
 //!
@@ -15,8 +18,8 @@
 //!   compacted **in place**: the dead slots are dropped and the buckets renumbered,
 //!   with no vector hashed again (see [`ips_core::LshOps::compact`]).
 //! * **Brute force** — building *is* storing the vectors in ascending id order, so
-//!   writes land where a build would put them: an insert puts its vector at its id's
-//!   rank, a delete takes its slot out, and the ids above close up. The index is
+//!   writes land where a build would put them: an insert, whose id is above every
+//!   held one, appends its vector, and a delete takes its slot out. The index is
 //!   after every write the one a fresh build over its live vectors gives; it never
 //!   rebuilds (the threshold is irrelevant).
 //! * **Sketch** — the Section 4.3 structure cannot absorb single-vector updates, so
@@ -54,7 +57,7 @@ use ips_linalg::{score_block, DenseVector};
 use ips_lsh::table::BUILD_BLOCK;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -213,15 +216,16 @@ impl Counters {
 /// A loaded, mutable, query-serving index with stable external ids.
 pub struct ServingIndex {
     primary: AnyIndex,
-    /// Slot → external id, for every primary slot (live or tombstoned).
+    /// Slot → external id, for every primary slot (live or tombstoned), strictly
+    /// ascending: every id the index takes is at or above `next_id`, so an id's slot
+    /// is a binary search away.
     primary_ids: Vec<u64>,
-    /// Live external id → primary slot.
-    id_to_slot: HashMap<u64, usize>,
-    /// Sketch-family inserts not yet absorbed by a rebuild, in arrival order (the
-    /// sharded layer can route concurrent ids out of order; queries rank by id).
+    /// Sketch-family inserts not yet absorbed by a rebuild, ascending by id like
+    /// every insert, and so above every primary id.
     overlay: Vec<(u64, DenseVector)>,
     /// Sketch-family deletes not yet absorbed by a rebuild.
     tombstones: HashSet<u64>,
+    /// The lowest id the index may take: above every id it holds or has held.
     next_id: u64,
     dim: usize,
     spec: JoinSpec,
@@ -331,18 +335,11 @@ impl ServingIndex {
                 })
             }
         };
-        let mut id_to_slot = HashMap::with_capacity(primary_ids.len());
-        for (slot, &id) in primary_ids.iter().enumerate() {
-            if primary.is_live(slot) {
-                id_to_slot.insert(id, slot);
-            }
-        }
         let index_config = extract_index_config(&primary);
         let spec = primary.spec();
-        let mut serving = Self {
+        Ok(Self {
             primary,
             primary_ids,
-            id_to_slot,
             overlay: Vec::new(),
             tombstones: HashSet::new(),
             next_id,
@@ -351,14 +348,7 @@ impl ServingIndex {
             index_config,
             config,
             counters: Counters::default(),
-        };
-        // A brute index holds its vectors in ascending id order, the order a fresh
-        // build gives and the one its writes keep. Every file this layer writes is in
-        // it; a snapshot assembled in another order is rebuilt in it once, here.
-        if serving.family() == IndexFamily::Brute && !serving.primary_ids.is_sorted() {
-            serving.rebuild_from_vectors()?;
-        }
-        Ok(serving)
+        })
     }
 
     /// Loads a snapshot file and wraps it for serving.
@@ -426,7 +416,7 @@ impl ServingIndex {
 
     /// Number of live vectors.
     pub fn len(&self) -> usize {
-        self.id_to_slot.len() + self.overlay.len()
+        self.primary_live() + self.overlay.len()
     }
 
     /// Returns `true` when every vector has been deleted.
@@ -436,25 +426,45 @@ impl ServingIndex {
 
     /// The live external ids, ascending.
     pub fn ids(&self) -> Vec<u64> {
-        let mut out: Vec<u64> = self.id_to_slot.keys().copied().collect();
-        out.extend(self.overlay.iter().map(|(id, _)| *id));
-        out.sort_unstable();
-        out
+        let slots = self.primary_ids.iter().enumerate();
+        let live = slots.filter(|&(slot, id)| self.is_live(slot, *id));
+        let pending = self.overlay.iter().map(|(id, _)| *id);
+        live.map(|(_, &id)| id).chain(pending).collect()
     }
 
     /// The vector behind a live external id.
     pub fn vector(&self, id: u64) -> Result<&DenseVector> {
-        if let Some(&slot) = self.id_to_slot.get(&id) {
-            return self
-                .primary
-                .vector(slot)
-                .ok_or(StoreError::UnknownId { id });
-        }
-        self.overlay
-            .iter()
-            .find(|(oid, _)| *oid == id)
-            .map(|(_, v)| v)
-            .ok_or(StoreError::UnknownId { id })
+        let vector = match self.slot_of(id) {
+            Some(slot) => self.primary.vector(slot),
+            None => self.overlay_position(id).map(|at| &self.overlay[at].1),
+        };
+        vector.ok_or(StoreError::UnknownId { id })
+    }
+
+    /// The primary slot of a live external id.
+    fn slot_of(&self, id: u64) -> Option<usize> {
+        let slot = self.primary_ids.binary_search(&id).ok()?;
+        self.is_live(slot, id).then_some(slot)
+    }
+
+    /// Whether primary slot `slot`, which holds external id `id`, is live.
+    fn is_live(&self, slot: usize, id: u64) -> bool {
+        self.primary.is_live(slot) && !self.tombstones.contains(&id)
+    }
+
+    /// Where external id `id` stands in the overlay.
+    fn overlay_position(&self, id: u64) -> Option<usize> {
+        self.overlay.binary_search_by_key(&id, |(id, _)| *id).ok()
+    }
+
+    /// Live vectors in the primary structure.
+    fn primary_live(&self) -> usize {
+        self.primary.len() - self.tombstones.len()
+    }
+
+    /// What a compaction folds in: dead slots, tombstones and overlay entries.
+    fn dirty(&self) -> usize {
+        self.primary_ids.len() - self.primary_live() + self.overlay.len()
     }
 
     /// The family configuration this index was built with (what a rebuild re-builds).
@@ -536,11 +546,11 @@ impl ServingIndex {
     /// entry point of the sharded serving layer, whose ids come from a global
     /// allocator and so are assigned *outside* any one shard.
     ///
-    /// The id must be fresh: an id that is currently live, pending in the overlay,
-    /// tombstoned, or occupying a (possibly deleted) primary slot is rejected —
-    /// reusing ids would break the stable-external-id contract. The internal
-    /// allocator is advanced past `id`, so a later [`ServingIndex::insert`] can
-    /// never collide with it.
+    /// The id must be at or above the internal allocator ([`ServingIndex::insert`]'s
+    /// next id): every id the index holds or has held — live, pending, tombstoned or
+    /// compacted away — is below it, so reusing an id, which would break the
+    /// stable-external-id contract, is refused, and the ids of the slots ascend. The
+    /// allocator is advanced past `id`.
     pub fn insert_with_id(&mut self, id: u64, v: DenseVector) -> Result<()> {
         if v.dim() != self.dim {
             return Err(StoreError::InvalidParameter {
@@ -549,17 +559,13 @@ impl ServingIndex {
             });
         }
         finite(&v)?;
-        // Ids at or above the allocator are fresh by construction; below it, the id
-        // may have been used before (even a tombstoned LSH slot still owns its id),
-        // so every holder of old ids is consulted.
-        if id < self.next_id
-            && (self.primary_ids.contains(&id)
-                || self.tombstones.contains(&id)
-                || self.overlay.iter().any(|(oid, _)| *oid == id))
-        {
+        if id < self.next_id {
             return Err(StoreError::InvalidParameter {
                 name: "id",
-                reason: format!("external id {id} is already in use"),
+                reason: format!(
+                    "external id {id} is below the next free id {}",
+                    self.next_id
+                ),
             });
         }
         match self.primary.view_mut() {
@@ -567,22 +573,18 @@ impl ServingIndex {
                 let slot = index.insert(v)?;
                 debug_assert_eq!(slot, self.primary_ids.len());
                 self.primary_ids.push(id);
-                self.id_to_slot.insert(id, slot);
             }
             // Storing is all there is to building a brute index: the vector goes
-            // where a build would put it, at its id's rank.
+            // where a build would put it, after every lower id.
             ViewMut::Brute(index) => {
-                let slot = self.primary_ids.partition_point(|&held| held < id);
-                index.insert(slot, v);
-                self.primary_ids.insert(slot, id);
-                self.id_to_slot.insert(id, slot);
-                self.renumber_from(slot + 1);
+                index.insert(self.primary_ids.len(), v);
+                self.primary_ids.push(id);
             }
             ViewMut::Sketch => {
                 self.overlay.push((id, v));
             }
         }
-        self.next_id = self.next_id.max(id + 1);
+        self.next_id = id + 1;
         self.counters.inserts.fetch_add(1, Ordering::Relaxed);
         self.maybe_rebuild()?;
         Ok(())
@@ -590,29 +592,20 @@ impl ServingIndex {
 
     /// Deletes the vector behind a live external id.
     pub fn delete(&mut self, id: u64) -> Result<()> {
-        if let Some(pos) = self.overlay.iter().position(|(oid, _)| *oid == id) {
-            self.overlay.remove(pos);
+        if let Some(at) = self.overlay_position(id) {
+            self.overlay.remove(at);
             self.counters.deletes.fetch_add(1, Ordering::Relaxed);
             return Ok(());
         }
-        let slot = *self
-            .id_to_slot
-            .get(&id)
-            .ok_or(StoreError::UnknownId { id })?;
+        let slot = self.slot_of(id).ok_or(StoreError::UnknownId { id })?;
         match self.primary.view_mut() {
-            ViewMut::Lsh(index) => {
-                index.delete(slot)?;
-                self.id_to_slot.remove(&id);
-            }
+            ViewMut::Lsh(index) => index.delete(slot)?,
             ViewMut::Brute(index) => {
                 index.remove(slot);
                 self.primary_ids.remove(slot);
-                self.id_to_slot.remove(&id);
-                self.renumber_from(slot);
             }
             ViewMut::Sketch => {
                 self.tombstones.insert(id);
-                self.id_to_slot.remove(&id);
             }
         }
         self.counters.deletes.fetch_add(1, Ordering::Relaxed);
@@ -648,10 +641,7 @@ impl ServingIndex {
     /// one built from its live vectors, in ascending id order, with
     /// [`ServingConfig::seed`] — down to its snapshot bytes.
     pub fn compact(&mut self) -> Result<()> {
-        let dirty = (self.primary_ids.len() - self.id_to_slot.len()) + self.overlay.len();
-        // Slots out of id order are pending state too: the sharded layer can route
-        // ids into an LSH shard out of order, and a fresh build would not keep them so.
-        if dirty == 0 && self.primary_ids.is_sorted() {
+        if self.dirty() == 0 {
             return Ok(());
         }
         self.rebuild()
@@ -661,25 +651,9 @@ impl ServingIndex {
         self.counters.note_queries(queries, hits, start);
     }
 
-    /// Points the id map at the slots from `slot` on again, after a brute write
-    /// moved them by one.
-    fn renumber_from(&mut self, slot: usize) {
-        for (moved, id) in self.primary_ids.iter().enumerate().skip(slot) {
-            *self
-                .id_to_slot
-                .get_mut(id)
-                .expect("every brute slot is live") = moved;
-        }
-    }
-
     fn maybe_rebuild(&mut self) -> Result<()> {
-        let dead = self.primary_ids.len() - self.id_to_slot.len();
-        let dirty = dead + self.overlay.len();
-        if dirty == 0 {
-            return Ok(());
-        }
         let live = self.len().max(1);
-        if dirty as f64 / live as f64 > self.config.rebuild_threshold {
+        if self.dirty() as f64 / live as f64 > self.config.rebuild_threshold {
             return self.rebuild();
         }
         Ok(())
@@ -687,23 +661,22 @@ impl ServingIndex {
 
     /// Folds the pending state — dead slots, overlay, tombstones — into the primary
     /// structure, leaving the index identical to one built from its live vectors in
-    /// **ascending id order** with the configured seed. That order is the canonical
-    /// one: a sequential index inserts in ascending id order anyway; it matters when
-    /// the sharded layer routed out-of-order ids into this shard. With no live vectors
-    /// left, the structures cannot be built (their constructors reject empty data),
-    /// so pending state is kept and filtered at query time instead. A brute index
-    /// has no pending state — it writes in place — so it never gets here.
+    /// **ascending id order** with the configured seed: the order the slots already
+    /// hold, since every id the index takes is above those it holds. With no live
+    /// vectors left, the structures cannot be built (their constructors reject empty
+    /// data), so pending state is kept and filtered at query time instead. A brute
+    /// index has no pending state — it writes in place — so it never gets here.
     ///
     /// **ALSH / symmetric LSH compact in place** ([`LshOps::compact`]): a
     /// delete already took its slot out of every bucket, and the bucket of a vector
     /// is a function of the vector and the sampled functions alone, so the tables a
     /// fresh build would produce are the ones already held, under other slot numbers.
-    /// The vectors and the id list close their gaps where they stand, the buckets are
-    /// renamed in one pass, the id map is refilled in its own capacity — no vector is
-    /// hashed, no table is allocated, and the write lock is held for that one pass.
-    /// The functions stay the ones the index was built or loaded with (what
-    /// [`ServingConfig::seed`] samples, whenever the index was built under that
-    /// seed — and the ones the sibling shards hold in any case).
+    /// The vectors and the id list close their gaps where they stand and the buckets
+    /// are renamed in one pass — no vector is hashed, no table is allocated, and the
+    /// write lock is held for that one pass. The functions stay the ones the index
+    /// was built or loaded with (what [`ServingConfig::seed`] samples, whenever the
+    /// index was built under that seed — and the ones the sibling shards hold in any
+    /// case).
     ///
     /// **Sketch really rebuilds**: the vectors are moved, not copied, and the old
     /// structure is freed before its replacement is built, so a rebuild holds one
@@ -716,50 +689,34 @@ impl ServingIndex {
             return Ok(());
         }
         if let Some(index) = self.primary.as_lsh_mut() {
-            index.compact(&self.primary_ids)?;
-            // The slots now follow ascending id order; so must the slot → id list.
-            let live = &self.id_to_slot;
-            self.primary_ids.retain(|id| live.contains_key(id));
-            if !self.primary_ids.is_sorted() {
-                self.primary_ids.sort_unstable();
-            }
-            self.id_to_slot.clear();
-            let renumbered = self.primary_ids.iter().enumerate();
-            self.id_to_slot
-                .extend(renumbered.map(|(slot, &id)| (id, slot)));
+            // The slot → id list closes its gaps as the slots do: the live ones keep
+            // their order.
+            let mut slots = 0..;
+            self.primary_ids
+                .retain(|_| slots.next().is_some_and(|slot| index.is_live(slot)));
+            index.compact()?;
         } else {
-            self.rebuild_from_vectors()?;
+            let emptied = AnyIndex::Brute(BruteForceMipsIndex::new(Vec::new(), self.spec));
+            let vectors = std::mem::replace(&mut self.primary, emptied).into_vectors();
+            let slots = std::mem::take(&mut self.primary_ids)
+                .into_iter()
+                .zip(vectors);
+            let tombstones = std::mem::take(&mut self.tombstones);
+            let (ids, data): (Vec<u64>, Vec<DenseVector>) = slots
+                .filter(|(id, _)| !tombstones.contains(id))
+                .chain(std::mem::take(&mut self.overlay))
+                .unzip();
+            let threads = available_threads();
+            self.primary = build_index(
+                data,
+                self.spec,
+                self.index_config,
+                self.config.seed,
+                threads,
+            )?;
+            self.primary_ids = ids;
         }
         self.counters.rebuilds.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// The sketch half of [`ServingIndex::rebuild`], and the one time a brute index is
-    /// built again: a snapshot whose ids do not ascend, at load.
-    fn rebuild_from_vectors(&mut self) -> Result<()> {
-        let emptied = AnyIndex::Brute(BruteForceMipsIndex::new(Vec::new(), self.spec));
-        let vectors = std::mem::replace(&mut self.primary, emptied).into_vectors();
-        let slots = std::mem::take(&mut self.primary_ids)
-            .into_iter()
-            .zip(vectors);
-        let mut entries: Vec<(u64, DenseVector)> = slots
-            .filter(|(id, _)| self.id_to_slot.contains_key(id))
-            .collect();
-        entries.append(&mut self.overlay);
-        entries.sort_unstable_by_key(|(id, _)| *id);
-        self.id_to_slot.clear();
-        self.tombstones.clear();
-        let (ids, data): (Vec<u64>, Vec<DenseVector>) = entries.into_iter().unzip();
-        let threads = available_threads();
-        self.primary = build_index(
-            data,
-            self.spec,
-            self.index_config,
-            self.config.seed,
-            threads,
-        )?;
-        self.id_to_slot = ids.iter().enumerate().map(|(s, &id)| (id, s)).collect();
-        self.primary_ids = ids;
         Ok(())
     }
 }
@@ -814,7 +771,7 @@ impl MipsIndex for ServingView<'_> {
         // An all-deleted serving index answers misses rather than erroring like a
         // never-built index would: an empty live set is a legal serving state.
         let mut best = None;
-        if !self.0.id_to_slot.is_empty() {
+        if self.0.primary_live() > 0 {
             best = self
                 .0
                 .primary
@@ -830,7 +787,7 @@ impl TopKMipsIndex for ServingView<'_> {
     fn search_top_k(&self, query: &DenseVector, k: usize) -> ips_core::Result<Vec<SearchResult>> {
         let spec = self.0.spec;
         let mut best = BestK::new(&spec, k);
-        if !self.0.id_to_slot.is_empty() {
+        if self.0.primary_live() > 0 {
             let primary = self.0.primary.search_top_k(query, k)?;
             for hit in primary.into_iter().filter_map(|hit| self.external(hit)) {
                 best.offer(hit);
@@ -1017,10 +974,10 @@ mod tests {
             let mut serving =
                 ServingIndex::build(data.clone(), spec(), index_config, config).unwrap();
             let mut live: Vec<(u64, DenseVector)> = (0..).zip(data.iter().cloned()).collect();
-            // Ids the way a sharded layer can route them into one shard: with
-            // gaps, and not in the order they were drawn.
-            let mut assigned = [
-                125u64, 121, 140, 122, 139, 130, 150, 151, 149, 160, 170, 165,
+            // Ids the way a sharded layer routes them into one shard: ascending,
+            // with gaps.
+            let assigned = [
+                121u64, 122, 125, 130, 139, 140, 149, 150, 151, 160, 165, 170,
             ];
             for (round, (&id, v)) in assigned.iter().zip(&extra).enumerate() {
                 serving.insert_with_id(id, v.clone()).unwrap();
@@ -1033,8 +990,6 @@ mod tests {
             let twin = serving.insert(extra[0].clone()).unwrap();
             live.push((twin, extra[0].clone()));
             serving.compact().unwrap();
-            live.sort_unstable_by_key(|(id, _)| *id);
-            assigned.sort_unstable();
             assert_eq!(twin, assigned[11] + 1);
             assert_eq!(
                 serving.snapshot_bytes().unwrap(),
@@ -1094,7 +1049,7 @@ mod tests {
     fn brute_writes_in_place_at_the_rank_of_the_id_and_never_rebuilds() {
         let dim = 6;
         let data = vectors(0x75, 30, dim, 0.9);
-        let extra = vectors(0x76, 4, dim, 0.9);
+        let extra = vectors(0x76, 3, dim, 0.9);
         let mut serving =
             ServingIndex::build(data, spec(), IndexConfig::Brute, ServingConfig::default())
                 .unwrap();
@@ -1102,47 +1057,66 @@ mod tests {
             let AnyIndex::Brute(index) = &serving.primary else {
                 panic!("a brute index");
             };
-            assert!(serving.primary_ids.is_sorted());
             assert_eq!(serving.primary_ids, serving.ids());
-            for (slot, id) in serving.primary_ids.iter().enumerate() {
-                assert_eq!(serving.id_to_slot[id], slot);
-            }
             assert_eq!(index.len(), serving.primary_ids.len());
         };
         assert_eq!(serving.insert(extra[0].clone()).unwrap(), 30);
         serving.insert_with_id(35, extra[1].clone()).unwrap();
         ascending(&serving);
         assert_eq!(serving.vector(35).unwrap(), &extra[1]);
-        // An id below the highest goes in the middle, where a build would put it.
-        serving.insert_with_id(33, extra[2].clone()).unwrap();
-        ascending(&serving);
-        assert_eq!(serving.vector(33).unwrap(), &extra[2]);
         serving.delete(4).unwrap();
         ascending(&serving);
-        assert_eq!(serving.insert(extra[3].clone()).unwrap(), 36);
+        assert_eq!(serving.insert(extra[2].clone()).unwrap(), 36);
         ascending(&serving);
         assert_eq!(serving.stats().rebuilds, 0, "every write landed in place");
         let mut expected: Vec<u64> = (0..31).filter(|id| *id != 4).collect();
-        expected.extend([33, 35, 36]);
+        expected.extend([35, 36]);
         assert_eq!(serving.ids(), expected);
-        assert_eq!(serving.stats().inserts, 4);
-        // A snapshot assembled out of id order is put in order once, at load.
-        let mut shuffled = ServingIndex::from_snapshot(
-            Snapshot::with_ids(
-                AnyIndex::Brute(BruteForceMipsIndex::new(extra.clone(), spec())),
-                vec![7, 2, 9, 4],
-                10,
-            )
-            .unwrap(),
-            ServingConfig::default(),
-        )
-        .unwrap();
-        ascending(&shuffled);
-        assert_eq!(shuffled.vector(2).unwrap(), &extra[1]);
-        assert_eq!(shuffled.vector(9).unwrap(), &extra[2]);
-        shuffled.insert_with_id(3, extra[0].clone()).unwrap();
-        ascending(&shuffled);
-        assert_eq!(shuffled.stats().rebuilds, 0);
+        assert_eq!(serving.stats().inserts, 3);
+    }
+
+    #[test]
+    fn a_deleted_id_is_never_accepted_again() {
+        let dim = 8;
+        let data = vectors(0x7B, 40, dim, 0.9);
+        let v = vectors(0x7C, 1, dim, 0.9).pop().unwrap();
+        let sketch = IndexConfig::Sketch {
+            config: MaxIpConfig::default(),
+            leaf_size: 4,
+        };
+        // (family, whether the deleted id is an overlay insert, whether a compaction
+        // then forgets it).
+        let symmetric = IndexConfig::Symmetric(SymmetricParams::default());
+        let cases = [
+            (IndexConfig::Brute, false, false),
+            (IndexConfig::Alsh(AlshParams::default()), false, true),
+            (symmetric, false, true),
+            (sketch, true, false),
+            (sketch, false, true),
+        ];
+        for (index_config, overlaid, compacted) in cases {
+            let mut serving =
+                ServingIndex::build(data.clone(), spec(), index_config, ServingConfig::default())
+                    .unwrap();
+            let deleted = if overlaid {
+                serving.insert(v.clone()).unwrap()
+            } else {
+                7
+            };
+            serving.delete(deleted).unwrap();
+            if compacted {
+                serving.compact().unwrap();
+                assert_eq!(serving.stats().rebuilds, 1, "{index_config:?}");
+            }
+            let before = serving.snapshot_bytes().unwrap();
+            assert!(
+                serving.insert_with_id(deleted, v.clone()).is_err(),
+                "{index_config:?} overlaid={overlaid} compacted={compacted}"
+            );
+            assert!(serving.vector(deleted).is_err());
+            assert_eq!(serving.snapshot_bytes().unwrap(), before);
+            assert_eq!(serving.stats().inserts, u64::from(overlaid));
+        }
     }
 
     #[test]
@@ -1249,7 +1223,7 @@ mod tests {
     }
 
     #[test]
-    fn the_sketch_overlay_ranks_equal_hits_by_id_not_by_arrival() {
+    fn the_sketch_overlay_ranks_equal_hits_by_id() {
         let dim = 8;
         let data = vectors(0x78, 40, dim, 0.2);
         let query = random_unit_vector(&mut StdRng::seed_from_u64(0x79), dim).unwrap();
@@ -1260,10 +1234,11 @@ mod tests {
         };
         let mut serving =
             ServingIndex::build(data, spec(), sketch, ServingConfig::default()).unwrap();
-        // Two equal vectors reach the overlay with the higher id first, as the sharded
-        // layer can route concurrent inserts.
-        serving.insert_with_id(50, v.clone()).unwrap();
+        // Two equal vectors reach the overlay; an id below the last one taken is
+        // refused, so ids arrive in ascending order.
         serving.insert_with_id(45, v.clone()).unwrap();
+        serving.insert_with_id(50, v.clone()).unwrap();
+        assert!(serving.insert_with_id(48, v.clone()).is_err());
         let ids =
             |pairs: Vec<MatchPair>| -> Vec<usize> { pairs.iter().map(|p| p.data_index).collect() };
         let query = std::slice::from_ref(&query);

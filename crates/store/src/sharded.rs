@@ -12,8 +12,10 @@
 //!   run concurrently, and none of them blocks on a mutation of an unrelated
 //!   shard;
 //! * **mutations** route to the owning shard alone: [`ShardedServingIndex::insert`]
-//!   draws a fresh id from a global atomic allocator and write-locks one shard,
-//!   [`ShardedServingIndex::delete`] hashes the id to its shard — each shard
+//!   draws a fresh id from a global allocator and write-locks one shard — both
+//!   under one allocation gate, so every shard takes its ids in ascending order
+//!   (the order [`ServingIndex::insert_with_id`] accepts) — and
+//!   [`ShardedServingIndex::delete`] hashes the id to its shard; each shard
 //!   keeps its own rebuild threshold, so compaction cost is per-shard, not
 //!   whole-index;
 //! * **counters** are aggregated: query/hit/latency tick at this layer with
@@ -78,7 +80,7 @@ use ips_obs::{
 use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 /// Tuning of a [`ShardedServingIndex`]: the shard count plus the per-shard
@@ -145,6 +147,11 @@ pub struct ShardedServingIndex {
     /// compacting it away on save/reload).
     shards: Vec<RwLock<Option<ServingIndex>>>,
     next_id: AtomicU64,
+    /// Held by [`ShardedServingIndex::insert`] from drawing an id until the owning
+    /// shard is write-locked, and taken by nothing else: a shard's inserts then
+    /// arrive in the order their ids were drawn. It guards no data, so a poisoned
+    /// gate is used as it is.
+    allocation: Mutex<()>,
     spec: JoinSpec,
     dim: usize,
     /// The strategy currently served. Behind its own lock (not a plain field)
@@ -196,9 +203,9 @@ impl ShardedServingIndex {
     /// resharding on open, and the fresh-build oracle of the determinism tests.
     ///
     /// Ids must be unique and below `next_id`; entries are routed to their
-    /// [`shard_of`] shard and built there in ascending id order (the canonical
-    /// order a compaction also restores), so two indexes holding the same live
-    /// set are bit-identical however either got there.
+    /// [`shard_of`] shard and built there in ascending id order (the order every
+    /// shard's slots hold), so two indexes holding the same live set are
+    /// bit-identical, once compacted, however either got there.
     pub fn from_entries(
         mut entries: Vec<(u64, DenseVector)>,
         next_id: u64,
@@ -241,6 +248,7 @@ impl ShardedServingIndex {
         Ok(Self {
             shards,
             next_id: AtomicU64::new(next_id),
+            allocation: Mutex::new(()),
             spec,
             dim,
             index_config: RwLock::new(index_config),
@@ -380,6 +388,7 @@ impl ShardedServingIndex {
         Ok(Self {
             shards,
             next_id: AtomicU64::new(max_next),
+            allocation: Mutex::new(()),
             spec,
             dim,
             index_config: RwLock::new(index_config),
@@ -559,9 +568,11 @@ impl ShardedServingIndex {
     }
 
     /// Inserts a vector, returning its stable external id. The id comes from the
-    /// global atomic allocator; only the owning shard is write-locked, so inserts
-    /// into different shards proceed concurrently, as do queries that have not yet
-    /// reached the owning shard.
+    /// global allocator under the allocation gate, which is held until the owning
+    /// shard is write-locked, so every shard takes its ids in ascending order. The
+    /// gate is released before the insert itself, and only the owning shard is
+    /// write-locked: inserts into different shards hash concurrently, and queries
+    /// that have not yet reached the owning shard proceed.
     pub fn insert(&self, v: DenseVector) -> Result<u64> {
         if v.dim() != self.dim {
             return Err(StoreError::InvalidParameter {
@@ -570,8 +581,13 @@ impl ShardedServingIndex {
             });
         }
         finite(&v)?;
+        let gate = self
+            .allocation
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let mut shard = self.write_shard(&self.shards[shard_of(id, self.shards.len())]);
+        drop(gate);
         match shard.as_mut() {
             Some(shard) => shard.insert_with_id(id, v)?,
             None => {
@@ -833,8 +849,6 @@ impl ShardedServingIndex {
                 reason: "cannot migrate an index with no live vectors".into(),
             });
         }
-        // Loaded after the snapshot, so it covers every id the snapshot saw.
-        let next_at_snapshot = self.next_id.load(Ordering::Relaxed);
         let shard_count = self.shards.len();
         let mut per_shard: Vec<Vec<(u64, DenseVector)>> =
             (0..shard_count).map(|_| Vec::new()).collect();
@@ -844,10 +858,14 @@ impl ShardedServingIndex {
         let built_count = per_shard.iter().map(Vec::len).sum();
         let mut built = Vec::with_capacity(shard_count);
         for entries in per_shard {
+            // A replacement's allocator starts just above its own ids, not at the
+            // global one: an id drawn before the global one could be read may reach
+            // the shard after its entries were listed, and its replay must be taken.
+            let next_id = entries.last().map_or(0, |(id, _)| id + 1);
             // One thread: the old index is serving on the others.
             built.push(Self::build_shard(
                 entries,
-                next_at_snapshot,
+                next_id,
                 self.spec,
                 target,
                 self.config.serving,
@@ -902,15 +920,11 @@ impl ShardedServingIndex {
     ) -> Result<usize> {
         // The live set the swapped-in shard must end up holding.
         let current: Vec<(u64, DenseVector)> = match guard.as_ref() {
-            Some(shard) => {
-                let mut entries: Vec<(u64, DenseVector)> = shard
-                    .ids()
-                    .into_iter()
-                    .map(|id| (id, shard.vector(id).expect("listed id is live").clone()))
-                    .collect();
-                entries.sort_unstable_by_key(|(id, _)| *id);
-                entries
-            }
+            Some(shard) => shard
+                .ids()
+                .into_iter()
+                .map(|id| (id, shard.vector(id).expect("listed id is live").clone()))
+                .collect(),
             None => Vec::new(),
         };
         let old_stats = guard.as_ref().map(|s| s.stats()).unwrap_or_default();
@@ -948,10 +962,12 @@ impl ShardedServingIndex {
         let mut replayed = 0usize;
         if current_ids != built_ids {
             // Replay the delta: deletes of snapshotted ids that died during
-            // the build, inserts of ids born during it. Vectors behind a
-            // stable id never change, so the symmetric difference is the
-            // entire divergence. Compaction then restores the canonical
-            // fresh-build form (the serving determinism invariant).
+            // the build, inserts of ids born during it — in ascending order, and
+            // above every id the build saw in this shard, so above the
+            // replacement's allocator. Vectors behind a stable id never change,
+            // so the symmetric difference is the entire divergence. Compaction
+            // then restores the canonical fresh-build form (the serving
+            // determinism invariant).
             for id in built_ids.difference(&current_ids) {
                 replacement.delete(*id)?;
                 replayed += 1;
@@ -1263,6 +1279,69 @@ mod tests {
             assert_eq!(sharded.ids(), (0..40).collect::<Vec<u64>>());
             assert_eq!(sharded.shard_lens().len(), 4);
         }
+    }
+
+    #[test]
+    fn concurrent_inserts_land_in_id_order() {
+        let dim = 8;
+        let data = vectors(0x8D, 30, dim, 0.9);
+        let extra = vectors(0x8E, 4 * 40, dim, 0.9);
+        let index_config = IndexConfig::Alsh(AlshParams::default());
+        let config = ShardedConfig::with_shards(3);
+        let sharded =
+            ShardedServingIndex::build(data.clone(), spec(), index_config, config).unwrap();
+        let mut live: Vec<(u64, DenseVector)> = (0..).zip(data).collect();
+        // Four writers released together, so that their inserts race for the shards.
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            let writers: Vec<_> = extra
+                .chunks(40)
+                .map(|chunk| {
+                    let (sharded, start) = (&sharded, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        let inserted = chunk.iter().map(|v| sharded.insert(v.clone()).unwrap());
+                        inserted.zip(chunk.iter().cloned()).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for writer in writers {
+                live.extend(writer.join().unwrap());
+            }
+        });
+        // No deletes, and every shard took its ids in order: nothing to compact.
+        sharded.compact().unwrap();
+        assert_eq!(sharded.stats().rebuilds, 0);
+        live.sort_unstable_by_key(|(id, _)| *id);
+        assert_eq!(
+            sharded.ids(),
+            live.iter().map(|(id, _)| *id).collect::<Vec<_>>()
+        );
+        // Each shard is the one-shard build over its live set. (A shard's own
+        // allocator is the last id it took, so the shards are compared one by one.)
+        let dir = std::env::temp_dir().join(format!("ips-store-race-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (j, shard) in sharded.shards.iter().enumerate() {
+            let mut guard = shard.write().unwrap();
+            let shard = guard.as_mut().unwrap();
+            let entries: Vec<(u64, DenseVector)> = (live.iter())
+                .filter(|(id, _)| shard_of(*id, 3) == j)
+                .cloned()
+                .collect();
+            let fresh = ShardedServingIndex::from_entries(
+                entries,
+                shard.next_id(),
+                spec(),
+                index_config,
+                ShardedConfig::default(),
+            )
+            .unwrap();
+            let path = dir.join(format!("{j}.snap"));
+            fresh.save(&path).unwrap();
+            assert!(shard.snapshot_bytes().unwrap() == std::fs::read(&path).unwrap());
+        }
+        assert_eq!(sharded.stats().rebuilds, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

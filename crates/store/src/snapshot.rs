@@ -282,7 +282,7 @@ impl TopKMipsIndex for AnyIndex {
 pub struct Snapshot {
     /// The index structure.
     pub index: AnyIndex,
-    /// Per-slot external ids (`ids.len() == index.slots()`).
+    /// Per-slot external ids (`ids.len() == index.slots()`), strictly ascending.
     pub ids: Vec<u64>,
     /// The next external id the serving layer will allocate.
     pub next_id: u64,
@@ -302,7 +302,7 @@ impl Snapshot {
     /// Wraps an index together with explicit serving-layer id state.
     ///
     /// Returns an error when the id list does not cover the index's slots exactly,
-    /// contains duplicates, or already contains `next_id`.
+    /// does not strictly ascend, or already contains `next_id`.
     pub fn with_ids(index: AnyIndex, ids: Vec<u64>, next_id: u64) -> Result<Self> {
         if ids.len() != index.slots() {
             return Err(StoreError::InvalidParameter {
@@ -310,15 +310,13 @@ impl Snapshot {
                 reason: format!("{} ids for {} slots", ids.len(), index.slots()),
             });
         }
-        let mut sorted = ids.clone();
-        sorted.sort_unstable();
-        if sorted.windows(2).any(|w| w[0] == w[1]) {
+        if let Some(w) = ids.windows(2).find(|w| w[0] >= w[1]) {
             return Err(StoreError::InvalidParameter {
                 name: "ids",
-                reason: "duplicate external id".into(),
+                reason: format!("external id {} follows {}: ids must ascend", w[1], w[0]),
             });
         }
-        if sorted.last().is_some_and(|&max| max >= next_id) {
+        if ids.last().is_some_and(|&max| max >= next_id) {
             return Err(StoreError::InvalidParameter {
                 name: "next_id",
                 reason: format!("next_id {next_id} is not above every assigned id"),
@@ -1059,6 +1057,26 @@ mod tests {
             unreachable!()
         };
         assert!(Snapshot::with_ids(AnyIndex::Brute(index), vec![0, 1], 2).is_err());
+    }
+
+    #[test]
+    fn a_snapshot_whose_ids_do_not_ascend_is_refused_at_load() {
+        let snap = sample_snapshot();
+        let AnyIndex::Brute(index) = &snap.index else {
+            unreachable!()
+        };
+        let sealed = |ids: &[u64]| {
+            let mut payload = ByteWriter::new();
+            index.write(&mut payload);
+            seal(IndexFamily::Brute, ids, snap.next_id, payload)
+        };
+        assert_eq!(sealed(&snap.ids), snap.to_bytes());
+        let mut swapped = snap.ids.clone();
+        swapped.swap(3, 4);
+        // A checksum over the swapped ids: only the decoder can refuse the file.
+        let bytes = sealed(&swapped);
+        assert!(Snapshot::from_bytes(&bytes).is_err());
+        assert!(from_bytes_any(&bytes).is_err());
     }
 
     /// A version-1 snapshot around an index payload spelled out byte by byte — every

@@ -421,9 +421,10 @@ fn streaming_codec_and_compaction_surface_is_pinned() {
     // both LSH families are the one `LshMips`, under their maps.
     type Alsh = LshMips<'static, SphereTransform>;
     type Symmetric = LshMips<'static, SymmetricSphereMap>;
-    let _alsh: fn(&mut Alsh, &[u64]) -> ips_core::Result<()> = <Alsh as LshOps>::compact;
-    let _symmetric: fn(&mut Symmetric, &[u64]) -> ips_core::Result<()> =
-        <Symmetric as LshOps>::compact;
+    // `compact` takes no keys (MIGRATION.md, "Ids ascend in every shard"): the slots
+    // already stand in id order.
+    let _alsh: fn(&mut Alsh) -> ips_core::Result<()> = <Alsh as LshOps>::compact;
+    let _symmetric: fn(&mut Symmetric) -> ips_core::Result<()> = <Symmetric as LshOps>::compact;
     // ...`compact` and the other operations that do not name the map being methods
     // of one object-safe trait, which is how the serving layers reach either family.
     let _view: fn(&ips_store::AnyIndex) -> Option<&dyn LshOps> = ips_store::AnyIndex::as_lsh;

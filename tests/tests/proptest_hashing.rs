@@ -279,11 +279,9 @@ where
     for threads in 1..=3 {
         // Built over the first half in blocks of five, the rest inserted.
         let schedule = Schedule { threads, block: 5 };
-        let build = || {
-            let mut rng = StdRng::seed_from_u64(seed);
-            LshIndex::build_scheduled(schedule, family, params, &data[..split], &mut rng).unwrap()
-        };
-        let mut index = build();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut index =
+            LshIndex::build_scheduled(schedule, family, params, &data[..split], &mut rng).unwrap();
         prop_assert_eq!(planes(index.bank()), oracle_planes.clone());
         let mut points: Vec<(u32, &DenseVector)> = (0u32..).zip(&data[..split]).collect();
         prop_assert_eq!(
@@ -363,35 +361,29 @@ where
         prop_assert_eq!(as_maps(loaded.tables()), reference.clone());
         prop_assert_eq!(bytes_of(&loaded), bytes);
 
-        // Renamed in id order (the survivors' ids ascend) and against it, the tables
-        // are a fresh build's over the survivors in the new order.
-        let replayed = || {
-            let mut index = build();
-            for (id, p) in (split as u32..).zip(&data[split..]) {
-                index.insert(id, p).unwrap();
-            }
-            for &id in &victims {
-                index.remove(id as u32, &data[id]).unwrap();
-            }
-            index.insert(comeback, &data[0]).unwrap();
-            index
-        };
-        for (reverse, mut index) in [(false, index), (true, replayed())] {
-            let mut ranked = points.clone();
-            if reverse {
-                ranked.reverse();
-            }
+        // Renamed in id order (the survivors' ids ascend), the tables are a fresh
+        // build's over the survivors; a renaming against that order is refused before
+        // anything moves.
+        let renaming = |ranked: &[(u32, &DenseVector)]| {
             let mut new_id = vec![u32::MAX; data.len() + 1];
-            for (new, &(old, _)) in (0u32..).zip(&ranked) {
+            for (new, &(old, _)) in (0u32..).zip(ranked) {
                 new_id[old as usize] = new;
             }
-            index.renumber(&new_id).unwrap();
-            let kept: Vec<DenseVector> = ranked.iter().map(|&(_, p)| p.clone()).collect();
-            let fresh =
-                LshIndex::build(family, params, &kept, &mut StdRng::seed_from_u64(seed)).unwrap();
-            prop_assert_eq!(index.tables(), fresh.tables());
-            prop_assert_eq!(bytes_of(&index), bytes_of(&fresh));
+            new_id
+        };
+        if points.len() > 1 {
+            let mut reversed = points.clone();
+            reversed.reverse();
+            let before = index.tables().to_vec();
+            prop_assert!(index.renumber(&renaming(&reversed)).is_err());
+            prop_assert_eq!(index.tables(), &before[..]);
         }
+        index.renumber(&renaming(&points)).unwrap();
+        let kept: Vec<DenseVector> = points.iter().map(|&(_, p)| p.clone()).collect();
+        let fresh =
+            LshIndex::build(family, params, &kept, &mut StdRng::seed_from_u64(seed)).unwrap();
+        prop_assert_eq!(index.tables(), fresh.tables());
+        prop_assert_eq!(bytes_of(&index), bytes_of(&fresh));
     }
     Ok(())
 }

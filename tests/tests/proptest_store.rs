@@ -1,6 +1,6 @@
 //! Property tests for the `ips-store` subsystem.
 //!
-//! Five load-bearing properties:
+//! Four load-bearing properties:
 //!
 //! 1. **Snapshot round-trips are lossless** for every index family, whatever the
 //!    dimensions, sizes and seeds: a saved-then-loaded index answers every query
@@ -24,12 +24,6 @@
 //! 4. **Sharded insert/delete equivalence**: property 2 lifted to the sharded layer
 //!    — mutate + compact ≡ a fresh sharded build from the surviving
 //!    `(id, vector)` set, and a multi-shard sketch index is build-deterministic.
-//! 5. **Out-of-order ids**: a shard that received its ids with gaps and out of order
-//!    compacts to the snapshot *bytes* of a fresh build in ascending id order — the
-//!    same structure, not only the same answers. (Checked a shard at a time: the
-//!    shards of a mutated index and of a fresh one legitimately differ in their
-//!    private id allocators, which the container's global one supersedes.) A brute
-//!    shard is those bytes after every write, with no rebuild.
 
 use ips_core::asymmetric::AlshParams;
 use ips_core::lsh_mips::{LshMips, BUILD_BLOCK};
@@ -314,65 +308,6 @@ proptest! {
             );
         }
     }
-
-    // Property 5: one shard fed ids the way concurrent writers can route them — with
-    // gaps and out of order — and deleting in between compacts to the bytes of a
-    // fresh build over its live set in ascending id order. (In-place compaction has
-    // to permute, not just close gaps, when slot order and id order disagree.)
-    #[test]
-    fn out_of_order_ids_compact_to_the_fresh_build(
-        data_seed in any::<u64>(),
-        n in 6usize..24,
-        dim in 2usize..6,
-        ops in prop::collection::vec((any::<bool>(), 0u64..40), 1..16),
-    ) {
-        let data = vectors(data_seed, n, dim);
-        let extra = vectors(data_seed ^ 0xA5, 16, dim);
-        let spec = JoinSpec::new(0.2, 0.6, JoinVariant::Signed).unwrap();
-        let serving = ServingConfig::default();
-        for index_config in [
-            IndexConfig::Brute,
-            IndexConfig::Alsh(small_alsh()),
-            IndexConfig::Symmetric(small_symmetric()),
-        ] {
-            let mut index = ServingIndex::build(data.clone(), spec, index_config, serving).unwrap();
-            // The bytes of a one-shard fresh build over `live` in ascending id order.
-            let fresh_bytes = |live: &[(u64, DenseVector)], next_id: u64| {
-                let mut live = live.to_vec();
-                live.sort_unstable_by_key(|(id, _)| *id);
-                saved(&ShardedServingIndex::from_entries(
-                    live, next_id, spec, index_config, ShardedConfig { shards: 1, serving },
-                ).unwrap())
-            };
-            let mut live: Vec<(u64, DenseVector)> =
-                data.iter().cloned().enumerate().map(|(i, v)| (i as u64, v)).collect();
-            let mut next_id = n as u64;
-            for (k, &(insert, pick)) in ops.iter().enumerate() {
-                if insert || live.len() <= 2 {
-                    // Any id not in use and not used before: above, or in a gap left
-                    // below the allocator by an earlier out-of-order insert.
-                    let id = n as u64 + pick;
-                    if index.insert_with_id(id, extra[k].clone()).is_ok() {
-                        live.push((id, extra[k].clone()));
-                        next_id = next_id.max(id + 1);
-                    }
-                } else {
-                    let (victim, _) = live.remove(pick as usize % live.len());
-                    index.delete(victim).unwrap();
-                }
-                if index_config == IndexConfig::Brute {
-                    // `snapshot_bytes` compacts first; a brute index has nothing to
-                    // compact, so these are the bytes the write left.
-                    prop_assert!(index.snapshot_bytes().unwrap() == fresh_bytes(&live, next_id),
-                        "brute after write {}", k);
-                    prop_assert_eq!(index.stats().rebuilds, 0);
-                }
-            }
-            index.compact().unwrap();
-            prop_assert!(index.snapshot_bytes().unwrap() == fresh_bytes(&live, next_id),
-                "family {:?}", index_config);
-        }
-    }
 }
 
 /// Checks that `serving` answers `queries` like `fresh` — above-threshold and
@@ -406,18 +341,4 @@ fn answers_like(
         prop_assert_eq!(x.inner_product.to_bits(), y.inner_product.to_bits());
     }
     Ok(())
-}
-
-/// The bytes `index.save` writes.
-fn saved(index: &ShardedServingIndex) -> Vec<u8> {
-    static FILES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let file = FILES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let path = std::env::temp_dir().join(format!(
-        "ips-proptest-store-{}-{file}.snap",
-        std::process::id()
-    ));
-    index.save(&path).unwrap();
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::remove_file(&path).unwrap();
-    bytes
 }

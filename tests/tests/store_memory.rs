@@ -443,7 +443,7 @@ fn a_brute_shard_writes_and_ranks_in_place() {
         ..ServingConfig::default()
     };
     for n in [2000usize, 8000] {
-        // Even ids, so an odd one belongs between two held ones.
+        // Even ids, with room for more above them.
         let index = AnyIndex::Brute(BruteForceMipsIndex::new(vectors(0xB7, n), spec));
         let ids = (0..n as u64).map(|i| 2 * i).collect();
         let snapshot = Snapshot::with_ids(index, ids, 2 * n as u64).unwrap();
@@ -452,14 +452,15 @@ fn a_brute_shard_writes_and_ranks_in_place() {
         let span = Span::begin();
         serving.delete(middle).unwrap();
         let delete = span.held();
-        // Its vector is the caller's; the insert moves it in and allocates nothing
-        // (the slot the delete freed leaves room in every list).
+        // Its vector is the caller's; the insert, above every held id, moves it in and
+        // allocates nothing (the slot the delete freed leaves room in every list).
         let v = vectors(0xB8, 1).pop().unwrap();
         let expected = v.clone();
+        let above = 2 * n as u64 + 1;
         let span = Span::begin();
-        serving.insert_with_id(middle + 1, v).unwrap();
+        serving.insert_with_id(above, v).unwrap();
         let insert = span.held();
-        assert_eq!(serving.vector(middle + 1).unwrap(), &expected);
+        assert_eq!(serving.vector(above).unwrap(), &expected);
         let queries = vectors(0xB9, 1);
         let span = Span::begin();
         let top = serving.query_top_k(&queries, K).unwrap();
