@@ -11,6 +11,7 @@
 //! [`JoinVariant::admits`] provide the pieces of that reduction.
 
 use crate::error::{CoreError, Result};
+use ips_linalg::tile::dot_slices;
 use ips_linalg::DenseVector;
 use serde::{Deserialize, Serialize};
 
@@ -183,7 +184,7 @@ pub fn evaluate_join(
         }
         let has_partner = data
             .iter()
-            .any(|p| spec.satisfies_promise(p.dot_unchecked_len(q)));
+            .any(|p| spec.satisfies_promise(dot_slices(p.as_slice(), q.as_slice())));
         if has_partner {
             promised += 1;
             answered += usize::from(got);

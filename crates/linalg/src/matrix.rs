@@ -138,13 +138,8 @@ impl Matrix {
                 op: "matvec",
             });
         }
-        let xs = x.as_slice();
-        let mut out = Vec::with_capacity(self.rows);
-        for r in 0..self.rows {
-            let row = self.row(r);
-            out.push(row.iter().zip(xs).map(|(a, b)| a * b).sum());
-        }
-        Ok(DenseVector::new(out))
+        let dot = |r| crate::tile::dot_slices(self.row(r), x.as_slice());
+        Ok(DenseVector::new((0..self.rows).map(dot).collect()))
     }
 
     /// Matrix–matrix product `self · other`.
@@ -157,14 +152,10 @@ impl Matrix {
             });
         }
         let mut out = Self::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self.get(i, k);
-                if aik == 0.0 {
-                    continue;
-                }
-                for j in 0..other.cols {
-                    out.data[i * other.cols + j] += aik * other.get(k, j);
+        for (i, out_row) in out.data.chunks_exact_mut(other.cols.max(1)).enumerate() {
+            for (k, &aik) in self.row(i).iter().enumerate() {
+                if aik != 0.0 {
+                    crate::tile::axpy_slices(out_row, aik, other.row(k));
                 }
             }
         }
@@ -184,7 +175,7 @@ impl Matrix {
 
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
+        crate::tile::dot_slices(&self.data, &self.data).sqrt()
     }
 
     /// Iterator over rows as slices.

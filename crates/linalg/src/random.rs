@@ -237,7 +237,7 @@ fn unit_vectors_scheduled<R: Rng + ?Sized>(
                 let rows = block.samples.chunks_exact_mut(dim);
                 for (row, norm) in rows.zip(&mut block.spare) {
                     // As `DenseVector::normalized` computes it.
-                    *norm = row.iter().map(|x| x * x).sum::<f64>().sqrt();
+                    *norm = crate::tile::dot_slices(row, row).sqrt();
                     let factor = 1.0 / *norm;
                     row.iter_mut().for_each(|x| *x *= factor);
                 }

@@ -90,34 +90,12 @@ impl DenseVector {
                 op: "dot",
             });
         }
-        Ok(self
-            .components
-            .iter()
-            .zip(other.components.iter())
-            .map(|(a, b)| a * b)
-            .sum())
-    }
-
-    /// Inner product without the per-call dimension check: the hot-loop
-    /// sibling of [`DenseVector::dot`] for trusted engine loops that have
-    /// already validated dimensions once per batch.
-    ///
-    /// Accumulates in exactly the same order as [`DenseVector::dot`], so the
-    /// result is bit-identical; dimensions are only checked under
-    /// `debug_assertions`.
-    #[inline]
-    pub fn dot_unchecked_len(&self, other: &Self) -> f64 {
-        debug_assert_eq!(
-            self.dim(),
-            other.dim(),
-            "dot_unchecked_len requires equal dimensions"
-        );
-        crate::tile::dot_slices(&self.components, &other.components)
+        Ok(crate::tile::dot_slices(&self.components, &other.components))
     }
 
     /// Squared Euclidean norm `‖self‖²`.
     pub fn norm_sq(&self) -> f64 {
-        self.components.iter().map(|x| x * x).sum()
+        crate::tile::dot_slices(&self.components, &self.components)
     }
 
     /// Euclidean norm `‖self‖`.
@@ -244,9 +222,7 @@ impl DenseVector {
                 op: "axpy",
             });
         }
-        for (a, b) in self.components.iter_mut().zip(other.components.iter()) {
-            *a += factor * b;
-        }
+        crate::tile::axpy_slices(&mut self.components, factor, &other.components);
         Ok(())
     }
 
@@ -358,16 +334,6 @@ mod tests {
         let a = v(&[1.0, 2.0, 3.0]);
         let b = v(&[4.0, 5.0, 6.0]);
         assert_eq!(a.dot(&b).unwrap(), 32.0);
-    }
-
-    #[test]
-    fn unchecked_dot_is_bit_identical_to_checked() {
-        let a = v(&[0.1, -2.7, 3.33, 1e-12, 123.456]);
-        let b = v(&[9.9, 0.5, -1.25, 4e11, 0.003]);
-        assert_eq!(
-            a.dot(&b).unwrap().to_bits(),
-            a.dot_unchecked_len(&b).to_bits()
-        );
     }
 
     #[test]

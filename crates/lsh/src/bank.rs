@@ -9,45 +9,39 @@
 //! plane `f = (table·k + component)·bits + bit` — so hashing is
 //!
 //! 1. embed the vector once into a reused buffer;
-//! 2. `margin[f] += bank[j][f] · x[j]` for `j = 0, 1, …` — a row of independent
-//!    accumulators the compiler vectorises (for a block of points, the same sums a
-//!    register tile at a time: "the block kernel" below);
+//! 2. one margin `⟨g_f, x⟩` per plane, the dense product of the bank with the
+//!    embedded vector — [`ips_linalg::tile`]'s kernel ("the block kernel" below);
 //! 3. fold the signs through the [`combine_hashes`] chain into the `L` bucket keys.
 //!
-//! **Bit-identity with the per-function path.** Plane `f`'s accumulator sums
-//! `g_f[j]·x[j]` over `j` in ascending order, exactly the order of
-//! [`DenseVector::dot`], so every margin is the same `f64` the per-function walk
-//! ([`AndFunction`] over `SimpleAlshFunction` / `HyperplaneFunction`) computes, up to
-//! the sign of an exact zero — which neither the sign test `margin >= 0.0` nor the
-//! probe cost `margin²` can see. A row whose `x[j] == 0.0` is skipped: every
-//! coefficient is finite (checked at construction), so the skipped terms are `±0.0`
-//! and adding them would change no accumulator beyond, again, the sign of a zero.
+//! **Bit-identity with the per-function path.** Plane `f`'s margin sums `g_f[j]·x[j]`
+//! over `j` in ascending order from the kernel's one start value, exactly as
+//! [`DenseVector::dot`] does, so it is the `f64` the per-function walk ([`AndFunction`]
+//! over `SimpleAlshFunction` / `HyperplaneFunction`) computes — up to the sign of an
+//! exact zero where a sparse image's zero is skipped (below), which neither the sign
+//! test `margin >= 0.0` nor the probe cost `margin²` can see.
 //!
 //! **Sparse images.** The Section 4.2 map sends a `d`-dimensional vector to one of
 //! thousands of coordinates with `d` + a few dozen non-zeros: the vector itself, then
 //! a one-hot-per-block Reed–Solomon tag. A [`SparseImage`] names exactly those — the
 //! dense head as a slice, the tag as ascending `(row, value)` pairs — and the kernel
 //! walks `d + t` rows of the bank instead of all of them. The margins are the ones the
-//! materialised image would give, bit for bit: the products added are the same
-//! `g_f[j]·x[j]`, in the same ascending-`j` order, and the rows never visited are
-//! rows the dense walk skips as zeros. No dense image is ever built.
+//! materialised image would give: the products added are the same `g_f[j]·x[j]`, in the
+//! same ascending-`j` order, and the rows never visited hold zeros, whose products
+//! would change no margin but for the sign of a zero. No dense image is ever built.
 //!
-//! **The block kernel.** A build hashes point after point against a bank that stays in
-//! cache, and streaming the whole bank through one point's margins wastes that: every
-//! coefficient is loaded once per point and every margin read and rewritten once per
-//! row. [`PlaneBank::block_keys`] instead takes a block of points a *register tile* at
-//! a time — four points by four planes, sixteen sums held in registers across the walk
-//! over `j` — so a coefficient is loaded once per four points and a margin written
-//! once. Each sum still adds `g_f[j]·x[j]` in ascending `j` from `+0.0`, so a block's
-//! keys are each point's own [`PlaneBank::keys`], bit for bit (the tile adds the `±0.0`
-//! product of a zero coordinate where the streaming walk skips it — the sign of a zero,
-//! once more). A tile covers the dense heads; a sparse image's tail rows, which differ
-//! from point to point, are streamed into the tile's margins afterwards, in order. What
-//! does not fill a tile — the last points of a block, and every single-vector
-//! operation: `insert`, `remove`, the lookups — takes the streaming walk: it reads the
-//! bank front to back, which is what a prefetcher follows when the bank has left the
-//! cache since the last request, where the tile's column-wise walk would stall on every
-//! row.
+//! **The block kernel.** The margins are [`ips_linalg::tile::block_products`] of the
+//! coordinate-major bank with the heads: a build hands it a full tile of points, which
+//! it takes through the register tile — four points by four planes, sixteen sums held
+//! in registers across the walk over `j`, so a coefficient is loaded once per four
+//! points and a margin written once — and every other call (the last points of a
+//! block, and every single-vector operation: `insert`, `remove`, the lookups) streams
+//! the bank front to back, row by row, which is what a prefetcher follows when the bank
+//! has left the cache since the last request. Both add each sum's products in ascending
+//! `j` from one start value, so a block's keys are each point's own
+//! [`PlaneBank::keys`], bit for bit. A sparse image's tail rows, which differ from point
+//! to point, are streamed into its margins afterwards, in order; a zero among them is
+//! skipped — every coefficient is finite (checked at construction), so its products are
+//! `±0.0` and adding them would change no margin but for the sign of a zero.
 //!
 //! **One form of the planes.** The bank is the only place an index holds its planes:
 //! [`PlaneBank::new`] fills each plane's column straight from its source — an index's
@@ -60,6 +54,7 @@ use crate::amplify::AndFunction;
 use crate::error::{LshError, Result};
 use crate::probe::{compose_probes, push_flips, sign_bucket, ProbeFlip};
 use crate::simple_alsh::SphereTransform;
+use ips_linalg::tile::{axpy_slices, block_products, POINTS};
 use ips_linalg::DenseVector;
 
 /// The map applied to a vector before the hyperplanes see it.
@@ -114,16 +109,13 @@ impl<'a> From<SparseImage<'a>> for Point<'a> {
     }
 }
 
-/// Points per register tile of the kernel (see the module docs, "the block kernel").
-const TILE: usize = 4;
-
 /// Reusable buffers of the hashing kernel: the embedded vectors of one tile of points
 /// and their margins, one per point and plane. One scratch serves any number of
 /// vectors hashed against the same bank.
 #[derive(Debug, Clone, Default)]
 pub struct BankScratch {
-    embedded: [Vec<f64>; TILE],
-    /// `TILE × width`, point-major.
+    embedded: [Vec<f64>; POINTS],
+    /// `POINTS × width`, point-major.
     margins: Vec<f64>,
 }
 
@@ -172,9 +164,9 @@ impl PlaneBank {
     /// fails here instead of per query. Before the bank is allocated: at least one
     /// table and one component, `1..=64` planes a function (its bucket is a `u64` of
     /// sign bits), `rows` equal to the embedding's output dimension, and a size within
-    /// the address space. Then every coefficient must be finite (the zero-row skip
-    /// relies on it). Violations are [`LshError::InvalidParameter`]; an error of
-    /// `fill`'s is returned as it is.
+    /// the address space. Then every coefficient must be finite (skipping a sparse
+    /// image's zeros relies on it). Violations are [`LshError::InvalidParameter`]; an
+    /// error of `fill`'s is returned as it is.
     ///
     /// # Panics
     ///
@@ -273,7 +265,7 @@ impl PlaneBank {
         };
         BankScratch {
             embedded: std::array::from_fn(|_| Vec::with_capacity(embedded)),
-            margins: vec![0.0; TILE * self.width()],
+            margins: vec![0.0; POINTS * self.width()],
         }
     }
 
@@ -326,41 +318,23 @@ impl PlaneBank {
     }
 
     /// One margin per plane and point of `tile` into `margins` (`tile.len() × width`,
-    /// point-major). Each is `Σ_j g_f[j]·x[j]` over ascending `j` from `+0.0` — the
-    /// heads' rows are the bank's first, in order, and the tails' were checked to
-    /// follow them. A full tile of equally long heads goes through the register tile;
-    /// anything else — a single vector above all — streams the bank row by row.
+    /// point-major). Each is `Σ_j g_f[j]·x[j]` over ascending `j` — the heads' rows are
+    /// the bank's first, in order, and the tails' were checked to follow them. The heads
+    /// go through [`block_products`] (the register tile for a full tile, the row stream
+    /// otherwise); each tail row is then streamed into its point's margins, in order.
     fn tile_margins(&self, tile: &[Walk<'_>], margins: &mut [f64]) {
         let width = self.width();
-        // `margins += row j · xj`. A zero is skipped: every coefficient is finite, so
-        // its products are `±0.0` and adding them would change no sum (a unit vector's
-        // whole tag is zeros).
-        let stream = |margins: &mut [f64], j: usize, xj: f64| {
-            if xj != 0.0 {
-                let row = &self.coefficients[j * width..(j + 1) * width];
-                for (margin, &g) in margins.iter_mut().zip(row) {
-                    *margin += g * xj;
-                }
-            }
-        };
-        let rows = tile[0].0.len();
-        match tile {
-            [a, b, c, d] if tile.iter().all(|(head, _)| head.len() == rows) => {
-                let heads = [a.0, b.0, c.0, d.0];
-                head_margins(&self.coefficients[..rows * width], width, heads, margins);
-            }
-            _ => {
-                margins[..tile.len() * width].fill(0.0);
-                for (&(head, _), margins) in tile.iter().zip(margins.chunks_exact_mut(width)) {
-                    for (j, &xj) in head.iter().enumerate() {
-                        stream(margins, j, xj);
-                    }
-                }
-            }
+        let mut heads: [&[f64]; POINTS] = [&[]; POINTS];
+        for (head, &(walk, _)) in heads.iter_mut().zip(tile) {
+            *head = walk;
         }
+        block_products(&self.coefficients, width, &heads[..tile.len()], margins);
         for (&(_, tail), margins) in tile.iter().zip(margins.chunks_exact_mut(width)) {
-            for &(j, xj) in tail {
-                stream(margins, j, xj);
+            // A zero is skipped: every coefficient is finite, so its products are
+            // `±0.0` and adding them would change no sum but for the sign of a zero
+            // (a unit vector's whole tag is zeros).
+            for &(j, xj) in tail.iter().filter(|&&(_, xj)| xj != 0.0) {
+                axpy_slices(margins, xj, &self.coefficients[j * width..(j + 1) * width]);
             }
         }
     }
@@ -410,11 +384,11 @@ impl PlaneBank {
     ) -> Result<()> {
         let width = self.width();
         let BankScratch { embedded, margins } = scratch;
-        margins.resize(TILE * width, 0.0);
+        margins.resize(POINTS * width, 0.0);
         let mut points = points.into_iter();
         let mut keys = keys.chunks_exact_mut(self.shape.tables);
         loop {
-            let mut tile: [Walk<'_>; TILE] = [(&[], &[]); TILE];
+            let mut tile: [Walk<'_>; POINTS] = [(&[], &[]); POINTS];
             let mut filled = 0;
             for (slot, (buffer, point)) in tile.iter_mut().zip(embedded.iter_mut().zip(&mut points))
             {
@@ -449,7 +423,7 @@ impl PlaneBank {
     ) -> Result<Vec<Vec<u64>>> {
         let width = self.width();
         let BankScratch { embedded, margins } = scratch;
-        margins.resize(TILE * width, 0.0);
+        margins.resize(POINTS * width, 0.0);
         let walk = self.walk(Side::Query, q.into(), &mut embedded[0])?;
         self.tile_margins(&[walk], margins);
         let starts: Vec<usize> = (0..=self.shape.components)
@@ -478,55 +452,6 @@ fn miscounted_keys(tables: usize) -> LshError {
     LshError::InvalidParameter {
         name: "keys",
         reason: format!("a block takes exactly {tables} key slots per point"),
-    }
-}
-
-/// Planes per register tile: with [`TILE`] points, eight packed accumulators — what
-/// sixteen vector registers hold beside the coefficients and the broadcast coordinates.
-const LANES: usize = 4;
-
-/// The register tile: `margins[p·width + f] = Σ_j coefficients[j·width + f]·heads[p][j]`
-/// for [`TILE`] points whose heads have one length (`coefficients` holds that many
-/// rows), [`LANES`] planes at a time. The `TILE × LANES` sums stay in registers across
-/// the whole walk over `j`, so a coefficient is loaded once per tile, not once per
-/// point, and no margin is read back or rewritten per row; each sum still adds its
-/// products in ascending `j`, from `+0.0` (a zero coordinate is added, not skipped —
-/// the sign of a zero, again).
-///
-/// Compiled once, here: inlined into its generic callers the loop would be
-/// re-optimised per instantiating crate (see `position_of` in `table.rs`). It is for a
-/// *warm* bank — a build hashing point after point. It walks the bank a few columns
-/// at a time, which no prefetcher follows; a single lookup, whose bank may have left
-/// the cache since the last one, streams it row by row instead.
-#[inline(never)]
-fn head_margins(coefficients: &[f64], width: usize, heads: [&[f64]; TILE], margins: &mut [f64]) {
-    let mut first = 0;
-    while first + LANES <= width {
-        // Indexed loops over fixed-size arrays: the shape the compiler turns into
-        // packed accumulators.
-        let mut sums = [[0.0f64; LANES]; TILE];
-        for (j, row) in coefficients.chunks_exact(width).enumerate() {
-            let g: [f64; LANES] = row[first..first + LANES]
-                .try_into()
-                .expect("a slice of LANES planes");
-            for p in 0..TILE {
-                let xj = heads[p][j];
-                for f in 0..LANES {
-                    sums[p][f] += g[f] * xj;
-                }
-            }
-        }
-        for p in 0..TILE {
-            margins[p * width + first..p * width + first + LANES].copy_from_slice(&sums[p]);
-        }
-        first += LANES;
-    }
-    // The planes a whole tile does not cover, one at a time.
-    for f in first..width {
-        for (p, head) in heads.iter().enumerate() {
-            let column = coefficients.iter().skip(f).step_by(width);
-            margins[p * width + f] = column.zip(*head).fold(0.0, |sum, (&g, &xj)| sum + g * xj);
-        }
     }
 }
 
@@ -575,10 +500,27 @@ mod tests {
         ];
         let bank = bank_of(&tables).unwrap();
         let (mut scratch, mut keys) = (BankScratch::default(), Vec::new());
-        for v in [[1.0, 1.0, 1.0], [1.0, 0.0, 1.0], [-0.0, 1.0, 1.0]] {
+        let vectors = [
+            [1.0, 1.0, 1.0],
+            [1.0, 0.0, 1.0],
+            [-0.0, 1.0, 1.0],
+            [-0.0; 3],
+        ];
+        for v in vectors {
             let v = DenseVector::from(&v[..]);
             bank.keys(Side::Query, &v, &mut scratch, &mut keys).unwrap();
             assert_eq!(keys, oracle_keys(&tables, &v), "v = {v:?}");
+        }
+        // The same vectors, and zero vectors, four at a time: the register tile.
+        let zeros = [[0.0; 3], [-0.0; 3], [0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]];
+        for block in [vectors, zeros] {
+            let block = block.map(|v| DenseVector::from(&v[..]));
+            let mut keys = vec![0; block.len() * tables.len()];
+            let points = block.iter().map(Point::from);
+            bank.block_keys(Side::Query, points, &mut scratch, &mut keys)
+                .unwrap();
+            let expected: Vec<u64> = block.iter().flat_map(|v| oracle_keys(&tables, v)).collect();
+            assert_eq!(keys, expected, "block = {block:?}");
         }
     }
 

@@ -127,7 +127,7 @@ impl SphereTransform {
         let inverse_radius = 1.0 / self.query_radius;
         out.clear();
         out.extend(q.iter().map(|x| x * inverse_radius));
-        let norm_sq: f64 = out.iter().map(|x| x * x).sum();
+        let norm_sq = ips_linalg::tile::dot_slices(out, out);
         if !(norm_sq <= 1.0 + 1e-9) {
             return Err(LshError::DomainViolation {
                 reason: format!(

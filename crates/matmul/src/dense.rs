@@ -28,25 +28,11 @@ fn check_shapes(a: &Matrix, b: &Matrix, op: &'static str) -> Result<()> {
     Ok(())
 }
 
-/// Textbook `O(n·m·k)` matrix product `A·B` using the cache-friendly `i,k,j` loop order.
+/// Textbook `O(n·m·k)` matrix product `A·B` in the cache-friendly `i,k,j` loop order:
+/// [`Matrix::matmul`], failing with this crate's error.
 pub fn multiply_naive(a: &Matrix, b: &Matrix) -> Result<Matrix> {
     check_shapes(a, b, "multiply_naive")?;
-    let (n, k, m) = (a.rows(), a.cols(), b.cols());
-    let mut out = Matrix::zeros(n, m);
-    for i in 0..n {
-        let a_row = a.row(i);
-        for p in 0..k {
-            let aik = a_row[p];
-            if aik == 0.0 {
-                continue;
-            }
-            let b_row = b.row(p);
-            for j in 0..m {
-                out.set(i, j, out.get(i, j) + aik * b_row[j]);
-            }
-        }
-    }
-    Ok(out)
+    Ok(a.matmul(b).expect("shapes checked"))
 }
 
 /// Blocked (tiled) matrix product `A·B` with `block × block` panels.

@@ -13,15 +13,16 @@
 //! of the block holds coordinate `j` of every sketch row, sketch row `r` of copy `t` at
 //! column `t·m + r`. An estimate is then
 //!
-//! 1. `acc[t·m + r] += block[j][t·m + r] · q[j]` for `j = 0, 1, …` — `copies · m`
-//!    independent accumulators the compiler vectorises, in a scratch the thread reuses;
+//! 1. `acc[t·m + r] = ⟨(Π_t A)[r], q⟩` for every column at once — the block's product
+//!    with `q`, [`ips_linalg::tile::block_products`], which streams the block row by
+//!    row into a scratch the thread reuses;
 //! 2. per copy, the largest `|acc|` times the Fréchet median correction;
 //! 3. the median of those `copies` values, taken in the same scratch.
 //!
 //! Nothing is allocated once the thread's scratch has grown to the widest estimator it
 //! has met. **Every estimate is bit-identical to the row-major evaluation**
-//! (`Matrix::matvec` → `max_abs` → [`median`](crate::stable::median)): accumulator
-//! `t·m + r` starts from the value an empty `f64` sum has and adds
+//! (`Matrix::matvec` → `max_abs` → [`median`](crate::stable::median)): each sum starts
+//! from the kernel's one start value, the one an empty `f64` sum has, and adds
 //! `(Π_t A)[r][j]·q[j]` for `j` ascending, which is exactly the order of `matvec`'s
 //! per-row sum; only which sums are *interleaved* changed. That is what lets an
 //! estimator decoded from a snapshot answer as the build that wrote it did.
@@ -35,6 +36,7 @@ use crate::cost::resolved_rows;
 use crate::error::{positive_dim, uniform_dim, Result, SketchError};
 use crate::maxstable::MaxStableSketch;
 use crate::stable::median_in_place;
+use ips_linalg::tile::block_products;
 use ips_linalg::DenseVector;
 use rand::Rng;
 use std::cell::RefCell;
@@ -330,17 +332,9 @@ impl MaxIpEstimator {
     pub(crate) fn estimate_with(&self, q: &[f64], scratch: &mut Vec<f64>) -> f64 {
         debug_assert_eq!(q.len(), self.dim);
         let width = self.width();
-        // What `Iterator::sum` starts a row's sum from, so that even the sign of an
-        // all-zero row's result is the row-major one.
-        let empty_sum: f64 = std::iter::empty::<f64>().sum();
-        scratch.clear();
-        scratch.resize(width + self.copies, empty_sum);
+        scratch.resize(width + self.copies, 0.0);
         let (acc, per_copy) = scratch.split_at_mut(width);
-        for (coefficients, &qj) in self.block.chunks_exact(width).zip(q) {
-            for (a, &c) in acc.iter_mut().zip(coefficients) {
-                *a += c * qj;
-            }
-        }
+        block_products(&self.block, width, &[q], acc);
         let correction = MaxStableSketch::median_correction(self.kappa);
         for (estimate, sketched) in per_copy.iter_mut().zip(acc.chunks_exact(self.rows)) {
             let max_abs = sketched.iter().fold(0.0_f64, |m, x| m.max(x.abs()));

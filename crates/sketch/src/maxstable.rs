@@ -140,9 +140,7 @@ impl MaxStableSketch {
         debug_assert_eq!(out.len(), self.rows * d);
         for (&(bucket, scale), row) in self.columns.iter().zip(rows) {
             let bucket_row = &mut out[bucket * d..(bucket + 1) * d];
-            for (o, &x) in bucket_row.iter_mut().zip(row.as_slice()) {
-                *o += scale * x;
-            }
+            ips_linalg::tile::axpy_slices(bucket_row, scale, row.as_slice());
         }
     }
 

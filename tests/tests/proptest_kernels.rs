@@ -8,11 +8,15 @@
 //!   validity check of [`evaluate_join`].
 //! * An explicitly spelled-out default (`Dtype::F64`) takes the legacy fast
 //!   path and is bit-identical to not configuring scoring at all.
+//!
+//! Under both sits `ips_linalg::score_block`, the exact scan on the register tile:
+//! every score has `DenseVector::dot`'s bits, each query sees its rows in the order
+//! given, and the first mismatched pair in data-major order fails with `dot`'s error.
 
 use ips_core::facade::{Join, Strategy};
 use ips_core::problem::{evaluate_join, JoinSpec, JoinVariant, MatchPair};
 use ips_core::Dtype;
-use ips_linalg::DenseVector;
+use ips_linalg::{score_block, DenseVector, LinalgError};
 use proptest::prelude::*;
 // The facade's `Strategy` enum shadows proptest's `Strategy` trait above; bring
 // the trait's methods back into scope anonymously.
@@ -101,5 +105,139 @@ proptest! {
         let matches = run(&data, &queries, spec, seed, Some(Dtype::F32));
         let (_, valid) = evaluate_join(&data, &queries, &spec, &matches).unwrap();
         prop_assert!(valid, "f32 reported an invalid pair");
+    }
+}
+
+/// Coordinates that make a sum's bits depend on its order and its start: zeros of
+/// both signs, the cancellation values `1e16, -1e16, -1.0`, and ordinary numbers.
+fn coordinate() -> impl proptest::strategy::Strategy<Value = f64> {
+    const SPECIAL: [f64; 6] = [0.0, -0.0, 1e16, -1e16, -1.0, 1.0];
+    (0..SPECIAL.len() + 3, -2.0f64..2.0)
+        .prop_map(|(pick, x)| SPECIAL.get(pick).copied().unwrap_or(x))
+}
+
+/// Up to nine rows and nine queries of one dimension (so every remainder shape of the
+/// tile runs), and one key per row that orders them.
+#[allow(clippy::type_complexity)]
+fn block(
+) -> impl proptest::strategy::Strategy<Value = (Vec<DenseVector>, Vec<DenseVector>, Vec<u64>)> {
+    (0usize..=9, 0usize..=9, 0usize..=5).prop_flat_map(|(n, m, dim)| {
+        let vectors = move |count: usize| {
+            prop::collection::vec(
+                prop::collection::vec(coordinate(), dim..=dim),
+                count..=count,
+            )
+            .prop_map(|rows| rows.into_iter().map(DenseVector::new).collect::<Vec<_>>())
+        };
+        (
+            vectors(n),
+            vectors(m),
+            prop::collection::vec(any::<u64>(), n..=n),
+        )
+    })
+}
+
+/// The rows in the order `keys` sorts them, each under its own position as its index.
+fn ordered<'a>(rows: &'a [DenseVector], keys: &[u64]) -> Vec<(usize, &'a DenseVector)> {
+    let mut order: Vec<usize> = (0..rows.len()).collect();
+    order.sort_by_key(|&i| keys[i]);
+    order.into_iter().map(|i| (i, &rows[i])).collect()
+}
+
+/// What `score_block` emits for `rows` (in the order given) against `queries`, and
+/// what it returns.
+#[allow(clippy::type_complexity)]
+fn scored(
+    rows: &[(usize, &DenseVector)],
+    queries: &[DenseVector],
+) -> (Vec<(usize, usize, u64)>, Result<(), LinalgError>) {
+    let mut emitted = Vec::new();
+    let result = score_block(rows.iter().copied(), queries, |i, j, s| {
+        emitted.push((i, j, s.to_bits()))
+    });
+    (emitted, result)
+}
+
+/// Per query, the `(index, bits)` it was emitted with, in emission order.
+fn per_query(emitted: &[(usize, usize, u64)], queries: usize) -> Vec<Vec<(usize, u64)>> {
+    (0..queries)
+        .map(|j| {
+            emitted
+                .iter()
+                .filter(|e| e.1 == j)
+                .map(|&(i, _, s)| (i, s))
+                .collect()
+        })
+        .collect()
+}
+
+/// Per query, what a query-at-a-time scan with `dot` gives over `rows`.
+fn dot_scan(rows: &[(usize, &DenseVector)], queries: &[DenseVector]) -> Vec<Vec<(usize, u64)>> {
+    queries
+        .iter()
+        .map(|q| {
+            rows.iter()
+                .map(|&(i, p)| (i, p.dot(q).unwrap().to_bits()))
+                .collect()
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every pair once, with `dot`'s bits, each query seeing the rows in the order
+    /// given. A row of non-negative coordinates against a query of `-0.0`s makes a pair
+    /// whose products are all `-0.0`, so the sum's start value shows in its bits.
+    #[test]
+    fn score_block_has_dot_bits_in_each_querys_row_order(
+        (mut rows, mut queries, keys) in block(),
+        zero_pair in any::<bool>(),
+    ) {
+        if zero_pair && !rows.is_empty() && !queries.is_empty() {
+            rows[0] = DenseVector::new(rows[0].iter().map(|x| x.abs()).collect());
+            queries[0] = DenseVector::new(vec![-0.0; queries[0].dim()]);
+            let zero = rows[0].dot(&queries[0]).unwrap();
+            prop_assert_eq!(zero.to_bits(), (-0.0f64).to_bits());
+        }
+        let rows = ordered(&rows, &keys);
+        let (emitted, result) = scored(&rows, &queries);
+        prop_assert_eq!(result, Ok(()));
+        prop_assert!(emitted.iter().all(|e| e.1 < queries.len()));
+        prop_assert_eq!(per_query(&emitted, queries.len()), dot_scan(&rows, &queries));
+    }
+
+    /// A row or a query of another dimension fails the block with `dot`'s error for
+    /// the first mismatched pair in data-major order, after every pair of the rows
+    /// before that pair's row.
+    #[test]
+    fn score_block_fails_at_the_first_mismatched_pair_like_dot(
+        (mut rows, mut queries, keys) in block(),
+        ragged_row in 0usize..12,
+        ragged_query in 0usize..12,
+    ) {
+        let longer = |v: &DenseVector| v.concat(&DenseVector::new(vec![1.0]));
+        if let Some(row) = rows.get_mut(ragged_row) {
+            *row = longer(row);
+        }
+        if let Some(query) = queries.get_mut(ragged_query) {
+            *query = longer(query);
+        }
+        let rows = ordered(&rows, &keys);
+        let first = rows.iter().enumerate().find_map(|(k, &(_, p))| {
+            queries.iter().find(|q| q.dim() != p.dim()).map(|q| (k, p.dot(q).unwrap_err()))
+        });
+        let (emitted, result) = scored(&rows, &queries);
+        match first {
+            None => {
+                prop_assert_eq!(result, Ok(()));
+                prop_assert_eq!(per_query(&emitted, queries.len()), dot_scan(&rows, &queries));
+            }
+            Some((k, error)) => {
+                prop_assert_eq!(result, Err(error));
+                let before = dot_scan(&rows[..k], &queries);
+                prop_assert_eq!(per_query(&emitted, queries.len()), before);
+            }
+        }
     }
 }
