@@ -148,9 +148,11 @@ pub struct ShardedServingIndex {
     shards: Vec<RwLock<Option<ServingIndex>>>,
     next_id: AtomicU64,
     /// Held by [`ShardedServingIndex::insert`] from drawing an id until the owning
-    /// shard is write-locked, and taken by nothing else: a shard's inserts then
-    /// arrive in the order their ids were drawn. It guards no data, so a poisoned
-    /// gate is used as it is.
+    /// shard is write-locked: a shard's inserts then arrive in the order their ids
+    /// were drawn. [`ShardedServingIndex::migrate_to`] holds it while it write-locks
+    /// every shard and reads the global allocator, so no drawn id is on its way to a
+    /// shard whose allocator the swap raises past it. It guards no data, so a
+    /// poisoned gate is used as it is.
     allocation: Mutex<()>,
     spec: JoinSpec,
     dim: usize,
@@ -876,8 +878,13 @@ impl ShardedServingIndex {
 
         // Phase 2: stop-the-world swap with mutation reconciliation.
         let swap_start = Instant::now();
+        let gate = self
+            .allocation
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let mut guards = self.write_all();
         let global_next = self.next_id.load(Ordering::Relaxed);
+        drop(gate);
         let mut reconciled = 0usize;
         for (guard, replacement) in guards.iter_mut().zip(built) {
             reconciled += Self::swap_shard(
