@@ -358,6 +358,8 @@ pub fn observed_stats<R: Rng + ?Sized>(
     Ok(WorkloadStats {
         data_count: entries.len(),
         query_count: observed.queries as usize,
+        kept_data_count: entries.len(),
+        kept_query_count: observed.queries as usize,
         dim,
         max_data_norm,
         mean_data_norm,

@@ -3,9 +3,10 @@
 //! For every workload of the adversarial suite (`ips_datagen::adversarial`)
 //! this binary:
 //!
-//! 1. samples [`WorkloadStats`] and takes each strategy's *predicted flops*
-//!    from the planner's own estimates (unit cost constants play no role in
-//!    the flop counts);
+//! 1. plans it as [`JoinPlanner::plan`] does — [`WorkloadStats`] sampled from
+//!    what the norm bound leaves the join to run on — and takes each strategy's
+//!    *predicted flops* from the planner's own estimates (unit cost constants
+//!    play no role in the flop counts);
 //! 2. measures every eligible strategy end to end — build plus all queries —
 //!    recording wall-clock time (the fastest of [`RUNS`] identical runs), QPS
 //!    and recall against the exact join;
@@ -23,9 +24,7 @@
 //! [`WorkloadStats`]: ips_core::planner::WorkloadStats
 
 use ips_bench::{fmt, render_table, Timer};
-use ips_core::planner::{
-    CostModel, IndexFamily, JoinPlan, JoinPlanner, StrategyEstimate, WorkloadStats,
-};
+use ips_core::planner::{CostModel, IndexFamily, JoinPlan, JoinPlanner, StrategyEstimate};
 use ips_core::problem::{evaluate_join, JoinSpec, JoinVariant};
 use ips_datagen::adversarial::{planner_suite, AdversarialScale, PlannerWorkload};
 use rand::rngs::StdRng;
@@ -146,9 +145,9 @@ fn main() {
     let mut plans = Vec::new();
     for w in &suite {
         let spec = spec_of(w);
-        let stats =
-            WorkloadStats::sample(&mut rng, &w.data, &w.queries, spec).expect("stats sample");
-        let plan = planner.plan_from_stats(stats, spec);
+        let plan = planner
+            .plan(&mut rng, &w.data, &w.queries, spec)
+            .expect("plan");
         for estimate in &plan.estimates {
             if let Some(m) = measure(w, &plan, estimate, seed ^ 0xBEEF) {
                 measurements.push(m);

@@ -50,6 +50,20 @@
 //! side, and dropping them before the subtrees; its pairs, and the RNG state it leaves,
 //! are those of [`crate::SketchMipsAdapter::build`] followed by a `JoinEngine` pass.
 //!
+//! # The norm bound
+//!
+//! Before any strategy runs — and before `Auto` samples the workload — the join drops
+//! every data point `p` with `‖p‖·max‖q‖ < cs` and every query `q` with
+//! `‖q‖·max‖p‖ < cs`, with a rounding margin that keeps every pair whose computed
+//! score reaches `cs`. By Cauchy–Schwarz no dropped vector is in a reported pair. The
+//! strategy runs on what is left and the pairs come back with the caller's indices, in
+//! ascending order, so the lowest-id tie rule holds. Brute force, ALSH and symmetric
+//! LSH report the pairs they would report on the whole inputs; the sketch tree and the
+//! planner's sample are drawn over the kept vectors. A side is copied only when the
+//! bound drops at least half of it, so a join copies at most half a side and otherwise
+//! reads the caller's slices. If the bound empties a side the result is empty, and
+//! nothing is drawn from the RNG.
+//!
 //! # Contract
 //!
 //! Every run honours the validity half of Definition 1 by construction — no reported
@@ -57,7 +71,8 @@
 //! ever *misses* promised queries; see the
 //! [`JoinSpec`](crate::problem::JoinSpec#validity-contract) rustdoc for the full
 //! contract. An **empty query set** joins to an empty result under every strategy; an
-//! empty *data* set fails at index construction or on the first search.
+//! empty *data* set fails at index construction or on the first search, and so does a
+//! vector of another dimension: the norm bound does not apply to either.
 
 use crate::asymmetric::AlshParams;
 use crate::engine::EngineConfig;

@@ -92,6 +92,7 @@ pub mod lower_bounds;
 mod lsh_join;
 pub mod lsh_mips;
 pub mod mips;
+mod norm_bound;
 pub mod planner;
 pub mod problem;
 pub mod shard;

@@ -11,12 +11,14 @@
 //!
 //! The pipeline is classical cost-based query planning:
 //!
-//! 1. **Statistics** — [`WorkloadStats::sample`] measures `n`, `m`, `d` and the
-//!    norm distributions exactly (one pass, the same order of work as answering
-//!    a single brute-force query), and estimates the inner-product distribution
-//!    from a *sampled mini-join*: a few dozen data and query vectors are drawn
-//!    and their cross inner products computed, giving the promise/output pair
-//!    densities and the sample the LSH candidate-set predictor extrapolates
+//! 1. **Statistics** — [`JoinPlanner::plan`] first drops what the norm bound rules
+//!    out (the vectors no pair at or above `cs` can contain; see
+//!    `crate::norm_bound`), then measures `n`, `m`, `d` and the norm
+//!    distributions of what is left exactly (one pass, the same order of work as
+//!    answering a single brute-force query), and estimates the inner-product
+//!    distribution from a *sampled mini-join*: a few dozen data and query vectors
+//!    are drawn and their cross inner products computed, giving the promise/output
+//!    pair densities and the sample the LSH candidate-set predictor extrapolates
 //!    from.
 //! 2. **Cost model** — closed-form flop counts per strategy (the LSH hashing
 //!    and candidate predictions come from [`ips_lsh::cost`], the sketch-tree
@@ -44,6 +46,7 @@ use crate::kernel::ScoringOptions;
 use crate::lsh_join;
 use crate::lsh_mips::{SphereMap, Tuning};
 use crate::mips::sketch_hit;
+use crate::norm_bound;
 use crate::problem::{JoinSpec, MatchPair};
 use crate::symmetric::{SymmetricParams, SymmetricSphereMap};
 use ips_linalg::par::Schedule;
@@ -141,15 +144,25 @@ impl IndexConfig {
 /// All fields are public so decision tests (and external tooling) can pin
 /// planner behaviour on hand-built statistics without materialising a
 /// workload; [`WorkloadStats::sample`] is how real workloads are measured.
+///
+/// The counts are the caller's; the cost model prices the kept counts, and
+/// every other field is measured on the kept vectors. Statistics from
+/// [`WorkloadStats::sample`] keep everything; [`JoinPlanner::plan`]'s keep what
+/// the norm bound leaves a join to run on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadStats {
     /// Number of data vectors `n = |P|`.
     pub data_count: usize,
     /// Number of query vectors `m = |Q|`.
     pub query_count: usize,
+    /// Data vectors the join runs on after the norm bound (at most `data_count`).
+    pub kept_data_count: usize,
+    /// Queries the join runs on after the norm bound (at most `query_count`).
+    pub kept_query_count: usize,
     /// Shared dimensionality `d`.
     pub dim: usize,
-    /// Largest data-vector norm (decides unit-ball eligibility).
+    /// Largest data-vector norm (decides unit-ball eligibility). The norm bound
+    /// keeps the largest whenever it keeps anything.
     pub max_data_norm: f64,
     /// Mean data-vector norm.
     pub mean_data_norm: f64,
@@ -180,29 +193,53 @@ impl WorkloadStats {
         queries: &[DenseVector],
         spec: JoinSpec,
     ) -> Result<Self> {
-        if data.is_empty() {
-            return Err(CoreError::EmptyDataSet);
-        }
-        let dim = data[0].dim();
-        for v in data.iter().chain(queries) {
-            if v.dim() != dim {
-                return Err(CoreError::DimensionMismatch {
-                    expected: dim,
-                    actual: v.dim(),
-                });
-            }
-        }
+        let dim = workload_dim(data, queries)?;
+        Ok(Self::measure(rng, data, queries, spec, dim))
+    }
+
+    /// [`WorkloadStats::sample`] of what the norm bound leaves a join to run on:
+    /// counted on the caller's sets, measured on the kept ones. Fails as `sample`
+    /// does; a side the bound empties gives an empty sample.
+    fn sample_kept<R: Rng + ?Sized>(
+        rng: &mut R,
+        data: &[DenseVector],
+        queries: &[DenseVector],
+        spec: JoinSpec,
+    ) -> Result<Self> {
+        let dim = workload_dim(data, queries)?;
+        let Some(kept) = norm_bound::prune(data, queries, spec) else {
+            return Ok(Self::measure(rng, data, queries, spec, dim));
+        };
+        Ok(Self {
+            data_count: data.len(),
+            query_count: queries.len(),
+            ..Self::measure(rng, kept.data.vectors(), kept.queries.vectors(), spec, dim)
+        })
+    }
+
+    /// The statistics of `data` and `queries`, whose vectors all have dimension
+    /// `dim`; either may be empty.
+    fn measure<R: Rng + ?Sized>(
+        rng: &mut R,
+        data: &[DenseVector],
+        queries: &[DenseVector],
+        spec: JoinSpec,
+        dim: usize,
+    ) -> Self {
         let (max_data_norm, mean_data_norm) = norm_stats(data);
         let (max_query_norm, mean_query_norm) = norm_stats(queries);
 
         let mut sampled = Vec::new();
-        if !queries.is_empty() {
+        if !data.is_empty() && !queries.is_empty() {
             let picked_data = sample_indices(rng, data.len(), SAMPLE_DATA);
             let picked_queries = sample_indices(rng, queries.len(), SAMPLE_QUERIES);
             sampled.reserve(picked_data.len() * picked_queries.len());
             for &i in &picked_data {
                 for &j in &picked_queries {
-                    sampled.push(data[i].dot(&queries[j])?);
+                    sampled.push(ips_linalg::tile::dot_slices(
+                        data[i].as_slice(),
+                        queries[j].as_slice(),
+                    ));
                 }
             }
         }
@@ -214,9 +251,11 @@ impl WorkloadStats {
             / total;
         let output_density =
             sampled.iter().filter(|&&ip| spec.acceptable(ip)).count() as f64 / total;
-        Ok(Self {
+        Self {
             data_count: data.len(),
             query_count: queries.len(),
+            kept_data_count: data.len(),
+            kept_query_count: queries.len(),
             dim,
             max_data_norm,
             mean_data_norm,
@@ -225,7 +264,7 @@ impl WorkloadStats {
             promise_density,
             output_density,
             sampled_inner_products: sampled,
-        })
+        }
     }
 
     /// Normalized drift of these statistics relative to a `baseline`: the
@@ -275,12 +314,25 @@ fn lsh_flops<M: SphereMap>(
     params: &M::Params,
 ) -> (f64, f64) {
     let Tuning { tables, probes } = M::tuning(params);
-    let (n, m, d) = (stats.data_count, stats.query_count, stats.dim);
+    let (n, m, d) = (stats.kept_data_count, stats.kept_query_count, stats.dim);
     let candidates =
         ips_lsh::cost::expected_candidates_probed(n, cosines, tables.k, tables.l, probes);
     let hashing = (n as f64 + m as f64) * ips_lsh::cost::hash_flops(rows, tables.k, tables.l);
     let rescoring = m as f64 * ips_lsh::cost::rescoring_flops(d, candidates);
     (candidates, hashing + rescoring)
+}
+
+/// The dimension every vector of a workload shares; fails on an empty data set and
+/// on the first vector of another dimension.
+fn workload_dim(data: &[DenseVector], queries: &[DenseVector]) -> Result<usize> {
+    let dim = data.first().ok_or(CoreError::EmptyDataSet)?.dim();
+    match data.iter().chain(queries).find(|v| v.dim() != dim) {
+        Some(v) => Err(CoreError::DimensionMismatch {
+            expected: dim,
+            actual: v.dim(),
+        }),
+        None => Ok(dim),
+    }
 }
 
 fn norm_stats(vectors: &[DenseVector]) -> (f64, f64) {
@@ -512,8 +564,9 @@ impl JoinPlanner {
         Self { config, model }
     }
 
-    /// Plans a join: samples [`WorkloadStats`] from the workload, then decides
-    /// via [`JoinPlanner::plan_from_stats`].
+    /// Plans a join: samples [`WorkloadStats`] from what the norm bound leaves the
+    /// join to run on — the same sets [`JoinPlan::execute`] dispatches on — then
+    /// decides via [`JoinPlanner::plan_from_stats`].
     pub fn plan<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -521,15 +574,15 @@ impl JoinPlanner {
         queries: &[DenseVector],
         spec: JoinSpec,
     ) -> Result<JoinPlan> {
-        let stats = WorkloadStats::sample(rng, data, queries, spec)?;
+        let stats = WorkloadStats::sample_kept(rng, data, queries, spec)?;
         Ok(self.plan_from_stats(stats, spec))
     }
 
     /// The pure decision step: estimates every strategy's cost on the given
-    /// statistics and picks the cheapest eligible one (ties go to the earlier
-    /// entry in [`IndexFamily::ALL`], i.e. toward the exact scan).
+    /// statistics' kept counts and picks the cheapest eligible one (ties go to the
+    /// earlier entry in [`IndexFamily::ALL`], i.e. toward the exact scan).
     pub fn plan_from_stats(&self, stats: WorkloadStats, spec: JoinSpec) -> JoinPlan {
-        let (n, m, d) = (stats.data_count, stats.query_count, stats.dim);
+        let (n, m, d) = (stats.kept_data_count, stats.kept_query_count, stats.dim);
         let nf = n as f64;
         let mf = m as f64;
         let df = d as f64;
@@ -761,6 +814,10 @@ impl JoinPlan {
             s.max_query_norm,
         ));
         out.push_str(&format!(
+            "norm bound: kept {} of {} points, {} of {} queries\n",
+            s.kept_data_count, s.data_count, s.kept_query_count, s.query_count,
+        ));
+        out.push_str(&format!(
             "sampled {} pairs: promise density {:.4}, output density {:.4}\n",
             s.sampled_inner_products.len(),
             s.promise_density,
@@ -799,22 +856,59 @@ fn format_ns(ns: f64) -> String {
     }
 }
 
-/// Joins `queries` against `data` — where it stands: nothing borrows more than the
-/// slice, no copy of the data set is made — on the structure `index` names, on
-/// `engine`'s threads, the brute scan scoring under `scoring`. The brute strategy builds
-/// its index and runs it through the [`JoinEngine`]. The ALSH and symmetric ones never
-/// hold an index: their join draws, hashes and queries the tables a cache-sized group
-/// at a time and merges each query's answer across the groups (`lsh_join`), to the
-/// pairs the whole index would give. Nor does the sketch: [`join_walk`] walks the
-/// recovery tree a node at a time, and the adapter's filter ([`sketch_hit`]) turns its
-/// candidates into the pairs the whole tree would give. The one place a structure
-/// becomes a join: an explicit choice ([`crate::facade::JoinBuilder::run`]) and a planned one
+/// Joins `queries` against `data` on the structure `index` names, on `engine`'s threads,
+/// the brute scan scoring under `scoring`. The one place a structure becomes a join: an
+/// explicit choice ([`crate::facade::JoinBuilder::run`]) and a planned one
 /// ([`JoinPlan::execute`]) both end here, which is what makes them bit-identical under
 /// one RNG state.
+///
+/// First the **norm bound** (`crate::norm_bound`) drops every data point and every query
+/// that Cauchy–Schwarz keeps below `cs` with every partner: no pair it drops could be
+/// reported. The strategy runs on what is left, and each pair's indices are mapped back
+/// to the caller's, in ascending order, so the lowest-id tie rule is unchanged. A side
+/// is copied only when the bound drops at least half of it; otherwise it runs whole, on
+/// the caller's slice. If the bound empties a side, the result is empty and nothing is
+/// dispatched. Where the bound does not apply — an empty side, dimension 0, mixed
+/// dimensions — the strategy meets the inputs whole, errors included.
 ///
 /// An **empty query set** joins to an empty result under every strategy; an empty
 /// *data* set fails before any query is looked at.
 pub(crate) fn run_strategy<R: Rng + ?Sized>(
+    index: IndexConfig,
+    rng: &mut R,
+    data: &[DenseVector],
+    queries: &[DenseVector],
+    spec: JoinSpec,
+    engine: EngineConfig,
+    scoring: ScoringOptions,
+) -> Result<Vec<MatchPair>> {
+    let Some(kept) = norm_bound::prune(data, queries, spec) else {
+        return dispatch(index, rng, data, queries, spec, engine, scoring);
+    };
+    if kept.is_empty() {
+        return Ok(Vec::new());
+    }
+    let pairs = dispatch(
+        index,
+        rng,
+        kept.data.vectors(),
+        kept.queries.vectors(),
+        spec,
+        engine,
+        scoring,
+    )?;
+    Ok(kept.caller_pairs(pairs))
+}
+
+/// [`run_strategy`] without the norm bound: nothing borrows more than the slices, and
+/// no copy of the data set is made. The brute strategy builds its index and runs it
+/// through the [`JoinEngine`]. The ALSH and symmetric ones never hold an index: their
+/// join draws, hashes and queries the tables a cache-sized group at a time and merges
+/// each query's answer across the groups (`lsh_join`), to the pairs the whole index
+/// would give. Nor does the sketch: [`join_walk`] walks the recovery tree a node at a
+/// time, and the adapter's filter ([`sketch_hit`]) turns its candidates into the pairs
+/// the whole tree would give.
+fn dispatch<R: Rng + ?Sized>(
     index: IndexConfig,
     rng: &mut R,
     data: &[DenseVector],
@@ -863,7 +957,7 @@ mod tests {
     use crate::problem::JoinVariant;
     use ips_linalg::random::random_unit_vector;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn spec(s: f64, c: f64) -> JoinSpec {
         JoinSpec::new(s, c, JoinVariant::Signed).unwrap()
@@ -877,6 +971,8 @@ mod tests {
         WorkloadStats {
             data_count: n,
             query_count: m,
+            kept_data_count: n,
+            kept_query_count: m,
             dim: d,
             max_data_norm: 1.0,
             mean_data_norm: 0.5,
@@ -1185,6 +1281,269 @@ mod tests {
                 .collect();
             let recall = inst.recall(&reported, sp.relaxed_threshold());
             assert!(recall >= 0.6, "{choice} join recall too low: {recall}");
+        }
+    }
+
+    fn dv(xs: &[f64]) -> DenseVector {
+        DenseVector::from(xs)
+    }
+
+    /// Every fixed structure at the default parameters.
+    fn fixed_configs() -> Vec<IndexConfig> {
+        let config = PlannerConfig::default();
+        [
+            Strategy::Brute,
+            Strategy::Alsh,
+            Strategy::Symmetric,
+            Strategy::Sketch,
+        ]
+        .into_iter()
+        .map(|strategy| config.index_config(strategy).unwrap())
+        .collect()
+    }
+
+    /// `run_strategy` — the norm bound, then the dispatch — and the dispatch alone, each
+    /// from a fresh RNG of `seed`.
+    fn bounded_and_whole(
+        index: IndexConfig,
+        seed: u64,
+        data: &[DenseVector],
+        queries: &[DenseVector],
+        spec: JoinSpec,
+    ) -> (Result<Vec<MatchPair>>, Result<Vec<MatchPair>>) {
+        let (engine, scoring) = (EngineConfig::default(), ScoringOptions::default());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let bounded = run_strategy(index, &mut rng, data, queries, spec, engine, scoring);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let whole = dispatch(index, &mut rng, data, queries, spec, engine, scoring);
+        (bounded, whole)
+    }
+
+    /// Each pair's indices and the bits of its inner product.
+    fn bits(pairs: &[MatchPair]) -> Vec<(usize, usize, u64)> {
+        pairs
+            .iter()
+            .map(|p| (p.data_index, p.query_index, p.inner_product.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn scores_at_cs_and_one_ulp_either_side_are_reported_as_without_the_bound() {
+        // Parallel vectors make Cauchy–Schwarz tight — the norms' product is the score —
+        // so only the rounding margin keeps such a pair from being dropped.
+        let mut rng = StdRng::seed_from_u64(0x01F);
+        let mut margin_needed = 0;
+        for trial in 0..200 {
+            let dim = 2 + trial % 47;
+            let v = random_unit_vector(&mut rng, dim).unwrap();
+            let p = v.scaled(rng.gen_range(0.5..2.0));
+            let q = v.scaled(rng.gen_range(0.5..2.0));
+            let score = p.dot(&q).unwrap();
+            // The product a test without the margin would compare with cs = score.
+            if p.norm() * q.norm() < score {
+                margin_needed += 1;
+            }
+            // Two short points the bound drops, so the data side runs on a copy.
+            let data = [v.scaled(1e-3), p, v.scaled(2e-3)];
+            for (variant, q) in [
+                (JoinVariant::Signed, q.clone()),
+                (JoinVariant::Unsigned, q.scaled(-1.0)),
+            ] {
+                for cs in [score.next_down(), score, score.next_up()] {
+                    let sp = JoinSpec::new(cs, 1.0, variant).unwrap();
+                    let queries = [q.clone()];
+                    let kept = norm_bound::prune(&data, &queries, sp).unwrap();
+                    assert_eq!(kept.data.vectors(), &data[1..2], "dim {dim}");
+                    let (bounded, whole) =
+                        bounded_and_whole(IndexConfig::Brute, 0, &data, &queries, sp);
+                    let bounded = bounded.unwrap();
+                    assert_eq!(bits(&bounded), bits(&whole.unwrap()));
+                    assert_eq!(!bounded.is_empty(), score >= cs, "dim {dim}, cs {cs}");
+                }
+            }
+        }
+        assert!(
+            margin_needed > 0,
+            "no pair whose norms' product rounds below its score: the test shows nothing"
+        );
+    }
+
+    #[test]
+    fn an_empty_data_set_still_fails_before_anything_is_pruned() {
+        let queries = [dv(&[1.0, 0.0])];
+        for index in fixed_configs() {
+            let (bounded, whole) = bounded_and_whole(index, 1, &[], &queries, spec(0.8, 0.6));
+            assert!(bounded.is_err(), "{index:?}");
+            assert_eq!(bounded, whole, "{index:?}");
+        }
+        let planned = JoinPlanner::default().plan(
+            &mut StdRng::seed_from_u64(1),
+            &[],
+            &queries,
+            spec(0.8, 0.6),
+        );
+        assert_eq!(planned.unwrap_err(), CoreError::EmptyDataSet);
+    }
+
+    #[test]
+    fn mixed_dimensions_skip_the_bound_and_fail_as_without_it() {
+        // Short points the bound would drop, and one vector of another dimension on
+        // either side: the strategy meets the inputs whole and fails at the same pair.
+        let short = dv(&[0.01, 0.0]);
+        let long = dv(&[0.9, 0.0]);
+        let ragged = dv(&[0.5]);
+        let cases = [
+            (
+                vec![short.clone(), long.clone(), short.clone(), ragged.clone()],
+                vec![long.clone()],
+            ),
+            (
+                vec![long.clone(), short.clone()],
+                vec![short.clone(), long.clone(), ragged],
+            ),
+        ];
+        for (data, queries) in cases {
+            for index in fixed_configs() {
+                let (bounded, whole) = bounded_and_whole(index, 2, &data, &queries, spec(0.8, 0.6));
+                assert!(bounded.is_err(), "{index:?}");
+                assert_eq!(bounded, whole, "{index:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_nan_norm_keeps_its_vector_and_the_join_answers_as_without_the_bound() {
+        let long = dv(&[0.9, 0.1]);
+        let short = dv(&[0.01, 0.0]);
+        let nan = dv(&[f64::NAN, 0.0]);
+        let data = [long.clone(), nan.clone(), short.clone(), short.clone()];
+        let queries = [long.clone(), nan, short.clone(), short];
+        let sp = spec(0.8, 0.6);
+        let kept = norm_bound::prune(&data, &queries, sp).unwrap();
+        assert_eq!(kept.data.vectors().len(), 2);
+        assert!(kept.data.vectors()[1][0].is_nan());
+        assert_eq!(kept.queries.vectors().len(), 2);
+        assert!(kept.queries.vectors()[1][0].is_nan());
+        for index in fixed_configs() {
+            let (bounded, whole) = bounded_and_whole(index, 3, &data, &queries, sp);
+            assert_eq!(bounded, whole, "{index:?}");
+        }
+    }
+
+    #[test]
+    fn a_side_the_bound_empties_joins_to_nothing_without_dispatch() {
+        let sp = spec(0.8, 0.6);
+        let short = dv(&[0.01, 0.02]);
+        let long = dv(&[0.6, 0.8]);
+        let (engine, scoring) = (EngineConfig::default(), ScoringOptions::default());
+        for (data, queries) in [
+            (vec![short.clone(); 3], vec![long.clone()]),
+            (vec![long.clone()], vec![short.clone(); 2]),
+        ] {
+            for index in fixed_configs() {
+                let mut rng = StdRng::seed_from_u64(4);
+                let pairs =
+                    run_strategy(index, &mut rng, &data, &queries, sp, engine, scoring).unwrap();
+                assert!(pairs.is_empty(), "{index:?}");
+                // An LSH or sketch dispatch would have drawn its planes or estimators.
+                assert_eq!(
+                    rng.gen::<u64>(),
+                    StdRng::seed_from_u64(4).gen::<u64>(),
+                    "{index:?} drew from the RNG"
+                );
+            }
+            // The planner plans the empty join and executes it to nothing.
+            let mut rng = StdRng::seed_from_u64(4);
+            let plan = JoinPlanner::default()
+                .plan(&mut rng, &data, &queries, sp)
+                .unwrap();
+            assert_eq!(plan.stats.kept_data_count * plan.stats.kept_query_count, 0);
+            assert!(plan.execute(&mut rng, &data, &queries).unwrap().is_empty());
+        }
+    }
+
+    #[test]
+    fn the_unsigned_variant_prunes_by_the_same_bound_and_keeps_negative_pairs() {
+        // The long point's only partner has a negative inner product of magnitude 1.
+        let data = [dv(&[-1.0, 0.0]), dv(&[0.01, 0.0]), dv(&[0.0, 0.02])];
+        let queries = [dv(&[1.0, 0.0])];
+        let sp = JoinSpec::new(0.8, 0.6, JoinVariant::Unsigned).unwrap();
+        let kept = norm_bound::prune(&data, &queries, sp).unwrap();
+        assert_eq!(kept.data.vectors(), &data[..1]);
+        for index in fixed_configs() {
+            let (bounded, whole) = bounded_and_whole(index, 5, &data, &queries, sp);
+            assert_eq!(bounded, whole, "{index:?}");
+        }
+        let (brute, _) = bounded_and_whole(IndexConfig::Brute, 5, &data, &queries, sp);
+        assert_eq!(bits(&brute.unwrap()), vec![(0, 0, (-1.0f64).to_bits())]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// On planted data at the benchmark's background scale and at the hard one, under
+        /// both variants: brute force, ALSH and symmetric LSH report the bits they report
+        /// without the bound; the sketch and the planner stay valid; and at background
+        /// scale 1, where the bound drops nothing, all five are what they are without it.
+        #[test]
+        fn the_bound_keeps_exact_and_lsh_pairs_bit_identical(
+            seed in proptest::prelude::any::<u64>(),
+            hard in proptest::prelude::any::<bool>(),
+            unsigned in proptest::prelude::any::<bool>(),
+        ) {
+            use ips_datagen::planted::{PlantedConfig, PlantedInstance};
+            let background_scale = if hard { 1.0 } else { 0.05 };
+            let inst = PlantedInstance::generate(
+                &mut StdRng::seed_from_u64(seed),
+                PlantedConfig {
+                    data: 120,
+                    queries: 16,
+                    dim: 8,
+                    background_scale,
+                    planted_ip: 0.85,
+                    planted: 4,
+                },
+            )
+            .unwrap();
+            let variant = if unsigned { JoinVariant::Unsigned } else { JoinVariant::Signed };
+            let sp = JoinSpec::new(0.8, 0.6, variant).unwrap();
+            let (data, queries) = (inst.data(), inst.queries());
+            let kept = norm_bound::prune(data, queries, sp).unwrap();
+            // The hard case keeps everything; the easy one little more than the plants.
+            proptest::prop_assert_eq!(kept.data.vectors().len() == data.len(), hard);
+            proptest::prop_assert_eq!(kept.queries.vectors().len(), queries.len());
+            for index in fixed_configs() {
+                let (bounded, whole) = bounded_and_whole(index, seed, data, queries, sp);
+                let bounded = bounded.unwrap();
+                if hard || index.family() != IndexFamily::Sketch {
+                    proptest::prop_assert_eq!(bits(&bounded), bits(&whole.unwrap()), "{:?}", index);
+                }
+                let (_, valid) = crate::problem::evaluate_join(data, queries, &sp, &bounded).unwrap();
+                proptest::prop_assert!(valid, "{:?}", index);
+            }
+            // Auto: planned on the kept sets and executed through the bound.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let plan = JoinPlanner::default().plan(&mut rng, data, queries, sp).unwrap();
+            let auto = plan.execute(&mut rng, data, queries).unwrap();
+            let (_, valid) = crate::problem::evaluate_join(data, queries, &sp, &auto).unwrap();
+            proptest::prop_assert!(valid);
+            if hard {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let stats = WorkloadStats::sample(&mut rng, data, queries, sp).unwrap();
+                let whole_plan = JoinPlanner::default().plan_from_stats(stats, sp);
+                proptest::prop_assert_eq!(&whole_plan, &plan);
+                let whole = dispatch(
+                    whole_plan.choice,
+                    &mut rng,
+                    data,
+                    queries,
+                    sp,
+                    whole_plan.engine,
+                    whole_plan.scoring,
+                )
+                .unwrap();
+                proptest::prop_assert_eq!(bits(&auto), bits(&whole));
+            }
         }
     }
 }

@@ -8,6 +8,14 @@
 //! vector is planted whose inner product with that query is exactly `planted_ip`. The
 //! join experiments (E5) then measure recall of the planted pairs and the runtime
 //! scaling of each algorithm.
+//!
+//! **Which regime is hard.** Queries are unit vectors, so `max‖q‖ = 1`. A background
+//! scale below `cs / max‖q‖` — below `cs` itself — makes every background vector too short to
+//! reach `cs` with any query, and the join's norm bound (Cauchy–Schwarz, in
+//! `ips_core`'s dispatch) prunes the background away whole before any hashing or
+//! scanning: what is left is the planted vectors. `background_scale = 1` is the
+//! paper's hard case, where background and planted vectors have comparable norms and
+//! only the inner products tell them apart; there the bound drops nothing.
 
 use crate::error::{DatagenError, Result};
 use ips_linalg::random::{random_unit_vector, random_unit_vectors};
@@ -23,7 +31,10 @@ pub struct PlantedConfig {
     pub queries: usize,
     /// Dimension.
     pub dim: usize,
-    /// Scale of the background data vectors (their norm).
+    /// Scale of the background data vectors (their norm). Below `cs / max‖q‖` (the
+    /// queries are unit vectors, so below `cs`) the join's norm bound prunes the
+    /// whole background before dispatch; `1.0` is the paper's hard case, where it
+    /// prunes nothing (see the module docs).
     pub background_scale: f64,
     /// Inner product of each planted pair.
     pub planted_ip: f64,

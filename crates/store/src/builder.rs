@@ -47,7 +47,7 @@ use crate::sharded::{ShardedConfig, ShardedServingIndex};
 use ips_core::asymmetric::AlshParams;
 use ips_core::engine::EngineConfig;
 use ips_core::facade::Strategy;
-use ips_core::planner::{JoinPlanner, PlannerConfig};
+use ips_core::planner::{JoinPlanner, PlannerConfig, WorkloadStats};
 use ips_core::problem::JoinSpec;
 use ips_core::symmetric::SymmetricParams;
 use ips_linalg::DenseVector;
@@ -252,7 +252,9 @@ impl IndexBuilder {
     }
 
     /// Resolves the strategy choice into a concrete [`IndexConfig`],
-    /// consulting the cost-based planner for [`Strategy::Auto`].
+    /// consulting the cost-based planner for [`Strategy::Auto`] on statistics of
+    /// the whole data set: an index serves every point to queries yet unseen, so
+    /// the join's norm bound over the representative queries does not apply.
     fn resolve_index_config(&self, data: &[DenseVector], spec: JoinSpec) -> Result<IndexConfig> {
         if let Some(index) = self.planner.index_config(self.strategy) {
             return Ok(index);
@@ -270,7 +272,8 @@ impl IndexBuilder {
             ..JoinPlanner::default()
         };
         let mut rng = StdRng::seed_from_u64(self.seed);
-        Ok(planner.plan(&mut rng, data, queries, spec)?.choice)
+        let stats = WorkloadStats::sample(&mut rng, data, queries, spec)?;
+        Ok(planner.plan_from_stats(stats, spec).choice)
     }
 
     /// Terminal call: builds (or loads) the index and wraps it for serving.

@@ -22,7 +22,7 @@
 
 use ips_adapt::{AdaptiveConfig, AdaptiveController, ControlDecision};
 use ips_core::asymmetric::AlshParams;
-use ips_core::planner::{JoinPlanner, PlannerConfig};
+use ips_core::planner::{JoinPlanner, PlannerConfig, WorkloadStats};
 use ips_core::problem::{JoinSpec, JoinVariant, MatchPair};
 use ips_core::symmetric::SymmetricParams;
 use ips_datagen::{
@@ -517,14 +517,17 @@ fn streaming_drift_migrates_alsh_to_brute_once() {
         JoinVariant::Signed,
     )
     .unwrap();
-    let plan = JoinPlanner::new(stream_planner_config(), Default::default())
-        .plan(
-            &mut rng,
-            &scenario.initial,
-            &scenario.steps[0].queries,
-            spec,
-        )
-        .unwrap();
+    // The initial structure of a serving index, planned as `IndexBuilder` plans one: on
+    // the whole window, which the index serves to every later query.
+    let stats = WorkloadStats::sample(
+        &mut rng,
+        &scenario.initial,
+        &scenario.steps[0].queries,
+        spec,
+    )
+    .unwrap();
+    let plan =
+        JoinPlanner::new(stream_planner_config(), Default::default()).plan_from_stats(stats, spec);
     assert_eq!(
         plan.choice.family(),
         IndexFamily::Alsh,
@@ -624,9 +627,10 @@ fn recommender_norm_shift_replans_without_migrating() {
         JoinVariant::Signed,
     )
     .unwrap();
-    let plan = JoinPlanner::default()
-        .plan(&mut rng, &scenario.items, &scenario.phase_one, spec)
-        .unwrap();
+    // Planned as `IndexBuilder` plans a serving index: on the whole item set.
+    let stats =
+        WorkloadStats::sample(&mut rng, &scenario.items, &scenario.phase_one, spec).unwrap();
+    let plan = JoinPlanner::default().plan_from_stats(stats, spec);
     assert_eq!(plan.choice, IndexConfig::Brute);
     let adaptive_config = AdaptiveConfig {
         seed: 0x0C4B,
