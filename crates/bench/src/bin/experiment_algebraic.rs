@@ -8,9 +8,10 @@
 //! correlation sinks towards the noise and staying tiny while it is strong.
 
 use ips_bench::{fmt, no_args, render_table, Timer};
+use ips_core::algebraic::{amplified_sign_join, AmplifiedJoinConfig};
+use ips_core::problem::{JoinSpec, JoinVariant};
 use ips_linalg::random::random_sign_vector;
 use ips_linalg::SignVector;
-use ips_matmul::{amplified_unsigned_join, AmplifiedJoinConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -29,6 +30,7 @@ fn main() {
     let mut rows = Vec::new();
     for &agree in &[112usize, 96, 84, 76] {
         let s = (2 * agree) as f64 - dim as f64; // planted inner product
+        let spec = JoinSpec::new(s, c, JoinVariant::Unsigned).unwrap();
         let query_vectors: Vec<SignVector> = (0..queries)
             .map(|_| random_sign_vector(&mut rng, dim))
             .collect();
@@ -45,12 +47,11 @@ fn main() {
         }
         for degree in [1u32, 2, 3] {
             let t = Timer::start();
-            let report = amplified_unsigned_join(
+            let report = amplified_sign_join(
                 &mut rng,
                 &data,
                 &query_vectors,
-                s,
-                c,
+                &spec,
                 AmplifiedJoinConfig {
                     degree,
                     projection_dim: m,

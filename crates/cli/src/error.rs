@@ -4,7 +4,6 @@
 use ips_core::CoreError;
 use ips_datagen::DatagenError;
 use ips_linalg::LinalgError;
-use ips_matmul::MatmulError;
 use ips_sketch::SketchError;
 use ips_store::StoreError;
 
@@ -38,8 +37,6 @@ ips_linalg::define_error! {
             Datagen(DatagenError) => "generation error",
             /// An underlying sketch operation failed.
             Sketch(SketchError) => "sketch error",
-            /// An underlying matrix-multiplication operation failed.
-            Matmul(MatmulError) => "matrix multiplication error",
             /// An underlying snapshot/serving operation failed.
             Store(StoreError) => "store error",
         }
@@ -82,8 +79,6 @@ mod tests {
         assert!(e.to_string().contains("generation"));
         let e: CliError = SketchError::EmptyDataSet.into();
         assert!(e.to_string().contains("sketch"));
-        let e: CliError = MatmulError::Empty { op: "gram" }.into();
-        assert!(e.to_string().contains("matrix multiplication"));
         let e: CliError = StoreError::UnknownId { id: 3 }.into();
         assert!(e.to_string().contains("store error"));
         assert!(std::error::Error::source(&CliError::Usage { reason: "x".into() }).is_none());

@@ -3,7 +3,6 @@
 
 use ips_linalg::LinalgError;
 use ips_lsh::LshError;
-use ips_matmul::MatmulError;
 use ips_ovp::OvpError;
 use ips_sketch::SketchError;
 
@@ -38,8 +37,6 @@ ips_linalg::define_error! {
             Sketch(SketchError) => "sketch error",
             /// An underlying OVP operation failed.
             Ovp(OvpError) => "OVP error",
-            /// An underlying matrix-multiplication operation failed.
-            Matmul(MatmulError) => "matrix multiplication error",
         }
     }
 }
@@ -58,9 +55,6 @@ mod tests {
         assert!(e.to_string().contains("sketch"));
         let e: CoreError = OvpError::EmptyInstance.into();
         assert!(e.to_string().contains("OVP"));
-        assert!(std::error::Error::source(&e).is_some());
-        let e: CoreError = MatmulError::Empty { op: "gram" }.into();
-        assert!(e.to_string().contains("matrix multiplication"));
         assert!(std::error::Error::source(&e).is_some());
         assert!(CoreError::EmptyDataSet.to_string().contains("at least one"));
         assert!(CoreError::DimensionMismatch {

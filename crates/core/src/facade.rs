@@ -377,15 +377,11 @@ impl<'a> JoinBuilder<'a> {
                 )?;
                 (matches, index.family(), None)
             }
-            // `Strategy::Auto`: the planner's pick, through the same function.
+            // `Strategy::Auto`: the planner's pick, through the same dispatch, on one
+            // pass of the norm bound.
             None => {
-                let plan = JoinPlanner::new(self.config, CostModel::default()).plan(
-                    rng,
-                    self.data,
-                    self.queries,
-                    spec,
-                )?;
-                let matches = plan.execute(rng, self.data, self.queries)?;
+                let (plan, matches) = JoinPlanner::new(self.config, CostModel::default())
+                    .plan_and_execute(rng, self.data, self.queries, spec)?;
                 (matches, plan.choice.family(), Some(plan))
             }
         };

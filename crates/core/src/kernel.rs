@@ -22,10 +22,9 @@ use crate::error::{CoreError, Result};
 use crate::mips::SearchResult;
 use crate::problem::JoinSpec;
 use ips_linalg::{DenseVector, FloatTile};
-use serde::{Deserialize, Serialize};
 
 /// Floating-point width of the batched scoring kernel.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Dtype {
     /// Exact double precision — the default; results are bit-identical to the
     /// pre-kernel-pass engine.
@@ -63,7 +62,7 @@ impl std::str::FromStr for Dtype {
 /// The scoring-kernel knob of a join, surfaced through `JoinBuilder::dtype`
 /// and `ips join dtype=`; the planner prices the brute strategy with it. A
 /// served index always scans in `f64`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScoringOptions {
     /// Floating-point width of the brute scan's scoring kernel.
     pub dtype: Dtype,

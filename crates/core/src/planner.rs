@@ -46,7 +46,7 @@ use crate::kernel::ScoringOptions;
 use crate::lsh_join;
 use crate::lsh_mips::{SphereMap, Tuning};
 use crate::mips::sketch_hit;
-use crate::norm_bound;
+use crate::norm_bound::{self, Kept};
 use crate::problem::{JoinSpec, MatchPair};
 use crate::symmetric::{SymmetricParams, SymmetricSphereMap};
 use ips_linalg::par::Schedule;
@@ -197,17 +197,19 @@ impl WorkloadStats {
         Ok(Self::measure(rng, data, queries, spec, dim))
     }
 
-    /// [`WorkloadStats::sample`] of what the norm bound leaves a join to run on:
-    /// counted on the caller's sets, measured on the kept ones. Fails as `sample`
-    /// does; a side the bound empties gives an empty sample.
+    /// [`WorkloadStats::sample`] of what the norm bound (`kept`, from
+    /// `norm_bound::prune`) leaves a join to run on: counted on the caller's sets,
+    /// measured on the kept ones. Fails as `sample` does; a side the bound empties
+    /// gives an empty sample.
     fn sample_kept<R: Rng + ?Sized>(
         rng: &mut R,
         data: &[DenseVector],
         queries: &[DenseVector],
+        kept: Option<&Kept<'_>>,
         spec: JoinSpec,
     ) -> Result<Self> {
         let dim = workload_dim(data, queries)?;
-        let Some(kept) = norm_bound::prune(data, queries, spec) else {
+        let Some(kept) = kept else {
             return Ok(Self::measure(rng, data, queries, spec, dim));
         };
         Ok(Self {
@@ -574,8 +576,35 @@ impl JoinPlanner {
         queries: &[DenseVector],
         spec: JoinSpec,
     ) -> Result<JoinPlan> {
-        let stats = WorkloadStats::sample_kept(rng, data, queries, spec)?;
+        let kept = norm_bound::prune(data, queries, spec);
+        let stats = WorkloadStats::sample_kept(rng, data, queries, kept.as_ref(), spec)?;
         Ok(self.plan_from_stats(stats, spec))
+    }
+
+    /// [`JoinPlanner::plan`] followed by [`JoinPlan::execute`], with one pass of the
+    /// norm bound for both: the plan, and the pairs its execution gives.
+    pub(crate) fn plan_and_execute<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        data: &[DenseVector],
+        queries: &[DenseVector],
+        spec: JoinSpec,
+    ) -> Result<(JoinPlan, Vec<MatchPair>)> {
+        let kept = norm_bound::prune(data, queries, spec);
+        let stats = WorkloadStats::sample_kept(rng, data, queries, kept.as_ref(), spec)?;
+        let plan = self.plan_from_stats(stats, spec);
+        let pairs = on_kept(kept.as_ref(), data, queries, |data, queries| {
+            dispatch(
+                plan.choice,
+                rng,
+                data,
+                queries,
+                spec,
+                plan.engine,
+                plan.scoring,
+            )
+        })?;
+        Ok((plan, pairs))
     }
 
     /// The pure decision step: estimates every strategy's cost on the given
@@ -882,21 +911,28 @@ pub(crate) fn run_strategy<R: Rng + ?Sized>(
     engine: EngineConfig,
     scoring: ScoringOptions,
 ) -> Result<Vec<MatchPair>> {
-    let Some(kept) = norm_bound::prune(data, queries, spec) else {
-        return dispatch(index, rng, data, queries, spec, engine, scoring);
+    let kept = norm_bound::prune(data, queries, spec);
+    on_kept(kept.as_ref(), data, queries, |data, queries| {
+        dispatch(index, rng, data, queries, spec, engine, scoring)
+    })
+}
+
+/// Runs `join` on what the norm bound keeps (`kept`, from `norm_bound::prune`) and maps
+/// its pairs back to the caller's indices; with no bound, on `data` and `queries` whole.
+/// A side the bound empties gives an empty result without calling `join`.
+fn on_kept(
+    kept: Option<&Kept<'_>>,
+    data: &[DenseVector],
+    queries: &[DenseVector],
+    join: impl FnOnce(&[DenseVector], &[DenseVector]) -> Result<Vec<MatchPair>>,
+) -> Result<Vec<MatchPair>> {
+    let Some(kept) = kept else {
+        return join(data, queries);
     };
     if kept.is_empty() {
         return Ok(Vec::new());
     }
-    let pairs = dispatch(
-        index,
-        rng,
-        kept.data.vectors(),
-        kept.queries.vectors(),
-        spec,
-        engine,
-        scoring,
-    )?;
+    let pairs = join(kept.data.vectors(), kept.queries.vectors())?;
     Ok(kept.caller_pairs(pairs))
 }
 

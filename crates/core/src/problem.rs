@@ -13,10 +13,9 @@
 use crate::error::{CoreError, Result};
 use ips_linalg::tile::dot_slices;
 use ips_linalg::DenseVector;
-use serde::{Deserialize, Serialize};
 
 /// Whether a join/search thresholds the inner product itself or its absolute value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinVariant {
     /// Threshold `pᵀq ≥ s` — "similar or preferred items with a positive correlation".
     Signed,
@@ -70,7 +69,7 @@ impl JoinVariant {
 /// the sketch path, which used to reject it. An empty *data* set still fails
 /// (at index construction or on the first search): there is nothing to build
 /// an index over, and `(cs, s)` search over an empty set is undefined.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JoinSpec {
     /// The promise threshold `s > 0`.
     pub threshold: f64,
@@ -125,7 +124,7 @@ impl JoinSpec {
 
 /// One pair reported by a join: indices into the data and query sets plus the exact
 /// inner product.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MatchPair {
     /// Index into the data set `P`.
     pub data_index: usize,

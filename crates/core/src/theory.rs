@@ -17,10 +17,9 @@
 //! in `ips-ovp`.
 
 use crate::error::{CoreError, Result};
-use serde::{Deserialize, Serialize};
 
 /// The vector domain of a Table 1 row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VectorDomain {
     /// Vectors over `{−1, +1}`.
     PlusMinusOne,
@@ -29,7 +28,7 @@ pub enum VectorDomain {
 }
 
 /// The problem variant of a Table 1 row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProblemVariant {
     /// Signed `(cs, s)` join.
     Signed,
@@ -38,7 +37,7 @@ pub enum ProblemVariant {
 }
 
 /// The verdict for a parameter regime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Hardness {
     /// A truly subquadratic algorithm in this regime would refute the OVP conjecture
     /// (Theorems 1 and 2).
@@ -149,7 +148,7 @@ pub fn classify_ratio(domain: VectorDomain, ratio: f64, n: usize, margin: f64) -
 }
 
 /// One row of the reproduced Table 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1Row {
     /// Human-readable problem name (first column of the table).
     pub problem: String,

@@ -1,9 +1,14 @@
-//! Property-based tests for the core problem definitions and baselines.
+//! Property-based tests for the core problem definitions and baselines, and for the
+//! validity of the algebraic join.
 
+use ips_core::algebraic::{amplified_sign_join, AmplifiedJoinConfig};
 use ips_core::brute::{brute_force_join, brute_force_mips};
 use ips_core::problem::{evaluate_join, negate_queries, JoinSpec, JoinVariant};
+use ips_linalg::random::random_sign_vector;
 use ips_linalg::DenseVector;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn vectors(count: usize, dim: usize) -> impl Strategy<Value = Vec<DenseVector>> {
     prop::collection::vec(
@@ -73,5 +78,32 @@ proptest! {
                 prop_assert!((a[i] - b[i]).abs() < 1e-12);
             }
         }
+    }
+
+    #[test]
+    fn amplified_join_never_reports_below_cs(seed in any::<u64>(), c in 0.3f64..0.9) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dim = 32;
+        let data: Vec<_> = (0..30).map(|_| random_sign_vector(&mut rng, dim)).collect();
+        let queries: Vec<_> = (0..8).map(|_| random_sign_vector(&mut rng, dim)).collect();
+        let s = 20.0;
+        let report = amplified_sign_join(
+            &mut rng,
+            &data,
+            &queries,
+            &JoinSpec::new(s, c, JoinVariant::Unsigned).unwrap(),
+            AmplifiedJoinConfig {
+                degree: 2,
+                projection_dim: 256,
+                detection_fraction: 0.25,
+            },
+        )
+        .unwrap();
+        for pair in &report.pairs {
+            let exact = data[pair.data_index].dot(&queries[pair.query_index]).unwrap() as f64;
+            prop_assert!((exact - pair.inner_product).abs() < 1e-9);
+            prop_assert!(exact.abs() >= c * s - 1e-9);
+        }
+        prop_assert!(report.candidates <= data.len() * queries.len());
     }
 }

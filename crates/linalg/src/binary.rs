@@ -9,12 +9,11 @@
 
 use crate::error::{LinalgError, Result};
 use crate::vector::DenseVector;
-use serde::{Deserialize, Serialize};
 
 const WORD_BITS: usize = 64;
 
 /// A `{0,1}^d` vector stored as packed 64-bit words.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BinaryVector {
     dim: usize,
     words: Vec<u64>,

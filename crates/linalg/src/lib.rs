@@ -27,7 +27,7 @@
 //! It is also the bottom of the dependency graph, so the one piece of scheduling every
 //! other crate shares lives here: the ordered block driver ([`par`]).
 //!
-//! All numeric code is dependency-light (only `rand` and `serde`) and designed so the
+//! All numeric code is dependency-light (only `rand`) and designed so the
 //! higher-level crates (`ips-lsh`, `ips-ovp`, `ips-sketch`, `ips-core`) never have to
 //! re-implement inner products or norms.
 

@@ -7,12 +7,11 @@
 
 use crate::error::{LinalgError, Result};
 use crate::vector::DenseVector;
-use serde::{Deserialize, Serialize};
 
 const WORD_BITS: usize = 64;
 
 /// A `{-1,+1}^d` vector. Bit value 1 encodes `+1`, bit value 0 encodes `−1`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SignVector {
     dim: usize,
     words: Vec<u64>,

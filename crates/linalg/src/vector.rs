@@ -6,14 +6,13 @@
 //! scaling, and the handful of constructors the embeddings need.
 
 use crate::error::{LinalgError, Result};
-use serde::{Deserialize, Serialize};
 use std::ops::{Index, IndexMut};
 
 /// A dense vector of `f64` components.
 ///
 /// Inner products between `DenseVector`s are the `pᵀq` quantities that the signed and
 /// unsigned IPS join definitions (Definition 1 of the paper) are stated in terms of.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DenseVector {
     components: Vec<f64>,
 }

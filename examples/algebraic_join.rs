@@ -14,14 +14,13 @@
 //!
 //! Run with: `cargo run --release -p ips-examples --example algebraic_join`
 
-use ips_core::algebraic::amplified_sign_join;
+use ips_core::algebraic::{amplified_sign_join, AmplifiedJoinConfig};
 use ips_core::asymmetric::AlshParams;
 use ips_core::brute::brute_force_join;
 use ips_core::facade::{Join, Strategy};
 use ips_core::problem::{JoinSpec, JoinVariant};
 use ips_linalg::random::random_sign_vector;
 use ips_linalg::{DenseVector, SignVector};
-use ips_matmul::AmplifiedJoinConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
@@ -87,7 +86,8 @@ fn main() {
             detection_fraction: 0.5,
         },
     )
-    .unwrap();
+    .unwrap()
+    .pairs;
     println!(
         "amplified algebraic join: {:>3} pairs, planted recall {:.2}, {:>7.1} ms",
         amplified.len(),

@@ -3,14 +3,13 @@
 //! recommender data, and the amplify-and-multiply join must respect the `(cs, s)`
 //! contract on `{−1,1}` data.
 
-use ips_core::algebraic::amplified_sign_join;
+use ips_core::algebraic::{amplified_sign_join, AmplifiedJoinConfig};
 use ips_core::brute::brute_force_join;
 use ips_core::facade::{Join, Strategy};
 use ips_core::problem::{evaluate_join, JoinSpec, JoinVariant, MatchPair};
 use ips_datagen::latent::{LatentFactorConfig, LatentFactorModel};
 use ips_linalg::random::random_sign_vector;
 use ips_linalg::SignVector;
-use ips_matmul::AmplifiedJoinConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -132,7 +131,8 @@ fn amplified_join_recovers_planted_sign_pairs() {
             detection_fraction: 0.5,
         },
     )
-    .unwrap();
+    .unwrap()
+    .pairs;
     // Validity: every reported pair clears cs = 26 in absolute value.
     for pair in &pairs {
         let exact = data[pair.data_index]
@@ -178,7 +178,8 @@ fn amplified_join_reports_nothing_on_uncorrelated_data() {
             detection_fraction: 0.25,
         },
     )
-    .unwrap();
+    .unwrap()
+    .pairs;
     for pair in &pairs {
         let exact = data[pair.data_index]
             .dot(&queries[pair.query_index])
