@@ -44,27 +44,6 @@ pub struct ObservedWorkload {
     pub live: usize,
 }
 
-impl ObservedWorkload {
-    /// Fraction of observed queries that reported a match (0.0 when the
-    /// window saw no queries).
-    pub fn hit_rate(&self) -> f64 {
-        if self.queries == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.queries as f64
-        }
-    }
-
-    /// Mutations per observed query — how write-heavy the window was.
-    pub fn mutation_rate(&self) -> f64 {
-        if self.queries == 0 {
-            0.0
-        } else {
-            (self.inserts + self.deletes) as f64 / self.queries as f64
-        }
-    }
-}
-
 /// Baselines for the windowed fold: the previous snapshot of every cumulative
 /// histogram and counter [`TelemetryWindow::advance`] diffs against.
 #[derive(Debug, Default)]
@@ -166,7 +145,5 @@ mod tests {
         assert_eq!(third.queries, 1);
         assert_eq!(third.hits, 0, "the best partner was deleted");
         assert_eq!(third.live, 2);
-        assert_eq!(third.hit_rate(), 0.0);
-        assert_eq!(third.mutation_rate(), 2.0);
     }
 }

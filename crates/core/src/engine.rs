@@ -129,11 +129,6 @@ impl<I: MipsIndex> JoinEngine<I> {
         &self.index
     }
 
-    /// Consumes the engine, returning the index.
-    pub fn into_index(self) -> I {
-        self.index
-    }
-
     /// The engine's schedule.
     pub fn config(&self) -> EngineConfig {
         self.config
@@ -381,7 +376,6 @@ mod tests {
         assert_eq!(engine.spec(), spec);
         assert_eq!(engine.config().threads, 3);
         assert_eq!(engine.index().len(), 4);
-        assert_eq!(engine.into_index().len(), 4);
     }
 
     #[test]

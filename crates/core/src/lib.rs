@@ -28,9 +28,9 @@
 //!   one entry point for a join.
 //! * **Lower bounds (Sections 2–3)** — [`lower_bounds`] contains the hard sequence
 //!   constructions of Theorem 3, the grid partition and mass-accounting argument of
-//!   Lemma 4 (Figure 1), and the closed-form gap bounds; [`theory`] classifies parameter
-//!   regimes into the hard / permissible regions of Table 1 and re-exports the ρ curves
-//!   of Figure 2.
+//!   Lemma 4 (Figure 1), and, in its tests, the closed-form gap bounds; [`theory`]
+//!   classifies parameter regimes into the hard / permissible regions of Table 1 and
+//!   re-exports the ρ curves of Figure 2.
 //!
 //! The OVP reductions behind the hardness results live in the companion crate
 //! [`ips_ovp`]; workload generators live in `ips-datagen`; the benchmark harness that

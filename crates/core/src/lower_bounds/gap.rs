@@ -1,4 +1,4 @@
-//! Closed-form gap bounds (Theorem 3).
+//! Closed-form gap bounds (Theorem 3), compiled for the tests only.
 //!
 //! Each case of Theorem 3 combines a hard-sequence construction of a certain length `n`
 //! with Lemma 4's `P1 − P2 ≤ 1/(8·log n)`. The functions here evaluate the resulting
@@ -19,7 +19,7 @@ use super::grid::gap_upper_bound;
 
 /// Theorem 3, case 1: bound on `P1 − P2` from the geometric sequences, or `None` when
 /// the case's preconditions (`d ≥ 1`, `0 < c < 1`, `s ≤ min(cU, U/(4√d))`) fail.
-pub fn gap_bound_case1(d: usize, s: f64, c: f64, u: f64) -> Option<f64> {
+fn gap_bound_case1(d: usize, s: f64, c: f64, u: f64) -> Option<f64> {
     if d == 0 || !(s > 0.0) || !(c > 0.0 && c < 1.0) || !(u > 0.0) {
         return None;
     }
@@ -35,7 +35,7 @@ pub fn gap_bound_case1(d: usize, s: f64, c: f64, u: f64) -> Option<f64> {
 
 /// Theorem 3, case 2: bound on `P1 − P2` from the arithmetic sequences (signed IPS
 /// only), or `None` when the preconditions (`d ≥ 2`, `s ≤ U/(2d)`) fail.
-pub fn gap_bound_case2(d: usize, s: f64, c: f64, u: f64) -> Option<f64> {
+fn gap_bound_case2(d: usize, s: f64, c: f64, u: f64) -> Option<f64> {
     if d < 2 || !(s > 0.0) || !(c > 0.0 && c < 1.0) || !(u > 0.0) {
         return None;
     }
@@ -49,7 +49,7 @@ pub fn gap_bound_case2(d: usize, s: f64, c: f64, u: f64) -> Option<f64> {
 
 /// Theorem 3, case 3: bound `O(√(s/U))` from the binary-tree sequences, or `None` when
 /// the preconditions (`s ≤ U/8`, `d ≥ U⁵/(c²s⁵)`) fail.
-pub fn gap_bound_case3(d: usize, s: f64, c: f64, u: f64) -> Option<f64> {
+fn gap_bound_case3(d: usize, s: f64, c: f64, u: f64) -> Option<f64> {
     if d == 0 || !(s > 0.0) || !(c > 0.0 && c < 1.0) || !(u > 0.0) {
         return None;
     }
@@ -67,7 +67,7 @@ pub fn gap_bound_case3(d: usize, s: f64, c: f64, u: f64) -> Option<f64> {
 
 /// The best (smallest) applicable Theorem 3 bound for the given parameters, if any case
 /// applies.
-pub fn best_gap_bound(d: usize, s: f64, c: f64, u: f64) -> Option<f64> {
+fn best_gap_bound(d: usize, s: f64, c: f64, u: f64) -> Option<f64> {
     [
         gap_bound_case1(d, s, c, u),
         gap_bound_case2(d, s, c, u),

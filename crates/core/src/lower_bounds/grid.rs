@@ -40,12 +40,6 @@ pub struct GridSquare {
 }
 
 impl GridSquare {
-    /// The diagonal corner node `((2t+1)·2^r − 1, (2t+1)·2^r − 1)` the paper uses to
-    /// name the square.
-    pub fn diagonal_corner(&self) -> (usize, usize) {
-        (self.col_start, self.col_start)
-    }
-
     /// Returns `true` when the node `(i, j)` belongs to this square.
     pub fn contains(&self, i: usize, j: usize) -> bool {
         i >= self.row_start

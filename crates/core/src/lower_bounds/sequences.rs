@@ -71,12 +71,6 @@ impl HardSequence {
         Ok(None)
     }
 
-    /// Verifies the domain constraints: data in the unit ball, queries in the `U`-ball.
-    pub fn verify_domains(&self) -> bool {
-        self.data.iter().all(|p| p.norm() <= 1.0 + 1e-9)
-            && self.queries.iter().all(|q| q.norm() <= self.u + 1e-9)
-    }
-
     /// The Lemma 4 upper bound on `P1 − P2` implied by this sequence's length.
     pub fn implied_gap_bound(&self) -> f64 {
         super::grid::gap_upper_bound(self.len())
@@ -267,6 +261,12 @@ pub fn hard_sequence_case3(s: f64, c: f64, u: f64, levels: u32) -> Result<HardSe
 mod tests {
     use super::*;
 
+    /// The domain constraints: data in the unit ball, queries in the `U`-ball.
+    fn verify_domains(seq: &HardSequence) -> bool {
+        seq.data.iter().all(|p| p.norm() <= 1.0 + 1e-9)
+            && seq.queries.iter().all(|q| q.norm() <= seq.u + 1e-9)
+    }
+
     #[test]
     fn case1_staircase_and_domains() {
         for &(s, c, u) in &[(0.01, 0.5, 1.0), (0.1, 0.8, 4.0), (0.001, 0.3, 2.0)] {
@@ -274,7 +274,7 @@ mod tests {
             assert!(seq.len() >= 2, "sequence too short for s={s}, c={c}, U={u}");
             assert!(!seq.is_empty());
             assert!(
-                seq.verify_domains(),
+                verify_domains(&seq),
                 "domain violated for s={s}, c={c}, U={u}"
             );
             assert_eq!(seq.verify_staircase(false).unwrap(), None);
@@ -306,7 +306,7 @@ mod tests {
             let seq = hard_sequence_case2(s, c, u).unwrap();
             assert!(seq.len() >= 2, "sequence too short for s={s}, c={c}, U={u}");
             assert!(
-                seq.verify_domains(),
+                verify_domains(&seq),
                 "domain violated for s={s}, c={c}, U={u}"
             );
             // Case 2 only guarantees the signed staircase.
@@ -338,7 +338,7 @@ mod tests {
         for &(s, c, levels) in &[(0.05, 0.6, 3u32), (0.02, 0.4, 4), (0.1, 0.8, 2)] {
             let seq = hard_sequence_case3(s, c, 1.0, levels).unwrap();
             assert_eq!(seq.len(), 1usize << levels);
-            assert!(seq.verify_domains(), "domains violated for s={s}, c={c}");
+            assert!(verify_domains(&seq), "domains violated for s={s}, c={c}");
             assert_eq!(
                 seq.verify_staircase(false).unwrap(),
                 None,

@@ -7,7 +7,7 @@
 //! The indexing (search) versions are the same statements for a single query at a time.
 //!
 //! The unsigned join reduces to two signed joins — against `Q` and against `−Q` —
-//! followed by filtering on the absolute value; [`negate_queries`] and
+//! followed by filtering on the absolute value; [`DenseVector::negated`] and
 //! [`JoinVariant::admits`] provide the pieces of that reduction.
 
 use crate::error::{CoreError, Result};
@@ -134,12 +134,6 @@ pub struct MatchPair {
     pub inner_product: f64,
 }
 
-/// Negates every query vector — the first half of the unsigned-to-signed reduction
-/// described in the paper's problem-definition section.
-pub fn negate_queries(queries: &[DenseVector]) -> Vec<DenseVector> {
-    queries.iter().map(DenseVector::negated).collect()
-}
-
 /// Evaluates how well a reported pair set satisfies Definition 1 against ground truth:
 /// returns `(recall, valid)` where `recall` is the fraction of queries *with* a partner
 /// above `s` for which some pair clearing `cs` was reported, and `valid` is `true` when
@@ -239,8 +233,8 @@ mod tests {
 
     #[test]
     fn negate_queries_flips_signs() {
-        let qs = vec![dv(&[1.0, -2.0]), dv(&[0.5, 0.0])];
-        let negated = negate_queries(&qs);
+        let qs = [dv(&[1.0, -2.0]), dv(&[0.5, 0.0])];
+        let negated: Vec<DenseVector> = qs.iter().map(DenseVector::negated).collect();
         assert_eq!(negated[0].as_slice(), &[-1.0, 2.0]);
         assert_eq!(negated[1].as_slice(), &[-0.5, 0.0]);
     }

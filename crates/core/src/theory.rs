@@ -110,43 +110,6 @@ pub fn classify_approximation(
     Ok(verdict)
 }
 
-/// Classifies a ratio `log(s/d)/log(cs/d)` for the unsigned problems, following the
-/// fourth and fifth columns of Table 1: hard when the ratio is `1 − o(1/√(log n))`
-/// (`{−1,1}`) or `1 − o(1/log n)` (`{0,1}`); permissible when the ratio is bounded away
-/// from 1 by a constant `margin`.
-pub fn classify_ratio(domain: VectorDomain, ratio: f64, n: usize, margin: f64) -> Result<Hardness> {
-    if !(ratio > 0.0 && ratio <= 1.0) {
-        return Err(CoreError::InvalidParameter {
-            name: "ratio",
-            reason: format!("log(s/d)/log(cs/d) must lie in (0,1], got {ratio}"),
-        });
-    }
-    if n < 4 {
-        return Err(CoreError::InvalidParameter {
-            name: "n",
-            reason: "instance size must be at least 4".into(),
-        });
-    }
-    if !(margin > 0.0 && margin < 1.0) {
-        return Err(CoreError::InvalidParameter {
-            name: "margin",
-            reason: format!("margin must lie in (0,1), got {margin}"),
-        });
-    }
-    let n_f = n as f64;
-    let hard_cutoff = match domain {
-        VectorDomain::PlusMinusOne => 1.0 - 1.0 / n_f.log2().sqrt(),
-        VectorDomain::ZeroOne => 1.0 - 1.0 / n_f.log2(),
-    };
-    Ok(if ratio >= hard_cutoff {
-        Hardness::Hard
-    } else if ratio <= 1.0 - margin {
-        Hardness::Permissible
-    } else {
-        Hardness::Open
-    })
-}
-
 /// One row of the reproduced Table 1.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table1Row {
@@ -193,6 +156,43 @@ pub fn table1_rows() -> Vec<Table1Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Classifies a ratio `log(s/d)/log(cs/d)` for the unsigned problems, following the
+    /// fourth and fifth columns of Table 1: hard when the ratio is `1 − o(1/√(log n))`
+    /// (`{−1,1}`) or `1 − o(1/log n)` (`{0,1}`); permissible when the ratio is bounded away
+    /// from 1 by a constant `margin`.
+    fn classify_ratio(domain: VectorDomain, ratio: f64, n: usize, margin: f64) -> Result<Hardness> {
+        if !(ratio > 0.0 && ratio <= 1.0) {
+            return Err(CoreError::InvalidParameter {
+                name: "ratio",
+                reason: format!("log(s/d)/log(cs/d) must lie in (0,1], got {ratio}"),
+            });
+        }
+        if n < 4 {
+            return Err(CoreError::InvalidParameter {
+                name: "n",
+                reason: "instance size must be at least 4".into(),
+            });
+        }
+        if !(margin > 0.0 && margin < 1.0) {
+            return Err(CoreError::InvalidParameter {
+                name: "margin",
+                reason: format!("margin must lie in (0,1), got {margin}"),
+            });
+        }
+        let n_f = n as f64;
+        let hard_cutoff = match domain {
+            VectorDomain::PlusMinusOne => 1.0 - 1.0 / n_f.log2().sqrt(),
+            VectorDomain::ZeroOne => 1.0 - 1.0 / n_f.log2(),
+        };
+        Ok(if ratio >= hard_cutoff {
+            Hardness::Hard
+        } else if ratio <= 1.0 - margin {
+            Hardness::Permissible
+        } else {
+            Hardness::Open
+        })
+    }
 
     const N: usize = 1 << 20;
 

@@ -5,8 +5,8 @@
 //! the symmetric-LSH construction of Section 4.2, which operates on vectors of the unit
 //! ball / sphere.
 
-use crate::error::{DatagenError, Result};
-use ips_linalg::random::{correlated_unit_pair, random_ball_vector, random_unit_vectors};
+use crate::error::Result;
+use ips_linalg::random::{correlated_unit_pair, random_unit_vectors};
 use ips_linalg::DenseVector;
 use rand::Rng;
 
@@ -17,18 +17,6 @@ pub fn unit_vectors<R: Rng + ?Sized>(
     dim: usize,
 ) -> Result<Vec<DenseVector>> {
     Ok(random_unit_vectors(rng, count, dim)?)
-}
-
-/// Draws `count` vectors uniform in the ball of the given radius.
-pub fn ball_vectors<R: Rng + ?Sized>(
-    rng: &mut R,
-    count: usize,
-    dim: usize,
-    radius: f64,
-) -> Result<Vec<DenseVector>> {
-    (0..count)
-        .map(|_| random_ball_vector(rng, dim, radius).map_err(DatagenError::from))
-        .collect()
 }
 
 /// For every similarity in `similarities`, draws a unit-vector pair with exactly that
@@ -68,16 +56,6 @@ mod tests {
             assert!((v.norm() - 1.0).abs() < 1e-9);
         }
         assert!(unit_vectors(&mut r, 3, 0).is_err());
-    }
-
-    #[test]
-    fn ball_vectors_respect_radius() {
-        let mut r = rng();
-        let vs = ball_vectors(&mut r, 40, 8, 2.5).unwrap();
-        for v in &vs {
-            assert!(v.norm() <= 2.5 + 1e-9);
-        }
-        assert!(ball_vectors(&mut r, 3, 8, -1.0).is_err());
     }
 
     #[test]

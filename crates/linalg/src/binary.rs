@@ -227,17 +227,6 @@ impl BinaryVector {
     pub fn iter_bits(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.dim).map(move |i| self.get(i))
     }
-
-    /// Complement vector (`1 − x` component-wise), used by the `{0,1}` gap embedding of
-    /// Lemma 3 where factors of the form `(1 − x_i y_i)` must be expressed with
-    /// nonnegative coordinates.
-    pub fn complement(&self) -> Self {
-        let mut out = Self::zeros(self.dim);
-        for i in 0..self.dim {
-            out.set(i, !self.get(i));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -301,14 +290,12 @@ mod tests {
     }
 
     #[test]
-    fn concat_and_complement() {
+    fn concat_appends_supports() {
         let a = BinaryVector::from_ints(&[1, 0]);
         let b = BinaryVector::from_ints(&[0, 1, 1]);
         let c = a.concat(&b);
         assert_eq!(c.dim(), 5);
         assert_eq!(c.support(), vec![0, 3, 4]);
-        let comp = a.complement();
-        assert_eq!(comp.support(), vec![1]);
     }
 
     #[test]

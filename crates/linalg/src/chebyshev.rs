@@ -57,16 +57,6 @@ pub fn scaled_chebyshev(q: u32, u: f64, b: f64) -> f64 {
     }
 }
 
-/// Lower bound `e^{q√ε}` on `T_q(1 + ε)` for `0 < ε < 1/2` (the asymptotic property
-/// quoted from Valiant \[51\] and used in the proof of Lemma 3).
-///
-/// The exact identity is `T_q(1 + ε) = cosh(q · arccosh(1 + ε)) ≥ e^{q√(2ε)}/2`, so the
-/// stated bound holds once `q√ε ≥ ln 2 / (√2 − 1) ≈ 1.68`; for smaller `q` the precise
-/// [`chebyshev_t`] value should be used instead.
-pub fn growth_lower_bound(q: u32, eps: f64) -> f64 {
-    (f64::from(q) * eps.sqrt()).exp()
-}
-
 /// Exact value of `T_q(1 + ε)` for `ε ≥ 0`, computed through the hyperbolic identity
 /// `T_q(x) = cosh(q · arccosh(x))` which avoids the cancellation of the recurrence for
 /// very large `q`.
@@ -75,15 +65,25 @@ pub fn chebyshev_t_outside(q: u32, eps: f64) -> f64 {
     (f64::from(q) * x.acosh()).cosh()
 }
 
-/// Returns the paper's bound `(9d)^q` on the output dimension of the `q`-th Chebyshev
-/// embedding (valid for `d ≥ 8`), as an `f64` to avoid overflow for large parameters.
-pub fn embedding_dimension_bound(q: u32, d: usize) -> f64 {
-    (9.0 * d as f64).powi(q as i32)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Lower bound `e^{q√ε}` on `T_q(1 + ε)` for `0 < ε < 1/2` (the asymptotic property
+    /// quoted from Valiant \[51\] and used in the proof of Lemma 3).
+    ///
+    /// The exact identity is `T_q(1 + ε) = cosh(q · arccosh(1 + ε)) ≥ e^{q√(2ε)}/2`, so
+    /// the stated bound holds once `q√ε ≥ ln 2 / (√2 − 1) ≈ 1.68`; for smaller `q` the
+    /// precise [`chebyshev_t`] value should be used instead.
+    fn growth_lower_bound(q: u32, eps: f64) -> f64 {
+        (f64::from(q) * eps.sqrt()).exp()
+    }
+
+    /// The paper's bound `(9d)^q` on the output dimension of the `q`-th Chebyshev
+    /// embedding (valid for `d ≥ 8`), as an `f64` to avoid overflow for large parameters.
+    fn embedding_dimension_bound(q: u32, d: usize) -> f64 {
+        (9.0 * d as f64).powi(q as i32)
+    }
 
     #[test]
     fn low_order_polynomials() {

@@ -7,17 +7,12 @@
 //! directly, without materialising the whole collection. The paper cites the
 //! Reed–Solomon construction of Nelson, Nguyễn and Woodruff \[38\].
 //!
-//! Two constructions are provided:
-//!
-//! * [`ReedSolomonCollection`] — deterministic. A codeword of a Reed–Solomon code over
-//!   `GF(p)` of length `t` and degree `< k` is mapped to the unit vector in
-//!   `R^{t·p}` that places mass `1/√t` on the symbol chosen in each position. Two
-//!   distinct degree-`< k` polynomials agree on at most `k − 1` evaluation points, so the
-//!   pairwise inner products are at most `(k − 1)/t ≤ ε`. The collection indexes
-//!   `p^k ≥ N` vectors.
-//! * [`GaussianCollection`] — randomised (Johnson–Lindenstrauss style): i.i.d. unit
-//!   vectors in dimension `O(ε^{-2} log N)` are pairwise ε-incoherent with high
-//!   probability. Used by the third hard-sequence construction of Theorem 3.
+//! [`ReedSolomonCollection`] is that construction. A codeword of a Reed–Solomon code
+//! over `GF(p)` of length `t` and degree `< k` is mapped to the unit vector in
+//! `R^{t·p}` that places mass `1/√t` on the symbol chosen in each position. Two
+//! distinct degree-`< k` polynomials agree on at most `k − 1` evaluation points, so the
+//! pairwise inner products are at most `(k − 1)/t ≤ ε`. The collection indexes
+//! `p^k ≥ N` vectors.
 //!
 //! **Two forms of one vector.** A Reed–Solomon vector has `t` non-zero coordinates
 //! out of `t·p`, all equal to `1/√t`, so it is fully described by its `t` *symbols*:
@@ -30,9 +25,7 @@
 //! constructors refuse parameters whose `k` terms could overflow a `u64`.
 
 use crate::error::{LinalgError, Result};
-use crate::random::random_unit_vector;
 use crate::vector::DenseVector;
-use rand::Rng;
 
 /// Returns `true` when `n` is prime (trial division; inputs here are tiny).
 fn is_prime(n: u64) -> bool {
@@ -328,86 +321,9 @@ impl ReedSolomonCollection {
     }
 }
 
-/// A randomised collection of pairwise nearly-orthogonal unit vectors.
-///
-/// With dimension `d = Ω(ε^{-2} log N)`, i.i.d. random unit vectors are pairwise
-/// ε-incoherent with high probability (Johnson–Lindenstrauss); the collection is
-/// materialised eagerly so callers can iterate over it.
-#[derive(Debug, Clone)]
-pub struct GaussianCollection {
-    vectors: Vec<DenseVector>,
-}
-
-impl GaussianCollection {
-    /// Draws `count` random unit vectors in the prescribed dimension.
-    pub fn generate<R: Rng + ?Sized>(rng: &mut R, count: usize, dim: usize) -> Result<Self> {
-        if dim == 0 {
-            return Err(LinalgError::InvalidParameter {
-                name: "dim",
-                reason: "dimension must be positive".to_string(),
-            });
-        }
-        let mut vectors = Vec::with_capacity(count);
-        for _ in 0..count {
-            vectors.push(random_unit_vector(rng, dim)?);
-        }
-        Ok(Self { vectors })
-    }
-
-    /// Recommended dimension for target coherence `epsilon` and collection size `count`
-    /// (`⌈4 ε^{-2} ln(count + 1)⌉`).
-    pub fn recommended_dim(count: usize, epsilon: f64) -> usize {
-        ((4.0 / (epsilon * epsilon)) * ((count as f64 + 1.0).ln())).ceil() as usize
-    }
-
-    /// Number of vectors in the collection.
-    pub fn len(&self) -> usize {
-        self.vectors.len()
-    }
-
-    /// Returns `true` if the collection holds no vectors.
-    pub fn is_empty(&self) -> bool {
-        self.vectors.is_empty()
-    }
-
-    /// The `i`-th vector.
-    pub fn vector(&self, i: usize) -> Result<&DenseVector> {
-        self.vectors.get(i).ok_or(LinalgError::InvalidParameter {
-            name: "i",
-            reason: format!(
-                "index {i} out of range for collection of size {}",
-                self.vectors.len()
-            ),
-        })
-    }
-
-    /// Maximum absolute pairwise inner product over the whole collection (O(N²) check,
-    /// intended for tests and small collections).
-    pub fn measured_coherence(&self) -> f64 {
-        let mut worst: f64 = 0.0;
-        for i in 0..self.vectors.len() {
-            for j in (i + 1)..self.vectors.len() {
-                let ip = self.vectors[i]
-                    .dot(&self.vectors[j])
-                    .expect("vectors in a collection share a dimension")
-                    .abs();
-                worst = worst.max(ip);
-            }
-        }
-        worst
-    }
-
-    /// Iterator over the vectors.
-    pub fn iter(&self) -> impl Iterator<Item = &DenseVector> {
-        self.vectors.iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn primes() {
@@ -521,17 +437,18 @@ mod tests {
 
     #[test]
     fn gaussian_collection_coherence() {
-        let mut rng = StdRng::seed_from_u64(99);
-        let eps = 0.5;
-        let count = 50;
-        let dim = GaussianCollection::recommended_dim(count, eps);
-        let coll = GaussianCollection::generate(&mut rng, count, dim).unwrap();
-        assert_eq!(coll.len(), count);
-        assert!(!coll.is_empty());
-        assert!(coll.measured_coherence() <= eps, "coherence too large");
-        assert!(coll.vector(0).is_ok());
-        assert!(coll.vector(count).is_err());
-        assert!(GaussianCollection::generate(&mut rng, 3, 0).is_err());
-        assert_eq!(coll.iter().count(), count);
+        // The randomised alternative to the explicit collection (Johnson–Lindenstrauss):
+        // i.i.d. unit vectors in dimension ⌈4 ε⁻² ln(N + 1)⌉ are pairwise ε-incoherent
+        // with high probability.
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(99);
+        let (eps, count) = (0.5_f64, 50);
+        let dim = ((4.0 / (eps * eps)) * (count as f64 + 1.0).ln()).ceil() as usize;
+        let vectors = crate::random::random_unit_vectors(&mut rng, count, dim).unwrap();
+        for (i, a) in vectors.iter().enumerate() {
+            for b in &vectors[i + 1..] {
+                assert!(a.dot(b).unwrap().abs() <= eps, "coherence too large");
+            }
+        }
     }
 }

@@ -17,11 +17,11 @@
 //!   deterministic Chebyshev gap embedding (Lemma 3, embedding 2);
 //! * concatenation / repetition / tensoring operators ([`ops`]) — the `⊕` and `⊗`
 //!   calculus the paper uses to compose embeddings;
-//! * random samplers ([`random`]) for Gaussian, Cauchy, exponential and general
-//!   symmetric α-stable variables (needed by E2LSH and the max-stability sketches);
-//! * explicit *incoherent* vector collections ([`incoherent`]) via Reed–Solomon codes
-//!   and via random Gaussian vectors, used by the symmetric LSH of Section 4.2 and by
-//!   the third hard-sequence construction of Theorem 3;
+//! * random samplers ([`random`]) for Gaussian, Cauchy and exponential variables
+//!   (needed by E2LSH and the max-stability sketches);
+//! * explicit *incoherent* vector collections ([`incoherent`]) via Reed–Solomon codes,
+//!   used by the symmetric LSH of Section 4.2 and by the third hard-sequence
+//!   construction of Theorem 3;
 //! * Johnson–Lindenstrauss style random projections ([`projection`]).
 //!
 //! It is also the bottom of the dependency graph, so the one piece of scheduling every

@@ -7,10 +7,9 @@
 //! * **tensoring** `x ⊗ y` (the flattened outer product): `(x₁⊗x₂)ᵀ(y₁⊗y₂) =
 //!   (x₁ᵀy₁)·(x₂ᵀy₂)`.
 //!
-//! This module provides these operators on [`DenseVector`] together with helpers for
-//! translating inner products by constants (appending matched `+1/−1` or `1/0` blocks),
-//! which is how Lemma 3's constructions shift the orthogonal / non-orthogonal gap to a
-//! convenient location.
+//! This module provides these operators on [`DenseVector`]. Concatenating matched
+//! constant blocks translates inner products by a constant, which is how Lemma 3's
+//! constructions shift the orthogonal / non-orthogonal gap to a convenient location.
 
 use crate::error::{LinalgError, Result};
 use crate::vector::DenseVector;
@@ -53,56 +52,6 @@ pub fn tensor(a: &DenseVector, b: &DenseVector) -> DenseVector {
         }
     }
     DenseVector::new(out)
-}
-
-/// Appends a constant block that *translates* the inner product of a data/query pair by
-/// `shift` while keeping both vectors inside the target alphabet.
-///
-/// For `{-1,1}` data the paper appends `1^{|shift|}` to one side and `(±1)^{|shift|}` to
-/// the other (Lemma 3, embedding 1); the same trick works for arbitrary reals. The
-/// returned pair `(pad_data, pad_query)` must be concatenated to the data and query
-/// embeddings respectively; their mutual inner product is exactly `shift`.
-pub fn translation_pad(shift: f64, block: usize) -> Result<(DenseVector, DenseVector)> {
-    if block == 0 {
-        if shift != 0.0 {
-            return Err(LinalgError::InvalidParameter {
-                name: "block",
-                reason: "a zero-length pad can only realise a zero shift".to_string(),
-            });
-        }
-        return Ok((DenseVector::zeros(0), DenseVector::zeros(0)));
-    }
-    // Split the shift evenly across `block` coordinates so entries stay small.
-    let per_coord = shift / block as f64;
-    let data = DenseVector::new(vec![1.0; block]);
-    let query = DenseVector::new(vec![per_coord; block]);
-    Ok((data, query))
-}
-
-/// Signed `{-1,1}` translation pad: appends `block` ones to the data side and `sign`
-/// (either `+1` or `−1`) repeated `block` times to the query side, shifting the inner
-/// product by `sign · block` while remaining in the `{-1,1}` alphabet.
-pub fn sign_translation_pad(sign: i8, block: usize) -> (DenseVector, DenseVector) {
-    let s = if sign >= 0 { 1.0 } else { -1.0 };
-    (
-        DenseVector::new(vec![1.0; block]),
-        DenseVector::new(vec![s; block]),
-    )
-}
-
-/// Tensor power `v^{⊗k}`; inner products are raised to the `k`-th power.
-///
-/// Returns an error for `k = 0` on an empty vector (the empty product is taken to be
-/// the 1-dimensional vector `[1.0]`).
-pub fn tensor_power(v: &DenseVector, k: usize) -> DenseVector {
-    if k == 0 {
-        return DenseVector::new(vec![1.0]);
-    }
-    let mut acc = v.clone();
-    for _ in 1..k {
-        acc = tensor(&acc, v);
-    }
-    acc
 }
 
 #[cfg(test)]
@@ -161,29 +110,32 @@ mod tests {
         let x = dv(&[0.5, 0.5]);
         let y = dv(&[1.0, -1.0]);
         let k = 3;
-        let lhs = tensor_power(&x, k).dot(&tensor_power(&y, k)).unwrap();
-        let rhs = x.dot(&y).unwrap().powi(k as i32);
+        let power = |v: &DenseVector| (1..k).fold(v.clone(), |acc, _| tensor(&acc, v));
+        let lhs = power(&x).dot(&power(&y)).unwrap();
+        let rhs = x.dot(&y).unwrap().powi(k);
         assert!((lhs - rhs).abs() < 1e-12);
-        assert_eq!(tensor_power(&x, 0).as_slice(), &[1.0]);
     }
 
     #[test]
     fn translation_pad_realises_shift() {
-        let (pd, pq) = translation_pad(-7.5, 5).unwrap();
-        assert!((pd.dot(&pq).unwrap() + 7.5).abs() < 1e-12);
-        let (zd, zq) = translation_pad(0.0, 0).unwrap();
-        assert_eq!(zd.dim(), 0);
-        assert_eq!(zq.dim(), 0);
-        assert!(translation_pad(1.0, 0).is_err());
+        // `1^b` appended to the data side and `(shift/b)^b` to the query side shift the
+        // inner product by `shift`.
+        let x = dv(&[1.0, 2.0]);
+        let y = dv(&[0.5, -1.0]);
+        let shifted = concat(&x, &dv(&[1.0; 5])).dot(&concat(&y, &dv(&[-1.5; 5])));
+        assert!((shifted.unwrap() - (x.dot(&y).unwrap() - 7.5)).abs() < 1e-12);
     }
 
     #[test]
     fn sign_translation_pad_is_pm_one() {
-        let (pd, pq) = sign_translation_pad(-1, 4);
-        assert!(pd.iter().all(|&x| x == 1.0));
-        assert!(pq.iter().all(|&x| x == -1.0));
-        assert_eq!(pd.dot(&pq).unwrap(), -4.0);
-        let (pd2, pq2) = sign_translation_pad(1, 3);
-        assert_eq!(pd2.dot(&pq2).unwrap(), 3.0);
+        // Over `{-1,1}` (Lemma 3, embedding 1) the pads are `1^b` and `(±1)^b`: the pair
+        // stays in the alphabet and its inner product moves by `±b`.
+        let x = dv(&[1.0, -1.0]);
+        let y = dv(&[-1.0, -1.0]);
+        for (sign, block) in [(-1.0, 4), (1.0, 3)] {
+            let shifted =
+                concat(&x, &dv(&vec![1.0; block])).dot(&concat(&y, &dv(&vec![sign; block])));
+            assert_eq!(shifted.unwrap(), x.dot(&y).unwrap() + sign * block as f64);
+        }
     }
 }

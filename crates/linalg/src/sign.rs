@@ -26,30 +26,12 @@ impl SignVector {
         }
     }
 
-    /// Creates the all `+1` vector of dimension `dim`.
-    pub fn all_plus(dim: usize) -> Self {
-        let mut v = Self::all_minus(dim);
-        for i in 0..dim {
-            v.set(i, 1);
-        }
-        v
-    }
-
     /// Builds a sign vector from `i8` values; positive values map to `+1`, everything
     /// else to `−1`.
     pub fn from_signs(values: &[i8]) -> Self {
         let mut v = Self::all_minus(values.len());
         for (i, &x) in values.iter().enumerate() {
             v.set(i, if x > 0 { 1 } else { -1 });
-        }
-        v
-    }
-
-    /// Builds a sign vector from an `f64` slice by taking signs; zero maps to `+1`.
-    pub fn from_dense_signs(values: &DenseVector) -> Self {
-        let mut v = Self::all_minus(values.dim());
-        for i in 0..values.dim() {
-            v.set(i, if values[i] < 0.0 { -1 } else { 1 });
         }
         v
     }
@@ -85,26 +67,6 @@ impl SignVector {
         } else {
             self.words[word] &= !(1u64 << bit);
         }
-    }
-
-    /// Number of `+1` entries.
-    pub fn count_plus(&self) -> usize {
-        // Mask out the padding bits in the last word before counting.
-        let mut total = 0usize;
-        for (w, &word) in self.words.iter().enumerate() {
-            let masked = if (w + 1) * WORD_BITS <= self.dim {
-                word
-            } else {
-                let valid = self.dim - w * WORD_BITS;
-                if valid == 0 {
-                    0
-                } else {
-                    word & (u64::MAX >> (WORD_BITS - valid))
-                }
-            };
-            total += masked.count_ones() as usize;
-        }
-        total
     }
 
     /// Hamming distance: the number of positions where the signs differ.
@@ -191,11 +153,6 @@ impl SignVector {
         }
         out
     }
-
-    /// Iterator over the components as `i8` signs.
-    pub fn iter_signs(&self) -> impl Iterator<Item = i8> + '_ {
-        (0..self.dim).map(move |i| self.get(i))
-    }
 }
 
 #[cfg(test)]
@@ -210,9 +167,10 @@ mod tests {
         v.set(69, 1);
         assert_eq!(v.get(0), 1);
         assert_eq!(v.get(69), 1);
-        assert_eq!(v.count_plus(), 2);
+        assert_eq!(v.dot(&SignVector::all_minus(70)).unwrap(), 70 - 2 * 2);
         v.set(0, -1);
-        assert_eq!(v.count_plus(), 1);
+        assert_eq!(v.get(0), -1);
+        assert_eq!(v.dot(&SignVector::all_minus(70)).unwrap(), 70 - 2);
     }
 
     #[test]
@@ -225,7 +183,7 @@ mod tests {
 
     #[test]
     fn dot_of_identical_is_dim() {
-        let a = SignVector::all_plus(100);
+        let a = SignVector::all_minus(100).negated();
         assert_eq!(a.dot(&a).unwrap(), 100);
         let b = a.negated();
         assert_eq!(a.dot(&b).unwrap(), -100);
@@ -236,16 +194,16 @@ mod tests {
         let a = SignVector::from_signs(&[1, 1, -1]);
         let b = SignVector::from_signs(&[1, -1, 1]);
         assert_eq!(a.hamming(&b).unwrap(), 2);
-        assert!(a.hamming(&SignVector::all_plus(4)).is_err());
+        assert!(a.hamming(&SignVector::all_minus(4)).is_err());
     }
 
     #[test]
     fn padding_bits_do_not_leak() {
         // dim not a multiple of 64: padding bits must not contribute to counts.
-        let a = SignVector::all_plus(65);
         let b = SignVector::all_minus(65);
-        assert_eq!(a.count_plus(), 65);
-        assert_eq!(b.count_plus(), 0);
+        let a = b.negated();
+        assert_eq!(a.hamming(&a).unwrap(), 0);
+        assert_eq!(b.hamming(&b).unwrap(), 0);
         assert_eq!(a.hamming(&b).unwrap(), 65);
         assert_eq!(a.dot(&b).unwrap(), -65);
     }
@@ -283,20 +241,9 @@ mod tests {
     }
 
     #[test]
-    fn from_dense_signs_thresholds_at_zero() {
-        let d = DenseVector::from(&[-0.5, 0.0, 2.0][..]);
-        let s = SignVector::from_dense_signs(&d);
-        assert_eq!(s.get(0), -1);
-        assert_eq!(s.get(1), 1);
-        assert_eq!(s.get(2), 1);
-        let signs: Vec<i8> = s.iter_signs().collect();
-        assert_eq!(signs, vec![-1, 1, 1]);
-    }
-
-    #[test]
     #[should_panic]
     fn out_of_range_panics() {
-        let v = SignVector::all_plus(3);
+        let v = SignVector::all_minus(3);
         let _ = v.get(3);
     }
 }

@@ -9,9 +9,11 @@
 //!   when it collides in at least one table, giving probability `1 − (1 − p^k)^L`.
 //!
 //! The AND-construction lives here as a family combinator ([`AndConstruction`]); the
-//! OR-construction is performed by the multi-table index in [`crate::table`]. The ρ
-//! value `log P1 / log P2` is invariant under the AND-construction, which is why the
-//! paper states its upper and lower bounds directly in terms of ρ.
+//! OR-construction is performed by the multi-table index in [`crate::table`]. Their
+//! probability is [`crate::cost::probed_table_hit_prob`] at `probes = 0` (`L = 1` for
+//! the AND-construction alone). The ρ value `log P1 / log P2` is invariant under the
+//! AND-construction, which is why the paper states its upper and lower bounds directly
+//! in terms of ρ.
 
 use crate::error::{LshError, Result};
 use crate::traits::{AsymmetricHashFunction, AsymmetricLshFamily};
@@ -51,17 +53,6 @@ impl<F> AndConstruction<F> {
     /// Number of concatenated functions.
     pub fn k(&self) -> usize {
         self.k
-    }
-
-    /// The amplified collision probability `p^k` for base collision probability `p`.
-    pub fn amplified_probability(p: f64, k: usize) -> f64 {
-        p.clamp(0.0, 1.0).powi(k as i32)
-    }
-
-    /// Probability that a pair becomes a candidate in an OR-construction over `l` tables
-    /// each using a `k`-wise AND: `1 − (1 − p^k)^l`.
-    pub fn candidate_probability(p: f64, k: usize, l: usize) -> f64 {
-        1.0 - (1.0 - Self::amplified_probability(p, k)).powi(l as i32)
     }
 }
 
@@ -114,6 +105,7 @@ impl<F: AsymmetricLshFamily> AsymmetricLshFamily for AndConstruction<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::{probe_hit_prob, probed_table_hit_prob};
     use crate::hyperplane::HyperplaneFamily;
     use crate::traits::SymmetricAsAsymmetric;
     use ips_linalg::random::correlated_unit_pair;
@@ -128,14 +120,11 @@ mod tests {
 
     #[test]
     fn probability_formulas() {
-        assert!((AndConstruction::<()>::amplified_probability(0.5, 3) - 0.125).abs() < 1e-12);
-        assert_eq!(AndConstruction::<()>::amplified_probability(1.2, 2), 1.0);
-        let p = AndConstruction::<()>::candidate_probability(0.5, 1, 2);
-        assert!((p - 0.75).abs() < 1e-12);
-        assert_eq!(
-            AndConstruction::<()>::candidate_probability(0.0, 3, 10),
-            0.0
-        );
+        // The AND and OR-of-AND probabilities live in `crate::cost`.
+        assert!((probe_hit_prob(0.5, 3, 0) - 0.125).abs() < 1e-12);
+        assert_eq!(probe_hit_prob(1.2, 2, 0), 1.0);
+        assert!((probed_table_hit_prob(0.5, 1, 2, 0) - 0.75).abs() < 1e-12);
+        assert_eq!(probed_table_hit_prob(0.0, 3, 10, 0), 0.0);
     }
 
     #[test]
@@ -164,7 +153,7 @@ mod tests {
         }
         let empirical = collisions as f64 / trials as f64;
         let single = HyperplaneFamily::collision_probability(0.5);
-        let expected = AndConstruction::<()>::amplified_probability(single, 4);
+        let expected = probe_hit_prob(single, 4, 0);
         assert!(
             (empirical - expected).abs() < 0.04,
             "empirical {empirical} vs expected {expected}"

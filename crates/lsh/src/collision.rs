@@ -23,17 +23,6 @@ pub struct CollisionEstimate {
     pub trials: usize,
 }
 
-impl CollisionEstimate {
-    /// A conservative 95% confidence half-width for the estimate (normal approximation).
-    pub fn confidence_half_width(&self) -> f64 {
-        if self.trials == 0 {
-            return 1.0;
-        }
-        let p = self.probability;
-        1.96 * (p * (1.0 - p) / self.trials as f64).sqrt()
-    }
-}
-
 /// Estimates the collision probability of a single data/query pair under `family` using
 /// `trials` independently sampled hash functions.
 pub fn estimate_pair_collision<F, R>(
@@ -129,6 +118,15 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// A conservative 95% confidence half-width of an estimate (normal approximation).
+    fn confidence_half_width(est: &CollisionEstimate) -> f64 {
+        if est.trials == 0 {
+            return 1.0;
+        }
+        let p = est.probability;
+        1.96 * (p * (1.0 - p) / est.trials as f64).sqrt()
+    }
+
     #[test]
     fn zero_trials_rejected() {
         let mut rng = StdRng::seed_from_u64(101);
@@ -168,7 +166,7 @@ mod tests {
                 est.probability,
                 theory
             );
-            assert!(est.confidence_half_width() < 0.05);
+            assert!(confidence_half_width(est) < 0.05);
             assert_eq!(est.trials, 3000);
         }
         // Monotone in similarity.
@@ -203,12 +201,12 @@ mod tests {
             probability: 0.5,
             trials: 10_000,
         };
-        assert!(large.confidence_half_width() < small.confidence_half_width());
+        assert!(confidence_half_width(&large) < confidence_half_width(&small));
         let degenerate = CollisionEstimate {
             similarity: 0.0,
             probability: 0.0,
             trials: 0,
         };
-        assert_eq!(degenerate.confidence_half_width(), 1.0);
+        assert_eq!(confidence_half_width(&degenerate), 1.0);
     }
 }

@@ -24,13 +24,6 @@ pub fn hyperplane_collision_prob(cosine: f64) -> f64 {
     1.0 - cosine.clamp(-1.0, 1.0).acos() / std::f64::consts::PI
 }
 
-/// Probability that a pair colliding per-bit with probability `p_bit` lands in
-/// the same bucket of at least one of `l` tables of `k` concatenated bits:
-/// `1 − (1 − p_bit^k)^l` (OR over tables of AND over bits).
-pub fn table_hit_prob(p_bit: f64, k: usize, l: usize) -> f64 {
-    probed_table_hit_prob(p_bit, k, l, 0)
-}
-
 /// Probability that a data point lands in one of the `1 + probes` buckets a
 /// query-directed probe sequence visits in **one** `k`-bit table (see
 /// `ips_lsh::probe`): the home bucket plus the `probes` highest-probability
@@ -42,8 +35,7 @@ pub fn table_hit_prob(p_bit: f64, k: usize, l: usize) -> f64 {
 /// and `p^(k−2)(1−p)²` (each 2-bit flip, `k(k−1)/2` of them). The probe
 /// sequence visits flips in decreasing probability, so the hit probability is
 /// the greedy sum of the `probes` largest flip terms after the home term.
-/// `probes = 0` performs exactly the `p^k` computation of [`table_hit_prob`]'s
-/// single-table term, keeping the planner's no-probe estimates bit-identical.
+/// `probes = 0` is exactly the AND probability `p^k` of one table.
 ///
 /// ```
 /// use ips_lsh::cost::probe_hit_prob;
@@ -86,55 +78,46 @@ pub fn probe_hit_prob(p_bit: f64, k: usize, probes: usize) -> f64 {
     total.min(1.0)
 }
 
-/// Probability that a pair becomes a candidate in at least one of `l` tables
-/// when each table is visited with `probes` extra query-directed buckets:
-/// `1 − (1 − probe_hit_prob)^l`. `probes = 0` is exactly [`table_hit_prob`].
+/// Probability that a pair colliding per bit with probability `p_bit` becomes a
+/// candidate in at least one of `l` tables of `k` concatenated bits, when each
+/// table is visited with `probes` extra query-directed buckets:
+/// `1 − (1 − probe_hit_prob)^l`. `probes = 0` is the OR over tables of the AND
+/// over bits, `1 − (1 − p_bit^k)^l`.
 ///
 /// ```
-/// use ips_lsh::cost::{probed_table_hit_prob, table_hit_prob};
+/// use ips_lsh::cost::probed_table_hit_prob;
 ///
-/// assert_eq!(probed_table_hit_prob(0.7, 8, 16, 0), table_hit_prob(0.7, 8, 16));
+/// assert_eq!(probed_table_hit_prob(0.7, 8, 16, 0), 1.0 - (1.0 - 0.7f64.powi(8)).powi(16));
 /// // 2× fewer tables with a few probes can match the no-probe hit rate —
 /// // the probes-vs-tables trade the planner costs.
-/// assert!(probed_table_hit_prob(0.7, 8, 8, 4) > table_hit_prob(0.7, 8, 8));
+/// assert!(probed_table_hit_prob(0.7, 8, 8, 4) > probed_table_hit_prob(0.7, 8, 8, 0));
 /// ```
 pub fn probed_table_hit_prob(p_bit: f64, k: usize, l: usize, probes: usize) -> f64 {
     let p_table = probe_hit_prob(p_bit, k, probes);
     1.0 - (1.0 - p_table).powi(l as i32)
 }
 
-/// Expected number of candidates a `k`-bit, `l`-table hyperplane index returns
-/// per query, extrapolated from a sample of pair cosines.
+/// Expected number of candidates a `k`-bit, `l`-table hyperplane index queried
+/// with `probes` extra buckets per table returns per query, extrapolated from a
+/// sample of pair cosines.
 ///
 /// `sampled_cosines` holds the mapped cosine similarity of uniformly sampled
-/// (data, query) pairs; the expectation of [`table_hit_prob`] over the sample,
-/// scaled by the data-set size `n`, estimates `E[|candidates|]` per query. An
-/// empty sample returns `0.0` (nothing is known, and the planner treats the
+/// (data, query) pairs; the expectation of [`probed_table_hit_prob`] over the
+/// sample, scaled by the data-set size `n`, estimates `E[|candidates|]` per query.
+/// An empty sample returns `0.0` (nothing is known, and the planner treats the
 /// candidate re-scoring term as free).
-pub fn expected_candidates(n: usize, sampled_cosines: &[f64], k: usize, l: usize) -> f64 {
-    expected_candidates_probed(n, sampled_cosines, k, l, 0)
-}
-
-/// Expected candidate-set size per query for a `k`-bit, `l`-table index queried
-/// with `probes` extra buckets per table — the probes-aware generalisation of
-/// [`expected_candidates`] (which it reproduces bit-for-bit at `probes = 0`).
 ///
 /// This is the term that lets the planner trade probes against tables: halving
 /// `l` shrinks build cost and memory linearly, while a few probes recover the
 /// lost hit probability at the price of a larger candidate set.
 ///
 /// ```
-/// use ips_lsh::cost::{expected_candidates, expected_candidates_probed};
+/// use ips_lsh::cost::expected_candidates_probed;
 ///
 /// let cosines = [0.9, 0.4, -0.2];
-/// // probes = 0 is the classical estimate.
-/// assert_eq!(
-///     expected_candidates_probed(1000, &cosines, 12, 32, 0),
-///     expected_candidates(1000, &cosines, 12, 32),
-/// );
 /// // Probing 16 tables can stand in for 32: fewer tables, more candidates.
 /// let probed_half = expected_candidates_probed(1000, &cosines, 12, 16, 3);
-/// assert!(probed_half > expected_candidates(1000, &cosines, 12, 16));
+/// assert!(probed_half > expected_candidates_probed(1000, &cosines, 12, 16, 0));
 /// ```
 pub fn expected_candidates_probed(
     n: usize,
@@ -197,25 +180,25 @@ mod tests {
     fn table_hit_prob_amplifies_correctly() {
         // AND over k bits shrinks the probability, OR over l tables grows it back.
         let p = 0.9;
-        assert!(table_hit_prob(p, 8, 1) < p);
-        assert!(table_hit_prob(p, 8, 32) > table_hit_prob(p, 8, 1));
+        assert!(probed_table_hit_prob(p, 8, 1, 0) < p);
+        assert!(probed_table_hit_prob(p, 8, 32, 0) > probed_table_hit_prob(p, 8, 1, 0));
         // Certain collision stays certain; impossible stays impossible.
-        assert!((table_hit_prob(1.0, 12, 4) - 1.0).abs() < 1e-12);
-        assert_eq!(table_hit_prob(0.0, 12, 4), 0.0);
+        assert!((probed_table_hit_prob(1.0, 12, 4, 0) - 1.0).abs() < 1e-12);
+        assert_eq!(probed_table_hit_prob(0.0, 12, 4, 0), 0.0);
     }
 
     #[test]
     fn expected_candidates_scales_with_n_and_similarity() {
         let close = [0.95, 0.9, 0.92];
         let far = [0.05, 0.0, -0.1];
-        let many_close = expected_candidates(1000, &close, 12, 32);
-        let many_far = expected_candidates(1000, &far, 12, 32);
+        let many_close = expected_candidates_probed(1000, &close, 12, 32, 0);
+        let many_far = expected_candidates_probed(1000, &far, 12, 32, 0);
         assert!(many_close > many_far);
         assert!(
-            (expected_candidates(2000, &close, 12, 32) - 2.0 * many_close).abs()
+            (expected_candidates_probed(2000, &close, 12, 32, 0) - 2.0 * many_close).abs()
                 < 1e-9 * many_close
         );
-        assert_eq!(expected_candidates(1000, &[], 12, 32), 0.0);
+        assert_eq!(expected_candidates_probed(1000, &[], 12, 32, 0), 0.0);
     }
 
     #[test]
@@ -268,14 +251,22 @@ mod tests {
 
     #[test]
     fn probed_estimates_match_classical_at_zero_probes() {
+        // `1 − (1 − p^k)^l`, OR over tables of AND over bits, to the bit.
+        for p in [0.0f64, 0.3, 0.7, 1.0] {
+            assert_eq!(
+                probed_table_hit_prob(p, 8, 16, 0),
+                1.0 - (1.0 - p.powi(8)).powi(16)
+            );
+        }
         let cosines = [0.95, 0.5, 0.1, -0.4];
-        assert_eq!(
-            probed_table_hit_prob(0.7, 8, 16, 0),
-            table_hit_prob(0.7, 8, 16)
-        );
+        let mean_hit = cosines
+            .iter()
+            .map(|&c| 1.0 - (1.0 - hyperplane_collision_prob(c).powi(10)).powi(24))
+            .sum::<f64>()
+            / cosines.len() as f64;
         assert_eq!(
             expected_candidates_probed(5000, &cosines, 10, 24, 0),
-            expected_candidates(5000, &cosines, 10, 24)
+            5000.0 * mean_hit
         );
         assert_eq!(expected_candidates_probed(5000, &[], 10, 24, 3), 0.0);
     }
@@ -285,7 +276,7 @@ mod tests {
         // The acceptance-shaped identity: half the tables plus a few probes
         // reaches at least the full-table hit probability.
         let p = 0.75;
-        let full = table_hit_prob(p, 10, 32);
+        let full = probed_table_hit_prob(p, 10, 32, 0);
         let halved = probed_table_hit_prob(p, 10, 16, 6);
         assert!(
             halved >= full,

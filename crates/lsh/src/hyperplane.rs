@@ -67,11 +67,6 @@ impl HyperplaneFamily {
         let c = cosine.clamp(-1.0, 1.0);
         1.0 - c.acos() / std::f64::consts::PI
     }
-
-    /// Theoretical collision probability of the `bits`-bit hash (independent signs).
-    pub fn collision_probability_bits(cosine: f64, bits: usize) -> f64 {
-        Self::collision_probability(cosine).powi(bits as i32)
-    }
 }
 
 /// A sampled multi-bit hyperplane hash function.
@@ -212,7 +207,8 @@ mod tests {
         assert!((HyperplaneFamily::collision_probability(1.0) - 1.0).abs() < 1e-12);
         assert!(HyperplaneFamily::collision_probability(-1.0).abs() < 1e-12);
         assert!((HyperplaneFamily::collision_probability(0.0) - 0.5).abs() < 1e-12);
-        let p = HyperplaneFamily::collision_probability_bits(0.0, 3);
+        // Three independent bits: the AND probability of `crate::cost`.
+        let p = crate::cost::probe_hit_prob(HyperplaneFamily::collision_probability(0.0), 3, 0);
         assert!((p - 0.125).abs() < 1e-12);
     }
 

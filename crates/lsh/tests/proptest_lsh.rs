@@ -5,6 +5,7 @@
 
 use ips_linalg::DenseVector;
 use ips_lsh::amplify::AndConstruction;
+use ips_lsh::cost::{probe_hit_prob, probed_table_hit_prob};
 use ips_lsh::hyperplane::HyperplaneFamily;
 use ips_lsh::rho::{rho_data_dependent, rho_mh_alsh, rho_simple_alsh};
 use ips_lsh::simple_alsh::SphereTransform;
@@ -73,10 +74,10 @@ proptest! {
 
     #[test]
     fn amplification_formulas_are_monotone(p in 0.01f64..0.99, k in 1usize..8, l in 1usize..16) {
-        let single = AndConstruction::<()>::amplified_probability(p, k);
+        let single = probe_hit_prob(p, k, 0);
         prop_assert!(single <= p + 1e-12);
-        let candidate = AndConstruction::<()>::candidate_probability(p, k, l);
-        let candidate_more_tables = AndConstruction::<()>::candidate_probability(p, k, l + 1);
+        let candidate = probed_table_hit_prob(p, k, l, 0);
+        let candidate_more_tables = probed_table_hit_prob(p, k, l + 1, 0);
         prop_assert!(candidate <= candidate_more_tables + 1e-12);
         prop_assert!((0.0..=1.0).contains(&candidate));
     }

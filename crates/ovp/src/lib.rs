@@ -27,7 +27,6 @@
 pub mod embedding;
 pub mod error;
 pub mod generator;
-pub mod parametrize;
 pub mod problem;
 pub mod reduction;
 pub mod solvers;
@@ -36,4 +35,8 @@ pub use embedding::{ChebyshevEmbedding, Domain, GapEmbedding, SignedEmbedding, Z
 pub use error::{OvpError, Result};
 pub use generator::{no_pair_instance, planted_instance, random_instance};
 pub use problem::OvpInstance;
-pub use solvers::{brute_force_pair, count_orthogonal_pairs, split_chunk_pair};
+pub use solvers::{brute_force_pair, count_orthogonal_pairs};
+
+// The parameter choices of Theorems 1 and 2, kept as a check of their statements.
+#[cfg(test)]
+mod parametrize;

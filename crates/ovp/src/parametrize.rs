@@ -1,5 +1,6 @@
 //! Parameter selection for the hardness theorems (the "Finally we parametrize and prove
-//! Theorem 1/Theorem 2" step of the paper).
+//! Theorem 1/Theorem 2" step of the paper), compiled for the tests only: they check the
+//! theorems' statements on concrete parameters.
 //!
 //! Lemma 2 needs a *family* of embeddings, one per OVP dimension `d = ω(log n)`, with
 //! output dimension `2^{o(d)}`; Theorems 1 and 2 then choose the free parameters (the
@@ -24,7 +25,7 @@ use crate::error::{OvpError, Result};
 
 /// The concrete parameters chosen for one hard instance family member.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HardInstanceParameters {
+struct HardInstanceParameters {
     /// Instance size `n` the parameters were derived for.
     pub n: usize,
     /// OVP dimension `d = γ·log₂ n`.
@@ -63,7 +64,7 @@ fn validate(n: usize, gamma: f64) -> Result<usize> {
 
 /// The ratio `log(s/d₂) / log(cs/d₂)` for an embedding, or `None` when it is undefined
 /// (e.g. `cs = 0`, where the ratio degenerates to 0 in the limit — the signed case).
-pub fn embedding_ratio<E: GapEmbedding>(embedding: &E) -> Option<f64> {
+fn embedding_ratio<E: GapEmbedding>(embedding: &E) -> Option<f64> {
     let d2 = embedding.output_dim() as f64;
     let s = embedding.threshold() / d2;
     let cs = embedding.approx_threshold() / d2;
@@ -81,7 +82,7 @@ pub fn embedding_ratio<E: GapEmbedding>(embedding: &E) -> Option<f64> {
 /// The returned embedding is fully constructed (so its gap can be verified on real
 /// vectors); for large `n` the output dimension grows quickly, so callers exploring the
 /// asymptotics should use modest `n`/`gamma`.
-pub fn theorem1_chebyshev(
+fn theorem1_chebyshev(
     n: usize,
     gamma: f64,
 ) -> Result<(ChebyshevEmbedding, HardInstanceParameters)> {
@@ -105,7 +106,7 @@ pub fn theorem1_chebyshev(
 /// `d = γ·log₂ n` and `k = k(d)`; any `k = ω(1)` growing with `d` gives
 /// `c = 1 − 1/k = 1 − o(1)`. The default choice here is `k = d` (the paper's choice in
 /// the proof of Theorem 2), which keeps the output dimension at `2d`.
-pub fn theorem1_zero_one(
+fn theorem1_zero_one(
     n: usize,
     gamma: f64,
     k: Option<usize>,
@@ -132,7 +133,7 @@ pub fn theorem1_zero_one(
 /// * Chebyshev embedding with `q = √d`: `1 − 1/(log(9/2)·√d) + log 2/(q·log(9/2))`,
 ///   i.e. `1 − Θ(1/√d)`;
 /// * `{0,1}` embedding with `k = d`: `1 − 1/d + O(1/(k·d))`, i.e. `1 − Θ(1/d)`.
-pub fn theorem2_ratio(domain_zero_one: bool, d: usize) -> f64 {
+fn theorem2_ratio(domain_zero_one: bool, d: usize) -> f64 {
     let d = d.max(2) as f64;
     if domain_zero_one {
         1.0 - 1.0 / d

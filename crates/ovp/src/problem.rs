@@ -80,11 +80,6 @@ impl OvpInstance {
         })?;
         Ok(p.is_orthogonal_to(q)?)
     }
-
-    /// Total number of candidate pairs `|P|·|Q|` (the work a quadratic algorithm does).
-    pub fn pair_count(&self) -> usize {
-        self.p.len() * self.q.len()
-    }
 }
 
 #[cfg(test)]
@@ -101,7 +96,6 @@ mod tests {
         assert_eq!(inst.dim(), 2);
         assert_eq!(inst.p_len(), 2);
         assert_eq!(inst.q_len(), 1);
-        assert_eq!(inst.pair_count(), 2);
         assert!(OvpInstance::new(vec![], vec![bv(&[1])]).is_err());
         assert!(OvpInstance::new(vec![bv(&[1])], vec![]).is_err());
         assert!(OvpInstance::new(vec![bv(&[1, 0])], vec![bv(&[1])]).is_err());

@@ -1,15 +1,10 @@
 //! Exact OVP solvers — the quadratic baselines.
 //!
 //! The OVP conjecture asserts that nothing much better than these solvers exists once
-//! `d = ω(log n)`. Two are provided:
-//!
-//! * [`brute_force_pair`] — the plain double loop with bit-packed orthogonality checks;
-//! * [`split_chunk_pair`] — the "generalised OVP" strategy of Lemma 1: split `P` into
-//!   chunks of size `|Q|^α` and solve each sub-instance independently. Functionally
-//!   identical, but it mirrors the reduction used in the paper's proof and exposes the
-//!   chunking machinery reused by the benchmarks.
+//! `d = ω(log n)`: [`brute_force_pair`] is the plain double loop with bit-packed
+//! orthogonality checks, and [`count_orthogonal_pairs`] the same loop run to the end.
 
-use crate::error::{OvpError, Result};
+use crate::error::Result;
 use crate::problem::OvpInstance;
 
 /// Returns some orthogonal pair `(i, j)` (indices into `P` and `Q`) if one exists.
@@ -35,37 +30,6 @@ pub fn count_orthogonal_pairs(instance: &OvpInstance) -> Result<usize> {
         }
     }
     Ok(count)
-}
-
-/// Lemma 1 style solver: split `P` into chunks of `chunk_size` and scan each chunk
-/// against all of `Q`, returning the first orthogonal pair found (with indices into the
-/// original `P`).
-///
-/// Returns an error when `chunk_size == 0`.
-pub fn split_chunk_pair(
-    instance: &OvpInstance,
-    chunk_size: usize,
-) -> Result<Option<(usize, usize)>> {
-    if chunk_size == 0 {
-        return Err(OvpError::InvalidParameter {
-            name: "chunk_size",
-            reason: "chunk size must be positive".into(),
-        });
-    }
-    let p = instance.p();
-    let mut start = 0usize;
-    while start < p.len() {
-        let end = (start + chunk_size).min(p.len());
-        for (offset, pi) in p[start..end].iter().enumerate() {
-            for (j, q) in instance.q().iter().enumerate() {
-                if pi.is_orthogonal_to(q)? {
-                    return Ok(Some((start + offset, j)));
-                }
-            }
-        }
-        start = end;
-    }
-    Ok(None)
 }
 
 #[cfg(test)]
@@ -124,14 +88,18 @@ mod tests {
 
     #[test]
     fn chunked_solver_agrees_with_brute_force() {
-        let with = instance_with_pair();
-        let without = instance_without_pair();
-        for chunk in 1..=4 {
-            let found = split_chunk_pair(&with, chunk).unwrap();
-            let (i, j) = found.expect("pair must exist");
-            assert!(with.is_orthogonal_pair(i, j).unwrap());
-            assert_eq!(split_chunk_pair(&without, chunk).unwrap(), None);
+        // Lemma 1's split: solving the sub-instances of `P` chunk by chunk finds the pair
+        // the whole instance has, and none where it has none.
+        for inst in [instance_with_pair(), instance_without_pair()] {
+            for chunk in 1..=4 {
+                let found = inst.p().chunks(chunk).enumerate().find_map(|(c, part)| {
+                    let sub = OvpInstance::new(part.to_vec(), inst.q().to_vec()).unwrap();
+                    brute_force_pair(&sub)
+                        .unwrap()
+                        .map(|(i, j)| (c * chunk + i, j))
+                });
+                assert_eq!(found, brute_force_pair(&inst).unwrap());
+            }
         }
-        assert!(split_chunk_pair(&with, 0).is_err());
     }
 }

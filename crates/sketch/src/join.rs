@@ -1,18 +1,11 @@
 //! The query-scaling reduction of Section 4.3: unsigned `c`-MIPS from unsigned
-//! `(cs, s)` search.
+//! `(cs, s)` search, compiled for the tests only.
 //!
 //! [`c_mips_via_threshold_search`] implements the paper's observation that unsigned
 //! `c`-MIPS can be solved by any data structure for unsigned `(cs, s)` *search*
 //! ([`ThresholdSearch`]) by scaling the query up (`q/cⁱ`) until the threshold fires —
 //! "intuitively, we are scaling up the query until the largest inner product becomes
 //! larger than the threshold s".
-//!
-//! The sketch-based unsigned join itself is `ips_core`'s `Join` facade with
-//! `Strategy::Sketch`: it walks the recovery tree depth first, one node's estimators at
-//! a time, for every query that reaches the node
-//! ([`join_walk`](crate::recovery::join_walk)) — never holding the whole
-//! [`SketchMipsIndex`](crate::SketchMipsIndex) — and keeps a query's candidate when its
-//! exact `|ip|` reaches `cs`.
 
 use crate::error::{Result, SketchError};
 use crate::recovery::MipsCandidate;
@@ -21,7 +14,7 @@ use ips_linalg::DenseVector;
 /// A data structure answering unsigned `(cs, s)` *search* queries: given a query `q`, it
 /// returns some index whose absolute inner product with `q` is at least `cs`, under the
 /// promise that some point reaches `s`; otherwise it may return `None`.
-pub trait ThresholdSearch {
+trait ThresholdSearch {
     /// The threshold `s` the structure was built for.
     fn threshold(&self) -> f64;
 
@@ -37,7 +30,7 @@ pub trait ThresholdSearch {
 /// structure reports a point, following the reduction described in Section 4.3. `gamma`
 /// is the smallest inner product that should still be recovered (the paper's numerical
 /// precision floor); the number of probes is `⌈log_{1/c}(s/γ)⌉ + 1`.
-pub fn c_mips_via_threshold_search<T: ThresholdSearch>(
+fn c_mips_via_threshold_search<T: ThresholdSearch>(
     structure: &T,
     query: &DenseVector,
     gamma: f64,

@@ -14,8 +14,9 @@
 //!
 //! Modules:
 //!
-//! * [`stable`] — classical p-stable sketches (Cauchy for `ℓ₁`, Gaussian for `ℓ₂`) with
-//!   median estimators, the textbook substrate the max-stability construction builds on;
+//! * [`stable`] — the median that boosts independent estimates (its tests keep the
+//!   classical p-stable sketches, the textbook substrate the max-stability construction
+//!   builds on);
 //! * [`maxstable`] — the max-stability sketch for `ℓ_κ`, `κ ≥ 2`;
 //! * [`linf_mips`] — the `‖Aq‖_∞` estimator (value only): one coordinate-major block
 //!   of coefficients per estimator and the allocation-free kernel that evaluates it;
@@ -23,8 +24,6 @@
 //!   returns *which* row attains (approximately) the maximum, cut off where a sketch
 //!   would cost a query more than the scan it saves, and the same tree walked as a
 //!   join, one node at a time;
-//! * [`join`] — the paper's query-scaling reduction from unsigned `c`-MIPS to unsigned
-//!   `(cs, s)` search (the sketch join itself runs through `ips_core`'s `Join` facade);
 //! * [`cost`] — closed-form build/query flop predictions for the adaptive join
 //!   planner in `ips-core`, and the split rule the tree and the predictions share.
 
@@ -33,7 +32,6 @@
 
 pub mod cost;
 pub mod error;
-pub mod join;
 pub mod linf_mips;
 pub mod maxstable;
 pub mod recovery;
@@ -43,3 +41,9 @@ pub use error::{Result, SketchError};
 pub use linf_mips::MaxIpEstimator;
 pub use maxstable::MaxStableSketch;
 pub use recovery::{SketchMipsIndex, DEFAULT_LEAF_SIZE};
+
+// The paper's query-scaling reduction from unsigned `c`-MIPS to unsigned `(cs, s)`
+// search, kept as a check of Section 4.3's statement (the sketch join itself runs
+// through `ips_core`'s `Join` facade).
+#[cfg(test)]
+mod join;

@@ -16,9 +16,9 @@
 //! needed). Taking the median over independent copies boosts the success probability —
 //! that boosting lives in [`crate::linf_mips`].
 
-use crate::error::{uniform_dim, Result, SketchError};
+use crate::error::{Result, SketchError};
 use ips_linalg::random::standard_exponential;
-use ips_linalg::{DenseVector, Matrix};
+use ips_linalg::DenseVector;
 use rand::Rng;
 
 /// One max-stability sketch `Π : R^n → R^m` for the `ℓ_κ` norm.
@@ -112,26 +112,11 @@ impl MaxStableSketch {
     }
 
     /// Pre-applies the sketch to a matrix whose *rows* are indexed by the sketch input:
-    /// returns `Π·A` where `A` is `input_dim × d`, given as a list of rows.
-    ///
-    /// This is the pre-computation the Section 4.3 data structure performs on the data
-    /// matrix so that a query only costs `O(d·m)`.
-    pub fn apply_to_rows(&self, rows: &[DenseVector]) -> Result<Matrix> {
-        if rows.len() != self.input_dim {
-            return Err(SketchError::DimensionMismatch {
-                expected: self.input_dim,
-                actual: rows.len(),
-            });
-        }
-        let d = uniform_dim(rows)?;
-        let mut out = vec![0.0; self.rows * d];
-        self.apply_to_rows_into(rows, d, &mut out);
-        Ok(Matrix::from_row_major(self.rows, d, out)?)
-    }
-
-    /// [`MaxStableSketch::apply_to_rows`] into a zeroed row-major `rows × d` buffer,
-    /// for callers that have already checked there are `input_dim` rows of dimension
-    /// `d` (the Section 4.3 tree checks its data once, not once per estimator).
+    /// writes `Π·A`, where `A` is `input_dim × d` given as a list of rows, into a zeroed
+    /// row-major `rows × d` buffer. This is the pre-computation the Section 4.3 data
+    /// structure performs on the data matrix so that a query only costs `O(d·m)`; the
+    /// caller has checked there are `input_dim` rows of dimension `d` (the tree checks
+    /// its data once, not once per estimator).
     ///
     /// Each data row costs `d` multiply-adds — the sketch has one non-zero per column —
     /// and bucket `b` accumulates its rows in ascending input order.
@@ -142,18 +127,6 @@ impl MaxStableSketch {
             let bucket_row = &mut out[bucket * d..(bucket + 1) * d];
             ips_linalg::tile::axpy_slices(bucket_row, scale, row.as_slice());
         }
-    }
-
-    /// Point estimate of `‖x‖_κ` from one sketch: `‖Πx‖_∞ · (ln 2)^{1/κ}` (the median
-    /// correction of the Fréchet distribution).
-    pub fn estimate_kappa_norm(&self, x: &DenseVector) -> Result<f64> {
-        let sketched = self.apply(x)?;
-        Ok(Self::estimate_from_sketched(&sketched, self.kappa))
-    }
-
-    /// Applies the Fréchet median correction to an already-sketched vector.
-    pub fn estimate_from_sketched(sketched: &DenseVector, kappa: f64) -> f64 {
-        sketched.max_abs() * Self::median_correction(kappa)
     }
 
     /// `(ln 2)^{1/κ}`: the median of a unit-scale Fréchet variable of shape `κ`, which
@@ -168,6 +141,7 @@ mod tests {
     use super::*;
     use crate::stable::median;
     use ips_linalg::random::gaussian_vector;
+    use ips_linalg::Matrix;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -233,12 +207,11 @@ mod tests {
         let x = DenseVector::new(coords);
         let truth = x.lp_norm(kappa).unwrap();
         let m = MaxStableSketch::recommended_rows(n, kappa);
+        // One sketch's point estimate: `‖Πx‖_∞ · (ln 2)^{1/κ}`.
         let estimates: Vec<f64> = (0..21)
             .map(|_| {
-                MaxStableSketch::sample(&mut r, n, m, kappa)
-                    .unwrap()
-                    .estimate_kappa_norm(&x)
-                    .unwrap()
+                let sketch = MaxStableSketch::sample(&mut r, n, m, kappa).unwrap();
+                sketch.apply(&x).unwrap().max_abs() * MaxStableSketch::median_correction(kappa)
             })
             .collect();
         let est = median(&estimates);
@@ -258,14 +231,16 @@ mod tests {
         let s = MaxStableSketch::sample(&mut r, n, 10, 2.0).unwrap();
         let rows: Vec<DenseVector> = (0..n).map(|_| gaussian_vector(&mut r, d)).collect();
         let q = gaussian_vector(&mut r, d);
-        let pre = s.apply_to_rows(&rows).unwrap();
-        let lhs = pre.matvec(&q).unwrap();
+        let mut pre = vec![0.0; 10 * d];
+        s.apply_to_rows_into(&rows, d, &mut pre);
+        let lhs = Matrix::from_row_major(10, d, pre)
+            .unwrap()
+            .matvec(&q)
+            .unwrap();
         let aq = DenseVector::new(rows.iter().map(|a| a.dot(&q).unwrap()).collect());
         let rhs = s.apply(&aq).unwrap();
         for i in 0..lhs.dim() {
             assert!((lhs[i] - rhs[i]).abs() < 1e-9);
         }
-        // Shape errors.
-        assert!(s.apply_to_rows(&rows[..5]).is_err());
     }
 }

@@ -8,7 +8,7 @@ use ips_linalg::{DenseVector, Matrix};
 use ips_sketch::linf_mips::{MaxIpConfig, MaxIpEstimator};
 use ips_sketch::maxstable::MaxStableSketch;
 use ips_sketch::recovery::{MipsCandidate, Node, SketchMipsIndex};
-use ips_sketch::stable::{median, StableKind, StableSketch};
+use ips_sketch::stable::median;
 use ips_sketch::SketchError;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -50,7 +50,10 @@ fn sketch_matrices(estimator: &MaxIpEstimator) -> Vec<Matrix> {
 fn row_major_estimate(estimator: &MaxIpEstimator, q: &DenseVector) -> f64 {
     let per_copy: Vec<f64> = sketch_matrices(estimator)
         .iter()
-        .map(|m| MaxStableSketch::estimate_from_sketched(&m.matvec(q).unwrap(), estimator.kappa()))
+        // `‖Π_t·A·q‖_∞` times the Fréchet median correction `(ln 2)^{1/κ}`.
+        .map(|m| {
+            m.matvec(q).unwrap().max_abs() * std::f64::consts::LN_2.powf(1.0 / estimator.kappa())
+        })
         .collect();
     median(&per_copy)
 }
@@ -209,17 +212,6 @@ proptest! {
         let rhs_a = sketch.apply(&x).unwrap().scaled(alpha);
         let rhs_b = sketch.apply(&y).unwrap();
         let rhs = rhs_a.add(&rhs_b).unwrap();
-        for i in 0..lhs.dim() {
-            prop_assert!((lhs[i] - rhs[i]).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn stable_sketch_is_linear(x in vector(16), y in vector(16), seed in any::<u64>()) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let sketch = StableSketch::sample(&mut rng, StableKind::Gaussian, 16, 12).unwrap();
-        let lhs = sketch.apply(&x.add(&y).unwrap()).unwrap();
-        let rhs = sketch.apply(&x).unwrap().add(&sketch.apply(&y).unwrap()).unwrap();
         for i in 0..lhs.dim() {
             prop_assert!((lhs[i] - rhs[i]).abs() < 1e-6);
         }

@@ -8,10 +8,11 @@ use ips_core::engine::{EngineConfig, JoinEngine};
 use ips_core::facade::{Join, Strategy};
 use ips_core::lsh_mips::{LshMips, BUILD_BLOCK};
 use ips_core::mips::BruteForceMipsIndex;
-use ips_core::problem::{evaluate_join, negate_queries, JoinSpec, JoinVariant};
+use ips_core::problem::{evaluate_join, JoinSpec, JoinVariant};
 use ips_datagen::latent::{LatentFactorConfig, LatentFactorModel};
 use ips_datagen::planted::{PlantedConfig, PlantedInstance};
 use ips_linalg::par::Schedule;
+use ips_linalg::DenseVector;
 use ips_sketch::linf_mips::MaxIpConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -131,7 +132,7 @@ fn unsigned_join_equals_two_signed_joins() {
 
     let unsigned_pairs = brute_force_join(model.items(), model.users(), &unsigned).unwrap();
     let pos_pairs = brute_force_join(model.items(), model.users(), &signed).unwrap();
-    let negated = negate_queries(model.users());
+    let negated: Vec<DenseVector> = model.users().iter().map(DenseVector::negated).collect();
     let neg_pairs = brute_force_join(model.items(), &negated, &signed).unwrap();
 
     let mut unsigned_queries: Vec<usize> = unsigned_pairs.iter().map(|p| p.query_index).collect();
