@@ -113,11 +113,13 @@ impl L2AlshFamily {
         Ok(out)
     }
 
-    /// The squared Euclidean distance between `Q(q)` and `P(x)` expressed in terms of
-    /// the *normalised* inner product `s = qᵀx / (‖q‖·max_data_norm) ∈ [−1, 1]` and the
+    /// The squared Euclidean distance between `Q(q)` and `P(x)` in terms of the
+    /// *normalised* inner product `ŝ = qᵀx / (‖q‖·max_data_norm) ∈ [−1, 1]` and the
     /// normalised data norm `t = ‖x‖/max_data_norm ∈ [0, 1]`:
-    /// `1 + m/4 − 2U·s·t·? …` — concretely `1 + m/4 − 2·U·ŝ + (U·t)^{2^{m+1}}` where `ŝ`
-    /// is the inner product after both rescalings.
+    /// `1 + m/4 − 2U·ŝ + (U·t)^{2^{m+1}}`. With `x' = (U / max_data_norm)·x`, the
+    /// cross term is `2·(q/‖q‖)ᵀx' = 2U·ŝ`, and the norm terms telescope,
+    /// `‖x'‖² − Σᵢ ‖x'‖^{2^i} + Σᵢ ‖x'‖^{2^{i+1}} = ‖x'‖^{2^{m+1}}` over `i = 1..m`,
+    /// with `‖x'‖ = U·t`.
     pub fn transformed_distance_sq(&self, s_hat: f64, data_norm_ratio: f64) -> f64 {
         let m = self.params.m as f64;
         let u = self.params.u;

@@ -147,6 +147,18 @@ impl JoinMap for SphereTransform {
     fn plane_rows(&self) -> usize {
         self.output_dim()
     }
+
+    /// A query is checked against the radius `U` here, as the kernel checks it when it
+    /// embeds the query: a join that scans never hands a query to the kernel.
+    fn keep(&self, side: Side, v: &DenseVector, _kept: &mut [u16]) -> Result<Option<u64>> {
+        match side {
+            Side::Data => check_data(self, v)?,
+            Side::Query => {
+                self.transform_query_into(v, &mut Vec::with_capacity(self.output_dim()))?
+            }
+        }
+        Ok(None)
+    }
 }
 
 impl LshMips<'_, SphereTransform> {

@@ -57,12 +57,30 @@
 //! `‖q‖·max‖p‖ < cs`, with a rounding margin that keeps every pair whose computed
 //! score reaches `cs`. By Cauchy–Schwarz no dropped vector is in a reported pair. The
 //! strategy runs on what is left and the pairs come back with the caller's indices, in
-//! ascending order, so the lowest-id tie rule holds. Brute force, ALSH and symmetric
-//! LSH report the pairs they would report on the whole inputs; the sketch tree and the
-//! planner's sample are drawn over the kept vectors. A side is copied only when the
-//! bound drops at least half of it, so a join copies at most half a side and otherwise
-//! reads the caller's slices. If the bound empties a side the result is empty, and
-//! nothing is drawn from the RNG.
+//! ascending order, so the lowest-id tie rule holds. Brute force reports the pairs it
+//! would report on the whole inputs, and so do ALSH and symmetric LSH wherever they
+//! hash the kept vectors (see the scan rule below); the sketch tree and the planner's
+//! sample are drawn over the kept vectors. A side is copied only when the bound drops
+//! at least half of it, so a join copies at most half a side and otherwise reads the
+//! caller's slices. If the bound empties a side the result is empty, and nothing is
+//! drawn from the RNG.
+//!
+//! # The scan rule
+//!
+//! The ALSH and symmetric joins hash only where hashing is cheaper than scanning: on
+//! the `n` data points and `m` queries the norm bound keeps, they are an exact scan
+//! when `(n + m)·k·L·h ≥ n·m·d`, `h` being the multiply-adds of hashing one point
+//! against one plane (`d + 2` for ALSH, `d` plus the tag's non-zeros for symmetric
+//! LSH). The rule is checked before any plane is drawn, and it has no constant: hashing
+//! alone is a lower bound on the hashing join's work. The scan answers by the index's
+//! rule with every data point a candidate — the diagonal probe where symmetric LSH
+//! has one, else each query's best partner, reported when it reaches `cs` — so it
+//! misses no promised query, and it draws nothing from the RNG. Its errors are the
+//! hashing join's, in the same order. [`JoinReport::strategy`] still names the family
+//! the caller asked for. Fewer points only make the scan cheaper against hashing, so a
+//! join that hashes the kept vectors would hash the whole inputs too; one that scans
+//! them answers every query the hashing join on the whole inputs answers, with a
+//! partner at least as good.
 //!
 //! # Contract
 //!
@@ -163,7 +181,9 @@ pub struct JoinReport {
     /// (the validity half of Definition 1, by construction).
     pub matches: Vec<MatchPair>,
     /// The family that ran — for [`Strategy::Auto`] the planner's choice,
-    /// otherwise the requested strategy itself.
+    /// otherwise the requested strategy itself. An ALSH or symmetric join below the
+    /// [scan rule](crate::facade#the-scan-rule) answers by an exact scan and still names its
+    /// family.
     pub strategy: IndexFamily,
     /// The cost-based plan, with the sampled workload statistics it was based on,
     /// present only under [`Strategy::Auto`] (manual strategies never sample the
@@ -417,6 +437,17 @@ mod tests {
         .unwrap()
     }
 
+    /// `join` run from an RNG seeded with `seed`, and whether it drew from it: for ALSH
+    /// and symmetric LSH, whether the scan rule let it hash.
+    fn run_drawing(join: JoinBuilder<'_>, seed: u64) -> (JoinReport, bool) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let report = join.run_with_rng(&mut rng).unwrap();
+        (
+            report,
+            rng.gen::<u64>() != StdRng::seed_from_u64(seed).gen::<u64>(),
+        )
+    }
+
     #[test]
     fn builder_requires_a_threshold() {
         let data = [DenseVector::from(&[0.5, 0.5][..])];
@@ -475,15 +506,21 @@ mod tests {
             Strategy::Symmetric,
             Strategy::Sketch,
         ] {
-            let report = Join::data(inst.data())
-                .queries(inst.queries())
-                .threshold(0.8)
-                .approximation(0.6)
-                .strategy(strategy)
-                .run()
-                .unwrap();
+            let (report, drew) = run_drawing(
+                Join::data(inst.data())
+                    .queries(inst.queries())
+                    .threshold(0.8)
+                    .approximation(0.6)
+                    .strategy(strategy),
+                42,
+            );
             assert!(report.plan.is_none(), "{strategy} carried a plan");
+            // An LSH join below the scan rule — the norm bound keeps a few planted
+            // points here — scans, and still names its family.
             assert_eq!(report.strategy.name(), strategy.name());
+            if matches!(strategy, Strategy::Alsh | Strategy::Symmetric) {
+                assert!(!drew, "{strategy}");
+            }
         }
     }
 
@@ -502,6 +539,16 @@ mod tests {
                 .matches
         };
         assert_eq!(go(), go());
+        // Below the scan rule: the exact scan, which draws nothing.
+        let (report, drew) = run_drawing(
+            Join::data(inst.data())
+                .queries(inst.queries())
+                .threshold(0.8)
+                .approximation(0.6)
+                .strategy(Strategy::Alsh),
+            9,
+        );
+        assert_eq!((report.matches, drew), (go(), false));
     }
 
     #[test]
@@ -567,6 +614,19 @@ mod tests {
                 .matches;
             assert_eq!(baseline, unprobed, "{strategy}: probes(0) must be a no-op");
             let probed = go(6);
+            // Below the scan rule both runs are the exact scan, which reads no probe
+            // count; the hashing join's probes are held to the index's in `lsh_join`.
+            let (scanned, drew) = run_drawing(
+                Join::data(inst.data())
+                    .queries(inst.queries())
+                    .threshold(0.8)
+                    .approximation(0.6)
+                    .strategy(strategy)
+                    .probes(6),
+                11,
+            );
+            assert!(!drew, "{strategy} hashed");
+            assert_eq!(scanned.matches, probed, "{strategy}");
             let (_, valid) = evaluate_join(inst.data(), inst.queries(), &spec, &probed).unwrap();
             assert!(valid, "{strategy}: probed matches must stay valid");
             for pair in &baseline {
@@ -582,13 +642,18 @@ mod tests {
     fn empty_queries_join_to_empty_for_every_strategy() {
         let inst = instance(0xE);
         for strategy in Strategy::ALL {
-            let report = Join::data(inst.data())
-                .threshold(0.8)
-                .approximation(0.6)
-                .strategy(strategy)
-                .run()
-                .unwrap();
+            let (report, drew) = run_drawing(
+                Join::data(inst.data())
+                    .threshold(0.8)
+                    .approximation(0.6)
+                    .strategy(strategy),
+                42,
+            );
             assert!(report.matches.is_empty(), "{strategy}");
+            // No query costs no scan: an LSH join draws no planes for none.
+            if matches!(strategy, Strategy::Alsh | Strategy::Symmetric) {
+                assert!(!drew, "{strategy}");
+            }
         }
     }
 }

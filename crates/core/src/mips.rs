@@ -199,6 +199,20 @@ pub(crate) fn data_major_batch(
     queries: &[DenseVector],
     spec: &JoinSpec,
 ) -> Result<Vec<Option<SearchResult>>> {
+    Ok(data_major_best(data, queries, spec)?
+        .into_iter()
+        .map(|slot| slot.filter(|b| spec.satisfies_promise(b.inner_product)))
+        .collect())
+}
+
+/// Each query's best data point under [`keep_best`], unfiltered: the scan of
+/// [`data_major_batch`] before the promise, and the one an LSH join below its scan rule
+/// runs (`lsh_join`).
+pub(crate) fn data_major_best(
+    data: &[DenseVector],
+    queries: &[DenseVector],
+    spec: &JoinSpec,
+) -> Result<Vec<Option<SearchResult>>> {
     if queries.is_empty() {
         return Ok(Vec::new());
     }
@@ -213,13 +227,10 @@ pub(crate) fn data_major_batch(
         JoinVariant::Signed => scan(data, queries, &fixed(JoinVariant::Signed), &mut best)?,
         JoinVariant::Unsigned => scan(data, queries, &fixed(JoinVariant::Unsigned), &mut best)?,
     }
-    Ok(best
-        .into_iter()
-        .map(|slot| slot.filter(|b| spec.satisfies_promise(b.inner_product)))
-        .collect())
+    Ok(best)
 }
 
-/// [`data_major_batch`]'s pair loop under one spec.
+/// [`data_major_best`]'s pair loop under one spec.
 #[inline(always)]
 fn scan(
     data: &[DenseVector],

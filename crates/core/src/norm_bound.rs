@@ -73,8 +73,12 @@
 //!
 //! # What stays bit-identical
 //!
-//! Brute force, ALSH and symmetric LSH report the pairs they report on the whole inputs.
-//! A dropped point reaches no threshold, so it is no answer and can only lose a "best
+//! Brute force reports the pairs it reports on the whole inputs, and so do ALSH and
+//! symmetric LSH wherever their scan rule (`lsh_join`) hashes the kept points: it then
+//! hashes the whole inputs too, since fewer points only make the scan cheaper. Where
+//! the kept points are below the rule and the whole inputs are not, the kept join is the
+//! exact scan, which answers every query the hashing join answers, with a partner at
+//! least as good. A dropped point reaches no threshold, so it is no answer and can only lose a "best
 //! so far" comparison to an answer; the LSH plane draws do not depend on `n`; and the
 //! largest norm of a side is kept whenever anything of it is, so the ALSH query radius
 //! and every unit-ball check see the same maximum. One contrived exception is left:

@@ -1355,6 +1355,25 @@ mod tests {
         (bounded, whole)
     }
 
+    /// Whether `run_strategy` (`bounded`) or the dispatch alone draws from its RNG: for
+    /// ALSH and symmetric LSH, whether the scan rule lets the join hash.
+    fn draws(
+        index: IndexConfig,
+        bounded: bool,
+        data: &[DenseVector],
+        queries: &[DenseVector],
+        spec: JoinSpec,
+    ) -> bool {
+        let (engine, scoring) = (EngineConfig::default(), ScoringOptions::default());
+        let mut rng = StdRng::seed_from_u64(6);
+        let _ = if bounded {
+            run_strategy(index, &mut rng, data, queries, spec, engine, scoring)
+        } else {
+            dispatch(index, &mut rng, data, queries, spec, engine, scoring)
+        };
+        rng.gen::<u64>() != StdRng::seed_from_u64(6).gen::<u64>()
+    }
+
     /// Each pair's indices and the bits of its inner product.
     fn bits(pairs: &[MatchPair]) -> Vec<(usize, usize, u64)> {
         pairs
@@ -1551,6 +1570,16 @@ mod tests {
             for index in fixed_configs() {
                 let (bounded, whole) = bounded_and_whole(index, seed, data, queries, sp);
                 let bounded = bounded.unwrap();
+                if matches!(index.family(), IndexFamily::Alsh | IndexFamily::Symmetric) {
+                    // 120 × 16 points in dimension 8, and what the bound keeps of them,
+                    // are below the scan rule: both joins are the exact scan.
+                    for bound in [true, false] {
+                        proptest::prop_assert!(
+                            !draws(index, bound, data, queries, sp),
+                            "{:?} hashed, bounded: {}", index, bound
+                        );
+                    }
+                }
                 if hard || index.family() != IndexFamily::Sketch {
                     proptest::prop_assert_eq!(bits(&bounded), bits(&whole.unwrap()), "{:?}", index);
                 }

@@ -363,6 +363,12 @@ impl JoinMap for SymmetricSphereMap {
         self.output_dim()
     }
 
+    /// The vector's `d` coordinates and the tag's `t` non-zeros: the kernel skips the
+    /// image's zeros.
+    fn plane_multiply_adds(&self) -> usize {
+        self.dim + self.tag_nonzeros()
+    }
+
     fn kept_words(&self) -> usize {
         VALUE_WORDS + self.tag_nonzeros()
     }

@@ -14,15 +14,7 @@
 //! calibration binary in `ips-bench` fits a per-strategy nanoseconds-per-unit
 //! constant that absorbs them on a given machine.
 
-/// Per-bit collision probability of hyperplane (SimHash) hashing for two unit
-/// vectors at the given cosine similarity: `1 − arccos(cos θ)/π`.
-///
-/// The input is clamped into `[−1, 1]`, so callers can pass raw inner-product
-/// ratios that are only approximately cosines (e.g. `pᵀq / U` under the
-/// SIMPLE-ALSH ball-to-sphere map, whose mapped cosine is exactly that ratio).
-pub fn hyperplane_collision_prob(cosine: f64) -> f64 {
-    1.0 - cosine.clamp(-1.0, 1.0).acos() / std::f64::consts::PI
-}
+use crate::hyperplane::HyperplaneFamily;
 
 /// Probability that a data point lands in one of the `1 + probes` buckets a
 /// query-directed probe sequence visits in **one** `k`-bit table (see
@@ -131,7 +123,7 @@ pub fn expected_candidates_probed(
     }
     let mean_hit: f64 = sampled_cosines
         .iter()
-        .map(|&c| probed_table_hit_prob(hyperplane_collision_prob(c), k, l, probes))
+        .map(|&c| probed_table_hit_prob(HyperplaneFamily::collision_probability(c), k, l, probes))
         .sum::<f64>()
         / sampled_cosines.len() as f64;
     n as f64 * mean_hit
@@ -168,12 +160,12 @@ mod tests {
 
     #[test]
     fn collision_prob_matches_known_angles() {
-        assert!((hyperplane_collision_prob(1.0) - 1.0).abs() < 1e-12);
-        assert!((hyperplane_collision_prob(-1.0) - 0.0).abs() < 1e-12);
-        assert!((hyperplane_collision_prob(0.0) - 0.5).abs() < 1e-12);
+        assert!((HyperplaneFamily::collision_probability(1.0) - 1.0).abs() < 1e-12);
+        assert!((HyperplaneFamily::collision_probability(-1.0) - 0.0).abs() < 1e-12);
+        assert!((HyperplaneFamily::collision_probability(0.0) - 0.5).abs() < 1e-12);
         // Out-of-range inputs are clamped, not NaN.
-        assert_eq!(hyperplane_collision_prob(1.5), 1.0);
-        assert_eq!(hyperplane_collision_prob(-7.0), 0.0);
+        assert_eq!(HyperplaneFamily::collision_probability(1.5), 1.0);
+        assert_eq!(HyperplaneFamily::collision_probability(-7.0), 0.0);
     }
 
     #[test]
@@ -261,7 +253,7 @@ mod tests {
         let cosines = [0.95, 0.5, 0.1, -0.4];
         let mean_hit = cosines
             .iter()
-            .map(|&c| 1.0 - (1.0 - hyperplane_collision_prob(c).powi(10)).powi(24))
+            .map(|&c| 1.0 - (1.0 - HyperplaneFamily::collision_probability(c).powi(10)).powi(24))
             .sum::<f64>()
             / cosines.len() as f64;
         assert_eq!(

@@ -62,7 +62,12 @@ impl HyperplaneFamily {
     }
 
     /// Theoretical collision probability of a *single-bit* hyperplane hash for two
-    /// vectors with the given cosine similarity: `1 − arccos(cos)/π`.
+    /// vectors with the given cosine similarity: `1 − arccos(cos)/π`, the per-bit
+    /// probability the cost model of [`crate::cost`] amplifies.
+    ///
+    /// The input is clamped into `[−1, 1]`, so callers can pass raw inner-product
+    /// ratios that are only approximately cosines (e.g. `pᵀq / U` under the
+    /// SIMPLE-ALSH ball-to-sphere map, whose mapped cosine is exactly that ratio).
     pub fn collision_probability(cosine: f64) -> f64 {
         let c = cosine.clamp(-1.0, 1.0);
         1.0 - c.acos() / std::f64::consts::PI

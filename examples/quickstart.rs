@@ -86,7 +86,10 @@ fn main() {
 
     section("4. the full join, approximate vs exact");
     // The fluent builder is the one entry point over every join strategy: the
-    // same spec, an explicit strategy, and a seed for reproducibility.
+    // same spec, an explicit strategy, and a seed for reproducibility. The norm
+    // bound keeps little more than the planted points here, and hashing them and 50
+    // queries into 32 tables would cost more than scanning every pair, so the ALSH
+    // join answers by the exact scan (its scan rule; see `ips_core::facade`).
     let approx = Join::data(instance.data())
         .queries(instance.queries())
         .spec(spec)

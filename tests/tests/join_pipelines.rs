@@ -44,6 +44,7 @@ fn planted_pairs_are_found_by_every_join() {
     };
 
     let exact = brute_force_join(inst.data(), inst.queries(), &spec).unwrap();
+    let before_alsh = rng.clone();
     let alsh = Join::data(inst.data())
         .queries(inst.queries())
         .spec(spec)
@@ -52,6 +53,9 @@ fn planted_pairs_are_found_by_every_join() {
         .run_with_rng(&mut rng)
         .unwrap()
         .matches;
+    // The norm bound keeps the 8 planted points: below the scan rule against 40
+    // queries, the ALSH join is the exact scan and draws nothing.
+    assert_eq!(rng, before_alsh, "the ALSH join hashed");
     let sketch = Join::data(inst.data())
         .queries(inst.queries())
         .spec(spec)

@@ -57,10 +57,22 @@ fn manual_run(
             .sketch_config(config)
             .sketch_leaf_size(leaf_size),
     };
-    builder
-        .run_with_rng(&mut StdRng::seed_from_u64(exec_seed))
-        .unwrap()
-        .matches
+    let mut rng = StdRng::seed_from_u64(exec_seed);
+    let matches = builder.run_with_rng(&mut rng).unwrap().matches;
+    // These workloads are below the scan rule: an LSH pick is the exact scan, which
+    // draws nothing.
+    if matches!(
+        plan.choice,
+        IndexConfig::Alsh(_) | IndexConfig::Symmetric(_)
+    ) {
+        assert_eq!(
+            rng,
+            StdRng::seed_from_u64(exec_seed),
+            "{} hashed",
+            plan.choice.family()
+        );
+    }
+    matches
 }
 
 proptest! {
@@ -111,9 +123,12 @@ proptest! {
             }
             let mut forced = plan.clone();
             forced.choice = estimate.config;
-            let pairs = forced
-                .execute(&mut StdRng::seed_from_u64(exec_seed), &data, &queries)
-                .unwrap();
+            let mut rng = StdRng::seed_from_u64(exec_seed);
+            let pairs = forced.execute(&mut rng, &data, &queries).unwrap();
+            // 50 × 8 points in dimension 5 are below the scan rule.
+            if matches!(forced.choice, IndexConfig::Alsh(_) | IndexConfig::Symmetric(_)) {
+                prop_assert_eq!(&rng, &StdRng::seed_from_u64(exec_seed), "{} hashed", forced.choice.family());
+            }
             let (_, valid) = evaluate_join(&data, &queries, &spec, &pairs).unwrap();
             prop_assert!(valid, "{} reported a pair below cs", estimate.config.family());
         }

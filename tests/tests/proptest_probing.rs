@@ -33,7 +33,7 @@ use ips_linalg::DenseVector;
 use ips_store::{IndexConfig, ServingConfig, ShardedConfig, ShardedServingIndex};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 fn vectors(seed: u64, n: usize, dim: usize) -> Vec<DenseVector> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -89,6 +89,9 @@ proptest! {
 
     /// Facade joins: `.probes(0)` is bit-identical to not mentioning probes at
     /// all, and `.probes(p)` reports a valid superset — for both LSH families.
+    /// These joins are below the scan rule, so each is the exact scan, which
+    /// draws nothing and reads no probe count; the hashing join's probes are held
+    /// to the whole index's by `ips_core`'s `lsh_join` tests.
     #[test]
     fn facade_probes_zero_is_bit_identical_and_probing_only_adds(
         seed in 0u64..1_000,
@@ -103,12 +106,18 @@ proptest! {
                 let mut builder = Join::data(&data)
                     .queries(&queries)
                     .spec(spec())
-                    .strategy(strategy)
-                    .seed(seed);
+                    .strategy(strategy);
                 if let Some(p) = probes {
                     builder = builder.probes(p);
                 }
-                builder.run().unwrap().matches
+                let mut rng = StdRng::seed_from_u64(seed);
+                let matches = builder.run_with_rng(&mut rng).unwrap().matches;
+                assert_eq!(
+                    rng.next_u64(),
+                    StdRng::seed_from_u64(seed).next_u64(),
+                    "{strategy:?} hashed"
+                );
+                matches
             };
             let classical = sorted(run(None));
             prop_assert_eq!(
@@ -220,7 +229,8 @@ proptest! {
 /// Half the tables plus query-directed probing keeps the match set: on
 /// `sparse_needles` (near-orthogonal background with planted needles, ALSH's
 /// home turf) 16 tables with 8 probes report only valid pairs and recall at
-/// least what 32 tables without probes do.
+/// least what 32 tables without probes do. Asked of the index: a join of these
+/// sets keeps 50 points by the norm bound and is below the scan rule either way.
 #[test]
 fn half_the_tables_with_probes_keep_the_recall_on_sparse_needles() {
     let seed = 0x9806;
@@ -237,19 +247,24 @@ fn half_the_tables_with_probes_keep_the_recall_on_sparse_needles() {
     };
     let spec = JoinSpec::new(w.threshold, w.approximation, variant).unwrap();
     let run = |tables: usize, probes: usize| {
-        let matches = Join::data(&w.data)
-            .queries(&w.queries)
-            .spec(spec)
-            .strategy(Strategy::Alsh)
-            .alsh_params(AlshParams {
+        let index = ShardedServingIndex::build(
+            w.data.clone(),
+            spec,
+            IndexConfig::Alsh(AlshParams {
                 tables,
                 probes,
                 ..AlshParams::default()
-            })
-            .seed(seed ^ 0x517)
-            .run()
-            .unwrap()
-            .matches;
+            }),
+            ShardedConfig {
+                shards: 1,
+                serving: ServingConfig {
+                    seed: seed ^ 0x517,
+                    ..ServingConfig::default()
+                },
+            },
+        )
+        .unwrap();
+        let matches = index.query(&w.queries).unwrap();
         evaluate_join(&w.data, &w.queries, &spec, &matches).unwrap()
     };
     let (classical_recall, classical_valid) = run(32, 0);

@@ -48,7 +48,7 @@
 
 use ips_core::asymmetric::{AlshParams, SphereTransform};
 use ips_core::engine::EngineConfig;
-use ips_core::facade::{Join, Strategy};
+use ips_core::facade::{Join, JoinBuilder, JoinReport, Strategy};
 use ips_core::mips::{BruteForceMipsIndex, MipsIndex, SketchMipsAdapter};
 use ips_core::problem::{JoinSpec, JoinVariant, MatchPair};
 use ips_core::symmetric::{SymmetricParams, SymmetricSphereMap};
@@ -65,7 +65,7 @@ use ips_store::{
     Snapshot, StoreError,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -600,6 +600,22 @@ fn lsh_fixtures_answer_as_the_build_that_wrote_them_did() {
 /// The join shapes of the bounds below: `n` vectors of dimension 48, 32 queries.
 const JOIN_DIM: usize = 48;
 
+/// The queries of the LSH joins below. Under 885 of them a symmetric join of 2000
+/// points (under 501 an ALSH one) is an exact scan by the scan rule, which holds no
+/// table at all; at 1024 both hash, and their group bounds are what they measure.
+const LSH_JOIN_QUERIES: usize = 1024;
+
+/// `join` run from an RNG seeded with `seed`, and whether it drew from it: for ALSH and
+/// symmetric LSH, whether the scan rule let it hash.
+fn run_drawing(join: JoinBuilder<'_>, seed: u64) -> (JoinReport, bool) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let report = join.run_with_rng(&mut rng).unwrap();
+    (
+        report,
+        rng.next_u64() != StdRng::seed_from_u64(seed).next_u64(),
+    )
+}
+
 fn join_vectors(seed: u64, n: usize) -> Vec<DenseVector> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
@@ -647,20 +663,24 @@ fn a_facade_join_holds_its_index_and_no_copy_of_the_data() {
     let seed = 0x10B5;
     for n in [2000usize, 8000] {
         let data = join_vectors(n as u64, n);
-        let queries = join_vectors(7, 32);
         let data_bytes = n * JOIN_DIM * std::mem::size_of::<f64>();
         for strategy in [Strategy::Alsh, Strategy::Symmetric, Strategy::Sketch] {
+            let queries = match strategy {
+                Strategy::Sketch => join_vectors(7, 32),
+                _ => join_vectors(7, LSH_JOIN_QUERIES),
+            };
             let structures = owning_build_peak(strategy, data.clone(), seed);
             let span = Span::begin();
-            let report = Join::data(&data)
-                .queries(&queries)
-                .spec(spec())
-                .strategy(strategy)
-                .seed(seed)
-                .run()
-                .unwrap();
+            let (report, drew) = run_drawing(
+                Join::data(&data)
+                    .queries(&queries)
+                    .spec(spec())
+                    .strategy(strategy),
+                seed,
+            );
             let join = span.held();
             drop(report);
+            assert!(drew, "{strategy} n={n}: the join scanned");
             assert!(
                 join < structures + data_bytes,
                 "{strategy} n={n}: the join held {join} bytes, its index {structures}, \
@@ -685,18 +705,20 @@ fn a_symmetric_join_holds_a_group_of_tables_and_not_the_bank() {
         map.output_dim() * params.bits_per_table * params.tables * std::mem::size_of::<f64>();
     for n in [2000usize, 8000] {
         let data = join_vectors(n as u64 + 2, n);
-        let queries = join_vectors(7, 32);
+        let queries = join_vectors(7, LSH_JOIN_QUERIES);
         // One thread: every block the join allocates is this thread's to count.
         let span = Span::begin();
-        let report = Join::data(&data)
-            .queries(&queries)
-            .spec(spec())
-            .strategy(Strategy::Symmetric)
-            .threads(1)
-            .run()
-            .unwrap();
+        let (report, drew) = run_drawing(
+            Join::data(&data)
+                .queries(&queries)
+                .spec(spec())
+                .strategy(Strategy::Symmetric)
+                .threads(1),
+            42,
+        );
         let held = span.held();
         drop(report);
+        assert!(drew, "n={n}: the join scanned");
         let allowance = JOIN_BYTES_PER_POINT * (n + queries.len());
         assert!(
             held < bank / 2 + allowance,
