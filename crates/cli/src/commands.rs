@@ -1090,5 +1090,17 @@ mod tests {
             "typo=1",
         ]))
         .is_err());
+        // A table's key is one 64-bit sign word: 64 bits build, 65 are refused by name.
+        let build = |bits: &str| {
+            cmd_build(&args(&[
+                &format!("data={}", data.display()),
+                &format!("snapshot={}", dir.join("bits.snap").display()),
+                "s=0.1",
+                bits,
+            ]))
+        };
+        assert!(build("bits=64").is_ok());
+        let refused = build("bits=65").map(|_| ()).unwrap_err().to_string();
+        assert!(refused.contains("bits_per_table"), "{refused}");
     }
 }

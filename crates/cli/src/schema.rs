@@ -237,7 +237,7 @@ const BITS: ArgSpec = ArgSpec::defaulted(
     "bits",
     ArgKind::Usize,
     "12",
-    "ALSH hyperplane bits per table",
+    "ALSH hyperplane bits per table, 1..=64 (a table's key is one 64-bit sign word)",
 );
 const TABLES: ArgSpec = ArgSpec::defaulted("tables", ArgKind::Usize, "32", "ALSH hash tables");
 const PROBES: ArgSpec = ArgSpec::defaulted(

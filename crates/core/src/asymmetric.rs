@@ -21,7 +21,7 @@
 
 use crate::error::{CoreError, Result};
 use crate::lsh_join::JoinMap;
-use crate::lsh_mips::{LshMips, SphereMap, Tuning};
+use crate::lsh_mips::{check_bits_per_table, LshMips, SphereMap, Tuning};
 use crate::problem::JoinSpec;
 use ips_linalg::DenseVector;
 use ips_lsh::bank::{Point, Side};
@@ -35,7 +35,8 @@ use ips_lsh::table::{BlockHasher, IndexParams};
 pub struct AlshParams {
     /// Radius `U` of the query domain (data vectors must lie in the unit ball).
     pub query_radius: f64,
-    /// Number of hyperplane bits per table (the AND-construction width `k`).
+    /// Number of hyperplane bits per table (the AND-construction width `k`), `1..=64`:
+    /// a table's key is their sign word.
     pub bits_per_table: usize,
     /// Number of hash tables (the OR-construction width `L`).
     pub tables: usize,
@@ -85,6 +86,7 @@ impl SphereMap for SphereTransform {
     type Block = ();
 
     fn new(dim: usize, spec: &JoinSpec, params: &AlshParams) -> Result<Self> {
+        check_bits_per_table(params.bits_per_table)?;
         if spec.threshold > params.query_radius {
             return Err(CoreError::InvalidParameter {
                 name: "spec.threshold",

@@ -100,6 +100,20 @@ pub trait SphereMap: Sized + Send + Sync {
     }
 }
 
+/// `bits_per_table`, the number of single-plane functions a table concatenates, as a
+/// table's key takes them: one sign bit each, in a 64-bit word.
+pub(crate) fn check_bits_per_table(bits_per_table: usize) -> Result<()> {
+    if !(1..=64).contains(&bits_per_table) {
+        return Err(CoreError::InvalidParameter {
+            name: "bits_per_table",
+            reason: format!(
+                "a table's key is a 64-bit sign word: need 1..=64 bits a table, got {bits_per_table}"
+            ),
+        });
+    }
+    Ok(())
+}
+
 /// The slot id of position `i`, which the LSH tables store as a `u32`.
 pub(crate) fn slot_id(i: usize) -> Result<u32> {
     u32::try_from(i).map_err(|_| CoreError::InvalidParameter {
@@ -406,6 +420,32 @@ impl<'a, M: SphereMap> LshMips<'a, M> {
         Ok(())
     }
 
+    /// Files the LSH tables again under the keys the index's bank gives the live slots
+    /// ([`LshIndex::refile`]): each live slot's vector is hashed once, through the
+    /// map, a run of consecutive live slots up to [`BUILD_BLOCK`] at a time.
+    pub fn refile(&mut self) -> Result<()> {
+        let Self {
+            data,
+            live,
+            map,
+            index,
+            ..
+        } = self;
+        let (slots, l) = (data.len(), index.params().l);
+        let mut block = map.block(BUILD_BLOCK);
+        index.refile(slots, |hasher, keys| {
+            let mut from = 0;
+            while let Some(start) = (from..slots).find(|&slot| live[slot]) {
+                let limit = slots.min(start + BUILD_BLOCK);
+                let end = (start..limit).find(|&slot| !live[slot]).unwrap_or(limit);
+                let keys = &mut keys[start * l..end * l];
+                map.block_keys(&data[start..end], &mut block, hasher, keys)?;
+                from = end;
+            }
+            Ok(())
+        })
+    }
+
     /// The tuning parameters.
     pub fn params(&self) -> M::Params {
         self.params
@@ -638,6 +678,45 @@ pub(crate) mod suite {
             DenseVector::from(&[0.5][..]),
         ];
         assert!(build::<M>(&mut r, mixed, spec(0.5, 0.5), params).is_err());
+    }
+
+    /// A table's key is one 64-bit sign word: both maps build 64 bits a table and
+    /// refuse 65 by name, before anything is drawn.
+    #[test]
+    fn a_table_holds_at_most_64_bits() {
+        use crate::asymmetric::{AlshParams, SphereTransform};
+        use crate::symmetric::{SymmetricParams, SymmetricSphereMap};
+        let data = ball(&mut rng(), 20, 4, 1.0);
+        let alsh = |bits_per_table| {
+            let params = AlshParams {
+                bits_per_table,
+                tables: 2,
+                ..AlshParams::default()
+            };
+            build::<SphereTransform>(&mut rng(), data.clone(), spec(0.5, 0.5), params).map(|_| ())
+        };
+        let symmetric = |bits_per_table| {
+            let params = SymmetricParams {
+                bits_per_table,
+                tables: 2,
+                ..SymmetricParams::default()
+            };
+            build::<SymmetricSphereMap>(&mut rng(), data.clone(), spec(0.5, 0.5), params)
+                .map(|_| ())
+        };
+        assert!(alsh(64).is_ok() && symmetric(64).is_ok());
+        for refused in [alsh(65), symmetric(65), alsh(0)] {
+            assert!(
+                matches!(
+                    refused,
+                    Err(CoreError::InvalidParameter {
+                        name: "bits_per_table",
+                        ..
+                    })
+                ),
+                "{refused:?}"
+            );
+        }
     }
 
     pub(crate) fn finds_planted_high_inner_product<M: SphereMap>()

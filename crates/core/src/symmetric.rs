@@ -38,7 +38,7 @@
 
 use crate::error::{CoreError, Result};
 use crate::lsh_join::JoinMap;
-use crate::lsh_mips::{SphereMap, Tuning};
+use crate::lsh_mips::{check_bits_per_table, SphereMap, Tuning};
 use crate::problem::JoinSpec;
 use ips_linalg::incoherent::{Fingerprint, ReedSolomonCollection};
 use ips_linalg::DenseVector;
@@ -248,7 +248,7 @@ pub struct SymmetricParams {
     pub epsilon: f64,
     /// Coordinate precision in bits.
     pub precision_bits: u32,
-    /// Number of hyperplane bits per table.
+    /// Number of hyperplane bits per table, `1..=64`: a table's key is their sign word.
     pub bits_per_table: usize,
     /// Number of hash tables.
     pub tables: usize,
@@ -281,6 +281,7 @@ impl SphereMap for SymmetricSphereMap {
     type Block = Vec<SphereImage>;
 
     fn new(dim: usize, _spec: &JoinSpec, params: &SymmetricParams) -> Result<Self> {
+        check_bits_per_table(params.bits_per_table)?;
         SymmetricSphereMap::new(dim, params.epsilon, params.precision_bits)
     }
 

@@ -8,8 +8,13 @@
 //! * the **OR-construction**: repeat over `L` independent tables — a pair is a candidate
 //!   when it collides in at least one table, giving probability `1 − (1 − p^k)^L`.
 //!
-//! The AND-construction lives here as a family combinator ([`AndConstruction`]); the
-//! OR-construction is performed by the multi-table index in [`crate::table`]. Their
+//! The AND-construction lives here as a family combinator ([`AndConstruction`]) for any
+//! family, its hash values chained into one bucket key by [`combine_hashes`] — values
+//! such as MinHash's are not bits, so they cannot simply be placed side by side. The
+//! index's hyperplane families do not go through it: a table's `k` functions of `bits`
+//! signs each are `k·bits` planes of the index's [`crate::bank::PlaneBank`], whose key
+//! is their sign word. The OR-construction is performed by the multi-table index in
+//! [`crate::table`]. Their
 //! probability is [`crate::cost::probed_table_hit_prob`] at `probes = 0` (`L = 1` for
 //! the AND-construction alone). The ρ value `log P1 / log P2` is invariant under the
 //! AND-construction, which is why the paper states its upper and lower bounds directly

@@ -11,12 +11,19 @@
 //! 1. embed the vector once into a reused buffer;
 //! 2. one margin `⟨g_f, x⟩` per plane, the dense product of the bank with the
 //!    embedded vector — [`ips_linalg::tile`]'s kernel ("the block kernel" below);
-//! 3. fold the signs through the [`combine_hashes`] chain into the `L` bucket keys.
+//! 3. one bucket key per table: the **sign word** of its `k·bits` planes, plane `f` of
+//!    the table (`f = component·bits + bit`) at bit `f`, set when its margin is
+//!    non-negative — so a table holds at most 64 planes.
+//!
+//! A key is what [`HyperplaneFunction`] hashes to over the table's planes in order,
+//! and a probe is the home word with a mask of bits flipped (see [`crate::probe`]).
+//! The top `j` bits of a key — the table's last `j` planes — are the key of a table of
+//! those planes alone, and one contiguous range of the sorted keys.
 //!
 //! **Bit-identity with the per-function path.** Plane `f`'s margin sums `g_f[j]·x[j]`
 //! over `j` in ascending order from the kernel's one start value, exactly as
-//! [`DenseVector::dot`] does, so it is the `f64` the per-function walk ([`AndFunction`]
-//! over `SimpleAlshFunction` / `HyperplaneFunction`) computes — up to the sign of an
+//! [`DenseVector::dot`] does, so it is the `f64` the per-function walk
+//! ([`HyperplaneFunction`] over the embedded vector) computes — up to the sign of an
 //! exact zero where a sparse image's zero is skipped (below), which neither the sign
 //! test `margin >= 0.0` nor the probe cost `margin²` can see.
 //!
@@ -48,11 +55,10 @@
 //! RNG, in the order the per-function sampler draws them, or a snapshot's plane
 //! section — and [`PlaneBank::plane`] reads a plane back for the snapshot writer.
 
-use crate::amplify::combine_hashes;
-#[cfg(doc)]
-use crate::amplify::AndFunction;
 use crate::error::{LshError, Result};
-use crate::probe::{compose_probes, push_flips, sign_bucket, ProbeFlip};
+#[cfg(doc)]
+use crate::hyperplane::HyperplaneFunction;
+use crate::probe::{sign_bucket, sign_probes};
 use crate::simple_alsh::SphereTransform;
 use ips_linalg::tile::{axpy_slices, block_products, POINTS};
 use ips_linalg::DenseVector;
@@ -162,8 +168,9 @@ impl PlaneBank {
     ///
     /// Everything the kernel indexes by is checked, so a bank from a hostile snapshot
     /// fails here instead of per query. Before the bank is allocated: at least one
-    /// table and one component, `1..=64` planes a function (its bucket is a `u64` of
-    /// sign bits), `rows` equal to the embedding's output dimension, and a size within
+    /// table and one component, `1..=64` planes a table (its key is a `u64` of sign
+    /// bits: `components · bits ≤ 64`), `rows` equal to the embedding's output
+    /// dimension, and a size within
     /// the address space. Then every coefficient must be finite (skipping a sparse
     /// image's zeros relies on it). Violations are [`LshError::InvalidParameter`]; an
     /// error of `fill`'s is returned as it is.
@@ -188,8 +195,12 @@ impl PlaneBank {
             ))
             .into());
         }
-        if !(1..=64).contains(&bits) {
-            return Err(invalid(format!("need 1..=64 planes a function, got {bits}")).into());
+        let planes = components.saturating_mul(bits);
+        if !(1..=64).contains(&planes) {
+            return Err(invalid(format!(
+                "a table's key is a 64-bit sign word: {components} components of {bits} planes do not fit it"
+            ))
+            .into());
         }
         if let Embedding::Sphere(transform) = &embedding {
             if transform.dim().checked_add(2) != Some(rows) {
@@ -339,16 +350,9 @@ impl PlaneBank {
         }
     }
 
-    /// The bucket keys of one point's margins, one per table, into `keys`.
-    fn fold_keys(&self, margins: &[f64], keys: &mut [u64]) {
-        let tables = margins.chunks_exact(self.shape.components * self.shape.bits);
-        for (key, table) in keys.iter_mut().zip(tables) {
-            *key = table
-                .chunks_exact(self.shape.bits)
-                .fold(0u64, |key, component| {
-                    combine_hashes(key, sign_bucket(component))
-                });
-        }
+    /// One point's margins, table by table.
+    fn per_table<'m>(&self, margins: &'m [f64]) -> std::slice::ChunksExact<'m, f64> {
+        margins.chunks_exact(self.shape.components * self.shape.bits)
     }
 
     /// The `L` bucket keys of `v`, one per table, into `keys` (cleared first).
@@ -403,7 +407,9 @@ impl PlaneBank {
                 let keys = keys
                     .next()
                     .ok_or_else(|| miscounted_keys(self.shape.tables))?;
-                self.fold_keys(margins, keys);
+                for (key, table) in keys.iter_mut().zip(self.per_table(margins)) {
+                    *key = sign_bucket(table);
+                }
             }
         }
         match keys.next() {
@@ -413,8 +419,8 @@ impl PlaneBank {
     }
 
     /// Per table, the query's home bucket followed by up to `extra` perturbed buckets
-    /// in increasing cost order — the sequence `AndFunction::probe_query` enumerates,
-    /// from the same margins.
+    /// in increasing cost order — the sequence [`HyperplaneFunction::probe_query`]
+    /// enumerates over the table's planes, from the same margins.
     pub fn probe_keys<'a>(
         &self,
         q: impl Into<Point<'a>>,
@@ -426,23 +432,9 @@ impl PlaneBank {
         margins.resize(POINTS * width, 0.0);
         let walk = self.walk(Side::Query, q.into(), &mut embedded[0])?;
         self.tile_margins(&[walk], margins);
-        let starts: Vec<usize> = (0..=self.shape.components)
-            .map(|c| c * self.shape.bits)
-            .collect();
-        let mut homes = Vec::with_capacity(self.shape.components);
-        let mut atoms: Vec<ProbeFlip> = Vec::with_capacity(self.shape.components * self.shape.bits);
-        Ok(margins[..width]
-            .chunks_exact(self.shape.components * self.shape.bits)
-            .map(|table| {
-                homes.clear();
-                atoms.clear();
-                for component in table.chunks_exact(self.shape.bits) {
-                    let home = sign_bucket(component);
-                    homes.push(home);
-                    push_flips(home, component, &mut atoms);
-                }
-                compose_probes(&homes, &atoms, &starts, extra)
-            })
+        Ok(self
+            .per_table(&margins[..width])
+            .map(|table| sign_probes(table, extra))
             .collect())
     }
 }
@@ -479,15 +471,50 @@ mod tests {
         })
     }
 
-    /// The per-function walk over the same planes: each component's sign bit, chained
-    /// into a table's key as [`AndFunction`] chains them.
+    /// The per-function walk over the same planes: one hyperplane function of a table's
+    /// planes, in order, hashes `v` to the table's key.
     fn oracle_keys(tables: &[&[&[f64]]], v: &DenseVector) -> Vec<u64> {
-        let hash = |g: &[f64]| {
-            let function = HyperplaneFunction::from_planes(vec![DenseVector::from(g)]).unwrap();
-            function.hash(v).unwrap()
+        let key = |planes: &[&[f64]]| {
+            let planes = planes.iter().map(|&g| DenseVector::from(g)).collect();
+            HyperplaneFunction::from_planes(planes)
+                .unwrap()
+                .hash(v)
+                .unwrap()
         };
-        let key = |planes: &[&[f64]]| planes.iter().fold(0, |key, g| combine_hashes(key, hash(g)));
         tables.iter().map(|planes| key(planes)).collect()
+    }
+
+    #[test]
+    fn a_table_key_is_its_sign_word_and_tells_every_sign_pattern_apart() {
+        // Five components of three axis planes: plane `f` is coordinate `f`, so a
+        // vector of ±1 coordinates lands in the word whose bit `f` is its sign `f`.
+        let shape = BankShape {
+            tables: 1,
+            components: 5,
+            bits: 3,
+            rows: 15,
+        };
+        let bank = PlaneBank::new(Embedding::Identity, shape, |(_, c, b), plane| {
+            plane.extend((0..15).map(|j| f64::from(u8::from(j == c * 3 + b))));
+            Ok::<_, LshError>(())
+        })
+        .unwrap();
+        let signs = |word: u64| {
+            let v = (0..15).map(|f| if word >> f & 1 == 1 { 1.0 } else { -1.0 });
+            DenseVector::new(v.collect())
+        };
+        let (mut scratch, mut keys) = (BankScratch::default(), Vec::new());
+        let mut key = |word: u64| {
+            bank.keys(Side::Data, &signs(word), &mut scratch, &mut keys)
+                .unwrap();
+            keys[0]
+        };
+        // Two patterns a hash-combine chain of the components' 3-bit values merged into
+        // one bucket fall in two.
+        assert_ne!(key(10_624), key(16_704));
+        for word in [10_624, 16_704, 0, (1 << 15) - 1] {
+            assert_eq!(key(word), word);
+        }
     }
 
     #[test]
@@ -643,6 +670,29 @@ mod tests {
         assert!(refused(
             &Embedding::Identity,
             BankShape { bits: 65, ..shape }
+        ));
+        // A table's planes fill one 64-bit key, and no more.
+        let fits = |components, bits| {
+            let shape = BankShape {
+                components,
+                bits,
+                ..shape
+            };
+            PlaneBank::new(Embedding::Identity, shape, |_, plane| {
+                plane.extend([1.0; 4]);
+                Ok::<_, LshError>(())
+            })
+            .is_ok()
+        };
+        assert!(fits(64, 1) && fits(16, 4) && fits(1, 64));
+        assert!(!fits(65, 1) && !fits(22, 3) && !fits(33, 2));
+        assert!(refused(
+            &Embedding::Identity,
+            BankShape {
+                components: usize::MAX,
+                bits: 2,
+                ..shape
+            }
         ));
         assert!(refused(&sphere, BankShape { rows: 3, ..shape }));
         assert!(refused(

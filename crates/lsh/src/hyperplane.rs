@@ -9,8 +9,9 @@
 //!
 //! [`HyperplaneFunction::hash`] is one dot product per plane. An index over this
 //! family (lifted by [`SymmetricAsAsymmetric`]) evaluates all its functions at once
-//! through a [`crate::bank::PlaneBank`] instead, with bit-identical buckets: the lift
-//! is a [`BankedFamily`] whose planes need no embedding.
+//! through a [`crate::bank::PlaneBank`] instead, whose key for a table is what one
+//! `HyperplaneFunction` of the table's planes hashes to: the lift is a
+//! [`BankedFamily`] whose planes need no embedding.
 
 use crate::bank::Embedding;
 use crate::error::{LshError, Result};

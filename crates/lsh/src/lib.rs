@@ -10,10 +10,10 @@
 //! | Hyperplane / SimHash (Charikar) | [`hyperplane`] | sphere substrate; SIMP curve of Figure 2; the §4.2 family |
 //! | SIMPLE-ALSH | [`simple_alsh`] | Neyshabur–Srebro reduction \[39\]; basis of Section 4.1 |
 //! | Family traits | [`traits`] | Definition 2; [`BankedFamily`] is what an index is built over |
-//! | AND-construction | [`amplify`] | `k`-wise concatenation, `P1^k` / `P2^k` |
-//! | Plane bank | [`bank`] | the one hashing kernel of [`table::LshIndex`] |
+//! | AND-construction | [`amplify`] | `k`-wise concatenation, `P1^k` / `P2^k`, for any family |
+//! | Plane bank | [`bank`] | the one hashing kernel of [`table::LshIndex`]; a table's key is its planes' sign word |
 //! | Multi-table index | [`table`] | the OR-construction over `L` tables |
-//! | Query-directed probing | [`probe`] | compositional multi-probe for the index |
+//! | Query-directed probing | [`probe`] | multi-probe for the index: a probe is the home word with bits flipped |
 //!
 //! The closed-form ρ exponents compared in **Figure 2** (DATA-DEP, SIMP, MH-ALSH,
 //! L2-ALSH) are provided by the [`rho`] module; empirical collision probabilities for
@@ -39,7 +39,6 @@ pub mod table;
 pub mod traits;
 
 pub use error::{LshError, Result};
-pub use probe::{ProbeFlip, ProbeSequence};
 pub use traits::{
     AsymmetricHashFunction, AsymmetricLshFamily, BankedFamily, HashFunction, LshFamily,
     SymmetricAsAsymmetric, SymmetricFunctionPair,

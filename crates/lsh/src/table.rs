@@ -11,8 +11,8 @@
 //! one place for a vector's `L` bucket keys: the index's [`PlaneBank`]. The family is
 //! a [`BankedFamily`] (SIMPLE-ALSH or the symmetric hyperplane family), so the vector
 //! is embedded once and all `k·L` hyperplane margins come from one pass over the
-//! coordinate-major coefficients, with keys bit-identical to the per-function walk;
-//! see [`crate::bank`]. A point arrives as a `&DenseVector` or — at an index whose
+//! coordinate-major coefficients; a table's key is the sign word of its planes, see
+//! [`crate::bank`]. A point arrives as a `&DenseVector` or — at an index whose
 //! bank has no embedding — as a [`SparseImage`] (`impl Into<Point>` throughout): same
 //! keys as the dense vector the image stands for, for the rows it names only.
 //! The kernel's buffers are reused: `insert` / `remove` hash through a scratch the
@@ -825,6 +825,57 @@ impl<F: BankedFamily> LshIndex<F> {
         })
     }
 
+    /// Files every stored id again under the keys the bank gives it, keeping the order
+    /// each bucket holds its ids in: for tables laid out under another function of the
+    /// same signs, a bucket splits, in order, into the buckets of its ids' sign words.
+    /// The overlay and the tombstones fold into the base on the way.
+    ///
+    /// `hash(hasher, keys)` writes the `L` data-side keys of every stored id `i` into
+    /// `keys[i·L..(i+1)·L]`, which has room for the ids below `ids`; its error is
+    /// returned as it is. A stored id at or above `ids` is refused before `hash` runs.
+    pub fn refile<E: From<LshError>>(
+        &mut self,
+        ids: usize,
+        hash: impl FnOnce(&mut BlockHasher<'_>, &mut [u64]) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        let l = self.tables.len();
+        let stored = self.tables.iter().flat_map(Table::ids);
+        if let Some(id) = stored.max().filter(|&id| id as usize >= ids) {
+            return Err(LshError::InvalidParameter {
+                name: "ids",
+                reason: format!("stored id {id} is not below {ids}"),
+            }
+            .into());
+        }
+        let mut keys = vec![0u64; ids * l];
+        let mut scratch = self.bank.scratch();
+        let bank = &self.bank;
+        hash(
+            &mut BlockHasher {
+                bank,
+                scratch: &mut scratch,
+            },
+            &mut keys,
+        )?;
+        for (t, table) in self.tables.iter_mut().enumerate() {
+            let ids = table.buckets().flat_map(|(_, bucket)| bucket.iter());
+            let mut filed: Vec<(u64, u32)> =
+                ids.map(|id| (keys[id as usize * l + t], id)).collect();
+            // Stable: a bucket's ids keep their order.
+            filed.sort_by_key(|&(key, _)| key);
+            let mut refiled = Table::default();
+            for (at, &(key, id)) in (0u32..).zip(&filed) {
+                if refiled.keys.last() != Some(&key) {
+                    refiled.keys.push(key);
+                    refiled.offsets.push(at);
+                }
+                refiled.ids.push(id);
+            }
+            *table = refiled;
+        }
+        Ok(())
+    }
+
     /// Inserts a point under id `id`, hashing it into every table with that table's
     /// stored function — the dynamic-maintenance half of the serving layer. A point
     /// given as a [`SparseImage`] is filed where the dense vector it stands for would
@@ -1260,6 +1311,32 @@ mod tests {
             |hasher, _, (), keys| hasher.data_keys([Point::from(&data[0])], keys),
             |_| (),
         );
+    }
+
+    #[test]
+    fn refile_splits_merged_buckets_into_the_tables_of_a_build() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let family = SymmetricAsAsymmetric(HyperplaneFamily::new(6, 2).unwrap());
+        let data: Vec<DenseVector> = (0..40)
+            .map(|_| random_unit_vector(&mut rng, 6).unwrap())
+            .collect();
+        let params = IndexParams { k: 3, l: 2 };
+        let built = LshIndex::build(&family, params, &data, &mut rng).unwrap();
+        // Every table one bucket of every id in order: the coarsest keys the signs
+        // could have been filed under.
+        let merged = || Table::from_parts(vec![0], vec![0], (0..40).collect()).unwrap();
+        let tables = vec![merged(), merged()];
+        let mut index: LshIndex<SymmetricAsAsymmetric<HyperplaneFamily>> =
+            LshIndex::from_raw_parts(built.bank().clone(), tables, params, 40).unwrap();
+        index
+            .refile(data.len(), |hasher, keys| {
+                hasher.data_keys(data.iter().map(Point::from), keys)
+            })
+            .unwrap();
+        assert_eq!(index.tables(), built.tables());
+        // A stored id the keys have no room for is refused before anything is hashed.
+        let refused = index.refile(39, |_, _| -> Result<()> { panic!("hashed") });
+        assert!(refused.is_err());
     }
 
     #[test]

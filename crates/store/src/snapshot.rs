@@ -7,7 +7,8 @@
 //! 0       8     magic "IPSSNAP\0"
 //! 8       4     format version (u32 LE)
 //! 12      ...   body:
-//!                 1   index family tag (0 brute, 1 ALSH, 2 symmetric, 3 sketch)
+//!                 1   index family tag (0 brute, 3 sketch, 4 ALSH, 5 symmetric;
+//!                     1 ALSH and 2 symmetric load, see below)
 //!                 4   section count (u32 LE)
 //!                 per section:
 //!                   4   section id (u32 LE)
@@ -15,6 +16,11 @@
 //!                   ... payload ([`crate::persist::Persist`] encoding)
 //! end-8   8     FNV-1a 64 checksum of the body (u64 LE)
 //! ```
+//!
+//! An LSH table's bucket key is the sign word of its planes. Files whose LSH tables
+//! were keyed by a hash-combine chain of their components' signs carry tag 1 (ALSH) or
+//! 2 (symmetric); they load, and their tables are filed again under sign words
+//! (`LshMips::refile`), so they answer as they did and re-save under tags 4 and 5.
 //!
 //! Known sections are [`SECTION_IDS`] (the slot → external-id map plus the id
 //! allocator state of the serving layer) and [`SECTION_INDEX`] (the index structure
@@ -58,7 +64,7 @@ use ips_core::mips::{BruteForceMipsIndex, MipsIndex, SearchResult, SketchMipsAda
 use ips_core::problem::JoinSpec;
 use ips_core::symmetric::SymmetricSphereMap;
 use ips_core::topk::TopKMipsIndex;
-use ips_core::{LshMips, LshOps};
+use ips_core::{LshMips, LshOps, SphereMap};
 use ips_linalg::DenseVector;
 use std::path::Path;
 
@@ -93,19 +99,22 @@ pub const SECTION_NEXT_ID: u32 = 4;
 fn family_tag(family: IndexFamily) -> u8 {
     match family {
         IndexFamily::Brute => 0,
-        IndexFamily::Alsh => 1,
-        IndexFamily::Symmetric => 2,
         IndexFamily::Sketch => 3,
+        IndexFamily::Alsh => 4,
+        IndexFamily::Symmetric => 5,
     }
 }
 
-/// Decodes a family tag byte.
-fn family_from_tag(tag: u8) -> Result<IndexFamily> {
+/// Decodes a family tag byte, and whether the LSH tables it heads are keyed by the
+/// hash-combine chain of tags 1 and 2, to be filed again under sign words.
+fn family_from_tag(tag: u8) -> Result<(IndexFamily, bool)> {
     Ok(match tag {
-        0 => IndexFamily::Brute,
-        1 => IndexFamily::Alsh,
-        2 => IndexFamily::Symmetric,
-        3 => IndexFamily::Sketch,
+        0 => (IndexFamily::Brute, false),
+        1 => (IndexFamily::Alsh, true),
+        2 => (IndexFamily::Symmetric, true),
+        3 => (IndexFamily::Sketch, false),
+        4 => (IndexFamily::Alsh, false),
+        5 => (IndexFamily::Symmetric, false),
         other => {
             return Err(StoreError::Corrupt {
                 context: "header",
@@ -113,6 +122,20 @@ fn family_from_tag(tag: u8) -> Result<IndexFamily> {
             })
         }
     })
+}
+
+/// An LSH index as [`Persist`] decodes it, its tables filed again under sign words
+/// when they were `chained`.
+fn read_lsh<M>(r: &mut ByteReader<'_>, chained: bool) -> Result<LshMips<'static, M>>
+where
+    LshMips<'static, M>: Persist,
+    M: SphereMap,
+{
+    let mut index = LshMips::read(r)?;
+    if chained {
+        index.refile()?;
+    }
+    Ok(index)
 }
 
 /// A built index of any of the four persistable families, behind one enum so
@@ -380,7 +403,7 @@ impl Snapshot {
     /// Decodes the body of a version-1 snapshot (everything between the version field
     /// and the checksum), already envelope-verified and entered as a section.
     fn read_v1_body(r: &mut ByteReader<'_>) -> Result<Self> {
-        let family = family_from_tag(r.take_u8()?)?;
+        let (family, chained) = family_from_tag(r.take_u8()?)?;
         let sections = r.take_u32()?;
         let mut ids_state: Option<(Vec<u64>, u64)> = None;
         let mut index: Option<AnyIndex> = None;
@@ -403,8 +426,8 @@ impl Snapshot {
                     r.enter(len)?;
                     let decoded = match family {
                         IndexFamily::Brute => AnyIndex::Brute(BruteForceMipsIndex::read(r)?),
-                        IndexFamily::Alsh => AnyIndex::Alsh(LshMips::read(r)?),
-                        IndexFamily::Symmetric => AnyIndex::Symmetric(LshMips::read(r)?),
+                        IndexFamily::Alsh => AnyIndex::Alsh(read_lsh(r, chained)?),
+                        IndexFamily::Symmetric => AnyIndex::Symmetric(read_lsh(r, chained)?),
                         IndexFamily::Sketch => AnyIndex::Sketch(SketchMipsAdapter::read(r)?),
                     };
                     r.leave("index section")?;
@@ -1253,11 +1276,61 @@ mod tests {
         let mut swapped = good.clone();
         swapped[1].swap(0, 1);
         assert!(Snapshot::from_bytes(&bytes(&live, &swapped)).is_err());
-        // 5. An empty bucket, under a key of its own.
+        // 5. An empty bucket, under a key of its own (a sign word of 3 bits is below 8).
         let mut padded = good.clone();
-        let first = padded[3][0].0;
-        padded[3].insert(0, (first.checked_sub(1).expect("a key above 0"), vec![]));
+        padded[3].push((8, vec![]));
         assert!(Snapshot::from_bytes(&bytes(&live, &padded)).is_err());
+    }
+
+    #[test]
+    fn a_table_of_65_bits_is_refused_at_load() {
+        use ips_core::asymmetric::AlshParams;
+        use ips_lsh::simple_alsh::SphereTransform;
+
+        let mut rng = StdRng::seed_from_u64(0x65);
+        let data: Vec<DenseVector> = (0..20)
+            .map(|_| random_ball_vector(&mut rng, 4, 1.0).unwrap())
+            .collect();
+        let spec = JoinSpec::new(0.4, 0.5, JoinVariant::Signed).unwrap();
+        let params = AlshParams {
+            bits_per_table: 64,
+            tables: 1,
+            ..Default::default()
+        };
+        let schedule = ips_linalg::par::Schedule::new(ips_lsh::table::BUILD_BLOCK);
+        let alsh: LshMips<'_, SphereTransform> =
+            LshMips::build(schedule, &mut rng, data.clone(), spec, params).unwrap();
+        let lsh = alsh.lsh_index();
+        let bytes = |bits_per_table: usize, planes: &[RawComposite]| {
+            let tables = ips_lsh::table::IndexParams {
+                k: planes[0].len(),
+                l: 1,
+            };
+            snapshot_with_planes(
+                IndexFamily::Alsh,
+                |w| {
+                    spec.write(w);
+                    AlshParams {
+                        bits_per_table,
+                        ..params
+                    }
+                    .write(w);
+                },
+                (&data, &vec![true; data.len()]),
+                (tables, data.len()),
+                planes,
+                &raw_tables(lsh.tables()),
+            )
+        };
+        let planes = raw_planes(lsh.bank());
+        assert!(Snapshot::from_bytes(&bytes(64, &planes)).is_ok());
+        // The header's parameters alone, and a 65th component in the planes too.
+        let mut wider = planes.clone();
+        wider[0].push(planes[0][0].clone());
+        for refused in [bytes(65, &planes), bytes(65, &wider)] {
+            let error = Snapshot::from_bytes(&refused).err().unwrap().to_string();
+            assert!(error.contains("64-bit sign word"), "{error}");
+        }
     }
 
     #[test]
@@ -1790,9 +1863,16 @@ mod tests {
     #[test]
     fn family_tags_roundtrip() {
         for family in IndexFamily::ALL {
-            assert_eq!(family_from_tag(family_tag(family)).unwrap(), family);
+            assert_eq!(
+                family_from_tag(family_tag(family)).unwrap(),
+                (family, false)
+            );
             assert_eq!(family.to_string(), family.name());
         }
+        // The LSH families' tags of the hash-combine keys still decode.
+        assert_eq!(family_from_tag(1).unwrap(), (IndexFamily::Alsh, true));
+        assert_eq!(family_from_tag(2).unwrap(), (IndexFamily::Symmetric, true));
+        assert!(family_from_tag(6).is_err());
         assert!(family_from_tag(9).is_err());
     }
 }

@@ -2,11 +2,12 @@
 //!
 //! `LshIndex` hashes the two hyperplane families (SIMPLE-ALSH and the symmetric
 //! hyperplane family) through a [`PlaneBank`]: one embedding and one pass over the
-//! coordinate-major coefficients per vector. The per-function trait walk
-//! (`AndFunction::hash_data` / `hash_query` / `probe_query` over the sampled
-//! functions) is no longer called by the index and serves here as the oracle:
-//! for random shapes, both families, and vectors that include exact zeros, `-0.0`,
-//! norm exactly 1 and norms just inside and just outside the unit ball,
+//! coordinate-major coefficients per vector, and a table's key is the sign word of its
+//! `k·bits` planes. The oracle of a table is one [`HyperplaneFunction`] of those planes
+//! in order (`HyperplaneFunction::hash` / `probe_query`), applied after the Section 4.1
+//! sphere transform for SIMPLE-ALSH: for random shapes, both families, and vectors that
+//! include exact zeros, `-0.0`, norm exactly 1 and norms just inside and just outside
+//! the unit ball,
 //!
 //! * the bank's bucket keys and probe sequences equal the oracle's;
 //! * the tables after `build`, after `build + insert*` and after `remove*` equal
@@ -23,9 +24,9 @@
 //! and decodes to them, and a `renumber` that keeps the id order, or reverses it,
 //! leaves the tables of a fresh build under the new ids, down to the bytes.
 //!
-//! The oracle's functions are sampled here by `AndConstruction::sample`, from the same
-//! seed `LshIndex::build` gets, and the index's bank must hold exactly their planes:
-//! the test pins that the index draws its planes in the sampler's RNG order.
+//! The oracle's planes are sampled here by `AndConstruction::sample`, from the same
+//! seed `LshIndex::build` gets, and the index's bank must hold exactly them: the test
+//! pins that the index draws its planes in the sampler's RNG order.
 //!
 //! The second property is the Section 4.2 layer's: the index hashes a vector's sphere
 //! image from its non-zeros ([`SymmetricSphereMap::image_into`] → [`SparseImage`]) and
@@ -52,13 +53,10 @@ use ips_linalg::random::{random_ball_vector, random_unit_vector};
 use ips_linalg::DenseVector;
 use ips_lsh::amplify::{AndConstruction, AndFunction};
 use ips_lsh::bank::{BankScratch, PlaneBank, Point, Side, SparseImage};
-use ips_lsh::hyperplane::HyperplaneFamily;
+use ips_lsh::hyperplane::{HyperplaneFamily, HyperplaneFunction};
 use ips_lsh::simple_alsh::{SimpleAlshFamily, SphereTransform};
 use ips_lsh::table::{IndexParams, LshIndex, Table, BUILD_BLOCK};
-use ips_lsh::{
-    AsymmetricHashFunction, AsymmetricLshFamily, BankedFamily, LshError, ProbeSequence,
-    SymmetricAsAsymmetric,
-};
+use ips_lsh::{AsymmetricLshFamily, BankedFamily, HashFunction, LshError, SymmetricAsAsymmetric};
 
 /// A component's sphere transform, if it has one, and its hyperplanes.
 type Parts<H> = fn(&H) -> (Option<&SphereTransform>, &[DenseVector]);
@@ -164,17 +162,52 @@ fn edge_and_random_vectors(
     out
 }
 
+/// One table's oracle: its components' sphere transform, if they have one, and one
+/// hyperplane function of all its planes, component after component.
+struct TableOracle {
+    transform: Option<SphereTransform>,
+    planes: HyperplaneFunction,
+}
+
+impl TableOracle {
+    fn of<H>(composite: &AndFunction<H>, parts_of: Parts<H>) -> Self {
+        let components = composite.functions();
+        let planes = components
+            .iter()
+            .flat_map(|c| parts_of(c).1.iter().cloned());
+        Self {
+            transform: parts_of(&components[0]).0.cloned(),
+            planes: HyperplaneFunction::from_planes(planes.collect()).unwrap(),
+        }
+    }
+
+    fn embed(&self, side: Side, v: &DenseVector) -> Result<DenseVector, LshError> {
+        match (&self.transform, side) {
+            (None, _) => Ok(v.clone()),
+            (Some(transform), Side::Data) => transform.transform_data(v),
+            (Some(transform), Side::Query) => transform.transform_query(v),
+        }
+    }
+
+    fn key(&self, side: Side, v: &DenseVector) -> Result<u64, LshError> {
+        self.planes.hash(&self.embed(side, v)?)
+    }
+
+    fn probes(&self, q: &DenseVector, extra: usize) -> Vec<u64> {
+        let embedded = self.embed(Side::Query, q).unwrap();
+        self.planes.probe_query(&embedded, extra).unwrap()
+    }
+}
+
 /// Reference tables: every point filed under the oracle's key, table by table.
-fn reference_tables<H: AsymmetricHashFunction>(
-    functions: &[AndFunction<H>],
-    points: &[(u32, &DenseVector)],
-) -> Tables {
-    functions
+fn reference_tables(oracles: &[TableOracle], points: &[(u32, &DenseVector)]) -> Tables {
+    oracles
         .iter()
-        .map(|f| {
+        .map(|oracle| {
             let mut table: HashMap<u64, Vec<u32>> = HashMap::new();
             for &(id, p) in points {
-                table.entry(f.hash_data(p).unwrap()).or_default().push(id);
+                let key = oracle.key(Side::Data, p).unwrap();
+                table.entry(key).or_default().push(id);
             }
             table
         })
@@ -210,15 +243,17 @@ fn check_family<F>(
 ) -> Result<(), TestCaseError>
 where
     F: BankedFamily + Clone,
-    F::Function: Sync,
-    AndFunction<F::Function>: ProbeSequence,
     LshIndex<F>: Persist,
 {
-    // The oracle's functions: what `build` samples from the same seed.
+    // The oracle's planes: what `build` samples from the same seed.
     let composite = AndConstruction::new(family.clone(), params.k).unwrap();
     let mut rng = StdRng::seed_from_u64(seed);
     let functions: Vec<_> = (0..params.l)
         .map(|_| composite.sample(&mut rng).unwrap())
+        .collect();
+    let oracles: Vec<TableOracle> = functions
+        .iter()
+        .map(|f| TableOracle::of(f, parts_of))
         .collect();
     let oracle_planes: Vec<Vec<f64>> = functions
         .iter()
@@ -233,25 +268,23 @@ where
     let bank = empty.bank();
     prop_assert_eq!(planes(bank), oracle_planes.clone());
     let (mut scratch, mut keys) = (BankScratch::default(), Vec::new());
+    let oracle_keys = |side: Side, v: &DenseVector| -> Vec<u64> {
+        oracles.iter().map(|o| o.key(side, v).unwrap()).collect()
+    };
     for p in data {
         bank.keys(Side::Data, p, &mut scratch, &mut keys).unwrap();
-        let oracle: Vec<u64> = functions.iter().map(|f| f.hash_data(p).unwrap()).collect();
-        prop_assert_eq!(&keys, &oracle);
+        prop_assert_eq!(&keys, &oracle_keys(Side::Data, p));
     }
     for q in queries {
         bank.keys(Side::Query, q, &mut scratch, &mut keys).unwrap();
-        let oracle: Vec<u64> = functions.iter().map(|f| f.hash_query(q).unwrap()).collect();
-        prop_assert_eq!(&keys, &oracle);
+        prop_assert_eq!(&keys, &oracle_keys(Side::Query, q));
         for extra in 0..=8 {
-            let oracle: Vec<Vec<u64>> = functions
-                .iter()
-                .map(|f| f.probe_query(q, extra).unwrap())
-                .collect();
+            let oracle: Vec<Vec<u64>> = oracles.iter().map(|o| o.probes(q, extra)).collect();
             prop_assert_eq!(bank.probe_keys(q, extra, &mut scratch).unwrap(), oracle);
         }
     }
     for v in rejected {
-        let oracle = functions[0].hash_data(v).unwrap_err();
+        let oracle = oracles[0].key(Side::Data, v).unwrap_err();
         prop_assert_eq!(
             bank.keys(Side::Data, v, &mut scratch, &mut keys)
                 .unwrap_err(),
@@ -284,34 +317,28 @@ where
             LshIndex::build_scheduled(schedule, family, params, &data[..split], &mut rng).unwrap();
         prop_assert_eq!(planes(index.bank()), oracle_planes.clone());
         let mut points: Vec<(u32, &DenseVector)> = (0u32..).zip(&data[..split]).collect();
-        prop_assert_eq!(
-            as_maps(index.tables()),
-            reference_tables(&functions, &points)
-        );
+        prop_assert_eq!(as_maps(index.tables()), reference_tables(&oracles, &points));
         for (id, p) in (split as u32..).zip(&data[split..]) {
             index.insert(id, p).unwrap();
             points.push((id, p));
         }
-        let reference = reference_tables(&functions, &points);
+        let reference = reference_tables(&oracles, &points);
         prop_assert_eq!(as_maps(index.tables()), reference.clone());
         prop_assert_eq!(index.len(), data.len());
         prop_assert_eq!(index.stored_entries(), data.len() * params.l);
 
         // Lookups read the same buckets the oracle names.
         for q in queries {
-            let home: Vec<Vec<u64>> = functions
-                .iter()
-                .map(|f| vec![f.hash_query(q).unwrap()])
+            let home: Vec<Vec<u64>> = oracle_keys(Side::Query, q)
+                .into_iter()
+                .map(|key| vec![key])
                 .collect();
             prop_assert_eq!(
                 index.query_candidates(q).unwrap(),
                 reference_candidates(&reference, &home)
             );
             for probes in [0usize, 1, 8] {
-                let probed: Vec<Vec<u64>> = functions
-                    .iter()
-                    .map(|f| f.probe_query(q, probes).unwrap())
-                    .collect();
+                let probed: Vec<Vec<u64>> = oracles.iter().map(|o| o.probes(q, probes)).collect();
                 prop_assert_eq!(
                     index.probe_lookup(q, probes).unwrap(),
                     reference_candidates(&reference, &probed)
@@ -321,7 +348,7 @@ where
 
         // A rejected vector fails insert and remove alike and touches no table.
         for v in rejected {
-            let oracle = functions[0].hash_data(v).unwrap_err();
+            let oracle = oracles[0].key(Side::Data, v).unwrap_err();
             let expected_variant = matches!(
                 oracle,
                 LshError::DimensionMismatch { .. } | LshError::DomainViolation { .. }
@@ -340,13 +367,10 @@ where
             prop_assert!(!index.remove(id as u32, &data[id]).unwrap());
         }
         points.retain(|(id, _)| id % 3 != 0);
-        prop_assert_eq!(
-            as_maps(index.tables()),
-            reference_tables(&functions, &points)
-        );
+        prop_assert_eq!(as_maps(index.tables()), reference_tables(&oracles, &points));
         index.insert(comeback, &data[0]).unwrap();
         points.push((comeback, &data[0]));
-        let reference = reference_tables(&functions, &points);
+        let reference = reference_tables(&oracles, &points);
         prop_assert_eq!(as_maps(index.tables()), reference.clone());
         prop_assert_eq!(index.len(), points.len());
 

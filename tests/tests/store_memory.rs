@@ -61,8 +61,8 @@ use ips_lsh::table::{IndexParams, LshIndex, Table, BUILD_BLOCK};
 use ips_lsh::SymmetricAsAsymmetric;
 use ips_sketch::linf_mips::MaxIpConfig;
 use ips_store::{
-    AnyIndex, IndexConfig, ServingConfig, ServingIndex, ShardedConfig, ShardedServingIndex,
-    Snapshot, StoreError,
+    AnyIndex, IndexConfig, IndexFamily, ServingConfig, ServingIndex, ShardedConfig,
+    ShardedServingIndex, Snapshot, StoreError,
 };
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -516,18 +516,25 @@ fn every_fixture_loads_and_saves_back_to_the_same_bytes() {
         let shards = if name.contains("_3shard_") { 3 } else { 1 };
         assert_eq!(index.shard_count(), shards, "{name}");
         assert!(name.starts_with(index.family().name()), "{name}");
+        // An LSH file whose tables were keyed by the hash-combine chain re-saves as
+        // its sign-word twin; every other file as itself.
+        let lsh = matches!(index.family(), IndexFamily::Alsh | IndexFamily::Symmetric);
+        let expected = match name.strip_suffix("_pr15.snap") {
+            Some(stem) if lsh => fixture.with_file_name(format!("{stem}_signs.snap")),
+            _ => fixture.clone(),
+        };
         let path = scratch_file(&name);
         index.save(&path).unwrap();
         assert!(
-            std::fs::read(&path).unwrap() == std::fs::read(&fixture).unwrap(),
+            std::fs::read(&path).unwrap() == std::fs::read(&expected).unwrap(),
             "{name} re-saved differently"
         );
         std::fs::remove_file(&path).unwrap();
         seen += 1;
     }
     assert!(
-        seen >= 9,
-        "four families at one and three shards, and the PR 13 tree"
+        seen >= 13,
+        "four families at one and three shards, the sketch tree file, and the LSH files' sign-word twins"
     );
 }
 
@@ -535,7 +542,9 @@ fn every_fixture_loads_and_saves_back_to_the_same_bytes() {
 /// sparse-image change): per file, the number of stored vectors, of best-partner
 /// pairs and of top-3 pairs for the queries of [`fixture_queries`], and an FNV-1a
 /// fold of every pair's data index, query index and inner-product bits.
-const LSH_FIXTURE_ANSWERS: [(&str, usize, usize, usize, u64); 4] = [
+/// The `_signs` files, the first four re-saved with their tables keyed by sign words,
+/// answer the same.
+const LSH_FIXTURE_ANSWERS: [(&str, usize, usize, usize, u64); 8] = [
     ("alsh_1shard_pr15.snap", 23, 42, 116, 0xf3d3f994d4ab6db1),
     ("alsh_3shard_pr15.snap", 23, 42, 116, 0xf3d3f994d4ab6db1),
     (
@@ -547,6 +556,22 @@ const LSH_FIXTURE_ANSWERS: [(&str, usize, usize, usize, u64); 4] = [
     ),
     (
         "symmetric_3shard_pr15.snap",
+        23,
+        43,
+        117,
+        0xcff920473d020b84,
+    ),
+    ("alsh_1shard_signs.snap", 23, 42, 116, 0xf3d3f994d4ab6db1),
+    ("alsh_3shard_signs.snap", 23, 42, 116, 0xf3d3f994d4ab6db1),
+    (
+        "symmetric_1shard_signs.snap",
+        23,
+        43,
+        117,
+        0xcff920473d020b84,
+    ),
+    (
+        "symmetric_3shard_signs.snap",
         23,
         43,
         117,
