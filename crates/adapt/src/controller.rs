@@ -136,13 +136,7 @@ impl AdaptiveController {
             IndexConfig::Brute => {}
             IndexConfig::Alsh(params) => config.planner.alsh = params,
             IndexConfig::Symmetric(params) => config.planner.symmetric = params,
-            IndexConfig::Sketch {
-                config: sketch,
-                leaf_size,
-            } => {
-                config.planner.sketch = sketch;
-                config.planner.sketch_leaf_size = leaf_size;
-            }
+            IndexConfig::Sketch(sketch) => config.planner.sketch = sketch,
         }
         config.planner.engine = index.serving_config().engine;
         let planner = JoinPlanner::new(config.planner, CostModel::default());

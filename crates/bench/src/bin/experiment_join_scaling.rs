@@ -81,7 +81,7 @@ fn main() {
         let (sketch, sketch_build, sketch_query) = index_join(
             || {
                 JoinEngine::new(
-                    SketchMipsAdapter::build(&mut rng, data, spec, sketch_config, 16).unwrap(),
+                    SketchMipsAdapter::build(&mut rng, data, spec, sketch_config).unwrap(),
                 )
             },
             |built| built.run(queries).unwrap(),

@@ -38,7 +38,7 @@ fn main() {
             rows: None,
         };
         let estimator = MaxIpEstimator::build(&mut rng, model.items(), config).unwrap();
-        let index = SketchMipsIndex::build(&mut rng, model.items().to_vec(), config, 16).unwrap();
+        let index = SketchMipsIndex::build(&mut rng, model.items().to_vec(), config).unwrap();
 
         let mut ratio_sum = 0.0;
         let mut exact_hits = 0usize;

@@ -318,7 +318,6 @@ pub fn cmd_build(raw: &ParsedArgs) -> Result<BuildReport> {
             copies: args.usize("copies"),
             rows: None,
         })
-        .sketch_leaf_size(args.usize("leaf"))
         .seed(args.u64("seed"));
     // The query file is only the planner's workload sample: read it under
     // `auto` alone, so non-auto builds neither require nor touch it (matching

@@ -187,22 +187,6 @@ pub struct CommandSpec {
     pub notes: &'static [&'static str],
 }
 
-/// [`ips_sketch::DEFAULT_LEAF_SIZE`] as the decimal literal a schema default is.
-const LEAF_DEFAULT: &str = {
-    const DIGITS: [u8; 2] = {
-        let n = ips_sketch::DEFAULT_LEAF_SIZE;
-        assert!(
-            n >= 10 && n < 100,
-            "widen DIGITS to the default's digit count"
-        );
-        [b'0' + (n / 10) as u8, b'0' + (n % 10) as u8]
-    };
-    match std::str::from_utf8(&DIGITS) {
-        Ok(literal) => literal,
-        Err(_) => panic!("two ASCII digits are UTF-8"),
-    }
-};
-
 const ALGO_STRATEGY: &[&str] = &["auto", "brute", "alsh", "symmetric", "sketch"];
 const ALGO_SEARCH: &[&str] = &["brute", "alsh"];
 
@@ -436,13 +420,6 @@ pub const BUILD: CommandSpec = CommandSpec {
             ArgKind::PositiveUsize,
             "9",
             "independent sketch copies (median taken across them)",
-        ),
-        ArgSpec::defaulted(
-            "leaf",
-            ArgKind::PositiveUsize,
-            LEAF_DEFAULT,
-            "sketch recovery tree: never split a range of at most this many vectors \
-             (the tree also stops where a sketch would cost more than the scan)",
         ),
         SHARDS_BUILD,
     ],

@@ -313,14 +313,6 @@ impl<'a> JoinBuilder<'a> {
         self
     }
 
-    /// Leaf-size floor of the sketch recovery tree (default
-    /// [`ips_sketch::DEFAULT_LEAF_SIZE`]): never split a range of at most this many
-    /// vectors. The tree also stops where a sketch would cost more than the scan.
-    pub fn sketch_leaf_size(mut self, leaf_size: usize) -> Self {
-        self.config.sketch_leaf_size = leaf_size;
-        self
-    }
-
     /// Worker threads of the [`JoinEngine`](crate::engine::JoinEngine) (`0` = one per available CPU,
     /// the default). Under [`Strategy::Alsh`] and [`Strategy::Symmetric`] they also hash
     /// the data: no pass of the join runs on more threads than this.

@@ -275,9 +275,8 @@ impl<'a> SketchMipsAdapter<'a> {
         data: impl Into<Cow<'a, [DenseVector]>>,
         spec: JoinSpec,
         config: ips_sketch::linf_mips::MaxIpConfig,
-        leaf_size: usize,
     ) -> Result<Self> {
-        let inner = ips_sketch::SketchMipsIndex::build(rng, data, config, leaf_size)?;
+        let inner = ips_sketch::SketchMipsIndex::build(rng, data, config)?;
         Ok(Self { inner, spec })
     }
 
@@ -374,12 +373,12 @@ mod tests {
             rows: None,
         };
         let signed = JoinSpec::new(0.8, 0.6, JoinVariant::Signed).unwrap();
-        let adapter = SketchMipsAdapter::build(&mut rng, data.clone(), signed, config, 4).unwrap();
+        let adapter = SketchMipsAdapter::build(&mut rng, data.clone(), signed, config).unwrap();
         let q = dv(&[1.0, 0.0]);
         assert_eq!(adapter.search(&q).unwrap(), None);
         // The same pair is reported under an Unsigned spec (the seed behaviour).
         let unsigned = JoinSpec::new(0.8, 0.6, JoinVariant::Unsigned).unwrap();
-        let adapter = SketchMipsAdapter::build(&mut rng, data, unsigned, config, 4).unwrap();
+        let adapter = SketchMipsAdapter::build(&mut rng, data, unsigned, config).unwrap();
         let hit = adapter.search(&q).unwrap().unwrap();
         assert_eq!(hit.data_index, 0);
         assert!(hit.inner_product < 0.0);

@@ -116,15 +116,8 @@ pub enum IndexConfig {
     Alsh(AlshParams),
     /// The Section 4.2 symmetric LSH.
     Symmetric(SymmetricParams),
-    /// The Section 4.3 sketch structure.
-    Sketch {
-        /// Per-node sketch configuration.
-        config: MaxIpConfig,
-        /// The recovery tree's leaf-size floor: a range of at most this many vectors
-        /// is never split (the tree also stops where a sketch would cost more than
-        /// the scan).
-        leaf_size: usize,
-    },
+    /// The Section 4.3 sketch structure, with its per-node sketch configuration.
+    Sketch(MaxIpConfig),
 }
 
 impl IndexConfig {
@@ -134,7 +127,7 @@ impl IndexConfig {
             IndexConfig::Brute => IndexFamily::Brute,
             IndexConfig::Alsh(_) => IndexFamily::Alsh,
             IndexConfig::Symmetric(_) => IndexFamily::Symmetric,
-            IndexConfig::Sketch { .. } => IndexFamily::Sketch,
+            IndexConfig::Sketch(_) => IndexFamily::Sketch,
         }
     }
 }
@@ -480,17 +473,13 @@ pub struct StrategyEstimate {
 
 /// The per-strategy parameters, engine schedule and scoring kernel of the
 /// [`JoinPlanner`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PlannerConfig {
     /// ALSH parameters; `query_radius` is treated as a lower bound and raised
     /// to the measured maximum query norm at plan time.
     pub alsh: AlshParams,
     /// Sketch configuration used when the sketch strategy is chosen.
     pub sketch: MaxIpConfig,
-    /// Leaf-size floor of the sketch recovery tree: never split a range of at most
-    /// this many vectors (the tree also stops where a sketch would cost more than
-    /// the scan).
-    pub sketch_leaf_size: usize,
     /// Symmetric-LSH parameters.
     pub symmetric: SymmetricParams,
     /// Engine schedule every dispatched strategy runs under.
@@ -499,19 +488,6 @@ pub struct PlannerConfig {
     /// brute estimate is costed with the matching per-dtype constant so
     /// `algo=auto` can pick the cheap path.
     pub scoring: ScoringOptions,
-}
-
-impl Default for PlannerConfig {
-    fn default() -> Self {
-        Self {
-            alsh: AlshParams::default(),
-            sketch: MaxIpConfig::default(),
-            sketch_leaf_size: ips_sketch::DEFAULT_LEAF_SIZE,
-            symmetric: SymmetricParams::default(),
-            engine: EngineConfig::default(),
-            scoring: ScoringOptions::default(),
-        }
-    }
 }
 
 impl PlannerConfig {
@@ -525,10 +501,7 @@ impl PlannerConfig {
             Strategy::Brute => IndexConfig::Brute,
             Strategy::Alsh => IndexConfig::Alsh(self.alsh),
             Strategy::Symmetric => IndexConfig::Symmetric(self.symmetric),
-            Strategy::Sketch => IndexConfig::Sketch {
-                config: self.sketch,
-                leaf_size: self.sketch_leaf_size,
-            },
+            Strategy::Sketch => IndexConfig::Sketch(self.sketch),
         })
     }
 }
@@ -715,29 +688,17 @@ impl JoinPlanner {
         // preconditions (the structure is natively unsigned; under a signed
         // spec the adapter keeps validity at the price of recall on
         // anti-correlated pairs).
-        let sketch_flops = ips_sketch::cost::tree_build_flops(
-            n,
-            d,
-            &self.config.sketch,
-            self.config.sketch_leaf_size,
-        ) + mf
-            * ips_sketch::cost::tree_query_flops(
-                n,
-                d,
-                &self.config.sketch,
-                self.config.sketch_leaf_size,
-            );
+        let sketch = &self.config.sketch;
+        let sketch_flops = ips_sketch::cost::tree_build_flops(n, d, sketch)
+            + mf * ips_sketch::cost::tree_query_flops(n, d, sketch);
         estimates.push(self.estimate(
-            IndexConfig::Sketch {
-                config: self.config.sketch,
-                leaf_size: self.config.sketch_leaf_size,
-            },
+            IndexConfig::Sketch(*sketch),
             sketch_flops,
             true,
             format!(
                 "{} rows/copy × {} copies",
-                ips_sketch::cost::resolved_rows(n, &self.config.sketch),
-                self.config.sketch.copies
+                ips_sketch::cost::resolved_rows(n, sketch),
+                sketch.copies
             ),
         ));
 
@@ -965,12 +926,12 @@ fn dispatch<R: Rng + ?Sized>(
         IndexConfig::Symmetric(params) => {
             lsh_join::run::<SymmetricSphereMap, R>(params, rng, data, queries, spec, engine)
         }
-        IndexConfig::Sketch { config, leaf_size } => {
+        IndexConfig::Sketch(config) => {
             let schedule = Schedule {
                 threads: engine.resolved_threads(),
                 block: engine.resolved_chunk_size(),
             };
-            let found = join_walk(rng, data, queries, config, leaf_size, schedule)?;
+            let found = join_walk(rng, data, queries, config, schedule)?;
             Ok(found
                 .into_iter()
                 .enumerate()

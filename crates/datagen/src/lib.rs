@@ -25,17 +25,12 @@
 
 pub mod adversarial;
 pub mod binary_sets;
-pub mod drift;
 pub mod error;
 pub mod latent;
 pub mod planted;
 pub mod sphere;
 pub mod zipf;
 
-pub use drift::{
-    recommender_shift, streaming_join, RecommenderShiftConfig, RecommenderShiftScenario,
-    StreamStep, StreamingJoinConfig, StreamingJoinScenario,
-};
 pub use error::{DatagenError, Result};
 pub use latent::{LatentFactorConfig, LatentFactorModel};
 pub use planted::{PlantedConfig, PlantedInstance};

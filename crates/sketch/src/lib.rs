@@ -40,7 +40,7 @@ pub mod stable;
 pub use error::{Result, SketchError};
 pub use linf_mips::MaxIpEstimator;
 pub use maxstable::MaxStableSketch;
-pub use recovery::{SketchMipsIndex, DEFAULT_LEAF_SIZE};
+pub use recovery::SketchMipsIndex;
 
 // The paper's query-scaling reduction from unsigned `c`-MIPS to unsigned `(cs, s)`
 // search, kept as a check of Section 4.3's statement (the sketch join itself runs

@@ -13,9 +13,9 @@
 //! Every node stands for a contiguous range `lo..hi` of the data and splits it at
 //! `lo + (hi − lo)/2`, so the estimators sketch `&data[lo..hi]` in place and a leaf is
 //! a range, not an index list. A range is split only where [`crate::cost::splits`]
-//! says a query is better off probing two child estimators than scanning it — above
-//! the caller's `leaf_size` floor *and* where `2 · copies · rows(len/2) < len` (the
-//! derivation is in [`crate::cost`]). At the defaults that keeps leaves of a few
+//! says a query is better off probing two child estimators than scanning it — where
+//! `2 · copies · rows(len/2) < len` (the derivation is in [`crate::cost`]), and
+//! nowhere else. At the defaults that keeps leaves of a few
 //! hundred vectors and a fraction of the coefficients a tree cut at 16 would hold
 //! ([`SketchMipsIndex::stored_coefficients`]), and a shallower walk takes fewer wrong
 //! turns.
@@ -46,9 +46,10 @@ use rand::Rng;
 use std::borrow::Cow;
 use std::ops::Range;
 
-/// The default `leaf_size` floor of [`SketchMipsIndex::build`], wherever one is
-/// defaulted: the join and index builders, the planner, the `leaf=` option.
-pub const DEFAULT_LEAF_SIZE: usize = 16;
+/// The leaf-size floor [`SketchMipsIndex::build`] records in the snapshot field: 16,
+/// the default floor builds once also cut the tree at, so a default build's snapshot
+/// keeps its bytes.
+const RECORDED_LEAF_SIZE: usize = 16;
 
 /// The result of a recovery query.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,51 +98,43 @@ pub struct SketchMipsIndex<'a> {
     data: Cow<'a, [DenseVector]>,
     root: Node,
     config: MaxIpConfig,
+    /// The snapshot format's leaf-size floor, kept as built or read; nothing shapes a
+    /// tree from it.
     leaf_size: usize,
 }
 
 /// What [`SketchMipsIndex::build`] and [`SketchMipsIndex::from_raw_parts`] both ask of
 /// their inputs; returns the common dimension.
-fn validate_inputs(data: &[DenseVector], config: &MaxIpConfig, leaf_size: usize) -> Result<usize> {
+fn validate_inputs(data: &[DenseVector], config: &MaxIpConfig) -> Result<usize> {
     if data.is_empty() {
         return Err(SketchError::EmptyDataSet);
-    }
-    if leaf_size == 0 {
-        return Err(SketchError::InvalidParameter {
-            name: "leaf_size",
-            reason: "leaf size must be at least 1".into(),
-        });
     }
     config.validate()?;
     uniform_dim(data)
 }
 
 impl<'a> SketchMipsIndex<'a> {
-    /// Builds the index over the data vectors — a `Vec` to own, a slice to borrow.
-    ///
-    /// `leaf_size` is a floor: a range of at most this many vectors is never split. The
-    /// tree also stops where a sketch would cost a query more than the scan it saves
-    /// (see the module docs). It must be at least 1.
+    /// Builds the index over the data vectors — a `Vec` to own, a slice to borrow. The
+    /// tree stops where a sketch would cost a query more than the scan it saves (see
+    /// the module docs).
     pub fn build<R: Rng + ?Sized>(
         rng: &mut R,
         data: impl Into<Cow<'a, [DenseVector]>>,
         config: MaxIpConfig,
-        leaf_size: usize,
     ) -> Result<Self> {
         let data = data.into();
-        let dim = validate_inputs(&data, &config, leaf_size)?;
+        let dim = validate_inputs(&data, &config)?;
         let tree = Tree {
             data: &data,
             dim,
             config,
-            leaf_size,
         };
         let root = Self::build_node(rng, tree, 0..data.len())?;
         Ok(Self {
             data,
             root,
             config,
-            leaf_size,
+            leaf_size: RECORDED_LEAF_SIZE,
         })
     }
 
@@ -179,7 +172,9 @@ impl<'a> SketchMipsIndex<'a> {
         self.config
     }
 
-    /// The leaf-size floor the tree was built with.
+    /// The snapshot format's leaf-size floor: 16 after [`SketchMipsIndex::build`], the
+    /// stored value after [`SketchMipsIndex::from_raw_parts`]. Nothing shapes a tree
+    /// from it.
     pub fn leaf_size(&self) -> usize {
         self.leaf_size
     }
@@ -238,14 +233,22 @@ impl<'a> SketchMipsIndex<'a> {
     ///
     /// ([`MaxIpEstimator::from_copies`] has already rejected non-finite
     /// coefficients.) The tree's *depth* is not checked against the split rule: a tree
-    /// built under another rule loads and is walked as it is.
+    /// built under another rule loads and is walked as it is. `leaf_size` is the
+    /// format's stored floor, kept for [`SketchMipsIndex::leaf_size`]; no build wrote
+    /// 0, so 0 is refused.
     pub fn from_raw_parts(
         data: Vec<DenseVector>,
         root: Node,
         config: MaxIpConfig,
         leaf_size: usize,
     ) -> Result<Self> {
-        let dim = validate_inputs(&data, &config, leaf_size)?;
+        if leaf_size == 0 {
+            return Err(SketchError::InvalidParameter {
+                name: "leaf_size",
+                reason: "leaf size must be at least 1".into(),
+            });
+        }
+        let dim = validate_inputs(&data, &config)?;
         let covered = check_subtree(&root, 0, dim, &config)?;
         if covered != data.len() {
             return Err(invalid_tree(format!(
@@ -302,14 +305,13 @@ impl<'a> SketchMipsIndex<'a> {
     }
 }
 
-/// What every node of one tree is drawn from: the validated data, its dimension, the
-/// estimators' configuration and the leaf-size floor.
+/// What every node of one tree is drawn from: the validated data, its dimension and
+/// the estimators' configuration.
 #[derive(Clone, Copy)]
 struct Tree<'d> {
     data: &'d [DenseVector],
     dim: usize,
     config: MaxIpConfig,
-    leaf_size: usize,
 }
 
 /// A split node as [`Tree::draw`] draws it: the halves of its range and, unless the
@@ -333,13 +335,8 @@ impl Tree<'_> {
         range: Range<usize>,
         apply: bool,
     ) -> Result<Option<Split>> {
-        let Self {
-            data,
-            dim,
-            config,
-            leaf_size,
-        } = *self;
-        if !splits(range.len(), &config, leaf_size) {
+        let Self { data, dim, config } = *self;
+        if !splits(range.len(), &config) {
             return Ok(None);
         }
         let mid = range.start + range.len() / 2;
@@ -421,10 +418,9 @@ pub fn join_walk<R: Rng + ?Sized>(
     data: &[DenseVector],
     queries: &[DenseVector],
     config: MaxIpConfig,
-    leaf_size: usize,
     schedule: Schedule,
 ) -> Result<Vec<MipsCandidate>> {
-    let dim = validate_inputs(data, &config, leaf_size)?;
+    let dim = validate_inputs(data, &config)?;
     if let Some(q) = queries.iter().find(|q| q.dim() != dim) {
         return Err(SketchError::DimensionMismatch {
             expected: dim,
@@ -439,12 +435,7 @@ pub fn join_walk<R: Rng + ?Sized>(
         ),
     })?;
     let mut walk = Walk {
-        tree: Tree {
-            data,
-            dim,
-            config,
-            leaf_size,
-        },
+        tree: Tree { data, dim, config },
         queries,
         schedule,
         order: (0..m).collect(),
@@ -645,20 +636,26 @@ mod tests {
     #[test]
     fn build_validation() {
         let mut r = rng();
-        assert!(SketchMipsIndex::build(&mut r, vec![], MaxIpConfig::default(), 4).is_err());
+        assert!(SketchMipsIndex::build(&mut r, vec![], MaxIpConfig::default()).is_err());
         let data = background(&mut r, 8, 6, 1.0);
-        assert!(SketchMipsIndex::build(&mut r, data.clone(), MaxIpConfig::default(), 0).is_err());
         let mut mixed = data.clone();
         mixed.push(DenseVector::zeros(5));
-        assert!(SketchMipsIndex::build(&mut r, mixed, MaxIpConfig::default(), 4).is_err());
+        assert!(SketchMipsIndex::build(&mut r, mixed, MaxIpConfig::default()).is_err());
         let flat = vec![DenseVector::zeros(0); 8];
-        assert!(SketchMipsIndex::build(&mut r, flat, MaxIpConfig::default(), 4).is_err());
-        let index = SketchMipsIndex::build(&mut r, data, MaxIpConfig::default(), 4).unwrap();
+        assert!(SketchMipsIndex::build(&mut r, flat, MaxIpConfig::default()).is_err());
+        let index = SketchMipsIndex::build(&mut r, data.clone(), MaxIpConfig::default()).unwrap();
         assert_eq!(index.len(), 8);
         assert!(!index.is_empty());
-        assert_eq!(index.leaf_size(), 4);
+        // A build records the floor every default build once wrote, so its snapshot
+        // keeps its bytes; a stored floor is kept as read, and 0 is refused.
+        assert_eq!(index.leaf_size(), 16);
         assert_eq!(index.config(), MaxIpConfig::default());
         assert!(index.query(&DenseVector::zeros(5)).is_err());
+        let leaf = || Node::Leaf { range: 0..8 };
+        let config = MaxIpConfig::default();
+        let read = SketchMipsIndex::from_raw_parts(data.clone(), leaf(), config, 4).unwrap();
+        assert_eq!(read.leaf_size(), 4);
+        assert!(SketchMipsIndex::from_raw_parts(data, leaf(), config, 0).is_err());
     }
 
     #[test]
@@ -668,7 +665,7 @@ mod tests {
         let query = random_unit_vector(&mut r, dim).unwrap();
         let mut data = background(&mut r, 50, dim, 0.3);
         data[17] = query.scaled(4.0);
-        let index = SketchMipsIndex::build(&mut r, data, MaxIpConfig::default(), 8).unwrap();
+        let index = SketchMipsIndex::build(&mut r, data, MaxIpConfig::default()).unwrap();
         let exact = index.exact_max(&query).unwrap();
         assert_eq!(exact.index, 17);
         assert!((exact.inner_product - 4.0).abs() < 1e-9);
@@ -699,7 +696,7 @@ mod tests {
         let query = random_unit_vector(&mut r, dim).unwrap();
         let mut data = background(&mut r, n, dim, 0.1);
         data[93] = query.scaled(8.0);
-        let index = SketchMipsIndex::build(&mut r, data, deep_config(), 8).unwrap();
+        let index = SketchMipsIndex::build(&mut r, data, deep_config()).unwrap();
         assert_eq!(depth(index.root()), 3, "128 → 64 → 32 → leaves of 16");
         let candidate = index.query(&query).unwrap();
         assert_eq!(candidate.index, 93, "tree walk missed the dominant point");
@@ -716,7 +713,7 @@ mod tests {
         let query = random_unit_vector(&mut r, dim).unwrap();
         let mut data = background(&mut r, n, dim, 0.1);
         data[5] = query.scaled(-7.0);
-        let index = SketchMipsIndex::build(&mut r, data, deep_config(), 8).unwrap();
+        let index = SketchMipsIndex::build(&mut r, data, deep_config()).unwrap();
         assert_eq!(depth(index.root()), 2);
         let candidate = index.query(&query).unwrap();
         assert_eq!(candidate.index, 5);
@@ -732,13 +729,7 @@ mod tests {
         let dim = 48;
         for n in [2000, 6000, 12_000] {
             let data = background(&mut r, n, dim, 1.0);
-            let index = SketchMipsIndex::build(
-                &mut r,
-                data,
-                MaxIpConfig::default(),
-                crate::DEFAULT_LEAF_SIZE,
-            )
-            .unwrap();
+            let index = SketchMipsIndex::build(&mut r, data, MaxIpConfig::default()).unwrap();
             let stored = index.stored_coefficients();
             assert!(
                 stored > 0,
@@ -778,18 +769,17 @@ mod tests {
         // queries and, under the deep config, many by none.
         let mut queries = background(&mut r, 20, dim, 0.5);
         queries.extend(data[..20].iter().cloned());
-        for (config, leaf_size) in [
-            (deep_config(), 8),
-            (MaxIpConfig::default(), 16),
-            (deep_config(), 200),
-        ] {
+        // Deep, shallow, and a root leaf (2·5·200 probe rows ≥ 200 vectors).
+        let root_leaf = MaxIpConfig {
+            rows: Some(200),
+            ..deep_config()
+        };
+        for config in [deep_config(), MaxIpConfig::default(), root_leaf] {
             for schedule in SCHEDULES {
                 let mut tree_rng = rng();
-                let tree =
-                    SketchMipsIndex::build(&mut tree_rng, &data[..], config, leaf_size).unwrap();
+                let tree = SketchMipsIndex::build(&mut tree_rng, &data[..], config).unwrap();
                 let mut walk_rng = rng();
-                let found =
-                    join_walk(&mut walk_rng, &data, &queries, config, leaf_size, schedule).unwrap();
+                let found = join_walk(&mut walk_rng, &data, &queries, config, schedule).unwrap();
                 assert_eq!(found.len(), queries.len());
                 for (q, got) in queries.iter().zip(&found) {
                     let want = tree.query(q).unwrap();
@@ -813,13 +803,12 @@ mod tests {
         let schedule = SCHEDULES[1];
         let config = deep_config();
         assert!(matches!(
-            join_walk(&mut r, &[], &data, config, 4, schedule),
+            join_walk(&mut r, &[], &data, config, schedule),
             Err(SketchError::EmptyDataSet)
         ));
-        assert!(join_walk(&mut r, &data, &data, config, 0, schedule).is_err());
         let queries = vec![data[0].clone(), DenseVector::zeros(5)];
         assert!(matches!(
-            join_walk(&mut r, &data, &queries, config, 4, schedule),
+            join_walk(&mut r, &data, &queries, config, schedule),
             Err(SketchError::DimensionMismatch {
                 expected: 6,
                 actual: 5
@@ -827,10 +816,10 @@ mod tests {
         ));
         // No queries: nothing is found, and every node is drawn all the same.
         let (mut walk_rng, mut tree_rng) = (rng(), rng());
-        assert!(join_walk(&mut walk_rng, &data, &[], config, 4, schedule)
+        assert!(join_walk(&mut walk_rng, &data, &[], config, schedule)
             .unwrap()
             .is_empty());
-        SketchMipsIndex::build(&mut tree_rng, &data[..], config, 4).unwrap();
+        SketchMipsIndex::build(&mut tree_rng, &data[..], config).unwrap();
         assert_eq!(walk_rng.next_u64(), tree_rng.next_u64());
     }
 
@@ -839,9 +828,8 @@ mod tests {
         let mut r = rng();
         let dim = 10;
         let data = background(&mut r, 6, dim, 1.0);
-        // leaf_size >= n: the root is a leaf and the query is exact.
-        let index =
-            SketchMipsIndex::build(&mut r, data.clone(), MaxIpConfig::default(), 16).unwrap();
+        // Six vectors never split: the root is a leaf and the query is exact.
+        let index = SketchMipsIndex::build(&mut r, data.clone(), MaxIpConfig::default()).unwrap();
         for _ in 0..5 {
             let q = random_unit_vector(&mut r, dim).unwrap();
             let approx = index.query(&q).unwrap();

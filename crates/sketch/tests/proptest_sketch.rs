@@ -116,18 +116,17 @@ fn flatten<'a>(
     }
 }
 
-/// The tree the fixed `leaf_size` cut-off built before the cost rule: split every
-/// range longer than `leaf_size`, whatever a sketch costs. Deeper than
-/// [`SketchMipsIndex::build`] goes — the shape of a snapshot written by an earlier
-/// build.
+/// The tree a fixed floor cut before the cost rule: split every range longer than
+/// `floor`, whatever a sketch costs. Deeper than [`SketchMipsIndex::build`] goes — the
+/// shape of a snapshot written by an earlier build.
 fn fixed_floor_tree(
     rng: &mut StdRng,
     data: &[DenseVector],
     range: Range<usize>,
     config: MaxIpConfig,
-    leaf_size: usize,
+    floor: usize,
 ) -> Node {
-    if range.len() <= leaf_size {
+    if range.len() <= floor {
         return Node::Leaf { range };
     }
     let mid = range.start + range.len() / 2;
@@ -135,8 +134,8 @@ fn fixed_floor_tree(
     Node::Internal {
         estimator_left: MaxIpEstimator::build(rng, &data[left.clone()], config).unwrap(),
         estimator_right: MaxIpEstimator::build(rng, &data[right.clone()], config).unwrap(),
-        left: Box::new(fixed_floor_tree(rng, data, left, config, leaf_size)),
-        right: Box::new(fixed_floor_tree(rng, data, right, config, leaf_size)),
+        left: Box::new(fixed_floor_tree(rng, data, left, config, floor)),
+        right: Box::new(fixed_floor_tree(rng, data, right, config, floor)),
     }
 }
 
@@ -256,13 +255,13 @@ proptest! {
 
     #[test]
     fn recovery_with_large_leaves_is_exact(seed in any::<u64>()) {
-        // leaf_size >= n degenerates to an exact scan, so the recovered index must agree
-        // with exact_max for every query.
+        // Twelve vectors never split at the defaults: the root is a leaf, so the
+        // recovered index must agree with exact_max for every query.
         let mut rng = StdRng::seed_from_u64(seed);
         let data: Vec<DenseVector> = (0..12)
             .map(|i| DenseVector::new(vec![(i as f64 - 6.0) / 6.0, ((i * 3) % 5) as f64 / 5.0]))
             .collect();
-        let index = SketchMipsIndex::build(&mut rng, data, MaxIpConfig::default(), 32).unwrap();
+        let index = SketchMipsIndex::build(&mut rng, data, MaxIpConfig::default()).unwrap();
         let q = DenseVector::new(vec![0.7, -0.4]);
         let approx = index.query(&q).unwrap();
         let exact = index.exact_max(&q).unwrap();
@@ -276,7 +275,7 @@ proptest! {
         dim in 1usize..=24,
         copies in 1usize..=6,
         rows in 0usize..=8,
-        leaf_size in 1usize..=64,
+        floor in 1usize..=8,
     ) {
         let config = MaxIpConfig { kappa: 2.0, copies, rows: (rows > 0).then_some(rows) };
         let mut rng = StdRng::seed_from_u64(seed);
@@ -284,16 +283,16 @@ proptest! {
         let queries = vectors_with_zeros(&mut rng, 6, dim);
         let build = |seed: u64| {
             let mut rng = StdRng::seed_from_u64(seed);
-            SketchMipsIndex::build(&mut rng, data.clone(), config, leaf_size).unwrap()
+            SketchMipsIndex::build(&mut rng, data.clone(), config).unwrap()
         };
         let index = build(seed ^ 1);
 
-        // (b) The shape is the split rule's: every internal range passes both
-        // conditions, every leaf fails one, and the leaves partition 0..n in order.
+        // (b) The shape is the split rule's: every internal range passes it, every leaf
+        // fails it, and the leaves partition 0..n in order.
         let rows_over = |len: usize| {
             config.rows.unwrap_or_else(|| MaxStableSketch::recommended_rows(len, config.kappa))
         };
-        let splits = |len: usize| len > leaf_size && 2 * copies * rows_over(len / 2) < len;
+        let splits = |len: usize| 2 * copies * rows_over(len / 2) < len;
         let (mut estimators, mut internal, mut leaves) = (Vec::new(), Vec::new(), Vec::new());
         flatten(index.root(), 0..n, &mut estimators, &mut internal, &mut leaves);
         prop_assert!(internal.iter().all(|range| splits(range.len())));
@@ -343,12 +342,11 @@ proptest! {
             data.clone(),
             reassembled(index.root()),
             config,
-            leaf_size,
+            index.leaf_size(),
         )
         .unwrap();
         prop_assert_eq!(coefficient_bits(&index), coefficient_bits(&reloaded));
         // ...and a tree deeper than the rule would build loads and is walked as it is.
-        let floor = leaf_size.min(8);
         let deep = fixed_floor_tree(&mut rng, &data, 0..n, config, floor);
         let deep = SketchMipsIndex::from_raw_parts(data.clone(), reassembled(&deep), config, floor)
             .unwrap();

@@ -174,14 +174,6 @@ impl IndexBuilder {
         self
     }
 
-    /// Leaf-size floor of the sketch recovery tree (default
-    /// [`ips_sketch::DEFAULT_LEAF_SIZE`]): never split a range of at most this many
-    /// vectors. The tree also stops where a sketch would cost more than the scan.
-    pub fn sketch_leaf_size(mut self, leaf_size: usize) -> Self {
-        self.planner.sketch_leaf_size = leaf_size;
-        self
-    }
-
     /// Worker threads of the serving [`ips_core::JoinEngine`] (`0` = one per
     /// available CPU, the default).
     pub fn threads(mut self, threads: usize) -> Self {

@@ -727,7 +727,7 @@ mod tests {
             copies: 2,
             rows: Some(1),
         };
-        let index = SketchMipsIndex::build(&mut rng, data.clone(), config, 2).unwrap();
+        let index = SketchMipsIndex::build(&mut rng, data.clone(), config).unwrap();
         assert!(
             index.stored_coefficients() > 0,
             "the tree has internal nodes"

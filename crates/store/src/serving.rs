@@ -254,9 +254,9 @@ pub(crate) fn build_index(
         IndexConfig::Symmetric(params) => {
             AnyIndex::Symmetric(LshMips::build(schedule, &mut rng, data, spec, params)?)
         }
-        IndexConfig::Sketch { config, leaf_size } => AnyIndex::Sketch(SketchMipsAdapter::build(
-            &mut rng, data, spec, config, leaf_size,
-        )?),
+        IndexConfig::Sketch(config) => {
+            AnyIndex::Sketch(SketchMipsAdapter::build(&mut rng, data, spec, config)?)
+        }
     })
 }
 
@@ -280,10 +280,7 @@ fn extract_index_config(index: &AnyIndex) -> IndexConfig {
         AnyIndex::Brute(_) => IndexConfig::Brute,
         AnyIndex::Alsh(i) => IndexConfig::Alsh(i.params()),
         AnyIndex::Symmetric(i) => IndexConfig::Symmetric(i.params()),
-        AnyIndex::Sketch(i) => IndexConfig::Sketch {
-            config: i.inner().config(),
-            leaf_size: i.inner().leaf_size(),
-        },
+        AnyIndex::Sketch(i) => IndexConfig::Sketch(i.inner().config()),
     }
 }
 
@@ -833,14 +830,11 @@ mod tests {
             IndexConfig::Brute,
             IndexConfig::Alsh(AlshParams::default()),
             IndexConfig::Symmetric(SymmetricParams::default()),
-            IndexConfig::Sketch {
-                config: MaxIpConfig {
-                    kappa: 2.0,
-                    copies: 11,
-                    rows: None,
-                },
-                leaf_size: 8,
-            },
+            IndexConfig::Sketch(MaxIpConfig {
+                kappa: 2.0,
+                copies: 11,
+                rows: None,
+            }),
         ] {
             let mut serving =
                 ServingIndex::build(data.clone(), spec(), index_config, ServingConfig::default())
@@ -901,10 +895,7 @@ mod tests {
         for index_config in [
             IndexConfig::Brute,
             IndexConfig::Alsh(AlshParams::default()),
-            IndexConfig::Sketch {
-                config: MaxIpConfig::default(),
-                leaf_size: 4,
-            },
+            IndexConfig::Sketch(MaxIpConfig::default()),
         ] {
             let mut serving =
                 ServingIndex::build(data.clone(), spec(), index_config, config).unwrap();
@@ -1080,10 +1071,7 @@ mod tests {
         let dim = 8;
         let data = vectors(0x7B, 40, dim, 0.9);
         let v = vectors(0x7C, 1, dim, 0.9).pop().unwrap();
-        let sketch = IndexConfig::Sketch {
-            config: MaxIpConfig::default(),
-            leaf_size: 4,
-        };
+        let sketch = IndexConfig::Sketch(MaxIpConfig::default());
         // (family, whether the deleted id is an overlay insert, whether a compaction
         // then forgets it).
         let symmetric = IndexConfig::Symmetric(SymmetricParams::default());
@@ -1131,10 +1119,7 @@ mod tests {
             IndexConfig::Brute,
             IndexConfig::Alsh(AlshParams::default()),
             IndexConfig::Symmetric(SymmetricParams::default()),
-            IndexConfig::Sketch {
-                config: MaxIpConfig::default(),
-                leaf_size: 4,
-            },
+            IndexConfig::Sketch(MaxIpConfig::default()),
         ] {
             // NaN compares false with everything, so one check refuses it for every
             // family before any of them ranks a score.
@@ -1197,10 +1182,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         for index_config in [
             IndexConfig::Brute,
-            IndexConfig::Sketch {
-                config: MaxIpConfig::default(),
-                leaf_size: 4,
-            },
+            IndexConfig::Sketch(MaxIpConfig::default()),
         ] {
             let index = build_index(data.clone(), spec(), index_config, 0, 1).unwrap();
             let config = ServingConfig::default();
@@ -1228,10 +1210,7 @@ mod tests {
         let data = vectors(0x78, 40, dim, 0.2);
         let query = random_unit_vector(&mut StdRng::seed_from_u64(0x79), dim).unwrap();
         let v = query.scaled(0.9);
-        let sketch = IndexConfig::Sketch {
-            config: MaxIpConfig::default(),
-            leaf_size: 4,
-        };
+        let sketch = IndexConfig::Sketch(MaxIpConfig::default());
         let mut serving =
             ServingIndex::build(data, spec(), sketch, ServingConfig::default()).unwrap();
         // Two equal vectors reach the overlay; an id below the last one taken is
@@ -1259,10 +1238,7 @@ mod tests {
         let mut serving = ServingIndex::build(
             data,
             spec(),
-            IndexConfig::Sketch {
-                config: MaxIpConfig::default(),
-                leaf_size: 4,
-            },
+            IndexConfig::Sketch(MaxIpConfig::default()),
             config,
         )
         .unwrap();
@@ -1293,10 +1269,7 @@ mod tests {
         for index_config in [
             IndexConfig::Brute,
             IndexConfig::Alsh(AlshParams::default()),
-            IndexConfig::Sketch {
-                config: MaxIpConfig::default(),
-                leaf_size: 2,
-            },
+            IndexConfig::Sketch(MaxIpConfig::default()),
         ] {
             let mut serving =
                 ServingIndex::build(data.clone(), spec(), index_config, ServingConfig::default())

@@ -274,7 +274,7 @@ impl ShardedServingIndex {
             match &mut index_config {
                 IndexConfig::Alsh(params) => params.probes = probes,
                 IndexConfig::Symmetric(params) => params.probes = probes,
-                IndexConfig::Brute | IndexConfig::Sketch { .. } => {}
+                IndexConfig::Brute | IndexConfig::Sketch(_) => {}
             }
         }
         index_config
@@ -1154,10 +1154,7 @@ mod tests {
             IndexConfig::Brute,
             IndexConfig::Alsh(AlshParams::default()),
             IndexConfig::Symmetric(SymmetricParams::default()),
-            IndexConfig::Sketch {
-                config: MaxIpConfig::default(),
-                leaf_size: 8,
-            },
+            IndexConfig::Sketch(MaxIpConfig::default()),
         ]
     }
 
@@ -1204,10 +1201,7 @@ mod tests {
         let dim = 8;
         let data = vectors(0x6A, 60, dim, 0.9);
         let queries = vectors(0x6B, 12, dim, 1.0);
-        let index_config = IndexConfig::Sketch {
-            config: MaxIpConfig::default(),
-            leaf_size: 4,
-        };
+        let index_config = IndexConfig::Sketch(MaxIpConfig::default());
         let unsharded =
             ServingIndex::build(data.clone(), spec(), index_config, ServingConfig::default())
                 .unwrap();

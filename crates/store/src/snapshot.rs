@@ -1612,7 +1612,7 @@ mod tests {
             copies: 1,
             rows: Some(2),
         };
-        let adapter = SketchMipsAdapter::build(&mut rng, data.clone(), spec, config, 2).unwrap();
+        let adapter = SketchMipsAdapter::build(&mut rng, data.clone(), spec, config).unwrap();
         // Checksummed and structurally decodable, so only the load-time checks of
         // `SketchMipsIndex::from_raw_parts` (and the estimators' own) stand between
         // these bytes and a served index.
@@ -1621,7 +1621,7 @@ mod tests {
             spec.write(&mut w);
             crate::persist::write_slice(&mut w, &data);
             config.write(&mut w);
-            w.put_usize(2);
+            w.put_usize(16); // the leaf-size field a build records
             root.write(&mut w);
             let ids: Vec<u64> = (0..data.len() as u64).collect();
             Snapshot::from_bytes(&seal(IndexFamily::Sketch, &ids, data.len() as u64, w))

@@ -76,7 +76,6 @@ fn main() {
             copies: 11,
             rows: None,
         },
-        32,
     )
     .expect("index construction");
 

@@ -1,7 +1,7 @@
 //! Drifting serve-time workloads: scenarios whose statistics *change mid-run*,
 //! so a plan that was right at build time stops being right while serving.
 //!
-//! The adversarial suite ([`crate::adversarial`]) parks static workloads in
+//! The adversarial suite ([`ips_datagen::adversarial`]) parks static workloads in
 //! the regimes where each join strategy wins; these scenarios *move between*
 //! those regimes over the course of one serving session. They exist to
 //! exercise the closed-loop adaptive controller (`ips-adapt`): each one opens
@@ -19,8 +19,8 @@
 //!   latent-factor catalogue whose *query* population shifts mid-run from
 //!   cautious low-engagement users to high-norm power users.
 
-use crate::error::{DatagenError, Result};
-use crate::latent::{LatentFactorConfig, LatentFactorModel};
+use ips_datagen::latent::{LatentFactorConfig, LatentFactorModel};
+use ips_datagen::{DatagenError, Result};
 use ips_linalg::random::gaussian_vector;
 use ips_linalg::DenseVector;
 use rand::Rng;

@@ -13,7 +13,7 @@
 //! 2. **Concurrency**: a migration fired in the middle of a reader/mutator
 //!    storm loses no mutation and serves only valid answers throughout; the
 //!    post-storm index still equals the sequential oracle's fresh build.
-//! 3. **Closed loop**: the two `ips_datagen::drift` scenarios driven through
+//! 3. **Closed loop**: the two `ips_tests::drift` scenarios driven through
 //!    [`AdaptiveController::check`] by hand. A streaming join whose norms ramp
 //!    up walks baseline → pending → migrated (ALSH → brute) exactly once; a
 //!    recommender whose query norms triple is re-planned once and stays on the
@@ -24,68 +24,21 @@ use ips_adapt::{AdaptiveConfig, AdaptiveController, ControlDecision};
 use ips_core::asymmetric::AlshParams;
 use ips_core::planner::{JoinPlanner, PlannerConfig, WorkloadStats};
 use ips_core::problem::{JoinSpec, JoinVariant, MatchPair};
-use ips_core::symmetric::SymmetricParams;
-use ips_datagen::{
-    recommender_shift, streaming_join, RecommenderShiftConfig, RecommenderShiftScenario,
-    StreamingJoinConfig, StreamingJoinScenario,
-};
 use ips_linalg::random::random_ball_vector;
 use ips_linalg::DenseVector;
-use ips_sketch::linf_mips::MaxIpConfig;
 use ips_store::{
     IndexConfig, IndexFamily, ServingConfig, ShardedConfig, ShardedServingIndex, StoreError,
 };
+use ips_tests::drift::{
+    recommender_shift, streaming_join, RecommenderShiftConfig, RecommenderShiftScenario,
+    StreamingJoinConfig, StreamingJoinScenario,
+};
+use ips_tests::{families, small_alsh, small_sketch, small_symmetric, vectors};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
-
-fn vectors(seed: u64, n: usize, dim: usize) -> Vec<DenseVector> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| random_ball_vector(&mut rng, dim, 1.0).unwrap().scaled(0.95))
-        .collect()
-}
-
-fn small_alsh() -> AlshParams {
-    AlshParams {
-        bits_per_table: 4,
-        tables: 8,
-        ..Default::default()
-    }
-}
-
-fn small_symmetric() -> SymmetricParams {
-    SymmetricParams {
-        bits_per_table: 4,
-        tables: 8,
-        ..Default::default()
-    }
-}
-
-/// Three copies of one row, so that the recovery tree still splits these small data
-/// sets (any range of more than six vectors) and the snapshots hold internal nodes.
-fn small_sketch() -> MaxIpConfig {
-    MaxIpConfig {
-        kappa: 2.0,
-        copies: 3,
-        rows: Some(1),
-    }
-}
-
-/// All four family configurations, smallest-parameter editions.
-fn family_configs() -> [IndexConfig; 4] {
-    [
-        IndexConfig::Brute,
-        IndexConfig::Alsh(small_alsh()),
-        IndexConfig::Symmetric(small_symmetric()),
-        IndexConfig::Sketch {
-            config: small_sketch(),
-            leaf_size: 4,
-        },
-    ]
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
@@ -108,7 +61,7 @@ proptest! {
         };
         let data = vectors(data_seed, n, dim);
         let queries = vectors(data_seed ^ 0x9E3779B9, 6, dim);
-        let configs = family_configs();
+        let configs = families();
         for (i, from) in configs.iter().enumerate() {
             let to = configs[(i + 1) % configs.len()];
             let sharded =
@@ -397,10 +350,7 @@ fn storm_while_migrating_alsh_to_brute() {
 fn storm_while_migrating_brute_to_sketch() {
     storm_through_migration(
         IndexConfig::Brute,
-        IndexConfig::Sketch {
-            config: small_sketch(),
-            leaf_size: 4,
-        },
+        IndexConfig::Sketch(small_sketch()),
         0x91602,
     );
 }

@@ -479,7 +479,8 @@ fn sketch_index_surface_is_pinned() {
     // Since the cost cut-off (PR 15) a leaf is a range, an estimator is one
     // coordinate-major block — read a sketch row at a time (`sketch_row`) and
     // filled a copy at a time (`from_copies`, pinned by use) — and the tree reports
-    // how many coefficients it holds; `leaf_size` keeps its name and type throughout.
+    // how many coefficients it holds. The cost rule alone shapes the tree: `leaf_size`
+    // is the snapshot field the tree keeps, not an argument of any build.
     use ips_sketch::linf_mips::{MaxIpConfig, MaxIpEstimator};
     use ips_sketch::recovery::{MipsCandidate, Node, SketchMipsIndex};
     use rand::rngs::StdRng;
@@ -491,10 +492,10 @@ fn sketch_index_surface_is_pinned() {
     let data = vec![DenseVector::from(&[1.0, 0.0][..]); 3];
     let mut rng = StdRng::seed_from_u64(1);
     let borrowing: ips_sketch::Result<SketchMipsIndex<'_>> =
-        SketchMipsIndex::build(&mut rng, &data[..], MaxIpConfig::default(), 4);
+        SketchMipsIndex::build(&mut rng, &data[..], MaxIpConfig::default());
     assert_eq!(borrowing.unwrap().data().as_ptr(), data.as_ptr());
     let owning: ips_sketch::Result<Sketch> =
-        SketchMipsIndex::build(&mut rng, data.clone(), MaxIpConfig::default(), 4);
+        SketchMipsIndex::build(&mut rng, data.clone(), MaxIpConfig::default());
     assert_eq!(owning.unwrap().into_data(), data);
     let _query: fn(&Sketch, &DenseVector) -> ips_sketch::Result<MipsCandidate> = Sketch::query;
     let _raw: fn(Vec<DenseVector>, Node, MaxIpConfig, usize) -> ips_sketch::Result<Sketch> =
@@ -516,7 +517,6 @@ fn sketch_index_surface_is_pinned() {
         copied.unwrap().stored_coefficients(),
         estimator.stored_coefficients()
     );
-    let _default_floor: usize = ips_sketch::DEFAULT_LEAF_SIZE;
     // A join walks the tree a node at a time and never holds it: one candidate a
     // query, in query order, on a block schedule of the caller's.
     type JoinWalk = fn(
@@ -524,7 +524,6 @@ fn sketch_index_surface_is_pinned() {
         &[DenseVector],
         &[DenseVector],
         MaxIpConfig,
-        usize,
         ips_linalg::par::Schedule,
     ) -> ips_sketch::Result<Vec<MipsCandidate>>;
     let _join_walk: JoinWalk = ips_sketch::recovery::join_walk::<StdRng>;
@@ -544,7 +543,6 @@ fn builder_setters_are_pinned() {
         .alsh_params(ips_core::asymmetric::AlshParams::default())
         .symmetric_params(ips_core::symmetric::SymmetricParams::default())
         .sketch_config(ips_sketch::linf_mips::MaxIpConfig::default())
-        .sketch_leaf_size(8)
         .threads(1)
         .chunk_size(4)
         .engine(ips_core::EngineConfig::serial())
@@ -560,7 +558,6 @@ fn builder_setters_are_pinned() {
         .alsh_params(ips_core::asymmetric::AlshParams::default())
         .symmetric_params(ips_core::symmetric::SymmetricParams::default())
         .sketch_config(ips_sketch::linf_mips::MaxIpConfig::default())
-        .sketch_leaf_size(8)
         .threads(1)
         .chunk_size(4)
         .engine(ips_core::EngineConfig::serial())

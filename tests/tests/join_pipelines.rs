@@ -61,7 +61,6 @@ fn planted_pairs_are_found_by_every_join() {
         .spec(spec)
         .strategy(Strategy::Sketch)
         .sketch_config(sketch_config)
-        .sketch_leaf_size(8)
         .run_with_rng(&mut rng)
         .unwrap()
         .matches;
@@ -101,7 +100,6 @@ fn planted_pairs_are_found_by_every_join() {
         .spec(spec)
         .strategy(Strategy::Sketch)
         .sketch_config(sketch_config)
-        .sketch_leaf_size(8)
         .run_with_rng(&mut rng)
         .unwrap()
         .matches;

@@ -157,7 +157,6 @@ fn sketch_recovery_matches_exact_argmax_when_gap_is_large() {
             copies: 5,
             rows: Some(4),
         },
-        8,
     )
     .unwrap();
     assert!(index.stored_coefficients() >= 3 * 2 * 5 * 4 * dim);

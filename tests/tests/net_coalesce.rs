@@ -17,51 +17,14 @@
 //! Exercised across shard counts, thread counts, `k`, and all four index
 //! families — the coalescing satellite of the TCP-serving PR.
 
-use ips_core::asymmetric::AlshParams;
 use ips_core::problem::{JoinSpec, JoinVariant, MatchPair};
-use ips_core::symmetric::SymmetricParams;
-use ips_linalg::random::random_ball_vector;
-use ips_linalg::DenseVector;
-use ips_sketch::linf_mips::MaxIpConfig;
 use ips_store::{
     CoalesceConfig, Coalescer, IndexConfig, ServingConfig, ServingIndex, ShardedConfig,
     ShardedServingIndex,
 };
+use ips_tests::{families, vectors};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::{Arc, Barrier};
-
-fn vectors(seed: u64, n: usize, dim: usize) -> Vec<DenseVector> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| random_ball_vector(&mut rng, dim, 1.0).unwrap().scaled(0.95))
-        .collect()
-}
-
-fn families() -> [IndexConfig; 4] {
-    [
-        IndexConfig::Brute,
-        IndexConfig::Alsh(AlshParams {
-            bits_per_table: 4,
-            tables: 8,
-            ..Default::default()
-        }),
-        IndexConfig::Symmetric(SymmetricParams {
-            bits_per_table: 4,
-            tables: 8,
-            ..Default::default()
-        }),
-        IndexConfig::Sketch {
-            config: MaxIpConfig {
-                kappa: 2.0,
-                copies: 3,
-                rows: Some(1),
-            },
-            leaf_size: 4,
-        },
-    ]
-}
 
 /// Releases all `clients` at once, each submitting one single-vector request
 /// through the coalescer; returns the per-client answers in client order.
@@ -129,7 +92,7 @@ proptest! {
             );
 
             let unsharded = ServingIndex::build(data.clone(), spec, index_config, serving).unwrap();
-            let decomposable = !matches!(index_config, IndexConfig::Sketch { .. }) || shards == 1;
+            let decomposable = !matches!(index_config, IndexConfig::Sketch(_)) || shards == 1;
             for (i, q) in queries.iter().enumerate() {
                 let single = std::slice::from_ref(q);
                 prop_assert_eq!(

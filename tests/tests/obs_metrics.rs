@@ -21,28 +21,15 @@
 
 use ips_cli::net::{serve_tcp, NetConfig};
 use ips_cli::serve::{serve_session_with, SessionOptions};
-use ips_core::asymmetric::AlshParams;
 use ips_core::problem::{JoinSpec, JoinVariant};
-use ips_core::symmetric::SymmetricParams;
-use ips_linalg::random::random_ball_vector;
-use ips_linalg::DenseVector;
 use ips_obs::{Histogram, HistogramSnapshot, Observable, Stage, TraceCapture};
-use ips_sketch::linf_mips::MaxIpConfig;
 use ips_store::{CoalesceConfig, Coalescer, IndexConfig, ShardedConfig, ShardedServingIndex};
+use ips_tests::{families, small_alsh, vectors};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
-
-fn vectors(seed: u64, n: usize, dim: usize) -> Vec<DenseVector> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| random_ball_vector(&mut rng, dim, 1.0).unwrap().scaled(0.95))
-        .collect()
-}
 
 fn spec() -> JoinSpec {
     JoinSpec::new(0.4, 0.6, JoinVariant::Signed).unwrap()
@@ -66,14 +53,6 @@ fn sharded(seed: u64, shards: usize) -> ShardedServingIndex {
 }
 
 /// A small ALSH family, so a served batch runs the gather-and-rescore path.
-fn alsh_family() -> IndexConfig {
-    IndexConfig::Alsh(AlshParams {
-        bits_per_table: 4,
-        tables: 8,
-        ..AlshParams::default()
-    })
-}
-
 fn record_all(values: &[u64]) -> HistogramSnapshot {
     let h = Histogram::new();
     for &v in values {
@@ -213,7 +192,7 @@ fn metrics_are_byte_identical_over_stdin_and_tcp() {
 
 #[test]
 fn a_served_batch_records_one_batch_size_and_one_norm_per_query() {
-    let index = sharded_family(0x0B6, 3, alsh_family());
+    let index = sharded_family(0x0B6, 3, IndexConfig::Alsh(small_alsh()));
     let queries = vectors(0x0B7, 6, 8);
     index.query(&queries).unwrap();
     let telemetry = index.telemetry();
@@ -266,25 +245,8 @@ fn concurrent_stats_snapshots_never_show_more_hits_than_queries() {
 
 #[test]
 fn a_trace_capture_changes_no_answer() {
-    let families = [
-        IndexConfig::Brute,
-        alsh_family(),
-        IndexConfig::Symmetric(SymmetricParams {
-            bits_per_table: 4,
-            tables: 8,
-            ..SymmetricParams::default()
-        }),
-        IndexConfig::Sketch {
-            config: MaxIpConfig {
-                kappa: 2.0,
-                copies: 3,
-                rows: Some(1),
-            },
-            leaf_size: 4,
-        },
-    ];
     let queries = vectors(0x0BA, 8, 8);
-    for family in families {
+    for family in families() {
         for shards in [1, 3] {
             let index = sharded_family(0x0BB, shards, family);
             let capture = TraceCapture::new();

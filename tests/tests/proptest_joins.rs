@@ -255,9 +255,9 @@ fn bits(pairs: &[MatchPair]) -> Vec<(usize, usize, u64)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    // One row a copy and at most three copies split every range above the leaf floor
-    // (a tree as deep as `log₂(n / leaf)`); a floor of at least `n` is a tree of depth
-    // 0, whose root scans. The join walks the tree a node at a time, the whole-tree
+    // One or two rows a copy and at most three copies split every range longer than
+    // `2·copies·rows` (a tree as deep as `log₂(n / (2·copies·rows))`); `rows = n` is a
+    // tree of depth 0, whose root scans. The join walks the tree a node at a time, the whole-tree
     // join builds it and queries it through the engine: the same pairs, bit for bit,
     // and the same RNG state after.
     #[test]
@@ -268,16 +268,16 @@ proptest! {
         c in 0.3f64..0.95,
         signed in any::<bool>(),
         (copies, rows) in (1usize..=3, 0usize..=2),
-        (leaf, depth_zero) in (1usize..=4, any::<bool>()),
+        depth_zero in any::<bool>(),
     ) {
         let variant = if signed { JoinVariant::Signed } else { JoinVariant::Unsigned };
         let spec = JoinSpec::new(s, c, variant).unwrap();
         // `rows = 0` stands for the recommended count, which splits far less.
+        let rows = if depth_zero { data.len() } else { rows };
         let config = MaxIpConfig { kappa: 2.0, copies, rows: (rows > 0).then_some(rows) };
-        let leaf_size = if depth_zero { data.len() + leaf - 1 } else { leaf };
         for schedule in SCHEDULES {
             let mut rng = StdRng::seed_from_u64(seed);
-            let tree = SketchMipsAdapter::build(&mut rng, &data[..], spec, config, leaf_size)
+            let tree = SketchMipsAdapter::build(&mut rng, &data[..], spec, config)
                 .unwrap();
             let expected = bits(
                 &JoinEngine::with_config(tree, engine(schedule)).run(&queries).unwrap(),
@@ -289,7 +289,6 @@ proptest! {
                 .spec(spec)
                 .strategy(JoinStrategy::Sketch)
                 .sketch_config(config)
-                .sketch_leaf_size(leaf_size)
                 .engine(engine(schedule))
                 .run_with_rng(&mut rng)
                 .unwrap();

@@ -52,10 +52,7 @@ fn manual_run(
         IndexConfig::Symmetric(params) => builder
             .strategy(Strategy::Symmetric)
             .symmetric_params(params),
-        IndexConfig::Sketch { config, leaf_size } => builder
-            .strategy(Strategy::Sketch)
-            .sketch_config(config)
-            .sketch_leaf_size(leaf_size),
+        IndexConfig::Sketch(config) => builder.strategy(Strategy::Sketch).sketch_config(config),
     };
     let mut rng = StdRng::seed_from_u64(exec_seed);
     let matches = builder.run_with_rng(&mut rng).unwrap().matches;

@@ -28,19 +28,11 @@ use ips_core::problem::{evaluate_join, JoinSpec, JoinVariant, MatchPair};
 use ips_core::symmetric::SymmetricParams;
 use ips_core::{Join, Strategy};
 use ips_datagen::adversarial::{sparse_needles, AdversarialScale};
-use ips_linalg::random::random_ball_vector;
-use ips_linalg::DenseVector;
 use ips_store::{IndexConfig, ServingConfig, ShardedConfig, ShardedServingIndex};
+use ips_tests::vectors;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-
-fn vectors(seed: u64, n: usize, dim: usize) -> Vec<DenseVector> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| random_ball_vector(&mut rng, dim, 1.0).unwrap().scaled(0.95))
-        .collect()
-}
 
 fn spec() -> JoinSpec {
     JoinSpec::new(0.6, 0.6, JoinVariant::Signed).unwrap()

@@ -25,55 +25,20 @@
 //!    — mutate + compact ≡ a fresh sharded build from the surviving
 //!    `(id, vector)` set, and a multi-shard sketch index is build-deterministic.
 
-use ips_core::asymmetric::AlshParams;
 use ips_core::lsh_mips::{LshMips, BUILD_BLOCK};
 use ips_core::mips::{BruteForceMipsIndex, MipsIndex, SketchMipsAdapter};
 use ips_core::problem::{JoinSpec, JoinVariant};
-use ips_core::symmetric::SymmetricParams;
 use ips_linalg::par::Schedule;
 use ips_linalg::random::random_ball_vector;
 use ips_linalg::DenseVector;
-use ips_sketch::linf_mips::MaxIpConfig;
 use ips_store::{
     AnyIndex, IndexConfig, ServingConfig, ServingIndex, ShardedConfig, ShardedServingIndex,
     Snapshot,
 };
+use ips_tests::{families, small_alsh, small_sketch, small_symmetric, vectors};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-fn vectors(seed: u64, n: usize, dim: usize) -> Vec<DenseVector> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| random_ball_vector(&mut rng, dim, 1.0).unwrap().scaled(0.95))
-        .collect()
-}
-
-fn small_alsh() -> AlshParams {
-    AlshParams {
-        bits_per_table: 4,
-        tables: 8,
-        ..Default::default()
-    }
-}
-
-fn small_symmetric() -> SymmetricParams {
-    SymmetricParams {
-        bits_per_table: 4,
-        tables: 8,
-        ..Default::default()
-    }
-}
-
-/// Three copies of one row, so that the recovery tree still splits these small data
-/// sets (any range of more than six vectors) and the snapshots hold internal nodes.
-fn small_sketch() -> MaxIpConfig {
-    MaxIpConfig {
-        kappa: 2.0,
-        copies: 3,
-        rows: Some(1),
-    }
-}
 
 /// Builds one index of each family over the same data (seeded), wrapped in
 /// [`AnyIndex`].
@@ -89,7 +54,7 @@ fn build_families(seed: u64, data: &[DenseVector], spec: JoinSpec) -> Vec<AnyInd
             LshMips::build(schedule, &mut rng, data.to_vec(), spec, small_symmetric()).unwrap(),
         ),
         AnyIndex::Sketch(
-            SketchMipsAdapter::build(&mut rng, data.to_vec(), spec, small_sketch(), 4).unwrap(),
+            SketchMipsAdapter::build(&mut rng, data.to_vec(), spec, small_sketch()).unwrap(),
         ),
     ]
 }
@@ -149,12 +114,7 @@ proptest! {
         let spec = JoinSpec::new(0.2, 0.6, JoinVariant::Signed).unwrap();
         let config = ServingConfig::default();
         let mut op_rng = StdRng::seed_from_u64(op_seed);
-        for index_config in [
-            IndexConfig::Brute,
-            IndexConfig::Alsh(small_alsh()),
-            IndexConfig::Symmetric(small_symmetric()),
-            IndexConfig::Sketch { config: small_sketch(), leaf_size: 4 },
-        ] {
+        for index_config in families() {
             let mut serving =
                 ServingIndex::build(data.clone(), spec, index_config, config).unwrap();
             // Track the live vector sequence (in external-id order) alongside.
@@ -209,12 +169,7 @@ proptest! {
         let queries = vectors(data_seed ^ 0xF00D, 6, dim);
         let spec = JoinSpec::new(0.2, 0.6, JoinVariant::Signed).unwrap();
         let serving = ServingConfig::default();
-        for index_config in [
-            IndexConfig::Brute,
-            IndexConfig::Alsh(small_alsh()),
-            IndexConfig::Symmetric(small_symmetric()),
-            IndexConfig::Sketch { config: small_sketch(), leaf_size: 4 },
-        ] {
+        for index_config in families() {
             let unsharded =
                 ServingIndex::build(data.clone(), spec, index_config, serving).unwrap();
             let expected = unsharded.query(&queries).unwrap();
@@ -229,7 +184,7 @@ proptest! {
             let many = ShardedServingIndex::build(
                 data.clone(), spec, index_config, ShardedConfig { shards, serving },
             ).unwrap();
-            if matches!(index_config, IndexConfig::Sketch { .. }) {
+            if matches!(index_config, IndexConfig::Sketch(_)) {
                 // Deterministic: an identical build answers bit-identically...
                 let again = ShardedServingIndex::build(
                     data.clone(), spec, index_config, ShardedConfig { shards, serving },
@@ -267,12 +222,7 @@ proptest! {
         let spec = JoinSpec::new(0.2, 0.6, JoinVariant::Signed).unwrap();
         let config = ShardedConfig { shards, serving: ServingConfig::default() };
         let mut op_rng = StdRng::seed_from_u64(op_seed);
-        for index_config in [
-            IndexConfig::Brute,
-            IndexConfig::Alsh(small_alsh()),
-            IndexConfig::Symmetric(small_symmetric()),
-            IndexConfig::Sketch { config: small_sketch(), leaf_size: 4 },
-        ] {
+        for index_config in families() {
             let sharded =
                 ShardedServingIndex::build(data.clone(), spec, index_config, config).unwrap();
             let mut live: Vec<(u64, DenseVector)> =

@@ -235,14 +235,11 @@ fn concurrent_storm_symmetric() {
 #[test]
 fn concurrent_storm_sketch() {
     stress_family(
-        IndexConfig::Sketch {
-            config: MaxIpConfig {
-                kappa: 2.0,
-                copies: 3,
-                rows: Some(1),
-            },
-            leaf_size: 4,
-        },
+        IndexConfig::Sketch(MaxIpConfig {
+            kappa: 2.0,
+            copies: 3,
+            rows: Some(1),
+        }),
         0x51_04,
     );
 }

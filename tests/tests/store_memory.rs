@@ -211,14 +211,11 @@ fn families() -> [(&'static str, IndexConfig); 4] {
         ),
         (
             "sketch",
-            IndexConfig::Sketch {
-                config: MaxIpConfig {
-                    kappa: 2.0,
-                    copies: 3,
-                    rows: Some(2),
-                },
-                leaf_size: 16,
-            },
+            IndexConfig::Sketch(MaxIpConfig {
+                kappa: 2.0,
+                copies: 3,
+                rows: Some(2),
+            }),
         ),
     ]
 }
@@ -672,8 +669,7 @@ fn owning_build_peak(strategy: Strategy, owned: Vec<DenseVector>, seed: u64) -> 
                 .len()
         }
         Strategy::Sketch => {
-            let (config, leaf_size) = (MaxIpConfig::default(), ips_sketch::DEFAULT_LEAF_SIZE);
-            SketchMipsAdapter::build(&mut rng, owned, spec(), config, leaf_size)
+            SketchMipsAdapter::build(&mut rng, owned, spec(), MaxIpConfig::default())
                 .unwrap()
                 .len()
         }
@@ -762,7 +758,7 @@ const SKETCH_JOIN_BYTES_PER_QUERY: usize = 128;
 
 #[test]
 fn a_sketch_join_holds_one_node_and_not_the_tree() {
-    let (config, leaf_size) = (MaxIpConfig::default(), ips_sketch::DEFAULT_LEAF_SIZE);
+    let config = MaxIpConfig::default();
     let f64_bytes = std::mem::size_of::<f64>();
     for n in [2000usize, 8000] {
         let data = join_vectors(n as u64 + 3, n);
@@ -775,14 +771,9 @@ fn a_sketch_join_holds_one_node_and_not_the_tree() {
         let draw = 16 * (n / 2) + rows * JOIN_DIM * f64_bytes;
         let bound = root_pair + draw + SKETCH_JOIN_BYTES_PER_QUERY * queries.len();
         if n == 8000 {
-            let tree = SketchMipsAdapter::build(
-                &mut StdRng::seed_from_u64(0),
-                &data[..],
-                spec(),
-                config,
-                leaf_size,
-            )
-            .unwrap();
+            let tree =
+                SketchMipsAdapter::build(&mut StdRng::seed_from_u64(0), &data[..], spec(), config)
+                    .unwrap();
             let tree_bytes = tree.inner().stored_coefficients() * f64_bytes;
             assert!(
                 bound < tree_bytes,
