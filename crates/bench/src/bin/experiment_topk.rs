@@ -11,9 +11,9 @@
 use ips_bench::{fmt, no_args, render_table, Timer};
 use ips_core::asymmetric::{AlshParams, SphereTransform};
 use ips_core::lsh_mips::{LshMips, BUILD_BLOCK};
-use ips_core::mips::BruteForceMipsIndex;
+use ips_core::mips::{BruteForceMipsIndex, MipsIndex};
 use ips_core::problem::{JoinSpec, JoinVariant};
-use ips_core::topk::{top_k_recall, TopKMipsIndex};
+use ips_core::topk::top_k_recall;
 use ips_datagen::latent::{LatentFactorConfig, LatentFactorModel};
 use ips_linalg::par::Schedule;
 use rand::rngs::StdRng;

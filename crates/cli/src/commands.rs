@@ -17,7 +17,6 @@ use crate::schema::{self, CommandArgs};
 use ips_core::asymmetric::AlshParams;
 use ips_core::engine::EngineConfig;
 use ips_core::facade::{Join, Strategy};
-use ips_core::mips::SearchResult;
 use ips_core::planner::JoinPlan;
 use ips_core::problem::{evaluate_join, JoinSpec, JoinVariant, MatchPair};
 use ips_datagen::latent::{LatentFactorConfig, LatentFactorModel};
@@ -70,15 +69,6 @@ pub struct JoinReport {
     /// The `limit=` presentation knob: pairs the binary prints before
     /// truncating the listing.
     pub limit: usize,
-}
-
-/// Report returned by `ips search`: for each query index, its top-`k` results.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SearchReport {
-    /// The algorithm that produced the results.
-    pub algorithm: String,
-    /// Per-query results, indexed in query-file order.
-    pub results: Vec<Vec<SearchResult>>,
 }
 
 fn parse_variant(args: &CommandArgs<'_>) -> Result<JoinVariant> {
@@ -429,29 +419,6 @@ pub fn cmd_serve(raw: &ParsedArgs) -> Result<ServeSetup> {
     })
 }
 
-/// `ips search` — build an index over the data file and answer top-`k` queries.
-pub fn cmd_search(raw: &ParsedArgs) -> Result<SearchReport> {
-    let args = schema::SEARCH.bind(raw)?;
-    let data = read_vectors(Path::new(args.str("data")))?;
-    let queries = read_vectors(Path::new(args.str("queries")))?;
-    let spec = parse_spec(&args)?;
-    let algorithm = args.str("algorithm").to_string();
-    let serving = Index::build(data)
-        .spec(spec)
-        .strategy(algorithm.parse().map_err(CliError::from)?)
-        .alsh_params(alsh_params(&args))
-        .seed(args.u64("seed"))
-        .serve()?;
-    let mut results = vec![Vec::new(); queries.len()];
-    for pair in serving.query_top_k(&queries, args.usize("k"))? {
-        results[pair.query_index].push(SearchResult {
-            data_index: pair.data_index,
-            inner_product: pair.inner_product,
-        });
-    }
-    Ok(SearchReport { algorithm, results })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -521,23 +488,6 @@ mod tests {
                 .contains("must be one of auto, brute, alsh, symmetric, sketch, got `matmul`"),
             "{err}"
         );
-
-        let search = cmd_search(&args(&[
-            &format!("data={}", data.display()),
-            &format!("queries={}", queries.display()),
-            "s=0.2",
-            "c=0.8",
-            "k=3",
-            "algorithm=brute",
-        ]))
-        .unwrap();
-        assert_eq!(search.results.len(), 15);
-        for per_query in &search.results {
-            assert!(per_query.len() <= 3);
-            for hit in per_query {
-                assert!(hit.inner_product >= 0.8 * 0.2 - 1e-9);
-            }
-        }
     }
 
     #[test]
@@ -1073,13 +1023,6 @@ mod tests {
             &format!("queries={}", data.display()),
             "s=0.1",
             "variant=sideways",
-        ]))
-        .is_err());
-        assert!(cmd_search(&args(&[
-            &format!("data={}", data.display()),
-            &format!("queries={}", data.display()),
-            "s=0.1",
-            "algorithm=nope",
         ]))
         .is_err());
         assert!(cmd_join(&args(&[

@@ -11,8 +11,6 @@
 //!   index, or the Section 4.3 sketch — or `algo=auto` to let the cost-based planner
 //!   of `ips_core::planner` choose, with `explain=true` showing its reasoning) and
 //!   print the reported pairs;
-//! * `ips search` — build an index over a data file and answer top-`k` queries from a
-//!   query file;
 //! * `ips build` — build an index once and persist it as an `ips-store` snapshot
 //!   (strategy picked manually or by the cost-based planner);
 //! * `ips serve` — load a snapshot into a long-lived serving process and answer

@@ -6,9 +6,7 @@
 
 use ips_adapt::{AdaptiveConfig, AdaptiveController};
 use ips_cli::args::ParsedArgs;
-use ips_cli::commands::{
-    cmd_build, cmd_generate, cmd_info, cmd_join, cmd_query, cmd_search, cmd_serve,
-};
+use ips_cli::commands::{cmd_build, cmd_generate, cmd_info, cmd_join, cmd_query, cmd_serve};
 use ips_cli::net::{serve_tcp, NetConfig};
 use ips_cli::schema;
 use ips_cli::serve::serve_session;
@@ -94,24 +92,6 @@ fn run() -> Result<(), CliError> {
                 println!(
                     "  … {} further pairs omitted (raise limit=)",
                     report.pairs.len() - limit
-                );
-            }
-        }
-        "search" => {
-            let report = cmd_search(&args)?;
-            for (j, hits) in report.results.iter().enumerate() {
-                let rendered: Vec<String> = hits
-                    .iter()
-                    .map(|h| format!("{} ({:+.4})", h.data_index, h.inner_product))
-                    .collect();
-                println!(
-                    "query {:>6}: {}",
-                    j,
-                    if rendered.is_empty() {
-                        "no acceptable partner".to_string()
-                    } else {
-                        rendered.join(", ")
-                    }
                 );
             }
         }

@@ -188,7 +188,6 @@ pub struct CommandSpec {
 }
 
 const ALGO_STRATEGY: &[&str] = &["auto", "brute", "alsh", "symmetric", "sketch"];
-const ALGO_SEARCH: &[&str] = &["brute", "alsh"];
 
 const THREADS: ArgSpec = ArgSpec::defaulted(
     "threads",
@@ -359,31 +358,6 @@ pub const JOIN: CommandSpec = CommandSpec {
     ],
 };
 
-/// `ips search`.
-pub const SEARCH: CommandSpec = CommandSpec {
-    name: "search",
-    summary: "build an index over a data file and answer top-k queries",
-    args: &[
-        ArgSpec::required("data", ArgKind::Path, "CSV data vectors to index"),
-        ArgSpec::required("queries", ArgKind::Path, "CSV query vectors"),
-        SPEC_S,
-        SPEC_C,
-        VARIANT,
-        ArgSpec::defaulted("k", ArgKind::Usize, "1", "partners returned per query"),
-        ArgSpec::defaulted(
-            "algorithm",
-            ArgKind::Choice(ALGO_SEARCH),
-            "brute",
-            "index answering the queries",
-        ),
-        SEED,
-        BITS,
-        TABLES,
-        PROBES,
-    ],
-    notes: &[],
-};
-
 /// `ips build`.
 pub const BUILD: CommandSpec = CommandSpec {
     name: "build",
@@ -532,9 +506,7 @@ pub const HELP: CommandSpec = CommandSpec {
 };
 
 /// Every subcommand, in the order the overview lists them.
-pub const COMMANDS: &[&CommandSpec] = &[
-    &GENERATE, &INFO, &JOIN, &SEARCH, &BUILD, &SERVE, &QUERY, &HELP,
-];
+pub const COMMANDS: &[&CommandSpec] = &[&GENERATE, &INFO, &JOIN, &BUILD, &SERVE, &QUERY, &HELP];
 
 /// Looks a subcommand up by name.
 pub fn command(name: &str) -> Option<&'static CommandSpec> {

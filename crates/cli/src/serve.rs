@@ -49,8 +49,10 @@
 
 use crate::dataset::parse_row;
 use crate::error::{CliError, Result};
+use ips_core::engine::Ask;
+use ips_core::problem::MatchPair;
 use ips_linalg::DenseVector;
-use ips_obs::{Observable, Stage, TraceCapture, TraceSink};
+use ips_obs::{Observable, Stage, TraceCapture, TraceSink, NOOP_SINK};
 use ips_store::{Coalescer, ShardedServingIndex};
 use std::io::{BufRead, Write};
 use std::time::Instant;
@@ -162,48 +164,28 @@ fn read_line_capped<R: BufRead>(input: &mut R, cap: usize) -> std::io::Result<Li
     Ok(LineRead::Line(buf))
 }
 
-/// Answers a parsed `query` batch — through the coalescer when the session has
-/// one (bit-identical either way; see `ips_store::coalesce`), directly
+/// Answers a parsed `query` or `topk` batch — through the coalescer when the
+/// session has one (bit-identical either way; see `ips_store::coalesce`), directly
 /// otherwise. A traced session bypasses the coalescer (the capture must cover
 /// exactly this request's stages, not a merged batch's) and appends a
 /// per-stage `trace` breakdown line; answers are bit-identical either way.
-fn run_query(
+fn answer(
     serving: &ShardedServingIndex,
     coalescer: Option<&Coalescer>,
     trace: Option<(u64, &mut Vec<String>)>,
     queries: Vec<DenseVector>,
-) -> Result<Vec<ips_core::problem::MatchPair>> {
+    ask: Ask,
+) -> Result<Vec<MatchPair>> {
     if let Some((parse_ns, out)) = trace {
         let capture = TraceCapture::new();
         capture.stage_ns(Stage::Parse, parse_ns);
-        let pairs = serving.query_with_sink(&queries, &capture)?;
+        let pairs = serving.answer(&queries, ask, &capture)?;
         out.push(trace_line(&capture, queries.len()));
         return Ok(pairs);
     }
     Ok(match coalescer {
-        Some(c) => c.query(queries)?,
-        None => serving.query(&queries)?,
-    })
-}
-
-/// Answers a parsed `topk` batch, mirroring [`run_query`].
-fn run_top_k(
-    serving: &ShardedServingIndex,
-    coalescer: Option<&Coalescer>,
-    trace: Option<(u64, &mut Vec<String>)>,
-    queries: Vec<DenseVector>,
-    k: usize,
-) -> Result<Vec<ips_core::problem::MatchPair>> {
-    if let Some((parse_ns, out)) = trace {
-        let capture = TraceCapture::new();
-        capture.stage_ns(Stage::Parse, parse_ns);
-        let pairs = serving.query_top_k_with_sink(&queries, k, &capture)?;
-        out.push(trace_line(&capture, queries.len()));
-        return Ok(pairs);
-    }
-    Ok(match coalescer {
-        Some(c) => c.query_top_k(queries, k)?,
-        None => serving.query_top_k(&queries, k)?,
+        Some(c) => c.answer(queries, ask)?,
+        None => serving.answer(&queries, ask, &NOOP_SINK)?,
     })
 }
 
@@ -240,46 +222,42 @@ fn execute(
     let (command, rest) = line.split_once(' ').unwrap_or((line, ""));
     let rest = rest.trim();
     match command {
-        "query" => {
-            let parse_start = Instant::now();
-            let queries = parse_batch(rest)?;
-            let parse_ns = parse_start.elapsed().as_nanos() as u64;
-            let n = queries.len();
-            let trace = trace.then_some((parse_ns, &mut *out));
-            let pairs = run_query(serving, coalescer, trace, queries)?;
-            let mut by_query = vec![None; n];
-            for p in pairs {
-                by_query[p.query_index] = Some(p);
-            }
-            for slot in by_query {
-                out.push(match slot {
-                    Some(p) => format!("hit {} {:+.6}", p.data_index, p.inner_product),
-                    None => "miss".to_string(),
-                });
-            }
-        }
-        "topk" => {
-            let (k, batch) = rest.split_once(' ').ok_or_else(|| CliError::Usage {
-                reason: "topk needs `topk <k> <vector>[;<vector>...]`".into(),
-            })?;
-            let k: usize = k.parse().map_err(|_| CliError::Usage {
-                reason: format!("`{k}` is not a k"),
-            })?;
+        "query" | "topk" => {
+            let (ask, batch) = if command == "topk" {
+                let (k, batch) = rest.split_once(' ').ok_or_else(|| CliError::Usage {
+                    reason: "topk needs `topk <k> <vector>[;<vector>...]`".into(),
+                })?;
+                let k: usize = k.parse().map_err(|_| CliError::Usage {
+                    reason: format!("`{k}` is not a k"),
+                })?;
+                (Ask::TopK(k), batch)
+            } else {
+                (Ask::Threshold, rest)
+            };
             let parse_start = Instant::now();
             let queries = parse_batch(batch)?;
             let parse_ns = parse_start.elapsed().as_nanos() as u64;
             let n = queries.len();
             let trace = trace.then_some((parse_ns, &mut *out));
-            let pairs = run_top_k(serving, coalescer, trace, queries, k)?;
-            let mut by_query: Vec<Vec<String>> = vec![Vec::new(); n];
+            let pairs = answer(serving, coalescer, trace, queries, ask)?;
+            let mut by_query: Vec<Vec<MatchPair>> = vec![Vec::new(); n];
             for p in pairs {
-                by_query[p.query_index].push(format!("{}:{:+.6}", p.data_index, p.inner_product));
+                by_query[p.query_index].push(p);
             }
+            let hit = |p: &MatchPair| format!("{}:{:+.6}", p.data_index, p.inner_product);
             for hits in by_query {
-                out.push(if hits.is_empty() {
-                    "none".to_string()
-                } else {
-                    format!("hits {}", hits.join(","))
+                out.push(match (ask, hits.as_slice()) {
+                    (Ask::Threshold, [.., p]) => {
+                        format!("hit {} {:+.6}", p.data_index, p.inner_product)
+                    }
+                    (Ask::Threshold, []) => "miss".to_string(),
+                    (Ask::TopK(_), []) => "none".to_string(),
+                    (Ask::TopK(_), hits) => {
+                        format!(
+                            "hits {}",
+                            hits.iter().map(hit).collect::<Vec<_>>().join(",")
+                        )
+                    }
                 });
             }
         }

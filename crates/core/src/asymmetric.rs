@@ -152,7 +152,7 @@ impl JoinMap for SphereTransform {
 
     /// A query is checked against the radius `U` here, as the kernel checks it when it
     /// embeds the query: a join that scans never hands a query to the kernel.
-    fn keep(&self, side: Side, v: &DenseVector, _kept: &mut [u16]) -> Result<Option<u64>> {
+    fn check(&self, side: Side, v: &DenseVector) -> Result<Option<u64>> {
         match side {
             Side::Data => check_data(self, v)?,
             Side::Query => {

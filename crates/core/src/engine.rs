@@ -26,9 +26,22 @@
 use crate::error::Result;
 use crate::mips::MipsIndex;
 use crate::problem::{JoinSpec, MatchPair};
-use crate::topk::TopKMipsIndex;
 use ips_linalg::par::{available_threads, map_blocks};
 use ips_linalg::DenseVector;
+
+/// What a request asks of an index: Definition 1's one partner per query, or the
+/// footnote-1 variant's up to `k`. A request of either kind runs the same path through
+/// every serving layer; only the engine pass ([`JoinEngine::answer`]) tells them apart,
+/// and requests merge into one pass only under equal asks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Ask {
+    /// The `(cs, s)` join: at most one partner per query, reaching `cs`
+    /// ([`MipsIndex::search`]).
+    Threshold,
+    /// Up to `k` partners per query, each reaching `cs`, best first
+    /// ([`MipsIndex::search_top_k`]).
+    TopK(usize),
+}
 
 /// How a [`JoinEngine`] schedules its work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -171,35 +184,12 @@ impl<I: MipsIndex> JoinEngine<I> {
         })
     }
 
-    /// [`JoinEngine::run`] with the pass timed into `sink`: records the
-    /// engine wall time as [`ips_obs::Stage::Engine`] and the batch width as
-    /// [`ips_obs::Observable::BatchSize`]. The answer is exactly `run`'s —
-    /// the sink only observes.
-    pub fn run_with_sink(
-        &self,
-        queries: &[DenseVector],
-        sink: &dyn ips_obs::TraceSink,
-    ) -> Result<Vec<MatchPair>>
-    where
-        I: Sync,
-    {
-        let start = std::time::Instant::now();
-        let out = self.run(queries);
-        sink.stage_ns(ips_obs::Stage::Engine, start.elapsed().as_nanos() as u64);
-        sink.observe(ips_obs::Observable::BatchSize, queries.len() as u64);
-        out
-    }
-
     /// Runs a batched top-`k` join through the same chunked, work-stealing driver as
     /// [`JoinEngine::run`]: up to `k` pairs per query, each clearing the relaxed
     /// threshold `cs`, best first within a query, queries in order.
-    ///
-    /// This is the serving layer's batch entry point — a long-lived
-    /// [`TopKMipsIndex`] answers whole query batches with the engine's concurrency
-    /// and chunking instead of a caller-side loop.
     pub fn run_top_k(&self, queries: &[DenseVector], k: usize) -> Result<Vec<MatchPair>>
     where
-        I: TopKMipsIndex + Sync,
+        I: Sync,
     {
         self.run_chunked(queries, &|chunk, base| {
             let mut local = Vec::new();
@@ -216,22 +206,17 @@ impl<I: MipsIndex> JoinEngine<I> {
         })
     }
 
-    /// [`JoinEngine::run_top_k`] with the pass timed into `sink`, mirroring
-    /// [`JoinEngine::run_with_sink`].
-    pub fn run_top_k_with_sink(
-        &self,
-        queries: &[DenseVector],
-        k: usize,
-        sink: &dyn ips_obs::TraceSink,
-    ) -> Result<Vec<MatchPair>>
+    /// Answers `queries` as `ask` asks: [`JoinEngine::run`] for [`Ask::Threshold`],
+    /// [`JoinEngine::run_top_k`] for [`Ask::TopK`] — the one entry point of the serving
+    /// layers, which carry the request kind from the socket to here.
+    pub fn answer(&self, queries: &[DenseVector], ask: Ask) -> Result<Vec<MatchPair>>
     where
-        I: TopKMipsIndex + Sync,
+        I: Sync,
     {
-        let start = std::time::Instant::now();
-        let out = self.run_top_k(queries, k);
-        sink.stage_ns(ips_obs::Stage::Engine, start.elapsed().as_nanos() as u64);
-        sink.observe(ips_obs::Observable::BatchSize, queries.len() as u64);
-        out
+        match ask {
+            Ask::Threshold => self.run(queries),
+            Ask::TopK(k) => self.run_top_k(queries, k),
+        }
     }
 
     /// The shared chunked driver: splits `queries` into chunks and runs them through
@@ -321,7 +306,6 @@ mod tests {
 
     #[test]
     fn parallel_top_k_matches_the_serial_per_query_loop() {
-        use crate::topk::TopKMipsIndex;
         let (data, queries) = workload(0xE50, 90, 41, 10);
         let spec = JoinSpec::new(0.1, 0.5, JoinVariant::Signed).unwrap();
         let index = BruteForceMipsIndex::new(data, spec);

@@ -103,7 +103,7 @@ pub mod symmetric;
 pub mod theory;
 pub mod topk;
 
-pub use engine::{EngineConfig, JoinEngine};
+pub use engine::{Ask, EngineConfig, JoinEngine};
 pub use error::{CoreError, Result};
 pub use facade::{Join, JoinBuilder, JoinReport, Strategy};
 pub use kernel::{Dtype, ScoringOptions};
@@ -111,4 +111,4 @@ pub use lsh_mips::{LshMips, LshOps, SphereMap};
 pub use mips::{MipsIndex, SearchResult, SketchMipsAdapter};
 pub use planner::{CostModel, IndexConfig, IndexFamily, JoinPlan, JoinPlanner};
 pub use problem::{JoinSpec, JoinVariant, MatchPair};
-pub use topk::{top_k_recall, TopKMipsIndex};
+pub use topk::top_k_recall;

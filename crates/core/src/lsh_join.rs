@@ -95,15 +95,27 @@ pub(crate) trait JoinMap: SphereMap {
         self.plane_rows()
     }
 
+    /// Fails where the map cannot present its points to a join at all: checked when a
+    /// join is set up, so one that scans fails as one that hashes.
+    fn check_join(&self) -> Result<()> {
+        Ok(())
+    }
+
     /// The `u16` words a join keeps of each point.
     fn kept_words(&self) -> usize {
         0
     }
 
     /// Checks `v` as a vector on `side` — failing as hashing it would, so that a join
-    /// that scans fails as one that hashes — writes what a join keeps of it into `kept`
-    /// ([`JoinMap::kept_words`] words) and returns its diagonal key.
-    fn keep(&self, side: Side, v: &DenseVector, kept: &mut [u16]) -> Result<Option<u64>>;
+    /// that scans fails as one that hashes — and returns its diagonal key. This is all
+    /// a scan asks of a point.
+    fn check(&self, side: Side, v: &DenseVector) -> Result<Option<u64>>;
+
+    /// [`JoinMap::check`], writing what a hashing join keeps of `v` into `kept`
+    /// ([`JoinMap::kept_words`] words).
+    fn keep(&self, side: Side, v: &DenseVector, _kept: &mut [u16]) -> Result<Option<u64>> {
+        self.check(side, v)
+    }
 
     /// [`SphereMap::block_keys`] of `vectors`, whose kept words are `kept`, in order.
     fn kept_block_keys(
@@ -212,6 +224,7 @@ impl<'a, M: JoinMap> LshJoin<'a, M> {
         slot_id(data.len())?;
         let map = M::new(dim, &spec, &params)?;
         let family = map.family()?;
+        map.check_join()?;
         Ok(Self {
             map,
             family,
@@ -234,10 +247,11 @@ impl<'a, M: JoinMap> LshJoin<'a, M> {
 
     /// The join with every data point a candidate of every query: each query's
     /// diagonal probe, else its best data point, scored by the exact data-major scan a
-    /// chunk of queries at a time on the engine's threads. Nothing is drawn.
+    /// chunk of queries at a time on the engine's threads. Nothing is drawn, and
+    /// nothing is kept of a point: it is checked and keyed ([`JoinMap::check`]).
     fn scan(&self) -> Result<Vec<MatchPair>> {
-        let (_, diagonal) = self.keep_data()?;
-        let (_, mut parts) = self.keep_queries(&diagonal)?;
+        let (_, diagonal) = self.keep_data(false)?;
+        let (_, mut parts) = self.keep_queries(&diagonal, false)?;
         let (spec, data, queries) = (&self.spec, self.data, self.queries);
         map_blocks(
             self.threads,
@@ -278,7 +292,7 @@ impl<'a, M: JoinMap> LshJoin<'a, M> {
         let mut next = Some(sample(group.min(l))?);
 
         let words = map.kept_words();
-        let (kept_data, diagonal) = self.keep_data()?;
+        let (kept_data, diagonal) = self.keep_data(true)?;
         // A diagonal probe that meets the promise is the answer; no group is asked.
         let answered = |part: &ShardParts| {
             part.exact
@@ -302,7 +316,7 @@ impl<'a, M: JoinMap> LshJoin<'a, M> {
             // The queries are presented once the first group's tables are laid out: a
             // join of one group never holds them beside the build's filing maps.
             if queried.is_none() {
-                queried = Some(self.keep_queries(&diagonal)?);
+                queried = Some(self.keep_queries(&diagonal, true)?);
             }
             let (kept_queries, parts) = queried.as_mut().expect("presented above");
             map_blocks(
@@ -337,11 +351,18 @@ impl<'a, M: JoinMap> LshJoin<'a, M> {
         Ok(pairs(spec, &parts))
     }
 
-    /// What the join keeps of the data, and the diagonal of the data's keys (empty
-    /// under a map without one).
-    fn keep_data(&self) -> Result<(Vec<u16>, Diagonal)> {
+    /// What the join keeps of the data — nothing unless it `hashes` — and the diagonal
+    /// of the data's keys (empty under a map without one).
+    fn keep_data(&self, hashes: bool) -> Result<(Vec<u16>, Diagonal)> {
         let schedule = (BUILD_BLOCK, self.threads);
-        let (kept, keys) = keep(&self.map, Side::Data, self.data, schedule, |_, key| Ok(key))?;
+        let (kept, keys) = keep(
+            &self.map,
+            Side::Data,
+            self.data,
+            schedule,
+            hashes,
+            |_, key| Ok(key),
+        )?;
         let mut diagonal = Diagonal::with_capacity(keys.iter().flatten().count());
         for (slot, key) in keys.into_iter().enumerate() {
             if let Some(key) = key {
@@ -351,21 +372,20 @@ impl<'a, M: JoinMap> LshJoin<'a, M> {
         Ok((kept, diagonal))
     }
 
-    /// What the join keeps of the queries, and each query's parts with its diagonal
-    /// probe in place.
-    fn keep_queries(&self, diagonal: &Diagonal) -> Result<(Vec<u16>, Vec<ShardParts>)> {
+    /// What the join keeps of the queries — nothing unless it `hashes` — and each
+    /// query's parts with its diagonal probe in place.
+    fn keep_queries(
+        &self,
+        diagonal: &Diagonal,
+        hashes: bool,
+    ) -> Result<(Vec<u16>, Vec<ShardParts>)> {
         let (map, data) = (&self.map, self.data);
         let probe = |q: &DenseVector, key| {
             let exact = diagonal_hit(map, diagonal, data, q, key)?;
             Ok(ShardParts { exact, best: None })
         };
-        keep(
-            map,
-            Side::Query,
-            self.queries,
-            (self.chunk, self.threads),
-            probe,
-        )
+        let schedule = (self.chunk, self.threads);
+        keep(map, Side::Query, self.queries, schedule, hashes, probe)
     }
 }
 
@@ -383,16 +403,18 @@ fn pairs(spec: &JoinSpec, parts: &[ShardParts]) -> Vec<MatchPair> {
     pairs.collect()
 }
 
-/// What the join keeps of each of `vectors` on `side` ([`JoinMap::keep`]), in blocks of
-/// `size`, with `then(v, key)` of each vector and its diagonal key.
+/// What the join keeps of each of `vectors` on `side` ([`JoinMap::keep`]) where it
+/// `hashes`, else only [`JoinMap::check`]s them, in blocks of `size`, with `then(v, key)`
+/// of each vector and its diagonal key.
 fn keep<M: JoinMap, T: Clone + Default + Send>(
     map: &M,
     side: Side,
     vectors: &[DenseVector],
     (size, threads): (usize, usize),
+    hashes: bool,
     then: impl Fn(&DenseVector, Option<u64>) -> Result<T> + Sync,
 ) -> Result<(Vec<u16>, Vec<T>)> {
-    let words = map.kept_words();
+    let words = if hashes { map.kept_words() } else { 0 };
     let mut kept = vec![0u16; vectors.len() * words];
     let mut out = vec![T::default(); vectors.len()];
     map_blocks(
@@ -401,7 +423,12 @@ fn keep<M: JoinMap, T: Clone + Default + Send>(
         |_, (first, out, kept)| -> Result<()> {
             for (i, out) in out.iter_mut().enumerate() {
                 let v = &vectors[*first + i];
-                *out = then(v, map.keep(side, v, &mut kept[i * words..(i + 1) * words])?)?;
+                let key = if hashes {
+                    map.keep(side, v, &mut kept[i * words..(i + 1) * words])?
+                } else {
+                    map.check(side, v)?
+                };
+                *out = then(v, key)?;
             }
             Ok(())
         },
@@ -825,6 +852,23 @@ mod tests {
         let engine = EngineConfig::default();
         let data = [good];
         assert!(run::<SphereTransform, _>(no_planes, &mut rng, &data, &[], spec, engine).is_err());
+    }
+
+    /// A kept tag symbol is 16 bits. At ε = 3/65530 the tag's field is GF(65537), whose
+    /// symbols may not fit: the join is refused when it is set up, so it fails alike
+    /// whether it would scan or hash, and before any plane is drawn.
+    #[test]
+    fn a_field_past_sixteen_bits_is_refused_at_set_up() {
+        let spec = JoinSpec::new(0.05, 0.5, JoinVariant::Signed).unwrap();
+        let data = [DenseVector::from(&[0.3, 0.1][..])];
+        let params = SymmetricParams {
+            epsilon: 3.0 / 65530.0,
+            ..SymmetricParams::default()
+        };
+        let engine = EngineConfig::default();
+        let refused = LshJoin::<SymmetricSphereMap>::new(params, &data, &data, spec, engine);
+        let error = refused.err().expect("GF(65537) is refused").to_string();
+        assert!(error.contains("16 bits, not GF(65537)"), "{error}");
     }
 
     /// The planted joins of the repository benchmark at the hard background scale (1),

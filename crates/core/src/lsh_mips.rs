@@ -15,7 +15,7 @@ use crate::mips::{MipsIndex, SearchResult};
 use crate::problem::JoinSpec;
 use crate::shard::{keep_best, ShardParts};
 use crate::slots::Renumbering;
-use crate::topk::TopKMipsIndex;
+use crate::topk::rescore_candidates;
 use ips_linalg::par::Schedule;
 use ips_linalg::{score_block, DenseVector};
 use ips_lsh::bank::{Point, Side};
@@ -188,7 +188,7 @@ pub(crate) fn best_candidate(
 /// What an [`LshMips`] does that does not name its map: mutation, compaction, the
 /// query-time policies and the halves of the two-step search. Object-safe, so a holder
 /// of either family — the serving layer — reaches them through one `dyn LshOps`.
-pub trait LshOps: TopKMipsIndex + Send + Sync {
+pub trait LshOps: MipsIndex + Send + Sync {
     /// Inserts a new data vector (unit ball), hashing it into every table with the
     /// functions sampled at build time — and registering it in the exact-match lookup
     /// of a map that has one — and returns its slot id. Slot ids are stable: they are
@@ -530,6 +530,11 @@ impl<M: SphereMap> MipsIndex for LshMips<'_, M> {
             let best = best_candidate(&self.spec, &self.data, query, self.gather(point)?)?;
             Ok(best.filter(|b| self.spec.acceptable(b.inner_product)))
         })
+    }
+
+    fn search_top_k(&self, query: &DenseVector, k: usize) -> Result<Vec<SearchResult>> {
+        let candidates = self.candidate_indices(query)?;
+        rescore_candidates(&self.data, candidates, query, &self.spec, k)
     }
 }
 

@@ -9,6 +9,7 @@ use crate::brute::brute_force_mips;
 use crate::error::Result;
 use crate::problem::{JoinSpec, JoinVariant, MatchPair};
 use crate::shard::keep_best;
+use crate::topk::rescore_candidates;
 use ips_linalg::{score_block, DenseVector};
 use ips_sketch::recovery::MipsCandidate;
 use std::borrow::Cow;
@@ -63,6 +64,17 @@ pub trait MipsIndex {
     fn search_batch(&self, queries: &[DenseVector]) -> Result<Vec<Option<SearchResult>>> {
         queries.iter().map(|q| self.search(q)).collect()
     }
+
+    /// Answers one query with up to `k` partners, best first: the top-`k` variant of the
+    /// paper's footnote 1, where a query may take part in up to `k` pairs.
+    ///
+    /// Every result clears the spec's relaxed threshold `cs`; results are sorted by
+    /// decreasing similarity value (signed inner product or absolute value, depending on
+    /// the variant) with ties toward the lower data index
+    /// ([`crate::shard::beats`]). Approximate implementations may return fewer than `k`
+    /// even when `k` acceptable partners exist — that is the recall the experiments
+    /// measure.
+    fn search_top_k(&self, query: &DenseVector, k: usize) -> Result<Vec<SearchResult>>;
 }
 
 /// Shared references to an index are themselves indexes, so [`crate::engine::JoinEngine`]
@@ -88,6 +100,10 @@ impl<I: MipsIndex + ?Sized> MipsIndex for &I {
         // Forward explicitly so a batch override on `I` is not lost behind the
         // reference's default method.
         (**self).search_batch(queries)
+    }
+
+    fn search_top_k(&self, query: &DenseVector, k: usize) -> Result<Vec<SearchResult>> {
+        (**self).search_top_k(query, k)
     }
 }
 
@@ -185,6 +201,10 @@ impl MipsIndex for BruteForceMipsIndex<'_> {
     /// `f32` path instead.
     fn search_batch(&self, queries: &[DenseVector]) -> Result<Vec<Option<SearchResult>>> {
         crate::kernel::scored_batch(&self.data, self.tile.as_ref(), queries, &self.spec)
+    }
+
+    fn search_top_k(&self, query: &DenseVector, k: usize) -> Result<Vec<SearchResult>> {
+        rescore_candidates(&self.data, 0..self.data.len(), query, &self.spec, k)
     }
 }
 
@@ -308,6 +328,16 @@ impl MipsIndex for SketchMipsAdapter<'_> {
 
     fn search(&self, query: &DenseVector) -> Result<Option<SearchResult>> {
         Ok(sketch_hit(self.spec, self.inner.query(query)?))
+    }
+
+    /// The sketch structure recovers a *single* candidate per query (the prefix-tree
+    /// walk of Section 4.3 has no ranked candidate set), so its top-`k` is the top-1
+    /// result: at most one partner, which an approximate index is allowed.
+    fn search_top_k(&self, query: &DenseVector, k: usize) -> Result<Vec<SearchResult>> {
+        if k == 0 {
+            return Ok(Vec::new());
+        }
+        Ok(self.search(query)?.into_iter().collect())
     }
 }
 

@@ -136,7 +136,7 @@ pub fn merge_two_step(spec: &JoinSpec, parts: &[ShardParts]) -> Option<SearchRes
 /// `k` results globally is outranked by at most that many within its shard),
 /// so merging the per-shard lists and keeping the best `k` under the same
 /// comparator is exact. Input lists are expected best-first (the
-/// [`crate::topk::TopKMipsIndex`] contract); the output is best-first with
+/// [`crate::mips::MipsIndex::search_top_k`] contract); the output is best-first with
 /// ties toward the lower data index.
 pub fn merge_top_k(
     spec: &JoinSpec,

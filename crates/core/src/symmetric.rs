@@ -374,6 +374,27 @@ impl JoinMap for SymmetricSphereMap {
         VALUE_WORDS + self.tag_nonzeros()
     }
 
+    /// A kept symbol is 16 bits: a field past them is a defect of the map, refused
+    /// before any point is looked at.
+    fn check_join(&self) -> Result<()> {
+        let p = self.field();
+        if p > 1 << 16 {
+            return Err(CoreError::InvalidParameter {
+                name: "epsilon",
+                reason: format!("a join keeps tag symbols in 16 bits, not GF({p})'s"),
+            });
+        }
+        Ok(())
+    }
+
+    /// What [`SymmetricSphereMap::image_into`] checks, and the fingerprint, without
+    /// the tag.
+    fn check(&self, _side: Side, v: &DenseVector) -> Result<Option<u64>> {
+        self.check_dim(v)?;
+        Self::tail_mass(v)?;
+        Ok(Some(fold(self.fingerprint(v))))
+    }
+
     fn keep(&self, _side: Side, v: &DenseVector, kept: &mut [u16]) -> Result<Option<u64>> {
         IMAGE.with_borrow_mut(|image| {
             self.image_into(v, image)?;
@@ -384,12 +405,8 @@ impl JoinMap for SymmetricSphereMap {
             }
             let p = self.field();
             for (x, (word, &(row, _))) in symbols.iter_mut().zip(&image.tag).enumerate() {
-                *word = u16::try_from(row - self.dim - x * p).map_err(|_| {
-                    CoreError::InvalidParameter {
-                        name: "epsilon",
-                        reason: format!("a join keeps tag symbols in 16 bits, not GF({p})'s"),
-                    }
-                })?;
+                *word = u16::try_from(row - self.dim - x * p)
+                    .expect("a symbol is below p, which `check_join` held to 16 bits");
             }
             Ok(Some(image.fingerprint))
         })

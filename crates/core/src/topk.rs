@@ -2,44 +2,24 @@
 //!
 //! The paper's problem definition (footnote 1) notes that "from an upper bound side, it
 //! is common to limit the number of occurrences of each tuple in a join result to a
-//! given number k". This module provides that variant: instead of a single partner per
-//! query, up to `k` partners are reported, every one of them clearing the relaxed
-//! threshold `cs` of the spec. The exact scan is the reference implementation; the
-//! LSH indexes of Sections 4.1–4.2 implement the same interface by re-scoring their
-//! candidate sets, so recall-vs-`k` curves can be measured for the recommender-style
-//! workloads that motivated MIPS in the first place.
+//! given number k". Every index answers that variant through
+//! [`MipsIndex::search_top_k`](crate::mips::MipsIndex::search_top_k): up to `k`
+//! partners per query, every one of them clearing the relaxed threshold `cs` of the
+//! spec. The exact scan is the reference implementation; the LSH indexes of Sections
+//! 4.1–4.2 re-score their candidate sets, so recall-vs-`k` curves can be measured for
+//! the recommender-style workloads that motivated MIPS in the first place. This module
+//! holds what those answers share: the bounded selection, the re-scoring and the
+//! recall measure.
 
 use crate::error::Result;
-use crate::lsh_mips::{LshMips, LshOps, SphereMap};
-use crate::mips::{BruteForceMipsIndex, MipsIndex, SearchResult};
+use crate::mips::SearchResult;
 use crate::problem::JoinSpec;
 use crate::shard::beats;
 use ips_linalg::{score_block, DenseVector};
 use std::cmp::Ordering;
 
-/// A MIPS index that can report several partners per query.
-///
-/// Every returned result clears the spec's relaxed threshold `cs`, results are sorted by
-/// decreasing similarity value (signed inner product or absolute value, depending on the
-/// variant) with ties toward the lower data index ([`beats`]), and at most `k` results
-/// are returned. Approximate implementations may
-/// return fewer than `k` even when `k` acceptable partners exist — that is the recall
-/// the experiments measure.
-pub trait TopKMipsIndex: MipsIndex {
-    /// Returns up to `k` acceptable partners for the query, best first.
-    fn search_top_k(&self, query: &DenseVector, k: usize) -> Result<Vec<SearchResult>>;
-}
-
-/// Shared references forward, so [`crate::engine::JoinEngine`] can run top-`k` joins
-/// over a borrowed index just as it runs single-partner joins.
-impl<I: TopKMipsIndex + ?Sized> TopKMipsIndex for &I {
-    fn search_top_k(&self, query: &DenseVector, k: usize) -> Result<Vec<SearchResult>> {
-        (**self).search_top_k(query, k)
-    }
-}
-
 /// The best `k` results offered so far, best first under [`beats`] — the one
-/// bounded selection behind every top-`k` answer: the index searches below, the
+/// bounded selection behind every top-`k` answer: the index searches, the
 /// sharded merge ([`crate::shard::merge_top_k`]) and the serving layer's merge of
 /// its primary structure with pending inserts.
 ///
@@ -116,7 +96,7 @@ impl<'s> BestK<'s> {
 /// Scores every index in `candidates` against the query and keeps the best `k`
 /// acceptable results. Every candidate is scored, whatever `k`: a dimension mismatch
 /// fails even a `k = 0` search.
-fn rescore_candidates(
+pub(crate) fn rescore_candidates(
     data: &[DenseVector],
     candidates: impl IntoIterator<Item = usize>,
     query: &DenseVector,
@@ -134,33 +114,6 @@ fn rescore_candidates(
         }
     })?;
     Ok(best.into_vec())
-}
-
-impl TopKMipsIndex for BruteForceMipsIndex<'_> {
-    fn search_top_k(&self, query: &DenseVector, k: usize) -> Result<Vec<SearchResult>> {
-        rescore_candidates(self.data(), 0..self.len(), query, &self.spec(), k)
-    }
-}
-
-impl<M: SphereMap> TopKMipsIndex for LshMips<'_, M> {
-    fn search_top_k(&self, query: &DenseVector, k: usize) -> Result<Vec<SearchResult>> {
-        let candidates = self.candidate_indices(query)?;
-        rescore_candidates(self.data(), candidates, query, &self.spec(), k)
-    }
-}
-
-/// The sketch structure recovers a *single* candidate per query (the prefix-tree walk
-/// of Section 4.3 has no ranked candidate set), so its top-`k` is the top-1 result —
-/// an approximate implementation is allowed to return fewer than `k` partners, and
-/// this one always returns at most one. The serving layer documents this when a
-/// sketch-family index answers `topk`.
-impl TopKMipsIndex for crate::mips::SketchMipsAdapter<'_> {
-    fn search_top_k(&self, query: &DenseVector, k: usize) -> Result<Vec<SearchResult>> {
-        if k == 0 {
-            return Ok(Vec::new());
-        }
-        Ok(self.search(query)?.into_iter().collect())
-    }
 }
 
 /// Recall of an approximate top-`k` result against the exact one: the fraction of the
@@ -184,6 +137,8 @@ mod tests {
     use super::*;
     use crate::asymmetric::{AlshParams, SphereTransform};
     use crate::engine::JoinEngine;
+    use crate::lsh_mips::LshMips;
+    use crate::mips::{BruteForceMipsIndex, MipsIndex};
     use crate::problem::JoinVariant;
     use crate::symmetric::{SymmetricParams, SymmetricSphereMap};
     use ips_linalg::par::Schedule;

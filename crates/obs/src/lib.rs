@@ -1,8 +1,8 @@
 //! Lock-free telemetry core for the serving stack.
 //!
-//! This crate is a dependency leaf (std only) so every layer of the workspace
-//! — kernel, engine, store, CLI — can record into it without cycles. It
-//! provides three things:
+//! This crate is a dependency leaf (std only) so the serving layers — store,
+//! adaptive controller, CLI — can record into it without cycles. It provides
+//! three things:
 //!
 //! 1. **Metrics primitives** ([`Counter`], [`Gauge`], [`Histogram`]): plain
 //!    relaxed atomics, recordable from any thread without locks. Histograms

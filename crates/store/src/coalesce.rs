@@ -11,8 +11,8 @@
 //!
 //! # Protocol (leader-collects)
 //!
-//! Requests that can merge (same *lane*: above-threshold, or top-`k` with the
-//! same `k`) land in a shared pending list:
+//! Requests that can merge (same *lane*: one [`Ask`] — above-threshold, or
+//! top-`k` with the same `k`) land in a shared pending list:
 //!
 //! * the **first** arrival becomes the lane *leader*: it enqueues itself and
 //!   waits — up to [`CoalesceConfig::window_micros`], or until the pending
@@ -24,6 +24,11 @@
 //!   over the concatenated vectors, and demultiplexes: each request gets the
 //!   slice of results covering its offset range with `query_index` rebased to
 //!   its own numbering.
+//!
+//! A lane lives in the lane map only while it is in use: the leader that finishes
+//! a round over an idle lane takes it out, so a client sending ever new `k`s
+//! leaves nothing behind. A request that picked the lane up just before leads it
+//! alone; that costs a merge, never an answer.
 //!
 //! The engine pass runs *outside* the lane lock, so a panicking engine cannot
 //! poison the lane; a follower whose leader died observes the closed channel
@@ -39,9 +44,10 @@
 
 use crate::error::{Result, StoreError};
 use crate::sharded::ShardedServingIndex;
+use ips_core::engine::Ask;
 use ips_core::problem::MatchPair;
 use ips_linalg::DenseVector;
-use ips_obs::{Stage, TraceSink};
+use ips_obs::{Stage, TraceSink, NOOP_SINK};
 use std::collections::HashMap;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -78,14 +84,6 @@ impl CoalesceConfig {
     }
 }
 
-/// Which requests may share an engine pass: above-threshold queries merge with
-/// each other, top-`k` queries only with the same `k` (a pass has one `k`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum LaneKey {
-    Threshold,
-    TopK(usize),
-}
-
 /// A follower's answer: the demuxed pairs, or the engine error as text (the
 /// error type is not cloneable, the broadcast needs one copy per request).
 type LaneReply = std::result::Result<Vec<MatchPair>, String>;
@@ -118,7 +116,9 @@ struct Lane {
 pub struct Coalescer {
     index: Arc<ShardedServingIndex>,
     config: CoalesceConfig,
-    lanes: Mutex<HashMap<LaneKey, Arc<Lane>>>,
+    /// One lane per [`Ask`] in use: requests merge into one pass only under equal
+    /// asks (a pass has one `k`).
+    lanes: Mutex<HashMap<Ask, Arc<Lane>>>,
 }
 
 impl Coalescer {
@@ -144,23 +144,12 @@ impl Coalescer {
     /// Answers an above-threshold request through the batcher — bit-identical
     /// to [`ShardedServingIndex::query`] on the same vectors.
     pub fn query(&self, queries: Vec<DenseVector>) -> Result<Vec<MatchPair>> {
-        self.submit(LaneKey::Threshold, queries)
+        self.answer(queries, Ask::Threshold)
     }
 
-    /// Answers a top-`k` request through the batcher — bit-identical to
-    /// [`ShardedServingIndex::query_top_k`] on the same vectors.
-    pub fn query_top_k(&self, queries: Vec<DenseVector>, k: usize) -> Result<Vec<MatchPair>> {
-        self.submit(LaneKey::TopK(k), queries)
-    }
-
-    fn run_pass(&self, key: LaneKey, queries: &[DenseVector]) -> Result<Vec<MatchPair>> {
-        match key {
-            LaneKey::Threshold => self.index.query(queries),
-            LaneKey::TopK(k) => self.index.query_top_k(queries, k),
-        }
-    }
-
-    fn submit(&self, key: LaneKey, queries: Vec<DenseVector>) -> Result<Vec<MatchPair>> {
+    /// Answers a request as `ask` asks through the batcher — bit-identical to
+    /// [`ShardedServingIndex::answer`] on the same vectors.
+    pub fn answer(&self, queries: Vec<DenseVector>, ask: Ask) -> Result<Vec<MatchPair>> {
         // Reject malformed requests before they can join (and fail) a batch.
         for q in &queries {
             if q.dim() != self.index.dim() {
@@ -178,11 +167,11 @@ impl Coalescer {
             return Ok(Vec::new());
         }
         if !self.config.enabled() {
-            return self.run_pass(key, &queries);
+            return self.index.answer(&queries, ask, &NOOP_SINK);
         }
         let lane = {
             let mut lanes = self.lanes.lock().expect("lane map poisoned");
-            Arc::clone(lanes.entry(key).or_default())
+            Arc::clone(lanes.entry(ask).or_default())
         };
         let mut state = lane.state.lock().expect("lane poisoned");
         if state.leader {
@@ -254,7 +243,7 @@ impl Coalescer {
         if batch.len() > 1 {
             self.index.note_coalesced_batch();
         }
-        match self.run_pass(key, &merged) {
+        let answered = match self.index.answer(&merged, ask, &NOOP_SINK) {
             Ok(pairs) => {
                 let demux_start = Instant::now();
                 let mut slices = demux(&batch, pairs);
@@ -278,6 +267,19 @@ impl Coalescer {
                 }
                 Err(e)
             }
+        };
+        self.retire(ask, &lane);
+        answered
+    }
+
+    /// Takes `lane` out of the map if it is still the lane of `ask` and idle: no
+    /// leader collecting, nothing pending (see the [module docs](self)).
+    fn retire(&self, ask: Ask, lane: &Arc<Lane>) {
+        let mut lanes = self.lanes.lock().expect("lane map poisoned");
+        let state = lane.state.lock().expect("lane poisoned");
+        let idle = !state.leader && state.pending.is_empty();
+        if idle && lanes.get(&ask).is_some_and(|held| Arc::ptr_eq(held, lane)) {
+            lanes.remove(&ask);
         }
     }
 }
@@ -420,9 +422,29 @@ mod tests {
         let coalescer = Coalescer::new(Arc::clone(&index), CoalesceConfig::default());
         for k in [1usize, 3] {
             assert_eq!(
-                coalescer.query_top_k(q.clone(), k).unwrap(),
+                coalescer.answer(q.clone(), Ask::TopK(k)).unwrap(),
                 index.query_top_k(&q, k).unwrap()
             );
         }
+    }
+
+    #[test]
+    fn a_lane_leaves_the_map_when_its_round_ends_idle() {
+        let index = serving(1);
+        // Two vectors a request fill a batch of two, so every round closes at once.
+        let coalescer = Coalescer::new(
+            Arc::clone(&index),
+            CoalesceConfig {
+                window_micros: 2_000_000,
+                max_batch: 2,
+            },
+        );
+        let q = vectors(0xC5, 2, 8, 1.0);
+        for k in 1..=1000 {
+            coalescer.answer(q.clone(), Ask::TopK(k)).unwrap();
+        }
+        coalescer.query(q).unwrap();
+        let lanes = coalescer.lanes.lock().unwrap();
+        assert!(lanes.is_empty(), "{} idle lanes left", lanes.len());
     }
 }

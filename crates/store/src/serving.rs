@@ -46,11 +46,11 @@
 
 use crate::error::{Result, StoreError};
 use crate::snapshot::{AnyIndex, IndexFamily, Snapshot, SnapshotRef, ViewMut};
-use ips_core::engine::{EngineConfig, JoinEngine};
+use ips_core::engine::{Ask, EngineConfig, JoinEngine};
 use ips_core::mips::{BruteForceMipsIndex, MipsIndex, SearchResult, SketchMipsAdapter};
 use ips_core::problem::{JoinSpec, MatchPair};
 use ips_core::shard::keep_best;
-use ips_core::topk::{BestK, TopKMipsIndex};
+use ips_core::topk::BestK;
 use ips_core::LshMips;
 use ips_linalg::par::{available_threads, Schedule};
 use ips_linalg::{score_block, DenseVector};
@@ -614,11 +614,7 @@ impl ServingIndex {
     /// [`JoinEngine`] (one best partner per query at most, external ids in
     /// `data_index`), updating the query/hit/latency counters.
     pub fn query(&self, queries: &[DenseVector]) -> Result<Vec<MatchPair>> {
-        let start = Instant::now();
-        let engine = JoinEngine::with_config(ServingView(self), self.config.engine);
-        let pairs = engine.run(queries)?;
-        self.note_queries(queries.len(), pairs.len(), start);
-        Ok(pairs)
+        self.answer(queries, Ask::Threshold)
     }
 
     /// Answers a batch of top-`k` queries through the [`JoinEngine`] (up to `k`
@@ -626,10 +622,16 @@ impl ServingIndex {
     /// counters. For a sketch-family index the structure recovers at most one
     /// candidate per query, so fewer than `k` partners are expected.
     pub fn query_top_k(&self, queries: &[DenseVector], k: usize) -> Result<Vec<MatchPair>> {
+        self.answer(queries, Ask::TopK(k))
+    }
+
+    /// The body of both queries: one engine pass over [`ServingView`], counted.
+    fn answer(&self, queries: &[DenseVector], ask: Ask) -> Result<Vec<MatchPair>> {
         let start = Instant::now();
         let engine = JoinEngine::with_config(ServingView(self), self.config.engine);
-        let pairs = engine.run_top_k(queries, k)?;
-        self.note_queries(queries.len(), pairs.len(), start);
+        let pairs = engine.answer(queries, ask)?;
+        self.counters
+            .note_queries(queries.len(), pairs.len(), start);
         Ok(pairs)
     }
 
@@ -642,10 +644,6 @@ impl ServingIndex {
             return Ok(());
         }
         self.rebuild()
-    }
-
-    fn note_queries(&self, queries: usize, hits: usize, start: Instant) {
-        self.counters.note_queries(queries, hits, start);
     }
 
     fn maybe_rebuild(&mut self) -> Result<()> {
@@ -718,7 +716,7 @@ impl ServingIndex {
     }
 }
 
-/// A borrow of a [`ServingIndex`] that speaks [`MipsIndex`] / [`TopKMipsIndex`] with
+/// A borrow of a [`ServingIndex`] that speaks [`MipsIndex`] with
 /// **external ids** in `data_index`, merging the primary structure with the overlay
 /// and suppressing tombstoned answers — the adapter [`ServingIndex::query`] feeds to
 /// the [`JoinEngine`].
@@ -778,9 +776,7 @@ impl MipsIndex for ServingView<'_> {
         self.overlay_hits(query, |hit| keep_best(&self.0.spec, &mut best, hit))?;
         Ok(best)
     }
-}
 
-impl TopKMipsIndex for ServingView<'_> {
     fn search_top_k(&self, query: &DenseVector, k: usize) -> ips_core::Result<Vec<SearchResult>> {
         let spec = self.0.spec;
         let mut best = BestK::new(&spec, k);

@@ -66,11 +66,10 @@ use crate::format::fnv1a64;
 use crate::serving::{build_index, finite, IndexConfig, ServingConfig, ServingIndex, ServingStats};
 use crate::serving::{Counters, ServingView};
 use crate::snapshot::{self, IndexFamily, LoadedSnapshot, Snapshot};
-use ips_core::engine::JoinEngine;
+use ips_core::engine::{Ask, JoinEngine};
 use ips_core::mips::{MipsIndex, SearchResult};
 use ips_core::problem::{JoinSpec, MatchPair};
 use ips_core::shard::{merge_best, merge_top_k, merge_two_step};
-use ips_core::topk::TopKMipsIndex;
 use ips_linalg::par::available_threads;
 use ips_linalg::DenseVector;
 use ips_obs::prom::PromWriter;
@@ -621,50 +620,36 @@ impl ShardedServingIndex {
     /// answers merged exactly (see the [module docs](self) for the per-family
     /// bit-identity guarantees). Results carry external ids in `data_index`.
     pub fn query(&self, queries: &[DenseVector]) -> Result<Vec<MatchPair>> {
-        self.query_with_sink(queries, &NOOP_SINK)
+        self.answer(queries, Ask::Threshold, &NOOP_SINK)
     }
 
-    /// [`ShardedServingIndex::query`] with a caller-supplied [`TraceSink`]
-    /// receiving the per-stage breakdown of this batch (lock wait, engine,
-    /// merge) and its workload observables — the `trace on`
-    /// implementation. The sink only observes: answers are bit-identical to
-    /// [`ShardedServingIndex::query`], and the always-on aggregate
-    /// [`Telemetry`] records either way.
+    /// [`ShardedServingIndex::query`] with a caller-supplied [`TraceSink`]; see
+    /// [`ShardedServingIndex::answer`].
     pub fn query_with_sink(
         &self,
         queries: &[DenseVector],
         sink: &dyn TraceSink,
     ) -> Result<Vec<MatchPair>> {
-        let fan = Fanout {
-            a: &self.telemetry,
-            b: sink,
-        };
-        let start = Instant::now();
-        let guards = self.read_all();
-        fan.stage_ns(Stage::LockWait, start.elapsed().as_nanos() as u64);
-        let engine =
-            JoinEngine::with_config(self.sink_view(&guards, &fan), self.config.serving.engine);
-        let pairs = engine.run_with_sink(queries, &fan)?;
-        self.observe_workload(&fan, queries);
-        self.telemetry
-            .record_query_latency(start.elapsed().as_nanos() as u64);
-        self.counters
-            .note_queries(queries.len(), pairs.len(), start);
-        Ok(pairs)
+        self.answer(queries, Ask::Threshold, sink)
     }
 
     /// Answers a batch of top-`k` queries (up to `k` partners per query, best first):
     /// per-shard top-`k` heaps merged exactly through [`ips_core::shard::merge_top_k`].
     pub fn query_top_k(&self, queries: &[DenseVector], k: usize) -> Result<Vec<MatchPair>> {
-        self.query_top_k_with_sink(queries, k, &NOOP_SINK)
+        self.answer(queries, Ask::TopK(k), &NOOP_SINK)
     }
 
-    /// [`ShardedServingIndex::query_top_k`] with a caller-supplied
-    /// [`TraceSink`]; see [`ShardedServingIndex::query_with_sink`].
-    pub fn query_top_k_with_sink(
+    /// Answers a batch of queries as `ask` asks — the one body behind every query
+    /// method, the coalescer's passes and the session's requests — with `sink`
+    /// receiving the per-stage breakdown of this batch (lock wait, engine, merge) and
+    /// its workload observables: the `trace on` implementation. The sink only
+    /// observes: answers are bit-identical whatever it is, and the always-on aggregate
+    /// [`Telemetry`] records either way. The engine stage and the batch width are
+    /// recorded even when the pass fails.
+    pub fn answer(
         &self,
         queries: &[DenseVector],
-        k: usize,
+        ask: Ask,
         sink: &dyn TraceSink,
     ) -> Result<Vec<MatchPair>> {
         let fan = Fanout {
@@ -676,8 +661,15 @@ impl ShardedServingIndex {
         fan.stage_ns(Stage::LockWait, start.elapsed().as_nanos() as u64);
         let engine =
             JoinEngine::with_config(self.sink_view(&guards, &fan), self.config.serving.engine);
-        let pairs = engine.run_top_k_with_sink(queries, k, &fan)?;
-        self.observe_workload(&fan, queries);
+        let engine_start = Instant::now();
+        let pairs = engine.answer(queries, ask);
+        fan.stage_ns(Stage::Engine, engine_start.elapsed().as_nanos() as u64);
+        fan.observe(Observable::BatchSize, queries.len() as u64);
+        let pairs = pairs?;
+        // The batch's workload observables: one norm sample per query.
+        for q in queries {
+            fan.observe(Observable::QueryNormMilli, (q.norm() * 1000.0) as u64);
+        }
         self.telemetry
             .record_query_latency(start.elapsed().as_nanos() as u64);
         self.counters
@@ -689,13 +681,6 @@ impl ShardedServingIndex {
     /// histograms) — what `stats` percentiles and `metrics` read.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    /// Records the batch's workload observables: one norm sample per query.
-    fn observe_workload(&self, sink: &dyn TraceSink, queries: &[DenseVector]) {
-        for q in queries {
-            sink.observe(Observable::QueryNormMilli, (q.norm() * 1000.0) as u64);
-        }
     }
 
     /// Renders the full metric registry as Prometheus text exposition,
@@ -1051,10 +1036,9 @@ impl ShardedServingIndex {
     }
 }
 
-/// A borrow of every (non-empty) shard that speaks [`MipsIndex`] /
-/// [`TopKMipsIndex`] with external ids, merging per-shard answers exactly — the
-/// adapter [`ShardedServingIndex::query`] feeds to the [`JoinEngine`], mirroring
-/// what [`ServingView`] is to a single [`ServingIndex`].
+/// A borrow of every (non-empty) shard that speaks [`MipsIndex`] with external ids,
+/// merging per-shard answers exactly — the adapter [`ShardedServingIndex::answer`]
+/// feeds to the [`JoinEngine`], as [`ServingView`] is to a single [`ServingIndex`].
 pub struct ShardedView<'a> {
     shards: Vec<&'a ServingIndex>,
     spec: JoinSpec,
@@ -1098,9 +1082,7 @@ impl MipsIndex for ShardedView<'_> {
             .stage_ns(Stage::Merge, start.elapsed().as_nanos() as u64);
         Ok(merged)
     }
-}
 
-impl TopKMipsIndex for ShardedView<'_> {
     fn search_top_k(&self, query: &DenseVector, k: usize) -> ips_core::Result<Vec<SearchResult>> {
         let mut lists = Vec::with_capacity(self.shards.len());
         for shard in &self.shards {

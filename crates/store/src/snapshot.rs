@@ -63,7 +63,6 @@ use ips_core::asymmetric::SphereTransform;
 use ips_core::mips::{BruteForceMipsIndex, MipsIndex, SearchResult, SketchMipsAdapter};
 use ips_core::problem::JoinSpec;
 use ips_core::symmetric::SymmetricSphereMap;
-use ips_core::topk::TopKMipsIndex;
 use ips_core::{LshMips, LshOps, SphereMap};
 use ips_linalg::DenseVector;
 use std::path::Path;
@@ -233,7 +232,7 @@ impl AnyIndex {
     }
 
     /// The structure as the searches see it.
-    fn searcher(&self) -> &(dyn TopKMipsIndex + Sync) {
+    fn searcher(&self) -> &(dyn MipsIndex + Sync) {
         match self.view() {
             View::Brute(i) => i,
             View::Lsh(i) => i,
@@ -289,9 +288,7 @@ impl MipsIndex for AnyIndex {
     fn search_batch(&self, queries: &[DenseVector]) -> ips_core::Result<Vec<Option<SearchResult>>> {
         self.searcher().search_batch(queries)
     }
-}
 
-impl TopKMipsIndex for AnyIndex {
     fn search_top_k(&self, query: &DenseVector, k: usize) -> ips_core::Result<Vec<SearchResult>> {
         self.searcher().search_top_k(query, k)
     }

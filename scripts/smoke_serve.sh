@@ -35,7 +35,7 @@ trap 'rm -rf "$workdir"' EXIT
 cd_failed() { echo "SMOKE FAIL: $1" >&2; exit 1; }
 
 echo "== help (generated from the command schema) =="
-commands="generate info join search build serve query help"
+commands="generate info join build serve query help"
 overview="$("$IPS" help)"
 for cmd in $commands; do
     grep -q "  $cmd" <<<"$overview" || cd_failed "overview missing \`$cmd\`"

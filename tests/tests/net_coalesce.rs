@@ -15,9 +15,13 @@
 //!   pinned by `proptest_store.rs`).
 //!
 //! Exercised across shard counts, thread counts, `k`, and all four index
-//! families — the coalescing satellite of the TCP-serving PR.
+//! families — the coalescing satellite of the TCP-serving PR. A second storm
+//! releases threshold, top-2 and top-3 requests together: different asks never
+//! share an engine pass, and each answers as its own request alone does.
 
+use ips_core::engine::Ask;
 use ips_core::problem::{JoinSpec, JoinVariant, MatchPair};
+use ips_obs::NOOP_SINK;
 use ips_store::{
     CoalesceConfig, Coalescer, IndexConfig, ServingConfig, ServingIndex, ShardedConfig,
     ShardedServingIndex,
@@ -81,7 +85,7 @@ proptest! {
 
             let got = storm(clients, |i| coalescer.query(vec![queries[i].clone()]));
             let got_top =
-                storm(clients, |i| coalescer.query_top_k(vec![queries[i].clone()], k));
+                storm(clients, |i| coalescer.answer(vec![queries[i].clone()], Ask::TopK(k)));
 
             // At least one pass merged ≥ 2 requests in each storm (the barrier
             // makes anything else a pathological scheduling accident, which
@@ -113,6 +117,48 @@ proptest! {
                         "family {:?} shards={} vs unsharded top-{}", index_config, shards, k
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn different_asks_released_together_answer_as_each_alone(
+        data_seed in any::<u64>(),
+        n in 8usize..32,
+        dim in 2usize..7,
+        shards in 1usize..4,
+        per_ask in 2usize..4,
+    ) {
+        const ASKS: [Ask; 3] = [Ask::Threshold, Ask::TopK(2), Ask::TopK(3)];
+        let clients = ASKS.len() * per_ask;
+        let data = vectors(data_seed, n, dim);
+        let queries = vectors(data_seed ^ 0xA5C, clients, dim);
+        let spec = JoinSpec::new(0.2, 0.6, JoinVariant::Signed).unwrap();
+        for index_config in families() {
+            let index = Arc::new(ShardedServingIndex::build(
+                data.clone(),
+                spec,
+                index_config,
+                ShardedConfig { shards, serving: ServingConfig::default() },
+            ).unwrap());
+            // Each ask's lane closes once its `per_ask` requests have arrived.
+            let coalescer = Coalescer::new(Arc::clone(&index), CoalesceConfig {
+                window_micros: 2_000_000,
+                max_batch: per_ask,
+            });
+            let ask = |i: usize| ASKS[i % ASKS.len()];
+            let batches_before = index.stats().coalesced_batches;
+            let got = storm(clients, |i| coalescer.answer(vec![queries[i].clone()], ask(i)));
+            prop_assert!(
+                index.stats().coalesced_batches >= batches_before + ASKS.len() as u64,
+                "family {:?}: the asks did not coalesce", index_config
+            );
+            for (i, q) in queries.iter().enumerate() {
+                let alone = index.answer(std::slice::from_ref(q), ask(i), &NOOP_SINK).unwrap();
+                prop_assert_eq!(
+                    &got[i], &alone,
+                    "family {:?} shards={} client {} {:?}", index_config, shards, i, ask(i)
+                );
             }
         }
     }

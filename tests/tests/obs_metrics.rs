@@ -21,6 +21,7 @@
 
 use ips_cli::net::{serve_tcp, NetConfig};
 use ips_cli::serve::{serve_session_with, SessionOptions};
+use ips_core::engine::Ask;
 use ips_core::problem::{JoinSpec, JoinVariant};
 use ips_obs::{Histogram, HistogramSnapshot, Observable, Stage, TraceCapture};
 use ips_store::{CoalesceConfig, Coalescer, IndexConfig, ShardedConfig, ShardedServingIndex};
@@ -256,7 +257,7 @@ fn a_trace_capture_changes_no_answer() {
                 "{family:?} at {shards} shards"
             );
             assert_eq!(
-                index.query_top_k_with_sink(&queries, 3, &capture).unwrap(),
+                index.answer(&queries, Ask::TopK(3), &capture).unwrap(),
                 index.query_top_k(&queries, 3).unwrap(),
                 "{family:?} at {shards} shards, top-k"
             );

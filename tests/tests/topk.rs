@@ -5,10 +5,10 @@
 use ips_core::asymmetric::{AlshParams, SphereTransform};
 use ips_core::engine::JoinEngine;
 use ips_core::lsh_mips::{LshMips, BUILD_BLOCK};
-use ips_core::mips::{BruteForceMipsIndex, SearchResult};
+use ips_core::mips::{BruteForceMipsIndex, MipsIndex, SearchResult};
 use ips_core::problem::{JoinSpec, JoinVariant};
 use ips_core::symmetric::{SymmetricParams, SymmetricSphereMap};
-use ips_core::topk::{top_k_recall, TopKMipsIndex};
+use ips_core::topk::top_k_recall;
 use ips_core::CoreError;
 use ips_datagen::latent::{LatentFactorConfig, LatentFactorModel};
 use ips_linalg::par::Schedule;
