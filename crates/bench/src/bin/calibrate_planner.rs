@@ -5,13 +5,14 @@
 //!
 //! 1. plans it as [`JoinPlanner::plan`] does — [`WorkloadStats`] sampled from
 //!    what the norm bound leaves the join to run on — and takes each strategy's
-//!    *predicted flops* from the planner's own estimates (unit cost constants
-//!    play no role in the flop counts);
+//!    *predicted work* and path from the planner's own estimates (the cost
+//!    constants play no role in either);
 //! 2. measures every eligible strategy end to end — build plus all queries —
-//!    recording wall-clock time (the fastest of [`RUNS`] identical runs), QPS
-//!    and recall against the exact join;
-//! 3. fits one nanoseconds-per-flop constant per strategy by least squares
-//!    through the origin over all (predicted flops, measured ns) points;
+//!    recording wall-clock time (the fastest of [`RUNS`] identical runs) and
+//!    recall against the exact join, and prints each row's path, so which LSH
+//!    rows scanned is on the table;
+//! 3. fits one nanoseconds-per-primitive constant at a time ([`fit`]) by least
+//!    squares through the origin, on the time the other primitives leave;
 //! 4. re-plans every workload under the fitted model and checks the pick
 //!    against the measured runtimes: the chosen strategy must be within 20%
 //!    (plus [`TIMER_RESOLUTION_NS`]) of the empirically fastest one (the
@@ -24,7 +25,7 @@
 //! [`WorkloadStats`]: ips_core::planner::WorkloadStats
 
 use ips_bench::{fmt, render_table, Timer};
-use ips_core::planner::{CostModel, IndexFamily, JoinPlan, JoinPlanner, StrategyEstimate};
+use ips_core::planner::{CostModel, IndexFamily, JoinPlan, JoinPlanner, StrategyEstimate, Work};
 use ips_core::problem::{evaluate_join, JoinSpec, JoinVariant};
 use ips_datagen::adversarial::{planner_suite, AdversarialScale, PlannerWorkload};
 use rand::rngs::StdRng;
@@ -40,13 +41,12 @@ const RUNS: usize = 5;
 /// reads lower there is the scheduler's doing, not the planner's.
 const TIMER_RESOLUTION_NS: f64 = 50_000.0;
 
-/// One measured (workload, strategy) point.
+/// One measured (workload, strategy) point: the estimate, and the fastest run's
+/// wall time, recall and validity.
 struct Measurement {
-    workload: String,
-    strategy: IndexFamily,
-    flops: f64,
+    workload: &'static str,
+    estimate: StrategyEstimate,
     elapsed_ns: f64,
-    qps: f64,
     recall: f64,
     valid: bool,
 }
@@ -66,50 +66,73 @@ fn measure(
     plan: &JoinPlan,
     estimate: &StrategyEstimate,
     seed: u64,
-) -> Option<Measurement> {
-    if !estimate.eligible {
-        return None;
-    }
+) -> Measurement {
     let mut forced = plan.clone();
     forced.choice = estimate.config;
     let run = || {
-        let mut rng = StdRng::seed_from_u64(seed);
         let t = Timer::start();
-        let pairs = forced
-            .execute(&mut rng, &w.data, &w.queries)
-            .expect("suite workloads execute");
-        (t.elapsed_ms() * 1e6, pairs)
+        let pairs = forced.execute(&mut StdRng::seed_from_u64(seed), &w.data, &w.queries);
+        (
+            t.elapsed_ms() * 1e6,
+            pairs.expect("suite workloads execute"),
+        )
     };
-    let (mut elapsed_ns, pairs) = run();
-    for _ in 1..RUNS {
-        elapsed_ns = elapsed_ns.min(run().0);
-    }
+    let (first, pairs) = run();
+    let elapsed_ns = (1..RUNS).fold(first, |best, _| best.min(run().0));
     let (recall, valid) =
         evaluate_join(&w.data, &w.queries, &plan.spec, &pairs).expect("evaluation runs");
-    Some(Measurement {
-        workload: w.name.to_string(),
-        strategy: estimate.config.family(),
-        flops: estimate.flops,
+    Measurement {
+        workload: w.name,
+        estimate: estimate.clone(),
         elapsed_ns,
-        qps: w.queries.len() as f64 / (elapsed_ns / 1e9).max(1e-12),
         recall,
         valid,
-    })
+    }
 }
 
-/// Least squares through the origin: the `ns/flop` constant minimising
-/// `Σ (t_i − u·f_i)²` over the strategy's measurements.
-fn fit(measurements: &[Measurement], strategy: IndexFamily) -> Option<f64> {
-    let points: Vec<&Measurement> = measurements
-        .iter()
-        .filter(|m| m.strategy == strategy && m.flops > 0.0)
-        .collect();
-    if points.is_empty() {
-        return None;
+/// A primitive of the model: its name, its count in a row's work and its constant.
+type Primitive = (
+    &'static str,
+    fn(&Work) -> f64,
+    fn(&mut CostModel) -> &mut f64,
+);
+/// The model's primitives, in the order [`fit`] takes them.
+const PRIMITIVES: [Primitive; 5] = [
+    ("score_f64_ns", |w| w.score_f64, |c| &mut c.score_f64_ns),
+    ("score_f32_ns", |w| w.score_f32, |c| &mut c.score_f32_ns),
+    ("column_ns", |w| w.columns, |c| &mut c.column_ns),
+    ("hash_ns", |w| w.hash, |c| &mut c.hash_ns),
+    ("candidate_ns", |w| w.candidates, |c| &mut c.candidate_ns),
+];
+
+/// Fits the primitives in [`PRIMITIVES`] order, each by least squares through the
+/// origin (`u` minimising `Σ (r_i − u·c_i)²`) over the rows it dominates — where, of
+/// the primitives not yet fitted, it costs the most under the model as it stands —
+/// with `r_i` the time the row's other primitives leave under that model. A primitive
+/// that dominates no row keeps its default; the second value names the fitted ones.
+fn fit(measurements: &[Measurement]) -> (CostModel, Vec<&'static str>) {
+    let mut model = CostModel::default();
+    let mut fitted = Vec::new();
+    for (i, (name, count, constant)) in PRIMITIVES.into_iter().enumerate() {
+        let (mut num, mut den) = (0.0, 0.0);
+        for m in measurements {
+            let work = &m.estimate.work;
+            let c = count(work);
+            let ours = c * *constant(&mut model);
+            let dominates = PRIMITIVES[i..]
+                .iter()
+                .all(|(_, count, constant)| count(work) * *constant(&mut model) <= ours);
+            if c > 0.0 && dominates {
+                num += (m.elapsed_ns - (model.cost(work) - ours)) * c;
+                den += c * c;
+            }
+        }
+        if den > 0.0 {
+            *constant(&mut model) = num / den;
+            fitted.push(name);
+        }
     }
-    let num: f64 = points.iter().map(|m| m.elapsed_ns * m.flops).sum();
-    let den: f64 = points.iter().map(|m| m.flops * m.flops).sum();
-    (den > 0.0).then(|| num / den)
+    (model, fitted)
 }
 
 fn main() {
@@ -140,72 +163,56 @@ fn main() {
     let suite = planner_suite(&mut rng, scale).expect("suite generates");
     let planner = JoinPlanner::default();
 
-    // Phase 1+2: plan (for flop predictions) and measure every strategy.
+    // Phase 1+2: plan (for the predicted work and path) and measure every strategy.
     let mut measurements = Vec::new();
     let mut plans = Vec::new();
     for w in &suite {
-        let spec = spec_of(w);
         let plan = planner
-            .plan(&mut rng, &w.data, &w.queries, spec)
+            .plan(&mut rng, &w.data, &w.queries, spec_of(w))
             .expect("plan");
-        for estimate in &plan.estimates {
-            if let Some(m) = measure(w, &plan, estimate, seed ^ 0xBEEF) {
-                measurements.push(m);
-            }
+        for estimate in plan.estimates.iter().filter(|e| e.eligible) {
+            measurements.push(measure(w, &plan, estimate, seed ^ 0xBEEF));
         }
         plans.push(plan);
     }
-
     let rows: Vec<Vec<String>> = measurements
         .iter()
         .map(|m| {
+            let e = &m.estimate;
             vec![
-                m.workload.clone(),
-                m.strategy.to_string(),
-                fmt(m.flops / 1e6, 1),
+                m.workload.to_string(),
+                e.config.family().to_string(),
+                e.path.map_or("—".into(), |path| path.to_string()),
+                fmt(e.cost_ns / 1e6, 1),
                 fmt(m.elapsed_ns / 1e6, 1),
-                fmt(m.qps, 0),
                 fmt(m.recall, 2),
                 m.valid.to_string(),
             ]
         })
         .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "workload",
-                "strategy",
-                "Mflops (pred)",
-                "measured ms",
-                "QPS",
-                "recall",
-                "valid"
-            ],
-            &rows
-        )
-    );
+    let headers = [
+        "workload",
+        "strategy",
+        "path",
+        "predicted ms",
+        "measured ms",
+        "recall",
+        "valid",
+    ];
+    println!("{}", render_table(&headers, &rows));
 
-    // Phase 3: fit the per-strategy constants.
-    let mut fitted = CostModel::default();
-    for family in IndexFamily::ALL {
-        if let Some(u) = fit(&measurements, family) {
-            match family {
-                IndexFamily::Brute => fitted.brute_ns_per_flop = u,
-                IndexFamily::Alsh => fitted.alsh_ns_per_flop = u,
-                IndexFamily::Symmetric => fitted.symmetric_ns_per_flop = u,
-                IndexFamily::Sketch => fitted.sketch_ns_per_flop = u,
-            }
-        }
+    // Phase 3: fit the primitives' constants.
+    let (mut fitted, fitted_names) = fit(&measurements);
+    println!("\nfitted CostModel (ns per primitive, least squares through the origin):");
+    for (name, _, constant) in PRIMITIVES {
+        let value = *constant(&mut fitted);
+        let note = if fitted_names.contains(&name) {
+            ""
+        } else {
+            " // not fitted: it dominates no row"
+        };
+        println!("    {name}: {value:.3},{note}");
     }
-    println!("\nfitted CostModel (ns per flop, least squares through the origin):");
-    println!("    brute_ns_per_flop: {:.3},", fitted.brute_ns_per_flop);
-    println!("    alsh_ns_per_flop: {:.3},", fitted.alsh_ns_per_flop);
-    println!(
-        "    symmetric_ns_per_flop: {:.3},",
-        fitted.symmetric_ns_per_flop
-    );
-    println!("    sketch_ns_per_flop: {:.3},", fitted.sketch_ns_per_flop);
 
     // Phase 4: does the planner (with the fitted model) pick a strategy within
     // 20% of the measured best on every workload?
@@ -221,7 +228,7 @@ fn main() {
         let of = |s: IndexFamily| {
             measurements
                 .iter()
-                .find(|m| m.workload == w.name && m.strategy == s)
+                .find(|m| m.workload == w.name && m.estimate.config.family() == s)
                 .map(|m| m.elapsed_ns)
         };
         let best = IndexFamily::ALL
@@ -231,9 +238,7 @@ fn main() {
             .expect("every workload has a measurement");
         let picked = of(refit.choice.family()).expect("picked strategy was measured");
         let ok = picked <= 1.2 * best.1 + TIMER_RESOLUTION_NS;
-        if !ok {
-            failures += 1;
-        }
+        failures += usize::from(!ok);
         rows.push(vec![
             w.name.to_string(),
             refit.choice.family().to_string(),
@@ -243,24 +248,19 @@ fn main() {
             if ok { "yes".into() } else { "NO".into() },
         ]);
     }
-    println!(
-        "{}",
-        render_table(
-            &[
-                "workload",
-                "picked",
-                "fastest",
-                "picked ms",
-                "fastest ms",
-                "within 20%"
-            ],
-            &rows
-        )
-    );
+    let headers = [
+        "workload",
+        "picked",
+        "fastest",
+        "picked ms",
+        "fastest ms",
+        "within 20%",
+    ];
+    println!("{}", render_table(&headers, &rows));
     if failures == 0 {
         println!("\nall picks within 20% of the measured best ✓");
     } else {
-        println!("\n{failures} pick(s) outside the 20% band — refit or revisit the flop model");
+        println!("\n{failures} pick(s) outside the 20% band — refit or revisit the work counts");
         std::process::exit(1);
     }
 }

@@ -7,10 +7,10 @@
 //!   uniform sphere/ball data) and write it to CSV vector files;
 //! * `ips info` — print summary statistics of a CSV vector file;
 //! * `ips join` — run a signed/unsigned `(cs, s)` join between two CSV files with a
-//!   selectable algorithm (brute force, blockwise matrix product, the Section 4.1 ALSH
-//!   index, or the Section 4.3 sketch — or `algo=auto` to let the cost-based planner
-//!   of `ips_core::planner` choose, with `explain=true` showing its reasoning) and
-//!   print the reported pairs;
+//!   selectable algorithm (brute force, the Section 4.1 ALSH index, the Section 4.2
+//!   symmetric LSH, or the Section 4.3 sketch — or `algo=auto` to let the cost-based
+//!   planner of `ips_core::planner` choose, with `explain=true` showing its reasoning
+//!   and the path each algorithm's join would take) and print the reported pairs;
 //! * `ips build` — build an index once and persist it as an `ips-store` snapshot
 //!   (strategy picked manually or by the cost-based planner);
 //! * `ips serve` — load a snapshot into a long-lived serving process and answer

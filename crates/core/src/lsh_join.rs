@@ -72,6 +72,7 @@ use crate::shard::{keep_best, merge_two_step, ShardParts};
 use ips_linalg::par::{map_blocks, Schedule};
 use ips_linalg::DenseVector;
 use ips_lsh::bank::{Point, Side};
+use ips_lsh::cost::hash_multiply_adds;
 use ips_lsh::table::{BlockHasher, IndexParams, LshIndex};
 use rand::Rng;
 
@@ -183,18 +184,28 @@ pub(crate) fn run<M: JoinMap, R: Rng + ?Sized>(
 }
 
 /// Whether `n` data points and `m` queries of dimension `d` are cheaper to scan than to
-/// hash against `k·L` planes at `h` multiply-adds a point and plane:
+/// hash against `k·L` planes at `h` multiply-adds a point and plane (`planes`):
 /// `(n + m)·k·L·h ≥ n·m·d`. Both counts are taken in `u128` and saturate at its
 /// maximum; only where both do, far past any join that could end, is the verdict not
 /// exact, and there it scans. A join of no planes (`k` or `L` zero) is a defect the
-/// table draw reports, so it is never scanned.
-fn scans(n: usize, m: usize, d: usize, [k, l, h]: [usize; 3]) -> bool {
-    let product = |factors: [usize; 3]| {
-        let factors = factors.map(|f| f as u128);
-        factors.into_iter().fold(1, u128::saturating_mul)
-    };
-    let hashing = product([k, l, h]).saturating_mul(n as u128 + m as u128);
-    hashing > 0 && hashing >= product([n, m, d])
+/// table draw reports, so it is never scanned. The planner prices the path it picks.
+pub(crate) fn scans(n: usize, m: usize, d: usize, planes: [usize; 3]) -> bool {
+    let hashing = hash_multiply_adds(n as u128 + m as u128, planes);
+    let scanning = (n as u128 * m as u128).saturating_mul(d as u128);
+    hashing > 0 && hashing >= scanning
+}
+
+/// The map of a join of `dim`-dimensional points and the family it hashes with; fails
+/// where a join's set-up fails, before it looks at a point.
+pub(crate) fn set_up<M: JoinMap>(
+    params: &M::Params,
+    dim: usize,
+    spec: &JoinSpec,
+) -> Result<(M, M::Family)> {
+    let map = M::new(dim, spec, params)?;
+    let family = map.family()?;
+    map.check_join()?;
+    Ok((map, family))
 }
 
 /// A join's checked inputs and the map it presents them through.
@@ -222,9 +233,7 @@ impl<'a, M: JoinMap> LshJoin<'a, M> {
     ) -> Result<Self> {
         let dim = common_dim(data)?;
         slot_id(data.len())?;
-        let map = M::new(dim, &spec, &params)?;
-        let family = map.family()?;
-        map.check_join()?;
+        let (map, family) = set_up::<M>(&params, dim, &spec)?;
         Ok(Self {
             map,
             family,
@@ -443,7 +452,7 @@ mod tests {
     use crate::engine::JoinEngine;
     use crate::lsh_mips::LshMips;
     use crate::norm_bound;
-    use crate::planner::{CostModel, IndexConfig, JoinPlanner, PlannerConfig};
+    use crate::planner::{CostModel, IndexConfig, JoinPath, JoinPlanner, PlannerConfig};
     use crate::problem::JoinVariant;
     use crate::symmetric::{SymmetricParams, SymmetricSphereMap};
     use proptest::prelude::*;
@@ -455,7 +464,17 @@ mod tests {
     /// them: the Section 4.2 diagonal then answers those queries, a twin's with its later
     /// copy, where the tables would name the earlier.
     fn twinned_workload() -> impl Strategy<Value = (Vec<DenseVector>, Vec<DenseVector>)> {
-        (2usize..6, 4usize..40, 1usize..12)
+        twinned(2..6, 4..40, 1..12)
+    }
+
+    /// [`twinned_workload`] of `dims`, with `points` data vectors before the twins and
+    /// `asked` queries before the data vectors among them.
+    fn twinned(
+        dims: std::ops::Range<usize>,
+        points: std::ops::Range<usize>,
+        asked: std::ops::Range<usize>,
+    ) -> impl Strategy<Value = (Vec<DenseVector>, Vec<DenseVector>)> {
+        (dims, points, asked)
             .prop_flat_map(|(dim, n, m)| {
                 let rows = move |count: usize| {
                     prop::collection::vec(
@@ -592,11 +611,13 @@ mod tests {
             }
         }
 
-        // A cost model under which only the chosen LSH strategy is cheap: the planner's
-        // pick runs the hashing join after the RNG has paid for the workload sample.
+        // A cost model under which scoring is dear and hashing cheap, and tables under
+        // which only the chosen LSH family is below the scan rule — the other's are too
+        // many, so it is priced as the scan: the planner's pick runs the hashing join
+        // after the RNG has paid for the workload sample.
         #[test]
         fn an_auto_join_of_an_lsh_pick_is_the_whole_index_join(
-            (data, queries) in twinned_workload(),
+            (data, queries) in twinned(4..8, 200..300, 80..120),
             seed in any::<u64>(),
             s in 0.02f64..0.2,
             c in 0.3f64..0.95,
@@ -605,17 +626,25 @@ mod tests {
         ) {
             let spec = JoinSpec::new(s, c, JoinVariant::Signed).unwrap();
             let probes = if probed { 2 } else { 0 };
+            let (few, many) = ((2, 1), (16, 48));
+            let ((alsh_bits, alsh_tables), (symmetric_bits, symmetric_tables)) =
+                if symmetric { (many, few) } else { (few, many) };
             let params = (
-                AlshParams { bits_per_table: 6, tables: 20, probes, ..AlshParams::default() },
-                SymmetricParams { bits_per_table: 12, tables: 20, probes, ..SymmetricParams::default() },
+                AlshParams { bits_per_table: alsh_bits, tables: alsh_tables, probes, ..AlshParams::default() },
+                SymmetricParams {
+                    bits_per_table: symmetric_bits,
+                    tables: symmetric_tables,
+                    probes,
+                    ..SymmetricParams::default()
+                },
             );
-            let (cheap, expensive) = (1e-9, 1e9);
+            let (cheap, dear) = (1e-9, 1e9);
             let model = CostModel {
-                brute_ns_per_flop: expensive,
-                brute_f32_ns_per_flop: expensive,
-                alsh_ns_per_flop: if symmetric { expensive } else { cheap },
-                symmetric_ns_per_flop: if symmetric { cheap } else { expensive },
-                sketch_ns_per_flop: expensive,
+                score_f64_ns: dear,
+                score_f32_ns: dear,
+                hash_ns: cheap,
+                candidate_ns: cheap,
+                column_ns: dear,
             };
             for schedule in SCHEDULES {
                 let config = PlannerConfig {
@@ -638,6 +667,7 @@ mod tests {
                     ),
                     other => panic!("the model makes {} dear", other.family()),
                 };
+                prop_assert_eq!(plan.chosen_estimate().path, Some(JoinPath::Hash));
                 let mut rng = StdRng::seed_from_u64(seed);
                 let matches = match planned(&mut rng).choice {
                     IndexConfig::Alsh(params) => hashed::<SphereTransform>(

@@ -20,11 +20,11 @@
 //!    are drawn and their cross inner products computed, giving the promise/output
 //!    pair densities and the sample the LSH candidate-set predictor extrapolates
 //!    from.
-//! 2. **Cost model** — closed-form flop counts per strategy (the LSH hashing
-//!    and candidate predictions come from [`ips_lsh::cost`], the sketch-tree
-//!    shapes from [`ips_sketch::cost`]) are scaled by per-strategy
-//!    nanoseconds-per-flop constants in [`CostModel`], fitted on real
-//!    measurements by the `calibrate_planner` binary in `ips-bench`.
+//! 2. **Cost model** — the [`Work`] of the path each strategy's join will take (an
+//!    LSH join scans where `lsh_join`'s rule says so; [`ips_lsh::cost`] and
+//!    [`ips_sketch::cost`] count hashing, candidates and the tree), priced by one
+//!    nanosecond constant per primitive in [`CostModel`], fitted by the
+//!    `calibrate_planner` binary in `ips-bench`.
 //! 3. **Eligibility** — strategies whose domain preconditions the workload
 //!    violates (ALSH and symmetric LSH need data in the unit ball, symmetric
 //!    LSH needs the queries there too) are excluded rather than mis-costed.
@@ -42,15 +42,17 @@ use crate::brute::BorrowedBruteIndex;
 use crate::engine::{EngineConfig, JoinEngine};
 use crate::error::{CoreError, Result};
 use crate::facade::Strategy;
-use crate::kernel::ScoringOptions;
-use crate::lsh_join;
-use crate::lsh_mips::{SphereMap, Tuning};
+use crate::kernel::{Dtype, ScoringOptions};
+use crate::lsh_join::{self, JoinMap};
+use crate::lsh_mips::Tuning;
 use crate::mips::sketch_hit;
 use crate::norm_bound::{self, Kept};
 use crate::problem::{JoinSpec, MatchPair};
 use crate::symmetric::{SymmetricParams, SymmetricSphereMap};
 use ips_linalg::par::Schedule;
 use ips_linalg::DenseVector;
+use ips_lsh::cost::{expected_candidates_probed, expected_gathering_probed, hash_multiply_adds};
+use ips_lsh::table::IndexParams;
 use ips_sketch::linf_mips::MaxIpConfig;
 use ips_sketch::recovery::join_walk;
 use rand::Rng;
@@ -295,28 +297,6 @@ impl WorkloadStats {
     }
 }
 
-/// What an LSH join under the map `M` is predicted to do on a workload whose
-/// sampled pairs have the mapped `cosines`: the candidates a query gathers, and the
-/// flops of hashing every data and query vector over `rows` non-zero rows and
-/// re-scoring those candidates. Probing widens the per-table hit probability (more
-/// candidates to re-score) without touching the hashing term — exactly the trade the
-/// planner can exploit: fewer tables, a few probes, and the hashing term shrinks
-/// faster than the candidate term grows.
-fn lsh_flops<M: SphereMap>(
-    stats: &WorkloadStats,
-    cosines: &[f64],
-    rows: usize,
-    params: &M::Params,
-) -> (f64, f64) {
-    let Tuning { tables, probes } = M::tuning(params);
-    let (n, m, d) = (stats.kept_data_count, stats.kept_query_count, stats.dim);
-    let candidates =
-        ips_lsh::cost::expected_candidates_probed(n, cosines, tables.k, tables.l, probes);
-    let hashing = (n as f64 + m as f64) * ips_lsh::cost::hash_flops(rows, tables.k, tables.l);
-    let rescoring = m as f64 * ips_lsh::cost::rescoring_flops(d, candidates);
-    (candidates, hashing + rescoring)
-}
-
 /// The dimension every vector of a workload shares; fails on an empty data set and
 /// on the first vector of another dimension.
 fn workload_dim(data: &[DenseVector], queries: &[DenseVector]) -> Result<usize> {
@@ -360,97 +340,104 @@ pub fn sample_indices<R: Rng + ?Sized>(rng: &mut R, len: usize, count: usize) ->
     }
 }
 
-/// Per-strategy nanoseconds-per-flop constants.
-///
-/// The flop counts in [`JoinPlanner::plan_from_stats`] are exact arithmetic
-/// over known shapes; these constants absorb everything the counts ignore —
-/// memory traffic, bucket bookkeeping, per-query overhead — on a concrete
-/// machine. The defaults were fitted by `cargo run --release -p ips-bench
-/// --bin calibrate_planner` (least squares through the origin over the
-/// adversarial workload suite of `ips_datagen::adversarial`); rerun it to
-/// refit for different hardware.
+/// What a join does, counted in the primitives [`CostModel`] prices.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Work {
+    /// Multiply-adds of `f64` scoring: scans, candidates, the sketch tree's products.
+    pub score_f64: f64,
+    /// Multiply-adds of the `f32` tile kernel (a brute scan under `dtype=f32`).
+    pub score_f32: f64,
+    /// Multiply-adds of hashing points against planes (`ips_lsh::cost`).
+    pub hash: f64,
+    /// Candidates gathered from LSH buckets: each bucket entry a query reads, once per
+    /// comparison of the sort that deduplicates them
+    /// (`ips_lsh::cost::expected_gathering_probed`).
+    pub candidates: f64,
+    /// Sketch columns drawn by a tree build (`ips_sketch::cost`).
+    pub columns: f64,
+}
+
+impl Work {
+    /// The scan of every pair of `n` points and `m` queries in `d` dimensions by the
+    /// kernel of `dtype`. Every path that scans — brute force, an LSH join below the
+    /// scan rule, a sketch tree of one leaf — is priced by it, so such paths tie.
+    pub fn scan(n: usize, m: usize, d: usize, dtype: Dtype) -> Self {
+        let (mut work, multiply_adds) = (Self::default(), n as f64 * m as f64 * d as f64);
+        match dtype {
+            Dtype::F64 => work.score_f64 = multiply_adds,
+            Dtype::F32 => work.score_f32 = multiply_adds,
+        }
+        work
+    }
+}
+
+/// Nanoseconds per primitive of [`Work`], with every core in use. The counts are exact
+/// arithmetic over known shapes; these constants absorb what the counts ignore —
+/// memory traffic, bookkeeping, per-query overhead. Rerun `calibrate_planner` (see
+/// [`CostModel::default`]) to refit them for other hardware.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
-    /// ns per flop of the data-major brute-force kernel.
-    pub brute_ns_per_flop: f64,
-    /// ns per flop of the tiled `f32` brute kernel (`dtype=f32`): the brute
-    /// constant scaled by the `f32` / `f64` kernel ratio the repository
-    /// benchmark reports (`kernel.f32_ns_per_pair` / `kernel.f64_ns_per_pair`
-    /// under `benchmark/`).
-    pub brute_f32_ns_per_flop: f64,
-    /// ns per flop of ALSH hashing + candidate re-scoring.
-    pub alsh_ns_per_flop: f64,
-    /// ns per flop of the symmetric map + hashing + re-scoring.
-    pub symmetric_ns_per_flop: f64,
-    /// ns per flop of the sketch tree's dense linear algebra.
-    pub sketch_ns_per_flop: f64,
+    /// ns per `f64` score multiply-add.
+    pub score_f64_ns: f64,
+    /// ns per `f32` score multiply-add.
+    pub score_f32_ns: f64,
+    /// ns per hashing multiply-add.
+    pub hash_ns: f64,
+    /// ns per candidate gathered (per step of [`Work::candidates`]).
+    pub candidate_ns: f64,
+    /// ns per sketch column drawn.
+    pub column_ns: f64,
 }
 
 impl Default for CostModel {
     fn default() -> Self {
-        // Fitted by calibrate_planner on the reference container (single
-        // CPU): the brute kernel's data-major loop is cheaper per flop than
-        // the LSH strategies' hashing and bucket bookkeeping, which is exactly
-        // why a planner is needed — flop counts alone would flip to an index
-        // too early. The alsh and symmetric constants were refit after the
-        // plane-bank hashing kernel landed (one embedding and one pass over
-        // the coefficients per vector; the symmetric flop count now charges
-        // the tag's non-zeros, not its dimension; both charge
-        // `ips_lsh::cost::CANDIDATE_OVERHEAD_FLOPS` per candidate): the
-        // medians of three runs (brute 0.433, alsh 0.600, symmetric 1.435
-        // ns/flop), put on the scale of the brute constant below by the brute
-        // ratio 0.415 / 0.433 of the same runs. The sketch constant was refit
-        // when the recovery tree got its cost cut-off and its build stopped
-        // being charged `rows` times what it runs (`ips_sketch::cost`): four
-        // runs fit it at 1.19 / 1.17 / 1.12 / 1.09 times the brute constant
-        // of the same run, and the median of those is applied to 0.415. It is
-        // above the brute constant because below its cut-off the tree *is* a
-        // scan, by a slower loop than the brute kernel's. The symmetric constant
-        // was refit once more when the index began hashing the sparse sphere image
-        // and the flop count stopped charging a pass over the mapped vector it no
-        // longer builds (exactly `d + tag_nonzeros` rows per plane now): parent
-        // and change fitted alternately on one machine, medians 1.276 (three
-        // runs) and 1.20 (six), and the ratio 0.94 is applied to the 1.375 that
-        // stood here, which keeps it on the scale of the other constants. Both LSH
-        // constants were refit the same way when their builds began to hash block
-        // by block on every CPU (they had been absorbing a one-thread build beside
-        // a brute join that already used every core): parent and change fitted
-        // alternately, three runs each on the two-vCPU host, medians alsh 0.675 →
-        // 0.490 and symmetric 1.243 → 0.972, and the ratios 0.73 and 0.78 are
-        // applied to the 0.575 and 1.29 that stood here.
+        // `calibrate_planner` at its default scale (2000 × 400) and at n=12000 m=3000,
+        // six runs each on a two-vCPU container: the fits' medians (spreads: score_f64
+        // 0.12–0.23, column 55–117; hash 0.25–0.30 and candidate 1.17–1.53 at 12 000 ×
+        // 3000, where LSH rows hash). score_f64 takes 0.19, above its median 0.172: the
+        // suite scores only at d = 32, where a pair's fixed cost is least per multiply-add
+        // (2048² brute joins here: 0.19 ns at d = 32 and 48, 0.69 at d = 3). score_f32 is
+        // score_f64 times 0.75, the benchmark's kernel.f32_ns_per_pair / f64_ns_per_pair.
         Self {
-            brute_ns_per_flop: 0.415,
-            // The `f32` brute kernel: the calibrated f64 constant scaled by
-            // the dim=32 kernel ratio f32 0.1221 / f64 0.1865 ns/flop, so the
-            // planner's relative costs track the measured kernel speedup. Both
-            // kernels score the same flops per (p, q) pair, so the ratio of
-            // `benchmark/`'s `kernel.f32_ns_per_pair` / `kernel.f64_ns_per_pair`
-            // is the one to re-check it against.
-            brute_f32_ns_per_flop: 0.272,
-            alsh_ns_per_flop: 0.42,
-            symmetric_ns_per_flop: 1.01,
-            sketch_ns_per_flop: 0.475,
+            score_f64_ns: 0.19,
+            score_f32_ns: 0.143,
+            hash_ns: 0.277,
+            candidate_ns: 1.41,
+            column_ns: 79.6,
         }
     }
 }
 
 impl CostModel {
-    /// The constant applied to a family's flop count.
-    pub fn ns_per_flop(&self, family: IndexFamily) -> f64 {
-        match family {
-            IndexFamily::Brute => self.brute_ns_per_flop,
-            IndexFamily::Alsh => self.alsh_ns_per_flop,
-            IndexFamily::Symmetric => self.symmetric_ns_per_flop,
-            IndexFamily::Sketch => self.sketch_ns_per_flop,
-        }
+    /// The predicted nanoseconds of `work`.
+    pub fn cost(&self, work: &Work) -> f64 {
+        work.score_f64 * self.score_f64_ns
+            + work.score_f32 * self.score_f32_ns
+            + work.hash * self.hash_ns
+            + work.candidates * self.candidate_ns
+            + work.columns * self.column_ns
     }
+}
 
-    /// The brute-force constant under a scoring-kernel selection: the `f32`
-    /// tile kernel for `dtype=f32`, else the default `f64` scan.
-    pub fn brute_ns_per_flop_for(&self, scoring: ScoringOptions) -> f64 {
-        match scoring.dtype {
-            crate::kernel::Dtype::F32 => self.brute_f32_ns_per_flop,
-            crate::kernel::Dtype::F64 => self.brute_ns_per_flop,
+/// How a family's join runs on a workload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JoinPath {
+    /// The exact scan of every pair: brute force, and an LSH join below the scan rule.
+    Scan,
+    /// An LSH join through its tables.
+    Hash,
+    /// The sketch's recovery tree, a query's walk through this many internal nodes; 0
+    /// is a tree of one leaf, which a query scans.
+    Tree(usize),
+}
+
+impl std::fmt::Display for JoinPath {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JoinPath::Scan => f.write_str("scan"),
+            JoinPath::Hash => f.write_str("hash"),
+            JoinPath::Tree(0) => f.write_str("root leaf"),
+            JoinPath::Tree(depth) => write!(f, "depth {depth}"),
         }
     }
 }
@@ -461,9 +448,11 @@ pub struct StrategyEstimate {
     /// The structure this estimate costed, with the parameters it would run with
     /// (for ALSH, the query radius already resolved).
     pub config: IndexConfig,
-    /// Predicted total flops (build + all queries).
-    pub flops: f64,
-    /// Predicted wall-clock cost in nanoseconds (`flops × ns_per_flop`).
+    /// The path the join takes; `None` where the structure cannot be set up.
+    pub path: Option<JoinPath>,
+    /// Predicted work (build + all queries).
+    pub work: Work,
+    /// Predicted wall-clock cost in nanoseconds ([`CostModel::cost`] of the work).
     pub cost_ns: f64,
     /// Whether the workload satisfies the strategy's domain preconditions.
     pub eligible: bool,
@@ -585,123 +574,88 @@ impl JoinPlanner {
     /// earlier entry in [`IndexFamily::ALL`], i.e. toward the exact scan).
     pub fn plan_from_stats(&self, stats: WorkloadStats, spec: JoinSpec) -> JoinPlan {
         let (n, m, d) = (stats.kept_data_count, stats.kept_query_count, stats.dim);
-        let nf = n as f64;
-        let mf = m as f64;
-        let df = d as f64;
-        let alsh_params = self.resolved_alsh_params(&stats, spec);
+        let in_ball = |norm: f64| norm <= 1.0 + NORM_TOLERANCE;
 
-        let mut estimates = Vec::with_capacity(IndexFamily::ALL.len());
+        // Brute force: the n·m·d scan, by whichever kernel the scoring options select.
+        let dtype = self.config.scoring.dtype;
+        let note = Ok(format!("n·m·d scan ({n}×{m}×{d}), {dtype} kernel"));
+        let brute = self.estimate(
+            IndexConfig::Brute,
+            Some((JoinPath::Scan, Work::scan(n, m, d, dtype))),
+            note,
+        );
 
-        // Brute force: the n·m·d data-major scan, costed with the constant of
-        // whichever kernel the scoring options select. Always eligible.
-        let brute_flops = nf * mf * df;
-        let brute_ns = self.model.brute_ns_per_flop_for(self.config.scoring);
-        let kernel_tag = match self.config.scoring.dtype {
-            crate::kernel::Dtype::F32 => " [f32 kernel]",
-            crate::kernel::Dtype::F64 => "",
+        // ALSH: the SIMPLE-ALSH map sends a pair's mapped cosine to exactly pᵀq/U. The
+        // configured radius is raised to cover the query norms and the threshold (hard
+        // requirements of the index constructor); the data must lie in the unit ball.
+        let u = f64::max(
+            self.config.alsh.query_radius,
+            stats.max_query_norm.max(spec.threshold),
+        );
+        let alsh_params = AlshParams {
+            query_radius: u,
+            ..self.config.alsh
         };
-        estimates.push(StrategyEstimate {
-            config: IndexConfig::Brute,
-            flops: brute_flops,
-            cost_ns: brute_flops * brute_ns,
-            eligible: true,
-            note: format!("n·m·d scan ({n}×{m}×{d}){kernel_tag}"),
-        });
-
-        // ALSH: hash everything into L tables of k bits over the mapped
-        // (d+2)-dimensional sphere, then re-score the predicted candidates.
-        // The SIMPLE-ALSH map sends a pair's mapped cosine to exactly pᵀq/U.
-        let u = alsh_params.query_radius;
-        let mapped_cosines: Vec<f64> = stats
+        let cosines: Vec<f64> = stats
             .sampled_inner_products
             .iter()
             .map(|&ip| ip / u)
             .collect();
-        let (candidates_per_query, alsh_flops) =
-            lsh_flops::<SphereTransform>(&stats, &mapped_cosines, d + 2, &alsh_params);
-        // The resolved query radius already covers the measured query norms
-        // and the promise threshold, so the only precondition left to check
-        // is the index constructor's unit-ball requirement on the data side.
-        let alsh_eligible = stats.max_data_norm <= 1.0 + NORM_TOLERANCE;
-        estimates.push(self.estimate(
-            IndexConfig::Alsh(alsh_params),
-            alsh_flops,
-            alsh_eligible,
-            if alsh_eligible {
-                let probe_tag = if alsh_params.probes > 0 {
-                    format!(", +{} probes/table", alsh_params.probes)
-                } else {
-                    String::new()
-                };
-                format!("≈{candidates_per_query:.1} candidates/query, U={u:.2}{probe_tag}")
-            } else {
-                format!(
-                    "ineligible: data norm {:.3} outside the unit ball",
-                    stats.max_data_norm
-                )
-            },
-        ));
-
-        // Symmetric LSH: the same hashing shape over the (d + tag)-dimensional
-        // mapped sphere, with the mapped cosine ≈ pᵀq itself (within ε).
-        let symmetric = IndexConfig::Symmetric(self.config.symmetric);
-        let map_probe = SymmetricSphereMap::new(
-            d.max(1),
-            self.config.symmetric.epsilon,
-            self.config.symmetric.precision_bits,
-        );
-        let sym_in_ball = stats.max_data_norm <= 1.0 + NORM_TOLERANCE
-            && stats.max_query_norm <= 1.0 + NORM_TOLERANCE;
-        match map_probe {
-            Ok(map) => {
-                let mapped_dim = map.output_dim();
-                // Multiply-adds over the image's non-zero coordinates only — the
-                // vector's own `d` and one per Reed–Solomon block: the index hashes
-                // the sparse image and never builds the mapped vector (see
-                // `ips_lsh::bank`).
-                let (sym_candidates, sym_flops) = lsh_flops::<SymmetricSphereMap>(
-                    &stats,
-                    &stats.sampled_inner_products,
-                    d + map.tag_nonzeros(),
-                    &self.config.symmetric,
-                );
-                estimates.push(self.estimate(
-                    symmetric,
-                    sym_flops,
-                    sym_in_ball,
-                    if sym_in_ball {
-                        format!("mapped dim {mapped_dim}, ≈{sym_candidates:.1} candidates/query")
-                    } else {
-                        "ineligible: data or queries outside the unit ball".to_string()
-                    },
-                ));
-            }
-            Err(e) => estimates.push(self.estimate(
-                symmetric,
-                f64::INFINITY,
-                false,
-                format!("ineligible: {e}"),
+        let note = match in_ball(stats.max_data_norm) {
+            true => Ok(format!(", U={u:.2}")),
+            false => Err(format!(
+                "data norm {:.3} outside the unit ball",
+                stats.max_data_norm
             )),
-        }
+        };
+        let config = IndexConfig::Alsh(alsh_params);
+        let alsh = self.lsh_estimate::<SphereTransform>(
+            config,
+            &alsh_params,
+            (&stats, spec, &cosines),
+            note,
+        );
 
-        // Sketch: the recovery-tree build plus one walk per query. No domain
-        // preconditions (the structure is natively unsigned; under a signed
-        // spec the adapter keeps validity at the price of recall on
-        // anti-correlated pairs).
+        // Symmetric LSH: the mapped cosine ≈ pᵀq itself (within ε); data and queries
+        // must both lie in the unit ball.
+        let note = match in_ball(stats.max_data_norm) && in_ball(stats.max_query_norm) {
+            true => Ok(String::new()),
+            false => Err("data or queries outside the unit ball".to_string()),
+        };
+        let (params, cosines) = (&self.config.symmetric, &stats.sampled_inner_products);
+        let config = IndexConfig::Symmetric(*params);
+        let symmetric =
+            self.lsh_estimate::<SymmetricSphereMap>(config, params, (&stats, spec, cosines), note);
+
+        // Sketch: the recovery-tree build plus one walk per query, or the scan where
+        // the tree is one leaf. No domain preconditions (the structure is natively
+        // unsigned; under a signed spec the adapter keeps validity at the price of
+        // recall on anti-correlated pairs).
         let sketch = &self.config.sketch;
-        let sketch_flops = ips_sketch::cost::tree_build_flops(n, d, sketch)
-            + mf * ips_sketch::cost::tree_query_flops(n, d, sketch);
-        estimates.push(self.estimate(
+        let depth = ips_sketch::cost::depth(n, sketch);
+        let (work, note) = if depth == 0 {
+            (
+                Work::scan(n, m, d, Dtype::F64),
+                format!("{n} points in one leaf"),
+            )
+        } else {
+            let columns = ips_sketch::cost::tree_columns(n, sketch);
+            let walks = m as f64 * ips_sketch::cost::tree_query(n, d, sketch);
+            let work = Work {
+                score_f64: columns * d as f64 + walks,
+                columns,
+                ..Work::default()
+            };
+            let rows = ips_sketch::cost::resolved_rows(n, sketch);
+            (work, format!("{rows} rows/copy × {} copies", sketch.copies))
+        };
+        let sketch = self.estimate(
             IndexConfig::Sketch(*sketch),
-            sketch_flops,
-            true,
-            format!(
-                "{} rows/copy × {} copies",
-                ips_sketch::cost::resolved_rows(n, sketch),
-                sketch.copies
-            ),
-        ));
+            Some((JoinPath::Tree(depth), work)),
+            Ok(note),
+        );
 
+        let estimates = vec![brute, alsh, symmetric, sketch];
         let choice = estimates
             .iter()
             .filter(|e| e.eligible)
@@ -719,34 +673,73 @@ impl JoinPlanner {
         }
     }
 
-    /// The ALSH parameters a plan will run with: the configured parameters
-    /// with the query radius raised to cover the measured query norms and the
-    /// promise threshold (both hard requirements of the index constructor).
-    fn resolved_alsh_params(&self, stats: &WorkloadStats, spec: JoinSpec) -> AlshParams {
-        AlshParams {
-            query_radius: self
-                .config
-                .alsh
-                .query_radius
-                .max(stats.max_query_norm)
-                .max(spec.threshold),
-            ..self.config.alsh
+    /// The estimate of `config`, an LSH join under the map `M` with `params`, on a workload whose
+    /// sampled pairs have the mapped `cosines`, on the path [`lsh_join`] takes: the scan
+    /// where its rule ([`lsh_join::scans`]) says so, else hashing every kept point
+    /// against the `k·L` planes at [`JoinMap::plane_multiply_adds`] and gathering and
+    /// re-scoring each query's candidates. Probes widen the per-table hit probability
+    /// (more candidates) without touching the hashing — the trade the planner can
+    /// exploit: fewer tables, a few probes. `tag` closes the note, or says why the
+    /// workload is outside the family's domain. A join that cannot be set up has no
+    /// path.
+    fn lsh_estimate<M: JoinMap>(
+        &self,
+        config: IndexConfig,
+        params: &M::Params,
+        (stats, spec, cosines): (&WorkloadStats, JoinSpec, &[f64]),
+        tag: std::result::Result<String, String>,
+    ) -> StrategyEstimate {
+        let (n, m, d) = (stats.kept_data_count, stats.kept_query_count, stats.dim);
+        let map = match lsh_join::set_up::<M>(params, d, &spec) {
+            Ok((map, _)) => map,
+            Err(e) => return self.estimate(config, None, Err(e.to_string())),
+        };
+        let Tuning {
+            tables: IndexParams { k, l },
+            probes,
+        } = M::tuning(params);
+        let planes = [k, l, map.plane_multiply_adds()];
+        if lsh_join::scans(n, m, d, planes) {
+            let note = tag.map(|tag| format!("(n + m)·k·L·h ≥ n·m·d{tag}"));
+            return self.estimate(
+                config,
+                Some((JoinPath::Scan, Work::scan(n, m, d, Dtype::F64))),
+                note,
+            );
         }
+        let per_query = expected_candidates_probed(n, cosines, k, l, probes);
+        let work = Work {
+            score_f64: m as f64 * per_query * d as f64,
+            hash: hash_multiply_adds(n as u128 + m as u128, planes) as f64,
+            candidates: m as f64 * expected_gathering_probed(n, cosines, k, l, probes),
+            ..Work::default()
+        };
+        let probed = if probes > 0 {
+            format!(", +{probes} probes/table")
+        } else {
+            String::new()
+        };
+        let note = tag.map(|tag| format!("≈{per_query:.1} candidates/query{probed}{tag}"));
+        self.estimate(config, Some((JoinPath::Hash, work)), note)
     }
 
+    /// The estimate of `config` taking `path` to do its work — `None` where `config`
+    /// cannot be set up, which costs infinity: eligible with its `note`, or ineligible
+    /// for the reason `Err` gives.
     fn estimate(
         &self,
         config: IndexConfig,
-        flops: f64,
-        eligible: bool,
-        note: String,
+        path: Option<(JoinPath, Work)>,
+        note: std::result::Result<String, String>,
     ) -> StrategyEstimate {
+        let work = path.map_or_else(Work::default, |(_, work)| work);
         StrategyEstimate {
             config,
-            flops,
-            cost_ns: flops * self.model.ns_per_flop(config.family()),
-            eligible,
-            note,
+            path: path.map(|(path, _)| path),
+            work,
+            cost_ns: path.map_or(f64::INFINITY, |_| self.model.cost(&work)),
+            eligible: path.is_some() && note.is_ok(),
+            note: note.unwrap_or_else(|why| format!("ineligible: {why}")),
         }
     }
 }
@@ -783,8 +776,9 @@ impl JoinPlan {
     }
 
     /// A human-readable account of the decision: the workload statistics and
-    /// one line per strategy with its predicted cost. This is what the CLI
-    /// prints under `explain=true`.
+    /// one line per strategy with its predicted cost and the path its join takes
+    /// (`scan`, `hash`, or the sketch tree's depth). This is what the CLI prints
+    /// under `explain=true`.
     pub fn explain(&self) -> String {
         let mut out = String::new();
         let s = &self.stats;
@@ -817,14 +811,13 @@ impl JoinPlan {
         for e in &self.estimates {
             let family = e.config.family();
             let marker = if family == chosen { "*" } else { " " };
+            let (cost, path) = match (e.eligible, e.path) {
+                (true, Some(path)) => (format_ns(e.cost_ns), path.to_string()),
+                _ => ("—".to_string(), "—".to_string()),
+            };
             out.push_str(&format!(
-                "{marker} {:<10} {:>12}  {}\n",
+                "{marker} {:<10} {cost:>12}  {path:<9}  {}\n",
                 family.name(),
-                if e.eligible {
-                    format_ns(e.cost_ns)
-                } else {
-                    "—".to_string()
-                },
                 e.note,
             ));
         }
@@ -1082,6 +1075,71 @@ mod tests {
         assert_eq!(skinny.choice, IndexConfig::Brute);
     }
 
+    /// The planted joins of the repository benchmark, planned on what the norm bound
+    /// keeps of them (seed 7, `(s, c) = (0.8, 0.6)`, d = 48).
+    fn planted_plan(data: usize, queries: usize, planted: usize, background: f64) -> JoinPlan {
+        use ips_datagen::planted::{PlantedConfig, PlantedInstance};
+        let inst = PlantedInstance::generate(
+            &mut StdRng::seed_from_u64(7),
+            PlantedConfig {
+                data,
+                queries,
+                dim: 48,
+                background_scale: background,
+                planted_ip: 0.85,
+                planted,
+            },
+        )
+        .unwrap();
+        let mut rng = StdRng::seed_from_u64(11);
+        let plan =
+            JoinPlanner::default().plan(&mut rng, inst.data(), inst.queries(), spec(0.8, 0.6));
+        plan.unwrap()
+    }
+
+    #[test]
+    fn the_benchmark_joins_scan_on_every_path_and_the_tie_goes_to_brute() {
+        // At the benchmark's background scale the bound keeps 256 × 6000 and 16 × 64
+        // vectors: both LSH joins are below the scan rule and the sketch tree is one
+        // leaf, so all four paths are the one scan and price the same.
+        for (data, queries, planted, kept) in
+            [(6000, 6000, 256, (256, 6000)), (12_000, 64, 16, (16, 64))]
+        {
+            let plan = planted_plan(data, queries, planted, 0.05);
+            let st = &plan.stats;
+            assert_eq!((st.kept_data_count, st.kept_query_count), kept);
+            let paths: Vec<_> = plan.estimates.iter().map(|e| e.path.unwrap()).collect();
+            assert_eq!(
+                paths,
+                [
+                    JoinPath::Scan,
+                    JoinPath::Scan,
+                    JoinPath::Scan,
+                    JoinPath::Tree(0)
+                ]
+            );
+            for e in &plan.estimates {
+                assert!(e.eligible, "{}", plan.explain());
+                assert_eq!(
+                    e.cost_ns,
+                    cost(&plan, IndexFamily::Brute),
+                    "{}",
+                    plan.explain()
+                );
+            }
+            assert_eq!(plan.choice, IndexConfig::Brute);
+        }
+        // On the hard square join the bound keeps everything, and ALSH hashes.
+        let hard = planted_plan(6000, 6000, 256, 1.0);
+        assert_eq!(hard.stats.kept_data_count, 6000);
+        assert_eq!(
+            hard.estimates[1].path,
+            Some(JoinPath::Hash),
+            "{}",
+            hard.explain()
+        );
+    }
+
     #[test]
     fn dense_samples_defeat_the_lsh_strategies() {
         // Same shape but highly correlated: nearly every vector collides into
@@ -1128,9 +1186,12 @@ mod tests {
 
     #[test]
     fn probes_trade_against_tables_in_the_alsh_estimate() {
-        // Sparse sample, big workload: ALSH's cost is hashing-dominated, so
-        // halving the tables and adding probes must come out cheaper while
-        // still predicting at least as many candidates per query.
+        // Sparse sample, big workload: halving the tables halves the hashing, and
+        // probes buy the hit probability back with more candidates to gather and
+        // score. Here the trade loses, as it does when run: on 100 000 × 10 000
+        // vectors in d = 32 whose mapped cosines are ≈ 0.02 (data of norm 0.11,
+        // unit queries), 32 tables joined in 373–492 ms and 16 tables with 4 probes
+        // in 491–597 ms, six alternating runs on two vCPUs.
         let st = stats(100_000, 10_000, 32, vec![0.02; 256]);
         let full = JoinPlanner::default().plan_from_stats(st.clone(), spec(0.8, 0.6));
         let mut config = PlannerConfig::default();
@@ -1138,12 +1199,18 @@ mod tests {
         config.alsh.probes = 4;
         let probed =
             JoinPlanner::new(config, CostModel::default()).plan_from_stats(st, spec(0.8, 0.6));
-        let alsh_cost = |p: &JoinPlan| cost(p, IndexFamily::Alsh);
+        let alsh = |p: &JoinPlan| {
+            let e = p.estimates[1].clone();
+            assert_eq!(e.path, Some(JoinPath::Hash));
+            (e.work, e.cost_ns)
+        };
+        let ((full_work, full_cost), (probed_work, probed_cost)) = (alsh(&full), alsh(&probed));
+        assert_eq!(probed_work.hash * 2.0, full_work.hash);
+        assert!(probed_work.candidates > full_work.candidates);
+        assert!(probed_work.score_f64 > full_work.score_f64);
         assert!(
-            alsh_cost(&probed) < alsh_cost(&full),
-            "half the tables with probes must be estimated cheaper: {} vs {}",
-            alsh_cost(&probed),
-            alsh_cost(&full)
+            probed_cost > full_cost,
+            "half the tables with probes must be estimated dearer: {probed_cost} vs {full_cost}"
         );
         assert_eq!(alsh_of(&probed).probes, 4, "plan carries the probe count");
         assert!(probed

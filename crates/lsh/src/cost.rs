@@ -1,7 +1,8 @@
-//! Closed-form cost and candidate-set-size estimators for LSH indexes.
+//! Closed-form work counts for LSH joins: the candidates a query gathers and the
+//! multiply-adds that hashing takes.
 //!
 //! The adaptive join planner in `ips-core` has to predict what an index *would*
-//! cost before paying to build it. For multi-table hyperplane indexes (the
+//! do before paying to build it. For multi-table hyperplane indexes (the
 //! substrate of both Section 4.1 reductions) everything it needs has a closed
 //! form: the per-bit collision probability of SimHash is `1 − θ/π`
 //! (Goemans–Williamson), AND/OR amplification turns that into a per-table and
@@ -9,10 +10,9 @@
 //! hit probabilities over the data set — estimated here from a *sample* of
 //! inner products rather than the full `n·m` product matrix.
 //!
-//! All "flop" counts are in fused multiply-add units: one unit is one
-//! `a * b + c` on `f64`s. They deliberately ignore memory effects — the
-//! calibration binary in `ips-bench` fits a per-strategy nanoseconds-per-unit
-//! constant that absorbs them on a given machine.
+//! These are counts of work, not of time: candidates, the steps of gathering them,
+//! and hashing multiply-adds. The planner's `CostModel` holds one nanosecond constant for each,
+//! fitted by the `calibrate_planner` binary in `ips-bench`.
 
 use crate::hyperplane::HyperplaneFamily;
 
@@ -118,40 +118,45 @@ pub fn expected_candidates_probed(
     l: usize,
     probes: usize,
 ) -> f64 {
-    if sampled_cosines.is_empty() {
-        return 0.0;
-    }
-    let mean_hit: f64 = sampled_cosines
+    n as f64 * sample_mean(sampled_cosines, |p| probed_table_hit_prob(p, k, l, probes))
+}
+
+/// Expected steps of gathering one query's candidates from the `l` tables of
+/// [`expected_candidates_probed`]. A candidate is read once for every table whose
+/// probed buckets it sits in, `E = n·l·E[probe_hit_prob]` entries over the sample, and
+/// the entries are sorted and deduplicated before any is scored, so each counts once
+/// per comparison of the sort: `E·log₂E`, and at least `E`. An empty sample returns
+/// `0.0`.
+pub fn expected_gathering_probed(
+    n: usize,
+    sampled_cosines: &[f64],
+    k: usize,
+    l: usize,
+    probes: usize,
+) -> f64 {
+    let entries =
+        n as f64 * l as f64 * sample_mean(sampled_cosines, |p| probe_hit_prob(p, k, probes));
+    entries * entries.log2().max(1.0)
+}
+
+/// The mean of `f` of each sampled cosine's per-bit collision probability; 0 on an
+/// empty sample.
+fn sample_mean(cosines: &[f64], f: impl Fn(f64) -> f64) -> f64 {
+    let sum: f64 = cosines
         .iter()
-        .map(|&c| probed_table_hit_prob(HyperplaneFamily::collision_probability(c), k, l, probes))
-        .sum::<f64>()
-        / sampled_cosines.len() as f64;
-    n as f64 * mean_hit
+        .map(|&c| f(HyperplaneFamily::collision_probability(c)))
+        .sum();
+    sum / cosines.len().max(1) as f64
 }
 
-/// Flops to hash one `dim`-dimensional vector into a `k`-bit, `l`-table index:
-/// each bit is one `dim`-length dot product against a hyperplane normal. (`dim`
-/// is the number of coordinates the kernel multiplies — the embedded vector's
-/// non-zeros, see [`crate::bank`].)
-pub fn hash_flops(dim: usize, k: usize, l: usize) -> f64 {
-    (dim * k * l) as f64
-}
-
-/// What one candidate costs besides its `dim`-flop exact re-scoring, in the same
-/// flop units: its share of gathering, sorting and deduplicating the candidate ids,
-/// and the fetch of its vector. Measured from ~2 ns per candidate (a 1 000-point
-/// index resident in cache) to 40–50 ns (`LshIndex::query_candidates` /
-/// `probe_lookup(.., 8)` at n = 20 000, d = 32, every fetch a miss), against
-/// ~0.6 ns per hashing flop; the constant takes the order of magnitude between.
-///
-/// With hashing at one pass per vector this bookkeeping, not the dot product, is
-/// what a candidate costs at small `dim`; without it a degenerate index (most of
-/// the data in every candidate set) prices at, or below, the scan it has become.
-pub const CANDIDATE_OVERHEAD_FLOPS: f64 = 16.0;
-
-/// Flops to turn `candidates` candidates of dimension `dim` into scored answers.
-pub fn rescoring_flops(dim: usize, candidates: f64) -> f64 {
-    candidates * (dim as f64 + CANDIDATE_OVERHEAD_FLOPS)
+/// The multiply-adds of hashing `points` vectors into `l` tables of `k` planes each,
+/// at `h` multiply-adds a vector and plane (the coordinates the kernel walks: the
+/// embedded vector's non-zeros, see [`crate::bank`]): `points·k·l·h`, saturating at
+/// `u128::MAX`.
+pub fn hash_multiply_adds(points: u128, [k, l, h]: [usize; 3]) -> u128 {
+    [k, l, h].into_iter().fold(points, |product, factor| {
+        product.saturating_mul(factor as u128)
+    })
 }
 
 #[cfg(test)]
@@ -194,8 +199,24 @@ mod tests {
     }
 
     #[test]
-    fn hash_flops_is_bit_count_times_dim() {
-        assert_eq!(hash_flops(64, 12, 32), (64 * 12 * 32) as f64);
+    fn gathering_counts_every_entry_once_per_comparison() {
+        // One table of one bit over cosine-1 pairs: every point is one entry a query.
+        assert_eq!(
+            expected_gathering_probed(1024, &[1.0], 1, 1, 0),
+            1024.0 * 10.0
+        );
+        assert_eq!(expected_gathering_probed(1, &[1.0], 1, 1, 0), 1.0);
+        assert_eq!(expected_gathering_probed(1000, &[], 8, 16, 0), 0.0);
+        // Close pairs collide in many tables: several entries a distinct candidate.
+        let cosines = [0.95, 0.9];
+        let gathered = expected_gathering_probed(1000, &cosines, 8, 16, 0);
+        assert!(gathered > 4.0 * expected_candidates_probed(1000, &cosines, 8, 16, 0));
+    }
+
+    #[test]
+    fn hashing_counts_every_point_against_every_plane() {
+        assert_eq!(hash_multiply_adds(5, [12, 32, 64]), 5 * 12 * 32 * 64);
+        assert_eq!(hash_multiply_adds(u128::MAX / 2, [3, 1, 1]), u128::MAX);
     }
 
     #[test]

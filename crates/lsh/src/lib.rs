@@ -17,8 +17,9 @@
 //!
 //! The closed-form ρ exponents compared in **Figure 2** (DATA-DEP, SIMP, MH-ALSH,
 //! L2-ALSH) are provided by the [`rho`] module; empirical collision probabilities for
-//! validation of the theoretical curves are computed by [`collision`]; closed-form cost
-//! and candidate-set-size predictions for the adaptive join planner live in [`cost`].
+//! validation of the theoretical curves are computed by [`collision`]; closed-form work
+//! counts (hashing multiply-adds, candidates gathered) for the adaptive join planner
+//! live in [`cost`].
 //! The comparison families the paper measures against — L2-ALSH, MH-ALSH, E2LSH,
 //! MinHash, cross-polytope — are sampled only by the experiments, and live with them
 //! in `ips-bench`.

@@ -24,7 +24,7 @@
 //!   returns *which* row attains (approximately) the maximum, cut off where a sketch
 //!   would cost a query more than the scan it saves, and the same tree walked as a
 //!   join, one node at a time;
-//! * [`cost`] — closed-form build/query flop predictions for the adaptive join
+//! * [`cost`] — closed-form build/query work counts for the adaptive join
 //!   planner in `ips-core`, and the split rule the tree and the predictions share.
 
 #![warn(missing_docs)]

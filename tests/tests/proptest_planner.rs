@@ -6,10 +6,11 @@
 //! parameters and RNG state — the planner may only choose, never change, a
 //! join's semantics. A second property pins that plans are deterministic
 //! functions of the sampled statistics, and a third that *every* strategy a
-//! plan could dispatch to stays valid under Definition 1.
+//! plan could dispatch to stays valid under Definition 1. A fourth test pins that
+//! each LSH estimate names the path — scan or hash — its execution takes.
 
 use ips_core::facade::{Join, Strategy};
-use ips_core::planner::{IndexConfig, JoinPlan, JoinPlanner};
+use ips_core::planner::{IndexConfig, JoinPath, JoinPlan, JoinPlanner};
 use ips_core::problem::{evaluate_join, JoinSpec, JoinVariant, MatchPair};
 use ips_linalg::DenseVector;
 use proptest::prelude::*;
@@ -149,4 +150,70 @@ proptest! {
             .unwrap();
         prop_assert_eq!(a, b);
     }
+}
+
+/// The path each LSH estimate names is the path its forced execution takes: on every
+/// workload of the planner suite at both of `calibrate_planner`'s scales, and on the
+/// benchmark's planted shapes at the hard background scale, an ALSH or symmetric join
+/// draws from its RNG exactly where its estimate says `hash`.
+#[test]
+fn every_lsh_estimate_names_the_path_its_execution_takes() {
+    use ips_datagen::adversarial::{planner_suite, AdversarialScale};
+    use ips_datagen::planted::{PlantedConfig, PlantedInstance};
+    let mut workloads = Vec::new();
+    for (n, m) in [(2000, 400), (12_000, 3000)] {
+        let scale = AdversarialScale { n, m, dim: 32 };
+        for w in planner_suite(&mut StdRng::seed_from_u64(0xCA11), scale).unwrap() {
+            let variant = if w.unsigned {
+                JoinVariant::Unsigned
+            } else {
+                JoinVariant::Signed
+            };
+            let spec = JoinSpec::new(w.threshold, w.approximation, variant).unwrap();
+            workloads.push((format!("{} at {n} × {m}", w.name), w.data, w.queries, spec));
+        }
+    }
+    for (data, queries, planted) in [(6000, 6000, 256), (12_000, 64, 16)] {
+        let config = PlantedConfig {
+            data,
+            queries,
+            dim: 48,
+            background_scale: 1.0,
+            planted_ip: 0.85,
+            planted,
+        };
+        let inst = PlantedInstance::generate(&mut StdRng::seed_from_u64(7), config).unwrap();
+        let spec = JoinSpec::new(0.8, 0.6, JoinVariant::Signed).unwrap();
+        let name = format!("hard planted {data} × {queries}");
+        workloads.push((name, inst.data().to_vec(), inst.queries().to_vec(), spec));
+    }
+    let mut hashed = 0;
+    for (name, data, queries, spec) in &workloads {
+        let plan = JoinPlanner::default()
+            .plan(&mut StdRng::seed_from_u64(1), data, queries, *spec)
+            .unwrap();
+        for estimate in &plan.estimates {
+            let lsh = matches!(
+                estimate.config,
+                IndexConfig::Alsh(_) | IndexConfig::Symmetric(_)
+            );
+            if !lsh || !estimate.eligible {
+                continue;
+            }
+            let mut forced = plan.clone();
+            forced.choice = estimate.config;
+            let mut rng = StdRng::seed_from_u64(2);
+            forced.execute(&mut rng, data, queries).unwrap();
+            let drew = rng != StdRng::seed_from_u64(2);
+            let family = estimate.config.family();
+            assert_eq!(
+                estimate.path,
+                Some(if drew { JoinPath::Hash } else { JoinPath::Scan }),
+                "{family} on {name}"
+            );
+            hashed += usize::from(drew);
+        }
+    }
+    // Both paths are exercised: the square hard join and three suite joins hash.
+    assert!(hashed >= 4, "{hashed} hashing joins");
 }
