@@ -12,7 +12,8 @@
 //!    recall against the exact join, and prints each row's path, so which LSH
 //!    rows scanned is on the table;
 //! 3. fits one nanoseconds-per-primitive constant at a time ([`fit`]) by least
-//!    squares through the origin, on the time the other primitives leave;
+//!    squares through the origin, on the time the other primitives leave; comparisons
+//!    first, which part from a scan's multiply-adds only where they dominate;
 //! 4. re-plans every workload under the fitted model and checks the pick
 //!    against the measured runtimes: the chosen strategy must be within 20%
 //!    (plus [`TIMER_RESOLUTION_NS`]) of the empirically fastest one (the
@@ -97,12 +98,11 @@ type Primitive = (
     fn(&mut CostModel) -> &mut f64,
 );
 /// The model's primitives, in the order [`fit`] takes them.
-const PRIMITIVES: [Primitive; 5] = [
+const PRIMITIVES: [Primitive; 4] = [
+    ("comparison_ns", |w| w.comparisons, |c| &mut c.comparison_ns),
     ("score_f64_ns", |w| w.score_f64, |c| &mut c.score_f64_ns),
-    ("score_f32_ns", |w| w.score_f32, |c| &mut c.score_f32_ns),
     ("column_ns", |w| w.columns, |c| &mut c.column_ns),
     ("hash_ns", |w| w.hash, |c| &mut c.hash_ns),
-    ("candidate_ns", |w| w.candidates, |c| &mut c.candidate_ns),
 ];
 
 /// Fits the primitives in [`PRIMITIVES`] order, each by least squares through the

@@ -641,9 +641,8 @@ mod tests {
             let (cheap, dear) = (1e-9, 1e9);
             let model = CostModel {
                 score_f64_ns: dear,
-                score_f32_ns: dear,
                 hash_ns: cheap,
-                candidate_ns: cheap,
+                comparison_ns: cheap,
                 column_ns: dear,
             };
             for schedule in SCHEDULES {

@@ -22,9 +22,9 @@
 //!    from.
 //! 2. **Cost model** — the [`Work`] of the path each strategy's join will take (an
 //!    LSH join scans where `lsh_join`'s rule says so; [`ips_lsh::cost`] and
-//!    [`ips_sketch::cost`] count hashing, candidates and the tree), priced by one
-//!    nanosecond constant per primitive in [`CostModel`], fitted by the
-//!    `calibrate_planner` binary in `ips-bench`.
+//!    [`ips_sketch::cost`] count hashing, candidates and the tree; a scored pair is a
+//!    comparison and `d` multiply-adds), priced by one nanosecond constant per
+//!    primitive in [`CostModel`], fitted by the `calibrate_planner` binary in `ips-bench`.
 //! 3. **Eligibility** — strategies whose domain preconditions the workload
 //!    violates (ALSH and symmetric LSH need data in the unit ball, symmetric
 //!    LSH needs the queries there too) are excluded rather than mis-costed.
@@ -349,61 +349,60 @@ pub struct Work {
     pub score_f32: f64,
     /// Multiply-adds of hashing points against planes (`ips_lsh::cost`).
     pub hash: f64,
-    /// Candidates gathered from LSH buckets: each bucket entry a query reads, once per
-    /// comparison of the sort that deduplicates them
-    /// (`ips_lsh::cost::expected_gathering_probed`).
-    pub candidates: f64,
+    /// Comparisons: the keep-best test of each scored pair (a scan's, an LSH candidate, a
+    /// sketch row or leaf point a walk scores) and each step of sorting an LSH query's
+    /// gathered bucket entries (`ips_lsh::cost::expected_gathering_probed`).
+    pub comparisons: f64,
     /// Sketch columns drawn by a tree build (`ips_sketch::cost`).
     pub columns: f64,
 }
 
 impl Work {
     /// The scan of every pair of `n` points and `m` queries in `d` dimensions by the
-    /// kernel of `dtype`. Every path that scans — brute force, an LSH join below the
-    /// scan rule, a sketch tree of one leaf — is priced by it, so such paths tie.
+    /// kernel of `dtype`: `n·m·d` multiply-adds and `n·m` comparisons. Every path that
+    /// scans — brute force, an LSH join below the scan rule, a sketch tree of one leaf —
+    /// is priced by it, so such paths tie.
     pub fn scan(n: usize, m: usize, d: usize, dtype: Dtype) -> Self {
-        let (mut work, multiply_adds) = (Self::default(), n as f64 * m as f64 * d as f64);
+        let (mut work, pairs) = (Self::default(), n as f64 * m as f64);
+        work.comparisons = pairs;
         match dtype {
-            Dtype::F64 => work.score_f64 = multiply_adds,
-            Dtype::F32 => work.score_f32 = multiply_adds,
+            Dtype::F64 => work.score_f64 = pairs * d as f64,
+            Dtype::F32 => work.score_f32 = pairs * d as f64,
         }
         work
     }
 }
 
-/// Nanoseconds per primitive of [`Work`], with every core in use. The counts are exact
-/// arithmetic over known shapes; these constants absorb what the counts ignore —
-/// memory traffic, bookkeeping, per-query overhead. Rerun `calibrate_planner` (see
-/// [`CostModel::default`]) to refit them for other hardware.
+/// An `f32` score multiply-add in `f64` ones: the benchmark's median f32 / f64 kernel ratio.
+const F32_PER_F64_SCORE: f64 = 0.75;
+
+/// Nanoseconds per primitive of [`Work`] (an `f32` score multiply-add costs 0.75 of an
+/// `f64` one), with every core in use. The counts are exact arithmetic over known shapes;
+/// these constants absorb what the counts ignore — memory traffic, bookkeeping, per-query
+/// overhead. Rerun `calibrate_planner` (see [`CostModel::default`]) to refit them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// ns per `f64` score multiply-add.
     pub score_f64_ns: f64,
-    /// ns per `f32` score multiply-add.
-    pub score_f32_ns: f64,
     /// ns per hashing multiply-add.
     pub hash_ns: f64,
-    /// ns per candidate gathered (per step of [`Work::candidates`]).
-    pub candidate_ns: f64,
+    /// ns per comparison (per step of [`Work::comparisons`]).
+    pub comparison_ns: f64,
     /// ns per sketch column drawn.
     pub column_ns: f64,
 }
 
 impl Default for CostModel {
     fn default() -> Self {
-        // `calibrate_planner` at its default scale (2000 × 400) and at n=12000 m=3000,
-        // six runs each on a two-vCPU container: the fits' medians (spreads: score_f64
-        // 0.12–0.23, column 55–117; hash 0.25–0.30 and candidate 1.17–1.53 at 12 000 ×
-        // 3000, where LSH rows hash). score_f64 takes 0.19, above its median 0.172: the
-        // suite scores only at d = 32, where a pair's fixed cost is least per multiply-add
-        // (2048² brute joins here: 0.19 ns at d = 32 and 48, 0.69 at d = 3). score_f32 is
-        // score_f64 times 0.75, the benchmark's kernel.f32_ns_per_pair / f64_ns_per_pair.
+        // Medians of twelve `calibrate_planner n=12000 m=3000` fits (d = 32, two vCPUs),
+        // the suite's one scale where LSH rows hash, so all four are fitted in each run.
+        // Spreads: score_f64 0.105–0.134 (at 2000 × 400: 0.101–0.148), hash 0.320–0.401,
+        // comparison 1.22–1.59 (`dim=8` scans: 0.75–1.65, median 1.42), column 68–184.
         Self {
-            score_f64_ns: 0.19,
-            score_f32_ns: 0.143,
-            hash_ns: 0.277,
-            candidate_ns: 1.41,
-            column_ns: 79.6,
+            score_f64_ns: 0.1215,
+            hash_ns: 0.3565,
+            comparison_ns: 1.4125,
+            column_ns: 100.37,
         }
     }
 }
@@ -411,10 +410,9 @@ impl Default for CostModel {
 impl CostModel {
     /// The predicted nanoseconds of `work`.
     pub fn cost(&self, work: &Work) -> f64 {
-        work.score_f64 * self.score_f64_ns
-            + work.score_f32 * self.score_f32_ns
+        (work.score_f64 + work.score_f32 * F32_PER_F64_SCORE) * self.score_f64_ns
             + work.hash * self.hash_ns
-            + work.candidates * self.candidate_ns
+            + work.comparisons * self.comparison_ns
             + work.columns * self.column_ns
     }
 }
@@ -627,10 +625,10 @@ impl JoinPlanner {
         let symmetric =
             self.lsh_estimate::<SymmetricSphereMap>(config, params, (&stats, spec, cosines), note);
 
-        // Sketch: the recovery-tree build plus one walk per query, or the scan where
-        // the tree is one leaf. No domain preconditions (the structure is natively
-        // unsigned; under a signed spec the adapter keeps validity at the price of
-        // recall on anti-correlated pairs).
+        // Sketch: the recovery-tree build plus one walk per query, which scores each row
+        // it probes and each leaf point, or the scan where the tree is one leaf. No domain
+        // preconditions (the structure is natively unsigned; under a signed spec the
+        // adapter keeps validity at the price of recall on anti-correlated pairs).
         let sketch = &self.config.sketch;
         let depth = ips_sketch::cost::depth(n, sketch);
         let (work, note) = if depth == 0 {
@@ -643,6 +641,7 @@ impl JoinPlanner {
             let walks = m as f64 * ips_sketch::cost::tree_query(n, d, sketch);
             let work = Work {
                 score_f64: columns * d as f64 + walks,
+                comparisons: m as f64 * ips_sketch::cost::tree_query(n, 1, sketch),
                 columns,
                 ..Work::default()
             };
@@ -711,7 +710,8 @@ impl JoinPlanner {
         let work = Work {
             score_f64: m as f64 * per_query * d as f64,
             hash: hash_multiply_adds(n as u128 + m as u128, planes) as f64,
-            candidates: m as f64 * expected_gathering_probed(n, cosines, k, l, probes),
+            comparisons: m as f64
+                * (per_query + expected_gathering_probed(n, cosines, k, l, probes)),
             ..Work::default()
         };
         let probed = if probes > 0 {
@@ -1141,6 +1141,44 @@ mod tests {
     }
 
     #[test]
+    fn a_scan_pays_one_comparison_per_pair() {
+        // A scan is n·m keep-best tests beside its n·m·d multiply-adds, under either kernel.
+        for dtype in [Dtype::F64, Dtype::F32] {
+            let work = Work::scan(300, 70, 5, dtype);
+            assert_eq!(work.comparisons, 300.0 * 70.0);
+            assert_eq!(work.score_f64 + work.score_f32, 300.0 * 70.0 * 5.0);
+        }
+        // An LSH join that hashes pays one per expected candidate beside the sort that
+        // gathers them; a sketch walk, one per row it probes and per point of its leaf,
+        // each of which costs it `d` multiply-adds.
+        let (n, m, d) = (100_000, 10_000, 32);
+        let sampled = vec![0.02; 256];
+        let plan =
+            JoinPlanner::default().plan_from_stats(stats(n, m, d, sampled.clone()), spec(0.8, 0.6));
+        let alsh = alsh_of(&plan);
+        let cosines: Vec<f64> = sampled.iter().map(|ip| ip / alsh.query_radius).collect();
+        let (k, l, probes) = (alsh.bits_per_table, alsh.tables, alsh.probes);
+        let per_query = expected_candidates_probed(n, &cosines, k, l, probes);
+        let gathered = expected_gathering_probed(n, &cosines, k, l, probes);
+        let work = plan.estimates[1].work;
+        assert_eq!(plan.estimates[1].path, Some(JoinPath::Hash));
+        assert_eq!(work.comparisons, m as f64 * (gathered + per_query));
+        assert_eq!(work.score_f64, m as f64 * per_query * d as f64);
+        let sketch = MaxIpConfig::default();
+        let depth = ips_sketch::cost::depth(n, &sketch);
+        assert_eq!(plan.estimates[3].path, Some(JoinPath::Tree(depth)));
+        let walk = ips_sketch::cost::tree_query(n, d, &sketch);
+        let comparisons = plan.estimates[3].work.comparisons;
+        assert_eq!(comparisons * d as f64, m as f64 * walk);
+        // At d = 3 a pair's comparison outweighs its multiply-adds: 2048² brute joins
+        // measure 1.3–2.0 ns a pair on two vCPUs (the low end since `score_block` checks
+        // a row's dimension once), where multiply-adds alone were priced at 0.57.
+        let pairs = 2048.0 * 2048.0;
+        let scan = CostModel::default().cost(&Work::scan(2048, 2048, 3, Dtype::F64));
+        assert!(scan / pairs >= 1.5, "{} ns a pair", scan / pairs);
+    }
+
+    #[test]
     fn dense_samples_defeat_the_lsh_strategies() {
         // Same shape but highly correlated: nearly every vector collides into
         // the candidate set, so LSH degenerates to the scan plus hashing
@@ -1206,7 +1244,7 @@ mod tests {
         };
         let ((full_work, full_cost), (probed_work, probed_cost)) = (alsh(&full), alsh(&probed));
         assert_eq!(probed_work.hash * 2.0, full_work.hash);
-        assert!(probed_work.candidates > full_work.candidates);
+        assert!(probed_work.comparisons > full_work.comparisons);
         assert!(probed_work.score_f64 > full_work.score_f64);
         assert!(
             probed_cost > full_cost,

@@ -175,9 +175,15 @@ pub fn score_block<'r, 'q, Q>(
 where
     Q: IntoIterator<Item = &'q DenseVector> + Clone,
 {
+    // One pass over the queries: the first, and the first of another dimension. A row
+    // of the first's dimension first meets a query of another at `ragged`; a row of any
+    // other dimension, at the first query.
+    let mut all = queries.clone().into_iter();
+    let head = all.next();
+    let ragged = head.and_then(|head| all.find(|q| q.dim() != head.dim()));
     let mut rows = rows.into_iter().fuse();
     while let Some(first) = rows.next() {
-        // Up to LANES rows, each checked against every query first; the slots a short
+        // Up to LANES rows, each checked against the queries first; the slots a short
         // group leaves are padded with its first row, and their scores go unread.
         let mut group = [first; LANES];
         let (mut filled, mut mismatch) = (0, None);
@@ -185,7 +191,11 @@ where
             .iter_mut()
             .zip(std::iter::once(first).chain(rows.by_ref()))
         {
-            if let Some(q) = queries.clone().into_iter().find(|q| q.dim() != p.dim()) {
+            let q = match head {
+                Some(head) if head.dim() != p.dim() => Some(head),
+                _ => ragged,
+            };
+            if let Some(q) = q {
                 mismatch = p.dot(q).err();
                 break;
             }
@@ -362,6 +372,45 @@ mod tests {
         let err = score_block(ragged.iter().enumerate(), &queries, |_, _, _| emitted += 1);
         assert_eq!(err, Err(ragged[1].dot(&queries[0]).unwrap_err()));
         assert_eq!(emitted, 2);
+    }
+
+    #[test]
+    fn a_mismatched_query_mid_batch_or_row_in_the_last_group_fails_at_the_first_pair() {
+        // Nine rows: groups of four, four and one. The first pair in data-major order
+        // whose dimensions differ names the error, as `dot` gives it, after every pair
+        // of the rows before its row.
+        let row = |k: usize, dim: usize| dv(&vec![k as f64 + 0.5; dim]);
+        let query = |j: usize, dim: usize| dv(&vec![1.0 - j as f64; dim]);
+        let expect = |rows: &[DenseVector], queries: &[DenseVector]| {
+            let at = rows.iter().enumerate().find_map(|(k, p)| {
+                let q = queries.iter().find(|q| q.dim() != p.dim())?;
+                Some((k, p.dot(q).unwrap_err()))
+            });
+            at.map_or((rows.len() * queries.len(), Ok(())), |(k, e)| {
+                (k * queries.len(), Err(e))
+            })
+        };
+        let square = |n| (0..n).map(|k| row(k, 3)).collect::<Vec<_>>();
+        let batch = |dims: &[usize]| {
+            dims.iter()
+                .enumerate()
+                .map(|(j, &d)| query(j, d))
+                .collect::<Vec<_>>()
+        };
+        let mut last_group = square(9);
+        last_group[8] = row(8, 2);
+        let cases = [
+            (square(9), batch(&[3, 3, 2, 3, 5])),
+            (square(9), batch(&[2, 3, 3])),
+            (last_group.clone(), batch(&[3, 3, 3])),
+            (last_group, batch(&[3, 2, 3])),
+            (square(9), batch(&[3, 3, 3])),
+        ];
+        for (rows, queries) in cases {
+            let mut emitted = 0;
+            let result = score_block(rows.iter().enumerate(), &queries, |_, _, _| emitted += 1);
+            assert_eq!((emitted, result), expect(&rows, &queries));
+        }
     }
 
     #[test]

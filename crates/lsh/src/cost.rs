@@ -11,8 +11,8 @@
 //! inner products rather than the full `n·m` product matrix.
 //!
 //! These are counts of work, not of time: candidates, the steps of gathering them,
-//! and hashing multiply-adds. The planner's `CostModel` holds one nanosecond constant for each,
-//! fitted by the `calibrate_planner` binary in `ips-bench`.
+//! and hashing multiply-adds. The planner's `CostModel` prices a step and a candidate as
+//! a comparison each (a candidate also `d` multiply-adds), fitted by `calibrate_planner`.
 
 use crate::hyperplane::HyperplaneFamily;
 
@@ -121,7 +121,7 @@ pub fn expected_candidates_probed(
     n as f64 * sample_mean(sampled_cosines, |p| probed_table_hit_prob(p, k, l, probes))
 }
 
-/// Expected steps of gathering one query's candidates from the `l` tables of
+/// Expected comparisons of gathering one query's candidates from the `l` tables of
 /// [`expected_candidates_probed`]. A candidate is read once for every table whose
 /// probed buckets it sits in, `E = n·l·E[probe_hit_prob]` entries over the sample, and
 /// the entries are sorted and deduplicated before any is scored, so each counts once

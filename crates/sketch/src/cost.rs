@@ -5,8 +5,8 @@
 //! without building it, for the adaptive join planner in `ips-core`. The work is
 //! dense linear algebra of exactly known shapes, so the counts are arithmetic
 //! identities over the same recursion the builder runs — they just never touch a
-//! vector. They come in two primitives, `f64` multiply-adds and sketch columns
-//! drawn:
+//! vector. They come in `f64` multiply-adds and sketch columns drawn (a walk's keep-best
+//! comparisons, one a row probed or leaf point scanned, are [`tree_query`] at `d = 1`):
 //!
 //! * building one [`crate::MaxIpEstimator`] over `n` rows draws `copies`
 //!   sketches of `n` columns each and applies them to an `n × d` matrix; a
@@ -35,8 +35,8 @@
 //! copy in each child, so a range of at most 2 vectors never splits, and with
 //! the recommended rows none of at most 26 does (`rows(n) ≥ 13`).
 //!
-//! The planner's `CostModel` prices both primitives; its constants are fitted by the
-//! `calibrate_planner` binary in `ips-bench`.
+//! The planner's `CostModel` prices the multiply-adds, the columns and the comparisons;
+//! its constants are fitted by the `calibrate_planner` binary in `ips-bench`.
 
 use crate::linf_mips::MaxIpConfig;
 use crate::maxstable::MaxStableSketch;
