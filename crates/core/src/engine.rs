@@ -4,20 +4,20 @@
 //! reduction the paper uses throughout. The seed implementation ran that reduction as a
 //! serial one-query-at-a-time loop in four separate places; [`JoinEngine`] is the single
 //! replacement. It owns (or borrows) any [`MipsIndex`], splits the query set into
-//! chunks, and feeds the chunks through [`MipsIndex::search_batch`] on a pool of scoped
-//! worker threads with work-stealing chunk claims, so:
+//! chunks, and hands each chunk to [`MipsIndex::answer`] — the index's one query
+//! method — on a pool of scoped worker threads with work-stealing chunk claims, so:
 //!
-//! * every index gets query parallelism for free (searches take `&self`; all the
+//! * every index gets query parallelism for free (answers take `&self`; all the
 //!   workspace's indexes are plain data and therefore [`Sync`]);
-//! * an index that can answer a *batch* faster than query-at-a-time (the brute-force
-//!   scan's data-major loop, and any future blocked/SIMD path) accelerates every join
-//!   by overriding one method;
+//! * an index that answers a *batch* faster than query-at-a-time (the brute-force
+//!   scan's data-major loop, and the serving layers over it) accelerates every join
+//!   and every served request, since a batch is all an index is ever asked;
 //! * the output is byte-for-byte what the serial loop produces — the workers only
-//!   partition the query set, and results are reassembled in query order.
+//!   partition the query set, and the chunks' pair lists are concatenated in order.
 //!
-//! This is the seam future sharding and caching work plugs into: anything that can
-//! answer `search_batch` — a remote shard, a cached layer, a GPU kernel — joins through
-//! the same driver. It is also the execution core of the fluent
+//! This is the seam sharding plugs into: anything that can answer a batch — a
+//! serving index with pending writes, a set of shards — joins through the same
+//! driver. It is also the execution core of the fluent
 //! [`crate::facade::JoinBuilder`]: the brute-force and sketch strategies reach their
 //! index through `JoinEngine::run`, and the ALSH and symmetric joins, which ask each
 //! query of one group of tables at a time, run every pass in the engine's chunks on the
@@ -30,16 +30,17 @@ use ips_linalg::par::{available_threads, map_blocks};
 use ips_linalg::DenseVector;
 
 /// What a request asks of an index: Definition 1's one partner per query, or the
-/// footnote-1 variant's up to `k`. A request of either kind runs the same path through
-/// every serving layer; only the engine pass ([`JoinEngine::answer`]) tells them apart,
-/// and requests merge into one pass only under equal asks.
+/// footnote-1 variant's up to `k`. A request of either kind runs the same path from the
+/// socket to [`MipsIndex::answer`], which is the one place the two are told apart, and
+/// requests merge into one pass only under equal asks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Ask {
-    /// The `(cs, s)` join: at most one partner per query, reaching `cs`
-    /// ([`MipsIndex::search`]).
+    /// The `(cs, s)` join: at most one partner per query. Every partner clears `cs`;
+    /// Definition 1 promises one whenever some data vector clears `s`, which the exact
+    /// scan keeps and approximate indexes may miss.
     Threshold,
-    /// Up to `k` partners per query, each reaching `cs`, best first
-    /// ([`MipsIndex::search_top_k`]).
+    /// Up to `k` partners per query, each clearing `cs`, best first (footnote 1).
+    /// Approximate indexes may return fewer than `k` even when `k` exist.
     TopK(usize),
 }
 
@@ -48,7 +49,7 @@ pub enum Ask {
 pub struct EngineConfig {
     /// Worker threads; `0` means one per available CPU.
     pub threads: usize,
-    /// Queries per batched work unit handed to [`MipsIndex::search_batch`].
+    /// Queries per batched work unit handed to [`MipsIndex::answer`].
     pub chunk_size: usize,
 }
 
@@ -152,109 +153,56 @@ impl<I: MipsIndex> JoinEngine<I> {
         self.index.spec()
     }
 
-    /// Runs the join serially on the calling thread (still chunk-batched, so
-    /// [`MipsIndex::search_batch`] overrides apply). This is the reference
-    /// semantics [`JoinEngine::run`] must reproduce.
+    /// Runs the join serially on the calling thread, still a chunk at a time. This
+    /// is the reference semantics [`JoinEngine::run`] must reproduce.
     pub fn run_serial(&self, queries: &[DenseVector]) -> Result<Vec<MatchPair>> {
         let chunk_size = self.config.resolved_chunk_size();
         let mut out = Vec::new();
-        for (chunk_idx, chunk) in queries.chunks(chunk_size).enumerate() {
-            let hits = self.index.search_batch(chunk)?;
-            collect_chunk(&mut out, chunk_idx * chunk_size, hits);
+        for (k, chunk) in queries.chunks(chunk_size).enumerate() {
+            out.extend(self.chunk(chunk, k * chunk_size, Ask::Threshold)?);
         }
         Ok(out)
     }
 
-    /// Runs the `(cs, s)` join of the index's data set against `queries`.
-    ///
-    /// Chunks of `config.chunk_size` queries are claimed by `config.threads`
-    /// scoped workers off a shared cursor (work stealing, so uneven
-    /// per-query cost — common for LSH probing — cannot idle a worker). Results
-    /// are returned sorted by query index and are identical to
+    /// Runs the `(cs, s)` join of the index's data set against `queries`:
+    /// [`JoinEngine::answer`] under [`Ask::Threshold`], identical to
     /// [`JoinEngine::run_serial`].
     pub fn run(&self, queries: &[DenseVector]) -> Result<Vec<MatchPair>>
     where
         I: Sync,
     {
-        self.run_chunked(queries, &|chunk, base| {
-            let hits = self.index.search_batch(chunk)?;
-            let mut local = Vec::new();
-            collect_chunk(&mut local, base, hits);
-            Ok(local)
-        })
+        self.answer(queries, Ask::Threshold)
     }
 
-    /// Runs a batched top-`k` join through the same chunked, work-stealing driver as
-    /// [`JoinEngine::run`]: up to `k` pairs per query, each clearing the relaxed
-    /// threshold `cs`, best first within a query, queries in order.
-    pub fn run_top_k(&self, queries: &[DenseVector], k: usize) -> Result<Vec<MatchPair>>
-    where
-        I: Sync,
-    {
-        self.run_chunked(queries, &|chunk, base| {
-            let mut local = Vec::new();
-            for (offset, q) in chunk.iter().enumerate() {
-                for hit in self.index.search_top_k(q, k)? {
-                    local.push(MatchPair {
-                        data_index: hit.data_index,
-                        query_index: base + offset,
-                        inner_product: hit.inner_product,
-                    });
-                }
-            }
-            Ok(local)
-        })
-    }
-
-    /// Answers `queries` as `ask` asks: [`JoinEngine::run`] for [`Ask::Threshold`],
-    /// [`JoinEngine::run_top_k`] for [`Ask::TopK`] — the one entry point of the serving
-    /// layers, which carry the request kind from the socket to here.
+    /// Answers `queries` as `ask` asks — the one entry point of the joins and of the
+    /// serving layers, which carry the request kind from the socket to here.
+    ///
+    /// Chunks of `config.chunk_size` queries are claimed by `config.threads` scoped
+    /// workers through the workspace's block driver ([`ips_linalg::par::map_blocks`]):
+    /// work stealing, so uneven per-query cost — common for LSH probing — cannot idle
+    /// a worker; the first failure stops the pass. Each chunk is one
+    /// [`MipsIndex::answer`], and chunk order is query order with pairs already
+    /// ordered within a chunk, so concatenating the lists reproduces the serial output
+    /// exactly — even when a query contributes several pairs (top-`k`).
     pub fn answer(&self, queries: &[DenseVector], ask: Ask) -> Result<Vec<MatchPair>>
     where
         I: Sync,
     {
-        match ask {
-            Ask::Threshold => self.run(queries),
-            Ask::TopK(k) => self.run_top_k(queries, k),
-        }
-    }
-
-    /// The shared chunked driver: splits `queries` into chunks and runs them through
-    /// the workspace's block driver ([`ips_linalg::par::map_blocks`]) — workers claim
-    /// chunks in order, stop after the first failure, and the per-chunk pair lists
-    /// come back in chunk order — so any per-chunk computation gets identical
-    /// scheduling, early-abort and output-ordering behaviour.
-    fn run_chunked<F>(&self, queries: &[DenseVector], per_chunk: &F) -> Result<Vec<MatchPair>>
-    where
-        I: Sync,
-        F: Fn(&[DenseVector], usize) -> Result<Vec<MatchPair>> + Sync,
-    {
         let chunk_size = self.config.resolved_chunk_size();
         let mut chunks: Vec<&[DenseVector]> = queries.chunks(chunk_size).collect();
-        // Chunk order is query order, and pairs within a chunk are already ordered,
-        // so concatenating the lists reproduces the serial output exactly — even
-        // when a query contributes several pairs (top-k), which a per-pair sort on
-        // query index alone could not keep stable.
         let lists = map_blocks(self.config.resolved_threads(), &mut chunks, |k, chunk| {
-            per_chunk(chunk, k * chunk_size)
+            self.chunk(chunk, k * chunk_size, ask)
         })?;
         Ok(lists.into_iter().flatten().collect())
     }
-}
 
-fn collect_chunk(
-    out: &mut Vec<MatchPair>,
-    base: usize,
-    hits: Vec<Option<crate::mips::SearchResult>>,
-) {
-    for (offset, hit) in hits.into_iter().enumerate() {
-        if let Some(hit) = hit {
-            out.push(MatchPair {
-                data_index: hit.data_index,
-                query_index: base + offset,
-                inner_product: hit.inner_product,
-            });
+    /// One chunk's answer, its query indices counted from the start of the whole set.
+    fn chunk(&self, chunk: &[DenseVector], base: usize, ask: Ask) -> Result<Vec<MatchPair>> {
+        let mut pairs = self.index.answer(chunk, ask)?;
+        for pair in &mut pairs {
+            pair.query_index += base;
         }
+        Ok(pairs)
     }
 }
 
@@ -331,7 +279,7 @@ mod tests {
                         },
                     );
                     assert_eq!(
-                        engine.run_top_k(&queries, k).unwrap(),
+                        engine.answer(&queries, Ask::TopK(k)).unwrap(),
                         expected,
                         "k={k} threads={threads} chunk_size={chunk_size}"
                     );

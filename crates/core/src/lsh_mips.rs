@@ -10,9 +10,10 @@
 //! gathering, re-scoring, the two-step search and its halves for a sharded merge.
 
 use crate::diagonal::Diagonal;
+use crate::engine::Ask;
 use crate::error::{CoreError, Result};
-use crate::mips::{MipsIndex, SearchResult};
-use crate::problem::JoinSpec;
+use crate::mips::{answer_each, MipsIndex, SearchResult};
+use crate::problem::{JoinSpec, MatchPair};
 use crate::shard::{keep_best, ShardParts};
 use crate::slots::Renumbering;
 use crate::topk::rescore_candidates;
@@ -228,12 +229,13 @@ pub trait LshOps: MipsIndex + Send + Sync {
     /// `set_probes(0)` restores the classical bit-identical lookup.
     fn set_probes(&mut self, probes: usize);
 
-    /// Both steps of [`MipsIndex::search`], **unfiltered**, from one presentation of
-    /// the query: the diagonal probe (the *last* live slot identical to the query,
-    /// scored exactly; `None` for a map without a diagonal) and the best LSH
+    /// Both steps of an [`Ask::Threshold`] search, **unfiltered**, from one
+    /// presentation of the query: the diagonal probe (the *last* live slot identical to
+    /// the query, scored exactly; `None` for a map without a diagonal) and the best LSH
     /// candidate. A sharded merge layer asks this of each shard and applies the
     /// promise and relaxed-threshold checks across the union
-    /// ([`crate::shard::merge_two_step`]) exactly as `search` applies them to one index.
+    /// ([`crate::shard::merge_two_step`]) exactly as the search applies them to one
+    /// index.
     fn search_parts(&self, query: &DenseVector) -> Result<ShardParts>;
 }
 
@@ -505,18 +507,9 @@ impl<'a, M: SphereMap> LshMips<'a, M> {
     fn diagonal_hit(&self, query: &DenseVector, key: Option<u64>) -> Result<Option<SearchResult>> {
         diagonal_hit(&self.map, &self.diagonal, &self.data, query, key)
     }
-}
 
-impl<M: SphereMap> MipsIndex for LshMips<'_, M> {
-    fn len(&self) -> usize {
-        self.live_count
-    }
-
-    fn spec(&self) -> JoinSpec {
-        self.spec
-    }
-
-    fn search(&self, query: &DenseVector) -> Result<Option<SearchResult>> {
+    /// The two-step search of one query under [`Ask::Threshold`].
+    fn best(&self, query: &DenseVector) -> Result<Option<SearchResult>> {
         self.map.with_point(Side::Query, query, |point, key| {
             // Step 1 (Section 4.2): check whether the query itself is an input vector;
             // the hash guarantees do not cover the diagonal, so it is handled exactly.
@@ -532,9 +525,28 @@ impl<M: SphereMap> MipsIndex for LshMips<'_, M> {
         })
     }
 
-    fn search_top_k(&self, query: &DenseVector, k: usize) -> Result<Vec<SearchResult>> {
+    /// One query's best `k` of its candidates, the diagonal hit among them.
+    fn top_k(&self, query: &DenseVector, k: usize) -> Result<Vec<SearchResult>> {
         let candidates = self.candidate_indices(query)?;
         rescore_candidates(&self.data, candidates, query, &self.spec, k)
+    }
+}
+
+impl<M: SphereMap> MipsIndex for LshMips<'_, M> {
+    fn len(&self) -> usize {
+        self.live_count
+    }
+
+    fn spec(&self) -> JoinSpec {
+        self.spec
+    }
+
+    /// A query at a time: its candidates are its own buckets' entries.
+    fn answer(&self, queries: &[DenseVector], ask: Ask) -> Result<Vec<MatchPair>> {
+        match ask {
+            Ask::Threshold => answer_each(queries, |q| self.best(q)),
+            Ask::TopK(k) => answer_each(queries, |q| self.top_k(q, k)),
+        }
     }
 }
 

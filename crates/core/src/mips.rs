@@ -1,15 +1,18 @@
 //! A common interface over all maximum-inner-product-search indexes.
 //!
 //! The paper discusses several data structures for `(cs, s)` search / `c`-MIPS
-//! (Sections 4.1–4.3); the [`MipsIndex`] trait lets the join layer, the examples and the
-//! benchmarks treat them interchangeably, with the quadratic scan as the reference
-//! implementation.
+//! (Sections 4.1–4.3); the [`MipsIndex`] trait lets the join layer, the serving layers,
+//! the examples and the benchmarks treat them interchangeably, with the quadratic scan
+//! as the reference implementation. An index is asked one way only: a batch of queries
+//! and an [`Ask`], answered by [`MipsIndex::answer`] with the pair list a join reports.
+//! The single-query spellings are provided over it, so a wrapper that forwards
+//! `answer` forwards every fast path.
 
-use crate::brute::brute_force_mips;
+use crate::engine::Ask;
 use crate::error::Result;
 use crate::problem::{JoinSpec, JoinVariant, MatchPair};
 use crate::shard::keep_best;
-use crate::topk::rescore_candidates;
+use crate::topk::BestPerQuery;
 use ips_linalg::{score_block, DenseVector};
 use ips_sketch::recovery::MipsCandidate;
 use std::borrow::Cow;
@@ -32,6 +35,17 @@ impl From<MatchPair> for SearchResult {
     }
 }
 
+impl SearchResult {
+    /// The pair this result makes with query `query_index`.
+    pub(crate) fn for_query(self, query_index: usize) -> MatchPair {
+        MatchPair {
+            data_index: self.data_index,
+            query_index,
+            inner_product: self.inner_product,
+        }
+    }
+}
+
 /// An index answering `(cs, s)` inner product search queries over a fixed data set.
 pub trait MipsIndex {
     /// Number of indexed data vectors.
@@ -45,36 +59,45 @@ pub trait MipsIndex {
     /// The spec (`s`, `c`, signed/unsigned) the index answers queries for.
     fn spec(&self) -> JoinSpec;
 
-    /// Answers one query: a data vector whose inner product clears `cs`, when the index
-    /// finds one. Definition 1 only promises an answer when some vector clears `s`;
-    /// approximate indexes may miss even then (that is what recall experiments measure),
-    /// but they never return a pair below `cs`.
-    fn search(&self, query: &DenseVector) -> Result<Option<SearchResult>>;
+    /// Answers a batch of queries as `ask` asks: the index's one query method, which
+    /// [`crate::engine::JoinEngine`] hands every chunk.
+    ///
+    /// The result is the pair list a join reports: each pair's `query_index` counts
+    /// from the start of `queries`, queries come in order, and a query's partners come
+    /// best first — higher similarity value, ties toward the lower data index
+    /// ([`crate::shard::beats`]). Every partner clears the spec's relaxed threshold
+    /// `cs` ([`JoinSpec::acceptable`]); Definition 1 only promises one under
+    /// [`Ask::Threshold`] when some vector clears `s`, and approximate indexes may miss
+    /// even then or return fewer than `k` under [`Ask::TopK`] — that is the recall the
+    /// experiments measure.
+    ///
+    /// An index answers a batch exactly as it answers each of its queries alone:
+    /// batching is for speed (the brute scan loads each data vector once per batch),
+    /// never for different answers.
+    fn answer(&self, queries: &[DenseVector], ask: Ask) -> Result<Vec<MatchPair>>;
 
-    /// Answers a batch of queries, one slot per query in order.
-    ///
-    /// The default implementation is the serial loop over [`MipsIndex::search`];
-    /// implementations override it when a batch can be answered faster than
-    /// query-at-a-time (e.g. the brute-force scan re-orders its loops for cache
-    /// locality). [`crate::engine::JoinEngine`] feeds whole chunks through this
-    /// method, so an override accelerates every join in the workspace.
-    ///
-    /// Overrides must return exactly what the serial loop would: the engine and
-    /// the batch/serial equivalence property tests rely on it.
-    fn search_batch(&self, queries: &[DenseVector]) -> Result<Vec<Option<SearchResult>>> {
-        queries.iter().map(|q| self.search(q)).collect()
+    /// [`MipsIndex::answer`] for one query under [`Ask::Threshold`]: a data vector
+    /// whose inner product clears `cs`, when the index finds one.
+    fn search(&self, query: &DenseVector) -> Result<Option<SearchResult>> {
+        let pairs = self.answer(std::slice::from_ref(query), Ask::Threshold)?;
+        Ok(pairs.first().map(|&pair| pair.into()))
     }
 
-    /// Answers one query with up to `k` partners, best first: the top-`k` variant of the
-    /// paper's footnote 1, where a query may take part in up to `k` pairs.
-    ///
-    /// Every result clears the spec's relaxed threshold `cs`; results are sorted by
-    /// decreasing similarity value (signed inner product or absolute value, depending on
-    /// the variant) with ties toward the lower data index
-    /// ([`crate::shard::beats`]). Approximate implementations may return fewer than `k`
-    /// even when `k` acceptable partners exist — that is the recall the experiments
-    /// measure.
-    fn search_top_k(&self, query: &DenseVector, k: usize) -> Result<Vec<SearchResult>>;
+    /// [`MipsIndex::answer`] under [`Ask::Threshold`], one slot per query in order.
+    fn search_batch(&self, queries: &[DenseVector]) -> Result<Vec<Option<SearchResult>>> {
+        let mut slots = vec![None; queries.len()];
+        for pair in self.answer(queries, Ask::Threshold)? {
+            slots[pair.query_index] = Some(pair.into());
+        }
+        Ok(slots)
+    }
+
+    /// [`MipsIndex::answer`] for one query under [`Ask::TopK`]: up to `k` partners,
+    /// best first.
+    fn search_top_k(&self, query: &DenseVector, k: usize) -> Result<Vec<SearchResult>> {
+        let pairs = self.answer(std::slice::from_ref(query), Ask::TopK(k))?;
+        Ok(pairs.into_iter().map(SearchResult::from).collect())
+    }
 }
 
 /// Shared references to an index are themselves indexes, so [`crate::engine::JoinEngine`]
@@ -92,19 +115,23 @@ impl<I: MipsIndex + ?Sized> MipsIndex for &I {
         (**self).spec()
     }
 
-    fn search(&self, query: &DenseVector) -> Result<Option<SearchResult>> {
-        (**self).search(query)
+    fn answer(&self, queries: &[DenseVector], ask: Ask) -> Result<Vec<MatchPair>> {
+        (**self).answer(queries, ask)
     }
+}
 
-    fn search_batch(&self, queries: &[DenseVector]) -> Result<Vec<Option<SearchResult>>> {
-        // Forward explicitly so a batch override on `I` is not lost behind the
-        // reference's default method.
-        (**self).search_batch(queries)
+/// A batch answered one query at a time: `one` gives a query's partners, best first —
+/// the [`MipsIndex::answer`] of an index whose search has no batch form (the LSH and
+/// sketch families, the sharded symmetric merge).
+pub fn answer_each<H: IntoIterator<Item = SearchResult>>(
+    queries: &[DenseVector],
+    mut one: impl FnMut(&DenseVector) -> Result<H>,
+) -> Result<Vec<MatchPair>> {
+    let mut out = Vec::new();
+    for (j, query) in queries.iter().enumerate() {
+        out.extend(one(query)?.into_iter().map(|hit| hit.for_query(j)));
     }
-
-    fn search_top_k(&self, query: &DenseVector, k: usize) -> Result<Vec<SearchResult>> {
-        (**self).search_top_k(query, k)
-    }
+    Ok(out)
 }
 
 /// The exact quadratic-scan index: the reference [`MipsIndex`] implementation.
@@ -187,24 +214,43 @@ impl MipsIndex for BruteForceMipsIndex<'_> {
         self.spec
     }
 
-    fn search(&self, query: &DenseVector) -> Result<Option<SearchResult>> {
-        // The exact index applies the *promise* threshold: it answers whenever some
-        // vector clears s, which trivially also clears cs.
-        Ok(brute_force_mips(&self.data, query, &self.spec)?.map(SearchResult::from))
-    }
-
-    /// Data-major scan ([`score_block`]): each data vector is loaded once and scored
-    /// against the whole batch, instead of streaming the full data set past every query.
-    /// Same results as the serial loop (ties keep the lowest index either way), much
-    /// friendlier to the cache for wide batches. A non-default scoring kernel
-    /// ([`BruteForceMipsIndex::with_options`]) dispatches through the tiled
-    /// `f32` path instead.
-    fn search_batch(&self, queries: &[DenseVector]) -> Result<Vec<Option<SearchResult>>> {
-        crate::kernel::scored_batch(&self.data, self.tile.as_ref(), queries, &self.spec)
-    }
-
-    fn search_top_k(&self, query: &DenseVector, k: usize) -> Result<Vec<SearchResult>> {
-        rescore_candidates(&self.data, 0..self.data.len(), query, &self.spec, k)
+    /// Both asks scan data-major ([`score_block`]): each data vector is loaded once and
+    /// scored against the whole batch, instead of streaming the data set past every
+    /// query — the same results as one query at a time, much friendlier to the cache
+    /// for wide batches.
+    ///
+    /// * [`Ask::Threshold`] keeps each query's best and applies the *promise*
+    ///   threshold `s`: the exact index answers whenever some vector clears `s`, which
+    ///   trivially also clears `cs`. A non-default scoring kernel
+    ///   ([`BruteForceMipsIndex::with_options`]) scans through the tiled `f32` path
+    ///   instead. A non-empty batch over no data fails, as a join over no data does.
+    /// * [`Ask::TopK`] keeps each query's best `k` that clear `cs`, in exact `f64`
+    ///   whatever the kernel. No data is an empty answer.
+    fn answer(&self, queries: &[DenseVector], ask: Ask) -> Result<Vec<MatchPair>> {
+        if ask == Ask::Threshold {
+            let tile = self.tile.as_ref();
+            let slots = crate::kernel::scored_batch(&self.data, tile, queries, &self.spec)?;
+            // A list of its own, grown by the hits: collected from the slots, it would
+            // keep their whole buffer, a slot a query, until the join's lists are joined.
+            let mut pairs = Vec::new();
+            for (j, hit) in slots.into_iter().enumerate() {
+                pairs.extend(hit.map(|hit| hit.for_query(j)));
+            }
+            return Ok(pairs);
+        }
+        let spec = &self.spec;
+        let mut best = BestPerQuery::new(spec, queries.len(), ask);
+        let rows = self.data.iter().enumerate();
+        score_block(rows, queries, |data_index, j, inner_product| {
+            let hit = SearchResult {
+                data_index,
+                inner_product,
+            };
+            if spec.acceptable(inner_product) {
+                best.offer(j, hit);
+            }
+        })?;
+        Ok(best.into_pairs())
     }
 }
 
@@ -280,7 +326,7 @@ fn scan(
 /// step of the Section 4.3 unsigned join. The structure estimates `‖Aq‖_∞`, so it is
 /// natively unsigned; under a [`crate::problem::JoinVariant::Signed`] spec the
 /// candidate is still found by absolute value but only *reported* when its signed
-/// inner product clears `cs`, keeping the [`MipsIndex::search`] validity promise
+/// inner product clears `cs`, keeping the [`MipsIndex::answer`] validity promise
 /// (anti-correlated pairs cost recall, never validity).
 pub struct SketchMipsAdapter<'a> {
     inner: ips_sketch::SketchMipsIndex<'a>,
@@ -326,18 +372,15 @@ impl MipsIndex for SketchMipsAdapter<'_> {
         self.spec
     }
 
-    fn search(&self, query: &DenseVector) -> Result<Option<SearchResult>> {
-        Ok(sketch_hit(self.spec, self.inner.query(query)?))
-    }
-
-    /// The sketch structure recovers a *single* candidate per query (the prefix-tree
-    /// walk of Section 4.3 has no ranked candidate set), so its top-`k` is the top-1
-    /// result: at most one partner, which an approximate index is allowed.
-    fn search_top_k(&self, query: &DenseVector, k: usize) -> Result<Vec<SearchResult>> {
-        if k == 0 {
+    /// One walk per query. The sketch structure recovers a *single* candidate per
+    /// query (the prefix-tree walk of Section 4.3 has no ranked candidate set), so its
+    /// top-`k` is the top-1 result: at most one partner, which an approximate index is
+    /// allowed. `TopK(0)` walks nothing.
+    fn answer(&self, queries: &[DenseVector], ask: Ask) -> Result<Vec<MatchPair>> {
+        if ask == Ask::TopK(0) {
             return Ok(Vec::new());
         }
-        Ok(self.search(query)?.into_iter().collect())
+        answer_each(queries, |q| Ok(sketch_hit(self.spec, self.inner.query(q)?)))
     }
 }
 
@@ -357,6 +400,8 @@ pub(crate) fn sketch_hit(spec: JoinSpec, candidate: MipsCandidate) -> Option<Sea
 mod tests {
     use super::*;
     use crate::problem::JoinVariant;
+    use crate::topk::rescore_candidates;
+    use ips_linalg::random::random_ball_vector;
 
     fn dv(xs: &[f64]) -> DenseVector {
         DenseVector::from(xs)
@@ -387,6 +432,76 @@ mod tests {
         assert_eq!(empty_index.search_batch(&[]).unwrap(), Vec::new());
         // Non-empty batch over an empty index: fails like the first `search`.
         assert!(empty_index.search_batch(&[dv(&[1.0])]).is_err());
+    }
+
+    /// Pairs as `(query, data index, inner product bits)`.
+    fn bits(pairs: &[MatchPair]) -> Vec<(usize, usize, u64)> {
+        let bits = |p: &MatchPair| (p.query_index, p.data_index, p.inner_product.to_bits());
+        pairs.iter().map(bits).collect()
+    }
+
+    /// The reference top-`k`: every data vector re-scored against one query at a time.
+    fn rescored(
+        data: &[DenseVector],
+        queries: &[DenseVector],
+        spec: &JoinSpec,
+        k: usize,
+    ) -> Vec<MatchPair> {
+        let mut out = Vec::new();
+        for (j, q) in queries.iter().enumerate() {
+            let hits = rescore_candidates(data, 0..data.len(), q, spec, k).unwrap();
+            out.extend(hits.into_iter().map(|hit| hit.for_query(j)));
+        }
+        out
+    }
+
+    #[test]
+    fn data_major_top_k_keeps_what_rescoring_keeps() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(0x70B);
+        let mut data: Vec<DenseVector> = (0..30)
+            .map(|_| random_ball_vector(&mut rng, 5, 1.0).unwrap())
+            .collect();
+        // Ties: copies score equal, negated copies equal in absolute value.
+        let twins = data[..6].to_vec();
+        data.extend(twins.iter().cloned());
+        data.extend(twins.iter().map(|v| v.scaled(-1.0)));
+        data.extend(std::iter::repeat_n(dv(&[0.5, 0.0, 0.0, 0.0, 0.0]), 4));
+        let mut queries: Vec<DenseVector> = (0..7)
+            .map(|_| random_ball_vector(&mut rng, 5, 1.0).unwrap())
+            .collect();
+        queries.extend([data[2].clone(), dv(&[1.0, 0.0, 0.0, 0.0, 0.0])]);
+        let n = data.len();
+        for variant in [JoinVariant::Signed, JoinVariant::Unsigned] {
+            let spec = JoinSpec::new(0.2, 0.5, variant).unwrap();
+            let index = BruteForceMipsIndex::new(data.clone(), spec);
+            for k in [0, 1, 2, 5, n, n + 3] {
+                let got = index.answer(&queries, Ask::TopK(k)).unwrap();
+                let expected = rescored(&data, &queries, &spec, k);
+                assert_eq!(bits(&got), bits(&expected), "{variant:?} k = {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn both_asks_match_the_per_query_reference_over_no_data() {
+        let spec = JoinSpec::new(0.3, 0.5, JoinVariant::Signed).unwrap();
+        let empty_index = BruteForceMipsIndex::new(Vec::new(), spec);
+        let queries = [dv(&[1.0]), dv(&[0.5])];
+        for ask in [Ask::Threshold, Ask::TopK(0), Ask::TopK(2)] {
+            // Empty batch: trivially empty, even over an empty index.
+            assert!(empty_index.answer(&[], ask).unwrap().is_empty(), "{ask:?}");
+        }
+        // Non-empty batch over an empty index: the scan fails like `search`, and the
+        // top-`k` keeps the best of no candidates, like re-scoring none.
+        assert!(empty_index.answer(&queries, Ask::Threshold).is_err());
+        assert!(empty_index.search(&queries[0]).is_err());
+        for k in [0, 2] {
+            let got = empty_index.answer(&queries, Ask::TopK(k)).unwrap();
+            assert_eq!(got, rescored(&[], &queries, &spec, k));
+            assert!(got.is_empty());
+        }
     }
 
     #[test]

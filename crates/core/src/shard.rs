@@ -2,11 +2,14 @@
 //! results into the answer one unsharded index would give.
 //!
 //! A sharded serving index (see `ips-store`) partitions its data across shards
-//! by a deterministic hash of the external id and queries every shard through
-//! the same per-family search the unsharded index runs. This module is the
-//! other half of that design: the *merge* that reassembles per-shard answers
-//! — per-shard bests for the single-partner `(cs, s)` search, per-shard heaps
-//! for top-`k` — into one result, **exactly**.
+//! by a deterministic hash of the external id and asks every shard the same
+//! batch the unsharded index would be asked. This module is the other half of
+//! that design: the ranking that reassembles per-shard answers into one result,
+//! **exactly**. Each shard's batch answer is folded into one
+//! [`crate::topk::BestK`] per query ([`crate::topk::BestPerQuery`]: its best
+//! one for the single-partner `(cs, s)` search, its best `k` for top-`k`) —
+//! the same fold that merges a serving index's primary structure with its
+//! pending inserts.
 //!
 //! The merge can be exact (no re-approximation, no re-ordering noise) because
 //! every comparison mirrors the one the per-family searches already make: the
@@ -21,10 +24,11 @@
 //! * **ALSH (Section 4.1)** — a data point collides with the query in a
 //!   shard's table iff it collides in the unsharded table (same functions,
 //!   bucket membership is per-point), so the candidate union is preserved and
-//!   [`merge_best`] over per-shard filtered bests is the unsharded answer;
+//!   the best of the per-shard filtered bests is the unsharded answer;
 //! * **symmetric LSH (Section 4.2)** — the two-step search (diagonal probe,
 //!   then candidate re-scoring) needs the two steps merged *separately*, which
-//!   is what [`merge_two_step`] does over per-shard [`ShardParts`];
+//!   is what [`merge_two_step`] does over per-shard [`ShardParts`], a query at
+//!   a time;
 //! * **sketch (Section 4.3)** — the recovery tree is a global structure (its
 //!   descent compares subtree estimates across the whole data set), so
 //!   per-shard trees answer a *different* — typically better-recall — walk;
@@ -37,7 +41,6 @@
 
 use crate::mips::SearchResult;
 use crate::problem::JoinSpec;
-use crate::topk::BestK;
 
 /// One shard's contribution to a two-step (symmetric-LSH) sharded search:
 /// both halves of [`crate::lsh_mips::LshOps::search_parts`], unfiltered,
@@ -57,11 +60,11 @@ pub struct ShardParts {
 ///
 /// This is the one ranking order of `ips-core` and `ips-store`. Every single-partner
 /// choice ranks with it through [`keep_best`]: the brute scan, LSH re-scoring in the
-/// index and in the LSH join (and the join's fold of its table groups), the serving
-/// layer's merge of pending inserts, [`merge_best`] and [`merge_two_step`]. Every
-/// top-`k` ranks with it through [`crate::topk::BestK`]: the index searches,
-/// [`merge_top_k`] and the serving layer's top-`k` merge. The sketch structure, below
-/// this crate, keeps its own unsigned first-strict-`>` rule.
+/// index and in the LSH join (and the join's fold of its table groups) and
+/// [`merge_two_step`]. Every top-`k`, and every merge of batch answers, ranks with it
+/// through [`crate::topk::BestK`]: the index searches and the serving layers' merges of
+/// shards and pending inserts. The sketch structure, below this crate, keeps its own
+/// unsigned first-strict-`>` rule.
 ///
 /// It is a strict total order on results with distinct data indices because the
 /// values that reach a ranking are finite or infinite but never NaN:
@@ -78,31 +81,12 @@ pub fn beats(spec: &JoinSpec, a: &SearchResult, b: &SearchResult) -> bool {
 }
 
 /// Puts `hit` in `best` when `best` is empty or `hit` [`beats`] it: the one step of
-/// every single-partner choice, and what [`merge_best`] folds.
+/// every single-partner choice.
 #[inline]
 pub fn keep_best(spec: &JoinSpec, best: &mut Option<SearchResult>, hit: SearchResult) {
     if best.as_ref().is_none_or(|b| beats(spec, &hit, b)) {
         *best = Some(hit);
     }
-}
-
-/// Merges per-shard single-partner answers into the global best.
-///
-/// Per-shard answers must already carry global data indices. Because each
-/// family's per-shard filter (promise for brute, relaxed threshold for the
-/// LSH and sketch families) is monotone in the spec's similarity value, a
-/// global maximum that clears it is reported by its shard and survives this
-/// merge, and a global maximum that does not leaves every shard silent — so
-/// no re-filtering is needed here.
-pub fn merge_best(
-    spec: &JoinSpec,
-    hits: impl IntoIterator<Item = SearchResult>,
-) -> Option<SearchResult> {
-    let mut best = None;
-    for hit in hits {
-        keep_best(spec, &mut best, hit);
-    }
-    best
 }
 
 /// Merges per-shard two-step (symmetric-LSH) parts into the answer the
@@ -113,8 +97,8 @@ pub fn merge_best(
 ///    sharing the encoding, and external ids ascend in insertion order); if it
 ///    satisfies the promise threshold, it is the answer — even when a better
 ///    candidate exists, exactly like the unsharded early exit;
-/// 2. otherwise the per-shard candidate bests are merged with [`merge_best`]
-///    and the relaxed threshold is applied to the winner.
+/// 2. otherwise the best of the per-shard candidate bests ([`keep_best`]) is
+///    the answer if it clears the relaxed threshold.
 pub fn merge_two_step(spec: &JoinSpec, parts: &[ShardParts]) -> Option<SearchResult> {
     let probe = parts
         .iter()
@@ -125,35 +109,19 @@ pub fn merge_two_step(spec: &JoinSpec, parts: &[ShardParts]) -> Option<SearchRes
             return Some(hit);
         }
     }
-    merge_best(spec, parts.iter().filter_map(|p| p.best))
-        .filter(|b| spec.acceptable(b.inner_product))
-}
-
-/// Merges per-shard top-`k` lists into the global top-`k`.
-///
-/// Every global top-`k` entry is necessarily inside its own shard's top-`k`
-/// (a shard holds a subset of the data, so an entry outranked by fewer than
-/// `k` results globally is outranked by at most that many within its shard),
-/// so merging the per-shard lists and keeping the best `k` under the same
-/// comparator is exact. Input lists are expected best-first (the
-/// [`crate::mips::MipsIndex::search_top_k`] contract); the output is best-first with
-/// ties toward the lower data index.
-pub fn merge_top_k(
-    spec: &JoinSpec,
-    lists: impl IntoIterator<Item = Vec<SearchResult>>,
-    k: usize,
-) -> Vec<SearchResult> {
-    let mut best = BestK::new(spec, k);
-    for hit in lists.into_iter().flatten() {
-        best.offer(hit);
+    let mut best = None;
+    for hit in parts.iter().filter_map(|p| p.best) {
+        keep_best(spec, &mut best, hit);
     }
-    best.into_vec()
+    best.filter(|b| spec.acceptable(b.inner_product))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Ask;
     use crate::problem::JoinVariant;
+    use crate::topk::BestPerQuery;
 
     fn hit(data_index: usize, inner_product: f64) -> SearchResult {
         SearchResult {
@@ -166,17 +134,37 @@ mod tests {
         JoinSpec::new(0.5, 0.8, JoinVariant::Signed).unwrap()
     }
 
+    /// One query's per-shard hits folded as the serving layers merge them.
+    fn merged(
+        s: &JoinSpec,
+        ask: Ask,
+        hits: impl IntoIterator<Item = SearchResult>,
+    ) -> Vec<SearchResult> {
+        let mut best = BestPerQuery::new(s, 1, ask);
+        for hit in hits {
+            best.offer(0, hit);
+        }
+        best.into_pairs()
+            .into_iter()
+            .map(SearchResult::from)
+            .collect()
+    }
+
+    fn best_of(s: &JoinSpec, hits: impl IntoIterator<Item = SearchResult>) -> Option<SearchResult> {
+        merged(s, Ask::Threshold, hits).pop()
+    }
+
     #[test]
     fn merge_best_takes_the_maximum_with_low_index_ties() {
         let s = spec();
-        assert_eq!(merge_best(&s, []), None);
+        assert_eq!(best_of(&s, []), None);
         assert_eq!(
-            merge_best(&s, [hit(3, 0.6), hit(1, 0.9), hit(7, 0.7)]),
+            best_of(&s, [hit(3, 0.6), hit(1, 0.9), hit(7, 0.7)]),
             Some(hit(1, 0.9))
         );
         // Bit-equal values tie toward the lower index, whatever the input order.
         assert_eq!(
-            merge_best(&s, [hit(9, 0.8), hit(2, 0.8), hit(5, 0.8)]),
+            best_of(&s, [hit(9, 0.8), hit(2, 0.8), hit(5, 0.8)]),
             Some(hit(2, 0.8))
         );
         assert!(beats(&s, &hit(2, 0.8), &hit(9, 0.8)));
@@ -186,10 +174,7 @@ mod tests {
     #[test]
     fn unsigned_merge_ranks_by_absolute_value() {
         let s = JoinSpec::new(0.5, 0.8, JoinVariant::Unsigned).unwrap();
-        assert_eq!(
-            merge_best(&s, [hit(0, 0.7), hit(1, -0.9)]),
-            Some(hit(1, -0.9))
-        );
+        assert_eq!(best_of(&s, [hit(0, 0.7), hit(1, -0.9)]), Some(hit(1, -0.9)));
     }
 
     #[test]
@@ -227,15 +212,12 @@ mod tests {
     #[test]
     fn top_k_merge_is_the_global_ranking() {
         let s = spec();
-        let merged = merge_top_k(
-            &s,
-            [
-                vec![hit(0, 0.9), hit(2, 0.7)],
-                vec![hit(1, 0.8), hit(3, 0.7)],
-            ],
-            3,
-        );
-        assert_eq!(merged, vec![hit(0, 0.9), hit(1, 0.8), hit(2, 0.7)]);
-        assert!(merge_top_k(&s, Vec::<Vec<SearchResult>>::new(), 5).is_empty());
+        let lists = [
+            vec![hit(0, 0.9), hit(2, 0.7)],
+            vec![hit(1, 0.8), hit(3, 0.7)],
+        ];
+        let top = merged(&s, Ask::TopK(3), lists.into_iter().flatten());
+        assert_eq!(top, vec![hit(0, 0.9), hit(1, 0.8), hit(2, 0.7)]);
+        assert!(merged(&s, Ask::TopK(5), []).is_empty());
     }
 }

@@ -3,25 +3,26 @@
 //! The paper's problem definition (footnote 1) notes that "from an upper bound side, it
 //! is common to limit the number of occurrences of each tuple in a join result to a
 //! given number k". Every index answers that variant through
-//! [`MipsIndex::search_top_k`](crate::mips::MipsIndex::search_top_k): up to `k`
-//! partners per query, every one of them clearing the relaxed threshold `cs` of the
-//! spec. The exact scan is the reference implementation; the LSH indexes of Sections
-//! 4.1–4.2 re-score their candidate sets, so recall-vs-`k` curves can be measured for
-//! the recommender-style workloads that motivated MIPS in the first place. This module
-//! holds what those answers share: the bounded selection, the re-scoring and the
-//! recall measure.
+//! [`MipsIndex::answer`](crate::mips::MipsIndex::answer) under
+//! [`Ask::TopK`]: up to `k` partners per query, every one of them clearing the relaxed
+//! threshold `cs` of the spec. The exact scan is the reference implementation, one
+//! data-major pass over a batch; the LSH indexes of Sections 4.1–4.2 re-score their
+//! candidate sets, so recall-vs-`k` curves can be measured for the recommender-style
+//! workloads that motivated MIPS in the first place. This module holds what those
+//! answers share: the bounded selection ([`BestK`], one a query in a batch through
+//! [`BestPerQuery`]), the re-scoring and the recall measure.
 
+use crate::engine::Ask;
 use crate::error::Result;
 use crate::mips::SearchResult;
-use crate::problem::JoinSpec;
+use crate::problem::{JoinSpec, MatchPair};
 use crate::shard::beats;
 use ips_linalg::{score_block, DenseVector};
 use std::cmp::Ordering;
 
 /// The best `k` results offered so far, best first under [`beats`] — the one
-/// bounded selection behind every top-`k` answer: the index searches, the
-/// sharded merge ([`crate::shard::merge_top_k`]) and the serving layer's merge of
-/// its primary structure with pending inserts.
+/// bounded selection behind every top-`k` answer: the index searches, and through
+/// [`BestPerQuery`] the brute scan's batch and the serving layers' merges.
 ///
 /// It holds at most `k` results whatever is offered, and [`BestK::into_vec`] returns
 /// exactly what sorting every offered result by [`beats`] (stably) and keeping the
@@ -90,6 +91,44 @@ impl<'s> BestK<'s> {
                 Ordering::Equal
             }
         });
+    }
+}
+
+/// One [`BestK`] per query of a batch: the fold behind every batch answer that ranks
+/// — the brute scan's top-`k`, and the serving layers' merge of a primary's (or each
+/// shard's) answer with pending inserts. Under [`Ask::Threshold`] each query keeps its
+/// best one, and a [`BestK`] of 1 is exactly [`crate::shard::keep_best`]'s fold.
+///
+/// Since [`beats`] is a total order, the pairs do not depend on the order results are
+/// offered in: a merge of answers is the answer over the union.
+pub struct BestPerQuery<'s> {
+    queries: Vec<BestK<'s>>,
+}
+
+impl<'s> BestPerQuery<'s> {
+    /// An empty selection for `queries` queries, keeping what `ask` asks for.
+    pub fn new(spec: &'s JoinSpec, queries: usize, ask: Ask) -> Self {
+        let k = match ask {
+            Ask::Threshold => 1,
+            Ask::TopK(k) => k,
+        };
+        Self {
+            queries: (0..queries).map(|_| BestK::new(spec, k)).collect(),
+        }
+    }
+
+    /// Offers one result for query `query_index`.
+    pub fn offer(&mut self, query_index: usize, hit: SearchResult) {
+        self.queries[query_index].offer(hit);
+    }
+
+    /// The selected pairs: queries in order, each query's best first.
+    pub fn into_pairs(self) -> Vec<MatchPair> {
+        let mut out = Vec::new();
+        for (j, best) in self.queries.into_iter().enumerate() {
+            out.extend(best.into_vec().into_iter().map(|hit| hit.for_query(j)));
+        }
+        out
     }
 }
 
@@ -280,7 +319,7 @@ mod tests {
         let spec = spec(0.3, 0.5);
         let engine = JoinEngine::new(BruteForceMipsIndex::new(data.clone(), spec));
         for k in [1usize, 3, 7] {
-            let pairs = engine.run_top_k(&queries, k).unwrap();
+            let pairs = engine.answer(&queries, Ask::TopK(k)).unwrap();
             let mut per_query = std::collections::HashMap::new();
             for p in &pairs {
                 *per_query.entry(p.query_index).or_insert(0usize) += 1;

@@ -49,8 +49,7 @@ use crate::snapshot::{AnyIndex, IndexFamily, Snapshot, SnapshotRef, ViewMut};
 use ips_core::engine::{Ask, EngineConfig, JoinEngine};
 use ips_core::mips::{BruteForceMipsIndex, MipsIndex, SearchResult, SketchMipsAdapter};
 use ips_core::problem::{JoinSpec, MatchPair};
-use ips_core::shard::keep_best;
-use ips_core::topk::BestK;
+use ips_core::topk::BestPerQuery;
 use ips_core::LshMips;
 use ips_linalg::par::{available_threads, Schedule};
 use ips_linalg::{score_block, DenseVector};
@@ -722,37 +721,6 @@ impl ServingIndex {
 /// the [`JoinEngine`].
 pub struct ServingView<'a>(pub &'a ServingIndex);
 
-impl ServingView<'_> {
-    /// A primary answer under its external id, unless that id is tombstoned.
-    fn external(&self, hit: SearchResult) -> Option<SearchResult> {
-        let id = self.0.primary_ids[hit.data_index];
-        (!self.0.tombstones.contains(&id)).then_some(SearchResult {
-            data_index: id as usize,
-            inner_product: hit.inner_product,
-        })
-    }
-
-    /// Scores the pending overlay against `query` and hands every acceptable hit, under
-    /// its external id, to `keep`.
-    fn overlay_hits(
-        &self,
-        query: &DenseVector,
-        mut keep: impl FnMut(SearchResult),
-    ) -> ips_core::Result<()> {
-        let spec = self.0.spec;
-        let rows = self.0.overlay.iter().map(|(id, v)| (*id as usize, v));
-        score_block(rows, [query], |data_index, _, inner_product| {
-            if spec.acceptable(inner_product) {
-                keep(SearchResult {
-                    data_index,
-                    inner_product,
-                });
-            }
-        })?;
-        Ok(())
-    }
-}
-
 impl MipsIndex for ServingView<'_> {
     fn len(&self) -> usize {
         self.0.len()
@@ -762,32 +730,40 @@ impl MipsIndex for ServingView<'_> {
         self.0.spec
     }
 
-    fn search(&self, query: &DenseVector) -> ips_core::Result<Option<SearchResult>> {
+    /// One batch body for both asks: the primary structure answers the whole batch
+    /// (a brute primary in one data-major scan), its pairs go under their external ids
+    /// with tombstoned ones dropped, the pending overlay is scored against the whole
+    /// batch, and everything is folded into one best-`k` per query ([`BestPerQuery`];
+    /// its best one under [`Ask::Threshold`]).
+    fn answer(&self, queries: &[DenseVector], ask: Ask) -> ips_core::Result<Vec<MatchPair>> {
+        let index = self.0;
+        let spec = index.spec;
+        let mut best = BestPerQuery::new(&spec, queries.len(), ask);
         // An all-deleted serving index answers misses rather than erroring like a
         // never-built index would: an empty live set is a legal serving state.
-        let mut best = None;
-        if self.0.primary_live() > 0 {
-            best = self
-                .0
-                .primary
-                .search(query)?
-                .and_then(|hit| self.external(hit));
-        }
-        self.overlay_hits(query, |hit| keep_best(&self.0.spec, &mut best, hit))?;
-        Ok(best)
-    }
-
-    fn search_top_k(&self, query: &DenseVector, k: usize) -> ips_core::Result<Vec<SearchResult>> {
-        let spec = self.0.spec;
-        let mut best = BestK::new(&spec, k);
-        if self.0.primary_live() > 0 {
-            let primary = self.0.primary.search_top_k(query, k)?;
-            for hit in primary.into_iter().filter_map(|hit| self.external(hit)) {
-                best.offer(hit);
+        if index.primary_live() > 0 {
+            for pair in index.primary.answer(queries, ask)? {
+                let id = index.primary_ids[pair.data_index];
+                if !index.tombstones.contains(&id) {
+                    let hit = SearchResult {
+                        data_index: id as usize,
+                        inner_product: pair.inner_product,
+                    };
+                    best.offer(pair.query_index, hit);
+                }
             }
         }
-        self.overlay_hits(query, |hit| best.offer(hit))?;
-        Ok(best.into_vec())
+        let rows = index.overlay.iter().map(|(id, v)| (*id as usize, v));
+        score_block(rows, queries, |data_index, j, inner_product| {
+            if spec.acceptable(inner_product) {
+                let hit = SearchResult {
+                    data_index,
+                    inner_product,
+                };
+                best.offer(j, hit);
+            }
+        })?;
+        Ok(best.into_pairs())
     }
 }
 

@@ -67,9 +67,10 @@ use crate::serving::{build_index, finite, IndexConfig, ServingConfig, ServingInd
 use crate::serving::{Counters, ServingView};
 use crate::snapshot::{self, IndexFamily, LoadedSnapshot, Snapshot};
 use ips_core::engine::{Ask, JoinEngine};
-use ips_core::mips::{MipsIndex, SearchResult};
+use ips_core::mips::{answer_each, MipsIndex, SearchResult};
 use ips_core::problem::{JoinSpec, MatchPair};
-use ips_core::shard::{merge_best, merge_top_k, merge_two_step};
+use ips_core::shard::merge_two_step;
+use ips_core::topk::BestPerQuery;
 use ips_linalg::par::available_threads;
 use ips_linalg::DenseVector;
 use ips_obs::prom::PromWriter;
@@ -634,7 +635,7 @@ impl ShardedServingIndex {
     }
 
     /// Answers a batch of top-`k` queries (up to `k` partners per query, best first):
-    /// per-shard top-`k` heaps merged exactly through [`ips_core::shard::merge_top_k`].
+    /// per-shard top-`k` answers merged exactly into one best-`k` per query.
     pub fn query_top_k(&self, queries: &[DenseVector], k: usize) -> Result<Vec<MatchPair>> {
         self.answer(queries, Ask::TopK(k), &NOOP_SINK)
     }
@@ -1057,39 +1058,42 @@ impl MipsIndex for ShardedView<'_> {
         self.spec
     }
 
-    fn search(&self, query: &DenseVector) -> ips_core::Result<Option<SearchResult>> {
-        // The symmetric two-step search must merge its steps separately: the
-        // diagonal probe's early exit can shadow a better candidate, and which
-        // probe answers is a property of the union, not of any one shard.
-        if self.family == IndexFamily::Symmetric {
-            let mut parts = Vec::with_capacity(self.shards.len());
-            for shard in &self.shards {
-                parts.push(shard.search_parts(query).map_err(to_core)?);
-            }
-            let start = Instant::now();
-            let merged = merge_two_step(&self.spec, &parts);
-            self.sink
-                .stage_ns(Stage::Merge, start.elapsed().as_nanos() as u64);
-            return Ok(merged);
+    /// One batch body: every shard answers the whole batch ([`ServingView`]), and the
+    /// answers are folded into one best-`k` per query ([`BestPerQuery`]; its best one
+    /// under [`Ask::Threshold`]). The fold is exact: a shard holds a subset of the
+    /// data, so a global top-`k` entry is in its own shard's top-`k`; and each
+    /// family's per-shard filter (the promise for brute, `cs` for the others) is
+    /// monotone in the similarity value, so a global best that clears it is its
+    /// shard's answer, and one that does not leaves every shard silent.
+    ///
+    /// The symmetric family's threshold search alone merges a query at a time: its
+    /// two steps must merge separately, since the diagonal probe's early exit can
+    /// shadow a better candidate and which probe answers is a property of the union,
+    /// not of any one shard ([`merge_two_step`]).
+    fn answer(&self, queries: &[DenseVector], ask: Ask) -> ips_core::Result<Vec<MatchPair>> {
+        if self.family == IndexFamily::Symmetric && ask == Ask::Threshold {
+            return answer_each(queries, |query| {
+                let mut parts = Vec::with_capacity(self.shards.len());
+                for shard in &self.shards {
+                    parts.push(shard.search_parts(query).map_err(to_core)?);
+                }
+                let start = Instant::now();
+                let merged = merge_two_step(&self.spec, &parts);
+                self.sink
+                    .stage_ns(Stage::Merge, start.elapsed().as_nanos() as u64);
+                Ok(merged)
+            });
         }
-        let mut hits = Vec::with_capacity(self.shards.len());
+        let mut answers = Vec::with_capacity(self.shards.len());
         for shard in &self.shards {
-            hits.extend(ServingView(shard).search(query)?);
+            answers.push(ServingView(shard).answer(queries, ask)?);
         }
         let start = Instant::now();
-        let merged = merge_best(&self.spec, hits);
-        self.sink
-            .stage_ns(Stage::Merge, start.elapsed().as_nanos() as u64);
-        Ok(merged)
-    }
-
-    fn search_top_k(&self, query: &DenseVector, k: usize) -> ips_core::Result<Vec<SearchResult>> {
-        let mut lists = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            lists.push(ServingView(shard).search_top_k(query, k)?);
+        let mut best = BestPerQuery::new(&self.spec, queries.len(), ask);
+        for pair in answers.into_iter().flatten() {
+            best.offer(pair.query_index, SearchResult::from(pair));
         }
-        let start = Instant::now();
-        let merged = merge_top_k(&self.spec, lists, k);
+        let merged = best.into_pairs();
         self.sink
             .stage_ns(Stage::Merge, start.elapsed().as_nanos() as u64);
         Ok(merged)

@@ -60,8 +60,9 @@ use crate::error::{Result, StoreError};
 use crate::format::{ByteReader, ByteWriter};
 use crate::persist::Persist;
 use ips_core::asymmetric::SphereTransform;
-use ips_core::mips::{BruteForceMipsIndex, MipsIndex, SearchResult, SketchMipsAdapter};
-use ips_core::problem::JoinSpec;
+use ips_core::engine::Ask;
+use ips_core::mips::{BruteForceMipsIndex, MipsIndex, SketchMipsAdapter};
+use ips_core::problem::{JoinSpec, MatchPair};
 use ips_core::symmetric::SymmetricSphereMap;
 use ips_core::{LshMips, LshOps, SphereMap};
 use ips_linalg::DenseVector;
@@ -279,18 +280,8 @@ impl MipsIndex for AnyIndex {
         self.searcher().spec()
     }
 
-    fn search(&self, query: &DenseVector) -> ips_core::Result<Option<SearchResult>> {
-        self.searcher().search(query)
-    }
-
-    /// Forwarded explicitly so the brute-force data-major override survives the enum
-    /// indirection.
-    fn search_batch(&self, queries: &[DenseVector]) -> ips_core::Result<Vec<Option<SearchResult>>> {
-        self.searcher().search_batch(queries)
-    }
-
-    fn search_top_k(&self, query: &DenseVector, k: usize) -> ips_core::Result<Vec<SearchResult>> {
-        self.searcher().search_top_k(query, k)
+    fn answer(&self, queries: &[DenseVector], ask: Ask) -> ips_core::Result<Vec<MatchPair>> {
+        self.searcher().answer(queries, ask)
     }
 }
 

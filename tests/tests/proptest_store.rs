@@ -1,6 +1,6 @@
 //! Property tests for the `ips-store` subsystem.
 //!
-//! Four load-bearing properties:
+//! Five load-bearing properties:
 //!
 //! 1. **Snapshot round-trips are lossless** for every index family, whatever the
 //!    dimensions, sizes and seeds: a saved-then-loaded index answers every query
@@ -24,16 +24,21 @@
 //! 4. **Sharded insert/delete equivalence**: property 2 lifted to the sharded layer
 //!    — mutate + compact ≡ a fresh sharded build from the surviving
 //!    `(id, vector)` set, and a multi-shard sketch index is build-deterministic.
+//! 5. **A batch is its queries**: a serving layer answers a batch exactly as it
+//!    answers each of its queries alone, whatever is pending and however many shards
+//!    — batching (one data-major scan of a brute shard) is for speed only.
 
+use ips_core::engine::Ask;
 use ips_core::lsh_mips::{LshMips, BUILD_BLOCK};
 use ips_core::mips::{BruteForceMipsIndex, MipsIndex, SketchMipsAdapter};
-use ips_core::problem::{JoinSpec, JoinVariant};
+use ips_core::problem::{JoinSpec, JoinVariant, MatchPair};
 use ips_linalg::par::Schedule;
 use ips_linalg::random::random_ball_vector;
 use ips_linalg::DenseVector;
+use ips_obs::NOOP_SINK;
 use ips_store::{
-    AnyIndex, IndexConfig, ServingConfig, ServingIndex, ShardedConfig, ShardedServingIndex,
-    Snapshot,
+    AnyIndex, IndexConfig, ServingConfig, ServingIndex, ServingView, ShardedConfig,
+    ShardedServingIndex, Snapshot,
 };
 use ips_tests::{families, small_alsh, small_sketch, small_symmetric, vectors};
 use proptest::prelude::*;
@@ -258,6 +263,89 @@ proptest! {
             );
         }
     }
+
+    // Property 5: a batch is answered as its queries one at a time — every family,
+    // both asks, on a `ServingIndex` that holds pending state (the sketch's overlay
+    // and tombstones, the LSH families' dead slots) and on a `ShardedServingIndex`
+    // at 1, 2 and 3 shards (some empty when `n` is small), before and after every
+    // vector is deleted.
+    #[test]
+    fn a_batch_is_answered_as_its_queries_one_at_a_time(
+        data_seed in any::<u64>(),
+        n in 1usize..20,
+        dim in 2usize..6,
+        k in 0usize..4,
+        unsigned in any::<bool>(),
+    ) {
+        let data = vectors(data_seed, n, dim);
+        let extra = vectors(data_seed ^ 0xBA7, 3, dim);
+        // A query equal to a held vector and one equal to an insert reach the
+        // symmetric family's diagonal.
+        let mut queries = vectors(data_seed ^ 0x9E, 6, dim);
+        queries.extend([data[0].clone(), extra[0].clone()]);
+        let variant = if unsigned { JoinVariant::Unsigned } else { JoinVariant::Signed };
+        let spec = JoinSpec::new(0.2, 0.6, variant).unwrap();
+        // No rebuild fires, so what is pending stays pending.
+        let serving = ServingConfig { rebuild_threshold: 1e9, ..ServingConfig::default() };
+        for index_config in families() {
+            for ask in [Ask::Threshold, Ask::TopK(k)] {
+                let mut single =
+                    ServingIndex::build(data.clone(), spec, index_config, serving).unwrap();
+                let inserted: Vec<u64> =
+                    extra.iter().map(|v| single.insert(v.clone()).unwrap()).collect();
+                single.delete(0).unwrap();
+                single.delete(inserted[1]).unwrap();
+                let view = |q: &[DenseVector]| ServingView(&single).answer(q, ask).unwrap();
+                batch_is_each(&queries, view)?;
+                for id in single.ids() {
+                    single.delete(id).unwrap();
+                }
+                let view = |q: &[DenseVector]| ServingView(&single).answer(q, ask).unwrap();
+                batch_is_each(&queries, view)?;
+                for shards in 1..=3 {
+                    let config = ShardedConfig { shards, serving };
+                    let sharded =
+                        ShardedServingIndex::build(data.clone(), spec, index_config, config)
+                            .unwrap();
+                    let answer =
+                        |q: &[DenseVector]| sharded.answer(q, ask, &NOOP_SINK).unwrap();
+                    batch_is_each(&queries, answer)?;
+                    let inserted: Vec<u64> =
+                        extra.iter().map(|v| sharded.insert(v.clone()).unwrap()).collect();
+                    sharded.delete(0).unwrap();
+                    sharded.delete(inserted[1]).unwrap();
+                    batch_is_each(&queries, answer)?;
+                    for id in sharded.ids() {
+                        sharded.delete(id).unwrap();
+                    }
+                    prop_assert!(sharded.is_empty());
+                    batch_is_each(&queries, answer)?;
+                }
+            }
+        }
+    }
+}
+
+/// Checks that `answer` gives a batch what it gives each of its queries alone,
+/// concatenated: the same pairs in the same order, inner products to the bit.
+fn batch_is_each(
+    queries: &[DenseVector],
+    answer: impl Fn(&[DenseVector]) -> Vec<MatchPair>,
+) -> Result<(), TestCaseError> {
+    let bits = |pairs: &[MatchPair]| -> Vec<(usize, usize, u64)> {
+        let bits = |p: &MatchPair| (p.query_index, p.data_index, p.inner_product.to_bits());
+        pairs.iter().map(bits).collect()
+    };
+    let mut each = Vec::new();
+    for (j, q) in queries.iter().enumerate() {
+        let alone = answer(std::slice::from_ref(q));
+        each.extend(alone.into_iter().map(|p| MatchPair {
+            query_index: j,
+            ..p
+        }));
+    }
+    prop_assert_eq!(bits(&answer(queries)), bits(&each));
+    Ok(())
 }
 
 /// Checks that `serving` answers `queries` like `fresh` — above-threshold and

@@ -3,7 +3,7 @@
 //! with held to the score-everything-then-sort ranking it replaced.
 
 use ips_core::asymmetric::{AlshParams, SphereTransform};
-use ips_core::engine::JoinEngine;
+use ips_core::engine::{Ask, JoinEngine};
 use ips_core::lsh_mips::{LshMips, BUILD_BLOCK};
 use ips_core::mips::{BruteForceMipsIndex, MipsIndex, SearchResult};
 use ips_core::problem::{JoinSpec, JoinVariant};
@@ -38,7 +38,9 @@ fn top_k_join_on_recommender_data_respects_definition1_per_pair() {
     let spec = JoinSpec::new(s, 0.7, JoinVariant::Signed).unwrap();
     let exact = BruteForceMipsIndex::new(model.items().to_vec(), spec);
     let k = 5;
-    let pairs = JoinEngine::new(&exact).run_top_k(model.users(), k).unwrap();
+    let pairs = JoinEngine::new(&exact)
+        .answer(model.users(), Ask::TopK(k))
+        .unwrap();
     let mut per_query = std::collections::HashMap::new();
     for p in &pairs {
         assert!(spec.acceptable(p.inner_product));
