@@ -8,12 +8,13 @@
 //!    *predicted work* and path from the planner's own estimates (the cost
 //!    constants play no role in either);
 //! 2. measures every eligible strategy end to end — build plus all queries —
-//!    recording wall-clock time (the fastest of [`RUNS`] identical runs) and
-//!    recall against the exact join, and prints each row's path, so which LSH
-//!    rows scanned is on the table;
-//! 3. fits one nanoseconds-per-primitive constant at a time ([`fit`]) by least
-//!    squares through the origin, on the time the other primitives leave; comparisons
-//!    first, which part from a scan's multiply-adds only where they dominate;
+//!    recording wall-clock time (the fastest of [`RUNS`] runs, taken round-robin
+//!    over the workload's strategies, so host drift hits them alike) and recall
+//!    against the exact join, and prints each row's path, so which LSH rows
+//!    scanned is on the table;
+//! 3. fits one nanoseconds-per-primitive constant at a time ([`fit`]) by relative
+//!    least squares, on the time the other primitives leave; comparisons first,
+//!    which part from a scan's multiply-adds only where they dominate;
 //! 4. re-plans every workload under the fitted model and checks the pick
 //!    against the measured runtimes: the chosen strategy must be within 20%
 //!    (plus [`TIMER_RESOLUTION_NS`]) of the empirically fastest one (the
@@ -21,7 +22,8 @@
 //!
 //! The fitted constants are printed in copy-pasteable form; they are the
 //! source of [`CostModel::default`]. Arguments (all optional, `key=value`):
-//! `n=`, `m=`, `dim=` scale the suite, `seed=` reseeds it.
+//! `n=`, `m=`, `dim=` scale the suite, `seed=` reseeds it; an unknown key or a
+//! non-numeric value prints the usage line and exits with code 2.
 //!
 //! [`WorkloadStats`]: ips_core::planner::WorkloadStats
 
@@ -61,34 +63,34 @@ fn spec_of(w: &PlannerWorkload) -> JoinSpec {
     JoinSpec::new(w.threshold, w.approximation, variant).expect("suite specs are valid")
 }
 
-/// Runs the structure `estimate` costed in `plan` end to end and measures it.
-fn measure(
-    w: &PlannerWorkload,
-    plan: &JoinPlan,
-    estimate: &StrategyEstimate,
-    seed: u64,
-) -> Measurement {
-    let mut forced = plan.clone();
-    forced.choice = estimate.config;
-    let run = || {
-        let t = Timer::start();
-        let pairs = forced.execute(&mut StdRng::seed_from_u64(seed), &w.data, &w.queries);
-        (
-            t.elapsed_ms() * 1e6,
-            pairs.expect("suite workloads execute"),
-        )
-    };
-    let (first, pairs) = run();
-    let elapsed_ns = (1..RUNS).fold(first, |best, _| best.min(run().0));
-    let (recall, valid) =
-        evaluate_join(&w.data, &w.queries, &plan.spec, &pairs).expect("evaluation runs");
-    Measurement {
-        workload: w.name,
-        estimate: estimate.clone(),
-        elapsed_ns,
-        recall,
-        valid,
+/// Runs every eligible structure `plan` costed end to end and measures it: one run of
+/// each in turn, [`RUNS`] times over, keeping each one's fastest and scoring its first.
+fn measure(w: &PlannerWorkload, plan: &JoinPlan, seed: u64) -> Vec<Measurement> {
+    let mut measured: Vec<Measurement> = Vec::new();
+    for round in 0..RUNS {
+        for (i, estimate) in plan.estimates.iter().filter(|e| e.eligible).enumerate() {
+            let mut forced = plan.clone();
+            forced.choice = estimate.config;
+            let t = Timer::start();
+            let pairs = forced.execute(&mut StdRng::seed_from_u64(seed), &w.data, &w.queries);
+            let elapsed_ns = t.elapsed_ms() * 1e6;
+            if round > 0 {
+                measured[i].elapsed_ns = measured[i].elapsed_ns.min(elapsed_ns);
+                continue;
+            }
+            let pairs = pairs.expect("suite workloads execute");
+            let (recall, valid) =
+                evaluate_join(&w.data, &w.queries, &plan.spec, &pairs).expect("evaluation runs");
+            measured.push(Measurement {
+                workload: w.name,
+                estimate: estimate.clone(),
+                elapsed_ns,
+                recall,
+                valid,
+            });
+        }
     }
+    measured
 }
 
 /// A primitive of the model: its name, its count in a row's work and its constant.
@@ -102,14 +104,15 @@ const PRIMITIVES: [Primitive; 4] = [
     ("comparison_ns", |w| w.comparisons, |c| &mut c.comparison_ns),
     ("score_f64_ns", |w| w.score_f64, |c| &mut c.score_f64_ns),
     ("column_ns", |w| w.columns, |c| &mut c.column_ns),
-    ("hash_ns", |w| w.hash, |c| &mut c.hash_ns),
+    ("plane_ns", |w| w.planes, |c| &mut c.plane_ns),
 ];
 
-/// Fits the primitives in [`PRIMITIVES`] order, each by least squares through the
-/// origin (`u` minimising `Σ (r_i − u·c_i)²`) over the rows it dominates — where, of
-/// the primitives not yet fitted, it costs the most under the model as it stands —
-/// with `r_i` the time the row's other primitives leave under that model. A primitive
-/// that dominates no row keeps its default; the second value names the fitted ones.
+/// Fits the primitives in [`PRIMITIVES`] order, each by least squares of the relative
+/// error through the origin (`u` minimising `Σ ((r_i − u·c_i) / (t_i + δ))²`, `t_i` the
+/// row's time, `δ` [`TIMER_RESOLUTION_NS`]) over the rows it dominates — where, of the
+/// primitives not yet fitted, it costs the most under the model as it stands — with
+/// `r_i` the time the row's other primitives leave under that model. A primitive that
+/// dominates no row keeps its default; the second value names the fitted ones.
 fn fit(measurements: &[Measurement]) -> (CostModel, Vec<&'static str>) {
     let mut model = CostModel::default();
     let mut fitted = Vec::new();
@@ -123,8 +126,9 @@ fn fit(measurements: &[Measurement]) -> (CostModel, Vec<&'static str>) {
                 .iter()
                 .all(|(_, count, constant)| count(work) * *constant(&mut model) <= ours);
             if c > 0.0 && dominates {
-                num += (m.elapsed_ns - (model.cost(work) - ours)) * c;
-                den += c * c;
+                let weight = (m.elapsed_ns + TIMER_RESOLUTION_NS).powi(-2);
+                num += weight * (m.elapsed_ns - (model.cost(work) - ours)) * c;
+                den += weight * c * c;
             }
         }
         if den > 0.0 {
@@ -136,24 +140,22 @@ fn fit(measurements: &[Measurement]) -> (CostModel, Vec<&'static str>) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    const KEYS: [&str; 4] = ["n=", "m=", "dim=", "seed="];
-    if let Some(bad) = args.iter().find(|a| !KEYS.iter().any(|k| a.starts_with(k))) {
-        eprintln!("error: unrecognised argument `{bad}`; calibrate_planner takes n= m= dim= seed=");
-        std::process::exit(2);
+    let mut values = [2000, 400, 32, 0xCA11];
+    for arg in std::env::args().skip(1) {
+        let parsed = arg.split_once('=').and_then(|(key, value)| {
+            let key = ["n", "m", "dim", "seed"].iter().position(|k| *k == key)?;
+            Some((key, value.parse().ok()?))
+        });
+        let Some((key, value)) = parsed else {
+            eprintln!(
+                "error: unrecognised argument `{arg}`; calibrate_planner takes n= m= dim= seed="
+            );
+            std::process::exit(2);
+        };
+        values[key] = value;
     }
-    let get = |key: &str, default: u64| -> u64 {
-        args.iter()
-            .find_map(|a| a.strip_prefix(&format!("{key}=")))
-            .map(|v| v.parse().expect("numeric argument"))
-            .unwrap_or(default)
-    };
-    let scale = AdversarialScale {
-        n: get("n", 2000) as usize,
-        m: get("m", 400) as usize,
-        dim: get("dim", 32) as usize,
-    };
-    let seed = get("seed", 0xCA11);
+    let [n, m, dim, seed] = values;
+    let (scale, seed) = (AdversarialScale { n, m, dim }, seed as u64);
 
     println!(
         "== planner calibration: adversarial suite at n={} m={} dim={} ==\n",
@@ -170,9 +172,7 @@ fn main() {
         let plan = planner
             .plan(&mut rng, &w.data, &w.queries, spec_of(w))
             .expect("plan");
-        for estimate in plan.estimates.iter().filter(|e| e.eligible) {
-            measurements.push(measure(w, &plan, estimate, seed ^ 0xBEEF));
-        }
+        measurements.extend(measure(w, &plan, seed ^ 0xBEEF));
         plans.push(plan);
     }
     let rows: Vec<Vec<String>> = measurements
@@ -203,7 +203,7 @@ fn main() {
 
     // Phase 3: fit the primitives' constants.
     let (mut fitted, fitted_names) = fit(&measurements);
-    println!("\nfitted CostModel (ns per primitive, least squares through the origin):");
+    println!("\nfitted CostModel (ns per primitive, relative least squares through the origin):");
     for (name, _, constant) in PRIMITIVES {
         let value = *constant(&mut fitted);
         let note = if fitted_names.contains(&name) {

@@ -15,7 +15,7 @@
 //! | `experiment_ovp` | E8 — the OVP → join reduction end-to-end |
 //! | `experiment_algebraic` | E9 — the algebraic (matrix-multiplication) side: the amplified unsigned join over `{−1,1}` as `s/d` and the degree vary |
 //! | `experiment_topk` | E10 — top-k recall of the Section 4.1 ALSH index vs table count on the recommender workload |
-//! | `calibrate_planner` | fits the adaptive join planner's `CostModel` — one nanosecond constant per primitive of work (score and hash multiply-adds, comparisons — a scored pair's keep-best test, a step of sorting gathered bucket entries — and sketch columns drawn) — on the adversarial workload suite, prints the path each strategy took, and checks every pick against measured runtimes |
+//! | `calibrate_planner` | fits the adaptive join planner's `CostModel` — one nanosecond constant per primitive of work (score multiply-adds, hashing's included; hashed point-planes; comparisons — a scored pair's keep-best test, a step of sorting gathered bucket entries — and sketch columns drawn) — on the adversarial workload suite, timing each workload's strategies round-robin, prints the path each strategy took, and checks every pick against measured runtimes |
 //!
 //! **The comparison families.** The paper measures its §4.1 index against hashing
 //! schemes that no index here is built over. They are sampled only by the experiments

@@ -90,8 +90,9 @@ pub(crate) trait JoinMap: SphereMap {
     fn plane_rows(&self) -> usize;
 
     /// The multiply-adds that hash one point against one plane: the coordinates of the
-    /// point the kernel walks, which the scan rule prices (see the module docs). The
-    /// default walks every row of the plane.
+    /// point the kernel walks. The scan rule counts them against the scan's (see the
+    /// module docs); the planner prices them as scoring multiply-adds, beside one fixed
+    /// price per plane (`CostModel::plane_ns`). The default walks every row of the plane.
     fn plane_multiply_adds(&self) -> usize {
         self.plane_rows()
     }
@@ -611,10 +612,11 @@ mod tests {
             }
         }
 
-        // A cost model under which scoring is dear and hashing cheap, and tables under
-        // which only the chosen LSH family is below the scan rule — the other's are too
-        // many, so it is priced as the scan: the planner's pick runs the hashing join
-        // after the RNG has paid for the workload sample.
+        // A cost model under which scoring (hashing's multiply-adds too) is dear and a
+        // hashed plane cheap, and tables under which only the chosen LSH family is below
+        // the scan rule — the other's are too many, so it is priced as the scan: the
+        // planner's pick runs the hashing join after the RNG has paid for the workload
+        // sample.
         #[test]
         fn an_auto_join_of_an_lsh_pick_is_the_whole_index_join(
             (data, queries) in twinned(4..8, 200..300, 80..120),
@@ -626,7 +628,7 @@ mod tests {
         ) {
             let spec = JoinSpec::new(s, c, JoinVariant::Signed).unwrap();
             let probes = if probed { 2 } else { 0 };
-            let (few, many) = ((2, 1), (16, 48));
+            let (few, many) = ((4, 1), (16, 48));
             let ((alsh_bits, alsh_tables), (symmetric_bits, symmetric_tables)) =
                 if symmetric { (many, few) } else { (few, many) };
             let params = (
@@ -641,7 +643,7 @@ mod tests {
             let (cheap, dear) = (1e-9, 1e9);
             let model = CostModel {
                 score_f64_ns: dear,
-                hash_ns: cheap,
+                plane_ns: cheap,
                 comparison_ns: cheap,
                 column_ns: dear,
             };

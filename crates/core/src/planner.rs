@@ -23,8 +23,8 @@
 //! 2. **Cost model** — the [`Work`] of the path each strategy's join will take (an
 //!    LSH join scans where `lsh_join`'s rule says so; [`ips_lsh::cost`] and
 //!    [`ips_sketch::cost`] count hashing, candidates and the tree; a scored pair is a
-//!    comparison and `d` multiply-adds), priced by one nanosecond constant per
-//!    primitive in [`CostModel`], fitted by the `calibrate_planner` binary in `ips-bench`.
+//!    comparison and `d` multiply-adds, a hashed plane a plane and `h` multiply-adds),
+//!    priced per primitive in [`CostModel`], fitted by `calibrate_planner` (`ips-bench`).
 //! 3. **Eligibility** — strategies whose domain preconditions the workload
 //!    violates (ALSH and symmetric LSH need data in the unit ball, symmetric
 //!    LSH needs the queries there too) are excluded rather than mis-costed.
@@ -343,12 +343,13 @@ pub fn sample_indices<R: Rng + ?Sized>(rng: &mut R, len: usize, count: usize) ->
 /// What a join does, counted in the primitives [`CostModel`] prices.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Work {
-    /// Multiply-adds of `f64` scoring: scans, candidates, the sketch tree's products.
+    /// Multiply-adds of `f64` scoring: scans, candidates, the sketch tree's products and
+    /// hashing's point-plane margins (`ips_lsh::cost::hash_multiply_adds`).
     pub score_f64: f64,
     /// Multiply-adds of the `f32` tile kernel (a brute scan under `dtype=f32`).
     pub score_f32: f64,
-    /// Multiply-adds of hashing points against planes (`ips_lsh::cost`).
-    pub hash: f64,
+    /// Point-plane evaluations of hashing, `(n + m)·k·L`, beside their multiply-adds.
+    pub planes: f64,
     /// Comparisons: the keep-best test of each scored pair (a scan's, an LSH candidate, a
     /// sketch row or leaf point a walk scores) and each step of sorting an LSH query's
     /// gathered bucket entries (`ips_lsh::cost::expected_gathering_probed`).
@@ -377,15 +378,15 @@ impl Work {
 const F32_PER_F64_SCORE: f64 = 0.75;
 
 /// Nanoseconds per primitive of [`Work`] (an `f32` score multiply-add costs 0.75 of an
-/// `f64` one), with every core in use. The counts are exact arithmetic over known shapes;
-/// these constants absorb what the counts ignore — memory traffic, bookkeeping, per-query
-/// overhead. Rerun `calibrate_planner` (see [`CostModel::default`]) to refit them.
+/// `f64` one; a hashing one is an `f64` one), with every core in use. The counts are exact
+/// arithmetic over known shapes; these constants absorb what the counts ignore — memory
+/// traffic, bookkeeping, per-query overhead. Rerun `calibrate_planner` to refit them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
-    /// ns per `f64` score multiply-add.
+    /// ns per `f64` score multiply-add, hashing's included.
     pub score_f64_ns: f64,
-    /// ns per hashing multiply-add.
-    pub hash_ns: f64,
+    /// ns per hashed point-plane (its sign and its key bit), beyond its multiply-adds.
+    pub plane_ns: f64,
     /// ns per comparison (per step of [`Work::comparisons`]).
     pub comparison_ns: f64,
     /// ns per sketch column drawn.
@@ -393,16 +394,15 @@ pub struct CostModel {
 }
 
 impl Default for CostModel {
+    /// Medians (spreads) of twelve `calibrate_planner n=12000 m=3000` fits (d = 32, two
+    /// vCPUs), × 1.3265 to keep the earlier defaults' d = 32 scan price: score 0.0905
+    /// (0.077–0.097), plane 4.53 (3.03–5.49), comparison 1.10 (0.84–1.21), column 59.1 (44–74).
     fn default() -> Self {
-        // Medians of twelve `calibrate_planner n=12000 m=3000` fits (d = 32, two vCPUs),
-        // the suite's one scale where LSH rows hash, so all four are fitted in each run.
-        // Spreads: score_f64 0.105–0.134 (at 2000 × 400: 0.101–0.148), hash 0.320–0.401,
-        // comparison 1.22–1.59 (`dim=8` scans: 0.75–1.65, median 1.42), column 68–184.
         Self {
-            score_f64_ns: 0.1215,
-            hash_ns: 0.3565,
-            comparison_ns: 1.4125,
-            column_ns: 100.37,
+            score_f64_ns: 0.120,
+            plane_ns: 6.01,
+            comparison_ns: 1.459,
+            column_ns: 78.42,
         }
     }
 }
@@ -411,7 +411,7 @@ impl CostModel {
     /// The predicted nanoseconds of `work`.
     pub fn cost(&self, work: &Work) -> f64 {
         (work.score_f64 + work.score_f32 * F32_PER_F64_SCORE) * self.score_f64_ns
-            + work.hash * self.hash_ns
+            + work.planes * self.plane_ns
             + work.comparisons * self.comparison_ns
             + work.columns * self.column_ns
     }
@@ -675,12 +675,12 @@ impl JoinPlanner {
     /// The estimate of `config`, an LSH join under the map `M` with `params`, on a workload whose
     /// sampled pairs have the mapped `cosines`, on the path [`lsh_join`] takes: the scan
     /// where its rule ([`lsh_join::scans`]) says so, else hashing every kept point
-    /// against the `k·L` planes at [`JoinMap::plane_multiply_adds`] and gathering and
-    /// re-scoring each query's candidates. Probes widen the per-table hit probability
-    /// (more candidates) without touching the hashing — the trade the planner can
-    /// exploit: fewer tables, a few probes. `tag` closes the note, or says why the
-    /// workload is outside the family's domain. A join that cannot be set up has no
-    /// path.
+    /// against the `k·L` planes (each a plane and [`JoinMap::plane_multiply_adds`] score
+    /// multiply-adds) and gathering and re-scoring each query's candidates. Probes widen
+    /// the per-table hit probability (more candidates) without touching the hashing — the
+    /// trade the planner can exploit: fewer tables, a few probes. `tag` closes the note, or
+    /// says why the workload is outside the family's domain. A join that cannot be set up
+    /// has no path.
     fn lsh_estimate<M: JoinMap>(
         &self,
         config: IndexConfig,
@@ -707,18 +707,16 @@ impl JoinPlanner {
             );
         }
         let per_query = expected_candidates_probed(n, cosines, k, l, probes);
+        let points = n as u128 + m as u128;
         let work = Work {
-            score_f64: m as f64 * per_query * d as f64,
-            hash: hash_multiply_adds(n as u128 + m as u128, planes) as f64,
+            score_f64: m as f64 * per_query * d as f64 + hash_multiply_adds(points, planes) as f64,
+            planes: hash_multiply_adds(points, [k, l, 1]) as f64,
             comparisons: m as f64
                 * (per_query + expected_gathering_probed(n, cosines, k, l, probes)),
             ..Work::default()
         };
-        let probed = if probes > 0 {
-            format!(", +{probes} probes/table")
-        } else {
-            String::new()
-        };
+        let probed = (probes > 0).then(|| format!(", +{probes} probes/table"));
+        let probed = probed.unwrap_or_default();
         let note = tag.map(|tag| format!("≈{per_query:.1} candidates/query{probed}{tag}"));
         self.estimate(config, Some((JoinPath::Hash, work)), note)
     }
@@ -1149,8 +1147,9 @@ mod tests {
             assert_eq!(work.score_f64 + work.score_f32, 300.0 * 70.0 * 5.0);
         }
         // An LSH join that hashes pays one per expected candidate beside the sort that
-        // gathers them; a sketch walk, one per row it probes and per point of its leaf,
-        // each of which costs it `d` multiply-adds.
+        // gathers them, and scores its candidates and hashing's margins; a sketch walk,
+        // one per row it probes and per point of its leaf, each of which costs it `d`
+        // multiply-adds.
         let (n, m, d) = (100_000, 10_000, 32);
         let sampled = vec![0.02; 256];
         let plan =
@@ -1163,7 +1162,9 @@ mod tests {
         let work = plan.estimates[1].work;
         assert_eq!(plan.estimates[1].path, Some(JoinPath::Hash));
         assert_eq!(work.comparisons, m as f64 * (gathered + per_query));
-        assert_eq!(work.score_f64, m as f64 * per_query * d as f64);
+        let planes = planes_of::<SphereTransform>(&alsh, d);
+        let hashing = hash_multiply_adds((n + m) as u128, planes) as f64;
+        assert_eq!(work.score_f64, m as f64 * per_query * d as f64 + hashing);
         let sketch = MaxIpConfig::default();
         let depth = ips_sketch::cost::depth(n, &sketch);
         assert_eq!(plan.estimates[3].path, Some(JoinPath::Tree(depth)));
@@ -1176,6 +1177,48 @@ mod tests {
         let pairs = 2048.0 * 2048.0;
         let scan = CostModel::default().cost(&Work::scan(2048, 2048, 3, Dtype::F64));
         assert!(scan / pairs >= 1.5, "{} ns a pair", scan / pairs);
+    }
+
+    /// The `[k, L, h]` a join under the map `M` with `params` hashes `d`-dimensional
+    /// points with: its tables, and its multiply-adds a point and plane.
+    fn planes_of<M: JoinMap>(params: &M::Params, d: usize) -> [usize; 3] {
+        let IndexParams { k, l } = M::tuning(params).tables;
+        let map = lsh_join::set_up::<M>(params, d, &spec(0.8, 0.6)).unwrap().0;
+        [k, l, map.plane_multiply_adds()]
+    }
+
+    #[test]
+    fn a_hashed_point_plane_is_one_plane_and_its_multiply_adds_are_scoring() {
+        // Both LSH families on the hash path: (n + m)·k·L planes, and hashing's
+        // (n + m)·k·L·h multiply-adds in `score_f64` beside the candidates'. Between two
+        // dimensions only the multiply-adds move, so the prices differ by them alone.
+        let (n, m, sp, sampled) = (100_000, 10_000, spec(0.8, 0.6), vec![0.02; 256]);
+        let [low, high] = [16, 64].map(|d| {
+            let plan = JoinPlanner::default().plan_from_stats(stats(n, m, d, sampled.clone()), sp);
+            let (alsh, symmetric) = (alsh_of(&plan), PlannerConfig::default().symmetric);
+            let families = [
+                (planes_of::<SphereTransform>(&alsh, d), alsh.query_radius),
+                (planes_of::<SymmetricSphereMap>(&symmetric, d), 1.0),
+            ];
+            for (e, ([k, l, h], u)) in plan.estimates[1..3].iter().zip(families) {
+                assert_eq!(e.path, Some(JoinPath::Hash), "{}", plan.explain());
+                assert_eq!(e.work.planes, ((n + m) * k * l) as f64);
+                let cosines: Vec<f64> = sampled.iter().map(|ip| ip / u).collect();
+                let per_query = expected_candidates_probed(n, &cosines, k, l, 0);
+                let hashing = hash_multiply_adds((n + m) as u128, [k, l, h]) as f64;
+                assert_eq!(e.work.score_f64, m as f64 * per_query * d as f64 + hashing);
+            }
+            plan.estimates
+        });
+        for (low, high) in low[1..3].iter().zip(&high[1..3]) {
+            assert_eq!(
+                (low.work.planes, low.work.comparisons),
+                (high.work.planes, high.work.comparisons)
+            );
+            let moved =
+                (high.work.score_f64 - low.work.score_f64) * CostModel::default().score_f64_ns;
+            assert!((high.cost_ns - low.cost_ns - moved).abs() <= 1e-9 * high.cost_ns);
+        }
     }
 
     #[test]
@@ -1243,9 +1286,11 @@ mod tests {
             (e.work, e.cost_ns)
         };
         let ((full_work, full_cost), (probed_work, probed_cost)) = (alsh(&full), alsh(&probed));
-        assert_eq!(probed_work.hash * 2.0, full_work.hash);
+        assert_eq!(probed_work.planes * 2.0, full_work.planes);
         assert!(probed_work.comparisons > full_work.comparisons);
-        assert!(probed_work.score_f64 > full_work.score_f64);
+        // Hashing's multiply-adds (d + 2 = 34 a plane) aside, probes score more.
+        let candidates = |w: &Work| w.score_f64 - w.planes * 34.0;
+        assert!(candidates(&probed_work) > candidates(&full_work));
         assert!(
             probed_cost > full_cost,
             "half the tables with probes must be estimated dearer: {probed_cost} vs {full_cost}"

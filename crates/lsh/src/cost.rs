@@ -10,9 +10,11 @@
 //! hit probabilities over the data set — estimated here from a *sample* of
 //! inner products rather than the full `n·m` product matrix.
 //!
-//! These are counts of work, not of time: candidates, the steps of gathering them,
-//! and hashing multiply-adds. The planner's `CostModel` prices a step and a candidate as
-//! a comparison each (a candidate also `d` multiply-adds), fitted by `calibrate_planner`.
+//! These are counts of work, not of time: candidates, the steps of gathering them, and
+//! hashing's multiply-adds, which `ips-core`'s scan rule weighs against a scan's. The
+//! planner's `CostModel` prices a step and a candidate as a comparison each (a candidate
+//! also `d` multiply-adds), and a hashed point-plane as one plane and its `h`
+//! multiply-adds at the scoring price, fitted by `calibrate_planner`.
 
 use crate::hyperplane::HyperplaneFamily;
 
@@ -149,10 +151,10 @@ fn sample_mean(cosines: &[f64], f: impl Fn(f64) -> f64) -> f64 {
     sum / cosines.len().max(1) as f64
 }
 
-/// The multiply-adds of hashing `points` vectors into `l` tables of `k` planes each,
-/// at `h` multiply-adds a vector and plane (the coordinates the kernel walks: the
-/// embedded vector's non-zeros, see [`crate::bank`]): `points·k·l·h`, saturating at
-/// `u128::MAX`.
+/// The multiply-adds of hashing `points` vectors into `l` tables of `k` planes each, at
+/// `h` multiply-adds a vector and plane (the coordinates the kernel walks: the embedded
+/// vector's non-zeros, see [`crate::bank`]): `points·k·l·h`, saturating at `u128::MAX`.
+/// At `h = 1` it counts the point-plane evaluations, which the planner prices apiece.
 pub fn hash_multiply_adds(points: u128, [k, l, h]: [usize; 3]) -> u128 {
     [k, l, h].into_iter().fold(points, |product, factor| {
         product.saturating_mul(factor as u128)
